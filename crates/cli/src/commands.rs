@@ -6,6 +6,7 @@ use crate::args::Args;
 use std::fmt::Write as _;
 use tracon_core::{Characteristics, ModelKind, Objective};
 use tracon_dcsim::arrival::{poisson_trace, WorkloadMix};
+use tracon_dcsim::experiments::registry::{find, Experiment, REGISTRY};
 use tracon_dcsim::{SchedulerKind, Simulation, Testbed, TestbedConfig};
 use tracon_vmsim::{Benchmark, HostConfig};
 
@@ -32,8 +33,8 @@ COMMANDS:
              [--compare]  (run MIOS, MIBS, and MIX side by side instead of
                            the single --scheduler, normalized against FIFO)
   experiment Run a registered paper experiment end to end
-             NAME... | --list   [--fidelity small|quick|full]  (default small;
-             full matches the paper-scale figures and can take hours)
+             NAME... | all | --list   [--fidelity small|quick|full]  (default
+             small; full matches the paper-scale figures and can take hours)
   serve      Run tracond, the online scheduling daemon, until drained
              [--port N=0] [--http-port N=0] [--machines N=4] [--slots N=2]
              [--shards N=1]  (scheduler shards behind one connection
@@ -366,9 +367,26 @@ pub fn simulate(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
+/// Resolves `tracon experiment` positionals — names, comma lists, and
+/// `all` for every registered experiment — before anything runs, so a
+/// typo costs nothing.
+fn resolve_experiments(positionals: &[String]) -> Result<Vec<&'static dyn Experiment>, String> {
+    let mut exps = Vec::new();
+    for name in positionals.iter().flat_map(|p| p.split(',')) {
+        match name {
+            "" => {}
+            "all" => exps.extend(REGISTRY.iter().copied()),
+            _ => exps.push(find(name).ok_or_else(|| {
+                format!("unknown experiment '{name}' (try `tracon experiment --list`)")
+            })?),
+        }
+    }
+    Ok(exps)
+}
+
 /// `tracon experiment`
 pub fn experiment(args: &Args) -> Result<String, String> {
-    use tracon_dcsim::experiments::registry::{find, TestbedCache, REGISTRY};
+    use tracon_dcsim::experiments::registry::TestbedCache;
     use tracon_dcsim::experiments::ExperimentConfig;
 
     if args.flag("list") {
@@ -377,6 +395,7 @@ pub fn experiment(args: &Args) -> Result<String, String> {
         for exp in REGISTRY {
             writeln!(out, "  {:12} {}", exp.name(), exp.description()).unwrap();
         }
+        writeln!(out, "  {:12} every experiment above, in that order", "all").unwrap();
         return Ok(out);
     }
 
@@ -389,21 +408,13 @@ pub fn experiment(args: &Args) -> Result<String, String> {
     if args.positionals.is_empty() {
         return Err("missing experiment name (try `tracon experiment --list`)".into());
     }
-    let names: Vec<&str> = args
-        .positionals
-        .iter()
-        .flat_map(|p| p.split(','))
-        .filter(|s| !s.is_empty())
-        .collect();
+    let exps = resolve_experiments(&args.positionals)?;
 
     // One cache for the whole invocation: the profiled testbed is built at
     // most once no matter how many experiments share it.
     let cache = TestbedCache::new(&cfg);
     let mut out = String::new();
-    for (i, name) in names.into_iter().enumerate() {
-        let exp = find(name).ok_or_else(|| {
-            format!("unknown experiment '{name}' (try `tracon experiment --list`)")
-        })?;
+    for (i, exp) in exps.into_iter().enumerate() {
         if i > 0 {
             writeln!(out).unwrap();
         }
@@ -837,15 +848,29 @@ mod tests {
     #[test]
     fn experiment_list_names_every_driver() {
         let out = experiment(&parse_str("experiment --list")).unwrap();
-        for exp in tracon_dcsim::experiments::registry::REGISTRY {
+        for exp in REGISTRY {
             assert!(out.contains(exp.name()), "missing {}", exp.name());
         }
+        // `all` is listed and stands for the whole registry, in order,
+        // wherever it appears in a name list.
+        assert!(out.contains("\n  all "), "{out}");
+        let names = |spec: &str| -> Vec<&str> {
+            let exps = resolve_experiments(&[spec.to_string()]).unwrap();
+            exps.iter().map(|e| e.name()).collect()
+        };
+        let every: Vec<&str> = REGISTRY.iter().map(|e| e.name()).collect();
+        assert_eq!(names("all"), every);
+        assert_eq!(names("fig4,all")[1..], every[..]);
     }
 
     #[test]
     fn experiment_rejects_unknowns() {
         let err = experiment(&parse_str("experiment fig99")).unwrap_err();
         assert!(err.contains("unknown experiment"), "{err}");
+        // Names are resolved before anything runs: the typo is reported
+        // at once, not after the fifteen experiments ahead of it.
+        let err = experiment(&parse_str("experiment all,fig99")).unwrap_err();
+        assert!(err.contains("unknown experiment 'fig99'"), "{err}");
         let err = experiment(&parse_str("experiment fig9 --fidelity huge")).unwrap_err();
         assert!(err.contains("unknown fidelity"), "{err}");
         let err = experiment(&parse_str("experiment")).unwrap_err();

@@ -1,10 +1,11 @@
 //! Deterministic fork-join helpers built on `std::thread::scope`.
 //!
-//! The experiment sweeps and MIX's head-candidate search are
-//! embarrassingly parallel: every job is a pure function of its inputs,
-//! and results are reduced in job-index order, so output is bit-identical
-//! for any worker count. A few scoped threads pulling from a shared work
-//! queue cover that without adding a dependency to the workspace.
+//! The experiment sweeps (`dcsim`'s Fig 8 grid and the Figs 9-12 dynamic
+//! sweep) are embarrassingly parallel: every job is a pure function of its
+//! inputs, and results are reduced in job-index order, so output is
+//! bit-identical for any worker count. A few scoped threads pulling from a
+//! shared work queue cover that without adding a dependency to the
+//! workspace.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -21,19 +22,17 @@ pub fn override_threads(n: Option<usize>) {
 }
 
 /// The worker count [`map`] will use: the [`override_threads`] value if
-/// set, else `TRACON_NUM_THREADS` or `RAYON_NUM_THREADS` from the
-/// environment, else the machine's available parallelism.
+/// set, else `TRACON_NUM_THREADS` from the environment, else the machine's
+/// available parallelism.
 pub fn max_threads() -> usize {
     let forced = OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced;
     }
-    for var in ["TRACON_NUM_THREADS", "RAYON_NUM_THREADS"] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
+    if let Ok(v) = std::env::var("TRACON_NUM_THREADS") {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            if n > 0 {
+                return n;
             }
         }
     }

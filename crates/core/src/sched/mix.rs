@@ -8,20 +8,13 @@
 //! paper's point is that the small additional gain rarely justifies the
 //! overhead.
 //!
-//! Head candidates are independent, so on large clusters each one is
-//! evaluated on its own cluster clone across worker threads; candidates
-//! are reduced in head order, making the result bit-identical to the
-//! serial place/undo evaluation for any thread count.
+//! Each head is evaluated on the live cluster and undone before the next
+//! (`place`/`clear` are exact inverses), so the search costs no cluster
+//! copy at any cluster size.
 
-use super::{place_best_with, Assignment, ClusterState, FreeClass, Mibs, Scheduler, Task};
-use crate::par;
+use super::{place_best_with, Assignment, ClusterState, Mibs, Resident, Scheduler, Task};
 use crate::predictor::ScoringPolicy;
 use std::collections::{HashSet, VecDeque};
-
-/// Minimum cluster size at which cloning the cluster per head candidate
-/// and fanning out to worker threads pays for the thread handoff; below
-/// it the serial place/undo evaluation is faster.
-const PAR_MACHINES_THRESHOLD: usize = 32;
 
 /// The mixed scheduler.
 #[derive(Debug, Clone)]
@@ -47,27 +40,6 @@ fn total_score(assignments: &[Assignment]) -> f64 {
     assignments.iter().map(|a| a.predicted_score).sum()
 }
 
-/// Per-evaluation scratch for the head search: a reusable MIBS instance
-/// (which owns its own flat scoring buffers) plus the class/score rows
-/// for the forced head placement. The serial path carries one `Scratch`
-/// across every head candidate; the parallel path gives each worker its
-/// own, since candidates run concurrently.
-struct Scratch {
-    mibs: Mibs,
-    classes: Vec<FreeClass>,
-    scores: Vec<f64>,
-}
-
-impl Scratch {
-    fn new(queue_len: usize) -> Self {
-        Scratch {
-            mibs: Mibs::new(queue_len),
-            classes: Vec::new(),
-            scores: Vec::new(),
-        }
-    }
-}
-
 impl Scheduler for Mix {
     fn name(&self) -> String {
         format!("MIX_{}", self.queue_len)
@@ -83,60 +55,32 @@ impl Scheduler for Mix {
             return Vec::new();
         }
         let tasks: Vec<Task> = queue.iter().copied().collect();
-        let queue_len = self.queue_len;
-        // Force task `head` to be placed first (by MIOS), then let MIBS
-        // schedule the remainder on the given cluster.
-        let evaluate = |head: usize,
-                        cluster: &mut ClusterState,
-                        scratch: &mut Scratch|
-         -> Option<Vec<Assignment>> {
-            let mut placed = vec![place_best_with(
-                tasks[head],
-                cluster,
-                scoring,
-                &mut scratch.classes,
-                &mut scratch.scores,
-            )?];
+        // One MIBS instance (which owns its flat scoring buffers) and one
+        // class/score row pair serve every head: the buffers stay warm.
+        let mut mibs = Mibs::new(self.queue_len);
+        let (mut classes, mut scores) = (Vec::new(), Vec::new());
+        let mut best: Option<(f64, Vec<Assignment>)> = None;
+        for head in 0..tasks.len() {
+            // Force task `head` to be placed first (by MIOS), then let
+            // MIBS schedule the remainder.
+            let Some(first) =
+                place_best_with(tasks[head], cluster, scoring, &mut classes, &mut scores)
+            else {
+                continue;
+            };
+            let mut placed = vec![first];
             let mut rest: VecDeque<Task> = tasks
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| *i != head)
                 .map(|(_, t)| *t)
                 .collect();
-            placed.extend(scratch.mibs.schedule(&mut rest, cluster, scoring));
-            Some(placed)
-        };
-
-        let candidates: Vec<Option<Vec<Assignment>>> =
-            if cluster.n_machines() >= PAR_MACHINES_THRESHOLD && tasks.len() > 1 {
-                // Each head candidate gets its own cluster clone and
-                // scratch, so the evaluations can run on worker threads.
-                let shared: &ClusterState = cluster;
-                par::map((0..tasks.len()).collect(), |head| {
-                    let mut scratch_cluster = shared.clone();
-                    let mut scratch = Scratch::new(queue_len);
-                    evaluate(head, &mut scratch_cluster, &mut scratch)
-                })
-            } else {
-                // Evaluate on the live cluster and undo (place/clear are
-                // exact inverses, cheaper than cloning small clusters).
-                // One scratch serves every head: the buffers stay warm.
-                let mut scratch = Scratch::new(queue_len);
-                (0..tasks.len())
-                    .map(|head| {
-                        let placed = evaluate(head, cluster, &mut scratch)?;
-                        for a in placed.iter().rev() {
-                            cluster.clear(a.vm);
-                        }
-                        Some(placed)
-                    })
-                    .collect()
-            };
-
-        // Reduce in head order: placement count first, then total score —
-        // the same better-than rule the serial loop applied.
-        let mut best: Option<(f64, Vec<Assignment>)> = None;
-        for placed in candidates.into_iter().flatten() {
+            placed.extend(mibs.schedule(&mut rest, cluster, scoring));
+            for a in placed.iter().rev() {
+                cluster.clear(a.vm);
+            }
+            // Placement count first, then total score; ties keep the
+            // earlier head.
             let score = total_score(&placed);
             let better = match &best {
                 None => true,
@@ -158,7 +102,7 @@ impl Scheduler for Mix {
         for a in &assignments {
             cluster.place(
                 a.vm,
-                super::Resident {
+                Resident {
                     task_id: a.task.id,
                     app: a.task.app,
                 },
@@ -174,7 +118,8 @@ impl Scheduler for Mix {
 mod tests {
     use super::*;
     use crate::predictor::{Objective, ScoringPolicy};
-    use crate::sched::test_support::{aid, app_chars, predictor, task};
+    use crate::sched::test_support::{aid, app_chars, predictor, resident, task};
+    use crate::sched::VmRef;
 
     #[test]
     fn never_worse_than_mibs() {
@@ -238,31 +183,44 @@ mod tests {
         assert_eq!(io_machines.len(), 3);
     }
 
+    /// Place/undo exactness: whatever the 8 head evaluations did to a
+    /// 64 x 2 cluster with residents, what is left is the starting cluster
+    /// plus exactly the returned assignments — and the untouched cluster
+    /// once it is full.
     #[test]
-    fn parallel_head_search_matches_single_thread() {
+    fn head_search_leaves_only_the_returned_assignments_behind() {
         let p = predictor();
         let scoring = ScoringPolicy::new(&p, Objective::MinRuntime);
-        let tasks: Vec<Task> = (0..8)
-            .map(|i| task(i, if i % 2 == 0 { "io" } else { "cpu" }))
-            .collect();
-        // 64 machines crosses the parallel threshold, so both runs take
-        // the clone-per-head path; only the worker count differs.
-        let run = |threads: Option<usize>| {
-            crate::par::override_threads(threads);
-            let mut cluster = ClusterState::new(64, 2, app_chars());
-            let mut q: VecDeque<Task> = tasks.clone().into();
-            let out = Mix::new(8).schedule(&mut q, &mut cluster, &scoring);
-            crate::par::override_threads(None);
-            out
-        };
-        let single = run(Some(1));
-        let parallel = run(Some(4));
-        assert_eq!(single.len(), parallel.len());
-        for (a, b) in single.iter().zip(&parallel) {
-            assert_eq!(a.task, b.task);
-            assert_eq!(a.vm, b.vm);
-            assert_eq!(a.predicted_score.to_bits(), b.predicted_score.to_bits());
+        let app = |i: usize| ["io", "cpu"][i % 2];
+        let mut cluster = ClusterState::new(64, 2, app_chars());
+        // 7 free slots: two idle machines and three half-occupied ones.
+        for (slot, occupied) in [(0, 62), (1, 59)] {
+            for machine in 0..occupied {
+                let id = 1000 + (2 * machine + slot) as u64;
+                cluster.place(VmRef { machine, slot }, resident(id, app(machine + slot)));
+            }
         }
+        let mut expected = cluster.clone();
+        let mut queue: VecDeque<Task> = (0..8).map(|i| task(i, app(i as usize))).collect();
+
+        let out = Mix::new(8).schedule(&mut queue, &mut cluster, &scoring);
+        assert_eq!(out.len(), 7);
+        assert_eq!(queue.len(), 1);
+        for a in &out {
+            let placed = Resident {
+                task_id: a.task.id,
+                app: a.task.app,
+            };
+            expected.place(a.vm, placed);
+        }
+        assert_eq!(format!("{cluster:?}"), format!("{expected:?}"));
+
+        let left = queue.clone();
+        assert!(Mix::new(8)
+            .schedule(&mut queue, &mut cluster, &scoring)
+            .is_empty());
+        assert_eq!(queue, left);
+        assert_eq!(format!("{cluster:?}"), format!("{expected:?}"));
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! cargo run --release -p tracon-dcsim --example golden_gen
 //! ```
 //!
-//! Paste the emitted array over `GOLDEN` in the test whenever the engine
-//! is *intentionally* changed in a behaviour-visible way. The fixtures
-//! cover a static batch and a Poisson trace, every [`SchedulerKind`], and
-//! both objectives, so any accidental change to event ordering, progress
+//! Paste the emitted constants over `GOLDEN_TESTBED` / `GOLDEN` in the
+//! test whenever the engine is *intentionally* changed in a
+//! behaviour-visible way. The fixtures cover two static batches (6 and
+//! 64 machines) and a Poisson trace, every [`SchedulerKind`], and both
+//! objectives, so any accidental change to event ordering, progress
 //! rescaling, or dispatch triggering shows up as a bit-level mismatch.
 
 use tracon_core::{MibsVariant, Objective};
-use tracon_dcsim::arrival::{poisson_trace, static_batch, WorkloadMix};
+use tracon_dcsim::arrival::{poisson_trace, static_batch, ArrivalEvent, WorkloadMix};
 use tracon_dcsim::{SchedulerKind, Simulation, Testbed, TestbedConfig};
 
 /// Every scheduler kind the simulator accepts (window 8 for the batchers).
@@ -27,23 +28,45 @@ pub fn all_kinds() -> Vec<SchedulerKind> {
     kinds
 }
 
+/// The fixture scenarios, mirrored by `tests/golden_engine.rs`.
+fn scenarios() -> Vec<(&'static str, usize, Vec<ArrivalEvent>, Option<f64>)> {
+    vec![
+        ("static", 6, static_batch(24, WorkloadMix::Medium, 7), None),
+        (
+            "poisson",
+            4,
+            poisson_trace(40.0, 1800.0, WorkloadMix::Uniform, 11),
+            Some(1800.0),
+        ),
+        (
+            "static64",
+            64,
+            static_batch(192, WorkloadMix::Medium, 13),
+            None,
+        ),
+    ]
+}
+
+/// FNV-1a over the measured pair-runtime bits: names the testbed (and so
+/// the `rand` stream that produced it) the pins belong to.
+fn testbed_digest(tb: &Testbed) -> u64 {
+    let n = tb.perf.n_apps();
+    (0..n * n).fold(0xcbf2_9ce4_8422_2325, |h, i| {
+        (h ^ tb.perf.runtime(i / n, i % n).to_bits()).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 fn main() {
     let tb = Testbed::build(&TestbedConfig::small());
-    let mut rows = Vec::new();
-    for &(scenario, machines) in &[("static", 6usize), ("poisson", 4usize)] {
-        let (trace, horizon) = match scenario {
-            "static" => (static_batch(24, WorkloadMix::Medium, 7), None),
-            _ => (
-                poisson_trace(40.0, 1800.0, WorkloadMix::Uniform, 11),
-                Some(1800.0),
-            ),
-        };
+    println!("const GOLDEN_TESTBED: u64 = {:#018x};", testbed_digest(&tb));
+    println!("const GOLDEN: &[GoldenRow] = &[");
+    for (scenario, machines, trace, horizon) in scenarios() {
         for kind in all_kinds() {
             for objective in [Objective::MinRuntime, Objective::MaxIops] {
                 let r = Simulation::new(&tb, machines, kind)
                     .with_objective(objective)
                     .run(&trace, horizon);
-                rows.push(format!(
+                println!(
                     "    (\"{scenario}\", \"{}\", \"{}\", {}, {}, {:#018x}, {:#018x}, {:#018x}, {:#018x}),",
                     r.scheduler,
                     objective.suffix(),
@@ -53,13 +76,9 @@ fn main() {
                     r.total_iops.to_bits(),
                     r.makespan.to_bits(),
                     r.mean_wait.to_bits(),
-                ));
+                );
             }
         }
-    }
-    println!("const GOLDEN: &[GoldenRow] = &[");
-    for row in rows {
-        println!("{row}");
     }
     println!("];");
 }

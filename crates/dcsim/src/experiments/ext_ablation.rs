@@ -100,11 +100,6 @@ impl ExtAblation {
         }
         out
     }
-
-    /// Prints the table.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 #[cfg(test)]

@@ -415,11 +415,6 @@ impl ExtAdaptive {
         );
         out
     }
-
-    /// Prints the per-segment series.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 #[cfg(test)]

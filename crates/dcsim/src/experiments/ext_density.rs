@@ -132,11 +132,6 @@ impl ExtDensity {
         );
         out
     }
-
-    /// Prints the sweep.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 #[cfg(test)]

@@ -184,11 +184,6 @@ impl ExtFaults {
         }
         out
     }
-
-    /// Prints the table.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 #[cfg(test)]

@@ -183,11 +183,6 @@ impl ExtNetwork {
         }
         out
     }
-
-    /// Prints the table.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 #[cfg(test)]

@@ -110,11 +110,6 @@ impl ExtStorage {
         );
         out
     }
-
-    /// Prints the sweep.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 #[cfg(test)]

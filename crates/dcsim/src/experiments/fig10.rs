@@ -56,11 +56,6 @@ impl Fig10 {
         )
     }
 
-    /// Prints the figure's series.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-
     /// Mean normalized throughput of a queue length across the sweep.
     pub fn series_mean(&self, queue_len: usize) -> f64 {
         let xs: Vec<f64> = self

@@ -1,11 +1,11 @@
 //! Fig 11: scalability — normalized throughputs of MIBS_8, MIOS, and
 //! MIX_8 as the cluster grows from 8 to 1,024 machines at a fixed high
-//! arrival rate, plus the paper's 10,000-machine sidebar.
+//! arrival rate.
 //!
 //! Paper shape: MIBS_8's throughput is close to MIX_8's and the gap
-//! narrows with machine count; MIOS improves the least. At 10,000
-//! machines and proportionally scaled λ, MIBS_8 keeps a ~40% improvement
-//! on the medium mix.
+//! narrows with machine count; MIOS improves the least. (The paper's
+//! 10,000-machine sidebar is a `tracon simulate --machines 10000` run;
+//! see EXPERIMENTS.md.)
 
 use super::fig9::SCHEDULERS;
 use super::sweep::{dynamic_sweep, render_points, DynamicPoint, HORIZON_S};
@@ -53,22 +53,6 @@ pub fn run(
     Fig11 { points }
 }
 
-/// The 10,000-machine scalability check (λ scaled by 10x relative to the
-/// 1,024-machine sweep, as the paper scales λ = 1,000 to λ = 10,000).
-pub fn run_10k(testbed: &Testbed, seed: u64) -> DynamicPoint {
-    let mut points = dynamic_sweep(
-        testbed,
-        10_000,
-        &[LAMBDA * 10.0],
-        &[WorkloadMix::Medium],
-        &[SchedulerKind::Mibs(8)],
-        HORIZON_S,
-        1,
-        seed,
-    );
-    points.pop().expect("one point requested")
-}
-
 impl Fig11 {
     /// Renders the figure's series.
     pub fn render(&self) -> String {
@@ -78,11 +62,6 @@ impl Fig11 {
             ),
             &self.points,
         )
-    }
-
-    /// Prints the figure's series.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 
     /// Normalized throughput for a (scheduler, machines) pair.

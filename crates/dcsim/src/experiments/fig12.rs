@@ -55,11 +55,6 @@ impl Fig12 {
         )
     }
 
-    /// Prints the figure's series.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-
     /// Mean normalized throughput of a queue length across sizes.
     pub fn series_mean(&self, queue_len: usize) -> f64 {
         let xs: Vec<f64> = self

@@ -148,11 +148,6 @@ impl Fig3 {
             self.render_panel("b (IOPS)", &self.iops)
         )
     }
-
-    /// Prints both panels.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 #[cfg(test)]

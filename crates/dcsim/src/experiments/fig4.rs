@@ -104,11 +104,6 @@ impl Fig4 {
         }
         out
     }
-
-    /// Prints the figure's series.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 #[cfg(test)]

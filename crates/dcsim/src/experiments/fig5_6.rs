@@ -134,11 +134,6 @@ impl Fig5And6 {
         }
         out
     }
-
-    /// Prints both figures' series.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 #[cfg(test)]

@@ -248,11 +248,6 @@ impl Fig7 {
         }
         out
     }
-
-    /// Prints the trajectory series.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 #[cfg(test)]

@@ -118,11 +118,6 @@ impl Fig8 {
         }
         out
     }
-
-    /// Prints the figure's series.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 #[cfg(test)]

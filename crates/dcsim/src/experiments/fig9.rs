@@ -67,11 +67,6 @@ impl Fig9 {
         )
     }
 
-    /// Prints the figure's series.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-
     /// Normalized throughput for a specific point.
     pub fn point(
         &self,
@@ -132,7 +127,7 @@ mod tests {
         );
         let mibs = &points[0];
         // With the reduced test testbed the dynamic gain is small; the
-        // full-fidelity sweep (bench harness) shows the Fig 9 separation.
+        // full-fidelity sweep (`--fidelity full`) shows the Fig 9 separation.
         // Here MIBS must at least not lose materially to FIFO.
         assert!(
             mibs.normalized_throughput.mean >= 0.95,

@@ -1,10 +1,10 @@
 //! Experiment drivers: one per table and figure of the paper's
 //! evaluation (Section 4). Each driver is a pure function from a built
-//! [`Testbed`] (plus experiment parameters) to a structured result with
-//! `render`/`print` methods that emit the same rows/series the paper
-//! reports. The [`registry`] module unifies all drivers behind the
-//! [`registry::Experiment`] trait so the CLI and the `tracon-bench`
-//! harness can enumerate and run them by name.
+//! [`Testbed`] (plus experiment parameters) to a structured result whose
+//! `render` method emits the same rows/series the paper reports. The
+//! [`registry`] module unifies all drivers behind the
+//! [`registry::Experiment`] trait so `tracon experiment NAME` can
+//! enumerate and run them by name.
 
 pub mod ext_ablation;
 pub mod ext_adaptive;
@@ -55,7 +55,8 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// Full-fidelity configuration used by the benchmark harness.
+    /// Full-fidelity configuration (`--fidelity full`; `benchmark/` builds
+    /// its testbed from it).
     ///
     /// The testbed time scale is 0.25: simulated benchmarks run for tens
     /// of seconds instead of minutes, which puts the paper's λ axis
@@ -77,9 +78,9 @@ impl ExperimentConfig {
         }
     }
 
-    /// Reduced-grid configuration for quick full-pipeline passes (the
-    /// bench harness's `--quick` flag): a coarser calibration, fewer
-    /// repetitions, and thinned sweep grids.
+    /// Reduced-grid configuration for quick full-pipeline passes
+    /// (`--fidelity quick`): a coarser calibration, fewer repetitions, and
+    /// thinned sweep grids.
     pub fn quick() -> Self {
         ExperimentConfig {
             testbed: TestbedConfig {

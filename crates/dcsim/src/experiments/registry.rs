@@ -1,6 +1,6 @@
 //! The experiment registry: every table/figure driver behind one
 //! object-safe [`Experiment`] trait, so the CLI (`tracon experiment`)
-//! and the bench harness can enumerate, look up, and run them by name.
+//! can enumerate, look up, and run them by name.
 //!
 //! Experiments that need the profiled testbed share one lazily-built
 //! instance through [`TestbedCache`]; the vmsim-level experiments
@@ -16,20 +16,13 @@ use std::sync::OnceLock;
 use tracon_vmsim::HostConfig;
 
 /// A finished experiment run: the registry name plus the rendered
-/// rows/series (what `print` methods used to write to stdout).
+/// rows/series.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Registry name of the experiment that produced this report.
     pub name: &'static str,
     /// The rendered result table(s).
     pub rendered: String,
-}
-
-impl Report {
-    /// Prints the rendered result.
-    pub fn print(&self) {
-        print!("{}", self.rendered);
-    }
 }
 
 /// Lazily-built testbed shared by the experiments of one campaign run.

@@ -144,8 +144,3 @@ pub fn render_points(title: &str, points: &[DynamicPoint]) -> String {
     }
     out
 }
-
-/// Prints a dynamic point table (shared by Figs 9-12).
-pub fn print_points(title: &str, points: &[DynamicPoint]) {
-    print!("{}", render_points(title, points));
-}

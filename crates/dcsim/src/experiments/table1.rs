@@ -66,11 +66,6 @@ impl Table1 {
         }
         out
     }
-
-    /// Prints the table in the paper's layout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 #[cfg(test)]

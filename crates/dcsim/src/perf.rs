@@ -64,25 +64,9 @@ impl PerfTable {
         self.names.len()
     }
 
-    /// Index of an application by name.
-    ///
-    /// # Panics
-    /// Panics when the application is unknown.
-    #[deprecated(
-        since = "0.1.0",
-        note = "linear name scan per call — intern the name once and use `index_of_id`"
-    )]
-    pub fn index_of(&self, name: &str) -> usize {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .unwrap_or_else(|| panic!("unknown application '{name}'"))
-    }
-
-    /// Table index of an interned application id — one array load, the
-    /// hot-path replacement for the name-scanning `index_of`. Valid for
-    /// ids from any `AppRegistry` built over this table's name set (ids
-    /// are assigned in lexicographic name order).
+    /// Table index of an interned application id — one array load. Valid
+    /// for ids from any `AppRegistry` built over this table's name set
+    /// (ids are assigned in lexicographic name order).
     #[inline]
     pub fn index_of_id(&self, app: AppId) -> usize {
         self.id_index[app.index()]
@@ -184,22 +168,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn index_of_names() {
-        let t = toy_table();
-        assert_eq!(t.index_of("io"), 0);
-        assert_eq!(t.index_of("cpu"), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown application")]
-    #[allow(deprecated)]
-    fn unknown_name_panics() {
-        toy_table().index_of("nope");
-    }
-
-    #[test]
-    #[allow(deprecated)]
     fn interned_ids_map_to_table_indices() {
         use tracon_core::AppRegistry;
         let t = toy_table();
@@ -208,7 +176,8 @@ mod tests {
         let reg = AppRegistry::from_names(t.names.iter().cloned());
         for name in &t.names {
             let id = reg.expect_id(name);
-            assert_eq!(t.index_of_id(id), t.index_of(name));
+            let by_name = t.names.iter().position(|n| n == name).unwrap();
+            assert_eq!(t.index_of_id(id), by_name);
         }
     }
 

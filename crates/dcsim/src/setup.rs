@@ -5,7 +5,8 @@
 //!
 //! Building the full campaign (8 applications x 126 calibration
 //! workloads, plus the 8x8 pair matrix) takes a few seconds in release
-//! mode; the profiling runs are spread across threads with crossbeam.
+//! mode; the profiling runs are spread across scoped threads, one per
+//! benchmark.
 
 use crate::perf::PerfTable;
 use std::collections::HashMap;
@@ -112,17 +113,16 @@ impl Testbed {
         // per benchmark (the campaign is embarrassingly parallel).
         let profiler = Profiler::new(Engine::new(cfg.host));
         let mut profiles: Vec<Option<ProfileSet>> = (0..models.len()).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (i, (slot, app)) in profiles.iter_mut().zip(&models).enumerate() {
                 let profiler = &profiler;
                 let backgrounds = &backgrounds;
                 let seed = cfg.seed.wrapping_add(10_000 * (i as u64 + 1));
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     *slot = Some(profiler.profile(app, backgrounds, seed));
                 });
             }
-        })
-        .expect("profiling threads panicked");
+        });
         let profiles: Vec<ProfileSet> = profiles.into_iter().map(|p| p.unwrap()).collect();
 
         // Measure the 8x8 pair matrix the simulator replays.

@@ -19,10 +19,10 @@
 //! * [`queueing`] — M/M/1 shared-bandwidth contention factors (the
 //!   network resource dimension's analytic interference model).
 //!
-//! The crate is deliberately dependency-light (only `rand` and `serde`)
-//! and sized for TRACON's workloads: design matrices of a few hundred
-//! rows and at most ~45 columns (the full degree-2 expansion of the eight
-//! controlled variables).
+//! The crate is deliberately dependency-light (only `rand`) and sized
+//! for TRACON's workloads: design matrices of a few hundred rows and at
+//! most ~45 columns (the full degree-2 expansion of the eight controlled
+//! variables).
 
 #![warn(missing_docs)]
 

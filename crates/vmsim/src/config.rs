@@ -262,34 +262,6 @@ impl HostConfig {
             )
         })
     }
-
-    /// The testbed configuration with iSCSI remote storage (Fig. 7).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `HostConfig::class(\"iscsi\")` or the builder"
-    )]
-    pub fn testbed_iscsi() -> Self {
-        HostConfig::class("iscsi")
-    }
-
-    /// The testbed with an SSD (future-work extension).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `HostConfig::class(\"ssd\")` or the builder"
-    )]
-    pub fn testbed_ssd() -> Self {
-        HostConfig::class("ssd")
-    }
-
-    /// The testbed with a RAID-0 stripe over `n` local disks
-    /// (future-work extension).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `HostConfig::class(\"raid0x<N>\")` or the builder"
-    )]
-    pub fn testbed_raid0(n: usize) -> Self {
-        HostConfig::class(&format!("raid0x{n}"))
-    }
 }
 
 impl Default for HostConfig {
@@ -380,13 +352,5 @@ mod tests {
     #[should_panic(expected = "unknown machine class")]
     fn unknown_class_panics() {
         HostConfig::class("floppy");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_class_registry() {
-        assert_eq!(HostConfig::testbed_iscsi(), HostConfig::class("iscsi"));
-        assert_eq!(HostConfig::testbed_ssd(), HostConfig::class("ssd"));
-        assert_eq!(HostConfig::testbed_raid0(3), HostConfig::class("raid0x3"));
     }
 }

@@ -12,7 +12,7 @@ use tracon::vmsim::{apps, Benchmark, Engine, HostConfig};
 fn main() {
     // Headline sweep: Table-1-style cells and scheduler room per device.
     let fig = ext_storage::run(0.25, 7);
-    fig.print();
+    print!("{}", fig.render());
 
     // A closer look at one pairing across devices.
     println!("\nvideo + dedup on each device (runtime and served IOPS of video):");

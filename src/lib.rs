@@ -55,8 +55,8 @@
 //! println!("speedup over FIFO: {:.2}", tracon::dcsim::speedup(&fifo, &mibs));
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench` for the
-//! binaries that regenerate every table and figure of the paper.
+//! See `examples/` for runnable scenarios; `tracon experiment NAME`
+//! (`crates/cli`) regenerates every table and figure of the paper.
 
 #![warn(missing_docs)]
 

@@ -1,10 +1,10 @@
 //! Golden-equivalence tests for the event-kernel / observer split: the
 //! observer layer must be a pure tap on the kernel, so instrumenting a
 //! run can never change its outcome, and the kernel itself must be
-//! bit-deterministic. The fixture matrix covers a static batch and a
-//! Poisson trace, every [`SchedulerKind`], and both objectives — any
-//! accidental change to event ordering, progress rescaling, or dispatch
-//! triggering shows up as a bit-level mismatch.
+//! bit-deterministic. The fixture matrix covers two static batches (6
+//! and 64 machines) and a Poisson trace, every [`SchedulerKind`], and
+//! both objectives — any accidental change to event ordering, progress
+//! rescaling, or dispatch triggering shows up as a bit-level mismatch.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -29,17 +29,85 @@ type GoldenRow = (
     u64,
 );
 
-/// Pinned fingerprints. Empty means "not pinned on this checkout": the
-/// equivalence assertions below still run in full. To pin the current
-/// engine behaviour, paste the output of
-/// `cargo run --release -p tracon-dcsim --example golden_gen` here;
-/// regenerate whenever the engine is *intentionally* changed in a
-/// behaviour-visible way.
-const GOLDEN: &[GoldenRow] = &[];
+/// [`testbed_digest`] of the testbed the pins below were generated on.
+/// The profiling campaign draws from `rand`, so a pin only means
+/// something on the stream that produced it — here the stand-in under
+/// `benchmark/offline/rand`, the one source this sandbox can build. On
+/// any other testbed the pins are skipped (and the skip is printed); the
+/// equivalence assertions still run in full.
+const GOLDEN_TESTBED: u64 = 0x83623bcd30f7c4b7;
+
+/// Pinned fingerprints: the output of
+/// `cargo run --release -p tracon-dcsim --example golden_gen`, which
+/// prints both constants; paste it over them whenever the engine is
+/// *intentionally* changed in a behaviour-visible way. These rows were
+/// generated while MIX still searched 32+ machine clusters on one cluster
+/// copy per head across worker threads, so `static64`'s `MIX_8` rows
+/// witness that the place/undo search on the live cluster places
+/// bit-identically.
+#[rustfmt::skip]
+const GOLDEN: &[GoldenRow] = &[
+    ("static", "FIFO", "RT", 24, 0, 0x4093d4b02a4f7820, 0x409202fa4ac22ecb, 0x4060a88cebff7f72, 0x403c286a61718221),
+    ("static", "FIFO", "IO", 24, 0, 0x4093d4b02a4f7820, 0x409202fa4ac22ecb, 0x4060a88cebff7f72, 0x403c286a61718221),
+    ("static", "MIOS", "RT", 24, 0, 0x4093c4a07ad1aec1, 0x40923d21ddcce2bc, 0x405e2671cab359d9, 0x403abaa0b0d10874),
+    ("static", "MIOS", "IO", 24, 0, 0x4092ff13cc76158b, 0x40933d59671312aa, 0x405dbe9a2db7bc20, 0x403b4dab9422902f),
+    ("static", "MIBS_8", "RT", 24, 0, 0x40912ed0bda07a18, 0x409841164fefc414, 0x40614b8953d61f64, 0x403f0e6e34a930ab),
+    ("static", "MIBS_8", "IO", 24, 0, 0x4090aaea9a8cf03a, 0x40991f7869a5ab77, 0x405cb280ae26d633, 0x403d89b0e4d94b68),
+    ("static", "MIX_8", "RT", 24, 0, 0x40912ed0bda07a18, 0x409841164fefc414, 0x40614b8953d61f64, 0x403f0e6e34a930ab),
+    ("static", "MIX_8", "IO", 24, 0, 0x409055a20fd50c84, 0x40985037b283e8b7, 0x405e88d737ac0d84, 0x403d89b0e4d94b68),
+    ("static", "MIBS[abs-score]", "RT", 24, 0, 0x409161a2a4a5e9f2, 0x40982109c972dda2, 0x406009f4e5de2f76, 0x403f6267aa4bd7e0),
+    ("static", "MIBS[abs-score]", "IO", 24, 0, 0x40918ea1f5d23b9f, 0x4096ce1dc4551f2b, 0x4060b0ce946132b8, 0x404038fbfe27c32c),
+    ("static", "MIBS[no-fragility]", "RT", 24, 0, 0x4090f6165aa855cb, 0x4098f6c3a44190c8, 0x40602237cf05d2b2, 0x403e633772074548),
+    ("static", "MIBS[no-fragility]", "IO", 24, 0, 0x40918285f4dd491c, 0x4097939d11b98c37, 0x4060fe1140180b4b, 0x403e31e3e7ca5ba3),
+    ("static", "MIBS[head-first]", "RT", 24, 0, 0x4091f9e04ee8f883, 0x40959d676f439604, 0x4061210ae5e07518, 0x403e1d905c207adc),
+    ("static", "MIBS[head-first]", "IO", 24, 0, 0x4091f9e04ee8f883, 0x40959d676f439604, 0x4061210ae5e07518, 0x403e1d905c207adc),
+    ("static", "RANDOM", "RT", 24, 0, 0x4091c18901e7de68, 0x409747bfbd39f560, 0x40647940cfdb3a22, 0x403ef52aafcf9b0f),
+    ("static", "RANDOM", "IO", 24, 0, 0x4091c18901e7de68, 0x409747bfbd39f560, 0x40647940cfdb3a22, 0x403ef52aafcf9b0f),
+    ("poisson", "FIFO", "RT", 183, 0, 0x40cb0a9168ed67b2, 0x40c2dadc3c80886b, 0x409c178c75fdf1ce, 0x40872cb1aeb6ac47),
+    ("poisson", "FIFO", "IO", 183, 0, 0x40cb0a9168ed67b2, 0x40c2dadc3c80886b, 0x409c178c75fdf1ce, 0x40872cb1aeb6ac47),
+    ("poisson", "MIOS", "RT", 180, 0, 0x40caa339219a4ee9, 0x40c216ba056f7789, 0x409bc6b369e67079, 0x40865047c6c5a766),
+    ("poisson", "MIOS", "IO", 180, 0, 0x40caa339219a4ee9, 0x40c216ba056f7789, 0x409bc6b369e67079, 0x40865047c6c5a766),
+    ("poisson", "MIBS_8", "RT", 184, 0, 0x40cb2b2d6f2b7f6c, 0x40c21869a190900a, 0x409c0d9a4f7ea21f, 0x40854489930dd883),
+    ("poisson", "MIBS_8", "IO", 185, 0, 0x40cb2e281f3bc93c, 0x40c2233bd859b618, 0x409c1a35db1bc0a1, 0x408565d54fa35731),
+    ("poisson", "MIX_8", "RT", 184, 0, 0x40cb2b2d6f2b7f6c, 0x40c21869a190900a, 0x409c0d9a4f7ea21f, 0x408569a97771b8a4),
+    ("poisson", "MIX_8", "IO", 176, 0, 0x40cac565f04a47e4, 0x40c1999a02ef0fa7, 0x409bf95a40fe2c87, 0x4086742b237613eb),
+    ("poisson", "MIBS[abs-score]", "RT", 184, 0, 0x40cb2b2d6f2b7f6c, 0x40c21869a190900a, 0x409c0d9a4f7ea21f, 0x40854489930dd883),
+    ("poisson", "MIBS[abs-score]", "IO", 176, 0, 0x40cac565f04a47e4, 0x40c1999a02ef0fa7, 0x409bf95a40fe2c87, 0x4086638ab34b3816),
+    ("poisson", "MIBS[no-fragility]", "RT", 184, 0, 0x40cb2b2d6f2b7f6c, 0x40c21869a190900a, 0x409c0d9a4f7ea21f, 0x40854489930dd883),
+    ("poisson", "MIBS[no-fragility]", "IO", 185, 0, 0x40cb2e281f3bc93c, 0x40c2233bd859b618, 0x409c1a35db1bc0a1, 0x408565d54fa35731),
+    ("poisson", "MIBS[head-first]", "RT", 177, 0, 0x40cab72bf50ee6ac, 0x40c1a4557f07699c, 0x409c1e04591e0832, 0x408648da5bca50b5),
+    ("poisson", "MIBS[head-first]", "IO", 177, 0, 0x40cab72bf50ee6ac, 0x40c1a4557f07699c, 0x409c1e04591e0832, 0x408648da5bca50b5),
+    ("poisson", "RANDOM", "RT", 182, 0, 0x40cb3de34cf149df, 0x40c1e04ff01e330b, 0x409c1ef02242575e, 0x408705ef86e11d84),
+    ("poisson", "RANDOM", "IO", 182, 0, 0x40cb3de34cf149df, 0x40c1e04ff01e330b, 0x409c1ef02242575e, 0x408705ef86e11d84),
+    ("static64", "FIFO", "RT", 192, 0, 0x40c5486f018a43f6, 0x40c393957fb2e498, 0x4065dad49260d35d, 0x402d533dc8b58618),
+    ("static64", "FIFO", "IO", 192, 0, 0x40c5486f018a43f6, 0x40c393957fb2e498, 0x4065dad49260d35d, 0x402d533dc8b58618),
+    ("static64", "MIOS", "RT", 192, 0, 0x40c4a2be7a766be4, 0x40c4758ab277eb70, 0x4065dad49260d35d, 0x402c21423e358a6c),
+    ("static64", "MIOS", "IO", 192, 0, 0x40c3d096e1a33e30, 0x40c51bcd19833b8b, 0x4064138ce00068c2, 0x402c8b082637ca87),
+    ("static64", "MIBS_8", "RT", 192, 0, 0x40c25ed8f5a80f22, 0x40c7c576a53a3b76, 0x4065fba213829b68, 0x404b4a7e5bbf85fd),
+    ("static64", "MIBS_8", "IO", 192, 0, 0x40beda57d67cb824, 0x40cd3875ec2ae67d, 0x4069308af2dc182f, 0x404d581f2038735c),
+    ("static64", "MIX_8", "RT", 192, 0, 0x40c154afca810fc2, 0x40ca1bce9fce3d03, 0x4069c7d02e651a95, 0x404bbfb3f6a38361),
+    ("static64", "MIX_8", "IO", 192, 0, 0x40be44fa449231f8, 0x40cd784635d8c4bf, 0x4064035ac06bbcc7, 0x404d5a01095fbadb),
+    ("static64", "MIBS[abs-score]", "RT", 192, 0, 0x40c18ba2a64c5662, 0x40c9b8d9f0f05c0c, 0x406a4ab3016aa654, 0x404bc38efd027220),
+    ("static64", "MIBS[abs-score]", "IO", 192, 0, 0x40bedf01a038dcd0, 0x40ccf1aeafe997bd, 0x4065bf5f9f4b234e, 0x404d597dd6d44c4c),
+    ("static64", "MIBS[no-fragility]", "RT", 192, 0, 0x40c2422fa6f63724, 0x40c7ca48997bf75f, 0x4065ee2c43928c96, 0x404b58132f103d13),
+    ("static64", "MIBS[no-fragility]", "IO", 192, 0, 0x40beb1b9ad34cd5c, 0x40cd4714950e825e, 0x40643d53e23ced63, 0x404d5901aa139653),
+    ("static64", "MIBS[head-first]", "RT", 192, 0, 0x40bd6dfd409b2165, 0x40cf197c686e09f1, 0x4063fdcd04a3de34, 0x404d535c3ec16e21),
+    ("static64", "MIBS[head-first]", "IO", 192, 0, 0x40bf378632a56493, 0x40cce98bb3f20bbc, 0x40690e3bfbb1ad69, 0x404d56a7b36d891f),
+    ("static64", "RANDOM", "RT", 192, 0, 0x40c4edeb1d881f89, 0x40c450518632e40c, 0x406f01afe60c658c, 0x404e11def912b64b),
+    ("static64", "RANDOM", "IO", 192, 0, 0x40c4edeb1d881f89, 0x40c450518632e40c, 0x406f01afe60c658c, 0x404e11def912b64b),
+];
 
 fn testbed() -> &'static Testbed {
     static TB: OnceLock<Testbed> = OnceLock::new();
     TB.get_or_init(|| Testbed::build(&TestbedConfig::small()))
+}
+
+/// FNV-1a over the measured pair-runtime bits, mirroring `golden_gen`.
+fn testbed_digest(tb: &Testbed) -> u64 {
+    let n = tb.perf.n_apps();
+    (0..n * n).fold(0xcbf2_9ce4_8422_2325, |h, i| {
+        (h ^ tb.perf.runtime(i / n, i % n).to_bits()).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// Every scheduler kind the simulator accepts (window 8 for the
@@ -65,8 +133,17 @@ fn scenarios() -> Vec<(&'static str, usize, Vec<ArrivalEvent>, Option<f64>)> {
             poisson_trace(40.0, 1800.0, WorkloadMix::Uniform, 11),
             Some(1800.0),
         ),
+        (
+            "static64",
+            64,
+            static_batch(192, WorkloadMix::Medium, 13),
+            None,
+        ),
     ]
 }
+
+/// Rows in the matrix: scenarios x 8 scheduler kinds x 2 objectives.
+const MATRIX_ROWS: usize = 3 * 8 * 2;
 
 fn fingerprint(r: &SimResult) -> (usize, usize, u64, u64, u64, u64) {
     (
@@ -176,8 +253,8 @@ impl SimObserver for Recording {
     }
 }
 
-/// The tentpole gate for the timing-wheel kernel: over the full 32-row
-/// matrix (2 scenarios x 8 scheduler kinds x 2 objectives) the wheel and
+/// The tentpole gate for the timing-wheel kernel: over the full matrix
+/// (3 scenarios x 8 scheduler kinds x 2 objectives) the wheel and
 /// the reference binary heap must produce byte-identical placement and
 /// completion streams — the optimization is not allowed to change a
 /// single scheduling decision.
@@ -216,7 +293,7 @@ fn timing_wheel_matches_binary_heap_bit_for_bit() {
             }
         }
     }
-    assert_eq!(rows, 32, "the golden matrix must cover all 32 rows");
+    assert_eq!(rows, MATRIX_ROWS, "the golden matrix must cover every row");
 }
 
 /// The gate for the multi-axis resource API: with only the two legacy
@@ -268,7 +345,7 @@ fn ndim_reference_classes_match_legacy_bit_for_bit() {
             }
         }
     }
-    assert_eq!(rows, 32, "the N-dim matrix must cover all 32 rows");
+    assert_eq!(rows, MATRIX_ROWS, "the N-dim matrix must cover every row");
 }
 
 proptest! {
@@ -320,6 +397,12 @@ proptest! {
 #[test]
 fn engine_fingerprints_are_reproducible_and_match_pins() {
     let tb = testbed();
+    let pins: &[GoldenRow] = if testbed_digest(tb) == GOLDEN_TESTBED {
+        GOLDEN
+    } else {
+        eprintln!("golden pins skipped: they belong to another testbed (rand stream)");
+        &[]
+    };
     for (scenario, machines, trace, horizon) in scenarios() {
         for kind in all_kinds() {
             for objective in [Objective::MinRuntime, Objective::MaxIops] {
@@ -332,7 +415,7 @@ fn engine_fingerprints_are_reproducible_and_match_pins() {
                     fingerprint(&b),
                     "kernel not deterministic: {ctx}"
                 );
-                if let Some(row) = GOLDEN
+                if let Some(row) = pins
                     .iter()
                     .find(|g| g.0 == scenario && g.1 == a.scheduler && g.2 == objective.suffix())
                 {
