@@ -370,12 +370,12 @@ pub fn simulate(args: &Args) -> Result<String, String> {
 /// Resolves `tracon experiment` positionals — names, comma lists, and
 /// `all` for every registered experiment — before anything runs, so a
 /// typo costs nothing.
-fn resolve_experiments(positionals: &[String]) -> Result<Vec<&'static dyn Experiment>, String> {
+fn resolve_experiments(positionals: &[String]) -> Result<Vec<&'static Experiment>, String> {
     let mut exps = Vec::new();
     for name in positionals.iter().flat_map(|p| p.split(',')) {
         match name {
             "" => {}
-            "all" => exps.extend(REGISTRY.iter().copied()),
+            "all" => exps.extend(REGISTRY),
             _ => exps.push(find(name).ok_or_else(|| {
                 format!("unknown experiment '{name}' (try `tracon experiment --list`)")
             })?),
@@ -393,7 +393,7 @@ pub fn experiment(args: &Args) -> Result<String, String> {
         let mut out = String::new();
         writeln!(out, "registered experiments ({}):", REGISTRY.len()).unwrap();
         for exp in REGISTRY {
-            writeln!(out, "  {:12} {}", exp.name(), exp.description()).unwrap();
+            writeln!(out, "  {:12} {}", exp.name, exp.description).unwrap();
         }
         writeln!(out, "  {:12} every experiment above, in that order", "all").unwrap();
         return Ok(out);
@@ -418,8 +418,8 @@ pub fn experiment(args: &Args) -> Result<String, String> {
         if i > 0 {
             writeln!(out).unwrap();
         }
-        writeln!(out, "==== {}: {} ====", exp.name(), exp.description()).unwrap();
-        out.push_str(&exp.run(&cfg, &cache).rendered);
+        writeln!(out, "==== {}: {} ====", exp.name, exp.description).unwrap();
+        out.push_str(&(exp.run)(&cfg, &cache));
     }
     Ok(out)
 }
@@ -849,16 +849,16 @@ mod tests {
     fn experiment_list_names_every_driver() {
         let out = experiment(&parse_str("experiment --list")).unwrap();
         for exp in REGISTRY {
-            assert!(out.contains(exp.name()), "missing {}", exp.name());
+            assert!(out.contains(exp.name), "missing {}", exp.name);
         }
         // `all` is listed and stands for the whole registry, in order,
         // wherever it appears in a name list.
         assert!(out.contains("\n  all "), "{out}");
         let names = |spec: &str| -> Vec<&str> {
             let exps = resolve_experiments(&[spec.to_string()]).unwrap();
-            exps.iter().map(|e| e.name()).collect()
+            exps.iter().map(|e| e.name).collect()
         };
-        let every: Vec<&str> = REGISTRY.iter().map(|e| e.name()).collect();
+        let every: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
         assert_eq!(names("all"), every);
         assert_eq!(names("fig4,all")[1..], every[..]);
     }

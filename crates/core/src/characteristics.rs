@@ -14,7 +14,6 @@
 //! is unchanged, so every 2-dim scenario replays bit-identically.
 
 use crate::resource::{DimVec, ResourceDim};
-use serde::{Deserialize, Serialize};
 
 /// Number of per-VM characteristics (Table 2).
 pub const N_CHARACTERISTICS: usize = 4;
@@ -22,7 +21,7 @@ pub const N_CHARACTERISTICS: usize = 4;
 pub const N_JOINT: usize = 2 * N_CHARACTERISTICS;
 
 /// One VM's resource characteristics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Characteristics {
     /// Read requests per second (iostat in Dom0).
     pub read_rps: f64,

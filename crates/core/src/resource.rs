@@ -31,11 +31,10 @@
 //!    Analytic factors must be **exactly 1.0 at zero demand** so
 //!    existing scenarios replay bit-identically.
 
-use serde::{Deserialize, Serialize};
 use tracon_stats::queueing::mm1_slowdown;
 
 /// One contended resource axis of the interference model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResourceDim {
     /// Storage I/O: request streams through the driver domain to the
     /// host's disk (legacy axis 1; features: read and write req/s).
@@ -85,7 +84,7 @@ impl ResourceDim {
 /// free. Unset dimensions read as zero demand; [`DimVec::is_set`]
 /// distinguishes "explicitly zero" from "not specified" (a protocol
 /// `demand` map omitting a dimension falls back to legacy defaults).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DimVec {
     vals: [f64; N_DIMS],
     set: u8,
@@ -145,7 +144,7 @@ impl DimVec {
 /// (local storage, nominal speed) is [`MachineClass::local`]; remote
 /// classes scale every task's solo performance and may route storage
 /// traffic through a shared, capacity-limited link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineClass {
     /// Class name (e.g. `"local"`, `"iscsi"`).
     pub name: String,

@@ -372,14 +372,6 @@ impl ClusterState {
             .unwrap_or_else(Characteristics::idle)
     }
 
-    /// Looks up the canonical characteristics of an interned application.
-    pub fn chars_of(&self, app: AppId) -> Characteristics {
-        self.chars_by_id
-            .get(app.index())
-            .copied()
-            .unwrap_or_else(Characteristics::idle)
-    }
-
     /// Whether `machine` is currently marked down.
     pub fn is_down(&self, machine: usize) -> bool {
         self.down[machine]

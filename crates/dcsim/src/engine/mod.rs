@@ -218,11 +218,6 @@ pub struct TaskObservation {
 }
 
 impl SimResult {
-    /// Throughput in tasks per hour over the simulated horizon.
-    pub fn throughput_per_hour(&self, horizon_s: f64) -> f64 {
-        self.completed as f64 / (horizon_s / 3600.0)
-    }
-
     /// Tasks neither completed, refused, nor abandoned by the end of the
     /// run: still queued, still running, or past the horizon.
     pub fn unfinished(&self) -> usize {

@@ -330,16 +330,6 @@ impl AdaptiveObserver {
         self.predictor_swaps
     }
 
-    /// Per-application runtime monitors, pair-table index order.
-    pub fn runtime_models(&self) -> &[AdaptiveModel] {
-        &self.rt
-    }
-
-    /// Per-application IOPS monitors, pair-table index order.
-    pub fn iops_models(&self) -> &[AdaptiveModel] {
-        &self.io
-    }
-
     /// A standalone predictor snapshot of the current adapted models.
     pub fn export_predictor(&self) -> Predictor {
         let mut p = Predictor::new();

@@ -2,9 +2,8 @@
 //! evaluation (Section 4). Each driver is a pure function from a built
 //! [`Testbed`] (plus experiment parameters) to a structured result whose
 //! `render` method emits the same rows/series the paper reports. The
-//! [`registry`] module unifies all drivers behind the
-//! [`registry::Experiment`] trait so `tracon experiment NAME` can
-//! enumerate and run them by name.
+//! [`registry`] module lists all drivers as [`registry::Experiment`]
+//! rows so `tracon experiment NAME` can enumerate and run them by name.
 
 pub mod ext_ablation;
 pub mod ext_adaptive;

@@ -5,7 +5,7 @@
 //! MTTF/MTTR distributions, plus pure functions deciding per
 //! `(task, attempt)` whether an execution fails at completion and whether
 //! it straggles (runs at a reduced rate). Everything is derived from the
-//! seed with a self-contained SplitMix64 generator — no RNG crate — so a
+//! seed with `tracon_stats::prng`'s SplitMix64 — no RNG crate — so a
 //! plan is bit-identical across platforms, builds, and runs, which is
 //! what makes the `ext_faults` experiment reproducible.
 //!
@@ -22,6 +22,8 @@
 //!   pair rate (both work and I/O), modelling a degraded replica.
 //! * A task is **abandoned** after `max_attempts` failed executions
 //!   (crash evictions count as failed attempts).
+
+use tracon_stats::prng::{mix64, SplitMix64, GAMMA};
 
 /// Parameters of the fault model. All probabilities are per attempt.
 #[derive(Debug, Clone, Copy)]
@@ -77,39 +79,21 @@ const TAG_FAIL: u64 = 0x7461_736b_6661_696c; // "taskfail"
 const TAG_STRAGGLE: u64 = 0x7374_7261_6767_6c65; // "straggle"
 const TAG_MACHINE: u64 = 0x6d61_6368_696e_6573; // "machines"
 
-/// SplitMix64 output mix (Steele et al.) — the one-shot hash this module
-/// builds every deterministic decision from.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// The first splitmix64 draw from state `z` — the one-shot hash this
+/// module builds every deterministic decision from.
+fn mix(z: u64) -> u64 {
+    mix64(z.wrapping_add(GAMMA))
 }
 
-/// A counter-mode SplitMix64 stream.
-struct Stream {
-    state: u64,
+/// The per-machine stream: splitmix64 one step past state `mix(seed)`
+/// (this module's generator always mixed `state + GAMMA`).
+fn stream(seed: u64) -> SplitMix64 {
+    SplitMix64::new(mix(seed).wrapping_add(GAMMA))
 }
 
-impl Stream {
-    fn new(seed: u64) -> Self {
-        Stream { state: mix(seed) }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        mix(self.state)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn next_u01(&mut self) -> f64 {
-        u01(self.next_u64())
-    }
-
-    /// Exponential with the given mean.
-    fn next_exp(&mut self, mean: f64) -> f64 {
-        -mean * (1.0 - self.next_u01()).ln()
-    }
+/// Exponential with the given mean.
+fn next_exp(s: &mut SplitMix64, mean: f64) -> f64 {
+    -mean * (1.0 - u01(s.next_u64())).ln()
 }
 
 fn u01(x: u64) -> f64 {
@@ -162,10 +146,10 @@ impl FaultPlan {
                 "machine_mttr_s must be positive when crashes are enabled"
             );
             for machine in 0..n_machines {
-                let mut s = Stream::new(seed ^ TAG_MACHINE ^ mix(machine as u64));
+                let mut s = stream(seed ^ TAG_MACHINE ^ mix(machine as u64));
                 let mut t = 0.0;
                 loop {
-                    t += s.next_exp(cfg.machine_mttf_s);
+                    t += next_exp(&mut s, cfg.machine_mttf_s);
                     if t > horizon_s {
                         break;
                     }
@@ -174,7 +158,7 @@ impl FaultPlan {
                         machine,
                         up: false,
                     });
-                    t += s.next_exp(cfg.machine_mttr_s);
+                    t += next_exp(&mut s, cfg.machine_mttr_s);
                     if t > horizon_s {
                         break; // stays down past the horizon
                     }
@@ -241,6 +225,39 @@ mod tests {
         for (x, y) in a.machine_events.iter().zip(a.machine_events.iter().skip(1)) {
             assert!(x.time <= y.time, "events must be time-sorted");
         }
+    }
+
+    /// Known answers from the build before the generator moved to
+    /// `tracon_stats::prng`; `ext_faults` replays only while they hold.
+    /// Times go through `ln`, so they are held to 1e-9 rather than to the
+    /// bit; one wrong draw moves them by seconds.
+    #[test]
+    fn plan_for_seed_42_is_pinned() {
+        let cfg = FaultConfig {
+            task_fail_prob: 0.5,
+            straggler_prob: 0.25,
+            ..FaultConfig::default()
+        };
+        let plan = FaultPlan::generate(cfg, 4, 7200.0, 42);
+        assert_eq!(plan.machine_events.len(), 34);
+        let want = [
+            (17.018449969881775, 3, false),
+            (30.660848939351204, 3, true),
+            (1115.500640677282, 2, false),
+            (1444.364227047619, 2, true),
+        ];
+        for (e, (time, machine, up)) in plan.machine_events.iter().zip(want) {
+            assert!((e.time - time).abs() < 1e-9, "{e:?} vs {time}");
+            assert_eq!((e.machine, e.up), (machine, up));
+        }
+        let (mut fails, mut stragglers) = (0u64, 0u64);
+        for task in 0..64u64 {
+            let attempt = (task % 3) as u32;
+            fails |= u64::from(plan.attempt_fails(task, attempt)) << task;
+            stragglers |= u64::from(plan.straggler_slowdown(task, attempt) > 1.0) << task;
+        }
+        assert_eq!(fails, 0x6fb4_6e29_6646_5536, "{fails:#018x}");
+        assert_eq!(stragglers, 0x804a_0050_8004_024c, "{stragglers:#018x}");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! neighbour changes.
 //!
 //! * [`setup`] — profiles the 8 benchmarks, trains the models, builds the
-//!   predictor and the measured pair table,
+//!   predictor and the measured pair table; saves and reloads the
+//!   measured data as a JSON snapshot,
 //! * [`perf`] — the replayable pair-performance statistics,
 //! * [`arrival`] — light/medium/heavy Gaussian rank mixes and Poisson
 //!   arrival traces,
@@ -32,6 +33,7 @@ pub mod machines;
 pub mod oracle;
 pub mod perf;
 pub mod setup;
+mod snapshot;
 
 pub use arrival::{poisson_n, poisson_trace, static_batch, ArrivalEvent, WorkloadMix};
 pub use engine::{

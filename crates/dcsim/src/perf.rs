@@ -18,7 +18,7 @@ pub const IDLE: usize = usize::MAX;
 /// The pair tables are flat row-major `[n x n]` arrays (`a * n + b`), so
 /// the kernel's hot refresh path reads them with one multiply-add and no
 /// nested-`Vec` pointer chase.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerfTable {
     /// Application names, index-aligned with the table axes.
     pub names: Vec<String>,
@@ -49,13 +49,35 @@ impl PerfTable {
     /// Builds the table from a measured [`PairMatrix`], flattening its
     /// nested rows.
     pub fn from_pair_matrix(m: &PairMatrix) -> Self {
+        Self::from_parts(
+            m.names.clone(),
+            m.solo_runtime.clone(),
+            m.solo_iops.clone(),
+            m.runtime.iter().flatten().copied().collect(),
+            m.iops.iter().flatten().copied().collect(),
+        )
+    }
+
+    /// Assembles a table from `n` names, `n` solo values each and two
+    /// row-major `n x n` pair tables. Panics on any other length (the
+    /// snapshot decoder checks them first, naming the field).
+    pub(crate) fn from_parts(
+        names: Vec<String>,
+        solo_runtime: Vec<f64>,
+        solo_iops: Vec<f64>,
+        runtime: Vec<f64>,
+        iops: Vec<f64>,
+    ) -> Self {
+        let n = names.len();
+        assert_eq!((solo_runtime.len(), solo_iops.len()), (n, n));
+        assert_eq!((runtime.len(), iops.len()), (n * n, n * n));
         PerfTable {
-            names: m.names.clone(),
-            solo_runtime: m.solo_runtime.clone(),
-            solo_iops: m.solo_iops.clone(),
-            runtime: m.runtime.iter().flatten().copied().collect(),
-            iops: m.iops.iter().flatten().copied().collect(),
-            id_index: id_order(&m.names),
+            id_index: id_order(&names),
+            names,
+            solo_runtime,
+            solo_iops,
+            runtime,
+            iops,
         }
     }
 
@@ -139,15 +161,13 @@ mod tests {
     /// A synthetic 2-app table: app 0 is I/O-heavy (bad with itself),
     /// app 1 is CPU-ish (benign).
     pub(crate) fn toy_table() -> PerfTable {
-        let names: Vec<String> = vec!["io".into(), "cpu".into()];
-        PerfTable {
-            id_index: id_order(&names),
-            names,
-            solo_runtime: vec![100.0, 100.0],
-            solo_iops: vec![200.0, 10.0],
-            runtime: vec![800.0, 120.0, 110.0, 200.0],
-            iops: vec![25.0, 170.0, 9.0, 5.0],
-        }
+        PerfTable::from_parts(
+            vec!["io".into(), "cpu".into()],
+            vec![100.0, 100.0],
+            vec![200.0, 10.0],
+            vec![800.0, 120.0, 110.0, 200.0],
+            vec![25.0, 170.0, 9.0, 5.0],
+        )
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! benchmark.
 
 use crate::perf::PerfTable;
+use crate::snapshot;
 use std::collections::HashMap;
 use tracon_core::{AppModelSet, AppProfile, Characteristics, ModelKind, Predictor, TrainingData};
 use tracon_vmsim::{apps, AppModel, Benchmark, Engine, HostConfig, ProfileSet, Profiler};
@@ -52,12 +53,6 @@ impl TestbedConfig {
             calibration_points: 30,
             seed: 0x7EAC0,
         }
-    }
-
-    /// Chooses a different deployed model family.
-    pub fn with_model(mut self, kind: ModelKind) -> Self {
-        self.model_kind = kind;
-        self
     }
 }
 
@@ -128,23 +123,22 @@ impl Testbed {
         // Measure the 8x8 pair matrix the simulator replays.
         let pair = profiler.pair_matrix(&models, cfg.seed.wrapping_add(99));
         let perf = PerfTable::from_pair_matrix(&pair);
+        Self::train(profiles, perf, cfg.model_kind)
+    }
 
-        // Train the deployed models and assemble the predictor.
+    /// Trains the deployed models on measured data and assembles the
+    /// predictor around them.
+    fn train(profiles: Vec<ProfileSet>, perf: PerfTable, model_kind: ModelKind) -> Self {
         let mut predictor = Predictor::new();
         let mut app_chars = HashMap::new();
         for set in &profiles {
-            let runtime_data = training_data(set, tracon_core::Response::Runtime);
-            let iops_data = training_data(set, tracon_core::Response::Iops);
-            let runtime = tracon_core::train_model_scaled(
-                cfg.model_kind,
-                &runtime_data,
-                tracon_core::ResponseScale::for_response(tracon_core::Response::Runtime),
-            );
-            let iops = tracon_core::train_model_scaled(
-                cfg.model_kind,
-                &iops_data,
-                tracon_core::ResponseScale::for_response(tracon_core::Response::Iops),
-            );
+            let model = |response| {
+                tracon_core::train_model_scaled(
+                    model_kind,
+                    &training_data(set, response),
+                    tracon_core::ResponseScale::for_response(response),
+                )
+            };
             let solo = to_characteristics(&set.solo);
             predictor.add_app(
                 AppProfile {
@@ -153,11 +147,13 @@ impl Testbed {
                     solo_runtime: set.solo_runtime,
                     solo_iops: set.solo_iops,
                 },
-                AppModelSet { runtime, iops },
+                AppModelSet {
+                    runtime: model(tracon_core::Response::Runtime),
+                    iops: model(tracon_core::Response::Iops),
+                },
             );
             app_chars.insert(set.target.clone(), solo);
         }
-
         Testbed {
             predictor,
             perf,
@@ -177,60 +173,20 @@ impl Testbed {
     /// decouples the expensive profiling campaign from everything built
     /// on top of it.
     pub fn snapshot_json(&self) -> String {
-        let snap = TestbedSnapshot {
-            profiles: self.profiles.clone(),
-            perf: self.perf.clone(),
-        };
-        serde_json::to_string(&snap).expect("testbed snapshot serialization cannot fail")
+        snapshot::encode(&self.profiles, &self.perf)
     }
 
     /// Rebuilds a testbed from [`Testbed::snapshot_json`] output,
     /// retraining the models with the given family.
     ///
     /// # Errors
-    /// Returns a serde error message when the JSON is not a valid
-    /// snapshot.
+    /// Names the offending field when `json` is not a valid snapshot:
+    /// not JSON, a missing or ill-typed field, an array of the wrong
+    /// length, or a `null` where a statistic belongs.
     pub fn from_snapshot_json(json: &str, model_kind: ModelKind) -> Result<Self, String> {
-        let snap: TestbedSnapshot = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        let mut predictor = Predictor::new();
-        let mut app_chars = HashMap::new();
-        for set in &snap.profiles {
-            let runtime = tracon_core::train_model_scaled(
-                model_kind,
-                &training_data(set, tracon_core::Response::Runtime),
-                tracon_core::ResponseScale::for_response(tracon_core::Response::Runtime),
-            );
-            let iops = tracon_core::train_model_scaled(
-                model_kind,
-                &training_data(set, tracon_core::Response::Iops),
-                tracon_core::ResponseScale::for_response(tracon_core::Response::Iops),
-            );
-            let solo = to_characteristics(&set.solo);
-            predictor.add_app(
-                AppProfile {
-                    name: set.target.clone(),
-                    solo,
-                    solo_runtime: set.solo_runtime,
-                    solo_iops: set.solo_iops,
-                },
-                AppModelSet { runtime, iops },
-            );
-            app_chars.insert(set.target.clone(), solo);
-        }
-        Ok(Testbed {
-            predictor,
-            perf: snap.perf,
-            app_chars,
-            profiles: snap.profiles,
-        })
+        let (profiles, perf) = snapshot::decode(json)?;
+        Ok(Self::train(profiles, perf, model_kind))
     }
-}
-
-/// Serializable form of a testbed's measured data.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct TestbedSnapshot {
-    profiles: Vec<ProfileSet>,
-    perf: PerfTable,
 }
 
 #[cfg(test)]
@@ -295,25 +251,89 @@ pub(crate) mod tests {
         let tb = shared();
         let json = tb.snapshot_json();
         let tb2 = Testbed::from_snapshot_json(&json, ModelKind::Nonlinear).unwrap();
-        assert_eq!(tb2.perf.n_apps(), tb.perf.n_apps());
-        // Same measured statistics (up to JSON float formatting).
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs());
+        assert_eq!(tb2.perf.names, tb.perf.names);
+        // The same measured statistics to the bit: `{}` of an `f64`
+        // prints the shortest digits that parse back to it.
+        let same = |a: f64, b: f64| assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         for a in 0..8 {
-            assert!(close(tb2.perf.solo_runtime(a), tb.perf.solo_runtime(a)));
+            same(tb2.perf.solo_runtime(a), tb.perf.solo_runtime(a));
+            same(tb2.perf.solo_iops(a), tb.perf.solo_iops(a));
             for b in 0..8 {
-                assert!(close(tb2.perf.runtime(a, b), tb.perf.runtime(a, b)));
+                same(tb2.perf.runtime(a, b), tb.perf.runtime(a, b));
+                same(tb2.perf.iops(a, b), tb.perf.iops(a, b));
             }
         }
-        // Retrained models agree on predictions.
+        // Models retrained on identical data predict identically.
         let bg = tb.app_chars["video"];
-        let p1 = tb.predictor.predict_runtime("dedup", &bg);
-        let p2 = tb2.predictor.predict_runtime("dedup", &bg);
-        assert!(close(p1, p2), "{p1} vs {p2}");
+        same(
+            tb2.predictor.predict_runtime("dedup", &bg),
+            tb.predictor.predict_runtime("dedup", &bg),
+        );
+        assert_eq!(tb2.snapshot_json(), json);
+    }
+
+    /// Two applications as `tracon profile` wrote them while the
+    /// snapshot came from derive-generated code: floats always carry a
+    /// fraction or exponent, and `perf` ends in the redundant `id_index`.
+    const DERIVED_ERA_SNAPSHOT: &str = r#"{"profiles":[
+      {"target":"io","solo":{"read_rps":200.0,"write_rps":50.0,"cpu_util":0.3,"dom0_util":0.12},
+       "solo_runtime":100.0,"solo_iops":250.0,"records":[
+        {"target":"io","background":"cpu","features":[200.0,50.0,0.3,0.12,1.0,0.5,0.9,0.01],
+         "background_observed":[1.0,0.5,0.88,0.01],"runtime":120.0,"iops":170.5},
+        {"target":"io","background":"io","features":[200.0,50.0,0.3,0.12,200.0,50.0,0.3,0.12],
+         "background_observed":[61.5,12.25,0.2,0.05],"runtime":800.0,"iops":25.0}]},
+      {"target":"cpu","solo":{"read_rps":1.0,"write_rps":0.5,"cpu_util":0.9,"dom0_util":0.01},
+       "solo_runtime":90.0,"solo_iops":1.5,"records":[
+        {"target":"cpu","background":"io","features":[1.0,0.5,0.9,0.01,200.0,50.0,0.3,0.12],
+         "background_observed":[180.0,45.0,0.28,0.11],"runtime":95.0,"iops":1.4},
+        {"target":"cpu","background":"cpu","features":[1.0,0.5,0.9,0.01,1.0,0.5,0.9,0.01],
+         "background_observed":[0.5,0.25,0.5,0.005],"runtime":180.0,"iops":7e-1}]}],
+     "perf":{"names":["io","cpu"],"solo_runtime":[100.0,90.0],"solo_iops":[250.0,1.5],
+      "runtime":[800.0,120.0,95.0,180.0],"iops":[25.0,170.5,1.4,0.7],"id_index":[1,0]}}"#;
+
+    #[test]
+    fn snapshot_from_the_derive_generated_writer_still_loads() {
+        let tb = Testbed::from_snapshot_json(DERIVED_ERA_SNAPSHOT, ModelKind::Wmm).unwrap();
+        assert_eq!(tb.perf.names, ["io", "cpu"]);
+        assert_eq!(tb.perf.runtime(0, 0), 800.0);
+        assert_eq!(tb.perf.iops(1, 1), 0.7);
+        // `id_index` is recomputed, not read: "cpu" sorts first.
+        let ids = tracon_core::AppRegistry::from_names(tb.perf.names.iter().cloned());
+        assert_eq!(tb.perf.index_of_id(ids.expect_id("cpu")), 1);
+        assert_eq!(tb.profiles[1].records[0].background_observed[0], 180.0);
+        assert!(tb.predictor.knows("io") && tb.predictor.knows("cpu"));
     }
 
     #[test]
     fn snapshot_rejects_garbage() {
-        assert!(Testbed::from_snapshot_json("{not json", ModelKind::Wmm).is_err());
+        let reject = |doc: &str, field: &str| {
+            let err = Testbed::from_snapshot_json(doc, ModelKind::Wmm)
+                .err()
+                .unwrap_or_else(|| panic!("accepted a snapshot with a bad {field}"));
+            assert!(err.contains(field), "error for {field} reads: {err}");
+        };
+        reject("{not json", "not JSON");
+        reject("[]", "profiles");
+        reject(r#"{"profiles":[]}"#, "perf");
+        // (text of the good document, its replacement, the field the error names)
+        #[rustfmt::skip]
+        let edits = [
+            (r#""solo_iops":250.0,"#, "", "profiles[0].solo_iops"),
+            (r#""target":"cpu","solo""#, r#""target":7,"solo""#, "profiles[1].target"),
+            (r#""dom0_util":0.12}"#, r#""dom0_util":"x"}"#, "profiles[0].solo.dom0_util"),
+            ("0.9,0.01],", "0.9],", "profiles[0].records[0].features"),
+            ("[61.5,", "[0.0,61.5,", "profiles[0].records[1].background_observed"),
+            (r#""runtime":95.0"#, r#""runtime":null"#, "profiles[1].records[0].runtime"),
+            (r#""records":["#, r#""records":[],"was":["#, "profiles[0].records"),
+            (r#"["io","cpu"]"#, r#"["io","cpu","net"]"#, "perf.solo_runtime"),
+            ("[250.0,1.5]", "[250.0]", "perf.solo_iops"),
+            ("[800.0,120.0,95.0,180.0]", "[800.0,120.0,95.0]", "perf.runtime"),
+            ("[25.0,170.5,1.4,0.7]", "[25.0,null,1.4,0.7]", "perf.iops"),
+        ];
+        for (from, to, field) in edits {
+            assert!(DERIVED_ERA_SNAPSHOT.contains(from), "{from}");
+            reject(&DERIVED_ERA_SNAPSHOT.replacen(from, to, 1), field);
+        }
     }
 
     #[test]

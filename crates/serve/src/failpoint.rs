@@ -39,6 +39,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
+use tracon_stats::prng::SplitMix64;
+
 /// What an armed site injects at the call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
@@ -87,20 +89,12 @@ struct Site {
 #[derive(Debug, Default)]
 struct Registry {
     sites: Vec<Site>,
-    rng: u64,
+    rng: SplitMix64,
     total_injected: u64,
 }
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Parse and arm `spec`, **adding** to whatever is already armed.
 /// Returns the number of site entries added, or a description of the
@@ -171,7 +165,7 @@ pub fn arm(spec: &str) -> Result<usize, String> {
     if let Ok(mut guard) = REGISTRY.lock() {
         let reg = guard.get_or_insert_with(Registry::default);
         if let Some(s) = seed {
-            reg.rng = s;
+            reg.rng = SplitMix64::new(s);
         }
         reg.sites.extend(parsed);
         if !reg.sites.is_empty() {
@@ -215,8 +209,6 @@ pub fn should_fail(site: &str, scope: &str) -> Option<Action> {
 fn should_fail_slow(site: &str, scope: &str) -> Option<Action> {
     let mut guard = REGISTRY.lock().ok()?;
     let reg = guard.as_mut()?;
-    // Borrow-split: draw before iterating mutably over sites.
-    let mut rng = reg.rng;
     let mut fired: Option<Action> = None;
     for s in reg.sites.iter_mut() {
         if s.name != site {
@@ -231,11 +223,8 @@ fn should_fail_slow(site: &str, scope: &str) -> Option<Action> {
             continue;
         }
         s.hits += 1;
-        if s.permille < 1000 {
-            let draw = (splitmix64(&mut rng) % 1000) as u16;
-            if draw >= s.permille {
-                continue;
-            }
+        if s.permille < 1000 && reg.rng.below(1000) >= u64::from(s.permille) {
+            continue;
         }
         if let Some(r) = &mut s.remaining {
             *r -= 1;
@@ -244,7 +233,6 @@ fn should_fail_slow(site: &str, scope: &str) -> Option<Action> {
         fired = Some(s.action);
         break;
     }
-    reg.rng = rng;
     if fired.is_some() {
         reg.total_injected += 1;
     }
@@ -372,6 +360,21 @@ mod tests {
             (8..=56).contains(&fires),
             "permille 500 should fire roughly half the time, got {fires}/64"
         );
+        disarm_all();
+    }
+
+    /// Known answer from the build before the generator moved to
+    /// `tracon_stats::prng`: the CI torture job arms `seed=9`, and its
+    /// injected faults replay only while these draws hold.
+    #[test]
+    fn seed_nine_draws_are_pinned() {
+        let _g = lock();
+        disarm_all();
+        arm("seed=9;x@s=skip%500").unwrap();
+        let fired = (0..64).fold(0u64, |mask, bit| {
+            mask | u64::from(should_fail("x", "s").is_some()) << bit
+        });
+        assert_eq!(fired, 0x6aa6_2831_606d_53a3, "{fired:#018x}");
         disarm_all();
     }
 

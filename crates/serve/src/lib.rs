@@ -10,17 +10,20 @@
 //! [`tracon_dcsim::AdaptiveObserver`] so drift triggers in-place
 //! predictor rebuilds against real traffic.
 //!
-//! * [`json`] — a std-only JSON value/parser/serializer for the wire
-//!   protocol (total: malformed input is an error value, never a panic).
+//! * [`json`] — [`tracon_stats::json`] under its old path: the std-only
+//!   JSON value/parser/serializer for the wire protocol (total:
+//!   malformed input is an error value, never a panic).
 //! * [`proto`] — versioned request/reply types and their codec.
 //! * [`metrics`] — atomic counters and the Prometheus text exposition
 //!   served on `GET /metrics`.
-//! * [`state`] — the mutex-guarded service core: bounded admission
-//!   queue, per-arrival (MIOS) and batch-window (MIBS/MIX) dispatch,
-//!   completion-driven model adaptation.
-//! * [`daemon`] — the two listeners (protocol + HTTP health/metrics),
-//!   connection threads with read/write timeouts, and the dispatch
-//!   ticker; every thread is joined on shutdown.
+//! * [`state`] — the service core, one instance owned by each shard
+//!   worker: bounded admission queue, per-arrival (MIOS) and
+//!   batch-window (MIBS/MIX) dispatch, completion-driven model
+//!   adaptation.
+//! * [`daemon`] — one poll reactor owning every protocol socket, one
+//!   worker thread per shard (it also runs that shard's dispatch tick
+//!   and lease expiry), and a small HTTP health/metrics listener; every
+//!   thread is joined on shutdown.
 //! * [`client`] — a small blocking protocol client.
 //! * [`loadgen`] — open-/closed-loop Poisson load generation with
 //!   throughput and latency-percentile reporting, plus a chaos mode that
@@ -46,7 +49,6 @@
 pub mod client;
 pub mod daemon;
 pub mod failpoint;
-pub mod json;
 pub mod loadgen;
 pub mod metrics;
 pub mod proto;
@@ -67,4 +69,5 @@ pub use proto::{
 pub use repl::{FollowerCore, PullChunk, ReplState, Role, ShipLog};
 pub use shard::{recover_dir, route_app, route_key, shard_machines, stride_shard, MergedRecovery};
 pub use state::{Refusal, SchedKind, ServeConfig, Service, StatusSnapshot, StolenTask, TaskPhase};
+pub use tracon_stats::json;
 pub use wal::{RecState, RecoveredTask, Recovery, Wal, WalRecord};

@@ -14,6 +14,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use tracon_dcsim::{Testbed, TestbedConfig};
+use tracon_stats::prng::SplitMix64;
 
 use crate::metrics::Metrics;
 use crate::repl::{ChunkAction, FollowerCore, LeaderGuard, PullChunk, ReplState, Role, ShipLog};
@@ -31,40 +32,6 @@ fn testbed() -> &'static Testbed {
         cfg.time_scale = 0.05;
         Testbed::build(&cfg)
     })
-}
-
-/// Splitmix64: tiny, seedable, and plenty for fault injection.
-#[derive(Debug, Clone)]
-pub struct SimRng(u64);
-
-impl SimRng {
-    /// A new stream from `seed`.
-    pub fn new(seed: u64) -> SimRng {
-        SimRng(seed)
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `0..bound` (`0` when `bound == 0`).
-    pub fn below(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next_u64() % bound
-        }
-    }
-
-    /// True with probability `permille`/1000.
-    pub fn chance(&mut self, permille: u32) -> bool {
-        self.below(1000) < u64::from(permille)
-    }
 }
 
 /// Link fault injection knobs (all probabilities in permille).
@@ -143,7 +110,7 @@ impl Journal {
 pub struct SimCluster {
     now_ms: u64,
     base: Instant,
-    rng: SimRng,
+    rng: SplitMix64,
     knobs: SimKnobs,
     partitioned: bool,
     leader_alive: bool,
@@ -220,7 +187,7 @@ impl SimCluster {
         SimCluster {
             now_ms: 0,
             base: Instant::now(),
-            rng: SimRng::new(seed ^ 0xD1F7_0A11),
+            rng: SplitMix64::new(seed ^ 0xD1F7_0A11),
             knobs,
             partitioned: false,
             leader_alive: true,
@@ -279,11 +246,6 @@ impl SimCluster {
     /// The leader's current role (fencing flips it).
     pub fn leader_role(&self) -> Role {
         self.repl.role()
-    }
-
-    /// Whether the follower has completed at least one pull.
-    pub fn follower_synced(&self) -> bool {
-        self.core.synced()
     }
 
     /// Whether any follower journal holds an installed snapshot blob.

@@ -26,6 +26,7 @@ use std::io;
 use std::path::Path;
 
 use tracon_core::AppId;
+use tracon_stats::prng::{mix64, GAMMA};
 
 use crate::wal::{existing_shard_count, RecState, RecoveredTask, Wal};
 
@@ -38,11 +39,11 @@ use crate::wal::{existing_shard_count, RecState, RecoveredTask, Wal};
 /// small app population onto few shards.
 pub fn route_key(key: u64, shards: usize) -> usize {
     assert!(shards > 0, "route over zero shards");
-    let key = mix(key);
+    let key = mix64(key);
     let mut best = 0usize;
     let mut best_weight = 0u64;
     for shard in 0..shards {
-        let weight = mix(key ^ mix(shard as u64 ^ 0x9E37_79B9_7F4A_7C15));
+        let weight = mix64(key ^ mix64(shard as u64 ^ GAMMA));
         if shard == 0 || weight > best_weight {
             best = shard;
             best_weight = weight;
@@ -215,14 +216,6 @@ fn wins_over(candidate: &RecoveredTask, incumbent: &RecoveredTask) -> bool {
     c > i || (c == i && candidate.attempts > incumbent.attempts)
 }
 
-fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,6 +226,16 @@ mod tests {
         let d = std::env::temp_dir().join(format!("tracon-shard-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
+    }
+
+    /// Known answers from the build before `mix` became
+    /// `tracon_stats::prng::mix64`: the route names the shard, and so the
+    /// WAL file, an application's tasks already live in.
+    #[test]
+    fn routes_are_pinned() {
+        let routes = |shards| (0..16).map(|k| route_key(k, shards)).collect::<Vec<_>>();
+        assert_eq!(routes(4), [2, 1, 1, 1, 0, 3, 3, 1, 2, 0, 1, 0, 1, 0, 3, 2]);
+        assert_eq!(routes(2), [0, 1, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0]);
     }
 
     #[test]

@@ -39,6 +39,7 @@ use tracon_core::{
 };
 use tracon_dcsim::setup::training_data;
 use tracon_dcsim::{AdaptiveObserver, SimObserver, Testbed, IDLE};
+use tracon_stats::prng::{mix64, GAMMA};
 
 use crate::metrics::Metrics;
 use crate::wal::{RecState, RecoveredTask, Wal, WalRecord};
@@ -832,18 +833,6 @@ impl Service {
         self.admit(app_id, demand, now)
     }
 
-    /// Admit one task by interned id — the sharded daemon's entry point,
-    /// where the reactor already resolved the name at decode time.
-    pub fn submit_id(&mut self, app: AppId, now: Instant) -> Result<Admitted, Refusal> {
-        if self.draining {
-            self.metrics
-                .drain_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(Refusal::Draining);
-        }
-        self.admit(app, tracon_core::DimVec::new(), now)
-    }
-
     fn admit(
         &mut self,
         app_id: AppId,
@@ -977,11 +966,8 @@ impl Service {
         let base = self.cfg.backoff_base_ms.max(1);
         let doubled = base.saturating_mul(1u64 << attempt.saturating_sub(1).min(16));
         let backoff = doubled.min(self.cfg.backoff_cap_ms.max(base));
-        let mut x = task ^ (u64::from(attempt) << 32) ^ 0x9E37_79B9_7F4A_7C15;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        backoff + x % (backoff / 2 + 1)
+        let jitter = mix64(task ^ (u64::from(attempt) << 32) ^ GAMMA);
+        backoff + jitter % (backoff / 2 + 1)
     }
 
     /// Expire overdue leases: free the slot, then either park the task
@@ -1425,6 +1411,16 @@ mod tests {
             ..ServeConfig::default()
         };
         Service::new(&testbed, cfg, Arc::new(Metrics::new()))
+    }
+
+    /// Known answers from the build before the jitter hash became
+    /// `tracon_stats::prng::mix64` (base 100 ms, cap 5 s).
+    #[test]
+    fn backoff_jitter_is_pinned() {
+        let svc = service(SchedKind::Mios, 8);
+        assert_eq!(svc.backoff_ms(1, 1), 137);
+        assert_eq!(svc.backoff_ms(7, 2), 279);
+        assert_eq!(svc.backoff_ms(42, 9), 6206);
     }
 
     #[test]

@@ -1086,17 +1086,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The same splitmix64 the sim harness uses — seeded, dependency-free
-    /// randomness for the torture loop.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn seed_log(dir: &PathBuf, n: u64) {
+    fn seed_log(dir: &Path, n: u64) {
         let (mut wal, _) = Wal::open(dir, 1000).unwrap();
         for i in 0..n {
             wal.append(&WalRecord::Submit {
@@ -1195,17 +1185,17 @@ mod tests {
     /// always leave a log that reopens with nothing left to truncate.
     #[test]
     fn torture_random_bit_flips_never_panic_recovery() {
-        let mut rng = 0x7261_636F_6E00_0A0Bu64;
+        let mut rng = tracon_stats::prng::SplitMix64::new(0x7261_636F_6E00_0A0B);
         for round in 0..40 {
             let dir = tmpdir(&format!("torture-{round}"));
-            let n = 4 + splitmix(&mut rng) % 8;
+            let n = 4 + rng.next_u64() % 8;
             seed_log(&dir, n);
             let log = dir.join(shard_log_name(0));
             let mut bytes = std::fs::read(&log).unwrap();
-            let flips = 1 + splitmix(&mut rng) % 3;
+            let flips = 1 + rng.next_u64() % 3;
             for _ in 0..flips {
-                let at = (splitmix(&mut rng) as usize) % bytes.len();
-                bytes[at] ^= 1 << (splitmix(&mut rng) % 8);
+                let at = (rng.next_u64() as usize) % bytes.len();
+                bytes[at] ^= 1 << (rng.next_u64() % 8);
             }
             std::fs::write(&log, &bytes).unwrap();
             let report = scrub_shard(&dir, 0).unwrap();

@@ -246,4 +246,16 @@ proptest! {
         let parsed = json::parse(&doc.to_string());
         prop_assert_eq!(parsed, Ok(doc));
     }
+
+    /// Every finite `f64` — subnormals, 1e308, 17-digit fractions —
+    /// survives the codec to the bit (a negative zero comes back
+    /// positive): the testbed snapshot stores measured statistics this way.
+    #[test]
+    fn finite_numbers_roundtrip_bit_for_bit(x in any::<f64>()) {
+        if !x.is_finite() {
+            return Ok(());
+        }
+        let back = json::parse(&n(x).to_string()).ok().and_then(|v| v.as_f64());
+        prop_assert_eq!(back.map(f64::to_bits), Some((x + 0.0).to_bits()), "{}", x);
+    }
 }

@@ -17,7 +17,9 @@
 //! * [`dist`] — Gaussian / Poisson / exponential sampling,
 //! * [`online`] — Welford accumulators, sliding windows, drift detection,
 //! * [`queueing`] — M/M/1 shared-bandwidth contention factors (the
-//!   network resource dimension's analytic interference model).
+//!   network resource dimension's analytic interference model),
+//! * [`json`] — the workspace's one JSON codec (wire protocol, WAL, snapshots),
+//! * [`prng`] — the workspace's one splitmix64 (routing, jitter, fault plans).
 //!
 //! The crate is deliberately dependency-light (only `rand`) and sized
 //! for TRACON's workloads: design matrices of a few hundred rows and at
@@ -32,11 +34,13 @@ pub mod descriptive;
 pub mod dist;
 pub mod eigen;
 pub mod gauss_newton;
+pub mod json;
 pub mod knn;
 pub mod matrix;
 pub mod ols;
 pub mod online;
 pub mod pca;
+pub mod prng;
 pub mod queueing;
 pub mod stepwise;
 

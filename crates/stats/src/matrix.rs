@@ -45,26 +45,6 @@ impl Matrix {
         m
     }
 
-    /// Builds a matrix from a row-major flat slice.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_slice(rows: usize, cols: usize, data: &[f64]) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "data length {} does not match {}x{}",
-            data.len(),
-            rows,
-            cols
-        );
-        Matrix {
-            rows,
-            cols,
-            data: data.to_vec(),
-        }
-    }
-
     /// Builds a matrix from a vector of rows.
     ///
     /// # Panics
@@ -121,12 +101,6 @@ impl Matrix {
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutably borrows the underlying row-major storage.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Borrows row `r` as a slice.

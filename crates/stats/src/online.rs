@@ -174,11 +174,6 @@ impl DriftDetector {
         }
     }
 
-    /// Reference mean captured at calibration time.
-    pub fn reference_mean(&self) -> f64 {
-        self.ref_mean
-    }
-
     /// Tests a recent window; returns the first drift kind triggered.
     pub fn check(&self, recent: &[f64]) -> Option<DriftKind> {
         if recent.len() < 2 {

@@ -79,11 +79,6 @@ impl Pca {
         rows.iter().map(|r| self.project(r)).collect()
     }
 
-    /// Number of retained components.
-    pub fn n_components(&self) -> usize {
-        self.components.cols()
-    }
-
     /// Variance explained by each retained component.
     pub fn explained_variance(&self) -> &[f64] {
         &self.explained

@@ -14,10 +14,8 @@
 //! with its I/O loop), while `cpu` is progress-coupled compute (a real
 //! application blocked on I/O stops computing).
 
-use serde::{Deserialize, Serialize};
-
 /// One phase of an application's execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Nominal (uncontended) duration of the phase in seconds.
     pub nominal_s: f64,
@@ -61,7 +59,7 @@ impl Phase {
 }
 
 /// A complete application model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppModel {
     /// Human-readable benchmark name.
     pub name: String,

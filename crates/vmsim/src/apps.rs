@@ -10,11 +10,10 @@
 //! the models and schedulers consume.
 
 use crate::app::{AppModel, Phase};
-use serde::{Deserialize, Serialize};
 
 /// Identifier for the eight paper benchmarks, ordered by Table 3's
 /// I/O-intensity rank (low to high).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Benchmark {
     /// Postmark email-server workload (rank 1, lowest IOPS).
     Email,

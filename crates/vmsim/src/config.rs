@@ -12,10 +12,8 @@
 //! readers, and a further degradation (to ~16x) when the co-located
 //! application also saturates the CPU and starves Dom0.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the (mechanical) storage device behind the host.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskParams {
     /// Sequential transfer bandwidth in MB/s.
     pub seq_bandwidth_mb: f64,
@@ -103,7 +101,7 @@ impl DiskParams {
 }
 
 /// Full host configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostConfig {
     /// CPU capacity (in cores) of the pool shared by the guest vCPUs and
     /// the driver domain. The paper's measurements behave as a single

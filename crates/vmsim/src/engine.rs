@@ -20,7 +20,7 @@ use rand::SeedableRng;
 /// read and write request rates (iostat in Dom0), the guest's own CPU
 /// utilization (xentop), and the Dom0 CPU utilization attributable to the
 /// VM's I/O handling.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VmObservation {
     /// Served read requests per second.
     pub read_rps: f64,

@@ -4,12 +4,11 @@
 //! data-center simulator replays.
 
 use crate::app::AppModel;
-use crate::apps::Benchmark;
 use crate::engine::{CoRunOutcome, Engine, VmObservation};
 
 /// One profiled observation: the features TRACON's models consume and the
 /// measured responses.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProfileRecord {
     /// Name of the target application (runs in VM1).
     pub target: String,
@@ -41,7 +40,7 @@ impl ProfileRecord {
 }
 
 /// A complete training set for one target application.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProfileSet {
     /// Target application name.
     pub target: String,
@@ -77,7 +76,7 @@ impl ProfileSet {
 /// each possible neighbour (or an idle VM). The data-center simulator
 /// replays these measurements, exactly as the paper's simulator replays
 /// its testbed measurements.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PairMatrix {
     /// Application names, indexed by the matrix axes.
     pub names: Vec<String>,
@@ -279,16 +278,6 @@ impl Profiler {
             iops,
             observed,
         }
-    }
-
-    /// Convenience: the pair matrix over the paper's eight benchmarks
-    /// (optionally time-scaled for speed).
-    pub fn benchmark_pair_matrix(&self, time_scale: f64, base_seed: u64) -> PairMatrix {
-        let apps: Vec<AppModel> = Benchmark::ALL
-            .iter()
-            .map(|b| b.model().time_scaled(time_scale))
-            .collect();
-        self.pair_matrix(&apps, base_seed)
     }
 }
 
