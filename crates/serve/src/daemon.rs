@@ -725,12 +725,76 @@ fn shard_worker(
         };
         let now = Instant::now();
         // Drain greedily: answer everything already queued under one
-        // timestamp and send the reactor one wake for the whole batch,
-        // not one pipe write per reply.
+        // timestamp and one WAL commit, and send the reactor one wake for
+        // the whole batch, not one pipe write per reply.
+        let queued = first
+            .into_iter()
+            .chain(std::iter::from_fn(|| rx.try_recv().ok()))
+            .take(WORKER_BATCH);
+        let tick_due = now.duration_since(last_tick) >= tick;
+        if tick_due {
+            last_tick = now;
+        }
         let mut sent = false;
-        let mut next = first;
-        let mut handled = 0usize;
-        while let Some(msg) = next {
+        run_batch(&mut svc, queued, now, tick_due, |msg| {
+            out.send_quiet(msg);
+            sent = true;
+        });
+        if !drained_sent && svc.draining() && svc.drained() {
+            drained_sent = true;
+            out.send(OutMsg::Drained { shard });
+        } else if sent {
+            out.wake();
+        }
+    }
+}
+
+/// Outbound messages of one batch. While the batch has logged nothing
+/// they go straight to the reactor; from the first uncommitted WAL record
+/// on they are held, so no client, peer shard or follower sees an effect
+/// before the record behind it is on disk.
+struct Outbox<E: FnMut(OutMsg)> {
+    emit: E,
+    held: Vec<OutMsg>,
+}
+
+impl<E: FnMut(OutMsg)> Outbox<E> {
+    fn send(&mut self, svc: &Service, msg: OutMsg) {
+        if svc.wal_pending() {
+            self.held.push(msg);
+        } else {
+            (self.emit)(msg);
+        }
+    }
+
+    /// Commit what the batch has logged so far, then let go of everything
+    /// that waited for it. A failed commit releases too: the shard has
+    /// degraded to memory and availability wins (see `wal_append_batch`).
+    fn commit(&mut self, svc: &mut Service) {
+        svc.wal_commit_pending();
+        self.held.drain(..).for_each(&mut self.emit);
+    }
+}
+
+/// One wake of the worker: handle `msgs` and the tick that follows them
+/// as one WAL transaction — one write, one fsync, one ship push for the
+/// whole batch — handing every outbound message to `emit`, those that
+/// depend on the commit only after it. Batching is whatever was queued
+/// when the worker woke: a lone request commits alone, at once.
+fn run_batch(
+    svc: &mut Service,
+    msgs: impl Iterator<Item = ShardMsg>,
+    now: Instant,
+    tick_due: bool,
+    emit: impl FnMut(OutMsg),
+) {
+    let shard = svc.shard();
+    let mut outbox = Outbox {
+        emit,
+        held: Vec::new(),
+    };
+    svc.wal_transaction(|svc| {
+        for msg in msgs {
             match msg {
                 ShardMsg::Request {
                     conn,
@@ -738,38 +802,47 @@ fn shard_worker(
                     id,
                     request,
                     hops,
-                } => match answer(&mut svc, id, request, now) {
-                    Answer::Reply(reply) => out.send_quiet(OutMsg::Reply {
-                        conn,
-                        seq,
-                        line: crate::proto::encode_reply(&reply),
-                    }),
-                    Answer::Redirect { id, request, to } => out.send_quiet(OutMsg::Redirect {
-                        conn,
-                        seq,
-                        id,
-                        request,
-                        to,
-                        hops,
-                    }),
-                },
-                ShardMsg::Status { agg } => out.send_quiet(OutMsg::StatusPart {
-                    agg,
-                    shard,
-                    snap: svc.status(),
-                    apps: svc.app_list().to_vec(),
-                }),
+                } => {
+                    let answered = match answer(svc, id, request, now) {
+                        Answer::Reply(reply) => OutMsg::Reply {
+                            conn,
+                            seq,
+                            line: crate::proto::encode_reply(&reply),
+                        },
+                        Answer::Redirect { id, request, to } => OutMsg::Redirect {
+                            conn,
+                            seq,
+                            id,
+                            request,
+                            to,
+                            hops,
+                        },
+                    };
+                    outbox.send(svc, answered);
+                }
+                ShardMsg::Status { agg } => {
+                    let part = OutMsg::StatusPart {
+                        agg,
+                        shard,
+                        snap: svc.status(),
+                        apps: svc.app_list().to_vec(),
+                    };
+                    outbox.send(svc, part);
+                }
                 ShardMsg::Drain { agg } => {
                     let snap = svc.drain(now);
-                    out.send_quiet(OutMsg::DrainPart { agg, shard, snap });
+                    outbox.send(svc, OutMsg::DrainPart { agg, shard, snap });
                 }
                 ShardMsg::Steal { to, max } => {
                     let tasks = svc.steal_queued(max, to);
-                    out.send_quiet(OutMsg::Stolen {
-                        from: shard,
-                        to,
-                        tasks,
-                    });
+                    outbox.send(
+                        svc,
+                        OutMsg::Stolen {
+                            from: shard,
+                            to,
+                            tasks,
+                        },
+                    );
                 }
                 ShardMsg::Inject { from, tasks } => {
                     svc.inject_stolen(&tasks, from, now);
@@ -783,6 +856,9 @@ fn shard_worker(
                     // the replayed state and the now-writable WAL. FIFO
                     // order guarantees this lands before any client
                     // request the reactor routed after the role flip.
+                    // What the batch logged so far belongs to the old
+                    // log (or the ship alone), so it commits first.
+                    outbox.commit(svc);
                     svc.attach_wal(wal);
                     let recs: Vec<RecoveredTask> = tasks.into_iter().map(|t| t.rec).collect();
                     svc.adopt_recovered(&recs, now);
@@ -793,32 +869,19 @@ fn shard_worker(
                     // The rejoin supervisor is folding this fenced node
                     // back into a follower: drop every task and the WAL
                     // handle so the shard files can be wiped and resynced
-                    // from the new leader's snapshot.
+                    // from the new leader's snapshot. Commit first, while
+                    // there is still a file to commit to.
+                    outbox.commit(svc);
                     svc.demote();
                     let _ = done.send(());
                 }
             }
-            sent = true;
-            handled += 1;
-            next = if handled < WORKER_BATCH {
-                rx.try_recv().ok()
-            } else {
-                None
-            };
         }
-        if now.duration_since(last_tick) >= tick {
+        if tick_due {
             svc.tick(now);
-            last_tick = now;
         }
-        if !drained_sent && svc.draining() && svc.drained() {
-            drained_sent = true;
-            out.send(OutMsg::Drained { shard });
-            continue;
-        }
-        if sent {
-            out.wake();
-        }
-    }
+        outbox.commit(svc);
+    });
 }
 
 /// A worker's verdict on one request: a rendered reply, or a redirect
@@ -1062,6 +1125,249 @@ fn serve_http(mut stream: TcpStream, draining: &AtomicBool, metrics: &Arc<Metric
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::path::{Path, PathBuf};
+
+    use crate::state::SchedKind;
+    use crate::wal::RecState;
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("tracond-batch-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
+
+    /// One shard over 32 x 4 slots (every submit of these tests places),
+    /// durable when `wal_dir` is given.
+    fn service(wal_dir: Option<&Path>, metrics: &Arc<Metrics>) -> Service {
+        let mut testbed_cfg = tracon_dcsim::TestbedConfig::small();
+        testbed_cfg.calibration_points = 6;
+        testbed_cfg.time_scale = 0.05;
+        let cfg = ServeConfig {
+            machines: 32,
+            slots_per_machine: 4,
+            scheduler: SchedKind::Mios,
+            queue_capacity: 256,
+            wal_dir: wal_dir.map(Path::to_path_buf),
+            ..ServeConfig::default()
+        };
+        let testbed = Testbed::build(&testbed_cfg);
+        Service::open(&testbed, cfg, Arc::clone(metrics), Instant::now()).unwrap()
+    }
+
+    fn request(seq: u64, request: Request) -> ShardMsg {
+        ShardMsg::Request {
+            conn: 1,
+            seq,
+            id: None,
+            request,
+            hops: 0,
+        }
+    }
+
+    fn submit(seq: u64, app: &str) -> ShardMsg {
+        let app = app.to_string();
+        request(seq, Request::Submit { app, demand: None })
+    }
+
+    fn complete(seq: u64, task: u64) -> ShardMsg {
+        let done = Request::Complete {
+            task,
+            runtime: 1.5,
+            iops: 90.0,
+        };
+        request(seq, done)
+    }
+
+    /// Run `msgs` as one worker wake and return every released message
+    /// with how many messages had been taken off the queue when it was
+    /// released; `at_release` runs at each release, before it is recorded.
+    fn drive(
+        svc: &mut Service,
+        msgs: Vec<ShardMsg>,
+        mut at_release: impl FnMut(),
+    ) -> Vec<(usize, OutMsg)> {
+        let taken = Cell::new(0);
+        let mut released = Vec::new();
+        let queued = msgs.into_iter().inspect(|_| taken.set(taken.get() + 1));
+        run_batch(svc, queued, Instant::now(), true, |msg| {
+            at_release();
+            released.push((taken.get(), msg));
+        });
+        released
+    }
+
+    /// The `task` a successful reply names; panics on anything else.
+    fn replied_task(msg: &OutMsg) -> u64 {
+        let OutMsg::Reply { line, .. } = msg else {
+            panic!("not a reply");
+        };
+        let reply = crate::json::parse(line).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Value::Bool(true)), "{line}");
+        let result = reply.get("result").unwrap();
+        result.get("task").and_then(Value::as_u64).unwrap()
+    }
+
+    fn recovered_states(dir: &Path) -> HashMap<u64, RecState> {
+        let (_, recovery) = recover_dir(dir, 1, 4096, &|_| Some(0)).unwrap();
+        let states = recovery.tasks.iter().map(|t| (t.rec.task, t.rec.state));
+        states.collect()
+    }
+
+    fn load(counter: &std::sync::atomic::AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_drained_batch_costs_one_fsync_and_releases_nothing_ahead_of_it() {
+        let dir = tmpdir("commit");
+        let metrics = Arc::new(Metrics::new());
+        let mut svc = service(Some(&dir), &metrics);
+        let app = svc.app_list()[0].clone();
+        let msgs: Vec<ShardMsg> = (0..64)
+            .map(|i| submit(i, &app))
+            .chain((0..32).map(|i| complete(64 + i, i + 1)))
+            .collect();
+        // What a kill -9 would leave behind, read at the first release.
+        let mut on_disk = None;
+        let released = drive(&mut svc, msgs, || {
+            on_disk.get_or_insert_with(|| recovered_states(&dir));
+        });
+        assert_eq!(load(&metrics.wal_fsyncs), 1);
+        // 64 x (submit + lease) + 32 x complete.
+        assert_eq!(load(&metrics.wal_records), 160);
+        assert_eq!(load(&metrics.wal_errors), 0);
+        assert_eq!(released.len(), 96);
+        let on_disk = on_disk.unwrap();
+        for (i, (taken, msg)) in released.iter().enumerate() {
+            assert_eq!(*taken, 96, "reply {i} left before the batch was handled");
+            let task = replied_task(msg);
+            let want = if i >= 64 || task <= 32 {
+                RecState::Completed
+            } else {
+                RecState::Leased
+            };
+            assert_eq!(on_disk.get(&task), Some(&want), "task {task} of reply {i}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_batch_commit_degrades_once_and_still_answers() {
+        let _gate = crate::failpoint::test_gate();
+        crate::failpoint::disarm_all();
+        let dir = tmpdir("commit-fails");
+        let metrics = Arc::new(Metrics::new());
+        let mut svc = service(Some(&dir), &metrics);
+        let app = svc.app_list()[0].clone();
+        let msgs: Vec<ShardMsg> = (0..64)
+            .map(|i| submit(i, &app))
+            .chain((0..32).map(|i| complete(64 + i, i + 1)))
+            .collect();
+        crate::failpoint::arm(&format!("wal.append.sync@{}=err", dir.display())).unwrap();
+        let released = drive(&mut svc, msgs, || {});
+        crate::failpoint::disarm_all();
+        assert_eq!(released.len(), 96);
+        released.iter().for_each(|(_, msg)| {
+            replied_task(msg);
+        });
+        assert_eq!(load(&metrics.wal_errors), 1, "one failed commit, not 96");
+        assert_eq!(load(&metrics.wal_degraded), 1);
+        assert_eq!(load(&metrics.wal_fsyncs), 0);
+        assert!(svc.status().conserved());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn demote_mid_batch_commits_to_the_log_it_is_about_to_drop() {
+        let dir = tmpdir("demote");
+        let metrics = Arc::new(Metrics::new());
+        let mut svc = service(Some(&dir), &metrics);
+        let app = svc.app_list()[0].clone();
+        let (done, done_rx) = mpsc::channel();
+        let msgs = vec![submit(0, &app), ShardMsg::Demote { done }];
+        let released = drive(&mut svc, msgs, || {
+            assert!(done_rx.try_recv().is_err(), "acked before the release");
+        });
+        assert_eq!(released.len(), 1);
+        let task = replied_task(&released[0].1);
+        assert!(done_rx.try_recv().is_ok());
+        assert_eq!(svc.status().admitted, 0, "demoted");
+        assert_eq!(recovered_states(&dir).get(&task), Some(&RecState::Leased));
+        assert_eq!(load(&metrics.wal_records), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn promote_mid_batch_splits_the_records_between_old_and_new_log() {
+        let (old_dir, new_dir) = (tmpdir("promote-old"), tmpdir("promote-new"));
+        let metrics = Arc::new(Metrics::new());
+        let mut svc = service(Some(&old_dir), &metrics);
+        let app = svc.app_list()[0].clone();
+        let (wal, _) = Wal::open(&new_dir, 4096).unwrap();
+        let promote = ShardMsg::Promote {
+            wal,
+            tasks: Vec::new(),
+            next_task_id: 100,
+        };
+        let msgs = vec![submit(0, &app), promote, submit(1, &app)];
+        let released = drive(&mut svc, msgs, || {});
+        drop(svc);
+        let tasks: Vec<u64> = released.iter().map(|(_, msg)| replied_task(msg)).collect();
+        assert_eq!(tasks, [1, 100]);
+        // The first reply left at the Promote boundary, the second at the
+        // end of the batch; two commits, one per log.
+        assert_eq!((released[0].0, released[1].0), (2, 3));
+        assert_eq!(load(&metrics.wal_fsyncs), 2);
+        assert_eq!(
+            recovered_states(&old_dir).get(&1),
+            Some(&RecState::Leased),
+            "the old log lost the submit it had buffered"
+        );
+        assert_eq!(
+            recovered_states(&new_dir).get(&100),
+            Some(&RecState::Leased)
+        );
+        let _ = std::fs::remove_dir_all(&old_dir);
+        let _ = std::fs::remove_dir_all(&new_dir);
+    }
+
+    #[test]
+    fn only_what_follows_an_uncommitted_record_is_held() {
+        // Without a WAL nothing is ever pending: every reply leaves
+        // before the next message is taken.
+        let metrics = Arc::new(Metrics::new());
+        let mut svc = service(None, &metrics);
+        let app = svc.app_list()[0].clone();
+        let msgs: Vec<ShardMsg> = (0..8)
+            .map(|i| submit(i, &app))
+            .chain((0..4).map(|i| complete(8 + i, i + 1)))
+            .chain([ShardMsg::Status { agg: 7 }])
+            .collect();
+        let released = drive(&mut svc, msgs, || {});
+        let taken: Vec<usize> = released.iter().map(|(taken, _)| *taken).collect();
+        assert_eq!(taken, (1..=13).collect::<Vec<_>>());
+        assert_eq!(load(&metrics.wal_records), 0);
+
+        // With one, reads ahead of the first write go straight out and
+        // reads behind it wait for the commit with it.
+        let dir = tmpdir("reads");
+        let metrics = Arc::new(Metrics::new());
+        let mut svc = service(Some(&dir), &metrics);
+        drive(&mut svc, vec![submit(0, &app)], || {});
+        let info = |seq| request(seq, Request::TaskInfo { task: 1 });
+        let msgs = vec![info(1), ShardMsg::Status { agg: 8 }, info(2)];
+        let released = drive(&mut svc, msgs, || {});
+        let taken: Vec<usize> = released.iter().map(|(taken, _)| *taken).collect();
+        assert_eq!(taken, [1, 2, 3], "a read-only batch holds nothing");
+        assert_eq!(load(&metrics.wal_fsyncs), 1);
+        let msgs = vec![info(3), submit(4, &app), info(5)];
+        let released = drive(&mut svc, msgs, || {});
+        let taken: Vec<usize> = released.iter().map(|(taken, _)| *taken).collect();
+        assert_eq!(taken, [1, 3, 3]);
+        assert_eq!(load(&metrics.wal_fsyncs), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     fn sidecar(role: Role, epoch: u64, leader: Option<&str>, peer: Option<&str>) -> EpochSidecar {
         EpochSidecar {

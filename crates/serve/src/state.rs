@@ -612,38 +612,71 @@ impl Service {
         self.next_task_id = id;
     }
 
-    /// Append one record; a failed write degrades to in-memory operation
-    /// (counted, never fatal — availability over durability once the disk
-    /// is gone).
-    fn wal_append(&mut self, rec: &WalRecord) {
-        self.wal_append_batch(std::slice::from_ref(rec));
+    /// Whether anything persists or ships this shard's records. A plain
+    /// in-memory daemon has neither a WAL nor a shipper, and then no
+    /// record is built, buffered, or counted as pending.
+    fn durable(&self) -> bool {
+        self.wal.is_some() || self.shipper.is_some()
+    }
+
+    /// Log one record, built only when the shard is durable. Inside a
+    /// [`Service::wal_transaction`] it joins the transaction's buffer;
+    /// outside one it is committed on its own.
+    fn wal_append(&mut self, build: impl FnOnce(&Self) -> WalRecord) {
+        if !self.durable() {
+            return;
+        }
+        let rec = build(self);
+        match self.wal_txn.as_mut() {
+            Some(buf) => buf.push(rec),
+            None => self.wal_append_batch(&[rec]),
+        }
     }
 
     /// Run `f` with WAL group commit: every record it appends lands in
-    /// one `append_batch` (one fsync) when `f` returns, instead of one
-    /// fsync per record. A submit that places writes its `Submit` and
-    /// `Lease` records under a single sync; a tick that expires a dozen
-    /// leases writes one batch. Durability is unchanged — the commit
-    /// still happens before the caller can observe or report the result
-    /// — only the sync count drops. Reentrant: an inner transaction
-    /// defers to the outermost one.
-    fn wal_transaction<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
+    /// one `append_batch` (one write, one fsync, one ship push) when `f`
+    /// returns. Reentrant: an inner transaction defers to the outermost
+    /// one, and the outermost one in the daemon is the shard worker's
+    /// whole drained batch, so every request of a wake shares one sync.
+    /// Durability is unchanged — whoever opens the outermost scope must
+    /// not let a result out before the scope (or an explicit
+    /// [`Service::wal_commit_pending`]) has committed it.
+    pub(crate) fn wal_transaction<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
         if self.wal_txn.is_some() {
             return f(self);
         }
         self.wal_txn = Some(Vec::new());
         let out = f(self);
-        if let Some(recs) = self.wal_txn.take() {
-            self.wal_append_batch(&recs);
-        }
+        self.wal_commit_pending();
+        self.wal_txn = None;
         out
     }
 
-    /// Append a batch of records under one fsync (same degradation rules
-    /// as [`Service::wal_append`]); inside a [`Service::wal_transaction`]
-    /// the records are deferred to the transaction's single commit.
+    /// True while the open transaction holds records that have not
+    /// reached the disk (or the ship): anything observable produced now
+    /// must wait for the commit.
+    pub(crate) fn wal_pending(&self) -> bool {
+        self.wal_txn.as_ref().is_some_and(|buf| !buf.is_empty())
+    }
+
+    /// Commit what the open transaction has buffered so far and keep it
+    /// open — the boundary the worker needs before it swaps or drops the
+    /// WAL mid-batch. A no-op outside a transaction.
+    pub(crate) fn wal_commit_pending(&mut self) {
+        if let Some(mut recs) = self.wal_txn.take() {
+            self.wal_append_batch(&recs);
+            recs.clear();
+            self.wal_txn = Some(recs);
+        }
+    }
+
+    /// The one commit path: append a batch of records under one fsync and
+    /// ship it; inside a [`Service::wal_transaction`] the records are
+    /// deferred to the transaction's commit instead. A failed write
+    /// degrades to in-memory operation (counted once per failed commit,
+    /// never fatal — availability over durability once the disk is gone).
     fn wal_append_batch(&mut self, recs: &[WalRecord]) {
-        if recs.is_empty() {
+        if recs.is_empty() || !self.durable() {
             return;
         }
         if let Some(buf) = self.wal_txn.as_mut() {
@@ -719,6 +752,9 @@ impl Service {
     /// [`Service::adopt_recovered`], which assumes a blank table. The
     /// shipper Arc is deliberately kept: a re-promotion must be able to
     /// ship to the *next* follower, and an idle follower never pushes.
+    /// A caller inside a WAL transaction commits first (the shard worker
+    /// does, with `wal_commit_pending`): records still buffered when the
+    /// handle goes have no file left to land in.
     pub fn demote(&mut self) {
         // Free every occupied VM slot so the recovered state re-places
         // onto an empty cluster.
@@ -728,7 +764,6 @@ impl Service {
             }
         }
         self.wal = None;
-        self.wal_txn = None;
         self.queue.clear();
         self.tasks.clear();
         self.delayed.clear();
@@ -880,9 +915,9 @@ impl Service {
         self.admitted += 1;
         self.metrics.admissions.fetch_add(1, Ordering::Relaxed);
         // Durable before the client learns the id (write-ahead).
-        self.wal_append(&WalRecord::Submit {
+        self.wal_append(|s| WalRecord::Submit {
             task: task_id,
-            app: self.observer.app_names()[app_idx].clone(),
+            app: s.observer.app_names()[app_idx].clone(),
         });
         // MIOS places on every arrival; batch schedulers wait for a full
         // window (the deadline path runs from the ticker).
@@ -949,7 +984,7 @@ impl Service {
             self.running += 1;
             self.lease_q
                 .push(Reverse((lease_deadline, task_id, attempt)));
-            self.wal_append(&WalRecord::Lease {
+            self.wal_append(|_| WalRecord::Lease {
                 task: task_id,
                 attempt,
             });
@@ -1004,7 +1039,7 @@ impl Service {
                 }
                 self.dead_lettered += 1;
                 self.metrics.dead_letters.fetch_add(1, Ordering::Relaxed);
-                self.wal_append(&WalRecord::DeadLetter { task, attempts });
+                self.wal_append(|_| WalRecord::DeadLetter { task, attempts });
             } else {
                 if let Some(r) = self.tasks.get_mut(&task) {
                     r.attempts = attempts;
@@ -1013,7 +1048,7 @@ impl Service {
                 let ready = now + Duration::from_millis(self.backoff_ms(task, attempts));
                 self.delayed.push(Reverse((ready, task)));
                 self.metrics.requeues.fetch_add(1, Ordering::Relaxed);
-                self.wal_append(&WalRecord::Requeue {
+                self.wal_append(|_| WalRecord::Requeue {
                     task,
                     attempt: attempts,
                 });
@@ -1122,7 +1157,7 @@ impl Service {
         self.running -= 1;
         self.completed += 1;
         self.metrics.completions.fetch_add(1, Ordering::Relaxed);
-        self.wal_append(&WalRecord::Complete { task, runtime });
+        self.wal_append(|_| WalRecord::Complete { task, runtime });
         let inject = self.rebuild_fail_injections > 0;
         let observer = &mut self.observer;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1173,9 +1208,10 @@ impl Service {
 
     /// Pop up to `max` queued (never leased) tasks off the back of the
     /// admission queue for migration to shard `to`. The migrate records
-    /// hit this shard's WAL under one fsync *before* the tasks leave the
-    /// in-memory table, and a tombstone stays behind so a crash anywhere
-    /// in the handoff recovers each task exactly once.
+    /// are committed (on their own, or with the worker's batch, which
+    /// holds the hand-off message until then) *before* the recipient can
+    /// see the tasks, and a tombstone stays behind so a crash anywhere in
+    /// the handoff recovers each task exactly once.
     pub fn steal_queued(&mut self, max: usize, to: usize) -> Vec<StolenTask> {
         if to == self.shard || max == 0 {
             return Vec::new();

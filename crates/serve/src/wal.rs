@@ -1000,6 +1000,36 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Snapshot load was quadratic in the document (every string byte
+    /// re-validated the rest of it): 16 k tasks took ten seconds, and this
+    /// many would take minutes. The bound is a debug build's linear time
+    /// with two orders of magnitude to spare.
+    #[test]
+    fn a_64k_task_snapshot_decodes_in_linear_time() {
+        let tasks: Vec<RecoveredTask> = (1..=65_536u64)
+            .map(|task| RecoveredTask {
+                task,
+                app: format!("app-\u{e9}-{}", task % 8),
+                attempts: (task % 3) as u32,
+                state: RecState::Completed,
+                runtime: task as f64 * 0.5,
+                migrated_to: None,
+            })
+            .collect();
+        let blob = encode_snapshot(&tasks, 65_537);
+        let started = std::time::Instant::now();
+        let mut recovery = Recovery::default();
+        decode_snapshot(&blob, &mut recovery).unwrap();
+        let took = started.elapsed();
+        assert_eq!(recovery.tasks.len(), tasks.len());
+        assert!(recovery.tasks.iter().zip(&tasks).all(|(got, want)| {
+            (got.task, &got.app, got.state, got.runtime)
+                == (want.task, &want.app, want.state, want.runtime)
+        }));
+        assert_eq!(recovery.next_task_id, 65_537);
+        assert!(took.as_secs() < 30, "decode took {took:?}");
+    }
+
     #[test]
     fn empty_dir_recovers_empty() {
         let dir = tmpdir("empty");

@@ -339,20 +339,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 }
                 *pos += 1;
             }
+            Some(&b) if b < 0x20 => return Err(err(*pos, "raw control character in string")),
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are guaranteed valid).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid utf-8"))?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| err(*pos, "truncated string"))?;
-                if (c as u32) < 0x20 {
-                    return Err(err(*pos, "raw control character in string"));
-                }
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain bytes up to the next quote, escape
+                // or control byte in one piece, validating that run alone
+                // (not the rest of the document): continuation bytes of a
+                // multi-byte scalar are all >= 0x80, so a run never ends
+                // inside one unless the input itself is cut there.
+                let rest = &bytes[*pos..];
+                let len = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                    .unwrap_or(rest.len());
+                let run =
+                    std::str::from_utf8(&rest[..len]).map_err(|_| err(*pos, "invalid utf-8"))?;
+                out.push_str(run);
+                *pos += len;
             }
         }
     }
@@ -406,6 +408,33 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "expected parse failure for {bad:?}");
         }
+    }
+
+    #[test]
+    fn multi_byte_scalars_parse_up_to_the_last_byte_of_input() {
+        assert_eq!(parse("\"a\u{20ac}\"").unwrap(), s("a\u{20ac}"));
+        assert_eq!(parse("\"\u{1d11e}\"").unwrap(), s("\u{1d11e}"));
+        assert_eq!(
+            parse("[\"\u{e9}\",\"x\\n\u{20ac}\\\"\u{e9}\"]").unwrap(),
+            Value::Arr(vec![s("\u{e9}"), s("x\n\u{20ac}\"\u{e9}")])
+        );
+        // The scalar is whole but the string never closes.
+        let e = parse("\"ab\u{20ac}").unwrap_err();
+        assert_eq!((e.at, e.reason.as_str()), (6, "unterminated string"));
+    }
+
+    #[test]
+    fn truncated_tails_and_control_bytes_keep_their_error_kinds() {
+        // `parse` takes a &str, so a cut-off scalar can only arrive through
+        // the byte-level scanner.
+        let mut pos = 0;
+        let e = parse_string(b"\"ab\xe2\x82", &mut pos).unwrap_err();
+        assert_eq!((e.at, e.reason.as_str()), (1, "invalid utf-8"));
+        let e = parse("\"a\u{1}b\"").unwrap_err();
+        assert_eq!(
+            (e.at, e.reason.as_str()),
+            (2, "raw control character in string")
+        );
     }
 
     #[test]
