@@ -59,22 +59,21 @@ impl InterferenceModel for LinearModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use tracon_stats::prng::ChaCha12;
 
     fn linear_data(n: usize, seed: u64) -> TrainingData {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = ChaCha12::seed_from_u64(seed);
         let mut data = TrainingData::default();
         for _ in 0..n {
             let f: [f64; 8] = std::array::from_fn(|i| {
                 if i == 0 || i == 4 {
-                    rng.gen_range(0.0..300.0) // request rates
+                    rng.range_f64(0.0, 300.0) // request rates
                 } else {
-                    rng.gen_range(0.0..1.0) // utilizations
+                    rng.range_f64(0.0, 1.0) // utilizations
                 }
             });
             // Depends on target reads, background reads, background cpu.
-            let y = 50.0 + 0.3 * f[0] + 0.5 * f[4] + 40.0 * f[6] + rng.gen_range(-1.0..1.0);
+            let y = 50.0 + 0.3 * f[0] + 0.5 * f[4] + 40.0 * f[6] + rng.range_f64(-1.0, 1.0);
             data.push(f, y);
         }
         data
@@ -96,10 +95,10 @@ mod tests {
     fn fails_on_quadratic_interaction() {
         // Strong product term: a purely linear model cannot capture it —
         // the property that motivates the paper's NLM.
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = ChaCha12::seed_from_u64(3);
         let mut data = TrainingData::default();
         for _ in 0..400 {
-            let f: [f64; 8] = std::array::from_fn(|_| rng.gen_range(0.0..1.0));
+            let f: [f64; 8] = std::array::from_fn(|_| rng.range_f64(0.0, 1.0));
             let y = 10.0 + 100.0 * f[0] * f[4];
             data.push(f, y);
         }

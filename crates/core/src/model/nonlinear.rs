@@ -182,8 +182,7 @@ impl InterferenceModel for NonlinearModel {
 mod tests {
     use super::*;
     use crate::model::evaluate;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use tracon_stats::prng::ChaCha12;
 
     #[test]
     fn quadratic_term_count() {
@@ -194,10 +193,10 @@ mod tests {
     }
 
     fn product_data(n: usize, seed: u64) -> TrainingData {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = ChaCha12::seed_from_u64(seed);
         let mut data = TrainingData::default();
         for _ in 0..n {
-            let f: [f64; 8] = std::array::from_fn(|_| rng.gen_range(0.0..1.0));
+            let f: [f64; 8] = std::array::from_fn(|_| rng.range_f64(0.0, 1.0));
             // Product interaction plus a linear part — the structure real
             // I/O interference exhibits.
             let y = 20.0 + 5.0 * f[0] + 80.0 * f[0] * f[4] + 30.0 * f[3] * f[7];
@@ -260,11 +259,11 @@ mod tests {
     fn parsimonious_on_linear_truth() {
         // Pure linear ground truth: the stepwise search should not pick
         // many spurious quadratic terms.
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = ChaCha12::seed_from_u64(8);
         let mut data = TrainingData::default();
         for _ in 0..400 {
-            let f: [f64; 8] = std::array::from_fn(|_| rng.gen_range(0.0..1.0));
-            let y = 5.0 + 10.0 * f[2] + rng.gen_range(-0.05..0.05);
+            let f: [f64; 8] = std::array::from_fn(|_| rng.range_f64(0.0, 1.0));
+            let y = 5.0 + 10.0 * f[2] + rng.range_f64(-0.05, 0.05);
             data.push(f, y);
         }
         let nlm = NonlinearModel::train(&data);

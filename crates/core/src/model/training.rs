@@ -109,15 +109,14 @@ pub fn cross_validate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use tracon_stats::prng::ChaCha12;
 
     fn data(seed: u64) -> TrainingData {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = ChaCha12::seed_from_u64(seed);
         let mut d = TrainingData::default();
         for _ in 0..300 {
-            let f: [f64; 8] = std::array::from_fn(|_| rng.gen_range(0.0..1.0));
-            let y = 10.0 + 4.0 * f[0] + 20.0 * f[0] * f[4] + rng.gen_range(-0.1..0.1);
+            let f: [f64; 8] = std::array::from_fn(|_| rng.range_f64(0.0, 1.0));
+            let y = 10.0 + 4.0 * f[0] + 20.0 * f[0] * f[4] + rng.range_f64(-0.1, 0.1);
             d.push(f, y);
         }
         d

@@ -60,16 +60,15 @@ impl InterferenceModel for Wmm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use tracon_stats::prng::ChaCha12;
 
     fn smooth_data(n: usize, seed: u64) -> TrainingData {
         // Response is a smooth function of the features, so nearest
         // neighbours interpolate well.
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = ChaCha12::seed_from_u64(seed);
         let mut data = TrainingData::default();
         for _ in 0..n {
-            let f: [f64; 8] = std::array::from_fn(|_| rng.gen_range(0.0..1.0));
+            let f: [f64; 8] = std::array::from_fn(|_| rng.range_f64(0.0, 1.0));
             let y = 100.0 + 50.0 * f[0] + 30.0 * f[4] + 20.0 * f[0] * f[4];
             data.push(f, y);
         }
@@ -89,10 +88,10 @@ mod tests {
     fn generalizes_on_smooth_function() {
         let data = smooth_data(600, 2);
         let wmm = Wmm::train(&data);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = ChaCha12::seed_from_u64(3);
         let mut worst: f64 = 0.0;
         for _ in 0..50 {
-            let f: [f64; 8] = std::array::from_fn(|_| rng.gen_range(0.1..0.9));
+            let f: [f64; 8] = std::array::from_fn(|_| rng.range_f64(0.1, 0.9));
             let actual = 100.0 + 50.0 * f[0] + 30.0 * f[4] + 20.0 * f[0] * f[4];
             let rel = (wmm.predict(&f) - actual).abs() / actual;
             worst = worst.max(rel);

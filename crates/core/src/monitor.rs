@@ -213,23 +213,22 @@ impl AdaptiveModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use tracon_stats::prng::ChaCha12;
 
     /// Environment A: y = 10 + 20 x0 x4. Environment B (drifted):
     /// y = 40 + 60 x0 x4 — same structure, very different scale.
-    fn gen(rng: &mut StdRng, env_b: bool) -> ([f64; 8], f64) {
-        let f: [f64; 8] = std::array::from_fn(|_| rng.gen_range(0.0..1.0));
+    fn gen(rng: &mut ChaCha12, env_b: bool) -> ([f64; 8], f64) {
+        let f: [f64; 8] = std::array::from_fn(|_| rng.range_f64(0.0, 1.0));
         let y = if env_b {
-            40.0 + 60.0 * f[0] * f[4] + rng.gen_range(-0.5..0.5)
+            40.0 + 60.0 * f[0] * f[4] + rng.range_f64(-0.5, 0.5)
         } else {
-            10.0 + 20.0 * f[0] * f[4] + rng.gen_range(-0.5..0.5)
+            10.0 + 20.0 * f[0] * f[4] + rng.range_f64(-0.5, 0.5)
         };
         (f, y)
     }
 
     fn initial_data(n: usize, seed: u64) -> TrainingData {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = ChaCha12::seed_from_u64(seed);
         let mut d = TrainingData::default();
         for _ in 0..n {
             let (f, y) = gen(&mut rng, false);
@@ -249,7 +248,7 @@ mod tests {
     #[test]
     fn stable_environment_keeps_low_error() {
         let mut am = AdaptiveModel::new(ModelKind::Nonlinear, &initial_data(300, 1), cfg());
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = ChaCha12::seed_from_u64(2);
         let mut errors = Vec::new();
         for _ in 0..100 {
             let (f, y) = gen(&mut rng, false);
@@ -262,7 +261,7 @@ mod tests {
     #[test]
     fn detects_drift_and_recovers() {
         let mut am = AdaptiveModel::new(ModelKind::Nonlinear, &initial_data(300, 3), cfg());
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = ChaCha12::seed_from_u64(4);
         // Switch the environment: errors surge.
         let mut early = Vec::new();
         for _ in 0..60 {
@@ -298,7 +297,7 @@ mod tests {
     #[test]
     fn rebuild_counter_follows_interval() {
         let mut am = AdaptiveModel::new(ModelKind::Linear, &initial_data(200, 5), cfg());
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = ChaCha12::seed_from_u64(6);
         let mut rebuild_points = Vec::new();
         for i in 0..240 {
             let (f, y) = gen(&mut rng, false);
@@ -313,7 +312,7 @@ mod tests {
     #[test]
     fn export_model_matches_rebuild_snapshot() {
         let mut am = AdaptiveModel::new(ModelKind::Linear, &initial_data(200, 9), cfg());
-        let mut rng = StdRng::seed_from_u64(10);
+        let mut rng = ChaCha12::seed_from_u64(10);
         for _ in 0..50 {
             let (f, y) = gen(&mut rng, false);
             am.observe(f, y);
@@ -327,7 +326,7 @@ mod tests {
     #[test]
     fn error_history_grows_monotonically() {
         let mut am = AdaptiveModel::new(ModelKind::Wmm, &initial_data(100, 7), cfg());
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = ChaCha12::seed_from_u64(8);
         for _ in 0..10 {
             let (f, y) = gen(&mut rng, false);
             am.observe(f, y);

@@ -47,8 +47,8 @@ fn scenarios() -> Vec<(&'static str, usize, Vec<ArrivalEvent>, Option<f64>)> {
     ]
 }
 
-/// FNV-1a over the measured pair-runtime bits: names the testbed (and so
-/// the `rand` stream that produced it) the pins belong to.
+/// FNV-1a over the measured pair-runtime bits: names the testbed the
+/// pins belong to.
 fn testbed_digest(tb: &Testbed) -> u64 {
     let n = tb.perf.n_apps();
     (0..n * n).fold(0xcbf2_9ce4_8422_2325, |h, i| {

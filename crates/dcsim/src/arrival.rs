@@ -2,9 +2,8 @@
 //! light / medium / heavy I/O mixes (Gaussian over the eight IOPS-ranked
 //! benchmarks with means 2.5 / 4.0 / 5.5) and Poisson arrival processes.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use tracon_stats::dist;
+use tracon_stats::prng::ChaCha12;
 use tracon_vmsim::Benchmark;
 
 /// The paper's workload mixes (Section 4.1, "Mixed I/O workload").
@@ -52,13 +51,13 @@ impl WorkloadMix {
         [WorkloadMix::Light, WorkloadMix::Medium, WorkloadMix::Heavy];
 
     /// Samples a benchmark according to the mix.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Benchmark {
+    pub fn sample(&self, rng: &mut ChaCha12) -> Benchmark {
         match self.mean_rank() {
             Some(mean) => {
                 let rank = dist::gaussian_rank(rng, mean, MIX_STD_DEV, 8);
                 Benchmark::from_io_rank(rank)
             }
-            None => Benchmark::ALL[rng.gen_range(0..Benchmark::ALL.len())],
+            None => Benchmark::ALL[rng.range_usize(0, Benchmark::ALL.len())],
         }
     }
 }
@@ -83,7 +82,7 @@ pub fn poisson_trace(
     assert!(lambda_per_min > 0.0, "lambda must be positive");
     assert!(duration_s > 0.0, "duration must be positive");
     let rate_per_s = lambda_per_min / 60.0;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = ChaCha12::seed_from_u64(seed);
     let mut t = 0.0;
     let mut out = Vec::with_capacity((rate_per_s * duration_s * 1.1) as usize + 16);
     loop {
@@ -108,7 +107,7 @@ pub fn poisson_trace(
 pub fn poisson_n(lambda_per_min: f64, n: usize, mix: WorkloadMix, seed: u64) -> Vec<ArrivalEvent> {
     assert!(lambda_per_min > 0.0, "lambda must be positive");
     let rate_per_s = lambda_per_min / 60.0;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = ChaCha12::seed_from_u64(seed);
     let mut t = 0.0;
     (0..n)
         .map(|_| {
@@ -124,7 +123,7 @@ pub fn poisson_n(lambda_per_min: f64, n: usize, mix: WorkloadMix, seed: u64) -> 
 
 /// Generates a static batch of `n` tasks (all present at t = 0).
 pub fn static_batch(n: usize, mix: WorkloadMix, seed: u64) -> Vec<ArrivalEvent> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = ChaCha12::seed_from_u64(seed);
     (0..n)
         .map(|_| ArrivalEvent {
             time: 0.0,
@@ -140,8 +139,8 @@ mod tests {
 
     #[test]
     fn mixes_have_ordered_mean_ranks() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let avg_rank = |mix: WorkloadMix, rng: &mut StdRng| {
+        let mut rng = ChaCha12::seed_from_u64(1);
+        let avg_rank = |mix: WorkloadMix, rng: &mut ChaCha12| {
             let xs: Vec<f64> = (0..5000)
                 .map(|_| mix.sample(rng).io_rank() as f64)
                 .collect();

@@ -14,7 +14,7 @@
 //!   epoch rolls over and a new calendar is laid out over their span.
 //! * [`HeapQueue`] — the reference `BinaryHeap` kernel, retained as the
 //!   equivalence oracle (`QueueBackend::BinaryHeap`) and exercised by the
-//!   wheel-vs-heap proptest below and the golden bit-identity matrix.
+//!   wheel-vs-heap property test below and the golden bit-identity matrix.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -199,7 +199,7 @@ const RUN_DIRECT_MAX: usize = 128;
 /// Every boundary test is an exact FP comparison and the bucket mapping
 /// is monotone in time, so the pop order is the *identical* `(time, seq)`
 /// total order the reference heap produces — bit-for-bit, as gated by the
-/// proptest below and the golden-engine matrix.
+/// property test below and the golden-engine matrix.
 pub(crate) struct TimingWheel {
     /// Arena (SoA): event time per handle.
     times: Vec<f64>,
@@ -400,7 +400,7 @@ impl KernelQueue for TimingWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use tracon_stats::prng::check_cases;
 
     fn drain_ids<Q: KernelQueue>(q: &mut Q) -> Vec<usize> {
         std::iter::from_fn(|| q.pop())
@@ -510,34 +510,35 @@ mod tests {
         assert_eq!(q.next_time(), Some(5.0));
     }
 
-    proptest! {
-        /// The tentpole's safety net: on arbitrary interleaved streams of
-        /// pushes and pops — dense same-timestamp bursts, fine-grained
-        /// spreads, and far-future outliers — the wheel must produce
-        /// exactly the heap's `(time, seq)` total order, bit for bit.
-        #[test]
-        fn wheel_matches_heap_on_random_streams(
-            ops in proptest::collection::vec(
-                (any::<u8>(), 0.0f64..1000.0, any::<bool>()),
-                1..120,
-            )
-        ) {
+    /// The tentpole's safety net: on arbitrary interleaved streams of
+    /// pushes and pops — dense same-timestamp bursts, fine-grained
+    /// spreads, and far-future outliers — the wheel must produce
+    /// exactly the heap's `(time, seq)` total order, bit for bit.
+    #[test]
+    fn wheel_matches_heap_on_random_streams() {
+        check_cases(0..256, |rng| {
+            let ops: Vec<(u8, f64, bool)> = (0..rng.range_usize(1, 120))
+                .map(|_| {
+                    let sel = rng.next_u64() as u8;
+                    (sel, rng.range_f64(0.0, 1000.0), rng.next_u64() & 1 == 1)
+                })
+                .collect();
             let mut wheel = TimingWheel::with_capacity(ops.len());
             let mut heap = HeapQueue::with_capacity(ops.len());
             let key = |e: Event| (e.time.to_bits(), e.seq);
             for (i, &(sel, t, pop_now)) in ops.iter().enumerate() {
                 let time = match sel % 4 {
-                    0 => (t * 0.016).floor(),  // dense bursts on few values
-                    1 => t,                    // fine-grained spread
-                    2 => 1e9 + t * 1e6,        // far-future outliers
-                    _ => 250.0,                // exact same-timestamp pile
+                    0 => (t * 0.016).floor(), // dense bursts on few values
+                    1 => t,                   // fine-grained spread
+                    2 => 1e9 + t * 1e6,       // far-future outliers
+                    _ => 250.0,               // exact same-timestamp pile
                 };
                 wheel.push(time, EventKind::Arrival(i));
                 heap.push(time, EventKind::Arrival(i));
                 if pop_now {
-                    prop_assert_eq!(wheel.pop().map(key), heap.pop().map(key));
+                    assert_eq!(wheel.pop().map(key), heap.pop().map(key));
                 }
-                prop_assert_eq!(
+                assert_eq!(
                     wheel.next_time().map(f64::to_bits),
                     heap.next_time().map(f64::to_bits)
                 );
@@ -545,11 +546,11 @@ mod tests {
             loop {
                 let (a, b) = (wheel.pop().map(key), heap.pop().map(key));
                 let done = a.is_none();
-                prop_assert_eq!(a, b);
+                assert_eq!(a, b);
                 if done {
                     break;
                 }
             }
-        }
+        });
     }
 }

@@ -6,9 +6,8 @@
 //! model every 160 new data points, after which the error returns to the
 //! ~10% level. A control run that stays on local storage stays flat.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use tracon_core::{AdaptiveModel, ModelKind, MonitorConfig, ResponseScale, TrainingData};
+use tracon_stats::prng::ChaCha12;
 use tracon_vmsim::{apps, AppModel, Engine, HostConfig, Profiler};
 
 /// Parameters of the adaptation experiment.
@@ -76,8 +75,8 @@ pub struct Fig7 {
     pub rebuilds: usize,
 }
 
-fn random_background(rng: &mut StdRng) -> AppModel {
-    let level = |rng: &mut StdRng| -> f64 { rng.gen_range(0..5) as f64 * 0.25 };
+fn random_background(rng: &mut ChaCha12) -> AppModel {
+    let level = |rng: &mut ChaCha12| -> f64 { rng.range_usize(0, 5) as f64 * 0.25 };
     apps::synthetic(level(rng), level(rng), level(rng))
 }
 
@@ -90,7 +89,7 @@ fn collect(
     seed: u64,
 ) -> (TrainingData, TrainingData) {
     let profiler = Profiler::new(Engine::new(host));
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = ChaCha12::seed_from_u64(seed);
     let mut runtime = TrainingData::default();
     let mut iops = TrainingData::default();
     // The solo profile is the constant half of the feature vector.

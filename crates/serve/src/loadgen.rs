@@ -16,10 +16,9 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use tracon_dcsim::{poisson_n, WorkloadMix};
 use tracon_stats::percentile;
+use tracon_stats::prng::ChaCha12;
 
 use crate::client::Client;
 use crate::json::Value;
@@ -226,7 +225,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
         return Err("daemon reports no profiled applications".to_string());
     }
     let arrivals = poisson_n(cfg.lambda_per_min, cfg.requests, cfg.mix, cfg.seed);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED_CAFE);
+    let mut rng = ChaCha12::seed_from_u64(cfg.seed ^ 0x5EED_CAFE);
 
     let mut heap: BinaryHeap<Reverse<(u64, u64, Action)>> = BinaryHeap::new();
     let mut seq: u64 = 0;
@@ -379,14 +378,8 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
                 let entry = in_flight
                     .remove(&task)
                     .ok_or_else(|| format!("completion for unknown in-flight task {task}"))?;
-                let runtime = entry.predicted_runtime.max(0.05) * rng.gen_range(0.85..1.15);
-                let iops = rng.gen_range(40.0..240.0);
                 let reply = client
-                    .request(Request::Complete {
-                        task,
-                        runtime,
-                        iops,
-                    })
+                    .request(completion(&mut rng, task, entry.predicted_runtime))
                     .map_err(|e| format!("complete: {e}"))?;
                 match reply {
                     Reply::Ok { .. } => {
@@ -446,6 +439,18 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
         throughput_per_s: completed as f64 / wall_s,
         sojourn_ms,
     })
+}
+
+/// The completion report for `task`: the predicted runtime within ±15 %
+/// (floored at 50 ms) and an IOPS figure in 40..240, in that draw order.
+fn completion(rng: &mut ChaCha12, task: u64, predicted_runtime_s: f64) -> Request {
+    let runtime = predicted_runtime_s.max(0.05) * rng.range_f64(0.85, 1.15);
+    let iops = rng.range_f64(40.0, 240.0);
+    Request::Complete {
+        task,
+        runtime,
+        iops,
+    }
 }
 
 fn exec_us(cfg: &LoadgenConfig, predicted_runtime_s: f64) -> u64 {
@@ -745,7 +750,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
             }
         }
     }
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = ChaCha12::seed_from_u64(cfg.seed);
     // Placed tasks awaiting a synthesized completion: (task, predicted_runtime).
     let mut pending: Vec<(u64, f64)> = Vec::new();
     let mut placed_seen = 0usize;
@@ -798,7 +803,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
             }
         }
 
-        let app = apps[rng.gen_range(0..apps.len())].clone();
+        let app = apps[rng.range_usize(0, apps.len())].clone();
         match client.request(Request::Submit { app, demand: None }) {
             Ok(Reply::Ok { result, .. }) => {
                 report.acked_submits += 1;
@@ -854,13 +859,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         // all but the freshest couple, which stay in flight as churn.
         while pending.len() > 2 {
             let (task, predicted) = pending.remove(0);
-            let runtime = predicted.max(0.05) * rng.gen_range(0.85..1.15);
-            let iops = rng.gen_range(40.0..240.0);
-            let complete = Request::Complete {
-                task,
-                runtime,
-                iops,
-            };
+            let complete = completion(&mut rng, task, predicted);
             match client.request(complete.clone()) {
                 Ok(Reply::Ok { .. }) => report.completions_acked += 1,
                 Ok(Reply::Error {
@@ -911,13 +910,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
 
     // Flush remaining completions best-effort.
     for (task, predicted) in pending.drain(..) {
-        let runtime = predicted.max(0.05) * rng.gen_range(0.85..1.15);
-        let iops = rng.gen_range(40.0..240.0);
-        let complete = Request::Complete {
-            task,
-            runtime,
-            iops,
-        };
+        let complete = completion(&mut rng, task, predicted);
         match client.request(complete.clone()) {
             Ok(Reply::Ok { .. }) => report.completions_acked += 1,
             Ok(Reply::Error {

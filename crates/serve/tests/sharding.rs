@@ -6,7 +6,6 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use proptest::prelude::*;
 use tracon_dcsim::{Testbed, TestbedConfig};
 use tracon_serve::json::{n, obj, s, Value};
 use tracon_serve::shard::{route_app, route_key, route_name, stride_shard};
@@ -15,6 +14,7 @@ use tracon_serve::{
     daemon, proto, recover_dir, Client, Envelope, Metrics, NetConfig, Reply, Request, SchedKind,
     ServeConfig, Service, Wal,
 };
+use tracon_stats::prng::check_cases;
 
 fn testbed() -> &'static Testbed {
     static TB: OnceLock<Testbed> = OnceLock::new();
@@ -196,55 +196,67 @@ fn multi_shard_daemon_keeps_one_conserved_view() {
     handle.join();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Rendezvous routing moves a key only onto a freshly added shard:
-    /// `route(k, n+1) != route(k, n)` implies `route(k, n+1) == n`.
-    /// This is what makes shard-count growth cheap — only tasks whose
-    /// new shard *wins* are re-homed on recovery.
-    #[test]
-    fn rendezvous_routing_is_minimally_disruptive(key in any::<u64>(), shards in 1usize..12) {
+/// Rendezvous routing moves a key only onto a freshly added shard:
+/// `route(k, n+1) != route(k, n)` implies `route(k, n+1) == n`.
+/// This is what makes shard-count growth cheap — only tasks whose
+/// new shard *wins* are re-homed on recovery.
+#[test]
+fn rendezvous_routing_is_minimally_disruptive() {
+    check_cases(0..64, |rng| {
+        let key = rng.next_u64();
+        let shards = rng.range_usize(1, 12);
         let before = route_key(key, shards);
         let after = route_key(key, shards + 1);
-        prop_assert!(before < shards && after < shards + 1);
-        prop_assert!(
+        assert!(before < shards && after < shards + 1);
+        assert!(
             after == before || after == shards,
             "key {key} moved {before} -> {after} when shard {shards} was added"
         );
-    }
+    });
+}
 
-    /// Name routing and stride routing always land in range, and stride
-    /// inverts the strided id allocation exactly.
-    #[test]
-    fn auxiliary_routes_stay_in_range(seed in any::<u64>(), task in 1u64..1_000_000, shards in 1usize..12) {
+/// Name routing and stride routing always land in range, and stride
+/// inverts the strided id allocation exactly.
+#[test]
+fn auxiliary_routes_stay_in_range() {
+    check_cases(0..64, |rng| {
+        let seed = rng.next_u64();
+        let task = rng.range_usize(1, 1_000_000) as u64;
+        let shards = rng.range_usize(1, 12);
         // A synthetic name of varying length, since the interesting input
         // space for FNV is bytes, not characters.
         let name: String = (0..(seed % 13))
             .map(|i| char::from(b'a' + ((seed >> (i * 5)) % 26) as u8))
             .collect();
-        prop_assert!(route_name(&name, shards) < shards);
+        assert!(route_name(&name, shards) < shards);
         let shard = stride_shard(task, shards);
-        prop_assert!(shard < shards);
+        assert!(shard < shards);
         // Shard `i` of `N` issues `i+1, i+1+N, ...`: the id's issuer is
         // recoverable without any lookup.
-        prop_assert_eq!((task - 1) % shards as u64, shard as u64);
-    }
+        assert_eq!((task - 1) % shards as u64, shard as u64);
+    });
+}
 
-    /// Recovery under a changed shard count re-homes every queued task to
-    /// its hash route, no matter which old shard file held it.
-    #[test]
-    fn recovery_rehomes_by_hash_when_the_shard_count_changes(
-        placements in proptest::collection::vec((0usize..4, 0u16..64), 1..24),
-        new_shards in 1usize..5,
-    ) {
+/// Recovery under a changed shard count re-homes every queued task to
+/// its hash route, no matter which old shard file held it.
+#[test]
+fn recovery_rehomes_by_hash_when_the_shard_count_changes() {
+    check_cases(0..64, |rng| {
+        let placements: Vec<(usize, u16)> = (0..rng.range_usize(1, 24))
+            .map(|_| (rng.range_usize(0, 4), rng.range_usize(0, 64) as u16))
+            .collect();
+        let new_shards = rng.range_usize(1, 5);
         let dir = std::env::temp_dir().join(format!(
-            "tracon-rehome-{}-{:x}", std::process::id(),
-            placements.iter().fold(new_shards as u64, |a, &(s, x)| a.wrapping_mul(31).wrapping_add((s as u64) << 16 | x as u64))
+            "tracon-rehome-{}-{:x}",
+            std::process::id(),
+            placements.iter().fold(new_shards as u64, |a, &(s, x)| a
+                .wrapping_mul(31)
+                .wrapping_add((s as u64) << 16 | x as u64))
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let old_shards = 4usize.max(new_shards + 1); // always a count change
-        let mut task_apps: std::collections::HashMap<u64, String> = std::collections::HashMap::new();
+        let mut task_apps: std::collections::HashMap<u64, String> =
+            std::collections::HashMap::new();
         {
             let mut wals: Vec<Wal> = (0..old_shards)
                 .map(|shard| Wal::open_shard(&dir, shard, 1024).expect("open").0)
@@ -253,23 +265,29 @@ proptest! {
                 let task = i as u64 + 1;
                 let app = format!("app{}", app_x % 8);
                 wals[shard % old_shards]
-                    .append(&WalRecord::Submit { task, app: app.clone() })
+                    .append(&WalRecord::Submit {
+                        task,
+                        app: app.clone(),
+                    })
                     .expect("append");
                 task_apps.insert(task, app);
             }
         }
         let route = |name: &str| Some(route_name(name, new_shards));
         let (_wals, merged) = recover_dir(&dir, new_shards, 1024, &route).expect("recover");
-        prop_assert_eq!(merged.tasks.len(), placements.len());
+        assert_eq!(merged.tasks.len(), placements.len());
         for homed in &merged.tasks {
             let app = &task_apps[&homed.rec.task];
-            prop_assert_eq!(
-                homed.home, route_name(app, new_shards),
-                "task {} (app {}) homed off its hash route", homed.rec.task, app
+            assert_eq!(
+                homed.home,
+                route_name(app, new_shards),
+                "task {} (app {}) homed off its hash route",
+                homed.rec.task,
+                app
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
 }
 
 /// `route_app` agrees with `route_key` on the id index, so decode-time

@@ -1,4 +1,4 @@
-//! Property test: the task-conservation invariant — every admitted task
+//! Seeded property test: the task-conservation invariant — every admitted task
 //! is in exactly one of queued/delayed/running/completed/dead-lettered —
 //! holds under random interleavings of submits, completions, lease
 //! expiries, backoff promotion, and crash-recovery cycles through the
@@ -9,11 +9,29 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use proptest::prelude::*;
 use tracon_dcsim::{Testbed, TestbedConfig};
 use tracon_serve::repl::sim::{SimCluster, SimKnobs};
 use tracon_serve::shard::{route_app, shard_machines};
 use tracon_serve::{recover_dir, Metrics, Role, SchedKind, ServeConfig, Service, StatusSnapshot};
+use tracon_stats::prng::{check_cases, ChaCha12};
+
+/// A random interleaving: between `len.start` and `len.end - 1` pairs of
+/// an op code below `kinds` and an operand below `operands`.
+fn ops(
+    rng: &mut ChaCha12,
+    len: std::ops::Range<usize>,
+    kinds: usize,
+    operands: usize,
+) -> Vec<(u8, u16)> {
+    (0..rng.range_usize(len.start, len.end))
+        .map(|_| {
+            (
+                rng.range_usize(0, kinds) as u8,
+                rng.range_usize(0, operands) as u16,
+            )
+        })
+        .collect()
+}
 
 /// One shared testbed: profiling it dominates the cost of a case.
 fn testbed() -> &'static Testbed {
@@ -58,13 +76,10 @@ fn open(dir: &Path, now: Instant) -> Service {
         .expect("service must open its WAL")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn conservation_holds_under_random_interleavings(
-        ops in proptest::collection::vec((0u8..5, 0u16..1024), 1..40)
-    ) {
+#[test]
+fn conservation_holds_under_random_interleavings() {
+    check_cases(0..12, |rng| {
+        let ops = ops(rng, 1..40, 5, 1024);
         let tb = testbed();
         let napps = tb.perf.names.len();
         let dir = fresh_dir();
@@ -109,7 +124,7 @@ proptest! {
                 }
             }
             let st = svc.status();
-            prop_assert!(
+            assert!(
                 st.conserved(),
                 "op {} broke conservation: admitted {} = completed {} + dead {} + queued {} + delayed {} + running {}",
                 op, st.admitted, st.completed, st.dead_lettered, st.queued, st.delayed, st.running
@@ -125,22 +140,26 @@ proptest! {
             }
         }
         let st = svc.status();
-        prop_assert!(st.conserved());
-        prop_assert_eq!(
-            st.queued + st.delayed + st.running, 0,
+        assert!(st.conserved());
+        assert_eq!(
+            st.queued + st.delayed + st.running,
+            0,
             "work wedged: queued {} delayed {} running {}",
-            st.queued, st.delayed, st.running
+            st.queued,
+            st.delayed,
+            st.running
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    /// A crash at an arbitrary point never loses or duplicates a task:
-    /// the recovered counters match a straight replay of what happened.
-    #[test]
-    fn recovery_preserves_admission_count(
-        submits in 1usize..12,
-        completes in 0usize..12,
-    ) {
+/// A crash at an arbitrary point never loses or duplicates a task:
+/// the recovered counters match a straight replay of what happened.
+#[test]
+fn recovery_preserves_admission_count() {
+    check_cases(0..12, |rng| {
+        let submits = rng.range_usize(1, 12);
+        let completes = rng.range_usize(0, 12);
         let tb = testbed();
         let dir = fresh_dir();
         let now = Instant::now();
@@ -165,11 +184,11 @@ proptest! {
 
         let svc = open(&dir, Instant::now());
         let after = svc.status();
-        prop_assert!(after.conserved());
-        prop_assert_eq!(after.admitted, before.admitted, "admissions changed");
-        prop_assert_eq!(after.completed, completed, "completions changed");
+        assert!(after.conserved());
+        assert_eq!(after.admitted, before.admitted, "admissions changed");
+        assert_eq!(after.completed, completed, "completions changed");
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
 }
 
 /// Boot a sharded fleet against one WAL directory the way the daemon
@@ -243,18 +262,15 @@ fn summed(services: &[Service]) -> StatusSnapshot {
     total
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The sharded generalization: conservation of the *summed* snapshot
-    /// survives random cross-shard steals (committed and cut mid-handoff
-    /// by a crash), whole-fleet crash/recover cycles, and shard-count
-    /// changes across restarts.
-    #[test]
-    fn summed_conservation_survives_steals_and_shard_crashes(
-        ops in proptest::collection::vec((0u8..6, 0u16..1024), 1..36),
-        initial_shards in 1usize..3,
-    ) {
+/// The sharded generalization: conservation of the *summed* snapshot
+/// survives random cross-shard steals (committed and cut mid-handoff
+/// by a crash), whole-fleet crash/recover cycles, and shard-count
+/// changes across restarts.
+#[test]
+fn summed_conservation_survives_steals_and_shard_crashes() {
+    check_cases(0..10, |rng| {
+        let ops = ops(rng, 1..36, 6, 1024);
+        let initial_shards = rng.range_usize(1, 3);
         let tb = testbed();
         let napps = tb.perf.names.len();
         let dir = fresh_dir();
@@ -320,7 +336,7 @@ proptest! {
                 }
             }
             let st = summed(&services);
-            prop_assert!(
+            assert!(
                 st.conserved(),
                 "op {} broke summed conservation over {} shards: admitted {} = completed {} + dead {} + queued {} + delayed {} + running {}",
                 op, shards, st.admitted, st.completed, st.dead_lettered, st.queued, st.delayed, st.running
@@ -338,38 +354,38 @@ proptest! {
             }
         }
         let st = summed(&services);
-        prop_assert!(st.conserved());
-        prop_assert_eq!(
-            st.queued + st.delayed + st.running, 0,
+        assert!(st.conserved());
+        assert_eq!(
+            st.queued + st.delayed + st.running,
+            0,
             "work wedged: queued {} delayed {} running {}",
-            st.queued, st.delayed, st.running
+            st.queued,
+            st.delayed,
+            st.running
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The replicated generalization: conservation survives a full
-    /// failover. A leader takes random submit/complete/step traffic while
-    /// shipping its WAL to a warm follower over a lossy, duplicating,
-    /// reordering virtual link (optionally through a snapshot install
-    /// when compaction outruns the follower); the leader is then killed
-    /// at an arbitrary point, the follower promotes after the lease
-    /// lapses, and the promoted node must hold exactly the leader's
-    /// counters — conserved — and keep the invariant under fresh
-    /// post-failover traffic. When the old leader reconnects stale, the
-    /// promoted epoch must fence it.
-    #[test]
-    fn conservation_survives_replicated_failover(
-        seed in any::<u64>(),
-        ops in proptest::collection::vec((0u8..3, 0u16..512), 1..28),
-        loss_permille in 0u32..220,
-        shards in 1usize..3,
-        tight_snapshots in any::<bool>(),
-        stale_reconnect in any::<bool>(),
-    ) {
+/// The replicated generalization: conservation survives a full
+/// failover. A leader takes random submit/complete/step traffic while
+/// shipping its WAL to a warm follower over a lossy, duplicating,
+/// reordering virtual link (optionally through a snapshot install
+/// when compaction outruns the follower); the leader is then killed
+/// at an arbitrary point, the follower promotes after the lease
+/// lapses, and the promoted node must hold exactly the leader's
+/// counters — conserved — and keep the invariant under fresh
+/// post-failover traffic. When the old leader reconnects stale, the
+/// promoted epoch must fence it.
+#[test]
+fn conservation_survives_replicated_failover() {
+    check_cases(0..8, |rng| {
+        let seed = rng.next_u64();
+        let ops = ops(rng, 1..28, 3, 512);
+        let loss_permille = rng.range_usize(0, 220) as u32;
+        let shards = rng.range_usize(1, 3);
+        let tight_snapshots = rng.next_u64() & 1 == 1;
+        let stale_reconnect = rng.next_u64() & 1 == 1;
         let knobs = SimKnobs {
             drop_permille: loss_permille,
             dup_permille: loss_permille,
@@ -398,21 +414,28 @@ proptest! {
                 }
                 _ => sim.step((x % 40 + 1) as u64),
             }
-            prop_assert!(sim.leader_conserved(), "leader broke conservation mid-run");
+            assert!(sim.leader_conserved(), "leader broke conservation mid-run");
         }
         // Heal the link and let the follower catch up — a failover can
         // only preserve what the leader actually shipped.
         sim.set_knobs(SimKnobs::default());
-        prop_assert!(sim.run_until_synced(20_000), "follower never caught up");
+        assert!(sim.run_until_synced(20_000), "follower never caught up");
         let shipped = sim.leader_counts();
         let old_epoch = sim.leader_epoch();
 
         sim.kill_leader();
-        prop_assert!(sim.run_until_lease_lapse(5_000), "lease never lapsed");
+        assert!(sim.run_until_lease_lapse(5_000), "lease never lapsed");
         let mut promoted = sim.promote_follower();
-        prop_assert!(promoted.epoch > old_epoch, "promotion must outrank the old leader");
-        prop_assert!(promoted.conserved(), "promoted node broke conservation");
-        prop_assert_eq!(promoted.counts(), shipped, "failover lost or invented tasks");
+        assert!(
+            promoted.epoch > old_epoch,
+            "promotion must outrank the old leader"
+        );
+        assert!(promoted.conserved(), "promoted node broke conservation");
+        assert_eq!(
+            promoted.counts(),
+            shipped,
+            "failover lost or invented tasks"
+        );
 
         if stale_reconnect {
             // The dead leader comes back with its old state and receives
@@ -420,8 +443,11 @@ proptest! {
             // mutations from then on.
             sim.revive_leader();
             let role = sim.deliver_lease_to_leader(promoted.epoch, "promoted:1");
-            prop_assert_eq!(role, Role::Fenced, "stale leader not fenced");
-            prop_assert!(sim.submit_any().is_none(), "fenced leader accepted a submit");
+            assert_eq!(role, Role::Fenced, "stale leader not fenced");
+            assert!(
+                sim.submit_any().is_none(),
+                "fenced leader accepted a submit"
+            );
         }
 
         // The new leader keeps the invariant under fresh traffic.
@@ -434,6 +460,9 @@ proptest! {
         for task in fresh.iter().step_by(2) {
             promoted.complete(*task);
         }
-        prop_assert!(promoted.conserved(), "post-failover traffic broke conservation");
-    }
+        assert!(
+            promoted.conserved(),
+            "post-failover traffic broke conservation"
+        );
+    });
 }

@@ -19,9 +19,11 @@
 //! * [`queueing`] — M/M/1 shared-bandwidth contention factors (the
 //!   network resource dimension's analytic interference model),
 //! * [`json`] — the workspace's one JSON codec (wire protocol, WAL, snapshots),
-//! * [`prng`] — the workspace's one splitmix64 (routing, jitter, fault plans).
+//! * [`prng`] — the two seeded generators (`ChaCha12` for simulated sampling,
+//!   `SplitMix64` for routing, jitter, fault plans) and the seeded
+//!   property-test loop.
 //!
-//! The crate is deliberately dependency-light (only `rand`) and sized
+//! The crate depends on nothing outside `std` and is sized
 //! for TRACON's workloads: design matrices of a few hundred rows and at
 //! most ~45 columns (the full degree-2 expansion of the eight controlled
 //! variables).

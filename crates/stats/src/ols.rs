@@ -67,15 +67,14 @@ pub fn fit_with_intercept(x: &Matrix, y: &[f64]) -> Result<OlsFit, DecompError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::prng::ChaCha12;
 
     #[test]
     fn exact_linear_recovery() {
         // y = 3 + 2a - b, noiseless.
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = ChaCha12::seed_from_u64(1);
         let rows: Vec<Vec<f64>> = (0..50)
-            .map(|_| vec![rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)])
+            .map(|_| vec![rng.range_f64(0.0, 10.0), rng.range_f64(0.0, 10.0)])
             .collect();
         let y: Vec<f64> = rows.iter().map(|r| 3.0 + 2.0 * r[0] - r[1]).collect();
         let x = Matrix::from_rows(&rows);
@@ -89,11 +88,11 @@ mod tests {
 
     #[test]
     fn noisy_fit_r_squared_reasonable() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let rows: Vec<Vec<f64>> = (0..200).map(|_| vec![rng.gen_range(0.0..1.0)]).collect();
+        let mut rng = ChaCha12::seed_from_u64(2);
+        let rows: Vec<Vec<f64>> = (0..200).map(|_| vec![rng.range_f64(0.0, 1.0)]).collect();
         let y: Vec<f64> = rows
             .iter()
-            .map(|r| 5.0 * r[0] + rng.gen_range(-0.1..0.1))
+            .map(|r| 5.0 * r[0] + rng.range_f64(-0.1, 0.1))
             .collect();
         let fit = fit_with_intercept(&Matrix::from_rows(&rows), &y).unwrap();
         assert!(fit.r_squared > 0.95, "r2={}", fit.r_squared);

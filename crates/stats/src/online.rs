@@ -196,8 +196,7 @@ impl DriftDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::prng::ChaCha12;
 
     #[test]
     fn welford_matches_batch() {
@@ -245,23 +244,23 @@ mod tests {
 
     #[test]
     fn drift_detects_mean_shift() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let reference: Vec<f64> = (0..500).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut rng = ChaCha12::seed_from_u64(1);
+        let reference: Vec<f64> = (0..500).map(|_| rng.range_f64(-1.0, 1.0)).collect();
         let det = DriftDetector::from_reference(&reference, 3.0, 4.0);
         // Same distribution: no drift.
-        let same: Vec<f64> = (0..100).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let same: Vec<f64> = (0..100).map(|_| rng.range_f64(-1.0, 1.0)).collect();
         assert_eq!(det.check(&same), None);
         // Shifted by many reference sigmas: mean shift.
-        let shifted: Vec<f64> = (0..100).map(|_| 10.0 + rng.gen_range(-1.0..1.0)).collect();
+        let shifted: Vec<f64> = (0..100).map(|_| 10.0 + rng.range_f64(-1.0, 1.0)).collect();
         assert_eq!(det.check(&shifted), Some(DriftKind::MeanShift));
     }
 
     #[test]
     fn drift_detects_variance_surge() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let reference: Vec<f64> = (0..500).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut rng = ChaCha12::seed_from_u64(2);
+        let reference: Vec<f64> = (0..500).map(|_| rng.range_f64(-1.0, 1.0)).collect();
         let det = DriftDetector::from_reference(&reference, 10.0, 4.0);
-        let noisy: Vec<f64> = (0..200).map(|_| rng.gen_range(-10.0..10.0)).collect();
+        let noisy: Vec<f64> = (0..200).map(|_| rng.range_f64(-10.0, 10.0)).collect();
         assert_eq!(det.check(&noisy), Some(DriftKind::VarianceSurge));
     }
 

@@ -97,18 +97,17 @@ impl Pca {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::prng::ChaCha12;
 
     #[test]
     fn recovers_dominant_direction() {
         // Points along the line y = 2x with small noise: PC1 should align
         // with (1, 2) after scaling (which makes it (1,1)/sqrt2 direction).
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = ChaCha12::seed_from_u64(7);
         let rows: Vec<Vec<f64>> = (0..200)
             .map(|_| {
-                let t: f64 = rng.gen_range(-1.0..1.0);
-                let noise: f64 = rng.gen_range(-0.01..0.01);
+                let t: f64 = rng.range_f64(-1.0, 1.0);
+                let noise: f64 = rng.range_f64(-0.01, 0.01);
                 vec![t, 2.0 * t + noise]
             })
             .collect();
@@ -145,9 +144,9 @@ mod tests {
 
     #[test]
     fn explained_variance_sorted() {
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = ChaCha12::seed_from_u64(42);
         let rows: Vec<Vec<f64>> = (0..100)
-            .map(|_| (0..4).map(|_| rng.gen_range(0.0..1.0)).collect())
+            .map(|_| (0..4).map(|_| rng.range_f64(0.0, 1.0)).collect())
             .collect();
         let pca = Pca::fit(&rows, 4);
         let ev = pca.explained_variance();

@@ -190,8 +190,7 @@ pub fn stepwise_aic(x: &Matrix, y: &[f64], opts: StepwiseOptions) -> StepwiseFit
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::prng::ChaCha12;
 
     #[test]
     fn aic_penalizes_parameters() {
@@ -211,13 +210,13 @@ mod tests {
     #[test]
     fn selects_true_variables() {
         // y depends on columns 0 and 2 only; columns 1 and 3 are noise.
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = ChaCha12::seed_from_u64(11);
         let rows: Vec<Vec<f64>> = (0..300)
-            .map(|_| (0..4).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .map(|_| (0..4).map(|_| rng.range_f64(-1.0, 1.0)).collect())
             .collect();
         let y: Vec<f64> = rows
             .iter()
-            .map(|r| 2.0 + 3.0 * r[0] - 4.0 * r[2] + rng.gen_range(-0.05..0.05))
+            .map(|r| 2.0 + 3.0 * r[0] - 4.0 * r[2] + rng.range_f64(-0.05, 0.05))
             .collect();
         let x = Matrix::from_rows(&rows);
         let fit = stepwise_aic(&x, &y, StepwiseOptions::default());
@@ -243,11 +242,11 @@ mod tests {
 
     #[test]
     fn pure_noise_keeps_model_small() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = ChaCha12::seed_from_u64(5);
         let rows: Vec<Vec<f64>> = (0..200)
-            .map(|_| (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .map(|_| (0..6).map(|_| rng.range_f64(-1.0, 1.0)).collect())
             .collect();
-        let y: Vec<f64> = (0..200).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let y: Vec<f64> = (0..200).map(|_| rng.range_f64(-1.0, 1.0)).collect();
         let fit = stepwise_aic(&Matrix::from_rows(&rows), &y, StepwiseOptions::default());
         assert!(
             fit.selected.len() <= 2,
@@ -258,9 +257,9 @@ mod tests {
 
     #[test]
     fn respects_max_terms() {
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = ChaCha12::seed_from_u64(9);
         let rows: Vec<Vec<f64>> = (0..100)
-            .map(|_| (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .map(|_| (0..8).map(|_| rng.range_f64(-1.0, 1.0)).collect())
             .collect();
         // Response uses all 8 columns.
         let y: Vec<f64> = rows.iter().map(|r| r.iter().sum::<f64>()).collect();
@@ -274,16 +273,16 @@ mod tests {
 
     #[test]
     fn collinear_duplicate_column_chosen_once() {
-        let mut rng = StdRng::seed_from_u64(21);
+        let mut rng = ChaCha12::seed_from_u64(21);
         let rows: Vec<Vec<f64>> = (0..150)
             .map(|_| {
-                let a = rng.gen_range(-1.0..1.0);
+                let a = rng.range_f64(-1.0, 1.0);
                 vec![a, a] // identical columns
             })
             .collect();
         let y: Vec<f64> = rows
             .iter()
-            .map(|r| 3.0 * r[0] + rng.gen_range(-0.01..0.01))
+            .map(|r| 3.0 * r[0] + rng.range_f64(-0.01, 0.01))
             .collect();
         let fit = stepwise_aic(&Matrix::from_rows(&rows), &y, StepwiseOptions::default());
         assert_eq!(

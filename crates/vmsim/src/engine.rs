@@ -13,8 +13,7 @@ use crate::app::{AppModel, Phase};
 use crate::config::HostConfig;
 use crate::cpu::fair_share;
 use crate::disk::{Disk, IoDemand};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use tracon_stats::prng::ChaCha12;
 
 /// The resource characteristics TRACON's monitor observes for one VM:
 /// read and write request rates (iostat in Dom0), the guest's own CPU
@@ -89,7 +88,7 @@ struct VmState {
 }
 
 impl VmState {
-    fn new(app: &AppModel, rng: &mut StdRng) -> Self {
+    fn new(app: &AppModel, rng: &mut ChaCha12) -> Self {
         let mut s = VmState {
             phases: app.phases.clone(),
             endless: app.endless,
@@ -108,11 +107,11 @@ impl VmState {
         s
     }
 
-    fn jittered(&self, base: Phase, rng: &mut StdRng) -> Phase {
+    fn jittered(&self, base: Phase, rng: &mut ChaCha12) -> Phase {
         if self.jitter <= 0.0 {
             return base;
         }
-        let draw = |rng: &mut StdRng| -> f64 {
+        let draw = |rng: &mut ChaCha12| -> f64 {
             (1.0 + tracon_stats::dist::normal(rng, 0.0, self.jitter)).max(0.1)
         };
         Phase {
@@ -125,7 +124,7 @@ impl VmState {
     }
 
     /// Advances phase progress; returns true when the application finished.
-    fn advance(&mut self, progress_s: f64, rng: &mut StdRng) -> bool {
+    fn advance(&mut self, progress_s: f64, rng: &mut ChaCha12) -> bool {
         if self.done {
             return true;
         }
@@ -208,7 +207,7 @@ impl Engine {
             !(app1.endless && app2.endless),
             "co_run of two endless applications never terminates"
         );
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = ChaCha12::seed_from_u64(seed);
         let mut vms = [VmState::new(app1, &mut rng), VmState::new(app2, &mut rng)];
         let mut t = 0.0f64;
         let mut runtime = [0.0f64; 2];

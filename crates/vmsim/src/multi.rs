@@ -14,8 +14,7 @@ use crate::config::HostConfig;
 use crate::cpu::fair_share;
 use crate::disk::{Disk, IoDemand};
 use crate::engine::VmObservation;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use tracon_stats::prng::ChaCha12;
 
 /// Outcome of an N-guest co-run.
 #[derive(Debug, Clone)]
@@ -48,7 +47,7 @@ struct GuestState {
 }
 
 impl GuestState {
-    fn new(app: &AppModel, rng: &mut StdRng) -> Self {
+    fn new(app: &AppModel, rng: &mut ChaCha12) -> Self {
         let mut s = GuestState {
             phases: app.phases.clone(),
             endless: app.endless,
@@ -67,11 +66,11 @@ impl GuestState {
         s
     }
 
-    fn jittered(&self, base: Phase, rng: &mut StdRng) -> Phase {
+    fn jittered(&self, base: Phase, rng: &mut ChaCha12) -> Phase {
         if self.jitter <= 0.0 {
             return base;
         }
-        let draw = |rng: &mut StdRng| -> f64 {
+        let draw = |rng: &mut ChaCha12| -> f64 {
             (1.0 + tracon_stats::dist::normal(rng, 0.0, self.jitter)).max(0.1)
         };
         Phase {
@@ -83,7 +82,7 @@ impl GuestState {
         }
     }
 
-    fn advance(&mut self, progress_s: f64, rng: &mut StdRng) -> bool {
+    fn advance(&mut self, progress_s: f64, rng: &mut ChaCha12) -> bool {
         if self.done {
             return true;
         }
@@ -132,7 +131,7 @@ impl MultiEngine {
             "at least one application must terminate"
         );
         let n = apps.len();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = ChaCha12::seed_from_u64(seed);
         let mut guests: Vec<GuestState> =
             apps.iter().map(|a| GuestState::new(a, &mut rng)).collect();
         let mut t = 0.0f64;

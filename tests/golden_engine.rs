@@ -6,7 +6,6 @@
 //! both objectives — any accidental change to event ordering, progress
 //! rescaling, or dispatch triggering shows up as a bit-level mismatch.
 
-use proptest::prelude::*;
 use std::sync::OnceLock;
 use tracon::core::{MachineClass, MibsVariant, Objective};
 use tracon::dcsim::arrival::{poisson_trace, static_batch, ArrivalEvent, WorkloadMix};
@@ -14,6 +13,7 @@ use tracon::dcsim::engine::{ArrivalInfo, CompletionInfo, PlacementInfo, SimObser
 use tracon::dcsim::{
     MachineClassConfig, QueueBackend, SchedulerKind, SimResult, Simulation, Testbed, TestbedConfig,
 };
+use tracon::stats::prng::check_cases;
 
 /// `(scenario, scheduler, objective, completed, refused, total_runtime,
 /// total_iops, makespan, mean_wait)` — float fields as raw bits.
@@ -29,12 +29,9 @@ type GoldenRow = (
     u64,
 );
 
-/// [`testbed_digest`] of the testbed the pins below were generated on.
-/// The profiling campaign draws from `rand`, so a pin only means
-/// something on the stream that produced it — here the stand-in under
-/// `benchmark/offline/rand`, the one source this sandbox can build. On
-/// any other testbed the pins are skipped (and the skip is printed); the
-/// equivalence assertions still run in full.
+/// [`testbed_digest`] of the testbed the pins below were generated on:
+/// the seeded profiling campaign of `TestbedConfig::small()`, which is
+/// the same on every host.
 const GOLDEN_TESTBED: u64 = 0x83623bcd30f7c4b7;
 
 /// Pinned fingerprints: the output of
@@ -348,24 +345,21 @@ fn ndim_reference_classes_match_legacy_bit_for_bit() {
     assert_eq!(rows, MATRIX_ROWS, "the N-dim matrix must cover every row");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// A network dimension with zero offered demand is inert: whatever
-    /// the cluster shape, scheduler, objective, or link capacity, a
-    /// uniform unit-factor class with `kb_per_io = 0` never changes a
-    /// placement or completion decision. (The table must be uniform —
-    /// a *mixed* assignment refines the free-slot equivalence classes
-    /// by design, which can legitimately re-break score ties.)
-    #[test]
-    fn zero_demand_network_dimension_never_changes_placements(
-        machines in 2usize..7,
-        batch in 8usize..32,
-        seed in 0u64..1000,
-        kind_idx in 0usize..8,
-        capacity in 10.0f64..500.0,
-        maximize_iops in any::<bool>(),
-    ) {
+/// A network dimension with zero offered demand is inert: whatever
+/// the cluster shape, scheduler, objective, or link capacity, a
+/// uniform unit-factor class with `kb_per_io = 0` never changes a
+/// placement or completion decision. (The table must be uniform —
+/// a *mixed* assignment refines the free-slot equivalence classes
+/// by design, which can legitimately re-break score ties.)
+#[test]
+fn zero_demand_network_dimension_never_changes_placements() {
+    check_cases(0..16, |rng| {
+        let machines = rng.range_usize(2, 7);
+        let batch = rng.range_usize(8, 32);
+        let seed = rng.range_usize(0, 1000) as u64;
+        let kind_idx = rng.range_usize(0, 8);
+        let capacity = rng.range_f64(10.0, 500.0);
+        let maximize_iops = rng.next_u64() & 1 == 1;
         let tb = testbed();
         let trace = static_batch(batch, WorkloadMix::Medium, seed);
         let kind = all_kinds()[kind_idx];
@@ -388,21 +382,21 @@ proptest! {
             .with_objective(objective)
             .with_machine_classes(cfg)
             .run_with_observer(&trace, None, &mut classed_obs);
-        prop_assert_eq!(plain_obs.placements, classed_obs.placements);
-        prop_assert_eq!(plain_obs.completions, classed_obs.completions);
-        prop_assert_eq!(fingerprint(&plain), fingerprint(&classed));
-    }
+        assert_eq!(plain_obs.placements, classed_obs.placements);
+        assert_eq!(plain_obs.completions, classed_obs.completions);
+        assert_eq!(fingerprint(&plain), fingerprint(&classed));
+    });
 }
 
 #[test]
 fn engine_fingerprints_are_reproducible_and_match_pins() {
     let tb = testbed();
-    let pins: &[GoldenRow] = if testbed_digest(tb) == GOLDEN_TESTBED {
-        GOLDEN
-    } else {
-        eprintln!("golden pins skipped: they belong to another testbed (rand stream)");
-        &[]
-    };
+    let digest = testbed_digest(tb);
+    assert!(
+        digest == GOLDEN_TESTBED,
+        "testbed digest {digest:#018x} is not GOLDEN_TESTBED {GOLDEN_TESTBED:#018x}: \
+         the profiling campaign changed, so no pin below applies"
+    );
     for (scenario, machines, trace, horizon) in scenarios() {
         for kind in all_kinds() {
             for objective in [Objective::MinRuntime, Objective::MaxIops] {
@@ -415,26 +409,25 @@ fn engine_fingerprints_are_reproducible_and_match_pins() {
                     fingerprint(&b),
                     "kernel not deterministic: {ctx}"
                 );
-                if let Some(row) = pins
+                let row = GOLDEN
                     .iter()
                     .find(|g| g.0 == scenario && g.1 == a.scheduler && g.2 == objective.suffix())
-                {
-                    assert_eq!(
-                        (a.completed, a.refused),
-                        (row.3, row.4),
-                        "pinned counts drifted: {ctx}"
-                    );
-                    assert_eq!(
-                        (
-                            a.total_runtime.to_bits(),
-                            a.total_iops.to_bits(),
-                            a.makespan.to_bits(),
-                            a.mean_wait.to_bits()
-                        ),
-                        (row.5, row.6, row.7, row.8),
-                        "pinned totals drifted: {ctx}"
-                    );
-                }
+                    .unwrap_or_else(|| panic!("no pinned row for {ctx}"));
+                assert_eq!(
+                    (a.completed, a.refused),
+                    (row.3, row.4),
+                    "pinned counts drifted: {ctx}"
+                );
+                assert_eq!(
+                    (
+                        a.total_runtime.to_bits(),
+                        a.total_iops.to_bits(),
+                        a.makespan.to_bits(),
+                        a.mean_wait.to_bits()
+                    ),
+                    (row.5, row.6, row.7, row.8),
+                    "pinned totals drifted: {ctx}"
+                );
             }
         }
     }

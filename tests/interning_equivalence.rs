@@ -12,7 +12,6 @@
 //! like the joined strings, so every tie-break must coincide — down to
 //! the f64 bit pattern of each predicted score.
 
-use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use tracon::core::characteristics::N_JOINT;
@@ -20,6 +19,7 @@ use tracon::core::{
     AppModelSet, AppProfile, Assignment, Characteristics, ClusterState, Fifo, InterferenceModel,
     Mibs, Mios, Mix, ModelKind, Objective, Predictor, Scheduler, ScoringPolicy, Task, VmRef,
 };
+use tracon::stats::prng::{check_cases, ChaCha12};
 
 /// Deterministic synthetic interference model (same shape as the
 /// scheduling-invariants fixture).
@@ -525,32 +525,40 @@ fn check_all_schedulers(
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Between `len.start` and `len.end - 1` indices below `bound`.
+fn picks(rng: &mut ChaCha12, len: std::ops::Range<usize>, bound: usize) -> Vec<usize> {
+    (0..rng.range_usize(len.start, len.end))
+        .map(|_| rng.range_usize(0, bound))
+        .collect()
+}
 
-    /// The interned schedulers reproduce the string-keyed reference
-    /// byte-for-byte on random mixes, cluster shapes, and objectives.
-    #[test]
-    fn interned_schedulers_match_string_reference(
-        n_machines in 1usize..7,
-        n_apps in 1usize..6,
-        objective_io in any::<bool>(),
-        picks in proptest::collection::vec(0usize..6, 0..16),
-    ) {
-        let objective =
-            if objective_io { Objective::MaxIops } else { Objective::MinRuntime };
+/// The interned schedulers reproduce the string-keyed reference
+/// byte-for-byte on random mixes, cluster shapes, and objectives.
+#[test]
+fn interned_schedulers_match_string_reference() {
+    check_cases(0..48, |rng| {
+        let n_machines = rng.range_usize(1, 7);
+        let n_apps = rng.range_usize(1, 6);
+        let objective_io = rng.next_u64() & 1 == 1;
+        let picks = picks(rng, 0..16, 6);
+        let objective = if objective_io {
+            Objective::MaxIops
+        } else {
+            Objective::MinRuntime
+        };
         check_all_schedulers(n_machines, 2, n_apps, &picks, objective);
-    }
+    });
+}
 
-    /// Same equivalence with three slots per machine, which exercises the
-    /// multi-neighbour (two-resident) class keys and the locked fallback
-    /// path of the score table.
-    #[test]
-    fn interned_schedulers_match_reference_three_slots(
-        n_machines in 1usize..4,
-        n_apps in 1usize..4,
-        picks in proptest::collection::vec(0usize..4, 0..10),
-    ) {
+/// Same equivalence with three slots per machine, which exercises the
+/// multi-neighbour (two-resident) class keys and the locked fallback
+/// path of the score table.
+#[test]
+fn interned_schedulers_match_reference_three_slots() {
+    check_cases(0..48, |rng| {
+        let n_machines = rng.range_usize(1, 4);
+        let n_apps = rng.range_usize(1, 4);
+        let picks = picks(rng, 0..10, 4);
         check_all_schedulers(n_machines, 3, n_apps, &picks, Objective::MinRuntime);
-    }
+    });
 }

@@ -1,15 +1,16 @@
-//! Property-based tests of the scheduling layer: whatever the task mix,
+//! Seeded property tests of the scheduling layer: whatever the task mix,
 //! cluster shape, and objective, the schedulers must produce structurally
 //! valid assignments and the cluster state must stay consistent.
 
-use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use tracon::core::characteristics::N_JOINT;
 use tracon::core::{
     AppModelSet, AppProfile, AppRegistry, Characteristics, ClusterState, Fifo, InterferenceModel,
     Mibs, Mios, Mix, ModelKind, Objective, Predictor, Resident, Scheduler, ScoringPolicy, Task,
     VmRef,
 };
+use tracon::stats::prng::{check_cases, ChaCha12};
 
 /// Deterministic synthetic interference model.
 struct SynthModel {
@@ -56,8 +57,11 @@ fn world(n_apps: usize) -> (Predictor, HashMap<String, Characteristics>) {
     (predictor, chars)
 }
 
-fn scheduler_strategy() -> impl Strategy<Value = usize> {
-    0usize..4
+/// Between `len.start` and `len.end - 1` indices below `bound`.
+fn picks(rng: &mut ChaCha12, len: Range<usize>, bound: usize) -> Vec<usize> {
+    (0..rng.range_usize(len.start, len.end))
+        .map(|_| rng.range_usize(0, bound))
+        .collect()
 }
 
 fn build_scheduler(idx: usize, window: usize) -> Box<dyn Scheduler> {
@@ -69,24 +73,24 @@ fn build_scheduler(idx: usize, window: usize) -> Box<dyn Scheduler> {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every scheduler: no slot double-booked, assignments within bounds,
-    /// placed + leftover == submitted, and the cluster's free count drops
-    /// by exactly the number of assignments.
-    #[test]
-    fn assignments_are_structurally_valid(
-        sched_idx in scheduler_strategy(),
-        n_machines in 1usize..12,
-        n_tasks in 0usize..40,
-        n_apps in 1usize..6,
-        objective_io in any::<bool>(),
-        app_picks in proptest::collection::vec(0usize..6, 0..40),
-    ) {
+/// Every scheduler: no slot double-booked, assignments within bounds,
+/// placed + leftover == submitted, and the cluster's free count drops
+/// by exactly the number of assignments.
+#[test]
+fn assignments_are_structurally_valid() {
+    check_cases(0..64, |rng| {
+        let sched_idx = rng.range_usize(0, 4);
+        let n_machines = rng.range_usize(1, 12);
+        let n_tasks = rng.range_usize(0, 40);
+        let n_apps = rng.range_usize(1, 6);
+        let objective_io = rng.next_u64() & 1 == 1;
+        let app_picks = picks(rng, 0..40, 6);
         let (predictor, chars) = world(n_apps);
-        let objective =
-            if objective_io { Objective::MaxIops } else { Objective::MinRuntime };
+        let objective = if objective_io {
+            Objective::MaxIops
+        } else {
+            Objective::MinRuntime
+        };
         let scoring = ScoringPolicy::new(&predictor, objective);
         let mut cluster = ClusterState::new(n_machines, 2, chars);
         let registry = cluster.registry().clone();
@@ -106,60 +110,81 @@ proptest! {
         let mut seen_slots = HashSet::new();
         let mut seen_tasks = HashSet::new();
         for a in &out {
-            prop_assert!(a.vm.machine < n_machines);
-            prop_assert!(a.vm.slot < 2);
-            prop_assert!(seen_slots.insert(a.vm), "slot double-booked: {:?}", a.vm);
-            prop_assert!(seen_tasks.insert(a.task.id), "task scheduled twice");
-            prop_assert!(a.predicted_score.is_finite());
+            assert!(a.vm.machine < n_machines);
+            assert!(a.vm.slot < 2);
+            assert!(seen_slots.insert(a.vm), "slot double-booked: {:?}", a.vm);
+            assert!(seen_tasks.insert(a.task.id), "task scheduled twice");
+            assert!(a.predicted_score.is_finite());
             // The cluster actually holds the resident.
-            let r = cluster.resident(a.vm).expect("assigned slot must be occupied");
-            prop_assert_eq!(r.task_id, a.task.id);
+            let r = cluster
+                .resident(a.vm)
+                .expect("assigned slot must be occupied");
+            assert_eq!(r.task_id, a.task.id);
         }
         // Conservation.
-        prop_assert_eq!(out.len() + queue.len(), submitted);
-        prop_assert_eq!(cluster.n_free(), free_before - out.len());
+        assert_eq!(out.len() + queue.len(), submitted);
+        assert_eq!(cluster.n_free(), free_before - out.len());
         // Work conservation: tasks remain queued only when the cluster
         // filled up.
         if !queue.is_empty() {
-            prop_assert_eq!(cluster.n_free(), 0, "tasks queued while slots free");
+            assert_eq!(cluster.n_free(), 0, "tasks queued while slots free");
         }
-    }
+    });
+}
 
-    /// Cluster state stays consistent under arbitrary place/clear
-    /// sequences: free-class counts always sum to the free-slot count and
-    /// every key matches its members' neighbour sets.
-    #[test]
-    fn cluster_state_is_consistent(
-        n_machines in 1usize..8,
-        ops in proptest::collection::vec((0usize..16, any::<bool>(), 0usize..4), 0..60),
-    ) {
+/// Cluster state stays consistent under arbitrary place/clear
+/// sequences: free-class counts always sum to the free-slot count and
+/// every key matches its members' neighbour sets.
+#[test]
+fn cluster_state_is_consistent() {
+    check_cases(0..64, |rng| {
+        let n_machines = rng.range_usize(1, 8);
+        let ops: Vec<(usize, bool, usize)> = (0..rng.range_usize(0, 60))
+            .map(|_| {
+                (
+                    rng.range_usize(0, 16),
+                    rng.next_u64() & 1 == 1,
+                    rng.range_usize(0, 4),
+                )
+            })
+            .collect();
         let (_, chars) = world(4);
         let mut cluster = ClusterState::new(n_machines, 2, chars);
         let registry = cluster.registry().clone();
         let n_slots = cluster.n_slots();
         for (raw, place, app) in ops {
             let slot_idx = raw % n_slots;
-            let vm = VmRef { machine: slot_idx / 2, slot: slot_idx % 2 };
+            let vm = VmRef {
+                machine: slot_idx / 2,
+                slot: slot_idx % 2,
+            };
             if place && cluster.resident(vm).is_none() {
                 let app_id = registry.expect_id(&format!("app{app}"));
-                cluster.place(vm, Resident { task_id: raw as u64, app: app_id });
+                cluster.place(
+                    vm,
+                    Resident {
+                        task_id: raw as u64,
+                        app: app_id,
+                    },
+                );
             } else if !place && cluster.resident(vm).is_some() {
                 cluster.clear(vm);
             }
             let class_total: usize = cluster.free_classes().iter().map(|c| c.count).sum();
-            prop_assert_eq!(class_total, cluster.n_free());
+            assert_eq!(class_total, cluster.n_free());
             let occupied = cluster.occupied().count();
-            prop_assert_eq!(occupied + cluster.n_free(), n_slots);
+            assert_eq!(occupied + cluster.n_free(), n_slots);
         }
-    }
+    });
+}
 
-    /// MIX never produces a worse total predicted score than MIBS on the
-    /// same inputs (it evaluates MIBS's plan among its candidates).
-    #[test]
-    fn mix_no_worse_than_mibs(
-        n_machines in 1usize..6,
-        picks in proptest::collection::vec(0usize..4, 1..12),
-    ) {
+/// MIX never produces a worse total predicted score than MIBS on the
+/// same inputs (it evaluates MIBS's plan among its candidates).
+#[test]
+fn mix_no_worse_than_mibs() {
+    check_cases(0..64, |rng| {
+        let n_machines = rng.range_usize(1, 6);
+        let picks = picks(rng, 1..12, 4);
         let (predictor, chars) = world(4);
         let scoring = ScoringPolicy::new(&predictor, Objective::MinRuntime);
         let registry = AppRegistry::from_names(chars.keys().cloned());
@@ -177,12 +202,11 @@ proptest! {
         let mut q2: VecDeque<Task> = tasks.into();
         let mix = Mix::new(q2.len()).schedule(&mut q2, &mut c2, &scoring);
 
-        let total = |v: &[tracon::core::Assignment]| -> f64 {
-            v.iter().map(|a| a.predicted_score).sum()
-        };
-        prop_assert!(mix.len() >= mibs.len());
+        let total =
+            |v: &[tracon::core::Assignment]| -> f64 { v.iter().map(|a| a.predicted_score).sum() };
+        assert!(mix.len() >= mibs.len());
         if mix.len() == mibs.len() {
-            prop_assert!(total(&mix) <= total(&mibs) + 1e-6);
+            assert!(total(&mix) <= total(&mibs) + 1e-6);
         }
-    }
+    });
 }
