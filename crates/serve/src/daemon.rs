@@ -24,18 +24,17 @@ use std::time::{Duration, Instant};
 use tracon_core::AppId;
 use tracon_dcsim::Testbed;
 
-use crate::client::Client;
 use crate::json::{n, obj, s, Value};
 use crate::metrics::Metrics;
 use crate::proto::{ErrorKind, Reply, Request};
 use crate::reactor::{self, OutMsg, OutSender, ReactorConfig, ShardMsg};
 use crate::repl::{
-    follower::{run_follower, FollowerConfig, FollowerRuntime},
-    read_epoch, read_sidecar, write_sidecar, EpochSidecar, ReplState, Role, ShipLog,
+    follower::{probe_peer, run_follower, sleep_or_shutdown, FollowerConfig, Node},
+    read_sidecar, ReplState, Role, RoleEvent, RoleState, ShipLog,
 };
 use crate::shard::{recover_dir, route_app, shard_machines};
 use crate::state::{Refusal, ServeConfig, Service, TaskPhase};
-use crate::wal::{remove_shard_files, RecoveredTask, Wal};
+use crate::wal::{remove_shard_files, RecoveredTask};
 
 /// Network-layer knobs, separate from the scheduling policy in
 /// [`ServeConfig`].
@@ -194,16 +193,23 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
     http_listener.set_nonblocking(true)?;
     let http_addr = http_listener.local_addr()?;
 
-    let mut repl_state: Option<Arc<ReplState>> = None;
-    let mut follower_wals: Option<Vec<Wal>> = None;
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let draining = Arc::new(AtomicBool::new(false));
+    let (shard_txs, shard_rxs): (Vec<_>, Vec<_>) =
+        (0..shards).map(|_| mpsc::channel::<ShardMsg>()).unzip();
 
+    let mut node: Option<Arc<Node>> = None;
     if let Some(dir) = cfg.wal_dir.clone() {
         let route = |name: &str| app_ids.get(name).map(|&id| route_app(id, shards));
         let ship = Arc::new(ShipLog::new(shards));
         for svc in &mut services {
             svc.attach_shipper(Arc::clone(&ship));
         }
-        if let Some(leader_addr) = cfg.replica_of.clone() {
+        // Before anything is wiped or claimed: a sidecar that exists but
+        // cannot be read refuses the boot instead of reading as a fresh
+        // node (which would lead at epoch 1 next to the real leader).
+        let sidecar = read_sidecar(&dir)?;
+        let follower_wals = if cfg.replica_of.is_some() {
             // Follower: local shard state is a cache of the leader's
             // stream. Wipe it (a rejoining stale leader must not
             // resurrect a divergent tail) and resync from cursor zero —
@@ -214,17 +220,7 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
             for shard in 0..stale.old_shards.max(shards) {
                 remove_shard_files(&dir, shard)?;
             }
-            let (wals, _) = recover_dir(&dir, shards, cfg.wal_snapshot_every, &route)?;
-            repl_state = Some(Arc::new(ReplState::new(
-                Role::Follower,
-                read_epoch(&dir),
-                Some(leader_addr),
-                ship,
-                Arc::clone(&metrics),
-                Some(dir),
-                boot_nonce(),
-            )));
-            follower_wals = Some(wals);
+            recover_dir(&dir, shards, cfg.wal_snapshot_every, &route)?.0
         } else {
             let (wals, recovery) = recover_dir(&dir, shards, cfg.wal_snapshot_every, &route)?;
             metrics
@@ -250,73 +246,9 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
             for stale in shards..recovery.old_shards {
                 remove_shard_files(&dir, stale)?;
             }
-            // Every WAL-backed node is leader-capable, but a node that
-            // previously ran inside a replicated pair must not blindly
-            // re-claim leadership: its follower may have promoted while
-            // it was down, and the promoted leader's one-shot fencing
-            // lease fired into the void. Consult the durable sidecar and
-            // probe the recorded peer before serving a single mutation.
-            let sidecar = read_sidecar(&dir);
-            let self_addr = addr.to_string();
-            let (role, epoch, leader_hint, peer) =
-                decide_leader_boot(&sidecar, |peer, probe_epoch| {
-                    probe_peer(peer, probe_epoch, &self_addr)
-                });
-            write_sidecar(
-                &dir,
-                &EpochSidecar {
-                    epoch,
-                    role,
-                    leader: leader_hint.clone(),
-                    peer: peer.clone(),
-                },
-            )?;
-            let state = Arc::new(ReplState::new(
-                role,
-                epoch,
-                leader_hint,
-                ship,
-                Arc::clone(&metrics),
-                Some(dir),
-                boot_nonce(),
-            ));
-            state.set_peer(peer);
-            repl_state = Some(state);
-        }
-    }
-
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let draining = Arc::new(AtomicBool::new(false));
-    let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let tick = Duration::from_millis(net.tick_ms.max(1));
-    let mut core_threads = Vec::new();
-
-    // Worker channels and the shared out channel + wake pipe.
-    let (out_tx, out_rx) = mpsc::channel::<OutMsg>();
-    let (wake_rx, wake_tx) = std::os::unix::net::UnixStream::pair()?;
-    wake_rx.set_nonblocking(true)?;
-    wake_tx.set_nonblocking(true)?;
-    let out = OutSender::new(out_tx, wake_tx);
-
-    let mut shard_txs = Vec::with_capacity(shards);
-    for svc in services {
-        let (tx, rx) = mpsc::channel::<ShardMsg>();
-        shard_txs.push(tx);
-        let out = out.clone();
-        let shutdown = Arc::clone(&shutdown);
-        core_threads.push(std::thread::spawn(move || {
-            shard_worker(svc, rx, out, shutdown, tick);
-        }));
-    }
-
-    // The follower replication thread: pulls WAL frames from the leader
-    // and promotes this node when the leader's lease lapses.
-    if let (Some(wals), Some(repl)) = (follower_wals, repl_state.as_ref()) {
-        let leader_addr = cfg.replica_of.clone().unwrap_or_default();
-        let dir = cfg.wal_dir.clone().unwrap_or_default();
-        let follower_cfg = FollowerConfig {
-            leader_addr,
+            Vec::new()
+        };
+        let repl_cfg = FollowerConfig {
             self_addr: addr.to_string(),
             dir,
             shards,
@@ -324,46 +256,74 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
             ttl_ms: cfg.repl_ttl_ms,
             poll_ms: cfg.repl_poll_ms,
         };
-        let rt = FollowerRuntime {
-            wals,
-            repl: Arc::clone(repl),
+        // Every WAL-backed node is leader-capable, but one that ran
+        // inside a pair must not blindly re-claim leadership: its
+        // follower may have promoted while it was down, and the promoted
+        // leader's bounded lease retries fired into the void. So the
+        // boot is a transition like any other — from what the sidecar
+        // last said, on what the recorded peer answers now.
+        let state =
+            RoleState::from_sidecar(&repl_cfg.self_addr, repl_cfg.ttl_ms, shards, &sidecar, 0);
+        let probe = match cfg.replica_of {
+            Some(_) => None,
+            None => state
+                .probe(true)
+                .and_then(|(peer, epoch)| probe_peer(peer, epoch, &repl_cfg.self_addr)),
+        };
+        let booted = Arc::new(Node {
+            repl: Arc::new(ReplState::new(
+                state,
+                ship,
+                Arc::clone(&metrics),
+                boot_nonce(),
+            )),
+            cfg: repl_cfg,
             shard_txs: shard_txs.clone(),
             app_ids: app_ids.clone(),
             shutdown: Arc::clone(&shutdown),
-        };
-        core_threads.push(std::thread::spawn(move || run_follower(follower_cfg, rt)));
+            wals: Mutex::new(follower_wals),
+        });
+        booted.drive(RoleEvent::Boot {
+            replica_of: cfg.replica_of.clone(),
+            probe,
+        })?;
+        node = Some(booted);
     }
 
-    // Background WAL scrubber for leader/standalone nodes (a follower
-    // scrubs inline in its pull loop, where it can also repair), plus
-    // the self-healing rejoin supervisor for replicated nodes.
-    if let Some(dir) = cfg.wal_dir.clone() {
-        {
-            let metrics = Arc::clone(&metrics);
-            let repl = repl_state.clone();
-            let shutdown = Arc::clone(&shutdown);
-            let dir = dir.clone();
-            core_threads.push(std::thread::spawn(move || {
-                scrub_loop(&dir, shards, &metrics, repl.as_ref(), &shutdown);
-            }));
+    let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+
+    let tick = Duration::from_millis(net.tick_ms.max(1));
+    let mut core_threads = Vec::new();
+
+    // The shared out channel + wake pipe.
+    let (out_tx, out_rx) = mpsc::channel::<OutMsg>();
+    let (wake_rx, wake_tx) = std::os::unix::net::UnixStream::pair()?;
+    wake_rx.set_nonblocking(true)?;
+    wake_tx.set_nonblocking(true)?;
+    let out = OutSender::new(out_tx, wake_tx);
+
+    for (svc, rx) in services.into_iter().zip(shard_rxs) {
+        let out = out.clone();
+        let shutdown = Arc::clone(&shutdown);
+        core_threads.push(std::thread::spawn(move || {
+            shard_worker(svc, rx, out, shutdown, tick);
+        }));
+    }
+
+    if let Some(node) = &node {
+        // The follower replication thread: pulls WAL frames from the
+        // leader and promotes this node when the leader's lease lapses.
+        if cfg.replica_of.is_some() {
+            let node = Arc::clone(node);
+            core_threads.push(std::thread::spawn(move || run_follower(&node)));
         }
-        if let Some(repl) = repl_state.clone() {
-            let base = FollowerConfig {
-                leader_addr: String::new(), // filled in per rejoin
-                self_addr: addr.to_string(),
-                dir,
-                shards,
-                snapshot_every: cfg.wal_snapshot_every,
-                ttl_ms: cfg.repl_ttl_ms,
-                poll_ms: cfg.repl_poll_ms,
-            };
-            let shard_txs = shard_txs.clone();
-            let app_ids = app_ids.clone();
-            let shutdown = Arc::clone(&shutdown);
-            core_threads.push(std::thread::spawn(move || {
-                rejoin_supervisor(base, repl, shard_txs, app_ids, shutdown);
-            }));
-        }
+        // Background WAL scrubber for leader/standalone nodes (a follower
+        // scrubs inline in its pull loop, where it can also repair), plus
+        // the self-healing rejoin supervisor.
+        let scrubbed = Arc::clone(node);
+        core_threads.push(std::thread::spawn(move || scrub_loop(&scrubbed)));
+        let node = Arc::clone(node);
+        core_threads.push(std::thread::spawn(move || rejoin_supervisor(&node)));
     }
 
     // The reactor thread: owns the protocol listener and every client.
@@ -378,8 +338,7 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
             draining: Arc::clone(&draining),
             metrics: Arc::clone(&metrics),
             app_ids,
-            repl: repl_state,
-            repl_ttl_ms: cfg.repl_ttl_ms,
+            node,
         };
         core_threads.push(std::thread::spawn(move || reactor::run(reactor_cfg)));
     }
@@ -425,95 +384,6 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
     })
 }
 
-/// Decide the boot role of a WAL-backed node that was *not* started with
-/// `--replica-of`, from its durable sidecar plus one best-effort probe of
-/// the recorded peer. Returns `(role, epoch, leader_hint, peer)`.
-///
-/// - A node fenced before its last shutdown stays fenced: the operator
-///   rejoins it with `--replica-of` (or wipes `repl.epoch`) explicitly.
-/// - A former leader probes its registered follower; a former follower
-///   restarted standalone probes its old leader. If the peer reports a
-///   higher epoch — or the same epoch while still leading — this node
-///   boots [`Role::Fenced`] with redirects pointing at the peer, closing
-///   the "crashed leader reboots into a second leadership" hole: the
-///   promoted peer's bounded lease retries may all have fired while this
-///   node was down.
-/// - Otherwise it claims leadership. A former follower claims
-///   `epoch + 1` (exactly like a live promotion, so the dead leader is
-///   outranked if it ever returns) and records that leader as its peer;
-///   a former leader re-claims its own epoch and keeps its peer.
-fn decide_leader_boot(
-    sidecar: &EpochSidecar,
-    probe: impl Fn(&str, u64) -> Option<(u64, Role)>,
-) -> (Role, u64, Option<String>, Option<String>) {
-    if sidecar.role == Role::Fenced {
-        return (
-            Role::Fenced,
-            sidecar.epoch,
-            sidecar.leader.clone(),
-            sidecar.peer.clone(),
-        );
-    }
-    let probe_target = match sidecar.role {
-        Role::Leader => sidecar.peer.clone(),
-        _ => sidecar.leader.clone(),
-    };
-    if let Some(peer) = probe_target.as_deref() {
-        // Probe one epoch *below* our own so the lease can never fence a
-        // healthy peer (fencing requires `lease epoch >= peer epoch`); it
-        // only reads back the peer's epoch and role.
-        if let Some((peer_epoch, peer_role)) = probe(peer, sidecar.epoch.saturating_sub(1)) {
-            let outranked = peer_epoch > sidecar.epoch
-                || (peer_epoch == sidecar.epoch && peer_role == Role::Leader);
-            if outranked {
-                return (
-                    Role::Fenced,
-                    peer_epoch,
-                    probe_target.clone(),
-                    sidecar.peer.clone(),
-                );
-            }
-        }
-    }
-    match sidecar.role {
-        Role::Leader => (
-            Role::Leader,
-            // Epoch 0 is reserved for "never led": a fresh leader starts
-            // at 1.
-            sidecar.epoch.max(1),
-            None,
-            sidecar.peer.clone(),
-        ),
-        _ => (
-            Role::Leader,
-            sidecar.epoch + 1,
-            None,
-            sidecar.leader.clone(),
-        ),
-    }
-}
-
-/// One best-effort `repl_lease` round trip to `peer`, returning its
-/// `(epoch, role)` when it is reachable and replies well-formed.
-fn probe_peer(peer: &str, probe_epoch: u64, self_addr: &str) -> Option<(u64, Role)> {
-    let mut conn = Client::connect_with_timeout(peer, Duration::from_millis(500)).ok()?;
-    let reply = conn
-        .request(Request::ReplLease {
-            epoch: probe_epoch,
-            leader_addr: self_addr.to_string(),
-        })
-        .ok()?;
-    let Reply::Ok { result, .. } = reply else {
-        return None;
-    };
-    let epoch = result.get("epoch").and_then(Value::as_u64)?;
-    let role = result
-        .get("role")
-        .and_then(Value::as_str)
-        .and_then(Role::parse)?;
-    Some((epoch, role))
-}
-
 /// A per-process boot nonce for the replication protocol: pull replies
 /// carry it so followers detect a leader restart (whose ship sequence
 /// numbering restarted with it) and reset their cursors instead of
@@ -536,26 +406,13 @@ const SCRUB_LOOP_MS: u64 = 2_000;
 /// by truncation: replay cannot see past a mid-file corruption anyway,
 /// so truncating loses nothing recovery could have used, and the next
 /// append lands on a clean frame boundary.
-fn scrub_loop(
-    dir: &std::path::Path,
-    shards: usize,
-    metrics: &Arc<Metrics>,
-    repl: Option<&Arc<ReplState>>,
-    shutdown: &Arc<AtomicBool>,
-) {
+fn scrub_loop(node: &Node) {
+    let (dir, metrics) = (&node.cfg.dir, node.repl.metrics());
     // Per-shard "already reported" latch so an unrepairable corrupt
     // snapshot is counted once, not once per pass.
-    let mut reported = vec![false; shards];
-    loop {
-        let mut slept = 0u64;
-        while slept < SCRUB_LOOP_MS {
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-            slept += 25;
-        }
-        if repl.is_some_and(|r| r.role() != Role::Leader) {
+    let mut reported = vec![false; node.cfg.shards];
+    while !sleep_or_shutdown(&node.shutdown, SCRUB_LOOP_MS) {
+        if node.repl.role() != Role::Leader {
             continue;
         }
         metrics.scrub_runs.fetch_add(1, Ordering::Relaxed);
@@ -592,93 +449,28 @@ const REJOIN_PROBE_MS: u64 = 300;
 
 /// The self-healing rejoin supervisor: a node fenced mid-flight (by a
 /// promoted peer's lease, a higher-epoch pull, or the boot probe) keeps
-/// watching its leader hint and, once a live leader answers there,
-/// demotes itself back into the follower loop — every shard worker
-/// surrenders its state and WAL handle, the shard files are wiped (the
-/// epoch sidecar survives), and the node resyncs from the leader's
-/// snapshot. Loops for the life of the daemon so the pair survives any
-/// number of role swaps.
-fn rejoin_supervisor(
-    base: FollowerConfig,
-    repl: Arc<ReplState>,
-    shard_txs: Vec<mpsc::Sender<ShardMsg>>,
-    app_ids: HashMap<String, AppId>,
-    shutdown: Arc<AtomicBool>,
-) {
-    loop {
-        let mut slept = 0u64;
-        while slept < REJOIN_PROBE_MS {
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-            slept += 25;
-        }
-        if repl.role() != Role::Fenced {
+/// probing its leader hint and feeds every answer to the role machine.
+/// Once a live leader answers there the machine demotes the node — every
+/// shard worker surrenders its state and WAL handle, the shard files are
+/// wiped, the sidecar says follower — and this thread becomes the
+/// follower loop until the node promotes again. Loops for the life of
+/// the daemon so the pair survives any number of role swaps.
+fn rejoin_supervisor(node: &Node) {
+    while !sleep_or_shutdown(&node.shutdown, REJOIN_PROBE_MS) {
+        let state = node.repl.state();
+        if state.role() != Role::Fenced {
             continue;
         }
-        let Some(leader) = repl.leader_addr() else {
+        let asked = state.probe(false);
+        let Some((epoch, role)) = asked.and_then(|(to, at)| probe_peer(to, at, &state.me)) else {
             continue;
         };
-        if leader == base.self_addr {
-            continue;
+        // Refused (the hint does not lead) or failed (a wipe error, a
+        // shutdown mid-demote): still fenced, asked again next round.
+        let _ = node.drive(RoleEvent::ProbeResult { epoch, role });
+        if node.repl.role() == Role::Follower {
+            run_follower(node);
         }
-        // Confirm the hint actually leads before wiping anything. The
-        // probe runs one epoch below ours so it can never fence a peer.
-        let probed = probe_peer(&leader, repl.epoch().saturating_sub(1), &base.self_addr);
-        let Some((peer_epoch, Role::Leader)) = probed else {
-            continue;
-        };
-        if peer_epoch < repl.epoch() {
-            continue;
-        }
-        // Every shard worker must let go of its WAL handle before the
-        // shard files are deleted underneath it.
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        for tx in &shard_txs {
-            let _ = tx.send(ShardMsg::Demote {
-                done: done_tx.clone(),
-            });
-        }
-        drop(done_tx);
-        let mut acked = 0usize;
-        while acked < shard_txs.len() {
-            match done_rx.recv_timeout(Duration::from_secs(5)) {
-                Ok(()) => acked += 1,
-                Err(_) => break,
-            }
-        }
-        if acked < shard_txs.len() {
-            continue; // Shutdown mid-demote; re-evaluate next round.
-        }
-        if (0..base.shards).any(|shard| remove_shard_files(&base.dir, shard).is_err()) {
-            repl.metrics().wal_errors.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        let shards = base.shards;
-        let route = |name: &str| app_ids.get(name).map(|&id| route_app(id, shards));
-        let Ok((wals, _)) = recover_dir(&base.dir, shards, base.snapshot_every, &route) else {
-            repl.metrics().wal_errors.fetch_add(1, Ordering::Relaxed);
-            continue;
-        };
-        repl.demote_to_follower(leader.clone());
-        eprintln!(
-            "tracond event=rejoin addr={} leader={leader} epoch={}",
-            base.self_addr,
-            repl.epoch()
-        );
-        let mut cfg = base.clone();
-        cfg.leader_addr = leader;
-        let rt = FollowerRuntime {
-            wals,
-            repl: Arc::clone(&repl),
-            shard_txs: shard_txs.clone(),
-            app_ids: app_ids.clone(),
-            shutdown: Arc::clone(&shutdown),
-        };
-        // Blocks until shutdown or this node promotes again; either way
-        // the watch resumes.
-        run_follower(cfg, rt);
     }
 }
 
@@ -1129,7 +921,7 @@ mod tests {
     use std::path::{Path, PathBuf};
 
     use crate::state::SchedKind;
-    use crate::wal::RecState;
+    use crate::wal::{RecState, Wal};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("tracond-batch-{tag}-{}", std::process::id()));
@@ -1367,83 +1159,5 @@ mod tests {
         assert_eq!(taken, [1, 3, 3]);
         assert_eq!(load(&metrics.wal_fsyncs), 2);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn sidecar(role: Role, epoch: u64, leader: Option<&str>, peer: Option<&str>) -> EpochSidecar {
-        EpochSidecar {
-            epoch,
-            role,
-            leader: leader.map(str::to_string),
-            peer: peer.map(str::to_string),
-        }
-    }
-
-    #[test]
-    fn a_fresh_or_standalone_leader_claims_epoch_one() {
-        let side = sidecar(Role::Leader, 0, None, None);
-        let (role, epoch, leader, peer) =
-            decide_leader_boot(&side, |_, _| panic!("no peer to probe"));
-        assert_eq!((role, epoch, leader, peer), (Role::Leader, 1, None, None));
-    }
-
-    #[test]
-    fn a_leader_with_an_unreachable_peer_reclaims_its_own_epoch() {
-        let side = sidecar(Role::Leader, 4, None, Some("f:1"));
-        let (role, epoch, _, peer) = decide_leader_boot(&side, |peer, probe_epoch| {
-            assert_eq!((peer, probe_epoch), ("f:1", 3));
-            None
-        });
-        assert_eq!((role, epoch, peer), (Role::Leader, 4, Some("f:1".into())));
-    }
-
-    #[test]
-    fn a_rebooted_leader_is_fenced_by_its_promoted_follower() {
-        // The crashed-leader-reboots hole: the follower promoted to
-        // epoch 5 while this node (epoch 4) was down, and its bounded
-        // lease retries all fired into the void. The boot probe is what
-        // keeps this node from serving as a second leader.
-        let side = sidecar(Role::Leader, 4, None, Some("f:1"));
-        let (role, epoch, leader, _) = decide_leader_boot(&side, |_, _| Some((5, Role::Leader)));
-        assert_eq!((role, epoch, leader), (Role::Fenced, 5, Some("f:1".into())));
-    }
-
-    #[test]
-    fn a_leader_whose_follower_is_still_following_leads_again() {
-        let side = sidecar(Role::Leader, 4, None, Some("f:1"));
-        let (role, epoch, _, _) = decide_leader_boot(&side, |_, _| Some((4, Role::Follower)));
-        assert_eq!((role, epoch), (Role::Leader, 4));
-    }
-
-    #[test]
-    fn a_follower_restarted_standalone_defers_to_its_live_leader() {
-        // Restarting a follower without --replica-of must not mint a
-        // second leader while the real one is alive at the same epoch.
-        let side = sidecar(Role::Follower, 4, Some("l:1"), None);
-        let (role, epoch, leader, _) = decide_leader_boot(&side, |peer, _| {
-            assert_eq!(peer, "l:1");
-            Some((4, Role::Leader))
-        });
-        assert_eq!((role, epoch, leader), (Role::Fenced, 4, Some("l:1".into())));
-    }
-
-    #[test]
-    fn a_follower_restarted_standalone_outranks_its_dead_leader() {
-        // Operator-driven failover: the old leader is gone, so convert
-        // to leadership exactly like a live promotion — epoch + 1, with
-        // the old leader recorded as the peer to keep fencing it.
-        let side = sidecar(Role::Follower, 4, Some("l:1"), None);
-        let (role, epoch, _, peer) = decide_leader_boot(&side, |_, _| None);
-        assert_eq!((role, epoch, peer), (Role::Leader, 5, Some("l:1".into())));
-    }
-
-    #[test]
-    fn a_fenced_node_stays_fenced_without_probing() {
-        let side = sidecar(Role::Fenced, 6, Some("l:2"), Some("l:1"));
-        let (role, epoch, leader, peer) =
-            decide_leader_boot(&side, |_, _| panic!("a fenced boot must not probe"));
-        assert_eq!(
-            (role, epoch, leader, peer),
-            (Role::Fenced, 6, Some("l:2".into()), Some("l:1".into()))
-        );
     }
 }

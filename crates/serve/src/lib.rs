@@ -66,7 +66,7 @@ pub use proto::{
     decode_reply, decode_request, encode_reply, encode_request, Envelope, ErrorKind, Reply,
     Request, PROTOCOL_VERSION,
 };
-pub use repl::{FollowerCore, PullChunk, ReplState, Role, ShipLog};
+pub use repl::{PullChunk, ReplState, Role, ShipLog};
 pub use shard::{recover_dir, route_app, route_key, shard_machines, stride_shard, MergedRecovery};
 pub use state::{Refusal, SchedKind, ServeConfig, Service, StatusSnapshot, StolenTask, TaskPhase};
 pub use tracon_stats::json;

@@ -48,7 +48,8 @@ use crate::daemon::NetConfig;
 use crate::json::{n, obj, s, Value};
 use crate::metrics::Metrics;
 use crate::proto::{self, ErrorKind, Reply, Request};
-use crate::repl::{LeaderGuard, PullAdmission, ReplState, Role};
+use crate::repl::follower::Node;
+use crate::repl::{Effect, PullVerdict, Role, RoleEvent};
 use crate::shard::{route_app, route_name, stride_shard, HomedTask};
 use crate::state::{StatusSnapshot, StolenTask};
 use crate::wal::Wal;
@@ -358,12 +359,8 @@ pub(crate) struct ReactorConfig {
     pub metrics: Arc<Metrics>,
     /// Profiled application name -> interned id, for decode-time routing.
     pub app_ids: HashMap<String, AppId>,
-    /// Replication state; `None` disables `repl_*` requests and gating.
-    pub repl: Option<Arc<ReplState>>,
-    /// Leader-side lease TTL: with a registered follower silent for this
-    /// long, the reactor suspends mutations (tightened further by the
-    /// TTL followers advertise in their pulls).
-    pub repl_ttl_ms: u64,
+    /// Replication context; `None` disables `repl_*` requests and gating.
+    pub node: Option<Arc<Node>>,
 }
 
 /// Run the reactor event loop until shutdown. Consumes the config; the
@@ -382,20 +379,10 @@ struct Reactor {
     draining: Arc<AtomicBool>,
     metrics: Arc<Metrics>,
     app_ids: HashMap<String, AppId>,
-    repl: Option<Arc<ReplState>>,
+    node: Option<Arc<Node>>,
     /// Per-shard replication lag (`ship_next - follower cursor`) from the
     /// latest served pull; the max is exported as `repl_lag_frames`.
     repl_lag: Vec<u64>,
-    /// Leader-side lease over the one registered follower: tracks the
-    /// last served pull and suspends mutations once the follower has
-    /// been silent long enough that it may have promoted.
-    repl_guard: LeaderGuard,
-    /// Configured guard TTL, kept so the guard can be rebuilt fresh when
-    /// this node loses the leader role (a rejoined ex-leader is a *new*
-    /// follower; the old slot holder must not linger).
-    repl_ttl_ms: u64,
-    /// Millisecond origin for the guard's clock.
-    start: Instant,
 
     conns: HashMap<u64, Conn>,
     next_conn: u64,
@@ -426,11 +413,8 @@ impl Reactor {
             draining: cfg.draining,
             metrics: cfg.metrics,
             app_ids: cfg.app_ids,
-            repl: cfg.repl,
+            node: cfg.node,
             repl_lag,
-            repl_guard: LeaderGuard::new(cfg.repl_ttl_ms),
-            repl_ttl_ms: cfg.repl_ttl_ms,
-            start: Instant::now(),
             conns: HashMap::new(),
             next_conn: 0,
             aggs: HashMap::new(),
@@ -522,7 +506,7 @@ impl Reactor {
 
             self.reap_timeouts(now);
             self.maybe_steal();
-            self.tick_repl_guard(now);
+            self.tick_repl_guard();
 
             if let Some(deadline) = self.stop_deadline {
                 let quiescent = self.aggs.is_empty() && self.conns.values().all(Conn::quiescent);
@@ -708,7 +692,7 @@ impl Reactor {
                 addr,
                 ttl_ms,
             } => {
-                let line = self.serve_repl_pull(req_id, epoch, shard, cursor, &addr, ttl_ms);
+                let line = self.serve_repl_pull(req_id, epoch, shard, cursor, addr, ttl_ms);
                 self.complete(id, seq, line);
             }
             Request::ReplLease { epoch, leader_addr } => {
@@ -774,81 +758,46 @@ impl Reactor {
         let _ = self.shard_txs[shard].send(msg);
     }
 
-    /// When replication is on and this node cannot safely serve a
-    /// mutating request, the rendered `not_leader` refusal: either the
-    /// role is not Leader, or the registered follower has been silent
-    /// past the TTL — it may have promoted, so an ack here could be a
-    /// silently lost write. The suspension hint points at that follower,
-    /// the one address that may now be the leader.
+    /// When replication is on and this node must not ack a mutation, the
+    /// rendered `not_leader` refusal: either it does not lead, or its
+    /// registered follower has been silent past the TTL and may have
+    /// promoted, so an ack here could be a silently lost write (the
+    /// published hint then names that follower). The pass is one atomic
+    /// load.
     fn refuse_if_not_leader(&self, req_id: &Option<String>) -> Option<String> {
-        let repl = self.repl.as_ref()?;
-        if repl.role() == Role::Leader {
-            let holder = self.repl_guard.suspended_hint()?;
-            let reply = Reply::not_leader(req_id.clone(), Some(holder.to_string()), repl.epoch());
-            return Some(proto::encode_reply(&reply));
+        let repl = &self.node.as_ref()?.repl;
+        if repl.admits() {
+            return None;
         }
         let reply = Reply::not_leader(req_id.clone(), repl.leader_addr(), repl.epoch());
         Some(proto::encode_reply(&reply))
     }
 
-    /// Advance the leader guard's clock: with a registered follower
-    /// silent past the TTL, mutations suspend until that follower pulls
-    /// again (proving it never promoted) or this node is fenced.
-    fn tick_repl_guard(&mut self, now: Instant) {
-        let Some(repl) = self.repl.as_ref() else {
-            return;
-        };
-        if repl.role() != Role::Leader {
-            self.metrics
-                .repl_writes_suspended
-                .store(0, Ordering::Relaxed);
-            // Forget the follower slot and any suspension: if this node
-            // is later re-promoted (rejoin cycles swap the pair's roles
-            // repeatedly), its follower will be a different address and
-            // must be able to claim a vacant slot.
-            if !self.repl_guard.vacant() {
-                self.repl_guard = LeaderGuard::new(self.repl_ttl_ms);
-            }
-            return;
+    /// Advance a leader's clock: with a registered follower silent past
+    /// the TTL, mutations suspend until it pulls again or this node is
+    /// fenced. (A follower's clock is ticked by its own thread.)
+    fn tick_repl_guard(&self) {
+        if let Some(node) = self.node.as_ref().filter(|n| n.repl.role() == Role::Leader) {
+            let _ = node.drive(RoleEvent::Tick);
         }
-        let now_ms = now.duration_since(self.start).as_millis() as u64;
-        self.repl_guard.tick(now_ms);
-        self.metrics.repl_writes_suspended.store(
-            u64::from(self.repl_guard.suspended_hint().is_some()),
-            Ordering::Relaxed,
-        );
     }
 
-    /// Serve one follower pull: fence on a newer epoch, refuse when not
-    /// leader, enforce the single-follower slot, renew the leader-side
-    /// lease, and hand back a chunk from the ship log with the
-    /// follower's lag recorded.
+    /// Serve one follower pull: the role machine rules on it (fence on a
+    /// newer epoch, refuse when not leading, one follower per leader,
+    /// lease renewed), and a served one gets a chunk from the ship log
+    /// with the follower's lag recorded.
     fn serve_repl_pull(
         &mut self,
         req_id: Option<String>,
         epoch: u64,
         shard: usize,
         cursor: u64,
-        addr: &str,
+        addr: String,
         ttl_ms: u64,
     ) -> String {
-        let Some(repl) = self.repl.clone() else {
-            let reply = Reply::error(
-                req_id,
-                ErrorKind::Malformed,
-                "replication is not enabled on this node".to_string(),
-            );
-            return proto::encode_reply(&reply);
+        let Some(node) = self.node.clone() else {
+            return repl_disabled(req_id);
         };
-        // A pull stamped with a higher epoch proves a promotion happened
-        // while this node thought it was still leading: step down first.
-        if epoch > repl.epoch() {
-            repl.fence(epoch, None);
-        }
-        if repl.role() != Role::Leader {
-            let reply = Reply::not_leader(req_id, repl.leader_addr(), repl.epoch());
-            return proto::encode_reply(&reply);
-        }
         if shard >= self.shards() {
             let reply = Reply::error(
                 req_id,
@@ -857,73 +806,38 @@ impl Reactor {
             );
             return proto::encode_reply(&reply);
         }
-        // The epoch check above proves this puller has not promoted (a
-        // promotion durably claims a strictly higher epoch before its
-        // first pull), so granting the lease — and resuming suspended
-        // writes — is safe. A second follower is refused outright:
-        // epochs are claimed as observed+1, so two synced followers
-        // could promote to the SAME epoch and never fence each other.
-        // A puller that advertises no promotion TTL (`ttl_ms: 0` — e.g.
-        // the replication bench, or ad-hoc inspection) can never promote,
-        // so it is served as a read-only observer: no slot, no lease, no
-        // suspension armed on its behalf.
-        if ttl_ms == 0 {
-            return self.encode_pull_chunk_reply(req_id, &repl, shard, cursor);
-        }
-        self.repl_guard.observe_ttl(ttl_ms);
-        let registering = self.repl_guard.vacant();
-        let now_ms = Instant::now().duration_since(self.start).as_millis() as u64;
-        match self.repl_guard.on_pull(addr, now_ms) {
-            PullAdmission::Conflict { holder } => {
-                let reply = Reply::backpressure(
-                    req_id,
-                    format!(
-                        "replication slot already held by {holder}; \
-                         tracond pairs support a single follower"
-                    ),
-                    self.net.tick_ms.max(1) * 40,
-                );
-                return proto::encode_reply(&reply);
+        let repl = &node.repl;
+        let effects = node.drive(RoleEvent::Pull {
+            epoch,
+            addr,
+            ttl_ms,
+        });
+        let reply = match effects.unwrap_or_default().pop() {
+            Some(Effect::Pull(PullVerdict::Serve | PullVerdict::Observer)) => {
+                let chunk = repl.ship().pull(shard, cursor);
+                self.repl_lag[shard] = chunk.ship_next.saturating_sub(chunk.next);
+                let lag = self.repl_lag.iter().copied().max().unwrap_or(0);
+                self.metrics.repl_lag_frames.store(lag, Ordering::Relaxed);
+                let payload =
+                    crate::repl::encode_pull_chunk(repl.epoch(), repl.boot(), shard, &chunk);
+                Reply::ok(req_id, payload)
             }
-            PullAdmission::Granted { resumed } => {
-                if registering {
-                    // First pull of this incarnation: persist the peer so
-                    // a crashed-and-rebooted leader knows whom to probe.
-                    repl.record_peer(addr);
-                }
-                if resumed {
-                    self.metrics
-                        .repl_writes_suspended
-                        .store(0, Ordering::Relaxed);
-                }
-            }
-        }
-        self.encode_pull_chunk_reply(req_id, &repl, shard, cursor)
+            Some(Effect::Pull(PullVerdict::Conflict { holder })) => Reply::backpressure(
+                req_id,
+                format!(
+                    "replication slot already held by {holder}; \
+                     tracond pairs support a single follower"
+                ),
+                self.net.tick_ms.max(1) * 40,
+            ),
+            _ => Reply::not_leader(req_id, repl.leader_addr(), repl.epoch()),
+        };
+        proto::encode_reply(&reply)
     }
 
-    /// Ship one pull chunk and refresh the lag gauge — the tail shared by
-    /// registered-follower and observer pulls.
-    fn encode_pull_chunk_reply(
-        &mut self,
-        req_id: Option<String>,
-        repl: &Arc<ReplState>,
-        shard: usize,
-        cursor: u64,
-    ) -> String {
-        let chunk = repl.ship().pull(shard, cursor);
-        if let Some(slot) = self.repl_lag.get_mut(shard) {
-            *slot = chunk.ship_next.saturating_sub(chunk.next);
-        }
-        let lag = self.repl_lag.iter().copied().max().unwrap_or(0);
-        self.metrics.repl_lag_frames.store(lag, Ordering::Relaxed);
-        let payload = crate::repl::encode_pull_chunk(repl.epoch(), repl.boot(), shard, &chunk);
-        proto::encode_reply(&Reply::ok(req_id, payload))
-    }
-
-    /// Serve a peer's lease claim. An equal-or-newer epoch fences a
-    /// leader; a non-leader adopts the epoch and leader hint without
-    /// fencing, so its `not_leader` redirects converge on the claimant
-    /// immediately instead of waiting for a pull to propagate it.
+    /// Serve a peer's lease claim: the role machine fences a leader it
+    /// outranks and lets anyone else adopt the epoch and hint, and the
+    /// reply reports where that left this node.
     fn serve_repl_lease(
         &mut self,
         req_id: Option<String>,
@@ -940,24 +854,13 @@ impl Reactor {
             );
             return proto::encode_reply(&reply);
         }
-        let Some(repl) = self.repl.as_ref() else {
-            let reply = Reply::error(
-                req_id,
-                ErrorKind::Malformed,
-                "replication is not enabled on this node".to_string(),
-            );
-            return proto::encode_reply(&reply);
+        let Some(node) = self.node.as_ref() else {
+            return repl_disabled(req_id);
         };
-        if epoch >= repl.epoch() {
-            if repl.role() == Role::Leader {
-                repl.fence(epoch, Some(leader_addr));
-            } else {
-                repl.observe_leader(epoch, Some(leader_addr));
-            }
-        }
+        let _ = node.drive(RoleEvent::Lease { epoch, leader_addr });
         let payload = obj(vec![
-            ("epoch", n(repl.epoch() as f64)),
-            ("role", s(repl.role().as_str())),
+            ("epoch", n(node.repl.epoch() as f64)),
+            ("role", s(node.repl.role().as_str())),
         ]);
         proto::encode_reply(&Reply::ok(req_id, payload))
     }
@@ -1231,6 +1134,11 @@ impl Reactor {
     fn close(&mut self, id: u64) {
         self.conns.remove(&id);
     }
+}
+
+fn repl_disabled(req_id: Option<String>) -> String {
+    let message = "replication is not enabled on this node".to_string();
+    proto::encode_reply(&Reply::error(req_id, ErrorKind::Malformed, message))
 }
 
 /// Serve the `fail` control verb inline: arm, disarm, or report the

@@ -1,34 +1,36 @@
-//! Follower-side replication: the pure pull/lease state machine
-//! ([`FollowerCore`]) and the thread that drives it against a live
-//! leader ([`run_follower`]), including automatic promotion.
+//! The daemon side of replication: `Node`, which runs the effects of
+//! [`role::step`] against real files, sockets and shard workers, and the
+//! follower thread (`run_follower`) that feeds it pull replies and the
+//! clock.
 //!
-//! The core is deliberately free of clocks, sockets, and files — time is
-//! a `u64` of caller-supplied milliseconds and replies arrive as decoded
-//! chunks — so the deterministic [`crate::repl::sim`] harness and the
-//! real thread run the exact same election/lease logic.
+//! Nothing here decides a role. The reactor, this thread and the rejoin
+//! supervisor all go through `Node::drive`: decode an event, `step`,
+//! run the effects in order, commit the state if none of the required
+//! ones failed.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use tracon_core::AppId;
 
 use crate::client::Client;
 use crate::json::Value;
+use crate::metrics::Metrics;
 use crate::proto::{ErrorKind, Reply, Request};
 use crate::reactor::ShardMsg;
-use crate::repl::{decode_pull_chunk, write_sidecar, EpochSidecar, ReplState, Role};
+use crate::repl::role::{self, Effect, RoleEvent};
+use crate::repl::{decode_pull_chunk, lock, write_sidecar, ReplState, Role};
 use crate::shard::{recover_dir, route_app, HomedTask};
-use crate::wal::{self, Recovery, Wal};
+use crate::wal::{self, remove_shard_files, Recovery, Wal};
 
-/// Static configuration for a follower node.
+/// Static replication configuration of one node.
 #[derive(Debug, Clone)]
 pub struct FollowerConfig {
-    /// The leader's protocol address (`--replica-of`).
-    pub leader_addr: String,
     /// This node's own protocol address, echoed in pulls and used as the
     /// redirect target once promoted.
     pub self_addr: String,
@@ -44,323 +46,300 @@ pub struct FollowerConfig {
     pub poll_ms: u64,
 }
 
-/// What the caller should do with one decoded pull reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkAction {
-    /// Install the snapshot (if any) and append the frames.
-    Apply {
-        /// The leader's epoch advanced; persist it before applying.
-        epoch_changed: bool,
-    },
-    /// The leader rebooted (boot nonce changed): cursors were reset to
-    /// zero, discard this chunk and re-pull from scratch.
-    Reset,
-    /// Reply from an older epoch than one already observed; discard.
-    Stale,
-}
-
-/// The pure follower state machine: epoch tracking, per-shard cursors,
-/// and the leader lease.
-#[derive(Debug)]
-pub struct FollowerCore {
-    epoch: u64,
-    cursors: Vec<u64>,
-    /// Boot nonce of the leader incarnation the cursors refer to.
-    boot: Option<u64>,
-    last_contact_ms: u64,
-    ttl_ms: u64,
-    /// At least one pull succeeded. A follower that never reached the
-    /// leader may not promote: promotion safety rests on the claimed
-    /// epoch exceeding the leader's, which requires having observed it.
-    synced: bool,
-}
-
-impl FollowerCore {
-    /// A fresh follower at `epoch` (its durable sidecar value; 0 for a
-    /// brand-new node) whose lease clock starts at `now_ms`.
-    pub fn new(shards: usize, epoch: u64, ttl_ms: u64, now_ms: u64) -> FollowerCore {
-        FollowerCore {
-            epoch,
-            cursors: vec![0; shards.max(1)],
-            boot: None,
-            last_contact_ms: now_ms,
-            ttl_ms,
-            synced: false,
-        }
-    }
-
-    /// Last observed leader epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// One shard's pull cursor.
-    pub fn cursor(&self, shard: usize) -> u64 {
-        self.cursors.get(shard).copied().unwrap_or(0)
-    }
-
-    /// Send one shard's cursor home. Cursor 0 is always behind the
-    /// leader's compaction horizon (the ship base never stays at 0), so
-    /// the next pull answers with a full snapshot install — the scrub
-    /// repair path uses exactly this to re-pull a quarantined shard.
-    pub fn reset_cursor(&mut self, shard: usize) {
-        if let Some(cursor) = self.cursors.get_mut(shard) {
-            *cursor = 0;
-        }
-    }
-
-    /// Whether a successful pull has ever happened.
-    pub fn synced(&self) -> bool {
-        self.synced
-    }
-
-    /// Build the next pull request for `shard`. The request advertises
-    /// this follower's promotion TTL so the leader's write-suspension
-    /// clock runs at least as fast as the promotion clock.
-    pub fn pull_request(&self, shard: usize, self_addr: &str) -> Request {
-        Request::ReplPull {
-            epoch: self.epoch,
-            shard,
-            cursor: self.cursor(shard),
-            addr: self_addr.to_string(),
-            ttl_ms: self.ttl_ms,
-        }
-    }
-
-    /// Digest one pull reply's header; mutates cursor/epoch/lease state
-    /// and says what to do with the chunk body.
-    pub fn on_chunk(
-        &mut self,
-        shard: usize,
-        leader_epoch: u64,
-        leader_boot: u64,
-        next: u64,
-        now_ms: u64,
-    ) -> ChunkAction {
-        if leader_epoch < self.epoch {
-            return ChunkAction::Stale;
-        }
-        let epoch_changed = leader_epoch > self.epoch;
-        let rebooted = self.boot.is_some_and(|b| b != leader_boot);
-        self.boot = Some(leader_boot);
-        self.epoch = leader_epoch;
-        self.last_contact_ms = now_ms;
-        self.synced = true;
-        if rebooted {
-            // Ship sequence numbers restart with the leader process;
-            // cursors from the previous incarnation are meaningless.
-            for cursor in &mut self.cursors {
-                *cursor = 0;
-            }
-            return ChunkAction::Reset;
-        }
-        if let Some(cursor) = self.cursors.get_mut(shard) {
-            *cursor = next;
-        }
-        ChunkAction::Apply { epoch_changed }
-    }
-
-    /// The leader's lease has lapsed: synced at least once and silent
-    /// for the TTL.
-    pub fn lease_lapsed(&self, now_ms: u64) -> bool {
-        self.synced && now_ms.saturating_sub(self.last_contact_ms) >= self.ttl_ms
-    }
-
-    /// The epoch this node would claim on promotion: strictly greater
-    /// than every epoch the old leader served at (it cannot have served
-    /// at a higher one without this follower or its successor observing
-    /// it — epochs only change on promotions, which are durably claimed
-    /// before serving).
-    pub fn claim_epoch(&self) -> u64 {
-        self.epoch + 1
-    }
-}
-
-/// Everything the follower thread borrows from the daemon.
-pub(crate) struct FollowerRuntime {
-    /// The follower's open WAL handles (one per shard); surrendered to
-    /// the shard workers at promotion.
-    pub wals: Vec<Wal>,
-    /// Shared replication state.
+/// One daemon's replication context, shared by the reactor, the follower
+/// thread and the rejoin supervisor.
+pub(crate) struct Node {
+    /// The role machine and its published view.
     pub repl: Arc<ReplState>,
-    /// Per-shard worker channels (for `ShardMsg::Promote`).
+    /// Addresses, directory and cadences.
+    pub cfg: FollowerConfig,
+    /// Per-shard worker channels (`ShardMsg::Promote` / `Demote`).
     pub shard_txs: Vec<Sender<ShardMsg>>,
     /// Profiled app name -> id, for recovery routing at promotion.
     pub app_ids: HashMap<String, AppId>,
     /// Daemon-wide shutdown flag.
     pub shutdown: Arc<AtomicBool>,
+    /// The shard WALs shipped frames are appended to while this node
+    /// follows; surrendered to the shard workers at promotion, reopened
+    /// empty at rejoin.
+    pub wals: Mutex<Vec<Wal>>,
+}
+
+impl Node {
+    /// Feed one event to the role machine and run what it asks for, in
+    /// order, under the machine's lock. An error is a failed *required*
+    /// effect: the proposed state is dropped and the next `Tick` will
+    /// propose it again. The returned effects end with the verdict the
+    /// caller acts on ([`Effect::Pull`], [`Effect::ApplyChunk`]).
+    pub(crate) fn drive(&self, event: RoleEvent) -> io::Result<Vec<Effect>> {
+        let mut machine = lock(&self.repl.machine);
+        let (next, effects) = role::step(&machine, self.repl.now_ms(), event);
+        for effect in &effects {
+            self.run(effect)?;
+        }
+        *machine = next;
+        drop(machine);
+        // Up to eight round trips a TTL apart: not under the lock the
+        // reactor needs to answer the very node being told.
+        for effect in &effects {
+            if let Effect::SendLease { to, epoch } = effect {
+                fence_predecessor(to, *epoch, &self.cfg, &self.shutdown);
+            }
+        }
+        Ok(effects)
+    }
+
+    fn run(&self, effect: &Effect) -> io::Result<()> {
+        match effect {
+            Effect::Persist { sidecar, required } => {
+                if let Err(e) = write_sidecar(&self.cfg.dir, sidecar) {
+                    let metrics = self.repl.metrics();
+                    metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
+                    if *required {
+                        return Err(e);
+                    }
+                }
+            }
+            Effect::PromoteShards => self.promote_shards()?,
+            Effect::DemoteShards => self.demote_shards()?,
+            Effect::Publish {
+                role,
+                epoch,
+                hint,
+                suspended,
+                cause,
+            } => {
+                let from = self.repl.role();
+                self.repl.publish(*role, *epoch, hint.clone(), *suspended);
+                if from != *role {
+                    eprintln!(
+                        "tracond event=role from={} to={} epoch={epoch} cause={cause} leader={}",
+                        from.as_str(),
+                        role.as_str(),
+                        hint.as_deref().unwrap_or("-"),
+                    );
+                }
+            }
+            // Sent after the commit; the rest are the caller's, who holds
+            // the socket or the chunk body.
+            Effect::SendLease { .. }
+            | Effect::ApplyChunk
+            | Effect::ResetCursors
+            | Effect::Pull(_) => {}
+        }
+        Ok(())
+    }
+
+    /// Replay the shipped WALs through merged recovery and hand every
+    /// shard worker its state and WAL handle. Runs before the publish
+    /// that flips the role, so a reactor that observes `Leader` finds the
+    /// `Promote` already in each shard's FIFO ahead of anything it routes.
+    fn promote_shards(&self) -> io::Result<()> {
+        let metrics = self.repl.metrics();
+        // Release the file handles before recovery reopens them.
+        lock(&self.wals).clear();
+        let shards = self.cfg.shards;
+        let route = |name: &str| self.app_ids.get(name).map(|&id| route_app(id, shards));
+        let (wals, recovery) = recover_dir(&self.cfg.dir, shards, self.cfg.snapshot_every, &route)
+            .inspect_err(|_| {
+                metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
+            })?;
+        metrics
+            .wal_replayed_records
+            .fetch_add(recovery.replayed_records, Ordering::Relaxed);
+        for (shard, wal) in wals.into_iter().enumerate() {
+            let tasks: Vec<HomedTask> = recovery
+                .tasks
+                .iter()
+                .filter(|t| t.home == shard)
+                .cloned()
+                .collect();
+            let _ = self.shard_txs[shard].send(ShardMsg::Promote {
+                wal,
+                tasks,
+                next_task_id: recovery.next_task_id,
+            });
+        }
+        metrics.repl_lag_frames.store(0, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Every shard worker drops its state and lets go of its WAL handle
+    /// (acked, so the wipe cannot race an open file), the shard files
+    /// are wiped — the sidecar survives, epochs only go up — and reopened
+    /// empty for the follower loop to resync into from the new leader's
+    /// snapshot.
+    fn demote_shards(&self) -> io::Result<()> {
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        for tx in &self.shard_txs {
+            let _ = tx.send(ShardMsg::Demote {
+                done: done_tx.clone(),
+            });
+        }
+        drop(done_tx);
+        for _ in &self.shard_txs {
+            // Only a shutdown mid-demote leaves an ack missing.
+            done_rx
+                .recv_timeout(Duration::from_secs(5))
+                .map_err(|_| io::Error::other("a shard worker never surrendered its WAL"))?;
+        }
+        let shards = self.cfg.shards;
+        let route = |name: &str| self.app_ids.get(name).map(|&id| route_app(id, shards));
+        let reopened = (0..shards)
+            .try_for_each(|shard| remove_shard_files(&self.cfg.dir, shard))
+            .and_then(|()| recover_dir(&self.cfg.dir, shards, self.cfg.snapshot_every, &route));
+        let (wals, _) = reopened.inspect_err(|_| {
+            let metrics = self.repl.metrics();
+            metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
+        })?;
+        *lock(&self.wals) = wals;
+        Ok(())
+    }
+}
+
+/// Sleep `ms` in 25 ms slices so shutdown stays snappy; true as soon as
+/// shutdown is requested.
+pub(crate) fn sleep_or_shutdown(shutdown: &AtomicBool, ms: u64) -> bool {
+    let mut slept = 0u64;
+    loop {
+        if shutdown.load(Ordering::SeqCst) {
+            return true;
+        }
+        if slept >= ms {
+            return false;
+        }
+        let step = (ms - slept).min(25);
+        std::thread::sleep(Duration::from_millis(step));
+        slept += step;
+    }
 }
 
 /// How often the follower re-walks its sealed WAL regions for bit rot.
 const SCRUB_INTERVAL_MS: u64 = 500;
 
-/// The follower replication thread: pull every shard each poll round,
-/// append/install locally, scrub the local WAL for rot (repairing by
-/// re-pulling the affected shard from the leader), and promote when the
-/// leader's lease lapses. Returns when the daemon shuts down or after a
-/// successful promotion; if the promoted leader is later fenced, the
-/// daemon's rejoin supervisor demotes it back into this loop.
-pub(crate) fn run_follower(cfg: FollowerConfig, rt: FollowerRuntime) {
-    let FollowerRuntime {
-        wals,
-        repl,
-        shard_txs,
-        app_ids,
-        shutdown,
-    } = rt;
-    let start = Instant::now();
-    let mut core = FollowerCore::new(cfg.shards, repl.epoch(), cfg.ttl_ms.max(1), 0);
-    let mut wals = wals;
+/// The follower replication thread: every poll round tick the role
+/// machine (which promotes this node when the leader's lease lapses),
+/// pull every shard from the current leader hint, append/install
+/// locally, and scrub the local WAL for rot (repairing by re-pulling the
+/// affected shard). Returns when the daemon shuts down or this node
+/// stops following; if it is later fenced, the daemon's rejoin
+/// supervisor demotes it back into this loop.
+pub(crate) fn run_follower(node: &Node) {
+    let Node { repl, cfg, .. } = node;
+    let metrics = repl.metrics();
+    let shards = lock(&node.wals).len();
     // Per-shard materialized mirror of the shipped stream (snapshot +
     // frames applied in order): what lets a caught-up follower compact
     // its own WAL instead of growing it for the life of the pair.
-    let mut mirrors: Vec<Recovery> = wals.iter().map(|_| Recovery::default()).collect();
+    let mut mirrors: Vec<Recovery> = (0..shards).map(|_| Recovery::default()).collect();
     // Shards whose local WAL was quarantined by a scrub and are waiting
     // for the snapshot re-install that completes the repair.
-    let mut pending_repair: Vec<bool> = vec![false; wals.len()];
-    let mut last_scrub_ms = 0u64;
-    let mut leader = cfg.leader_addr.clone();
-    let mut client: Option<Client> = None;
+    let mut pending_repair: Vec<bool> = vec![false; shards];
+    let mut last_scrub_ms = repl.now_ms();
+    let mut client: Option<(String, Client)> = None;
     let connect_timeout = Duration::from_millis(cfg.ttl_ms.clamp(100, 2_000));
 
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
+    while !node.shutdown.load(Ordering::SeqCst) {
+        // A failed promotion (sidecar or recovery error) is proposed
+        // again by the next round's tick.
+        let _ = node.drive(RoleEvent::Tick);
+        let state = repl.state();
+        if state.role() != Role::Follower {
             return;
         }
-        let now = start.elapsed().as_millis() as u64;
-        if core.lease_lapsed(now) {
-            promote(
-                &cfg, &core, wals, &repl, &shard_txs, &app_ids, &shutdown, &leader,
-            );
-            return;
-        }
+        let now = repl.now_ms();
         if now.saturating_sub(last_scrub_ms) >= SCRUB_INTERVAL_MS {
             last_scrub_ms = now;
-            scrub_pass(&cfg, &repl, &mut core, &mut mirrors, &mut pending_repair);
+            scrub_pass(node, &mut mirrors, &mut pending_repair);
         }
 
-        if client.is_none() {
-            client = Client::connect_with_timeout(&leader, connect_timeout).ok();
+        let leader = state.leader.unwrap_or_default();
+        if client.as_ref().is_some_and(|(addr, _)| *addr != leader) {
+            client = None;
         }
-        if let Some(conn) = client.as_mut() {
-            let mut round_lag = 0u64;
-            let mut drop_conn = false;
-            for (shard, wal) in wals.iter_mut().enumerate() {
-                let before = core.epoch();
-                match conn.request(core.pull_request(shard, &cfg.self_addr)) {
-                    Ok(Reply::Ok { result, .. }) => {
-                        let Some((epoch, boot, rshard, chunk)) = decode_pull_chunk(&result) else {
-                            drop_conn = true;
-                            break;
-                        };
-                        if rshard != shard {
-                            drop_conn = true;
-                            break;
-                        }
-                        let now = start.elapsed().as_millis() as u64;
-                        match core.on_chunk(shard, epoch, boot, chunk.next, now) {
-                            ChunkAction::Apply { .. } => {
-                                if core.epoch() != before {
-                                    persist_epoch(&cfg.dir, core.epoch(), &leader, &repl);
-                                }
-                                let installed =
-                                    apply_chunk(wal, &mut mirrors[shard], &chunk, shard, &repl);
-                                if pending_repair[shard] {
-                                    if installed {
-                                        // The quarantined shard now holds
-                                        // the leader's authoritative
-                                        // snapshot: repair complete.
-                                        pending_repair[shard] = false;
-                                        let metrics = repl.metrics();
-                                        metrics.scrub_repaired.fetch_add(1, Ordering::Relaxed);
-                                        if !pending_repair.iter().any(|p| *p) {
-                                            metrics.wal_degraded.store(0, Ordering::Relaxed);
-                                        }
-                                        eprintln!(
-                                            "tracond event=scrub_repaired shard={shard} \
-                                             source=\"peer snapshot install\""
-                                        );
-                                    } else if chunk.snapshot.is_some() {
-                                        // The install itself failed; go
-                                        // back to the snapshot path.
-                                        core.reset_cursor(shard);
-                                    }
-                                }
-                                round_lag =
-                                    round_lag.max(chunk.ship_next.saturating_sub(chunk.next));
-                            }
-                            ChunkAction::Reset => {
-                                if core.epoch() != before {
-                                    persist_epoch(&cfg.dir, core.epoch(), &leader, &repl);
-                                }
-                                // Cursors went back to zero; the next
-                                // round re-pulls from the snapshot.
-                            }
-                            ChunkAction::Stale => {}
-                        }
-                    }
+        if client.is_none() {
+            client = Client::connect_with_timeout(&leader, connect_timeout)
+                .ok()
+                .map(|conn| (leader, conn));
+        }
+        if let Some((_, conn)) = client.as_mut() {
+            let mut round_lag = Some(0u64);
+            for (shard, wal) in lock(&node.wals).iter_mut().enumerate() {
+                let state = repl.state();
+                // The request advertises this follower's promotion TTL so
+                // the leader's write-suspension clock runs at least as
+                // fast as the promotion clock.
+                let pull = Request::ReplPull {
+                    epoch: state.epoch,
+                    shard,
+                    cursor: state.cursor(shard),
+                    addr: cfg.self_addr.clone(),
+                    ttl_ms: state.ttl_ms,
+                };
+                let chunk = match conn.request(pull) {
+                    Ok(Reply::Ok { result, .. }) => decode_pull_chunk(&result),
                     Ok(Reply::Error {
                         kind: ErrorKind::NotLeader,
-                        leader: hint,
+                        leader: Some(hint),
                         ..
                     }) => {
                         // The node we poll is itself fenced or following;
-                        // chase the hint (never ourselves).
-                        if let Some(hint) = hint {
-                            if let Some(addr) = hint.leader_addr {
-                                if addr != cfg.self_addr {
-                                    leader = addr;
-                                    repl.set_leader_addr(Some(leader.clone()));
-                                }
-                            }
+                        // chase the hint.
+                        if let Some(leader_addr) = hint.leader_addr {
+                            let _ = node.drive(RoleEvent::NotLeaderHint { leader_addr });
                         }
-                        drop_conn = true;
-                        break;
+                        None
                     }
-                    Ok(_) | Err(_) => {
-                        drop_conn = true;
-                        break;
+                    Ok(_) | Err(_) => None,
+                };
+                let Some((epoch, boot, _, chunk)) = chunk.filter(|c| c.2 == shard) else {
+                    round_lag = None;
+                    break;
+                };
+                let header = RoleEvent::Chunk {
+                    shard,
+                    epoch,
+                    boot,
+                    next: chunk.next,
+                };
+                // Anything but `ApplyChunk` (stale epoch, or cursors just
+                // reset because the leader rebooted) drops the body.
+                let effects = node.drive(header).unwrap_or_default();
+                if effects.last() != Some(&Effect::ApplyChunk) {
+                    continue;
+                }
+                let installed = apply_chunk(wal, &mut mirrors[shard], &chunk, shard, metrics);
+                if pending_repair[shard] {
+                    if installed {
+                        // The quarantined shard now holds the leader's
+                        // authoritative snapshot: repair complete.
+                        pending_repair[shard] = false;
+                        metrics.scrub_repaired.fetch_add(1, Ordering::Relaxed);
+                        if !pending_repair.iter().any(|p| *p) {
+                            metrics.wal_degraded.store(0, Ordering::Relaxed);
+                        }
+                        eprintln!(
+                            "tracond event=scrub_repaired shard={shard} \
+                             source=\"peer snapshot install\""
+                        );
+                    } else if chunk.snapshot.is_some() {
+                        // The install itself failed; go back to the
+                        // snapshot path.
+                        let _ = node.drive(RoleEvent::CursorLost { shard });
                     }
                 }
+                round_lag =
+                    round_lag.map(|lag| lag.max(chunk.ship_next.saturating_sub(chunk.next)));
             }
-            if drop_conn {
-                client = None;
-            } else {
-                repl.metrics()
-                    .repl_lag_frames
-                    .store(round_lag, Ordering::Relaxed);
+            match round_lag {
+                Some(lag) => metrics.repl_lag_frames.store(lag, Ordering::Relaxed),
+                None => client = None,
             }
         }
-
-        // Sleep one poll interval in small slices so shutdown stays snappy.
-        let mut slept = 0u64;
-        let poll = cfg.poll_ms.max(1);
-        while slept < poll {
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let step = (poll - slept).min(25);
-            std::thread::sleep(Duration::from_millis(step));
-            slept += step;
+        if sleep_or_shutdown(&node.shutdown, cfg.poll_ms.max(1)) {
+            return;
         }
     }
-}
-
-/// Durably record an observed epoch, along with the leader we are
-/// following (the boot-time probe target if this node restarts without
-/// `--replica-of`). A failure is counted but not fatal for a *follower*
-/// (promotion, by contrast, refuses to proceed).
-fn persist_epoch(dir: &Path, epoch: u64, leader: &str, repl: &Arc<ReplState>) {
-    let sidecar = EpochSidecar {
-        epoch,
-        role: Role::Follower,
-        leader: Some(leader.to_string()),
-        peer: None,
-    };
-    if write_sidecar(dir, &sidecar).is_err() {
-        repl.metrics().wal_errors.fetch_add(1, Ordering::Relaxed);
-    }
-    repl.observe_epoch(epoch);
 }
 
 /// Install the snapshot (if any) and append the frames to one shard WAL,
@@ -377,9 +356,8 @@ fn apply_chunk(
     mirror: &mut Recovery,
     chunk: &crate::repl::PullChunk,
     shard: usize,
-    repl: &Arc<ReplState>,
+    metrics: &Metrics,
 ) -> bool {
-    let metrics = repl.metrics();
     let mut installed = false;
     if let Some(blob) = &chunk.snapshot {
         let injected = crate::failpoint::armed()
@@ -439,14 +417,8 @@ fn apply_chunk(
 /// authoritative snapshot wholesale. The live `Wal` handle stays valid
 /// across the truncation because its fd is `O_APPEND`: the next append
 /// lands at the new (clean-boundary) end of file.
-fn scrub_pass(
-    cfg: &FollowerConfig,
-    repl: &Arc<ReplState>,
-    core: &mut FollowerCore,
-    mirrors: &mut [Recovery],
-    pending_repair: &mut [bool],
-) {
-    let metrics = repl.metrics();
+fn scrub_pass(node: &Node, mirrors: &mut [Recovery], pending_repair: &mut [bool]) {
+    let (cfg, metrics) = (&node.cfg, node.repl.metrics());
     metrics.scrub_runs.fetch_add(1, Ordering::Relaxed);
     for shard in 0..mirrors.len() {
         let Ok(report) = wal::scrub_shard(&cfg.dir, shard) else {
@@ -459,7 +431,7 @@ fn scrub_pass(
             let _ = wal::quarantine_shard(&cfg.dir, shard, at);
         }
         mirrors[shard] = Recovery::default();
-        core.reset_cursor(shard);
+        let _ = node.drive(RoleEvent::CursorLost { shard });
         if !pending_repair[shard] {
             // First detection for this shard: count it and raise the
             // degraded gauge. A corrupt *snapshot* keeps scrubbing dirty
@@ -479,88 +451,6 @@ fn scrub_pass(
     }
 }
 
-/// Take over: durably claim `epoch+1`, replay the shipped WALs through
-/// merged recovery, hand every shard worker its state and WAL handle,
-/// flip the shared role to leader (last, with Release ordering), and
-/// best-effort fence the old leader.
-#[allow(clippy::too_many_arguments)]
-fn promote(
-    cfg: &FollowerConfig,
-    core: &FollowerCore,
-    wals: Vec<Wal>,
-    repl: &Arc<ReplState>,
-    shard_txs: &[Sender<ShardMsg>],
-    app_ids: &HashMap<String, AppId>,
-    shutdown: &Arc<AtomicBool>,
-    old_leader: &str,
-) {
-    let new_epoch = core.claim_epoch();
-    // Release the file handles before recovery reopens them.
-    drop(wals);
-    let shards = cfg.shards;
-    let route = |name: &str| app_ids.get(name).map(|&id| route_app(id, shards));
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // The epoch claim must be durable BEFORE any request is served
-        // under it: a power cut between promotion and the first serve
-        // must come back as (at least) this epoch, or a concurrently
-        // promoted peer could be outranked by our zombie. The deposed
-        // leader goes in as the peer so a reboot of THIS node probes it
-        // before re-claiming.
-        let claim = EpochSidecar {
-            epoch: new_epoch,
-            role: Role::Leader,
-            leader: Some(cfg.self_addr.clone()),
-            peer: Some(old_leader.to_string()),
-        };
-        if write_sidecar(&cfg.dir, &claim).is_err() {
-            repl.metrics().wal_errors.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(100));
-            continue;
-        }
-        let recovered = recover_dir(&cfg.dir, shards, cfg.snapshot_every, &route);
-        let (new_wals, recovery) = match recovered {
-            Ok(pair) => pair,
-            Err(_) => {
-                repl.metrics().wal_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(100));
-                continue;
-            }
-        };
-        repl.metrics()
-            .wal_replayed_records
-            .fetch_add(recovery.replayed_records, Ordering::Relaxed);
-        for (shard, wal) in new_wals.into_iter().enumerate() {
-            let tasks: Vec<HomedTask> = recovery
-                .tasks
-                .iter()
-                .filter(|t| t.home == shard)
-                .cloned()
-                .collect();
-            let _ = shard_txs[shard].send(ShardMsg::Promote {
-                wal,
-                tasks,
-                next_task_id: recovery.next_task_id,
-            });
-        }
-        // Role flip last: a reactor that observes Leader (Acquire) is
-        // guaranteed the Promote messages are already in each shard's
-        // FIFO ahead of any request it routes afterwards.
-        repl.promote(new_epoch, Some(cfg.self_addr.clone()));
-        repl.set_peer(Some(old_leader.to_string()));
-        repl.metrics().repl_lag_frames.store(0, Ordering::Relaxed);
-        // Fence the predecessor. Safety does not depend on this
-        // arriving — the old leader suspends its own writes once our
-        // pulls stop, fences on any higher-epoch pull, and probes us at
-        // its next boot — but an acknowledged fence converges client
-        // redirects in one round trip instead of a TTL.
-        fence_predecessor(old_leader, new_epoch, &cfg.self_addr, cfg.ttl_ms, shutdown);
-        return;
-    }
-}
-
 /// How many times a freshly promoted leader re-sends its `repl_lease`
 /// to the predecessor before giving up (the boot-time probe covers a
 /// predecessor that is down for longer than this).
@@ -570,42 +460,40 @@ const FENCE_ATTEMPTS: u32 = 8;
 /// apart, until it acknowledges being outranked or the attempts run
 /// out. Bounded on purpose: the predecessor's port may be reassigned to
 /// an unrelated process after it dies, so this must not retry forever.
-fn fence_predecessor(
-    old_leader: &str,
-    epoch: u64,
-    self_addr: &str,
-    ttl_ms: u64,
-    shutdown: &Arc<AtomicBool>,
-) {
-    let pause_ms = ttl_ms.clamp(100, 2_000);
+fn fence_predecessor(old_leader: &str, epoch: u64, cfg: &FollowerConfig, shutdown: &AtomicBool) {
+    let pause_ms = cfg.ttl_ms.clamp(100, 2_000);
     for attempt in 0..FENCE_ATTEMPTS {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
         if let Ok(mut conn) = Client::connect_with_timeout(old_leader, Duration::from_millis(500)) {
             if let Ok(Reply::Ok { result, .. }) = conn.request(Request::ReplLease {
                 epoch,
-                leader_addr: self_addr.to_string(),
+                leader_addr: cfg.self_addr.clone(),
             }) {
                 if lease_acknowledged(&result, epoch) {
                     return;
                 }
             }
         }
-        if attempt + 1 == FENCE_ATTEMPTS {
+        if attempt + 1 == FENCE_ATTEMPTS || sleep_or_shutdown(shutdown, pause_ms) {
             return;
         }
-        // Sleep in slices so daemon shutdown is never held up by this.
-        let mut slept = 0u64;
-        while slept < pause_ms {
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let step = (pause_ms - slept).min(25);
-            std::thread::sleep(Duration::from_millis(step));
-            slept += step;
-        }
     }
+}
+
+/// One best-effort `repl_lease` round trip to `peer` — the probe
+/// [`role::RoleState::probe`] asks for — returning its `(epoch, role)`
+/// when it is reachable and replies well-formed.
+pub(crate) fn probe_peer(peer: &str, probe_epoch: u64, self_addr: &str) -> Option<(u64, Role)> {
+    let mut conn = Client::connect_with_timeout(peer, Duration::from_millis(500)).ok()?;
+    let reply = conn.request(Request::ReplLease {
+        epoch: probe_epoch,
+        leader_addr: self_addr.to_string(),
+    });
+    let Ok(Reply::Ok { result, .. }) = reply else {
+        return None;
+    };
+    let epoch = result.get("epoch").and_then(Value::as_u64)?;
+    let role = result.get("role").and_then(Value::as_str)?;
+    Some((epoch, Role::parse(role)?))
 }
 
 /// Whether a `repl_lease` reply proves the receiver stepped down: it
@@ -627,39 +515,6 @@ fn lease_acknowledged(result: &Value, claimed: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lease_renews_on_chunks_and_lapses_when_silent() {
-        let mut core = FollowerCore::new(1, 0, 100, 0);
-        // Never synced: silence alone must NOT promote.
-        assert!(!core.lease_lapsed(10_000));
-        // First contact observes epoch 1 (we booted at 0): persist it.
-        assert_eq!(
-            core.on_chunk(0, 1, 7, 5, 50),
-            ChunkAction::Apply {
-                epoch_changed: true
-            }
-        );
-        assert_eq!(core.cursor(0), 5);
-        assert!(!core.lease_lapsed(149));
-        assert!(core.lease_lapsed(150));
-        assert_eq!(
-            core.on_chunk(0, 1, 7, 9, 200),
-            ChunkAction::Apply {
-                epoch_changed: false
-            }
-        );
-        assert!(!core.lease_lapsed(299));
-        assert_eq!(core.claim_epoch(), 2);
-    }
-
-    #[test]
-    fn older_epochs_are_dropped() {
-        let mut core = FollowerCore::new(1, 5, 100, 0);
-        assert_eq!(core.on_chunk(0, 4, 7, 9, 10), ChunkAction::Stale);
-        assert_eq!(core.cursor(0), 0, "stale chunk must not move the cursor");
-        assert!(!core.synced(), "stale contact must not arm the lease");
-    }
 
     #[test]
     fn lease_ack_requires_the_claimed_epoch_and_a_stepped_down_role() {
@@ -684,23 +539,13 @@ mod tests {
     /// that a later recovery agrees with.
     #[test]
     fn a_caught_up_follower_compacts_its_wal_locally() {
-        use crate::metrics::Metrics;
-        use crate::repl::{PullChunk, ShipLog};
+        use crate::repl::PullChunk;
         use crate::wal::WalRecord;
 
         let dir =
             std::env::temp_dir().join(format!("tracon-follower-compact-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let metrics = Arc::new(Metrics::new());
-        let repl = Arc::new(ReplState::new(
-            Role::Follower,
-            1,
-            None,
-            Arc::new(ShipLog::new(1)),
-            Arc::clone(&metrics),
-            Some(dir.clone()),
-            1,
-        ));
+        let metrics = Metrics::new();
         let (mut wal, _) = Wal::open_shard(&dir, 0, 4).unwrap();
         let mut mirror = Recovery::default();
 
@@ -719,7 +564,7 @@ mod tests {
                 next: (task + 1) * 2,
                 ship_next: (task + 1) * 2,
             };
-            apply_chunk(&mut wal, &mut mirror, &chunk, 0, &repl);
+            apply_chunk(&mut wal, &mut mirror, &chunk, 0, &metrics);
         }
         assert!(
             metrics.wal_snapshots.load(Ordering::Relaxed) >= 1,
@@ -744,23 +589,73 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The sidecar has one writer and it writes what the state says: a
+    /// leader records a peer, is fenced, rejoins as a follower and
+    /// observes a higher epoch, and after every step the file decodes to
+    /// exactly the state that produced it (the follower's epoch write
+    /// used to drop the peer the rejoin had just persisted).
     #[test]
-    fn leader_reboot_resets_cursors() {
-        let mut core = FollowerCore::new(2, 0, 100, 0);
-        core.on_chunk(0, 1, 7, 40, 10);
-        core.on_chunk(1, 1, 7, 12, 10);
-        assert_eq!((core.cursor(0), core.cursor(1)), (40, 12));
-        // Same epoch, new boot nonce: a restarted leader whose ship
-        // numbering restarted — both cursors go home.
-        assert_eq!(core.on_chunk(0, 1, 8, 3, 20), ChunkAction::Reset);
-        assert_eq!((core.cursor(0), core.cursor(1)), (0, 0));
-        // And the next chunk from the new incarnation applies normally.
-        assert_eq!(
-            core.on_chunk(0, 1, 8, 3, 30),
-            ChunkAction::Apply {
-                epoch_changed: false
-            }
-        );
-        assert_eq!(core.cursor(0), 3);
+    fn every_step_leaves_the_sidecar_saying_what_the_state_says() {
+        use crate::repl::{read_sidecar, EpochSidecar, RoleState, ShipLog};
+
+        let dir = std::env::temp_dir().join(format!("tracon-one-writer-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let metrics = Arc::new(Metrics::new());
+        let state = RoleState::from_sidecar("me:1", 100, 1, &EpochSidecar::default(), 0);
+        let ship = Arc::new(ShipLog::new(1));
+        let node = Node {
+            repl: Arc::new(ReplState::new(state, ship, Arc::clone(&metrics), 1)),
+            cfg: FollowerConfig {
+                self_addr: "me:1".into(),
+                dir: dir.clone(),
+                shards: 1,
+                snapshot_every: 1_000,
+                ttl_ms: 100,
+                poll_ms: 10,
+            },
+            // No workers: nothing to demote, so the rejoin only wipes.
+            shard_txs: Vec::new(),
+            app_ids: HashMap::new(),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            wals: Mutex::new(Vec::new()),
+        };
+        let step = |event: RoleEvent, role: Role, epoch: u64, peer: Option<&str>| {
+            node.drive(event).unwrap();
+            let state = node.repl.state();
+            assert_eq!(read_sidecar(&dir).unwrap(), state.sidecar());
+            assert_eq!((state.role(), state.epoch), (role, epoch));
+            assert_eq!(state.peer.as_deref(), peer);
+            assert_eq!((node.repl.role(), node.repl.epoch()), (role, epoch));
+        };
+        let (replica_of, probe) = (None, None);
+        step(RoleEvent::Boot { replica_of, probe }, Role::Leader, 1, None);
+        let (addr, leader_addr) = ("f:1".to_string(), "f:1".to_string());
+        let pull = RoleEvent::Pull {
+            epoch: 1,
+            addr,
+            ttl_ms: 100,
+        };
+        step(pull, Role::Leader, 1, Some("f:1"));
+        let lease = RoleEvent::Lease {
+            epoch: 2,
+            leader_addr,
+        };
+        step(lease, Role::Fenced, 2, Some("f:1"));
+        assert_eq!(metrics.repl_role.load(Ordering::Relaxed), 2);
+        let answer = RoleEvent::ProbeResult {
+            epoch: 2,
+            role: Role::Leader,
+        };
+        step(answer, Role::Follower, 2, Some("f:1"));
+        assert_eq!(lock(&node.wals).len(), 1, "reopened for the follower loop");
+        let chunk = RoleEvent::Chunk {
+            shard: 0,
+            epoch: 3,
+            boot: 9,
+            next: 0,
+        };
+        step(chunk, Role::Follower, 3, Some("f:1"));
+        assert_eq!(read_sidecar(&dir).unwrap().leader.as_deref(), Some("f:1"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,8 +1,8 @@
 //! Leader/follower replication for tracond: WAL shipping, lease-based
 //! leader election, and epoch fencing.
 //!
-//! The topology is a warm-standby pair (or chain): one **leader** serves
-//! all mutating traffic and appends to its per-shard WALs exactly as a
+//! The topology is a warm-standby pair: one **leader** serves all
+//! mutating traffic and appends to its per-shard WALs exactly as a
 //! standalone daemon would; each shard worker additionally pushes every
 //! group-committed batch into an in-memory [`ShipLog`]. A **follower**
 //! (started with `--replica-of ADDR`) runs the same daemon minus
@@ -13,40 +13,41 @@
 //! `complete` with a structured `not-leader` error carrying the leader's
 //! address and epoch so clients can redirect.
 //!
-//! **Leases and promotion.** Every successful pull renews the follower's
-//! view of the leader's lease. When no pull succeeds for the lease TTL,
-//! the follower promotes itself: it durably bumps the **epoch**
-//! (fsync'd to `repl.epoch` in the WAL directory *before* serving any
-//! request), replays its shipped WALs through the ordinary merged
-//! recovery, hands each shard worker its recovered state, and starts
-//! answering as the leader. A stale leader that comes back learns the
-//! new epoch from the first `repl_lease` or higher-epoch `repl_pull` it
-//! sees and **fences** itself: it stops mutating and redirects clients
-//! to the new leader. Epochs only ever grow, and a promoted follower's
-//! epoch is strictly greater than any epoch the old leader served at,
-//! so a partitioned stale leader can never outrank the promotion.
+//! **Who may write** is decided in exactly one place: [`role::step`], a
+//! pure function over a plain-data [`role::RoleState`] (role, epoch,
+//! leader hint, peer, the leader's follower slot, the follower's lease
+//! and cursors). Promotion when the leader's lease lapses, fencing on a
+//! higher epoch, write suspension while the follower is silent, the
+//! boot-time probe and the fenced node's rejoin are all transitions of
+//! it. This module holds what the rest of the daemon needs around that
+//! function: the durable `repl.epoch` sidecar, the [`ReplState`] every
+//! thread shares (the machine behind a mutex, and its *published*
+//! role/epoch/hint, which the per-request mutation gate reads without
+//! taking it), and the pull-chunk wire shape. [`follower`] is the
+//! daemon's effect interpreter and pull loop.
 //!
-//! The [`sim`] harness runs the same protocol state machines over
-//! seeded in-process links (drops, delays, duplicates, partitions — no
+//! The [`sim`] harness wires two nodes running the same `step` over a
+//! seeded in-process link (drops, delays, duplicates, partitions — no
 //! sockets) so election safety, log matching, and conservation across
-//! failover are fast deterministic unit properties.
+//! failover and rejoin are fast deterministic unit properties.
 
 pub mod follower;
-pub mod guard;
+pub mod role;
 pub mod ship;
 pub mod sim;
 
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 use crate::json::{n, obj, s, Value};
 use crate::metrics::Metrics;
 use crate::wal::WalRecord;
 
-pub use follower::{ChunkAction, FollowerConfig, FollowerCore};
-pub use guard::{LeaderGuard, PullAdmission};
+pub use follower::FollowerConfig;
+pub use role::{Effect, PullVerdict, RoleEvent, RoleState};
 pub use ship::{PullChunk, ShipLog, MAX_PULL_FRAMES};
 
 /// A node's replication role. The numeric values are the wire/metrics
@@ -59,7 +60,7 @@ pub enum Role {
     /// Pulling frames from the leader; mutations are redirected.
     Follower = 1,
     /// A deposed leader: a higher epoch exists, all mutations are
-    /// redirected to it until the operator restarts this node.
+    /// redirected to it until it rejoins as that leader's follower.
     Fenced = 2,
 }
 
@@ -70,14 +71,6 @@ impl Role {
             Role::Leader => "leader",
             Role::Follower => "follower",
             Role::Fenced => "fenced",
-        }
-    }
-
-    fn from_u8(raw: u8) -> Role {
-        match raw {
-            0 => Role::Leader,
-            1 => Role::Follower,
-            _ => Role::Fenced,
         }
     }
 
@@ -92,152 +85,109 @@ impl Role {
     }
 }
 
-/// Shared replication state: the node's role, epoch, leader hint, and
-/// ship log. One instance lives behind an `Arc` shared by the reactor
-/// (gating + serving pulls), the shard workers (shipping), and the
-/// follower thread (pulling + promotion).
+/// Lock a mutex whose every update leaves the data valid at every step,
+/// so a panicked holder poisons nothing worth refusing over.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Bit of [`ReplState::gate`] set while a leader's writes are suspended.
+const SUSPENDED: u8 = 0x80;
+
+/// The replication state one daemon's threads share: the role machine
+/// (reactor, follower thread and rejoin supervisor step it under its
+/// mutex), what it last published (read lock-free), the ship log, and
+/// the metrics.
 pub struct ReplState {
-    role: AtomicU8,
+    machine: Mutex<RoleState>,
+    /// Published role, plus [`SUSPENDED`]: zero exactly when a mutation
+    /// may be acked, which is all the per-request gate loads.
+    gate: AtomicU8,
     epoch: AtomicU64,
-    leader_addr: Mutex<Option<String>>,
-    /// The replication peer this node most recently paired with: the
-    /// registered follower on a leader, the deposed leader on a promoted
-    /// node. Persisted in the sidecar so a rebooted leader knows whom to
-    /// probe before serving.
-    peer: Mutex<Option<String>>,
+    hint: Mutex<Option<String>>,
     ship: Arc<ShipLog>,
     metrics: Arc<Metrics>,
-    /// WAL directory holding the `repl.epoch` sidecar (`None` only in
-    /// WAL-less simulation harnesses).
-    dir: Option<PathBuf>,
-    /// This leader incarnation's boot nonce; followers reset their
-    /// cursors when it changes, because ship sequence numbers restart
-    /// with the process.
+    /// This incarnation's boot nonce; followers reset their cursors when
+    /// it changes, because ship sequence numbers restart with the
+    /// process.
     boot: u64,
+    /// Millisecond origin of the machine's clock.
+    origin: Instant,
 }
 
 impl ReplState {
-    /// Build the shared state; gauges are synced immediately.
+    /// Wrap a pre-boot state; nothing is published (and the node admits
+    /// nothing it should not) until [`RoleEvent::Boot`] is driven.
     pub fn new(
-        role: Role,
-        epoch: u64,
-        leader_addr: Option<String>,
+        state: RoleState,
         ship: Arc<ShipLog>,
         metrics: Arc<Metrics>,
-        dir: Option<PathBuf>,
         boot: u64,
     ) -> ReplState {
-        metrics
-            .repl_role
-            .store(role as u8 as u64, Ordering::Relaxed);
-        metrics.repl_epoch.store(epoch, Ordering::Relaxed);
         ReplState {
-            role: AtomicU8::new(role as u8),
-            epoch: AtomicU64::new(epoch),
-            leader_addr: Mutex::new(leader_addr),
-            peer: Mutex::new(None),
+            gate: AtomicU8::new(state.role() as u8 | SUSPENDED),
+            epoch: AtomicU64::new(state.epoch),
+            hint: Mutex::new(None),
+            machine: Mutex::new(state),
             ship,
             metrics,
-            dir,
             boot,
+            origin: Instant::now(),
         }
     }
 
-    /// Current role. Acquire pairs with the Release in [`Self::set_role`]
-    /// so a reactor that observes `Leader` also observes everything the
-    /// promotion published before the flip (the per-shard `Promote`
-    /// messages are sent first, and channel sends are themselves
-    /// release-ordered with respect to the worker's receive).
+    /// Published role. Acquire pairs with the Release in
+    /// `publish` so a reactor that observes `Leader` also
+    /// observes everything the promotion did before the flip (the
+    /// per-shard `Promote` messages are sent first, and channel sends are
+    /// themselves release-ordered with respect to the worker's receive).
     pub fn role(&self) -> Role {
-        Role::from_u8(self.role.load(Ordering::Acquire))
+        match self.gate.load(Ordering::Acquire) & !SUSPENDED {
+            0 => Role::Leader,
+            1 => Role::Follower,
+            _ => Role::Fenced,
+        }
     }
 
-    /// Flip the role (Release; see [`Self::role`]).
-    pub fn set_role(&self, role: Role) {
-        self.role.store(role as u8, Ordering::Release);
-        self.metrics
-            .repl_role
-            .store(role as u8 as u64, Ordering::Relaxed);
+    /// Whether a mutation may be acked right now: one atomic load.
+    pub fn admits(&self) -> bool {
+        self.gate.load(Ordering::Acquire) == Role::Leader as u8
     }
 
-    /// Current epoch.
+    /// Published epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Raise the epoch (it never goes backwards) and sync the gauge.
-    pub fn observe_epoch(&self, epoch: u64) {
-        self.epoch.fetch_max(epoch, Ordering::AcqRel);
-        self.metrics
-            .repl_epoch
-            .store(self.epoch.load(Ordering::Acquire), Ordering::Relaxed);
-    }
-
-    /// The best-known leader address (for `not-leader` redirects).
+    /// Published redirect hint (for `not-leader` replies).
     pub fn leader_addr(&self) -> Option<String> {
-        self.leader_addr
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clone()
+        lock(&self.hint).clone()
     }
 
-    /// Update the leader hint.
-    pub fn set_leader_addr(&self, addr: Option<String>) {
-        *self
-            .leader_addr
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = addr;
+    /// A copy of the role machine's current state.
+    pub fn state(&self) -> RoleState {
+        lock(&self.machine).clone()
     }
 
-    /// The recorded replication peer, if any.
-    pub fn peer(&self) -> Option<String> {
-        self.peer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clone()
+    /// The machine's clock.
+    pub fn now_ms(&self) -> u64 {
+        self.origin.elapsed().as_millis() as u64
     }
 
-    /// Set the peer hint in memory only (boot-time load from the sidecar).
-    pub fn set_peer(&self, addr: Option<String>) {
-        *self
-            .peer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = addr;
-    }
-
-    /// Record a newly paired peer and persist it into the sidecar, so a
-    /// crashed-and-rebooted leader knows whom to probe before serving.
-    pub fn record_peer(&self, addr: &str) {
-        self.set_peer(Some(addr.to_string()));
-        self.persist(self.role());
-    }
-
-    /// Adopt a higher epoch and leader hint *without* fencing — how a
-    /// non-leader node digests a `repl_lease` so its redirects converge
-    /// on the claimant immediately.
-    pub fn observe_leader(&self, epoch: u64, leader: Option<String>) {
-        self.observe_epoch(epoch);
-        if leader.is_some() {
-            self.set_leader_addr(leader);
-        }
-    }
-
-    /// Durably rewrite the sidecar from current state under `role`;
-    /// failures are counted, not fatal (the caller decides whether
-    /// durability is a hard requirement — promotion persists *before*
-    /// flipping state and uses [`write_sidecar`] directly).
-    fn persist(&self, role: Role) {
-        if let Some(dir) = &self.dir {
-            let sidecar = EpochSidecar {
-                epoch: self.epoch(),
-                role,
-                leader: self.leader_addr(),
-                peer: self.peer(),
-            };
-            if write_sidecar(dir, &sidecar).is_err() {
-                self.metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    /// The only writer of the published view ([`Effect::Publish`]): epoch
+    /// and hint first, role last, so gating engages only once the
+    /// redirect it hands out is in place.
+    fn publish(&self, role: Role, epoch: u64, hint: Option<String>, suspended: bool) {
+        self.epoch.store(epoch, Ordering::Release);
+        *lock(&self.hint) = hint;
+        let bits = role as u8 | if suspended { SUSPENDED } else { 0 };
+        self.gate.store(bits, Ordering::Release);
+        let gauge = |gauge: &AtomicU64, value: u64| gauge.store(value, Ordering::Relaxed);
+        gauge(&self.metrics.repl_role, role as u8 as u64);
+        gauge(&self.metrics.repl_epoch, epoch);
+        gauge(&self.metrics.repl_writes_suspended, u64::from(suspended));
     }
 
     /// The shared ship log.
@@ -253,44 +203,6 @@ impl ReplState {
     /// This incarnation's boot nonce.
     pub fn boot(&self) -> u64 {
         self.boot
-    }
-
-    /// Step down: a higher (or equal, from a newer claimant) epoch
-    /// exists. Adopts the epoch, records the new leader for redirects,
-    /// persists the observed epoch best-effort, and flips to
-    /// [`Role::Fenced`] last so mutation gating engages only after the
-    /// redirect hint is in place.
-    pub fn fence(&self, epoch: u64, leader: Option<String>) {
-        self.observe_epoch(epoch);
-        if leader.is_some() {
-            self.set_leader_addr(leader);
-        }
-        // The persisted sidecar keeps the leader hint and peer too, so a
-        // fenced node that reboots comes back fenced and still knows
-        // where to redirect clients.
-        self.persist(Role::Fenced);
-        self.set_role(Role::Fenced);
-    }
-
-    /// Take over as leader at `epoch` (already durably claimed by the
-    /// caller). The role flip is last: everything the new leader
-    /// published before this call is visible to a reactor that sees
-    /// `Leader`.
-    pub fn promote(&self, epoch: u64, self_addr: Option<String>) {
-        self.observe_epoch(epoch);
-        self.set_leader_addr(self_addr);
-        self.set_role(Role::Leader);
-    }
-
-    /// Self-healing rejoin: a fenced ex-leader that confirmed a live
-    /// leader demotes into its follower. The Follower role is persisted
-    /// *before* the in-memory flip (same discipline as [`Self::fence`]),
-    /// so a crash mid-rejoin reboots as a follower of the recorded
-    /// leader instead of re-entering the fence/probe cycle.
-    pub fn demote_to_follower(&self, leader: String) {
-        self.set_leader_addr(Some(leader));
-        self.persist(Role::Follower);
-        self.set_role(Role::Follower);
     }
 }
 
@@ -318,11 +230,10 @@ pub struct EpochSidecar {
 }
 
 impl Default for EpochSidecar {
+    /// A node with no sidecar has never been fenced and never led.
     fn default() -> EpochSidecar {
         EpochSidecar {
             epoch: 0,
-            // A node with no sidecar (or a pre-role sidecar) has never
-            // been fenced, which is what booting as leader relied on.
             role: Role::Leader,
             leader: None,
             peer: None,
@@ -330,37 +241,45 @@ impl Default for EpochSidecar {
     }
 }
 
-/// Read the full sidecar from `dir`; all defaults when absent or
-/// unreadable (a fresh node).
-pub fn read_sidecar(dir: &Path) -> EpochSidecar {
-    let Ok(text) = std::fs::read_to_string(dir.join(EPOCH_FILE)) else {
-        return EpochSidecar::default();
+/// Read the sidecar from `dir`: the defaults when there is none (a fresh
+/// node), `InvalidData` naming the file when there is one that cannot be
+/// read in full. A rotted sidecar must not read as a fresh node — that
+/// would let a fenced one forget it was outranked and lead next to the
+/// real leader; the operator deletes the file to start fresh on purpose.
+pub fn read_sidecar(dir: &Path) -> io::Result<EpochSidecar> {
+    let path = dir.join(EPOCH_FILE);
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(EpochSidecar::default()),
+        Err(e) => return Err(bad_sidecar(&path, &e.to_string())),
     };
-    let Ok(doc) = crate::json::parse(&text) else {
-        return EpochSidecar::default();
-    };
+    let doc = crate::json::parse(&text).map_err(|e| bad_sidecar(&path, &e.to_string()))?;
     let grab = |key: &str| {
         doc.get(key)
             .and_then(Value::as_str)
             .filter(|v| !v.is_empty())
             .map(str::to_string)
     };
-    EpochSidecar {
-        epoch: doc.get("epoch").and_then(Value::as_u64).unwrap_or(0),
-        role: doc
-            .get("role")
-            .and_then(Value::as_str)
-            .and_then(Role::parse)
-            .unwrap_or(Role::Leader),
+    let epoch = doc.get("epoch").and_then(Value::as_u64);
+    let role = doc
+        .get("role")
+        .and_then(Value::as_str)
+        .and_then(Role::parse);
+    Ok(EpochSidecar {
+        epoch: epoch.ok_or_else(|| bad_sidecar(&path, "no epoch"))?,
+        role: role.ok_or_else(|| bad_sidecar(&path, "missing or unknown role"))?,
         leader: grab("leader"),
         peer: grab("peer"),
-    }
+    })
 }
 
-/// Read the durable replication epoch from `dir`; 0 when the sidecar is
-/// absent or unreadable (a fresh node).
-pub fn read_epoch(dir: &Path) -> u64 {
-    read_sidecar(dir).epoch
+fn bad_sidecar(path: &Path, why: &str) -> io::Error {
+    let message = format!(
+        "replication sidecar {} is unreadable ({why}); refusing to guess this node's role \
+         and epoch — delete the file to start as a fresh node",
+        path.display()
+    );
+    io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
 /// Durably persist the replication sidecar: write to a temp file, fsync,
@@ -402,20 +321,6 @@ pub fn write_sidecar(dir: &Path, sidecar: &EpochSidecar) -> io::Result<()> {
         let _ = dirf.sync_data();
     }
     Ok(())
-}
-
-/// Persist epoch and role only (no leader/peer hints) — the minimal
-/// sidecar write used by tests and simple callers.
-pub fn write_epoch(dir: &Path, epoch: u64, role: Role) -> io::Result<()> {
-    write_sidecar(
-        dir,
-        &EpochSidecar {
-            epoch,
-            role,
-            leader: None,
-            peer: None,
-        },
-    )
 }
 
 /// Render a `repl_pull` reply payload: epoch, boot nonce, shard, the
@@ -475,6 +380,7 @@ pub fn decode_pull_chunk(result: &Value) -> Option<(u64, u64, usize, PullChunk)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("tracon-repl-{tag}-{}", std::process::id()));
@@ -483,20 +389,49 @@ mod tests {
     }
 
     #[test]
-    fn epoch_sidecar_roundtrips_and_defaults_to_zero() {
+    fn epoch_sidecar_roundtrips_and_a_missing_one_is_a_fresh_node() {
         let dir = tmpdir("epoch");
-        assert_eq!(read_epoch(&dir), 0);
-        assert_eq!(read_sidecar(&dir), EpochSidecar::default());
-        write_epoch(&dir, 7, Role::Leader).unwrap();
-        assert_eq!(read_epoch(&dir), 7);
-        assert_eq!(read_sidecar(&dir).role, Role::Leader);
-        write_epoch(&dir, 9, Role::Fenced).unwrap();
-        assert_eq!(read_epoch(&dir), 9);
-        assert_eq!(read_sidecar(&dir).role, Role::Fenced);
-        // Garbage in the sidecar reads as a fresh node, not a panic.
-        std::fs::write(dir.join(EPOCH_FILE), b"not json").unwrap();
-        assert_eq!(read_epoch(&dir), 0);
-        assert_eq!(read_sidecar(&dir).role, Role::Leader);
+        assert_eq!(read_sidecar(&dir).unwrap(), EpochSidecar::default());
+        for (epoch, role) in [(7, Role::Leader), (9, Role::Fenced)] {
+            let written = EpochSidecar {
+                epoch,
+                role,
+                ..EpochSidecar::default()
+            };
+            write_sidecar(&dir, &written).unwrap();
+            assert_eq!(read_sidecar(&dir).unwrap(), written);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A node fenced at epoch 9 whose sidecar rots must not come back as
+    /// a fresh leader at epoch 1 next to the real one: anything that is
+    /// there but does not say both epoch and role refuses the boot.
+    #[test]
+    fn a_rotted_sidecar_is_an_error_naming_the_file_not_a_fresh_node() {
+        let dir = tmpdir("rot");
+        std::fs::create_dir_all(&dir).unwrap();
+        for rot in [
+            &b"not json"[..],
+            b"",
+            b"{\"epoch\":9,\"role\":\"fen",
+            b"{\"epoch\":9}",
+            b"{\"epoch\":9,\"role\":\"emperor\"}",
+            b"{\"role\":\"fenced\"}",
+            b"{\"epoch\":\"nine\",\"role\":\"fenced\"}",
+            b"\xff\xfe",
+        ] {
+            std::fs::write(dir.join(EPOCH_FILE), rot).unwrap();
+            let err = read_sidecar(&dir).expect_err("rot read as a sidecar");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let path = dir.join(EPOCH_FILE).display().to_string();
+            assert!(err.to_string().contains(&path), "{err}");
+        }
+        // Unreadable for another reason than absence: same refusal.
+        std::fs::remove_file(dir.join(EPOCH_FILE)).unwrap();
+        std::fs::create_dir(dir.join(EPOCH_FILE)).unwrap();
+        let err = read_sidecar(&dir).expect_err("a directory read as a sidecar");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -510,40 +445,8 @@ mod tests {
             peer: Some("10.0.0.3:7400".into()),
         };
         write_sidecar(&dir, &full).unwrap();
-        assert_eq!(read_sidecar(&dir), full);
-        // A pre-role sidecar (epoch only) still parses, defaulting to the
-        // historical boot-as-leader behavior.
-        std::fs::write(dir.join(EPOCH_FILE), b"{\"epoch\":3}").unwrap();
-        assert_eq!(
-            read_sidecar(&dir),
-            EpochSidecar {
-                epoch: 3,
-                ..EpochSidecar::default()
-            }
-        );
+        assert_eq!(read_sidecar(&dir).unwrap(), full);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn observe_leader_adopts_epoch_and_hint_without_fencing() {
-        let state = ReplState::new(
-            Role::Follower,
-            3,
-            Some("old:1".into()),
-            Arc::new(ShipLog::new(1)),
-            Arc::new(Metrics::new()),
-            None,
-            1,
-        );
-        state.observe_leader(5, Some("new:2".into()));
-        assert_eq!(state.role(), Role::Follower, "observation must not fence");
-        assert_eq!(state.epoch(), 5);
-        assert_eq!(state.leader_addr().as_deref(), Some("new:2"));
-        // A stale observation neither regresses the epoch nor (with no
-        // hint) clears the address.
-        state.observe_leader(4, None);
-        assert_eq!(state.epoch(), 5);
-        assert_eq!(state.leader_addr().as_deref(), Some("new:2"));
     }
 
     #[test]
@@ -603,27 +506,27 @@ mod tests {
     }
 
     #[test]
-    fn fence_is_sticky_and_epochs_never_regress() {
+    fn the_gate_admits_exactly_an_unsuspended_leader() {
         let metrics = Arc::new(Metrics::new());
-        let state = ReplState::new(
-            Role::Leader,
-            3,
-            None,
-            Arc::new(ShipLog::new(1)),
-            Arc::clone(&metrics),
-            None,
-            1,
-        );
-        state.fence(5, Some("10.0.0.2:4000".into()));
-        assert_eq!(state.role(), Role::Fenced);
-        assert_eq!(state.epoch(), 5);
-        assert_eq!(state.leader_addr().as_deref(), Some("10.0.0.2:4000"));
-        // An older epoch cannot drag the counter back down.
-        state.observe_epoch(2);
-        assert_eq!(state.epoch(), 5);
+        let state = RoleState::from_sidecar("me:1", 100, 1, &EpochSidecar::default(), 0);
+        let ship = Arc::new(ShipLog::new(1));
+        let repl = ReplState::new(state, ship, Arc::clone(&metrics), 1);
+        assert!(!repl.admits(), "nothing is admitted before the boot");
+        assert_eq!(repl.role(), Role::Leader);
+        repl.publish(Role::Leader, 3, None, false);
+        assert!(repl.admits());
+        repl.publish(Role::Leader, 3, Some("f:1".into()), true);
+        assert!(!repl.admits(), "a suspended leader must refuse");
+        assert_eq!(repl.role(), Role::Leader, "suspension is not a role");
+        assert_eq!(metrics.repl_writes_suspended.load(Ordering::Relaxed), 1);
+        repl.publish(Role::Fenced, 5, Some("10.0.0.2:4000".into()), false);
+        assert!(!repl.admits());
+        assert_eq!((repl.role(), repl.epoch()), (Role::Fenced, 5));
+        assert_eq!(repl.leader_addr().as_deref(), Some("10.0.0.2:4000"));
         assert_eq!(
-            metrics.repl_role.load(std::sync::atomic::Ordering::Relaxed),
+            metrics.repl_role.load(Ordering::Relaxed),
             Role::Fenced as u8 as u64
         );
+        assert_eq!(metrics.repl_writes_suspended.load(Ordering::Relaxed), 0);
     }
 }

@@ -1,10 +1,14 @@
-//! Deterministic in-process replication harness: real [`Service`] shards
-//! on the leader, the real [`FollowerCore`] on the follower, and a
-//! seeded virtual network in between — no sockets, no sleeps, no wall
-//! clock. Links drop, delay, duplicate, and partition messages under a
-//! splitmix64 RNG, so every interleaving is a replayable seed and
-//! election safety / log matching / conservation-across-failover are
-//! ordinary unit properties (dslab-mp style).
+//! Deterministic in-process replication harness: two symmetric nodes —
+//! each a [`RoleState`], real [`Service`] shards with a shipper, and a
+//! journal per shard — over a seeded virtual link. No sockets, no sleeps,
+//! no wall clock. Both nodes run [`role::step`], the function `tracond`
+//! runs, and this file only interprets its effects against journals and
+//! the link; failover, fencing and rejoin happen by events, never by the
+//! harness reaching into a node. Links drop, delay, duplicate, and
+//! partition messages under a splitmix64 RNG, so every interleaving is a
+//! replayable seed and election safety / log matching /
+//! conservation-across-failover are ordinary unit properties (dslab-mp
+//! style).
 //!
 //! Time is a virtual millisecond counter; the `Service` instances see it
 //! as a fixed `Instant` base plus the virtual offset, so lease and
@@ -17,9 +21,10 @@ use tracon_dcsim::{Testbed, TestbedConfig};
 use tracon_stats::prng::SplitMix64;
 
 use crate::metrics::Metrics;
-use crate::repl::{ChunkAction, FollowerCore, LeaderGuard, PullChunk, ReplState, Role, ShipLog};
+use crate::repl::role::{self, Effect, PullVerdict, RoleEvent, RoleState};
+use crate::repl::{EpochSidecar, PullChunk, Role, ShipLog};
 use crate::shard::{route_app, shard_machines};
-use crate::state::{SchedKind, ServeConfig, Service, StatusSnapshot};
+use crate::state::{SchedKind, ServeConfig, Service};
 use crate::wal::{self, Recovery};
 
 /// The shared profiled testbed: building one takes real calibration
@@ -58,29 +63,36 @@ impl Default for SimKnobs {
     }
 }
 
-/// A message in flight on the virtual link.
+/// A message in flight on the virtual link, addressed to the *other*
+/// node — the wire verbs and their replies.
 #[derive(Debug, Clone)]
 enum SimMsg {
-    /// Follower -> leader.
+    /// `repl_pull`.
     Pull {
         shard: usize,
         cursor: u64,
         epoch: u64,
     },
-    /// Leader -> follower.
+    /// Its `ok` reply.
     Chunk {
         shard: usize,
         epoch: u64,
         boot: u64,
         chunk: PullChunk,
     },
+    /// Its `not_leader` reply.
+    NotLeader { hint: Option<String> },
+    /// `repl_lease`: a promotion's claim, or a fenced node's probe.
+    Lease { epoch: u64 },
+    /// Its reply.
+    LeaseReply { epoch: u64, role: Role },
 }
 
-/// One queued delivery: `(due_ms, tiebreak_seq, message)`.
-type InFlight = (u64, u64, SimMsg);
+/// One queued delivery: `(due_ms, tiebreak_seq, recipient, message)`.
+type InFlight = (u64, u64, usize, SimMsg);
 
-/// The follower's durable journal for one shard — the sim stand-in for
-/// a WAL file: an optional installed snapshot blob plus appended frames.
+/// A node's durable journal for one shard — the sim stand-in for a WAL
+/// file: an optional installed snapshot blob plus appended frames.
 #[derive(Debug, Default, Clone)]
 pub struct Journal {
     /// Last installed snapshot blob.
@@ -106,38 +118,55 @@ impl Journal {
     }
 }
 
-/// A leader/follower pair over a faulty virtual link.
+/// How often a fenced node probes its leader hint, and a promoted one
+/// re-sends its claim.
+const PROBE_MS: u64 = 25;
+
+/// One of the pair: everything a `tracond` process and its WAL directory
+/// hold, as far as replication can tell.
+struct SimNode {
+    state: RoleState,
+    alive: bool,
+    /// What the last `Persist` wrote: the sim's `repl.epoch`.
+    sidecar: EpochSidecar,
+    /// Scheduler shards, for the life of the process like the daemon's
+    /// workers: promoted into, demoted out of.
+    services: Vec<Service>,
+    ship: Arc<ShipLog>,
+    boot: u64,
+    /// What this node appended while following.
+    journals: Vec<Journal>,
+    next_poll_ms: u64,
+    /// How many more times a promotion's claim is re-sent.
+    claims_left: u32,
+}
+
+/// A replicated pair over a faulty virtual link. Node 0 boots standalone
+/// (and so leads at epoch 1), node 1 boots as its `--replica-of`.
 pub struct SimCluster {
     now_ms: u64,
     base: Instant,
     rng: SplitMix64,
     knobs: SimKnobs,
     partitioned: bool,
-    leader_alive: bool,
-
     shards: usize,
-    ttl_ms: u64,
+    poll_ms: u64,
     /// Failpoint scope carried by this cluster's ship logs, so a test can
     /// arm `repl.ship.push@<scope>` without faulting other ships in the
     /// process.
     ship_scope: String,
-    cfg: ServeConfig,
-    services: Vec<Service>,
-    repl: ReplState,
-    guard: LeaderGuard,
-
-    core: FollowerCore,
-    journals: Vec<Journal>,
-    poll_ms: u64,
-    next_poll_ms: u64,
-
+    nodes: [SimNode; 2],
     net: Vec<InFlight>,
     next_seq: u64,
 }
 
+fn addr(node: usize) -> String {
+    format!("n{node}")
+}
+
 impl SimCluster {
-    /// Build a cluster: `shards` leader `Service` shards (shipper
-    /// attached, no real WAL) at epoch 1, and a fresh follower.
+    /// Build the pair: `shards` `Service` shards per node (shipper
+    /// attached, no real WAL), both booted through [`RoleEvent::Boot`].
     pub fn new(seed: u64, shards: usize, ttl_ms: u64, poll_ms: u64, knobs: SimKnobs) -> SimCluster {
         let shards = shards.max(1);
         let cfg = ServeConfig {
@@ -154,66 +183,65 @@ impl SimCluster {
             shards,
             ..ServeConfig::default()
         };
-        let metrics = Arc::new(Metrics::with_shards(shards));
         let ship_scope = format!("sim-{seed:016x}");
-        let ship = Arc::new(ShipLog::new_scoped(shards, ship_scope.clone()));
         let slices = shard_machines(cfg.machines, shards);
-        let services: Vec<Service> = (0..shards)
-            .map(|shard| {
-                let mut shard_cfg = cfg.clone();
-                let (base, count) = slices[shard];
-                shard_cfg.machines = count;
-                let mut svc = Service::new_shard(
-                    testbed(),
-                    shard_cfg,
-                    Arc::clone(&metrics),
-                    shard,
-                    shards,
-                    base,
-                );
-                svc.attach_shipper(Arc::clone(&ship));
-                svc
-            })
-            .collect();
-        let repl = ReplState::new(
-            Role::Leader,
-            1,
-            None,
-            ship,
-            Arc::clone(&metrics),
-            None,
-            seed | 1,
-        );
-        SimCluster {
+        let nodes = [0usize, 1].map(|node| {
+            let metrics = Arc::new(Metrics::with_shards(shards));
+            let ship = Arc::new(ShipLog::new_scoped(shards, ship_scope.clone()));
+            let services = (0..shards)
+                .map(|shard| {
+                    let mut shard_cfg = cfg.clone();
+                    let (base, count) = slices[shard];
+                    shard_cfg.machines = count;
+                    let mut svc = Service::new_shard(
+                        testbed(),
+                        shard_cfg,
+                        Arc::clone(&metrics),
+                        shard,
+                        shards,
+                        base,
+                    );
+                    svc.attach_shipper(Arc::clone(&ship));
+                    svc
+                })
+                .collect();
+            let sidecar = EpochSidecar::default();
+            SimNode {
+                state: RoleState::from_sidecar(&addr(node), ttl_ms, shards, &sidecar, 0),
+                alive: true,
+                sidecar,
+                services,
+                ship,
+                boot: (seed << 1) | node as u64 | 2,
+                journals: vec![Journal::default(); shards],
+                next_poll_ms: 0,
+                claims_left: 0,
+            }
+        });
+        let mut sim = SimCluster {
             now_ms: 0,
             base: Instant::now(),
             rng: SplitMix64::new(seed ^ 0xD1F7_0A11),
             knobs,
             partitioned: false,
-            leader_alive: true,
             shards,
-            ttl_ms: ttl_ms.max(1),
-            ship_scope,
-            cfg,
-            services,
-            repl,
-            // The leader runs the same TTL as the follower, like a real
-            // pair whose pull hints have converged the two clocks.
-            guard: LeaderGuard::new(ttl_ms.max(1)),
-            core: FollowerCore::new(shards, 0, ttl_ms.max(1), 0),
-            journals: (0..shards).map(|_| Journal::default()).collect(),
             poll_ms: poll_ms.max(1),
-            next_poll_ms: 0,
+            ship_scope,
+            nodes,
             net: Vec::new(),
             next_seq: 0,
+        };
+        for (node, replica_of) in [(0, None), (1, Some(addr(0)))] {
+            let probe = None;
+            sim.drive(node, RoleEvent::Boot { replica_of, probe });
         }
+        sim
     }
 
-    /// Override the leader's snapshot cadence (to exercise compaction
+    /// Override every node's snapshot cadence (to exercise compaction
     /// and snapshot install in small tests).
     pub fn set_snapshot_every(&mut self, every: u64) {
-        self.cfg.wal_snapshot_every = every;
-        for svc in &mut self.services {
+        for svc in self.nodes.iter_mut().flat_map(|n| &mut n.services) {
             svc.set_snapshot_every(every);
         }
     }
@@ -238,19 +266,17 @@ impl SimCluster {
         self.base + Duration::from_millis(self.now_ms)
     }
 
-    /// The leader's current epoch.
-    pub fn leader_epoch(&self) -> u64 {
-        self.repl.epoch()
+    /// One node's role machine, as it stands.
+    pub fn state(&self, node: usize) -> &RoleState {
+        &self.nodes[node].state
     }
 
-    /// The leader's current role (fencing flips it).
-    pub fn leader_role(&self) -> Role {
-        self.repl.role()
-    }
-
-    /// Whether any follower journal holds an installed snapshot blob.
-    pub fn follower_has_snapshot(&self) -> bool {
-        self.journals.iter().any(|j| j.snapshot.is_some())
+    /// Whether any of a node's journals holds an installed snapshot blob.
+    pub fn has_snapshot(&self, node: usize) -> bool {
+        self.nodes[node]
+            .journals
+            .iter()
+            .any(|j| j.snapshot.is_some())
     }
 
     /// Partition or heal the link (both directions).
@@ -261,55 +287,50 @@ impl SimCluster {
         }
     }
 
-    /// Kill the leader process: in-flight replies are lost and future
-    /// pulls go unanswered. The `Service` state is kept for post-mortem
-    /// comparison, exactly like reading a dead process's core.
-    pub fn kill_leader(&mut self) {
-        self.leader_alive = false;
+    /// Stop a node's process: in-flight messages are lost and nothing is
+    /// answered. Its state is kept — for post-mortem comparison, exactly
+    /// like reading a dead process's core, and for [`Self::revive`].
+    pub fn kill(&mut self, node: usize) {
+        self.nodes[node].alive = false;
         self.net.clear();
     }
 
-    /// Whether the leader has suspended mutations because its follower
-    /// has been silent for the replication TTL.
-    pub fn leader_writes_suspended(&self) -> bool {
-        self.guard.suspended_hint().is_some()
+    /// Let a stopped node run again *without* resetting its state — the
+    /// stale-leader-reconnect scenario.
+    pub fn revive(&mut self, node: usize) {
+        self.nodes[node].alive = true;
     }
 
-    /// Submit one task to the leader, app chosen by the RNG. `None` when
-    /// the leader is dead/fenced, write-suspended, or refuses
-    /// (backpressure).
-    pub fn submit_any(&mut self) -> Option<u64> {
-        if !self.leader_alive
-            || self.repl.role() != Role::Leader
-            || self.guard.suspended_hint().is_some()
-        {
+    /// Submit one task to `node`, app chosen by the RNG. `None` when it
+    /// is dead or does not admit mutations (not leading, or suspended),
+    /// or refuses (backpressure).
+    pub fn submit(&mut self, node: usize) -> Option<u64> {
+        if !self.nodes[node].alive || !self.nodes[node].state.admits() {
             return None;
         }
-        let apps = self.services[0].app_list().len();
-        let idx = self.rng.below(apps as u64) as usize;
-        let name = self.services[0].app_list()[idx].clone();
-        let app_id = self.services[0].app_id(&name)?;
-        let shard = route_app(app_id, self.shards);
         let now = self.inst();
-        self.services[shard].submit(&name, now).ok().map(|a| a.task)
+        let services = &mut self.nodes[node].services;
+        let apps = services[0].app_list().len();
+        let name = services[0].app_list()[self.rng.below(apps as u64) as usize].clone();
+        let shard = route_app(services[0].app_id(&name)?, self.shards);
+        services[shard].submit(&name, now).ok().map(|a| a.task)
     }
 
-    /// Report one task complete on the leader. False when refused
-    /// (unknown/not running) or the leader is dead/fenced/suspended.
-    pub fn complete(&mut self, task: u64) -> bool {
-        if !self.leader_alive
-            || self.repl.role() != Role::Leader
-            || self.guard.suspended_hint().is_some()
-        {
+    /// Report one task complete on `node`. False when refused
+    /// (unknown/not running) or the node is dead or does not admit.
+    pub fn complete(&mut self, node: usize, task: u64) -> bool {
+        if !self.nodes[node].alive || !self.nodes[node].state.admits() {
             return false;
         }
         let now = self.inst();
-        self.services
+        let services = &mut self.nodes[node].services;
+        services
             .iter_mut()
             .any(|svc| svc.complete(task, 1.0, 50.0, now).is_ok())
     }
 
-    fn send(&mut self, msg: SimMsg) {
+    /// Put `msg` on the link towards `to`, subject to the fault knobs.
+    fn send(&mut self, to: usize, msg: SimMsg) {
         if self.partitioned || self.rng.chance(self.knobs.drop_permille) {
             return;
         }
@@ -325,78 +346,165 @@ impl SimCluster {
         for _ in 0..deliveries {
             let delay = self.knobs.min_delay_ms + self.rng.below(span);
             let due = self.now_ms + delay.max(1);
-            self.net.push((due, self.next_seq, msg.clone()));
+            self.net.push((due, self.next_seq, to, msg.clone()));
             self.next_seq += 1;
         }
     }
 
+    /// Step `node`'s role machine and run the effects in order: the
+    /// sim's half of what `Node::drive` is to the daemon. Returns the
+    /// step's last effect (where the verdicts are).
+    fn drive(&mut self, node: usize, event: RoleEvent) -> Option<Effect> {
+        let now = self.inst();
+        let (next, effects) = role::step(&self.nodes[node].state, self.now_ms, event);
+        let this = &mut self.nodes[node];
+        for effect in &effects {
+            match effect {
+                Effect::Persist { sidecar, .. } => this.sidecar = sidecar.clone(),
+                Effect::PromoteShards => {
+                    let replayed: Vec<Recovery> = this
+                        .journals
+                        .iter()
+                        .enumerate()
+                        .map(|(shard, journal)| journal.replay(shard))
+                        .collect();
+                    let next_id = replayed.iter().map(|r| r.next_task_id).max().unwrap_or(0);
+                    for (svc, recovery) in this.services.iter_mut().zip(&replayed) {
+                        svc.adopt_recovered(&recovery.tasks, now);
+                        svc.align_next_task_id(next_id);
+                        // As `ShardMsg::Promote` does: the covering
+                        // snapshot pushes the ship base past 0, so a
+                        // cursor-0 rejoiner starts with an install.
+                        svc.write_snapshot();
+                    }
+                }
+                Effect::DemoteShards => {
+                    this.services.iter_mut().for_each(Service::demote);
+                    this.journals = vec![Journal::default(); self.shards];
+                }
+                Effect::Publish { role, epoch, .. } => {
+                    // The ordering rule the daemon's safety rests on,
+                    // checked on every run: a claim is on disk before
+                    // anything is served under it.
+                    let durable = (this.sidecar.role, this.sidecar.epoch) == (*role, *epoch);
+                    assert!(
+                        *role != Role::Leader || durable,
+                        "led before the claim was durable"
+                    );
+                }
+                Effect::SendLease { .. } => this.claims_left = 8,
+                Effect::ApplyChunk | Effect::ResetCursors | Effect::Pull(_) => {}
+            }
+        }
+        this.state = next;
+        effects.into_iter().last()
+    }
+
     /// Advance virtual time by `ms`, one millisecond at a time: ticking
-    /// the leader, issuing follower polls on cadence, and delivering due
-    /// messages in `(due, seq)` order.
+    /// both nodes (role machine, and the scheduler shards of whoever
+    /// leads), issuing follower polls, fenced probes and promotion
+    /// claims on cadence, and delivering due messages in `(due, seq)`
+    /// order.
     pub fn step(&mut self, ms: u64) {
         for _ in 0..ms {
             self.now_ms += 1;
-            if self.leader_alive && self.repl.role() == Role::Leader {
-                let now = self.inst();
-                for svc in &mut self.services {
-                    svc.tick(now);
+            for node in 0..2 {
+                if !self.nodes[node].alive {
+                    continue;
                 }
-                // The leader-side lease: once the registered follower is
-                // silent past the TTL, the leader stops acking writes —
-                // before (or at latest when) the follower can promote.
-                self.guard.tick(self.now_ms);
-            }
-            if self.now_ms >= self.next_poll_ms {
-                self.next_poll_ms = self.now_ms + self.poll_ms;
-                for shard in 0..self.shards {
-                    self.send(SimMsg::Pull {
-                        shard,
-                        cursor: self.core.cursor(shard),
-                        epoch: self.core.epoch(),
-                    });
+                self.drive(node, RoleEvent::Tick);
+                if self.nodes[node].state.role() == Role::Leader {
+                    let now = self.inst();
+                    for svc in &mut self.nodes[node].services {
+                        svc.tick(now);
+                    }
+                }
+                if self.now_ms >= self.nodes[node].next_poll_ms {
+                    self.poll(node);
                 }
             }
             self.deliver_due();
         }
     }
 
-    fn deliver_due(&mut self) {
-        loop {
-            let mut best: Option<(usize, u64, u64)> = None;
-            for (i, (due, seq, _)) in self.net.iter().enumerate() {
-                if *due <= self.now_ms && best.is_none_or(|(_, bd, bs)| (*due, *seq) < (bd, bs)) {
-                    best = Some((i, *due, *seq));
+    /// What `node`'s background threads send this round.
+    fn poll(&mut self, node: usize) {
+        let this = &mut self.nodes[node];
+        let state = this.state.clone();
+        this.next_poll_ms = self.now_ms + self.poll_ms;
+        match state.role() {
+            Role::Leader => {
+                if this.claims_left > 0 {
+                    this.claims_left -= 1;
+                    this.next_poll_ms = self.now_ms + PROBE_MS;
+                    let epoch = state.epoch;
+                    self.send(1 - node, SimMsg::Lease { epoch });
                 }
             }
-            let Some((idx, _, _)) = best else { return };
-            let (_, _, msg) = self.net.swap_remove(idx);
+            Role::Follower => {
+                for shard in 0..self.shards {
+                    let (cursor, epoch) = (state.cursor(shard), state.epoch);
+                    let pull = SimMsg::Pull {
+                        shard,
+                        cursor,
+                        epoch,
+                    };
+                    self.send(1 - node, pull);
+                }
+            }
+            Role::Fenced => {
+                this.next_poll_ms = self.now_ms + PROBE_MS;
+                if let Some((_, epoch)) = state.probe(false) {
+                    self.send(1 - node, SimMsg::Lease { epoch });
+                }
+            }
+        }
+    }
+
+    fn deliver_due(&mut self) {
+        loop {
+            let due = self
+                .net
+                .iter()
+                .enumerate()
+                .filter(|(_, m)| m.0 <= self.now_ms);
+            let Some((idx, _)) = due.min_by_key(|(_, m)| (m.0, m.1)) else {
+                return;
+            };
+            let (_, _, to, msg) = self.net.swap_remove(idx);
+            if !self.nodes[to].alive {
+                continue;
+            }
+            let from = 1 - to;
             match msg {
                 SimMsg::Pull {
                     shard,
                     cursor,
                     epoch,
                 } => {
-                    if !self.leader_alive {
-                        continue;
-                    }
-                    // A pull from a higher epoch proves a promotion this
-                    // node missed: fence before answering anything.
-                    if epoch > self.repl.epoch() {
-                        self.repl.fence(epoch, None);
-                    }
-                    if self.repl.role() != Role::Leader {
-                        continue; // not_leader: no chunk for the puller.
-                    }
-                    // The pair's one follower renews the leader-side
-                    // lease (and lifts any suspension) on every pull.
-                    self.guard.on_pull("follower", self.now_ms);
-                    let chunk = self.repl.ship().pull(shard, cursor);
-                    self.send(SimMsg::Chunk {
-                        shard,
-                        epoch: self.repl.epoch(),
-                        boot: self.repl.boot(),
-                        chunk,
-                    });
+                    let ttl_ms = self.nodes[from].state.ttl_ms;
+                    let pull = RoleEvent::Pull {
+                        epoch,
+                        addr: addr(from),
+                        ttl_ms,
+                    };
+                    let reply = match self.drive(to, pull) {
+                        Some(Effect::Pull(PullVerdict::Serve | PullVerdict::Observer)) => {
+                            let this = &self.nodes[to];
+                            SimMsg::Chunk {
+                                shard,
+                                epoch: this.state.epoch,
+                                boot: this.boot,
+                                chunk: this.ship.pull(shard, cursor),
+                            }
+                        }
+                        Some(Effect::Pull(PullVerdict::NotLeader)) => {
+                            let hint = self.nodes[to].state.hint().map(str::to_string);
+                            SimMsg::NotLeader { hint }
+                        }
+                        _ => continue,
+                    };
+                    self.send(from, reply);
                 }
                 SimMsg::Chunk {
                     shard,
@@ -404,252 +512,112 @@ impl SimCluster {
                     boot,
                     chunk,
                 } => {
-                    let now = self.now_ms;
-                    match self.core.on_chunk(shard, epoch, boot, chunk.next, now) {
-                        ChunkAction::Apply { .. } => {
-                            let journal = &mut self.journals[shard];
-                            if let Some(blob) = chunk.snapshot {
-                                journal.snapshot = Some(blob);
-                                journal.frames.clear();
-                            }
-                            journal.frames.extend(chunk.frames);
+                    let next = chunk.next;
+                    let header = RoleEvent::Chunk {
+                        shard,
+                        epoch,
+                        boot,
+                        next,
+                    };
+                    if self.drive(to, header) == Some(Effect::ApplyChunk) {
+                        let journal = &mut self.nodes[to].journals[shard];
+                        if let Some(blob) = chunk.snapshot {
+                            journal.snapshot = Some(blob);
+                            journal.frames.clear();
                         }
-                        ChunkAction::Reset | ChunkAction::Stale => {}
+                        journal.frames.extend(chunk.frames);
                     }
+                }
+                SimMsg::NotLeader { hint } => {
+                    if let Some(leader_addr) = hint {
+                        self.drive(to, RoleEvent::NotLeaderHint { leader_addr });
+                    }
+                }
+                SimMsg::Lease { epoch } => {
+                    let leader_addr = addr(from);
+                    self.drive(to, RoleEvent::Lease { epoch, leader_addr });
+                    let state = &self.nodes[to].state;
+                    let (epoch, role) = (state.epoch, state.role());
+                    self.send(from, SimMsg::LeaseReply { epoch, role });
+                }
+                SimMsg::LeaseReply { epoch, role } => {
+                    // Only a fenced node asked anything.
+                    self.drive(to, RoleEvent::ProbeResult { epoch, role });
                 }
             }
         }
     }
 
-    /// Step until the follower is fully caught up (lag 0 and the link
-    /// idle) or `max_ms` elapses; true on success.
+    /// Step until `done` holds or `max_ms` passes; whether it held.
+    pub fn run_until(&mut self, max_ms: u64, done: impl Fn(&SimCluster) -> bool) -> bool {
+        let deadline = self.now_ms + max_ms;
+        while !done(self) && self.now_ms < deadline {
+            self.step(1);
+        }
+        done(self)
+    }
+
+    /// Step until the node that follows is fully caught up with the one
+    /// that leads (lag 0 and the link idle) or `max_ms` elapses; true on
+    /// success.
     pub fn run_until_synced(&mut self, max_ms: u64) -> bool {
-        let deadline = self.now_ms + max_ms;
-        while self.now_ms < deadline {
-            self.step(1);
-            if !self.core.synced() || !self.net.is_empty() {
-                continue;
-            }
-            let caught_up = (0..self.shards)
-                .all(|shard| self.core.cursor(shard) == self.repl.ship().next_seq(shard));
-            if caught_up {
-                return true;
-            }
-        }
-        false
+        self.step(1);
+        self.run_until(max_ms, |sim| {
+            let Some(f) = (0..2).find(|&n| sim.nodes[n].state.synced()) else {
+                return false;
+            };
+            let (leader, follower) = (&sim.nodes[1 - f], &sim.nodes[f].state);
+            sim.net.is_empty()
+                && leader.state.role() == Role::Leader
+                && (0..sim.shards).all(|s| follower.cursor(s) == leader.ship.next_seq(s))
+        })
     }
 
-    /// Step until the follower's lease lapses (true) or `max_ms` passes.
-    pub fn run_until_lease_lapse(&mut self, max_ms: u64) -> bool {
-        let deadline = self.now_ms + max_ms;
-        while self.now_ms < deadline {
-            if self.core.lease_lapsed(self.now_ms) {
-                return true;
-            }
-            self.step(1);
-        }
-        self.core.lease_lapsed(self.now_ms)
-    }
-
-    /// Promote the follower (caller must have driven the lease to lapse):
-    /// claims `epoch+1`, replays the journals through real recovery into
-    /// fresh `Service` shards, and returns the new leader node. Panics if
-    /// the lease has not lapsed — promoting under a live lease would be
-    /// an election-safety bug in the *test*.
-    pub fn promote_follower(&mut self) -> PromotedNode {
-        assert!(
-            self.core.lease_lapsed(self.now_ms),
-            "promotion attempted under a live lease"
-        );
-        let epoch = self.core.claim_epoch();
-        let metrics = Arc::new(Metrics::with_shards(self.shards));
-        let ship = Arc::new(ShipLog::new_scoped(self.shards, self.ship_scope.clone()));
-        let slices = shard_machines(self.cfg.machines, self.shards);
-        let now = self.inst();
-        let mut global_next = 0u64;
-        let recoveries: Vec<Recovery> = self
-            .journals
-            .iter()
-            .enumerate()
-            .map(|(shard, journal)| {
-                let recovery = journal.replay(shard);
-                global_next = global_next.max(recovery.next_task_id);
-                recovery
-            })
-            .collect();
-        let services: Vec<Service> = recoveries
-            .into_iter()
-            .enumerate()
-            .map(|(shard, recovery)| {
-                let mut shard_cfg = self.cfg.clone();
-                let (base, count) = slices[shard];
-                shard_cfg.machines = count;
-                let mut svc = Service::new_shard(
-                    testbed(),
-                    shard_cfg,
-                    Arc::clone(&metrics),
-                    shard,
-                    self.shards,
-                    base,
-                );
-                svc.attach_shipper(Arc::clone(&ship));
-                svc.adopt_recovered(&recovery.tasks, now);
-                svc.align_next_task_id(global_next);
-                svc
-            })
-            .collect();
-        PromotedNode {
-            epoch,
-            services,
-            ship,
-            metrics,
-            base: self.base,
-            now_ms: self.now_ms,
-        }
-    }
-
-    /// Install a promoted node as this cluster's leader side and reset
-    /// the follower side to a blank rejoiner — the sim twin of the live
-    /// rejoin supervisor: the fenced ex-leader wipes its shard files,
-    /// demotes, and resyncs from the new leader through snapshot install.
-    pub fn swap_in_promoted(&mut self, node: PromotedNode) {
-        let PromotedNode {
-            epoch,
-            mut services,
-            ship,
-            metrics,
-            ..
-        } = node;
-        // Seed the new leader's ship exactly as the real promotion does:
-        // each shard publishes a covering snapshot, so the trim pushes the
-        // ship base past 0 and a cursor-0 rejoiner starts with a snapshot
-        // install instead of assuming it saw the pre-promotion frames.
-        for svc in &mut services {
-            svc.write_snapshot();
-        }
-        self.services = services;
-        self.repl = ReplState::new(
-            Role::Leader,
-            epoch,
-            None,
-            ship,
-            metrics,
-            None,
-            self.rng.next_u64() | 1,
-        );
-        self.guard = LeaderGuard::new(self.ttl_ms);
-        self.leader_alive = true;
-        self.partitioned = false;
-        self.net.clear();
-        self.core = FollowerCore::new(self.shards, epoch, self.ttl_ms, self.now_ms);
-        self.journals = (0..self.shards).map(|_| Journal::default()).collect();
-        self.next_poll_ms = self.now_ms;
-    }
-
-    /// Bit rot lands on one follower journal: the snapshot blob is lost
-    /// and a suffix of the frames is destroyed — the sim twin of a mid-log
-    /// CRC failure on disk.
-    pub fn corrupt_journal(&mut self, shard: usize) {
-        let journal = &mut self.journals[shard];
+    /// Bit rot lands on one journal: the snapshot blob is lost and a
+    /// suffix of the frames is destroyed — the sim twin of a mid-log CRC
+    /// failure on disk.
+    pub fn corrupt_journal(&mut self, node: usize, shard: usize) {
+        let journal = &mut self.nodes[node].journals[shard];
         journal.snapshot = None;
         let keep = journal.frames.len() / 2;
         journal.frames.truncate(keep);
     }
 
     /// What the follower's scrub pass does on detection: quarantine the
-    /// journal (drop it wholesale) and reset the pull cursor to 0 so the
+    /// journal (drop it wholesale) and send the pull cursor home so the
     /// next pulls re-install the shard from the leader.
-    pub fn scrub_repair(&mut self, shard: usize) {
-        self.journals[shard] = Journal::default();
-        self.core.reset_cursor(shard);
+    pub fn scrub_repair(&mut self, node: usize, shard: usize) {
+        self.nodes[node].journals[shard] = Journal::default();
+        self.drive(node, RoleEvent::CursorLost { shard });
     }
 
-    /// Deliver a promoted peer's `repl_lease` claim to the (old) leader,
-    /// as its post-promotion fence message would; returns the old
-    /// leader's role afterwards.
-    pub fn deliver_lease_to_leader(&mut self, epoch: u64, leader_addr: &str) -> Role {
-        if self.leader_alive && epoch >= self.repl.epoch() {
-            self.repl.fence(epoch, Some(leader_addr.to_string()));
+    /// Summed `(admitted, completed, dead_lettered, outstanding)` over a
+    /// node's shards.
+    pub fn counts(&self, node: usize) -> (u64, u64, u64, u64) {
+        let mut sums = (0u64, 0u64, 0u64, 0u64);
+        for snap in self.nodes[node].services.iter().map(Service::status) {
+            sums.0 += snap.admitted;
+            sums.1 += snap.completed;
+            sums.2 += snap.dead_lettered;
+            sums.3 += (snap.queued + snap.delayed + snap.running) as u64;
         }
-        self.repl.role()
+        sums
     }
 
-    /// Revive a killed leader process *without* resetting its state —
-    /// the stale-leader-reconnect scenario.
-    pub fn revive_leader(&mut self) {
-        self.leader_alive = true;
+    /// Every shard of a node satisfies the conservation invariant.
+    pub fn conserved(&self, node: usize) -> bool {
+        let services = &self.nodes[node].services;
+        services.iter().all(|svc| svc.status().conserved())
     }
-
-    /// Summed `(admitted, completed, dead_lettered, outstanding)` over
-    /// the leader shards.
-    pub fn leader_counts(&self) -> (u64, u64, u64, u64) {
-        sum_counts(self.services.iter().map(Service::status))
-    }
-
-    /// Every leader shard satisfies the conservation invariant.
-    pub fn leader_conserved(&self) -> bool {
-        self.services.iter().all(|svc| svc.status().conserved())
-    }
-}
-
-/// The follower after promotion: real `Service` shards rebuilt from the
-/// shipped WAL stream.
-pub struct PromotedNode {
-    /// The epoch this node claimed (strictly greater than any epoch the
-    /// old leader served at).
-    pub epoch: u64,
-    services: Vec<Service>,
-    ship: Arc<ShipLog>,
-    metrics: Arc<Metrics>,
-    base: Instant,
-    now_ms: u64,
-}
-
-impl PromotedNode {
-    /// Summed `(admitted, completed, dead_lettered, outstanding)`.
-    pub fn counts(&self) -> (u64, u64, u64, u64) {
-        sum_counts(self.services.iter().map(Service::status))
-    }
-
-    /// The conservation invariant on every shard.
-    pub fn conserved(&self) -> bool {
-        self.services.iter().all(|svc| svc.status().conserved())
-    }
-
-    /// Drive the new leader after failover: submit one task.
-    pub fn submit(&mut self, app_seed: u64) -> Option<u64> {
-        let apps = self.services[0].app_list().len();
-        let name = self.services[0].app_list()[app_seed as usize % apps].clone();
-        let app_id = self.services[0].app_id(&name)?;
-        let shards = self.services.len();
-        let shard = route_app(app_id, shards);
-        let now = self.base + Duration::from_millis(self.now_ms);
-        self.services[shard].submit(&name, now).ok().map(|a| a.task)
-    }
-
-    /// Report one task complete on the new leader.
-    pub fn complete(&mut self, task: u64) -> bool {
-        let now = self.base + Duration::from_millis(self.now_ms);
-        self.services
-            .iter_mut()
-            .any(|svc| svc.complete(task, 1.0, 50.0, now).is_ok())
-    }
-}
-
-fn sum_counts(parts: impl Iterator<Item = StatusSnapshot>) -> (u64, u64, u64, u64) {
-    let mut sums = (0u64, 0u64, 0u64, 0u64);
-    for snap in parts {
-        sums.0 += snap.admitted;
-        sums.1 += snap.completed;
-        sums.2 += snap.dead_lettered;
-        sums.3 += (snap.queued + snap.delayed + snap.running) as u64;
-    }
-    sums
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn promoted(sim: &SimCluster) -> bool {
+        sim.state(1).role() == Role::Leader
+    }
 
     /// Submit/complete a workload while the link drops, delays, and
     /// duplicates; after healing and catching up, the promoted follower
@@ -666,60 +634,56 @@ mod tests {
             let mut sim = SimCluster::new(seed, 2, 400, 10, knobs);
             let mut tasks = Vec::new();
             for round in 0..30 {
-                if let Some(task) = sim.submit_any() {
+                if let Some(task) = sim.submit(0) {
                     tasks.push(task);
                 }
                 if round % 3 == 0 {
                     if let Some(&task) = tasks.get(round / 3) {
-                        sim.complete(task);
+                        sim.complete(0, task);
                     }
                 }
                 sim.step(7);
             }
             // Heal the link and drain.
-            sim.knobs.drop_permille = 0;
-            sim.knobs.dup_permille = 0;
+            sim.set_knobs(SimKnobs::default());
             assert!(sim.run_until_synced(5_000), "seed {seed}: never caught up");
-            let leader = sim.leader_counts();
-            sim.kill_leader();
-            assert!(sim.run_until_lease_lapse(5_000));
-            let promoted = sim.promote_follower();
-            assert!(promoted.epoch > sim.leader_epoch(), "election safety");
+            let leader = sim.counts(0);
+            sim.kill(0);
+            assert!(sim.run_until(5_000, promoted));
+            assert!(sim.state(1).epoch > sim.state(0).epoch, "election safety");
             assert_eq!(
-                promoted.counts(),
+                sim.counts(1),
                 leader,
                 "seed {seed}: promoted ledger diverged"
             );
-            assert!(promoted.conserved());
+            assert!(sim.conserved(1));
         }
     }
 
     /// A partition during promotion: the follower promotes blind, the
-    /// stale leader keeps serving its side, and on heal the lease claim
-    /// fences it — with the promoted epoch strictly higher.
+    /// stale leader keeps its side, and on heal the lease claim fences
+    /// it — with the promoted epoch strictly higher.
     #[test]
     fn partition_during_promotion_fences_the_stale_leader() {
         let mut sim = SimCluster::new(7, 1, 200, 10, SimKnobs::default());
         for _ in 0..5 {
-            sim.submit_any();
+            sim.submit(0);
             sim.step(5);
         }
         assert!(sim.run_until_synced(3_000));
         sim.set_partitioned(true);
         // The stale leader keeps admitting during the partition.
-        sim.submit_any();
-        assert!(sim.run_until_lease_lapse(3_000));
-        let promoted = sim.promote_follower();
-        assert!(promoted.epoch > sim.leader_epoch());
-        assert_eq!(sim.leader_role(), Role::Leader, "still split-brained");
+        sim.submit(0);
+        assert!(sim.run_until(3_000, promoted));
+        assert!(sim.state(1).epoch > sim.state(0).epoch);
+        assert_eq!(sim.state(0).role(), Role::Leader, "still split-brained");
         // Heal: the promotion's lease claim lands.
         sim.set_partitioned(false);
-        let role = sim.deliver_lease_to_leader(promoted.epoch, "10.0.0.2:7400");
-        assert_eq!(role, Role::Fenced);
-        assert_eq!(sim.leader_epoch(), promoted.epoch);
+        assert!(sim.run_until(100, |sim| sim.state(0).role() == Role::Fenced));
+        assert_eq!(sim.state(0).epoch, sim.state(1).epoch);
         // A fenced node refuses mutations.
-        assert!(sim.submit_any().is_none());
-        assert!(promoted.conserved());
+        assert!(sim.submit(0).is_none());
+        assert!(sim.conserved(1));
     }
 
     /// A partitioned leader must stop acking writes no later than its
@@ -731,31 +695,43 @@ mod tests {
     fn partitioned_leader_suspends_writes_before_the_follower_promotes() {
         let mut sim = SimCluster::new(42, 1, 200, 10, SimKnobs::default());
         for _ in 0..5 {
-            sim.submit_any();
+            sim.submit(0);
             sim.step(5);
         }
         assert!(sim.run_until_synced(3_000));
         sim.set_partitioned(true);
         // Inside the TTL the leader still serves writes: this is the
         // bounded lost-acked-write window.
-        assert!(sim.submit_any().is_some());
-        assert!(sim.run_until_lease_lapse(3_000));
-        // By the time the follower MAY promote, the leader has already
+        assert!(sim.submit(0).is_some());
+        assert!(sim.run_until(3_000, promoted));
+        // By the time the follower promotes, the leader has already
         // gone read-only — without any message reaching it.
-        assert!(sim.leader_writes_suspended());
-        assert!(sim.submit_any().is_none());
-        assert!(!sim.complete(0));
+        assert!(!sim.state(0).admits());
+        assert!(sim.submit(0).is_none());
+        assert!(!sim.complete(0, 0));
         assert_eq!(
-            sim.leader_role(),
+            sim.state(0).role(),
             Role::Leader,
             "suspension must not change the role"
         );
-        // Heal before anyone promotes: the follower's same-epoch pulls
-        // prove it never claimed leadership, so writes resume.
+
+        // The same partition against a leader configured with a tighter
+        // TTL than its follower, so it can heal between the suspension
+        // and the promotion: the follower's same-epoch pulls prove it
+        // never claimed leadership, so writes resume.
+        let mut sim = SimCluster::new(42, 1, 200, 10, SimKnobs::default());
+        if let role::Mode::Leader { ttl_ms, .. } = &mut sim.nodes[0].state.mode {
+            *ttl_ms = 100;
+        }
+        assert!(sim.run_until_synced(3_000));
+        sim.set_partitioned(true);
+        assert!(sim.run_until(3_000, |sim| !sim.state(0).admits()));
+        assert!(sim.submit(0).is_none());
         sim.set_partitioned(false);
         sim.step(50);
-        assert!(!sim.leader_writes_suspended());
-        assert!(sim.submit_any().is_some());
+        assert!(sim.state(0).admits());
+        assert_eq!(sim.state(1).role(), Role::Follower);
+        assert!(sim.submit(0).is_some());
     }
 
     /// Heavy duplication alone must not corrupt the follower: the merge
@@ -771,22 +747,21 @@ mod tests {
         let mut sim = SimCluster::new(0xD0_D0, 1, 300, 10, knobs);
         let mut tasks = Vec::new();
         for _ in 0..12 {
-            if let Some(t) = sim.submit_any() {
+            if let Some(t) = sim.submit(0) {
                 tasks.push(t);
             }
             sim.step(6);
         }
         for &t in tasks.iter().take(6) {
-            sim.complete(t);
+            sim.complete(0, t);
             sim.step(6);
         }
         assert!(sim.run_until_synced(5_000));
-        let leader = sim.leader_counts();
-        sim.kill_leader();
-        assert!(sim.run_until_lease_lapse(3_000));
-        let promoted = sim.promote_follower();
-        assert_eq!(promoted.counts(), leader);
-        assert!(promoted.conserved());
+        let leader = sim.counts(0);
+        sim.kill(0);
+        assert!(sim.run_until(3_000, promoted));
+        assert_eq!(sim.counts(1), leader);
+        assert!(sim.conserved(1));
     }
 
     /// A follower cut off across a compaction horizon must resync via
@@ -800,34 +775,33 @@ mod tests {
         // leader compacts at least once (>= 8 records).
         let mut tasks = Vec::new();
         for _ in 0..10 {
-            if let Some(t) = sim.submit_any() {
+            if let Some(t) = sim.submit(0) {
                 tasks.push(t);
             }
             sim.step(2);
         }
         for &t in tasks.iter().take(4) {
-            sim.complete(t);
+            sim.complete(0, t);
             sim.step(2);
         }
         sim.set_partitioned(false);
         assert!(sim.run_until_synced(5_000));
         assert!(
-            sim.follower_has_snapshot(),
+            sim.has_snapshot(1),
             "catch-up must have gone through snapshot install"
         );
-        let leader = sim.leader_counts();
-        sim.kill_leader();
-        assert!(sim.run_until_lease_lapse(3_000));
-        let promoted = sim.promote_follower();
-        assert_eq!(promoted.counts(), leader);
-        assert!(promoted.conserved());
+        let leader = sim.counts(0);
+        sim.kill(0);
+        assert!(sim.run_until(3_000, promoted));
+        assert_eq!(sim.counts(1), leader);
+        assert!(sim.conserved(1));
     }
 
-    /// The self-healing rejoin: a fenced ex-leader demotes into the
-    /// single follower slot, wipes, and resyncs from the promoted leader
-    /// through a snapshot install — all within 2 lease TTLs of the link
-    /// healing. The rejoined pair must then survive a second failover
-    /// with the full ledger intact.
+    /// The self-healing rejoin: a fenced ex-leader probes its way back
+    /// into the single follower slot, wipes, and resyncs from the
+    /// promoted leader through a snapshot install — all within 2 lease
+    /// TTLs of the link healing. The rejoined pair must then survive a
+    /// second failover with the full ledger intact.
     #[test]
     fn fenced_ex_leader_rejoins_and_resyncs_within_two_ttls() {
         for seed in [3u64, 0xA11CE] {
@@ -836,46 +810,45 @@ mod tests {
             sim.set_snapshot_every(4);
             let mut tasks = Vec::new();
             for _ in 0..12 {
-                if let Some(t) = sim.submit_any() {
+                if let Some(t) = sim.submit(0) {
                     tasks.push(t);
                 }
                 sim.step(5);
             }
             for &t in tasks.iter().take(5) {
-                sim.complete(t);
+                sim.complete(0, t);
                 sim.step(5);
             }
             assert!(sim.run_until_synced(5_000), "seed {seed}: never synced");
             sim.set_partitioned(true);
-            assert!(sim.run_until_lease_lapse(3_000));
-            let promoted = sim.promote_follower();
-            let expect = promoted.counts();
-            // Heal: the promotion's lease claim fences the old leader...
+            assert!(sim.run_until(3_000, promoted));
+            let expect = sim.counts(1);
+            // Heal: the promotion's lease claim fences the old leader,
+            // which self-heals: probe, wipe, demote, rejoin as the
+            // follower.
             sim.set_partitioned(false);
-            let role = sim.deliver_lease_to_leader(promoted.epoch, "10.0.0.2:7400");
-            assert_eq!(role, Role::Fenced);
-            // ...which self-heals: wipe, demote, rejoin as the follower.
-            sim.swap_in_promoted(promoted);
+            let healed = sim.now_ms();
+            assert!(sim.run_until(2 * ttl, |sim| sim.state(0).role() == Role::Fenced));
             assert!(
-                sim.run_until_synced(2 * ttl),
+                sim.run_until_synced(healed + 2 * ttl - sim.now_ms()),
                 "seed {seed}: rejoin overran 2 TTLs"
             );
+            assert_eq!(sim.state(0).role(), Role::Follower);
             assert!(
-                sim.follower_has_snapshot(),
+                sim.has_snapshot(0),
                 "rejoin must go through snapshot install"
             );
-            assert_eq!(sim.leader_counts(), expect);
+            assert_eq!(sim.counts(1), expect);
             // The healed pair can fail over again without losing anything.
-            sim.kill_leader();
-            assert!(sim.run_until_lease_lapse(3_000));
-            let second = sim.promote_follower();
-            assert!(second.epoch > sim.leader_epoch());
+            sim.kill(1);
+            assert!(sim.run_until(3_000, |sim| sim.state(0).role() == Role::Leader));
+            assert!(sim.state(0).epoch > sim.state(1).epoch);
             assert_eq!(
-                second.counts(),
+                sim.counts(0),
                 expect,
                 "seed {seed}: second failover lost data"
             );
-            assert!(second.conserved());
+            assert!(sim.conserved(0));
         }
     }
 
@@ -895,25 +868,25 @@ mod tests {
             sim.set_snapshot_every(4);
             let mut tasks = Vec::new();
             for _ in 0..14 {
-                if let Some(t) = sim.submit_any() {
+                if let Some(t) = sim.submit(0) {
                     tasks.push(t);
                 }
                 sim.step(6);
             }
             for &t in tasks.iter().take(6) {
-                sim.complete(t);
+                sim.complete(0, t);
                 sim.step(6);
             }
             // Rot lands on shard 0. The momentary partition stands in for
             // the real follower's single-threadedness: no chunk pulled
             // before the scrub is applied after it.
             sim.set_partitioned(true);
-            sim.corrupt_journal(0);
-            sim.scrub_repair(0);
+            sim.corrupt_journal(1, 0);
+            sim.scrub_repair(1, 0);
             sim.set_partitioned(false);
             // More traffic while the repair races the lossy link.
             for _ in 0..6 {
-                if let Some(t) = sim.submit_any() {
+                if let Some(t) = sim.submit(0) {
                     tasks.push(t);
                 }
                 sim.step(6);
@@ -924,19 +897,18 @@ mod tests {
                 "seed {seed}: repair never converged"
             );
             assert!(
-                sim.follower_has_snapshot(),
+                sim.has_snapshot(1),
                 "repair must re-install from the leader's snapshot"
             );
-            let leader = sim.leader_counts();
-            sim.kill_leader();
-            assert!(sim.run_until_lease_lapse(3_000));
-            let promoted = sim.promote_follower();
+            let leader = sim.counts(0);
+            sim.kill(0);
+            assert!(sim.run_until(3_000, promoted));
             assert_eq!(
-                promoted.counts(),
+                sim.counts(1),
                 leader,
                 "seed {seed}: repaired ledger diverged"
             );
-            assert!(promoted.conserved());
+            assert!(sim.conserved(1));
         }
     }
 
@@ -955,39 +927,37 @@ mod tests {
         crate::failpoint::arm(&spec).expect("spec parses");
         let mut tasks = Vec::new();
         for _ in 0..16 {
-            if let Some(t) = sim.submit_any() {
+            if let Some(t) = sim.submit(0) {
                 tasks.push(t);
             }
             sim.step(6);
         }
         for &t in tasks.iter().take(6) {
-            sim.complete(t);
+            sim.complete(0, t);
             sim.step(6);
         }
         crate::failpoint::disarm_all();
         // Enough post-disarm records to force a covering trim: a trim's
         // snapshot covers ALL prior state, including the dropped pushes.
         for _ in 0..6 {
-            sim.submit_any();
+            sim.submit(0);
             sim.step(6);
         }
         assert!(sim.run_until_synced(5_000));
-        let leader = sim.leader_counts();
-        sim.kill_leader();
-        assert!(sim.run_until_lease_lapse(3_000));
-        let promoted = sim.promote_follower();
+        let leader = sim.counts(0);
+        sim.kill(0);
+        assert!(sim.run_until(3_000, promoted));
         assert!(
-            promoted.epoch > sim.leader_epoch(),
+            sim.state(1).epoch > sim.state(0).epoch,
             "election safety under fault injection"
         );
-        sim.revive_leader();
-        let role = sim.deliver_lease_to_leader(promoted.epoch, "10.0.0.2:7400");
-        assert_eq!(role, Role::Fenced);
+        sim.revive(0);
+        assert!(sim.run_until(100, |sim| sim.state(0).role() == Role::Fenced));
         assert!(
-            sim.submit_any().is_none(),
+            sim.submit(0).is_none(),
             "fenced ex-leader must refuse writes"
         );
-        assert_eq!(promoted.counts(), leader);
-        assert!(promoted.conserved());
+        assert_eq!(sim.counts(1), leader);
+        assert!(sim.conserved(1));
     }
 }

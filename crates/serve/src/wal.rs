@@ -5,11 +5,11 @@
 //! complete) is appended as one length-prefixed, CRC32-checksummed frame
 //! *before* the daemon replies to the client, and the file is synced per
 //! append — a `kill -9` can lose at most a record the client was never
-//! told about. On restart, [`Wal::open`] replays `snapshot.json` plus the
-//! log tail and hands the service a [`Recovery`] from which it rebuilds
-//! its admission queue and in-flight set; a torn tail (partial frame,
-//! bad checksum) ends the replay and is truncated away rather than
-//! aborting recovery.
+//! told about. On restart, [`Wal::open_shard`] replays the shard's
+//! `snapshot.N.json` plus its `wal.N` tail and hands the service a
+//! [`Recovery`] from which it rebuilds its admission queue and in-flight
+//! set; a torn tail (partial frame, bad checksum) ends the replay and is
+//! truncated away rather than aborting recovery.
 //!
 //! Frame layout (little-endian):
 //!
@@ -48,9 +48,6 @@ use std::path::{Path, PathBuf};
 
 /// Upper bound on one record's payload; anything larger is corruption.
 const MAX_RECORD_BYTES: u32 = 1 << 20;
-/// Pre-sharding file names, adopted as shard 0 on first open.
-const LEGACY_SNAPSHOT_FILE: &str = "snapshot.json";
-const LEGACY_LOG_FILE: &str = "wal.log";
 
 /// Log file name for one shard (`wal.3`).
 pub fn shard_log_name(shard: usize) -> String {
@@ -63,8 +60,8 @@ pub fn shard_snapshot_name(shard: usize) -> String {
 }
 
 /// How many shards left durable state in `dir`: one past the highest
-/// shard index with a log or snapshot file (legacy `wal.log` counts as
-/// shard 0). Returns 0 for an empty or absent directory.
+/// shard index with a log or snapshot file. Returns 0 for an empty or
+/// absent directory.
 pub fn existing_shard_count(dir: &Path) -> usize {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
@@ -74,9 +71,7 @@ pub fn existing_shard_count(dir: &Path) -> usize {
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let idx = if name == LEGACY_LOG_FILE || name == LEGACY_SNAPSHOT_FILE {
-            Some(0)
-        } else if let Some(n) = name.strip_prefix("wal.") {
+        let idx = if let Some(n) = name.strip_prefix("wal.") {
             n.parse::<usize>().ok()
         } else if let Some(n) = name
             .strip_prefix("snapshot.")
@@ -462,22 +457,6 @@ pub fn apply(recovery: &mut Recovery, rec: WalRecord, shard: usize) {
     }
 }
 
-/// Renames a pre-sharding `wal.log`/`snapshot.json` pair to the shard-0
-/// names, so directories written by earlier daemons recover cleanly.
-fn adopt_legacy_layout(dir: &Path) -> io::Result<()> {
-    for (old, new) in [
-        (LEGACY_LOG_FILE.to_string(), shard_log_name(0)),
-        (LEGACY_SNAPSHOT_FILE.to_string(), shard_snapshot_name(0)),
-    ] {
-        let old_path = dir.join(&old);
-        let new_path = dir.join(&new);
-        if old_path.exists() && !new_path.exists() {
-            std::fs::rename(&old_path, &new_path)?;
-        }
-    }
-    Ok(())
-}
-
 impl Wal {
     /// Opens (creating if needed) shard 0's log in `dir`. See
     /// [`Wal::open_shard`].
@@ -495,9 +474,6 @@ impl Wal {
         snapshot_every: u64,
     ) -> io::Result<(Wal, Recovery)> {
         std::fs::create_dir_all(dir)?;
-        if shard == 0 {
-            adopt_legacy_layout(dir)?;
-        }
         let mut recovery = Recovery::default();
         read_snapshot(dir, shard, &mut recovery)?;
 
@@ -1090,29 +1066,6 @@ mod tests {
         let (_, rec) = Wal::open(&dir, 1000).unwrap();
         assert_eq!(rec.replayed_records, 5);
         assert_eq!(rec.tasks.len(), 5);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_single_file_layout_is_adopted_as_shard_zero() {
-        let dir = tmpdir("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Write a record under the new layout, then rename to the legacy
-        // names as a pre-sharding daemon would have left them.
-        {
-            let (mut wal, _) = Wal::open(&dir, 1000).unwrap();
-            wal.append(&WalRecord::Submit {
-                task: 3,
-                app: "grep".into(),
-            })
-            .unwrap();
-        }
-        std::fs::rename(dir.join(shard_log_name(0)), dir.join(LEGACY_LOG_FILE)).unwrap();
-        assert_eq!(existing_shard_count(&dir), 1);
-        let (_, rec) = Wal::open(&dir, 1000).unwrap();
-        assert_eq!(rec.tasks.len(), 1, "legacy wal.log must be replayed");
-        assert!(dir.join(shard_log_name(0)).exists());
-        assert!(!dir.join(LEGACY_LOG_FILE).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -402,67 +402,57 @@ fn conservation_survives_replicated_failover() {
             let x = x as usize;
             match op {
                 0 => {
-                    if let Some(task) = sim.submit_any() {
+                    if let Some(task) = sim.submit(0) {
                         tasks.push(task);
                     }
                 }
                 1 => {
                     if !tasks.is_empty() {
                         let task = tasks[x % tasks.len()];
-                        sim.complete(task);
+                        sim.complete(0, task);
                     }
                 }
                 _ => sim.step((x % 40 + 1) as u64),
             }
-            assert!(sim.leader_conserved(), "leader broke conservation mid-run");
+            assert!(sim.conserved(0), "leader broke conservation mid-run");
         }
         // Heal the link and let the follower catch up — a failover can
         // only preserve what the leader actually shipped.
         sim.set_knobs(SimKnobs::default());
         assert!(sim.run_until_synced(20_000), "follower never caught up");
-        let shipped = sim.leader_counts();
-        let old_epoch = sim.leader_epoch();
+        let shipped = sim.counts(0);
+        let old_epoch = sim.state(0).epoch;
 
-        sim.kill_leader();
-        assert!(sim.run_until_lease_lapse(5_000), "lease never lapsed");
-        let mut promoted = sim.promote_follower();
+        sim.kill(0);
+        let promoted = |sim: &SimCluster| sim.state(1).role() == Role::Leader;
+        assert!(sim.run_until(5_000, promoted), "lease never lapsed");
         assert!(
-            promoted.epoch > old_epoch,
+            sim.state(1).epoch > old_epoch,
             "promotion must outrank the old leader"
         );
-        assert!(promoted.conserved(), "promoted node broke conservation");
-        assert_eq!(
-            promoted.counts(),
-            shipped,
-            "failover lost or invented tasks"
-        );
+        assert!(sim.conserved(1), "promoted node broke conservation");
+        assert_eq!(sim.counts(1), shipped, "failover lost or invented tasks");
 
         if stale_reconnect {
             // The dead leader comes back with its old state and receives
             // the promoted node's lease claim: it must fence, and refuse
             // mutations from then on.
-            sim.revive_leader();
-            let role = sim.deliver_lease_to_leader(promoted.epoch, "promoted:1");
-            assert_eq!(role, Role::Fenced, "stale leader not fenced");
-            assert!(
-                sim.submit_any().is_none(),
-                "fenced leader accepted a submit"
-            );
+            sim.revive(0);
+            let fenced = |sim: &SimCluster| sim.state(0).role() == Role::Fenced;
+            assert!(sim.run_until(200, fenced), "stale leader not fenced");
+            assert!(sim.submit(0).is_none(), "fenced leader accepted a submit");
         }
 
         // The new leader keeps the invariant under fresh traffic.
         let mut fresh: Vec<u64> = Vec::new();
-        for i in 0..6u64 {
-            if let Some(task) = promoted.submit(seed.wrapping_add(i)) {
+        for _ in 0..6 {
+            if let Some(task) = sim.submit(1) {
                 fresh.push(task);
             }
         }
         for task in fresh.iter().step_by(2) {
-            promoted.complete(*task);
+            sim.complete(1, *task);
         }
-        assert!(
-            promoted.conserved(),
-            "post-failover traffic broke conservation"
-        );
+        assert!(sim.conserved(1), "post-failover traffic broke conservation");
     });
 }
