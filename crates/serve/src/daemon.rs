@@ -32,9 +32,10 @@ use crate::repl::{
     follower::{probe_peer, run_follower, sleep_or_shutdown, FollowerConfig, Node},
     read_sidecar, ReplState, Role, RoleEvent, RoleState, ShipLog,
 };
-use crate::shard::{recover_dir, route_app, shard_machines};
-use crate::state::{Refusal, ServeConfig, Service, TaskPhase};
-use crate::wal::{remove_shard_files, RecoveredTask};
+use crate::shard::{recover_dir, restore_shards, route_app, shard_machines};
+use crate::state::{Refusal, ServeConfig, Service};
+use crate::table::RecState;
+use crate::wal::{existing_shard_count, remove_shard_files};
 
 /// Network-layer knobs, separate from the scheduling policy in
 /// [`ServeConfig`].
@@ -215,9 +216,7 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
             // resurrect a divergent tail) and resync from cursor zero —
             // the snapshot-install path covers any gap. The epoch
             // sidecar survives the wipe on purpose.
-            let (stale_wals, stale) = recover_dir(&dir, shards, cfg.wal_snapshot_every, &route)?;
-            drop(stale_wals);
-            for shard in 0..stale.old_shards.max(shards) {
+            for shard in 0..existing_shard_count(&dir).max(shards) {
                 remove_shard_files(&dir, shard)?;
             }
             recover_dir(&dir, shards, cfg.wal_snapshot_every, &route)?.0
@@ -226,24 +225,11 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
             metrics
                 .wal_replayed_records
                 .store(recovery.replayed_records, Ordering::Relaxed);
-            let now = Instant::now();
-            for (shard, wal) in wals.into_iter().enumerate() {
-                let homed: Vec<_> = recovery
-                    .tasks
-                    .iter()
-                    .filter(|t| t.home == shard)
-                    .map(|t| t.rec.clone())
-                    .collect();
-                services[shard].attach_wal(wal);
-                services[shard].adopt_recovered(&homed, now);
-                services[shard].align_next_task_id(recovery.next_task_id);
-                // Also seeds the ship log: the boot snapshot becomes
-                // what a fresh follower at cursor zero installs.
-                services[shard].write_snapshot();
-            }
+            let old_shards = recovery.old_shards;
+            restore_shards(&mut services, wals, recovery, Instant::now());
             // Only now that every survivor is snapshotted under the new
             // layout can files from a larger previous shard count go.
-            for stale in shards..recovery.old_shards {
+            for stale in shards..old_shards {
                 remove_shard_files(&dir, stale)?;
             }
             Vec::new()
@@ -651,11 +637,7 @@ fn run_batch(
                     // What the batch logged so far belongs to the old
                     // log (or the ship alone), so it commits first.
                     outbox.commit(svc);
-                    svc.attach_wal(wal);
-                    let recs: Vec<RecoveredTask> = tasks.into_iter().map(|t| t.rec).collect();
-                    svc.adopt_recovered(&recs, now);
-                    svc.align_next_task_id(next_task_id);
-                    svc.write_snapshot();
+                    svc.restore(wal, tasks, next_task_id, now);
                 }
                 ShardMsg::Demote { done } => {
                     // The rejoin supervisor is folding this fenced node
@@ -748,45 +730,39 @@ fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant)
             Err(refusal) => refusal_reply(id, refusal, svc),
         },
         Request::TaskInfo { task } => match svc.task_info(task) {
-            Some(record) => {
+            Some((row, volatile)) => {
                 let mut pairs = vec![
                     ("task", n(task as f64)),
-                    ("app", s(svc.app_name(record.app_idx))),
+                    ("app", s(svc.app_name(row.app as usize))),
                 ];
-                if !record.demand.is_empty() {
-                    pairs.push(("demand", crate::proto::demand_value(&record.demand)));
+                if let Some(demand) = volatile.map(|v| &v.demand).filter(|d| !d.is_empty()) {
+                    pairs.push(("demand", crate::proto::demand_value(demand)));
                 }
-                match &record.phase {
-                    TaskPhase::Queued => pairs.push(("state", s("queued"))),
-                    TaskPhase::Running {
-                        vm,
-                        neighbor,
-                        predicted_score,
-                        predicted_runtime,
-                        ..
-                    } => {
+                match (row.state, volatile.and_then(|v| v.placement)) {
+                    (RecState::Leased, Some(placed)) => {
                         pairs.push(("state", s("running")));
-                        pairs.push(("machine", n((vm.machine + base) as f64)));
-                        pairs.push(("slot", n(vm.slot as f64)));
+                        pairs.push(("machine", n((placed.vm.machine + base) as f64)));
+                        pairs.push(("slot", n(placed.vm.slot as f64)));
                         pairs.push((
                             "neighbor",
-                            match neighbor {
-                                Some(idx) => s(svc.app_name(*idx)),
+                            match placed.neighbor {
+                                Some(idx) => s(svc.app_name(idx)),
                                 None => Value::Null,
                             },
                         ));
-                        pairs.push(("predicted_score", n(*predicted_score)));
-                        pairs.push(("predicted_runtime", n(*predicted_runtime)));
-                        pairs.push(("attempt", n(f64::from(record.attempts))));
+                        pairs.push(("predicted_score", n(placed.predicted_score)));
+                        pairs.push(("predicted_runtime", n(placed.predicted_runtime)));
+                        pairs.push(("attempt", n(f64::from(row.attempts))));
                     }
-                    TaskPhase::Completed { runtime } => {
+                    (RecState::Completed, _) => {
                         pairs.push(("state", s("completed")));
-                        pairs.push(("runtime", n(*runtime)));
+                        pairs.push(("runtime", n(row.runtime)));
                     }
-                    TaskPhase::DeadLettered { attempts } => {
+                    (RecState::DeadLettered, _) => {
                         pairs.push(("state", s("dead_lettered")));
-                        pairs.push(("attempts", n(f64::from(*attempts))));
+                        pairs.push(("attempts", n(f64::from(row.attempts))));
                     }
+                    _ => pairs.push(("state", s("queued"))),
                 }
                 Reply::ok(id, obj(pairs))
             }
@@ -921,7 +897,7 @@ mod tests {
     use std::path::{Path, PathBuf};
 
     use crate::state::SchedKind;
-    use crate::wal::{RecState, Wal};
+    use crate::wal::Wal;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("tracond-batch-{tag}-{}", std::process::id()));
@@ -1098,7 +1074,7 @@ mod tests {
         let app = svc.app_list()[0].clone();
         let (wal, _) = Wal::open(&new_dir, 4096).unwrap();
         let promote = ShardMsg::Promote {
-            wal,
+            wal: Some(wal),
             tasks: Vec::new(),
             next_task_id: 100,
         };

@@ -29,6 +29,9 @@
 //!   throughput and latency-percentile reporting, plus a chaos mode that
 //!   attacks the daemon (killed connections, garbage bytes, partial
 //!   frames) while asserting task conservation.
+//! * [`table`] — the durable task table: one id-keyed row per task and
+//!   the only implementation of each durable transition, shared by the
+//!   live service, WAL replay, snapshots and the follower's mirror.
 //! * [`wal`] — the append-only, checksummed write-ahead log and snapshot
 //!   compaction behind crash recovery, plus the background scrub that
 //!   re-verifies sealed regions against bit rot.
@@ -56,6 +59,7 @@ mod reactor;
 pub mod repl;
 pub mod shard;
 pub mod state;
+pub mod table;
 pub mod wal;
 
 pub use client::Client;
@@ -68,6 +72,7 @@ pub use proto::{
 };
 pub use repl::{PullChunk, ReplState, Role, ShipLog};
 pub use shard::{recover_dir, route_app, route_key, shard_machines, stride_shard, MergedRecovery};
-pub use state::{Refusal, SchedKind, ServeConfig, Service, StatusSnapshot, StolenTask, TaskPhase};
+pub use state::{Refusal, SchedKind, ServeConfig, Service, StatusSnapshot};
+pub use table::{RecState, TaskRow, TaskTable};
 pub use tracon_stats::json;
-pub use wal::{RecState, RecoveredTask, Recovery, Wal, WalRecord};
+pub use wal::{Recovery, Wal, WalRecord};

@@ -65,7 +65,8 @@ pub struct Metrics {
     /// Completed background scrub passes over sealed WAL regions.
     pub scrub_runs: AtomicU64,
     /// Corrupt (checksummed-then-rotted) frames or snapshots found by
-    /// the scrubber.
+    /// the scrubber, plus follower chunks that failed to land on disk
+    /// (one each; repaired the same way).
     pub scrub_corrupt_frames: AtomicU64,
     /// Corrupt shards repaired — re-pulled from the peer on a pair, or
     /// truncated at the quarantine point standalone.

@@ -50,8 +50,9 @@ use crate::metrics::Metrics;
 use crate::proto::{self, ErrorKind, Reply, Request};
 use crate::repl::follower::Node;
 use crate::repl::{Effect, PullVerdict, Role, RoleEvent};
-use crate::shard::{route_app, route_name, stride_shard, HomedTask};
-use crate::state::{StatusSnapshot, StolenTask};
+use crate::shard::{route_app, route_name, stride_shard};
+use crate::state::StatusSnapshot;
+use crate::table::TaskRow;
 use crate::wal::Wal;
 
 /// Queue-depth gap between the deepest and shallowest shard before the
@@ -108,7 +109,7 @@ pub(crate) enum ShardMsg {
         /// Donor shard.
         from: usize,
         /// The stolen tasks.
-        tasks: Vec<StolenTask>,
+        tasks: Vec<TaskRow>,
     },
     /// A follower promoted to leader: adopt the recovered state and the
     /// now-writable WAL. Sent exactly once per shard, before the role
@@ -116,9 +117,9 @@ pub(crate) enum ShardMsg {
     /// ungated client request.
     Promote {
         /// The shard's recovered, append-ready WAL.
-        wal: Wal,
-        /// Recovered tasks homed to this shard.
-        tasks: Vec<HomedTask>,
+        wal: Option<Wal>,
+        /// Recovered rows homed to this shard.
+        tasks: Vec<TaskRow>,
         /// Global `next_task_id` high-water mark across all shards.
         next_task_id: u64,
     },
@@ -187,7 +188,7 @@ pub(crate) enum OutMsg {
         /// Recipient shard.
         to: usize,
         /// Tasks moved (already tombstoned in the donor's WAL).
-        tasks: Vec<StolenTask>,
+        tasks: Vec<TaskRow>,
     },
     /// This shard is draining and has no work left (sent at most once).
     Drained {

@@ -24,9 +24,10 @@ use crate::metrics::Metrics;
 use crate::proto::{ErrorKind, Reply, Request};
 use crate::reactor::ShardMsg;
 use crate::repl::role::{self, Effect, RoleEvent};
-use crate::repl::{decode_pull_chunk, lock, write_sidecar, ReplState, Role};
-use crate::shard::{recover_dir, route_app, HomedTask};
-use crate::wal::{self, remove_shard_files, Recovery, Wal};
+use crate::repl::{decode_pull_chunk, lock, write_sidecar, PullChunk, ReplState, Role};
+use crate::shard::{recover_dir, route_app};
+use crate::table::TaskTable;
+use crate::wal::{self, remove_shard_files, Wal};
 
 /// Static replication configuration of one node.
 #[derive(Debug, Clone)]
@@ -147,17 +148,12 @@ impl Node {
         metrics
             .wal_replayed_records
             .fetch_add(recovery.replayed_records, Ordering::Relaxed);
-        for (shard, wal) in wals.into_iter().enumerate() {
-            let tasks: Vec<HomedTask> = recovery
-                .tasks
-                .iter()
-                .filter(|t| t.home == shard)
-                .cloned()
-                .collect();
-            let _ = self.shard_txs[shard].send(ShardMsg::Promote {
+        let restores = recovery.per_shard(wals, shards);
+        for (tx, (wal, tasks, next_task_id)) in self.shard_txs.iter().zip(restores) {
+            let _ = tx.send(ShardMsg::Promote {
                 wal,
                 tasks,
-                next_task_id: recovery.next_task_id,
+                next_task_id,
             });
         }
         metrics.repl_lag_frames.store(0, Ordering::Relaxed);
@@ -227,14 +223,7 @@ const SCRUB_INTERVAL_MS: u64 = 500;
 pub(crate) fn run_follower(node: &Node) {
     let Node { repl, cfg, .. } = node;
     let metrics = repl.metrics();
-    let shards = lock(&node.wals).len();
-    // Per-shard materialized mirror of the shipped stream (snapshot +
-    // frames applied in order): what lets a caught-up follower compact
-    // its own WAL instead of growing it for the life of the pair.
-    let mut mirrors: Vec<Recovery> = (0..shards).map(|_| Recovery::default()).collect();
-    // Shards whose local WAL was quarantined by a scrub and are waiting
-    // for the snapshot re-install that completes the repair.
-    let mut pending_repair: Vec<bool> = vec![false; shards];
+    let mut mirror = Mirror::new(lock(&node.wals).len());
     let mut last_scrub_ms = repl.now_ms();
     let mut client: Option<(String, Client)> = None;
     let connect_timeout = Duration::from_millis(cfg.ttl_ms.clamp(100, 2_000));
@@ -250,7 +239,7 @@ pub(crate) fn run_follower(node: &Node) {
         let now = repl.now_ms();
         if now.saturating_sub(last_scrub_ms) >= SCRUB_INTERVAL_MS {
             last_scrub_ms = now;
-            scrub_pass(node, &mut mirrors, &mut pending_repair);
+            mirror.scrub_pass(node);
         }
 
         let leader = state.leader.unwrap_or_default();
@@ -296,40 +285,10 @@ pub(crate) fn run_follower(node: &Node) {
                     round_lag = None;
                     break;
                 };
-                let header = RoleEvent::Chunk {
-                    shard,
-                    epoch,
-                    boot,
-                    next: chunk.next,
-                };
-                // Anything but `ApplyChunk` (stale epoch, or cursors just
-                // reset because the leader rebooted) drops the body.
-                let effects = node.drive(header).unwrap_or_default();
-                if effects.last() != Some(&Effect::ApplyChunk) {
-                    continue;
+                if mirror.take_chunk(node, wal, shard, epoch, boot, &chunk) {
+                    let behind = chunk.ship_next.saturating_sub(chunk.next);
+                    round_lag = round_lag.map(|lag| lag.max(behind));
                 }
-                let installed = apply_chunk(wal, &mut mirrors[shard], &chunk, shard, metrics);
-                if pending_repair[shard] {
-                    if installed {
-                        // The quarantined shard now holds the leader's
-                        // authoritative snapshot: repair complete.
-                        pending_repair[shard] = false;
-                        metrics.scrub_repaired.fetch_add(1, Ordering::Relaxed);
-                        if !pending_repair.iter().any(|p| *p) {
-                            metrics.wal_degraded.store(0, Ordering::Relaxed);
-                        }
-                        eprintln!(
-                            "tracond event=scrub_repaired shard={shard} \
-                             source=\"peer snapshot install\""
-                        );
-                    } else if chunk.snapshot.is_some() {
-                        // The install itself failed; go back to the
-                        // snapshot path.
-                        let _ = node.drive(RoleEvent::CursorLost { shard });
-                    }
-                }
-                round_lag =
-                    round_lag.map(|lag| lag.max(chunk.ship_next.saturating_sub(chunk.next)));
             }
             match round_lag {
                 Some(lag) => metrics.repl_lag_frames.store(lag, Ordering::Relaxed),
@@ -342,113 +301,169 @@ pub(crate) fn run_follower(node: &Node) {
     }
 }
 
-/// Install the snapshot (if any) and append the frames to one shard WAL,
-/// mirroring the leader-side counters. The materialized `mirror` tracks
-/// the same stream so that, once enough frames accumulate, the follower
-/// compacts its own WAL locally — a healthy pair never crosses the
-/// leader's compaction horizon, so without this the follower's log (and
-/// its promotion replay time) would grow for the life of the pair.
-///
-/// Returns `true` when the chunk carried a snapshot blob and it was
-/// installed successfully (the signal the scrub-repair path waits on).
-fn apply_chunk(
-    wal: &mut Wal,
-    mirror: &mut Recovery,
-    chunk: &crate::repl::PullChunk,
-    shard: usize,
-    metrics: &Metrics,
-) -> bool {
-    let mut installed = false;
-    if let Some(blob) = &chunk.snapshot {
-        let injected = crate::failpoint::armed()
-            && crate::failpoint::should_fail("repl.follower.install", &shard.to_string()).is_some();
-        if !injected && wal.install_snapshot_blob(blob).is_ok() {
-            metrics.wal_snapshots.fetch_add(1, Ordering::Relaxed);
-            installed = true;
-            // The install truncated the log: the mirror restarts from
-            // exactly the installed document.
-            *mirror = Recovery::default();
-            if wal::decode_snapshot(blob, mirror).is_err() {
-                metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        } else {
-            metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    if !chunk.frames.is_empty() {
-        match wal.append_batch(&chunk.frames) {
-            Ok(()) => {
-                for frame in &chunk.frames {
-                    wal::apply(mirror, frame.clone(), shard);
-                }
-                metrics
-                    .wal_records
-                    .fetch_add(chunk.frames.len() as u64, Ordering::Relaxed);
-                metrics.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    if wal.snapshot_due() {
-        let next = mirror
-            .tasks
-            .iter()
-            .map(|t| t.task + 1)
-            .max()
-            .unwrap_or(0)
-            .max(mirror.next_task_id);
-        mirror.next_task_id = next;
-        if wal.snapshot(&mirror.tasks, next).is_ok() {
-            metrics.wal_snapshots.fetch_add(1, Ordering::Relaxed);
-        } else {
-            metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    installed
+/// What the follower thread keeps between pulls, per shard.
+struct Mirror {
+    /// The shipped stream — the leader's task table — rebuilt by the same
+    /// replay a restart would run: what lets a caught-up follower compact
+    /// its own WAL instead of growing it for the life of the pair.
+    tables: Vec<TaskTable>,
+    /// Shards whose local files fell short of the stream (rot a scrub
+    /// quarantined, a write that failed) and are waiting for the
+    /// snapshot re-install that completes the repair.
+    pending_repair: Vec<bool>,
 }
 
-/// One scrub pass over every shard's sealed WAL region. A shard with rot
-/// (mid-file CRC mismatch, implausible frame length, or an unparseable
-/// snapshot) is quarantined on the spot — the log is truncated at the
-/// corrupt offset — and queued for repair: the materialized mirror and
-/// the pull cursor both reset so the next pull re-installs the leader's
-/// authoritative snapshot wholesale. The live `Wal` handle stays valid
-/// across the truncation because its fd is `O_APPEND`: the next append
-/// lands at the new (clean-boundary) end of file.
-fn scrub_pass(node: &Node, mirrors: &mut [Recovery], pending_repair: &mut [bool]) {
-    let (cfg, metrics) = (&node.cfg, node.repl.metrics());
-    metrics.scrub_runs.fetch_add(1, Ordering::Relaxed);
-    for shard in 0..mirrors.len() {
-        let Ok(report) = wal::scrub_shard(&cfg.dir, shard) else {
-            continue;
+impl Mirror {
+    fn new(shards: usize) -> Mirror {
+        Mirror {
+            tables: vec![TaskTable::default(); shards],
+            pending_repair: vec![false; shards],
+        }
+    }
+
+    /// One pull reply for `shard`: its header goes to the role machine,
+    /// and if the machine takes the chunk (anything else — a stale
+    /// epoch, cursors just reset because the leader rebooted — drops the
+    /// body; returns false) the body goes to the WAL and the mirror. The
+    /// machine has moved the cursor to `chunk.next` by then, so a body
+    /// that fails to land starts a repair: what was to be behind the
+    /// cursor is not on disk, and only the leader's snapshot can put the
+    /// shard right again.
+    fn take_chunk(
+        &mut self,
+        node: &Node,
+        wal: &mut Wal,
+        shard: usize,
+        epoch: u64,
+        boot: u64,
+        chunk: &PullChunk,
+    ) -> bool {
+        let next = chunk.next;
+        let header = RoleEvent::Chunk {
+            shard,
+            epoch,
+            boot,
+            next,
         };
-        if report.clean() {
-            continue;
+        let effects = node.drive(header).unwrap_or_default();
+        if effects.last() != Some(&Effect::ApplyChunk) {
+            return false;
         }
-        if let Some(at) = report.corrupt_at {
-            let _ = wal::quarantine_shard(&cfg.dir, shard, at);
+        let metrics = node.repl.metrics();
+        match apply_chunk(wal, &mut self.tables[shard], chunk, shard, metrics) {
+            Err(e) => {
+                metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
+                self.start_repair(node, shard, 1, &format!("lost=\"{e}\""));
+            }
+            Ok(installed) if installed && self.pending_repair[shard] => {
+                // The shard now holds the leader's authoritative
+                // snapshot: repair complete.
+                self.pending_repair[shard] = false;
+                metrics.scrub_repaired.fetch_add(1, Ordering::Relaxed);
+                if !self.pending_repair.iter().any(|p| *p) {
+                    metrics.wal_degraded.store(0, Ordering::Relaxed);
+                }
+                eprintln!(
+                    "tracond event=scrub_repaired shard={shard} source=\"peer snapshot install\""
+                );
+            }
+            Ok(_) => {}
         }
-        mirrors[shard] = Recovery::default();
+        true
+    }
+
+    /// Send one shard back to the leader's snapshot: the mirror and the
+    /// pull cursor both reset, so the next pull re-installs the shard
+    /// wholesale. The first call of an incident counts `corrupt` units of
+    /// damage, raises the degraded gauge and says what was `found`; until
+    /// the install lands, later ones only reset again (a corrupt
+    /// *snapshot* keeps scrubbing dirty until it is overwritten — one
+    /// incident is one increment).
+    fn start_repair(&mut self, node: &Node, shard: usize, corrupt: u64, found: &str) {
+        self.tables[shard] = TaskTable::default();
         let _ = node.drive(RoleEvent::CursorLost { shard });
-        if !pending_repair[shard] {
-            // First detection for this shard: count it and raise the
-            // degraded gauge. A corrupt *snapshot* keeps scrubbing dirty
-            // until the re-install overwrites it — gate the counters on
-            // the repair flag so one incident is one increment.
-            pending_repair[shard] = true;
-            metrics
-                .scrub_corrupt_frames
-                .fetch_add(report.corrupt_count(), Ordering::Relaxed);
+        if !self.pending_repair[shard] {
+            self.pending_repair[shard] = true;
+            let metrics = node.repl.metrics();
+            let counted = &metrics.scrub_corrupt_frames;
+            counted.fetch_add(corrupt, Ordering::Relaxed);
             metrics.wal_degraded.store(1, Ordering::Relaxed);
             eprintln!(
-                "tracond event=scrub_corrupt shard={shard} frames_ok={} quarantined_bytes={} \
-                 snapshot_corrupt={} action=\"re-pull from leader\"",
-                report.frames_ok, report.quarantined_bytes, report.snapshot_corrupt
+                "tracond event=scrub_corrupt shard={shard} {found} action=\"re-pull from leader\""
             );
         }
     }
+
+    /// One scrub pass over every shard's sealed WAL region. A shard with
+    /// rot (mid-file CRC mismatch, implausible frame length, or an
+    /// unparseable snapshot) is quarantined on the spot — the log is
+    /// truncated at the corrupt offset — and repaired from the leader.
+    /// The live `Wal` handle stays valid across the truncation because
+    /// its fd is `O_APPEND`: the next append lands at the new
+    /// (clean-boundary) end of file.
+    fn scrub_pass(&mut self, node: &Node) {
+        let dir = &node.cfg.dir;
+        node.repl
+            .metrics()
+            .scrub_runs
+            .fetch_add(1, Ordering::Relaxed);
+        for shard in 0..self.tables.len() {
+            let Ok(report) = wal::scrub_shard(dir, shard) else {
+                continue;
+            };
+            if report.clean() {
+                continue;
+            }
+            if let Some(at) = report.corrupt_at {
+                let _ = wal::quarantine_shard(dir, shard, at);
+            }
+            let found = format!(
+                "frames_ok={} quarantined_bytes={} snapshot_corrupt={}",
+                report.frames_ok, report.quarantined_bytes, report.snapshot_corrupt
+            );
+            self.start_repair(node, shard, report.corrupt_count(), &found);
+        }
+    }
+}
+
+/// Install the snapshot (if any) and append the frames to one shard WAL,
+/// mirroring the leader-side counters, then run the same chunk through
+/// the `mirror` table. Once enough frames accumulate the follower
+/// compacts its own WAL from the mirror — a healthy pair never crosses
+/// the leader's compaction horizon, so without this the follower's log
+/// (and its promotion replay time) would grow for the life of the pair.
+///
+/// `Ok(true)` when the chunk carried a snapshot (the signal the repair
+/// path waits on). An error leaves log and mirror short of what the
+/// chunk held.
+fn apply_chunk(
+    wal: &mut Wal,
+    mirror: &mut TaskTable,
+    chunk: &PullChunk,
+    shard: usize,
+    metrics: &Metrics,
+) -> io::Result<bool> {
+    if let Some(blob) = &chunk.snapshot {
+        if crate::failpoint::armed()
+            && crate::failpoint::should_fail("repl.follower.install", &shard.to_string()).is_some()
+        {
+            return Err(crate::failpoint::injected_error("repl.follower.install"));
+        }
+        wal.install_snapshot_blob(blob)?;
+        metrics.wal_snapshots.fetch_add(1, Ordering::Relaxed);
+    }
+    if !chunk.frames.is_empty() {
+        wal.append_batch(&chunk.frames)?;
+        let shipped = chunk.frames.len() as u64;
+        metrics.wal_records.fetch_add(shipped, Ordering::Relaxed);
+        metrics.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
+    }
+    mirror.absorb(chunk.snapshot.as_deref(), &chunk.frames, shard)?;
+    if wal.snapshot_due() {
+        wal.install_snapshot_blob(&mirror.encode())?;
+        metrics.wal_snapshots.fetch_add(1, Ordering::Relaxed);
+    }
+    Ok(chunk.snapshot.is_some())
 }
 
 /// How many times a freshly promoted leader re-sends its `repl_lease`
@@ -539,7 +554,6 @@ mod tests {
     /// that a later recovery agrees with.
     #[test]
     fn a_caught_up_follower_compacts_its_wal_locally() {
-        use crate::repl::PullChunk;
         use crate::wal::WalRecord;
 
         let dir =
@@ -547,7 +561,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let metrics = Metrics::new();
         let (mut wal, _) = Wal::open_shard(&dir, 0, 4).unwrap();
-        let mut mirror = Recovery::default();
+        let mut mirror = TaskTable::default();
 
         // Ship 3 tasks + 3 completions in caught-up-sized chunks: enough
         // records to trip the snapshot_every=4 cadence at least once.
@@ -564,7 +578,7 @@ mod tests {
                 next: (task + 1) * 2,
                 ship_next: (task + 1) * 2,
             };
-            apply_chunk(&mut wal, &mut mirror, &chunk, 0, &metrics);
+            apply_chunk(&mut wal, &mut mirror, &chunk, 0, &metrics).unwrap();
         }
         assert!(
             metrics.wal_snapshots.load(Ordering::Relaxed) >= 1,
@@ -579,13 +593,125 @@ mod tests {
         // A recovery of the compacted directory sees the same world the
         // mirror does: all 3 tasks completed, ids not reused.
         let (_, recovered) = Wal::open_shard(&dir, 0, 4).unwrap();
-        assert_eq!(recovered.tasks.len(), 3);
-        assert_eq!(recovered.next_task_id, 3);
+        assert_eq!(recovered.table, mirror);
+        assert_eq!(recovered.table.len(), 3);
+        assert_eq!(recovered.table.next_task_id(), 3);
         assert!(
             recovered.replayed_records < 6,
             "log was never truncated: all {} records replayed",
             recovered.replayed_records
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An unbooted node `me:1` over `dir` with no shard workers (nothing
+    /// to promote or demote, so a rejoin only wipes).
+    fn node_over(dir: &std::path::Path, wals: Vec<Wal>) -> (Node, Arc<Metrics>) {
+        use crate::repl::{EpochSidecar, RoleState, ShipLog};
+
+        let metrics = Arc::new(Metrics::new());
+        let state = RoleState::from_sidecar("me:1", 100, 1, &EpochSidecar::default(), 0);
+        let ship = Arc::new(ShipLog::new(1));
+        let node = Node {
+            repl: Arc::new(ReplState::new(state, ship, Arc::clone(&metrics), 1)),
+            cfg: FollowerConfig {
+                self_addr: "me:1".into(),
+                dir: dir.to_path_buf(),
+                shards: 1,
+                snapshot_every: 1_000,
+                ttl_ms: 100,
+                poll_ms: 10,
+            },
+            shard_txs: Vec::new(),
+            app_ids: HashMap::new(),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            wals: Mutex::new(wals),
+        };
+        (node, metrics)
+    }
+
+    /// The cursor moves to `chunk.next` before the body is written, so a
+    /// write that fails cleanly — an `err` failpoint, a real EIO or
+    /// ENOSPC: no torn bytes for the scrubber to find — used to leave the
+    /// frames skipped for good: only `wal_errors` moved, the mirror
+    /// compacted without them, and a promotion lost acked work. A failed
+    /// append, and a failed local compaction, now take the repair route.
+    #[test]
+    fn a_failed_append_or_compaction_is_repaired_from_the_leaders_snapshot() {
+        use crate::repl::ShipLog;
+        use crate::wal::WalRecord;
+
+        let _gate = crate::failpoint::test_gate();
+        crate::failpoint::disarm_all();
+        let dir = std::env::temp_dir().join(format!("tracon-follower-eio-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let scope = dir.to_string_lossy().into_owned();
+        // Compacts locally every 8 records.
+        let (wal, _) = Wal::open_shard(&dir, 0, 8).unwrap();
+        let (node, metrics) = node_over(&dir, vec![wal]);
+        let (replica_of, probe) = (Some("l:1".to_string()), None);
+        node.drive(RoleEvent::Boot { replica_of, probe }).unwrap();
+        let load = |counter: &std::sync::atomic::AtomicU64| counter.load(Ordering::Relaxed);
+
+        // The leader: its table, and the ship log its commits feed (the
+        // boot snapshot put the base past 0).
+        let ship = ShipLog::new(1);
+        let mut leader = TaskTable::default();
+        ship.trim(0, leader.encode());
+        let mut mirror = Mirror::new(1);
+        let mut next_task = 0;
+        // One leader commit of `n` submit + lease pairs, then one pull.
+        let mut round = |n: u64, leader: &mut TaskTable, mirror: &mut Mirror| {
+            let tasks = next_task..next_task + n;
+            next_task += n;
+            let batch: Vec<WalRecord> = tasks
+                .flat_map(|task| {
+                    let app = "grep".into();
+                    let attempt = 0;
+                    [
+                        WalRecord::Submit { task, app },
+                        WalRecord::Lease { task, attempt },
+                    ]
+                })
+                .collect();
+            leader.absorb(None, &batch, 0).unwrap();
+            ship.push(0, &batch);
+            let chunk = ship.pull(0, node.repl.state().cursor(0));
+            let mut wals = lock(&node.wals);
+            mirror.take_chunk(&node, &mut wals[0], 0, 1, 7, &chunk);
+        };
+
+        round(1, &mut leader, &mut mirror);
+        assert_eq!(mirror.tables[0], leader);
+
+        // The append fails: the shard goes to repair and the cursor home.
+        crate::failpoint::arm(&format!("wal.append.write@{scope}=err*1")).unwrap();
+        round(1, &mut leader, &mut mirror);
+        assert_eq!(load(&metrics.wal_errors), 1);
+        assert_eq!(load(&metrics.wal_degraded), 1);
+        assert_eq!(load(&metrics.scrub_corrupt_frames), 1);
+        assert!(mirror.pending_repair[0]);
+        assert_eq!(node.repl.state().cursor(0), 0);
+        // The failure has cleared: the next pull re-installs and catches up.
+        round(1, &mut leader, &mut mirror);
+        assert_eq!(load(&metrics.scrub_repaired), 1);
+        assert_eq!(load(&metrics.wal_degraded), 0);
+        assert_eq!(mirror.tables[0], leader);
+
+        // The same for the follower's own compaction, due on this pull.
+        crate::failpoint::arm(&format!("wal.snapshot.rename@{scope}=err*1")).unwrap();
+        round(2, &mut leader, &mut mirror);
+        assert_eq!(load(&metrics.wal_errors), 2);
+        assert!(mirror.pending_repair[0]);
+        round(1, &mut leader, &mut mirror);
+        assert_eq!(load(&metrics.scrub_repaired), 2);
+        crate::failpoint::disarm_all();
+
+        // What a promotion would now recover is the leader's table.
+        lock(&node.wals).clear();
+        let (_, recovered) = Wal::open_shard(&dir, 0, 8).unwrap();
+        assert_eq!(recovered.table, leader);
+        assert_eq!(recovered.table.len(), 6);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -596,29 +722,11 @@ mod tests {
     /// used to drop the peer the rejoin had just persisted).
     #[test]
     fn every_step_leaves_the_sidecar_saying_what_the_state_says() {
-        use crate::repl::{read_sidecar, EpochSidecar, RoleState, ShipLog};
+        use crate::repl::read_sidecar;
 
         let dir = std::env::temp_dir().join(format!("tracon-one-writer-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let metrics = Arc::new(Metrics::new());
-        let state = RoleState::from_sidecar("me:1", 100, 1, &EpochSidecar::default(), 0);
-        let ship = Arc::new(ShipLog::new(1));
-        let node = Node {
-            repl: Arc::new(ReplState::new(state, ship, Arc::clone(&metrics), 1)),
-            cfg: FollowerConfig {
-                self_addr: "me:1".into(),
-                dir: dir.clone(),
-                shards: 1,
-                snapshot_every: 1_000,
-                ttl_ms: 100,
-                poll_ms: 10,
-            },
-            // No workers: nothing to demote, so the rejoin only wipes.
-            shard_txs: Vec::new(),
-            app_ids: HashMap::new(),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            wals: Mutex::new(Vec::new()),
-        };
+        let (node, metrics) = node_over(&dir, Vec::new());
         let step = |event: RoleEvent, role: Role, epoch: u64, peer: Option<&str>| {
             node.drive(event).unwrap();
             let state = node.repl.state();

@@ -23,9 +23,9 @@ use tracon_stats::prng::SplitMix64;
 use crate::metrics::Metrics;
 use crate::repl::role::{self, Effect, PullVerdict, RoleEvent, RoleState};
 use crate::repl::{EpochSidecar, PullChunk, Role, ShipLog};
-use crate::shard::{route_app, shard_machines};
+use crate::shard::{merge, restore_shards, route_app, shard_machines};
 use crate::state::{SchedKind, ServeConfig, Service};
-use crate::wal::{self, Recovery};
+use crate::table::TaskTable;
 
 /// The shared profiled testbed: building one takes real calibration
 /// work, so every sim in the process reuses a single instance.
@@ -102,19 +102,12 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Replay this journal into a [`Recovery`], exactly as booting from
-    /// the equivalent WAL files would.
-    pub fn replay(&self, shard: usize) -> Recovery {
-        let mut recovery = Recovery::default();
-        if let Some(blob) = &self.snapshot {
-            // A corrupt blob surfaces as an empty recovery, same as a
-            // torn snapshot on disk.
-            let _ = wal::decode_snapshot(blob, &mut recovery);
-        }
-        for frame in &self.frames {
-            wal::apply(&mut recovery, frame.clone(), shard);
-        }
-        recovery
+    /// Replay this journal into a task table, exactly as opening the
+    /// equivalent WAL files would (an unreadable blob leaves it empty).
+    pub fn replay(&self, shard: usize) -> TaskTable {
+        let mut table = TaskTable::default();
+        let _ = table.absorb(self.snapshot.as_deref(), &self.frames, shard);
+        table
     }
 }
 
@@ -362,21 +355,16 @@ impl SimCluster {
             match effect {
                 Effect::Persist { sidecar, .. } => this.sidecar = sidecar.clone(),
                 Effect::PromoteShards => {
-                    let replayed: Vec<Recovery> = this
-                        .journals
-                        .iter()
-                        .enumerate()
-                        .map(|(shard, journal)| journal.replay(shard))
-                        .collect();
-                    let next_id = replayed.iter().map(|r| r.next_task_id).max().unwrap_or(0);
-                    for (svc, recovery) in this.services.iter_mut().zip(&replayed) {
-                        svc.adopt_recovered(&recovery.tasks, now);
-                        svc.align_next_task_id(next_id);
-                        // As `ShardMsg::Promote` does: the covering
-                        // snapshot pushes the ship base past 0, so a
-                        // cursor-0 rejoiner starts with an install.
-                        svc.write_snapshot();
-                    }
+                    // What `Node::promote_shards` does, journals for
+                    // files: replay, merge, restore (whose covering
+                    // snapshot pushes the ship base past 0, so a
+                    // cursor-0 rejoiner starts with an install).
+                    let journals = this.journals.iter().enumerate();
+                    let tables: Vec<TaskTable> = journals.map(|(s, j)| j.replay(s)).collect();
+                    let probe = &this.services[0];
+                    let route = |app: &str| probe.app_id(app).map(|id| route_app(id, self.shards));
+                    let merged = merge(&tables, self.shards, self.shards, &route);
+                    restore_shards(&mut this.services, Vec::new(), merged, now);
                 }
                 Effect::DemoteShards => {
                     this.services.iter_mut().for_each(Service::demote);

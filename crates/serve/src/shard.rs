@@ -15,20 +15,25 @@
 //!   contiguous per-shard slices; replies translate shard-local machine
 //!   indices back to global ones through the slice base.
 //! - **Merged recovery**: on boot every `wal.*`/`snapshot.*.json` in the
-//!   directory is replayed (even files beyond the current shard count),
-//!   records are merged per task id with a state-precedence rule, donor
-//!   tombstones from interrupted steals are resolved, and each surviving
-//!   task is assigned a home shard — its previous shard when the count
-//!   is unchanged, a fresh hash route when it changed.
+//!   directory is replayed into its shard's task table (even files
+//!   beyond the current shard count), the tables' rows are merged per
+//!   task id with a state-precedence rule, donor tombstones from
+//!   interrupted steals are resolved, and each surviving task is
+//!   assigned a home shard — its previous shard when the count is
+//!   unchanged, a fresh hash route when it changed. [`restore_shards`]
+//!   then hands every shard its log and its rows.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
+use std::time::Instant;
 
 use tracon_core::AppId;
 use tracon_stats::prng::{mix64, GAMMA};
 
-use crate::wal::{existing_shard_count, RecState, RecoveredTask, Wal};
+use crate::state::Service;
+use crate::table::{RecState, TaskRow, TaskTable};
+use crate::wal::{existing_shard_count, Wal};
 
 /// Rendezvous-hash a key to one of `shards` buckets: each bucket's weight
 /// is a splitmix64-style mix of `(key, bucket)`, the argmax wins. Strict
@@ -98,8 +103,8 @@ pub fn shard_machines(machines: usize, shards: usize) -> Vec<(usize, usize)> {
 /// One task out of the merged recovery, tagged with its home shard.
 #[derive(Debug, Clone)]
 pub struct HomedTask {
-    /// The recovered record (tombstones already resolved to `Queued`).
-    pub rec: RecoveredTask,
+    /// The recovered row (tombstones already resolved to `Queued`).
+    pub rec: TaskRow,
     /// Which shard re-adopts it.
     pub home: usize,
 }
@@ -117,12 +122,50 @@ pub struct MergedRecovery {
     pub old_shards: usize,
 }
 
+impl MergedRecovery {
+    /// The arguments of each shard's [`Service::restore`], shard 0 first:
+    /// its log (`wals` may be empty — the replication sim keeps none),
+    /// the rows homed to it, the global id high-water mark.
+    pub fn per_shard(
+        self,
+        wals: Vec<Wal>,
+        shards: usize,
+    ) -> impl Iterator<Item = (Option<Wal>, Vec<TaskRow>, u64)> {
+        let next_task_id = self.next_task_id;
+        let mut rows: Vec<Vec<TaskRow>> = (0..shards).map(|_| Vec::new()).collect();
+        for task in self.tasks {
+            rows[task.home].push(task.rec);
+        }
+        let wals = wals
+            .into_iter()
+            .map(Some)
+            .chain(std::iter::repeat_with(|| None));
+        wals.zip(rows)
+            .map(move |(wal, rows)| (wal, rows, next_task_id))
+    }
+}
+
+/// [`Service::restore`] every shard from a merged recovery: how a
+/// [`recover_dir`] result (or, in the replication sim, a [`merge`] of
+/// replayed journals) becomes running shards.
+pub fn restore_shards(
+    services: &mut [Service],
+    wals: Vec<Wal>,
+    recovery: MergedRecovery,
+    now: Instant,
+) {
+    let restores = recovery.per_shard(wals, services.len());
+    for (svc, (wal, rows, next_task_id)) in services.iter_mut().zip(restores) {
+        svc.restore(wal, rows, next_task_id, now);
+    }
+}
+
 /// Replays all shard WALs in `dir`, merges them per task id, and returns
 /// open WAL handles for shards `0..shards` plus the homed task set.
 ///
 /// `route` maps an application name to its hash shard (`None` for names
 /// no longer profiled — those fall back to the task-id stride and are
-/// dropped later by `Service::adopt_recovered`). Files for shards beyond
+/// dropped later by [`Service::restore`]). Files for shards beyond
 /// `shards` are replayed but not kept open; the caller deletes them once
 /// the re-homed state is snapshotted.
 pub fn recover_dir(
@@ -133,36 +176,46 @@ pub fn recover_dir(
 ) -> io::Result<(Vec<Wal>, MergedRecovery)> {
     assert!(shards > 0, "recover over zero shards");
     let old_shards = existing_shard_count(dir);
-    let total = old_shards.max(shards);
-
     let mut wals = Vec::with_capacity(shards);
-    let mut merged: HashMap<u64, (RecoveredTask, usize)> = HashMap::new();
-    let mut next_task_id = 0u64;
+    let mut tables = Vec::new();
     let mut replayed_records = 0u64;
-    for shard in 0..total {
+    for shard in 0..old_shards.max(shards) {
         let (wal, recovery) = Wal::open_shard(dir, shard, snapshot_every)?;
         if shard < shards {
             wals.push(wal);
         }
-        next_task_id = next_task_id.max(recovery.next_task_id);
         replayed_records += recovery.replayed_records;
-        for rec in recovery.tasks {
+        tables.push(recovery.table);
+    }
+    let mut merged = merge(&tables, old_shards, shards, route);
+    merged.replayed_records = replayed_records;
+    Ok((wals, merged))
+}
+
+/// Merges the task tables of shards `0..tables.len()` — `old_shards` of
+/// which held state — into one homed task set over `shards` shards: per
+/// task id the row that outranks the others survives, and goes back
+/// where it was found when the shard count is unchanged (preserving past
+/// steals), to its application's hash route when it changed.
+pub fn merge(
+    tables: &[TaskTable],
+    old_shards: usize,
+    shards: usize,
+    route: &dyn Fn(&str) -> Option<usize>,
+) -> MergedRecovery {
+    let mut merged: HashMap<u64, (TaskRow, usize)> = HashMap::new();
+    for (shard, table) in tables.iter().enumerate() {
+        for rec in table.iter() {
             match merged.get_mut(&rec.task) {
+                Some(existing) if !wins_over(&rec, &existing.0) => {}
+                Some(existing) => *existing = (rec, shard),
                 None => {
                     merged.insert(rec.task, (rec, shard));
-                }
-                Some(existing) => {
-                    if wins_over(&rec, &existing.0) {
-                        *existing = (rec, shard);
-                    }
                 }
             }
         }
     }
 
-    // Re-home every survivor. The shard count being unchanged means each
-    // task goes back where its winning record was found (preserving past
-    // steals); a changed count re-routes everything by application hash.
     let count_changed = old_shards != 0 && old_shards != shards;
     let mut tasks: Vec<HomedTask> = merged
         .into_values()
@@ -189,21 +242,22 @@ pub fn recover_dir(
         .collect();
     tasks.sort_unstable_by_key(|t| t.rec.task);
 
-    Ok((
-        wals,
-        MergedRecovery {
-            tasks,
-            next_task_id,
-            replayed_records,
-            old_shards,
-        },
-    ))
+    MergedRecovery {
+        tasks,
+        next_task_id: tables
+            .iter()
+            .map(TaskTable::next_task_id)
+            .max()
+            .unwrap_or(0),
+        replayed_records: 0,
+        old_shards,
+    }
 }
 
 /// State precedence for the per-task merge: terminal records beat live
 /// ones, leases beat queued, real records beat donor tombstones; equal
 /// states resolve by attempt count (later attempt wins).
-fn wins_over(candidate: &RecoveredTask, incumbent: &RecoveredTask) -> bool {
+fn wins_over(candidate: &TaskRow, incumbent: &TaskRow) -> bool {
     let rank = |s: RecState| -> u8 {
         match s {
             RecState::Migrated => 0,

@@ -1,6 +1,7 @@
 //! The daemon's scheduling brain: bounded admission, wall-clock dispatch,
-//! task leases with retry/backoff, and live model adaptation, all behind
-//! one mutex.
+//! task leases with retry/backoff, and live model adaptation — one
+//! instance per scheduler shard, owned outright by that shard's worker
+//! thread, so nothing here takes a lock.
 //!
 //! [`Service`] owns the pieces the simulator normally drives on virtual
 //! time — a [`ClusterState`], a [`Scheduler`], a [`ScoringPolicy`], and an
@@ -16,12 +17,17 @@
 //! deadline scaled by the predicted runtime. A lease that expires without
 //! a completion frees the slot and re-queues the task after an
 //! exponential, jittered backoff; after `max_attempts` the task moves to
-//! the dead-letter queue instead of cycling forever. With a WAL directory
-//! configured, every transition is logged through [`crate::wal`] before
-//! the client sees the reply, so a `kill -9`'d daemon reconstructs its
-//! queue, in-flight set, and counters on restart — tasks leased at the
-//! time of the crash are requeued (the executor died with the daemon) and
-//! the interrupted attempt counts against their budget. A failed adaptive
+//! the dead-letter queue instead of cycling forever. What is durable
+//! about a task lives in one [`TaskTable`] and changes only through its
+//! transitions; with a WAL directory configured each one is also logged
+//! through [`crate::wal`] before the client sees the reply, so replaying
+//! the log through the same transitions rebuilds the same table, and
+//! [`Service::restore`] rebuilds the queue, in-flight set and counters
+//! from it — tasks leased at the time of the crash are requeued (the
+//! executor died with the daemon) and the interrupted attempt counts
+//! against their budget. What only the running daemon knows (when a task
+//! arrived, its declared demand, where it was placed) sits in a side map
+//! for as long as the task is queued or running. A failed adaptive
 //! rebuild does not take the daemon down either: the panic is contained,
 //! the last-good predictor keeps serving placements, and the failure is
 //! surfaced as `tracond_rebuild_failures_total`.
@@ -42,7 +48,8 @@ use tracon_dcsim::{AdaptiveObserver, SimObserver, Testbed, IDLE};
 use tracon_stats::prng::{mix64, GAMMA};
 
 use crate::metrics::Metrics;
-use crate::wal::{RecState, RecoveredTask, Wal, WalRecord};
+use crate::table::{RecState, Row, TaskRow, TaskTable};
+use crate::wal::{Wal, WalRecord};
 
 /// Which scheduler the daemon runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,56 +175,35 @@ impl Default for ServeConfig {
     }
 }
 
-/// Where a task is in its lifecycle.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TaskPhase {
-    /// Admitted, waiting in the queue (or backing off after a lease
-    /// expiry; the two are distinguished by the delayed heap, not the
-    /// phase).
-    Queued,
-    /// Placed on a VM and presumed executing.
-    Running {
-        /// Where it was placed.
-        vm: VmRef,
-        /// Co-located app (perf-table index) at placement time, if any.
-        neighbor: Option<usize>,
-        /// Predicted solo-normalized score at placement time.
-        predicted_score: f64,
-        /// Model-predicted runtime (seconds) at placement time.
-        predicted_runtime: f64,
-        /// When the lease expires if no completion is reported.
-        lease_deadline: Instant,
-    },
-    /// Completion reported by a client.
-    Completed {
-        /// Client-measured runtime in seconds.
-        runtime: f64,
-    },
-    /// Exhausted its attempt budget; parked in the dead-letter queue.
-    DeadLettered {
-        /// Attempts consumed.
-        attempts: u32,
-    },
+/// Where a running task was put, and on what prediction.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Placement {
+    /// Where it was placed.
+    pub vm: VmRef,
+    /// Co-located app (perf-table index) at placement time, if any.
+    pub neighbor: Option<usize>,
+    /// Predicted solo-normalized score at placement time.
+    pub predicted_score: f64,
+    /// Model-predicted runtime (seconds) at placement time.
+    pub predicted_runtime: f64,
+    /// When the lease expires if no completion is reported.
+    pub lease_deadline: Instant,
 }
 
-/// Everything the daemon remembers about one task.
+/// What the daemon knows about a queued or running task beyond its
+/// durable [`Row`]. None of it is logged: a restored task starts over
+/// with defaults, and the entry goes when the task completes,
+/// dead-letters or is stolen away.
 #[derive(Clone, Debug)]
-pub struct TaskRecord {
-    /// Interned application id.
-    pub app: AppId,
-    /// Perf-table index of the application (the monitor's index space).
-    pub app_idx: usize,
-    /// Lifecycle phase.
-    pub phase: TaskPhase,
-    /// When the submit was admitted.
+pub struct Volatile {
+    /// When the submit was admitted (or restored, or stolen in).
     pub submitted: Instant,
-    /// Failed executions so far (lease expiries; a reported completion
-    /// never increments this).
-    pub attempts: u32,
     /// Client-declared per-dimension demand (protocol v2). Advisory —
-    /// echoed in `task` replies, never persisted to the WAL (a replayed
-    /// task re-queues with legacy defaults). Empty when unspecified.
+    /// echoed in `task` replies. Empty when unspecified.
     pub demand: tracon_core::DimVec,
+    /// The placement, while the task runs (whether the task is queued
+    /// or backing off is told by the delayed heap, not here).
+    pub placement: Option<Placement>,
 }
 
 /// Why a request was refused; the daemon maps these onto protocol errors.
@@ -312,30 +298,6 @@ impl StatusSnapshot {
     }
 }
 
-/// A task stolen off one shard's queue, on its way to another: the
-/// minimum state the recipient needs to adopt it as queued work.
-#[derive(Clone, Debug)]
-pub struct StolenTask {
-    /// Task id (globally unique thanks to strided allocation).
-    pub task: u64,
-    /// Interned application id (valid on every shard — all shards build
-    /// their registry from the same testbed in the same order).
-    pub app: AppId,
-    /// Application name (for the recipient's WAL record).
-    pub app_name: String,
-    /// Failed attempts carried over.
-    pub attempts: u32,
-}
-
-/// Donor-side tombstone for a stolen task, kept so snapshots written
-/// after the steal still carry the task until the recipient's own WAL
-/// has it (mirrors how completed tasks are retained forever).
-struct MigratedOut {
-    app_name: String,
-    attempts: u32,
-    to: usize,
-}
-
 /// One scheduler shard's service core — exclusively owned by its worker
 /// thread in the daemon, so no lock guards it. All methods take `now`
 /// from the caller so the daemon controls the clock and tests stay
@@ -347,9 +309,12 @@ pub struct Service {
     scoring: ScoringPolicy<'static>,
     observer: AdaptiveObserver,
     queue: VecDeque<Task>,
-    tasks: HashMap<u64, TaskRecord>,
+    /// The durable truth about every task this shard admitted, stolen
+    /// tasks' tombstones included; `Row::app` is a perf-table index.
+    table: TaskTable,
+    /// The volatile rest, for queued and running tasks only.
+    live: HashMap<u64, Volatile>,
     perf_index: HashMap<AppId, usize>,
-    next_task_id: u64,
     /// Task-id stride: shard `i` of `N` issues `i+1, i+1+N, i+1+2N, …`,
     /// which keeps ids globally unique without coordination and makes
     /// shards=1 issue `1, 2, 3, …` exactly like the pre-sharding daemon.
@@ -368,7 +333,6 @@ pub struct Service {
     /// Entries are lazily invalidated: one is live only while the task is
     /// still `Running` at the same attempt number.
     lease_q: BinaryHeap<Reverse<(Instant, u64, u32)>>,
-    migrated_out: HashMap<u64, MigratedOut>,
     wal: Option<Wal>,
     /// Group-commit buffer: while `Some`, appended records accumulate
     /// here and hit the disk as one fsync'd batch when the enclosing
@@ -447,9 +411,9 @@ impl Service {
             observer,
             cluster,
             queue: VecDeque::new(),
-            tasks: HashMap::new(),
+            table: TaskTable::with_apps(&testbed.perf.names),
+            live: HashMap::new(),
             perf_index,
-            next_task_id: shard as u64 + 1,
             id_step: shard_count as u64,
             shard,
             machine_base,
@@ -461,7 +425,6 @@ impl Service {
             draining: false,
             delayed: BinaryHeap::new(),
             lease_q: BinaryHeap::new(),
-            migrated_out: HashMap::new(),
             wal: None,
             wal_txn: None,
             rebuild_fail_injections: 0,
@@ -481,12 +444,6 @@ impl Service {
         self.machine_base
     }
 
-    /// Attach an already-opened WAL (the sharded daemon opens all WALs up
-    /// front through [`crate::shard::recover_dir`]).
-    pub fn attach_wal(&mut self, wal: Wal) {
-        self.wal = Some(wal);
-    }
-
     /// Attach the replication ship log; from here on every WAL batch this
     /// shard commits is also staged for follower pulls.
     pub fn attach_shipper(&mut self, ship: Arc<crate::repl::ShipLog>) {
@@ -503,113 +460,106 @@ impl Service {
         }
     }
 
-    /// Build a service and, when `cfg.wal_dir` is set, recover durable
-    /// state from the write-ahead log: completed and dead-lettered tasks
-    /// keep their records, queued tasks re-enter the admission queue, and
-    /// tasks that were leased when the previous daemon died are requeued
-    /// with the interrupted attempt counted against their budget. The
-    /// replayed history is compacted into a fresh snapshot immediately.
+    /// Build a single-shard service and, when `cfg.wal_dir` is set,
+    /// [`restore`](Service::restore) it from everything that directory
+    /// holds.
     pub fn open(
         testbed: &Testbed,
         cfg: ServeConfig,
         metrics: Arc<Metrics>,
         now: Instant,
     ) -> std::io::Result<Service> {
-        let wal_dir = cfg.wal_dir.clone();
         let mut svc = Service::new(testbed, cfg, metrics);
-        if let Some(dir) = wal_dir {
-            let (wal, recovery) = Wal::open(&dir, svc.cfg.wal_snapshot_every)?;
-            svc.wal = Some(wal);
-            svc.metrics
-                .wal_replayed_records
-                .store(recovery.replayed_records, Ordering::Relaxed);
-            svc.adopt_recovered(&recovery.tasks, now);
-            svc.align_next_task_id(recovery.next_task_id);
-            svc.write_snapshot();
+        if let Some(dir) = svc.cfg.wal_dir.clone() {
+            let every = svc.cfg.wal_snapshot_every;
+            let (wals, recovery) = crate::shard::recover_dir(&dir, 1, every, &|_| Some(0))?;
+            let replayed = &svc.metrics.wal_replayed_records;
+            replayed.store(recovery.replayed_records, Ordering::Relaxed);
+            crate::shard::restore_shards(std::slice::from_mut(&mut svc), wals, recovery, now);
         }
         Ok(svc)
     }
 
-    /// Rebuild queue, counters, and task table from recovered records.
-    /// Tasks leased at crash time are requeued with the interrupted
-    /// attempt counted; donor tombstones are adopted as queued (the
-    /// merged recovery only hands one here when no live record survived).
-    pub fn adopt_recovered(&mut self, tasks: &[RecoveredTask], now: Instant) {
-        for t in tasks {
+    /// The one way recovered state enters a shard — at boot, at a
+    /// follower's promotion, in the replication sim alike. Takes over the
+    /// log `rows` were replayed from (if there is one), adopts the rows
+    /// into the blank table and rebuilds queue and counters from them:
+    /// completed and dead-lettered tasks keep their rows, queued tasks
+    /// re-enter the admission queue, and tasks that were leased when the
+    /// previous writer died are requeued with the interrupted attempt
+    /// counted against their budget (or dead-lettered if that spends
+    /// it). No id below `next_task_id` is issued again. The result is
+    /// compacted into a covering snapshot at once, which also gives the
+    /// ship log the base a follower at cursor zero installs.
+    pub fn restore(
+        &mut self,
+        wal: Option<Wal>,
+        rows: Vec<TaskRow>,
+        next_task_id: u64,
+        now: Instant,
+    ) {
+        self.wal = wal;
+        for row in &rows {
             // A task whose application is no longer profiled cannot be
             // re-placed; drop it rather than wedge the queue.
-            let Some(app_id) = self.cluster.registry().id(&t.app) else {
+            let Some(app_id) = self.cluster.registry().id(&row.app) else {
                 continue;
             };
-            let Some(app_idx) = self.perf_index.get(&app_id).copied() else {
+            if !self.perf_index.contains_key(&app_id) {
                 continue;
-            };
-            let (phase, attempts, requeued) = match t.state {
-                RecState::Queued | RecState::Migrated => (TaskPhase::Queued, t.attempts, false),
-                RecState::Leased => {
-                    let attempts = t.attempts + 1;
-                    if attempts >= self.cfg.max_attempts {
-                        (TaskPhase::DeadLettered { attempts }, attempts, false)
-                    } else {
-                        (TaskPhase::Queued, attempts, true)
-                    }
+            }
+            self.table.adopt(row);
+            let interrupted = row.attempts + 1;
+            match row.state {
+                RecState::Leased if interrupted >= self.cfg.max_attempts => {
+                    self.table.dead_letter(row.task, interrupted);
                 }
-                RecState::Completed => (
-                    TaskPhase::Completed { runtime: t.runtime },
-                    t.attempts,
-                    false,
-                ),
-                RecState::DeadLettered => (
-                    TaskPhase::DeadLettered {
-                        attempts: t.attempts,
-                    },
-                    t.attempts,
-                    false,
-                ),
-            };
+                RecState::Leased => {
+                    self.table.requeue(row.task, interrupted);
+                    self.metrics.requeues.fetch_add(1, Ordering::Relaxed);
+                }
+                _ => {}
+            }
             self.admitted += 1;
             self.metrics.admissions.fetch_add(1, Ordering::Relaxed);
-            match &phase {
-                TaskPhase::Queued => self.queue.push_back(Task::new(t.task, app_id)),
-                TaskPhase::Completed { .. } => {
+            match self.table.get(row.task).map(|r| r.state) {
+                Some(RecState::Completed) => {
                     self.completed += 1;
                     self.metrics.completions.fetch_add(1, Ordering::Relaxed);
                 }
-                TaskPhase::DeadLettered { .. } => {
+                Some(RecState::DeadLettered) => {
                     self.dead_lettered += 1;
                     self.metrics.dead_letters.fetch_add(1, Ordering::Relaxed);
                 }
-                TaskPhase::Running { .. } => {}
+                // Demand is not in the WAL; replayed tasks fall back to
+                // the legacy defaults.
+                _ => self.enqueue(row.task, app_id, tracon_core::DimVec::new(), now),
             }
-            if requeued {
-                self.metrics.requeues.fetch_add(1, Ordering::Relaxed);
-            }
-            self.tasks.insert(
-                t.task,
-                TaskRecord {
-                    app: app_id,
-                    app_idx,
-                    phase,
-                    submitted: now,
-                    attempts,
-                    // Demand is not in the WAL; replayed tasks fall back
-                    // to the legacy defaults.
-                    demand: tracon_core::DimVec::new(),
-                },
-            );
         }
+        self.table.raise_next_task_id(next_task_id);
         self.sync_gauges();
+        self.write_snapshot();
     }
 
-    /// Advance `next_task_id` to the smallest unissued id that is both
-    /// `>= global_next` and on this shard's stride, so ids are never
-    /// reused across restarts or shard-count changes.
-    pub fn align_next_task_id(&mut self, global_next: u64) {
-        let mut id = self.next_task_id;
-        if global_next > id {
-            id += (global_next - id).div_ceil(self.id_step) * self.id_step;
-        }
-        self.next_task_id = id;
+    /// Put a queued task at the back of the admission queue.
+    fn enqueue(&mut self, task: u64, app: AppId, demand: tracon_core::DimVec, now: Instant) {
+        self.queue.push_back(Task::new(task, app));
+        let fresh = Volatile {
+            submitted: now,
+            demand,
+            placement: None,
+        };
+        self.live.insert(task, fresh);
+    }
+
+    /// The id the next admission gets: the smallest on this shard's
+    /// stride that the table has not seen used, here or (after a
+    /// restore) on any shard, so ids are never reused across restarts or
+    /// shard-count changes.
+    fn next_id(&self) -> u64 {
+        let first = self.shard as u64 + 1;
+        let used = self.table.next_task_id().saturating_sub(first);
+        first + used.div_ceil(self.id_step) * self.id_step
     }
 
     /// Whether anything persists or ships this shard's records. A plain
@@ -748,8 +698,8 @@ impl Service {
     /// admission state. The self-healing rejoin path demotes a fenced
     /// ex-leader's workers before the node wipes its shard files and
     /// resyncs from the live leader; a later `ShardMsg::Promote` rebuilds
-    /// everything from the recovered WAL via
-    /// [`Service::adopt_recovered`], which assumes a blank table. The
+    /// everything from the recovered WAL via [`Service::restore`], which
+    /// assumes a blank table. The
     /// shipper Arc is deliberately kept: a re-promotion must be able to
     /// ship to the *next* follower, and an idle follower never pushes.
     /// A caller inside a WAL transaction commits first (the shard worker
@@ -758,17 +708,15 @@ impl Service {
     pub fn demote(&mut self) {
         // Free every occupied VM slot so the recovered state re-places
         // onto an empty cluster.
-        for rec in self.tasks.values() {
-            if let TaskPhase::Running { vm, .. } = rec.phase {
-                self.cluster.clear(vm);
-            }
+        for placed in self.live.values().filter_map(|v| v.placement) {
+            self.cluster.clear(placed.vm);
         }
         self.wal = None;
         self.queue.clear();
-        self.tasks.clear();
+        self.table = TaskTable::with_apps(self.observer.app_names());
+        self.live.clear();
         self.delayed.clear();
         self.lease_q.clear();
-        self.migrated_out.clear();
         self.admitted = 0;
         self.rejected = 0;
         self.running = 0;
@@ -778,45 +726,15 @@ impl Service {
         self.sync_gauges();
     }
 
-    /// Serialize the full task table (plus migrated-away tombstones) into
-    /// this shard's snapshot file and truncate the log.
+    /// Compact: the task table — tombstones of stolen tasks included,
+    /// which is what keeps them durable until the recipient's own log
+    /// has them — becomes this shard's snapshot file, and the log is
+    /// truncated.
     pub fn write_snapshot(&mut self) {
-        if self.wal.is_none() && self.shipper.is_none() {
+        if !self.durable() {
             return;
         }
-        let mut entries: Vec<RecoveredTask> = self
-            .tasks
-            .iter()
-            .map(|(id, r)| {
-                let (state, runtime) = match &r.phase {
-                    TaskPhase::Queued => (RecState::Queued, 0.0),
-                    TaskPhase::Running { .. } => (RecState::Leased, 0.0),
-                    TaskPhase::Completed { runtime } => (RecState::Completed, *runtime),
-                    TaskPhase::DeadLettered { .. } => (RecState::DeadLettered, 0.0),
-                };
-                RecoveredTask {
-                    task: *id,
-                    app: self.observer.app_names()[r.app_idx].clone(),
-                    attempts: r.attempts,
-                    state,
-                    runtime,
-                    migrated_to: None,
-                }
-            })
-            // Tombstones keep stolen tasks durable across this shard's
-            // compactions until the recipient's WAL carries them.
-            .chain(self.migrated_out.iter().map(|(id, m)| RecoveredTask {
-                task: *id,
-                app: m.app_name.clone(),
-                attempts: m.attempts,
-                state: RecState::Migrated,
-                runtime: 0.0,
-                migrated_to: Some(m.to),
-            }))
-            .collect();
-        entries.sort_unstable_by_key(|t| t.task);
-        let next = self.next_task_id;
-        let blob = crate::wal::encode_snapshot(&entries, next);
+        let blob = self.table.encode();
         if let Some(wal) = self.wal.as_mut() {
             match wal.install_snapshot_blob(&blob) {
                 Ok(()) => {
@@ -857,40 +775,22 @@ impl Service {
                 .fetch_add(1, Ordering::Relaxed);
             return Err(Refusal::Draining);
         }
-        let app_id = match self.cluster.registry().id(app) {
-            Some(id) => id,
-            None => {
-                return Err(Refusal::UnknownApp {
-                    name: app.to_string(),
-                })
-            }
+        let profiled = self.cluster.registry().id(app);
+        let profiled = profiled.and_then(|id| Some((id, *self.perf_index.get(&id)?)));
+        let Some((app_id, app_idx)) = profiled else {
+            let name = app.to_string();
+            return Err(Refusal::UnknownApp { name });
         };
-        self.admit(app_id, demand, now)
+        self.wal_transaction(|s| s.admit(app_id, app_idx, demand, now))
     }
 
     fn admit(
         &mut self,
         app_id: AppId,
+        app_idx: usize,
         demand: tracon_core::DimVec,
         now: Instant,
     ) -> Result<Admitted, Refusal> {
-        self.wal_transaction(|s| s.admit_inner(app_id, demand, now))
-    }
-
-    fn admit_inner(
-        &mut self,
-        app_id: AppId,
-        demand: tracon_core::DimVec,
-        now: Instant,
-    ) -> Result<Admitted, Refusal> {
-        let app_idx = match self.perf_index.get(&app_id) {
-            Some(idx) => *idx,
-            None => {
-                return Err(Refusal::UnknownApp {
-                    name: format!("app#{}", app_id.index()),
-                })
-            }
-        };
         if self.queue.len() >= self.cfg.queue_capacity {
             self.rejected += 1;
             self.metrics.rejections.fetch_add(1, Ordering::Relaxed);
@@ -898,20 +798,9 @@ impl Service {
                 depth: self.queue.len(),
             });
         }
-        let task_id = self.next_task_id;
-        self.next_task_id += self.id_step;
-        self.queue.push_back(Task::new(task_id, app_id));
-        self.tasks.insert(
-            task_id,
-            TaskRecord {
-                app: app_id,
-                app_idx,
-                phase: TaskPhase::Queued,
-                submitted: now,
-                attempts: 0,
-                demand,
-            },
-        );
+        let task_id = self.next_id();
+        self.table.submit(task_id, app_idx as u32);
+        self.enqueue(task_id, app_id, demand, now);
         self.admitted += 1;
         self.metrics.admissions.fetch_add(1, Ordering::Relaxed);
         // Durable before the client learns the id (write-ahead).
@@ -927,15 +816,8 @@ impl Service {
             self.dispatch(now);
         }
         self.sync_gauges();
-        let placement = match self.tasks.get(&task_id).map(|r| &r.phase) {
-            Some(TaskPhase::Running {
-                vm,
-                predicted_score,
-                predicted_runtime,
-                ..
-            }) => Some((*vm, *predicted_score, *predicted_runtime)),
-            _ => None,
-        };
+        let placed = self.live.get(&task_id).and_then(|v| v.placement);
+        let placement = placed.map(|p| (p.vm, p.predicted_score, p.predicted_runtime));
         Ok(Admitted {
             task: task_id,
             placement,
@@ -955,29 +837,31 @@ impl Service {
         for assignment in &assignments {
             let task_id = assignment.task.id;
             let neighbor = self.neighbor_of(assignment.vm, task_id);
-            let Some(record) = self.tasks.get_mut(&task_id) else {
+            let (Some(row), Some(record)) = (self.table.get(task_id), self.live.get_mut(&task_id))
+            else {
                 // A scheduler handing back a task the service never
                 // admitted is a bug, not client input; reclaim the slot
                 // and keep serving.
                 self.cluster.clear(assignment.vm);
                 continue;
             };
-            let attempt = record.attempts;
+            let attempt = row.attempts;
             let predicted_runtime = self
                 .observer
-                .predict_runtime(record.app_idx, neighbor.unwrap_or(IDLE));
+                .predict_runtime(row.app as usize, neighbor.unwrap_or(IDLE));
             let lease_ms = self.cfg.lease_base_ms.saturating_add(
                 (predicted_runtime.max(0.0) * self.cfg.lease_per_predicted_s_ms as f64)
                     .min(3_600_000.0) as u64,
             );
             let lease_deadline = now + Duration::from_millis(lease_ms);
-            record.phase = TaskPhase::Running {
+            record.placement = Some(Placement {
                 vm: assignment.vm,
                 neighbor,
                 predicted_score: assignment.predicted_score,
                 predicted_runtime,
                 lease_deadline,
-            };
+            });
+            self.table.lease(task_id, attempt);
             let waited = now.duration_since(record.submitted);
             self.metrics
                 .observe_dispatch_latency(waited.as_micros().min(u128::from(u64::MAX)) as u64);
@@ -1018,33 +902,28 @@ impl Service {
             let Some(Reverse((_, task, attempt))) = self.lease_q.pop() else {
                 break;
             };
-            let Some(record) = self.tasks.get(&task) else {
+            // Stale entries (completed, or re-leased under a newer
+            // attempt) fall through silently.
+            let current = self.table.get(task).map(|row| row.attempts) == Some(attempt);
+            let Some(record) = self.live.get_mut(&task).filter(|_| current) else {
                 continue;
             };
-            let vm = match record.phase {
-                // Stale entries (completed, or re-leased under a newer
-                // attempt) fall through silently.
-                TaskPhase::Running { vm, .. } if record.attempts == attempt => vm,
-                _ => continue,
+            let Some(placed) = record.placement.take() else {
+                continue;
             };
-            self.cluster.clear(vm);
+            self.cluster.clear(placed.vm);
             self.running -= 1;
             expired += 1;
             self.metrics.lease_expiries.fetch_add(1, Ordering::Relaxed);
             let attempts = attempt + 1;
             if attempts >= self.cfg.max_attempts {
-                if let Some(r) = self.tasks.get_mut(&task) {
-                    r.attempts = attempts;
-                    r.phase = TaskPhase::DeadLettered { attempts };
-                }
+                self.table.dead_letter(task, attempts);
+                self.live.remove(&task);
                 self.dead_lettered += 1;
                 self.metrics.dead_letters.fetch_add(1, Ordering::Relaxed);
                 self.wal_append(|_| WalRecord::DeadLetter { task, attempts });
             } else {
-                if let Some(r) = self.tasks.get_mut(&task) {
-                    r.attempts = attempts;
-                    r.phase = TaskPhase::Queued;
-                }
+                self.table.requeue(task, attempts);
                 let ready = now + Duration::from_millis(self.backoff_ms(task, attempts));
                 self.delayed.push(Reverse((ready, task)));
                 self.metrics.requeues.fetch_add(1, Ordering::Relaxed);
@@ -1073,11 +952,13 @@ impl Service {
             let Some(Reverse((_, task))) = self.delayed.pop() else {
                 break;
             };
-            let Some(record) = self.tasks.get(&task) else {
-                continue;
-            };
-            if matches!(record.phase, TaskPhase::Queued) {
-                self.queue.push_back(Task::new(task, record.app));
+            let waiting = self
+                .table
+                .get(task)
+                .filter(|row| row.state == RecState::Queued);
+            let name = waiting.map(|row| self.table.app_name(row.app));
+            if let Some(app) = name.and_then(|name| self.cluster.registry().id(name)) {
+                self.queue.push_back(Task::new(task, app));
                 promoted += 1;
             }
         }
@@ -1106,7 +987,7 @@ impl Service {
                 let overdue = self
                     .queue
                     .front()
-                    .and_then(|front| self.tasks.get(&front.id))
+                    .and_then(|front| self.live.get(&front.id))
                     .map(|r| {
                         now.duration_since(r.submitted).as_millis() as u64
                             >= self.cfg.batch_deadline_ms
@@ -1144,16 +1025,13 @@ impl Service {
         iops: f64,
         now: Instant,
     ) -> Result<Completed, Refusal> {
-        let record = self.tasks.get(&task).ok_or(Refusal::UnknownTask { task })?;
-        let (vm, neighbor) = match record.phase {
-            TaskPhase::Running { vm, neighbor, .. } => (vm, neighbor),
-            _ => return Err(Refusal::NotRunning { task }),
-        };
-        let app_idx = record.app_idx;
+        let (row, _) = self.task_info(task).ok_or(Refusal::UnknownTask { task })?;
+        let app_idx = row.app as usize;
+        let running = self.live.get(&task).and_then(|v| v.placement);
+        let Placement { vm, neighbor, .. } = running.ok_or(Refusal::NotRunning { task })?;
         self.cluster.clear(vm);
-        if let Some(r) = self.tasks.get_mut(&task) {
-            r.phase = TaskPhase::Completed { runtime };
-        }
+        self.table.complete(task, runtime);
+        self.live.remove(&task);
         self.running -= 1;
         self.completed += 1;
         self.metrics.completions.fetch_add(1, Ordering::Relaxed);
@@ -1212,7 +1090,7 @@ impl Service {
     /// holds the hand-off message until then) *before* the recipient can
     /// see the tasks, and a tombstone stays behind so a crash anywhere in
     /// the handoff recovers each task exactly once.
-    pub fn steal_queued(&mut self, max: usize, to: usize) -> Vec<StolenTask> {
+    pub fn steal_queued(&mut self, max: usize, to: usize) -> Vec<TaskRow> {
         if to == self.shard || max == 0 {
             return Vec::new();
         }
@@ -1222,37 +1100,30 @@ impl Service {
             let Some(task) = self.queue.pop_back() else {
                 break;
             };
-            let Some(rec) = self.tasks.get(&task.id) else {
+            let Some(&Row { app, attempts, .. }) = self.table.get(task.id) else {
                 continue;
             };
-            let app_name = self.observer.app_names()[rec.app_idx].clone();
+            self.table.migrate_out(task.id, app, attempts, to);
+            self.live.remove(&task.id);
+            self.admitted -= 1;
+            let moved = TaskRow {
+                task: task.id,
+                app: self.table.app_name(app).to_string(),
+                attempts,
+                state: RecState::Queued,
+                runtime: 0.0,
+                migrated_to: None,
+            };
             records.push(WalRecord::Migrate {
                 task: task.id,
-                app: app_name.clone(),
-                attempt: rec.attempts,
+                app: moved.app.clone(),
+                attempt: attempts,
                 from: self.shard,
                 to,
             });
-            stolen.push(StolenTask {
-                task: task.id,
-                app: rec.app,
-                app_name,
-                attempts: rec.attempts,
-            });
+            stolen.push(moved);
         }
         self.wal_append_batch(&records);
-        for s in &stolen {
-            self.tasks.remove(&s.task);
-            self.migrated_out.insert(
-                s.task,
-                MigratedOut {
-                    app_name: s.app_name.clone(),
-                    attempts: s.attempts,
-                    to,
-                },
-            );
-            self.admitted -= 1;
-        }
         if !stolen.is_empty() {
             self.metrics.steals.fetch_add(1, Ordering::Relaxed);
             self.metrics
@@ -1266,42 +1137,33 @@ impl Service {
     /// Adopt tasks stolen from shard `from`: log the migration on this
     /// shard's WAL (one fsync for the batch), queue them, and dispatch if
     /// the scheduler is eager. Returns how many were adopted.
-    pub fn inject_stolen(&mut self, tasks: &[StolenTask], from: usize, now: Instant) -> usize {
-        let records: Vec<WalRecord> = tasks
-            .iter()
-            .map(|s| WalRecord::Migrate {
-                task: s.task,
-                app: s.app_name.clone(),
-                attempt: s.attempts,
-                from,
-                to: self.shard,
-            })
-            .collect();
-        self.wal_append_batch(&records);
-        let mut adopted = 0;
-        for s in tasks {
-            let Some(app_idx) = self.perf_index.get(&s.app).copied() else {
+    pub fn inject_stolen(&mut self, tasks: &[TaskRow], from: usize, now: Instant) -> usize {
+        let mut records = Vec::new();
+        for moved in tasks {
+            // Every shard profiles the same applications.
+            let Some(app_id) = self.cluster.registry().id(&moved.app) else {
                 continue;
             };
-            self.queue.push_back(Task::new(s.task, s.app));
-            self.tasks.insert(
-                s.task,
-                TaskRecord {
-                    app: s.app,
-                    app_idx,
-                    phase: TaskPhase::Queued,
-                    submitted: now,
-                    attempts: s.attempts,
-                    // Migration messages carry no demand; stolen tasks
-                    // keep the legacy defaults.
-                    demand: tracon_core::DimVec::new(),
-                },
-            );
-            // A task stolen back home clears its own stale tombstone.
-            self.migrated_out.remove(&s.task);
+            let Some(&app_idx) = self.perf_index.get(&app_id) else {
+                continue;
+            };
+            // A task stolen back home overwrites its own tombstone.
+            self.table
+                .migrate_in(moved.task, app_idx as u32, moved.attempts);
+            // Migration messages carry no demand; stolen tasks keep the
+            // legacy defaults.
+            self.enqueue(moved.task, app_id, tracon_core::DimVec::new(), now);
             self.admitted += 1;
-            adopted += 1;
+            records.push(WalRecord::Migrate {
+                task: moved.task,
+                app: moved.app.clone(),
+                attempt: moved.attempts,
+                from,
+                to: self.shard,
+            });
         }
+        self.wal_append_batch(&records);
+        let adopted = records.len();
         if adopted > 0
             && (matches!(self.cfg.scheduler, SchedKind::Mios)
                 || self.queue.len() >= self.cfg.scheduler.window())
@@ -1315,7 +1177,7 @@ impl Service {
     /// Where a task went if it was stolen off this shard (the worker
     /// bounces misrouted complete/task lookups with this).
     pub fn migrated_to(&self, task: u64) -> Option<usize> {
-        self.migrated_out.get(&task).map(|m| m.to)
+        self.table.get(task).and_then(|row| row.migrated_to)
     }
 
     /// Stop admitting new work. Returns the current snapshot.
@@ -1362,9 +1224,18 @@ impl Service {
         }
     }
 
-    /// Look up one task's record.
-    pub fn task_info(&self, task: u64) -> Option<&TaskRecord> {
-        self.tasks.get(&task)
+    /// Look up one task this shard holds: its durable row, and what is
+    /// known on top while it is queued or running. `None` for a task
+    /// never seen here or stolen away (see [`Service::migrated_to`]).
+    pub fn task_info(&self, task: u64) -> Option<(&Row, Option<&Volatile>)> {
+        let row = self.table.get(task)?;
+        (row.state != RecState::Migrated).then(|| (row, self.live.get(&task)))
+    }
+
+    /// The durable task table, as a replay of this shard's files would
+    /// rebuild it.
+    pub fn table(&self) -> &TaskTable {
+        &self.table
     }
 
     /// Application name for a perf-table index (for reply rendering).
@@ -1625,10 +1496,11 @@ mod tests {
         let t2 = t1 + Duration::from_secs(1);
         svc.tick(t2);
         assert_eq!(svc.status().running, 1, "requeued task re-placed");
-        match svc.task_info(out.task).map(|r| &r.phase) {
-            Some(TaskPhase::Running { .. }) => {}
-            other => panic!("expected Running, got {other:?}"),
-        }
+        let state = |svc: &Service| {
+            svc.task_info(out.task)
+                .map(|(row, _)| (row.state, row.attempts))
+        };
+        assert_eq!(state(&svc), Some((RecState::Leased, 1)));
 
         // Second expiry exhausts the budget -> dead-letter.
         let t3 = t2 + Duration::from_secs(1);
@@ -1638,10 +1510,7 @@ mod tests {
         assert_eq!(st.running + st.queued + st.delayed, 0);
         assert_eq!(metrics.dead_letters.load(Ordering::Relaxed), 1);
         assert!(st.conserved());
-        assert!(matches!(
-            svc.task_info(out.task).map(|r| &r.phase),
-            Some(TaskPhase::DeadLettered { attempts: 2 })
-        ));
+        assert_eq!(state(&svc), Some((RecState::DeadLettered, 2)));
         // A dead-lettered task refuses late completions.
         assert!(matches!(
             svc.complete(out.task, 1.0, 1.0, t3),
@@ -1688,10 +1557,8 @@ mod tests {
         assert_eq!(st.running, 0);
         assert_eq!(metrics.requeues.load(Ordering::Relaxed), 1);
         assert!(st.conserved(), "conservation across restart: {st:?}");
-        assert!(matches!(
-            svc.task_info(first_task).map(|r| &r.phase),
-            Some(TaskPhase::Completed { .. })
-        ));
+        let state = svc.task_info(first_task).map(|(row, _)| row.state);
+        assert_eq!(state, Some(RecState::Completed));
         // Ids keep advancing from where the dead daemon stopped.
         let app = svc.observer.app_names()[0].clone();
         let next = svc.submit(&app, now).unwrap();

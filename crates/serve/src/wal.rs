@@ -3,13 +3,14 @@
 //!
 //! Every admission-state transition (submit, lease, requeue, dead-letter,
 //! complete) is appended as one length-prefixed, CRC32-checksummed frame
-//! *before* the daemon replies to the client, and the file is synced per
-//! append — a `kill -9` can lose at most a record the client was never
+//! and synced *before* the daemon replies to the client — one write and
+//! one `sync_data` per wake of the shard worker, covering every request
+//! of that wake — so a `kill -9` can lose at most records no client was
 //! told about. On restart, [`Wal::open_shard`] replays the shard's
-//! `snapshot.N.json` plus its `wal.N` tail and hands the service a
-//! [`Recovery`] from which it rebuilds its admission queue and in-flight
-//! set; a torn tail (partial frame, bad checksum) ends the replay and is
-//! truncated away rather than aborting recovery.
+//! `snapshot.N.json` plus its `wal.N` tail into the same
+//! [`TaskTable`] the service runs on; a torn tail (partial frame, bad
+//! checksum) ends the replay and is truncated away rather than aborting
+//! recovery.
 //!
 //! Frame layout (little-endian):
 //!
@@ -28,9 +29,10 @@
 //! {"op":"migrate","task":7,"app":"grep","attempt":1,"from":2,"to":0}
 //! ```
 //!
-//! Every `snapshot_every` records the service serializes its task table
-//! into the shard's snapshot file (atomic tmp + rename) and the log is
-//! truncated, bounding both replay time and disk use.
+//! Every `snapshot_every` records the service writes its task table
+//! ([`TaskTable::encode`]) into the shard's snapshot file (atomic tmp +
+//! rename) and the log is truncated, bounding both replay time and disk
+//! use.
 //!
 //! The directory holds one log + snapshot pair **per scheduler shard**
 //! (`wal.0`/`snapshot.0.json` … `wal.N-1`/`snapshot.N-1.json`), each with
@@ -42,6 +44,7 @@
 
 use crate::failpoint;
 use crate::json::{self, Value};
+use crate::table::TaskTable;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -255,67 +258,17 @@ impl WalRecord {
     }
 }
 
-/// The durable state of one task, as reconstructed by replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecState {
-    /// Admitted, waiting for dispatch.
-    Queued,
-    /// Dispatched under a lease when the daemon stopped — the executor's
-    /// connection died with the daemon, so recovery requeues it.
-    Leased,
-    /// Completed.
-    Completed,
-    /// Dead-lettered.
-    DeadLettered,
-    /// Stolen away to another shard (donor-side tombstone). The merged
-    /// replay resurrects the task as queued on `migrated_to` only when
-    /// no other shard's log has a live record for it.
-    Migrated,
-}
-
-/// One task's recovered record.
-#[derive(Debug, Clone)]
-pub struct RecoveredTask {
-    /// Task id.
-    pub task: u64,
-    /// Application name.
-    pub app: String,
-    /// Failed attempts so far.
-    pub attempts: u32,
-    /// Durable state.
-    pub state: RecState,
-    /// Realized runtime for completed tasks (0 otherwise).
-    pub runtime: f64,
-    /// Recipient shard for [`RecState::Migrated`] tombstones.
-    pub migrated_to: Option<usize>,
-}
-
-impl RecoveredTask {
-    /// A fresh queued record (the common constructor in replay).
-    fn queued(task: u64, app: String, attempts: u32) -> RecoveredTask {
-        RecoveredTask {
-            task,
-            app,
-            attempts,
-            state: RecState::Queued,
-            runtime: 0.0,
-            migrated_to: None,
-        }
-    }
-}
-
-/// What [`Wal::open`] reconstructed.
+/// What [`Wal::open_shard`] reconstructed.
 #[derive(Debug, Clone, Default)]
 pub struct Recovery {
-    /// Every known task, in original submit order.
-    pub tasks: Vec<RecoveredTask>,
-    /// First unused task id (ids stay unique across restarts).
-    pub next_task_id: u64,
+    /// The shard's task table: snapshot plus log.
+    pub table: TaskTable,
     /// Log records replayed (snapshot entries not included).
     pub replayed_records: u64,
     /// Bytes dropped from a torn tail, if any.
     pub truncated_bytes: u64,
-    /// Checksummed-but-undecodable records skipped (version skew).
+    /// Checksummed-but-undecodable records and snapshot entries skipped
+    /// (version skew).
     pub skipped_records: u64,
 }
 
@@ -328,132 +281,42 @@ pub struct Wal {
     snapshot_every: u64,
 }
 
-fn read_snapshot(dir: &Path, shard: usize, recovery: &mut Recovery) -> io::Result<()> {
-    let path = dir.join(shard_snapshot_name(shard));
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    decode_snapshot(&text, recovery)
+/// What sits at one offset of a log.
+enum Frame<'a> {
+    /// A whole frame whose checksum verifies: its payload, and where the
+    /// next frame starts.
+    Sealed(&'a [u8], usize),
+    /// The bytes run out inside the frame: the end of the log, or an
+    /// append still in flight.
+    Tail,
+    /// An implausible length or a checksum mismatch.
+    Corrupt,
 }
 
-/// Parses a snapshot document (the exact bytes of a `snapshot.N.json`
-/// file) into an in-progress [`Recovery`]. Undecodable entries bump
-/// `skipped_records` rather than failing the whole install.
-pub fn decode_snapshot(text: &str, recovery: &mut Recovery) -> io::Result<()> {
-    let v = json::parse(text)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("snapshot: {e}")))?;
-    recovery.next_task_id = v.get("next_task_id").and_then(Value::as_u64).unwrap_or(0);
-    if let Some(tasks) = v.get("tasks").and_then(Value::as_arr) {
-        for t in tasks {
-            let (Some(task), Some(app)) = (
-                t.get("task").and_then(Value::as_u64),
-                t.get("app").and_then(Value::as_str),
-            ) else {
-                recovery.skipped_records += 1;
-                continue;
-            };
-            let state = match t.get("state").and_then(Value::as_str) {
-                Some("queued") => RecState::Queued,
-                Some("leased") => RecState::Leased,
-                Some("completed") => RecState::Completed,
-                Some("dead") => RecState::DeadLettered,
-                Some("migrated") => RecState::Migrated,
-                _ => {
-                    recovery.skipped_records += 1;
-                    continue;
-                }
-            };
-            recovery.tasks.push(RecoveredTask {
-                task,
-                app: app.to_string(),
-                attempts: t.get("attempts").and_then(Value::as_u64).unwrap_or(0) as u32,
-                state,
-                runtime: t.get("runtime").and_then(Value::as_f64).unwrap_or(0.0),
-                migrated_to: t.get("to").and_then(Value::as_u64).map(|n| n as usize),
-            });
-        }
+fn frame_at(buf: &[u8], off: usize) -> Frame<'_> {
+    let Some(header) = buf.get(off..off + 8) else {
+        return Frame::Tail;
+    };
+    let word = |at: usize| {
+        u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
+    };
+    let (len, crc) = (word(0), word(4));
+    if len == 0 || len > MAX_RECORD_BYTES {
+        return Frame::Corrupt;
     }
-    Ok(())
+    match buf.get(off + 8..off + 8 + len as usize) {
+        None => Frame::Tail,
+        Some(payload) if crc32(payload) != crc => Frame::Corrupt,
+        Some(payload) => Frame::Sealed(payload, off + 8 + len as usize),
+    }
 }
 
-/// Folds one record into an in-progress [`Recovery`], exactly as log
-/// replay does. Pure and idempotent per task (later records win), which
-/// is what lets replication re-deliver duplicate frames harmlessly.
-/// Public so the deterministic repl harness can replay shipped frames
-/// without touching a real log file.
-pub fn apply(recovery: &mut Recovery, rec: WalRecord, shard: usize) {
-    let find = |tasks: &mut Vec<RecoveredTask>, id: u64| -> Option<usize> {
-        tasks.iter().position(|t| t.task == id)
-    };
-    match rec {
-        WalRecord::Submit { task, app } => {
-            if find(&mut recovery.tasks, task).is_none() {
-                recovery.tasks.push(RecoveredTask::queued(task, app, 0));
-            }
-        }
-        WalRecord::Lease { task, attempt } => {
-            if let Some(i) = find(&mut recovery.tasks, task) {
-                recovery.tasks[i].state = RecState::Leased;
-                recovery.tasks[i].attempts = attempt;
-            }
-        }
-        WalRecord::Requeue { task, attempt } => {
-            if let Some(i) = find(&mut recovery.tasks, task) {
-                recovery.tasks[i].state = RecState::Queued;
-                recovery.tasks[i].attempts = attempt;
-            }
-        }
-        WalRecord::DeadLetter { task, attempts } => {
-            if let Some(i) = find(&mut recovery.tasks, task) {
-                recovery.tasks[i].state = RecState::DeadLettered;
-                recovery.tasks[i].attempts = attempts;
-            }
-        }
-        WalRecord::Complete { task, runtime } => {
-            if let Some(i) = find(&mut recovery.tasks, task) {
-                recovery.tasks[i].state = RecState::Completed;
-                recovery.tasks[i].runtime = runtime;
-            }
-        }
-        WalRecord::Migrate {
-            task,
-            app,
-            attempt,
-            from,
-            to,
-        } => {
-            if to == shard {
-                // Recipient-side adopt: the task now lives here, queued.
-                match find(&mut recovery.tasks, task) {
-                    Some(i) => {
-                        recovery.tasks[i].state = RecState::Queued;
-                        recovery.tasks[i].attempts = attempt;
-                        recovery.tasks[i].migrated_to = None;
-                    }
-                    None => recovery
-                        .tasks
-                        .push(RecoveredTask::queued(task, app, attempt)),
-                }
-            } else if from == shard {
-                // Donor-side tombstone, kept so the task survives even if
-                // the donor compacts before the recipient records it.
-                match find(&mut recovery.tasks, task) {
-                    Some(i) => {
-                        recovery.tasks[i].state = RecState::Migrated;
-                        recovery.tasks[i].attempts = attempt;
-                        recovery.tasks[i].migrated_to = Some(to);
-                    }
-                    None => {
-                        let mut t = RecoveredTask::queued(task, app, attempt);
-                        t.state = RecState::Migrated;
-                        t.migrated_to = Some(to);
-                        recovery.tasks.push(t);
-                    }
-                }
-            }
-        }
+/// A shard's snapshot document, if it has one.
+fn read_snapshot(dir: &Path, shard: usize) -> io::Result<Option<String>> {
+    match std::fs::read_to_string(dir.join(shard_snapshot_name(shard))) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
     }
 }
 
@@ -474,9 +337,7 @@ impl Wal {
         snapshot_every: u64,
     ) -> io::Result<(Wal, Recovery)> {
         std::fs::create_dir_all(dir)?;
-        let mut recovery = Recovery::default();
-        read_snapshot(dir, shard, &mut recovery)?;
-
+        let snapshot = read_snapshot(dir, shard)?;
         let log_path = dir.join(shard_log_name(shard));
         let mut file = OpenOptions::new()
             .read(true)
@@ -486,48 +347,25 @@ impl Wal {
         let mut buf = Vec::new();
         file.seek(SeekFrom::Start(0))?;
         file.read_to_end(&mut buf)?;
-        let mut off = 0usize;
-        let valid_end = loop {
-            if off + 8 > buf.len() {
-                break off;
-            }
-            let len_bytes: [u8; 4] = match buf[off..off + 4].try_into() {
-                Ok(b) => b,
-                Err(_) => break off,
-            };
-            let crc_bytes: [u8; 4] = match buf[off + 4..off + 8].try_into() {
-                Ok(b) => b,
-                Err(_) => break off,
-            };
-            let len = u32::from_le_bytes(len_bytes);
-            if len == 0 || len > MAX_RECORD_BYTES || off + 8 + len as usize > buf.len() {
-                break off;
-            }
-            let payload = &buf[off + 8..off + 8 + len as usize];
-            if crc32(payload) != u32::from_le_bytes(crc_bytes) {
-                break off;
-            }
-            match std::str::from_utf8(payload)
-                .ok()
-                .and_then(|t| json::parse(t).ok())
-                .as_ref()
-                .and_then(WalRecord::decode)
-            {
-                Some(rec) => {
-                    apply(&mut recovery, rec, shard);
-                    recovery.replayed_records += 1;
-                }
+        let mut recovery = Recovery::default();
+        let mut frames = Vec::new();
+        let mut valid_end = 0;
+        while let Frame::Sealed(payload, next) = frame_at(&buf, valid_end) {
+            let text = std::str::from_utf8(payload).ok();
+            let value = text.and_then(|t| json::parse(t).ok());
+            match value.as_ref().and_then(WalRecord::decode) {
+                Some(rec) => frames.push(rec),
                 None => recovery.skipped_records += 1,
             }
-            off += 8 + len as usize;
-        };
+            valid_end = next;
+        }
         if valid_end < buf.len() {
             recovery.truncated_bytes = (buf.len() - valid_end) as u64;
             file.set_len(valid_end as u64)?;
             file.sync_data()?;
         }
-        let max_id = recovery.tasks.iter().map(|t| t.task + 1).max().unwrap_or(0);
-        recovery.next_task_id = recovery.next_task_id.max(max_id);
+        recovery.replayed_records = frames.len() as u64;
+        recovery.skipped_records += recovery.table.absorb(snapshot.as_deref(), &frames, shard)?;
         Ok((
             Wal {
                 file,
@@ -607,16 +445,10 @@ impl Wal {
         self.snapshot_every = every.max(1);
     }
 
-    /// Writes a full-state snapshot (atomically: tmp + rename) and
-    /// truncates the log. `tasks` must be in submit order.
-    pub fn snapshot(&mut self, tasks: &[RecoveredTask], next_task_id: u64) -> io::Result<()> {
-        let blob = encode_snapshot(tasks, next_task_id);
-        self.install_snapshot_blob(&blob)
-    }
-
-    /// Installs a pre-encoded snapshot document (tmp + rename + dir sync)
-    /// and truncates the log — how a lagging follower adopts the
-    /// leader's compaction horizon wholesale.
+    /// Installs a snapshot document (tmp + rename + dir sync) and
+    /// truncates the log: the owner's own [`TaskTable::encode`] when it
+    /// compacts, the leader's when a lagging follower adopts its
+    /// compaction horizon wholesale.
     pub fn install_snapshot_blob(&mut self, blob: &str) -> io::Result<()> {
         // Scope string only built when the registry is armed; disarmed the
         // four hooks below are each a single relaxed load.
@@ -699,15 +531,14 @@ pub fn scrub_shard(dir: &Path, shard: usize) -> io::Result<ScrubReport> {
         shard,
         ..ScrubReport::default()
     };
-    match std::fs::read_to_string(dir.join(shard_snapshot_name(shard))) {
-        Ok(text) => {
+    match read_snapshot(dir, shard) {
+        Ok(Some(text)) => {
             report.scanned_bytes += text.len() as u64;
-            let mut throwaway = Recovery::default();
-            if decode_snapshot(&text, &mut throwaway).is_err() {
-                report.snapshot_corrupt = true;
-            }
+            report.snapshot_corrupt = TaskTable::decode(&text).is_err();
         }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Ok(None) => {}
+        // Rot that left the document not even UTF-8.
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => report.snapshot_corrupt = true,
         Err(e) => return Err(e),
     }
     let buf = match std::fs::read(dir.join(shard_log_name(shard))) {
@@ -717,28 +548,23 @@ pub fn scrub_shard(dir: &Path, shard: usize) -> io::Result<ScrubReport> {
     };
     let sealed = buf.len();
     let mut off = 0usize;
-    while off + 8 <= sealed {
-        let len = u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]);
-        if len == 0 || len > MAX_RECORD_BYTES {
-            // An implausible length header could be a half-written len
-            // field; recovery truncates here either way, so treat it as
-            // the sealed region's corrupt horizon.
-            report.corrupt_at = Some(off as u64);
-            break;
-        }
-        let end = off + 8 + len as usize;
-        if end > sealed {
-            // In-flight tail: the frame extends past the length we
+    loop {
+        match frame_at(&buf, off) {
+            Frame::Sealed(_, next) => {
+                report.frames_ok += 1;
+                off = next;
+            }
+            // An in-flight tail: the frame extends past the length we
             // observed; the writer may still be appending it.
-            break;
+            Frame::Tail => break,
+            // An implausible length header could be a half-written len
+            // field; recovery truncates here either way, so it is the
+            // sealed region's corrupt horizon like a bad checksum.
+            Frame::Corrupt => {
+                report.corrupt_at = Some(off as u64);
+                break;
+            }
         }
-        let crc = u32::from_le_bytes([buf[off + 4], buf[off + 5], buf[off + 6], buf[off + 7]]);
-        if crc32(&buf[off + 8..end]) != crc {
-            report.corrupt_at = Some(off as u64);
-            break;
-        }
-        report.frames_ok += 1;
-        off = end;
     }
     if let Some(at) = report.corrupt_at {
         report.quarantined_bytes = sealed as u64 - at;
@@ -764,46 +590,11 @@ pub fn quarantine_shard(dir: &Path, shard: usize, at: u64) -> io::Result<u64> {
     Ok(len - at)
 }
 
-/// Serializes a task table into the snapshot document format — the exact
-/// bytes [`Wal::snapshot`] persists and [`decode_snapshot`] parses.
-/// `tasks` must be in submit order.
-pub fn encode_snapshot(tasks: &[RecoveredTask], next_task_id: u64) -> String {
-    let entries: Vec<Value> = tasks
-        .iter()
-        .map(|t| {
-            let mut fields = vec![
-                ("task", json::n(t.task as f64)),
-                ("app", json::s(t.app.clone())),
-                ("attempts", json::n(f64::from(t.attempts))),
-                (
-                    "state",
-                    json::s(match t.state {
-                        RecState::Queued => "queued",
-                        RecState::Leased => "leased",
-                        RecState::Completed => "completed",
-                        RecState::DeadLettered => "dead",
-                        RecState::Migrated => "migrated",
-                    }),
-                ),
-                ("runtime", json::n(t.runtime)),
-            ];
-            if let Some(to) = t.migrated_to {
-                fields.push(("to", json::n(to as f64)));
-            }
-            json::obj(fields)
-        })
-        .collect();
-    json::obj(vec![
-        ("v", json::n(1.0)),
-        ("next_task_id", json::n(next_task_id as f64)),
-        ("tasks", Value::Arr(entries)),
-    ])
-    .to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use crate::table::RecState;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("tracon-wal-{tag}-{}", std::process::id()));
@@ -822,7 +613,7 @@ mod tests {
         let dir = tmpdir("roundtrip");
         {
             let (mut wal, rec) = Wal::open(&dir, 1000).unwrap();
-            assert_eq!(rec.tasks.len(), 0);
+            assert_eq!(rec.table.len(), 0);
             wal.append(&WalRecord::Submit {
                 task: 0,
                 app: "grep".into(),
@@ -851,12 +642,12 @@ mod tests {
         }
         let (_, rec) = Wal::open(&dir, 1000).unwrap();
         assert_eq!(rec.replayed_records, 5);
-        assert_eq!(rec.next_task_id, 2);
-        assert_eq!(rec.tasks.len(), 2);
-        assert_eq!(rec.tasks[0].state, RecState::Completed);
-        assert_eq!(rec.tasks[0].runtime, 3.5);
-        assert_eq!(rec.tasks[1].state, RecState::Queued);
-        assert_eq!(rec.tasks[1].attempts, 1);
+        assert_eq!(rec.table.next_task_id(), 2);
+        assert_eq!(rec.table.len(), 2);
+        assert_eq!(rec.table.get(0).unwrap().state, RecState::Completed);
+        assert_eq!(rec.table.get(0).unwrap().runtime, 3.5);
+        assert_eq!(rec.table.get(1).unwrap().state, RecState::Queued);
+        assert_eq!(rec.table.get(1).unwrap().attempts, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -881,7 +672,7 @@ mod tests {
         }
         let (mut wal, rec) = Wal::open(&dir, 1000).unwrap();
         assert_eq!(rec.replayed_records, 1);
-        assert_eq!(rec.tasks.len(), 1);
+        assert_eq!(rec.table.len(), 1);
         assert!(rec.truncated_bytes > 0);
         // The log is writable again on a clean boundary.
         wal.append(&WalRecord::Lease {
@@ -892,7 +683,7 @@ mod tests {
         drop(wal);
         let (_, rec) = Wal::open(&dir, 1000).unwrap();
         assert_eq!(rec.replayed_records, 2);
-        assert_eq!(rec.tasks[0].state, RecState::Leased);
+        assert_eq!(rec.table.get(0).unwrap().state, RecState::Leased);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -939,25 +730,12 @@ mod tests {
             })
             .unwrap();
             assert!(wal.snapshot_due());
-            let tasks = vec![
-                RecoveredTask {
-                    task: 0,
-                    app: "grep".into(),
-                    attempts: 0,
-                    state: RecState::Queued,
-                    runtime: 0.0,
-                    migrated_to: None,
-                },
-                RecoveredTask {
-                    task: 1,
-                    app: "sort".into(),
-                    attempts: 2,
-                    state: RecState::DeadLettered,
-                    runtime: 0.0,
-                    migrated_to: None,
-                },
-            ];
-            wal.snapshot(&tasks, 2).unwrap();
+            let mut table = TaskTable::default();
+            let (grep, sort) = (table.intern("grep"), table.intern("sort"));
+            table.submit(0, grep);
+            table.submit(1, sort);
+            table.dead_letter(1, 2);
+            wal.install_snapshot_blob(&table.encode()).unwrap();
             assert!(!wal.snapshot_due());
             // Post-snapshot records land in the truncated log.
             wal.append(&WalRecord::Lease {
@@ -967,51 +745,21 @@ mod tests {
             .unwrap();
         }
         let (_, rec) = Wal::open(&dir, 2).unwrap();
-        assert_eq!(rec.next_task_id, 2);
+        assert_eq!(rec.table.next_task_id(), 2);
         assert_eq!(rec.replayed_records, 1, "only the post-snapshot record");
-        assert_eq!(rec.tasks.len(), 2);
-        assert_eq!(rec.tasks[0].state, RecState::Leased);
-        assert_eq!(rec.tasks[1].state, RecState::DeadLettered);
-        assert_eq!(rec.tasks[1].attempts, 2);
+        assert_eq!(rec.table.len(), 2);
+        assert_eq!(rec.table.get(0).unwrap().state, RecState::Leased);
+        assert_eq!(rec.table.get(1).unwrap().state, RecState::DeadLettered);
+        assert_eq!(rec.table.get(1).unwrap().attempts, 2);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Snapshot load was quadratic in the document (every string byte
-    /// re-validated the rest of it): 16 k tasks took ten seconds, and this
-    /// many would take minutes. The bound is a debug build's linear time
-    /// with two orders of magnitude to spare.
-    #[test]
-    fn a_64k_task_snapshot_decodes_in_linear_time() {
-        let tasks: Vec<RecoveredTask> = (1..=65_536u64)
-            .map(|task| RecoveredTask {
-                task,
-                app: format!("app-\u{e9}-{}", task % 8),
-                attempts: (task % 3) as u32,
-                state: RecState::Completed,
-                runtime: task as f64 * 0.5,
-                migrated_to: None,
-            })
-            .collect();
-        let blob = encode_snapshot(&tasks, 65_537);
-        let started = std::time::Instant::now();
-        let mut recovery = Recovery::default();
-        decode_snapshot(&blob, &mut recovery).unwrap();
-        let took = started.elapsed();
-        assert_eq!(recovery.tasks.len(), tasks.len());
-        assert!(recovery.tasks.iter().zip(&tasks).all(|(got, want)| {
-            (got.task, &got.app, got.state, got.runtime)
-                == (want.task, &want.app, want.state, want.runtime)
-        }));
-        assert_eq!(recovery.next_task_id, 65_537);
-        assert!(took.as_secs() < 30, "decode took {took:?}");
     }
 
     #[test]
     fn empty_dir_recovers_empty() {
         let dir = tmpdir("empty");
         let (_, rec) = Wal::open(&dir, 10).unwrap();
-        assert_eq!(rec.tasks.len(), 0);
-        assert_eq!(rec.next_task_id, 0);
+        assert_eq!(rec.table.len(), 0);
+        assert_eq!(rec.table.next_task_id(), 0);
         assert_eq!(rec.replayed_records, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1039,14 +787,14 @@ mod tests {
             recipient.append(&rec).unwrap();
         }
         let (_, donor_rec) = Wal::open_shard(&dir, 0, 1000).unwrap();
-        assert_eq!(donor_rec.tasks.len(), 1);
-        assert_eq!(donor_rec.tasks[0].state, RecState::Migrated);
-        assert_eq!(donor_rec.tasks[0].migrated_to, Some(2));
+        assert_eq!(donor_rec.table.len(), 1);
+        assert_eq!(donor_rec.table.get(7).unwrap().state, RecState::Migrated);
+        assert_eq!(donor_rec.table.get(7).unwrap().migrated_to, Some(2));
         let (_, recip_rec) = Wal::open_shard(&dir, 2, 1000).unwrap();
-        assert_eq!(recip_rec.tasks.len(), 1);
-        assert_eq!(recip_rec.tasks[0].state, RecState::Queued);
-        assert_eq!(recip_rec.tasks[0].attempts, 1);
-        assert_eq!(recip_rec.tasks[0].app, "grep");
+        assert_eq!(recip_rec.table.len(), 1);
+        let row = recip_rec.table.get(7).unwrap();
+        assert_eq!((row.state, row.attempts), (RecState::Queued, 1));
+        assert_eq!(recip_rec.table.app_name(row.app), "grep");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1065,7 +813,7 @@ mod tests {
         }
         let (_, rec) = Wal::open(&dir, 1000).unwrap();
         assert_eq!(rec.replayed_records, 5);
-        assert_eq!(rec.tasks.len(), 5);
+        assert_eq!(rec.table.len(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1142,15 +890,15 @@ mod tests {
         let dir = tmpdir("scrub-snap");
         {
             let (mut wal, _) = Wal::open(&dir, 1000).unwrap();
-            let tasks = vec![RecoveredTask {
-                task: 0,
-                app: "grep".into(),
-                attempts: 0,
-                state: RecState::Queued,
-                runtime: 0.0,
-                migrated_to: None,
-            }];
-            wal.snapshot(&tasks, 1).unwrap();
+            let mut table = TaskTable::default();
+            table.apply(
+                &WalRecord::Submit {
+                    task: 0,
+                    app: "grep".into(),
+                },
+                0,
+            );
+            wal.install_snapshot_blob(&table.encode()).unwrap();
         }
         let snap = dir.join(shard_snapshot_name(0));
         let mut bytes = std::fs::read(&snap).unwrap();
@@ -1162,35 +910,72 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Proptest-style torture: flip random bytes anywhere in the log and
+    /// Seeded torture: flip random bits anywhere in the log and the
     /// snapshot; scrub and recovery must never panic, replay must stop
-    /// at the first bad frame, and quarantining what scrub reports must
-    /// always leave a log that reopens with nothing left to truncate.
+    /// at the first bad frame, quarantining what scrub reports must
+    /// always leave a log that reopens with nothing left to truncate,
+    /// and what recovery hands back is the input: the log's frames are
+    /// checksummed, so only a flip that landed in the snapshot and still
+    /// parses can show — as one altered row per flip, never as more.
     #[test]
     fn torture_random_bit_flips_never_panic_recovery() {
         let mut rng = tracon_stats::prng::SplitMix64::new(0x7261_636F_6E00_0A0B);
-        for round in 0..40 {
+        let (mut recovered, mut refused) = (0, 0);
+        for round in 0..80 {
             let dir = tmpdir(&format!("torture-{round}"));
             let n = 4 + rng.next_u64() % 8;
-            seed_log(&dir, n);
-            let log = dir.join(shard_log_name(0));
-            let mut bytes = std::fs::read(&log).unwrap();
-            let flips = 1 + rng.next_u64() % 3;
-            for _ in 0..flips {
+            let submits: Vec<WalRecord> = (0..n)
+                .map(|task| WalRecord::Submit {
+                    task,
+                    app: ["grep", "sort", "wc"][task as usize % 3].into(),
+                })
+                .collect();
+            // The first half sits in the snapshot, the rest in the log.
+            let (compacted, logged) = submits.split_at(n as usize / 2);
+            let mut input = TaskTable::default();
+            input.absorb(None, compacted, 0).unwrap();
+            {
+                let (mut wal, _) = Wal::open(&dir, 1000).unwrap();
+                wal.install_snapshot_blob(&input.encode()).unwrap();
+                wal.append_batch(logged).unwrap();
+            }
+            input.absorb(None, logged, 0).unwrap();
+            let files = [
+                dir.join(shard_log_name(0)),
+                dir.join(shard_snapshot_name(0)),
+            ];
+            let mut flipped = [0usize; 2];
+            for _ in 0..1 + rng.next_u64() % 3 {
+                let file = (rng.next_u64() % 2) as usize;
+                let mut bytes = std::fs::read(&files[file]).unwrap();
                 let at = (rng.next_u64() as usize) % bytes.len();
                 bytes[at] ^= 1 << (rng.next_u64() % 8);
+                std::fs::write(&files[file], &bytes).unwrap();
+                flipped[file] += 1;
             }
-            std::fs::write(&log, &bytes).unwrap();
+            let log_len = std::fs::metadata(&files[0]).unwrap().len();
             let report = scrub_shard(&dir, 0).unwrap();
-            assert!(report.frames_ok <= n, "round {round}");
+            assert!(report.frames_ok <= logged.len() as u64, "round {round}");
+            assert!(flipped[1] > 0 || !report.snapshot_corrupt, "round {round}");
             if let Some(at) = report.corrupt_at {
-                assert_eq!(report.quarantined_bytes, bytes.len() as u64 - at);
+                assert_eq!(report.quarantined_bytes, log_len - at);
                 quarantine_shard(&dir, 0, at).unwrap();
             }
-            // Recovery replays the intact prefix without panicking —
-            // whether or not the flips landed in a sealed frame — and
-            // after a quarantine there is no torn tail left to cut.
-            let (_, rec) = Wal::open(&dir, 1000).unwrap();
+            // Recovery is total: a snapshot scrub calls corrupt is
+            // refused with an error, anything else replays the intact
+            // prefix — whether or not the flips landed in a sealed
+            // frame — and after a quarantine there is no torn tail left.
+            let rec = match Wal::open(&dir, 1000) {
+                Ok((_, rec)) => rec,
+                Err(e) => {
+                    assert!(report.snapshot_corrupt, "round {round}: {e}");
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                    refused += 1;
+                    continue;
+                }
+            };
+            recovered += 1;
+            assert!(!report.snapshot_corrupt, "round {round}");
             assert!(
                 rec.replayed_records + rec.skipped_records <= n,
                 "round {round}"
@@ -1198,12 +983,17 @@ mod tests {
             if report.corrupt_at.is_some() {
                 assert_eq!(rec.truncated_bytes, 0, "round {round}");
                 assert!(
-                    rec.replayed_records + rec.skipped_records <= report.frames_ok,
+                    rec.replayed_records <= report.frames_ok,
                     "round {round}: replay must stop no later than scrub's horizon"
                 );
             }
+            let input: Vec<_> = input.iter().collect();
+            let altered = rec.table.iter().filter(|row| !input.contains(row));
+            assert!(rec.table.len() <= input.len(), "round {round}");
+            assert!(altered.count() <= flipped[1], "round {round}");
             let _ = std::fs::remove_dir_all(&dir);
         }
+        assert!(recovered > 0 && refused > 0, "{recovered} / {refused}");
     }
 
     #[test]

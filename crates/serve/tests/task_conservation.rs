@@ -2,7 +2,9 @@
 //! is in exactly one of queued/delayed/running/completed/dead-lettered —
 //! holds under random interleavings of submits, completions, lease
 //! expiries, backoff promotion, and crash-recovery cycles through the
-//! WAL, and all work eventually reaches a terminal state.
+//! WAL, and all work eventually reaches a terminal state. After every
+//! operation the task table a shard runs on equals the one a replay of
+//! its files rebuilds.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,8 +13,10 @@ use std::time::{Duration, Instant};
 
 use tracon_dcsim::{Testbed, TestbedConfig};
 use tracon_serve::repl::sim::{SimCluster, SimKnobs};
-use tracon_serve::shard::{route_app, shard_machines};
-use tracon_serve::{recover_dir, Metrics, Role, SchedKind, ServeConfig, Service, StatusSnapshot};
+use tracon_serve::shard::{restore_shards, route_app, shard_machines};
+use tracon_serve::{
+    recover_dir, Metrics, Role, SchedKind, ServeConfig, Service, StatusSnapshot, Wal,
+};
 use tracon_stats::prng::{check_cases, ChaCha12};
 
 /// A random interleaving: between `len.start` and `len.end - 1` pairs of
@@ -76,10 +80,26 @@ fn open(dir: &Path, now: Instant) -> Service {
         .expect("service must open its WAL")
 }
 
+/// What a crash right now would leave behind is what the shards hold:
+/// replaying each shard's snapshot and log rebuilds exactly the table
+/// its `Service` runs on — rows, states, attempts, tombstones, next id.
+fn assert_live_equals_replayed(dir: &Path, services: &[Service], after: &str) {
+    for svc in services {
+        let shard = svc.shard();
+        let (_, replayed) = Wal::open_shard(dir, shard, u64::MAX).expect("replay");
+        assert_eq!(
+            &replayed.table,
+            svc.table(),
+            "after {after}: shard {shard} of {} replays to another table than it holds",
+            services.len()
+        );
+    }
+}
+
 #[test]
 fn conservation_holds_under_random_interleavings() {
     check_cases(0..12, |rng| {
-        let ops = ops(rng, 1..40, 5, 1024);
+        let ops = ops(rng, 1..40, 6, 1024);
         let tb = testbed();
         let napps = tb.perf.names.len();
         let dir = fresh_dir();
@@ -118,10 +138,12 @@ fn conservation_holds_under_random_interleavings() {
                     svc = open(&dir, now);
                 }
                 // Jump past every lease and backoff deadline.
-                _ => {
+                4 => {
                     now += Duration::from_millis(2_000);
                     svc.tick(now);
                 }
+                // Compact ahead of the cadence.
+                _ => svc.write_snapshot(),
             }
             let st = svc.status();
             assert!(
@@ -129,6 +151,7 @@ fn conservation_holds_under_random_interleavings() {
                 "op {} broke conservation: admitted {} = completed {} + dead {} + queued {} + delayed {} + running {}",
                 op, st.admitted, st.completed, st.dead_lettered, st.queued, st.delayed, st.running
             );
+            assert_live_equals_replayed(&dir, std::slice::from_ref(&svc), &format!("op {op}"));
         }
         // Left alone, the lease machinery must drive every survivor to a
         // terminal state (completed earlier, or dead-lettered now).
@@ -193,11 +216,11 @@ fn recovery_preserves_admission_count() {
 
 /// Boot a sharded fleet against one WAL directory the way the daemon
 /// does: build the services, recover every shard file, merge, re-home,
-/// adopt, and snapshot under the new layout.
+/// and restore each shard under the new layout.
 fn open_shards(dir: &Path, shards: usize, now: Instant) -> Vec<Service> {
     let tb = testbed();
     let mut base = cfg(dir);
-    base.machines = 3; // room for up to 3 single-machine shards
+    base.machines = shards.max(3); // at least one machine a shard
     let slices = shard_machines(base.machines, shards);
     let mut services: Vec<Service> = slices
         .iter()
@@ -231,18 +254,7 @@ fn open_shards(dir: &Path, shards: usize, now: Instant) -> Vec<Service> {
     };
     let (wals, recovery) =
         recover_dir(dir, shards, base.wal_snapshot_every, &route).expect("recover shards");
-    for (shard, wal) in wals.into_iter().enumerate() {
-        let homed: Vec<_> = recovery
-            .tasks
-            .iter()
-            .filter(|t| t.home == shard)
-            .map(|t| t.rec.clone())
-            .collect();
-        services[shard].attach_wal(wal);
-        services[shard].adopt_recovered(&homed, now);
-        services[shard].align_next_task_id(recovery.next_task_id);
-        services[shard].write_snapshot();
-    }
+    restore_shards(&mut services, wals, recovery, now);
     services
 }
 
@@ -341,6 +353,7 @@ fn summed_conservation_survives_steals_and_shard_crashes() {
                 "op {} broke summed conservation over {} shards: admitted {} = completed {} + dead {} + queued {} + delayed {} + running {}",
                 op, shards, st.admitted, st.completed, st.dead_lettered, st.queued, st.delayed, st.running
             );
+            assert_live_equals_replayed(&dir, &services, &format!("op {op}"));
         }
         // Every survivor must still reach a terminal state.
         for _ in 0..64 {
@@ -365,6 +378,191 @@ fn summed_conservation_survives_steals_and_shard_crashes() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     });
+}
+
+/// The property on its own, where CI runs it by name: every seeded
+/// interleaving of submit / complete / tick (short, and past every
+/// lease) / committed steal / forced snapshot / crash-and-recover (also
+/// with the donor's half of a steal cut off), on one shard and on four,
+/// leaves after every single operation a directory that replays to the
+/// tables the shards hold.
+#[test]
+fn live_state_equals_replayed_state_at_every_step() {
+    check_cases(0..12, |rng| {
+        let shards = if rng.next_u64() & 1 == 1 { 4 } else { 1 };
+        let ops = ops(rng, 8..48, 8, 1024);
+        let tb = testbed();
+        let napps = tb.perf.names.len();
+        let dir = fresh_dir();
+        let mut now = Instant::now();
+        let mut services = open_shards(&dir, shards, now);
+        assert_live_equals_replayed(&dir, &services, "boot");
+        for (op, x) in ops {
+            let x = x as usize;
+            let (from, to) = (x % shards, (x / 7 + 1 + x % shards) % shards);
+            match op {
+                0 | 1 => {
+                    let app = &tb.perf.names[x % napps];
+                    let shard = services[0].app_id(app).map(|id| route_app(id, shards));
+                    let _ = services[shard.unwrap_or(0)].submit(app, now);
+                }
+                2 => {
+                    let task = (x % 40 + 1) as u64;
+                    if let Some(svc) = services.iter_mut().find(|s| s.task_info(task).is_some()) {
+                        let _ = svc.complete(task, 5.0 + (x % 7) as f64, 80.0, now);
+                    }
+                }
+                3 | 4 => {
+                    let jump = if op == 3 { x as u64 % 30 + 1 } else { 2_000 };
+                    now += Duration::from_millis(jump);
+                    services.iter_mut().for_each(|svc| {
+                        svc.tick(now);
+                    });
+                }
+                5 if from != to => {
+                    let stolen = services[from].steal_queued(x % 3 + 1, to);
+                    assert_live_equals_replayed(&dir, &services, "the donor's half of a steal");
+                    services[to].inject_stolen(&stolen, from, now);
+                }
+                6 => services[from].write_snapshot(),
+                _ => {
+                    if from != to {
+                        let _cut = services[from].steal_queued(x % 3 + 1, to);
+                    }
+                    drop(services);
+                    now += Duration::from_millis(1);
+                    services = open_shards(&dir, shards, now);
+                }
+            }
+            assert_live_equals_replayed(&dir, &services, &format!("op {op}"));
+            assert!(summed(&services).conserved(), "op {op} broke conservation");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+/// A two-shard WAL directory exactly as the commit before the task table
+/// wrote it (hex of each file): snapshots holding completed, queued,
+/// leased and `migrated` rows, logs holding every record kind, a steal
+/// both shards logged and one only the donor did.
+const PARENT_DIR: [(&str, &str); 4] = [
+    (
+        "snapshot.0.json",
+        "7b2276223a312c226e6578745f7461736b5f6964223a31312c227461736b73223a5b7b227461736b\
+         223a312c22617070223a22656d61696c222c22617474656d707473223a302c227374617465223a22\
+         636f6d706c65746564222c2272756e74696d65223a352e357d2c7b227461736b223a332c22617070\
+         223a22626c6173746e222c22617474656d707473223a312c227374617465223a226c656173656422\
+         2c2272756e74696d65223a307d2c7b227461736b223a352c22617070223a22766964656f222c2261\
+         7474656d707473223a312c227374617465223a226c6561736564222c2272756e74696d65223a307d\
+         2c7b227461736b223a372c22617070223a22656d61696c222c22617474656d707473223a312c2273\
+         74617465223a226c6561736564222c2272756e74696d65223a307d2c7b227461736b223a392c2261\
+         7070223a22626c6173746e222c22617474656d707473223a312c227374617465223a226c65617365\
+         64222c2272756e74696d65223a307d5d7d",
+    ),
+    (
+        "snapshot.1.json",
+        "7b2276223a312c226e6578745f7461736b5f6964223a32362c227461736b73223a5b7b227461736b\
+         223a322c22617070223a22776562222c22617474656d707473223a302c227374617465223a22636f\
+         6d706c65746564222c2272756e74696d65223a352e357d2c7b227461736b223a342c22617070223a\
+         22626c61737470222c22617474656d707473223a302c227374617465223a22636f6d706c65746564\
+         222c2272756e74696d65223a352e357d2c7b227461736b223a362c22617070223a22636f6d70696c\
+         65222c22617474656d707473223a312c227374617465223a22717565756564222c2272756e74696d\
+         65223a307d2c7b227461736b223a382c22617070223a22667265716d696e65222c22617474656d70\
+         7473223a312c227374617465223a22717565756564222c2272756e74696d65223a307d2c7b227461\
+         736b223a31302c22617070223a226465647570222c22617474656d707473223a312c227374617465\
+         223a22717565756564222c2272756e74696d65223a307d2c7b227461736b223a31322c2261707022\
+         3a22776562222c22617474656d707473223a312c227374617465223a22717565756564222c227275\
+         6e74696d65223a307d2c7b227461736b223a31342c22617070223a22626c61737470222c22617474\
+         656d707473223a302c227374617465223a226c6561736564222c2272756e74696d65223a307d2c7b\
+         227461736b223a31362c22617070223a22636f6d70696c65222c22617474656d707473223a302c22\
+         7374617465223a226c6561736564222c2272756e74696d65223a307d2c7b227461736b223a31382c\
+         22617070223a22667265716d696e65222c22617474656d707473223a302c227374617465223a2271\
+         7565756564222c2272756e74696d65223a307d2c7b227461736b223a32302c22617070223a226465\
+         647570222c22617474656d707473223a302c227374617465223a22717565756564222c2272756e74\
+         696d65223a307d2c7b227461736b223a32322c22617070223a22776562222c22617474656d707473\
+         223a302c227374617465223a226d69677261746564222c2272756e74696d65223a302c22746f223a\
+         307d2c7b227461736b223a32342c22617070223a22626c61737470222c22617474656d707473223a\
+         302c227374617465223a226d69677261746564222c2272756e74696d65223a302c22746f223a307d\
+         5d7d",
+    ),
+    (
+        "wal.0",
+        "27000000261df62b7b226f70223a227375626d6974222c227461736b223a31312c22617070223a22\
+         766964656f227d27000000917281e17b226f70223a227375626d6974222c227461736b223a31332c\
+         22617070223a22656d61696c227d230000007957aeeb7b226f70223a2264656164222c227461736b\
+         223a332c22617474656d707473223a327d230000008b8354c97b226f70223a2264656164222c2274\
+         61736b223a352c22617474656d707473223a327d230000001a32d2617b226f70223a226465616422\
+         2c227461736b223a372c22617474656d707473223a327d230000006f2aa18c7b226f70223a226465\
+         6164222c227461736b223a392c22617474656d707473223a327d240000002a8862cf7b226f70223a\
+         226c65617365222c227461736b223a31312c22617474656d7074223a307d24000000874c0c2e7b22\
+         6f70223a226c65617365222c227461736b223a31332c22617474656d7074223a307d450000009b26\
+         7fd67b226f70223a226d696772617465222c227461736b223a32342c22617070223a22626c617374\
+         70222c22617474656d7074223a302c2266726f6d223a312c22746f223a307d42000000a41a9fb87b\
+         226f70223a226d696772617465222c227461736b223a32322c22617070223a22776562222c226174\
+         74656d7074223a302c2266726f6d223a312c22746f223a307d240000003e8cbc5a7b226f70223a22\
+         6c65617365222c227461736b223a32342c22617474656d7074223a307d2400000088c77ea27b226f\
+         70223a226c65617365222c227461736b223a32322c22617474656d7074223a307d2800000065b087\
+         8b7b226f70223a227375626d6974222c227461736b223a31352c22617070223a22626c6173746e22\
+         7d27000000c27467787b226f70223a227375626d6974222c227461736b223a31372c22617070223a\
+         22766964656f227d",
+    ),
+    (
+        "wal.1",
+        "2a0000009089f93c7b226f70223a227375626d6974222c227461736b223a32362c22617070223a22\
+         667265716d696e65227d2700000032b6f7657b226f70223a227375626d6974222c227461736b223a\
+         32382c22617070223a226465647570227d440000007fb036317b226f70223a226d69677261746522\
+         2c227461736b223a32382c22617070223a226465647570222c22617474656d7074223a302c226672\
+         6f6d223a312c22746f223a307d",
+    ),
+];
+
+/// The formats hold: that directory restores — under its own shard
+/// count, a smaller and a larger one — to the per-shard status the
+/// commit that wrote it restored it to, and issues the same next id.
+#[test]
+fn a_directory_the_parent_commit_wrote_restores_to_the_same_status() {
+    // (queued, completed, dead_lettered, admitted, free_slots) a shard.
+    type Want = &'static [(usize, u64, u64, u64, usize)];
+    let cases: [(usize, Want, Option<u64>); 3] = [
+        (2, &[(7, 1, 4, 12, 4), (9, 2, 0, 11, 2)], Some(29)),
+        (1, &[(16, 3, 4, 23, 6)], None),
+        (
+            3,
+            &[(1, 1, 1, 3, 2), (12, 2, 0, 14, 2), (3, 0, 3, 6, 2)],
+            Some(31),
+        ),
+    ];
+    for (shards, want, next) in cases {
+        let dir = fresh_dir();
+        std::fs::create_dir_all(&dir).expect("fixture dir");
+        for (name, hex) in PARENT_DIR {
+            let byte = |i: usize| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex");
+            let bytes: Vec<u8> = (0..hex.len()).step_by(2).map(byte).collect();
+            std::fs::write(dir.join(name), bytes).expect("fixture file");
+        }
+        let now = Instant::now();
+        let mut services = open_shards(&dir, shards, now);
+        let got: Vec<_> = services
+            .iter()
+            .map(|svc| {
+                let st = svc.status();
+                assert_eq!((st.delayed, st.running, st.rejected), (0, 0, 0));
+                (
+                    st.queued,
+                    st.completed,
+                    st.dead_lettered,
+                    st.admitted,
+                    st.free_slots,
+                )
+            })
+            .collect();
+        assert_eq!(got, want, "{shards} shards");
+        // A full queue (one shard, 16 waiting) refuses; otherwise the
+        // id continues past everything the directory ever held.
+        let admitted = services[0].submit(&testbed().perf.names[0], now);
+        assert_eq!(admitted.ok().map(|a| a.task), next, "{shards} shards");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// The replicated generalization: conservation survives a full
