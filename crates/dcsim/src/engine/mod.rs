@@ -236,7 +236,7 @@ pub struct Simulation<'tb> {
     pub scheduler: SchedulerKind,
     /// Optimization objective.
     pub objective: Objective,
-    /// Override predictor (e.g. the oracle); defaults to the testbed's.
+    /// Override predictor; defaults to the testbed's.
     predictor_override: Option<&'tb tracon_core::Predictor>,
     /// Admission-queue capacity: arrivals beyond this bound are refused
     /// (`None` = unbounded buffering).
@@ -312,8 +312,8 @@ impl<'tb> Simulation<'tb> {
         self
     }
 
-    /// Uses a different prediction module (e.g. the measured-statistics
-    /// oracle, or a WMM/LM-backed predictor for the Fig 4 comparison).
+    /// Uses a different prediction module (e.g. a WMM/LM-backed
+    /// predictor for the Fig 4 comparison).
     pub fn with_predictor(mut self, predictor: &'tb tracon_core::Predictor) -> Self {
         self.predictor_override = Some(predictor);
         self

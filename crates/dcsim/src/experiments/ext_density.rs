@@ -2,14 +2,14 @@
 //! machine.
 //!
 //! The paper fixes two VMs per physical machine "for simplicity". The
-//! N-guest engine ([`tracon_vmsim::MultiEngine`]) lets us (a) measure how
-//! interference compounds as more data-intensive guests share one host,
-//! and (b) validate the data-center simulator's *dominant-neighbour*
-//! approximation — when a machine hosts more than two VMs, the replayed
-//! slowdown of a task uses its most I/O-intensive co-resident — against
-//! ground truth.
+//! co-run engine takes any number of guests ([`Engine::run`]), which lets
+//! us (a) measure how interference compounds as more data-intensive
+//! guests share one host, and (b) validate the data-center simulator's
+//! *dominant-neighbour* approximation — when a machine hosts more than
+//! two VMs, the replayed slowdown of a task uses its most I/O-intensive
+//! co-resident — against ground truth.
 
-use tracon_vmsim::{Benchmark, Engine, HostConfig, MultiEngine};
+use tracon_vmsim::{AppModel, Benchmark, Engine, HostConfig};
 
 /// Measured slowdowns for one consolidation density.
 #[derive(Debug, Clone)]
@@ -18,7 +18,7 @@ pub struct DensityRow {
     pub guests: usize,
     /// Neighbour set description.
     pub neighbours: String,
-    /// Ground-truth slowdown of the target (multi-VM engine).
+    /// Ground-truth slowdown of the target with every neighbour running.
     pub measured: f64,
     /// The dominant-neighbour approximation the data-center simulator
     /// would replay (pairwise slowdown against the most I/O-intensive
@@ -38,51 +38,50 @@ pub struct ExtDensity {
 /// Runs the density sweep: `video` consolidated with increasingly many
 /// neighbours drawn from a fixed pattern (email, dedup, email, dedup...).
 pub fn run(time_scale: f64, seed: u64) -> ExtDensity {
-    let host = HostConfig::testbed();
-    let engine = Engine::new(host);
-    let multi = MultiEngine::new(host);
+    let engine = Engine::new(HostConfig::testbed());
     let target = Benchmark::Video.model().time_scaled(time_scale);
-    let email = Benchmark::Email.model().time_scaled(time_scale);
-    let dedup = Benchmark::Dedup.model().time_scaled(time_scale);
+    let email = Benchmark::Email
+        .model()
+        .time_scaled(time_scale)
+        .as_endless();
+    let dedup = Benchmark::Dedup
+        .model()
+        .time_scaled(time_scale)
+        .as_endless();
 
     let solo = engine.solo_run(&target, seed).runtime[0];
 
-    // Pairwise slowdowns for the dominant-neighbour approximation.
-    let pair_slowdown = |bg: &tracon_vmsim::AppModel, s: u64| -> f64 {
-        engine.co_run(&target, &bg.as_endless(), s).runtime[0] / solo
-    };
-    let vs_email = pair_slowdown(&email, seed.wrapping_add(1));
-    let vs_dedup = pair_slowdown(&dedup, seed.wrapping_add(2));
+    // Pairwise slowdowns for the dominant-neighbour approximation, as
+    // the testbed's pair matrix measures them.
+    let pair_seed = |k: u64| seed.wrapping_add(1 + k);
+    let pair_slowdown =
+        |bg: &AppModel, s: u64| -> f64 { engine.co_run(&target, bg, s).runtime[0] / solo };
+    let vs_email = pair_slowdown(&email, pair_seed(0));
+    let vs_dedup = pair_slowdown(&dedup, pair_seed(1));
 
-    let neighbour_sets: Vec<(String, Vec<tracon_vmsim::AppModel>, f64)> = vec![
-        ("email".into(), vec![email.clone()], vs_email),
-        ("dedup".into(), vec![dedup.clone()], vs_dedup),
-        (
-            "email+dedup".into(),
-            vec![email.clone(), dedup.clone()],
-            vs_dedup,
-        ),
-        (
-            "email+email+dedup".into(),
-            vec![email.clone(), email.clone(), dedup.clone()],
-            vs_dedup,
-        ),
-        (
-            "dedup+dedup".into(),
-            vec![dedup.clone(), dedup.clone()],
-            vs_dedup,
-        ),
+    let neighbour_sets: [(&str, Vec<&AppModel>, f64); 5] = [
+        ("email", vec![&email], vs_email),
+        ("dedup", vec![&dedup], vs_dedup),
+        ("email+dedup", vec![&email, &dedup], vs_dedup),
+        ("email+email+dedup", vec![&email, &email, &dedup], vs_dedup),
+        ("dedup+dedup", vec![&dedup, &dedup], vs_dedup),
     ];
 
     let mut rows = Vec::new();
     for (k, (label, neighbours, dominant)) in neighbour_sets.into_iter().enumerate() {
-        let mut guests = vec![target.clone()];
-        guests.extend(neighbours.iter().map(|n| n.as_endless()));
-        let out = multi.run(&guests, seed.wrapping_add(100 + k as u64));
+        let mut guests = vec![&target];
+        guests.extend(neighbours);
+        // With one neighbour the approximation *is* the measurement, so
+        // a two-guest row repeats the pairwise run, seed included.
+        let row_seed = if guests.len() == 2 {
+            pair_seed(k as u64)
+        } else {
+            seed.wrapping_add(100 + k as u64)
+        };
         rows.push(DensityRow {
             guests: guests.len(),
-            neighbours: label,
-            measured: out.runtime[0] / solo,
+            neighbours: label.into(),
+            measured: engine.run(&guests, row_seed).runtime[0] / solo,
             dominant_approx: dominant,
         });
     }
@@ -143,11 +142,11 @@ mod tests {
         let fig = run(0.08, 5);
         for r in &fig.rows {
             if r.guests == 2 {
-                // Pair engine and multi engine draw jitter in slightly
-                // different orders, so allow a modest tolerance.
-                let rel = (r.measured - r.dominant_approx).abs() / r.measured;
-                assert!(
-                    rel < 0.12,
+                // `co_run` is `run` at two guests: same engine, same
+                // seed, same bits.
+                assert_eq!(
+                    r.measured.to_bits(),
+                    r.dominant_approx.to_bits(),
                     "{}: measured {} vs approx {}",
                     r.neighbours,
                     r.measured,

@@ -30,7 +30,6 @@ pub mod engine;
 pub mod experiments;
 pub mod faults;
 pub mod machines;
-pub mod oracle;
 pub mod perf;
 pub mod setup;
 mod snapshot;
@@ -43,6 +42,5 @@ pub use engine::{
 };
 pub use faults::{FaultConfig, FaultPlan, MachineFaultEvent};
 pub use machines::MachineClassConfig;
-pub use oracle::oracle_predictor;
 pub use perf::{PerfTable, IDLE};
 pub use setup::{Testbed, TestbedConfig};

@@ -7,7 +7,9 @@
 //! computes exactly this allocation for a set of demands and weights.
 
 /// Computes the weighted max-min fair allocation of `capacity` among
-/// consumers with the given `demands` and `weights`.
+/// consumers with the given `demands` and `weights` into `alloc`, a
+/// caller-owned buffer of the same length (the co-run engine's fixed
+/// point calls this twice per iteration and must not allocate).
 ///
 /// Properties:
 /// * no consumer receives more than its demand,
@@ -19,12 +21,13 @@
 /// # Panics
 /// Panics when the slices differ in length, or any demand/weight is
 /// negative or non-finite.
-pub fn fair_share(capacity: f64, demands: &[f64], weights: &[f64]) -> Vec<f64> {
+pub fn fair_share(capacity: f64, demands: &[f64], weights: &[f64], alloc: &mut [f64]) {
     assert_eq!(
         demands.len(),
         weights.len(),
         "demands/weights length mismatch"
     );
+    assert_eq!(demands.len(), alloc.len(), "demands/alloc length mismatch");
     assert!(
         capacity >= 0.0 && capacity.is_finite(),
         "bad capacity {capacity}"
@@ -34,15 +37,15 @@ pub fn fair_share(capacity: f64, demands: &[f64], weights: &[f64]) -> Vec<f64> {
         assert!(w >= 0.0 && w.is_finite(), "bad weight {w}");
     }
     let n = demands.len();
-    let mut alloc = vec![0.0; n];
-    let mut satisfied = vec![false; n];
+    alloc.fill(0.0);
     let mut remaining = capacity;
 
     // Progressive filling: raise the fair level until either everyone is
-    // satisfied or the capacity runs out. At most n rounds.
+    // satisfied or the capacity runs out. At most n rounds. A consumer is
+    // satisfied exactly when its allocation has reached its demand.
     for _ in 0..n {
         let active_weight: f64 = (0..n)
-            .filter(|&i| !satisfied[i] && demands[i] > alloc[i])
+            .filter(|&i| demands[i] > alloc[i])
             .map(|i| weights[i])
             .sum();
         if active_weight <= 0.0 || remaining <= 1e-15 {
@@ -54,15 +57,13 @@ pub fn fair_share(capacity: f64, demands: &[f64], weights: &[f64]) -> Vec<f64> {
         let mut next_remaining = remaining;
         let mut progressed = false;
         for i in 0..n {
-            if satisfied[i] || demands[i] <= alloc[i] {
-                satisfied[i] = true;
+            if demands[i] <= alloc[i] {
                 continue;
             }
             let share = remaining * weights[i] / active_weight;
             let need = demands[i] - alloc[i];
             if need <= share {
                 alloc[i] = demands[i];
-                satisfied[i] = true;
                 next_remaining -= need;
                 progressed = true;
             }
@@ -71,7 +72,7 @@ pub fn fair_share(capacity: f64, demands: &[f64], weights: &[f64]) -> Vec<f64> {
             // Nobody was capped this round: distribute the remainder
             // proportionally and finish.
             for i in 0..n {
-                if !satisfied[i] {
+                if demands[i] > alloc[i] {
                     alloc[i] += remaining * weights[i] / active_weight;
                 }
             }
@@ -82,7 +83,6 @@ pub fn fair_share(capacity: f64, demands: &[f64], weights: &[f64]) -> Vec<f64> {
             break;
         }
     }
-    alloc
 }
 
 #[cfg(test)]
@@ -91,13 +91,21 @@ mod tests {
 
     const EQ: f64 = 1e-12;
 
+    /// The allocation as a fresh vector (tests only; shipped callers
+    /// own the buffer).
+    fn shares(capacity: f64, demands: &[f64], weights: &[f64]) -> Vec<f64> {
+        let mut alloc = vec![f64::NAN; demands.len()];
+        fair_share(capacity, demands, weights, &mut alloc);
+        alloc
+    }
+
     fn total(a: &[f64]) -> f64 {
         a.iter().sum()
     }
 
     #[test]
     fn underloaded_everyone_satisfied() {
-        let a = fair_share(2.0, &[0.5, 0.3, 0.1], &[1.0, 1.0, 1.0]);
+        let a = shares(2.0, &[0.5, 0.3, 0.1], &[1.0, 1.0, 1.0]);
         assert!((a[0] - 0.5).abs() < EQ);
         assert!((a[1] - 0.3).abs() < EQ);
         assert!((a[2] - 0.1).abs() < EQ);
@@ -105,7 +113,7 @@ mod tests {
 
     #[test]
     fn overloaded_equal_weights_split_evenly() {
-        let a = fair_share(1.0, &[1.0, 1.0], &[1.0, 1.0]);
+        let a = shares(1.0, &[1.0, 1.0], &[1.0, 1.0]);
         assert!((a[0] - 0.5).abs() < EQ);
         assert!((a[1] - 0.5).abs() < EQ);
     }
@@ -113,7 +121,7 @@ mod tests {
     #[test]
     fn small_demand_surplus_redistributed() {
         // Consumer 2 only wants 0.1; the other two split the rest evenly.
-        let a = fair_share(1.0, &[1.0, 1.0, 0.1], &[1.0, 1.0, 1.0]);
+        let a = shares(1.0, &[1.0, 1.0, 0.1], &[1.0, 1.0, 1.0]);
         assert!((a[2] - 0.1).abs() < EQ);
         assert!((a[0] - 0.45).abs() < EQ);
         assert!((a[1] - 0.45).abs() < EQ);
@@ -123,7 +131,7 @@ mod tests {
     #[test]
     fn weighted_split() {
         // Weight 2:1 -> allocation 2:1 when both are unsatisfied.
-        let a = fair_share(0.9, &[1.0, 1.0], &[2.0, 1.0]);
+        let a = shares(0.9, &[1.0, 1.0], &[2.0, 1.0]);
         assert!((a[0] - 0.6).abs() < EQ);
         assert!((a[1] - 0.3).abs() < EQ);
     }
@@ -131,7 +139,7 @@ mod tests {
     #[test]
     fn weighted_with_cap() {
         // Heavy-weight consumer only needs 0.2; light one takes the rest.
-        let a = fair_share(1.0, &[0.2, 5.0], &[10.0, 1.0]);
+        let a = shares(1.0, &[0.2, 5.0], &[10.0, 1.0]);
         assert!((a[0] - 0.2).abs() < EQ);
         assert!((a[1] - 0.8).abs() < EQ);
     }
@@ -141,7 +149,7 @@ mod tests {
         let demands = [0.7, 0.4, 1.2, 0.0, 0.05];
         let weights = [1.0, 2.0, 0.5, 1.0, 3.0];
         for &cap in &[0.0, 0.3, 1.0, 2.0, 5.0] {
-            let a = fair_share(cap, &demands, &weights);
+            let a = shares(cap, &demands, &weights);
             assert!(total(&a) <= cap + 1e-9, "cap={cap} total={}", total(&a));
             for (x, d) in a.iter().zip(&demands) {
                 assert!(*x <= d + 1e-9);
@@ -152,20 +160,20 @@ mod tests {
 
     #[test]
     fn zero_capacity_gives_zero() {
-        let a = fair_share(0.0, &[1.0, 2.0], &[1.0, 1.0]);
+        let a = shares(0.0, &[1.0, 2.0], &[1.0, 1.0]);
         assert_eq!(a, vec![0.0, 0.0]);
     }
 
     #[test]
     fn zero_weight_consumer_starves_under_load() {
-        let a = fair_share(1.0, &[1.0, 1.0], &[1.0, 0.0]);
+        let a = shares(1.0, &[1.0, 1.0], &[1.0, 0.0]);
         assert!((a[0] - 1.0).abs() < EQ);
         assert!(a[1].abs() < EQ);
     }
 
     #[test]
     fn empty_input() {
-        let a = fair_share(1.0, &[], &[]);
+        let a = shares(1.0, &[], &[]);
         assert!(a.is_empty());
     }
 
@@ -173,7 +181,7 @@ mod tests {
     fn table1_cpu_doubling_scenario() {
         // Two CPU-saturating guests plus a nearly idle Dom0 on one core:
         // each guest gets ~0.5 -> runtime doubles (Table 1, Calc/CPU-high).
-        let a = fair_share(1.0, &[1.0, 1.0, 0.005], &[256.0, 256.0, 256.0]);
+        let a = shares(1.0, &[1.0, 1.0, 0.005], &[256.0, 256.0, 256.0]);
         assert!((a[0] - a[1]).abs() < EQ);
         assert!(a[0] > 0.49 && a[0] < 0.50);
         assert!((a[2] - 0.005).abs() < EQ);
@@ -183,7 +191,7 @@ mod tests {
     fn work_conserving_when_one_idle() {
         // Table 1, SeqRead/CPU-high: the reader's tiny CPU demand and Dom0's
         // I/O handling are both satisfied; the burner gets the rest.
-        let a = fair_share(1.0, &[0.05, 1.0, 0.10], &[256.0, 256.0, 256.0]);
+        let a = shares(1.0, &[0.05, 1.0, 0.10], &[256.0, 256.0, 256.0]);
         assert!((a[0] - 0.05).abs() < EQ);
         assert!((a[2] - 0.10).abs() < EQ);
         assert!((a[1] - 0.85).abs() < EQ);

@@ -46,15 +46,18 @@ impl IoDemand {
 }
 
 /// Result of one disk allocation round: the fraction of each VM's requested
-/// rate that the device can actually serve this step.
-#[derive(Debug, Clone)]
+/// rate that the device can actually serve this step. The caller owns it
+/// and hands it back to every [`Disk::allocate`] call, so a round
+/// allocates nothing once the vectors have grown to the guest count.
+#[derive(Debug, Clone, Default)]
 pub struct DiskAllocation {
     /// Per-VM service fraction in `[0, 1]`: served = requested * fraction.
     pub fractions: Vec<f64>,
     /// Device utilization implied by the requested rates (1.0 = saturated).
     pub requested_utilization: f64,
-    /// Mean service time per request per VM, seconds (0 for idle VMs).
-    pub service_times: Vec<f64>,
+    /// Scratch: per-VM device-time demand, and the unit fair-share weights.
+    utilizations: Vec<f64>,
+    weights: Vec<f64>,
 }
 
 /// Shared-disk allocator.
@@ -112,26 +115,24 @@ impl Disk {
     /// stream still *degrades* a big sequential stream (it destroys the
     /// big stream's sequentiality and occupies device time) while being
     /// largely protected itself — exactly the behaviour behind Table 1's
-    /// SeqRead column.
-    pub fn allocate(&self, demands: &[IoDemand], path_efficiency: f64) -> DiskAllocation {
+    /// SeqRead column. The result is written into the caller-owned `out`.
+    pub fn allocate(&self, demands: &[IoDemand], path_efficiency: f64, out: &mut DiskAllocation) {
         let eff = path_efficiency.clamp(1e-6, 1.0);
         let total_rps: f64 = demands.iter().map(|d| d.total_rps()).sum();
-        let mut service_times = vec![0.0; demands.len()];
-        let mut utilizations = vec![0.0; demands.len()];
-        let mut requested_utilization = 0.0;
-        for (i, d) in demands.iter().enumerate() {
+        out.utilizations.clear();
+        out.utilizations.extend(demands.iter().map(|d| {
             if d.is_idle() {
-                continue;
+                return 0.0;
             }
             let eseq = self.effective_sequentiality(d.sequentiality, d.total_rps(), total_rps);
-            let st = self.service_time_s(d.req_kb, eseq);
-            service_times[i] = st;
-            utilizations[i] = d.total_rps() * st;
-            requested_utilization += utilizations[i];
-        }
-        // Max-min fair device-time allocation.
-        let weights = vec![1.0; demands.len()];
-        let granted = crate::cpu::fair_share(eff, &utilizations, &weights);
+            d.total_rps() * self.service_time_s(d.req_kb, eseq)
+        }));
+        out.requested_utilization = out.utilizations.iter().sum();
+        // Max-min fair device-time allocation (granted device time lands
+        // in `fractions` and is turned into service fractions in place).
+        out.weights.resize(demands.len(), 1.0);
+        out.fractions.resize(demands.len(), 0.0);
+        crate::cpu::fair_share(eff, &out.utilizations, &out.weights, &mut out.fractions);
         // Absolute IOPS cap (controller limit / iSCSI target cap), applied
         // as a uniform scale on top of the fair allocation.
         let iops_frac = if total_rps > self.params.iops_cap {
@@ -139,21 +140,12 @@ impl Disk {
         } else {
             1.0
         };
-        let fractions = demands
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                if d.is_idle() {
-                    1.0
-                } else {
-                    (granted[i] / utilizations[i].max(1e-12)).min(1.0) * iops_frac
-                }
-            })
-            .collect();
-        DiskAllocation {
-            fractions,
-            requested_utilization,
-            service_times,
+        for ((f, u), d) in out.fractions.iter_mut().zip(&out.utilizations).zip(demands) {
+            *f = if d.is_idle() {
+                1.0
+            } else {
+                (*f / u.max(1e-12)).min(1.0) * iops_frac
+            };
         }
     }
 
@@ -172,6 +164,13 @@ mod tests {
 
     fn disk() -> Disk {
         Disk::new(DiskParams::local_sata())
+    }
+
+    /// One allocation round into a fresh result.
+    fn allocate(d: &Disk, demands: &[IoDemand], path_efficiency: f64) -> DiskAllocation {
+        let mut out = DiskAllocation::default();
+        d.allocate(demands, path_efficiency, &mut out);
+        out
     }
 
     #[test]
@@ -205,7 +204,7 @@ mod tests {
             req_kb: 256.0,
             sequentiality: 0.97,
         };
-        let alloc = d.allocate(&[demand, demand], 1.0);
+        let alloc = allocate(&d, &[demand, demand], 1.0);
         let per_stream = solo * alloc.fractions[0];
         let slowdown = solo / per_stream;
         assert!(
@@ -225,7 +224,7 @@ mod tests {
             sequentiality: 0.97,
         };
         let idle = IoDemand::default();
-        let alloc = d.allocate(&[demand, idle], 1.0);
+        let alloc = allocate(&d, &[demand, idle], 1.0);
         assert!((alloc.fractions[0] - 1.0).abs() < 1e-6);
     }
 
@@ -239,8 +238,8 @@ mod tests {
             req_kb: 256.0,
             sequentiality: 0.97,
         };
-        let healthy = d.allocate(&[demand], 1.0);
-        let starved = d.allocate(&[demand], 0.5);
+        let healthy = allocate(&d, &[demand], 1.0);
+        let starved = allocate(&d, &[demand], 0.5);
         assert!((healthy.fractions[0] - 1.0).abs() < 1e-6);
         assert!(
             (starved.fractions[0] - 0.5).abs() < 0.02,
@@ -260,7 +259,7 @@ mod tests {
             req_kb: 0.5,
             sequentiality: 1.0,
         };
-        let alloc = d.allocate(&[demand], 1.0);
+        let alloc = allocate(&d, &[demand], 1.0);
         let served = demand.total_rps() * alloc.fractions[0];
         assert!(served <= d.params().iops_cap * 1.001, "served = {served}");
     }
@@ -274,7 +273,7 @@ mod tests {
             req_kb: 64.0,
             sequentiality: 0.5,
         };
-        let alloc = d.allocate(&[demand, IoDemand::default()], 1.0);
+        let alloc = allocate(&d, &[demand, IoDemand::default()], 1.0);
         assert!((alloc.fractions[0] - 1.0).abs() < 1e-9);
         assert!(alloc.requested_utilization < 1.0);
     }
@@ -315,7 +314,7 @@ mod tests {
         assert!(!demand.is_idle());
         assert!(IoDemand::default().is_idle());
         // Reads and writes count identically toward device time.
-        let alloc = d.allocate(&[demand], 1.0);
+        let alloc = allocate(&d, &[demand], 1.0);
         assert!(alloc.requested_utilization > 0.0);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A fluid-rate simulator of the paper's virtualized testbed: one
 //! physical host running a Xen-style stack — a driver domain (Dom0) that
-//! performs I/O on behalf of two guest VMs — with a credit CPU scheduler
-//! and a shared mechanical disk.
+//! performs I/O on behalf of the guest VMs (two on the paper's testbed)
+//! — with a credit CPU scheduler and a shared mechanical disk.
 //!
 //! This crate is the *substitution* for the paper's physical hardware
 //! (see `DESIGN.md`): the paper only consumes measured interference
@@ -27,7 +27,7 @@
 //! * [`disk`] — mechanical disk with stream-mixing interference,
 //! * [`app`] — phased application behaviour models,
 //! * [`apps`] — the 8 paper benchmarks, microbenchmarks, synthetic loads,
-//! * [`engine`] — the two-VM co-run engine,
+//! * [`engine`] — the co-run engine (N guests; the paper's testbed is N = 2),
 //! * [`profiler`] — training-set and pair-matrix measurement harness.
 
 #![warn(missing_docs)]
@@ -38,12 +38,10 @@ pub mod config;
 pub mod cpu;
 pub mod disk;
 pub mod engine;
-pub mod multi;
 pub mod profiler;
 
 pub use app::{AppModel, Phase};
 pub use apps::Benchmark;
 pub use config::{DiskParams, HostConfig};
-pub use engine::{CoRunOutcome, Engine, IntervalSample, VmObservation};
-pub use multi::{MultiEngine, MultiRunOutcome};
+pub use engine::{CoRunOutcome, Engine, IntervalSample, RunOutcome, VmObservation};
 pub use profiler::{PairMatrix, ProfileRecord, ProfileSet, Profiler};

@@ -9,9 +9,7 @@ use std::sync::OnceLock;
 use tracon::core::{ModelKind, Objective};
 use tracon::dcsim::arrival::{poisson_trace, static_batch, WorkloadMix};
 use tracon::dcsim::experiments::predictor_with_model;
-use tracon::dcsim::{
-    io_boost, oracle_predictor, speedup, SchedulerKind, Simulation, Testbed, TestbedConfig,
-};
+use tracon::dcsim::{io_boost, speedup, SchedulerKind, Simulation, Testbed, TestbedConfig};
 use tracon::vmsim::Benchmark;
 
 fn testbed() -> &'static Testbed {
@@ -84,23 +82,6 @@ fn mibs_improves_on_fifo_across_batches() {
         "mean speedup {mean_speedup} ({speedups:?})"
     );
     assert!(mean_boost > 1.0, "mean IOBoost {mean_boost}");
-}
-
-#[test]
-fn oracle_predictor_drives_scheduler_sanely() {
-    let tb = testbed();
-    let oracle = oracle_predictor(tb);
-    let mut speedups = Vec::new();
-    for seed in 0..6u64 {
-        let trace = static_batch(32, WorkloadMix::Uniform, 2000 + seed);
-        let fifo = Simulation::new(tb, 16, SchedulerKind::Fifo).run(&trace, None);
-        let mibs = Simulation::new(tb, 16, SchedulerKind::Mibs(32))
-            .with_predictor(&oracle)
-            .run(&trace, None);
-        speedups.push(speedup(&fifo, &mibs));
-    }
-    let mean = tracon::stats::mean(&speedups);
-    assert!(mean > 1.0, "oracle-driven MIBS mean speedup {mean}");
 }
 
 #[test]

@@ -34,7 +34,8 @@ fn fair_share_properties() {
         let n = rng.range_usize(1, 8);
         let demands = floats(rng, n, 0.0..3.0);
         let weights = vec![1.0; demands.len()];
-        let alloc = fair_share(capacity, &demands, &weights);
+        let mut alloc = vec![0.0; demands.len()];
+        fair_share(capacity, &demands, &weights, &mut alloc);
         let total: f64 = alloc.iter().sum();
         assert!(total <= capacity + 1e-9);
         let mut all_satisfied = true;
@@ -62,7 +63,8 @@ fn fair_share_symmetry() {
         let n = rng.range_usize(2, 6);
         let demands = vec![demand; n];
         let weights = vec![1.0; n];
-        let alloc = fair_share(capacity, &demands, &weights);
+        let mut alloc = vec![0.0; demands.len()];
+        fair_share(capacity, &demands, &weights, &mut alloc);
         for w in alloc.windows(2) {
             assert!((w[0] - w[1]).abs() < 1e-9);
         }
