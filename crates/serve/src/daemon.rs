@@ -32,7 +32,7 @@ use crate::repl::{
     follower::{probe_peer, run_follower, sleep_or_shutdown, FollowerConfig, Node},
     read_sidecar, ReplState, Role, RoleEvent, RoleState, ShipLog,
 };
-use crate::shard::{recover_dir, restore_shards, route_app, shard_machines};
+use crate::shard::{recover_dir, restore_shards, shard_machines};
 use crate::state::{Refusal, ServeConfig, Service};
 use crate::table::RecState;
 use crate::wal::{existing_shard_count, remove_shard_files};
@@ -201,7 +201,6 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
 
     let mut node: Option<Arc<Node>> = None;
     if let Some(dir) = cfg.wal_dir.clone() {
-        let route = |name: &str| app_ids.get(name).map(|&id| route_app(id, shards));
         let ship = Arc::new(ShipLog::new(shards));
         for svc in &mut services {
             svc.attach_shipper(Arc::clone(&ship));
@@ -219,9 +218,9 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
             for shard in 0..existing_shard_count(&dir).max(shards) {
                 remove_shard_files(&dir, shard)?;
             }
-            recover_dir(&dir, shards, cfg.wal_snapshot_every, &route)?.0
+            recover_dir(&dir, shards, cfg.wal_snapshot_every, &|_| None)?.0
         } else {
-            let (wals, recovery) = recover_dir(&dir, shards, cfg.wal_snapshot_every, &route)?;
+            let (wals, recovery) = recover_dir(&dir, shards, cfg.wal_snapshot_every, &|_| None)?;
             metrics
                 .wal_replayed_records
                 .store(recovery.replayed_records, Ordering::Relaxed);
@@ -265,7 +264,6 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
             )),
             cfg: repl_cfg,
             shard_txs: shard_txs.clone(),
-            app_ids: app_ids.clone(),
             shutdown: Arc::clone(&shutdown),
             wals: Mutex::new(follower_wals),
         });
@@ -473,11 +471,11 @@ fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
     }
 }
 
-/// One shard's worker loop: exclusively owns its [`Service`], answers
-/// requests routed to it, contributes fan-out parts, and executes both
-/// sides of work-steal handoffs. Self-ticks at the net tick interval so
-/// time-driven work (batch deadlines, lease expiry, backoff promotion)
-/// never waits on traffic.
+/// One shard's worker loop: exclusively owns its [`Service`] — every task
+/// whose id names this shard, for the task's whole life — answers the
+/// requests routed to it, and contributes fan-out parts. Self-ticks at
+/// the net tick interval so time-driven work (batch deadlines, lease
+/// expiry, backoff promotion) never waits on traffic.
 fn shard_worker(
     mut svc: Service,
     rx: Receiver<ShardMsg>,
@@ -529,8 +527,8 @@ fn shard_worker(
 
 /// Outbound messages of one batch. While the batch has logged nothing
 /// they go straight to the reactor; from the first uncommitted WAL record
-/// on they are held, so no client, peer shard or follower sees an effect
-/// before the record behind it is on disk.
+/// on they are held, so no client or follower sees an effect before the
+/// record behind it is on disk.
 struct Outbox<E: FnMut(OutMsg)> {
     emit: E,
     held: Vec<OutMsg>,
@@ -579,24 +577,9 @@ fn run_batch(
                     seq,
                     id,
                     request,
-                    hops,
                 } => {
-                    let answered = match answer(svc, id, request, now) {
-                        Answer::Reply(reply) => OutMsg::Reply {
-                            conn,
-                            seq,
-                            line: crate::proto::encode_reply(&reply),
-                        },
-                        Answer::Redirect { id, request, to } => OutMsg::Redirect {
-                            conn,
-                            seq,
-                            id,
-                            request,
-                            to,
-                            hops,
-                        },
-                    };
-                    outbox.send(svc, answered);
+                    let line = crate::proto::encode_reply(&answer(svc, id, request, now));
+                    outbox.send(svc, OutMsg::Reply { conn, seq, line });
                 }
                 ShardMsg::Status { agg } => {
                     let part = OutMsg::StatusPart {
@@ -610,20 +593,6 @@ fn run_batch(
                 ShardMsg::Drain { agg } => {
                     let snap = svc.drain(now);
                     outbox.send(svc, OutMsg::DrainPart { agg, shard, snap });
-                }
-                ShardMsg::Steal { to, max } => {
-                    let tasks = svc.steal_queued(max, to);
-                    outbox.send(
-                        svc,
-                        OutMsg::Stolen {
-                            from: shard,
-                            to,
-                            tasks,
-                        },
-                    );
-                }
-                ShardMsg::Inject { from, tasks } => {
-                    svc.inject_stolen(&tasks, from, now);
                 }
                 ShardMsg::Promote {
                     wal,
@@ -658,23 +627,12 @@ fn run_batch(
     });
 }
 
-/// A worker's verdict on one request: a rendered reply, or a redirect
-/// because the task was stolen away.
-enum Answer {
-    Reply(Reply),
-    Redirect {
-        id: Option<String>,
-        request: Request,
-        to: usize,
-    },
-}
-
 /// Execute one routed request against this shard's service. Machine
 /// indices in replies are translated from shard-local to global through
 /// the shard's machine base, so clients see one coherent cluster.
-fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant) -> Answer {
+fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant) -> Reply {
     let base = svc.machine_base();
-    let reply = match request {
+    match request {
         Request::Submit { app, demand } => {
             match svc.submit_with_demand(&app, demand.unwrap_or_default(), now) {
                 Ok(admitted) => {
@@ -713,20 +671,6 @@ fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant)
                     ("dispatched", n(done.dispatched as f64)),
                 ]),
             ),
-            Err(Refusal::UnknownTask { task }) => match svc.migrated_to(task) {
-                Some(to) => {
-                    return Answer::Redirect {
-                        id,
-                        request: Request::Complete {
-                            task,
-                            runtime,
-                            iops,
-                        },
-                        to,
-                    }
-                }
-                None => refusal_reply(id, Refusal::UnknownTask { task }, svc),
-            },
             Err(refusal) => refusal_reply(id, refusal, svc),
         },
         Request::TaskInfo { task } => match svc.task_info(task) {
@@ -766,16 +710,7 @@ fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant)
                 }
                 Reply::ok(id, obj(pairs))
             }
-            None => match svc.migrated_to(task) {
-                Some(to) => {
-                    return Answer::Redirect {
-                        id,
-                        request: Request::TaskInfo { task },
-                        to,
-                    }
-                }
-                None => Reply::error(id, ErrorKind::UnknownTask, format!("no task {task}")),
-            },
+            None => Reply::error(id, ErrorKind::UnknownTask, format!("no task {task}")),
         },
         // Status/Drain/Shutdown never reach a worker (fan-out and the
         // stop sequence are the reactor's); decode totality means any
@@ -785,8 +720,7 @@ fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant)
             ErrorKind::Malformed,
             format!("request {other:?} is not shard-routable"),
         ),
-    };
-    Answer::Reply(reply)
+    }
 }
 
 fn refusal_reply(id: Option<String>, refusal: Refusal, svc: &Service) -> Reply {
@@ -929,7 +863,6 @@ mod tests {
             seq,
             id: None,
             request,
-            hops: 0,
         }
     }
 
@@ -977,7 +910,7 @@ mod tests {
     }
 
     fn recovered_states(dir: &Path) -> HashMap<u64, RecState> {
-        let (_, recovery) = recover_dir(dir, 1, 4096, &|_| Some(0)).unwrap();
+        let (_, recovery) = recover_dir(dir, 1, 4096, &|_| None).unwrap();
         let states = recovery.tasks.iter().map(|t| (t.rec.task, t.rec.state));
         states.collect()
     }

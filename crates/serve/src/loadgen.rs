@@ -763,7 +763,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         }
         if every(cfg.partial_every, i) {
             // Leave a torn frame on the wire, then vanish.
-            let _ = client.send_raw_bytes(b"{\"v\":1,\"op\":\"subm");
+            let _ = client.send_raw_bytes(b"{\"v\":2,\"op\":\"subm");
             report.partial_frames += 1;
             report.connection_kills += 1;
             client = reconnect!();

@@ -73,10 +73,10 @@ pub struct Metrics {
     pub scrub_repaired: AtomicU64,
     /// Adaptive model rebuilds that failed; the last-good predictor stays.
     pub rebuild_failures: AtomicU64,
-    /// Work-steal rebalance passes that moved at least one task.
-    pub steals: AtomicU64,
-    /// Tasks migrated between shards by work-stealing.
-    pub migrated_tasks: AtomicU64,
+    /// Submits the reactor admitted on the shallowest shard instead of
+    /// their application's hash shard, whose queue ran deeper by the
+    /// admission-overflow skew or more.
+    pub overflow_submits: AtomicU64,
     /// Current admission queue depth, summed over shards (gauge).
     pub queue_depth: AtomicU64,
     /// Currently running (placed, not yet completed) tasks, summed over
@@ -306,15 +306,9 @@ impl Metrics {
         );
         counter(
             &mut out,
-            "steals_total",
-            "Work-steal rebalance passes that moved at least one task.",
-            self.steals.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "migrated_tasks_total",
-            "Tasks migrated between shards by work-stealing.",
-            self.migrated_tasks.load(Ordering::Relaxed),
+            "overflow_submits_total",
+            "Submits admitted on the shallowest shard because their hash shard's queue ran deeper.",
+            self.overflow_submits.load(Ordering::Relaxed),
         );
         gauge(
             &mut out,
@@ -492,14 +486,12 @@ mod tests {
     #[test]
     fn shard_metric_names_are_pinned() {
         let m = Metrics::with_shards(2);
-        m.steals.fetch_add(2, Ordering::Relaxed);
-        m.migrated_tasks.fetch_add(9, Ordering::Relaxed);
+        m.overflow_submits.fetch_add(2, Ordering::Relaxed);
         m.set_shard_gauges(0, 4, 1, 0);
         m.set_shard_gauges(1, 6, 2, 3);
         let text = m.render_prometheus();
         for pinned in [
-            "tracond_steals_total 2",
-            "tracond_migrated_tasks_total 9",
+            "tracond_overflow_submits_total 2",
             "tracond_shard_queue_depth{shard=\"0\"} 4",
             "tracond_shard_queue_depth{shard=\"1\"} 6",
             "tracond_shard_leased_tasks{shard=\"0\"} 1",

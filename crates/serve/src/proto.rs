@@ -1,28 +1,24 @@
 //! tracond wire protocol: typed requests/replies and their JSON codec.
 //!
 //! Each TCP connection carries newline-delimited JSON documents. Every
-//! request names the protocol version (`"v":2`, with `"v":1` still
-//! accepted from legacy clients) and may carry a client request id, which
+//! request names the protocol version (`"v":2`; any other is refused
+//! with a `bad_version` error) and may carry a client request id, which
 //! the daemon echoes verbatim in the matching reply so pipelined clients
 //! can correlate responses. Decoding is total: any line — malformed JSON,
 //! wrong version, unknown op, missing field — maps to a structured
 //! [`Reply::Error`], never a panic or a dropped connection.
 //!
-//! Version 2 adds an optional `demand` object to `submit`: per-dimension
-//! resource demand (`{"disk":.., "cpu":.., "network":..}`, any subset)
-//! advising the scheduler of lanes the profiled characteristics do not
-//! cover. Version-1 submissions simply omit it and keep the legacy
-//! two-dimension defaults.
+//! `submit` takes an optional `demand` object: per-dimension resource
+//! demand (`{"disk":.., "cpu":.., "network":..}`, any subset) advising
+//! the scheduler of lanes the profiled characteristics do not cover. A
+//! submission that omits it keeps the legacy two-dimension defaults.
 
 use crate::json::{self, n, obj, s, Value};
 use tracon_core::{DimVec, ResourceDim};
 
-/// The newest protocol version this daemon speaks (replies are encoded
-/// at this version).
+/// The protocol version this daemon speaks: the only one a request may
+/// name, and the one replies are encoded at.
 pub const PROTOCOL_VERSION: u64 = 2;
-
-/// The oldest protocol version still accepted on the wire.
-pub const MIN_PROTOCOL_VERSION: u64 = 1;
 
 /// A client request, after the envelope (version + id) has been peeled off.
 #[derive(Clone, Debug, PartialEq)]
@@ -429,14 +425,13 @@ pub fn decode_request(line: &str) -> Result<Envelope, DecodeError> {
     }
     let id = doc.get("id").and_then(Value::as_str).map(str::to_string);
     match doc.get("v").and_then(Value::as_u64) {
-        Some(v) if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&v) => {}
+        Some(PROTOCOL_VERSION) => {}
         Some(other) => {
             return Err(DecodeError {
                 id,
                 kind: ErrorKind::BadVersion,
                 message: format!(
-                    "unsupported protocol version {other} (daemon speaks \
-                     {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
+                    "unsupported protocol version {other} (daemon speaks {PROTOCOL_VERSION})"
                 ),
             })
         }
@@ -670,18 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_submit_still_decodes() {
-        let e = decode_request("{\"v\":1,\"op\":\"submit\",\"app\":\"video\"}").unwrap();
-        assert_eq!(
-            e.request,
-            Request::Submit {
-                app: "video".to_string(),
-                demand: None,
-            }
-        );
-    }
-
-    #[test]
     fn bad_demand_is_a_structured_field_error() {
         let e = decode_request("{\"v\":2,\"op\":\"submit\",\"app\":\"a\",\"demand\":{\"tape\":1}}")
             .unwrap_err();
@@ -722,19 +705,25 @@ mod tests {
 
     #[test]
     fn version_mismatch_recovers_id() {
-        let e = decode_request("{\"v\":9,\"id\":\"x-1\",\"op\":\"status\"}").unwrap_err();
-        assert_eq!(e.kind, ErrorKind::BadVersion);
-        assert_eq!(e.id.as_deref(), Some("x-1"));
+        // Version 1 included: nothing in the repo speaks it any more.
+        for line in [
+            "{\"v\":9,\"id\":\"x-1\",\"op\":\"status\"}",
+            "{\"v\":1,\"id\":\"x-1\",\"op\":\"submit\",\"app\":\"video\"}",
+        ] {
+            let e = decode_request(line).unwrap_err();
+            assert_eq!(e.kind, ErrorKind::BadVersion, "{line}");
+            assert_eq!(e.id.as_deref(), Some("x-1"), "{line}");
+        }
     }
 
     #[test]
     fn unknown_op_and_missing_fields() {
-        let e = decode_request("{\"v\":1,\"op\":\"frobnicate\"}").unwrap_err();
+        let e = decode_request("{\"v\":2,\"op\":\"frobnicate\"}").unwrap_err();
         assert_eq!(e.kind, ErrorKind::UnknownOp);
-        let e = decode_request("{\"v\":1,\"op\":\"submit\"}").unwrap_err();
+        let e = decode_request("{\"v\":2,\"op\":\"submit\"}").unwrap_err();
         assert_eq!(e.kind, ErrorKind::BadField);
         let e =
-            decode_request("{\"v\":1,\"op\":\"complete\",\"task\":1,\"runtime\":1.0}").unwrap_err();
+            decode_request("{\"v\":2,\"op\":\"complete\",\"task\":1,\"runtime\":1.0}").unwrap_err();
         assert_eq!(e.kind, ErrorKind::BadField);
     }
 

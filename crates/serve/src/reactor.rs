@@ -12,26 +12,20 @@
 //! Request routing:
 //! - `submit` interns the application name at decode time and
 //!   rendezvous-hashes the [`tracon_core::AppId`] to a shard
-//!   ([`crate::shard::route_app`]); unprofiled names hash by name so any
-//!   shard can issue the identical `unknown-app` refusal.
+//!   ([`crate::shard::route_app`]), unless that shard's queue-depth gauge
+//!   is [`OVERFLOW_MIN_SKEW`] or more above the shallowest shard's: then
+//!   the submit goes to the shallowest one (counted in
+//!   `tracond_overflow_submits_total`). Balance is decided here, once;
+//!   a task never moves after admission. Unprofiled names hash by name
+//!   so any shard can issue the identical `unknown-app` refusal.
 //! - `complete`/`task_info` go to the task's stride shard
-//!   ([`crate::shard::stride_shard`]) unless a work-steal re-homed the
-//!   task, in which case the reactor's exception table — or, for races,
-//!   a worker-issued [`OutMsg::Redirect`] — finds the new home.
+//!   ([`crate::shard::stride_shard`]): the shard that issued the id, and
+//!   the only one that knows the task, before and after any restart.
 //! - `status`/`drain` fan out to every shard and the replies are summed
 //!   before one aggregate line goes back to the client.
 //! - `shutdown` is answered by the reactor itself, which then stops the
 //!   daemon once outstanding replies have flushed (or a short grace
 //!   period expires).
-//!
-//! The reactor is also the rebalancer: every tick it compares per-shard
-//! queue depths (via [`crate::metrics::Metrics`] shard gauges) and, when
-//! the skew exceeds [`STEAL_MIN_SKEW`], asks the deepest shard to move
-//! half the gap to the shallowest ([`ShardMsg::Steal`]). Stolen tasks
-//! come back through [`OutMsg::Stolen`], update the exception table, and
-//! are forwarded to the recipient as [`ShardMsg::Inject`] — channel FIFO
-//! order guarantees the inject lands before any redirected request for
-//! the same task.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
@@ -55,14 +49,10 @@ use crate::state::StatusSnapshot;
 use crate::table::TaskRow;
 use crate::wal::Wal;
 
-/// Queue-depth gap between the deepest and shallowest shard before the
-/// reactor triggers a work-steal rebalance pass.
-pub const STEAL_MIN_SKEW: u64 = 8;
-
-/// A redirected request that bounces more than this many times is
-/// answered `unknown-task` (covers a task migrating while its redirect
-/// is in flight; two hops settle every realistic race).
-const MAX_REDIRECT_HOPS: u8 = 16;
+/// How much deeper than the shallowest shard's queue a submit's hash
+/// shard's queue may run before the submit is admitted on the shallowest
+/// shard instead.
+pub const OVERFLOW_MIN_SKEW: u64 = 8;
 
 /// Grace period for flushing outstanding replies after a `shutdown`
 /// request or the last shard draining.
@@ -84,8 +74,6 @@ pub(crate) enum ShardMsg {
         id: Option<String>,
         /// The request; only `Submit`/`Complete`/`TaskInfo` reach workers.
         request: Request,
-        /// Redirect-bounce count (0 for first delivery).
-        hops: u8,
     },
     /// Contribute one part to a fan-out `status` aggregation.
     Status {
@@ -96,20 +84,6 @@ pub(crate) enum ShardMsg {
     Drain {
         /// Aggregation token.
         agg: u64,
-    },
-    /// Pop up to `max` queued tasks for shard `to` (work-steal donor side).
-    Steal {
-        /// Recipient shard.
-        to: usize,
-        /// Upper bound on tasks to move.
-        max: usize,
-    },
-    /// Adopt tasks stolen from shard `from` (work-steal recipient side).
-    Inject {
-        /// Donor shard.
-        from: usize,
-        /// The stolen tasks.
-        tasks: Vec<TaskRow>,
     },
     /// A follower promoted to leader: adopt the recovered state and the
     /// now-writable WAL. Sent exactly once per shard, before the role
@@ -165,30 +139,6 @@ pub(crate) enum OutMsg {
         shard: usize,
         /// The shard's post-drain snapshot.
         snap: StatusSnapshot,
-    },
-    /// The task this request names migrated to another shard; re-route.
-    Redirect {
-        /// Connection id of the original request.
-        conn: u64,
-        /// Sequence number of the original request.
-        seq: u64,
-        /// Echoed client request id.
-        id: Option<String>,
-        /// The original request, unanswered.
-        request: Request,
-        /// Where the task went.
-        to: usize,
-        /// Bounce count so far.
-        hops: u8,
-    },
-    /// Donor's answer to a [`ShardMsg::Steal`] (possibly empty).
-    Stolen {
-        /// Donor shard.
-        from: usize,
-        /// Recipient shard.
-        to: usize,
-        /// Tasks moved (already tombstoned in the donor's WAL).
-        tasks: Vec<TaskRow>,
     },
     /// This shard is draining and has no work left (sent at most once).
     Drained {
@@ -389,12 +339,8 @@ struct Reactor {
     next_conn: u64,
     aggs: HashMap<u64, Agg>,
     next_agg: u64,
-    /// Tasks living away from their stride shard after a steal.
-    exceptions: HashMap<u64, usize>,
     /// Shards that reported `Drained`.
     drained: HashSet<usize>,
-    /// At most one steal pass in flight at a time.
-    steal_outstanding: bool,
     /// Set once a stop was requested; the loop exits when every owed
     /// reply has flushed or the deadline passes.
     stop_deadline: Option<Instant>,
@@ -420,9 +366,7 @@ impl Reactor {
             next_conn: 0,
             aggs: HashMap::new(),
             next_agg: 0,
-            exceptions: HashMap::new(),
             drained: HashSet::new(),
-            steal_outstanding: false,
             stop_deadline: None,
             accepting: true,
         }
@@ -506,7 +450,6 @@ impl Reactor {
             }
 
             self.reap_timeouts(now);
-            self.maybe_steal();
             self.tick_repl_guard();
 
             if let Some(deadline) = self.stop_deadline {
@@ -710,7 +653,7 @@ impl Reactor {
                     return;
                 }
                 let shard = match self.app_ids.get(&app) {
-                    Some(&app_id) => route_app(app_id, self.shards()),
+                    Some(&app_id) => self.admitting_shard(route_app(app_id, self.shards())),
                     None => route_name(&app, self.shards()),
                 };
                 self.send_shard(
@@ -720,7 +663,6 @@ impl Reactor {
                         seq,
                         id: req_id,
                         request: Request::Submit { app, demand },
-                        hops: 0,
                     },
                 );
             }
@@ -735,22 +677,36 @@ impl Reactor {
                     Request::Complete { task, .. } | Request::TaskInfo { task } => *task,
                     _ => unreachable!(),
                 };
-                let shard = self
-                    .exceptions
-                    .get(&task)
-                    .copied()
-                    .unwrap_or_else(|| stride_shard(task, self.shards()));
                 self.send_shard(
-                    shard,
+                    stride_shard(task, self.shards()),
                     ShardMsg::Request {
                         conn: id,
                         seq,
                         id: req_id,
                         request,
-                        hops: 0,
                     },
                 );
             }
+        }
+    }
+
+    /// Where a submit whose application hashes to `home` is admitted:
+    /// `home`, unless its queue-depth gauge is [`OVERFLOW_MIN_SKEW`] or
+    /// more above the shallowest shard's, which then takes it.
+    fn admitting_shard(&self, home: usize) -> usize {
+        let depth = |shard| {
+            let gauges = self.metrics.shard_gauges(shard);
+            gauges.map_or(0, |g| g.queue_depth.load(Ordering::Relaxed))
+        };
+        let shallowest = (0..self.shards()).min_by_key(|&shard| depth(shard));
+        match shallowest {
+            Some(to) if depth(home) >= depth(to) + OVERFLOW_MIN_SKEW => {
+                self.metrics
+                    .overflow_submits
+                    .fetch_add(1, Ordering::Relaxed);
+                to
+            }
+            _ => home,
         }
     }
 
@@ -932,48 +888,6 @@ impl Reactor {
                         self.finish_agg(agg);
                     }
                 }
-                OutMsg::Redirect {
-                    conn,
-                    seq,
-                    id,
-                    request,
-                    to,
-                    hops,
-                } => {
-                    let task = match &request {
-                        Request::Complete { task, .. } | Request::TaskInfo { task } => *task,
-                        _ => 0,
-                    };
-                    if hops >= MAX_REDIRECT_HOPS || to >= self.shards() {
-                        let line = proto::encode_reply(&Reply::error(
-                            id,
-                            ErrorKind::UnknownTask,
-                            format!("no task {task}"),
-                        ));
-                        self.complete(conn, seq, line);
-                    } else {
-                        self.exceptions.insert(task, to);
-                        self.send_shard(
-                            to,
-                            ShardMsg::Request {
-                                conn,
-                                seq,
-                                id,
-                                request,
-                                hops: hops + 1,
-                            },
-                        );
-                    }
-                }
-                OutMsg::Stolen { from, to, tasks } => {
-                    self.steal_outstanding = false;
-                    if !tasks.is_empty() && to < self.shards() {
-                        for task in &tasks {
-                            self.exceptions.insert(task.task, to);
-                        }
-                        self.send_shard(to, ShardMsg::Inject { from, tasks });
-                    }
-                }
                 OutMsg::Drained { shard } => {
                     self.drained.insert(shard);
                     if self.drained.len() == self.shards() {
@@ -1090,40 +1004,6 @@ impl Reactor {
         for id in doomed {
             self.close(id);
         }
-    }
-
-    /// Trigger at most one work-steal pass when shard queue depths skew.
-    fn maybe_steal(&mut self) {
-        if self.shards() < 2 || self.steal_outstanding || self.stop_deadline.is_some() {
-            return;
-        }
-        let depths: Vec<u64> = (0..self.shards())
-            .map(|shard| {
-                self.metrics
-                    .shard_gauges(shard)
-                    .map(|g| g.queue_depth.load(Ordering::Relaxed))
-                    .unwrap_or(0)
-            })
-            .collect();
-        let (deepest, &max) = match depths.iter().enumerate().max_by_key(|(_, d)| **d) {
-            Some(found) => found,
-            None => return,
-        };
-        let (shallowest, &min) = match depths.iter().enumerate().min_by_key(|(_, d)| **d) {
-            Some(found) => found,
-            None => return,
-        };
-        if max - min < STEAL_MIN_SKEW {
-            return;
-        }
-        self.steal_outstanding = true;
-        self.send_shard(
-            deepest,
-            ShardMsg::Steal {
-                to: shallowest,
-                max: ((max - min) / 2) as usize,
-            },
-        );
     }
 
     fn begin_stop(&mut self) {

@@ -8,15 +8,12 @@
 //! run the effects in order, commit the state if none of the required
 //! ones failed.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use tracon_core::AppId;
 
 use crate::client::Client;
 use crate::json::Value;
@@ -25,7 +22,7 @@ use crate::proto::{ErrorKind, Reply, Request};
 use crate::reactor::ShardMsg;
 use crate::repl::role::{self, Effect, RoleEvent};
 use crate::repl::{decode_pull_chunk, lock, write_sidecar, PullChunk, ReplState, Role};
-use crate::shard::{recover_dir, route_app};
+use crate::shard::recover_dir;
 use crate::table::TaskTable;
 use crate::wal::{self, remove_shard_files, Wal};
 
@@ -56,8 +53,6 @@ pub(crate) struct Node {
     pub cfg: FollowerConfig,
     /// Per-shard worker channels (`ShardMsg::Promote` / `Demote`).
     pub shard_txs: Vec<Sender<ShardMsg>>,
-    /// Profiled app name -> id, for recovery routing at promotion.
-    pub app_ids: HashMap<String, AppId>,
     /// Daemon-wide shutdown flag.
     pub shutdown: Arc<AtomicBool>,
     /// The shard WALs shipped frames are appended to while this node
@@ -139,9 +134,8 @@ impl Node {
         let metrics = self.repl.metrics();
         // Release the file handles before recovery reopens them.
         lock(&self.wals).clear();
-        let shards = self.cfg.shards;
-        let route = |name: &str| self.app_ids.get(name).map(|&id| route_app(id, shards));
-        let (wals, recovery) = recover_dir(&self.cfg.dir, shards, self.cfg.snapshot_every, &route)
+        let (dir, shards) = (&self.cfg.dir, self.cfg.shards);
+        let (wals, recovery) = recover_dir(dir, shards, self.cfg.snapshot_every, &|_| None)
             .inspect_err(|_| {
                 metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
             })?;
@@ -179,11 +173,10 @@ impl Node {
                 .recv_timeout(Duration::from_secs(5))
                 .map_err(|_| io::Error::other("a shard worker never surrendered its WAL"))?;
         }
-        let shards = self.cfg.shards;
-        let route = |name: &str| self.app_ids.get(name).map(|&id| route_app(id, shards));
+        let (dir, shards) = (&self.cfg.dir, self.cfg.shards);
         let reopened = (0..shards)
-            .try_for_each(|shard| remove_shard_files(&self.cfg.dir, shard))
-            .and_then(|()| recover_dir(&self.cfg.dir, shards, self.cfg.snapshot_every, &route));
+            .try_for_each(|shard| remove_shard_files(dir, shard))
+            .and_then(|()| recover_dir(dir, shards, self.cfg.snapshot_every, &|_| None));
         let (wals, _) = reopened.inspect_err(|_| {
             let metrics = self.repl.metrics();
             metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
@@ -458,7 +451,7 @@ fn apply_chunk(
         metrics.wal_records.fetch_add(shipped, Ordering::Relaxed);
         metrics.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
     }
-    mirror.absorb(chunk.snapshot.as_deref(), &chunk.frames, shard)?;
+    mirror.absorb(chunk.snapshot.as_deref(), &chunk.frames)?;
     if wal.snapshot_due() {
         wal.install_snapshot_blob(&mirror.encode())?;
         metrics.wal_snapshots.fetch_add(1, Ordering::Relaxed);
@@ -623,7 +616,6 @@ mod tests {
                 poll_ms: 10,
             },
             shard_txs: Vec::new(),
-            app_ids: HashMap::new(),
             shutdown: Arc::new(AtomicBool::new(false)),
             wals: Mutex::new(wals),
         };
@@ -674,7 +666,7 @@ mod tests {
                     ]
                 })
                 .collect();
-            leader.absorb(None, &batch, 0).unwrap();
+            leader.absorb(None, &batch).unwrap();
             ship.push(0, &batch);
             let chunk = ship.pull(0, node.repl.state().cursor(0));
             let mut wals = lock(&node.wals);

@@ -23,7 +23,7 @@ use tracon_stats::prng::SplitMix64;
 use crate::metrics::Metrics;
 use crate::repl::role::{self, Effect, PullVerdict, RoleEvent, RoleState};
 use crate::repl::{EpochSidecar, PullChunk, Role, ShipLog};
-use crate::shard::{merge, restore_shards, route_app, shard_machines};
+use crate::shard::{merge, restore_shards, route_app, shard_machines, stride_shard};
 use crate::state::{SchedKind, ServeConfig, Service};
 use crate::table::TaskTable;
 
@@ -104,9 +104,9 @@ pub struct Journal {
 impl Journal {
     /// Replay this journal into a task table, exactly as opening the
     /// equivalent WAL files would (an unreadable blob leaves it empty).
-    pub fn replay(&self, shard: usize) -> TaskTable {
+    pub fn replay(&self) -> TaskTable {
         let mut table = TaskTable::default();
-        let _ = table.absorb(self.snapshot.as_deref(), &self.frames, shard);
+        let _ = table.absorb(self.snapshot.as_deref(), &self.frames);
         table
     }
 }
@@ -309,17 +309,16 @@ impl SimCluster {
         services[shard].submit(&name, now).ok().map(|a| a.task)
     }
 
-    /// Report one task complete on `node`. False when refused
-    /// (unknown/not running) or the node is dead or does not admit.
+    /// Report one task complete on `node`, to the shard its id names as
+    /// the reactor routes it. False when refused (unknown/not running) or
+    /// the node is dead or does not admit.
     pub fn complete(&mut self, node: usize, task: u64) -> bool {
         if !self.nodes[node].alive || !self.nodes[node].state.admits() {
             return false;
         }
         let now = self.inst();
-        let services = &mut self.nodes[node].services;
-        services
-            .iter_mut()
-            .any(|svc| svc.complete(task, 1.0, 50.0, now).is_ok())
+        let svc = &mut self.nodes[node].services[stride_shard(task, self.shards)];
+        svc.complete(task, 1.0, 50.0, now).is_ok()
     }
 
     /// Put `msg` on the link towards `to`, subject to the fault knobs.
@@ -359,11 +358,9 @@ impl SimCluster {
                     // files: replay, merge, restore (whose covering
                     // snapshot pushes the ship base past 0, so a
                     // cursor-0 rejoiner starts with an install).
-                    let journals = this.journals.iter().enumerate();
-                    let tables: Vec<TaskTable> = journals.map(|(s, j)| j.replay(s)).collect();
-                    let probe = &this.services[0];
-                    let route = |app: &str| probe.app_id(app).map(|id| route_app(id, self.shards));
-                    let merged = merge(&tables, self.shards, self.shards, &route);
+                    let tables: Vec<TaskTable> =
+                        this.journals.iter().map(Journal::replay).collect();
+                    let merged = merge(&tables, self.shards);
                     restore_shards(&mut this.services, Vec::new(), merged, now);
                 }
                 Effect::DemoteShards => {

@@ -10,20 +10,21 @@
 //!   minimally disruptive: when the shard count grows from `n` to `n+1`,
 //!   an application only moves if the *new* shard wins, so
 //!   `route(app, n+1) != route(app, n)` implies `route(app, n+1) == n`
-//!   (property-tested in `tests/sharding.rs`).
+//!   (property-tested in `tests/sharding.rs`). The reactor overrides the
+//!   hash only at admission, for balance. A task then lives where it was
+//!   admitted, which its id names ([`stride_shard`]).
 //! - **Machine partitioning**: the physical cluster is split into
 //!   contiguous per-shard slices; replies translate shard-local machine
 //!   indices back to global ones through the slice base.
 //! - **Merged recovery**: on boot every `wal.*`/`snapshot.*.json` in the
 //!   directory is replayed into its shard's task table (even files
 //!   beyond the current shard count), the tables' rows are merged per
-//!   task id with a state-precedence rule, donor tombstones from
-//!   interrupted steals are resolved, and each surviving task is
-//!   assigned a home shard — its previous shard when the count is
-//!   unchanged, a fresh hash route when it changed. [`restore_shards`]
-//!   then hands every shard its log and its rows.
+//!   task id with a state-precedence rule, and each surviving task is
+//!   homed on the shard its id names under the new count — the shard
+//!   that issues such ids, and the one `complete`/`task` are routed to.
+//!   [`restore_shards`] then hands every shard its log and its rows.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::time::Instant;
@@ -73,9 +74,10 @@ pub fn route_name(name: &str, shards: usize) -> usize {
     route_key(key, shards)
 }
 
-/// The default shard for a task id under strided allocation: shard `i`
-/// issues ids `i+1, i+1+N, i+1+2N, …`, so `(id-1) % N` recovers the
-/// issuer without any lookup (id 0 is invalid; mapped to shard 0).
+/// Where a task lives: shard `i` issues ids `i+1, i+1+N, i+1+2N, …`, so
+/// `(id-1) % N` recovers the issuer without any lookup (id 0 is invalid;
+/// mapped to shard 0). A task never leaves that shard, and recovery
+/// homes every row by this rule under the new shard count.
 pub fn stride_shard(task: u64, shards: usize) -> usize {
     (task.saturating_sub(1) % shards.max(1) as u64) as usize
 }
@@ -103,9 +105,9 @@ pub fn shard_machines(machines: usize, shards: usize) -> Vec<(usize, usize)> {
 /// One task out of the merged recovery, tagged with its home shard.
 #[derive(Debug, Clone)]
 pub struct HomedTask {
-    /// The recovered row (tombstones already resolved to `Queued`).
+    /// The recovered row.
     pub rec: TaskRow,
-    /// Which shard re-adopts it.
+    /// Which shard re-adopts it: [`stride_shard`] of its id.
     pub home: usize,
 }
 
@@ -163,16 +165,15 @@ pub fn restore_shards(
 /// Replays all shard WALs in `dir`, merges them per task id, and returns
 /// open WAL handles for shards `0..shards` plus the homed task set.
 ///
-/// `route` maps an application name to its hash shard (`None` for names
-/// no longer profiled — those fall back to the task-id stride and are
-/// dropped later by [`Service::restore`]). Files for shards beyond
-/// `shards` are replayed but not kept open; the caller deletes them once
-/// the re-homed state is snapshotted.
+/// `_route` decides nothing: every row is homed by [`stride_shard`]. It
+/// stays for callers built against the signature that routed by app.
+/// Files for shards beyond `shards` are replayed but not kept open; the
+/// caller deletes them once the re-homed state is snapshotted.
 pub fn recover_dir(
     dir: &Path,
     shards: usize,
     snapshot_every: u64,
-    route: &dyn Fn(&str) -> Option<usize>,
+    _route: &dyn Fn(&str) -> Option<usize>,
 ) -> io::Result<(Vec<Wal>, MergedRecovery)> {
     assert!(shards > 0, "recover over zero shards");
     let old_shards = existing_shard_count(dir);
@@ -187,83 +188,51 @@ pub fn recover_dir(
         replayed_records += recovery.replayed_records;
         tables.push(recovery.table);
     }
-    let mut merged = merge(&tables, old_shards, shards, route);
+    let mut merged = merge(&tables, shards);
     merged.replayed_records = replayed_records;
+    merged.old_shards = old_shards;
     Ok((wals, merged))
 }
 
-/// Merges the task tables of shards `0..tables.len()` — `old_shards` of
-/// which held state — into one homed task set over `shards` shards: per
-/// task id the row that outranks the others survives, and goes back
-/// where it was found when the shard count is unchanged (preserving past
-/// steals), to its application's hash route when it changed.
-pub fn merge(
-    tables: &[TaskTable],
-    old_shards: usize,
-    shards: usize,
-    route: &dyn Fn(&str) -> Option<usize>,
-) -> MergedRecovery {
-    let mut merged: HashMap<u64, (TaskRow, usize)> = HashMap::new();
-    for (shard, table) in tables.iter().enumerate() {
-        for rec in table.iter() {
-            match merged.get_mut(&rec.task) {
-                Some(existing) if !wins_over(&rec, &existing.0) => {}
-                Some(existing) => *existing = (rec, shard),
-                None => {
-                    merged.insert(rec.task, (rec, shard));
-                }
+/// Merges shard task tables into one homed task set over `shards`
+/// shards: per task id the row that outranks the others survives, homed
+/// on [`stride_shard`] of its id. Two rows for one id come only from a
+/// directory an older build's work-steal wrote to.
+pub fn merge(tables: &[TaskTable], shards: usize) -> MergedRecovery {
+    let mut merged: BTreeMap<u64, TaskRow> = BTreeMap::new();
+    for rec in tables.iter().flat_map(TaskTable::iter) {
+        match merged.get(&rec.task) {
+            Some(existing) if !wins_over(&rec, existing) => {}
+            _ => {
+                merged.insert(rec.task, rec);
             }
         }
     }
-
-    let count_changed = old_shards != 0 && old_shards != shards;
-    let mut tasks: Vec<HomedTask> = merged
-        .into_values()
-        .map(|(mut rec, source)| {
-            let hint = rec.migrated_to.take().filter(|&to| to < shards);
-            let resurrected = rec.state == RecState::Migrated;
-            if resurrected {
-                // The donor's tombstone is the only surviving trace: the
-                // steal was cut mid-handoff, so the task is queued again.
-                rec.state = RecState::Queued;
-            }
-            let fallback = || route(&rec.app).unwrap_or_else(|| stride_shard(rec.task, shards));
-            let home = if count_changed {
-                fallback()
-            } else if resurrected {
-                hint.unwrap_or_else(fallback)
-            } else if source < shards {
-                source
-            } else {
-                fallback()
-            };
-            HomedTask { rec, home }
-        })
-        .collect();
-    tasks.sort_unstable_by_key(|t| t.rec.task);
-
+    let tasks = merged.into_values().map(|rec| HomedTask {
+        home: stride_shard(rec.task, shards),
+        rec,
+    });
     MergedRecovery {
-        tasks,
+        tasks: tasks.collect(),
         next_task_id: tables
             .iter()
             .map(TaskTable::next_task_id)
             .max()
             .unwrap_or(0),
         replayed_records: 0,
-        old_shards,
+        old_shards: 0,
     }
 }
 
 /// State precedence for the per-task merge: terminal records beat live
-/// ones, leases beat queued, real records beat donor tombstones; equal
-/// states resolve by attempt count (later attempt wins).
+/// ones, leases beat queued; equal states resolve by attempt count (later
+/// attempt wins).
 fn wins_over(candidate: &TaskRow, incumbent: &TaskRow) -> bool {
     let rank = |s: RecState| -> u8 {
         match s {
-            RecState::Migrated => 0,
-            RecState::Queued => 1,
-            RecState::Leased => 2,
-            RecState::Completed | RecState::DeadLettered => 3,
+            RecState::Queued => 0,
+            RecState::Leased => 1,
+            RecState::Completed | RecState::DeadLettered => 2,
         }
     };
     let (c, i) = (rank(candidate.state), rank(incumbent.state));
@@ -280,6 +249,22 @@ mod tests {
         let d = std::env::temp_dir().join(format!("tracon-shard-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
+    }
+
+    fn submit(task: u64) -> WalRecord {
+        let app = "grep".into();
+        WalRecord::Submit { task, app }
+    }
+
+    fn migrate(task: u64, from: usize, to: usize) -> WalRecord {
+        let (app, attempt) = ("grep".into(), 0);
+        WalRecord::Migrate {
+            task,
+            app,
+            attempt,
+            from,
+            to,
+        }
     }
 
     /// Known answers from the build before `mix` became
@@ -338,62 +323,38 @@ mod tests {
         }
     }
 
+    /// A directory an older build wrote mid-steal: shard 0 issued task 1
+    /// and logged handing it to shard 1, which crashed before logging
+    /// anything. The one row is queued again, on the shard its id names.
     #[test]
-    fn interrupted_steal_resurrects_the_task_exactly_once() {
-        // Donor logged the migrate, then crashed before the recipient
-        // recorded anything: the tombstone alone must bring the task back
-        // on the recipient shard.
-        let dir = tmpdir("steal-crash");
+    fn a_migrate_only_the_donor_logged_restores_one_queued_row() {
+        let dir = tmpdir("legacy-donor");
         {
             let (mut donor, _) = Wal::open_shard(&dir, 0, 1000).unwrap();
-            donor
-                .append(&WalRecord::Submit {
-                    task: 1,
-                    app: "grep".into(),
-                })
-                .unwrap();
-            donor
-                .append(&WalRecord::Migrate {
-                    task: 1,
-                    app: "grep".into(),
-                    attempt: 0,
-                    from: 0,
-                    to: 1,
-                })
-                .unwrap();
+            donor.append(&submit(1)).unwrap();
+            donor.append(&migrate(1, 0, 1)).unwrap();
             let _ = Wal::open_shard(&dir, 1, 1000).unwrap();
         }
         let (_, merged) = recover_dir(&dir, 2, 1000, &|_| None).unwrap();
         assert_eq!(merged.tasks.len(), 1);
-        assert_eq!(merged.tasks[0].rec.state, RecState::Queued);
-        assert_eq!(merged.tasks[0].home, 1, "tombstone hint wins");
+        let task = &merged.tasks[0];
+        assert_eq!((task.rec.state, task.rec.attempts), (RecState::Queued, 0));
+        assert_eq!(task.home, stride_shard(1, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Both sides of an older build's steal logged it and the recipient
+    /// went on to complete the task: one row, completed, on its stride
+    /// shard — not the recipient's.
     #[test]
-    fn completed_steal_is_not_double_counted() {
-        // Both sides logged the migrate and the recipient went on to
-        // complete the task: the merge must keep exactly one record, the
-        // terminal one.
-        let dir = tmpdir("steal-done");
-        let migrate = WalRecord::Migrate {
-            task: 1,
-            app: "grep".into(),
-            attempt: 0,
-            from: 0,
-            to: 1,
-        };
+    fn a_migrate_both_sides_logged_then_completed_restores_one_completed_row() {
+        let dir = tmpdir("legacy-both");
         {
             let (mut donor, _) = Wal::open_shard(&dir, 0, 1000).unwrap();
-            donor
-                .append(&WalRecord::Submit {
-                    task: 1,
-                    app: "grep".into(),
-                })
-                .unwrap();
-            donor.append(&migrate).unwrap();
+            donor.append(&submit(1)).unwrap();
+            donor.append(&migrate(1, 0, 1)).unwrap();
             let (mut recipient, _) = Wal::open_shard(&dir, 1, 1000).unwrap();
-            recipient.append(&migrate).unwrap();
+            recipient.append(&migrate(1, 0, 1)).unwrap();
             recipient
                 .append(&WalRecord::Complete {
                     task: 1,
@@ -404,7 +365,7 @@ mod tests {
         let (_, merged) = recover_dir(&dir, 2, 1000, &|_| None).unwrap();
         assert_eq!(merged.tasks.len(), 1);
         assert_eq!(merged.tasks[0].rec.state, RecState::Completed);
-        assert_eq!(merged.tasks[0].home, 1);
+        assert_eq!(merged.tasks[0].home, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -421,7 +382,7 @@ mod tests {
                 .unwrap();
             }
         }
-        let (wals, merged) = recover_dir(&dir, 1, 1000, &|_| Some(0)).unwrap();
+        let (wals, merged) = recover_dir(&dir, 1, 1000, &|_| None).unwrap();
         assert_eq!(wals.len(), 1);
         assert_eq!(merged.old_shards, 3);
         assert_eq!(merged.tasks.len(), 3);

@@ -192,11 +192,11 @@ pub struct Placement {
 
 /// What the daemon knows about a queued or running task beyond its
 /// durable [`Row`]. None of it is logged: a restored task starts over
-/// with defaults, and the entry goes when the task completes,
-/// dead-letters or is stolen away.
+/// with defaults, and the entry goes when the task completes or
+/// dead-letters.
 #[derive(Clone, Debug)]
 pub struct Volatile {
-    /// When the submit was admitted (or restored, or stolen in).
+    /// When the submit was admitted (or restored).
     pub submitted: Instant,
     /// Client-declared per-dimension demand (protocol v2). Advisory —
     /// echoed in `task` replies. Empty when unspecified.
@@ -309,8 +309,8 @@ pub struct Service {
     scoring: ScoringPolicy<'static>,
     observer: AdaptiveObserver,
     queue: VecDeque<Task>,
-    /// The durable truth about every task this shard admitted, stolen
-    /// tasks' tombstones included; `Row::app` is a perf-table index.
+    /// The durable truth about every task this shard admitted;
+    /// `Row::app` is a perf-table index.
     table: TaskTable,
     /// The volatile rest, for queued and running tasks only.
     live: HashMap<u64, Volatile>,
@@ -472,7 +472,7 @@ impl Service {
         let mut svc = Service::new(testbed, cfg, metrics);
         if let Some(dir) = svc.cfg.wal_dir.clone() {
             let every = svc.cfg.wal_snapshot_every;
-            let (wals, recovery) = crate::shard::recover_dir(&dir, 1, every, &|_| Some(0))?;
+            let (wals, recovery) = crate::shard::recover_dir(&dir, 1, every, &|_| None)?;
             let replayed = &svc.metrics.wal_replayed_records;
             replayed.store(recovery.replayed_records, Ordering::Relaxed);
             crate::shard::restore_shards(std::slice::from_mut(&mut svc), wals, recovery, now);
@@ -726,10 +726,8 @@ impl Service {
         self.sync_gauges();
     }
 
-    /// Compact: the task table — tombstones of stolen tasks included,
-    /// which is what keeps them durable until the recipient's own log
-    /// has them — becomes this shard's snapshot file, and the log is
-    /// truncated.
+    /// Compact: the task table becomes this shard's snapshot file, and
+    /// the log is truncated.
     pub fn write_snapshot(&mut self) {
         if !self.durable() {
             return;
@@ -1084,102 +1082,6 @@ impl Service {
         })
     }
 
-    /// Pop up to `max` queued (never leased) tasks off the back of the
-    /// admission queue for migration to shard `to`. The migrate records
-    /// are committed (on their own, or with the worker's batch, which
-    /// holds the hand-off message until then) *before* the recipient can
-    /// see the tasks, and a tombstone stays behind so a crash anywhere in
-    /// the handoff recovers each task exactly once.
-    pub fn steal_queued(&mut self, max: usize, to: usize) -> Vec<TaskRow> {
-        if to == self.shard || max == 0 {
-            return Vec::new();
-        }
-        let mut stolen = Vec::new();
-        let mut records = Vec::new();
-        for _ in 0..max.min(self.queue.len()) {
-            let Some(task) = self.queue.pop_back() else {
-                break;
-            };
-            let Some(&Row { app, attempts, .. }) = self.table.get(task.id) else {
-                continue;
-            };
-            self.table.migrate_out(task.id, app, attempts, to);
-            self.live.remove(&task.id);
-            self.admitted -= 1;
-            let moved = TaskRow {
-                task: task.id,
-                app: self.table.app_name(app).to_string(),
-                attempts,
-                state: RecState::Queued,
-                runtime: 0.0,
-                migrated_to: None,
-            };
-            records.push(WalRecord::Migrate {
-                task: task.id,
-                app: moved.app.clone(),
-                attempt: attempts,
-                from: self.shard,
-                to,
-            });
-            stolen.push(moved);
-        }
-        self.wal_append_batch(&records);
-        if !stolen.is_empty() {
-            self.metrics.steals.fetch_add(1, Ordering::Relaxed);
-            self.metrics
-                .migrated_tasks
-                .fetch_add(stolen.len() as u64, Ordering::Relaxed);
-        }
-        self.sync_gauges();
-        stolen
-    }
-
-    /// Adopt tasks stolen from shard `from`: log the migration on this
-    /// shard's WAL (one fsync for the batch), queue them, and dispatch if
-    /// the scheduler is eager. Returns how many were adopted.
-    pub fn inject_stolen(&mut self, tasks: &[TaskRow], from: usize, now: Instant) -> usize {
-        let mut records = Vec::new();
-        for moved in tasks {
-            // Every shard profiles the same applications.
-            let Some(app_id) = self.cluster.registry().id(&moved.app) else {
-                continue;
-            };
-            let Some(&app_idx) = self.perf_index.get(&app_id) else {
-                continue;
-            };
-            // A task stolen back home overwrites its own tombstone.
-            self.table
-                .migrate_in(moved.task, app_idx as u32, moved.attempts);
-            // Migration messages carry no demand; stolen tasks keep the
-            // legacy defaults.
-            self.enqueue(moved.task, app_id, tracon_core::DimVec::new(), now);
-            self.admitted += 1;
-            records.push(WalRecord::Migrate {
-                task: moved.task,
-                app: moved.app.clone(),
-                attempt: moved.attempts,
-                from,
-                to: self.shard,
-            });
-        }
-        self.wal_append_batch(&records);
-        let adopted = records.len();
-        if adopted > 0
-            && (matches!(self.cfg.scheduler, SchedKind::Mios)
-                || self.queue.len() >= self.cfg.scheduler.window())
-        {
-            self.dispatch(now);
-        }
-        self.sync_gauges();
-        adopted
-    }
-
-    /// Where a task went if it was stolen off this shard (the worker
-    /// bounces misrouted complete/task lookups with this).
-    pub fn migrated_to(&self, task: u64) -> Option<usize> {
-        self.table.get(task).and_then(|row| row.migrated_to)
-    }
-
     /// Stop admitting new work. Returns the current snapshot.
     pub fn drain(&mut self, now: Instant) -> StatusSnapshot {
         self.draining = true;
@@ -1226,10 +1128,9 @@ impl Service {
 
     /// Look up one task this shard holds: its durable row, and what is
     /// known on top while it is queued or running. `None` for a task
-    /// never seen here or stolen away (see [`Service::migrated_to`]).
+    /// this shard never admitted.
     pub fn task_info(&self, task: u64) -> Option<(&Row, Option<&Volatile>)> {
-        let row = self.table.get(task)?;
-        (row.state != RecState::Migrated).then(|| (row, self.live.get(&task)))
+        Some((self.table.get(task)?, self.live.get(&task)))
     }
 
     /// The durable task table, as a replay of this shard's files would

@@ -5,14 +5,16 @@
 //! A [`TaskTable`] is an id-ordered map of [`Row`]s plus the application
 //! names those rows point into and the first unused task id. It owns the
 //! only implementation of each durable transition — submit, lease,
-//! requeue, dead-letter, complete, and the two sides of a work-steal —
-//! and [`TaskTable::apply`] dispatches a [`WalRecord`] onto them, so the
-//! running [`crate::state::Service`] and a replay of its log move a row
-//! through the same code. The snapshot document is this table's
-//! [`encode`](TaskTable::encode) / [`decode`](TaskTable::decode), and
-//! [`TaskTable::absorb`] — an optional covering snapshot, then frames —
-//! is the single replay behind [`crate::wal::Wal::open_shard`], the
-//! follower mirror and the replication sim's journals.
+//! requeue, dead-letter, complete — and [`TaskTable::apply`] dispatches a
+//! [`WalRecord`] onto them, so the running [`crate::state::Service`] and
+//! a replay of its log move a row through the same code. The snapshot
+//! document is this table's [`encode`](TaskTable::encode) /
+//! [`decode`](TaskTable::decode), and [`TaskTable::absorb`] — an
+//! optional covering snapshot, then frames — is the single replay behind
+//! [`crate::wal::Wal::open_shard`], the follower mirror and the
+//! replication sim's journals. What older builds' work-stealing left in a
+//! directory (a `migrate` frame, a `"migrated"` row) reads as the queued
+//! task it was; nothing writes either any more.
 //!
 //! Every operation is a map lookup: cost per record does not depend on
 //! how many rows the table holds.
@@ -35,10 +37,6 @@ pub enum RecState {
     Completed,
     /// Dead-lettered.
     DeadLettered,
-    /// Stolen away to another shard (donor-side tombstone). The merged
-    /// recovery resurrects the task as queued on `migrated_to` only when
-    /// no other shard's table has a live row for it.
-    Migrated,
 }
 
 impl RecState {
@@ -48,7 +46,6 @@ impl RecState {
             RecState::Leased => "leased",
             RecState::Completed => "completed",
             RecState::DeadLettered => "dead",
-            RecState::Migrated => "migrated",
         }
     }
 
@@ -58,7 +55,9 @@ impl RecState {
             "leased" => RecState::Leased,
             "completed" => RecState::Completed,
             "dead" => RecState::DeadLettered,
-            "migrated" => RecState::Migrated,
+            // A work-steal tombstone an older build wrote: the task
+            // exists, and waits (see `WalRecord::Migrate`).
+            "migrated" => RecState::Queued,
             _ => return None,
         })
     }
@@ -76,13 +75,10 @@ pub struct Row {
     pub state: RecState,
     /// Realized runtime for completed tasks (0 otherwise).
     pub runtime: f64,
-    /// Recipient shard for [`RecState::Migrated`] tombstones.
-    pub migrated_to: Option<usize>,
 }
 
 /// A row outside any table — carrying its id and its application by
-/// name — on its way between tables: out of a merged recovery, or across
-/// shards in a work-steal.
+/// name — on its way out of a merged recovery into a shard's table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskRow {
     /// Task id.
@@ -95,8 +91,6 @@ pub struct TaskRow {
     pub state: RecState,
     /// Realized runtime for completed tasks (0 otherwise).
     pub runtime: f64,
-    /// Recipient shard for [`RecState::Migrated`] tombstones.
-    pub migrated_to: Option<usize>,
 }
 
 /// One shard's durable task table. See the module docs.
@@ -151,7 +145,7 @@ impl TaskTable {
         self.rows.get(&task)
     }
 
-    /// Rows held, tombstones included.
+    /// Rows held.
     pub fn len(&self) -> usize {
         self.rows.len()
     }
@@ -180,7 +174,6 @@ impl TaskTable {
             attempts: row.attempts,
             state: row.state,
             runtime: row.runtime,
-            migrated_to: row.migrated_to,
         })
     }
 
@@ -193,7 +186,6 @@ impl TaskTable {
             attempts: 0,
             state: RecState::Queued,
             runtime: 0.0,
-            migrated_to: None,
         })
     }
 
@@ -236,25 +228,6 @@ impl TaskTable {
         }
     }
 
-    /// Donor side of a work-steal: the row stays behind as a tombstone
-    /// pointing at shard `to`, so the task survives even if this shard
-    /// compacts before the recipient has recorded it.
-    pub fn migrate_out(&mut self, task: u64, app: u32, attempt: u32, to: usize) {
-        let row = self.entry(task, app);
-        row.state = RecState::Migrated;
-        row.attempts = attempt;
-        row.migrated_to = Some(to);
-    }
-
-    /// Recipient side of a work-steal: the task lives here now, queued.
-    /// A task stolen back home overwrites its own tombstone.
-    pub fn migrate_in(&mut self, task: u64, app: u32, attempt: u32) {
-        let row = self.entry(task, app);
-        row.state = RecState::Queued;
-        row.attempts = attempt;
-        row.migrated_to = None;
-    }
-
     /// Take over a row another table held, as it stands.
     pub fn adopt(&mut self, row: &TaskRow) {
         let app = self.intern(&row.app);
@@ -263,15 +236,13 @@ impl TaskTable {
             attempts: row.attempts,
             state: row.state,
             runtime: row.runtime,
-            migrated_to: row.migrated_to,
         };
     }
 
-    /// Fold one log record of shard `shard` into the table. Idempotent
-    /// per task (later records win), which is what lets replication
-    /// redeliver frames harmlessly. A `migrate` is read by which side of
-    /// it `shard` is.
-    pub fn apply(&mut self, rec: &WalRecord, shard: usize) {
+    /// Fold one log record into the table. Idempotent per task (later
+    /// records win), which is what lets replication redeliver frames
+    /// harmlessly.
+    pub fn apply(&mut self, rec: &WalRecord) {
         match rec {
             WalRecord::Submit { task, app } => {
                 let app = self.intern(app);
@@ -281,19 +252,14 @@ impl TaskTable {
             WalRecord::Requeue { task, attempt } => self.requeue(*task, *attempt),
             WalRecord::DeadLetter { task, attempts } => self.dead_letter(*task, *attempts),
             WalRecord::Complete { task, runtime } => self.complete(*task, *runtime),
+            // Legacy, on either side of the steal: the task exists and
+            // waits. The merge keeps whichever copy got further.
             WalRecord::Migrate {
-                task,
-                app,
-                attempt,
-                from,
-                to,
+                task, app, attempt, ..
             } => {
                 let app = self.intern(app);
-                if *to == shard {
-                    self.migrate_in(*task, app, *attempt);
-                } else if *from == shard {
-                    self.migrate_out(*task, app, *attempt, *to);
-                }
+                self.submit(*task, app);
+                self.requeue(*task, *attempt);
             }
         }
     }
@@ -301,17 +267,13 @@ impl TaskTable {
     /// The snapshot document: exactly the bytes of a `snapshot.N.json`.
     pub fn encode(&self) -> String {
         let entries = self.rows.iter().map(|(&task, row)| {
-            let mut fields = vec![
+            json::obj(vec![
                 ("task", json::n(task as f64)),
                 ("app", json::s(self.app_name(row.app))),
                 ("attempts", json::n(f64::from(row.attempts))),
                 ("state", json::s(row.state.name())),
                 ("runtime", json::n(row.runtime)),
-            ];
-            if let Some(to) = row.migrated_to {
-                fields.push(("to", json::n(to as f64)));
-            }
-            json::obj(fields)
+            ])
         });
         json::obj(vec![
             ("v", json::n(1.0)),
@@ -344,7 +306,6 @@ impl TaskTable {
                     attempts: entry.get("attempts").and_then(Value::as_u64).unwrap_or(0) as u32,
                     state: RecState::parse(entry.get("state")?.as_str()?)?,
                     runtime: entry.get("runtime").and_then(Value::as_f64).unwrap_or(0.0),
-                    migrated_to: entry.get("to").and_then(Value::as_u64).map(|n| n as usize),
                 };
                 Some((
                     entry.get("task")?.as_u64()?,
@@ -364,21 +325,16 @@ impl TaskTable {
     }
 
     /// The one replay: if `snapshot` is given the table becomes that
-    /// document, then `frames` of shard `shard` are applied in order.
-    /// Returns the snapshot entries skipped. On an undecodable snapshot
-    /// the table is left as it was.
-    pub fn absorb(
-        &mut self,
-        snapshot: Option<&str>,
-        frames: &[WalRecord],
-        shard: usize,
-    ) -> io::Result<u64> {
+    /// document, then `frames` are applied in order. Returns the snapshot
+    /// entries skipped. On an undecodable snapshot the table is left as
+    /// it was.
+    pub fn absorb(&mut self, snapshot: Option<&str>, frames: &[WalRecord]) -> io::Result<u64> {
         let mut skipped = 0;
         if let Some(text) = snapshot {
             (*self, skipped) = TaskTable::decode(text)?;
         }
         for frame in frames {
-            self.apply(frame, shard);
+            self.apply(frame);
         }
         Ok(skipped)
     }
@@ -395,31 +351,6 @@ mod tests {
         }
     }
 
-    /// Beyond what `wal::tests` checks of a steal through files: a task
-    /// stolen back home overwrites its own tombstone, and a shard on
-    /// neither side of the record ignores it.
-    #[test]
-    fn a_task_stolen_back_home_overwrites_its_tombstone() {
-        let steal = |from, to| WalRecord::Migrate {
-            task: 7,
-            app: "grep".into(),
-            attempt: 1,
-            from,
-            to,
-        };
-        let mut donor = TaskTable::default();
-        donor.absorb(None, &[submit(7), steal(0, 2)], 0).unwrap();
-        let row = donor.get(7).unwrap();
-        assert_eq!((row.state, row.migrated_to), (RecState::Migrated, Some(2)));
-        donor.apply(&steal(2, 0), 0);
-        let row = donor.get(7).unwrap();
-        assert_eq!((row.state, row.migrated_to), (RecState::Queued, None));
-        assert_eq!((row.attempts, donor.app_name(row.app)), (1, "app-7"));
-        let mut bystander = TaskTable::default();
-        bystander.apply(&steal(0, 2), 1);
-        assert!(bystander.is_empty());
-    }
-
     #[test]
     fn redelivered_frames_change_nothing() {
         let frames = [
@@ -434,9 +365,9 @@ mod tests {
             },
         ];
         let mut once = TaskTable::default();
-        once.absorb(None, &frames, 0).unwrap();
+        once.absorb(None, &frames).unwrap();
         let mut twice = once.clone();
-        twice.absorb(None, &frames[..1], 0).unwrap();
+        twice.absorb(None, &frames[..1]).unwrap();
         assert_eq!(once, twice, "a late submit rewound a completed row");
         assert_eq!(once.get(1).unwrap().state, RecState::Completed);
         assert_eq!(once.next_task_id(), 2);
@@ -447,7 +378,8 @@ mod tests {
         let mut table = TaskTable::with_apps(&["sort".into(), "grep".into()]);
         table.submit(3, 1);
         table.lease(3, 0);
-        table.migrate_out(5, 0, 2, 1);
+        table.submit(5, 0);
+        table.dead_letter(5, 2);
         table.raise_next_task_id(9);
         let blob = table.encode();
         let (back, skipped) = TaskTable::decode(&blob).unwrap();
@@ -470,13 +402,17 @@ mod tests {
                 "{doc}: {err}"
             );
         }
-        // One unreadable entry is skipped and counted, the rest load.
-        let doc = r#"{"v":1,"next_task_id":4,"tasks":[
+        // An unreadable entry is skipped and counted, the rest load; an
+        // older build's steal tombstone reads as the queued task it was.
+        let doc = r#"{"v":1,"next_task_id":5,"tasks":[
             {"task":1,"app":"grep","attempts":0,"state":"queued","runtime":0},
             {"task":2,"app":"grep","attempts":0,"state":"paused","runtime":0},
-            {"task":3,"attempts":0,"state":"queued","runtime":0}]}"#;
+            {"task":3,"attempts":0,"state":"queued","runtime":0},
+            {"task":4,"app":"grep","attempts":1,"state":"migrated","runtime":0,"to":0}]}"#;
         let (table, skipped) = TaskTable::decode(doc).unwrap();
-        assert_eq!((table.len(), skipped), (1, 2));
+        assert_eq!((table.len(), skipped), (2, 2));
+        let row = table.get(4).unwrap();
+        assert_eq!((row.state, row.attempts), (RecState::Queued, 1));
     }
 
     /// Snapshot load was quadratic in the document (every string byte
@@ -510,7 +446,7 @@ mod tests {
         let per_frame = |rows: u64| {
             let mut table = TaskTable::default();
             let fill: Vec<WalRecord> = (1..=rows).map(submit).collect();
-            table.absorb(None, &fill, 0).unwrap();
+            table.absorb(None, &fill).unwrap();
             // A submit / lease / complete life for 1 000 new tasks, the
             // leases and completions landing all over the old rows too.
             let frames: Vec<WalRecord> = (0..1_000u64)
@@ -532,7 +468,7 @@ mod tests {
             let best = (0..5).map(|_| {
                 let mut table = table.clone();
                 let started = std::time::Instant::now();
-                table.absorb(None, &frames, 0).unwrap();
+                table.absorb(None, &frames).unwrap();
                 assert_eq!(table.len() as u64, rows + 1_000);
                 started.elapsed().as_secs_f64() / frames.len() as f64
             });

@@ -26,7 +26,7 @@
 //! {"op":"requeue","task":7,"attempt":1}
 //! {"op":"dead","task":7,"attempts":5}
 //! {"op":"complete","task":7,"runtime":12.5}
-//! {"op":"migrate","task":7,"app":"grep","attempt":1,"from":2,"to":0}
+//! {"op":"migrate","task":7,"app":"grep","attempt":1,"from":2,"to":0}  (read only)
 //! ```
 //!
 //! Every `snapshot_every` records the service writes its task table
@@ -36,11 +36,11 @@
 //!
 //! The directory holds one log + snapshot pair **per scheduler shard**
 //! (`wal.0`/`snapshot.0.json` … `wal.N-1`/`snapshot.N-1.json`), each with
-//! a single writer. A `migrate` record appears in *both* sides of a
-//! work-steal: the donor's copy turns its task into a tombstone pointing
-//! at the recipient, the recipient's copy adopts the task — whichever
-//! copy survives a crash, the task is recovered exactly once by the
-//! merged replay in [`crate::shard`].
+//! a single writer. A task's records all sit in the log of the shard its
+//! id names. Older builds moved queued tasks between shards and logged a
+//! `migrate` on both sides; such a frame still decodes and replays as
+//! "this task exists, queued", so the merged replay in [`crate::shard`]
+//! collapses the two copies into one.
 
 use crate::failpoint;
 use crate::json::{self, Value};
@@ -156,10 +156,9 @@ pub enum WalRecord {
         /// Realized runtime, seconds.
         runtime: f64,
     },
-    /// A queued task moved between shards in a work-steal. The donor
-    /// appends this before forgetting the task; the recipient appends an
-    /// identical record when it adopts. Replay interprets the record by
-    /// which shard's log it sits in.
+    /// A queued task an older build moved between shards, logged by
+    /// both sides. Nothing writes it any more; replay reads it on either
+    /// side as "this task exists, queued, at `attempt`".
     Migrate {
         /// Task id.
         task: u64,
@@ -365,7 +364,7 @@ impl Wal {
             file.sync_data()?;
         }
         recovery.replayed_records = frames.len() as u64;
-        recovery.skipped_records += recovery.table.absorb(snapshot.as_deref(), &frames, shard)?;
+        recovery.skipped_records += recovery.table.absorb(snapshot.as_deref(), &frames)?;
         Ok((
             Wal {
                 file,
@@ -391,7 +390,7 @@ impl Wal {
 
     /// Appends a batch of records with a single write + fsync — the
     /// durability cost of one record for the whole batch, which is what
-    /// makes multi-task steals cheap.
+    /// group commit buys.
     pub fn append_batch(&mut self, recs: &[WalRecord]) -> io::Result<()> {
         if recs.is_empty() {
             return Ok(());
@@ -765,40 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn migrate_is_a_tombstone_for_the_donor_and_an_adopt_for_the_recipient() {
-        let dir = tmpdir("migrate");
-        let rec = WalRecord::Migrate {
-            task: 7,
-            app: "grep".into(),
-            attempt: 1,
-            from: 0,
-            to: 2,
-        };
-        {
-            let (mut donor, _) = Wal::open_shard(&dir, 0, 1000).unwrap();
-            donor
-                .append(&WalRecord::Submit {
-                    task: 7,
-                    app: "grep".into(),
-                })
-                .unwrap();
-            donor.append(&rec).unwrap();
-            let (mut recipient, _) = Wal::open_shard(&dir, 2, 1000).unwrap();
-            recipient.append(&rec).unwrap();
-        }
-        let (_, donor_rec) = Wal::open_shard(&dir, 0, 1000).unwrap();
-        assert_eq!(donor_rec.table.len(), 1);
-        assert_eq!(donor_rec.table.get(7).unwrap().state, RecState::Migrated);
-        assert_eq!(donor_rec.table.get(7).unwrap().migrated_to, Some(2));
-        let (_, recip_rec) = Wal::open_shard(&dir, 2, 1000).unwrap();
-        assert_eq!(recip_rec.table.len(), 1);
-        let row = recip_rec.table.get(7).unwrap();
-        assert_eq!((row.state, row.attempts), (RecState::Queued, 1));
-        assert_eq!(recip_rec.table.app_name(row.app), "grep");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn batch_append_replays_like_single_appends() {
         let dir = tmpdir("batch");
         {
@@ -891,13 +856,10 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&dir, 1000).unwrap();
             let mut table = TaskTable::default();
-            table.apply(
-                &WalRecord::Submit {
-                    task: 0,
-                    app: "grep".into(),
-                },
-                0,
-            );
+            table.apply(&WalRecord::Submit {
+                task: 0,
+                app: "grep".into(),
+            });
             wal.install_snapshot_blob(&table.encode()).unwrap();
         }
         let snap = dir.join(shard_snapshot_name(0));
@@ -933,13 +895,13 @@ mod tests {
             // The first half sits in the snapshot, the rest in the log.
             let (compacted, logged) = submits.split_at(n as usize / 2);
             let mut input = TaskTable::default();
-            input.absorb(None, compacted, 0).unwrap();
+            input.absorb(None, compacted).unwrap();
             {
                 let (mut wal, _) = Wal::open(&dir, 1000).unwrap();
                 wal.install_snapshot_blob(&input.encode()).unwrap();
                 wal.append_batch(logged).unwrap();
             }
-            input.absorb(None, logged, 0).unwrap();
+            input.absorb(None, logged).unwrap();
             let files = [
                 dir.join(shard_log_name(0)),
                 dir.join(shard_snapshot_name(0)),

@@ -215,7 +215,7 @@ fn malformed_lines_get_structured_errors_and_the_connection_survives() {
     let handle = boot(&testbed, ServeConfig::default());
     let mut client = Client::connect(&handle.addr.to_string()).expect("connect");
 
-    for garbage in ["{not json", "[1,2,3]", "\"just a string\"", "{\"v\":1}"] {
+    for garbage in ["{not json", "[1,2,3]", "\"just a string\"", "{\"v\":2}"] {
         let raw = client.raw_roundtrip(garbage).expect("daemon must reply");
         let reply = tracon_serve::decode_reply(&raw).expect("reply must decode");
         match reply {

@@ -1,18 +1,20 @@
 //! Sharding-layer tests: the shards=1 reactor daemon must be
 //! byte-identical to the pre-refactor single-service path, rendezvous
-//! routing must be stable under shard-count changes, and a multi-shard
-//! daemon must keep one coherent, conserved view over TCP.
+//! routing must be stable under shard-count changes, a multi-shard
+//! daemon must keep one coherent, conserved view over TCP, and every
+//! task must stay reachable by its id across restarts and reshards.
 
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use tracon_dcsim::{Testbed, TestbedConfig};
 use tracon_serve::json::{n, obj, s, Value};
 use tracon_serve::shard::{route_app, route_key, route_name, stride_shard};
 use tracon_serve::wal::{shard_log_name, WalRecord};
 use tracon_serve::{
-    daemon, proto, recover_dir, Client, Envelope, Metrics, NetConfig, Reply, Request, SchedKind,
-    ServeConfig, Service, Wal,
+    daemon, proto, recover_dir, Client, DaemonHandle, Envelope, Metrics, NetConfig, Reply, Request,
+    SchedKind, ServeConfig, Service, Wal,
 };
 use tracon_stats::prng::check_cases;
 
@@ -237,10 +239,12 @@ fn auxiliary_routes_stay_in_range() {
     });
 }
 
-/// Recovery under a changed shard count re-homes every queued task to
-/// its hash route, no matter which old shard file held it.
+/// Recovery under a changed shard count homes every row on the shard its
+/// id names under the new count, no matter which old shard file held it
+/// or which application it runs: that shard issues such ids, and it is
+/// where the reactor routes `complete` and `task`.
 #[test]
-fn recovery_rehomes_by_hash_when_the_shard_count_changes() {
+fn recovery_rehomes_by_stride_when_the_shard_count_changes() {
     check_cases(0..64, |rng| {
         let placements: Vec<(usize, u16)> = (0..rng.range_usize(1, 24))
             .map(|_| (rng.range_usize(0, 4), rng.range_usize(0, 64) as u16))
@@ -255,8 +259,6 @@ fn recovery_rehomes_by_hash_when_the_shard_count_changes() {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let old_shards = 4usize.max(new_shards + 1); // always a count change
-        let mut task_apps: std::collections::HashMap<u64, String> =
-            std::collections::HashMap::new();
         {
             let mut wals: Vec<Wal> = (0..old_shards)
                 .map(|shard| Wal::open_shard(&dir, shard, 1024).expect("open").0)
@@ -265,29 +267,185 @@ fn recovery_rehomes_by_hash_when_the_shard_count_changes() {
                 let task = i as u64 + 1;
                 let app = format!("app{}", app_x % 8);
                 wals[shard % old_shards]
-                    .append(&WalRecord::Submit {
-                        task,
-                        app: app.clone(),
-                    })
+                    .append(&WalRecord::Submit { task, app })
                     .expect("append");
-                task_apps.insert(task, app);
             }
         }
+        // The routing argument decides nothing any more.
         let route = |name: &str| Some(route_name(name, new_shards));
         let (_wals, merged) = recover_dir(&dir, new_shards, 1024, &route).expect("recover");
         assert_eq!(merged.tasks.len(), placements.len());
         for homed in &merged.tasks {
-            let app = &task_apps[&homed.rec.task];
             assert_eq!(
                 homed.home,
-                route_name(app, new_shards),
-                "task {} (app {}) homed off its hash route",
-                homed.rec.task,
-                app
+                stride_shard(homed.rec.task, new_shards),
+                "task {} homed off its stride shard",
+                homed.rec.task
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
     });
+}
+
+/// One boot of a WAL-backed daemon over `dir`: `shards` shards of
+/// `machines` one-slot machines.
+fn boot_durable(dir: &Path, machines: usize, shards: usize) -> (DaemonHandle, Client) {
+    let cfg = ServeConfig {
+        machines,
+        slots_per_machine: 1,
+        scheduler: SchedKind::Mios,
+        wal_dir: Some(dir.to_path_buf()),
+        shards,
+        ..ServeConfig::default()
+    };
+    let handle = daemon::start(testbed(), cfg, NetConfig::default()).expect("daemon starts");
+    let client = Client::connect(&handle.addr.to_string()).expect("connect");
+    (handle, client)
+}
+
+fn submit_id(client: &mut Client, app: &str) -> Option<u64> {
+    let app = app.to_string();
+    match client.request(Request::Submit { app, demand: None }) {
+        Ok(Reply::Ok { result, .. }) => result.get("task").and_then(Value::as_u64),
+        _ => None,
+    }
+}
+
+/// Ask `task` for every id, once the restored shards have dispatched
+/// something, then report complete each one that answered `running`.
+/// Returns what went wrong on this boot, one line per problem.
+fn every_id_answers(client: &mut Client, ids: &[u64], boot: &str) -> Vec<String> {
+    let running = |client: &mut Client| match client.request(Request::Status) {
+        Ok(Reply::Ok { result, .. }) => result.get("running").and_then(Value::as_u64),
+        _ => None,
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while running(client).unwrap_or(0) == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut unknown = 0;
+    let mut placed = Vec::new();
+    for &task in ids {
+        match client.request(Request::TaskInfo { task }) {
+            Ok(Reply::Ok { result, .. }) => {
+                if result.get("state").and_then(Value::as_str) == Some("running") {
+                    placed.push(task);
+                }
+            }
+            _ => unknown += 1,
+        }
+    }
+    let refused = placed.iter().filter(|&&task| {
+        let done = Request::Complete {
+            task,
+            runtime: 5.0,
+            iops: 90.0,
+        };
+        !matches!(client.request(done), Ok(Reply::Ok { .. }))
+    });
+    let refused = refused.count();
+    let mut problems = Vec::new();
+    if unknown > 0 {
+        problems.push(format!(
+            "{boot}: {unknown} of {} ids answer no task",
+            ids.len()
+        ));
+    }
+    if refused > 0 || placed.is_empty() {
+        let running = placed.len();
+        problems.push(format!(
+            "{boot}: {refused} of {running} running tasks refuse complete"
+        ));
+    }
+    problems
+}
+
+/// A task lives on the shard its id names, whatever happens after its
+/// admission. (a) 16 submits on one shard over four one-slot machines,
+/// then boots at two shards and back at one: every id answers `task` on
+/// every boot and every running one accepts `complete`. (b) 24 submits
+/// of one app over two one-slot shards: the app's hash shard fills up,
+/// admission overflows onto the other without letting the queues drift
+/// more than the skew apart, and every id answers after a restart.
+#[test]
+fn every_task_is_reachable_by_id_after_restarts_and_reshards() {
+    let mut problems = Vec::new();
+
+    let dir = std::env::temp_dir().join(format!("tracon-reach-a-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let names = &testbed().perf.names;
+    let (handle, mut client) = boot_durable(&dir, 4, 1);
+    let ids: Vec<u64> = (0..16)
+        .filter_map(|i| submit_id(&mut client, &names[i % names.len()]))
+        .collect();
+    assert_eq!(ids.len(), 16, "every submit admitted");
+    handle.stop();
+    handle.join();
+    for shards in [2, 1] {
+        let (handle, mut client) = boot_durable(&dir, 4, shards);
+        problems.extend(every_id_answers(
+            &mut client,
+            &ids,
+            &format!("(a) restart at {shards} shards"),
+        ));
+        handle.stop();
+        handle.join();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = std::env::temp_dir().join(format!("tracon-reach-b-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let reference = Service::new(testbed(), base_cfg(), Arc::new(Metrics::new()));
+    let homed_on_0 = names.iter().find(|name| {
+        let id = reference.app_id(name).expect("profiled app interns");
+        route_app(id, 2) == 0
+    });
+    let app = homed_on_0.expect("some app hashes to shard 0 of 2");
+    let (handle, mut client) = boot_durable(&dir, 2, 2);
+    let metrics = Arc::clone(handle.metrics());
+    let depth = |shard| {
+        let gauges = metrics.shard_gauges(shard).expect("two shards");
+        gauges
+            .queue_depth
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    let mut ids = Vec::new();
+    let mut widest = 0;
+    for _ in 0..24 {
+        ids.extend(submit_id(&mut client, app));
+        widest = widest.max(depth(0).abs_diff(depth(1)));
+    }
+    let overflowed = metrics.render_prometheus().lines().find_map(|line| {
+        let value = line.strip_prefix("tracond_overflow_submits_total ")?;
+        value.parse::<u64>().ok()
+    });
+    let by_shard = |shard| ids.iter().filter(|&&t| stride_shard(t, 2) == shard).count();
+    if ids.len() != 24 || by_shard(0) == 0 || by_shard(1) == 0 {
+        problems.push(format!(
+            "(b) {} of 24 admitted, {} on shard 0 and {} on shard 1",
+            ids.len(),
+            by_shard(0),
+            by_shard(1)
+        ));
+    }
+    if overflowed.unwrap_or(0) == 0 || widest > 8 {
+        problems.push(format!(
+            "(b) tracond_overflow_submits_total {overflowed:?}, queue depths {widest} apart"
+        ));
+    }
+    handle.stop();
+    handle.join();
+    let (handle, mut client) = boot_durable(&dir, 2, 2);
+    problems.extend(every_id_answers(
+        &mut client,
+        &ids,
+        "(b) restart at 2 shards",
+    ));
+    handle.stop();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
 }
 
 /// `route_app` agrees with `route_key` on the id index, so decode-time

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use tracon_dcsim::{Testbed, TestbedConfig};
 use tracon_serve::repl::sim::{SimCluster, SimKnobs};
-use tracon_serve::shard::{restore_shards, route_app, shard_machines};
+use tracon_serve::shard::{restore_shards, route_app, shard_machines, stride_shard};
 use tracon_serve::{
     recover_dir, Metrics, Role, SchedKind, ServeConfig, Service, StatusSnapshot, Wal,
 };
@@ -82,7 +82,7 @@ fn open(dir: &Path, now: Instant) -> Service {
 
 /// What a crash right now would leave behind is what the shards hold:
 /// replaying each shard's snapshot and log rebuilds exactly the table
-/// its `Service` runs on — rows, states, attempts, tombstones, next id.
+/// its `Service` runs on — rows, states, attempts, next id.
 fn assert_live_equals_replayed(dir: &Path, services: &[Service], after: &str) {
     for svc in services {
         let shard = svc.shard();
@@ -239,23 +239,23 @@ fn open_shards(dir: &Path, shards: usize, now: Instant) -> Vec<Service> {
             )
         })
         .collect();
-    let route = {
-        let probe = &services[0];
-        let map: std::collections::HashMap<String, usize> = probe
-            .app_list()
-            .iter()
-            .filter_map(|name| {
-                probe
-                    .app_id(name)
-                    .map(|id| (name.clone(), route_app(id, shards)))
-            })
-            .collect();
-        move |name: &str| map.get(name).copied()
-    };
     let (wals, recovery) =
-        recover_dir(dir, shards, base.wal_snapshot_every, &route).expect("recover shards");
+        recover_dir(dir, shards, base.wal_snapshot_every, &|_| None).expect("recover shards");
     restore_shards(&mut services, wals, recovery, now);
     services
+}
+
+/// Report `task` complete the way the reactor routes it: to the shard
+/// its id names, which must be the only shard that knows the task.
+fn complete_at_home(services: &mut [Service], task: u64, runtime: f64, now: Instant) {
+    let home = stride_shard(task, services.len());
+    for (shard, svc) in services.iter().enumerate() {
+        assert!(
+            shard == home || svc.task_info(task).is_none(),
+            "task {task} is known to shard {shard}, not only to its stride shard {home}"
+        );
+    }
+    let _ = services[home].complete(task, runtime, 80.0, now);
 }
 
 /// Sum per-shard snapshots the way the reactor's status fan-in does.
@@ -275,13 +275,12 @@ fn summed(services: &[Service]) -> StatusSnapshot {
 }
 
 /// The sharded generalization: conservation of the *summed* snapshot
-/// survives random cross-shard steals (committed and cut mid-handoff
-/// by a crash), whole-fleet crash/recover cycles, and shard-count
-/// changes across restarts.
+/// survives whole-fleet crash/recover cycles and shard-count changes
+/// across restarts, with every completion routed by task id alone.
 #[test]
-fn summed_conservation_survives_steals_and_shard_crashes() {
+fn summed_conservation_survives_shard_crashes_and_reshards() {
     check_cases(0..10, |rng| {
-        let ops = ops(rng, 1..36, 6, 1024);
+        let ops = ops(rng, 1..36, 4, 1024);
         let initial_shards = rng.range_usize(1, 3);
         let tb = testbed();
         let napps = tb.perf.names.len();
@@ -301,15 +300,10 @@ fn summed_conservation_survives_steals_and_shard_crashes() {
                         .unwrap_or(0);
                     let _ = services[shard].submit(&app, now);
                 }
-                // Complete a task on whichever shard knows it.
+                // Complete a task on the shard its id names.
                 1 => {
                     let task = (x % 40 + 1) as u64;
-                    for svc in services.iter_mut() {
-                        if svc.task_info(task).is_some() {
-                            let _ = svc.complete(task, 5.0 + (x % 7) as f64, 80.0, now);
-                            break;
-                        }
-                    }
+                    complete_at_home(&mut services, task, 5.0 + (x % 7) as f64, now);
                 }
                 // Time step on every shard.
                 2 => {
@@ -317,27 +311,6 @@ fn summed_conservation_survives_steals_and_shard_crashes() {
                     for svc in services.iter_mut() {
                         svc.tick(now);
                     }
-                }
-                // A committed steal: donor pops and tombstones, recipient
-                // adopts — the invariant must hold again afterwards.
-                3 if shards > 1 => {
-                    let from = x % shards;
-                    let to = (x / 7 + 1 + from) % shards;
-                    if from != to {
-                        let stolen = services[from].steal_queued(x % 3 + 1, to);
-                        services[to].inject_stolen(&stolen, from, now);
-                    }
-                }
-                // Crash mid-steal: the donor logged the migrate but the
-                // recipient never adopted. Recovery must resurrect the
-                // tasks from the tombstones exactly once.
-                4 if shards > 1 => {
-                    let from = x % shards;
-                    let to = (from + 1) % shards;
-                    let _cut = services[from].steal_queued(x % 3 + 1, to);
-                    drop(services);
-                    now += Duration::from_millis(1);
-                    services = open_shards(&dir, shards, now);
                 }
                 // Whole-fleet crash/recover, possibly with a new count.
                 _ => {
@@ -382,15 +355,14 @@ fn summed_conservation_survives_steals_and_shard_crashes() {
 
 /// The property on its own, where CI runs it by name: every seeded
 /// interleaving of submit / complete / tick (short, and past every
-/// lease) / committed steal / forced snapshot / crash-and-recover (also
-/// with the donor's half of a steal cut off), on one shard and on four,
-/// leaves after every single operation a directory that replays to the
-/// tables the shards hold.
+/// lease) / forced snapshot / crash-and-recover, on one shard and on
+/// four, leaves after every single operation a directory that replays
+/// to the tables the shards hold.
 #[test]
 fn live_state_equals_replayed_state_at_every_step() {
     check_cases(0..12, |rng| {
         let shards = if rng.next_u64() & 1 == 1 { 4 } else { 1 };
-        let ops = ops(rng, 8..48, 8, 1024);
+        let ops = ops(rng, 8..48, 7, 1024);
         let tb = testbed();
         let napps = tb.perf.names.len();
         let dir = fresh_dir();
@@ -399,7 +371,6 @@ fn live_state_equals_replayed_state_at_every_step() {
         assert_live_equals_replayed(&dir, &services, "boot");
         for (op, x) in ops {
             let x = x as usize;
-            let (from, to) = (x % shards, (x / 7 + 1 + x % shards) % shards);
             match op {
                 0 | 1 => {
                     let app = &tb.perf.names[x % napps];
@@ -408,9 +379,7 @@ fn live_state_equals_replayed_state_at_every_step() {
                 }
                 2 => {
                     let task = (x % 40 + 1) as u64;
-                    if let Some(svc) = services.iter_mut().find(|s| s.task_info(task).is_some()) {
-                        let _ = svc.complete(task, 5.0 + (x % 7) as f64, 80.0, now);
-                    }
+                    complete_at_home(&mut services, task, 5.0 + (x % 7) as f64, now);
                 }
                 3 | 4 => {
                     let jump = if op == 3 { x as u64 % 30 + 1 } else { 2_000 };
@@ -419,16 +388,8 @@ fn live_state_equals_replayed_state_at_every_step() {
                         svc.tick(now);
                     });
                 }
-                5 if from != to => {
-                    let stolen = services[from].steal_queued(x % 3 + 1, to);
-                    assert_live_equals_replayed(&dir, &services, "the donor's half of a steal");
-                    services[to].inject_stolen(&stolen, from, now);
-                }
-                6 => services[from].write_snapshot(),
+                5 => services[x % shards].write_snapshot(),
                 _ => {
-                    if from != to {
-                        let _cut = services[from].steal_queued(x % 3 + 1, to);
-                    }
                     drop(services);
                     now += Duration::from_millis(1);
                     services = open_shards(&dir, shards, now);
@@ -516,19 +477,26 @@ const PARENT_DIR: [(&str, &str); 4] = [
     ),
 ];
 
+/// Every task id `PARENT_DIR` holds.
+const PARENT_DIR_TASKS: [u64; 23] = [
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20, 22, 24, 26, 28,
+];
+
 /// The formats hold: that directory restores — under its own shard
-/// count, a smaller and a larger one — to the per-shard status the
-/// commit that wrote it restored it to, and issues the same next id.
+/// count, a smaller and a larger one — to the totals the commit that
+/// wrote it restored it to (23 admitted, 3 completed, 4 dead-lettered,
+/// 16 queued), with every task on the shard its id names, its steal
+/// records and `migrated` rows read as the queued tasks they were.
 #[test]
 fn a_directory_the_parent_commit_wrote_restores_to_the_same_status() {
     // (queued, completed, dead_lettered, admitted, free_slots) a shard.
     type Want = &'static [(usize, u64, u64, u64, usize)];
     let cases: [(usize, Want, Option<u64>); 3] = [
-        (2, &[(7, 1, 4, 12, 4), (9, 2, 0, 11, 2)], Some(29)),
+        (2, &[(4, 1, 4, 9, 4), (12, 2, 0, 14, 2)], Some(29)),
         (1, &[(16, 3, 4, 23, 6)], None),
         (
             3,
-            &[(1, 1, 1, 3, 2), (12, 2, 0, 14, 2), (3, 0, 3, 6, 2)],
+            &[(5, 2, 1, 8, 2), (6, 1, 1, 8, 2), (5, 0, 2, 7, 2)],
             Some(31),
         ),
     ];
@@ -557,6 +525,20 @@ fn a_directory_the_parent_commit_wrote_restores_to_the_same_status() {
             })
             .collect();
         assert_eq!(got, want, "{shards} shards");
+        let total = summed(&services);
+        let totals = (total.admitted, total.completed, total.dead_lettered);
+        assert_eq!((totals, total.queued), ((23, 3, 4), 16), "{shards} shards");
+        for task in PARENT_DIR_TASKS {
+            let home = stride_shard(task, shards);
+            for svc in &services {
+                let knows = svc.task_info(task).is_some();
+                assert_eq!(
+                    knows,
+                    svc.shard() == home,
+                    "task {task} over {shards} shards"
+                );
+            }
+        }
         // A full queue (one shard, 16 waiting) refuses; otherwise the
         // id continues past everything the directory ever held.
         let admitted = services[0].submit(&testbed().perf.names[0], now);
