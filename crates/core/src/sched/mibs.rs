@@ -23,8 +23,18 @@
 //! special case that degrades to FIFO-like behaviour in the dynamic
 //! scenario, where slots free up one at a time: the whole value of the
 //! batch window is choosing *which* queued task fits the freed slot.
+//!
+//! Tasks of one app share a row, so a round first scans only each app's
+//! earliest window task. That answer is kept when the round is
+//! *certified*: the winner beats every other (app, class) candidate in
+//! the scan's own comparison whichever of the two comes first, except
+//! candidates of its own app with an identical key. A certified winner is
+//! the same in any window order; otherwise the round rescans the whole
+//! window, which is the plain Min-Min loop. [`super::Mix`] uses the same
+//! certificate to skip heads whose answer it already knows.
 
 use super::{Assignment, ClusterState, FreeClass, Resident, Scheduler, Task};
+use crate::interner::AppId;
 use crate::predictor::ScoringPolicy;
 use std::collections::VecDeque;
 
@@ -67,76 +77,51 @@ impl Default for Mibs {
 /// Relative tie width for excess-score comparisons.
 const TIE_EPS: f64 = 1e-9;
 
-impl Scheduler for Mibs {
-    fn name(&self) -> String {
-        format!("MIBS_{}", self.queue_len)
-    }
+/// A candidate's `(excess, tie)` key in the double Min.
+type Key = (f64, f64);
 
-    fn schedule(
+/// Whether candidate `c` displaces incumbent `b`: a lower excess beyond
+/// `TIE_EPS`, else (within it) a lower tie key; `on_equal` settles an
+/// equal tie key. The scan passes `false`: it walks the window in order,
+/// so an equal key keeps the earlier candidate.
+fn beats(c: Key, b: Key, on_equal: bool) -> bool {
+    c.0 < b.0 - TIE_EPS || ((c.0 - b.0).abs() <= TIE_EPS && (c.1 < b.1 || (on_equal && c.1 == b.1)))
+}
+
+impl Mibs {
+    /// The MIBS loop over a caller-owned window: places window tasks until
+    /// the window or the free slots run out, appending the placements to
+    /// `out` and `swap_remove`-ing placed tasks from `window`. Returns
+    /// whether every round was certified (no round at all counts), i.e.
+    /// whether any window holding the same apps in any order would have
+    /// made the same (app, class, slot) placements.
+    pub(crate) fn fill(
         &mut self,
-        queue: &mut VecDeque<Task>,
+        window: &mut Vec<Task>,
         cluster: &mut ClusterState,
         scoring: &ScoringPolicy<'_>,
-    ) -> Vec<Assignment> {
-        let mut out = Vec::new();
-        let mut window: Vec<Task> = queue.drain(..).collect();
+        out: &mut Vec<Assignment>,
+    ) -> bool {
         let n_apps = scoring.n_apps();
-
+        let mut certified = true;
         while !window.is_empty() && cluster.n_free() > 0 {
             cluster.free_classes_into(&mut self.classes);
-            let nc = self.classes.len();
             self.row_filled.clear();
             self.row_filled.resize(n_apps, false);
             self.excess.clear();
-            self.excess.resize(n_apps * nc, 0.0);
-            // The double Min: over every (task, slot-class) pair, find the
-            // minimum interference excess. Tie-breaking matters because on
-            // benign workloads almost everything ties at zero excess:
-            //  1. prefer idle machines (claiming one is never regrettable),
-            //     and among those give the machine to the most *fragile*
-            //     task — benign partners are then matched *to* it, instead
-            //     of insensitive tasks consuming them;
-            //  2. otherwise prefer the oldest task in the window. Always
-            //     preferring fragile tasks would systematically prioritize
-            //     the slowest applications and depress completed-task
-            //     throughput under overload.
-            let mut best: Option<((f64, f64, usize), usize, usize)> = None;
-            for (ti, t) in window.iter().enumerate() {
-                let a = t.app.index();
-                if !self.row_filled[a] {
-                    scoring.excess_scores_into(
-                        t.app,
-                        &self.classes,
-                        &mut self.excess[a * nc..(a + 1) * nc],
-                    );
-                    self.row_filled[a] = true;
-                }
-                let fragility = scoring.pair_score(t.app, t.app);
-                let row = &self.excess[a * nc..(a + 1) * nc];
-                for (ci, c) in self.classes.iter().enumerate() {
-                    let excess = row[ci];
-                    // Lexicographic key: excess, then idle-with-fragility
-                    // preference, then window age.
-                    let tie = if c.key.is_idle() {
-                        -fragility
-                    } else {
-                        f64::INFINITY
-                    };
-                    let key = (excess, tie, ti);
-                    let better = match &best {
-                        None => true,
-                        Some((bk, _, _)) => {
-                            key.0 < bk.0 - TIE_EPS
-                                || ((key.0 - bk.0).abs() <= TIE_EPS
-                                    && (key.1, key.2) < (bk.1, bk.2))
-                        }
-                    };
-                    if better {
-                        best = Some((key, ti, ci));
-                    }
-                }
+            self.excess.resize(n_apps * self.classes.len(), 0.0);
+            let Some(mut pick) = self.scan(window, scoring, true) else {
+                break;
+            };
+            if !self.certify(pick.0, window[pick.1].app, scoring) {
+                certified = false;
+                pick = self
+                    .scan(window, scoring, false)
+                    .expect("the window the first scan won on");
             }
-            let Some((_, ti, ci)) = best else { break };
+            let (_, ti, ci) = pick;
+            // `swap_remove` moves the window's last task into slot `ti`:
+            // after the first placement, window order is not arrival order.
             let task = window.swap_remove(ti);
             let class = &self.classes[ci];
             let score = scoring.class_score(task.app, class);
@@ -154,7 +139,103 @@ impl Scheduler for Mibs {
                 predicted_score: score,
             });
         }
-        // Unplaced window tasks return to the caller's queue.
+        certified
+    }
+
+    /// One double-Min scan over (window task, free class) pairs, filling
+    /// excess rows on first use; with `first_of_app` it visits only each
+    /// app's earliest window task. Returns the winner's key, window index
+    /// and class index.
+    fn scan(
+        &mut self,
+        window: &[Task],
+        scoring: &ScoringPolicy<'_>,
+        first_of_app: bool,
+    ) -> Option<(Key, usize, usize)> {
+        let nc = self.classes.len();
+        // Tie-breaking matters because on benign workloads almost
+        // everything ties at zero excess:
+        //  1. prefer idle machines (claiming one is never regrettable),
+        //     and among those give the machine to the most *fragile*
+        //     task — benign partners are then matched *to* it, instead
+        //     of insensitive tasks consuming them;
+        //  2. otherwise the first candidate in window order wins. That is
+        //     the oldest task only in a call's first round: each placement
+        //     `swap_remove`s the winner (see `fill`), so later rounds scan
+        //     a permuted window. Always preferring fragile tasks would
+        //     systematically prioritize the slowest applications and
+        //     depress completed-task throughput under overload.
+        let mut best: Option<(Key, usize, usize)> = None;
+        for (ti, t) in window.iter().enumerate() {
+            let a = t.app.index();
+            if !self.row_filled[a] {
+                scoring.excess_scores_into(
+                    t.app,
+                    &self.classes,
+                    &mut self.excess[a * nc..(a + 1) * nc],
+                );
+                self.row_filled[a] = true;
+            } else if first_of_app {
+                continue;
+            }
+            let fragility = scoring.pair_score(t.app, t.app);
+            let row = &self.excess[a * nc..(a + 1) * nc];
+            for (ci, c) in self.classes.iter().enumerate() {
+                let key = (row[ci], tie_key(c, fragility));
+                if best.is_none_or(|(bk, _, _)| beats(key, bk, false)) {
+                    best = Some((key, ti, ci));
+                }
+            }
+        }
+        best
+    }
+
+    /// Whether winner `w` (of app `app`) wins in every window order: for
+    /// every candidate of the filled rows, `w` displaces it and it never
+    /// displaces `w`, whichever comes first — unless it is `app`'s own
+    /// with an identical key.
+    fn certify(&self, w: Key, app: AppId, scoring: &ScoringPolicy<'_>) -> bool {
+        let nc = self.classes.len();
+        (0..self.row_filled.len())
+            .filter(|&a| self.row_filled[a])
+            .all(|a| {
+                let id = AppId(a as u16);
+                let fragility = scoring.pair_score(id, id);
+                let row = &self.excess[a * nc..(a + 1) * nc];
+                self.classes.iter().zip(row).all(|(c, &excess)| {
+                    let x = (excess, tie_key(c, fragility));
+                    (id == app && x == w) || (beats(w, x, false) && !beats(x, w, true))
+                })
+            })
+    }
+}
+
+/// The tie key of a candidate: on an idle class the most fragile app
+/// comes first; any other class ranks after every idle one.
+fn tie_key(class: &FreeClass, fragility: f64) -> f64 {
+    if class.key.is_idle() {
+        -fragility
+    } else {
+        f64::INFINITY
+    }
+}
+
+impl Scheduler for Mibs {
+    fn name(&self) -> String {
+        format!("MIBS_{}", self.queue_len)
+    }
+
+    fn schedule(
+        &mut self,
+        queue: &mut VecDeque<Task>,
+        cluster: &mut ClusterState,
+        scoring: &ScoringPolicy<'_>,
+    ) -> Vec<Assignment> {
+        let mut out = Vec::new();
+        let mut window: Vec<Task> = queue.drain(..).collect();
+        self.fill(&mut window, cluster, scoring, &mut out);
+        // Unplaced window tasks return to the caller's queue, in the
+        // window's final (swap-permuted) order.
         queue.extend(window);
         out
     }
@@ -164,7 +245,7 @@ impl Scheduler for Mibs {
 mod tests {
     use super::*;
     use crate::predictor::{Objective, ScoringPolicy};
-    use crate::sched::test_support::{aid, app_chars, predictor, resident, task};
+    use crate::sched::test_support::{aid, app_chars, benign_predictor, predictor, resident, task};
 
     #[test]
     fn pairs_io_with_cpu_on_full_batch() {
@@ -250,6 +331,36 @@ mod tests {
         let out = Mibs::new(3).schedule(&mut queue, &mut cluster, &scoring);
         assert_eq!(out.len(), 3);
         assert!(queue.is_empty());
+    }
+
+    /// Idle slots go to the fragile io tasks first and the cpu tasks then
+    /// fill the io-neighbour slots: no winner ties another app's key, so
+    /// every round keeps the one-task-per-app answer.
+    #[test]
+    fn distinct_keys_certify_every_round() {
+        let p = predictor();
+        let scoring = ScoringPolicy::new(&p, Objective::MinRuntime);
+        let mut cluster = ClusterState::new(2, 2, app_chars());
+        let mut window = vec![task(0, "cpu"), task(1, "cpu"), task(2, "io"), task(3, "io")];
+        let mut out = Vec::new();
+        assert!(Mibs::new(4).fill(&mut window, &mut cluster, &scoring, &mut out));
+        let order: Vec<u64> = out.iter().map(|a| a.task.id).collect();
+        assert_eq!(order, [2, 3, 0, 1]);
+    }
+
+    /// With no interference every candidate keys `(0, -0)`: io and cpu
+    /// tie exactly, so the round is not certified and the full scan
+    /// decides by window order.
+    #[test]
+    fn cross_app_tie_falls_back_to_the_full_scan() {
+        let p = benign_predictor();
+        let scoring = ScoringPolicy::new(&p, Objective::MinRuntime);
+        let mut cluster = ClusterState::new(2, 2, app_chars());
+        let mut window = vec![task(0, "cpu"), task(1, "io"), task(2, "cpu")];
+        let mut out = Vec::new();
+        assert!(!Mibs::new(3).fill(&mut window, &mut cluster, &scoring, &mut out));
+        assert_eq!(out[0].task.id, 0);
+        assert_eq!(out.len(), 3);
     }
 
     #[test]

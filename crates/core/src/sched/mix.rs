@@ -4,9 +4,15 @@
 //! chance to be the first job in the queue when executing MIBS" — each
 //! window task is tried as the forced first placement, MIBS schedules
 //! the remainder, and the assignment set with the best total predicted
-//! score is executed. Quadratically more expensive than MIBS; the
-//! paper's point is that the small additional gain rarely justifies the
-//! overhead.
+//! score is executed. The paper's point is that the small additional
+//! gain rarely justifies the overhead.
+//!
+//! Heads of one app share a result when they can. If every round of a
+//! head's MIBS pass was certified (see [`super::mibs`]), the winners did
+//! not depend on window order, so a later head of the same app — same
+//! forced placement, same apps left in another order — would replay the
+//! same (app, class, slot) placements with the same score bits, and the
+//! strict better-rule never takes a tie. Such heads are skipped.
 //!
 //! Each head is evaluated on the live cluster and undone before the next
 //! (`place`/`clear` are exact inverses), so the search costs no cluster
@@ -40,6 +46,61 @@ fn total_score(assignments: &[Assignment]) -> f64 {
     assignments.iter().map(|a| a.predicted_score).sum()
 }
 
+impl Mix {
+    /// The head search: leaves the best head's assignment set in `best`
+    /// (empty if no head placed) and the cluster as it found it. Returns
+    /// how many heads were evaluated.
+    fn search(
+        &self,
+        tasks: &[Task],
+        cluster: &mut ClusterState,
+        scoring: &ScoringPolicy<'_>,
+        best: &mut Vec<Assignment>,
+    ) -> usize {
+        // One MIBS instance (which owns its flat scoring buffers), one
+        // class/score row pair and one `rest`/`placed` pair serve every
+        // head: the buffers stay warm and the loop does not allocate.
+        let mut mibs = Mibs::new(self.queue_len);
+        let (mut classes, mut scores) = (Vec::new(), Vec::new());
+        let (mut rest, mut placed) = (Vec::new(), Vec::new());
+        let mut settled = vec![false; scoring.n_apps()];
+        let (mut best_score, mut evaluated) = (0.0, 0);
+        for (head, &task) in tasks.iter().enumerate() {
+            if settled[task.app.index()] {
+                continue;
+            }
+            // Force task `head` to be placed first (by MIOS), then let
+            // MIBS schedule the remainder.
+            let Some(first) = place_best_with(task, cluster, scoring, &mut classes, &mut scores)
+            else {
+                continue;
+            };
+            evaluated += 1;
+            placed.clear();
+            placed.push(first);
+            rest.clear();
+            rest.extend_from_slice(&tasks[..head]);
+            rest.extend_from_slice(&tasks[head + 1..]);
+            // A fully certified pass settles the app (module doc).
+            settled[task.app.index()] = mibs.fill(&mut rest, cluster, scoring, &mut placed);
+            for a in placed.iter().rev() {
+                cluster.clear(a.vm);
+            }
+            // Placement count first, then total score; ties keep the
+            // earlier head.
+            let score = total_score(&placed);
+            if best.is_empty()
+                || placed.len() > best.len()
+                || (placed.len() == best.len() && score < best_score)
+            {
+                best.clone_from(&placed);
+                best_score = score;
+            }
+        }
+        evaluated
+    }
+}
+
 impl Scheduler for Mix {
     fn name(&self) -> String {
         format!("MIX_{}", self.queue_len)
@@ -55,48 +116,8 @@ impl Scheduler for Mix {
             return Vec::new();
         }
         let tasks: Vec<Task> = queue.iter().copied().collect();
-        // One MIBS instance (which owns its flat scoring buffers) and one
-        // class/score row pair serve every head: the buffers stay warm.
-        let mut mibs = Mibs::new(self.queue_len);
-        let (mut classes, mut scores) = (Vec::new(), Vec::new());
-        let mut best: Option<(f64, Vec<Assignment>)> = None;
-        for head in 0..tasks.len() {
-            // Force task `head` to be placed first (by MIOS), then let
-            // MIBS schedule the remainder.
-            let Some(first) =
-                place_best_with(tasks[head], cluster, scoring, &mut classes, &mut scores)
-            else {
-                continue;
-            };
-            let mut placed = vec![first];
-            let mut rest: VecDeque<Task> = tasks
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != head)
-                .map(|(_, t)| *t)
-                .collect();
-            placed.extend(mibs.schedule(&mut rest, cluster, scoring));
-            for a in placed.iter().rev() {
-                cluster.clear(a.vm);
-            }
-            // Placement count first, then total score; ties keep the
-            // earlier head.
-            let score = total_score(&placed);
-            let better = match &best {
-                None => true,
-                Some((best_score, best_assignments)) => {
-                    placed.len() > best_assignments.len()
-                        || (placed.len() == best_assignments.len() && score < *best_score)
-                }
-            };
-            if better {
-                best = Some((score, placed));
-            }
-        }
-
-        let Some((_, assignments)) = best else {
-            return Vec::new();
-        };
+        let mut assignments = Vec::new();
+        self.search(&tasks, cluster, scoring, &mut assignments);
         // Commit the winning assignment set and drop its tasks from the
         // queue.
         for a in &assignments {
@@ -118,7 +139,7 @@ impl Scheduler for Mix {
 mod tests {
     use super::*;
     use crate::predictor::{Objective, ScoringPolicy};
-    use crate::sched::test_support::{aid, app_chars, predictor, resident, task};
+    use crate::sched::test_support::{aid, app_chars, benign_predictor, predictor, resident, task};
     use crate::sched::VmRef;
 
     #[test]
@@ -221,6 +242,38 @@ mod tests {
             .is_empty());
         assert_eq!(queue, left);
         assert_eq!(format!("{cluster:?}"), format!("{expected:?}"));
+    }
+
+    /// Every MIBS pass certifies, so the first io head and the first cpu
+    /// head settle their apps and the other two heads are skipped.
+    #[test]
+    fn certified_heads_settle_their_app() {
+        let p = predictor();
+        let scoring = ScoringPolicy::new(&p, Objective::MinRuntime);
+        let mut cluster = ClusterState::new(2, 2, app_chars());
+        let tasks = [task(0, "io"), task(1, "io"), task(2, "cpu"), task(3, "cpu")];
+        let mut best = Vec::new();
+        assert_eq!(
+            Mix::new(4).search(&tasks, &mut cluster, &scoring, &mut best),
+            2
+        );
+        assert_eq!(best.len(), 4);
+    }
+
+    /// With no interference io and cpu tie exactly in every pass, no head
+    /// settles its app, and all four are evaluated.
+    #[test]
+    fn uncertified_heads_are_all_evaluated() {
+        let p = benign_predictor();
+        let scoring = ScoringPolicy::new(&p, Objective::MinRuntime);
+        let mut cluster = ClusterState::new(2, 2, app_chars());
+        let tasks = [task(0, "io"), task(1, "io"), task(2, "cpu"), task(3, "cpu")];
+        let mut best = Vec::new();
+        assert_eq!(
+            Mix::new(4).search(&tasks, &mut cluster, &scoring, &mut best),
+            4
+        );
+        assert_eq!(best.len(), 4);
     }
 
     #[test]

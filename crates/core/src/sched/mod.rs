@@ -210,8 +210,32 @@ pub(crate) mod test_support {
         }
     }
 
+    /// Runtime model under which every pair runs at solo speed.
+    struct Benign;
+    impl InterferenceModel for Benign {
+        fn predict(&self, _f: &[f64; N_JOINT]) -> f64 {
+            100.0
+        }
+        fn kind(&self) -> ModelKind {
+            ModelKind::Nonlinear
+        }
+        fn n_terms(&self) -> usize {
+            1
+        }
+    }
+
     /// A predictor over the two synthetic apps.
     pub fn predictor() -> Predictor {
+        predictor_with(|| Box::new(PairwiseRuntime))
+    }
+
+    /// The two apps with no runtime interference: every excess and both
+    /// fragilities are exactly 0, so only window order breaks ties.
+    pub fn benign_predictor() -> Predictor {
+        predictor_with(|| Box::new(Benign))
+    }
+
+    fn predictor_with(runtime: fn() -> Box<dyn InterferenceModel>) -> Predictor {
         let mut p = Predictor::new();
         for (name, c) in app_chars() {
             let solo_runtime = 100.0;
@@ -224,7 +248,7 @@ pub(crate) mod test_support {
                     solo_iops,
                 },
                 AppModelSet {
-                    runtime: Box::new(PairwiseRuntime),
+                    runtime: runtime(),
                     iops: Box::new(PairwiseIops),
                 },
             );

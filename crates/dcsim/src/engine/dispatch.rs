@@ -75,7 +75,11 @@ impl DispatchPolicy {
 
     /// Runs the scheduler over (at most) its queue window. Window tasks
     /// the scheduler leaves unassigned return to the front of the queue
-    /// in their original order.
+    /// in the order the scheduler leaves them: FIFO, MIOS and MIX keep
+    /// arrival order, but MIBS (and its Min-Min ablations) `swap_remove`
+    /// each placed task, so their leftovers come back permuted. That is
+    /// a known deviation from "oldest first", kept because fixing it
+    /// moves placements (ROADMAP, Figs 9–12 item).
     pub fn dispatch(
         &self,
         scheduler: &mut dyn Scheduler,

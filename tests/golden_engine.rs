@@ -142,7 +142,11 @@ fn scenarios() -> Vec<(&'static str, usize, Vec<ArrivalEvent>, Option<f64>)> {
 /// Rows in the matrix: scenarios x 8 scheduler kinds x 2 objectives.
 const MATRIX_ROWS: usize = 3 * 8 * 2;
 
-fn fingerprint(r: &SimResult) -> (usize, usize, u64, u64, u64, u64) {
+/// `(completed, refused, total_runtime, total_iops, makespan, mean_wait)`,
+/// float fields as raw bits.
+type Fingerprint = (usize, usize, u64, u64, u64, u64);
+
+fn fingerprint(r: &SimResult) -> Fingerprint {
     (
         r.completed,
         r.refused,
@@ -386,6 +390,42 @@ fn zero_demand_network_dimension_never_changes_placements() {
         assert_eq!(plain_obs.completions, classed_obs.completions);
         assert_eq!(fingerprint(&plain), fingerprint(&classed));
     });
+}
+
+/// `(scheduler, fingerprint)` of the fill-regime run below, recorded at
+/// `2304ac7`, before MIX shared work across heads.
+#[rustfmt::skip]
+const FILL_REGIME: &[(&str, Fingerprint)] = &[
+    ("FIFO", (768, 0, 0x40e526d6d50022ff, 0x40e329b5f43fc025, 0x406a45f36b5bccda, 0x402d46553bf519bf)),
+    ("MIBS_32", (768, 0, 0x40e267ba9f5a1584, 0x40e773e30b07202d, 0x40699696b75cb3ac, 0x4049e09ca45dce38)),
+    ("MIX_32", (768, 0, 0x40e26acff68f0a94, 0x40e7722868e1f6cd, 0x4069f3f5461e8bf8, 0x4049e07dc7397507)),
+];
+
+/// The benchmark's `sim-batch` shape at a quarter of its size: a static
+/// medium-mix batch of 768 tasks on 256 x 2. The first dispatches are fill
+/// calls (32 placements into hundreds of idle slots), the regime where
+/// MIX runs 32 full MIBS passes per call; the rest free a slot or two at
+/// a time.
+#[test]
+fn fill_regime_matches_pins() {
+    let tb = testbed();
+    let trace = static_batch(768, WorkloadMix::Medium, 17);
+    let got: Vec<_> = [
+        SchedulerKind::Fifo,
+        SchedulerKind::Mibs(32),
+        SchedulerKind::Mix(32),
+    ]
+    .into_iter()
+    .map(|kind| {
+        let r = Simulation::new(tb, 256, kind).run(&trace, None);
+        (r.scheduler.clone(), fingerprint(&r))
+    })
+    .collect();
+    let want: Vec<_> = FILL_REGIME
+        .iter()
+        .map(|(name, f)| (name.to_string(), *f))
+        .collect();
+    assert_eq!(got, want, "fill-regime placements drifted");
 }
 
 #[test]

@@ -17,19 +17,43 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use tracon::core::characteristics::N_JOINT;
 use tracon::core::{
     AppModelSet, AppProfile, Assignment, Characteristics, ClusterState, Fifo, InterferenceModel,
-    Mibs, Mios, Mix, ModelKind, Objective, Predictor, Scheduler, ScoringPolicy, Task, VmRef,
+    Mibs, Mios, Mix, ModelKind, Objective, Predictor, Resident, Scheduler, ScoringPolicy, Task,
+    VmRef,
 };
 use tracon::stats::prng::{check_cases, ChaCha12};
 
-/// Deterministic synthetic interference model (same shape as the
+/// A synthetic world's interference shape: the prediction for the joint
+/// features of (target, background) on top of the model's `base`.
+type Shape = fn(&[f64; N_JOINT], f64) -> f64;
+
+/// Smooth pairwise interference (same shape as the
 /// scheduling-invariants fixture).
+fn smooth(f: &[f64; N_JOINT], base: f64) -> f64 {
+    base + 0.01 * f[0] * f[4] + 20.0 * f[2] * f[6] + 0.05 * f[1] * f[5]
+}
+
+/// [`smooth`] shifted below the solo runtime: the predictor clamps light
+/// pairs to solo, so their excess is exactly 0 and several apps have a
+/// fragility of exactly 0 — the benign ties window order settles.
+fn clamped(f: &[f64; N_JOINT], base: f64) -> f64 {
+    smooth(f, base) - 30.0
+}
+
+/// Steps of 0.5e-9 over the base: excess values sit half a `TIE_EPS`
+/// apart, so "within the tie width" is not transitive.
+fn half_eps_steps(f: &[f64; N_JOINT], base: f64) -> f64 {
+    base + 0.5e-9 * (((f[0] + 2.0 * f[4] + f[1]) / 20.0).round() % 4.0)
+}
+
+/// Deterministic synthetic interference model.
 struct SynthModel {
+    shape: Shape,
     base: f64,
 }
 
 impl InterferenceModel for SynthModel {
     fn predict(&self, f: &[f64; N_JOINT]) -> f64 {
-        self.base + 0.01 * f[0] * f[4] + 20.0 * f[2] * f[6] + 0.05 * f[1] * f[5]
+        (self.shape)(f, self.base)
     }
     fn kind(&self) -> ModelKind {
         ModelKind::Nonlinear
@@ -39,7 +63,7 @@ impl InterferenceModel for SynthModel {
     }
 }
 
-fn world(n_apps: usize) -> (Predictor, HashMap<String, Characteristics>) {
+fn world(shape: Shape, n_apps: usize) -> (Predictor, HashMap<String, Characteristics>) {
     let mut predictor = Predictor::new();
     let mut chars = HashMap::new();
     for i in 0..n_apps {
@@ -58,8 +82,8 @@ fn world(n_apps: usize) -> (Predictor, HashMap<String, Characteristics>) {
                 solo_iops: (c.total_rps()).max(1.0),
             },
             AppModelSet {
-                runtime: Box::new(SynthModel { base: 120.0 }),
-                iops: Box::new(SynthModel { base: 10.0 }),
+                runtime: Box::new(SynthModel { shape, base: 120.0 }),
+                iops: Box::new(SynthModel { shape, base: 10.0 }),
             },
         );
         chars.insert(name, c);
@@ -471,19 +495,58 @@ fn assert_streams_equal(kind: &str, real: &[Assignment], reference: &[RefAssignm
     }
 }
 
-fn check_all_schedulers(
+/// One equivalence case: a synthetic world, a cluster shape whose
+/// `occupied` slots already host the given apps, and a window of apps.
+struct Setup<'a> {
+    shape: Shape,
     n_machines: usize,
     slots: usize,
     n_apps: usize,
-    picks: &[usize],
+    occupied: &'a [(VmRef, usize)],
+    picks: &'a [usize],
     objective: Objective,
-) {
-    let (predictor, chars) = world(n_apps);
+}
+
+impl Setup<'_> {
+    /// A case on an empty cluster of the smooth world.
+    fn empty<'a>(
+        n_machines: usize,
+        slots: usize,
+        n_apps: usize,
+        picks: &'a [usize],
+        objective: Objective,
+    ) -> Setup<'a> {
+        Setup {
+            shape: smooth,
+            n_machines,
+            slots,
+            n_apps,
+            occupied: &[],
+            picks,
+            objective,
+        }
+    }
+}
+
+fn check_all_schedulers(case: &Setup<'_>) {
+    let &Setup {
+        shape,
+        n_machines,
+        slots,
+        n_apps,
+        occupied,
+        picks,
+        objective,
+    } = case;
+    let (predictor, chars) = world(shape, n_apps);
     let registry = {
         let c = ClusterState::new(n_machines, slots, chars.clone());
         c.registry().clone()
     };
-    let names: Vec<String> = picks.iter().map(|p| format!("app{}", p % n_apps)).collect();
+    let name = |p: usize| format!("app{}", p % n_apps);
+    let names: Vec<String> = picks.iter().map(|&p| name(p)).collect();
+    // Residents get ids above every window task's.
+    let residents = || (10_000u64..).zip(occupied);
 
     type RefSched =
         fn(&mut VecDeque<RefTask>, &mut RefCluster, &RefScoring<'_>) -> Vec<RefAssignment>;
@@ -498,6 +561,10 @@ fn check_all_schedulers(
     for (kind, mut real_sched, ref_sched) in cases {
         let scoring = ScoringPolicy::new(&predictor, objective);
         let mut cluster = ClusterState::new(n_machines, slots, chars.clone());
+        for (id, &(vm, app)) in residents() {
+            let app = registry.expect_id(&name(app));
+            cluster.place(vm, Resident { task_id: id, app });
+        }
         let mut queue: VecDeque<Task> = names
             .iter()
             .enumerate()
@@ -507,6 +574,9 @@ fn check_all_schedulers(
 
         let ref_scoring = RefScoring::new(&predictor, objective);
         let mut ref_cluster = RefCluster::new(n_machines, slots, chars.clone());
+        for (id, &(vm, app)) in residents() {
+            ref_cluster.place(vm, RefTask { id, app: name(app) });
+        }
         let mut ref_queue: VecDeque<RefTask> = names
             .iter()
             .enumerate()
@@ -546,7 +616,7 @@ fn interned_schedulers_match_string_reference() {
         } else {
             Objective::MinRuntime
         };
-        check_all_schedulers(n_machines, 2, n_apps, &picks, objective);
+        check_all_schedulers(&Setup::empty(n_machines, 2, n_apps, &picks, objective));
     });
 }
 
@@ -559,6 +629,51 @@ fn interned_schedulers_match_reference_three_slots() {
         let n_machines = rng.range_usize(1, 4);
         let n_apps = rng.range_usize(1, 4);
         let picks = picks(rng, 0..10, 4);
-        check_all_schedulers(n_machines, 3, n_apps, &picks, Objective::MinRuntime);
+        check_all_schedulers(&Setup::empty(
+            n_machines,
+            3,
+            n_apps,
+            &picks,
+            Objective::MinRuntime,
+        ));
+    });
+}
+
+/// The tie-heavy regime MIX's head sharing and MIBS's one-task-per-app
+/// scan must survive: windows up to 32 over up to 64 partially occupied
+/// machines, in worlds where the solo clamp makes excess and fragility
+/// exactly 0 and where excess values sit 0.5e-9 apart, plus the smooth
+/// one. The reference is the literal old MIBS and MIX.
+#[test]
+fn tie_heavy_windows_match_reference() {
+    let shapes: [Shape; 3] = [clamped, half_eps_steps, smooth];
+    check_cases(0..36, |rng| {
+        let shape = shapes[rng.range_usize(0, shapes.len())];
+        let n_machines = rng.range_usize(1, 65);
+        let n_apps = rng.range_usize(2, 7);
+        let objective = if rng.next_u64() & 1 == 1 {
+            Objective::MaxIops
+        } else {
+            Objective::MinRuntime
+        };
+        let taken_permille = rng.range_usize(0, 1000);
+        let mut occupied = Vec::new();
+        for machine in 0..n_machines {
+            for slot in 0..2 {
+                if rng.range_usize(0, 1000) < taken_permille {
+                    occupied.push((VmRef { machine, slot }, rng.range_usize(0, n_apps)));
+                }
+            }
+        }
+        let picks = picks(rng, 1..33, n_apps);
+        check_all_schedulers(&Setup {
+            shape,
+            n_machines,
+            slots: 2,
+            n_apps,
+            occupied: &occupied,
+            picks: &picks,
+            objective,
+        });
     });
 }
