@@ -40,7 +40,7 @@ COMMANDS:
              [--shards N=1]  (scheduler shards behind one connection
                            reactor; each owns a machine slice and WAL file)
              [--scheduler mios|mibs[:W]|mix[:W]] [--objective rt|io]
-             [--queue-cap N=64] [--rebuild-every N] [--batch-deadline-ms N=100]
+             [--queue-cap N=64] [--rebuild-every N]
              [--wal DIR]  (persist admissions to an fsync'd write-ahead log
                            and recover queue/counters on restart)
              [--replica-of HOST:PORT]  (boot as a warm follower of a running
@@ -501,8 +501,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
         objective: obj,
         model_kind: kind,
         queue_capacity,
-        batch_deadline_ms: args.num_or("batch-deadline-ms", 100)?,
-        retry_after_ms: args.num_or("retry-after-ms", 50)?,
         lease_base_ms: args.num_or("lease-ms", 30_000)?,
         lease_per_predicted_s_ms: args.num_or("lease-per-s-ms", 2_000)?,
         max_attempts,

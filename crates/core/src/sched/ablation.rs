@@ -56,12 +56,14 @@ impl MibsVariant {
 pub struct MibsAblation {
     /// The ingredient being ablated.
     pub variant: MibsVariant,
+    /// The batch window, as for [`Mibs`](super::Mibs).
+    pub window: usize,
 }
 
 impl MibsAblation {
-    /// Creates the ablated scheduler.
-    pub fn new(variant: MibsVariant) -> Self {
-        MibsAblation { variant }
+    /// Creates the ablated scheduler with the given batch window.
+    pub fn new(variant: MibsVariant, window: usize) -> Self {
+        MibsAblation { variant, window }
     }
 
     fn schedule_minmin(
@@ -206,6 +208,10 @@ impl Scheduler for MibsAblation {
         self.variant.name().to_string()
     }
 
+    fn window(&self) -> Option<usize> {
+        Some(self.window)
+    }
+
     fn schedule(
         &mut self,
         queue: &mut VecDeque<Task>,
@@ -236,7 +242,7 @@ mod tests {
         let scoring = ScoringPolicy::new(&p, Objective::MinRuntime);
         let mut cluster = ClusterState::new(2, 2, app_chars());
         let mut queue: VecDeque<Task> = tasks.iter().map(|(a, i)| task(*i, a)).collect();
-        MibsAblation::new(variant).schedule(&mut queue, &mut cluster, &scoring)
+        MibsAblation::new(variant, tasks.len()).schedule(&mut queue, &mut cluster, &scoring)
     }
 
     #[test]

@@ -284,8 +284,9 @@ impl ClusterState {
 
     /// Whether any machine is entirely free (all slots idle). Cheap: the
     /// idle neighbour classes are the contiguous key range
-    /// `(ClassKey::IDLE, *)`.
-    pub fn has_idle_machine(&self) -> bool {
+    /// `(ClassKey::IDLE, *)`. Crate-private: the dispatch
+    /// [`gate`](super::gate) is its one caller.
+    pub(crate) fn has_idle_machine(&self) -> bool {
         self.free
             .range((ClassKey::IDLE, 0)..=(ClassKey::IDLE, u16::MAX))
             .any(|(_, set)| !set.is_empty())

@@ -38,12 +38,13 @@ use crate::interner::AppId;
 use crate::predictor::ScoringPolicy;
 use std::collections::VecDeque;
 
-/// The batch scheduler. `queue_len` is the batch size the dynamic
-/// simulator accumulates before invoking it (MIBS_2/4/8 in the paper);
-/// the algorithm itself schedules whatever it is given.
+/// The batch scheduler. `queue_len` is its batch window (MIBS_2/4/8 in
+/// the paper); the algorithm itself schedules whatever it is given.
 #[derive(Debug, Clone)]
 pub struct Mibs {
-    /// Nominal batch size (used in the display name).
+    /// The batch window [`Scheduler::window`] reports: the
+    /// [`gate`](super::gate) waits for this many queued tasks and hands
+    /// the scheduler at most this many.
     pub queue_len: usize,
     /// Scratch: the free classes, listed once per round.
     classes: Vec<FreeClass>,
@@ -223,6 +224,10 @@ fn tie_key(class: &FreeClass, fragility: f64) -> f64 {
 impl Scheduler for Mibs {
     fn name(&self) -> String {
         format!("MIBS_{}", self.queue_len)
+    }
+
+    fn window(&self) -> Option<usize> {
+        Some(self.queue_len)
     }
 
     fn schedule(

@@ -25,7 +25,9 @@ use std::collections::{HashSet, VecDeque};
 /// The mixed scheduler.
 #[derive(Debug, Clone)]
 pub struct Mix {
-    /// Nominal batch size (display name).
+    /// The batch window [`Scheduler::window`] reports: the
+    /// [`gate`](super::gate) waits for this many queued tasks and hands
+    /// the scheduler at most this many, so at most this many heads.
     pub queue_len: usize,
 }
 
@@ -104,6 +106,10 @@ impl Mix {
 impl Scheduler for Mix {
     fn name(&self) -> String {
         format!("MIX_{}", self.queue_len)
+    }
+
+    fn window(&self) -> Option<usize> {
+        Some(self.queue_len)
     }
 
     fn schedule(

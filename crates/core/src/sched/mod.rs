@@ -1,11 +1,13 @@
 //! Interference-aware scheduling (paper Section 3.2): the FIFO baseline
 //! and the three TRACON schedulers — MIOS (online, Algorithm 1), MIBS
 //! (batch Min-Min pairing, Algorithm 2), and MIX (best-head batch,
-//! Algorithm 3) — each optimizing either total runtime or total IOPS.
+//! Algorithm 3) — each optimizing either total runtime or total IOPS —
+//! and the [`gate`] that decides when they run and what they see.
 
 pub mod ablation;
 pub mod cluster;
 pub mod fifo;
+pub mod gate;
 pub mod mibs;
 pub mod mios;
 pub mod mix;
@@ -55,6 +57,13 @@ pub struct Assignment {
 pub trait Scheduler {
     /// Scheduler name, e.g. "MIBS_RT(8)".
     fn name(&self) -> String;
+
+    /// The batch window: how many of the oldest queued tasks one call
+    /// sees, and how many the [`gate`] waits for (`None` for the online
+    /// schedulers, which see the whole queue and dispatch eagerly).
+    fn window(&self) -> Option<usize> {
+        None
+    }
 
     /// Schedules queued tasks onto the cluster.
     fn schedule(

@@ -13,7 +13,7 @@
 //! ```text
 //!            ┌─────────────────────────────────────────────┐
 //!            │                event kernel                 │
-//!            │  KernelQueue ──► main loop ──► DispatchPolicy│
+//!            │  KernelQueue ──► main loop ──► sched::gate  │
 //!            │      ▲             │               │        │
 //!            │      └── SlotState ┘          Scheduler     │
 //!            └──────────┬──────────────────────────────────┘
@@ -35,12 +35,14 @@
 //!   queue per event,
 //! * [`slots`](self) — per-slot running state and remaining-work
 //!   rescaling,
-//! * [`dispatch`](self) — the batch-window trigger and queue-window
-//!   drain,
 //! * [`observer`] — the [`SimObserver`] trait and built-ins, including
 //!   online model adaptation via [`AdaptiveObserver`].
+//!
+//! When to call the scheduler and which queued tasks it sees is
+//! [`tracon_core::sched::gate`], the rule `tracond` runs too; the loop
+//! passes `flush` = "no event is pending" and adds only what belongs to
+//! the kernel: the [`COINCIDENCE_EPS`] hold-off.
 
-mod dispatch;
 mod event;
 pub mod observer;
 mod slots;
@@ -55,12 +57,12 @@ use crate::arrival::ArrivalEvent;
 use crate::faults::FaultPlan;
 use crate::machines::MachineClassConfig;
 use crate::setup::Testbed;
-use dispatch::DispatchPolicy;
 use event::{Event, EventKind, HeapQueue, KernelQueue, TimingWheel};
 use observer::{MetricsObserver, ObservationCollector};
 use slots::{NetCtx, SlotState};
 use std::collections::VecDeque;
 use std::fmt;
+use tracon_core::sched::gate;
 use tracon_core::{
     ClusterState, Fifo, Mibs, MibsAblation, MibsVariant, Mios, Mix, Objective, Scheduler,
     ScoringPolicy, Task, VmRef,
@@ -90,18 +92,7 @@ impl SchedulerKind {
             SchedulerKind::Mios => Box::new(Mios),
             SchedulerKind::Mibs(l) => Box::new(Mibs::new(l)),
             SchedulerKind::Mix(l) => Box::new(Mix::new(l)),
-            SchedulerKind::Ablation(v, _) => Box::new(MibsAblation::new(v)),
-        }
-    }
-
-    /// The batch window: how many queued tasks the scheduler sees at once
-    /// (unbounded for the online schedulers).
-    pub fn batch_window(&self) -> Option<usize> {
-        match *self {
-            SchedulerKind::Mibs(l) | SchedulerKind::Mix(l) | SchedulerKind::Ablation(_, l) => {
-                Some(l)
-            }
-            _ => None,
+            SchedulerKind::Ablation(v, l) => Box::new(MibsAblation::new(v, l)),
         }
     }
 
@@ -399,7 +390,7 @@ impl<'tb> Simulation<'tb> {
         if let Some(cfg) = &self.machine_classes {
             cluster.set_machine_classes(cfg.classes.clone(), cfg.assignment.clone());
         }
-        let dispatch = DispatchPolicy::new(self.scheduler.batch_window());
+        let window = scheduler.window();
 
         // Intern the perf-table app names once; every task constructed in
         // the arrival loop reuses these ids (no per-arrival allocation).
@@ -652,10 +643,18 @@ impl<'tb> Simulation<'tb> {
                 (a, b) => a.or(b),
             };
 
-            if dispatch.should_dispatch(schedule_needed, now, next_event_time, &queue, &cluster) {
-                // Batch schedulers only see their queue window.
+            // Simultaneous events (a static batch arriving at t = 0, or a
+            // machine's two slots completing together) must all be
+            // processed before the scheduler runs, or a batch scheduler
+            // would see its window one task at a time. No pending event
+            // means the trace is drained and nothing runs: flush.
+            let coincident = next_event_time.is_some_and(|t| (t - now).abs() < COINCIDENCE_EPS);
+            if schedule_needed
+                && !coincident
+                && gate::ready(window, queue.len(), &cluster, next_event_time.is_none())
+            {
                 let assignments =
-                    dispatch.dispatch(scheduler.as_mut(), &mut queue, &mut cluster, &scoring);
+                    gate::dispatch(scheduler.as_mut(), &mut queue, &mut cluster, &scoring);
                 observer.on_dispatch(now, assignments.len());
                 for a in assignments {
                     let task_idx = a.task.id as usize;
@@ -917,8 +916,12 @@ mod tests {
         assert_eq!(SchedulerKind::Fifo.name(), "FIFO");
         assert_eq!(SchedulerKind::Mibs(8).name(), "MIBS_8");
         assert_eq!(SchedulerKind::Mix(4).name(), "MIX_4");
-        assert_eq!(SchedulerKind::Mios.batch_window(), None);
-        assert_eq!(SchedulerKind::Mibs(8).batch_window(), Some(8));
+        assert_eq!(SchedulerKind::Mios.build().window(), None);
+        assert_eq!(SchedulerKind::Fifo.build().window(), None);
+        assert_eq!(SchedulerKind::Mibs(8).build().window(), Some(8));
+        assert_eq!(SchedulerKind::Mix(4).build().window(), Some(4));
+        let ablation = SchedulerKind::Ablation(MibsVariant::HeadFirst, 16);
+        assert_eq!(ablation.build().window(), Some(16));
     }
 
     #[test]

@@ -653,7 +653,7 @@ fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant)
                     };
                     Reply::ok(id, result)
                 }
-                Err(refusal) => refusal_reply(id, refusal, svc),
+                Err(refusal) => refusal_reply(id, refusal),
             }
         }
         Request::Complete {
@@ -671,7 +671,7 @@ fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant)
                     ("dispatched", n(done.dispatched as f64)),
                 ]),
             ),
-            Err(refusal) => refusal_reply(id, refusal, svc),
+            Err(refusal) => refusal_reply(id, refusal),
         },
         Request::TaskInfo { task } => match svc.task_info(task) {
             Some((row, volatile)) => {
@@ -723,12 +723,15 @@ fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant)
     }
 }
 
-fn refusal_reply(id: Option<String>, refusal: Refusal, svc: &Service) -> Reply {
+/// Retry hint attached to backpressure rejections.
+const RETRY_AFTER_MS: u64 = 50;
+
+fn refusal_reply(id: Option<String>, refusal: Refusal) -> Reply {
     match refusal {
         Refusal::QueueFull { depth } => Reply::backpressure(
             id,
             format!("admission queue full (depth {depth})"),
-            svc.retry_after_ms(),
+            RETRY_AFTER_MS,
         ),
         Refusal::Draining => Reply::error(id, ErrorKind::Draining, "daemon is draining"),
         Refusal::UnknownApp { name } => Reply::error(

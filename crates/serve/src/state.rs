@@ -5,10 +5,11 @@
 //!
 //! [`Service`] owns the pieces the simulator normally drives on virtual
 //! time — a [`ClusterState`], a [`Scheduler`], a [`ScoringPolicy`], and an
-//! [`AdaptiveObserver`] — and maps them onto real time. MIOS dispatches
-//! eagerly on every submit and completion; MIBS/MIX accumulate a batch and
-//! dispatch when the window fills or the oldest queued task has waited past
-//! the batch deadline (checked by the daemon's ticker). Completions
+//! [`AdaptiveObserver`] — and maps them onto real time. Submits,
+//! completions, the daemon's ticker and a drain all ask the simulator's
+//! own dispatch gate ([`gate`]) whether to run the scheduler, and hand it
+//! the same window; the daemon's `flush` is "draining, or the oldest
+//! queued task has waited the batch deadline" (100 ms). Completions
 //! reported by clients feed the drift monitor, and a triggered rebuild
 //! swaps the scoring policy in place, exactly like the simulator's
 //! adaptive arm but against live traffic.
@@ -39,6 +40,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use tracon_core::sched::gate;
 use tracon_core::{
     AppId, ClusterState, Mibs, Mios, Mix, ModelKind, MonitorConfig, Objective, Scheduler,
     ScoringPolicy, Task, VmRef,
@@ -87,15 +89,11 @@ impl SchedKind {
             SchedKind::Mix(w) => Box::new(Mix::new(w)),
         }
     }
-
-    /// Batch window size; 1 for the online scheduler.
-    pub fn window(self) -> usize {
-        match self {
-            SchedKind::Mios => 1,
-            SchedKind::Mibs(w) | SchedKind::Mix(w) => w,
-        }
-    }
 }
+
+/// A batch scheduler's `flush`: once the oldest queued task has waited
+/// this long, a lone free slot no longer waits for a pairing.
+const BATCH_DEADLINE_MS: u64 = 100;
 
 /// Daemon tuning knobs, all wall-clock.
 #[derive(Clone, Debug)]
@@ -112,11 +110,6 @@ pub struct ServeConfig {
     pub model_kind: ModelKind,
     /// Admission queue bound; submissions beyond this are rejected.
     pub queue_capacity: usize,
-    /// Batch schedulers dispatch a partial window once the oldest queued
-    /// task has waited this long.
-    pub batch_deadline_ms: u64,
-    /// Retry hint attached to backpressure rejections.
-    pub retry_after_ms: u64,
     /// Live monitor configuration (rebuild cadence, drift thresholds).
     pub monitor: MonitorConfig,
     /// Fixed part of every completion lease.
@@ -157,8 +150,6 @@ impl Default for ServeConfig {
             objective: Objective::MinRuntime,
             model_kind: ModelKind::Wmm,
             queue_capacity: 64,
-            batch_deadline_ms: 100,
-            retry_after_ms: 50,
             monitor: MonitorConfig::default(),
             lease_base_ms: 30_000,
             lease_per_predicted_s_ms: 2_000,
@@ -806,14 +797,7 @@ impl Service {
             task: task_id,
             app: s.observer.app_names()[app_idx].clone(),
         });
-        // MIOS places on every arrival; batch schedulers wait for a full
-        // window (the deadline path runs from the ticker).
-        if matches!(self.cfg.scheduler, SchedKind::Mios)
-            || self.queue.len() >= self.cfg.scheduler.window()
-        {
-            self.dispatch(now);
-        }
-        self.sync_gauges();
+        self.maybe_dispatch(now);
         let placed = self.live.get(&task_id).and_then(|v| v.placement);
         let placement = placed.map(|p| (p.vm, p.predicted_score, p.predicted_runtime));
         Ok(Admitted {
@@ -823,15 +807,22 @@ impl Service {
         })
     }
 
-    /// Run the scheduler over the current queue, recording placements,
-    /// leases, and dispatch latencies. Returns how many tasks were placed.
-    pub fn dispatch(&mut self, now: Instant) -> usize {
-        if self.queue.is_empty() {
-            return 0;
-        }
-        let assignments =
-            self.scheduler
-                .schedule(&mut self.queue, &mut self.cluster, &self.scoring);
+    /// Run the scheduler over its window if the dispatch gate says so,
+    /// recording placements, leases, and dispatch latencies; then publish
+    /// the gauges. `flush` is "draining, or the oldest queued task has
+    /// waited [`BATCH_DEADLINE_MS`]". Returns how many tasks were placed.
+    fn maybe_dispatch(&mut self, now: Instant) -> usize {
+        let deadline = Duration::from_millis(BATCH_DEADLINE_MS);
+        let oldest = self.queue.front().and_then(|t| self.live.get(&t.id));
+        let flush =
+            self.draining || oldest.is_some_and(|v| now.duration_since(v.submitted) >= deadline);
+        let window = self.scheduler.window();
+        let assignments = if gate::ready(window, self.queue.len(), &self.cluster, flush) {
+            let scheduler = self.scheduler.as_mut();
+            gate::dispatch(scheduler, &mut self.queue, &mut self.cluster, &self.scoring)
+        } else {
+            Vec::new()
+        };
         for assignment in &assignments {
             let task_id = assignment.task.id;
             let neighbor = self.neighbor_of(assignment.vm, task_id);
@@ -964,41 +955,14 @@ impl Service {
     }
 
     /// The daemon's periodic maintenance pass: expire leases, promote
-    /// backed-off tasks, and run batch-deadline dispatch. Returns how
-    /// many tasks were dispatched.
+    /// backed-off tasks, and ask the dispatch gate (which is where the
+    /// batch deadline fires). Returns how many tasks were dispatched.
     pub fn tick(&mut self, now: Instant) -> usize {
-        self.wal_transaction(|s| s.tick_inner(now))
-    }
-
-    fn tick_inner(&mut self, now: Instant) -> usize {
-        self.expire_leases(now);
-        self.promote_delayed(now);
-        if self.queue.is_empty() {
-            self.sync_gauges();
-            return 0;
-        }
-        let dispatch_now = match self.cfg.scheduler {
-            // MIOS is eager; the tick retries dispatch stalled on a full
-            // cluster and places freshly promoted requeues.
-            SchedKind::Mios => true,
-            _ => {
-                let overdue = self
-                    .queue
-                    .front()
-                    .and_then(|front| self.live.get(&front.id))
-                    .map(|r| {
-                        now.duration_since(r.submitted).as_millis() as u64
-                            >= self.cfg.batch_deadline_ms
-                    })
-                    .unwrap_or(false);
-                self.queue.len() >= self.cfg.scheduler.window() || overdue || self.draining
-            }
-        };
-        if dispatch_now {
-            self.dispatch(now)
-        } else {
-            0
-        }
+        self.wal_transaction(|s| {
+            s.expire_leases(now);
+            s.promote_delayed(now);
+            s.maybe_dispatch(now)
+        })
     }
 
     /// Record a client-reported completion: free the slot, feed the
@@ -1066,15 +1030,8 @@ impl Service {
                 swapped = true;
             }
         }
-        // The freed slot may unblock queued work regardless of scheduler:
-        // batch windows still apply, but a stalled full-cluster dispatch
-        // should retry now.
-        let dispatched = if matches!(self.cfg.scheduler, SchedKind::Mios) || self.draining {
-            self.dispatch(now)
-        } else {
-            self.tick(now)
-        };
-        self.sync_gauges();
+        // Lease expiry and backoff promotion stay on the ticker.
+        let dispatched = self.maybe_dispatch(now);
         Ok(Completed {
             rebuilt,
             swapped,
@@ -1088,7 +1045,7 @@ impl Service {
         // Flush backed-off tasks and any partial batch immediately rather
         // than waiting for the deadline tick.
         self.promote_delayed(now);
-        self.dispatch(now);
+        self.maybe_dispatch(now);
         self.status()
     }
 
@@ -1155,11 +1112,6 @@ impl Service {
     /// submissions to shards.
     pub fn app_id(&self, name: &str) -> Option<AppId> {
         self.cluster.registry().id(name)
-    }
-
-    /// Retry hint for backpressure replies.
-    pub fn retry_after_ms(&self) -> u64 {
-        self.cfg.retry_after_ms
     }
 
     /// Test hook: make the next `n` triggered rebuilds fail, exercising
@@ -1284,22 +1236,124 @@ mod tests {
         assert_eq!(svc.status().completed, 1);
     }
 
+    /// The dcsim gate's rules in the daemon: an idle machine or two free
+    /// slots place at once, and a lone free slot with a short queue waits
+    /// for the batch deadline or a second free slot.
     #[test]
-    fn batch_scheduler_waits_for_window_then_deadline() {
-        let mut svc = service(SchedKind::Mibs(3), 8);
-        let now = Instant::now();
+    fn batch_gate_waits_only_on_a_lone_free_slot() {
+        let ms = Duration::from_millis;
+        for deadline_path in [true, false] {
+            let mut svc = service(SchedKind::Mibs(3), 8);
+            let now = Instant::now();
+            let app = svc.observer.app_names()[0].clone();
+            let first = svc.submit(&app, now).unwrap();
+            assert!(first.placement.is_some(), "an idle machine places at once");
+            for _ in 0..2 {
+                let out = svc.submit(&app, now).unwrap();
+                assert!(out.placement.is_some(), "an idle machine or two free slots");
+            }
+            assert!(svc.submit(&app, now).unwrap().placement.is_none());
+            let early = now + ms(BATCH_DEADLINE_MS - 1);
+            assert_eq!(svc.tick(early), 0, "before the deadline");
+            let released = if deadline_path {
+                svc.tick(now + ms(BATCH_DEADLINE_MS))
+            } else {
+                svc.complete(first.task, 1.0, 90.0, early)
+                    .unwrap()
+                    .dispatched
+            };
+            assert_eq!(
+                released, 1,
+                "the deadline or a second free slot releases it"
+            );
+            assert_eq!(svc.status().queued, 0);
+            assert!(svc.status().conserved());
+        }
+    }
+
+    /// `mibs:2` / `mix:2` choose among the two oldest queued tasks even
+    /// when a younger one fits the freed slot better: the daemon hands
+    /// the scheduler its window, not the whole queue.
+    #[test]
+    fn batch_scheduler_sees_only_its_window() {
+        let testbed = tiny_testbed();
+        for sched in [SchedKind::Mibs(2), SchedKind::Mix(2)] {
+            let cfg = ServeConfig {
+                machines: 1,
+                slots_per_machine: 2,
+                scheduler: sched,
+                ..ServeConfig::default()
+            };
+            let mut svc = Service::new(&testbed, cfg, Arc::new(Metrics::new()));
+            let names = svc.observer.app_names().to_vec();
+            let now = Instant::now();
+            let later = now + Duration::from_millis(BATCH_DEADLINE_MS);
+            // Fill both slots with app `n`.
+            let n = &names[0];
+            let first = svc.submit(n, now).unwrap().task;
+            svc.submit(n, now).unwrap();
+            svc.tick(later);
+            assert_eq!(svc.status().running, 2);
+            // In the slot `first` will free, next to an `n`, `best` beats
+            // `worst` both on MIBS's excess and on MIX's total score.
+            let vm = svc.live[&first].placement.expect("placed").vm;
+            let mut probe = svc.cluster.clone();
+            probe.clear(vm);
+            let slot = probe.class_view(vm);
+            let id = |a: usize| probe.registry().expect_id(&names[a]);
+            let score = |a| svc.scoring.class_score(id(a), &slot);
+            let excess = |a| svc.scoring.excess_class_score(id(a), &slot);
+            let (worst, best) = (0..names.len())
+                .flat_map(|w| (0..names.len()).map(move |b| (w, b)))
+                .find(|&(w, b)| excess(b) < excess(w) - 1e-6 && score(b) < score(w))
+                .expect("two apps that rank the same on both scores");
+            // Queue three `worst`, then `best`, youngest; free `first`.
+            let queued: Vec<u64> = [worst, worst, worst, best]
+                .iter()
+                .map(|&a| svc.submit(&names[a], later).unwrap().task)
+                .collect();
+            let done = svc.complete(first, 1.0, 90.0, later).unwrap();
+            assert_eq!(done.dispatched, 1);
+            let running = |t: &u64| svc.live.get(t).is_some_and(|v| v.placement.is_some());
+            let placed: Vec<u64> = queued.iter().copied().filter(running).collect();
+            assert!(
+                placed.len() == 1 && queued[..2].contains(&placed[0]),
+                "{sched:?} placed {placed:?}; its window is {:?}",
+                &queued[..2]
+            );
+        }
+    }
+
+    /// A batch completion dispatches like a MIOS one: expiring leases is
+    /// the ticker's job, not the completion's.
+    #[test]
+    fn batch_completion_leaves_lease_expiry_to_the_ticker() {
+        let testbed = tiny_testbed();
+        let cfg = ServeConfig {
+            machines: 1,
+            slots_per_machine: 2,
+            scheduler: SchedKind::Mibs(2),
+            lease_base_ms: 1_000,
+            lease_per_predicted_s_ms: 0,
+            ..ServeConfig::default()
+        };
+        let metrics = Arc::new(Metrics::new());
+        let mut svc = Service::new(&testbed, cfg, Arc::clone(&metrics));
         let app = svc.observer.app_names()[0].clone();
-        svc.submit(&app, now).unwrap();
-        svc.submit(&app, now).unwrap();
-        assert_eq!(svc.status().running, 0, "window of 3 not yet full");
-        svc.submit(&app, now).unwrap();
-        assert_eq!(svc.status().running, 3, "full window dispatches");
-        // A lone straggler dispatches via the deadline tick.
-        svc.submit(&app, now).unwrap();
-        assert_eq!(svc.status().queued, 1);
-        let later = now + std::time::Duration::from_millis(500);
-        assert_eq!(svc.tick(later), 1);
-        assert_eq!(svc.status().queued, 0);
+        let now = Instant::now();
+        let a = svc.submit(&app, now).unwrap().task; // lease ends at +1000 ms
+        let b = svc.submit(&app, now).unwrap().task;
+        svc.tick(now + Duration::from_millis(BATCH_DEADLINE_MS)); // places b
+        let past_a = now + Duration::from_millis(1_050);
+        svc.complete(b, 1.0, 90.0, past_a).unwrap();
+        assert_eq!(metrics.lease_expiries.load(Ordering::Relaxed), 0);
+        assert_eq!(svc.status().running, 1, "a's overdue lease is still held");
+        svc.tick(past_a);
+        assert_eq!(metrics.lease_expiries.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            svc.task_info(a).map(|(row, _)| row.state),
+            Some(RecState::Queued)
+        );
     }
 
     #[test]

@@ -130,22 +130,29 @@ fn full_admission_queue_yields_backpressure_with_retry_hint() {
     let cfg = ServeConfig {
         machines: 1,
         slots_per_machine: 1,
-        // A batch window far larger than the queue keeps everything
-        // queued, and a distant deadline keeps the ticker out of the way.
+        // Even a batch window far larger than the queue places the first
+        // submit on the idle machine; the next two fill the queue, and
+        // with no free slot neither the window nor the deadline fires.
         scheduler: SchedKind::Mibs(64),
         queue_capacity: 2,
-        batch_deadline_ms: 120_000,
-        retry_after_ms: 75,
         ..ServeConfig::default()
     };
     let handle = boot(&testbed, cfg);
     let mut client = Client::connect(&handle.addr.to_string()).expect("connect");
 
-    for _ in 0..2 {
-        match submit_reply(&mut client, &app) {
-            Reply::Ok { .. } => {}
-            other => panic!("expected admission, got {other:?}"),
-        }
+    let first = submit_reply(&mut client, &app);
+    assert_eq!(
+        ok_field(&first, "machine"),
+        0.0,
+        "the idle machine takes it"
+    );
+    for depth in [1.0, 2.0] {
+        let reply = submit_reply(&mut client, &app);
+        assert_eq!(
+            ok_field(&reply, "depth"),
+            depth,
+            "queued behind a full cluster"
+        );
     }
     match submit_reply(&mut client, &app) {
         Reply::Error {
@@ -154,7 +161,7 @@ fn full_admission_queue_yields_backpressure_with_retry_hint() {
             ..
         } => {
             assert_eq!(kind, ErrorKind::Backpressure);
-            assert_eq!(retry_after_ms, Some(75), "rejection must carry the hint");
+            assert_eq!(retry_after_ms, Some(50), "rejection must carry the hint");
         }
         other => panic!("expected backpressure, got {other:?}"),
     }
