@@ -7,11 +7,18 @@
 //! only 9 classes (idle + one per app), so schedulers scan classes
 //! instead of individual VMs and scheduling cost is independent of
 //! cluster size.
+//!
+//! The index is a vector of live classes sorted by `(key, machine
+//! class)`, each holding a bitset over the global slot index `machine *
+//! slots_per_machine + slot` (whose order is [`VmRef`]'s) and the index
+//! of its lowest non-zero word. `place`/`clear` flip O(slots per machine)
+//! bits and find each class by binary search; a class's first free slot
+//! is O(1) and [`ClusterState::first_free`] is O(classes).
 
 use crate::characteristics::Characteristics;
 use crate::interner::{AppId, AppRegistry, ClassKey, MAX_NEIGHBOURS};
 use crate::resource::MachineClass;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A virtual machine slot: machine index and slot index within it.
@@ -51,6 +58,23 @@ pub struct FreeClass {
     pub count: usize,
 }
 
+/// The free slots of one `(neighbour-class key, machine-class index)`.
+#[derive(Debug, Clone)]
+struct SlotSet {
+    key: (ClassKey, u16),
+    /// One bit per global slot index; never all zero while listed.
+    bits: Vec<u64>,
+    count: usize,
+    /// Index of the lowest non-zero word of `bits`.
+    lo: usize,
+}
+
+impl SlotSet {
+    fn first(&self) -> usize {
+        self.lo * 64 + self.bits[self.lo].trailing_zeros() as usize
+    }
+}
+
 /// The cluster state schedulers operate on.
 #[derive(Debug, Clone)]
 pub struct ClusterState {
@@ -61,11 +85,14 @@ pub struct ClusterState {
     /// Canonical observed characteristics per application id (what the
     /// task & resource monitor reports for a steadily-running instance).
     chars_by_id: Vec<Characteristics>,
-    /// Free slots grouped by `(neighbour-class key, machine-class index)`.
-    /// `BTreeMap` iteration order over packed keys equals the legacy
-    /// joined-string order, and on a homogeneous cluster every key is
-    /// `(k, 0)`, so first-minimum tie-breaks are unchanged.
-    free: BTreeMap<(ClassKey, u16), BTreeSet<VmRef>>,
+    /// Free slots grouped by `(neighbour-class key, machine-class index)`,
+    /// sorted by that pair with no empty class listed. The order over
+    /// packed keys equals the legacy joined-string order, and on a
+    /// homogeneous cluster every key is `(k, 0)`, so first-minimum
+    /// tie-breaks are unchanged.
+    free: Vec<SlotSet>,
+    /// Total free slots over every class.
+    n_free: usize,
     /// Machine-class table. Index 0 always exists; a homogeneous cluster
     /// has only [`MachineClass::local`].
     classes: Vec<MachineClass>,
@@ -106,21 +133,28 @@ impl ClusterState {
             machines,
             registry,
             chars_by_id,
-            free: BTreeMap::new(),
+            free: Vec::new(),
+            n_free: 0,
             classes: vec![MachineClass::local()],
             mclass: vec![0; n_machines],
             down: vec![false; n_machines],
         };
-        let all_idle: BTreeSet<VmRef> = (0..n_machines)
-            .flat_map(|m| {
-                (0..slots_per_machine).map(move |s| VmRef {
-                    machine: m,
-                    slot: s,
-                })
-            })
-            .collect();
-        state.free.insert((ClassKey::IDLE, 0), all_idle);
+        state.list_empty_machines();
         state
+    }
+
+    /// Rebuilds the free index of an empty cluster: every slot of every
+    /// up machine is free.
+    fn list_empty_machines(&mut self) {
+        self.free.clear();
+        self.n_free = 0;
+        for machine in 0..self.machines.len() {
+            if !self.down[machine] {
+                for slot in 0..self.slots_per_machine {
+                    self.add_free(VmRef { machine, slot });
+                }
+            }
+        }
     }
 
     /// Declares the cluster heterogeneous: `classes` is the machine-class
@@ -149,11 +183,7 @@ impl ClusterState {
         );
         self.classes = classes;
         self.mclass = assignment;
-        let listed: Vec<VmRef> = self.free.values().flatten().copied().collect();
-        self.free.clear();
-        for vm in listed {
-            self.add_free(vm);
-        }
+        self.list_empty_machines();
     }
 
     /// The machine-class table ([`MachineClass::local`] alone on a
@@ -195,7 +225,7 @@ impl ClusterState {
 
     /// Number of free slots.
     pub fn n_free(&self) -> usize {
-        self.free.values().map(|s| s.len()).sum()
+        self.n_free
     }
 
     /// The resident of a slot, if any.
@@ -237,19 +267,16 @@ impl ClusterState {
     /// The free-slot classes currently available, in deterministic
     /// (packed-key) order, without allocating.
     pub fn free_class_iter(&self) -> impl Iterator<Item = FreeClass> + '_ {
-        self.free
-            .iter()
-            .filter(|(_, slots)| !slots.is_empty())
-            .map(|(&(key, mclass), slots)| {
-                let example = *slots.iter().next().unwrap();
-                FreeClass {
-                    key,
-                    mclass,
-                    background: self.background_of(example),
-                    example,
-                    count: slots.len(),
-                }
-            })
+        self.free.iter().map(|set| {
+            let example = self.vm_at(set.first());
+            FreeClass {
+                key: set.key.0,
+                mclass: set.key.1,
+                background: self.background_of(example),
+                example,
+                count: set.count,
+            }
+        })
     }
 
     /// The free-slot classes currently available (deterministic order).
@@ -283,33 +310,81 @@ impl ClusterState {
     }
 
     /// Whether any machine is entirely free (all slots idle). Cheap: the
-    /// idle neighbour classes are the contiguous key range
-    /// `(ClassKey::IDLE, *)`. Crate-private: the dispatch
+    /// idle neighbour classes are the smallest keys `(ClassKey::IDLE, *)`
+    /// and no empty class is listed. Crate-private: the dispatch
     /// [`gate`](super::gate) is its one caller.
     pub(crate) fn has_idle_machine(&self) -> bool {
         self.free
-            .range((ClassKey::IDLE, 0)..=(ClassKey::IDLE, u16::MAX))
-            .any(|(_, set)| !set.is_empty())
+            .first()
+            .is_some_and(|set| set.key.0 == ClassKey::IDLE)
     }
 
     /// First free slot in deterministic order, if any (FIFO placement).
     pub fn first_free(&self) -> Option<VmRef> {
-        self.free.values().flat_map(|s| s.iter()).min().copied()
+        self.free
+            .iter()
+            .map(SlotSet::first)
+            .min()
+            .map(|i| self.vm_at(i))
+    }
+
+    fn vm_at(&self, index: usize) -> VmRef {
+        VmRef {
+            machine: index / self.slots_per_machine,
+            slot: index % self.slots_per_machine,
+        }
+    }
+
+    /// The free-index key of `vm`, and its word and bit in a class bitset.
+    fn locate(&self, vm: VmRef) -> ((ClassKey, u16), usize, u64) {
+        let key = (self.class_key(vm.machine, vm.slot), self.mclass[vm.machine]);
+        let index = vm.machine * self.slots_per_machine + vm.slot;
+        (key, index / 64, 1 << (index % 64))
     }
 
     fn remove_free(&mut self, vm: VmRef) {
-        let key = (self.class_key(vm.machine, vm.slot), self.mclass[vm.machine]);
-        if let Some(set) = self.free.get_mut(&key) {
-            set.remove(&vm);
-            if set.is_empty() {
-                self.free.remove(&key);
+        let (key, word, bit) = self.locate(vm);
+        let found = self.free.binary_search_by_key(&key, |set| set.key);
+        let listed = found.is_ok_and(|at| self.free[at].bits[word] & bit != 0);
+        debug_assert!(listed, "free slot {vm:?} is not listed under {key:?}");
+        let Ok(at) = found else { return };
+        let set = &mut self.free[at];
+        set.bits[word] &= !bit;
+        set.count -= 1;
+        self.n_free -= 1;
+        if set.count == 0 {
+            self.free.remove(at);
+        } else {
+            while set.bits[set.lo] == 0 {
+                set.lo += 1;
             }
         }
     }
 
     fn add_free(&mut self, vm: VmRef) {
-        let key = (self.class_key(vm.machine, vm.slot), self.mclass[vm.machine]);
-        self.free.entry(key).or_default().insert(vm);
+        let (key, word, bit) = self.locate(vm);
+        let at = match self.free.binary_search_by_key(&key, |set| set.key) {
+            Ok(at) => at,
+            Err(at) => {
+                let words = self.n_slots().div_ceil(64);
+                let bits = vec![0; words];
+                self.free.insert(
+                    at,
+                    SlotSet {
+                        key,
+                        bits,
+                        count: 0,
+                        lo: word,
+                    },
+                );
+                at
+            }
+        };
+        let set = &mut self.free[at];
+        set.bits[word] |= bit;
+        set.count += 1;
+        set.lo = set.lo.min(word);
+        self.n_free += 1;
     }
 
     /// Removes every free sibling of `changed_slot` from the free index
@@ -762,6 +837,38 @@ mod tests {
         let listed = c.free_classes();
         let a_class = listed.iter().find(|cl| cl.key == a_key).unwrap();
         assert_eq!(a_class.mclass, 1);
+    }
+
+    #[test]
+    fn idle_machine_on_a_later_machine_class_counts() {
+        let mut c = cluster();
+        let remote = MachineClass::remote("iscsi", 1.5, 0.6, 100.0);
+        c.set_machine_classes(vec![MachineClass::local(), remote], vec![0, 1, 0]);
+        for machine in [0, 2] {
+            c.place(VmRef { machine, slot: 0 }, resident(&c, 1, "a"));
+        }
+        assert!(c.has_idle_machine());
+        c.place(
+            VmRef {
+                machine: 1,
+                slot: 1,
+            },
+            resident(&c, 2, "b"),
+        );
+        assert!(!c.has_idle_machine());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is not listed")]
+    fn delisting_an_unlisted_slot_panics() {
+        let mut c = cluster();
+        let vm = VmRef {
+            machine: 0,
+            slot: 0,
+        };
+        c.remove_free(vm);
+        c.remove_free(vm);
     }
 
     #[test]

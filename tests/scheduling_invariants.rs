@@ -2,13 +2,14 @@
 //! cluster shape, and objective, the schedulers must produce structurally
 //! valid assignments and the cluster state must stay consistent.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use tracon::core::characteristics::N_JOINT;
+use tracon::core::sched::gate;
 use tracon::core::{
-    AppModelSet, AppProfile, AppRegistry, Characteristics, ClusterState, Fifo, InterferenceModel,
-    Mibs, Mios, Mix, ModelKind, Objective, Predictor, Resident, Scheduler, ScoringPolicy, Task,
-    VmRef,
+    AppId, AppModelSet, AppProfile, AppRegistry, Characteristics, ClassKey, ClusterState, Fifo,
+    InterferenceModel, MachineClass, Mibs, Mios, Mix, ModelKind, Objective, Predictor, Resident,
+    Scheduler, ScoringPolicy, Task, VmRef,
 };
 use tracon::stats::prng::{check_cases, ChaCha12};
 
@@ -132,50 +133,128 @@ fn assignments_are_structurally_valid() {
     });
 }
 
-/// Cluster state stays consistent under arbitrary place/clear
-/// sequences: free-class counts always sum to the free-slot count and
-/// every key matches its members' neighbour sets.
+/// The free index `ClusterState` kept before its bitsets, rebuilt
+/// literally from the residents `occupied()` reports: every free slot of
+/// an up machine under `(neighbour-class key, machine-class index)`.
+fn free_model(c: &ClusterState) -> BTreeMap<(ClassKey, u16), BTreeSet<VmRef>> {
+    let residents: HashMap<VmRef, AppId> = c.occupied().map(|(vm, r)| (vm, r.app)).collect();
+    let mut model: BTreeMap<_, BTreeSet<VmRef>> = BTreeMap::new();
+    for machine in (0..c.n_machines()).filter(|&m| !c.is_down(m)) {
+        let on = |slot| residents.get(&VmRef { machine, slot });
+        for slot in (0..c.slots_per_machine()).filter(|&s| on(s).is_none()) {
+            let neighbours = (0..c.slots_per_machine()).filter(|&s| s != slot);
+            let key = ClassKey::from_neighbours(neighbours.filter_map(on).copied());
+            let mclass = c.machine_class_index(machine);
+            model
+                .entry((key, mclass))
+                .or_default()
+                .insert(VmRef { machine, slot });
+        }
+    }
+    model
+}
+
+fn bits(c: &Characteristics) -> [u64; 5] {
+    [c.read_rps, c.write_rps, c.cpu_util, c.dom0_util, c.net_mbps].map(f64::to_bits)
+}
+
+/// Every read of the free index agrees with [`free_model`]: the class
+/// listing (order, key, machine class, example, count, background bits),
+/// `first_free`, `n_free`, and — through the dispatch gate, the one
+/// caller of `has_idle_machine` — whether an entirely idle machine exists.
+fn assert_matches_model(c: &ClusterState) {
+    let model = free_model(c);
+    let listed = c.free_classes();
+    assert_eq!(listed.len(), model.len(), "live classes");
+    for (cl, (&(key, mclass), slots)) in listed.iter().zip(&model) {
+        assert_eq!((cl.key, cl.mclass), (key, mclass));
+        assert_eq!(cl.example, *slots.first().unwrap());
+        assert_eq!(cl.count, slots.len());
+        let background = (0..c.slots_per_machine())
+            .filter(|&s| s != cl.example.slot)
+            .filter_map(|slot| c.resident(VmRef { slot, ..cl.example }))
+            .map(|r| c.app_chars(c.registry().name(r.app)))
+            .fold(Characteristics::idle(), |bg, n| bg.combine(&n));
+        assert_eq!(bits(&cl.background), bits(&background));
+    }
+    let n_free: usize = model.values().map(BTreeSet::len).sum();
+    assert_eq!(c.n_free(), n_free);
+    assert_eq!(c.first_free(), model.values().flatten().min().copied());
+    let idle_machine = model.keys().any(|&(key, _)| key == ClassKey::IDLE);
+    let fires = n_free > 0 && (idle_machine || n_free >= 2);
+    assert_eq!(gate::ready(Some(usize::MAX), 1, c, false), fires);
+}
+
+/// The free index against [`free_model`] after every op of random
+/// place/clear/set_down/set_up sequences, on 1–5 slots per machine and
+/// homogeneous or heterogeneous machine classes.
 #[test]
-fn cluster_state_is_consistent() {
-    check_cases(0..64, |rng| {
-        let n_machines = rng.range_usize(1, 8);
-        let ops: Vec<(usize, bool, usize)> = (0..rng.range_usize(0, 60))
-            .map(|_| {
-                (
-                    rng.range_usize(0, 16),
-                    rng.next_u64() & 1 == 1,
-                    rng.range_usize(0, 4),
-                )
-            })
-            .collect();
+fn free_index_matches_btree_model() {
+    check_cases(0..128, |rng| {
+        // Up to 235 slots: class bitsets span up to four 64-bit words.
+        let n_machines = rng.range_usize(1, 48);
+        let spm = rng.range_usize(1, 6);
         let (_, chars) = world(4);
-        let mut cluster = ClusterState::new(n_machines, 2, chars);
+        let mut cluster = ClusterState::new(n_machines, spm, chars);
+        if rng.next_u64() & 1 == 1 {
+            let table = vec![
+                MachineClass::local(),
+                MachineClass::remote("iscsi", 1.5, 0.6, 100.0),
+                MachineClass::remote("nfs", 2.0, 0.4, 50.0),
+            ];
+            let assignment = (0..n_machines)
+                .map(|_| rng.range_usize(0, 3) as u16)
+                .collect();
+            cluster.set_machine_classes(table, assignment);
+        }
         let registry = cluster.registry().clone();
-        let n_slots = cluster.n_slots();
-        for (raw, place, app) in ops {
-            let slot_idx = raw % n_slots;
+        assert_matches_model(&cluster);
+        for task_id in 0..rng.range_usize(0, 160) as u64 {
+            let machine = rng.range_usize(0, n_machines);
             let vm = VmRef {
-                machine: slot_idx / 2,
-                slot: slot_idx % 2,
+                machine,
+                slot: rng.range_usize(0, spm),
             };
-            if place && cluster.resident(vm).is_none() {
-                let app_id = registry.expect_id(&format!("app{app}"));
-                cluster.place(
-                    vm,
-                    Resident {
-                        task_id: raw as u64,
-                        app: app_id,
-                    },
-                );
-            } else if !place && cluster.resident(vm).is_some() {
-                cluster.clear(vm);
+            let app = registry.expect_id(&format!("app{}", rng.range_usize(0, 4)));
+            match rng.range_usize(0, 10) {
+                0..=4 if !cluster.is_down(machine) && cluster.resident(vm).is_none() => {
+                    cluster.place(vm, Resident { task_id, app })
+                }
+                5..=7 if cluster.resident(vm).is_some() => {
+                    cluster.clear(vm);
+                }
+                8 if !cluster.is_down(machine) => {
+                    cluster.set_down(machine);
+                }
+                9 if cluster.is_down(machine) => cluster.set_up(machine),
+                _ => {}
             }
-            let class_total: usize = cluster.free_classes().iter().map(|c| c.count).sum();
-            assert_eq!(class_total, cluster.n_free());
-            let occupied = cluster.occupied().count();
-            assert_eq!(occupied + cluster.n_free(), n_slots);
+            assert_matches_model(&cluster);
         }
     });
+    // The global first free slot is in a non-idle class on the last-listed
+    // machine class, below every idle slot.
+    let (_, chars) = world(2);
+    let mut cluster = ClusterState::new(3, 2, chars);
+    let remote = MachineClass::remote("iscsi", 1.5, 0.6, 100.0);
+    cluster.set_machine_classes(vec![MachineClass::local(), remote], vec![1, 0, 0]);
+    let app = cluster.registry().expect_id("app1");
+    cluster.place(
+        VmRef {
+            machine: 0,
+            slot: 0,
+        },
+        Resident { task_id: 0, app },
+    );
+    assert_matches_model(&cluster);
+    assert_eq!(cluster.free_classes()[0].key, ClassKey::IDLE);
+    assert_eq!(
+        cluster.first_free(),
+        Some(VmRef {
+            machine: 0,
+            slot: 1
+        })
+    );
 }
 
 /// MIX never produces a worse total predicted score than MIBS on the
