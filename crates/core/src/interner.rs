@@ -146,6 +146,15 @@ impl ClassKey {
         ClassKey(packed)
     }
 
+    /// The class with `app` added to the neighbour multiset: where a free
+    /// slot of class `self` lands when its machine takes a task of `app`.
+    ///
+    /// # Panics
+    /// Panics when the class already has [`MAX_NEIGHBOURS`] neighbours.
+    pub fn with(self, app: AppId) -> Self {
+        ClassKey::from_neighbours(self.ids().chain([app]))
+    }
+
     /// Whether this is the idle class (no neighbours).
     #[inline]
     pub fn is_idle(self) -> bool {
@@ -260,6 +269,11 @@ mod tests {
         assert_eq!(ClassKey::from_neighbours([a, w, w]).count(), 3);
         let ids: Vec<AppId> = ClassKey::from_neighbours([w, a]).ids().collect();
         assert_eq!(ids, vec![a, w]);
+        assert_eq!(ClassKey::IDLE.with(w), ClassKey::from_neighbours([w]));
+        assert_eq!(
+            ClassKey::from_neighbours([w, w]).with(a),
+            ClassKey::from_neighbours([a, w, w])
+        );
     }
 
     #[test]

@@ -403,8 +403,19 @@ impl<'a> ScoringPolicy<'a> {
     /// factor and shared-link contention. On a homogeneous cluster (or a
     /// class-oblivious policy) this *is* `score`, bit for bit.
     pub fn class_score(&self, app: AppId, class: &FreeClass) -> f64 {
-        let base = self.score(app, class.key, &class.background);
-        self.adjust(app, class.mclass, &class.background, base)
+        self.score_in(app, class.key, class.mclass, &class.background)
+    }
+
+    /// [`ScoringPolicy::class_score`] from a class's parts, for the batch
+    /// schedulers' free table, whose classes have no example slot.
+    pub(crate) fn score_in(
+        &self,
+        app: AppId,
+        key: ClassKey,
+        mclass: u16,
+        bg: &Characteristics,
+    ) -> f64 {
+        self.adjust(app, mclass, bg, self.score(app, key, bg))
     }
 
     /// Class-aware [`ScoringPolicy::excess_score`]. The baseline is the
@@ -414,33 +425,10 @@ impl<'a> ScoringPolicy<'a> {
         self.class_score(app, class) - self.solo[app.index()]
     }
 
-    /// Number of applications in the registry — the row length of the
-    /// batch scoring methods below.
+    /// Number of applications in the registry — the length of the batch
+    /// schedulers' per-class excess rows.
     pub fn n_apps(&self) -> usize {
         self.n_apps
-    }
-
-    /// Fills `out` with [`ScoringPolicy::class_score`] of `app` against
-    /// every class in `classes`, in order: one contiguous row the batch
-    /// schedulers scan as a flat array walk instead of chasing a scoring
-    /// call per candidate. Values and evaluation order are identical to
-    /// calling [`ScoringPolicy::class_score`] per class (and to the
-    /// legacy [`ScoringPolicy::score`] when the policy is not
-    /// class-aware).
-    pub fn scores_into(&self, app: AppId, classes: &[FreeClass], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(classes.iter().map(|c| self.class_score(app, c)));
-    }
-
-    /// Like [`ScoringPolicy::scores_into`] but with the interference
-    /// excess ([`ScoringPolicy::excess_class_score`]), written into the
-    /// first `classes.len()` entries of `out` — the caller owns the flat
-    /// `[n_apps x n_classes]` matrix the row belongs to.
-    pub fn excess_scores_into(&self, app: AppId, classes: &[FreeClass], out: &mut [f64]) {
-        debug_assert!(out.len() >= classes.len());
-        for (o, c) in out.iter_mut().zip(classes) {
-            *o = self.excess_class_score(app, c);
-        }
     }
 
     /// Number of memoized placement scores (diagnostics): filled dense
@@ -681,13 +669,17 @@ mod tests {
                 count: 1,
             })
             .collect();
-        let mut out = Vec::new();
-        rt.scores_into(a, &classes, &mut out);
+        let out: Vec<f64> = classes
+            .iter()
+            .map(|c| rt.score_in(a, c.key, c.mclass, &c.background))
+            .collect();
         assert_eq!(out[0].to_bits(), rt.class_score(a, &classes[0]).to_bits());
         assert_eq!(out[1].to_bits(), rt.class_score(a, &classes[1]).to_bits());
         assert_eq!(out[1].to_bits(), (out[0] * 3.0).to_bits());
-        let mut excess = vec![0.0; 2];
-        rt.excess_scores_into(a, &classes, &mut excess);
+        let excess: Vec<f64> = classes
+            .iter()
+            .map(|c| rt.excess_class_score(a, c))
+            .collect();
         assert_eq!(excess[0].to_bits(), 0.0f64.to_bits());
         assert!(excess[1] > 0.0);
     }

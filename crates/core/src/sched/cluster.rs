@@ -14,6 +14,11 @@
 //! of its lowest non-zero word. `place`/`clear` flip O(slots per machine)
 //! bits and find each class by binary search; a class's first free slot
 //! is O(1) and [`ClusterState::first_free`] is O(classes).
+//!
+//! A class's background is a function of its key alone: the neighbours'
+//! characteristics combined in key order, cached when the class is
+//! listed. Which machine holds the class's lowest slot, and in which slot
+//! order its neighbours sit, does not change it.
 
 use crate::characteristics::Characteristics;
 use crate::interner::{AppId, AppRegistry, ClassKey, MAX_NEIGHBOURS};
@@ -62,6 +67,8 @@ pub struct FreeClass {
 #[derive(Debug, Clone)]
 struct SlotSet {
     key: (ClassKey, u16),
+    /// [`ClusterState::class_background`] of the key.
+    background: Characteristics,
     /// One bit per global slot index; never all zero while listed.
     bits: Vec<u64>,
     count: usize,
@@ -247,21 +254,18 @@ impl ClusterState {
 
     /// Aggregate neighbour characteristics of a slot.
     pub fn background_of(&self, vm: VmRef) -> Characteristics {
-        let mut bg = Characteristics::idle();
-        for (s, r) in self.machines[vm.machine].iter().enumerate() {
-            if s == vm.slot {
-                continue;
-            }
-            if let Some(res) = r {
-                let c = self
-                    .chars_by_id
-                    .get(res.app.index())
-                    .copied()
-                    .unwrap_or_else(Characteristics::idle);
-                bg = bg.combine(&c);
-            }
-        }
-        bg
+        self.class_background(self.class_key(vm.machine, vm.slot))
+    }
+
+    /// Aggregate characteristics of a neighbour class: its neighbours
+    /// combined in key order, so every slot of the class agrees bit for
+    /// bit (the batch schedulers' [`FreeTable`](super::FreeTable) prices
+    /// classes no slot has yet).
+    pub(crate) fn class_background(&self, key: ClassKey) -> Characteristics {
+        key.ids().fold(Characteristics::idle(), |bg, id| {
+            let c = self.chars_by_id.get(id.index()).copied();
+            bg.combine(&c.unwrap_or_else(Characteristics::idle))
+        })
     }
 
     /// The free-slot classes currently available, in deterministic
@@ -272,7 +276,7 @@ impl ClusterState {
             FreeClass {
                 key: set.key.0,
                 mclass: set.key.1,
-                background: self.background_of(example),
+                background: set.background,
                 example,
                 count: set.count,
             }
@@ -294,16 +298,18 @@ impl ClusterState {
     /// The class key and neighbour characteristics of one specific free
     /// slot (FIFO's diagnostic score needs the slot it already picked).
     pub fn class_of(&self, vm: VmRef) -> (ClassKey, Characteristics) {
-        (self.class_key(vm.machine, vm.slot), self.background_of(vm))
+        let key = self.class_key(vm.machine, vm.slot);
+        (key, self.class_background(key))
     }
 
     /// The full [`FreeClass`] view of one specific free slot — what a
     /// class-aware scorer needs for a slot it already picked.
     pub fn class_view(&self, vm: VmRef) -> FreeClass {
+        let (key, background) = self.class_of(vm);
         FreeClass {
-            key: self.class_key(vm.machine, vm.slot),
+            key,
             mclass: self.mclass[vm.machine],
-            background: self.background_of(vm),
+            background,
             example: vm,
             count: 1,
         }
@@ -326,6 +332,16 @@ impl ClusterState {
             .map(SlotSet::first)
             .min()
             .map(|i| self.vm_at(i))
+    }
+
+    /// The lowest free slot of one `(key, machine class)`: the `example`
+    /// the class lists, and where [`apply`](super::apply) commits a pick.
+    ///
+    /// # Panics
+    /// Panics when the class has no free slot.
+    pub(crate) fn first_free_in(&self, key: ClassKey, mclass: u16) -> VmRef {
+        let at = self.free.binary_search_by_key(&(key, mclass), |s| s.key);
+        self.vm_at(self.free[at.expect("a listed class")].first())
     }
 
     fn vm_at(&self, index: usize) -> VmRef {
@@ -368,10 +384,12 @@ impl ClusterState {
             Err(at) => {
                 let words = self.n_slots().div_ceil(64);
                 let bits = vec![0; words];
+                let background = self.class_background(key.0);
                 self.free.insert(
                     at,
                     SlotSet {
                         key,
+                        background,
                         bits,
                         count: 0,
                         lo: word,
@@ -659,6 +677,33 @@ mod tests {
         // Class key packs the sorted neighbour multiset.
         let classes = c.free_classes();
         assert_eq!(classes[0].key, key(&c, &["a", "a"]));
+    }
+
+    /// Two machines hold the same three neighbours in different slot
+    /// orders, and summing their read rates in slot order rounds
+    /// differently (1e16 + 1 + 1 is 1e16; 1 + 1 + 1e16 is 1e16 + 2). Both
+    /// free slots still view, and their class lists, one background.
+    #[test]
+    fn background_does_not_depend_on_slot_order() {
+        let mut app_chars = HashMap::new();
+        for (name, rps) in [("a", 1e16), ("b", 1.0), ("c", 1.0)] {
+            app_chars.insert(name.to_string(), chars(rps));
+        }
+        let mut c = ClusterState::new(2, 4, app_chars);
+        for (machine, names) in [(0, ["a", "b", "c"]), (1, ["c", "b", "a"])] {
+            for (slot, name) in names.into_iter().enumerate() {
+                let r = resident(&c, (4 * machine + slot) as u64, name);
+                c.place(VmRef { machine, slot }, r);
+            }
+        }
+        let view = |machine| {
+            let bg = c.class_view(VmRef { machine, slot: 3 }).background;
+            bg.read_rps.to_bits()
+        };
+        let listed = c.free_classes();
+        assert_eq!((listed.len(), listed[0].count), (1, 2));
+        assert_eq!(view(0), view(1));
+        assert_eq!(listed[0].background.read_rps.to_bits(), view(1));
     }
 
     #[test]

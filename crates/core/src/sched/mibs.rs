@@ -32,9 +32,15 @@
 //! the same in any window order; otherwise the round rescans the whole
 //! window, which is the plain Min-Min loop. [`super::Mix`] uses the same
 //! certificate to skip heads whose answer it already knows.
+//!
+//! The rounds decide on a [`FreeTable`]: the free classes are listed once
+//! per call, an app's excess is priced on them the first time a round
+//! meets the app, and each pick updates the table instead of the cluster.
+//! Only [`apply`] touches the cluster, placing each pick on its class's
+//! lowest free slot.
 
-use super::{Assignment, ClusterState, FreeClass, Resident, Scheduler, Task};
-use crate::interner::AppId;
+use super::{apply, Assignment, ClusterState, FreeTable, Pick, Scheduler, Task};
+use crate::interner::{AppId, ClassKey};
 use crate::predictor::ScoringPolicy;
 use std::collections::VecDeque;
 
@@ -46,15 +52,17 @@ pub struct Mibs {
     /// [`gate`](super::gate) waits for this many queued tasks and hands
     /// the scheduler at most this many.
     pub queue_len: usize,
-    /// Scratch: the free classes, listed once per round.
-    classes: Vec<FreeClass>,
-    /// Scratch: flat `[n_apps x n_classes]` excess matrix, rows filled
-    /// lazily per distinct app in the window. Tasks of the same app share
-    /// a row, so the double-Min scan is a contiguous array walk with one
-    /// scoring call per (app, class) instead of one per (task, class).
-    excess: Vec<f64>,
-    /// Scratch: which rows of `excess` are filled this round.
-    row_filled: Vec<bool>,
+    /// The table the rounds decide on: listed per call, or copied in per
+    /// head by [`super::Mix`]. Tasks of one app share the app's excess,
+    /// priced once per table, so a round after the first scores nothing
+    /// it has not scored before.
+    pub(super) table: FreeTable,
+    /// The tasks left to place, in the order the rounds scan them.
+    pub(super) window: Vec<Task>,
+    /// The picks made on `table`, in order: [`apply`]'s input.
+    pub(super) picks: Vec<Pick>,
+    /// Scratch: which apps the window holds this round.
+    seen: Vec<bool>,
 }
 
 impl Mibs {
@@ -62,9 +70,10 @@ impl Mibs {
     pub fn new(queue_len: usize) -> Self {
         Mibs {
             queue_len,
-            classes: Vec::new(),
-            excess: Vec::new(),
-            row_filled: Vec::new(),
+            table: FreeTable::default(),
+            window: Vec::new(),
+            picks: Vec::new(),
+            seen: Vec::new(),
         }
     }
 }
@@ -90,70 +99,45 @@ fn beats(c: Key, b: Key, on_equal: bool) -> bool {
 }
 
 impl Mibs {
-    /// The MIBS loop over a caller-owned window: places window tasks until
-    /// the window or the free slots run out, appending the placements to
-    /// `out` and `swap_remove`-ing placed tasks from `window`. Returns
-    /// whether every round was certified (no round at all counts), i.e.
-    /// whether any window holding the same apps in any order would have
-    /// made the same (app, class, slot) placements.
-    pub(crate) fn fill(
-        &mut self,
-        window: &mut Vec<Task>,
-        cluster: &mut ClusterState,
-        scoring: &ScoringPolicy<'_>,
-        out: &mut Vec<Assignment>,
-    ) -> bool {
-        let n_apps = scoring.n_apps();
+    /// The MIBS loop over `self.window` on `self.table`: picks window
+    /// tasks until the window or the table's free slots run out, appending
+    /// to `self.picks` and `swap_remove`-ing picked tasks from the window.
+    /// `cluster` is the one the table was listed from.
+    /// Returns whether every round was certified (no round at all
+    /// counts), i.e. whether any window holding the same apps in any
+    /// order would have made the same (app, class, slot) placements.
+    pub(crate) fn fill(&mut self, cluster: &ClusterState, scoring: &ScoringPolicy<'_>) -> bool {
         let mut certified = true;
-        while !window.is_empty() && cluster.n_free() > 0 {
-            cluster.free_classes_into(&mut self.classes);
-            self.row_filled.clear();
-            self.row_filled.resize(n_apps, false);
-            self.excess.clear();
-            self.excess.resize(n_apps * self.classes.len(), 0.0);
-            let Some(mut pick) = self.scan(window, scoring, true) else {
+        while !self.window.is_empty() && !self.table.classes.is_empty() {
+            self.seen.clear();
+            self.seen.resize(scoring.n_apps(), false);
+            let Some(mut pick) = self.scan(scoring, true) else {
                 break;
             };
-            if !self.certify(pick.0, window[pick.1].app, scoring) {
+            if !self.certify(pick.0, self.window[pick.1].app, scoring) {
                 certified = false;
                 pick = self
-                    .scan(window, scoring, false)
+                    .scan(scoring, false)
                     .expect("the window the first scan won on");
             }
             let (_, ti, ci) = pick;
             // `swap_remove` moves the window's last task into slot `ti`:
             // after the first placement, window order is not arrival order.
-            let task = window.swap_remove(ti);
-            let class = &self.classes[ci];
-            let score = scoring.class_score(task.app, class);
-            let vm = class.example;
-            cluster.place(
-                vm,
-                Resident {
-                    task_id: task.id,
-                    app: task.app,
-                },
-            );
-            out.push(Assignment {
-                task,
-                vm,
-                predicted_score: score,
-            });
+            let task = self.window.swap_remove(ti);
+            self.picks.push(self.table.take(ci, task, cluster, scoring));
         }
         certified
     }
 
-    /// One double-Min scan over (window task, free class) pairs, filling
-    /// excess rows on first use; with `first_of_app` it visits only each
-    /// app's earliest window task. Returns the winner's key, window index
-    /// and class index.
+    /// One double-Min scan over (window task, table class) pairs; with
+    /// `first_of_app` it visits only each app's earliest window task,
+    /// marking the app seen and pricing it. Returns the winner's key,
+    /// window index and class index.
     fn scan(
         &mut self,
-        window: &[Task],
         scoring: &ScoringPolicy<'_>,
         first_of_app: bool,
     ) -> Option<(Key, usize, usize)> {
-        let nc = self.classes.len();
         // Tie-breaking matters because on benign workloads almost
         // everything ties at zero excess:
         //  1. prefer idle machines (claiming one is never regrettable),
@@ -167,22 +151,19 @@ impl Mibs {
         //     systematically prioritize the slowest applications and
         //     depress completed-task throughput under overload.
         let mut best: Option<(Key, usize, usize)> = None;
-        for (ti, t) in window.iter().enumerate() {
+        for (ti, t) in self.window.iter().enumerate() {
             let a = t.app.index();
-            if !self.row_filled[a] {
-                scoring.excess_scores_into(
-                    t.app,
-                    &self.classes,
-                    &mut self.excess[a * nc..(a + 1) * nc],
-                );
-                self.row_filled[a] = true;
-            } else if first_of_app {
-                continue;
+            if first_of_app {
+                if self.seen[a] {
+                    continue;
+                }
+                self.seen[a] = true;
+                self.table.price(t.app, scoring);
             }
             let fragility = scoring.pair_score(t.app, t.app);
-            let row = &self.excess[a * nc..(a + 1) * nc];
-            for (ci, c) in self.classes.iter().enumerate() {
-                let key = (row[ci], tie_key(c, fragility));
+            let n = self.table.priced.len();
+            for (ci, c) in self.table.classes.iter().enumerate() {
+                let key = (self.table.excess[ci * n + a], tie_key(c.key, fragility));
                 if best.is_none_or(|(bk, _, _)| beats(key, bk, false)) {
                     best = Some((key, ti, ci));
                 }
@@ -192,29 +173,26 @@ impl Mibs {
     }
 
     /// Whether winner `w` (of app `app`) wins in every window order: for
-    /// every candidate of the filled rows, `w` displaces it and it never
-    /// displaces `w`, whichever comes first — unless it is `app`'s own
-    /// with an identical key.
+    /// every candidate of the apps seen this round, `w` displaces it and
+    /// it never displaces `w`, whichever comes first — unless it is
+    /// `app`'s own with an identical key.
     fn certify(&self, w: Key, app: AppId, scoring: &ScoringPolicy<'_>) -> bool {
-        let nc = self.classes.len();
-        (0..self.row_filled.len())
-            .filter(|&a| self.row_filled[a])
-            .all(|a| {
-                let id = AppId(a as u16);
-                let fragility = scoring.pair_score(id, id);
-                let row = &self.excess[a * nc..(a + 1) * nc];
-                self.classes.iter().zip(row).all(|(c, &excess)| {
-                    let x = (excess, tie_key(c, fragility));
-                    (id == app && x == w) || (beats(w, x, false) && !beats(x, w, true))
-                })
+        let n = self.table.priced.len();
+        (0..self.seen.len()).filter(|&a| self.seen[a]).all(|a| {
+            let id = AppId(a as u16);
+            let fragility = scoring.pair_score(id, id);
+            self.table.classes.iter().enumerate().all(|(ci, c)| {
+                let x = (self.table.excess[ci * n + a], tie_key(c.key, fragility));
+                (id == app && x == w) || (beats(w, x, false) && !beats(x, w, true))
             })
+        })
     }
 }
 
 /// The tie key of a candidate: on an idle class the most fragile app
 /// comes first; any other class ranks after every idle one.
-fn tie_key(class: &FreeClass, fragility: f64) -> f64 {
-    if class.key.is_idle() {
+fn tie_key(key: ClassKey, fragility: f64) -> f64 {
+    if key.is_idle() {
         -fragility
     } else {
         f64::INFINITY
@@ -236,13 +214,14 @@ impl Scheduler for Mibs {
         cluster: &mut ClusterState,
         scoring: &ScoringPolicy<'_>,
     ) -> Vec<Assignment> {
-        let mut out = Vec::new();
-        let mut window: Vec<Task> = queue.drain(..).collect();
-        self.fill(&mut window, cluster, scoring, &mut out);
+        self.window = queue.drain(..).collect();
+        self.table.list(cluster, scoring);
+        self.picks.clear();
+        self.fill(cluster, scoring);
         // Unplaced window tasks return to the caller's queue, in the
         // window's final (swap-permuted) order.
-        queue.extend(window);
-        out
+        queue.extend(std::mem::take(&mut self.window));
+        apply(cluster, &self.picks)
     }
 }
 
@@ -345,11 +324,12 @@ mod tests {
     fn distinct_keys_certify_every_round() {
         let p = predictor();
         let scoring = ScoringPolicy::new(&p, Objective::MinRuntime);
-        let mut cluster = ClusterState::new(2, 2, app_chars());
-        let mut window = vec![task(0, "cpu"), task(1, "cpu"), task(2, "io"), task(3, "io")];
-        let mut out = Vec::new();
-        assert!(Mibs::new(4).fill(&mut window, &mut cluster, &scoring, &mut out));
-        let order: Vec<u64> = out.iter().map(|a| a.task.id).collect();
+        let cluster = ClusterState::new(2, 2, app_chars());
+        let mut mibs = Mibs::new(4);
+        mibs.window = vec![task(0, "cpu"), task(1, "cpu"), task(2, "io"), task(3, "io")];
+        mibs.table.list(&cluster, &scoring);
+        assert!(mibs.fill(&cluster, &scoring));
+        let order: Vec<u64> = mibs.picks.iter().map(|a| a.task.id).collect();
         assert_eq!(order, [2, 3, 0, 1]);
     }
 
@@ -360,12 +340,13 @@ mod tests {
     fn cross_app_tie_falls_back_to_the_full_scan() {
         let p = benign_predictor();
         let scoring = ScoringPolicy::new(&p, Objective::MinRuntime);
-        let mut cluster = ClusterState::new(2, 2, app_chars());
-        let mut window = vec![task(0, "cpu"), task(1, "io"), task(2, "cpu")];
-        let mut out = Vec::new();
-        assert!(!Mibs::new(3).fill(&mut window, &mut cluster, &scoring, &mut out));
-        assert_eq!(out[0].task.id, 0);
-        assert_eq!(out.len(), 3);
+        let cluster = ClusterState::new(2, 2, app_chars());
+        let mut mibs = Mibs::new(3);
+        mibs.window = vec![task(0, "cpu"), task(1, "io"), task(2, "cpu")];
+        mibs.table.list(&cluster, &scoring);
+        assert!(!mibs.fill(&cluster, &scoring));
+        assert_eq!(mibs.picks[0].task.id, 0);
+        assert_eq!(mibs.picks.len(), 3);
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //! same (app, class, slot) placements with the same score bits, and the
 //! strict better-rule never takes a tie. Such heads are skipped.
 //!
-//! Each head is evaluated on the live cluster and undone before the next
-//! (`place`/`clear` are exact inverses), so the search costs no cluster
-//! copy at any cluster size.
+//! The search never touches the cluster. It lists the free classes once
+//! per call into a [`FreeTable`], and each head runs its forced placement
+//! and its MIBS pass on a copy of that table: a few classes with their
+//! excess rows, whatever the cluster size. Only the winning head's picks
+//! reach the cluster, through [`apply`].
 
-use super::{place_best_with, Assignment, ClusterState, Mibs, Resident, Scheduler, Task};
+use super::{apply, Assignment, ClusterState, FreeTable, Mibs, Pick, Scheduler, Task};
 use crate::predictor::ScoringPolicy;
 use std::collections::{HashSet, VecDeque};
 
@@ -44,58 +46,57 @@ impl Default for Mix {
     }
 }
 
-fn total_score(assignments: &[Assignment]) -> f64 {
-    assignments.iter().map(|a| a.predicted_score).sum()
-}
-
 impl Mix {
-    /// The head search: leaves the best head's assignment set in `best`
-    /// (empty if no head placed) and the cluster as it found it. Returns
-    /// how many heads were evaluated.
+    /// The head search: leaves the best head's picks in `best` (empty if
+    /// no head placed). Returns how many heads were evaluated.
     fn search(
         &self,
         tasks: &[Task],
-        cluster: &mut ClusterState,
+        cluster: &ClusterState,
         scoring: &ScoringPolicy<'_>,
-        best: &mut Vec<Assignment>,
+        best: &mut Vec<Pick>,
     ) -> usize {
-        // One MIBS instance (which owns its flat scoring buffers), one
-        // class/score row pair and one `rest`/`placed` pair serve every
-        // head: the buffers stay warm and the loop does not allocate.
+        // One listing and one MIBS instance serve every head: each head
+        // overwrites its table with the listing and replaces its picks and
+        // window in place.
+        let mut base = FreeTable::default();
+        base.list(cluster, scoring);
         let mut mibs = Mibs::new(self.queue_len);
-        let (mut classes, mut scores) = (Vec::new(), Vec::new());
-        let (mut rest, mut placed) = (Vec::new(), Vec::new());
         let mut settled = vec![false; scoring.n_apps()];
         let (mut best_score, mut evaluated) = (0.0, 0);
         for (head, &task) in tasks.iter().enumerate() {
             if settled[task.app.index()] {
                 continue;
             }
-            // Force task `head` to be placed first (by MIOS), then let
-            // MIBS schedule the remainder.
-            let Some(first) = place_best_with(task, cluster, scoring, &mut classes, &mut scores)
-            else {
+            // Force task `head` to be placed first (by MIOS's rule), then
+            // let MIBS schedule the remainder.
+            let Some(ci) = base.best_for(task.app, scoring) else {
                 continue;
             };
             evaluated += 1;
-            placed.clear();
-            placed.push(first);
-            rest.clear();
-            rest.extend_from_slice(&tasks[..head]);
-            rest.extend_from_slice(&tasks[head + 1..]);
+            mibs.table.copy_from(&base);
+            let first = mibs.table.take(ci, task, cluster, scoring);
+            mibs.picks.splice(.., [first]);
+            let rest = tasks[..head].iter().chain(&tasks[head + 1..]);
+            mibs.window.splice(.., rest.copied());
             // A fully certified pass settles the app (module doc).
-            settled[task.app.index()] = mibs.fill(&mut rest, cluster, scoring, &mut placed);
-            for a in placed.iter().rev() {
-                cluster.clear(a.vm);
+            settled[task.app.index()] = mibs.fill(cluster, scoring);
+            // Once a pass has run a MIBS round, the window's apps are priced
+            // on the listing, so later heads copy the rows instead of
+            // pricing them again. A forced placement that takes the last
+            // free machine (one free slot) leaves nothing to price.
+            if mibs.picks.len() > 1 {
+                tasks.iter().for_each(|t| base.price(t.app, scoring));
             }
             // Placement count first, then total score; ties keep the
             // earlier head.
-            let score = total_score(&placed);
+            let placed = &mibs.picks;
+            let score: f64 = placed.iter().map(|p| p.score).sum();
             if best.is_empty()
                 || placed.len() > best.len()
                 || (placed.len() == best.len() && score < best_score)
             {
-                best.clone_from(&placed);
+                best.clone_from(placed);
                 best_score = score;
             }
         }
@@ -122,22 +123,12 @@ impl Scheduler for Mix {
             return Vec::new();
         }
         let tasks: Vec<Task> = queue.iter().copied().collect();
-        let mut assignments = Vec::new();
-        self.search(&tasks, cluster, scoring, &mut assignments);
-        // Commit the winning assignment set and drop its tasks from the
-        // queue.
-        for a in &assignments {
-            cluster.place(
-                a.vm,
-                Resident {
-                    task_id: a.task.id,
-                    app: a.task.app,
-                },
-            );
-        }
-        let assigned_ids: HashSet<u64> = assignments.iter().map(|a| a.task.id).collect();
+        let mut picks = Vec::new();
+        self.search(&tasks, cluster, scoring, &mut picks);
+        // Commit the winning picks and drop their tasks from the queue.
+        let assigned_ids: HashSet<u64> = picks.iter().map(|p| p.task.id).collect();
         queue.retain(|t| !assigned_ids.contains(&t.id));
-        assignments
+        apply(cluster, &picks)
     }
 }
 
@@ -146,7 +137,7 @@ mod tests {
     use super::*;
     use crate::predictor::{Objective, ScoringPolicy};
     use crate::sched::test_support::{aid, app_chars, benign_predictor, predictor, resident, task};
-    use crate::sched::VmRef;
+    use crate::sched::{Resident, VmRef};
 
     #[test]
     fn never_worse_than_mibs() {
@@ -162,8 +153,9 @@ mod tests {
         let mut q2: VecDeque<Task> = tasks.into();
         let mix_out = Mix::new(4).schedule(&mut q2, &mut c2, &scoring);
 
+        let total = |out: &[Assignment]| -> f64 { out.iter().map(|a| a.predicted_score).sum() };
         assert_eq!(mix_out.len(), mibs_out.len());
-        assert!(total_score(&mix_out) <= total_score(&mibs_out) + 1e-9);
+        assert!(total(&mix_out) <= total(&mibs_out) + 1e-9);
     }
 
     #[test]
@@ -210,10 +202,10 @@ mod tests {
         assert_eq!(io_machines.len(), 3);
     }
 
-    /// Place/undo exactness: whatever the 8 head evaluations did to a
-    /// 64 x 2 cluster with residents, what is left is the starting cluster
-    /// plus exactly the returned assignments — and the untouched cluster
-    /// once it is full.
+    /// `apply` exactness: after the 8 head evaluations on a 64 x 2 cluster
+    /// with residents, what is left is the starting cluster plus exactly
+    /// the returned assignments — and the untouched cluster once it is
+    /// full.
     #[test]
     fn head_search_leaves_only_the_returned_assignments_behind() {
         let p = predictor();
@@ -256,13 +248,10 @@ mod tests {
     fn certified_heads_settle_their_app() {
         let p = predictor();
         let scoring = ScoringPolicy::new(&p, Objective::MinRuntime);
-        let mut cluster = ClusterState::new(2, 2, app_chars());
+        let cluster = ClusterState::new(2, 2, app_chars());
         let tasks = [task(0, "io"), task(1, "io"), task(2, "cpu"), task(3, "cpu")];
         let mut best = Vec::new();
-        assert_eq!(
-            Mix::new(4).search(&tasks, &mut cluster, &scoring, &mut best),
-            2
-        );
+        assert_eq!(Mix::new(4).search(&tasks, &cluster, &scoring, &mut best), 2);
         assert_eq!(best.len(), 4);
     }
 
@@ -272,13 +261,10 @@ mod tests {
     fn uncertified_heads_are_all_evaluated() {
         let p = benign_predictor();
         let scoring = ScoringPolicy::new(&p, Objective::MinRuntime);
-        let mut cluster = ClusterState::new(2, 2, app_chars());
+        let cluster = ClusterState::new(2, 2, app_chars());
         let tasks = [task(0, "io"), task(1, "io"), task(2, "cpu"), task(3, "cpu")];
         let mut best = Vec::new();
-        assert_eq!(
-            Mix::new(4).search(&tasks, &mut cluster, &scoring, &mut best),
-            4
-        );
+        assert_eq!(Mix::new(4).search(&tasks, &cluster, &scoring, &mut best), 4);
         assert_eq!(best.len(), 4);
     }
 

@@ -19,7 +19,8 @@ pub use mibs::Mibs;
 pub use mios::Mios;
 pub use mix::Mix;
 
-use crate::interner::AppId;
+use crate::characteristics::Characteristics;
+use crate::interner::{AppId, ClassKey};
 use crate::predictor::ScoringPolicy;
 use std::collections::VecDeque;
 
@@ -107,41 +108,214 @@ pub fn place_best(
     })
 }
 
-/// [`place_best`] with caller-owned scratch: the free classes are listed
-/// once into `classes` and scored as one contiguous row in `scores`, so
-/// the minimum search is a flat array walk with no per-candidate scoring
-/// indirection. Bit-identical to [`place_best`] — same class order, same
-/// score values, same first-strict-minimum rule — but reusable buffers
-/// make it the right entry point for hot callers like MIX's head search.
-pub fn place_best_with(
-    task: Task,
-    cluster: &mut ClusterState,
-    scoring: &ScoringPolicy<'_>,
-    classes: &mut Vec<FreeClass>,
-    scores: &mut Vec<f64>,
-) -> Option<Assignment> {
-    cluster.free_classes_into(classes);
-    scoring.scores_into(task.app, classes, scores);
-    let mut best: Option<(f64, usize)> = None;
-    for (ci, &score) in scores.iter().enumerate() {
-        if best.is_none_or(|(b, _)| score < b) {
-            best = Some((score, ci));
+/// One class of a [`FreeTable`]: a [`FreeClass`] without an example slot.
+/// Test hook, not public API.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct TableClass {
+    /// Packed neighbour-class key.
+    pub key: ClassKey,
+    /// Machine-class index of the hosting machines.
+    pub mclass: u16,
+    /// [`ClusterState::background_of`] any slot of the class.
+    pub background: Characteristics,
+    /// How many free slots belong to the class.
+    pub count: usize,
+}
+
+/// A batch scheduler's decision on a [`FreeTable`]: `task` goes to the
+/// lowest free slot of class `(key, mclass)` when [`apply`] commits it.
+/// Test hook, not public API.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct Pick {
+    /// The placed task.
+    pub task: Task,
+    /// Neighbour-class key of the chosen class.
+    pub key: ClassKey,
+    /// Machine-class index of the chosen class.
+    pub mclass: u16,
+    /// Predicted score of the placement at decision time.
+    pub score: f64,
+}
+
+/// What MIBS and MIX decide on instead of the live cluster: its free
+/// classes, listed once, each with a row of interference excess over the
+/// apps priced so far (an app is priced on every class once, and a class
+/// entering the table is priced for every priced app). A pick of app `a`
+/// on class `K` takes one machine of `K` (`slots_per_machine - |K|` free
+/// slots) and moves the rest of that machine to `(K + a, mclass)`. That
+/// depends only on the key, so after any picks the table is what a fresh
+/// listing of the cluster with those picks [`apply`]-ed would show, in
+/// the same order. Test hook, not public API.
+#[doc(hidden)]
+#[derive(Debug, Clone, Default)]
+pub struct FreeTable {
+    /// The classes, sorted by `(key, mclass)` like the cluster's listing.
+    classes: Vec<TableClass>,
+    /// Row `ci`, one entry per app, is each priced app's excess on
+    /// `classes[ci]` (NaN for the others).
+    excess: Vec<f64>,
+    /// Which apps the rows price.
+    priced: Vec<bool>,
+    slots_per_machine: usize,
+}
+
+/// An app's interference excess on a class
+/// ([`ScoringPolicy::excess_class_score`] of any of its slots).
+fn excess_on(app: AppId, class: &TableClass, scoring: &ScoringPolicy<'_>) -> f64 {
+    scoring.score_in(app, class.key, class.mclass, &class.background) - scoring.solo_score(app)
+}
+
+impl FreeTable {
+    /// Refills the table from the cluster's free-class listing, with no
+    /// app priced.
+    pub fn list(&mut self, cluster: &ClusterState, scoring: &ScoringPolicy<'_>) {
+        self.classes.clear();
+        self.excess.clear();
+        self.priced.clear();
+        self.priced.resize(scoring.n_apps(), false);
+        self.slots_per_machine = cluster.slots_per_machine();
+        let listed = cluster.free_class_iter().map(|c| TableClass {
+            key: c.key,
+            mclass: c.mclass,
+            background: c.background,
+            count: c.count,
+        });
+        self.classes.extend(listed);
+        let n = self.priced.len();
+        self.excess.resize(self.classes.len() * n, f64::NAN);
+    }
+
+    /// Overwrites the table with `base`, reusing its buffers (one MIX
+    /// head).
+    fn copy_from(&mut self, base: &FreeTable) {
+        self.classes.clone_from(&base.classes);
+        self.excess.clone_from(&base.excess);
+        self.priced.clone_from(&base.priced);
+        self.slots_per_machine = base.slots_per_machine;
+    }
+
+    /// Prices `app` on every class, unless it is already.
+    pub fn price(&mut self, app: AppId, scoring: &ScoringPolicy<'_>) {
+        let (n, a) = (self.priced.len(), app.index());
+        if !self.priced[a] {
+            self.priced[a] = true;
+            for (ci, class) in self.classes.iter().enumerate() {
+                self.excess[ci * n + a] = excess_on(app, class, scoring);
+            }
         }
     }
-    let (score, ci) = best?;
-    let vm = classes[ci].example;
-    cluster.place(
-        vm,
-        Resident {
-            task_id: task.id,
-            app: task.app,
-        },
-    );
-    Some(Assignment {
-        task,
-        vm,
-        predicted_score: score,
-    })
+
+    fn insert(&mut self, at: usize, class: TableClass, scoring: &ScoringPolicy<'_>) {
+        let n = self.priced.len();
+        let row = self
+            .priced
+            .iter()
+            .enumerate()
+            .map(|(a, &priced)| match priced {
+                true => excess_on(AppId(a as u16), &class, scoring),
+                false => f64::NAN,
+            });
+        self.excess.splice(at * n..at * n, row);
+        self.classes.insert(at, class);
+    }
+
+    /// The classes, in listing order.
+    pub fn classes(&self) -> &[TableClass] {
+        &self.classes
+    }
+
+    /// Every app's interference excess on class `ci`
+    /// ([`ScoringPolicy::excess_class_score`] of a listed slot), NaN for
+    /// an app not priced.
+    pub fn excess(&self, ci: usize) -> &[f64] {
+        let n = self.priced.len();
+        &self.excess[ci * n..(ci + 1) * n]
+    }
+
+    /// The class MIOS's rule ([`place_best`]) gives `app`: the first
+    /// strict minimum of the class scores.
+    fn best_for(&self, app: AppId, scoring: &ScoringPolicy<'_>) -> Option<usize> {
+        let mut best: Option<(f64, usize)> = None;
+        for (ci, c) in self.classes.iter().enumerate() {
+            let score = scoring.score_in(app, c.key, c.mclass, &c.background);
+            if best.is_none_or(|(b, _)| score < b) {
+                best = Some((score, ci));
+            }
+        }
+        best.map(|(_, ci)| ci)
+    }
+
+    /// Picks class `ci` for `task`: takes one of its machines and moves
+    /// that machine's other free slots to their new class. `cluster` only
+    /// gives the background of a class the table has not held
+    /// ([`ClusterState::class_background`] is a function of the key).
+    pub fn take(
+        &mut self,
+        ci: usize,
+        task: Task,
+        cluster: &ClusterState,
+        scoring: &ScoringPolicy<'_>,
+    ) -> Pick {
+        let c = self.classes[ci];
+        let score = scoring.score_in(task.app, c.key, c.mclass, &c.background);
+        let freed = self.slots_per_machine - c.key.count();
+        self.classes[ci].count -= freed;
+        if self.classes[ci].count == 0 {
+            self.classes.remove(ci);
+            let n = self.priced.len();
+            self.excess.drain(ci * n..(ci + 1) * n);
+        }
+        if freed > 1 {
+            let (to, count) = (c.key.with(task.app), freed - 1);
+            let found = self
+                .classes
+                .binary_search_by_key(&(to, c.mclass), |k| (k.key, k.mclass));
+            match found {
+                Ok(at) => self.classes[at].count += count,
+                Err(at) => {
+                    let background = cluster.class_background(to);
+                    let class = TableClass {
+                        key: to,
+                        background,
+                        count,
+                        ..c
+                    };
+                    self.insert(at, class, scoring);
+                }
+            }
+        }
+        Pick {
+            task,
+            key: c.key,
+            mclass: c.mclass,
+            score,
+        }
+    }
+}
+
+/// Commits picks in order, each on the lowest free slot of its class:
+/// the `example` a fresh listing gives that class at that point. A
+/// search on a table listed from `cluster` therefore places exactly where
+/// placing each pick on its listed example would have. Test hook, not
+/// public API.
+///
+/// # Panics
+/// Panics when a pick names a class with no free slot.
+#[doc(hidden)]
+pub fn apply(cluster: &mut ClusterState, picks: &[Pick]) -> Vec<Assignment> {
+    let commit = |p: &Pick| {
+        let vm = cluster.first_free_in(p.key, p.mclass);
+        let (task_id, app) = (p.task.id, p.task.app);
+        cluster.place(vm, Resident { task_id, app });
+        Assignment {
+            task: p.task,
+            vm,
+            predicted_score: p.score,
+        }
+    };
+    picks.iter().map(commit).collect()
 }
 
 #[cfg(test)]

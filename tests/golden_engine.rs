@@ -40,8 +40,8 @@ const GOLDEN_TESTBED: u64 = 0x83623bcd30f7c4b7;
 /// *intentionally* changed in a behaviour-visible way. These rows were
 /// generated while MIX still searched 32+ machine clusters on one cluster
 /// copy per head across worker threads, so `static64`'s `MIX_8` rows
-/// witness that the place/undo search on the live cluster places
-/// bit-identically.
+/// witness that the search on a free-class table, which only the winning
+/// head's picks leave, places bit-identically.
 #[rustfmt::skip]
 const GOLDEN: &[GoldenRow] = &[
     ("static", "FIFO", "RT", 24, 0, 0x4093d4b02a4f7820, 0x409202fa4ac22ecb, 0x4060a88cebff7f72, 0x403c286a61718221),

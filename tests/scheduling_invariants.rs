@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use tracon::core::characteristics::N_JOINT;
-use tracon::core::sched::gate;
+use tracon::core::sched::{apply, gate, FreeTable};
 use tracon::core::{
     AppId, AppModelSet, AppProfile, AppRegistry, Characteristics, ClassKey, ClusterState, Fifo,
     InterferenceModel, MachineClass, Mibs, Mios, Mix, ModelKind, Objective, Predictor, Resident,
@@ -158,6 +158,14 @@ fn bits(c: &Characteristics) -> [u64; 5] {
     [c.read_rps, c.write_rps, c.cpu_util, c.dom0_util, c.net_mbps].map(f64::to_bits)
 }
 
+/// A class's neighbours combined in key order: the background every slot
+/// of the class reports, whichever machine and slot order holds them.
+fn key_background(c: &ClusterState, key: ClassKey) -> Characteristics {
+    key.ids()
+        .map(|id| c.app_chars(c.registry().name(id)))
+        .fold(Characteristics::idle(), |bg, n| bg.combine(&n))
+}
+
 /// Every read of the free index agrees with [`free_model`]: the class
 /// listing (order, key, machine class, example, count, background bits),
 /// `first_free`, `n_free`, and — through the dispatch gate, the one
@@ -170,12 +178,7 @@ fn assert_matches_model(c: &ClusterState) {
         assert_eq!((cl.key, cl.mclass), (key, mclass));
         assert_eq!(cl.example, *slots.first().unwrap());
         assert_eq!(cl.count, slots.len());
-        let background = (0..c.slots_per_machine())
-            .filter(|&s| s != cl.example.slot)
-            .filter_map(|slot| c.resident(VmRef { slot, ..cl.example }))
-            .map(|r| c.app_chars(c.registry().name(r.app)))
-            .fold(Characteristics::idle(), |bg, n| bg.combine(&n));
-        assert_eq!(bits(&cl.background), bits(&background));
+        assert_eq!(bits(&cl.background), bits(&key_background(c, key)));
     }
     let n_free: usize = model.values().map(BTreeSet::len).sum();
     assert_eq!(c.n_free(), n_free);
@@ -255,6 +258,118 @@ fn free_index_matches_btree_model() {
             slot: 1
         })
     );
+}
+
+/// The batch schedulers' free table equals a fresh listing of the cluster
+/// its picks were applied to: order, key, machine class, count,
+/// background bits, and the excess bits of every `priced` app (NaN for
+/// the other apps).
+fn assert_table_matches(
+    table: &FreeTable,
+    c: &ClusterState,
+    scoring: &ScoringPolicy<'_>,
+    priced: &[AppId],
+) {
+    let listed = c.free_classes();
+    assert_eq!(table.classes().len(), listed.len(), "table classes");
+    for (ci, (t, cl)) in table.classes().iter().zip(&listed).enumerate() {
+        assert_eq!((t.key, t.mclass, t.count), (cl.key, cl.mclass, cl.count));
+        assert_eq!(bits(&t.background), bits(&cl.background));
+        let excess = |app| match priced.contains(&app) {
+            true => scoring.excess_class_score(app, cl),
+            false => f64::NAN,
+        };
+        let row: Vec<u64> = c
+            .registry()
+            .ids()
+            .map(|app| excess(app).to_bits())
+            .collect();
+        let table_row: Vec<u64> = table.excess(ci).iter().map(|x| x.to_bits()).collect();
+        assert_eq!(table_row, row, "excess row of class {ci}");
+    }
+}
+
+/// Random pick sequences on a [`FreeTable`] listed from random clusters
+/// (1–5 slots per machine, half heterogeneous, some machines down, some
+/// slots taken), with random apps priced before and between picks. After
+/// every `take` the same pick is applied to a copy of the cluster: it
+/// must land on its class's lowest free slot with the class score the
+/// table priced, and the table must match the copy's fresh listing.
+#[test]
+fn free_table_matches_listing() {
+    check_cases(0..128, |rng| {
+        let n_machines = rng.range_usize(1, 48);
+        let spm = rng.range_usize(1, 6);
+        let (predictor, chars) = world(4);
+        let objective = if rng.next_u64() & 1 == 1 {
+            Objective::MaxIops
+        } else {
+            Objective::MinRuntime
+        };
+        let mut scoring = ScoringPolicy::new(&predictor, objective);
+        let mut cluster = ClusterState::new(n_machines, spm, chars);
+        if rng.next_u64() & 1 == 1 {
+            let table = vec![
+                MachineClass::local(),
+                MachineClass::remote("iscsi", 1.5, 0.6, 100.0),
+                MachineClass::remote("nfs", 2.0, 0.4, 50.0),
+            ];
+            let assignment = (0..n_machines)
+                .map(|_| rng.range_usize(0, 3) as u16)
+                .collect();
+            cluster.set_machine_classes(table.clone(), assignment);
+            scoring = scoring.with_machine_classes(table, vec![0.0, 10.0, 25.0, 40.0]);
+        }
+        let registry = cluster.registry().clone();
+        let app = |rng: &mut ChaCha12| registry.expect_id(&format!("app{}", rng.range_usize(0, 4)));
+        for task_id in 0..rng.range_usize(0, n_machines * spm) as u64 {
+            let machine = rng.range_usize(0, n_machines);
+            let vm = VmRef {
+                machine,
+                slot: rng.range_usize(0, spm),
+            };
+            if cluster.is_down(machine) || cluster.resident(vm).is_some() {
+                continue;
+            }
+            if rng.range_usize(0, 12) == 0 {
+                cluster.set_down(machine);
+            } else {
+                cluster.place(
+                    vm,
+                    Resident {
+                        task_id,
+                        app: app(rng),
+                    },
+                );
+            }
+        }
+        let mut table = FreeTable::default();
+        table.list(&cluster, &scoring);
+        let mut applied = cluster.clone();
+        let mut priced = Vec::new();
+        assert_table_matches(&table, &applied, &scoring, &priced);
+        for task_id in 1_000..1_000 + rng.range_usize(0, 2 * n_machines * spm) as u64 {
+            if rng.range_usize(0, 3) == 0 {
+                priced.push(app(rng));
+                table.price(*priced.last().unwrap(), &scoring);
+                assert_table_matches(&table, &applied, &scoring, &priced);
+            }
+            if table.classes().is_empty() {
+                break;
+            }
+            let ci = rng.range_usize(0, table.classes().len());
+            let class = applied.free_classes()[ci];
+            let pick = table.take(ci, Task::new(task_id, app(rng)), &cluster, &scoring);
+            let lowest = free_model(&applied)[&(class.key, class.mclass)]
+                .first()
+                .copied();
+            let placed = apply(&mut applied, &[pick]);
+            assert_eq!(Some(placed[0].vm), lowest);
+            let score = scoring.class_score(pick.task.app, &class);
+            assert_eq!(placed[0].predicted_score.to_bits(), score.to_bits());
+            assert_table_matches(&table, &applied, &scoring, &priced);
+        }
+    });
 }
 
 /// MIX never produces a worse total predicted score than MIBS on the
