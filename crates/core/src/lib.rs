@@ -56,6 +56,6 @@ pub use monitor::{AdaptiveModel, MonitorConfig, ObserveOutcome};
 pub use predictor::{AppModelSet, AppProfile, Objective, Predictor, ScoringPolicy};
 pub use resource::{DimVec, MachineClass, ResourceDim, N_DIMS, N_LEGACY_DIMS};
 pub use sched::{
-    place_best, Assignment, ClusterState, Fifo, FreeClass, Mibs, MibsAblation, MibsVariant, Mios,
-    Mix, Resident, Scheduler, Task, VmRef,
+    Assignment, ClusterState, Fifo, FreeClass, Mibs, MibsAblation, MibsVariant, Mios, Mix,
+    Resident, Scheduler, Task, VmRef,
 };

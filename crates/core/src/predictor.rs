@@ -406,7 +406,7 @@ impl<'a> ScoringPolicy<'a> {
         self.score_in(app, class.key, class.mclass, &class.background)
     }
 
-    /// [`ScoringPolicy::class_score`] from a class's parts, for the batch
+    /// [`ScoringPolicy::class_score`] from a class's parts, for the
     /// schedulers' free table, whose classes have no example slot.
     pub(crate) fn score_in(
         &self,
@@ -416,13 +416,6 @@ impl<'a> ScoringPolicy<'a> {
         bg: &Characteristics,
     ) -> f64 {
         self.adjust(app, mclass, bg, self.score(app, key, bg))
-    }
-
-    /// Class-aware [`ScoringPolicy::excess_score`]. The baseline is the
-    /// reference-class solo score — a per-app constant, so per-app slot
-    /// comparisons are unaffected by the choice of baseline.
-    pub fn excess_class_score(&self, app: AppId, class: &FreeClass) -> f64 {
-        self.class_score(app, class) - self.solo[app.index()]
     }
 
     /// Number of applications in the registry — the length of the batch
@@ -628,12 +621,6 @@ mod tests {
         // app_b pushes 50 MB/s through the 100 MB/s link: 2x (factor)
         // times 2x (M/M/1 at half utilization).
         assert!((rt.class_score(b, &free(1)) - rt.solo_score(b) * 4.0).abs() < 1e-9);
-        // excess_class_score is class_score minus the reference solo.
-        assert!(
-            (rt.excess_class_score(a, &free(1)) - (rt.class_score(a, &free(1)) - rt.solo_score(a)))
-                .abs()
-                < 1e-12
-        );
         // MaxIops: base is negative IOPS; the remote class halves the
         // magnitude via iops_factor and halves it again via contention.
         let io = ScoringPolicy::new(&p, Objective::MaxIops)
@@ -678,7 +665,7 @@ mod tests {
         assert_eq!(out[1].to_bits(), (out[0] * 3.0).to_bits());
         let excess: Vec<f64> = classes
             .iter()
-            .map(|c| rt.excess_class_score(a, c))
+            .map(|c| rt.class_score(a, c) - rt.solo_score(a))
             .collect();
         assert_eq!(excess[0].to_bits(), 0.0f64.to_bits());
         assert!(excess[1] > 0.0);

@@ -1,14 +1,19 @@
 //! MIBS design-decision ablations.
 //!
-//! The production [`Mibs`](super::Mibs) makes three deliberate choices
-//! (see its module docs): it scores (task, slot) pairs by *interference
-//! excess*, breaks ties toward fragile tasks on idle machines, and runs
-//! the Min-Min double-minimum over the whole window. Each variant here
-//! disables one choice so the ablation experiment can quantify what the
-//! choice contributes; `HeadFirst` is the paper's Algorithm 2 listing
-//! taken literally.
+//! The production [`Mibs`] makes three deliberate choices (see its module
+//! docs): it scores (task, slot) pairs by *interference excess*, breaks
+//! ties toward fragile tasks on idle machines, and runs the Min-Min
+//! double-minimum over the whole window. Each variant here disables one
+//! choice so the ablation experiment can quantify what the choice
+//! contributes; `HeadFirst` is the paper's Algorithm 2 listing taken
+//! literally.
+//!
+//! Every variant decides on a [`FreeTable`](super::FreeTable) and commits
+//! through [`apply`]. The two scoring ablations are MIBS itself with
+//! another comparison (`Mibs::ablated`); `HeadFirst` and `RANDOM` are
+//! small pickers on MIBS's table.
 
-use super::{place_best, Assignment, ClusterState, FreeClass, Resident, Scheduler, Task};
+use super::{apply, Assignment, ClusterState, Mibs, Scheduler, Task};
 use crate::predictor::ScoringPolicy;
 use std::collections::VecDeque;
 
@@ -56,150 +61,63 @@ impl MibsVariant {
 pub struct MibsAblation {
     /// The ingredient being ablated.
     pub variant: MibsVariant,
-    /// The batch window, as for [`Mibs`](super::Mibs).
-    pub window: usize,
+    /// The MIBS a scoring ablation runs, and whose table and picks the
+    /// pickers use.
+    mibs: Mibs,
 }
 
 impl MibsAblation {
     /// Creates the ablated scheduler with the given batch window.
     pub fn new(variant: MibsVariant, window: usize) -> Self {
-        MibsAblation { variant, window }
+        let mibs = Mibs::ablated(window, variant);
+        MibsAblation { variant, mibs }
     }
+}
 
-    fn schedule_minmin(
-        &self,
-        queue: &mut VecDeque<Task>,
-        cluster: &mut ClusterState,
-        scoring: &ScoringPolicy<'_>,
-        use_excess: bool,
-        fragility_ties: bool,
-    ) -> Vec<Assignment> {
-        let mut out = Vec::new();
-        let mut window: Vec<Task> = queue.drain(..).collect();
-        let mut classes: Vec<FreeClass> = Vec::new();
-        const TIE_EPS: f64 = 1e-9;
-        while !window.is_empty() && cluster.n_free() > 0 {
-            cluster.free_classes_into(&mut classes);
-            let mut best: Option<((f64, f64, usize), usize, usize)> = None;
-            for (ti, t) in window.iter().enumerate() {
-                let fragility = if fragility_ties {
-                    scoring.pair_score(t.app, t.app)
-                } else {
-                    0.0
-                };
-                for (ci, c) in classes.iter().enumerate() {
-                    let score = if use_excess {
-                        scoring.excess_class_score(t.app, c)
-                    } else {
-                        scoring.class_score(t.app, c)
-                    };
-                    let tie = if fragility_ties && c.key.is_idle() {
-                        -fragility
-                    } else {
-                        f64::INFINITY
-                    };
-                    let key = (score, tie, ti);
-                    let better = match &best {
-                        None => true,
-                        Some((bk, _, _)) => {
-                            key.0 < bk.0 - TIE_EPS
-                                || ((key.0 - bk.0).abs() <= TIE_EPS
-                                    && (key.1, key.2) < (bk.1, bk.2))
-                        }
-                    };
-                    if better {
-                        best = Some((key, ti, ci));
-                    }
-                }
-            }
-            let Some((_, ti, ci)) = best else { break };
-            let task = window.swap_remove(ti);
-            let class = &classes[ci];
-            let score = scoring.class_score(task.app, class);
-            let vm = class.example;
-            cluster.place(
-                vm,
-                Resident {
-                    task_id: task.id,
-                    app: task.app,
-                },
-            );
-            out.push(Assignment {
-                task,
-                vm,
-                predicted_score: score,
-            });
+/// Algorithm 2 taken literally: the queue head by MIOS's rule, then the
+/// remaining task that interferes least with it (the first strict
+/// minimum of the pair scores), also by MIOS's rule.
+fn head_first(
+    queue: &mut VecDeque<Task>,
+    mibs: &mut Mibs,
+    cluster: &ClusterState,
+    scoring: &ScoringPolicy<'_>,
+) {
+    let (table, picks) = (&mut mibs.table, &mut mibs.picks);
+    while !table.classes().is_empty() {
+        let Some(head) = queue.pop_front() else { break };
+        let (ci, _) = table.best_for(head.app, scoring).expect("a class");
+        picks.push(table.take(ci, head, cluster, scoring));
+        if queue.is_empty() || table.classes().is_empty() {
+            break;
         }
-        queue.extend(window);
-        out
-    }
-
-    fn schedule_head_first(
-        &self,
-        queue: &mut VecDeque<Task>,
-        cluster: &mut ClusterState,
-        scoring: &ScoringPolicy<'_>,
-    ) -> Vec<Assignment> {
-        let mut out = Vec::new();
-        while !queue.is_empty() && cluster.n_free() > 0 {
-            let candidate_1 = queue.pop_front().expect("non-empty");
-            let c1_app = candidate_1.app;
-            match place_best(candidate_1, cluster, scoring) {
-                Some(a) => out.push(a),
-                None => break,
-            }
-            if queue.is_empty() || cluster.n_free() == 0 {
-                break;
-            }
-            let mut best_idx = 0usize;
-            let mut best_score = f64::INFINITY;
-            for (i, t) in queue.iter().enumerate() {
-                let s = scoring.pair_score(t.app, c1_app);
-                if s < best_score {
-                    best_score = s;
-                    best_idx = i;
-                }
-            }
-            let candidate_2 = queue.remove(best_idx).expect("index in range");
-            match place_best(candidate_2, cluster, scoring) {
-                Some(a) => out.push(a),
-                None => break,
+        let mut best = (f64::INFINITY, 0);
+        for (i, t) in queue.iter().enumerate() {
+            let s = scoring.pair_score(t.app, head.app);
+            if s < best.0 {
+                best = (s, i);
             }
         }
-        out
+        let partner = queue.remove(best.1).expect("index in range");
+        let (ci, _) = table.best_for(partner.app, scoring).expect("a class");
+        picks.push(table.take(ci, partner, cluster, scoring));
     }
+}
 
-    fn schedule_random(
-        &self,
-        queue: &mut VecDeque<Task>,
-        cluster: &mut ClusterState,
-        scoring: &ScoringPolicy<'_>,
-    ) -> Vec<Assignment> {
-        // Deterministic pseudo-random slot choice keyed by the task id.
-        let mut out = Vec::new();
-        let mut classes: Vec<FreeClass> = Vec::new();
-        while cluster.n_free() > 0 {
-            let Some(task) = queue.pop_front() else { break };
-            cluster.free_classes_into(&mut classes);
-            let pick = (task.id.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) as usize)
-                % classes.len();
-            let class = &classes[pick];
-            let score = scoring.class_score(task.app, class);
-            let vm = class.example;
-            cluster.place(
-                vm,
-                Resident {
-                    task_id: task.id,
-                    app: task.app,
-                },
-            );
-            out.push(Assignment {
-                task,
-                vm,
-                predicted_score: score,
-            });
-        }
-        out
+/// Each task in queue order on a class drawn from its id: a deterministic
+/// second baseline beside FIFO.
+fn random(
+    queue: &mut VecDeque<Task>,
+    mibs: &mut Mibs,
+    cluster: &ClusterState,
+    scoring: &ScoringPolicy<'_>,
+) {
+    let (table, picks) = (&mut mibs.table, &mut mibs.picks);
+    while !table.classes().is_empty() {
+        let Some(task) = queue.pop_front() else { break };
+        let draw = task.id.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) as usize;
+        let ci = draw % table.classes().len();
+        picks.push(table.take(ci, task, cluster, scoring));
     }
 }
 
@@ -209,7 +127,7 @@ impl Scheduler for MibsAblation {
     }
 
     fn window(&self) -> Option<usize> {
-        Some(self.window)
+        Some(self.mibs.queue_len)
     }
 
     fn schedule(
@@ -218,16 +136,15 @@ impl Scheduler for MibsAblation {
         cluster: &mut ClusterState,
         scoring: &ScoringPolicy<'_>,
     ) -> Vec<Assignment> {
-        match self.variant {
-            MibsVariant::AbsoluteScore => {
-                self.schedule_minmin(queue, cluster, scoring, false, true)
-            }
-            MibsVariant::NoFragilityTieBreak => {
-                self.schedule_minmin(queue, cluster, scoring, true, false)
-            }
-            MibsVariant::HeadFirst => self.schedule_head_first(queue, cluster, scoring),
-            MibsVariant::Random => self.schedule_random(queue, cluster, scoring),
-        }
+        let picker = match self.variant {
+            MibsVariant::HeadFirst => head_first,
+            MibsVariant::Random => random,
+            _ => return self.mibs.schedule(queue, cluster, scoring),
+        };
+        self.mibs.table.list(cluster);
+        self.mibs.picks.clear();
+        picker(queue, &mut self.mibs, cluster, scoring);
+        apply(cluster, &self.mibs.picks)
     }
 }
 

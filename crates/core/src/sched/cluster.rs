@@ -288,13 +288,6 @@ impl ClusterState {
         self.free_class_iter().collect()
     }
 
-    /// Collects the free-slot classes into a reusable buffer (cleared
-    /// first) so batch schedulers avoid a fresh allocation per round.
-    pub fn free_classes_into(&self, out: &mut Vec<FreeClass>) {
-        out.clear();
-        out.extend(self.free_class_iter());
-    }
-
     /// The class key and neighbour characteristics of one specific free
     /// slot (FIFO's diagnostic score needs the slot it already picked).
     pub fn class_of(&self, vm: VmRef) -> (ClassKey, Characteristics) {

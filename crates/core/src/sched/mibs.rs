@@ -39,7 +39,7 @@
 //! Only [`apply`] touches the cluster, placing each pick on its class's
 //! lowest free slot.
 
-use super::{apply, Assignment, ClusterState, FreeTable, Pick, Scheduler, Task};
+use super::{apply, Assignment, ClusterState, FreeTable, MibsVariant, Pick, Scheduler, Task};
 use crate::interner::{AppId, ClassKey};
 use crate::predictor::ScoringPolicy;
 use std::collections::VecDeque;
@@ -63,6 +63,9 @@ pub struct Mibs {
     pub(super) picks: Vec<Pick>,
     /// Scratch: which apps the window holds this round.
     seen: Vec<bool>,
+    /// Whether ties on an idle class go to the most fragile app; off in
+    /// the window-order ablation.
+    fragility_ties: bool,
 }
 
 impl Mibs {
@@ -74,7 +77,18 @@ impl Mibs {
             window: Vec::new(),
             picks: Vec::new(),
             seen: Vec::new(),
+            fragility_ties: true,
         }
+    }
+
+    /// The MIBS a scoring ablation runs: `AbsoluteScore` compares class
+    /// scores instead of excesses, `NoFragilityTieBreak` breaks ties by
+    /// window order alone, and any other variant gets the production rule.
+    pub(crate) fn ablated(queue_len: usize, variant: MibsVariant) -> Self {
+        let mut mibs = Mibs::new(queue_len);
+        mibs.table.absolute = variant == MibsVariant::AbsoluteScore;
+        mibs.fragility_ties = variant != MibsVariant::NoFragilityTieBreak;
+        mibs
     }
 }
 
@@ -160,7 +174,7 @@ impl Mibs {
                 self.seen[a] = true;
                 self.table.price(t.app, scoring);
             }
-            let fragility = scoring.pair_score(t.app, t.app);
+            let fragility = self.fragility(t.app, scoring);
             let n = self.table.priced.len();
             for (ci, c) in self.table.classes.iter().enumerate() {
                 let key = (self.table.excess[ci * n + a], tie_key(c.key, fragility));
@@ -180,12 +194,22 @@ impl Mibs {
         let n = self.table.priced.len();
         (0..self.seen.len()).filter(|&a| self.seen[a]).all(|a| {
             let id = AppId(a as u16);
-            let fragility = scoring.pair_score(id, id);
+            let fragility = self.fragility(id, scoring);
             self.table.classes.iter().enumerate().all(|(ci, c)| {
                 let x = (self.table.excess[ci * n + a], tie_key(c.key, fragility));
                 (id == app && x == w) || (beats(w, x, false) && !beats(x, w, true))
             })
         })
+    }
+
+    /// What an app's idle-class tie key ranks by: its self-pairing score,
+    /// or, without fragility ties, -inf, which gives idle classes the tie
+    /// key of every other class.
+    fn fragility(&self, app: AppId, scoring: &ScoringPolicy<'_>) -> f64 {
+        match self.fragility_ties {
+            true => scoring.pair_score(app, app),
+            false => f64::NEG_INFINITY,
+        }
     }
 }
 
@@ -215,7 +239,7 @@ impl Scheduler for Mibs {
         scoring: &ScoringPolicy<'_>,
     ) -> Vec<Assignment> {
         self.window = queue.drain(..).collect();
-        self.table.list(cluster, scoring);
+        self.table.list(cluster);
         self.picks.clear();
         self.fill(cluster, scoring);
         // Unplaced window tasks return to the caller's queue, in the
@@ -327,7 +351,7 @@ mod tests {
         let cluster = ClusterState::new(2, 2, app_chars());
         let mut mibs = Mibs::new(4);
         mibs.window = vec![task(0, "cpu"), task(1, "cpu"), task(2, "io"), task(3, "io")];
-        mibs.table.list(&cluster, &scoring);
+        mibs.table.list(&cluster);
         assert!(mibs.fill(&cluster, &scoring));
         let order: Vec<u64> = mibs.picks.iter().map(|a| a.task.id).collect();
         assert_eq!(order, [2, 3, 0, 1]);
@@ -343,7 +367,7 @@ mod tests {
         let cluster = ClusterState::new(2, 2, app_chars());
         let mut mibs = Mibs::new(3);
         mibs.window = vec![task(0, "cpu"), task(1, "io"), task(2, "cpu")];
-        mibs.table.list(&cluster, &scoring);
+        mibs.table.list(&cluster);
         assert!(!mibs.fill(&cluster, &scoring));
         assert_eq!(mibs.picks[0].task.id, 0);
         assert_eq!(mibs.picks.len(), 3);

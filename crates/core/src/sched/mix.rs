@@ -60,7 +60,7 @@ impl Mix {
         // overwrites its table with the listing and replaces its picks and
         // window in place.
         let mut base = FreeTable::default();
-        base.list(cluster, scoring);
+        base.list(cluster);
         let mut mibs = Mibs::new(self.queue_len);
         let mut settled = vec![false; scoring.n_apps()];
         let (mut best_score, mut evaluated) = (0.0, 0);
@@ -70,13 +70,13 @@ impl Mix {
             }
             // Force task `head` to be placed first (by MIOS's rule), then
             // let MIBS schedule the remainder.
-            let Some(ci) = base.best_for(task.app, scoring) else {
+            let Some((ci, score)) = base.best_for(task.app, scoring) else {
                 continue;
             };
             evaluated += 1;
             mibs.table.copy_from(&base);
-            let first = mibs.table.take(ci, task, cluster, scoring);
-            mibs.picks.splice(.., [first]);
+            mibs.table.advance(ci, task.app, cluster, scoring);
+            mibs.picks.splice(.., [base.pick(ci, task, score)]);
             let rest = tasks[..head].iter().chain(&tasks[head + 1..]);
             mibs.window.splice(.., rest.copied());
             // A fully certified pass settles the app (module doc).

@@ -3,6 +3,12 @@
 //! (batch Min-Min pairing, Algorithm 2), and MIX (best-head batch,
 //! Algorithm 3) — each optimizing either total runtime or total IOPS —
 //! and the [`gate`] that decides when they run and what they see.
+//!
+//! Every scheduler but FIFO decides on a [`FreeTable`]: the cluster's
+//! free classes, listed once per call and updated pick by pick. [`apply`]
+//! commits the picks, and is the only code besides FIFO that places on
+//! the [`ClusterState`]. FIFO takes the lowest free slot, which is not a
+//! question about classes.
 
 pub mod ablation;
 pub mod cluster;
@@ -54,7 +60,9 @@ pub struct Assignment {
 
 /// A scheduling algorithm. `schedule` drains as much of the queue as the
 /// cluster's free slots allow, applying its placements to `cluster` and
-/// returning them; tasks that cannot be placed remain queued.
+/// returning them; tasks that cannot be placed remain queued. Every
+/// scheduler but FIFO decides on a [`FreeTable`] and [`apply`] commits;
+/// FIFO takes the lowest free slot.
 pub trait Scheduler {
     /// Scheduler name, e.g. "MIBS_RT(8)".
     fn name(&self) -> String;
@@ -75,39 +83,6 @@ pub trait Scheduler {
     ) -> Vec<Assignment>;
 }
 
-/// Places a single task on the best free slot according to the scoring
-/// policy (the body of Algorithm 1, shared by MIOS, MIBS, and MIX).
-/// Returns `None` when the cluster is full. Allocation-free: classes are
-/// scanned straight off the free index. Public so out-of-process callers
-/// (the tracond service tests) can replay a placement sequence against
-/// the exact per-arrival rule the schedulers use.
-pub fn place_best(
-    task: Task,
-    cluster: &mut ClusterState,
-    scoring: &ScoringPolicy<'_>,
-) -> Option<Assignment> {
-    let mut best: Option<(f64, VmRef)> = None;
-    for class in cluster.free_class_iter() {
-        let score = scoring.class_score(task.app, &class);
-        if best.is_none_or(|(b, _)| score < b) {
-            best = Some((score, class.example));
-        }
-    }
-    let (score, vm) = best?;
-    cluster.place(
-        vm,
-        Resident {
-            task_id: task.id,
-            app: task.app,
-        },
-    );
-    Some(Assignment {
-        task,
-        vm,
-        predicted_score: score,
-    })
-}
-
 /// One class of a [`FreeTable`]: a [`FreeClass`] without an example slot.
 /// Test hook, not public API.
 #[doc(hidden)]
@@ -123,7 +98,7 @@ pub struct TableClass {
     pub count: usize,
 }
 
-/// A batch scheduler's decision on a [`FreeTable`]: `task` goes to the
+/// A scheduler's decision on a [`FreeTable`]: `task` goes to the
 /// lowest free slot of class `(key, mclass)` when [`apply`] commits it.
 /// Test hook, not public API.
 #[doc(hidden)]
@@ -139,15 +114,15 @@ pub struct Pick {
     pub score: f64,
 }
 
-/// What MIBS and MIX decide on instead of the live cluster: its free
-/// classes, listed once, each with a row of interference excess over the
-/// apps priced so far (an app is priced on every class once, and a class
-/// entering the table is priced for every priced app). A pick of app `a`
-/// on class `K` takes one machine of `K` (`slots_per_machine - |K|` free
-/// slots) and moves the rest of that machine to `(K + a, mclass)`. That
-/// depends only on the key, so after any picks the table is what a fresh
-/// listing of the cluster with those picks [`apply`]-ed would show, in
-/// the same order. Test hook, not public API.
+/// What every scheduler but FIFO decides on instead of the live cluster:
+/// its free classes, listed once, each with a row of interference excess
+/// over the apps priced so far (an app is priced on every class once, and
+/// a class entering the table is priced for every priced app). A pick of
+/// app `a` on class `K` takes one machine of `K` (`slots_per_machine -
+/// |K|` free slots) and moves the rest of that machine to `(K + a,
+/// mclass)`. That depends only on the key, so after any picks the table
+/// is what a fresh listing of the cluster with those picks [`apply`]-ed
+/// would show, in the same order. Test hook, not public API.
 #[doc(hidden)]
 #[derive(Debug, Clone, Default)]
 pub struct FreeTable {
@@ -156,25 +131,32 @@ pub struct FreeTable {
     /// Row `ci`, one entry per app, is each priced app's excess on
     /// `classes[ci]` (NaN for the others).
     excess: Vec<f64>,
-    /// Which apps the rows price.
+    /// Which apps the rows price; empty, and the rows with it, until the
+    /// first app is priced (MIOS never prices).
     priced: Vec<bool>,
     slots_per_machine: usize,
+    /// Whether the rows hold the class score itself instead of the excess
+    /// (MIBS's absolute-score ablation). Kept across listings.
+    pub(super) absolute: bool,
 }
 
-/// An app's interference excess on a class
-/// ([`ScoringPolicy::excess_class_score`] of any of its slots).
-fn excess_on(app: AppId, class: &TableClass, scoring: &ScoringPolicy<'_>) -> f64 {
-    scoring.score_in(app, class.key, class.mclass, &class.background) - scoring.solo_score(app)
+/// An app's row entry on a class: its class score less its solo score
+/// (its interference excess), or the class score itself when `absolute`.
+fn excess_on(app: AppId, class: &TableClass, scoring: &ScoringPolicy<'_>, absolute: bool) -> f64 {
+    let score = scoring.score_in(app, class.key, class.mclass, &class.background);
+    match absolute {
+        true => score,
+        false => score - scoring.solo_score(app),
+    }
 }
 
 impl FreeTable {
     /// Refills the table from the cluster's free-class listing, with no
     /// app priced.
-    pub fn list(&mut self, cluster: &ClusterState, scoring: &ScoringPolicy<'_>) {
+    pub fn list(&mut self, cluster: &ClusterState) {
         self.classes.clear();
         self.excess.clear();
         self.priced.clear();
-        self.priced.resize(scoring.n_apps(), false);
         self.slots_per_machine = cluster.slots_per_machine();
         let listed = cluster.free_class_iter().map(|c| TableClass {
             key: c.key,
@@ -183,8 +165,6 @@ impl FreeTable {
             count: c.count,
         });
         self.classes.extend(listed);
-        let n = self.priced.len();
-        self.excess.resize(self.classes.len() * n, f64::NAN);
     }
 
     /// Overwrites the table with `base`, reusing its buffers (one MIX
@@ -194,15 +174,21 @@ impl FreeTable {
         self.excess.clone_from(&base.excess);
         self.priced.clone_from(&base.priced);
         self.slots_per_machine = base.slots_per_machine;
+        self.absolute = base.absolute;
     }
 
     /// Prices `app` on every class, unless it is already.
     pub fn price(&mut self, app: AppId, scoring: &ScoringPolicy<'_>) {
+        if self.priced.is_empty() {
+            self.priced.resize(scoring.n_apps(), false);
+            self.excess
+                .resize(self.classes.len() * scoring.n_apps(), f64::NAN);
+        }
         let (n, a) = (self.priced.len(), app.index());
         if !self.priced[a] {
             self.priced[a] = true;
             for (ci, class) in self.classes.iter().enumerate() {
-                self.excess[ci * n + a] = excess_on(app, class, scoring);
+                self.excess[ci * n + a] = excess_on(app, class, scoring, self.absolute);
             }
         }
     }
@@ -214,7 +200,7 @@ impl FreeTable {
             .iter()
             .enumerate()
             .map(|(a, &priced)| match priced {
-                true => excess_on(AppId(a as u16), &class, scoring),
+                true => excess_on(AppId(a as u16), &class, scoring, self.absolute),
                 false => f64::NAN,
             });
         self.excess.splice(at * n..at * n, row);
@@ -226,31 +212,40 @@ impl FreeTable {
         &self.classes
     }
 
-    /// Every app's interference excess on class `ci`
-    /// ([`ScoringPolicy::excess_class_score`] of a listed slot), NaN for
-    /// an app not priced.
+    /// Every app's interference excess on class `ci` (its class score
+    /// less its solo score; the class score on an absolute table), NaN
+    /// for an app not priced; empty until an app is priced.
     pub fn excess(&self, ci: usize) -> &[f64] {
         let n = self.priced.len();
         &self.excess[ci * n..(ci + 1) * n]
     }
 
-    /// The class MIOS's rule ([`place_best`]) gives `app`: the first
-    /// strict minimum of the class scores.
-    fn best_for(&self, app: AppId, scoring: &ScoringPolicy<'_>) -> Option<usize> {
-        let mut best: Option<(f64, usize)> = None;
+    /// The class MIOS's rule gives `app`, with its score: the first strict
+    /// minimum of the class scores, in listing order.
+    fn best_for(&self, app: AppId, scoring: &ScoringPolicy<'_>) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
         for (ci, c) in self.classes.iter().enumerate() {
             let score = scoring.score_in(app, c.key, c.mclass, &c.background);
-            if best.is_none_or(|(b, _)| score < b) {
-                best = Some((score, ci));
+            if best.is_none_or(|(_, b)| score < b) {
+                best = Some((ci, score));
             }
         }
-        best.map(|(_, ci)| ci)
+        best
     }
 
-    /// Picks class `ci` for `task`: takes one of its machines and moves
-    /// that machine's other free slots to their new class. `cluster` only
-    /// gives the background of a class the table has not held
-    /// ([`ClusterState::class_background`] is a function of the key).
+    /// The pick of class `ci` for `task` at class score `score`. The table
+    /// stays as it is until [`FreeTable::advance`] moves it past the pick.
+    fn pick(&self, ci: usize, task: Task, score: f64) -> Pick {
+        let c = &self.classes[ci];
+        Pick {
+            task,
+            key: c.key,
+            mclass: c.mclass,
+            score,
+        }
+    }
+
+    /// Picks class `ci` for `task` and advances the table past it.
     pub fn take(
         &mut self,
         ci: usize,
@@ -258,8 +253,26 @@ impl FreeTable {
         cluster: &ClusterState,
         scoring: &ScoringPolicy<'_>,
     ) -> Pick {
-        let c = self.classes[ci];
+        let c = &self.classes[ci];
         let score = scoring.score_in(task.app, c.key, c.mclass, &c.background);
+        let pick = self.pick(ci, task, score);
+        self.advance(ci, task.app, cluster, scoring);
+        pick
+    }
+
+    /// Moves the table past a pick of class `ci` by `app`: takes one of the
+    /// class's machines and moves that machine's other free slots to their
+    /// new class. `cluster` only gives the background of a class the table
+    /// has not held ([`ClusterState::class_background`] is a function of
+    /// the key).
+    fn advance(
+        &mut self,
+        ci: usize,
+        app: AppId,
+        cluster: &ClusterState,
+        scoring: &ScoringPolicy<'_>,
+    ) {
+        let c = self.classes[ci];
         let freed = self.slots_per_machine - c.key.count();
         self.classes[ci].count -= freed;
         if self.classes[ci].count == 0 {
@@ -268,7 +281,7 @@ impl FreeTable {
             self.excess.drain(ci * n..(ci + 1) * n);
         }
         if freed > 1 {
-            let (to, count) = (c.key.with(task.app), freed - 1);
+            let (to, count) = (c.key.with(app), freed - 1);
             let found = self
                 .classes
                 .binary_search_by_key(&(to, c.mclass), |k| (k.key, k.mclass));
@@ -285,12 +298,6 @@ impl FreeTable {
                     self.insert(at, class, scoring);
                 }
             }
-        }
-        Pick {
-            task,
-            key: c.key,
-            mclass: c.mclass,
-            score,
         }
     }
 }
@@ -437,58 +444,5 @@ pub(crate) mod test_support {
             );
         }
         p
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::test_support::*;
-    use super::*;
-    use crate::predictor::{Objective, ScoringPolicy};
-
-    #[test]
-    fn place_best_avoids_interfering_neighbour() {
-        let p = predictor();
-        let scoring = ScoringPolicy::new(&p, Objective::MinRuntime);
-        let mut cluster = ClusterState::new(2, 2, app_chars());
-        // Machine 0 hosts an io task; machine 1 is idle.
-        cluster.place(
-            VmRef {
-                machine: 0,
-                slot: 0,
-            },
-            resident(1, "io"),
-        );
-        let a = place_best(task(2, "io"), &mut cluster, &scoring).unwrap();
-        assert_eq!(
-            a.vm.machine, 1,
-            "io task should avoid the io-occupied machine"
-        );
-    }
-
-    #[test]
-    fn place_best_pairs_cpu_with_io() {
-        let p = predictor();
-        let scoring = ScoringPolicy::new(&p, Objective::MinRuntime);
-        let mut cluster = ClusterState::new(2, 2, app_chars());
-        cluster.place(
-            VmRef {
-                machine: 0,
-                slot: 0,
-            },
-            resident(1, "io"),
-        );
-        // A cpu task is indifferent-ish but must not fail; any free slot ok.
-        let a = place_best(task(2, "cpu"), &mut cluster, &scoring).unwrap();
-        assert!(cluster.resident(a.vm).is_some());
-    }
-
-    #[test]
-    fn place_best_full_cluster_returns_none() {
-        let p = predictor();
-        let scoring = ScoringPolicy::new(&p, Objective::MinRuntime);
-        let mut cluster = ClusterState::new(1, 1, app_chars());
-        assert!(place_best(task(1, "io"), &mut cluster, &scoring).is_some());
-        assert!(place_best(task(2, "io"), &mut cluster, &scoring).is_none());
     }
 }

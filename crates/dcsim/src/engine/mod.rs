@@ -89,7 +89,7 @@ impl SchedulerKind {
     pub fn build(&self) -> Box<dyn Scheduler> {
         match *self {
             SchedulerKind::Fifo => Box::new(Fifo),
-            SchedulerKind::Mios => Box::new(Mios),
+            SchedulerKind::Mios => Box::new(Mios::default()),
             SchedulerKind::Mibs(l) => Box::new(Mibs::new(l)),
             SchedulerKind::Mix(l) => Box::new(Mix::new(l)),
             SchedulerKind::Ablation(v, l) => Box::new(MibsAblation::new(v, l)),

@@ -84,7 +84,7 @@ impl SchedKind {
 
     fn build(self) -> Box<dyn Scheduler + Send> {
         match self {
-            SchedKind::Mios => Box::new(Mios),
+            SchedKind::Mios => Box::new(Mios::default()),
             SchedKind::Mibs(w) => Box::new(Mibs::new(w)),
             SchedKind::Mix(w) => Box::new(Mix::new(w)),
         }
@@ -1302,7 +1302,7 @@ mod tests {
             let slot = probe.class_view(vm);
             let id = |a: usize| probe.registry().expect_id(&names[a]);
             let score = |a| svc.scoring.class_score(id(a), &slot);
-            let excess = |a| svc.scoring.excess_class_score(id(a), &slot);
+            let excess = |a| score(a) - svc.scoring.solo_score(id(a));
             let (worst, best) = (0..names.len())
                 .flat_map(|w| (0..names.len()).map(move |b| (w, b)))
                 .find(|&(w, b)| excess(b) < excess(w) - 1e-6 && score(b) < score(w))

@@ -7,11 +7,12 @@
 //! admission queue, graceful drain, malformed-input survival, and the HTTP
 //! health/metrics endpoints.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use tracon_core::{place_best, ClusterState, ScoringPolicy, Task};
+use tracon_core::{ClusterState, Mios, Scheduler, ScoringPolicy, Task};
 use tracon_dcsim::{AdaptiveObserver, Testbed, TestbedConfig};
 use tracon_serve::daemon::start;
 use tracon_serve::{Client, ErrorKind, NetConfig, Reply, Request, SchedKind, ServeConfig};
@@ -62,8 +63,8 @@ fn placements_are_identical_to_in_process_scheduler() {
 
     // Reference run: the same construction path the service uses — an
     // adaptive observer seeded from the testbed, its exported predictor
-    // behind a scoring policy, and MIOS's per-arrival rule (place_best)
-    // replayed over an identical cluster.
+    // behind a scoring policy, and MIOS itself replaying the submissions
+    // one at a time over an identical cluster.
     let init_rt: Vec<_> = testbed
         .profiles
         .iter()
@@ -84,6 +85,7 @@ fn placements_are_identical_to_in_process_scheduler() {
     );
     let scoring = ScoringPolicy::new_owned(observer.export_predictor(), cfg.objective);
     let mut cluster = ClusterState::new(2, 2, testbed.app_chars.clone());
+    let mut mios = Mios::default();
 
     // Four submissions fill the four slots exactly; MIOS places each on
     // arrival so every reply carries a placement.
@@ -96,7 +98,10 @@ fn placements_are_identical_to_in_process_scheduler() {
         .enumerate()
         .map(|(i, name)| {
             let app = cluster.registry().expect_id(name);
-            let vm = place_best(Task::new(i as u64 + 1, app), &mut cluster, &scoring)
+            let mut queue = VecDeque::from([Task::new(i as u64 + 1, app)]);
+            let placed = mios.schedule(&mut queue, &mut cluster, &scoring);
+            let vm = placed
+                .first()
                 .expect("reference cluster has a free slot")
                 .vm;
             (vm.machine, vm.slot)

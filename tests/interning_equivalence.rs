@@ -553,7 +553,7 @@ fn check_all_schedulers(case: &Setup<'_>) {
     let window = picks.len().max(1);
     let cases: Vec<(&str, Box<dyn Scheduler>, RefSched)> = vec![
         ("FIFO", Box::new(Fifo), ref_fifo as RefSched),
-        ("MIOS", Box::new(Mios), ref_mios as RefSched),
+        ("MIOS", Box::new(Mios::default()), ref_mios as RefSched),
         ("MIBS", Box::new(Mibs::new(window)), ref_mibs as RefSched),
         ("MIX", Box::new(Mix::new(window)), ref_mix as RefSched),
     ];

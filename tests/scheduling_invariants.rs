@@ -8,8 +8,8 @@ use tracon::core::characteristics::N_JOINT;
 use tracon::core::sched::{apply, gate, FreeTable};
 use tracon::core::{
     AppId, AppModelSet, AppProfile, AppRegistry, Characteristics, ClassKey, ClusterState, Fifo,
-    InterferenceModel, MachineClass, Mibs, Mios, Mix, ModelKind, Objective, Predictor, Resident,
-    Scheduler, ScoringPolicy, Task, VmRef,
+    InterferenceModel, MachineClass, Mibs, MibsAblation, MibsVariant, Mios, Mix, ModelKind,
+    Objective, Predictor, Resident, Scheduler, ScoringPolicy, Task, VmRef,
 };
 use tracon::stats::prng::{check_cases, ChaCha12};
 
@@ -65,22 +65,26 @@ fn picks(rng: &mut ChaCha12, len: Range<usize>, bound: usize) -> Vec<usize> {
         .collect()
 }
 
+/// Schedulers `0..8`: FIFO, MIOS, MIBS, MIX, then the four MIBS
+/// ablations.
 fn build_scheduler(idx: usize, window: usize) -> Box<dyn Scheduler> {
     match idx {
         0 => Box::new(Fifo),
-        1 => Box::new(Mios),
+        1 => Box::new(Mios::default()),
         2 => Box::new(Mibs::new(window)),
-        _ => Box::new(Mix::new(window)),
+        3 => Box::new(Mix::new(window)),
+        _ => Box::new(MibsAblation::new(MibsVariant::ALL[idx - 4], window)),
     }
 }
 
-/// Every scheduler: no slot double-booked, assignments within bounds,
-/// placed + leftover == submitted, and the cluster's free count drops
-/// by exactly the number of assignments.
+/// Every scheduler, on 1–5 slots per machine: no slot double-booked,
+/// assignments within bounds, placed + leftover == submitted, and the
+/// cluster's free count drops by exactly the number of assignments.
 #[test]
 fn assignments_are_structurally_valid() {
-    check_cases(0..64, |rng| {
-        let sched_idx = rng.range_usize(0, 4);
+    check_cases(0..128, |rng| {
+        let sched_idx = rng.range_usize(0, 8);
+        let spm = rng.range_usize(1, 6);
         let n_machines = rng.range_usize(1, 12);
         let n_tasks = rng.range_usize(0, 40);
         let n_apps = rng.range_usize(1, 6);
@@ -93,7 +97,7 @@ fn assignments_are_structurally_valid() {
             Objective::MinRuntime
         };
         let scoring = ScoringPolicy::new(&predictor, objective);
-        let mut cluster = ClusterState::new(n_machines, 2, chars);
+        let mut cluster = ClusterState::new(n_machines, spm, chars);
         let registry = cluster.registry().clone();
         let free_before = cluster.n_free();
         let mut queue: VecDeque<Task> = (0..n_tasks)
@@ -112,7 +116,7 @@ fn assignments_are_structurally_valid() {
         let mut seen_tasks = HashSet::new();
         for a in &out {
             assert!(a.vm.machine < n_machines);
-            assert!(a.vm.slot < 2);
+            assert!(a.vm.slot < spm);
             assert!(seen_slots.insert(a.vm), "slot double-booked: {:?}", a.vm);
             assert!(seen_tasks.insert(a.task.id), "task scheduled twice");
             assert!(a.predicted_score.is_finite());
@@ -260,10 +264,10 @@ fn free_index_matches_btree_model() {
     );
 }
 
-/// The batch schedulers' free table equals a fresh listing of the cluster
-/// its picks were applied to: order, key, machine class, count,
-/// background bits, and the excess bits of every `priced` app (NaN for
-/// the other apps).
+/// The schedulers' free table equals a fresh listing of the cluster its
+/// picks were applied to: order, key, machine class, count, background
+/// bits, and the excess bits of every `priced` app (NaN for the other
+/// apps; no row at all until an app is priced).
 fn assert_table_matches(
     table: &FreeTable,
     c: &ClusterState,
@@ -276,14 +280,11 @@ fn assert_table_matches(
         assert_eq!((t.key, t.mclass, t.count), (cl.key, cl.mclass, cl.count));
         assert_eq!(bits(&t.background), bits(&cl.background));
         let excess = |app| match priced.contains(&app) {
-            true => scoring.excess_class_score(app, cl),
+            true => scoring.class_score(app, cl) - scoring.solo_score(app),
             false => f64::NAN,
         };
-        let row: Vec<u64> = c
-            .registry()
-            .ids()
-            .map(|app| excess(app).to_bits())
-            .collect();
+        let apps = c.registry().ids().filter(|_| !priced.is_empty());
+        let row: Vec<u64> = apps.map(|app| excess(app).to_bits()).collect();
         let table_row: Vec<u64> = table.excess(ci).iter().map(|x| x.to_bits()).collect();
         assert_eq!(table_row, row, "excess row of class {ci}");
     }
@@ -344,7 +345,7 @@ fn free_table_matches_listing() {
             }
         }
         let mut table = FreeTable::default();
-        table.list(&cluster, &scoring);
+        table.list(&cluster);
         let mut applied = cluster.clone();
         let mut priced = Vec::new();
         assert_table_matches(&table, &applied, &scoring, &priced);
