@@ -5,17 +5,20 @@ use super::linear::LinearModel;
 use super::nonlinear::NonlinearModel;
 use super::wmm::Wmm;
 use super::{evaluate, InterferenceModel, ModelKind, ReciprocalModel, ResponseScale, TrainingData};
+use std::sync::Arc;
 use tracon_stats::Summary;
 
 /// Trains a model of the requested kind on the raw response scale.
 ///
 /// # Panics
 /// Panics when `data` is empty.
-pub fn train_model(kind: ModelKind, data: &TrainingData) -> Box<dyn InterferenceModel> {
+pub fn train_model(kind: ModelKind, data: &TrainingData) -> Arc<dyn InterferenceModel> {
     train_model_scaled(kind, data, ResponseScale::Linear)
 }
 
 /// Trains a model of the requested kind on the given response scale.
+/// The model is shared, not copied: a monitor and the predictors it
+/// hands to the scheduler hold the same trained model.
 ///
 /// The WMM baseline interpolates raw responses regardless of scale (the
 /// k-NN average is scale-robust); the regression models fit the
@@ -27,9 +30,9 @@ pub fn train_model_scaled(
     kind: ModelKind,
     data: &TrainingData,
     scale: ResponseScale,
-) -> Box<dyn InterferenceModel> {
+) -> Arc<dyn InterferenceModel> {
     if kind == ModelKind::Wmm {
-        return Box::new(Wmm::train(data));
+        return Arc::new(Wmm::train(data));
     }
     let fit = |d: &TrainingData| -> Box<dyn InterferenceModel> {
         match kind {
@@ -40,13 +43,13 @@ pub fn train_model_scaled(
         }
     };
     match scale {
-        ResponseScale::Linear => fit(data),
+        ResponseScale::Linear => fit(data).into(),
         ResponseScale::Reciprocal => {
             let transformed = TrainingData::new(
                 data.features.clone(),
                 data.responses.iter().map(|&y| 1.0 / y.max(1e-9)).collect(),
             );
-            Box::new(ReciprocalModel::new(
+            Arc::new(ReciprocalModel::new(
                 fit(&transformed),
                 &transformed.responses,
             ))

@@ -7,6 +7,12 @@
 //! detects the drift (mean shift / variance surge), gradually replaces
 //! the oldest training data with fresh observations, and rebuilds the
 //! model every `rebuild_every` new data points (160 in the paper).
+//!
+//! After the initial fit, [`AdaptiveModel::rebuild`] is the only place a
+//! monitored model is trained. The model is shared ([`AdaptiveModel::model`]): a predictor
+//! built from it scores with exactly the model whose error the monitor
+//! measures, until the next rebuild replaces it. The monitor keeps no
+//! per-observation history; [`AdaptiveModel::observe`] returns each error.
 
 use crate::characteristics::N_JOINT;
 use crate::model::{
@@ -14,6 +20,7 @@ use crate::model::{
     TrainingData,
 };
 use std::collections::VecDeque;
+use std::sync::Arc;
 use tracon_stats::{DriftDetector, DriftKind, SlidingWindow};
 
 /// Configuration of the adaptive model.
@@ -63,13 +70,12 @@ pub struct AdaptiveModel {
     scale: ResponseScale,
     cfg: MonitorConfig,
     window: VecDeque<([f64; N_JOINT], f64)>,
-    model: Box<dyn InterferenceModel>,
+    model: Arc<dyn InterferenceModel>,
     new_since_rebuild: usize,
     rebuilds: usize,
+    drifts: usize,
     recent_errors: SlidingWindow,
     detector: DriftDetector,
-    error_history: Vec<f64>,
-    drift_events: Vec<(usize, DriftKind)>,
 }
 
 impl AdaptiveModel {
@@ -115,10 +121,9 @@ impl AdaptiveModel {
             model,
             new_since_rebuild: 0,
             rebuilds: 0,
+            drifts: 0,
             recent_errors: SlidingWindow::new(cfg.drift_window),
             detector,
-            error_history: Vec::new(),
-            drift_events: Vec::new(),
         }
     }
 
@@ -127,13 +132,17 @@ impl AdaptiveModel {
         self.model.predict(features)
     }
 
+    /// The model as of the last rebuild, shared rather than copied.
+    pub fn model(&self) -> &Arc<dyn InterferenceModel> {
+        &self.model
+    }
+
     /// Feeds one observation: records the prediction error, replaces the
     /// oldest window entry, and rebuilds the model when `rebuild_every`
     /// new observations have accumulated.
     pub fn observe(&mut self, features: [f64; N_JOINT], actual: f64) -> ObserveOutcome {
         let predicted = self.model.predict(&features);
         let error = relative_error(predicted, actual);
-        self.error_history.push(error);
         self.recent_errors.push(error);
 
         let drift = if self.recent_errors.is_full() {
@@ -141,9 +150,7 @@ impl AdaptiveModel {
         } else {
             None
         };
-        if let Some(kind) = drift {
-            self.drift_events.push((self.error_history.len() - 1, kind));
-        }
+        self.drifts += usize::from(drift.is_some());
 
         // Gradually replace the old training data with the new.
         if self.window.len() >= self.cfg.window_capacity {
@@ -177,31 +184,14 @@ impl AdaptiveModel {
         self.rebuilds += 1;
     }
 
-    /// Trains a standalone snapshot of the model on the current window —
-    /// what [`AdaptiveModel::rebuild`] would deploy right now. Online
-    /// adaptation uses this to hand a freshly retrained model to a
-    /// [`crate::Predictor`] without giving up the monitor's window state.
-    pub fn export_model(&self) -> Box<dyn InterferenceModel> {
-        let mut data = TrainingData::default();
-        for (f, y) in &self.window {
-            data.push(*f, *y);
-        }
-        train_model_scaled(self.kind, &data, self.scale)
-    }
-
     /// Number of rebuilds performed so far.
     pub fn rebuilds(&self) -> usize {
         self.rebuilds
     }
 
-    /// All recorded per-observation relative errors, oldest first.
-    pub fn error_history(&self) -> &[f64] {
-        &self.error_history
-    }
-
-    /// Recorded drift events as `(observation index, kind)`.
-    pub fn drift_events(&self) -> &[(usize, DriftKind)] {
-        &self.drift_events
+    /// Number of observations on which drift was detected.
+    pub fn drifts(&self) -> usize {
+        self.drifts
     }
 
     /// Model family in use.
@@ -273,7 +263,7 @@ mod tests {
             "no surge: {}",
             tracon_stats::mean(&early)
         );
-        assert!(!am.drift_events().is_empty(), "drift not detected");
+        assert!(am.drifts() > 0, "drift not detected");
 
         // Keep streaming: after several rebuilds the window is mostly new
         // data and the error returns to the pre-drift level.
@@ -310,28 +300,14 @@ mod tests {
     }
 
     #[test]
-    fn export_model_matches_rebuild_snapshot() {
-        let mut am = AdaptiveModel::new(ModelKind::Linear, &initial_data(200, 9), cfg());
-        let mut rng = ChaCha12::seed_from_u64(10);
-        for _ in 0..50 {
-            let (f, y) = gen(&mut rng, false);
-            am.observe(f, y);
-        }
-        let snap = am.export_model();
-        am.rebuild();
-        let f: [f64; 8] = std::array::from_fn(|i| 0.1 * (i as f64 + 1.0));
-        assert!((snap.predict(&f) - am.predict(&f)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn error_history_grows_monotonically() {
+    fn observe_reports_the_deployed_models_error() {
         let mut am = AdaptiveModel::new(ModelKind::Wmm, &initial_data(100, 7), cfg());
         let mut rng = ChaCha12::seed_from_u64(8);
         for _ in 0..10 {
             let (f, y) = gen(&mut rng, false);
-            am.observe(f, y);
+            let expected = relative_error(am.predict(&f), y);
+            assert_eq!(am.observe(f, y).error.to_bits(), expected.to_bits());
         }
-        assert_eq!(am.error_history().len(), 10);
         assert_eq!(am.kind(), ModelKind::Wmm);
     }
 }

@@ -25,16 +25,19 @@ pub struct AppProfile {
     pub solo_iops: f64,
 }
 
-/// Runtime and IOPS models for one application.
+/// Runtime and IOPS models for one application, shared with whoever
+/// trained them (the monitor rebuilding them online, for one).
+#[derive(Clone)]
 pub struct AppModelSet {
     /// Predicts the application's runtime from joint characteristics.
-    pub runtime: Box<dyn InterferenceModel>,
+    pub runtime: Arc<dyn InterferenceModel>,
     /// Predicts the application's IOPS from joint characteristics.
-    pub iops: Box<dyn InterferenceModel>,
+    pub iops: Arc<dyn InterferenceModel>,
 }
 
 /// The prediction module: per-application profiles and trained models.
-#[derive(Default)]
+/// Cloning shares the models, so a copy is cheap.
+#[derive(Clone, Default)]
 pub struct Predictor {
     profiles: HashMap<String, AppProfile>,
     models: HashMap<String, AppModelSet>,
@@ -148,24 +151,6 @@ impl Objective {
 /// to a NaN, which no clamped prediction can produce.
 const EMPTY: u64 = u64::MAX;
 
-/// The predictor a [`ScoringPolicy`] scores against: either borrowed from
-/// the caller (the common case — the testbed owns it) or owned by the
-/// policy itself (online adaptation swaps in freshly retrained predictors
-/// mid-simulation, where no longer-lived owner exists).
-enum PredictorSource<'a> {
-    Borrowed(&'a Predictor),
-    Owned(Box<Predictor>),
-}
-
-impl PredictorSource<'_> {
-    fn get(&self) -> &Predictor {
-        match self {
-            PredictorSource::Borrowed(p) => p,
-            PredictorSource::Owned(p) => p,
-        }
-    }
-}
-
 /// The network-dimension extension of a scoring policy: the machine-class
 /// table the cluster's [`FreeClass::mclass`] indexes into, and each
 /// application's offered link load in MB/s (indexed by [`AppId`]).
@@ -191,9 +176,10 @@ struct NetworkScoring {
 /// — which exist only when machines host three or more VM slots — fall
 /// back to a locked hash map. After warm-up a score lookup is one array
 /// load and performs no heap allocation, and the policy is `Sync`, so
-/// parallel schedulers can share it.
-pub struct ScoringPolicy<'a> {
-    predictor: PredictorSource<'a>,
+/// parallel schedulers can share it. The policy holds its own copy of
+/// the predictor, whose models it shares with the original.
+pub struct ScoringPolicy {
+    predictor: Predictor,
     /// The goal this policy optimizes.
     pub objective: Objective,
     registry: Arc<AppRegistry>,
@@ -214,26 +200,14 @@ pub struct ScoringPolicy<'a> {
     network: Option<NetworkScoring>,
 }
 
-impl<'a> ScoringPolicy<'a> {
+impl ScoringPolicy {
     /// Creates a scoring policy for the given objective, precomputing the
-    /// solo and pair tables.
-    pub fn new(predictor: &'a Predictor, objective: Objective) -> Self {
-        Self::build(PredictorSource::Borrowed(predictor), objective)
-    }
-
-    /// Like [`ScoringPolicy::new`] but taking ownership of the predictor.
-    /// The returned policy has no outside borrow, so a simulation can
-    /// replace its scoring mid-run with a freshly retrained predictor
-    /// (online model adaptation). All score caches start cold.
-    pub fn new_owned(predictor: Predictor, objective: Objective) -> ScoringPolicy<'static> {
-        ScoringPolicy::build(PredictorSource::Owned(Box::new(predictor)), objective)
-    }
-
-    fn build(source: PredictorSource<'a>, objective: Objective) -> ScoringPolicy<'a> {
-        let registry = Arc::clone(source.get().registry());
+    /// solo and pair tables. All score caches start cold.
+    pub fn new(predictor: &Predictor, objective: Objective) -> Self {
+        let registry = Arc::clone(predictor.registry());
         let n = registry.len();
         let mut policy = ScoringPolicy {
-            predictor: source,
+            predictor: predictor.clone(),
             objective,
             registry,
             n_apps: n,
@@ -281,11 +255,6 @@ impl<'a> ScoringPolicy<'a> {
         self.network.is_some()
     }
 
-    /// The underlying predictor.
-    pub fn predictor(&self) -> &Predictor {
-        self.predictor.get()
-    }
-
     /// The registry scores are keyed by.
     pub fn registry(&self) -> &Arc<AppRegistry> {
         &self.registry
@@ -294,8 +263,8 @@ impl<'a> ScoringPolicy<'a> {
     fn raw_score(&self, app: AppId, background: &Characteristics) -> f64 {
         let name = self.registry.name(app);
         match self.objective {
-            Objective::MinRuntime => self.predictor().predict_runtime(name, background),
-            Objective::MaxIops => -self.predictor().predict_iops(name, background),
+            Objective::MinRuntime => self.predictor.predict_runtime(name, background),
+            Objective::MaxIops => -self.predictor.predict_iops(name, background),
         }
     }
 
@@ -304,17 +273,17 @@ impl<'a> ScoringPolicy<'a> {
         let b_name = self.registry.name(other);
         match self.objective {
             Objective::MinRuntime => {
-                let a = self.predictor().predict_pair_runtime(a_name, b_name)
-                    - self.predictor().profile(a_name).solo_runtime;
-                let b = self.predictor().predict_pair_runtime(b_name, a_name)
-                    - self.predictor().profile(b_name).solo_runtime;
+                let a = self.predictor.predict_pair_runtime(a_name, b_name)
+                    - self.predictor.profile(a_name).solo_runtime;
+                let b = self.predictor.predict_pair_runtime(b_name, a_name)
+                    - self.predictor.profile(b_name).solo_runtime;
                 a + b
             }
             Objective::MaxIops => {
-                let a = self.predictor().profile(a_name).solo_iops
-                    - self.predictor().predict_pair_iops(a_name, b_name);
-                let b = self.predictor().profile(b_name).solo_iops
-                    - self.predictor().predict_pair_iops(b_name, a_name);
+                let a = self.predictor.profile(a_name).solo_iops
+                    - self.predictor.predict_pair_iops(a_name, b_name);
+                let b = self.predictor.profile(b_name).solo_iops
+                    - self.predictor.predict_pair_iops(b_name, a_name);
                 a + b
             }
         }
@@ -481,8 +450,8 @@ mod tests {
                     solo_iops: 200.0,
                 },
                 AppModelSet {
-                    runtime: Box::new(StubRuntime),
-                    iops: Box::new(StubIops),
+                    runtime: Arc::new(StubRuntime),
+                    iops: Arc::new(StubIops),
                 },
             );
         }
@@ -674,7 +643,7 @@ mod tests {
     #[test]
     fn scoring_policy_is_sync() {
         fn assert_sync<T: Sync>() {}
-        assert_sync::<ScoringPolicy<'_>>();
+        assert_sync::<ScoringPolicy>();
     }
 
     #[test]

@@ -81,7 +81,7 @@ fn head_first(
     queue: &mut VecDeque<Task>,
     mibs: &mut Mibs,
     cluster: &ClusterState,
-    scoring: &ScoringPolicy<'_>,
+    scoring: &ScoringPolicy,
 ) {
     let (table, picks) = (&mut mibs.table, &mut mibs.picks);
     while !table.classes().is_empty() {
@@ -110,7 +110,7 @@ fn random(
     queue: &mut VecDeque<Task>,
     mibs: &mut Mibs,
     cluster: &ClusterState,
-    scoring: &ScoringPolicy<'_>,
+    scoring: &ScoringPolicy,
 ) {
     let (table, picks) = (&mut mibs.table, &mut mibs.picks);
     while !table.classes().is_empty() {
@@ -134,7 +134,7 @@ impl Scheduler for MibsAblation {
         &mut self,
         queue: &mut VecDeque<Task>,
         cluster: &mut ClusterState,
-        scoring: &ScoringPolicy<'_>,
+        scoring: &ScoringPolicy,
     ) -> Vec<Assignment> {
         let picker = match self.variant {
             MibsVariant::HeadFirst => head_first,

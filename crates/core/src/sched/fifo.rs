@@ -18,7 +18,7 @@ impl Scheduler for Fifo {
         &mut self,
         queue: &mut VecDeque<Task>,
         cluster: &mut ClusterState,
-        scoring: &ScoringPolicy<'_>,
+        scoring: &ScoringPolicy,
     ) -> Vec<Assignment> {
         let mut out = Vec::new();
         while let Some(vm) = cluster.first_free() {

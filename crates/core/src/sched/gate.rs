@@ -50,7 +50,7 @@ pub fn dispatch(
     scheduler: &mut dyn Scheduler,
     queue: &mut VecDeque<Task>,
     cluster: &mut ClusterState,
-    scoring: &ScoringPolicy<'_>,
+    scoring: &ScoringPolicy,
 ) -> Vec<Assignment> {
     match scheduler.window() {
         Some(window) if queue.len() > window => {

@@ -120,7 +120,7 @@ impl Mibs {
     /// Returns whether every round was certified (no round at all
     /// counts), i.e. whether any window holding the same apps in any
     /// order would have made the same (app, class, slot) placements.
-    pub(crate) fn fill(&mut self, cluster: &ClusterState, scoring: &ScoringPolicy<'_>) -> bool {
+    pub(crate) fn fill(&mut self, cluster: &ClusterState, scoring: &ScoringPolicy) -> bool {
         let mut certified = true;
         while !self.window.is_empty() && !self.table.classes.is_empty() {
             self.seen.clear();
@@ -147,11 +147,7 @@ impl Mibs {
     /// `first_of_app` it visits only each app's earliest window task,
     /// marking the app seen and pricing it. Returns the winner's key,
     /// window index and class index.
-    fn scan(
-        &mut self,
-        scoring: &ScoringPolicy<'_>,
-        first_of_app: bool,
-    ) -> Option<(Key, usize, usize)> {
+    fn scan(&mut self, scoring: &ScoringPolicy, first_of_app: bool) -> Option<(Key, usize, usize)> {
         // Tie-breaking matters because on benign workloads almost
         // everything ties at zero excess:
         //  1. prefer idle machines (claiming one is never regrettable),
@@ -190,7 +186,7 @@ impl Mibs {
     /// every candidate of the apps seen this round, `w` displaces it and
     /// it never displaces `w`, whichever comes first — unless it is
     /// `app`'s own with an identical key.
-    fn certify(&self, w: Key, app: AppId, scoring: &ScoringPolicy<'_>) -> bool {
+    fn certify(&self, w: Key, app: AppId, scoring: &ScoringPolicy) -> bool {
         let n = self.table.priced.len();
         (0..self.seen.len()).filter(|&a| self.seen[a]).all(|a| {
             let id = AppId(a as u16);
@@ -205,7 +201,7 @@ impl Mibs {
     /// What an app's idle-class tie key ranks by: its self-pairing score,
     /// or, without fragility ties, -inf, which gives idle classes the tie
     /// key of every other class.
-    fn fragility(&self, app: AppId, scoring: &ScoringPolicy<'_>) -> f64 {
+    fn fragility(&self, app: AppId, scoring: &ScoringPolicy) -> f64 {
         match self.fragility_ties {
             true => scoring.pair_score(app, app),
             false => f64::NEG_INFINITY,
@@ -236,7 +232,7 @@ impl Scheduler for Mibs {
         &mut self,
         queue: &mut VecDeque<Task>,
         cluster: &mut ClusterState,
-        scoring: &ScoringPolicy<'_>,
+        scoring: &ScoringPolicy,
     ) -> Vec<Assignment> {
         self.window = queue.drain(..).collect();
         self.table.list(cluster);

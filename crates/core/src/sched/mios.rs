@@ -34,7 +34,7 @@ impl Scheduler for Mios {
         &mut self,
         queue: &mut VecDeque<Task>,
         cluster: &mut ClusterState,
-        scoring: &ScoringPolicy<'_>,
+        scoring: &ScoringPolicy,
     ) -> Vec<Assignment> {
         self.table.list(cluster);
         self.picks.clear();

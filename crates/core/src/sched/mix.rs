@@ -53,7 +53,7 @@ impl Mix {
         &self,
         tasks: &[Task],
         cluster: &ClusterState,
-        scoring: &ScoringPolicy<'_>,
+        scoring: &ScoringPolicy,
         best: &mut Vec<Pick>,
     ) -> usize {
         // One listing and one MIBS instance serve every head: each head
@@ -117,7 +117,7 @@ impl Scheduler for Mix {
         &mut self,
         queue: &mut VecDeque<Task>,
         cluster: &mut ClusterState,
-        scoring: &ScoringPolicy<'_>,
+        scoring: &ScoringPolicy,
     ) -> Vec<Assignment> {
         if queue.is_empty() || cluster.n_free() == 0 {
             return Vec::new();

@@ -79,7 +79,7 @@ pub trait Scheduler {
         &mut self,
         queue: &mut VecDeque<Task>,
         cluster: &mut ClusterState,
-        scoring: &ScoringPolicy<'_>,
+        scoring: &ScoringPolicy,
     ) -> Vec<Assignment>;
 }
 
@@ -142,7 +142,7 @@ pub struct FreeTable {
 
 /// An app's row entry on a class: its class score less its solo score
 /// (its interference excess), or the class score itself when `absolute`.
-fn excess_on(app: AppId, class: &TableClass, scoring: &ScoringPolicy<'_>, absolute: bool) -> f64 {
+fn excess_on(app: AppId, class: &TableClass, scoring: &ScoringPolicy, absolute: bool) -> f64 {
     let score = scoring.score_in(app, class.key, class.mclass, &class.background);
     match absolute {
         true => score,
@@ -178,7 +178,7 @@ impl FreeTable {
     }
 
     /// Prices `app` on every class, unless it is already.
-    pub fn price(&mut self, app: AppId, scoring: &ScoringPolicy<'_>) {
+    pub fn price(&mut self, app: AppId, scoring: &ScoringPolicy) {
         if self.priced.is_empty() {
             self.priced.resize(scoring.n_apps(), false);
             self.excess
@@ -193,7 +193,7 @@ impl FreeTable {
         }
     }
 
-    fn insert(&mut self, at: usize, class: TableClass, scoring: &ScoringPolicy<'_>) {
+    fn insert(&mut self, at: usize, class: TableClass, scoring: &ScoringPolicy) {
         let n = self.priced.len();
         let row = self
             .priced
@@ -222,7 +222,7 @@ impl FreeTable {
 
     /// The class MIOS's rule gives `app`, with its score: the first strict
     /// minimum of the class scores, in listing order.
-    fn best_for(&self, app: AppId, scoring: &ScoringPolicy<'_>) -> Option<(usize, f64)> {
+    fn best_for(&self, app: AppId, scoring: &ScoringPolicy) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for (ci, c) in self.classes.iter().enumerate() {
             let score = scoring.score_in(app, c.key, c.mclass, &c.background);
@@ -251,7 +251,7 @@ impl FreeTable {
         ci: usize,
         task: Task,
         cluster: &ClusterState,
-        scoring: &ScoringPolicy<'_>,
+        scoring: &ScoringPolicy,
     ) -> Pick {
         let c = &self.classes[ci];
         let score = scoring.score_in(task.app, c.key, c.mclass, &c.background);
@@ -265,13 +265,7 @@ impl FreeTable {
     /// new class. `cluster` only gives the background of a class the table
     /// has not held ([`ClusterState::class_background`] is a function of
     /// the key).
-    fn advance(
-        &mut self,
-        ci: usize,
-        app: AppId,
-        cluster: &ClusterState,
-        scoring: &ScoringPolicy<'_>,
-    ) {
+    fn advance(&mut self, ci: usize, app: AppId, cluster: &ClusterState, scoring: &ScoringPolicy) {
         let c = self.classes[ci];
         let freed = self.slots_per_machine - c.key.count();
         self.classes[ci].count -= freed;
@@ -416,16 +410,16 @@ pub(crate) mod test_support {
 
     /// A predictor over the two synthetic apps.
     pub fn predictor() -> Predictor {
-        predictor_with(|| Box::new(PairwiseRuntime))
+        predictor_with(Arc::new(PairwiseRuntime))
     }
 
     /// The two apps with no runtime interference: every excess and both
     /// fragilities are exactly 0, so only window order breaks ties.
     pub fn benign_predictor() -> Predictor {
-        predictor_with(|| Box::new(Benign))
+        predictor_with(Arc::new(Benign))
     }
 
-    fn predictor_with(runtime: fn() -> Box<dyn InterferenceModel>) -> Predictor {
+    fn predictor_with(runtime: Arc<dyn InterferenceModel>) -> Predictor {
         let mut p = Predictor::new();
         for (name, c) in app_chars() {
             let solo_runtime = 100.0;
@@ -438,8 +432,8 @@ pub(crate) mod test_support {
                     solo_iops,
                 },
                 AppModelSet {
-                    runtime: runtime(),
-                    iops: Box::new(PairwiseIops),
+                    runtime: Arc::clone(&runtime),
+                    iops: Arc::new(PairwiseIops),
                 },
             );
         }

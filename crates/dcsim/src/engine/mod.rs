@@ -625,12 +625,12 @@ impl<'tb> Simulation<'tb> {
                 }
             }
 
-            // Online adaptation: swap in a freshly retrained predictor
-            // when the observer's monitor has rebuilt its models. The
-            // machine-class table survives the swap — retraining must not
-            // silently lose network-awareness.
+            // Online adaptation: swap in the observer's predictor when its
+            // monitor has rebuilt a model. The machine-class table
+            // survives the swap — adaptation must not silently lose
+            // network-awareness.
             if let Some(p) = observer.updated_predictor() {
-                scoring = ScoringPolicy::new_owned(p, self.objective);
+                scoring = ScoringPolicy::new(&p, self.objective);
                 if let Some((classes, by_id)) = &net_scoring {
                     scoring = scoring.with_machine_classes(classes.clone(), by_id.clone());
                 }

@@ -233,9 +233,10 @@ impl SimObserver for ObservationCollector {
 /// completion is fed to per-application [`AdaptiveModel`]s for runtime
 /// and IOPS; whenever a monitor rebuild fires, the next
 /// [`SimObserver::updated_predictor`] poll hands the kernel a predictor
-/// retrained on the rolling observation window, and the scheduler starts
-/// scoring against it *mid-run* — no simulation restart, no post-hoc
-/// replay.
+/// over the monitors' own models, and the scheduler starts scoring
+/// against them *mid-run* — no simulation restart, no post-hoc replay.
+/// A swap trains nothing: each app is scored with the model its monitor
+/// last rebuilt, the one whose error the monitor measures.
 pub struct AdaptiveObserver {
     names: Vec<String>,
     profiles: Vec<AppProfile>,
@@ -317,11 +318,7 @@ impl AdaptiveObserver {
 
     /// Total drift events detected across all per-app models.
     pub fn total_drifts(&self) -> usize {
-        self.rt
-            .iter()
-            .chain(&self.io)
-            .map(|m| m.drift_events().len())
-            .sum()
+        self.rt.iter().chain(&self.io).map(|m| m.drifts()).sum()
     }
 
     /// How many times the kernel swapped the scoring predictor on this
@@ -330,15 +327,16 @@ impl AdaptiveObserver {
         self.predictor_swaps
     }
 
-    /// A standalone predictor snapshot of the current adapted models.
+    /// A predictor over the monitors' current models, shared, not
+    /// retrained: it predicts exactly what the monitors do.
     pub fn export_predictor(&self) -> Predictor {
         let mut p = Predictor::new();
         for (i, profile) in self.profiles.iter().enumerate() {
             p.add_app(
                 profile.clone(),
                 AppModelSet {
-                    runtime: self.rt[i].export_model(),
-                    iops: self.io[i].export_model(),
+                    runtime: self.rt[i].model().clone(),
+                    iops: self.io[i].model().clone(),
                 },
             );
         }
@@ -399,5 +397,86 @@ impl SimObserver for AdaptiveObserver {
         self.rebuilt_since_export = false;
         self.predictor_swaps += 1;
         Some(self.export_predictor())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tracon_core::train_model;
+    use tracon_stats::prng::ChaCha12;
+
+    /// `n` observations of an app with solo profile `solo` against random
+    /// backgrounds: runtime 100 s plus a read-rate penalty.
+    fn data(solo: &Characteristics, n: usize, seed: u64) -> TrainingData {
+        let mut rng = ChaCha12::seed_from_u64(seed);
+        let mut d = TrainingData::default();
+        for _ in 0..n {
+            let bg: [f64; 4] = std::array::from_fn(|_| rng.range_f64(0.0, 100.0));
+            let f = tracon_core::joint_features(solo, &Characteristics::from_array(bg));
+            d.push(f, 100.0 + 0.5 * bg[0] + rng.range_f64(-1.0, 1.0));
+        }
+        d
+    }
+
+    #[test]
+    fn swap_scores_with_the_monitors_models() {
+        let names = ["a".to_string(), "b".to_string()];
+        let solos = [
+            Characteristics::new(60.0, 5.0, 0.4, 0.1),
+            Characteristics::new(20.0, 30.0, 0.7, 0.2),
+        ];
+        let initial: Vec<TrainingData> = (0..2).map(|i| data(&solos[i], 40, i as u64)).collect();
+        let mut base = Predictor::new();
+        for (name, (solo, d)) in names.iter().zip(solos.iter().zip(&initial)) {
+            let profile = AppProfile {
+                name: name.clone(),
+                solo: *solo,
+                solo_runtime: 50.0,
+                solo_iops: 50.0,
+            };
+            let models = AppModelSet {
+                runtime: train_model(ModelKind::Linear, d),
+                iops: train_model(ModelKind::Linear, d),
+            };
+            base.add_app(profile, models);
+        }
+        let cfg = MonitorConfig {
+            window_capacity: 40,
+            rebuild_every: 10,
+            ..MonitorConfig::default()
+        };
+        let mut obs =
+            AdaptiveObserver::new(&base, &names, ModelKind::Linear, &initial, &initial, cfg);
+        // App a rebuilds on its tenth completion; app b then completes three
+        // tasks far slower than it was trained on, and does not rebuild.
+        let rebuilt: Vec<bool> = (0..10)
+            .map(|_| obs.record(0, Some(1), 150.0, 40.0))
+            .collect();
+        assert_eq!(rebuilt.iter().filter(|&&r| r).count(), 1);
+        for _ in 0..3 {
+            assert!(!obs.record(1, Some(0), 400.0, 10.0));
+        }
+        let swapped = obs.updated_predictor().expect("a rebuild fired");
+        for (app, nb) in [(0, 1), (1, 0), (1, IDLE)] {
+            let bg = if nb == IDLE {
+                Characteristics::idle()
+            } else {
+                obs.solo_chars(nb)
+            };
+            let scored = swapped.predict_runtime(&names[app], &bg);
+            let monitored = obs.predict_runtime(app, nb);
+            // Inside the predictor's [solo, 30 x solo] clamp.
+            assert!(
+                monitored > 50.0 && monitored < 1500.0,
+                "clamp binds: {monitored}"
+            );
+            assert_eq!(
+                scored.to_bits(),
+                monitored.to_bits(),
+                "app {app} next to {nb}"
+            );
+        }
+        assert_eq!(obs.total_rebuilds(), 2, "a's runtime and IOPS models only");
     }
 }

@@ -103,6 +103,15 @@ fn collect(
     (runtime, iops)
 }
 
+/// Feeds `data` to `model` in order and returns each observation's
+/// prediction error.
+fn stream(model: &mut AdaptiveModel, data: &TrainingData) -> Vec<f64> {
+    let observations = data.features.iter().zip(&data.responses);
+    observations
+        .map(|(f, &y)| model.observe(*f, y).error)
+        .collect()
+}
+
 fn windowed_errors(history: &[f64], window: usize) -> Vec<(usize, f64)> {
     history
         .chunks(window)
@@ -161,17 +170,11 @@ pub fn run(cfg: &Fig7Config) -> Fig7 {
         cfg.stream_points,
         cfg.seed.wrapping_add(888),
     );
-    for i in 0..cfg.stream_points {
-        rt_adapt.observe(rt_remote.features[i], rt_remote.responses[i]);
-        io_adapt.observe(io_remote.features[i], io_remote.responses[i]);
-        rt_control.observe(rt_local2.features[i], rt_local2.responses[i]);
-        io_control.observe(io_local2.features[i], io_local2.responses[i]);
-    }
 
     let window = (cfg.rebuild_every / 4).max(10);
-    let pack = |rt: &AdaptiveModel, io: &AdaptiveModel| -> Vec<TrajectoryPoint> {
-        let rts = windowed_errors(rt.error_history(), window);
-        let ios = windowed_errors(io.error_history(), window);
+    let pack = |rt: Vec<f64>, io: Vec<f64>| -> Vec<TrajectoryPoint> {
+        let rts = windowed_errors(&rt, window);
+        let ios = windowed_errors(&io, window);
         rts.iter()
             .zip(&ios)
             .map(|(&(i, re), &(_, ie))| TrajectoryPoint {
@@ -181,8 +184,14 @@ pub fn run(cfg: &Fig7Config) -> Fig7 {
             })
             .collect()
     };
-    let adapted = pack(&rt_adapt, &io_adapt);
-    let control = pack(&rt_control, &io_control);
+    let adapted = pack(
+        stream(&mut rt_adapt, &rt_remote),
+        stream(&mut io_adapt, &io_remote),
+    );
+    let control = pack(
+        stream(&mut rt_control, &rt_local2),
+        stream(&mut io_control, &io_local2),
+    );
 
     Fig7 {
         initial_runtime_error,

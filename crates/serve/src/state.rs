@@ -297,7 +297,7 @@ pub struct Service {
     cfg: ServeConfig,
     cluster: ClusterState,
     scheduler: Box<dyn Scheduler + Send>,
-    scoring: ScoringPolicy<'static>,
+    scoring: ScoringPolicy,
     observer: AdaptiveObserver,
     queue: VecDeque<Task>,
     /// The durable truth about every task this shard admitted;
@@ -339,8 +339,8 @@ pub struct Service {
 impl Service {
     /// Build an in-memory single-shard service around a profiled testbed
     /// (ignores `wal_dir`; use [`Service::open`] for a durable daemon).
-    /// The scoring predictor is the monitor's own export so that later
-    /// rebuild-driven swaps replace like with like.
+    /// The scoring predictor holds the monitor's own models, so the
+    /// scheduler scores with the models whose error the monitor measures.
     pub fn new(testbed: &Testbed, cfg: ServeConfig, metrics: Arc<Metrics>) -> Service {
         Service::new_shard(testbed, cfg, metrics, 0, 1, 0)
     }
@@ -383,7 +383,7 @@ impl Service {
             &init_io,
             cfg.monitor,
         );
-        let scoring = ScoringPolicy::new_owned(observer.export_predictor(), cfg.objective);
+        let scoring = ScoringPolicy::new(&observer.export_predictor(), cfg.objective);
         let cluster = ClusterState::new(
             cfg.machines,
             cfg.slots_per_machine,
@@ -1025,7 +1025,7 @@ impl Service {
         let mut swapped = false;
         if rebuilt {
             if let Some(predictor) = self.observer.updated_predictor() {
-                self.scoring = ScoringPolicy::new_owned(predictor, self.cfg.objective);
+                self.scoring = ScoringPolicy::new(&predictor, self.cfg.objective);
                 self.metrics.predictor_swaps.fetch_add(1, Ordering::Relaxed);
                 swapped = true;
             }

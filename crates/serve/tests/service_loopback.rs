@@ -83,7 +83,7 @@ fn placements_are_identical_to_in_process_scheduler() {
         &init_io,
         cfg.monitor,
     );
-    let scoring = ScoringPolicy::new_owned(observer.export_predictor(), cfg.objective);
+    let scoring = ScoringPolicy::new(&observer.export_predictor(), cfg.objective);
     let mut cluster = ClusterState::new(2, 2, testbed.app_chars.clone());
     let mut mios = Mios::default();
 

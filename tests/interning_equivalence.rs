@@ -14,6 +14,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 use tracon::core::characteristics::N_JOINT;
 use tracon::core::{
     AppModelSet, AppProfile, Assignment, Characteristics, ClusterState, Fifo, InterferenceModel,
@@ -82,8 +83,8 @@ fn world(shape: Shape, n_apps: usize) -> (Predictor, HashMap<String, Characteris
                 solo_iops: (c.total_rps()).max(1.0),
             },
             AppModelSet {
-                runtime: Box::new(SynthModel { shape, base: 120.0 }),
-                iops: Box::new(SynthModel { shape, base: 10.0 }),
+                runtime: Arc::new(SynthModel { shape, base: 120.0 }),
+                iops: Arc::new(SynthModel { shape, base: 10.0 }),
             },
         );
         chars.insert(name, c);

@@ -4,6 +4,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::ops::Range;
+use std::sync::Arc;
 use tracon::core::characteristics::N_JOINT;
 use tracon::core::sched::{apply, gate, FreeTable};
 use tracon::core::{
@@ -49,8 +50,8 @@ fn world(n_apps: usize) -> (Predictor, HashMap<String, Characteristics>) {
                 solo_iops: (c.total_rps()).max(1.0),
             },
             AppModelSet {
-                runtime: Box::new(SynthModel { base: 120.0 }),
-                iops: Box::new(SynthModel { base: 10.0 }),
+                runtime: Arc::new(SynthModel { base: 120.0 }),
+                iops: Arc::new(SynthModel { base: 10.0 }),
             },
         );
         chars.insert(name, c);
@@ -271,7 +272,7 @@ fn free_index_matches_btree_model() {
 fn assert_table_matches(
     table: &FreeTable,
     c: &ClusterState,
-    scoring: &ScoringPolicy<'_>,
+    scoring: &ScoringPolicy,
     priced: &[AppId],
 ) {
     let listed = c.free_classes();
