@@ -3,10 +3,12 @@
 //! packages everything the data-center simulation needs (predictor +
 //! measured pair-performance table).
 //!
-//! Building the full campaign (8 applications x 126 calibration
-//! workloads, plus the 8x8 pair matrix) takes a few seconds in release
-//! mode; the profiling runs are spread across scoped threads, one per
-//! benchmark.
+//! The full campaign is 2 080 co-run engine runs: for each of the 8
+//! applications a solo run, then a background observation and a co-run
+//! against each of the 125 calibration workloads, plus the 8 solo runs
+//! and 8x8 co-runs of the pair matrix. It takes about 0.35 s in release
+//! mode on a 2-CPU host: one scoped thread per benchmark profiles it while
+//! the calling thread measures the pair matrix and trains the models.
 
 use crate::perf::PerfTable;
 use crate::snapshot;
@@ -24,8 +26,10 @@ pub struct TestbedConfig {
     pub time_scale: f64,
     /// Model family used for the deployed predictor.
     pub model_kind: ModelKind,
-    /// How many of the 125 calibration workloads to profile against
-    /// (stride-sampled; 125 = all).
+    /// Sets the stride through the 125 calibration workloads: every
+    /// `ceil(125 / calibration_points)`-th one is profiled against, so
+    /// the count can fall short of this number (45 gives 42, 30 gives 25;
+    /// 125 or more = all).
     pub calibration_points: usize,
     /// Base RNG seed.
     pub seed: u64,
@@ -95,6 +99,22 @@ pub fn calibration_workloads(points: usize) -> Vec<AppModel> {
     grid.into_iter().step_by(stride.max(1)).collect()
 }
 
+/// The deployed runtime and IOPS models of one application, trained on
+/// its profile set.
+fn train_models(set: &ProfileSet, model_kind: ModelKind) -> AppModelSet {
+    let model = |response| {
+        tracon_core::train_model_scaled(
+            model_kind,
+            &training_data(set, response),
+            tracon_core::ResponseScale::for_response(response),
+        )
+    };
+    AppModelSet {
+        runtime: model(tracon_core::Response::Runtime),
+        iops: model(tracon_core::Response::Iops),
+    }
+}
+
 impl Testbed {
     /// Runs the full profiling campaign and trains the models.
     pub fn build(cfg: &TestbedConfig) -> Self {
@@ -104,41 +124,44 @@ impl Testbed {
             .collect();
         let backgrounds = calibration_workloads(cfg.calibration_points);
 
-        // Profile each benchmark against the calibration grid, one thread
-        // per benchmark (the campaign is embarrassingly parallel).
+        // One thread per benchmark profiles it against the calibration
+        // grid (the campaign is embarrassingly parallel). Meanwhile the
+        // calling thread measures the 8x8 pair matrix the simulator
+        // replays, then trains each benchmark's models as its profile
+        // arrives. Training here rather than in the profiling threads
+        // keeps its memory in one allocator arena instead of eight.
         let profiler = Profiler::new(Engine::new(cfg.host));
-        let mut profiles: Vec<Option<ProfileSet>> = (0..models.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (i, (slot, app)) in profiles.iter_mut().zip(&models).enumerate() {
-                let profiler = &profiler;
-                let backgrounds = &backgrounds;
+        let mut trained: Vec<Option<(ProfileSet, AppModelSet)>> =
+            (0..models.len()).map(|_| None).collect();
+        let pair = std::thread::scope(|scope| {
+            let (done, profiled) = std::sync::mpsc::channel();
+            for (i, app) in models.iter().enumerate() {
+                let (profiler, backgrounds, done) = (&profiler, &backgrounds, done.clone());
                 let seed = cfg.seed.wrapping_add(10_000 * (i as u64 + 1));
-                scope.spawn(move || {
-                    *slot = Some(profiler.profile(app, backgrounds, seed));
-                });
+                scope.spawn(move || done.send((i, profiler.profile(app, backgrounds, seed))));
             }
+            drop(done);
+            let pair = profiler.pair_matrix(&models, cfg.seed.wrapping_add(99));
+            for (i, set) in profiled {
+                let models = train_models(&set, cfg.model_kind);
+                trained[i] = Some((set, models));
+            }
+            pair
         });
-        let profiles: Vec<ProfileSet> = profiles.into_iter().map(|p| p.unwrap()).collect();
-
-        // Measure the 8x8 pair matrix the simulator replays.
-        let pair = profiler.pair_matrix(&models, cfg.seed.wrapping_add(99));
-        let perf = PerfTable::from_pair_matrix(&pair);
-        Self::train(profiles, perf, cfg.model_kind)
+        let trained = trained
+            .into_iter()
+            .map(|t| t.expect("every benchmark was profiled"))
+            .collect();
+        Self::assemble(trained, PerfTable::from_pair_matrix(&pair))
     }
 
-    /// Trains the deployed models on measured data and assembles the
-    /// predictor around them.
-    fn train(profiles: Vec<ProfileSet>, perf: PerfTable, model_kind: ModelKind) -> Self {
+    /// Assembles the predictor around each application's profile set and
+    /// trained models, registering them in the order given.
+    fn assemble(trained: Vec<(ProfileSet, AppModelSet)>, perf: PerfTable) -> Self {
         let mut predictor = Predictor::new();
         let mut app_chars = HashMap::new();
-        for set in &profiles {
-            let model = |response| {
-                tracon_core::train_model_scaled(
-                    model_kind,
-                    &training_data(set, response),
-                    tracon_core::ResponseScale::for_response(response),
-                )
-            };
+        let mut profiles = Vec::with_capacity(trained.len());
+        for (set, models) in trained {
             let solo = to_characteristics(&set.solo);
             predictor.add_app(
                 AppProfile {
@@ -147,12 +170,10 @@ impl Testbed {
                     solo_runtime: set.solo_runtime,
                     solo_iops: set.solo_iops,
                 },
-                AppModelSet {
-                    runtime: model(tracon_core::Response::Runtime),
-                    iops: model(tracon_core::Response::Iops),
-                },
+                models,
             );
             app_chars.insert(set.target.clone(), solo);
+            profiles.push(set);
         }
         Testbed {
             predictor,
@@ -185,7 +206,14 @@ impl Testbed {
     /// length, or a `null` where a statistic belongs.
     pub fn from_snapshot_json(json: &str, model_kind: ModelKind) -> Result<Self, String> {
         let (profiles, perf) = snapshot::decode(json)?;
-        Ok(Self::train(profiles, perf, model_kind))
+        let trained = profiles
+            .into_iter()
+            .map(|set| {
+                let models = train_models(&set, model_kind);
+                (set, models)
+            })
+            .collect();
+        Ok(Self::assemble(trained, perf))
     }
 }
 
@@ -242,8 +270,9 @@ pub(crate) mod tests {
     #[test]
     fn calibration_sampling_strides() {
         assert_eq!(calibration_workloads(125).len(), 125);
-        let some = calibration_workloads(30);
-        assert!(some.len() >= 25 && some.len() <= 45, "{}", some.len());
+        // Every third and every fifth workload: fewer than asked for.
+        assert_eq!(calibration_workloads(45).len(), 42);
+        assert_eq!(calibration_workloads(30).len(), 25);
     }
 
     #[test]
