@@ -1,21 +1,28 @@
-//! The event kernel's priority queue: a total order over `(time, seq)`
+//! The event kernel's pending events, in a total order over `(time, seq)`
 //! where the sequence number makes simultaneous events pop in push order
 //! — which is what keeps the simulation bit-reproducible across runs and
 //! refactors.
 //!
-//! Two interchangeable backends implement [`KernelQueue`]:
+//! Arrivals never enter a queue: [`Pending`] reads them in place from
+//! the time-sorted trace and merges them in front of a [`KernelQueue`]
+//! that holds only what the run pushes (completions, fault transitions).
+//! Two interchangeable backends implement that queue:
 //!
-//! * [`TimingWheel`] (the default) — a calendar queue over arena-allocated
-//!   events in a flat SoA layout. Simulation time is monotone and
+//! * [`TimingWheel`] (the default) — a calendar queue over a recycled
+//!   arena of events in a flat SoA layout. Simulation time is monotone and
 //!   completions cluster densely, so pushes and pops are O(1) amortized:
 //!   events land in one of [`N_BUCKETS`] equal-width buckets spanning the
 //!   current epoch, each bucket is sorted once when the drain cursor
 //!   reaches it, and far-future events wait in an overflow list until the
-//!   epoch rolls over and a new calendar is laid out over their span.
+//!   epoch rolls over and a new calendar is laid out over their span. A
+//!   popped event's handle goes on a free list for the next push, so the
+//!   arena is as large as the most events ever pending at once, not as
+//!   the number ever pushed.
 //! * [`HeapQueue`] — the reference `BinaryHeap` kernel, retained as the
 //!   equivalence oracle (`QueueBackend::BinaryHeap`) and exercised by the
 //!   wheel-vs-heap property test below and the golden bit-identity matrix.
 
+use crate::arrival::ArrivalEvent;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use tracon_core::VmRef;
@@ -45,6 +52,8 @@ pub(crate) enum EventKind {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Event {
     pub time: f64,
+    /// Push rank within the queue that held the event; for an arrival,
+    /// which [`Pending`] reads from the trace, its trace index.
     pub seq: u64,
     pub kind: EventKind,
 }
@@ -78,7 +87,7 @@ impl Ord for Event {
 /// the timing wheel and the reference heap are drop-in interchangeable
 /// (see [`QueueBackend`](super::QueueBackend)).
 pub(crate) trait KernelQueue {
-    /// Creates an empty queue sized for roughly `n` events.
+    /// Creates an empty queue sized for roughly `n` pending events.
     fn with_capacity(n: usize) -> Self
     where
         Self: Sized;
@@ -89,17 +98,88 @@ pub(crate) trait KernelQueue {
     /// Pops the earliest event.
     fn pop(&mut self) -> Option<Event>;
 
+    /// Time of the earliest pending event, if any.
+    fn next_time(&self) -> Option<f64>;
+}
+
+/// The kernel's pending events: the unread tail of a time-sorted arrival
+/// trace, merged in front of the queue of everything the run has pushed.
+///
+/// On a time tie the arrival pops first. That is the order a queue given
+/// every arrival before the run starts would produce: each arrival would
+/// carry a lower seq than any fault or completion pushed after it, and
+/// arrivals tie-break among themselves by trace index, which a sorted
+/// trace already is.
+pub(crate) struct Pending<'t, Q> {
+    trace: &'t [ArrivalEvent],
+    /// Index of the next arrival to pop.
+    next: usize,
+    /// Everything but arrivals; `SlotState::refresh` pushes here.
+    pub queue: Q,
+}
+
+impl<'t, Q: KernelQueue> Pending<'t, Q> {
+    /// Merges `trace` in front of `queue`.
+    ///
+    /// # Panics
+    ///
+    /// If `trace` is not sorted by time.
+    pub fn new(trace: &'t [ArrivalEvent], queue: Q) -> Self {
+        if let Some(i) = trace
+            .windows(2)
+            .position(|w| w[1].time.total_cmp(&w[0].time).is_lt())
+        {
+            panic!(
+                "arrival trace is not sorted by time: arrival {} at {} s follows one at {} s",
+                i + 1,
+                trace[i + 1].time,
+                trace[i].time
+            );
+        }
+        Pending {
+            trace,
+            next: 0,
+            queue,
+        }
+    }
+
     /// Time of the earliest pending event, if any. `None` doubles as the
     /// emptiness probe: for batch schedulers it signals the arrival trace
     /// is exhausted, so the queue must drain.
-    fn next_time(&self) -> Option<f64>;
+    pub fn next_time(&self) -> Option<f64> {
+        let arrival = self.trace.get(self.next).map(|a| a.time);
+        match (arrival, self.queue.next_time()) {
+            (Some(a), Some(q)) => Some(if q.total_cmp(&a).is_lt() { q } else { a }),
+            (a, q) => a.or(q),
+        }
+    }
+
+    /// Pops the earliest event.
+    pub fn pop(&mut self) -> Option<Event> {
+        let Some(a) = self.trace.get(self.next) else {
+            return self.queue.pop();
+        };
+        if self
+            .queue
+            .next_time()
+            .is_some_and(|q| q.total_cmp(&a.time).is_lt())
+        {
+            return self.queue.pop();
+        }
+        let i = self.next;
+        self.next += 1;
+        Some(Event {
+            time: a.time,
+            seq: i as u64,
+            kind: EventKind::Arrival(i),
+        })
+    }
 
     /// Pops the maximal coincidence group — the head event plus every
     /// successor chained within [`COINCIDENCE_EPS`] of the previously
-    /// popped timestamp — appending it to `out` in pop order. One call
-    /// replaces the old peek-per-event `has_event_at` probing in the main
-    /// loop. Returns `false` when the queue is empty.
-    fn pop_coincident_into(&mut self, out: &mut Vec<Event>) -> bool {
+    /// popped timestamp — appending it to `out` in pop order. Returns
+    /// `false` when nothing is pending.
+    pub fn pop_coincident_into(&mut self, out: &mut Vec<Event>) -> bool {
         let Some(first) = self.pop() else {
             return false;
         };
@@ -167,10 +247,13 @@ const RUN_DIRECT_MAX: usize = 128;
 
 /// The timing-wheel event queue (default backend).
 ///
-/// Events live in an append-only arena in SoA layout — parallel `times`
-/// and `kinds` arrays indexed by a `u32` handle. The handle doubles as
-/// the event's sequence number, so tie-breaking by push order is just an
-/// integer compare on the index and events are never moved or boxed.
+/// Events live in an arena in SoA layout — parallel `times`, `seqs` and
+/// `kinds` arrays indexed by a `u32` handle. A pop puts its handle on a
+/// free stack and a push takes from that stack before it grows the arena,
+/// so the arena holds the most events ever pending at once. The sequence
+/// number is a separate `u32` push counter stored per handle, so a
+/// recycled handle still sorts after every earlier push at its time.
+/// Events are never moved or boxed; the tiers below shuffle handles.
 ///
 /// Handles flow through three tiers, split by two time boundaries:
 ///
@@ -184,14 +267,14 @@ const RUN_DIRECT_MAX: usize = 128;
 ///                                                          buckets drain
 /// ```
 ///
-/// * **run** — the sorted drain window; `run[cursor]` is the queue head,
-///   so peek and pop are O(1). Late pushes that land inside the window
-///   (a completion rescheduled at the current timestamp) binary-insert
-///   into the pending tail.
+/// * **run** — the sorted drain window of `(time, seq, handle)` entries;
+///   `run[cursor]` is the queue head, so peek and pop are O(1). Late
+///   pushes that land inside the window (a completion rescheduled at the
+///   current timestamp) binary-insert into the pending tail.
 /// * **buckets** — `N_BUCKETS` equal-width slots covering the current
 ///   epoch `[origin, far_bound)`. A push is one index computation and a
-///   `Vec::push`; a bucket is sorted by `(time, handle)` exactly once,
-///   when the cursor reaches it.
+///   `Vec::push`; a bucket is sorted by `(time, seq)` exactly once, when
+///   the cursor reaches it.
 /// * **far** — unsorted overflow for events beyond the epoch. When every
 ///   bucket has drained, the epoch rolls over: a fresh calendar is laid
 ///   out across the far events' span and they are redistributed.
@@ -203,14 +286,20 @@ const RUN_DIRECT_MAX: usize = 128;
 pub(crate) struct TimingWheel {
     /// Arena (SoA): event time per handle.
     times: Vec<f64>,
+    /// Arena (SoA): push rank per handle, the tie-breaker among equal times.
+    seqs: Vec<u32>,
     /// Arena (SoA): event payload per handle.
     kinds: Vec<EventKind>,
-    /// Sorted drain window: `(time, handle)` pairs with
+    /// Handles of popped events, reused before the arena grows.
+    free: Vec<u32>,
+    /// Sequence number of the next push.
+    next_seq: u32,
+    /// Sorted drain window: `(time, seq, handle)` entries (16 bytes) with
     /// `time < drain_bound`; `run[cursor..]` is pending, earliest first.
-    /// Times are stored inline so the head peek, the binary insert's
-    /// probes, and the drain sort all touch contiguous memory instead of
-    /// hopping through the arena.
-    run: Vec<(f64, u32)>,
+    /// Time and seq are stored inline so the head peek, the binary
+    /// insert's probes, and the drain sort all touch contiguous memory
+    /// instead of hopping through the arena.
+    run: Vec<RunEntry>,
     cursor: usize,
     /// Exclusive upper time bound of the drain window.
     drain_bound: f64,
@@ -233,15 +322,15 @@ pub(crate) struct TimingWheel {
     far_bound: f64,
 }
 
-impl TimingWheel {
-    fn event(&self, h: u32) -> Event {
-        Event {
-            time: self.times[h as usize],
-            seq: h as u64,
-            kind: self.kinds[h as usize],
-        }
-    }
+/// A drain-window entry: `(time, seq, handle)`.
+type RunEntry = (f64, u32, u32);
 
+/// The `(time, seq)` total order on drain-window entries.
+fn run_order(a: &RunEntry, b: &RunEntry) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+impl TimingWheel {
     /// Maps an epoch-resident time (`drain_bound <= t < far_bound`) to
     /// its bucket. Monotone in `t`; the clamp absorbs FP fuzz at the
     /// drain boundary so a spent bucket can never receive a new event.
@@ -268,13 +357,15 @@ impl TimingWheel {
                 }
                 let b = w * 64 + word.trailing_zeros() as usize;
                 self.occupied[w] &= !(1u64 << (b % 64));
-                let times = &self.times;
+                let (times, seqs) = (&self.times, &self.seqs);
                 let bucket = &mut self.buckets[b];
                 self.n_bucketed -= bucket.len();
-                self.run
-                    .extend(bucket.drain(..).map(|h| (times[h as usize], h)));
-                self.run
-                    .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                self.run.extend(
+                    bucket
+                        .drain(..)
+                        .map(|h| (times[h as usize], seqs[h as usize], h)),
+                );
+                self.run.sort_unstable_by(run_order);
                 self.bucket_pos = b + 1;
                 self.drain_bound = if self.bucket_pos == N_BUCKETS {
                     self.far_bound
@@ -300,11 +391,13 @@ impl TimingWheel {
                     // window (no buckets: `bucket_pos == N_BUCKETS` and
                     // `drain_bound == far_bound` route every new push to
                     // the run-insert or far tiers).
-                    let times = &self.times;
-                    self.run
-                        .extend(self.far.drain(..).map(|h| (times[h as usize], h)));
-                    self.run
-                        .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                    let (times, seqs) = (&self.times, &self.seqs);
+                    self.run.extend(
+                        self.far
+                            .drain(..)
+                            .map(|h| (times[h as usize], seqs[h as usize], h)),
+                    );
+                    self.run.sort_unstable_by(run_order);
                     // `next_up` keeps the invariant strict: the event at
                     // `hi` itself sits in the run, while a new push at
                     // exactly `hi` (higher seq) lands in `far` and pops
@@ -320,13 +413,15 @@ impl TimingWheel {
                 self.far_bound = self.origin + N_BUCKETS as f64 * self.width;
                 self.bucket_pos = 0;
                 self.drain_bound = self.origin;
-                let far = std::mem::take(&mut self.far);
+                let mut far = std::mem::take(&mut self.far);
                 self.n_bucketed += far.len();
-                for h in far {
+                for h in far.drain(..) {
                     let b = self.bucket_index(self.times[h as usize]);
                     self.buckets[b].push(h);
                     self.occupied[b / 64] |= 1u64 << (b % 64);
                 }
+                // Keep the overflow's storage for the next epoch.
+                self.far = far;
             } else {
                 // Fully drained: reset to the pristine state, where the
                 // next pushes gather in `far` and the first pop lays out
@@ -344,8 +439,11 @@ impl KernelQueue for TimingWheel {
     fn with_capacity(n: usize) -> Self {
         TimingWheel {
             times: Vec::with_capacity(n),
+            seqs: Vec::with_capacity(n),
             kinds: Vec::with_capacity(n),
-            run: Vec::new(),
+            free: Vec::with_capacity(n),
+            next_seq: 0,
+            run: Vec::with_capacity(n),
             cursor: 0,
             drain_bound: f64::NEG_INFINITY,
             origin: 0.0,
@@ -361,19 +459,31 @@ impl KernelQueue for TimingWheel {
 
     fn push(&mut self, time: f64, kind: EventKind) {
         assert!(
-            self.times.len() < u32::MAX as usize,
-            "event arena exhausted its u32 handle space"
+            self.next_seq < u32::MAX,
+            "event queue exhausted its u32 sequence space"
         );
-        let h = self.times.len() as u32;
-        self.times.push(time);
-        self.kinds.push(kind);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        // Fewer handles than pushes, so a handle always fits in a u32.
+        let h = if let Some(h) = self.free.pop() {
+            self.times[h as usize] = time;
+            self.seqs[h as usize] = seq;
+            self.kinds[h as usize] = kind;
+            h
+        } else {
+            self.times.push(time);
+            self.seqs.push(seq);
+            self.kinds.push(kind);
+            (self.times.len() - 1) as u32
+        };
         if time < self.drain_bound {
             // Lands inside the drain window: binary-insert into the
-            // pending tail. The new handle carries the highest seq, so it
+            // pending tail. The new event carries the highest seq, so it
             // sorts after every equal-time entry already there.
+            let entry = (time, seq, h);
             let pos = self.cursor
-                + self.run[self.cursor..].partition_point(|&(t, _)| t.total_cmp(&time).is_le());
-            self.run.insert(pos, (time, h));
+                + self.run[self.cursor..].partition_point(|e| run_order(e, &entry).is_lt());
+            self.run.insert(pos, entry);
         } else if time < self.far_bound {
             let b = self.bucket_index(time);
             self.buckets[b].push(h);
@@ -386,14 +496,20 @@ impl KernelQueue for TimingWheel {
     }
 
     fn pop(&mut self) -> Option<Event> {
-        let &(_, h) = self.run.get(self.cursor)?;
+        let &(time, seq, h) = self.run.get(self.cursor)?;
+        let kind = self.kinds[h as usize];
         self.cursor += 1;
+        self.free.push(h);
         self.settle();
-        Some(self.event(h))
+        Some(Event {
+            time,
+            seq: seq as u64,
+            kind,
+        })
     }
 
     fn next_time(&self) -> Option<f64> {
-        self.run.get(self.cursor).map(|&(t, _)| t)
+        self.run.get(self.cursor).map(|&(t, _, _)| t)
     }
 }
 
@@ -464,11 +580,11 @@ mod tests {
     }
 
     fn coincident_group_extraction<Q: KernelQueue>() {
-        let mut q = Q::with_capacity(5);
-        q.push(1.0, EventKind::Arrival(0));
-        q.push(1.0, EventKind::Arrival(1));
-        q.push(1.0 + 0.5e-12, EventKind::Arrival(2)); // chained
-        q.push(2.0, EventKind::Arrival(3)); // next group
+        let mut q = Pending::new(&[], Q::with_capacity(5));
+        q.queue.push(1.0, EventKind::Arrival(0));
+        q.queue.push(1.0, EventKind::Arrival(1));
+        q.queue.push(1.0 + 0.5e-12, EventKind::Arrival(2)); // chained
+        q.queue.push(2.0, EventKind::Arrival(3)); // next group
         let mut group = Vec::new();
         assert!(q.pop_coincident_into(&mut group));
         let ids: Vec<u64> = group.iter().map(|e| e.seq).collect();
@@ -510,23 +626,28 @@ mod tests {
         assert_eq!(q.next_time(), Some(5.0));
     }
 
-    /// The tentpole's safety net: on arbitrary interleaved streams of
-    /// pushes and pops — dense same-timestamp bursts, fine-grained
-    /// spreads, and far-future outliers — the wheel must produce
-    /// exactly the heap's `(time, seq)` total order, bit for bit.
+    /// The safety net: on arbitrary interleaved streams of pushes and
+    /// pops — dense same-timestamp bursts, fine-grained spreads, and
+    /// far-future outliers — the wheel must produce exactly the heap's
+    /// `(time, seq)` total order, bit for bit. Up to three pops follow a
+    /// push, so the queue stays short and freed handles come back at
+    /// times other pending events share: the order must come from the
+    /// seq, never from the handle.
     #[test]
     fn wheel_matches_heap_on_random_streams() {
+        let mut reused = 0;
         check_cases(0..256, |rng| {
-            let ops: Vec<(u8, f64, bool)> = (0..rng.range_usize(1, 120))
+            let ops: Vec<(u8, f64, usize)> = (0..rng.range_usize(1, 120))
                 .map(|_| {
                     let sel = rng.next_u64() as u8;
-                    (sel, rng.range_f64(0.0, 1000.0), rng.next_u64() & 1 == 1)
+                    (sel, rng.range_f64(0.0, 1000.0), rng.range_usize(0, 4))
                 })
                 .collect();
             let mut wheel = TimingWheel::with_capacity(ops.len());
             let mut heap = HeapQueue::with_capacity(ops.len());
             let key = |e: Event| (e.time.to_bits(), e.seq);
-            for (i, &(sel, t, pop_now)) in ops.iter().enumerate() {
+            let (mut pending, mut peak) = (0usize, 0usize);
+            for (i, &(sel, t, pops)) in ops.iter().enumerate() {
                 let time = match sel % 4 {
                     0 => (t * 0.016).floor(), // dense bursts on few values
                     1 => t,                   // fine-grained spread
@@ -535,8 +656,12 @@ mod tests {
                 };
                 wheel.push(time, EventKind::Arrival(i));
                 heap.push(time, EventKind::Arrival(i));
-                if pop_now {
-                    assert_eq!(wheel.pop().map(key), heap.pop().map(key));
+                pending += 1;
+                peak = peak.max(pending);
+                for _ in 0..pops {
+                    let popped = wheel.pop().map(key);
+                    assert_eq!(popped, heap.pop().map(key));
+                    pending -= usize::from(popped.is_some());
                 }
                 assert_eq!(
                     wheel.next_time().map(f64::to_bits),
@@ -551,6 +676,139 @@ mod tests {
                     break;
                 }
             }
+            // A push grows the arena only when every handle is pending.
+            assert_eq!(wheel.times.len(), peak);
+            reused += ops.len() - peak;
         });
+        assert!(reused > 1000, "only {reused} pushes reused a handle");
+    }
+
+    /// A merge key that ignores `seq`, which differs by construction
+    /// between a merged arrival and one pushed into a queue.
+    fn what(e: &Event) -> (u64, u8, u64) {
+        let (tag, id) = match e.kind {
+            EventKind::Arrival(i) => (0, i as u64),
+            EventKind::Completion { version, .. } => (1, version),
+            EventKind::MachineFault { machine, .. } => (2, machine as u64),
+        };
+        (e.time.to_bits(), tag, id)
+    }
+
+    /// Streaming the sorted trace through [`Pending`] pops exactly what a
+    /// heap given every arrival up front pops, with faults queued before
+    /// the run and completions pushed as events pop — on a coarse time
+    /// grid, so arrivals, faults and completions tie often.
+    #[test]
+    fn merged_arrivals_pop_as_if_queued_up_front() {
+        let mut ties = 0;
+        check_cases(0..256, |rng| {
+            let mut t = 0.0;
+            let trace: Vec<ArrivalEvent> = (0..rng.range_usize(0, 60))
+                .map(|_| {
+                    t += rng.range_usize(0, 3) as f64;
+                    ArrivalEvent {
+                        time: t,
+                        app_idx: 0,
+                    }
+                })
+                .collect();
+            let mut reference = HeapQueue::with_capacity(trace.len());
+            for (i, a) in trace.iter().enumerate() {
+                reference.push(a.time, EventKind::Arrival(i));
+            }
+            let mut wheel = Pending::new(&trace, TimingWheel::with_capacity(4));
+            let mut heap = Pending::new(&trace, HeapQueue::with_capacity(4));
+            for machine in 0..rng.range_usize(0, 4) {
+                let time = rng.range_usize(0, 40) as f64;
+                let kind = EventKind::MachineFault { machine, up: false };
+                reference.push(time, kind);
+                wheel.queue.push(time, kind);
+                heap.queue.push(time, kind);
+            }
+            let mut version = 0;
+            let mut group = Vec::new();
+            loop {
+                // Pop one event, or a whole coincidence group, from the
+                // wheel side; the others pop as many one at a time.
+                group.clear();
+                if rng.next_u64() & 1 == 0 {
+                    wheel.pop_coincident_into(&mut group);
+                } else {
+                    group.extend(wheel.pop());
+                }
+                if group.is_empty() {
+                    assert!(reference.pop().is_none() && heap.pop().is_none());
+                    break;
+                }
+                for e in &group {
+                    let want = reference.pop().map(|e| what(&e));
+                    assert_eq!(Some(what(e)), want);
+                    assert_eq!(heap.pop().map(|e| what(&e)), want);
+                }
+                assert_eq!(
+                    wheel.next_time().map(f64::to_bits),
+                    reference.next_time().map(f64::to_bits)
+                );
+                let now = group[group.len() - 1].time;
+                for _ in 0..rng.range_usize(0, 3) {
+                    let time = now + [0.0, 1.0, 2.5][rng.range_usize(0, 3)];
+                    ties += usize::from(trace.iter().any(|a| a.time == time));
+                    version += 1;
+                    let vm = VmRef {
+                        machine: 0,
+                        slot: 0,
+                    };
+                    let kind = EventKind::Completion { vm, version };
+                    reference.push(time, kind);
+                    wheel.queue.push(time, kind);
+                    heap.queue.push(time, kind);
+                }
+            }
+        });
+        assert!(ties > 1000, "only {ties} completions tied an arrival");
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival trace is not sorted by time")]
+    fn unsorted_trace_panics() {
+        let trace = [2.0, 1.0].map(|time| ArrivalEvent { time, app_idx: 0 });
+        Pending::new(&trace, TimingWheel::with_capacity(0));
+    }
+
+    /// Drives `wheel` through `cycles` pops, each after up to two pushes,
+    /// with the pending count on a random walk in `1..=max_pending`; a
+    /// quarter of the pushes land at the current time itself, so equal
+    /// times keep meeting reused handles.
+    fn drive_steady_state(wheel: &mut TimingWheel, cycles: usize, max_pending: usize) {
+        let mut rng = tracon_stats::prng::ChaCha12::seed_from_u64(7);
+        let (mut now, mut pending) = (0.0, 0usize);
+        for cycle in 0..cycles {
+            let pushes = if pending <= 1 {
+                2
+            } else {
+                rng.range_usize(0, 3)
+            };
+            for _ in 0..pushes.min(max_pending - pending) {
+                let dt = if rng.next_u64() & 3 == 0 {
+                    0.0
+                } else {
+                    rng.range_f64(0.0, 50.0)
+                };
+                wheel.push(now + dt, EventKind::Arrival(cycle));
+                pending += 1;
+            }
+            now = wheel.pop().expect("an event is pending").time;
+            pending -= 1;
+        }
+    }
+
+    /// The arena follows pending events, not pushed ones: a million
+    /// push/pop cycles with at most 64 pending leave it at most 128
+    /// handles.
+    #[test]
+    fn wheel_arena_is_bounded_by_pending_events() {
+        let mut wheel = TimingWheel::with_capacity(0);
+        drive_steady_state(&mut wheel, 1_000_000, 64);
+        assert!(wheel.times.len() <= 128, "arena of {}", wheel.times.len());
     }
 }

@@ -26,10 +26,11 @@
 //!            └─────────────────────────────────────────────┘
 //! ```
 //!
-//! * [`event`](self) — the totally-ordered event queue behind the
+//! * [`event`](self) — the totally-ordered pending events: the arrival
+//!   trace, read in place, merged in front of the queue behind the
 //!   `KernelQueue` trait, with two backends selected via
-//!   [`QueueBackend`]: the default arena-backed timing wheel and the
-//!   reference binary heap it is gated against bit-for-bit. The main
+//!   [`QueueBackend`]: the default timing wheel over a recycled arena and
+//!   the reference binary heap it is gated against bit-for-bit. The main
 //!   loop drains *coincidence groups* (runs of events within
 //!   [`COINCIDENCE_EPS`]) in one batched call instead of re-peeking the
 //!   queue per event,
@@ -57,7 +58,7 @@ use crate::arrival::ArrivalEvent;
 use crate::faults::FaultPlan;
 use crate::machines::MachineClassConfig;
 use crate::setup::Testbed;
-use event::{Event, EventKind, HeapQueue, KernelQueue, TimingWheel};
+use event::{Event, EventKind, HeapQueue, KernelQueue, Pending, TimingWheel};
 use observer::{MetricsObserver, ObservationCollector};
 use slots::{NetCtx, SlotState};
 use std::collections::VecDeque;
@@ -337,6 +338,15 @@ impl<'tb> Simulation<'tb> {
     /// Runs the simulation over an arrival trace. `horizon_s` bounds the
     /// simulated time for dynamic scenarios (`None` runs to completion);
     /// an event at exactly `t == horizon_s` is still processed.
+    ///
+    /// The trace must be sorted by time, as every generator in
+    /// [`arrival`](crate::arrival) makes it: the kernel reads arrivals in
+    /// trace order instead of queueing them. Equal times arrive in trace
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// With "arrival trace is not sorted by time" if it is not.
     pub fn run(&self, trace: &[ArrivalEvent], horizon_s: Option<f64>) -> SimResult {
         self.run_with_observer(trace, horizon_s, &mut ())
     }
@@ -429,14 +439,14 @@ impl<'tb> Simulation<'tb> {
             });
         }
 
+        // Pending events: the trace's arrivals, read in place, merged in
+        // front of a queue of fault transitions and at most one live
+        // completion per slot (plus stale ones awaiting their pop).
         let n_fault_events = self.faults.map_or(0, |p| p.machine_events.len());
-        let mut events = Q::with_capacity(trace.len() + n_slots + n_fault_events);
-        for (i, a) in trace.iter().enumerate() {
-            events.push(a.time, EventKind::Arrival(i));
-        }
+        let mut events = Pending::new(trace, Q::with_capacity(n_slots + n_fault_events));
         if let Some(plan) = self.faults {
             for e in &plan.machine_events {
-                events.push(
+                events.queue.push(
                     e.time,
                     EventKind::MachineFault {
                         machine: e.machine,
@@ -456,8 +466,6 @@ impl<'tb> Simulation<'tb> {
         ];
 
         let mut queue: VecDeque<Task> = VecDeque::new();
-        // Arrival times by task id, for wait-time accounting.
-        let arrival_time: Vec<f64> = trace.iter().map(|a| a.time).collect();
 
         let mut metrics = MetricsObserver::default();
         let mut collector = self.collect_observations.then(|| {
@@ -581,7 +589,7 @@ impl<'tb> Simulation<'tb> {
                                     slot: s,
                                 },
                                 now,
-                                &mut events,
+                                &mut events.queue,
                             );
                         }
                     }
@@ -658,14 +666,15 @@ impl<'tb> Simulation<'tb> {
                 observer.on_dispatch(now, assignments.len());
                 for a in assignments {
                     let task_idx = a.task.id as usize;
-                    let app_idx = trace[task_idx].app_idx;
-                    let wait = now - arrival_time[task_idx];
+                    let arrival = &trace[task_idx];
+                    let app_idx = arrival.app_idx;
+                    let wait = now - arrival.time;
                     let nb_at_start = slots.neighbor_app(a.vm);
                     let slowdown = self.faults.map_or(1.0, |p| {
                         p.straggler_slowdown(a.task.id, attempts[a.task.id as usize])
                     });
                     slots.place(a.vm, app_idx, nb_at_start, now, slowdown);
-                    slots.refresh(a.vm, now, &mut events);
+                    slots.refresh(a.vm, now, &mut events.queue);
                     // Existing neighbours now run against a new workload.
                     for s in 0..self.slots_per_machine {
                         if s != a.vm.slot {
@@ -674,7 +683,7 @@ impl<'tb> Simulation<'tb> {
                                 slot: s,
                             };
                             if slots.is_occupied(nvm) {
-                                slots.refresh(nvm, now, &mut events);
+                                slots.refresh(nvm, now, &mut events.queue);
                             }
                         }
                     }

@@ -237,3 +237,61 @@ impl<'p> SlotState<'p> {
         self.slots[idx].take()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::event::{EventKind, KernelQueue, TimingWheel};
+    use crate::setup::tests::shared;
+
+    /// The stale-event bug: a slot's second occupant must not complete on
+    /// a completion event its predecessor left queued. When each occupant
+    /// started at `version: 0`, the successor's first refresh reissued the
+    /// predecessor's version, and the old event ended the new task on the
+    /// old task's clock. Versions now count per slot (`base_version`).
+    /// The successor's completion takes a handle the wheel recycled, so a
+    /// reused handle must not revive the stale event either.
+    #[test]
+    fn second_occupant_ignores_its_predecessors_queued_completion() {
+        let perf = &shared().perf;
+        let mut slots = SlotState::new(1, 2, perf);
+        let mut events = TimingWheel::with_capacity(2);
+        let vm = VmRef {
+            machine: 0,
+            slot: 0,
+        };
+        let app = 0;
+        let solo = 1.0 / perf.rate(app, IDLE);
+        // The first occupant's completion is queued for t = solo; a crash
+        // evicts it and the event stays behind.
+        slots.place(vm, app, IDLE, 0.0, 1.0);
+        slots.refresh(vm, 0.0, &mut events);
+        slots.evict(vm);
+        // An unrelated event pops, freeing a handle for the next push.
+        let crash = EventKind::MachineFault {
+            machine: 0,
+            up: false,
+        };
+        events.push(solo / 4.0, crash);
+        events.pop();
+        // The same app starts again on the slot at solo / 2.
+        let start = solo / 2.0;
+        slots.place(vm, app, IDLE, start, 1.0);
+        slots.refresh(vm, start, &mut events);
+        let mut completions = Vec::new();
+        while let Some(e) = events.pop() {
+            if let EventKind::Completion { vm, version } = e.kind {
+                if let Some(done) = slots.complete(vm, version, e.time) {
+                    completions.push((e.time, done.runtime));
+                }
+            }
+        }
+        let end = start + solo;
+        assert_eq!(
+            completions,
+            [(end, end - start)],
+            "the second occupant must run its own full solo time, \
+             not end on its predecessor's event at t = {solo}"
+        );
+    }
+}

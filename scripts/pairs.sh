@@ -3,6 +3,7 @@
 #
 #   scripts/pairs.sh [--out FILE] [--seconds S] [--trace 0|1] [--work DIR] \
 #       REV N [WORKLOAD[:PAIRS]...]
+#   scripts/pairs.sh [--work DIR] --self-check
 #
 # Exports REV and the working tree (tracked files plus untracked ones git
 # does not ignore) with `git archive`, then for each workload (default:
@@ -12,8 +13,16 @@
 #
 # one from each export, seeds 1, 2, ...: REV runs first on odd seeds and the
 # working tree on even ones. Each export builds its harness once, on its
-# first run, into its own target directory under DIR. REV = HEAD is the
+# first run, into a target directory under DIR named after what it
+# builds: the resolved commit id, or the working tree's tree id. An export
+# keeps its commit's file times, so a directory shared by two revisions
+# would let cargo take the first one's binary for fresh. REV = HEAD is the
 # A/A mode: it measures the spread of every metric on the host at hand.
+#
+# --self-check proves that keying on a throwaway repository: it commits a
+# one-line binary, then a change to it dated a year earlier, exports and
+# builds each the way the pairs do, and fails unless the second build runs
+# the second commit's code. It needs only cargo and takes a few seconds.
 #
 # Writes FILE (default pairs.json): the host the runs shared, and for
 # each workload and metric the median, quartiles, count and raw values
@@ -24,7 +33,7 @@
 set -euo pipefail
 
 usage() {
-    sed -n '4,5p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '4,6p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -33,8 +42,14 @@ seconds=12
 trace=0
 repo=$(git rev-parse --show-toplevel)
 work=$repo/target/pairs
+self_check=0
 while [ $# -gt 0 ]; do
     case "$1" in
+    --self-check)
+        self_check=1
+        shift
+        continue
+        ;;
     --out) out=$2 ;;
     --seconds) seconds=$2 ;;
     --trace) trace=$2 ;;
@@ -44,6 +59,53 @@ while [ $# -gt 0 ]; do
     esac
     shift 2
 done
+
+export_to() { # repo id dir
+    rm -rf "$3"
+    mkdir -p "$3"
+    git -C "$1" archive "$2" | tar -x -C "$3"
+}
+
+# The one build directory an export of ID may use.
+build_dir() { # id
+    echo "$work/build/$1"
+}
+
+if [ $self_check -eq 1 ]; then
+    [ $# -eq 0 ] || usage
+    check=$work/self-check
+    rm -rf "$check"
+    mkdir -p "$check/repo/src"
+    commit() { # message date
+        printf 'fn main() {\n    println!("%s");\n}\n' "$1" >"$check/repo/src/main.rs"
+        git -C "$check/repo" add -A
+        GIT_AUTHOR_DATE=$2 GIT_COMMITTER_DATE=$2 git -C "$check/repo" \
+            -c user.name=pairs -c user.email=pairs@localhost commit -q -m "$1"
+        git -C "$check/repo" rev-parse HEAD
+    }
+    git -C "$check/repo" init -q
+    # `[workspace]` keeps cargo from adopting the crate into an enclosing
+    # workspace, such as this repository's when DIR lies inside it.
+    printf '[package]\nname = "stamp"\nversion = "0.1.0"\nedition = "2021"\n\n[workspace]\n' \
+        >"$check/repo/Cargo.toml"
+    newer=$(commit newer "2020-06-01T00:00:00Z")
+    older=$(commit older "2019-06-01T00:00:00Z")
+    for id in "$newer" "$older"; do
+        export_to "$check/repo" "$id" "$check/rev"
+        CARGO_TARGET_DIR=$(build_dir "$id") cargo build -q --offline \
+            --manifest-path "$check/rev/Cargo.toml"
+        got=$("$(build_dir "$id")/debug/stamp")
+        want=$(git -C "$check/repo" log -1 --format=%s "$id")
+        if [ "$got" != "$want" ]; then
+            echo "pairs: self-check failed: the build of $want ran $got's binary" >&2
+            exit 1
+        fi
+    done
+    rm -rf "$check" "$(build_dir "$newer")" "$(build_dir "$older")"
+    echo "pairs: self-check passed" >&2
+    exit 0
+fi
+
 [ $# -ge 2 ] || usage
 rev=$(git -C "$repo" rev-parse --verify "$1^{commit}")
 pairs=$2
@@ -64,13 +126,13 @@ GIT_INDEX_FILE=$index git -C "$repo" add -A
 tree=$(GIT_INDEX_FILE=$index git -C "$repo" write-tree)
 rm -f "$index"
 
-export_to() {
-    rm -rf "$2"
-    mkdir -p "$2"
-    git -C "$repo" archive "$1" | tar -x -C "$2"
-}
-export_to "$rev" "$work/rev"
-export_to "$tree" "$work/tree"
+export_to "$repo" "$rev" "$work/rev"
+export_to "$repo" "$tree" "$work/tree"
+# Builds of other revisions are never read again; keep the disk bounded.
+mkdir -p "$work/build"
+find "$work/build" -mindepth 1 -maxdepth 1 ! -name "$rev" ! -name "$tree" \
+    -exec rm -rf {} +
+declare -A id=([rev]=$rev [tree]=$tree)
 rm -rf "$work/runs"
 mkdir -p "$work/runs"
 
@@ -80,7 +142,7 @@ export GIT_CEILING_DIRECTORIES=$work
 run() { # side workload seed
     local log=$work/runs/$2.$3.$1
     echo "pairs: $2 seed $3 $1" >&2
-    if ! CARGO_TARGET_DIR=$work/$1.build bash "$work/$1/benchmark/run.sh" \
+    if ! CARGO_TARGET_DIR=$(build_dir "${id[$1]}") bash "$work/$1/benchmark/run.sh" \
         --workload "$2" --seed "$3" --seconds "$seconds" --trace "$trace" \
         >"$log.out" 2>"$log.err"; then
         echo "pairs: $1 failed on $2 seed $3; see $log.err" >&2
