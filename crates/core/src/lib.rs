@@ -19,10 +19,14 @@
 //! * [`predictor`] — the prediction module that scores candidate task
 //!   placements for the schedulers, backed by dense per-(app, class)
 //!   lookup tables.
+//! * [`resource`] — the resource dimensions (`ResourceDim`, `DimVec`)
+//!   a service client may state a task's demand in; no scheduler reads
+//!   them.
 //! * [`sched`] — the FIFO baseline and the three interference-aware
 //!   schedulers: MIOS (Algorithm 1), MIBS (Algorithm 2), MIX
 //!   (Algorithm 3), over a neighbour-class-indexed cluster state that
-//!   keeps scheduling cost independent of cluster size.
+//!   keeps scheduling cost independent of cluster size. The cluster is
+//!   homogeneous, as in the paper.
 //!
 //! The crate is substrate-agnostic: it consumes characteristics and
 //! responses from *any* source. The companion `tracon-vmsim` crate
@@ -54,7 +58,7 @@ pub use model::{
 };
 pub use monitor::{AdaptiveModel, MonitorConfig, ObserveOutcome};
 pub use predictor::{AppModelSet, AppProfile, Objective, Predictor, ScoringPolicy};
-pub use resource::{DimVec, MachineClass, ResourceDim, N_DIMS, N_LEGACY_DIMS};
+pub use resource::{DimVec, ResourceDim, N_DIMS};
 pub use sched::{
     Assignment, ClusterState, Fifo, FreeClass, Mibs, MibsAblation, MibsVariant, Mios, Mix,
     Resident, Scheduler, Task, VmRef,

@@ -6,7 +6,6 @@
 use crate::characteristics::{joint_features, Characteristics};
 use crate::interner::{AppId, AppRegistry, ClassKey};
 use crate::model::InterferenceModel;
-use crate::resource::MachineClass;
 use crate::sched::FreeClass;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -151,20 +150,6 @@ impl Objective {
 /// to a NaN, which no clamped prediction can produce.
 const EMPTY: u64 = u64::MAX;
 
-/// The network-dimension extension of a scoring policy: the machine-class
-/// table the cluster's [`FreeClass::mclass`] indexes into, and each
-/// application's offered link load in MB/s (indexed by [`AppId`]).
-///
-/// Class adjustment is analytic arithmetic layered *on top of* the cached
-/// base scores, so the dense lookup tables never grow a dimension: a
-/// reference-class lookup is exactly the legacy lookup, and a remote
-/// class pays one multiply (plus the M/M/1 factor when its link is
-/// capacitated).
-struct NetworkScoring {
-    classes: Vec<MachineClass>,
-    demand: Vec<f64>,
-}
-
 /// A scoring facade over the predictor: lower scores are better under
 /// either objective.
 ///
@@ -194,10 +179,6 @@ pub struct ScoringPolicy {
     dense: Vec<AtomicU64>,
     /// Fallback for classes with >= 2 neighbours (3+ slots per machine).
     multi: RwLock<HashMap<(u16, u64), f64>>,
-    /// Machine-class awareness (heterogeneous clusters only). `None` on a
-    /// homogeneous cluster — and then every class-aware entry point is
-    /// bit-identical to its legacy counterpart.
-    network: Option<NetworkScoring>,
 }
 
 impl ScoringPolicy {
@@ -215,7 +196,6 @@ impl ScoringPolicy {
             pair: Vec::with_capacity(n * n),
             dense: (0..n * n).map(|_| AtomicU64::new(EMPTY)).collect(),
             multi: RwLock::new(HashMap::new()),
-            network: None,
         };
         let idle = Characteristics::idle();
         for a in policy.registry.ids() {
@@ -229,30 +209,6 @@ impl ScoringPolicy {
             }
         }
         policy
-    }
-
-    /// Makes the policy machine-class aware: `classes` is the cluster's
-    /// machine-class table (what [`FreeClass::mclass`] indexes) and
-    /// `demand_by_app[id]` the offered network load of application `id`
-    /// in MB/s. With only reference classes the adjusted scores are
-    /// bit-identical to the legacy ones.
-    pub fn with_machine_classes(
-        mut self,
-        classes: Vec<MachineClass>,
-        demand_by_app: Vec<f64>,
-    ) -> Self {
-        assert!(!classes.is_empty(), "at least one machine class required");
-        self.network = Some(NetworkScoring {
-            classes,
-            demand: demand_by_app,
-        });
-        self
-    }
-
-    /// Whether the policy carries a machine-class table (i.e. scores are
-    /// network-aware on heterogeneous clusters).
-    pub fn is_class_aware(&self) -> bool {
-        self.network.is_some()
     }
 
     /// The registry scores are keyed by.
@@ -344,47 +300,9 @@ impl ScoringPolicy {
         self.score(app, key, background) - self.solo[app.index()]
     }
 
-    /// Applies the machine-class adjustment to a cached base score.
-    /// Returns `base` untouched — bitwise — when the policy is not
-    /// class-aware or the class is the reference class.
-    #[inline]
-    fn adjust(&self, app: AppId, mclass: u16, background: &Characteristics, base: f64) -> f64 {
-        let Some(net) = &self.network else {
-            return base;
-        };
-        let class = &net.classes[mclass as usize];
-        if class.is_reference() {
-            return base;
-        }
-        let demand = net.demand.get(app.index()).copied().unwrap_or(0.0) + background.net_mbps;
-        match self.objective {
-            // Runtime inflates by the solo factor times link contention.
-            Objective::MinRuntime => base * class.slowdown(demand),
-            // Base is negative IOPS; the class's IOPS factor (which
-            // already prices the slower hardware) and the link contention
-            // both shrink its magnitude (fewer IOPS = worse).
-            Objective::MaxIops => base * class.iops_factor / class.link_contention(demand),
-        }
-    }
-
-    /// Machine-class-aware [`ScoringPolicy::score`]: the cached base
-    /// score for `(app, class.key)` adjusted for `class.mclass`'s solo
-    /// factor and shared-link contention. On a homogeneous cluster (or a
-    /// class-oblivious policy) this *is* `score`, bit for bit.
+    /// [`ScoringPolicy::score`] of a listed free class.
     pub fn class_score(&self, app: AppId, class: &FreeClass) -> f64 {
-        self.score_in(app, class.key, class.mclass, &class.background)
-    }
-
-    /// [`ScoringPolicy::class_score`] from a class's parts, for the
-    /// schedulers' free table, whose classes have no example slot.
-    pub(crate) fn score_in(
-        &self,
-        app: AppId,
-        key: ClassKey,
-        mclass: u16,
-        bg: &Characteristics,
-    ) -> f64 {
-        self.adjust(app, mclass, bg, self.score(app, key, bg))
+        self.score(app, class.key, &class.background)
     }
 
     /// Number of applications in the registry — the length of the batch
@@ -543,101 +461,6 @@ mod tests {
         let expected_pair = (p.predict_pair_runtime("app_a", "app_b") - 100.0)
             + (p.predict_pair_runtime("app_b", "app_a") - 100.0);
         assert!((rt.pair_score(a, b) - expected_pair).abs() < 1e-12);
-    }
-
-    #[test]
-    fn class_scores_adjust_for_machine_class() {
-        use crate::sched::VmRef;
-        let p = predictor();
-        let a = p.registry().expect_id("app_a");
-        let b = p.registry().expect_id("app_b");
-        let vm = VmRef {
-            machine: 0,
-            slot: 0,
-        };
-        let free = |mclass| FreeClass {
-            key: ClassKey::IDLE,
-            mclass,
-            background: Characteristics::idle(),
-            example: vm,
-            count: 1,
-        };
-        // Class-oblivious policy: class_score IS score, bit for bit.
-        let rt = ScoringPolicy::new(&p, Objective::MinRuntime);
-        assert!(!rt.is_class_aware());
-        assert_eq!(
-            rt.class_score(a, &free(0)).to_bits(),
-            rt.solo_score(a).to_bits()
-        );
-        // Class-aware: reference class still bit-identical, remote class
-        // composes solo factor and M/M/1 link contention.
-        let classes = vec![
-            MachineClass::local(),
-            MachineClass::remote("iscsi", 2.0, 0.5, 100.0),
-        ];
-        let rt = ScoringPolicy::new(&p, Objective::MinRuntime)
-            .with_machine_classes(classes.clone(), vec![0.0, 50.0]);
-        assert!(rt.is_class_aware());
-        assert_eq!(
-            rt.class_score(a, &free(0)).to_bits(),
-            rt.solo_score(a).to_bits()
-        );
-        // app_a offers no link load: exactly the 2x solo factor.
-        assert_eq!(
-            rt.class_score(a, &free(1)).to_bits(),
-            (rt.solo_score(a) * 2.0).to_bits()
-        );
-        // app_b pushes 50 MB/s through the 100 MB/s link: 2x (factor)
-        // times 2x (M/M/1 at half utilization).
-        assert!((rt.class_score(b, &free(1)) - rt.solo_score(b) * 4.0).abs() < 1e-9);
-        // MaxIops: base is negative IOPS; the remote class halves the
-        // magnitude via iops_factor and halves it again via contention.
-        let io = ScoringPolicy::new(&p, Objective::MaxIops)
-            .with_machine_classes(classes, vec![0.0, 50.0]);
-        let local_io = io.class_score(b, &free(0));
-        let remote_io = io.class_score(b, &free(1));
-        assert!(local_io < 0.0);
-        assert!((remote_io - local_io * 0.5 / 2.0).abs() < 1e-9);
-        assert!(remote_io > local_io, "remote IOPS score must be worse");
-    }
-
-    #[test]
-    fn batch_scores_route_through_class_path() {
-        use crate::sched::VmRef;
-        let p = predictor();
-        let a = p.registry().expect_id("app_a");
-        let rt = ScoringPolicy::new(&p, Objective::MinRuntime).with_machine_classes(
-            vec![
-                MachineClass::local(),
-                MachineClass::remote("iscsi", 3.0, 0.5, 100.0),
-            ],
-            vec![0.0, 0.0],
-        );
-        let classes: Vec<FreeClass> = (0..2u16)
-            .map(|mclass| FreeClass {
-                key: ClassKey::IDLE,
-                mclass,
-                background: Characteristics::idle(),
-                example: VmRef {
-                    machine: mclass as usize,
-                    slot: 0,
-                },
-                count: 1,
-            })
-            .collect();
-        let out: Vec<f64> = classes
-            .iter()
-            .map(|c| rt.score_in(a, c.key, c.mclass, &c.background))
-            .collect();
-        assert_eq!(out[0].to_bits(), rt.class_score(a, &classes[0]).to_bits());
-        assert_eq!(out[1].to_bits(), rt.class_score(a, &classes[1]).to_bits());
-        assert_eq!(out[1].to_bits(), (out[0] * 3.0).to_bits());
-        let excess: Vec<f64> = classes
-            .iter()
-            .map(|c| rt.class_score(a, c) - rt.solo_score(a))
-            .collect();
-        assert_eq!(excess[0].to_bits(), 0.0f64.to_bits());
-        assert!(excess[1] > 0.0);
     }
 
     #[test]

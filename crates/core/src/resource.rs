@@ -1,57 +1,29 @@
-//! Pluggable resource dimensions and heterogeneous machine classes.
+//! The resource dimensions a task's demand is stated in.
 //!
-//! TRACON's original model is hardwired to one homogeneous CPU+disk box:
-//! the four [`crate::characteristics::Characteristics`] features are a
-//! *2-dimension* view (the [`ResourceDim::Disk`] axis contributes the
-//! read/write request rates, the [`ResourceDim::Cpu`] axis the guest and
-//! Dom0 utilizations). This module opens that up:
-//!
-//! * [`ResourceDim`] names the contended resource axes. The two legacy
-//!   axes are always present; [`ResourceDim::Network`] generalizes the
-//!   iSCSI "faked as a slower disk" parameterization into a real
-//!   shared-bandwidth dimension with an analytic M/M/1 contention model
-//!   (see [`tracon_stats::queueing`]).
-//! * [`DimVec`] is a small-vec backed, `ResourceDim`-indexed demand
-//!   vector — the per-task demand a service client may attach to a
-//!   submission, and the conversion target of
-//!   [`crate::characteristics::Characteristics::demands`].
-//! * [`MachineClass`] describes one hardware class of a heterogeneous
-//!   cluster: a solo runtime/IOPS factor relative to the reference
-//!   (local-storage) class, and an optional shared-link capacity that
-//!   activates the network dimension for hosts of the class.
-//!
-//! ## Adding a dimension
-//!
-//! 1. Add a variant to [`ResourceDim`] (append — wire names are stable).
-//! 2. Give [`crate::characteristics::Characteristics`] a carrier field
-//!    (with a zero default so 2-dim snapshots stay readable) and map it
-//!    in `Characteristics::demands`.
-//! 3. Express the dimension's contention analytically (like
-//!    [`MachineClass::slowdown`]) or extend the learned feature vector.
-//!    Analytic factors must be **exactly 1.0 at zero demand** so
-//!    existing scenarios replay bit-identically.
-
-use tracon_stats::queueing::mm1_slowdown;
+//! [`ResourceDim`] names the contended axes and [`DimVec`] is a
+//! `ResourceDim`-indexed demand vector: what a `tracond` client may
+//! attach to a `submit` as its `demand` map, echoed back by `task`. The
+//! scheduler does not read it; interference is priced from the four
+//! [`crate::characteristics::Characteristics`] features, which span the
+//! disk axis (read and write request rates) and the CPU axis (guest and
+//! Dom0 utilization).
 
 /// One contended resource axis of the interference model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResourceDim {
     /// Storage I/O: request streams through the driver domain to the
-    /// host's disk (legacy axis 1; features: read and write req/s).
+    /// host's disk (features: read and write req/s).
     Disk,
-    /// CPU time shared by the guest vCPUs and the driver domain (legacy
-    /// axis 2; features: guest and Dom0 utilization).
+    /// CPU time shared by the guest vCPUs and the driver domain
+    /// (features: guest and Dom0 utilization).
     Cpu,
-    /// Shared network-link bandwidth on remote-storage hosts (new axis;
-    /// feature: offered load in MB/s).
+    /// Network bandwidth, in MB/s. Carried on the wire; no model
+    /// prices it.
     Network,
 }
 
 /// Number of resource dimensions currently defined.
 pub const N_DIMS: usize = 3;
-/// Number of legacy dimensions the 4-feature `Characteristics` view
-/// spans (disk + CPU).
-pub const N_LEGACY_DIMS: usize = 2;
 
 impl ResourceDim {
     /// Every dimension, in index order.
@@ -83,7 +55,7 @@ impl ResourceDim {
 /// lane per dimension plus a presence bitmask, `Copy` and allocation
 /// free. Unset dimensions read as zero demand; [`DimVec::is_set`]
 /// distinguishes "explicitly zero" from "not specified" (a protocol
-/// `demand` map omitting a dimension falls back to legacy defaults).
+/// `demand` map may omit any dimension).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DimVec {
     vals: [f64; N_DIMS],
@@ -140,83 +112,6 @@ impl DimVec {
     }
 }
 
-/// One hardware class of a heterogeneous cluster. The reference class
-/// (local storage, nominal speed) is [`MachineClass::local`]; remote
-/// classes scale every task's solo performance and may route storage
-/// traffic through a shared, capacity-limited link.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MachineClass {
-    /// Class name (e.g. `"local"`, `"iscsi"`).
-    pub name: String,
-    /// Solo runtime multiplier relative to the reference class
-    /// (`>= 1.0` for slower hardware / remote storage).
-    pub runtime_factor: f64,
-    /// Solo IOPS multiplier relative to the reference class
-    /// (`<= 1.0` for remote storage).
-    pub iops_factor: f64,
-    /// Capacity in MB/s of the shared network link hosts of this class
-    /// push their storage traffic through. `None` disables the network
-    /// dimension for the class (local storage).
-    pub net_capacity_mb: Option<f64>,
-}
-
-impl MachineClass {
-    /// The reference class: local storage, nominal speed, no network
-    /// dimension. Simulations over only this class are bit-identical to
-    /// the pre-class (2-dim) engine.
-    pub fn local() -> Self {
-        MachineClass {
-            name: "local".to_string(),
-            runtime_factor: 1.0,
-            iops_factor: 1.0,
-            net_capacity_mb: None,
-        }
-    }
-
-    /// A remote-storage class whose hosts share an iSCSI-style link of
-    /// the given capacity, with solo runtime/IOPS factors.
-    pub fn remote(name: &str, runtime_factor: f64, iops_factor: f64, net_capacity_mb: f64) -> Self {
-        MachineClass {
-            name: name.to_string(),
-            runtime_factor,
-            iops_factor,
-            net_capacity_mb: Some(net_capacity_mb),
-        }
-    }
-
-    /// Whether this class is indistinguishable from the reference class
-    /// (the fast path: scoring and the event kernel skip every class
-    /// adjustment, keeping legacy scenarios bit-identical).
-    #[inline]
-    pub fn is_reference(&self) -> bool {
-        self.runtime_factor == 1.0 && self.iops_factor == 1.0 && self.net_capacity_mb.is_none()
-    }
-
-    /// M/M/1 contention factor of the class's shared link alone (the
-    /// hardware factors excluded). Exactly `1.0` when the class has no
-    /// capacitated link or the offered load is zero.
-    #[inline]
-    pub fn link_contention(&self, net_demand_mb: f64) -> f64 {
-        match self.net_capacity_mb {
-            Some(cap) => mm1_slowdown(net_demand_mb, cap),
-            None => 1.0,
-        }
-    }
-
-    /// Total runtime slowdown of a task on a host of this class whose
-    /// residents offer `net_demand_mb` MB/s to the shared link: the solo
-    /// runtime factor times the M/M/1 link contention factor. Exactly
-    /// `runtime_factor` at zero demand, exactly `1.0` for the reference
-    /// class.
-    #[inline]
-    pub fn slowdown(&self, net_demand_mb: f64) -> f64 {
-        match self.net_capacity_mb {
-            Some(cap) => self.runtime_factor * mm1_slowdown(net_demand_mb, cap),
-            None => self.runtime_factor,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,29 +143,5 @@ mod tests {
             pairs,
             vec![(ResourceDim::Disk, 120.0), (ResourceDim::Network, 40.0)]
         );
-    }
-
-    #[test]
-    fn local_class_is_reference() {
-        let local = MachineClass::local();
-        assert!(local.is_reference());
-        assert_eq!(local.slowdown(0.0).to_bits(), 1.0f64.to_bits());
-        assert_eq!(local.slowdown(1e9).to_bits(), 1.0f64.to_bits());
-    }
-
-    #[test]
-    fn remote_class_slowdown_composes_factors() {
-        let iscsi = MachineClass::remote("iscsi", 1.5, 0.6, 100.0);
-        assert!(!iscsi.is_reference());
-        // Zero demand: the solo factor alone, exactly.
-        assert_eq!(iscsi.slowdown(0.0).to_bits(), 1.5f64.to_bits());
-        // Half utilization doubles the link latency on top.
-        assert!((iscsi.slowdown(50.0) - 3.0).abs() < 1e-12);
-        // A capacitated class with unit factors is NOT the reference
-        // class (it still keys scoring), but its zero-demand slowdown is
-        // exactly one, which is what the zero-demand identity test pins.
-        let capped = MachineClass::remote("capped", 1.0, 1.0, 100.0);
-        assert!(!capped.is_reference());
-        assert_eq!(capped.slowdown(0.0).to_bits(), 1.0f64.to_bits());
     }
 }

@@ -8,10 +8,10 @@
 //! instead of individual VMs and scheduling cost is independent of
 //! cluster size.
 //!
-//! The index is a vector of live classes sorted by `(key, machine
-//! class)`, each holding a bitset over the global slot index `machine *
-//! slots_per_machine + slot` (whose order is [`VmRef`]'s) and the index
-//! of its lowest non-zero word. `place`/`clear` flip O(slots per machine)
+//! The index is a vector of live classes sorted by key, each holding a
+//! bitset over the global slot index `machine * slots_per_machine +
+//! slot` (whose order is [`VmRef`]'s) and the index of its lowest
+//! non-zero word. `place`/`clear` flip O(slots per machine)
 //! bits and find each class by binary search; a class's first free slot
 //! is O(1) and [`ClusterState::first_free`] is O(classes).
 //!
@@ -22,7 +22,6 @@
 
 use crate::characteristics::Characteristics;
 use crate::interner::{AppId, AppRegistry, ClassKey, MAX_NEIGHBOURS};
-use crate::resource::MachineClass;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -51,10 +50,6 @@ pub struct FreeClass {
     /// Packed neighbour-class key ([`ClassKey::IDLE`] when the rest of
     /// the machine is idle).
     pub key: ClassKey,
-    /// Machine-class index of the hosting machines (see
-    /// [`ClusterState::machine_classes`]; always `0` on a homogeneous
-    /// cluster).
-    pub mclass: u16,
     /// Aggregate characteristics of the neighbours (idle = zeros).
     pub background: Characteristics,
     /// A representative free slot of this class.
@@ -63,10 +58,10 @@ pub struct FreeClass {
     pub count: usize,
 }
 
-/// The free slots of one `(neighbour-class key, machine-class index)`.
+/// The free slots of one neighbour class.
 #[derive(Debug, Clone)]
 struct SlotSet {
-    key: (ClassKey, u16),
+    key: ClassKey,
     /// [`ClusterState::class_background`] of the key.
     background: Characteristics,
     /// One bit per global slot index; never all zero while listed.
@@ -92,23 +87,12 @@ pub struct ClusterState {
     /// Canonical observed characteristics per application id (what the
     /// task & resource monitor reports for a steadily-running instance).
     chars_by_id: Vec<Characteristics>,
-    /// Free slots grouped by `(neighbour-class key, machine-class index)`,
-    /// sorted by that pair with no empty class listed. The order over
-    /// packed keys equals the legacy joined-string order, and on a
-    /// homogeneous cluster every key is `(k, 0)`, so first-minimum
-    /// tie-breaks are unchanged.
+    /// Free slots grouped by neighbour-class key, sorted by key with no
+    /// empty class listed. The order over packed keys equals the legacy
+    /// joined-string order, so first-minimum tie-breaks are unchanged.
     free: Vec<SlotSet>,
     /// Total free slots over every class.
     n_free: usize,
-    /// Machine-class table. Index 0 always exists; a homogeneous cluster
-    /// has only [`MachineClass::local`].
-    classes: Vec<MachineClass>,
-    /// Machine-class index per machine.
-    mclass: Vec<u16>,
-    /// Machines currently marked down (crashed). A down machine has no
-    /// slots in the free index, so every scheduler transparently skips
-    /// it; [`ClusterState::set_up`] relists its slots.
-    down: Vec<bool>,
 }
 
 impl ClusterState {
@@ -142,71 +126,13 @@ impl ClusterState {
             chars_by_id,
             free: Vec::new(),
             n_free: 0,
-            classes: vec![MachineClass::local()],
-            mclass: vec![0; n_machines],
-            down: vec![false; n_machines],
         };
-        state.list_empty_machines();
-        state
-    }
-
-    /// Rebuilds the free index of an empty cluster: every slot of every
-    /// up machine is free.
-    fn list_empty_machines(&mut self) {
-        self.free.clear();
-        self.n_free = 0;
-        for machine in 0..self.machines.len() {
-            if !self.down[machine] {
-                for slot in 0..self.slots_per_machine {
-                    self.add_free(VmRef { machine, slot });
-                }
+        for machine in 0..n_machines {
+            for slot in 0..slots_per_machine {
+                state.add_free(VmRef { machine, slot });
             }
         }
-    }
-
-    /// Declares the cluster heterogeneous: `classes` is the machine-class
-    /// table and `assignment[m]` the class index of machine `m`. The free
-    /// index is rebuilt so slots on different hardware never share a
-    /// [`FreeClass`]. Must be called before any placement.
-    ///
-    /// # Panics
-    /// Panics when the cluster is not empty, `classes` is empty,
-    /// `assignment` does not cover every machine, or an index is out of
-    /// range.
-    pub fn set_machine_classes(&mut self, classes: Vec<MachineClass>, assignment: Vec<u16>) {
-        assert!(
-            self.occupied().next().is_none(),
-            "machine classes must be set on an empty cluster"
-        );
-        assert!(!classes.is_empty(), "at least one machine class required");
-        assert_eq!(
-            assignment.len(),
-            self.machines.len(),
-            "one class index per machine"
-        );
-        assert!(
-            assignment.iter().all(|&c| (c as usize) < classes.len()),
-            "machine-class index out of range"
-        );
-        self.classes = classes;
-        self.mclass = assignment;
-        self.list_empty_machines();
-    }
-
-    /// The machine-class table ([`MachineClass::local`] alone on a
-    /// homogeneous cluster). [`FreeClass::mclass`] indexes into it.
-    pub fn machine_classes(&self) -> &[MachineClass] {
-        &self.classes
-    }
-
-    /// The machine class a machine belongs to.
-    pub fn machine_class(&self, machine: usize) -> &MachineClass {
-        &self.classes[self.mclass[machine] as usize]
-    }
-
-    /// The machine-class index of a machine.
-    pub fn machine_class_index(&self, machine: usize) -> u16 {
-        self.mclass[machine]
+        state
     }
 
     /// The registry mapping application names to the interned ids tasks
@@ -274,8 +200,7 @@ impl ClusterState {
         self.free.iter().map(|set| {
             let example = self.vm_at(set.first());
             FreeClass {
-                key: set.key.0,
-                mclass: set.key.1,
+                key: set.key,
                 background: set.background,
                 example,
                 count: set.count,
@@ -295,27 +220,14 @@ impl ClusterState {
         (key, self.class_background(key))
     }
 
-    /// The full [`FreeClass`] view of one specific free slot — what a
-    /// class-aware scorer needs for a slot it already picked.
-    pub fn class_view(&self, vm: VmRef) -> FreeClass {
-        let (key, background) = self.class_of(vm);
-        FreeClass {
-            key,
-            mclass: self.mclass[vm.machine],
-            background,
-            example: vm,
-            count: 1,
-        }
-    }
-
     /// Whether any machine is entirely free (all slots idle). Cheap: the
-    /// idle neighbour classes are the smallest keys `(ClassKey::IDLE, *)`
-    /// and no empty class is listed. Crate-private: the dispatch
+    /// idle neighbour class is the smallest key and no empty class is
+    /// listed. Crate-private: the dispatch
     /// [`gate`](super::gate) is its one caller.
     pub(crate) fn has_idle_machine(&self) -> bool {
         self.free
             .first()
-            .is_some_and(|set| set.key.0 == ClassKey::IDLE)
+            .is_some_and(|set| set.key == ClassKey::IDLE)
     }
 
     /// First free slot in deterministic order, if any (FIFO placement).
@@ -327,13 +239,13 @@ impl ClusterState {
             .map(|i| self.vm_at(i))
     }
 
-    /// The lowest free slot of one `(key, machine class)`: the `example`
-    /// the class lists, and where [`apply`](super::apply) commits a pick.
+    /// The lowest free slot of one class: the `example` the class lists,
+    /// and where [`apply`](super::apply) commits a pick.
     ///
     /// # Panics
     /// Panics when the class has no free slot.
-    pub(crate) fn first_free_in(&self, key: ClassKey, mclass: u16) -> VmRef {
-        let at = self.free.binary_search_by_key(&(key, mclass), |s| s.key);
+    pub(crate) fn first_free_in(&self, key: ClassKey) -> VmRef {
+        let at = self.free.binary_search_by_key(&key, |s| s.key);
         self.vm_at(self.free[at.expect("a listed class")].first())
     }
 
@@ -345,8 +257,8 @@ impl ClusterState {
     }
 
     /// The free-index key of `vm`, and its word and bit in a class bitset.
-    fn locate(&self, vm: VmRef) -> ((ClassKey, u16), usize, u64) {
-        let key = (self.class_key(vm.machine, vm.slot), self.mclass[vm.machine]);
+    fn locate(&self, vm: VmRef) -> (ClassKey, usize, u64) {
+        let key = self.class_key(vm.machine, vm.slot);
         let index = vm.machine * self.slots_per_machine + vm.slot;
         (key, index / 64, 1 << (index % 64))
     }
@@ -377,7 +289,7 @@ impl ClusterState {
             Err(at) => {
                 let words = self.n_slots().div_ceil(64);
                 let bits = vec![0; words];
-                let background = self.class_background(key.0);
+                let background = self.class_background(key);
                 self.free.insert(
                     at,
                     SlotSet {
@@ -422,9 +334,8 @@ impl ClusterState {
     /// Places a resident into a free slot.
     ///
     /// # Panics
-    /// Panics when the slot is occupied or the machine is down.
+    /// Panics when the slot is occupied.
     pub fn place(&mut self, vm: VmRef, resident: Resident) {
-        assert!(!self.down[vm.machine], "machine {} is down", vm.machine);
         assert!(
             self.machines[vm.machine][vm.slot].is_none(),
             "slot {vm:?} already occupied"
@@ -457,55 +368,6 @@ impl ClusterState {
             .id(app)
             .map(|id| self.chars_by_id[id.index()])
             .unwrap_or_else(Characteristics::idle)
-    }
-
-    /// Whether `machine` is currently marked down.
-    pub fn is_down(&self, machine: usize) -> bool {
-        self.down[machine]
-    }
-
-    /// Number of machines currently marked down.
-    pub fn n_down(&self) -> usize {
-        self.down.iter().filter(|d| **d).count()
-    }
-
-    /// Marks a machine as down (crashed): every resident is evicted and
-    /// returned (in slot order) and every free slot is delisted from the
-    /// free index, so no scheduler can place onto the machine until
-    /// [`ClusterState::set_up`] restores it.
-    ///
-    /// # Panics
-    /// Panics when the machine is already down.
-    pub fn set_down(&mut self, machine: usize) -> Vec<(VmRef, Resident)> {
-        assert!(!self.down[machine], "machine {machine} already down");
-        // Delist free slots first: class keys depend on the residents we
-        // are about to evict.
-        for slot in 0..self.slots_per_machine {
-            if self.machines[machine][slot].is_none() {
-                self.remove_free(VmRef { machine, slot });
-            }
-        }
-        let mut evicted = Vec::new();
-        for slot in 0..self.slots_per_machine {
-            if let Some(resident) = self.machines[machine][slot].take() {
-                evicted.push((VmRef { machine, slot }, resident));
-            }
-        }
-        self.down[machine] = true;
-        evicted
-    }
-
-    /// Marks a down machine as recovered: all its (now empty) slots
-    /// rejoin the free index under the idle class.
-    ///
-    /// # Panics
-    /// Panics when the machine is not down.
-    pub fn set_up(&mut self, machine: usize) {
-        assert!(self.down[machine], "machine {machine} is not down");
-        self.down[machine] = false;
-        for slot in 0..self.slots_per_machine {
-            self.add_free(VmRef { machine, slot });
-        }
     }
 
     /// Iterates over all occupied slots.
@@ -690,7 +552,7 @@ mod tests {
             }
         }
         let view = |machine| {
-            let bg = c.class_view(VmRef { machine, slot: 3 }).background;
+            let bg = c.background_of(VmRef { machine, slot: 3 });
             bg.read_rps.to_bits()
         };
         let listed = c.free_classes();
@@ -757,146 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn set_down_evicts_residents_and_hides_slots() {
-        let mut c = cluster();
-        let vm = VmRef {
-            machine: 1,
-            slot: 0,
-        };
-        let r = resident(&c, 7, "a");
-        c.place(vm, r);
-        assert_eq!(c.n_free(), 5);
-        let evicted = c.set_down(1);
-        assert_eq!(evicted, vec![(vm, r)]);
-        assert!(c.is_down(1));
-        assert_eq!(c.n_down(), 1);
-        // Machine 1's slots are gone from the free index entirely.
-        assert_eq!(c.n_free(), 4);
-        assert!(c
-            .free_class_iter()
-            .all(|cl| cl.key == ClassKey::IDLE && cl.example.machine != 1));
-        assert!(c.occupied().next().is_none());
-        // first_free never lands on the down machine.
-        for _ in 0..4 {
-            let vm = c.first_free().unwrap();
-            assert_ne!(vm.machine, 1);
-            let r = resident(&c, 1, "a");
-            c.place(vm, r);
-        }
-        assert_eq!(c.first_free(), None);
-        assert!(!c.has_idle_machine());
-    }
-
-    #[test]
-    fn set_up_restores_idle_slots() {
-        let mut c = cluster();
-        c.place(
-            VmRef {
-                machine: 1,
-                slot: 1,
-            },
-            resident(&c, 3, "b"),
-        );
-        c.set_down(1);
-        c.set_up(1);
-        assert!(!c.is_down(1));
-        assert_eq!(c.n_free(), 6);
-        let classes = c.free_classes();
-        assert_eq!(classes.len(), 1);
-        assert_eq!(classes[0].key, ClassKey::IDLE);
-        assert!(c.has_idle_machine());
-    }
-
-    #[test]
-    #[should_panic(expected = "is down")]
-    fn placing_on_down_machine_panics() {
-        let mut c = cluster();
-        c.set_down(0);
-        let r = resident(&c, 1, "a");
-        c.place(
-            VmRef {
-                machine: 0,
-                slot: 0,
-            },
-            r,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "already down")]
-    fn double_set_down_panics() {
-        let mut c = cluster();
-        c.set_down(2);
-        c.set_down(2);
-    }
-
-    #[test]
-    fn machine_classes_split_free_index() {
-        let mut c = cluster();
-        c.set_machine_classes(
-            vec![
-                MachineClass::local(),
-                MachineClass::remote("iscsi", 1.5, 0.6, 100.0),
-            ],
-            vec![0, 1, 0],
-        );
-        // Idle slots on different hardware are distinct free classes.
-        let listed = c.free_classes();
-        assert_eq!(listed.len(), 2);
-        assert_eq!((listed[0].mclass, listed[0].count), (0, 4));
-        assert_eq!((listed[1].mclass, listed[1].count), (1, 2));
-        assert!(listed.iter().all(|cl| cl.key == ClassKey::IDLE));
-        assert!(c.has_idle_machine());
-        // first_free stays the global minimum slot.
-        assert_eq!(
-            c.first_free(),
-            Some(VmRef {
-                machine: 0,
-                slot: 0
-            })
-        );
-        assert_eq!(c.machine_class(1).name, "iscsi");
-        assert_eq!(c.machine_class_index(1), 1);
-        let view = c.class_view(VmRef {
-            machine: 1,
-            slot: 0,
-        });
-        assert_eq!(view.mclass, 1);
-        // Placing on the remote machine keys the sibling slot by both the
-        // neighbour multiset and the hardware class.
-        c.place(
-            VmRef {
-                machine: 1,
-                slot: 0,
-            },
-            resident(&c, 1, "a"),
-        );
-        let a_key = key(&c, &["a"]);
-        let listed = c.free_classes();
-        let a_class = listed.iter().find(|cl| cl.key == a_key).unwrap();
-        assert_eq!(a_class.mclass, 1);
-    }
-
-    #[test]
-    fn idle_machine_on_a_later_machine_class_counts() {
-        let mut c = cluster();
-        let remote = MachineClass::remote("iscsi", 1.5, 0.6, 100.0);
-        c.set_machine_classes(vec![MachineClass::local(), remote], vec![0, 1, 0]);
-        for machine in [0, 2] {
-            c.place(VmRef { machine, slot: 0 }, resident(&c, 1, "a"));
-        }
-        assert!(c.has_idle_machine());
-        c.place(
-            VmRef {
-                machine: 1,
-                slot: 1,
-            },
-            resident(&c, 2, "b"),
-        );
-        assert!(!c.has_idle_machine());
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "is not listed")]
     fn delisting_an_unlisted_slot_panics() {
@@ -907,28 +629,6 @@ mod tests {
         };
         c.remove_free(vm);
         c.remove_free(vm);
-    }
-
-    #[test]
-    fn homogeneous_cluster_defaults_to_reference_class() {
-        let c = cluster();
-        assert_eq!(c.machine_classes().len(), 1);
-        assert!(c.machine_classes()[0].is_reference());
-        assert!(c.free_classes().iter().all(|cl| cl.mclass == 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "empty cluster")]
-    fn machine_classes_require_empty_cluster() {
-        let mut c = cluster();
-        c.place(
-            VmRef {
-                machine: 0,
-                slot: 0,
-            },
-            resident(&c, 1, "a"),
-        );
-        c.set_machine_classes(vec![MachineClass::local()], vec![0, 0, 0]);
     }
 
     #[test]

@@ -25,7 +25,8 @@ impl Scheduler for Fifo {
             let Some(task) = queue.pop_front() else { break };
             // Record the score the policy would have predicted, purely for
             // diagnostics — FIFO does not use it.
-            let predicted_score = scoring.class_score(task.app, &cluster.class_view(vm));
+            let (key, background) = cluster.class_of(vm);
+            let predicted_score = scoring.score(task.app, key, &background);
             cluster.place(
                 vm,
                 Resident {

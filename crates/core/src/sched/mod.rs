@@ -90,8 +90,6 @@ pub trait Scheduler {
 pub struct TableClass {
     /// Packed neighbour-class key.
     pub key: ClassKey,
-    /// Machine-class index of the hosting machines.
-    pub mclass: u16,
     /// [`ClusterState::background_of`] any slot of the class.
     pub background: Characteristics,
     /// How many free slots belong to the class.
@@ -99,7 +97,7 @@ pub struct TableClass {
 }
 
 /// A scheduler's decision on a [`FreeTable`]: `task` goes to the
-/// lowest free slot of class `(key, mclass)` when [`apply`] commits it.
+/// lowest free slot of class `key` when [`apply`] commits it.
 /// Test hook, not public API.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
@@ -108,8 +106,6 @@ pub struct Pick {
     pub task: Task,
     /// Neighbour-class key of the chosen class.
     pub key: ClassKey,
-    /// Machine-class index of the chosen class.
-    pub mclass: u16,
     /// Predicted score of the placement at decision time.
     pub score: f64,
 }
@@ -119,14 +115,14 @@ pub struct Pick {
 /// over the apps priced so far (an app is priced on every class once, and
 /// a class entering the table is priced for every priced app). A pick of
 /// app `a` on class `K` takes one machine of `K` (`slots_per_machine -
-/// |K|` free slots) and moves the rest of that machine to `(K + a,
-/// mclass)`. That depends only on the key, so after any picks the table
+/// |K|` free slots) and moves the rest of that machine to `K + a`. That
+/// depends only on the key, so after any picks the table
 /// is what a fresh listing of the cluster with those picks [`apply`]-ed
 /// would show, in the same order. Test hook, not public API.
 #[doc(hidden)]
 #[derive(Debug, Clone, Default)]
 pub struct FreeTable {
-    /// The classes, sorted by `(key, mclass)` like the cluster's listing.
+    /// The classes, sorted by key like the cluster's listing.
     classes: Vec<TableClass>,
     /// Row `ci`, one entry per app, is each priced app's excess on
     /// `classes[ci]` (NaN for the others).
@@ -143,7 +139,7 @@ pub struct FreeTable {
 /// An app's row entry on a class: its class score less its solo score
 /// (its interference excess), or the class score itself when `absolute`.
 fn excess_on(app: AppId, class: &TableClass, scoring: &ScoringPolicy, absolute: bool) -> f64 {
-    let score = scoring.score_in(app, class.key, class.mclass, &class.background);
+    let score = scoring.score(app, class.key, &class.background);
     match absolute {
         true => score,
         false => score - scoring.solo_score(app),
@@ -160,7 +156,6 @@ impl FreeTable {
         self.slots_per_machine = cluster.slots_per_machine();
         let listed = cluster.free_class_iter().map(|c| TableClass {
             key: c.key,
-            mclass: c.mclass,
             background: c.background,
             count: c.count,
         });
@@ -225,7 +220,7 @@ impl FreeTable {
     fn best_for(&self, app: AppId, scoring: &ScoringPolicy) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for (ci, c) in self.classes.iter().enumerate() {
-            let score = scoring.score_in(app, c.key, c.mclass, &c.background);
+            let score = scoring.score(app, c.key, &c.background);
             if best.is_none_or(|(_, b)| score < b) {
                 best = Some((ci, score));
             }
@@ -240,7 +235,6 @@ impl FreeTable {
         Pick {
             task,
             key: c.key,
-            mclass: c.mclass,
             score,
         }
     }
@@ -254,7 +248,7 @@ impl FreeTable {
         scoring: &ScoringPolicy,
     ) -> Pick {
         let c = &self.classes[ci];
-        let score = scoring.score_in(task.app, c.key, c.mclass, &c.background);
+        let score = scoring.score(task.app, c.key, &c.background);
         let pick = self.pick(ci, task, score);
         self.advance(ci, task.app, cluster, scoring);
         pick
@@ -276,10 +270,7 @@ impl FreeTable {
         }
         if freed > 1 {
             let (to, count) = (c.key.with(app), freed - 1);
-            let found = self
-                .classes
-                .binary_search_by_key(&(to, c.mclass), |k| (k.key, k.mclass));
-            match found {
+            match self.classes.binary_search_by_key(&to, |k| k.key) {
                 Ok(at) => self.classes[at].count += count,
                 Err(at) => {
                     let background = cluster.class_background(to);
@@ -287,7 +278,6 @@ impl FreeTable {
                         key: to,
                         background,
                         count,
-                        ..c
                     };
                     self.insert(at, class, scoring);
                 }
@@ -307,7 +297,7 @@ impl FreeTable {
 #[doc(hidden)]
 pub fn apply(cluster: &mut ClusterState, picks: &[Pick]) -> Vec<Assignment> {
     let commit = |p: &Pick| {
-        let vm = cluster.first_free_in(p.key, p.mclass);
+        let vm = cluster.first_free_in(p.key);
         let (task_id, app) = (p.task.id, p.task.app);
         cluster.place(vm, Resident { task_id, app });
         Assignment {

@@ -5,7 +5,7 @@
 //!
 //! Arrivals never enter a queue: [`Pending`] reads them in place from
 //! the time-sorted trace and merges them in front of a [`KernelQueue`]
-//! that holds only what the run pushes (completions, fault transitions).
+//! that holds only what the run pushes: completions.
 //! Two interchangeable backends implement that queue:
 //!
 //! * [`TimingWheel`] (the default) — a calendar queue over a recycled
@@ -42,10 +42,6 @@ pub(crate) enum EventKind {
     /// matches (a neighbour change reschedules completion and bumps the
     /// version, turning the old event stale).
     Completion { vm: VmRef, version: u64 },
-    /// A [`FaultPlan`](crate::faults::FaultPlan) machine transition:
-    /// crash (`up == false`, evicting and requeueing every resident) or
-    /// recovery (`up == true`, relisting the machine's slots).
-    MachineFault { machine: usize, up: bool },
 }
 
 /// A scheduled simulation event.
@@ -107,7 +103,7 @@ pub(crate) trait KernelQueue {
 ///
 /// On a time tie the arrival pops first. That is the order a queue given
 /// every arrival before the run starts would produce: each arrival would
-/// carry a lower seq than any fault or completion pushed after it, and
+/// carry a lower seq than any completion pushed after it, and
 /// arrivals tie-break among themselves by trace index, which a sorted
 /// trace already is.
 pub(crate) struct Pending<'t, Q> {
@@ -689,15 +685,14 @@ mod tests {
         let (tag, id) = match e.kind {
             EventKind::Arrival(i) => (0, i as u64),
             EventKind::Completion { version, .. } => (1, version),
-            EventKind::MachineFault { machine, .. } => (2, machine as u64),
         };
         (e.time.to_bits(), tag, id)
     }
 
     /// Streaming the sorted trace through [`Pending`] pops exactly what a
-    /// heap given every arrival up front pops, with faults queued before
-    /// the run and completions pushed as events pop — on a coarse time
-    /// grid, so arrivals, faults and completions tie often.
+    /// heap given every arrival up front pops, with a few completions
+    /// queued before the run and more pushed as events pop — on a coarse
+    /// time grid, so arrivals and completions tie often.
     #[test]
     fn merged_arrivals_pop_as_if_queued_up_front() {
         let mut ties = 0;
@@ -718,14 +713,20 @@ mod tests {
             }
             let mut wheel = Pending::new(&trace, TimingWheel::with_capacity(4));
             let mut heap = Pending::new(&trace, HeapQueue::with_capacity(4));
-            for machine in 0..rng.range_usize(0, 4) {
+            let vm = VmRef {
+                machine: 0,
+                slot: 0,
+            };
+            let mut version = 0;
+            for _ in 0..rng.range_usize(0, 4) {
                 let time = rng.range_usize(0, 40) as f64;
-                let kind = EventKind::MachineFault { machine, up: false };
+                ties += usize::from(trace.iter().any(|a| a.time == time));
+                version += 1;
+                let kind = EventKind::Completion { vm, version };
                 reference.push(time, kind);
                 wheel.queue.push(time, kind);
                 heap.queue.push(time, kind);
             }
-            let mut version = 0;
             let mut group = Vec::new();
             loop {
                 // Pop one event, or a whole coincidence group, from the
@@ -754,10 +755,6 @@ mod tests {
                     let time = now + [0.0, 1.0, 2.5][rng.range_usize(0, 3)];
                     ties += usize::from(trace.iter().any(|a| a.time == time));
                     version += 1;
-                    let vm = VmRef {
-                        machine: 0,
-                        slot: 0,
-                    };
                     let kind = EventKind::Completion { vm, version };
                     reference.push(time, kind);
                     wheel.queue.push(time, kind);

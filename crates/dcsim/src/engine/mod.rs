@@ -49,18 +49,13 @@ pub mod observer;
 mod slots;
 
 pub use event::COINCIDENCE_EPS;
-pub use observer::{
-    AdaptiveObserver, ArrivalInfo, CompletionInfo, MachineCrashInfo, PlacementInfo, SimObserver,
-    TaskFailureInfo,
-};
+pub use observer::{AdaptiveObserver, ArrivalInfo, CompletionInfo, PlacementInfo, SimObserver};
 
 use crate::arrival::ArrivalEvent;
-use crate::faults::FaultPlan;
-use crate::machines::MachineClassConfig;
 use crate::setup::Testbed;
 use event::{Event, EventKind, HeapQueue, KernelQueue, Pending, TimingWheel};
 use observer::{MetricsObserver, ObservationCollector};
-use slots::{NetCtx, SlotState};
+use slots::SlotState;
 use std::collections::VecDeque;
 use std::fmt;
 use tracon_core::sched::gate;
@@ -179,19 +174,12 @@ pub struct SimResult {
     /// adaptation. Empty unless requested via
     /// [`Simulation::with_observation_collection`].
     pub observations: Vec<TaskObservation>,
-    /// Machine crashes injected by the fault plan (0 without one).
-    pub machine_crashes: usize,
-    /// Machine recoveries within the horizon.
-    pub machine_recoveries: usize,
-    /// Failed task executions (per-task faults at completion).
-    pub task_failures: usize,
-    /// Re-admissions after a crash eviction or a failed execution.
-    pub requeues: usize,
-    /// Tasks that exhausted their attempts and left the system.
+    /// Always 0: every admitted task runs until it completes. Kept
+    /// because the benchmark harness (`benchmark/src/sim.rs`) counts it.
     pub abandoned: usize,
     /// Kernel events delivered by the event queue within the horizon
-    /// (arrivals, completions including stale ones, fault transitions) —
-    /// the denominator behind the collector's `kernel_events_per_sec`.
+    /// (arrivals and completions, stale ones included) — the denominator
+    /// behind the collector's `kernel_events_per_sec`.
     pub events_processed: usize,
 }
 
@@ -210,10 +198,10 @@ pub struct TaskObservation {
 }
 
 impl SimResult {
-    /// Tasks neither completed, refused, nor abandoned by the end of the
-    /// run: still queued, still running, or past the horizon.
+    /// Tasks neither completed nor refused by the end of the run: still
+    /// queued, still running, or past the horizon.
     pub fn unfinished(&self) -> usize {
-        self.arrived - self.completed - self.refused - self.abandoned
+        self.arrived - self.completed - self.refused
     }
 }
 
@@ -234,18 +222,8 @@ pub struct Simulation<'tb> {
     /// (`None` = unbounded buffering).
     pub queue_capacity: Option<usize>,
     collect_observations: bool,
-    /// Fault schedule injected into the event kernel (`None` = the
-    /// failure-free paper setting).
-    faults: Option<&'tb FaultPlan>,
     /// Event-queue backend driving the kernel.
     pub queue_backend: QueueBackend,
-    /// Heterogeneous machine classes (`None` = the homogeneous,
-    /// reference-class paper setting).
-    machine_classes: Option<MachineClassConfig>,
-    /// When set, the engine still *simulates* the machine classes as
-    /// ground truth but the scoring policy never learns about them — the
-    /// network-oblivious baseline `ext_network` compares against.
-    network_oblivious: bool,
 }
 
 impl<'tb> Simulation<'tb> {
@@ -260,34 +238,8 @@ impl<'tb> Simulation<'tb> {
             predictor_override: None,
             queue_capacity: None,
             collect_observations: false,
-            faults: None,
             queue_backend: QueueBackend::default(),
-            machine_classes: None,
-            network_oblivious: false,
         }
-    }
-
-    /// Declares the cluster heterogeneous: the engine simulates each
-    /// machine's class (solo factors, shared-link M/M/1 contention) as
-    /// ground truth, and — unless
-    /// [`Simulation::with_network_oblivious_scoring`] is also set — the
-    /// scoring policy prices the same model when placing tasks.
-    pub fn with_machine_classes(mut self, config: MachineClassConfig) -> Self {
-        assert_eq!(
-            config.assignment.len(),
-            self.n_machines,
-            "one class index per machine"
-        );
-        self.machine_classes = Some(config);
-        self
-    }
-
-    /// Keeps the scheduler blind to the machine classes while the engine
-    /// still simulates them — the baseline that quantifies what
-    /// network-awareness buys on a heterogeneous cluster.
-    pub fn with_network_oblivious_scoring(mut self) -> Self {
-        self.network_oblivious = true;
-        self
     }
 
     /// Selects the event-queue backend (default: the timing wheel). The
@@ -322,16 +274,6 @@ impl<'tb> Simulation<'tb> {
     /// stream) into [`SimResult::observations`].
     pub fn with_observation_collection(mut self) -> Self {
         self.collect_observations = true;
-        self
-    }
-
-    /// Injects a fault plan: machine crash/recovery events enter the
-    /// event queue, evicted tasks are rescheduled interference-aware on
-    /// the surviving machines, and per-attempt failure/straggler
-    /// decisions apply. An empty plan reproduces the fault-free run
-    /// bit-for-bit.
-    pub fn with_faults(mut self, plan: &'tb FaultPlan) -> Self {
-        self.faults = Some(plan);
         self
     }
 
@@ -379,27 +321,11 @@ impl<'tb> Simulation<'tb> {
         let names = &perf.names;
         let mut scheduler = self.scheduler.build();
         let predictor = self.predictor_override.unwrap_or(&self.testbed.predictor);
-        // Per-app offered link load in MB/s (perf-table indexed); present
-        // only with a machine-class configuration.
-        let net_demand: Option<Vec<f64>> = self.machine_classes.as_ref().map(|cfg| {
-            (0..names.len())
-                .map(|i| perf.net_demand_mb(i, cfg.kb_per_io))
-                .collect()
-        });
-        let mut app_chars = self.testbed.app_chars.clone();
-        if let Some(demand) = &net_demand {
-            // The monitor's canonical characteristics gain the network
-            // lane, so neighbour backgrounds aggregate link load.
-            for (i, name) in names.iter().enumerate() {
-                if let Some(c) = app_chars.get_mut(name) {
-                    c.net_mbps = demand[i];
-                }
-            }
-        }
-        let mut cluster = ClusterState::new(self.n_machines, self.slots_per_machine, app_chars);
-        if let Some(cfg) = &self.machine_classes {
-            cluster.set_machine_classes(cfg.classes.clone(), cfg.assignment.clone());
-        }
+        let mut cluster = ClusterState::new(
+            self.n_machines,
+            self.slots_per_machine,
+            self.testbed.app_chars.clone(),
+        );
         let window = scheduler.window();
 
         // Intern the perf-table app names once; every task constructed in
@@ -408,62 +334,15 @@ impl<'tb> Simulation<'tb> {
             .iter()
             .map(|n| cluster.registry().expect_id(n))
             .collect();
-
-        // What the scheduler gets to know about the hardware: the class
-        // table plus AppId-indexed demand. `None` keeps scoring blind —
-        // either no classes exist or the run is network-oblivious (the
-        // engine then still simulates the classes as ground truth).
-        let net_scoring: Option<(Vec<tracon_core::MachineClass>, Vec<f64>)> =
-            match (&self.machine_classes, &net_demand) {
-                (Some(cfg), Some(demand)) if !self.network_oblivious => {
-                    let mut by_id = vec![0.0; app_ids.len()];
-                    for (i, id) in app_ids.iter().enumerate() {
-                        by_id[id.index()] = demand[i];
-                    }
-                    Some((cfg.classes.clone(), by_id))
-                }
-                _ => None,
-            };
         let mut scoring = ScoringPolicy::new(predictor, self.objective);
-        if let Some((classes, by_id)) = &net_scoring {
-            scoring = scoring.with_machine_classes(classes.clone(), by_id.clone());
-        }
 
         let n_slots = self.n_machines * self.slots_per_machine;
         let mut slots = SlotState::new(self.n_machines, self.slots_per_machine, perf);
-        if let (Some(cfg), Some(demand)) = (&self.machine_classes, &net_demand) {
-            slots = slots.with_net(NetCtx {
-                classes: cfg.classes.clone(),
-                assignment: cfg.assignment.clone(),
-                demand: demand.clone(),
-            });
-        }
 
         // Pending events: the trace's arrivals, read in place, merged in
-        // front of a queue of fault transitions and at most one live
-        // completion per slot (plus stale ones awaiting their pop).
-        let n_fault_events = self.faults.map_or(0, |p| p.machine_events.len());
-        let mut events = Pending::new(trace, Q::with_capacity(n_slots + n_fault_events));
-        if let Some(plan) = self.faults {
-            for e in &plan.machine_events {
-                events.queue.push(
-                    e.time,
-                    EventKind::MachineFault {
-                        machine: e.machine,
-                        up: e.up,
-                    },
-                );
-            }
-        }
-        // Failed executions per task id; only touched when a plan is set.
-        let mut attempts: Vec<u32> = vec![
-            0;
-            if self.faults.is_some() {
-                trace.len()
-            } else {
-                0
-            }
-        ];
+        // front of a queue of at most one live completion per slot (plus
+        // stale ones awaiting their pop).
+        let mut events = Pending::new(trace, Q::with_capacity(n_slots));
 
         let mut queue: VecDeque<Task> = VecDeque::new();
 
@@ -539,46 +418,20 @@ impl<'tb> Simulation<'tb> {
                         gi += 1;
                         continue; // stale event from before a neighbour change
                     };
-                    let resident = cluster.clear(vm);
-                    // Fault injection: the attempt may fail at completion,
-                    // wasting its runtime and re-entering the queue.
-                    let mut failed = false;
-                    if let Some(plan) = self.faults {
-                        let att = attempts[resident.task_id as usize];
-                        if plan.attempt_fails(resident.task_id, att) {
-                            attempts[resident.task_id as usize] = att + 1;
-                            let abandoned = att + 1 >= plan.config().max_attempts;
-                            let finfo = TaskFailureInfo {
-                                time: now,
-                                vm,
-                                task_id: resident.task_id,
-                                app_idx: done.app_idx,
-                                attempt: att,
-                                abandoned,
-                            };
-                            metrics.on_task_failure(&finfo);
-                            observer.on_task_failure(&finfo);
-                            if !abandoned {
-                                queue.push_back(Task::new(resident.task_id, resident.app));
-                            }
-                            failed = true;
-                        }
+                    cluster.clear(vm);
+                    let info = CompletionInfo {
+                        time: now,
+                        vm,
+                        app_idx: done.app_idx,
+                        neighbor_at_start: done.neighbor_at_start,
+                        runtime: done.runtime,
+                        avg_iops: done.avg_iops,
+                    };
+                    metrics.on_completion(&info);
+                    if let Some(c) = &mut collector {
+                        c.on_completion(&info);
                     }
-                    if !failed {
-                        let info = CompletionInfo {
-                            time: now,
-                            vm,
-                            app_idx: done.app_idx,
-                            neighbor_at_start: done.neighbor_at_start,
-                            runtime: done.runtime,
-                            avg_iops: done.avg_iops,
-                        };
-                        metrics.on_completion(&info);
-                        if let Some(c) = &mut collector {
-                            c.on_completion(&info);
-                        }
-                        observer.on_completion(&info);
-                    }
+                    observer.on_completion(&info);
                     // The surviving sibling speeds up (or a later placement
                     // slows it down again).
                     for s in 0..self.slots_per_machine {
@@ -595,53 +448,12 @@ impl<'tb> Simulation<'tb> {
                     }
                     schedule_needed = true;
                 }
-                EventKind::MachineFault { machine, up } => {
-                    if up {
-                        if cluster.is_down(machine) {
-                            cluster.set_up(machine);
-                            metrics.on_machine_recover(now, machine);
-                            observer.on_machine_recover(now, machine);
-                            schedule_needed = true;
-                        }
-                    } else if !cluster.is_down(machine) {
-                        let max_attempts =
-                            self.faults.map_or(u32::MAX, |p| p.config().max_attempts);
-                        let evicted = cluster.set_down(machine);
-                        let n_evicted = evicted.len();
-                        let mut requeued = 0;
-                        for (vm, resident) in evicted {
-                            slots.evict(vm);
-                            // A crash eviction consumes an attempt; the
-                            // task restarts from scratch elsewhere.
-                            let att = attempts[resident.task_id as usize] + 1;
-                            attempts[resident.task_id as usize] = att;
-                            if att < max_attempts {
-                                queue.push_back(Task::new(resident.task_id, resident.app));
-                                requeued += 1;
-                            }
-                        }
-                        let cinfo = MachineCrashInfo {
-                            time: now,
-                            machine,
-                            evicted: n_evicted,
-                            requeued,
-                        };
-                        metrics.on_machine_crash(&cinfo);
-                        observer.on_machine_crash(&cinfo);
-                        schedule_needed = true;
-                    }
-                }
             }
 
             // Online adaptation: swap in the observer's predictor when its
-            // monitor has rebuilt a model. The machine-class table
-            // survives the swap — adaptation must not silently lose
-            // network-awareness.
+            // monitor has rebuilt a model.
             if let Some(p) = observer.updated_predictor() {
                 scoring = ScoringPolicy::new(&p, self.objective);
-                if let Some((classes, by_id)) = &net_scoring {
-                    scoring = scoring.with_machine_classes(classes.clone(), by_id.clone());
-                }
             }
 
             // The earliest still-pending event: the head of the buffered
@@ -670,10 +482,7 @@ impl<'tb> Simulation<'tb> {
                     let app_idx = arrival.app_idx;
                     let wait = now - arrival.time;
                     let nb_at_start = slots.neighbor_app(a.vm);
-                    let slowdown = self.faults.map_or(1.0, |p| {
-                        p.straggler_slowdown(a.task.id, attempts[a.task.id as usize])
-                    });
-                    slots.place(a.vm, app_idx, nb_at_start, now, slowdown);
+                    slots.place(a.vm, app_idx, nb_at_start, now);
                     slots.refresh(a.vm, now, &mut events.queue);
                     // Existing neighbours now run against a new workload.
                     for s in 0..self.slots_per_machine {
@@ -714,11 +523,7 @@ impl<'tb> Simulation<'tb> {
             observations: collector
                 .map(ObservationCollector::into_observations)
                 .unwrap_or_default(),
-            machine_crashes: metrics.machine_crashes,
-            machine_recoveries: metrics.machine_recoveries,
-            task_failures: metrics.task_failures,
-            requeues: metrics.requeues,
-            abandoned: metrics.abandoned,
+            abandoned: 0,
             events_processed,
         }
     }
@@ -993,129 +798,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_plan_is_bit_identical_to_no_plan() {
-        use crate::faults::FaultPlan;
-        let tb = shared();
-        let plan = FaultPlan::none();
-        for kind in [
-            SchedulerKind::Fifo,
-            SchedulerKind::Mios,
-            SchedulerKind::Mibs(8),
-        ] {
-            let trace = poisson_trace(30.0, 900.0, WorkloadMix::Medium, 17);
-            let plain = Simulation::new(tb, 4, kind).run(&trace, Some(1800.0));
-            let faulted = Simulation::new(tb, 4, kind)
-                .with_faults(&plan)
-                .run(&trace, Some(1800.0));
-            assert_eq!(plain.completed, faulted.completed, "{kind:?}");
-            assert_eq!(
-                plain.total_runtime.to_bits(),
-                faulted.total_runtime.to_bits(),
-                "{kind:?}"
-            );
-            assert_eq!(
-                plain.total_iops.to_bits(),
-                faulted.total_iops.to_bits(),
-                "{kind:?}"
-            );
-            assert_eq!(plain.mean_wait.to_bits(), faulted.mean_wait.to_bits());
-            assert_eq!(faulted.machine_crashes, 0);
-            assert_eq!(faulted.requeues, 0);
-            assert_eq!(faulted.abandoned, 0);
-        }
-    }
-
-    #[test]
-    fn faulted_run_is_deterministic() {
-        use crate::faults::{FaultConfig, FaultPlan};
-        let tb = shared();
-        let plan = FaultPlan::generate(
-            FaultConfig {
-                machine_mttf_s: 300.0,
-                machine_mttr_s: 60.0,
-                ..FaultConfig::default()
-            },
-            4,
-            1800.0,
-            5,
-        );
-        let trace = poisson_trace(40.0, 900.0, WorkloadMix::Medium, 23);
-        let a = Simulation::new(tb, 4, SchedulerKind::Mibs(8))
-            .with_faults(&plan)
-            .run(&trace, Some(1800.0));
-        let b = Simulation::new(tb, 4, SchedulerKind::Mibs(8))
-            .with_faults(&plan)
-            .run(&trace, Some(1800.0));
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.total_runtime.to_bits(), b.total_runtime.to_bits());
-        assert_eq!(a.machine_crashes, b.machine_crashes);
-        assert_eq!(a.requeues, b.requeues);
-        assert_eq!(a.task_failures, b.task_failures);
-        assert!(a.machine_crashes > 0, "plan must actually crash machines");
-    }
-
-    #[test]
-    fn crashes_requeue_and_conservation_holds() {
-        use crate::faults::{FaultConfig, FaultPlan};
-        let tb = shared();
-        // Aggressive churn on a small cluster so evictions are certain.
-        let plan = FaultPlan::generate(
-            FaultConfig {
-                machine_mttf_s: 120.0,
-                machine_mttr_s: 30.0,
-                task_fail_prob: 0.1,
-                max_attempts: 3,
-                straggler_prob: 0.2,
-                straggler_slowdown: 2.0,
-            },
-            4,
-            7200.0,
-            2,
-        );
-        let trace = poisson_trace(60.0, 1800.0, WorkloadMix::Medium, 8);
-        let mut crash_hooks = 0usize;
-        let mut recover_hooks = 0usize;
-        let mut failure_hooks = 0usize;
-        struct Hooks<'a>(&'a mut usize, &'a mut usize, &'a mut usize);
-        impl SimObserver for Hooks<'_> {
-            fn on_machine_crash(&mut self, _info: &MachineCrashInfo) {
-                *self.0 += 1;
-            }
-            fn on_machine_recover(&mut self, _time: f64, _machine: usize) {
-                *self.1 += 1;
-            }
-            fn on_task_failure(&mut self, _info: &TaskFailureInfo) {
-                *self.2 += 1;
-            }
-        }
-        let r = Simulation::new(tb, 4, SchedulerKind::Mios)
-            .with_faults(&plan)
-            .run_with_observer(
-                &trace,
-                None,
-                &mut Hooks(&mut crash_hooks, &mut recover_hooks, &mut failure_hooks),
-            );
-        assert!(r.machine_crashes > 0, "{r:?}");
-        assert!(r.requeues > 0, "{r:?}");
-        assert_eq!(r.machine_crashes, crash_hooks);
-        assert_eq!(r.machine_recoveries, recover_hooks);
-        assert_eq!(r.task_failures, failure_hooks);
-        // Conservation: every arrival is completed, refused, abandoned,
-        // or still in the system (unfinished is non-negative by
-        // construction; check it exactly bounds the remainder).
-        assert_eq!(
-            r.arrived,
-            r.completed + r.refused + r.abandoned + r.unfinished()
-        );
-        // Run to completion with recoveries in the plan: nothing should
-        // be left unfinished unless every machine ended down.
-        assert!(
-            r.unfinished() == 0 || r.completed > 0,
-            "run(None) must make progress: {r:?}"
-        );
-    }
-
-    #[test]
     fn event_at_exact_horizon_is_processed() {
         // The kernel breaks on `now > horizon`: an event at exactly
         // t == horizon is processed, one epsilon later is not.
@@ -1140,104 +822,5 @@ mod tests {
         assert_eq!(obs.arrivals, 1, "arrival at t == horizon must be admitted");
         assert_eq!(r.arrived, 2, "arrived counts the whole trace");
         assert_eq!(r.completed, 0, "its completion falls past the horizon");
-    }
-
-    #[test]
-    fn reference_machine_classes_are_bit_identical() {
-        // A homogeneous reference-class configuration — and a capacitated
-        // unit-factor class with zero per-I/O traffic — must replay the
-        // legacy scenarios bit-for-bit: the class gate skips reference
-        // classes entirely, and a non-reference class at zero demand
-        // multiplies and divides by exactly 1.0.
-        use tracon_core::MachineClass;
-        let tb = shared();
-        let trace = static_batch(16, WorkloadMix::Medium, 71);
-        let unit = MachineClassConfig {
-            classes: vec![MachineClass::remote("unit", 1.0, 1.0, 80.0)],
-            assignment: vec![0; 8],
-            kb_per_io: 0.0,
-        };
-        for kind in [SchedulerKind::Fifo, SchedulerKind::Mibs(8)] {
-            let plain = Simulation::new(tb, 8, kind).run(&trace, None);
-            let homog = Simulation::new(tb, 8, kind)
-                .with_machine_classes(MachineClassConfig::homogeneous(8))
-                .run(&trace, None);
-            let zero = Simulation::new(tb, 8, kind)
-                .with_machine_classes(unit.clone())
-                .run(&trace, None);
-            for r in [&homog, &zero] {
-                assert_eq!(plain.completed, r.completed, "{kind:?}");
-                assert_eq!(
-                    plain.total_runtime.to_bits(),
-                    r.total_runtime.to_bits(),
-                    "{kind:?}"
-                );
-                assert_eq!(
-                    plain.total_iops.to_bits(),
-                    r.total_iops.to_bits(),
-                    "{kind:?}"
-                );
-                assert_eq!(plain.mean_wait.to_bits(), r.mean_wait.to_bits(), "{kind:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn remote_classes_slow_the_cluster_down() {
-        use tracon_core::MachineClass;
-        let tb = shared();
-        let trace = static_batch(16, WorkloadMix::Heavy, 73);
-        let plain = Simulation::new(tb, 8, SchedulerKind::Fifo).run(&trace, None);
-        let slow = Simulation::new(tb, 8, SchedulerKind::Fifo)
-            .with_machine_classes(MachineClassConfig {
-                classes: vec![MachineClass::remote("iscsi", 2.0, 0.5, 60.0)],
-                assignment: vec![0; 8],
-                kb_per_io: 64.0,
-            })
-            .run(&trace, None);
-        assert_eq!(slow.completed, 16);
-        assert!(
-            slow.total_runtime > plain.total_runtime * 1.5,
-            "remote-storage cluster must pay the class penalty: {} vs {}",
-            slow.total_runtime,
-            plain.total_runtime
-        );
-        assert!(
-            slow.total_iops < plain.total_iops,
-            "remote class halves served IOPS: {} vs {}",
-            slow.total_iops,
-            plain.total_iops
-        );
-    }
-
-    #[test]
-    fn heterogeneous_runs_are_deterministic_and_oblivious_differs() {
-        use tracon_core::MachineClass;
-        let tb = shared();
-        let cfg = MachineClassConfig::mixed(8, MachineClass::remote("iscsi", 2.0, 0.5, 60.0), 64.0);
-        let trace = static_batch(24, WorkloadMix::Medium, 77);
-        let aware = Simulation::new(tb, 8, SchedulerKind::Mibs(24))
-            .with_machine_classes(cfg.clone())
-            .run(&trace, None);
-        let aware2 = Simulation::new(tb, 8, SchedulerKind::Mibs(24))
-            .with_machine_classes(cfg.clone())
-            .run(&trace, None);
-        let oblivious = Simulation::new(tb, 8, SchedulerKind::Mibs(24))
-            .with_machine_classes(cfg)
-            .with_network_oblivious_scoring()
-            .run(&trace, None);
-        assert_eq!(aware.completed, 24);
-        assert_eq!(oblivious.completed, 24);
-        assert_eq!(
-            aware.total_runtime.to_bits(),
-            aware2.total_runtime.to_bits()
-        );
-        // The oblivious scheduler cannot see the class split, so on a
-        // mixed cluster its placements — and hence realized runtimes —
-        // must differ from the aware ones.
-        assert!(
-            (aware.total_runtime - oblivious.total_runtime).abs() > 1e-9,
-            "class-aware scoring should change placements on a mixed cluster"
-        );
     }
 }

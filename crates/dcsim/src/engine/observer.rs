@@ -58,38 +58,6 @@ pub struct CompletionInfo {
     pub avg_iops: f64,
 }
 
-/// A machine crash injected by a [`FaultPlan`](crate::faults::FaultPlan).
-#[derive(Debug, Clone, Copy)]
-pub struct MachineCrashInfo {
-    /// Simulation time of the crash.
-    pub time: f64,
-    /// The machine that went down.
-    pub machine: usize,
-    /// Tasks that were in flight on the machine (all lose their
-    /// progress).
-    pub evicted: usize,
-    /// How many of those re-entered the admission queue (the rest
-    /// exhausted their attempts and were abandoned).
-    pub requeued: usize,
-}
-
-/// One failed task execution (per-task fault or abandonment).
-#[derive(Debug, Clone, Copy)]
-pub struct TaskFailureInfo {
-    /// Simulation time of the failure.
-    pub time: f64,
-    /// The slot the execution ran on.
-    pub vm: VmRef,
-    /// Task id (its index in the arrival trace).
-    pub task_id: u64,
-    /// Application index of the task.
-    pub app_idx: usize,
-    /// Which execution failed (0-based).
-    pub attempt: u32,
-    /// Whether the task exhausted its attempts and leaves the system.
-    pub abandoned: bool,
-}
-
 /// Observes a simulation as it runs. All hooks default to no-ops, so an
 /// observer only implements what it cares about. The unit type `()` is
 /// the null observer.
@@ -104,13 +72,6 @@ pub trait SimObserver {
     fn on_placement(&mut self, _info: &PlacementInfo) {}
     /// A task completed.
     fn on_completion(&mut self, _info: &CompletionInfo) {}
-    /// A machine crashed (fault injection), evicting its residents.
-    fn on_machine_crash(&mut self, _info: &MachineCrashInfo) {}
-    /// A crashed machine recovered and its slots are placeable again.
-    fn on_machine_recover(&mut self, _time: f64, _machine: usize) {}
-    /// A task execution failed (fault injection); the task was requeued
-    /// unless `info.abandoned`.
-    fn on_task_failure(&mut self, _info: &TaskFailureInfo) {}
     /// Polled by the kernel after every event: return a predictor to swap
     /// the scheduler's scoring policy mid-run (online model adaptation).
     /// Return `None` to keep the current one.
@@ -130,11 +91,6 @@ pub(crate) struct MetricsObserver {
     pub(crate) total_runtime: f64,
     pub(crate) total_iops: f64,
     pub(crate) makespan: f64,
-    pub(crate) machine_crashes: usize,
-    pub(crate) machine_recoveries: usize,
-    pub(crate) task_failures: usize,
-    pub(crate) requeues: usize,
-    pub(crate) abandoned: usize,
     wait_sum: f64,
     wait_count: usize,
 }
@@ -164,25 +120,6 @@ impl SimObserver for MetricsObserver {
         self.total_runtime += info.runtime;
         self.total_iops += info.avg_iops;
         self.makespan = self.makespan.max(info.time);
-    }
-
-    fn on_machine_crash(&mut self, info: &MachineCrashInfo) {
-        self.machine_crashes += 1;
-        self.requeues += info.requeued;
-        self.abandoned += info.evicted - info.requeued;
-    }
-
-    fn on_machine_recover(&mut self, _time: f64, _machine: usize) {
-        self.machine_recoveries += 1;
-    }
-
-    fn on_task_failure(&mut self, info: &TaskFailureInfo) {
-        self.task_failures += 1;
-        if info.abandoned {
-            self.abandoned += 1;
-        } else {
-            self.requeues += 1;
-        }
     }
 }
 

@@ -5,39 +5,26 @@
 
 use super::event::{EventKind, KernelQueue};
 use crate::perf::{PerfTable, IDLE};
-use tracon_core::{MachineClass, VmRef};
-
-/// Machine-class context for the event kernel of a heterogeneous
-/// cluster: the class table, each machine's class index, and each
-/// application's offered link load in MB/s (perf-table indexed).
-#[derive(Debug, Clone)]
-pub(crate) struct NetCtx {
-    pub classes: Vec<MachineClass>,
-    pub assignment: Vec<u16>,
-    pub demand: Vec<f64>,
-}
+use tracon_core::VmRef;
 
 /// A task in flight on a VM slot.
 #[derive(Debug, Clone)]
-pub(crate) struct Running {
-    pub app_idx: usize,
+struct Running {
+    app_idx: usize,
     /// Neighbour app index at placement time (IDLE if the sibling slot was
     /// free) — the state the prediction was made against.
-    pub neighbor_at_start: usize,
-    pub start_time: f64,
+    neighbor_at_start: usize,
+    start_time: f64,
     /// Completed fraction of the task's work.
-    pub progress: f64,
+    progress: f64,
     /// Work fraction per second under the current neighbour.
-    pub rate: f64,
+    rate: f64,
     /// Served I/O rate under the current neighbour.
-    pub iops_rate: f64,
+    iops_rate: f64,
     /// Accumulated I/O operations.
-    pub io_ops: f64,
-    pub last_update: f64,
-    pub version: u64,
-    /// Straggler rate divisor for this execution (1.0 = nominal); applied
-    /// to both work and I/O rates on every refresh.
-    pub slowdown: f64,
+    io_ops: f64,
+    last_update: f64,
+    version: u64,
 }
 
 /// A validated task completion, with the realized measurements the
@@ -61,9 +48,6 @@ pub(crate) struct SlotState<'p> {
     /// predecessor used, so a completion event left over from a previous
     /// occupant can never validate against the current one.
     base_version: Vec<u64>,
-    /// Machine-class context; `None` on a homogeneous cluster (the
-    /// legacy, bit-identical path).
-    net: Option<NetCtx>,
 }
 
 impl<'p> SlotState<'p> {
@@ -73,39 +57,7 @@ impl<'p> SlotState<'p> {
             slots_per_machine,
             perf,
             base_version: vec![0; n_machines * slots_per_machine],
-            net: None,
         }
-    }
-
-    /// Attaches machine-class context: refreshes on non-reference-class
-    /// machines additionally divide the work rate by the class slowdown
-    /// (solo factor x M/M/1 link contention) and scale the I/O rate by
-    /// `iops_factor / contention`.
-    pub fn with_net(mut self, net: NetCtx) -> Self {
-        self.net = Some(net);
-        self
-    }
-
-    /// The `(runtime divisor, IOPS multiplier)` the machine's class
-    /// imposes given its residents' current total link load, or `None`
-    /// when the kernel is class-oblivious or the class is the reference
-    /// class — the gate that keeps legacy scenarios bit-identical.
-    fn class_adjust(&self, machine: usize) -> Option<(f64, f64)> {
-        let net = self.net.as_ref()?;
-        let class = &net.classes[net.assignment[machine] as usize];
-        if class.is_reference() {
-            return None;
-        }
-        let mut demand = 0.0;
-        for s in 0..self.slots_per_machine {
-            if let Some(r) = &self.slots[machine * self.slots_per_machine + s] {
-                demand += net.demand[r.app_idx];
-            }
-        }
-        Some((
-            class.slowdown(demand),
-            class.iops_factor / class.link_contention(demand),
-        ))
     }
 
     fn index(&self, vm: VmRef) -> usize {
@@ -139,17 +91,9 @@ impl<'p> SlotState<'p> {
         self.slots[self.index(vm)].is_some()
     }
 
-    /// Starts a task on a free slot with the given straggler `slowdown`
-    /// (1.0 = nominal). The rate fields are placeholders until the caller
-    /// refreshes the slot.
-    pub fn place(
-        &mut self,
-        vm: VmRef,
-        app_idx: usize,
-        neighbor_at_start: usize,
-        now: f64,
-        slowdown: f64,
-    ) {
+    /// Starts a task on a free slot. The rate fields are placeholders
+    /// until the caller refreshes the slot.
+    pub fn place(&mut self, vm: VmRef, app_idx: usize, neighbor_at_start: usize, now: f64) {
         let idx = self.index(vm);
         debug_assert!(
             self.slots[idx].is_none(),
@@ -165,7 +109,6 @@ impl<'p> SlotState<'p> {
             io_ops: 0.0,
             last_update: now,
             version: self.base_version[idx],
-            slowdown,
         });
     }
 
@@ -176,23 +119,14 @@ impl<'p> SlotState<'p> {
     /// empty slot.
     pub fn refresh<Q: KernelQueue>(&mut self, vm: VmRef, now: f64, events: &mut Q) {
         let nb = self.neighbor_app(vm);
-        // Computed before the slot borrow; `None` on the legacy path.
-        let adjust = self.class_adjust(vm.machine);
         let idx = self.index(vm);
         if let Some(r) = &mut self.slots[idx] {
             let dt = now - r.last_update;
             r.progress += r.rate * dt;
             r.io_ops += r.iops_rate * dt;
             r.last_update = now;
-            r.rate = self.perf.rate(r.app_idx, nb) / r.slowdown;
-            r.iops_rate = self.perf.iops(r.app_idx, nb) / r.slowdown;
-            if let Some((rt_div, io_mul)) = adjust {
-                // Applied as an extra division/multiplication so the
-                // legacy rate expression above stays bit-identical on
-                // reference-class machines (the branch is not taken).
-                r.rate /= rt_div;
-                r.iops_rate *= io_mul;
-            }
+            r.rate = self.perf.rate(r.app_idx, nb);
+            r.iops_rate = self.perf.iops(r.app_idx, nb);
             r.version += 1;
             self.base_version[idx] = r.version;
             let remaining = (1.0 - r.progress).max(0.0);
@@ -227,15 +161,6 @@ impl<'p> SlotState<'p> {
             avg_iops,
         })
     }
-
-    /// Forcibly removes the task on `vm` (machine crash): its progress is
-    /// lost and any outstanding completion event goes stale because the
-    /// slot is empty and later occupants start past its version. Returns
-    /// the evicted entry, or `None` for a free slot.
-    pub fn evict(&mut self, vm: VmRef) -> Option<Running> {
-        let idx = self.index(vm);
-        self.slots[idx].take()
-    }
 }
 
 #[cfg(test)]
@@ -249,49 +174,61 @@ mod tests {
     /// started at `version: 0`, the successor's first refresh reissued the
     /// predecessor's version, and the old event ended the new task on the
     /// old task's clock. Versions now count per slot (`base_version`).
-    /// The successor's completion takes a handle the wheel recycled, so a
-    /// reused handle must not revive the stale event either.
+    ///
+    /// A runs beside B; B finishes first, so A speeds up and A's paired
+    /// completion goes stale at a later time. A completes, and A' takes
+    /// the slot before that time. The handles popped events freed carry
+    /// the later pushes, so a reused handle must not revive the stale
+    /// event either.
     #[test]
     fn second_occupant_ignores_its_predecessors_queued_completion() {
         let perf = &shared().perf;
+        let n = perf.n_apps();
+        let (a, b) = (0..n)
+            .flat_map(|a| (0..n).map(move |b| (a, b)))
+            .find(|&(a, b)| {
+                let paired = perf.rate(a, b);
+                perf.rate(a, IDLE) > paired && perf.rate(b, a) > paired
+            })
+            .expect("a pair where B slows A down and finishes first");
         let mut slots = SlotState::new(1, 2, perf);
-        let mut events = TimingWheel::with_capacity(2);
-        let vm = VmRef {
-            machine: 0,
-            slot: 0,
-        };
-        let app = 0;
-        let solo = 1.0 / perf.rate(app, IDLE);
-        // The first occupant's completion is queued for t = solo; a crash
-        // evicts it and the event stays behind.
-        slots.place(vm, app, IDLE, 0.0, 1.0);
-        slots.refresh(vm, 0.0, &mut events);
-        slots.evict(vm);
-        // An unrelated event pops, freeing a handle for the next push.
-        let crash = EventKind::MachineFault {
-            machine: 0,
-            up: false,
-        };
-        events.push(solo / 4.0, crash);
-        events.pop();
-        // The same app starts again on the slot at solo / 2.
-        let start = solo / 2.0;
-        slots.place(vm, app, IDLE, start, 1.0);
-        slots.refresh(vm, start, &mut events);
+        let mut events = TimingWheel::with_capacity(4);
+        let vm = |slot| VmRef { machine: 0, slot };
+        // B starts alone, then A beside it: A's completion is queued at
+        // its paired time.
+        slots.place(vm(1), b, IDLE, 0.0);
+        slots.refresh(vm(1), 0.0, &mut events);
+        slots.place(vm(0), a, b, 0.0);
+        slots.refresh(vm(0), 0.0, &mut events);
+        slots.refresh(vm(1), 0.0, &mut events);
+        let stale = 1.0 / perf.rate(a, b);
         let mut completions = Vec::new();
+        let mut successor_start = None;
         while let Some(e) = events.pop() {
-            if let EventKind::Completion { vm, version } = e.kind {
-                if let Some(done) = slots.complete(vm, version, e.time) {
-                    completions.push((e.time, done.runtime));
-                }
+            let EventKind::Completion { vm: at, version } = e.kind else {
+                unreachable!("only completions are queued");
+            };
+            let Some(done) = slots.complete(at, version, e.time) else {
+                continue;
+            };
+            completions.push((at.slot, e.time, done.runtime));
+            // The sibling speeds up (a no-op once the machine is empty).
+            slots.refresh(vm(1 - at.slot), e.time, &mut events);
+            if at.slot == 0 && successor_start.is_none() {
+                assert!(e.time < stale, "A must finish before its stale event");
+                slots.place(vm(0), a, IDLE, e.time);
+                slots.refresh(vm(0), e.time, &mut events);
+                successor_start = Some(e.time);
             }
         }
-        let end = start + solo;
+        let start = successor_start.expect("A completed");
+        let end = start + 1.0 / perf.rate(a, IDLE);
+        assert_eq!(completions.len(), 3, "{completions:?}");
         assert_eq!(
-            completions,
-            [(end, end - start)],
+            completions[2],
+            (0, end, end - start),
             "the second occupant must run its own full solo time, \
-             not end on its predecessor's event at t = {solo}"
+             not end on its predecessor's event at t = {stale}"
         );
     }
 }

@@ -8,8 +8,6 @@
 pub mod ext_ablation;
 pub mod ext_adaptive;
 pub mod ext_density;
-pub mod ext_faults;
-pub mod ext_network;
 pub mod ext_storage;
 pub mod fig10;
 pub mod fig11;

@@ -8,8 +8,8 @@
 //! campaign.
 
 use super::{
-    ext_ablation, ext_adaptive, ext_density, ext_faults, ext_network, ext_storage, fig10, fig11,
-    fig12, fig3, fig4, fig5_6, fig7, fig8, fig9, table1, ExperimentConfig,
+    ext_ablation, ext_adaptive, ext_density, ext_storage, fig10, fig11, fig12, fig3, fig4, fig5_6,
+    fig7, fig8, fig9, table1, ExperimentConfig,
 };
 use crate::setup::Testbed;
 use std::sync::OnceLock;
@@ -80,25 +80,6 @@ fn run_ext_adaptive(cfg: &ExperimentConfig, _tb: &TestbedCache<'_>) -> String {
         ext_adaptive::ExtAdaptiveConfig::full()
     };
     ext_adaptive::run(&a_cfg).render()
-}
-
-fn run_ext_faults(cfg: &ExperimentConfig, tb: &TestbedCache<'_>) -> String {
-    let mut f_cfg = if is_small(cfg) {
-        ext_faults::ExtFaultsConfig::small()
-    } else {
-        ext_faults::ExtFaultsConfig::full()
-    };
-    f_cfg.seed = cfg.seed;
-    ext_faults::run(tb.get(), &f_cfg).render()
-}
-
-fn run_ext_network(cfg: &ExperimentConfig, tb: &TestbedCache<'_>) -> String {
-    let n_cfg = if is_small(cfg) {
-        ext_network::ExtNetworkConfig::small()
-    } else {
-        ext_network::ExtNetworkConfig::full()
-    };
-    ext_network::run(tb.get(), &n_cfg).render()
 }
 
 /// Every experiment of the evaluation, in the paper's presentation
@@ -186,17 +167,6 @@ pub static REGISTRY: &[Experiment] = &[
         description: "online adaptation in the scheduling loop (extension)",
         run: run_ext_adaptive,
     },
-    Experiment {
-        name: "ext_faults",
-        description: "scheduler comparison under machine churn and task failures (extension)",
-        run: run_ext_faults,
-    },
-    Experiment {
-        name: "ext_network",
-        description:
-            "network-aware vs oblivious scheduling on a mixed local/iSCSI cluster (extension)",
-        run: run_ext_network,
-    },
 ];
 
 /// Looks an experiment up by its registry name.
@@ -215,7 +185,7 @@ mod tests {
             assert!(seen.insert(e.name), "duplicate name {}", e.name);
             assert!(!e.description.is_empty(), "{} undescribed", e.name);
         }
-        assert_eq!(REGISTRY.len(), 16);
+        assert_eq!(REGISTRY.len(), 14);
     }
 
     #[test]

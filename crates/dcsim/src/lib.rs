@@ -15,12 +15,6 @@
 //!   arrival traces,
 //! * [`engine`] — the event-driven simulation and the paper's metrics
 //!   (Speedup, IOBoost, normalized throughput),
-//! * [`faults`] — seeded, deterministic fault plans (machine MTTF/MTTR
-//!   churn, per-attempt task failures, stragglers) injected through the
-//!   event kernel,
-//! * [`machines`] — heterogeneous machine classes: per-class solo
-//!   factors and a shared-bandwidth network dimension on remote-storage
-//!   hosts,
 //! * [`experiments`] — one driver per table/figure of the evaluation.
 
 #![warn(missing_docs)]
@@ -28,8 +22,6 @@
 pub mod arrival;
 pub mod engine;
 pub mod experiments;
-pub mod faults;
-pub mod machines;
 pub mod perf;
 pub mod setup;
 mod snapshot;
@@ -37,10 +29,8 @@ mod snapshot;
 pub use arrival::{poisson_n, poisson_trace, static_batch, ArrivalEvent, WorkloadMix};
 pub use engine::{
     io_boost, normalized_throughput, speedup, AdaptiveObserver, ArrivalInfo, CompletionInfo,
-    MachineCrashInfo, PlacementInfo, QueueBackend, SchedulerKind, SimObserver, SimResult,
-    Simulation, TaskFailureInfo, TaskObservation,
+    PlacementInfo, QueueBackend, SchedulerKind, SimObserver, SimResult, Simulation,
+    TaskObservation,
 };
-pub use faults::{FaultConfig, FaultPlan, MachineFaultEvent};
-pub use machines::MachineClassConfig;
 pub use perf::{PerfTable, IDLE};
 pub use setup::{Testbed, TestbedConfig};

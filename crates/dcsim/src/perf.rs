@@ -94,14 +94,6 @@ impl PerfTable {
         self.id_index[app.index()]
     }
 
-    /// Offered storage-network load of application `a` in MB/s when each
-    /// of its I/O requests moves `kb_per_io` KB across the link:
-    /// `solo_iops * kb_per_io / 1024`. Zero when `kb_per_io` is zero
-    /// (local storage).
-    pub fn net_demand_mb(&self, a: usize, kb_per_io: f64) -> f64 {
-        self.solo_iops[a] * kb_per_io / 1024.0
-    }
-
     /// Solo runtime of application `a`.
     pub fn solo_runtime(&self, a: usize) -> f64 {
         self.solo_runtime[a]
@@ -199,13 +191,5 @@ mod tests {
             let by_name = t.names.iter().position(|n| n == name).unwrap();
             assert_eq!(t.index_of_id(id), by_name);
         }
-    }
-
-    #[test]
-    fn net_demand_scales_with_io_size() {
-        let t = toy_table();
-        assert_eq!(t.net_demand_mb(0, 0.0), 0.0);
-        // 200 IOPS x 512 KB = 100 MB/s.
-        assert!((t.net_demand_mb(0, 512.0) - 100.0).abs() < 1e-12);
     }
 }

@@ -1299,9 +1299,9 @@ mod tests {
             let vm = svc.live[&first].placement.expect("placed").vm;
             let mut probe = svc.cluster.clone();
             probe.clear(vm);
-            let slot = probe.class_view(vm);
+            let (key, background) = probe.class_of(vm);
             let id = |a: usize| probe.registry().expect_id(&names[a]);
-            let score = |a| svc.scoring.class_score(id(a), &slot);
+            let score = |a| svc.scoring.score(id(a), key, &background);
             let excess = |a| score(a) - svc.scoring.solo_score(id(a));
             let (worst, best) = (0..names.len())
                 .flat_map(|w| (0..names.len()).map(move |b| (w, b)))

@@ -16,11 +16,9 @@
 //! * [`descriptive`] — means, variances, percentiles, scalers,
 //! * [`dist`] — Gaussian / Poisson / exponential sampling,
 //! * [`online`] — Welford accumulators, sliding windows, drift detection,
-//! * [`queueing`] — M/M/1 shared-bandwidth contention factors (the
-//!   network resource dimension's analytic interference model),
 //! * [`json`] — the workspace's one JSON codec (wire protocol, WAL, snapshots),
 //! * [`prng`] — the two seeded generators (`ChaCha12` for simulated sampling,
-//!   `SplitMix64` for routing, jitter, fault plans) and the seeded
+//!   `SplitMix64` for routing, jitter, failpoints) and the seeded
 //!   property-test loop.
 //!
 //! The crate depends on nothing outside `std` and is sized
@@ -43,7 +41,6 @@ pub mod ols;
 pub mod online;
 pub mod pca;
 pub mod prng;
-pub mod queueing;
 pub mod stepwise;
 
 pub use correlation::{pearson, spearman};
@@ -56,5 +53,4 @@ pub use matrix::{dot, euclidean_distance, norm2, Matrix};
 pub use ols::OlsFit;
 pub use online::{DriftDetector, DriftKind, SlidingWindow, Welford};
 pub use pca::Pca;
-pub use queueing::{mm1_slowdown, mm1_throughput_factor};
 pub use stepwise::{aic_gaussian, aicc_gaussian, stepwise_aic, StepwiseFit, StepwiseOptions};

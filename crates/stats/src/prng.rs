@@ -11,9 +11,9 @@
 //! [`SplitMix64`] (Steele, Lea & Flood, "Fast splittable pseudorandom
 //! number generators", OOPSLA'14) is the control-plane stream, which
 //! must replay bit-for-bit without disturbing a sampling stream:
-//! rendezvous shard routing, retry jitter, simulator fault plans,
-//! failpoint draws and the replication sim's interleavings. [`mix64`]
-//! is its stateless finaliser (a hash of one word).
+//! rendezvous shard routing, retry jitter, failpoint draws and the
+//! replication sim's interleavings. [`mix64`] is its stateless
+//! finaliser (a hash of one word).
 //!
 //! [`check_cases`] runs a property over a fixed number of [`ChaCha12`]
 //! streams and names the failing one.

@@ -7,13 +7,10 @@
 //! rescaling, or dispatch triggering shows up as a bit-level mismatch.
 
 use std::sync::OnceLock;
-use tracon::core::{MachineClass, MibsVariant, Objective};
+use tracon::core::{MibsVariant, Objective};
 use tracon::dcsim::arrival::{poisson_trace, static_batch, ArrivalEvent, WorkloadMix};
 use tracon::dcsim::engine::{ArrivalInfo, CompletionInfo, PlacementInfo, SimObserver};
-use tracon::dcsim::{
-    MachineClassConfig, QueueBackend, SchedulerKind, SimResult, Simulation, Testbed, TestbedConfig,
-};
-use tracon::stats::prng::check_cases;
+use tracon::dcsim::{QueueBackend, SchedulerKind, SimResult, Simulation, Testbed, TestbedConfig};
 
 /// `(scenario, scheduler, objective, completed, refused, total_runtime,
 /// total_iops, makespan, mean_wait)` — float fields as raw bits.
@@ -295,101 +292,6 @@ fn timing_wheel_matches_binary_heap_bit_for_bit() {
         }
     }
     assert_eq!(rows, MATRIX_ROWS, "the golden matrix must cover every row");
-}
-
-/// The gate for the multi-axis resource API: with only the two legacy
-/// dimensions in play, routing every scenario through the machine-class
-/// machinery must not move a single bit. Two reference shapes are
-/// checked per matrix row — an explicit all-reference (homogeneous)
-/// class table, and a *non*-reference unit-factor class with a finite
-/// link capacity but zero offered demand (`kb_per_io = 0`), which
-/// exercises the capacity math at the identity point.
-#[test]
-fn ndim_reference_classes_match_legacy_bit_for_bit() {
-    let tb = testbed();
-    let mut rows = 0;
-    for (scenario, machines, trace, horizon) in scenarios() {
-        let homogeneous = MachineClassConfig::homogeneous(machines);
-        let unit = MachineClassConfig {
-            classes: vec![MachineClass::remote("unit", 1.0, 1.0, 80.0)],
-            assignment: vec![0; machines],
-            kb_per_io: 0.0,
-        };
-        for kind in all_kinds() {
-            for objective in [Objective::MinRuntime, Objective::MaxIops] {
-                let mut plain_obs = Recording::default();
-                let plain = Simulation::new(tb, machines, kind)
-                    .with_objective(objective)
-                    .run_with_observer(&trace, horizon, &mut plain_obs);
-                let ctx = format!("{scenario}/{}/{}", plain.scheduler, objective.suffix());
-                for (label, cfg) in [("homogeneous", &homogeneous), ("unit-factor", &unit)] {
-                    let mut classed_obs = Recording::default();
-                    let classed = Simulation::new(tb, machines, kind)
-                        .with_objective(objective)
-                        .with_machine_classes(cfg.clone())
-                        .run_with_observer(&trace, horizon, &mut classed_obs);
-                    assert_eq!(
-                        plain_obs.placements, classed_obs.placements,
-                        "{label} classes changed a placement: {ctx}"
-                    );
-                    assert_eq!(
-                        plain_obs.completions, classed_obs.completions,
-                        "{label} classes changed a completion: {ctx}"
-                    );
-                    assert_eq!(
-                        fingerprint(&plain),
-                        fingerprint(&classed),
-                        "{label} classes moved the fingerprint: {ctx}"
-                    );
-                }
-                rows += 1;
-            }
-        }
-    }
-    assert_eq!(rows, MATRIX_ROWS, "the N-dim matrix must cover every row");
-}
-
-/// A network dimension with zero offered demand is inert: whatever
-/// the cluster shape, scheduler, objective, or link capacity, a
-/// uniform unit-factor class with `kb_per_io = 0` never changes a
-/// placement or completion decision. (The table must be uniform —
-/// a *mixed* assignment refines the free-slot equivalence classes
-/// by design, which can legitimately re-break score ties.)
-#[test]
-fn zero_demand_network_dimension_never_changes_placements() {
-    check_cases(0..16, |rng| {
-        let machines = rng.range_usize(2, 7);
-        let batch = rng.range_usize(8, 32);
-        let seed = rng.range_usize(0, 1000) as u64;
-        let kind_idx = rng.range_usize(0, 8);
-        let capacity = rng.range_f64(10.0, 500.0);
-        let maximize_iops = rng.next_u64() & 1 == 1;
-        let tb = testbed();
-        let trace = static_batch(batch, WorkloadMix::Medium, seed);
-        let kind = all_kinds()[kind_idx];
-        let objective = if maximize_iops {
-            Objective::MaxIops
-        } else {
-            Objective::MinRuntime
-        };
-        let cfg = MachineClassConfig {
-            classes: vec![MachineClass::remote("idle-link", 1.0, 1.0, capacity)],
-            assignment: vec![0; machines],
-            kb_per_io: 0.0,
-        };
-        let mut plain_obs = Recording::default();
-        let plain = Simulation::new(tb, machines, kind)
-            .with_objective(objective)
-            .run_with_observer(&trace, None, &mut plain_obs);
-        let mut classed_obs = Recording::default();
-        let classed = Simulation::new(tb, machines, kind)
-            .with_objective(objective)
-            .with_machine_classes(cfg)
-            .run_with_observer(&trace, None, &mut classed_obs);
-        assert_eq!(plain_obs.placements, classed_obs.placements);
-        assert_eq!(plain_obs.completions, classed_obs.completions);
-        assert_eq!(fingerprint(&plain), fingerprint(&classed));
-    });
 }
 
 /// `(scheduler, fingerprint)` of the fill-regime run below, recorded at

@@ -9,8 +9,8 @@ use tracon::core::characteristics::N_JOINT;
 use tracon::core::sched::{apply, gate, FreeTable};
 use tracon::core::{
     AppId, AppModelSet, AppProfile, AppRegistry, Characteristics, ClassKey, ClusterState, Fifo,
-    InterferenceModel, MachineClass, Mibs, MibsAblation, MibsVariant, Mios, Mix, ModelKind,
-    Objective, Predictor, Resident, Scheduler, ScoringPolicy, Task, VmRef,
+    InterferenceModel, Mibs, MibsAblation, MibsVariant, Mios, Mix, ModelKind, Objective, Predictor,
+    Resident, Scheduler, ScoringPolicy, Task, VmRef,
 };
 use tracon::stats::prng::{check_cases, ChaCha12};
 
@@ -139,19 +139,18 @@ fn assignments_are_structurally_valid() {
 }
 
 /// The free index `ClusterState` kept before its bitsets, rebuilt
-/// literally from the residents `occupied()` reports: every free slot of
-/// an up machine under `(neighbour-class key, machine-class index)`.
-fn free_model(c: &ClusterState) -> BTreeMap<(ClassKey, u16), BTreeSet<VmRef>> {
+/// literally from the residents `occupied()` reports: every free slot
+/// under its neighbour-class key.
+fn free_model(c: &ClusterState) -> BTreeMap<ClassKey, BTreeSet<VmRef>> {
     let residents: HashMap<VmRef, AppId> = c.occupied().map(|(vm, r)| (vm, r.app)).collect();
     let mut model: BTreeMap<_, BTreeSet<VmRef>> = BTreeMap::new();
-    for machine in (0..c.n_machines()).filter(|&m| !c.is_down(m)) {
+    for machine in 0..c.n_machines() {
         let on = |slot| residents.get(&VmRef { machine, slot });
         for slot in (0..c.slots_per_machine()).filter(|&s| on(s).is_none()) {
             let neighbours = (0..c.slots_per_machine()).filter(|&s| s != slot);
             let key = ClassKey::from_neighbours(neighbours.filter_map(on).copied());
-            let mclass = c.machine_class_index(machine);
             model
-                .entry((key, mclass))
+                .entry(key)
                 .or_default()
                 .insert(VmRef { machine, slot });
         }
@@ -159,8 +158,8 @@ fn free_model(c: &ClusterState) -> BTreeMap<(ClassKey, u16), BTreeSet<VmRef>> {
     model
 }
 
-fn bits(c: &Characteristics) -> [u64; 5] {
-    [c.read_rps, c.write_rps, c.cpu_util, c.dom0_util, c.net_mbps].map(f64::to_bits)
+fn bits(c: &Characteristics) -> [u64; 4] {
+    c.as_array().map(f64::to_bits)
 }
 
 /// A class's neighbours combined in key order: the background every slot
@@ -172,15 +171,15 @@ fn key_background(c: &ClusterState, key: ClassKey) -> Characteristics {
 }
 
 /// Every read of the free index agrees with [`free_model`]: the class
-/// listing (order, key, machine class, example, count, background bits),
+/// listing (order, key, example, count, background bits),
 /// `first_free`, `n_free`, and — through the dispatch gate, the one
 /// caller of `has_idle_machine` — whether an entirely idle machine exists.
 fn assert_matches_model(c: &ClusterState) {
     let model = free_model(c);
     let listed = c.free_classes();
     assert_eq!(listed.len(), model.len(), "live classes");
-    for (cl, (&(key, mclass), slots)) in listed.iter().zip(&model) {
-        assert_eq!((cl.key, cl.mclass), (key, mclass));
+    for (cl, (&key, slots)) in listed.iter().zip(&model) {
+        assert_eq!(cl.key, key);
         assert_eq!(cl.example, *slots.first().unwrap());
         assert_eq!(cl.count, slots.len());
         assert_eq!(bits(&cl.background), bits(&key_background(c, key)));
@@ -188,14 +187,13 @@ fn assert_matches_model(c: &ClusterState) {
     let n_free: usize = model.values().map(BTreeSet::len).sum();
     assert_eq!(c.n_free(), n_free);
     assert_eq!(c.first_free(), model.values().flatten().min().copied());
-    let idle_machine = model.keys().any(|&(key, _)| key == ClassKey::IDLE);
+    let idle_machine = model.contains_key(&ClassKey::IDLE);
     let fires = n_free > 0 && (idle_machine || n_free >= 2);
     assert_eq!(gate::ready(Some(usize::MAX), 1, c, false), fires);
 }
 
 /// The free index against [`free_model`] after every op of random
-/// place/clear/set_down/set_up sequences, on 1–5 slots per machine and
-/// homogeneous or heterogeneous machine classes.
+/// place/clear sequences, on 1–5 slots per machine.
 #[test]
 fn free_index_matches_btree_model() {
     check_cases(0..128, |rng| {
@@ -204,17 +202,6 @@ fn free_index_matches_btree_model() {
         let spm = rng.range_usize(1, 6);
         let (_, chars) = world(4);
         let mut cluster = ClusterState::new(n_machines, spm, chars);
-        if rng.next_u64() & 1 == 1 {
-            let table = vec![
-                MachineClass::local(),
-                MachineClass::remote("iscsi", 1.5, 0.6, 100.0),
-                MachineClass::remote("nfs", 2.0, 0.4, 50.0),
-            ];
-            let assignment = (0..n_machines)
-                .map(|_| rng.range_usize(0, 3) as u16)
-                .collect();
-            cluster.set_machine_classes(table, assignment);
-        }
         let registry = cluster.registry().clone();
         assert_matches_model(&cluster);
         for task_id in 0..rng.range_usize(0, 160) as u64 {
@@ -224,28 +211,20 @@ fn free_index_matches_btree_model() {
                 slot: rng.range_usize(0, spm),
             };
             let app = registry.expect_id(&format!("app{}", rng.range_usize(0, 4)));
-            match rng.range_usize(0, 10) {
-                0..=4 if !cluster.is_down(machine) && cluster.resident(vm).is_none() => {
-                    cluster.place(vm, Resident { task_id, app })
-                }
-                5..=7 if cluster.resident(vm).is_some() => {
+            match (rng.range_usize(0, 8), cluster.resident(vm)) {
+                (0..=4, None) => cluster.place(vm, Resident { task_id, app }),
+                (5..=7, Some(_)) => {
                     cluster.clear(vm);
                 }
-                8 if !cluster.is_down(machine) => {
-                    cluster.set_down(machine);
-                }
-                9 if cluster.is_down(machine) => cluster.set_up(machine),
                 _ => {}
             }
             assert_matches_model(&cluster);
         }
     });
-    // The global first free slot is in a non-idle class on the last-listed
-    // machine class, below every idle slot.
+    // The global first free slot is in a non-idle class, listed after
+    // the idle one but below every idle slot.
     let (_, chars) = world(2);
     let mut cluster = ClusterState::new(3, 2, chars);
-    let remote = MachineClass::remote("iscsi", 1.5, 0.6, 100.0);
-    cluster.set_machine_classes(vec![MachineClass::local(), remote], vec![1, 0, 0]);
     let app = cluster.registry().expect_id("app1");
     cluster.place(
         VmRef {
@@ -266,7 +245,7 @@ fn free_index_matches_btree_model() {
 }
 
 /// The schedulers' free table equals a fresh listing of the cluster its
-/// picks were applied to: order, key, machine class, count, background
+/// picks were applied to: order, key, count, background
 /// bits, and the excess bits of every `priced` app (NaN for the other
 /// apps; no row at all until an app is priced).
 fn assert_table_matches(
@@ -278,7 +257,7 @@ fn assert_table_matches(
     let listed = c.free_classes();
     assert_eq!(table.classes().len(), listed.len(), "table classes");
     for (ci, (t, cl)) in table.classes().iter().zip(&listed).enumerate() {
-        assert_eq!((t.key, t.mclass, t.count), (cl.key, cl.mclass, cl.count));
+        assert_eq!((t.key, t.count), (cl.key, cl.count));
         assert_eq!(bits(&t.background), bits(&cl.background));
         let excess = |app| match priced.contains(&app) {
             true => scoring.class_score(app, cl) - scoring.solo_score(app),
@@ -292,11 +271,11 @@ fn assert_table_matches(
 }
 
 /// Random pick sequences on a [`FreeTable`] listed from random clusters
-/// (1–5 slots per machine, half heterogeneous, some machines down, some
-/// slots taken), with random apps priced before and between picks. After
-/// every `take` the same pick is applied to a copy of the cluster: it
-/// must land on its class's lowest free slot with the class score the
-/// table priced, and the table must match the copy's fresh listing.
+/// (1–5 slots per machine, some slots taken), with random apps priced
+/// before and between picks. After every `take` the same pick is applied
+/// to a copy of the cluster: it must land on its class's lowest free slot
+/// with the class score the table priced, and the table must match the
+/// copy's fresh listing.
 #[test]
 fn free_table_matches_listing() {
     check_cases(0..128, |rng| {
@@ -308,41 +287,18 @@ fn free_table_matches_listing() {
         } else {
             Objective::MinRuntime
         };
-        let mut scoring = ScoringPolicy::new(&predictor, objective);
+        let scoring = ScoringPolicy::new(&predictor, objective);
         let mut cluster = ClusterState::new(n_machines, spm, chars);
-        if rng.next_u64() & 1 == 1 {
-            let table = vec![
-                MachineClass::local(),
-                MachineClass::remote("iscsi", 1.5, 0.6, 100.0),
-                MachineClass::remote("nfs", 2.0, 0.4, 50.0),
-            ];
-            let assignment = (0..n_machines)
-                .map(|_| rng.range_usize(0, 3) as u16)
-                .collect();
-            cluster.set_machine_classes(table.clone(), assignment);
-            scoring = scoring.with_machine_classes(table, vec![0.0, 10.0, 25.0, 40.0]);
-        }
         let registry = cluster.registry().clone();
         let app = |rng: &mut ChaCha12| registry.expect_id(&format!("app{}", rng.range_usize(0, 4)));
         for task_id in 0..rng.range_usize(0, n_machines * spm) as u64 {
-            let machine = rng.range_usize(0, n_machines);
             let vm = VmRef {
-                machine,
+                machine: rng.range_usize(0, n_machines),
                 slot: rng.range_usize(0, spm),
             };
-            if cluster.is_down(machine) || cluster.resident(vm).is_some() {
-                continue;
-            }
-            if rng.range_usize(0, 12) == 0 {
-                cluster.set_down(machine);
-            } else {
-                cluster.place(
-                    vm,
-                    Resident {
-                        task_id,
-                        app: app(rng),
-                    },
-                );
+            if cluster.resident(vm).is_none() {
+                let app = app(rng);
+                cluster.place(vm, Resident { task_id, app });
             }
         }
         let mut table = FreeTable::default();
@@ -362,9 +318,7 @@ fn free_table_matches_listing() {
             let ci = rng.range_usize(0, table.classes().len());
             let class = applied.free_classes()[ci];
             let pick = table.take(ci, Task::new(task_id, app(rng)), &cluster, &scoring);
-            let lowest = free_model(&applied)[&(class.key, class.mclass)]
-                .first()
-                .copied();
+            let lowest = free_model(&applied)[&class.key].first().copied();
             let placed = apply(&mut applied, &[pick]);
             assert_eq!(Some(placed[0].vm), lowest);
             let score = scoring.class_score(pick.task.app, &class);
