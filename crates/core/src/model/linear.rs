@@ -2,9 +2,10 @@
 //! `Y = c + sum a_i X_VM1,i + sum b_i X_VM2,i`, with the variable subset
 //! chosen by a stepwise algorithm scored by AIC.
 
-use super::{InterferenceModel, ModelKind, TrainingData};
+use super::nonlinear::FULL_VARS;
+use super::{design, varying_vars, InterferenceModel, ModelKind, TrainingData};
 use crate::characteristics::N_JOINT;
-use tracon_stats::{stepwise_aic, Matrix, Scaler, StepwiseFit, StepwiseOptions};
+use tracon_stats::{stepwise_aic, Scaler, StepwiseFit, StepwiseOptions};
 
 /// A trained linear model.
 pub struct LinearModel {
@@ -14,7 +15,8 @@ pub struct LinearModel {
 
 impl LinearModel {
     /// Trains a linear model with stepwise AIC selection over the eight
-    /// controlled variables. Features are standardized first so the
+    /// controlled variables, less those constant in `data`
+    /// (`model::varying_vars`). Features are standardized first so the
     /// request rates (hundreds per second) and CPU utilizations (0..1)
     /// condition the least-squares problem comparably.
     ///
@@ -25,8 +27,12 @@ impl LinearModel {
         let rows = data.feature_rows();
         let scaler = Scaler::fit(&rows);
         let scaled: Vec<Vec<f64>> = rows.iter().map(|r| scaler.transform(r)).collect();
-        let x = Matrix::from_rows(&scaled);
-        let fit = stepwise_aic(&x, &data.responses, StepwiseOptions::default());
+        let vars = varying_vars(data, &FULL_VARS);
+        let x = design(scaled.len(), vars.len(), |r, t| scaled[r][vars[t]]);
+        let mut fit = stepwise_aic(&x, &data.responses, StepwiseOptions::default());
+        for j in &mut fit.selected {
+            *j = vars[*j];
+        }
         LinearModel { scaler, fit }
     }
 

@@ -17,6 +17,7 @@ pub mod training;
 pub mod wmm;
 
 use crate::characteristics::N_JOINT;
+use tracon_stats::Matrix;
 
 /// Which response a model predicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -220,6 +221,37 @@ impl TrainingData {
         }
         (train, test)
     }
+}
+
+/// The variables among `vars` whose training column varies. A variable
+/// every row of which is bit-equal to the first (in a per-application set,
+/// the target's own four characteristics) is a constant column, collinear
+/// with the intercept once standardized, and so is every quadratic term
+/// built from it with another constant; a product with a varying variable
+/// is that variable's column scaled by ~1e-14, which least squares
+/// rejects as singular. None of them can enter a stepwise model, so the
+/// regressions expand and search only the variables this returns.
+pub(crate) fn varying_vars(data: &TrainingData, vars: &[usize]) -> Vec<usize> {
+    let first = &data.features[0];
+    vars.iter()
+        .copied()
+        .filter(|&v| {
+            data.features
+                .iter()
+                .any(|f| f[v].to_bits() != first[v].to_bits())
+        })
+        .collect()
+}
+
+/// The `rows x terms` design matrix whose cell `(r, t)` is `cell(r, t)`.
+pub(crate) fn design(rows: usize, terms: usize, cell: impl Fn(usize, usize) -> f64) -> Matrix {
+    let mut x = Matrix::zeros(rows, terms);
+    for r in 0..rows {
+        for (t, v) in x.row_mut(r).iter_mut().enumerate() {
+            *v = cell(r, t);
+        }
+    }
+    x
 }
 
 /// Relative prediction error as the paper defines it:

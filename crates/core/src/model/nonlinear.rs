@@ -4,17 +4,17 @@
 //! polynomial `(1 + sum X_VM1,i + sum X_VM2,i)^2` — 8 linear terms, 8
 //! squares, and 28 pairwise products. The coefficients are found with the
 //! Gauss-Newton method and the term subset is chosen by the same stepwise
-//! AIC search as the linear model.
+//! AIC search as the linear model. A variable constant over the training
+//! set (the target's own four in a per-application set) is left out of the
+//! expansion: none of its terms could enter the model.
 //!
 //! A variant without the Dom0 CPU parameters implements the paper's
 //! ablation (Fig 3a shows dropping the fourth characteristic roughly
 //! doubles the prediction error).
 
-use super::{InterferenceModel, ModelKind, TrainingData};
+use super::{design, varying_vars, InterferenceModel, ModelKind, TrainingData};
 use crate::characteristics::N_JOINT;
-use tracon_stats::{
-    stepwise_aic, GaussNewtonOptions, LinearInParams, Matrix, Scaler, StepwiseOptions,
-};
+use tracon_stats::{stepwise_aic, GaussNewtonOptions, LinearInParams, Scaler, StepwiseOptions};
 
 /// One term of the quadratic basis over the (standardized) joint features.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +59,8 @@ pub const NO_DOM0_VARS: [usize; 6] = [0, 1, 2, 4, 5, 6];
 /// A trained quadratic model.
 pub struct NonlinearModel {
     scaler: Scaler,
-    /// Basis terms of the *candidate* expansion (selection indexes these).
+    /// Basis terms of the *candidate* expansion over the variables that
+    /// vary in the training set (selection indexes these).
     terms: Vec<Term>,
     /// Indices into `terms` chosen by the stepwise search.
     selected: Vec<usize>,
@@ -85,21 +86,20 @@ impl NonlinearModel {
         Self::train_with_vars(data, &NO_DOM0_VARS, ModelKind::NonlinearNoDom0)
     }
 
+    /// Trains over the quadratic basis of those of `vars` that vary in
+    /// `data` (`model::varying_vars`): a term built from a constant variable
+    /// can never enter the model, so it is not searched.
     fn train_with_vars(data: &TrainingData, vars: &[usize], kind: ModelKind) -> Self {
         assert!(!data.is_empty(), "NLM training on empty data");
         let rows = data.feature_rows();
         let scaler = Scaler::fit(&rows);
         let scaled: Vec<Vec<f64>> = rows.iter().map(|r| scaler.transform(r)).collect();
-        let terms = quadratic_terms(vars);
+        let terms = quadratic_terms(&varying_vars(data, vars));
 
         // Expanded design matrix over the candidate terms.
-        let design: Vec<Vec<f64>> = scaled
-            .iter()
-            .map(|z| terms.iter().map(|t| t.eval(z)).collect())
-            .collect();
-        let x = Matrix::from_rows(&design);
+        let x = design(scaled.len(), terms.len(), |r, t| terms[t].eval(&scaled[r]));
         // Cap model complexity relative to the sample size: with a small
-        // profiling set the 44-term quadratic basis can otherwise chase
+        // profiling set the quadratic basis (up to 44 terms) can otherwise chase
         // noise that even AICc fails to fully penalize.
         let opts = StepwiseOptions {
             max_terms: (data.len() / 8).clamp(3, 24),

@@ -53,15 +53,11 @@ pub fn fit(x: &Matrix, y: &[f64]) -> Result<OlsFit, DecompError> {
 /// `(intercept, slope coefficients)` packaged in an [`OlsFit`] whose first
 /// coefficient is the intercept.
 pub fn fit_with_intercept(x: &Matrix, y: &[f64]) -> Result<OlsFit, DecompError> {
-    let ones = vec![1.0; x.rows()];
-    let mut cols: Vec<Vec<f64>> = vec![ones];
-    for c in 0..x.cols() {
-        cols.push(x.col(c));
+    let mut design = Matrix::filled(x.rows(), x.cols() + 1, 1.0);
+    for r in 0..x.rows() {
+        design.row_mut(r)[1..].copy_from_slice(x.row(r));
     }
-    let rows: Vec<Vec<f64>> = (0..x.rows())
-        .map(|r| cols.iter().map(|c| c[r]).collect())
-        .collect();
-    fit(&Matrix::from_rows(&rows), y)
+    fit(&design, y)
 }
 
 #[cfg(test)]

@@ -4,7 +4,16 @@
 //! AIC scoring to choose which of the candidate terms enter the linear and
 //! nonlinear interference models: terms are added or removed one at a time
 //! and the move with the best AIC is kept, until no move improves.
+//!
+//! Every candidate of a step shares the current model's columns, so the
+//! search factors the current model once per step and extends that
+//! factorization by each addition's column, rather than refitting each
+//! candidate from scratch; a removal keeps the columns before the dropped
+//! one. `Qr::push` repeats the arithmetic of a fresh factorization, so
+//! each candidate's fit, and the selected model, hold the same bits as a
+//! per-candidate search would.
 
+use crate::decomp::Qr;
 use crate::matrix::Matrix;
 use crate::ols;
 
@@ -89,26 +98,55 @@ impl Default for StepwiseOptions {
 /// `(intercept, coefficients, sse, aicc)` of a candidate subset fit.
 type SubsetFit = (f64, Vec<f64>, f64, f64);
 
-fn fit_subset(x: &Matrix, y: &[f64], subset: &[usize]) -> Option<SubsetFit> {
-    // Intercept-only model when the subset is empty.
+/// The intercept-only model.
+fn intercept_only(y: &[f64]) -> SubsetFit {
     let n = y.len();
-    if subset.is_empty() {
-        let ybar = y.iter().sum::<f64>() / n as f64;
-        let sse: f64 = y.iter().map(|v| (v - ybar) * (v - ybar)).sum();
-        return Some((ybar, Vec::new(), sse, aicc_gaussian(sse, n, 1)));
-    }
-    let sub = x.select_columns(subset);
-    let fit = ols::fit_with_intercept(&sub, y).ok()?;
+    let ybar = y.iter().sum::<f64>() / n as f64;
+    let sse: f64 = y.iter().map(|v| (v - ybar) * (v - ybar)).sum();
+    (ybar, Vec::new(), sse, aicc_gaussian(sse, n, 1))
+}
+
+/// Fits `[1 | x_subset]` from scratch by [`ols::fit_with_intercept`], whose
+/// least squares falls back to a ridge solve when the design is singular.
+fn fit_subset(x: &Matrix, y: &[f64], subset: &[usize]) -> Option<SubsetFit> {
+    let fit = ols::fit_with_intercept(&x.select_columns(subset), y).ok()?;
     if !fit.coefficients.iter().all(|c| c.is_finite()) {
         return None;
     }
-    let k = subset.len() + 1; // + intercept
     Some((
         fit.coefficients[0],
         fit.coefficients[1..].to_vec(),
         fit.sse,
-        aicc_gaussian(fit.sse, n, k),
+        aicc_gaussian(fit.sse, y.len(), subset.len() + 1),
     ))
+}
+
+/// Fits `[1 | x_subset]` given `qr`, its factorization. The same bits as
+/// [`fit_subset`]: `qr` holds what [`Qr::new`] makes of that design, and the
+/// errors are summed in [`ols::fit`]'s order.
+fn fit_factored(qr: &Qr, x: &Matrix, y: &[f64], subset: &[usize]) -> Option<SubsetFit> {
+    let beta = match qr.solve(y) {
+        Ok(beta) => beta,
+        Err(_) => return fit_subset(x, y, subset),
+    };
+    if !beta.iter().all(|c| c.is_finite()) {
+        return None;
+    }
+    let sse: f64 = y
+        .iter()
+        .enumerate()
+        .map(|(r, q)| {
+            let row = x.row(r);
+            let p: f64 = std::iter::once(1.0)
+                .chain(subset.iter().map(|&j| row[j]))
+                .zip(&beta)
+                .map(|(a, b)| a * b)
+                .sum();
+            (p - q) * (p - q)
+        })
+        .sum();
+    let aicc = aicc_gaussian(sse, y.len(), subset.len() + 1);
+    Some((beta[0], beta[1..].to_vec(), sse, aicc))
 }
 
 /// Bidirectional stepwise selection over the columns of `x`, scored by
@@ -118,50 +156,79 @@ fn fit_subset(x: &Matrix, y: &[f64], subset: &[usize]) -> Option<SubsetFit> {
 /// every single-column addition and every single-column removal and applies
 /// the best-scoring move if it improves the current AIC.
 ///
+/// Each step factors the current model `[1 | x_selected]` once. An addition
+/// extends that factorization by the candidate's column; a removal copies
+/// the columns before the dropped one and refactors only the rest. A
+/// candidate the factorization finds singular is refit from scratch
+/// through the ridge fallback of [`crate::lstsq`]. Every fit holds the
+/// bits a fresh [`ols::fit_with_intercept`] of its columns would.
+///
 /// # Panics
 /// Panics when `x` has no rows or `y` length mismatches.
 pub fn stepwise_aic(x: &Matrix, y: &[f64], opts: StepwiseOptions) -> StepwiseFit {
     assert!(x.rows() > 0, "stepwise on empty data");
     assert_eq!(x.rows(), y.len(), "design/response mismatch");
-    let p = x.cols();
+    let (n, p) = x.shape();
+    let column = |j: usize| (0..n).map(move |r| x[(r, j)]);
 
-    let (mut intercept, mut coeffs, mut sse, mut aic) =
-        fit_subset(x, y, &[]).expect("intercept-only fit cannot fail");
+    let (mut intercept, mut coeffs, mut sse, mut aic) = intercept_only(y);
     let mut selected: Vec<usize> = Vec::new();
     let mut steps = 0usize;
+    let width = opts.max_terms.min(p) + 2;
+    let mut current = Qr::empty(n, width);
+    let mut trial = Qr::empty(n, width);
+    let mut cand: Vec<usize> = Vec::with_capacity(width);
 
-    loop {
-        if steps >= opts.max_steps {
-            break;
+    while steps < opts.max_steps {
+        current.truncate(0);
+        current.push(std::iter::repeat_n(1.0, n));
+        for &j in &selected {
+            current.push(column(j));
         }
         // (aicc, subset, intercept, coefficients, sse) of the best move.
         #[allow(clippy::type_complexity)]
         let mut best: Option<(f64, Vec<usize>, f64, Vec<f64>, f64)> = None;
+        let mut consider = |cand: &[usize], fit: Option<SubsetFit>| {
+            if let Some((ic, cf, s, a)) = fit {
+                if a < aic - 1e-9 && best.as_ref().is_none_or(|b| a < b.0) {
+                    best = Some((a, cand.to_vec(), ic, cf, s));
+                }
+            }
+        };
 
-        // Candidate additions.
+        // Candidate additions: the current factorization plus one column.
         if selected.len() < opts.max_terms {
             for j in 0..p {
                 if selected.contains(&j) {
                     continue;
                 }
-                let mut cand = selected.clone();
+                cand.clear();
+                cand.extend_from_slice(&selected);
                 cand.push(j);
-                if let Some((ic, cf, s, a)) = fit_subset(x, y, &cand) {
-                    if a < aic - 1e-9 && best.as_ref().is_none_or(|b| a < b.0) {
-                        best = Some((a, cand, ic, cf, s));
-                    }
-                }
+                let fit = (cand.len() < n).then(|| {
+                    current.push(column(j));
+                    let fit = fit_factored(&current, x, y, &cand);
+                    current.truncate(cand.len());
+                    fit
+                });
+                consider(&cand, fit.flatten());
             }
         }
-        // Candidate removals.
-        for (i, _) in selected.iter().enumerate() {
-            let mut cand = selected.clone();
+        // Candidate removals: refactored from the dropped column on.
+        for i in 0..selected.len() {
+            cand.clear();
+            cand.extend_from_slice(&selected);
             cand.remove(i);
-            if let Some((ic, cf, s, a)) = fit_subset(x, y, &cand) {
-                if a < aic - 1e-9 && best.as_ref().is_none_or(|b| a < b.0) {
-                    best = Some((a, cand, ic, cf, s));
+            let fit = if cand.is_empty() {
+                Some(intercept_only(y))
+            } else {
+                trial.copy_prefix(&current, i + 1);
+                for &j in &cand[i..] {
+                    trial.push(column(j));
                 }
-            }
+                fit_factored(&trial, x, y, &cand)
+            };
+            consider(&cand, fit);
         }
 
         match best {

@@ -14,9 +14,9 @@
 //! that answer, and a throttled guest restarts from the same rate on every
 //! step until its next phase boundary. In the full profiling campaign 84 %
 //! of the 1.47 M steps reuse a solve, so the iterations fall from 12.9 M to
-//! 1.4 M. What remains of the campaign's CPU time is about 60 % solves,
-//! 25 % model training and 15 % the steps' own bookkeeping (advancing
-//! phases, integrating observations).
+//! 1.4 M. What remains of the campaign's CPU time is about 75 % solves,
+//! 20 % the steps' own bookkeeping (advancing phases, integrating
+//! observations) and 2 % model training.
 
 use crate::app::{AppModel, Phase};
 use crate::config::HostConfig;
