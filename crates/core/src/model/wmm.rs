@@ -28,10 +28,17 @@ impl Wmm {
     /// Panics when `data` is empty.
     pub fn train(data: &TrainingData) -> Self {
         assert!(!data.is_empty(), "WMM training on empty data");
-        let rows = data.feature_rows();
-        let pca = Pca::fit(&rows, WMM_COMPONENTS.min(N_JOINT));
-        let projected = pca.project_all(&rows);
-        let knn = KnnRegressor::new(projected, data.responses.clone(), WMM_NEIGHBOURS);
+        let pca = Pca::fit(&data.features, WMM_COMPONENTS);
+        let projected: Vec<[f64; WMM_COMPONENTS]> = data
+            .features
+            .iter()
+            .map(|r| {
+                let mut p = [0.0; WMM_COMPONENTS];
+                pca.project_into(r, &mut p);
+                p
+            })
+            .collect();
+        let knn = KnnRegressor::new(&projected, &data.responses, WMM_NEIGHBOURS);
         Wmm { pca, knn }
     }
 
@@ -44,7 +51,8 @@ impl Wmm {
 
 impl InterferenceModel for Wmm {
     fn predict(&self, features: &[f64; N_JOINT]) -> f64 {
-        let p = self.pca.project(features.as_ref());
+        let mut p = [0.0; WMM_COMPONENTS];
+        self.pca.project_into(features, &mut p);
         self.knn.predict(&p)
     }
 

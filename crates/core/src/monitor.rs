@@ -146,7 +146,7 @@ impl AdaptiveModel {
         self.recent_errors.push(error);
 
         let drift = if self.recent_errors.is_full() {
-            self.detector.check(&self.recent_errors.to_vec())
+            self.detector.check(&self.recent_errors)
         } else {
             None
         };

@@ -286,12 +286,12 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
     wake_tx.set_nonblocking(true)?;
     let out = OutSender::new(out_tx, wake_tx);
 
-    for (svc, rx) in services.into_iter().zip(shard_rxs) {
+    for (i, (svc, rx)) in services.into_iter().zip(shard_rxs).enumerate() {
         let out = out.clone();
         let shutdown = Arc::clone(&shutdown);
-        core_threads.push(std::thread::spawn(move || {
+        core_threads.push(spawn_named(format!("tracond-shard{i}"), move || {
             shard_worker(svc, rx, out, shutdown, tick);
-        }));
+        })?);
     }
 
     if let Some(node) = &node {
@@ -299,15 +299,21 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
         // leader and promotes this node when the leader's lease lapses.
         if cfg.replica_of.is_some() {
             let node = Arc::clone(node);
-            core_threads.push(std::thread::spawn(move || run_follower(&node)));
+            core_threads.push(spawn_named("tracond-follow".into(), move || {
+                run_follower(&node)
+            })?);
         }
         // Background WAL scrubber for leader/standalone nodes (a follower
         // scrubs inline in its pull loop, where it can also repair), plus
         // the self-healing rejoin supervisor.
         let scrubbed = Arc::clone(node);
-        core_threads.push(std::thread::spawn(move || scrub_loop(&scrubbed)));
+        core_threads.push(spawn_named("tracond-scrub".into(), move || {
+            scrub_loop(&scrubbed)
+        })?);
         let node = Arc::clone(node);
-        core_threads.push(std::thread::spawn(move || rejoin_supervisor(&node)));
+        core_threads.push(spawn_named("tracond-rejoin".into(), move || {
+            rejoin_supervisor(&node)
+        })?);
     }
 
     // The reactor thread: owns the protocol listener and every client.
@@ -324,7 +330,9 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
             app_ids,
             node,
         };
-        core_threads.push(std::thread::spawn(move || reactor::run(reactor_cfg)));
+        core_threads.push(spawn_named("tracond-reactor".into(), move || {
+            reactor::run(reactor_cfg)
+        })?);
     }
 
     // HTTP accept loop: one short-lived thread per connection, finished
@@ -335,7 +343,7 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
         let draining = Arc::clone(&draining);
         let metrics = Arc::clone(&metrics);
         let conn_threads = Arc::clone(&conn_threads);
-        core_threads.push(std::thread::spawn(move || {
+        core_threads.push(spawn_named("tracond-http".into(), move || {
             while !shutdown.load(Ordering::SeqCst) {
                 match http_listener.accept() {
                     Ok((stream, _)) => {
@@ -355,7 +363,7 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
                     Err(_) => std::thread::sleep(tick),
                 }
             }
-        }));
+        })?);
     }
 
     Ok(DaemonHandle {
@@ -366,6 +374,13 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
         core_threads,
         conn_threads,
     })
+}
+
+/// Spawns a daemon thread under `name`, which `top -H` and
+/// `/proc/<pid>/task/*/comm` show. Linux keeps a name's first 15 bytes,
+/// which hold every name here up to shard 99.
+fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(f)
 }
 
 /// A per-process boot nonce for the replication protocol: pull replies

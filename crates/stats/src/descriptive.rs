@@ -85,12 +85,13 @@ impl Scaler {
     ///
     /// # Panics
     /// Panics when `rows` is empty or ragged.
-    pub fn fit(rows: &[Vec<f64>]) -> Self {
+    pub fn fit<R: AsRef<[f64]>>(rows: &[R]) -> Self {
         assert!(!rows.is_empty(), "Scaler::fit on empty data");
-        let d = rows[0].len();
+        let d = rows[0].as_ref().len();
         let n = rows.len() as f64;
         let mut means = vec![0.0; d];
         for r in rows {
+            let r = r.as_ref();
             assert_eq!(r.len(), d, "ragged rows in Scaler::fit");
             for (m, x) in means.iter_mut().zip(r) {
                 *m += x;
@@ -101,7 +102,7 @@ impl Scaler {
         }
         let mut stds = vec![0.0; d];
         for r in rows {
-            for ((s, x), m) in stds.iter_mut().zip(r).zip(&means) {
+            for ((s, x), m) in stds.iter_mut().zip(r.as_ref()).zip(&means) {
                 *s += (x - m) * (x - m);
             }
         }

@@ -174,17 +174,18 @@ impl DriftDetector {
         }
     }
 
-    /// Tests a recent window; returns the first drift kind triggered.
-    pub fn check(&self, recent: &[f64]) -> Option<DriftKind> {
+    /// Tests a recent window in place; returns the first drift kind
+    /// triggered.
+    pub fn check(&self, recent: &SlidingWindow) -> Option<DriftKind> {
         if recent.len() < 2 {
             return None;
         }
-        let m = crate::descriptive::mean(recent);
+        let m = recent.mean();
         let spread = self.ref_std.max(self.floor);
         if (m - self.ref_mean).abs() > self.mean_threshold * spread {
             return Some(DriftKind::MeanShift);
         }
-        let v = crate::descriptive::variance(recent);
+        let v = recent.variance();
         let ref_var = (self.ref_std * self.ref_std).max(self.floor);
         if v > self.var_threshold * ref_var {
             return Some(DriftKind::VarianceSurge);
@@ -242,6 +243,30 @@ mod tests {
         assert!((win.variance() - crate::descriptive::variance(&xs)).abs() < 1e-12);
     }
 
+    fn window_of(xs: &[f64]) -> SlidingWindow {
+        let mut win = SlidingWindow::new(xs.len());
+        for &x in xs {
+            win.push(x);
+        }
+        win
+    }
+
+    #[test]
+    fn window_stats_repeat_the_batch_bits_after_wrapping() {
+        let mut rng = ChaCha12::seed_from_u64(3);
+        let mut win = SlidingWindow::new(40);
+        for _ in 0..137 {
+            win.push(rng.range_f64(0.0, 2.0));
+        }
+        let xs = win.to_vec();
+        assert_eq!(
+            win.mean().to_bits(),
+            crate::descriptive::mean(&xs).to_bits()
+        );
+        let batch = crate::descriptive::variance(&xs);
+        assert_eq!(win.variance().to_bits(), batch.to_bits());
+    }
+
     #[test]
     fn drift_detects_mean_shift() {
         let mut rng = ChaCha12::seed_from_u64(1);
@@ -249,10 +274,10 @@ mod tests {
         let det = DriftDetector::from_reference(&reference, 3.0, 4.0);
         // Same distribution: no drift.
         let same: Vec<f64> = (0..100).map(|_| rng.range_f64(-1.0, 1.0)).collect();
-        assert_eq!(det.check(&same), None);
+        assert_eq!(det.check(&window_of(&same)), None);
         // Shifted by many reference sigmas: mean shift.
         let shifted: Vec<f64> = (0..100).map(|_| 10.0 + rng.range_f64(-1.0, 1.0)).collect();
-        assert_eq!(det.check(&shifted), Some(DriftKind::MeanShift));
+        assert_eq!(det.check(&window_of(&shifted)), Some(DriftKind::MeanShift));
     }
 
     #[test]
@@ -261,12 +286,15 @@ mod tests {
         let reference: Vec<f64> = (0..500).map(|_| rng.range_f64(-1.0, 1.0)).collect();
         let det = DriftDetector::from_reference(&reference, 10.0, 4.0);
         let noisy: Vec<f64> = (0..200).map(|_| rng.range_f64(-10.0, 10.0)).collect();
-        assert_eq!(det.check(&noisy), Some(DriftKind::VarianceSurge));
+        assert_eq!(
+            det.check(&window_of(&noisy)),
+            Some(DriftKind::VarianceSurge)
+        );
     }
 
     #[test]
     fn drift_requires_two_points() {
         let det = DriftDetector::from_reference(&[1.0, 2.0, 3.0], 1.0, 1.0);
-        assert_eq!(det.check(&[100.0]), None);
+        assert_eq!(det.check(&window_of(&[100.0])), None);
     }
 }

@@ -30,13 +30,18 @@ impl Pca {
     ///
     /// # Panics
     /// Panics when `rows` is empty, ragged, or `k` exceeds the dimension.
-    pub fn fit(rows: &[Vec<f64>], k: usize) -> Self {
+    pub fn fit<R: AsRef<[f64]>>(rows: &[R], k: usize) -> Self {
         assert!(!rows.is_empty(), "Pca::fit on empty data");
-        let d = rows[0].len();
+        let d = rows[0].as_ref().len();
         assert!(k >= 1 && k <= d, "k={k} out of range for dimension {d}");
         let scaler = Scaler::fit(rows);
-        let scaled: Vec<Vec<f64>> = rows.iter().map(|r| scaler.transform(r)).collect();
-        let x = Matrix::from_rows(&scaled);
+        let mut x = Matrix::zeros(rows.len(), d);
+        for (i, r) in rows.iter().enumerate() {
+            let scaled = r.as_ref().iter().zip(&scaler.means).zip(&scaler.stds);
+            for (j, ((v, m), s)) in scaled.enumerate() {
+                x[(i, j)] = (v - m) / s;
+            }
+        }
         // Covariance of the scaled data (population normalization matches the
         // scaler, which also uses n).
         let mut cov = x.gram();
@@ -60,23 +65,26 @@ impl Pca {
 
     /// Projects a raw (unscaled) observation onto the retained components.
     pub fn project(&self, row: &[f64]) -> Vec<f64> {
-        let z = self.scaler.transform(row);
-        let k = self.components.cols();
-        let mut out = vec![0.0; k];
-        for (i, zi) in z.iter().enumerate() {
-            if *zi == 0.0 {
+        let mut out = vec![0.0; self.components.cols()];
+        self.project_into(row, &mut out);
+        out
+    }
+
+    /// [`Pca::project`] into `out`, which must hold one zeroed slot per
+    /// retained component; allocates nothing.
+    pub fn project_into(&self, row: &[f64], out: &mut [f64]) {
+        assert_eq!(row.len(), self.scaler.means.len());
+        assert_eq!(out.len(), self.components.cols());
+        let scaled = row.iter().zip(&self.scaler.means).zip(&self.scaler.stds);
+        for (i, ((x, m), s)) in scaled.enumerate() {
+            let zi = (x - m) / s;
+            if zi == 0.0 {
                 continue;
             }
             for (c, o) in out.iter_mut().enumerate() {
                 *o += zi * self.components[(i, c)];
             }
         }
-        out
-    }
-
-    /// Projects many rows at once.
-    pub fn project_all(&self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        rows.iter().map(|r| self.project(r)).collect()
     }
 
     /// Variance explained by each retained component.
@@ -156,13 +164,33 @@ mod tests {
     }
 
     #[test]
-    fn project_all_matches_project() {
-        let rows = vec![vec![1.0, 2.0], vec![3.0, 1.0], vec![2.0, 2.0]];
-        let pca = Pca::fit(&rows, 2);
-        let all = pca.project_all(&rows);
-        for (r, p) in rows.iter().zip(&all) {
-            let q = pca.project(r);
-            assert_eq!(&q, p);
+    fn projection_repeats_the_scaled_row_bits() {
+        // The projection as it was written over a scaled copy of the row.
+        fn reference(pca: &Pca, row: &[f64]) -> Vec<f64> {
+            let z = pca.scaler.transform(row);
+            let mut out = vec![0.0; pca.components.cols()];
+            for (i, zi) in z.iter().enumerate() {
+                if *zi == 0.0 {
+                    continue;
+                }
+                for (c, o) in out.iter_mut().enumerate() {
+                    *o += zi * pca.components[(i, c)];
+                }
+            }
+            out
+        }
+        let mut rng = ChaCha12::seed_from_u64(5);
+        let mut rows: Vec<Vec<f64>> = (0..60)
+            .map(|_| (0..6).map(|_| rng.range_f64(-1.0, 3.0)).collect())
+            .collect();
+        // A constant column scales to exact zeros, which the loop skips.
+        for r in &mut rows {
+            r[2] = 0.5;
+        }
+        let pca = Pca::fit(&rows, 4);
+        for r in &rows {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&pca.project(r)), bits(&reference(&pca, r)));
         }
     }
 
