@@ -39,7 +39,7 @@ COMMANDS:
              [--port N=0] [--http-port N=0] [--machines N=4] [--slots N=2]
              [--shards N=1]  (scheduler shards behind one connection
                            reactor; each owns a machine slice and WAL file)
-             [--scheduler mios|mibs[:W]|mix[:W]] [--objective rt|io]
+             [--scheduler mios|mibs[:W]|mix[:W]]
              [--queue-cap N=64] [--rebuild-every N]
              [--wal DIR]  (persist admissions to an fsync'd write-ahead log
                            and recover queue/counters on restart)
@@ -465,7 +465,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
     }
     let sched = SchedKind::parse(args.get_or("scheduler", "mios"))
         .ok_or("unknown scheduler (mios, mibs[:W], mix[:W])")?;
-    let obj = objective(args.get_or("objective", "rt"))?;
     let kind = model_kind(args.get_or("model", "wmm"))?;
     let queue_capacity: usize = args.num_or("queue-cap", 64)?;
     if queue_capacity == 0 {
@@ -498,7 +497,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
         machines,
         slots_per_machine: slots,
         scheduler: sched,
-        objective: obj,
         model_kind: kind,
         queue_capacity,
         lease_base_ms: args.num_or("lease-ms", 30_000)?,

@@ -401,44 +401,15 @@ const SCRUB_LOOP_MS: u64 = 2_000;
 
 /// Background scrub for nodes whose WAL is authoritative (standalone, or
 /// the current leader of a pair — a follower scrubs inline in its pull
-/// loop, where it can also repair from the leader). Rot is quarantined
-/// by truncation: replay cannot see past a mid-file corruption anyway,
-/// so truncating loses nothing recovery could have used, and the next
-/// append lands on a clean frame boundary.
+/// loop). It only flags: each shard worker, the one writer of its log,
+/// heals a rotten shard at its next wake by compacting the table it
+/// holds, which covers everything replay could have read and everything
+/// appended since this pass read the files.
 fn scrub_loop(node: &Node) {
     let (dir, metrics) = (&node.cfg.dir, node.repl.metrics());
-    // Per-shard "already reported" latch so an unrepairable corrupt
-    // snapshot is counted once, not once per pass.
-    let mut reported = vec![false; node.cfg.shards];
     while !sleep_or_shutdown(&node.shutdown, SCRUB_LOOP_MS) {
-        if node.repl.role() != Role::Leader {
-            continue;
-        }
-        metrics.scrub_runs.fetch_add(1, Ordering::Relaxed);
-        for (shard, latched) in reported.iter_mut().enumerate() {
-            let Ok(report) = crate::wal::scrub_shard(dir, shard) else {
-                continue;
-            };
-            if report.clean() {
-                *latched = false;
-                continue;
-            }
-            if let Some(at) = report.corrupt_at {
-                let _ = crate::wal::quarantine_shard(dir, shard, at);
-            }
-            if !*latched {
-                *latched = true;
-                metrics
-                    .scrub_corrupt_frames
-                    .fetch_add(report.corrupt_count(), Ordering::Relaxed);
-                metrics.wal_degraded.store(1, Ordering::Relaxed);
-                eprintln!(
-                    "tracond event=scrub_corrupt shard={shard} frames_ok={} \
-                     quarantined_bytes={} snapshot_corrupt={} \
-                     action=\"quarantined (no peer to repair from)\"",
-                    report.frames_ok, report.quarantined_bytes, report.snapshot_corrupt
-                );
-            }
+        if node.repl.role() == Role::Leader {
+            crate::wal::scrub_pass(dir, node.cfg.shards, metrics);
         }
     }
 }
@@ -572,6 +543,7 @@ impl<E: FnMut(OutMsg)> Outbox<E> {
 /// whole batch — handing every outbound message to `emit`, those that
 /// depend on the commit only after it. Batching is whatever was queued
 /// when the worker woke: a lone request commits alone, at once.
+/// Last, with nothing pending, a shard a scrub flagged rotten compacts.
 fn run_batch(
     svc: &mut Service,
     msgs: impl Iterator<Item = ShardMsg>,
@@ -639,6 +611,7 @@ fn run_batch(
             svc.tick(now);
         }
         outbox.commit(svc);
+        svc.heal_rot();
     });
 }
 
@@ -807,11 +780,11 @@ fn serve_http(mut stream: TcpStream, draining: &AtomicBool, metrics: &Arc<Metric
     let (status, content_type, body) = match path {
         "/healthz" => {
             // `?strict=1` turns silent storage degradation into a
-            // non-200 so orchestrators can page on it: a daemon whose
-            // WAL went memory-only or whose scrub found unrepaired rot
-            // is up, but not durable.
+            // non-200 so orchestrators can page on it: a daemon with a
+            // shard whose files lack something it acked is up, but not
+            // durable.
             let strict = query.split('&').any(|kv| kv == "strict=1");
-            let degraded = metrics.wal_degraded.load(Ordering::Relaxed) != 0;
+            let degraded = metrics.wal_degraded();
             let failing = strict && degraded;
             (
                 if failing {
@@ -848,6 +821,7 @@ mod tests {
     use std::cell::Cell;
     use std::path::{Path, PathBuf};
 
+    use crate::metrics::Degraded;
     use crate::state::SchedKind;
     use crate::wal::Wal;
 
@@ -857,22 +831,55 @@ mod tests {
         d
     }
 
-    /// One shard over 32 x 4 slots (every submit of these tests places),
-    /// durable when `wal_dir` is given.
-    fn service(wal_dir: Option<&Path>, metrics: &Arc<Metrics>) -> Service {
-        let mut testbed_cfg = tracon_dcsim::TestbedConfig::small();
-        testbed_cfg.calibration_points = 6;
-        testbed_cfg.time_scale = 0.05;
-        let cfg = ServeConfig {
+    fn testbed() -> &'static Testbed {
+        static TESTBED: std::sync::OnceLock<Testbed> = std::sync::OnceLock::new();
+        TESTBED.get_or_init(|| {
+            let mut testbed_cfg = tracon_dcsim::TestbedConfig::small();
+            testbed_cfg.calibration_points = 6;
+            testbed_cfg.time_scale = 0.05;
+            Testbed::build(&testbed_cfg)
+        })
+    }
+
+    /// 32 x 4 slots: every submit of these tests places.
+    fn config(wal_dir: Option<&Path>) -> ServeConfig {
+        ServeConfig {
             machines: 32,
             slots_per_machine: 4,
             scheduler: SchedKind::Mios,
             queue_capacity: 256,
             wal_dir: wal_dir.map(Path::to_path_buf),
             ..ServeConfig::default()
-        };
-        let testbed = Testbed::build(&testbed_cfg);
-        Service::open(&testbed, cfg, Arc::clone(metrics), Instant::now()).unwrap()
+        }
+    }
+
+    /// One shard, durable when `wal_dir` is given.
+    fn service(wal_dir: Option<&Path>, metrics: &Arc<Metrics>) -> Service {
+        let (cfg, metrics) = (config(wal_dir), Arc::clone(metrics));
+        Service::open(testbed(), cfg, metrics, Instant::now()).unwrap()
+    }
+
+    /// What a restart would find: `Service::open` over a copy of `dir`
+    /// (the original keeps its writer, and opening compacts).
+    fn reopened(dir: &Path) -> Service {
+        let copy = dir.with_extension("reopened");
+        let _ = std::fs::remove_dir_all(&copy);
+        std::fs::create_dir_all(&copy).unwrap();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+        }
+        let svc = service(Some(&copy), &Arc::new(Metrics::new()));
+        let _ = std::fs::remove_dir_all(&copy);
+        svc
+    }
+
+    /// Flip one payload byte of the first frame in `dir`'s shard-0 log.
+    fn rot_first_frame(dir: &Path) {
+        let log = dir.join(crate::wal::shard_log_name(0));
+        let mut bytes = std::fs::read(&log).unwrap();
+        bytes[8] ^= 0x01;
+        std::fs::write(&log, &bytes).unwrap();
     }
 
     fn request(seq: u64, request: Request) -> ShardMsg {
@@ -991,7 +998,7 @@ mod tests {
             replied_task(msg);
         });
         assert_eq!(load(&metrics.wal_errors), 1, "one failed commit, not 96");
-        assert_eq!(load(&metrics.wal_degraded), 1);
+        assert_eq!(metrics.degraded(0), Some(Degraded::WriteFailed));
         assert_eq!(load(&metrics.wal_fsyncs), 0);
         assert!(svc.status().conserved());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1085,6 +1092,134 @@ mod tests {
         let taken: Vec<usize> = released.iter().map(|(taken, _)| *taken).collect();
         assert_eq!(taken, [1, 3, 3]);
         assert_eq!(load(&metrics.wal_fsyncs), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A failed write leaves the shard degraded until a covering snapshot
+    /// lands, so whenever the gauge reads 0 a restart recovers every task
+    /// the shard admitted. (A good commit used to clear the gauge while
+    /// the failed batch was on no disk.)
+    #[test]
+    fn a_failed_write_heals_only_through_a_covering_snapshot() {
+        let _gate = crate::failpoint::test_gate();
+        crate::failpoint::disarm_all();
+        let dir = tmpdir("heal-write");
+        let metrics = Arc::new(Metrics::new());
+        let mut svc = service(Some(&dir), &metrics);
+        let app = svc.app_list()[0].clone();
+        let mut admitted = Vec::new();
+        for seq in 0..4 {
+            if seq == 1 {
+                let spec = format!("wal.append.write@{}=err*1", dir.display());
+                crate::failpoint::arm(&spec).unwrap();
+            }
+            let released = drive(&mut svc, vec![submit(seq, &app)], || {});
+            crate::failpoint::disarm_all();
+            admitted.push(replied_task(&released[0].1));
+            assert_eq!(
+                metrics.degraded(0).is_some(),
+                seq == 1,
+                "after submit {seq}"
+            );
+            if metrics.degraded(0).is_none() {
+                let restarted = reopened(&dir);
+                assert_eq!(restarted.status().admitted, admitted.len() as u64);
+                for task in &admitted {
+                    assert!(restarted.task_info(*task).is_some(), "task {task} lost");
+                }
+            }
+        }
+        assert_eq!(load(&metrics.wal_errors), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Degradation is per shard: one shard's good commits do not clear
+    /// another's failure, and the gauge reads 1 while any shard fails.
+    #[test]
+    fn one_shards_commit_does_not_clear_anothers_failure() {
+        let _gate = crate::failpoint::test_gate();
+        crate::failpoint::disarm_all();
+        let dirs = [tmpdir("failing-0"), tmpdir("committing-1")];
+        let metrics = Arc::new(Metrics::with_shards(2));
+        let mut shards: Vec<Service> = (0..2)
+            .map(|i| {
+                let (cfg, metrics) = (config(None), Arc::clone(&metrics));
+                let mut svc = Service::new_shard(testbed(), cfg, metrics, i, 2, 32 * i);
+                let (wal, _) = Wal::open_shard(&dirs[i], i, 4096).unwrap();
+                svc.restore(Some(wal), Vec::new(), 0, Instant::now());
+                svc
+            })
+            .collect();
+        let app = shards[0].app_list()[0].clone();
+        let spec = format!("wal.append.write@{}=err", dirs[0].display());
+        crate::failpoint::arm(&spec).unwrap();
+        for seq in 0..4 {
+            for svc in shards.iter_mut() {
+                drive(svc, vec![submit(seq, &app)], || {});
+            }
+            assert_eq!(metrics.degraded(0), Some(Degraded::WriteFailed));
+            assert_eq!(metrics.degraded(1), None);
+            assert!(metrics.wal_degraded(), "round {seq}");
+        }
+        crate::failpoint::disarm_all();
+        assert_eq!(load(&metrics.wal_errors), 4);
+        assert!(metrics
+            .render_prometheus()
+            .contains("\ntracond_wal_degraded 1\n"));
+        dirs.iter().for_each(|dir| {
+            let _ = std::fs::remove_dir_all(dir);
+        });
+    }
+
+    /// Rot a scrub finds on a leader or standalone node heals at the
+    /// shard worker's next wake: the worker compacts the table it holds.
+    /// (It used to be truncated away and stay degraded, uncounted.)
+    #[test]
+    fn scrub_rot_on_a_leader_heals_by_compaction_at_the_next_wake() {
+        let dir = tmpdir("heal-rot");
+        let metrics = Arc::new(Metrics::new());
+        let mut svc = service(Some(&dir), &metrics);
+        let app = svc.app_list()[0].clone();
+        drive(&mut svc, (0..8).map(|i| submit(i, &app)).collect(), || {});
+        rot_first_frame(&dir);
+        assert_eq!(crate::wal::scrub_pass(&dir, 1, &metrics), [0]);
+        assert_eq!(metrics.degraded(0), Some(Degraded::Rot));
+        assert_eq!(load(&metrics.scrub_corrupt_frames), 1);
+        drive(&mut svc, Vec::new(), || {});
+        assert!(crate::wal::scrub_shard(&dir, 0).unwrap().clean());
+        let (_, recovery) = Wal::open_shard(&dir, 0, u64::MAX).unwrap();
+        assert_eq!(recovery.table, *svc.table());
+        assert_eq!(load(&metrics.scrub_repaired), 1);
+        assert_eq!(metrics.degraded(0), None);
+        assert!(!metrics.wal_degraded());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The scrub reads the files, the writer compacts and appends, and
+    /// only then is the rot acted on: the heal must not cost the frames
+    /// the scrub never saw. (A quarantine at the read's offset cut them.)
+    #[test]
+    fn a_stale_scrub_flag_loses_no_frame_appended_after_its_read() {
+        let dir = tmpdir("stale-scrub");
+        let metrics = Arc::new(Metrics::new());
+        let mut svc = service(Some(&dir), &metrics);
+        let app = svc.app_list()[0].clone();
+        drive(&mut svc, (0..4).map(|i| submit(i, &app)).collect(), || {});
+        rot_first_frame(&dir);
+        let read = crate::wal::scrub_shard(&dir, 0).unwrap();
+        assert_eq!(read.corrupt_at, Some(0));
+        svc.write_snapshot();
+        let records = load(&metrics.wal_records);
+        let released = drive(&mut svc, (4..9).map(|i| submit(i, &app)).collect(), || {});
+        assert_eq!(load(&metrics.wal_records) - records, 10);
+        metrics.degrade(0, Degraded::Rot, &[]);
+        drive(&mut svc, Vec::new(), || {});
+        let recovered = recovered_states(&dir);
+        for (_, msg) in &released {
+            let task = replied_task(msg);
+            assert_eq!(recovered.get(&task), Some(&RecState::Leased), "task {task}");
+        }
+        assert_eq!(metrics.degraded(0), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

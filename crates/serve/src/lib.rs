@@ -15,7 +15,8 @@
 //!   malformed input is an error value, never a panic).
 //! * [`proto`] — versioned request/reply types and their codec.
 //! * [`metrics`] — atomic counters and the Prometheus text exposition
-//!   served on `GET /metrics`.
+//!   served on `GET /metrics`, each shard's durability health (the one
+//!   owner of degrade and heal), and the one structured event emitter.
 //! * [`state`] — the service core, one instance owned by each shard
 //!   worker: bounded admission queue, per-arrival (MIOS) and
 //!   batch-window (MIBS/MIX) dispatch, completion-driven model
@@ -45,8 +46,8 @@
 
 #![warn(missing_docs)]
 // The daemon request path must never panic on client input or I/O: a
-// panicking connection thread poisons the service mutex for everyone.
-// Unit tests (cfg(test)) keep their unwraps.
+// panicking reactor or shard worker takes every connection, or a whole
+// shard, down with it. Unit tests (cfg(test)) keep their unwraps.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod client;

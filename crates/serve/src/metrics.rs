@@ -6,8 +6,15 @@
 //! latency histogram (submit → placement, wall clock) uses fixed
 //! millisecond buckets rendered in the cumulative `le` form Prometheus
 //! expects.
+//!
+//! Two things here have one owner each. Whether a shard's files lack
+//! something its memory acked is [`Metrics::degrade`] and
+//! [`Metrics::heal`], and nothing else moves that state or its counters.
+//! Every structured log line goes out through [`Metrics::event`].
 
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Upper bounds (milliseconds) of the dispatch-latency histogram buckets;
 /// an implicit `+Inf` bucket follows.
@@ -22,6 +29,32 @@ pub struct ShardGauges {
     pub leased: AtomicU64,
     /// This shard's dead-letter queue size.
     pub dead_lettered: AtomicU64,
+    /// 0 while healthy, else the [`Degraded`] cause as its discriminant.
+    degraded: AtomicU64,
+}
+
+/// Why a shard's files lack something its memory acked. Either way only
+/// a snapshot of the authoritative table heals the shard: the shard's
+/// own compaction on a leader or standalone node, the leader's snapshot
+/// installed on a follower.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Degraded {
+    /// An append or a snapshot install failed: memory holds what the
+    /// disk lacks.
+    WriteFailed = 1,
+    /// Sealed bytes on disk are gone: rot a scrub found, or a shipped
+    /// chunk a follower cursor moved past but never wrote.
+    Rot = 2,
+}
+
+impl Degraded {
+    fn from_code(code: u64) -> Option<Degraded> {
+        match code {
+            1 => Some(Degraded::WriteFailed),
+            2 => Some(Degraded::Rot),
+            _ => None,
+        }
+    }
 }
 
 /// Shared daemon counters; one instance lives behind an `Arc`.
@@ -56,20 +89,14 @@ pub struct Metrics {
     pub wal_replayed_records: AtomicU64,
     /// Snapshot compactions written.
     pub wal_snapshots: AtomicU64,
-    /// WAL append/snapshot failures (the daemon degrades to in-memory).
+    /// WAL append/snapshot failures (the shard degrades to memory).
     pub wal_errors: AtomicU64,
-    /// 1 while the WAL is degraded: a recent append/snapshot failed and
-    /// acked mutations are not durable, or a scrub found unrepaired
-    /// corruption (gauge; cleared when persistence recovers).
-    pub wal_degraded: AtomicU64,
     /// Completed background scrub passes over sealed WAL regions.
     pub scrub_runs: AtomicU64,
-    /// Corrupt (checksummed-then-rotted) frames or snapshots found by
-    /// the scrubber, plus follower chunks that failed to land on disk
-    /// (one each; repaired the same way).
+    /// [`Degraded::Rot`] incidents, one per shard that turned rotten
+    /// however many passes see it.
     pub scrub_corrupt_frames: AtomicU64,
-    /// Corrupt shards repaired — re-pulled from the peer on a pair, or
-    /// truncated at the quarantine point standalone.
+    /// [`Degraded::Rot`] incidents healed by a covering snapshot.
     pub scrub_repaired: AtomicU64,
     /// Adaptive model rebuilds that failed; the last-good predictor stays.
     pub rebuild_failures: AtomicU64,
@@ -116,11 +143,6 @@ impl Metrics {
         }
     }
 
-    /// How many shards the gauge vectors cover.
-    pub fn shard_count(&self) -> usize {
-        self.shard_gauges.len()
-    }
-
     /// One shard's gauges (None when `shard` is out of range — e.g. a
     /// test-built `Service` sharing a smaller `Metrics`).
     pub fn shard_gauges(&self, shard: usize) -> Option<&ShardGauges> {
@@ -143,6 +165,101 @@ impl Metrics {
         self.running.store(r, Ordering::Relaxed);
     }
 
+    /// Why `shard` is degraded; `None` while its files hold everything
+    /// its memory acked (and for a shard these gauges do not cover).
+    pub fn degraded(&self, shard: usize) -> Option<Degraded> {
+        let g = self.shard_gauges.get(shard)?;
+        Degraded::from_code(g.degraded.load(Ordering::Relaxed))
+    }
+
+    /// Whether any shard is degraded: `tracond_wal_degraded` and the
+    /// strict `/healthz`.
+    pub fn wal_degraded(&self) -> bool {
+        self.shard_gauges
+            .iter()
+            .any(|g| g.degraded.load(Ordering::Relaxed) != 0)
+    }
+
+    /// Healthy → degraded for `cause`. Only the transition counts and
+    /// logs — a [`Degraded::Rot`] incident adds one to
+    /// `scrub_corrupt_frames` — so a failure or a rotten file seen again
+    /// before the heal changes nothing, whatever its cause.
+    pub fn degrade(&self, shard: usize, cause: Degraded, fields: &[(&str, &dyn Display)]) {
+        let Some(g) = self.shard_gauges.get(shard) else {
+            return;
+        };
+        let order = Ordering::Relaxed;
+        let flipped = g.degraded.compare_exchange(0, cause as u64, order, order);
+        if flipped.is_err() {
+            return;
+        }
+        let name = match cause {
+            Degraded::WriteFailed => "wal_degraded",
+            Degraded::Rot => {
+                self.scrub_corrupt_frames.fetch_add(1, Ordering::Relaxed);
+                "scrub_corrupt"
+            }
+        };
+        let shard: (&str, &dyn Display) = ("shard", &shard);
+        self.event(name, &[&[shard], fields].concat());
+    }
+
+    /// Degraded → healthy: call once a snapshot of the authoritative
+    /// table has landed in `shard`'s files, named by `source`. A no-op on
+    /// a healthy shard; healing a [`Degraded::Rot`] incident adds one to
+    /// `scrub_repaired`.
+    pub fn heal(&self, shard: usize, source: &str) {
+        let Some(g) = self.shard_gauges.get(shard) else {
+            return;
+        };
+        let Some(cause) = Degraded::from_code(g.degraded.swap(0, Ordering::Relaxed)) else {
+            return;
+        };
+        let name = match cause {
+            Degraded::WriteFailed => "wal_recovered",
+            Degraded::Rot => {
+                self.scrub_repaired.fetch_add(1, Ordering::Relaxed);
+                "scrub_repaired"
+            }
+        };
+        self.event(name, &[("shard", &shard), ("source", &source)]);
+    }
+
+    /// Write one structured event line to stderr: `tracond event=NAME`,
+    /// the event's own `key=value` fields in order, then this node's
+    /// `node_role=`, `node_epoch=` and `wall_ms=`. Operators and CI grep
+    /// these lines by their leading text, so fields only ever append.
+    pub fn event(&self, name: &str, fields: &[(&str, &dyn Display)]) {
+        let wall_ms = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_millis() as u64);
+        eprintln!("{}", self.event_line(name, fields, wall_ms));
+    }
+
+    fn event_line(&self, name: &str, fields: &[(&str, &dyn Display)], wall_ms: u64) -> String {
+        let role = match self.repl_role.load(Ordering::Relaxed) {
+            0 => "leader",
+            1 => "follower",
+            _ => "fenced",
+        };
+        let epoch = self.repl_epoch.load(Ordering::Relaxed);
+        let mut line = format!("tracond event={name}");
+        for (key, value) in fields {
+            let value = value.to_string();
+            // logfmt: a value that would split the line is quoted.
+            if value.is_empty() || value.contains([' ', '"', '=']) {
+                let _ = write!(line, " {key}={value:?}");
+            } else {
+                let _ = write!(line, " {key}={value}");
+            }
+        }
+        let _ = write!(
+            line,
+            " node_role={role} node_epoch={epoch} wall_ms={wall_ms}"
+        );
+        line
+    }
+
     /// Record one submit→placement latency observation.
     pub fn observe_dispatch_latency(&self, micros: u64) {
         let ms = micros / 1000;
@@ -160,191 +277,140 @@ impl Metrics {
     /// Render the full Prometheus text exposition.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(2048);
-        let counter = |out: &mut String, name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP tracond_{name} {help}\n# TYPE tracond_{name} counter\ntracond_{name} {value}\n"
-            ));
+        let mut series = |kind: &str, name: &str, help: &str, value: &dyn Display| {
+            let _ = write!(
+                out,
+                "# HELP tracond_{name} {help}\n# TYPE tracond_{name} {kind}\ntracond_{name} {value}\n"
+            );
         };
-        let gauge = |out: &mut String, name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP tracond_{name} {help}\n# TYPE tracond_{name} gauge\ntracond_{name} {value}\n"
-            ));
-        };
-        counter(
-            &mut out,
-            "admissions_total",
-            "Tasks accepted into the admission queue.",
-            self.admissions.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rejections_total",
-            "Submissions rejected with backpressure.",
-            self.rejections.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "drain_rejections_total",
-            "Submissions rejected because the daemon was draining.",
-            self.drain_rejections.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "completions_total",
-            "Task completions reported by clients.",
-            self.completions.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "model_rebuilds_total",
-            "Adaptive model rebuilds triggered by completions.",
-            self.rebuilds.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "predictor_swaps_total",
-            "Predictor swaps applied after rebuilds.",
-            self.predictor_swaps.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "protocol_errors_total",
-            "Request lines that failed to decode.",
-            self.protocol_errors.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "lease_expiries_total",
-            "Task leases that expired before a completion was reported.",
-            self.lease_expiries.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "requeues_total",
-            "Tasks re-queued with backoff after a lease expiry.",
-            self.requeues.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "dead_letters_total",
-            "Tasks dead-lettered after exhausting their attempts.",
-            self.dead_letters.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "wal_records_total",
-            "Records appended to the write-ahead log.",
-            self.wal_records.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "wal_fsyncs_total",
-            "Successful WAL group-commit fsyncs (one per append batch).",
-            self.wal_fsyncs.load(Ordering::Relaxed),
-        );
-        // Derived gauge: mean records per group-commit fsync, the batch
-        // amortization the reactor's batching actually achieved.
-        {
-            let records = self.wal_records.load(Ordering::Relaxed);
-            let fsyncs = self.wal_fsyncs.load(Ordering::Relaxed);
-            let mean = if fsyncs == 0 {
-                0.0
-            } else {
-                records as f64 / fsyncs as f64
-            };
-            out.push_str(&format!(
-                "# HELP tracond_wal_records_per_fsync Mean WAL records per group-commit fsync.\n# TYPE tracond_wal_records_per_fsync gauge\ntracond_wal_records_per_fsync {mean}\n"
-            ));
+        for (name, help, value) in [
+            ("admissions_total", "Tasks accepted into the admission queue.", &self.admissions),
+            ("rejections_total", "Submissions rejected with backpressure.", &self.rejections),
+            (
+                "drain_rejections_total",
+                "Submissions rejected because the daemon was draining.",
+                &self.drain_rejections,
+            ),
+            ("completions_total", "Task completions reported by clients.", &self.completions),
+            (
+                "model_rebuilds_total",
+                "Adaptive model rebuilds triggered by completions.",
+                &self.rebuilds,
+            ),
+            (
+                "predictor_swaps_total",
+                "Predictor swaps applied after rebuilds.",
+                &self.predictor_swaps,
+            ),
+            (
+                "protocol_errors_total",
+                "Request lines that failed to decode.",
+                &self.protocol_errors,
+            ),
+            (
+                "lease_expiries_total",
+                "Task leases that expired before a completion was reported.",
+                &self.lease_expiries,
+            ),
+            (
+                "requeues_total",
+                "Tasks re-queued with backoff after a lease expiry.",
+                &self.requeues,
+            ),
+            (
+                "dead_letters_total",
+                "Tasks dead-lettered after exhausting their attempts.",
+                &self.dead_letters,
+            ),
+            ("wal_records_total", "Records appended to the write-ahead log.", &self.wal_records),
+            (
+                "wal_fsyncs_total",
+                "Successful WAL group-commit fsyncs (one per append batch).",
+                &self.wal_fsyncs,
+            ),
+            (
+                "wal_replayed_records_total",
+                "Log records replayed during crash recovery.",
+                &self.wal_replayed_records,
+            ),
+            ("wal_snapshots_total", "Snapshot compactions written.", &self.wal_snapshots),
+            ("wal_errors_total", "WAL append or snapshot failures.", &self.wal_errors),
+            ("scrub_runs_total", "Completed background WAL scrub passes.", &self.scrub_runs),
+            (
+                "scrub_corrupt_frames_total",
+                "Shards found rotten (corrupt sealed frames or snapshot, or a lost follower chunk), once per incident.",
+                &self.scrub_corrupt_frames,
+            ),
+            (
+                "scrub_repaired_total",
+                "Rotten shards healed by a covering snapshot (the leader's on a follower, a compaction otherwise).",
+                &self.scrub_repaired,
+            ),
+            (
+                "rebuild_failures_total",
+                "Adaptive model rebuilds that failed (last-good predictor kept).",
+                &self.rebuild_failures,
+            ),
+            (
+                "overflow_submits_total",
+                "Submits admitted on the shallowest shard because their hash shard's queue ran deeper.",
+                &self.overflow_submits,
+            ),
+        ] {
+            series("counter", name, help, &value.load(Ordering::Relaxed));
         }
-        counter(
-            &mut out,
-            "wal_replayed_records_total",
-            "Log records replayed during crash recovery.",
-            self.wal_replayed_records.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "wal_snapshots_total",
-            "Snapshot compactions written.",
-            self.wal_snapshots.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "wal_errors_total",
-            "WAL append or snapshot failures.",
-            self.wal_errors.load(Ordering::Relaxed),
-        );
-        gauge(
-            &mut out,
+        for (name, help, value) in [
+            (
+                "queue_depth",
+                "Current admission queue depth (summed over shards).",
+                &self.queue_depth,
+            ),
+            (
+                "running_tasks",
+                "Tasks currently placed on a VM and not yet completed.",
+                &self.running,
+            ),
+            (
+                "repl_lag_frames",
+                "WAL frames the slowest replica still has to pull (max over shards).",
+                &self.repl_lag_frames,
+            ),
+            (
+                "repl_epoch",
+                "Current replication epoch (0 when replication is off).",
+                &self.repl_epoch,
+            ),
+            (
+                "repl_role",
+                "Replication role: 0 leader, 1 follower, 2 fenced.",
+                &self.repl_role,
+            ),
+            (
+                "repl_writes_suspended",
+                "1 while the leader refuses mutations because its follower went silent.",
+                &self.repl_writes_suspended,
+            ),
+        ] {
+            series("gauge", name, help, &value.load(Ordering::Relaxed));
+        }
+        // Derived gauges: the batch amortization group commit achieved,
+        // and whether any shard is degraded.
+        let records = self.wal_records.load(Ordering::Relaxed);
+        let fsyncs = self.wal_fsyncs.load(Ordering::Relaxed);
+        let mean = if fsyncs == 0 {
+            0.0
+        } else {
+            records as f64 / fsyncs as f64
+        };
+        let help = "Mean WAL records per group-commit fsync.";
+        series("gauge", "wal_records_per_fsync", help, &mean);
+        let help = "1 while any shard's files lack something its memory acked \
+                    (a failed write or rot, until a covering snapshot lands).";
+        series(
+            "gauge",
             "wal_degraded",
-            "1 while acked mutations are not durable (WAL degraded to memory or unrepaired corruption).",
-            self.wal_degraded.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "scrub_runs_total",
-            "Completed background WAL scrub passes.",
-            self.scrub_runs.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "scrub_corrupt_frames_total",
-            "Corrupt sealed frames or snapshots found by the scrubber.",
-            self.scrub_corrupt_frames.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "scrub_repaired_total",
-            "Corrupt shards repaired (peer re-pull on a pair, truncation standalone).",
-            self.scrub_repaired.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rebuild_failures_total",
-            "Adaptive model rebuilds that failed (last-good predictor kept).",
-            self.rebuild_failures.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "overflow_submits_total",
-            "Submits admitted on the shallowest shard because their hash shard's queue ran deeper.",
-            self.overflow_submits.load(Ordering::Relaxed),
-        );
-        gauge(
-            &mut out,
-            "queue_depth",
-            "Current admission queue depth (summed over shards).",
-            self.queue_depth.load(Ordering::Relaxed),
-        );
-        gauge(
-            &mut out,
-            "running_tasks",
-            "Tasks currently placed on a VM and not yet completed.",
-            self.running.load(Ordering::Relaxed),
-        );
-        gauge(
-            &mut out,
-            "repl_lag_frames",
-            "WAL frames the slowest replica still has to pull (max over shards).",
-            self.repl_lag_frames.load(Ordering::Relaxed),
-        );
-        gauge(
-            &mut out,
-            "repl_epoch",
-            "Current replication epoch (0 when replication is off).",
-            self.repl_epoch.load(Ordering::Relaxed),
-        );
-        gauge(
-            &mut out,
-            "repl_role",
-            "Replication role: 0 leader, 1 follower, 2 fenced.",
-            self.repl_role.load(Ordering::Relaxed),
-        );
-        gauge(
-            &mut out,
-            "repl_writes_suspended",
-            "1 while the leader refuses mutations because its follower went silent.",
-            self.repl_writes_suspended.load(Ordering::Relaxed),
+            help,
+            &u64::from(self.wal_degraded()),
         );
         // Per-shard gauge vectors, one labeled series per shard.
         for (name, help, read) in [
@@ -363,6 +429,11 @@ impl Metrics {
                 "shard_dead_lettered",
                 "Dead-letter queue size of one shard.",
                 &|g: &ShardGauges| g.dead_lettered.load(Ordering::Relaxed),
+            ),
+            (
+                "shard_wal_degraded",
+                "1 while one shard's files lack something its memory acked.",
+                &|g: &ShardGauges| u64::from(g.degraded.load(Ordering::Relaxed) != 0),
             ),
         ] {
             out.push_str(&format!(
@@ -433,7 +504,7 @@ mod tests {
         m.wal_errors.fetch_add(7, Ordering::Relaxed);
         m.rebuild_failures.fetch_add(8, Ordering::Relaxed);
         m.wal_fsyncs.fetch_add(2, Ordering::Relaxed);
-        m.wal_degraded.store(1, Ordering::Relaxed);
+        m.degrade(0, Degraded::WriteFailed, &[]);
         m.scrub_runs.fetch_add(9, Ordering::Relaxed);
         m.scrub_corrupt_frames.fetch_add(10, Ordering::Relaxed);
         m.scrub_repaired.fetch_add(11, Ordering::Relaxed);
@@ -489,6 +560,7 @@ mod tests {
         m.overflow_submits.fetch_add(2, Ordering::Relaxed);
         m.set_shard_gauges(0, 4, 1, 0);
         m.set_shard_gauges(1, 6, 2, 3);
+        m.degrade(1, Degraded::Rot, &[]);
         let text = m.render_prometheus();
         for pinned in [
             "tracond_overflow_submits_total 2",
@@ -498,12 +570,73 @@ mod tests {
             "tracond_shard_leased_tasks{shard=\"1\"} 2",
             "tracond_shard_dead_lettered{shard=\"0\"} 0",
             "tracond_shard_dead_lettered{shard=\"1\"} 3",
+            "tracond_shard_wal_degraded{shard=\"0\"} 0",
+            "tracond_shard_wal_degraded{shard=\"1\"} 1",
+            "tracond_wal_degraded 1",
             // The unlabeled legacy gauges stay as sums over shards.
             "tracond_queue_depth 10",
             "tracond_running_tasks 3",
         ] {
             assert!(text.contains(pinned), "missing series: {pinned}\n{text}");
         }
+    }
+
+    /// One incident per shard, whatever its cause and however often it is
+    /// reported; the gauge is 1 while any shard is degraded, and a heal
+    /// counts a repair only when it ends rot.
+    #[test]
+    fn each_shard_degrades_and_heals_once_per_incident() {
+        let m = Metrics::with_shards(2);
+        m.degrade(0, Degraded::WriteFailed, &[]);
+        m.degrade(0, Degraded::Rot, &[]);
+        assert_eq!(
+            m.degraded(0),
+            Some(Degraded::WriteFailed),
+            "the first cause holds"
+        );
+        m.degrade(1, Degraded::Rot, &[("frames_ok", &3)]);
+        m.degrade(1, Degraded::Rot, &[]);
+        assert_eq!(m.scrub_corrupt_frames.load(Ordering::Relaxed), 1);
+        m.heal(0, "compaction");
+        assert_eq!(m.degraded(0), None);
+        assert_eq!(m.degraded(1), Some(Degraded::Rot));
+        assert!(m.wal_degraded(), "shard 1 is still rotten");
+        assert_eq!(m.scrub_repaired.load(Ordering::Relaxed), 0);
+        m.heal(1, "compaction");
+        m.heal(1, "compaction");
+        assert_eq!(m.scrub_repaired.load(Ordering::Relaxed), 1);
+        assert!(!m.wal_degraded());
+        m.degrade(2, Degraded::Rot, &[]);
+        assert!(!m.wal_degraded(), "no such shard");
+    }
+
+    /// The event line: name, the event's fields in order, then the node's
+    /// role, epoch and wall clock; values that would split the line are
+    /// quoted. CI greps the leading text of these lines.
+    #[test]
+    fn event_lines_are_logfmt_with_the_node_appended() {
+        let m = Metrics::new();
+        m.repl_role.store(1, Ordering::Relaxed);
+        m.repl_epoch.store(2, Ordering::Relaxed);
+        let line = m.event_line(
+            "role",
+            &[
+                ("from", &"follower"),
+                ("to", &"leader"),
+                ("epoch", &2),
+                ("cause", &"lease_lapsed"),
+                ("leader", &"127.0.0.1:7431"),
+                ("detail", &"append failed: \"disk\" gone"),
+                ("empty", &""),
+            ],
+            1_700_000_000_123,
+        );
+        assert_eq!(
+            line,
+            "tracond event=role from=follower to=leader epoch=2 cause=lease_lapsed \
+             leader=127.0.0.1:7431 detail=\"append failed: \\\"disk\\\" gone\" empty=\"\" \
+             node_role=follower node_epoch=2 wall_ms=1700000000123"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use crate::client::Client;
 use crate::json::Value;
-use crate::metrics::Metrics;
+use crate::metrics::{Degraded, Metrics};
 use crate::proto::{ErrorKind, Reply, Request};
 use crate::reactor::ShardMsg;
 use crate::repl::role::{self, Effect, RoleEvent};
@@ -108,11 +108,15 @@ impl Node {
                 let from = self.repl.role();
                 self.repl.publish(*role, *epoch, hint.clone(), *suspended);
                 if from != *role {
-                    eprintln!(
-                        "tracond event=role from={} to={} epoch={epoch} cause={cause} leader={}",
-                        from.as_str(),
-                        role.as_str(),
-                        hint.as_deref().unwrap_or("-"),
+                    self.repl.metrics().event(
+                        "role",
+                        &[
+                            ("from", &from.as_str()),
+                            ("to", &role.as_str()),
+                            ("epoch", epoch),
+                            ("cause", cause),
+                            ("leader", &hint.as_deref().unwrap_or("-")),
+                        ],
                     );
                 }
             }
@@ -210,13 +214,18 @@ const SCRUB_INTERVAL_MS: u64 = 500;
 /// machine (which promotes this node when the leader's lease lapses),
 /// pull every shard from the current leader hint, append/install
 /// locally, and scrub the local WAL for rot (repairing by re-pulling the
-/// affected shard). Returns when the daemon shuts down or this node
-/// stops following; if it is later fenced, the daemon's rejoin
-/// supervisor demotes it back into this loop.
+/// affected shard). It is the one writer of the shard logs while the
+/// node follows, so a scrub here never races an append. Returns when the
+/// daemon shuts down or this node stops following; if it is later
+/// fenced, the daemon's rejoin supervisor demotes it back into this
+/// loop.
 pub(crate) fn run_follower(node: &Node) {
     let Node { repl, cfg, .. } = node;
     let metrics = repl.metrics();
-    let mut mirror = Mirror::new(lock(&node.wals).len());
+    // Per shard, the shipped stream — the leader's task table — rebuilt
+    // by the same replay a restart would run: what lets a caught-up
+    // follower compact its own WAL instead of growing it for good.
+    let mut mirrors = vec![TaskTable::default(); lock(&node.wals).len()];
     let mut last_scrub_ms = repl.now_ms();
     let mut client: Option<(String, Client)> = None;
     let connect_timeout = Duration::from_millis(cfg.ttl_ms.clamp(100, 2_000));
@@ -232,7 +241,9 @@ pub(crate) fn run_follower(node: &Node) {
         let now = repl.now_ms();
         if now.saturating_sub(last_scrub_ms) >= SCRUB_INTERVAL_MS {
             last_scrub_ms = now;
-            mirror.scrub_pass(node);
+            for shard in wal::scrub_pass(&cfg.dir, mirrors.len(), metrics) {
+                restart(node, &mut mirrors[shard], shard);
+            }
         }
 
         let leader = state.leader.unwrap_or_default();
@@ -278,7 +289,7 @@ pub(crate) fn run_follower(node: &Node) {
                     round_lag = None;
                     break;
                 };
-                if mirror.take_chunk(node, wal, shard, epoch, boot, &chunk) {
+                if take_chunk(node, wal, &mut mirrors[shard], shard, epoch, boot, &chunk) {
                     let behind = chunk.ship_next.saturating_sub(chunk.next);
                     round_lag = round_lag.map(|lag| lag.max(behind));
                 }
@@ -294,129 +305,52 @@ pub(crate) fn run_follower(node: &Node) {
     }
 }
 
-/// What the follower thread keeps between pulls, per shard.
-struct Mirror {
-    /// The shipped stream — the leader's task table — rebuilt by the same
-    /// replay a restart would run: what lets a caught-up follower compact
-    /// its own WAL instead of growing it for the life of the pair.
-    tables: Vec<TaskTable>,
-    /// Shards whose local files fell short of the stream (rot a scrub
-    /// quarantined, a write that failed) and are waiting for the
-    /// snapshot re-install that completes the repair.
-    pending_repair: Vec<bool>,
+/// One pull reply for `shard`: its header goes to the role machine, and
+/// if the machine takes the chunk (anything else — a stale epoch, cursors
+/// just reset because the leader rebooted — drops the body; returns
+/// false) the body goes to the WAL and the shard's `mirror`. The machine
+/// has moved the cursor to `chunk.next` by then, so a body that fails to
+/// land is lost data like rot: only the leader's snapshot can put the
+/// shard right again, and the one that lands heals it.
+fn take_chunk(
+    node: &Node,
+    wal: &mut Wal,
+    mirror: &mut TaskTable,
+    shard: usize,
+    epoch: u64,
+    boot: u64,
+    chunk: &PullChunk,
+) -> bool {
+    let next = chunk.next;
+    let header = RoleEvent::Chunk {
+        shard,
+        epoch,
+        boot,
+        next,
+    };
+    let effects = node.drive(header).unwrap_or_default();
+    if effects.last() != Some(&Effect::ApplyChunk) {
+        return false;
+    }
+    let metrics = node.repl.metrics();
+    match apply_chunk(wal, mirror, chunk, shard, metrics) {
+        Err(e) => {
+            metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
+            metrics.degrade(shard, Degraded::Rot, &[("lost", &e)]);
+            restart(node, mirror, shard);
+        }
+        Ok(true) => metrics.heal(shard, "peer snapshot install"),
+        Ok(false) => {}
+    }
+    true
 }
 
-impl Mirror {
-    fn new(shards: usize) -> Mirror {
-        Mirror {
-            tables: vec![TaskTable::default(); shards],
-            pending_repair: vec![false; shards],
-        }
-    }
-
-    /// One pull reply for `shard`: its header goes to the role machine,
-    /// and if the machine takes the chunk (anything else — a stale
-    /// epoch, cursors just reset because the leader rebooted — drops the
-    /// body; returns false) the body goes to the WAL and the mirror. The
-    /// machine has moved the cursor to `chunk.next` by then, so a body
-    /// that fails to land starts a repair: what was to be behind the
-    /// cursor is not on disk, and only the leader's snapshot can put the
-    /// shard right again.
-    fn take_chunk(
-        &mut self,
-        node: &Node,
-        wal: &mut Wal,
-        shard: usize,
-        epoch: u64,
-        boot: u64,
-        chunk: &PullChunk,
-    ) -> bool {
-        let next = chunk.next;
-        let header = RoleEvent::Chunk {
-            shard,
-            epoch,
-            boot,
-            next,
-        };
-        let effects = node.drive(header).unwrap_or_default();
-        if effects.last() != Some(&Effect::ApplyChunk) {
-            return false;
-        }
-        let metrics = node.repl.metrics();
-        match apply_chunk(wal, &mut self.tables[shard], chunk, shard, metrics) {
-            Err(e) => {
-                metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
-                self.start_repair(node, shard, 1, &format!("lost=\"{e}\""));
-            }
-            Ok(installed) if installed && self.pending_repair[shard] => {
-                // The shard now holds the leader's authoritative
-                // snapshot: repair complete.
-                self.pending_repair[shard] = false;
-                metrics.scrub_repaired.fetch_add(1, Ordering::Relaxed);
-                if !self.pending_repair.iter().any(|p| *p) {
-                    metrics.wal_degraded.store(0, Ordering::Relaxed);
-                }
-                eprintln!(
-                    "tracond event=scrub_repaired shard={shard} source=\"peer snapshot install\""
-                );
-            }
-            Ok(_) => {}
-        }
-        true
-    }
-
-    /// Send one shard back to the leader's snapshot: the mirror and the
-    /// pull cursor both reset, so the next pull re-installs the shard
-    /// wholesale. The first call of an incident counts `corrupt` units of
-    /// damage, raises the degraded gauge and says what was `found`; until
-    /// the install lands, later ones only reset again (a corrupt
-    /// *snapshot* keeps scrubbing dirty until it is overwritten — one
-    /// incident is one increment).
-    fn start_repair(&mut self, node: &Node, shard: usize, corrupt: u64, found: &str) {
-        self.tables[shard] = TaskTable::default();
-        let _ = node.drive(RoleEvent::CursorLost { shard });
-        if !self.pending_repair[shard] {
-            self.pending_repair[shard] = true;
-            let metrics = node.repl.metrics();
-            let counted = &metrics.scrub_corrupt_frames;
-            counted.fetch_add(corrupt, Ordering::Relaxed);
-            metrics.wal_degraded.store(1, Ordering::Relaxed);
-            eprintln!(
-                "tracond event=scrub_corrupt shard={shard} {found} action=\"re-pull from leader\""
-            );
-        }
-    }
-
-    /// One scrub pass over every shard's sealed WAL region. A shard with
-    /// rot (mid-file CRC mismatch, implausible frame length, or an
-    /// unparseable snapshot) is quarantined on the spot — the log is
-    /// truncated at the corrupt offset — and repaired from the leader.
-    /// The live `Wal` handle stays valid across the truncation because
-    /// its fd is `O_APPEND`: the next append lands at the new
-    /// (clean-boundary) end of file.
-    fn scrub_pass(&mut self, node: &Node) {
-        let dir = &node.cfg.dir;
-        node.repl
-            .metrics()
-            .scrub_runs
-            .fetch_add(1, Ordering::Relaxed);
-        for shard in 0..self.tables.len() {
-            let Ok(report) = wal::scrub_shard(dir, shard) else {
-                continue;
-            };
-            if report.clean() {
-                continue;
-            }
-            if let Some(at) = report.corrupt_at {
-                let _ = wal::quarantine_shard(dir, shard, at);
-            }
-            let found = format!(
-                "frames_ok={} quarantined_bytes={} snapshot_corrupt={}",
-                report.frames_ok, report.quarantined_bytes, report.snapshot_corrupt
-            );
-            self.start_repair(node, shard, report.corrupt_count(), &found);
-        }
-    }
+/// Send one shard back to the leader's snapshot: its mirror and its pull
+/// cursor both reset, so the next pull re-installs the shard wholesale —
+/// and the install truncates the log, rot and all.
+fn restart(node: &Node, mirror: &mut TaskTable, shard: usize) {
+    *mirror = TaskTable::default();
+    let _ = node.drive(RoleEvent::CursorLost { shard });
 }
 
 /// Install the snapshot (if any) and append the frames to one shard WAL,
@@ -426,8 +360,8 @@ impl Mirror {
 /// the leader's compaction horizon, so without this the follower's log
 /// (and its promotion replay time) would grow for the life of the pair.
 ///
-/// `Ok(true)` when the chunk carried a snapshot (the signal the repair
-/// path waits on). An error leaves log and mirror short of what the
+/// `Ok(true)` when the chunk carried a snapshot (what heals a degraded
+/// shard). An error leaves log and mirror short of what the
 /// chunk held.
 fn apply_chunk(
     wal: &mut Wal,
@@ -650,10 +584,10 @@ mod tests {
         let ship = ShipLog::new(1);
         let mut leader = TaskTable::default();
         ship.trim(0, leader.encode());
-        let mut mirror = Mirror::new(1);
+        let mut mirror = TaskTable::default();
         let mut next_task = 0;
         // One leader commit of `n` submit + lease pairs, then one pull.
-        let mut round = |n: u64, leader: &mut TaskTable, mirror: &mut Mirror| {
+        let mut round = |n: u64, leader: &mut TaskTable, mirror: &mut TaskTable| {
             let tasks = next_task..next_task + n;
             next_task += n;
             let batch: Vec<WalRecord> = tasks
@@ -670,31 +604,30 @@ mod tests {
             ship.push(0, &batch);
             let chunk = ship.pull(0, node.repl.state().cursor(0));
             let mut wals = lock(&node.wals);
-            mirror.take_chunk(&node, &mut wals[0], 0, 1, 7, &chunk);
+            take_chunk(&node, &mut wals[0], mirror, 0, 1, 7, &chunk);
         };
 
         round(1, &mut leader, &mut mirror);
-        assert_eq!(mirror.tables[0], leader);
+        assert_eq!(mirror, leader);
 
         // The append fails: the shard goes to repair and the cursor home.
         crate::failpoint::arm(&format!("wal.append.write@{scope}=err*1")).unwrap();
         round(1, &mut leader, &mut mirror);
         assert_eq!(load(&metrics.wal_errors), 1);
-        assert_eq!(load(&metrics.wal_degraded), 1);
+        assert_eq!(metrics.degraded(0), Some(Degraded::Rot));
         assert_eq!(load(&metrics.scrub_corrupt_frames), 1);
-        assert!(mirror.pending_repair[0]);
         assert_eq!(node.repl.state().cursor(0), 0);
         // The failure has cleared: the next pull re-installs and catches up.
         round(1, &mut leader, &mut mirror);
         assert_eq!(load(&metrics.scrub_repaired), 1);
-        assert_eq!(load(&metrics.wal_degraded), 0);
-        assert_eq!(mirror.tables[0], leader);
+        assert_eq!(metrics.degraded(0), None);
+        assert_eq!(mirror, leader);
 
         // The same for the follower's own compaction, due on this pull.
         crate::failpoint::arm(&format!("wal.snapshot.rename@{scope}=err*1")).unwrap();
         round(2, &mut leader, &mut mirror);
         assert_eq!(load(&metrics.wal_errors), 2);
-        assert!(mirror.pending_repair[0]);
+        assert!(metrics.degraded(0).is_some());
         round(1, &mut leader, &mut mirror);
         assert_eq!(load(&metrics.scrub_repaired), 2);
         crate::failpoint::disarm_all();

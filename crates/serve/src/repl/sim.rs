@@ -568,9 +568,10 @@ impl SimCluster {
         journal.frames.truncate(keep);
     }
 
-    /// What the follower's scrub pass does on detection: quarantine the
-    /// journal (drop it wholesale) and send the pull cursor home so the
-    /// next pulls re-install the shard from the leader.
+    /// What the follower does on detection: drop the journal wholesale
+    /// (the snapshot install it waits for replaces it anyway) and send
+    /// the pull cursor home so the next pulls re-install the shard from
+    /// the leader.
     pub fn scrub_repair(&mut self, node: usize, shard: usize) {
         self.nodes[node].journals[shard] = Journal::default();
         self.drive(node, RoleEvent::CursorLost { shard });
@@ -837,8 +838,8 @@ mod tests {
         }
     }
 
-    /// Bit rot on a follower journal mid-run: the scrub quarantines the
-    /// shard and resets its cursor, and the re-pull (racing a lossy link
+    /// Bit rot on a follower journal mid-run: the scrub drops the shard's
+    /// journal and resets its cursor, and the re-pull (racing a lossy link
     /// and fresh traffic) converges back to the leader's exact ledger.
     #[test]
     fn scrub_repair_recovers_a_rotted_journal_under_loss() {

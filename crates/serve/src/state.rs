@@ -49,7 +49,7 @@ use tracon_dcsim::setup::training_data;
 use tracon_dcsim::{AdaptiveObserver, SimObserver, Testbed, IDLE};
 use tracon_stats::prng::{mix64, GAMMA};
 
-use crate::metrics::Metrics;
+use crate::metrics::{Degraded, Metrics};
 use crate::table::{RecState, Row, TaskRow, TaskTable};
 use crate::wal::{Wal, WalRecord};
 
@@ -104,8 +104,6 @@ pub struct ServeConfig {
     pub slots_per_machine: usize,
     /// Scheduler to run.
     pub scheduler: SchedKind,
-    /// Scoring objective for placement decisions.
-    pub objective: Objective,
     /// Interference model used by the live monitors.
     pub model_kind: ModelKind,
     /// Admission queue bound; submissions beyond this are rejected.
@@ -147,7 +145,6 @@ impl Default for ServeConfig {
             machines: 4,
             slots_per_machine: 2,
             scheduler: SchedKind::Mios,
-            objective: Objective::MinRuntime,
             model_kind: ModelKind::Wmm,
             queue_capacity: 64,
             monitor: MonitorConfig::default(),
@@ -383,7 +380,7 @@ impl Service {
             &init_io,
             cfg.monitor,
         );
-        let scoring = ScoringPolicy::new(&observer.export_predictor(), cfg.objective);
+        let scoring = ScoringPolicy::new(&observer.export_predictor(), Objective::MinRuntime);
         let cluster = ClusterState::new(
             cfg.machines,
             cfg.slots_per_machine,
@@ -614,8 +611,9 @@ impl Service {
     /// The one commit path: append a batch of records under one fsync and
     /// ship it; inside a [`Service::wal_transaction`] the records are
     /// deferred to the transaction's commit instead. A failed write
-    /// degrades to in-memory operation (counted once per failed commit,
-    /// never fatal — availability over durability once the disk is gone).
+    /// degrades the shard to memory (never fatal — availability over
+    /// durability while the disk fails), and the next write that lands
+    /// compacts, which puts everything memory holds back on disk.
     fn wal_append_batch(&mut self, recs: &[WalRecord]) {
         if recs.is_empty() || !self.durable() {
             return;
@@ -632,13 +630,10 @@ impl Service {
                         .wal_records
                         .fetch_add(recs.len() as u64, Ordering::Relaxed);
                     self.metrics.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
-                    let due = wal.snapshot_due();
-                    self.set_wal_degraded(false, "append committed");
-                    due
+                    wal.snapshot_due() || self.metrics.degraded(self.shard).is_some()
                 }
                 Err(e) => {
-                    self.metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
-                    self.set_wal_degraded(true, &format!("append failed: {e}"));
+                    self.write_failed("append", e);
                     false
                 }
             },
@@ -663,25 +658,22 @@ impl Service {
         }
     }
 
-    /// Flip the process-wide WAL-degraded gauge, logging one structured
-    /// line on each transition (never per failure): `wal_degraded` means
-    /// acked mutations are not reaching disk, which `/healthz?strict=1`
-    /// reports as unhealthy until persistence recovers.
-    fn set_wal_degraded(&self, degraded: bool, detail: &str) {
-        let prev = self
-            .metrics
-            .wal_degraded
-            .swap(u64::from(degraded), Ordering::Relaxed);
-        if degraded && prev == 0 {
-            eprintln!(
-                "tracond event=wal_degraded shard={} detail=\"{detail}\"",
-                self.shard
-            );
-        } else if !degraded && prev != 0 {
-            eprintln!(
-                "tracond event=wal_recovered shard={} detail=\"{detail}\"",
-                self.shard
-            );
+    /// A write failed: this shard's files lack what its memory holds
+    /// until a covering snapshot lands.
+    fn write_failed(&self, what: &str, e: std::io::Error) {
+        self.metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
+        let (shard, detail) = (self.shard, format!("{what} failed: {e}"));
+        let cause = Degraded::WriteFailed;
+        self.metrics.degrade(shard, cause, &[("detail", &detail)]);
+    }
+
+    /// Compact now if a scrub found rot in this shard's files. The worker
+    /// calls it at every wake with nothing pending: it is the log's only
+    /// writer, so the covering snapshot it writes also holds whatever
+    /// landed after the scrub read the files.
+    pub(crate) fn heal_rot(&mut self) {
+        if self.wal.is_some() && self.metrics.degraded(self.shard) == Some(Degraded::Rot) {
+            self.write_snapshot();
         }
     }
 
@@ -718,7 +710,8 @@ impl Service {
     }
 
     /// Compact: the task table becomes this shard's snapshot file, and
-    /// the log is truncated.
+    /// the log is truncated. That snapshot covers everything the shard
+    /// acked, so it is what heals a degraded shard.
     pub fn write_snapshot(&mut self) {
         if !self.durable() {
             return;
@@ -728,12 +721,9 @@ impl Service {
             match wal.install_snapshot_blob(&blob) {
                 Ok(()) => {
                     self.metrics.wal_snapshots.fetch_add(1, Ordering::Relaxed);
-                    self.set_wal_degraded(false, "snapshot installed");
+                    self.metrics.heal(self.shard, "compaction");
                 }
-                Err(e) => {
-                    self.metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
-                    self.set_wal_degraded(true, &format!("snapshot install failed: {e}"));
-                }
+                Err(e) => self.write_failed("snapshot install", e),
             }
         }
         // Trim the ship even if the local install failed: the blob was
@@ -1025,7 +1015,7 @@ impl Service {
         let mut swapped = false;
         if rebuilt {
             if let Some(predictor) = self.observer.updated_predictor() {
-                self.scoring = ScoringPolicy::new(&predictor, self.cfg.objective);
+                self.scoring = ScoringPolicy::new(&predictor, Objective::MinRuntime);
                 self.metrics.predictor_swaps.fetch_add(1, Ordering::Relaxed);
                 swapped = true;
             }

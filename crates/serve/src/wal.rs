@@ -44,10 +44,12 @@
 
 use crate::failpoint;
 use crate::json::{self, Value};
+use crate::metrics::{Degraded, Metrics};
 use crate::table::TaskTable;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 
 /// Upper bound on one record's payload; anything larger is corruption.
 const MAX_RECORD_BYTES: u32 = 1 << 20;
@@ -488,19 +490,17 @@ impl Wal {
 /// What one read-only scrub pass over a shard found. The scrubber walks
 /// the *sealed* region of the log — frames fully contained in the file
 /// length observed when the pass started — so it never mistakes an
-/// in-flight append for rot; the live writer only ever extends the file.
+/// in-flight append for rot.
 #[derive(Debug, Clone, Default)]
 pub struct ScrubReport {
-    /// Which shard was scrubbed.
-    pub shard: usize,
     /// Sealed frames whose checksum verified.
     pub frames_ok: u64,
-    /// Byte offset of the first corrupt sealed frame, if any. Everything
-    /// from here to the sealed end is the quarantined range: replay
-    /// cannot see past the bad frame, so the suffix is unreachable.
+    /// Byte offset of the first corrupt sealed frame, if any. Replay
+    /// cannot see past it, so everything from here to the sealed end is
+    /// unreachable.
     pub corrupt_at: Option<u64>,
-    /// Bytes in the quarantined range.
-    pub quarantined_bytes: u64,
+    /// Bytes from `corrupt_at` to the sealed end.
+    pub unreachable_bytes: u64,
     /// The snapshot document failed CRC-equivalent verification (parse).
     pub snapshot_corrupt: bool,
     /// Bytes scanned this pass (snapshot + sealed log), for throughput.
@@ -512,13 +512,6 @@ impl ScrubReport {
     pub fn clean(&self) -> bool {
         self.corrupt_at.is_none() && !self.snapshot_corrupt
     }
-
-    /// Corrupt frames found this pass (counting the whole quarantined
-    /// suffix as unreachable, the metric counts the first bad frame plus
-    /// the snapshot when rotted).
-    pub fn corrupt_count(&self) -> u64 {
-        u64::from(self.corrupt_at.is_some()) + u64::from(self.snapshot_corrupt)
-    }
 }
 
 /// Re-verifies one shard's snapshot and sealed log frames without
@@ -526,10 +519,7 @@ impl ScrubReport {
 /// fully contained in the length observed at the start of the pass are
 /// judged, and a frame extending past it is an in-flight tail, not rot.
 pub fn scrub_shard(dir: &Path, shard: usize) -> io::Result<ScrubReport> {
-    let mut report = ScrubReport {
-        shard,
-        ..ScrubReport::default()
-    };
+    let mut report = ScrubReport::default();
     match read_snapshot(dir, shard) {
         Ok(Some(text)) => {
             report.scanned_bytes += text.len() as u64;
@@ -566,27 +556,38 @@ pub fn scrub_shard(dir: &Path, shard: usize) -> io::Result<ScrubReport> {
         }
     }
     if let Some(at) = report.corrupt_at {
-        report.quarantined_bytes = sealed as u64 - at;
+        report.unreachable_bytes = sealed as u64 - at;
     }
     report.scanned_bytes += sealed as u64;
     Ok(report)
 }
 
-/// Quarantines a corrupt log suffix by truncating the shard's log at
-/// `at` (the offset a [`scrub_shard`] pass reported). Returns the bytes
-/// removed. Safe against the live `O_APPEND` writer: its next append
-/// lands at the new end of file on a clean frame boundary. The records
-/// in the truncated range were already unreachable to replay.
-pub fn quarantine_shard(dir: &Path, shard: usize, at: u64) -> io::Result<u64> {
-    let path = dir.join(shard_log_name(shard));
-    let file = OpenOptions::new().write(true).open(&path)?;
-    let len = file.metadata()?.len();
-    if at >= len {
-        return Ok(0);
+/// One scrub pass over the first `shards` shards of `dir`, shared by the
+/// leader's scrub thread and the follower's pull loop: counts the run
+/// and flags every shard with rot as [`Degraded::Rot`]. It detects and
+/// flags only — it writes no file, because it is not the log's writer
+/// and what it read may already be stale. Returns the rotten shards; a
+/// follower re-pulls them, and a leader's shard worker heals them by
+/// compaction at its next wake.
+pub fn scrub_pass(dir: &Path, shards: usize, metrics: &Metrics) -> Vec<usize> {
+    metrics.scrub_runs.fetch_add(1, Ordering::Relaxed);
+    let mut rotten = Vec::new();
+    for shard in 0..shards {
+        let Ok(report) = scrub_shard(dir, shard) else {
+            continue;
+        };
+        if report.clean() {
+            continue;
+        }
+        let found: [(&str, &dyn std::fmt::Display); 3] = [
+            ("frames_ok", &report.frames_ok),
+            ("unreachable_bytes", &report.unreachable_bytes),
+            ("snapshot_corrupt", &report.snapshot_corrupt),
+        ];
+        metrics.degrade(shard, Degraded::Rot, &found);
+        rotten.push(shard);
     }
-    file.set_len(at)?;
-    file.sync_data()?;
-    Ok(len - at)
+    rotten
 }
 
 #[cfg(test)]
@@ -794,12 +795,12 @@ mod tests {
     }
 
     #[test]
-    fn scrub_detects_mid_file_bit_rot_and_quarantine_truncates() {
+    fn scrub_detects_mid_file_bit_rot_and_a_snapshot_heals_it() {
         let dir = tmpdir("scrub-rot");
         seed_log(&dir, 5);
         assert!(scrub_shard(&dir, 0).unwrap().clean());
         // Rot one payload byte of the second frame: replay would stop
-        // there, so frames 2..5 are the unreachable quarantined suffix.
+        // there, so frames 2..5 are the unreachable suffix.
         let log = dir.join(shard_log_name(0));
         let mut bytes = std::fs::read(&log).unwrap();
         let first_len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
@@ -811,22 +812,25 @@ mod tests {
         assert_eq!(report.frames_ok, 1);
         assert_eq!(report.corrupt_at, Some(second as u64));
         assert_eq!(
-            report.quarantined_bytes,
+            report.unreachable_bytes,
             (bytes.len() - second) as u64,
-            "quarantined range must run from the bad frame to the sealed end"
+            "the unreachable range must run from the bad frame to the sealed end"
         );
-        let removed = quarantine_shard(&dir, 0, second as u64).unwrap();
-        assert_eq!(removed, report.quarantined_bytes);
-        assert!(scrub_shard(&dir, 0).unwrap().clean());
-        // The truncated log replays its intact prefix and accepts writes.
+        // The heal: the replayed table becomes the snapshot and the log
+        // starts over, clean, and accepts writes.
         let (mut wal, rec) = Wal::open(&dir, 1000).unwrap();
         assert_eq!(rec.replayed_records, 1);
-        assert_eq!(rec.truncated_bytes, 0, "quarantine already cut the rot");
+        wal.install_snapshot_blob(&rec.table.encode()).unwrap();
+        assert!(scrub_shard(&dir, 0).unwrap().clean());
         wal.append(&WalRecord::Lease {
             task: 0,
             attempt: 0,
         })
         .unwrap();
+        drop(wal);
+        let (_, healed) = Wal::open(&dir, 1000).unwrap();
+        assert_eq!((healed.replayed_records, healed.truncated_bytes), (1, 0));
+        assert_eq!(healed.table.get(0).unwrap().state, RecState::Leased);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -868,15 +872,16 @@ mod tests {
         std::fs::write(&snap, &bytes).unwrap();
         let report = scrub_shard(&dir, 0).unwrap();
         assert!(report.snapshot_corrupt);
-        assert!(report.corrupt_count() >= 1);
+        assert!(!report.clean());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Seeded torture: flip random bits anywhere in the log and the
     /// snapshot; scrub and recovery must never panic, replay must stop
-    /// at the first bad frame, quarantining what scrub reports must
-    /// always leave a log that reopens with nothing left to truncate,
-    /// and what recovery hands back is the input: the log's frames are
+    /// at the first bad frame, installing the replayed table as the
+    /// snapshot must always leave files that scrub clean and reopen with
+    /// nothing left to truncate, and what recovery hands back is the
+    /// input: the log's frames are
     /// checksummed, so only a flip that landed in the snapshot and still
     /// parses can show — as one altered row per flip, never as more.
     #[test]
@@ -920,15 +925,14 @@ mod tests {
             assert!(report.frames_ok <= logged.len() as u64, "round {round}");
             assert!(flipped[1] > 0 || !report.snapshot_corrupt, "round {round}");
             if let Some(at) = report.corrupt_at {
-                assert_eq!(report.quarantined_bytes, log_len - at);
-                quarantine_shard(&dir, 0, at).unwrap();
+                assert_eq!(report.unreachable_bytes, log_len - at);
             }
             // Recovery is total: a snapshot scrub calls corrupt is
             // refused with an error, anything else replays the intact
             // prefix — whether or not the flips landed in a sealed
-            // frame — and after a quarantine there is no torn tail left.
-            let rec = match Wal::open(&dir, 1000) {
-                Ok((_, rec)) => rec,
+            // frame.
+            let (mut wal, rec) = match Wal::open(&dir, 1000) {
+                Ok(opened) => opened,
                 Err(e) => {
                     assert!(report.snapshot_corrupt, "round {round}: {e}");
                     assert_eq!(e.kind(), io::ErrorKind::InvalidData);
@@ -943,12 +947,18 @@ mod tests {
                 "round {round}"
             );
             if report.corrupt_at.is_some() {
-                assert_eq!(rec.truncated_bytes, 0, "round {round}");
                 assert!(
                     rec.replayed_records <= report.frames_ok,
                     "round {round}: replay must stop no later than scrub's horizon"
                 );
             }
+            // The heal leaves nothing for scrub or the next open to cut.
+            wal.install_snapshot_blob(&rec.table.encode()).unwrap();
+            drop(wal);
+            assert!(scrub_shard(&dir, 0).unwrap().clean(), "round {round}");
+            let (_, healed) = Wal::open(&dir, 1000).unwrap();
+            assert_eq!(healed.truncated_bytes, 0, "round {round}");
+            assert_eq!(healed.table, rec.table, "round {round}");
             let input: Vec<_> = input.iter().collect();
             let altered = rec.table.iter().filter(|row| !input.contains(row));
             assert!(rec.table.len() <= input.len(), "round {round}");
@@ -1015,13 +1025,16 @@ mod tests {
         let report = scrub_shard(&dir, 0).unwrap();
         assert!(!report.clean(), "{report:?}");
         assert_eq!(report.frames_ok, 1);
-        assert!(report.quarantined_bytes > 0);
-        let at = report.corrupt_at.unwrap();
-        quarantine_shard(&dir, 0, at).unwrap();
+        assert!(report.unreachable_bytes > 0);
         drop(wal);
-        let (_, rec) = Wal::open(&dir, 1000).unwrap();
+        let (mut wal, rec) = Wal::open(&dir, 1000).unwrap();
         assert_eq!(rec.replayed_records, 1, "only the pre-rot record survives");
-        assert_eq!(rec.truncated_bytes, 0);
+        wal.install_snapshot_blob(&rec.table.encode()).unwrap();
+        drop(wal);
+        assert!(scrub_shard(&dir, 0).unwrap().clean());
+        let (_, healed) = Wal::open(&dir, 1000).unwrap();
+        assert_eq!((healed.replayed_records, healed.truncated_bytes), (0, 0));
+        assert_eq!(healed.table, rec.table);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use tracon_core::{ClusterState, Mios, Scheduler, ScoringPolicy, Task};
+use tracon_core::{ClusterState, Mios, Objective, Scheduler, ScoringPolicy, Task};
 use tracon_dcsim::{AdaptiveObserver, Testbed, TestbedConfig};
 use tracon_serve::daemon::start;
 use tracon_serve::{Client, ErrorKind, NetConfig, Reply, Request, SchedKind, ServeConfig};
@@ -83,7 +83,7 @@ fn placements_are_identical_to_in_process_scheduler() {
         &init_io,
         cfg.monitor,
     );
-    let scoring = ScoringPolicy::new(&observer.export_predictor(), cfg.objective);
+    let scoring = ScoringPolicy::new(&observer.export_predictor(), Objective::MinRuntime);
     let mut cluster = ClusterState::new(2, 2, testbed.app_chars.clone());
     let mut mios = Mios::default();
 
