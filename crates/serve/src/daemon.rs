@@ -168,13 +168,13 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
         })
         .collect();
 
-    // Decode-time routing table: profiled name -> interned id. Every
-    // shard builds the identical registry, so shard 0's will do.
-    let app_ids: HashMap<String, AppId> = services[0]
-        .app_list()
-        .to_vec()
-        .into_iter()
-        .filter_map(|name| services[0].app_id(&name).map(|id| (name, id)))
+    // Decode-time routing table: profiled name -> interned id, and the
+    // names `status` lists. Every shard builds the identical registry, so
+    // shard 0's will do.
+    let apps: Vec<String> = services[0].app_list().to_vec();
+    let app_ids: HashMap<String, AppId> = apps
+        .iter()
+        .filter_map(|name| services[0].app_id(name).map(|id| (name.clone(), id)))
         .collect();
 
     if cfg.replica_of.is_some() && cfg.wal_dir.is_none() {
@@ -328,6 +328,7 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
             draining: Arc::clone(&draining),
             metrics: Arc::clone(&metrics),
             app_ids,
+            apps,
             node,
         };
         core_threads.push(spawn_named("tracond-reactor".into(), move || {
@@ -573,7 +574,6 @@ fn run_batch(
                         agg,
                         shard,
                         snap: svc.status(),
-                        apps: svc.app_list().to_vec(),
                     };
                     outbox.send(svc, part);
                 }

@@ -13,7 +13,9 @@
 //! the scheduler of lanes the profiled characteristics do not cover. A
 //! submission that omits it keeps the legacy two-dimension defaults.
 
-use crate::json::{self, n, obj, s, Value};
+use std::fmt::{self, Write as _};
+
+use crate::json::{self, n, obj, Quoted, Value};
 use tracon_core::{DimVec, ResourceDim};
 
 /// The protocol version this daemon speaks: the only one a request may
@@ -248,74 +250,104 @@ impl Reply {
     }
 }
 
-fn id_value(id: &Option<String>) -> Value {
-    match id {
-        Some(text) => s(text.clone()),
-        None => Value::Null,
+/// `"v"` as every line carries it.
+const VERSION: Value = Value::Num(PROTOCOL_VERSION as f64);
+
+/// Bytes every line starts with. Each reply a shard answers fits, and so
+/// does a `status`; a `repl_pull` chunk (up to 256 WAL frames, or a whole
+/// snapshot) outgrows it and the `String` grows as it is written.
+const LINE_CAPACITY: usize = 1024;
+
+/// Render `line` in one formatting pass; a line that fits
+/// `LINE_CAPACITY` is one allocation.
+fn render(line: impl fmt::Display) -> String {
+    let mut out = String::with_capacity(LINE_CAPACITY);
+    let _ = write!(out, "{line}");
+    out
+}
+
+/// The echoed client id: its JSON string, or `null` when there is none.
+struct Id<'a>(&'a Option<String>);
+
+impl fmt::Display for Id<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(text) => Quoted(text).fmt(f),
+            None => f.write_str("null"),
+        }
+    }
+}
+
+/// A request envelope as one JSON object, written around the strings it
+/// borrows: `v`, `id`, `op`, then the op's fields in a fixed order.
+struct RequestLine<'a>(&'a Envelope);
+
+impl fmt::Display for RequestLine<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{{\"v\":{VERSION},\"id\":{}", Id(&self.0.id))?;
+        match &self.0.request {
+            Request::Submit { app, demand } => {
+                write!(f, ",\"op\":\"submit\",\"app\":{}", Quoted(app))?;
+                if let Some(d) = demand {
+                    write!(f, ",\"demand\":{}", demand_value(d))?;
+                }
+            }
+            Request::Complete {
+                task,
+                runtime,
+                iops,
+            } => write!(
+                f,
+                ",\"op\":\"complete\",\"task\":{},\"runtime\":{},\"iops\":{}",
+                n(*task as f64),
+                n(*runtime),
+                n(*iops)
+            )?,
+            Request::Status => f.write_str(",\"op\":\"status\"")?,
+            Request::TaskInfo { task } => {
+                write!(f, ",\"op\":\"task\",\"task\":{}", n(*task as f64))?
+            }
+            Request::Drain => f.write_str(",\"op\":\"drain\"")?,
+            Request::Shutdown => f.write_str(",\"op\":\"shutdown\"")?,
+            Request::ReplPull {
+                epoch,
+                shard,
+                cursor,
+                addr,
+                ttl_ms,
+            } => {
+                write!(
+                    f,
+                    ",\"op\":\"repl_pull\",\"epoch\":{},\"shard\":{},\"cursor\":{},\"addr\":{}",
+                    n(*epoch as f64),
+                    n(*shard as f64),
+                    n(*cursor as f64),
+                    Quoted(addr)
+                )?;
+                if *ttl_ms > 0 {
+                    write!(f, ",\"ttl_ms\":{}", n(*ttl_ms as f64))?;
+                }
+            }
+            Request::ReplLease { epoch, leader_addr } => write!(
+                f,
+                ",\"op\":\"repl_lease\",\"epoch\":{},\"leader_addr\":{}",
+                n(*epoch as f64),
+                Quoted(leader_addr)
+            )?,
+            Request::Fail { action, spec } => {
+                write!(f, ",\"op\":\"fail\",\"action\":{}", Quoted(action))?;
+                if let Some(spec) = spec {
+                    write!(f, ",\"spec\":{}", Quoted(spec))?;
+                }
+            }
+        }
+        f.write_str("}")
     }
 }
 
 /// Encode a request envelope as one wire line (no trailing newline).
 pub fn encode_request(envelope: &Envelope) -> String {
-    let mut pairs = vec![
-        ("v", n(PROTOCOL_VERSION as f64)),
-        ("id", id_value(&envelope.id)),
-    ];
-    match &envelope.request {
-        Request::Submit { app, demand } => {
-            pairs.push(("op", s("submit")));
-            pairs.push(("app", s(app.clone())));
-            if let Some(d) = demand {
-                pairs.push(("demand", demand_value(d)));
-            }
-        }
-        Request::Complete {
-            task,
-            runtime,
-            iops,
-        } => {
-            pairs.push(("op", s("complete")));
-            pairs.push(("task", n(*task as f64)));
-            pairs.push(("runtime", n(*runtime)));
-            pairs.push(("iops", n(*iops)));
-        }
-        Request::Status => pairs.push(("op", s("status"))),
-        Request::TaskInfo { task } => {
-            pairs.push(("op", s("task")));
-            pairs.push(("task", n(*task as f64)));
-        }
-        Request::Drain => pairs.push(("op", s("drain"))),
-        Request::Shutdown => pairs.push(("op", s("shutdown"))),
-        Request::ReplPull {
-            epoch,
-            shard,
-            cursor,
-            addr,
-            ttl_ms,
-        } => {
-            pairs.push(("op", s("repl_pull")));
-            pairs.push(("epoch", n(*epoch as f64)));
-            pairs.push(("shard", n(*shard as f64)));
-            pairs.push(("cursor", n(*cursor as f64)));
-            pairs.push(("addr", s(addr.clone())));
-            if *ttl_ms > 0 {
-                pairs.push(("ttl_ms", n(*ttl_ms as f64)));
-            }
-        }
-        Request::ReplLease { epoch, leader_addr } => {
-            pairs.push(("op", s("repl_lease")));
-            pairs.push(("epoch", n(*epoch as f64)));
-            pairs.push(("leader_addr", s(leader_addr.clone())));
-        }
-        Request::Fail { action, spec } => {
-            pairs.push(("op", s("fail")));
-            pairs.push(("action", s(action.clone())));
-            if let Some(spec) = spec {
-                pairs.push(("spec", s(spec.clone())));
-            }
-        }
-    }
-    obj(pairs).to_string()
+    render(RequestLine(envelope))
 }
 
 /// A decode failure, carrying everything needed to build the error reply.
@@ -543,77 +575,88 @@ pub fn decode_request(line: &str) -> Result<Envelope, DecodeError> {
     Ok(Envelope { id, request })
 }
 
-/// Encode a reply as one wire line (no trailing newline).
-pub fn encode_reply(reply: &Reply) -> String {
-    match reply {
-        Reply::Ok { id, result } => obj(vec![
-            ("v", n(PROTOCOL_VERSION as f64)),
-            ("id", id_value(id)),
-            ("ok", Value::Bool(true)),
-            ("result", result.clone()),
-        ])
-        .to_string(),
-        Reply::Error {
-            id,
-            kind,
-            message,
-            retry_after_ms,
-            leader,
-        } => {
-            let mut error = vec![("kind", s(kind.as_str())), ("message", s(message.clone()))];
-            if let Some(ms) = retry_after_ms {
-                error.push(("retry_after_ms", n(*ms as f64)));
-            }
-            if let Some(hint) = leader {
-                if let Some(addr) = &hint.leader_addr {
-                    error.push(("leader_addr", s(addr.clone())));
+/// A reply as one JSON object, written around its borrowed result or
+/// error fields: `v`, `id`, `ok`, then `result` or `error`.
+struct ReplyLine<'a>(&'a Reply);
+
+impl fmt::Display for ReplyLine<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Reply::Ok { id, result } => write!(
+                f,
+                "{{\"v\":{VERSION},\"id\":{},\"ok\":true,\"result\":{result}}}",
+                Id(id)
+            ),
+            Reply::Error {
+                id,
+                kind,
+                message,
+                retry_after_ms,
+                leader,
+            } => {
+                write!(
+                    f,
+                    "{{\"v\":{VERSION},\"id\":{},\"ok\":false,\"error\":{{\"kind\":{},\"message\":{}",
+                    Id(id),
+                    Quoted(kind.as_str()),
+                    Quoted(message)
+                )?;
+                if let Some(ms) = retry_after_ms {
+                    write!(f, ",\"retry_after_ms\":{}", n(*ms as f64))?;
                 }
-                error.push(("epoch", n(hint.epoch as f64)));
+                if let Some(hint) = leader {
+                    if let Some(addr) = &hint.leader_addr {
+                        write!(f, ",\"leader_addr\":{}", Quoted(addr))?;
+                    }
+                    write!(f, ",\"epoch\":{}", n(hint.epoch as f64))?;
+                }
+                f.write_str("}}")
             }
-            obj(vec![
-                ("v", n(PROTOCOL_VERSION as f64)),
-                ("id", id_value(id)),
-                ("ok", Value::Bool(false)),
-                ("error", obj(error)),
-            ])
-            .to_string()
         }
     }
 }
 
-/// Decode a reply line, used by the client and the loopback tests.
+/// Encode a reply as one wire line (no trailing newline), in one
+/// allocation: the returned line.
+pub fn encode_reply(reply: &Reply) -> String {
+    render(ReplyLine(reply))
+}
+
+/// The string under `key`, moved out of `doc`; `None` if absent or not a
+/// string.
+fn take_str(doc: &mut Value, key: &str) -> Option<String> {
+    match doc.take(key) {
+        Some(Value::Str(text)) => Some(text),
+        _ => None,
+    }
+}
+
+/// Decode a reply line, used by the client and the loopback tests. The
+/// result and error fields move out of the parsed document, uncopied.
 pub fn decode_reply(line: &str) -> Result<Reply, String> {
-    let doc = json::parse(line).map_err(|e| format!("invalid reply JSON: {e}"))?;
-    let id = doc.get("id").and_then(Value::as_str).map(str::to_string);
+    let mut doc = json::parse(line).map_err(|e| format!("invalid reply JSON: {e}"))?;
+    let id = take_str(&mut doc, "id");
     match doc.get("ok").and_then(Value::as_bool) {
         Some(true) => {
-            let result = doc.get("result").cloned().unwrap_or(Value::Null);
+            let result = doc.take("result").unwrap_or(Value::Null);
             Ok(Reply::Ok { id, result })
         }
         Some(false) => {
-            let error = doc
-                .get("error")
-                .cloned()
+            let mut error = doc
+                .take("error")
                 .ok_or_else(|| "error reply without 'error' object".to_string())?;
             let kind = error
                 .get("kind")
                 .and_then(Value::as_str)
                 .and_then(ErrorKind::from_str)
                 .ok_or_else(|| "error reply with unknown 'kind'".to_string())?;
-            let message = error
-                .get("message")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string();
+            let message = take_str(&mut error, "message").unwrap_or_default();
             let retry_after_ms = error.get("retry_after_ms").and_then(Value::as_u64);
             let leader = error
                 .get("epoch")
                 .and_then(Value::as_u64)
                 .map(|epoch| LeaderHint {
-                    leader_addr: error
-                        .get("leader_addr")
-                        .and_then(Value::as_str)
-                        .map(str::to_string),
+                    leader_addr: take_str(&mut error, "leader_addr"),
                     epoch,
                 });
             Ok(Reply::Error {

@@ -128,8 +128,6 @@ pub(crate) enum OutMsg {
         shard: usize,
         /// The shard's status snapshot.
         snap: StatusSnapshot,
-        /// Profiled application names (identical on every shard).
-        apps: Vec<String>,
     },
     /// One shard's contribution to a `drain` aggregation.
     DrainPart {
@@ -294,7 +292,6 @@ struct Agg {
     id: Option<String>,
     drain: bool,
     parts: Vec<Option<StatusSnapshot>>,
-    apps: Option<Vec<String>>,
     remaining: usize,
 }
 
@@ -310,6 +307,9 @@ pub(crate) struct ReactorConfig {
     pub metrics: Arc<Metrics>,
     /// Profiled application name -> interned id, for decode-time routing.
     pub app_ids: HashMap<String, AppId>,
+    /// Profiled application names in pair-table order (identical on every
+    /// shard), listed by `status`.
+    pub apps: Vec<String>,
     /// Replication context; `None` disables `repl_*` requests and gating.
     pub node: Option<Arc<Node>>,
 }
@@ -330,6 +330,7 @@ struct Reactor {
     draining: Arc<AtomicBool>,
     metrics: Arc<Metrics>,
     app_ids: HashMap<String, AppId>,
+    apps: Vec<String>,
     node: Option<Arc<Node>>,
     /// Per-shard replication lag (`ship_next - follower cursor`) from the
     /// latest served pull; the max is exported as `repl_lag_frames`.
@@ -360,6 +361,7 @@ impl Reactor {
             draining: cfg.draining,
             metrics: cfg.metrics,
             app_ids: cfg.app_ids,
+            apps: cfg.apps,
             node: cfg.node,
             repl_lag,
             conns: HashMap::new(),
@@ -834,7 +836,6 @@ impl Reactor {
                 id,
                 drain,
                 parts: vec![None; shards],
-                apps: None,
                 remaining: shards,
             },
         );
@@ -852,28 +853,8 @@ impl Reactor {
         while let Ok(msg) = self.out_rx.try_recv() {
             match msg {
                 OutMsg::Reply { conn, seq, line } => self.complete(conn, seq, line),
-                OutMsg::StatusPart {
-                    agg,
-                    shard,
-                    snap,
-                    apps,
-                } => {
-                    let done = match self.aggs.get_mut(&agg) {
-                        None => false,
-                        Some(entry) => {
-                            if entry.parts[shard].is_none() {
-                                entry.parts[shard] = Some(snap);
-                                entry.remaining -= 1;
-                            }
-                            entry.apps.get_or_insert(apps);
-                            entry.remaining == 0
-                        }
-                    };
-                    if done {
-                        self.finish_agg(agg);
-                    }
-                }
-                OutMsg::DrainPart { agg, shard, snap } => {
+                OutMsg::StatusPart { agg, shard, snap }
+                | OutMsg::DrainPart { agg, shard, snap } => {
                     let done = match self.aggs.get_mut(&agg) {
                         None => false,
                         Some(entry) => {
@@ -921,7 +902,7 @@ impl Reactor {
                 ),
             ])
         } else {
-            aggregate_status(&parts, entry.apps.unwrap_or_default())
+            aggregate_status(&parts, &self.apps)
         };
         let line = proto::encode_reply(&Reply::ok(entry.id, result));
         self.complete(entry.conn, entry.seq, line);
@@ -1062,8 +1043,8 @@ fn serve_fail(req_id: Option<String>, action: &str, spec: Option<&str>) -> Strin
 /// Sum per-shard snapshots into the daemon-wide `status` payload. Field
 /// order matches the pre-sharding daemon byte for byte, with one new
 /// trailing `shards` field.
-fn aggregate_status(parts: &[StatusSnapshot], apps: Vec<String>) -> Value {
-    let apps = Value::Arr(apps.into_iter().map(s).collect());
+fn aggregate_status(parts: &[StatusSnapshot], apps: &[String]) -> Value {
+    let apps = Value::Arr(apps.iter().map(|name| s(name.as_str())).collect());
     let scheduler = parts.first().map(|p| p.scheduler).unwrap_or("");
     obj(vec![
         ("apps", apps),
@@ -1142,7 +1123,7 @@ mod tests {
     #[test]
     fn aggregate_status_sums_counters_and_keeps_field_order() {
         let parts = [snap(1, 5, 2), snap(3, 7, 4)];
-        let value = aggregate_status(&parts, vec!["grep".into()]);
+        let value = aggregate_status(&parts, &["grep".into()]);
         let text = value.to_string();
         assert_eq!(value.get("queued").and_then(Value::as_u64), Some(4));
         assert_eq!(value.get("admitted").and_then(Value::as_u64), Some(12));

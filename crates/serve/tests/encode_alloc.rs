@@ -1,0 +1,118 @@
+//! Encoding a reply a shard answers allocates exactly once: the returned
+//! line. The reply is written around its borrowed result and id, in one
+//! pass into a line that starts large enough, so no part of the reply is
+//! copied into a tree first and the line never regrows. A count, unlike a
+//! wall-clock row, does not depend on the host or a seed.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use tracon_serve::json::{n, obj, s, Value};
+use tracon_serve::proto::{encode_reply, Reply};
+
+/// Counts this thread's allocations (libtest's own threads do not count).
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter touches no allocator state and
+// does not allocate (a `const`-initialised `Cell<u64>` has no lazy
+// initialiser and no destructor).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: the allocator outlives the thread's locals.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; the size is the caller's obligation.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made while encoding `reply`, and the line (dropped outside
+/// the count).
+fn encode_counted(reply: &Reply) -> (u64, String) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let line = encode_reply(reply);
+    let made = ALLOCATIONS.with(Cell::get) - before;
+    (made, line)
+}
+
+/// The replies a shard worker answers most, shaped as `daemon::answer`
+/// builds them.
+fn replies() -> Vec<(&'static str, Reply)> {
+    let id = Some("c1-4711".to_string());
+    vec![
+        (
+            "placed submit",
+            Reply::ok(
+                id.clone(),
+                obj(vec![
+                    ("task", n(81_920.0)),
+                    ("state", s("placed")),
+                    ("machine", n(37.0)),
+                    ("slot", n(1.0)),
+                    ("predicted_score", n(1.372_915_503_842_117)),
+                    ("predicted_runtime", n(412.058_311_690_043_6)),
+                ]),
+            ),
+        ),
+        (
+            "complete",
+            Reply::ok(
+                id.clone(),
+                obj(vec![
+                    ("task", n(81_920.0)),
+                    ("recorded", Value::Bool(true)),
+                    ("rebuilt", Value::Bool(false)),
+                    ("predictor_swapped", Value::Bool(false)),
+                    ("dispatched", n(2.0)),
+                ]),
+            ),
+        ),
+        (
+            "task",
+            Reply::ok(
+                id.clone(),
+                obj(vec![
+                    ("task", n(81_920.0)),
+                    ("app", s("video")),
+                    ("state", s("running")),
+                    ("machine", n(37.0)),
+                    ("slot", n(1.0)),
+                    ("neighbor", s("dedup \"quoted\"\n")),
+                    ("predicted_score", n(1.372_915_503_842_117)),
+                    ("predicted_runtime", n(412.058_311_690_043_6)),
+                    ("attempt", n(1.0)),
+                ]),
+            ),
+        ),
+        (
+            "not leader",
+            Reply::not_leader(id, Some("127.0.0.1:7431".to_string()), 7),
+        ),
+    ]
+}
+
+#[test]
+fn a_reply_encodes_in_one_allocation() {
+    for (what, reply) in replies() {
+        let (made, line) = encode_counted(&reply);
+        assert_eq!(made, 1, "{what}: {line}");
+    }
+}

@@ -280,3 +280,19 @@ fn finite_numbers_roundtrip_bit_for_bit() {
         assert_eq!(back.map(f64::to_bits), Some((x + 0.0).to_bits()), "{}", x);
     });
 }
+
+/// A task id of 2^64 is out of range, not task `u64::MAX`: `u64::MAX as
+/// f64` rounds up to 2^64, so the range check must be strict.
+#[test]
+fn task_id_of_two_to_the_64_is_a_bad_field() {
+    let e = decode_request("{\"v\":2,\"op\":\"task\",\"task\":18446744073709551616}").unwrap_err();
+    assert_eq!(e.kind, ErrorKind::BadField, "{}", e.message);
+    // The largest double below 2^64 is still an id.
+    let ok = decode_request("{\"v\":2,\"op\":\"task\",\"task\":18446744073709549568}").unwrap();
+    assert_eq!(
+        ok.request,
+        Request::TaskInfo {
+            task: u64::MAX - 2047
+        }
+    );
+}

@@ -7,6 +7,15 @@
 //! panic. Objects preserve insertion order so encoded replies are stable
 //! byte-for-byte for a given logical message, which the protocol roundtrip
 //! tests rely on.
+//!
+//! `Value`'s `Display` is the one JSON writer; [`Quoted`] lends its string
+//! escaper to text a caller only borrows. A string is copied in whole runs
+//! between the bytes that need escaping: `"`, `\`, `\n`, `\r` and `\t` as
+//! two-character escapes, every other byte below 0x20 as `\u00XX` (lower
+//! case hex), and nothing else (0x7f and every non-ASCII scalar pass
+//! through). Integer-valued numbers below 1e15 in magnitude are written as
+//! digits, every other finite number as std's shortest `{}` form, and NaN
+//! and the infinities as `null`.
 
 use std::fmt;
 
@@ -37,6 +46,19 @@ impl Value {
         }
     }
 
+    /// Move the value under `key` out of an object, leaving `null` in its
+    /// place; `None` for missing keys or non-objects. The first match
+    /// wins, as in [`Value::get`].
+    pub fn take(&mut self, key: &str) -> Option<Value> {
+        match self {
+            Value::Obj(pairs) => pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Value::Null)),
+            _ => None,
+        }
+    }
+
     /// The string payload, if this value is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -56,7 +78,8 @@ impl Value {
     /// The numeric payload as a non-negative integer, rejecting fractions.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which must not pass.
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -99,7 +122,7 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
+            Value::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
             Value::Num(x) => write_num(f, *x),
             Value::Str(text) => write_escaped(f, text),
             Value::Arr(items) => {
@@ -108,7 +131,7 @@ impl fmt::Display for Value {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{item}")?;
+                    item.fmt(f)?;
                 }
                 f.write_str("]")
             }
@@ -120,11 +143,22 @@ impl fmt::Display for Value {
                     }
                     write_escaped(f, k)?;
                     f.write_str(":")?;
-                    write!(f, "{v}")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("}")
             }
         }
+    }
+}
+
+/// A borrowed string, displayed as the JSON string `Value::Str` of the
+/// same text would be: lets a caller frame a line around text it does not
+/// own without copying it into a `Value`.
+pub struct Quoted<'a>(pub &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_escaped(f, self.0)
     }
 }
 
@@ -135,25 +169,62 @@ fn write_num(f: &mut fmt::Formatter<'_>, x: f64) -> fmt::Result {
         return f.write_str("null");
     }
     if x.fract() == 0.0 && x.abs() < 1e15 {
-        write!(f, "{}", x as i64)
+        // Digits from the right, into a buffer that holds `-` and the 15
+        // digits of any magnitude below 1e15 (`-0.0` writes `0`).
+        let mut buf = [0u8; 16];
+        let mut at = buf.len();
+        let mut rest = (x as i64).unsigned_abs();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        if x < 0.0 {
+            at -= 1;
+            buf[at] = b'-';
+        }
+        f.write_str(std::str::from_utf8(&buf[at..]).map_err(|_| fmt::Error)?)
     } else {
         write!(f, "{x}")
     }
 }
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, text: &str) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     f.write_str("\"")?;
-    for c in text.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    // Every byte that needs escaping is ASCII, so each one ends a run on a
+    // char boundary and a run is written whole.
+    let mut run = 0;
+    for (i, &b) in text.as_bytes().iter().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        f.write_str(&text[run..i])?;
+        if escaped.is_empty() {
+            let code = [
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 0xf)],
+            ];
+            f.write_str(std::str::from_utf8(&code).map_err(|_| fmt::Error)?)?;
+        } else {
+            f.write_str(escaped)?;
         }
+        run = i + 1;
     }
+    f.write_str(&text[run..])?;
     f.write_str("\"")
 }
 
@@ -450,6 +521,40 @@ mod tests {
     fn non_finite_numbers_encode_as_null() {
         assert_eq!(n(f64::NAN).to_string(), "null");
         assert_eq!(n(f64::INFINITY).to_string(), "null");
+    }
+
+    #[test]
+    fn as_u64_refuses_two_to_the_64() {
+        // `u64::MAX as f64` is 2^64 itself; a cast from there saturates.
+        let two_64 = parse("18446744073709551616").unwrap();
+        assert_eq!(two_64.as_u64(), None);
+        assert_eq!(n(2f64.powi(64)).as_u64(), None);
+        // The largest double below 2^64 is still an exact u64.
+        let below = 2f64.powi(64) - 2f64.powi(11);
+        assert_eq!(n(below).as_u64(), Some(u64::MAX - 2047));
+    }
+
+    #[test]
+    fn runs_and_integers_write_the_documented_bytes() {
+        assert_eq!(s("").to_string(), "\"\"");
+        assert_eq!(
+            s("\u{0}a\u{1f}\u{7f}\té\r").to_string(),
+            "\"\\u0000a\\u001f\u{7f}\\té\\r\""
+        );
+        assert_eq!(n(-0.0).to_string(), "0");
+        assert_eq!(n(999_999_999_999_999.0).to_string(), "999999999999999");
+        assert_eq!(n(-999_999_999_999_999.0).to_string(), "-999999999999999");
+        assert_eq!(n(1e15).to_string(), "1000000000000000");
+        assert_eq!(n(-10.0).to_string(), "-10");
+    }
+
+    #[test]
+    fn take_moves_the_first_match_out() {
+        let mut v = parse("{\"a\":[1],\"a\":2}").unwrap();
+        assert_eq!(v.take("a"), Some(Value::Arr(vec![n(1.0)])));
+        assert_eq!(v.get("a"), Some(&Value::Null));
+        assert_eq!(v.take("b"), None);
+        assert_eq!(n(1.0).take("a"), None);
     }
 
     #[test]
