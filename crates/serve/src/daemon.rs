@@ -24,9 +24,9 @@ use std::time::{Duration, Instant};
 use tracon_core::AppId;
 use tracon_dcsim::Testbed;
 
-use crate::json::{n, obj, s, Value};
+use crate::json::{n, obj, Quoted, Value};
 use crate::metrics::Metrics;
-use crate::proto::{ErrorKind, Reply, Request};
+use crate::proto::{encode_reply, Demand, ErrorKind, Reply, Request, ResultLine};
 use crate::reactor::{self, OutMsg, OutSender, ReactorConfig, ShardMsg};
 use crate::repl::{
     follower::{probe_peer, run_follower, sleep_or_shutdown, FollowerConfig, Node},
@@ -566,7 +566,7 @@ fn run_batch(
                     id,
                     request,
                 } => {
-                    let line = crate::proto::encode_reply(&answer(svc, id, request, now));
+                    let line = answer(svc, id, request, now);
                     outbox.send(svc, OutMsg::Reply { conn, seq, line });
                 }
                 ShardMsg::Status { agg } => {
@@ -615,31 +615,31 @@ fn run_batch(
     });
 }
 
-/// Execute one routed request against this shard's service. Machine
-/// indices in replies are translated from shard-local to global through
-/// the shard's machine base, so clients see one coherent cluster.
-fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant) -> Reply {
+/// Execute one routed request against this shard's service and write
+/// its reply line. Machine indices in replies are translated from
+/// shard-local to global through the shard's machine base, so clients
+/// see one coherent cluster. Success results are written field by field
+/// (`ResultLine`); refusals and errors go through `encode_reply`.
+fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant) -> String {
     let base = svc.machine_base();
-    match request {
+    let refused = match request {
         Request::Submit { app, demand } => {
             match svc.submit_with_demand(&app, demand.unwrap_or_default(), now) {
                 Ok(admitted) => {
-                    let result = match admitted.placement {
-                        Some((vm, score, runtime)) => obj(vec![
-                            ("task", n(admitted.task as f64)),
-                            ("state", s("placed")),
-                            ("machine", n((vm.machine + base) as f64)),
-                            ("slot", n(vm.slot as f64)),
-                            ("predicted_score", n(score)),
-                            ("predicted_runtime", n(runtime)),
-                        ]),
-                        None => obj(vec![
-                            ("task", n(admitted.task as f64)),
-                            ("state", s("queued")),
-                            ("depth", n(admitted.depth as f64)),
-                        ]),
+                    let mut line = ResultLine::new(&id);
+                    line.field("task", n(admitted.task as f64));
+                    match admitted.placement {
+                        Some((vm, score, runtime)) => line
+                            .field("state", Quoted("placed"))
+                            .field("machine", n((vm.machine + base) as f64))
+                            .field("slot", n(vm.slot as f64))
+                            .field("predicted_score", n(score))
+                            .field("predicted_runtime", n(runtime)),
+                        None => line
+                            .field("state", Quoted("queued"))
+                            .field("depth", n(admitted.depth as f64)),
                     };
-                    Reply::ok(id, result)
+                    return line.finish();
                 }
                 Err(refusal) => refusal_reply(id, refusal),
             }
@@ -649,54 +649,51 @@ fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant)
             runtime,
             iops,
         } => match svc.complete(task, runtime, iops, now) {
-            Ok(done) => Reply::ok(
-                id,
-                obj(vec![
-                    ("task", n(task as f64)),
-                    ("recorded", Value::Bool(true)),
-                    ("rebuilt", Value::Bool(done.rebuilt)),
-                    ("predictor_swapped", Value::Bool(done.swapped)),
-                    ("dispatched", n(done.dispatched as f64)),
-                ]),
-            ),
+            Ok(done) => {
+                let mut line = ResultLine::new(&id);
+                line.field("task", n(task as f64))
+                    .field("recorded", true)
+                    .field("rebuilt", done.rebuilt)
+                    .field("predictor_swapped", done.swapped)
+                    .field("dispatched", n(done.dispatched as f64));
+                return line.finish();
+            }
             Err(refusal) => refusal_reply(id, refusal),
         },
         Request::TaskInfo { task } => match svc.task_info(task) {
             Some((row, volatile)) => {
-                let mut pairs = vec![
-                    ("task", n(task as f64)),
-                    ("app", s(svc.app_name(row.app as usize))),
-                ];
+                let mut line = ResultLine::new(&id);
+                line.field("task", n(task as f64))
+                    .field("app", Quoted(svc.app_name(row.app as usize)));
                 if let Some(demand) = volatile.map(|v| &v.demand).filter(|d| !d.is_empty()) {
-                    pairs.push(("demand", crate::proto::demand_value(demand)));
+                    line.field("demand", Demand(demand));
                 }
                 match (row.state, volatile.and_then(|v| v.placement)) {
                     (RecState::Leased, Some(placed)) => {
-                        pairs.push(("state", s("running")));
-                        pairs.push(("machine", n((placed.vm.machine + base) as f64)));
-                        pairs.push(("slot", n(placed.vm.slot as f64)));
-                        pairs.push((
-                            "neighbor",
-                            match placed.neighbor {
-                                Some(idx) => s(svc.app_name(idx)),
-                                None => Value::Null,
-                            },
-                        ));
-                        pairs.push(("predicted_score", n(placed.predicted_score)));
-                        pairs.push(("predicted_runtime", n(placed.predicted_runtime)));
-                        pairs.push(("attempt", n(f64::from(row.attempts))));
+                        line.field("state", Quoted("running"))
+                            .field("machine", n((placed.vm.machine + base) as f64))
+                            .field("slot", n(placed.vm.slot as f64));
+                        match placed.neighbor {
+                            Some(idx) => line.field("neighbor", Quoted(svc.app_name(idx))),
+                            None => line.field("neighbor", Value::Null),
+                        };
+                        line.field("predicted_score", n(placed.predicted_score))
+                            .field("predicted_runtime", n(placed.predicted_runtime))
+                            .field("attempt", n(f64::from(row.attempts)));
                     }
                     (RecState::Completed, _) => {
-                        pairs.push(("state", s("completed")));
-                        pairs.push(("runtime", n(row.runtime)));
+                        line.field("state", Quoted("completed"))
+                            .field("runtime", n(row.runtime));
                     }
                     (RecState::DeadLettered, _) => {
-                        pairs.push(("state", s("dead_lettered")));
-                        pairs.push(("attempts", n(f64::from(row.attempts))));
+                        line.field("state", Quoted("dead_lettered"))
+                            .field("attempts", n(f64::from(row.attempts)));
                     }
-                    _ => pairs.push(("state", s("queued"))),
+                    _ => {
+                        line.field("state", Quoted("queued"));
+                    }
                 }
-                Reply::ok(id, obj(pairs))
+                return line.finish();
             }
             None => Reply::error(id, ErrorKind::UnknownTask, format!("no task {task}")),
         },
@@ -708,7 +705,8 @@ fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant)
             ErrorKind::Malformed,
             format!("request {other:?} is not shard-routable"),
         ),
-    }
+    };
+    encode_reply(&refused)
 }
 
 /// Retry hint attached to backpressure rejections.
@@ -1221,5 +1219,213 @@ mod tests {
         }
         assert_eq!(metrics.degraded(0), None);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The demand encoder `old_answer` called, which built a `Value`.
+    fn old_demand_value(demand: &tracon_core::DimVec) -> Value {
+        obj(demand
+            .iter()
+            .map(|(dim, v)| (dim.name(), n(v)))
+            .collect::<Vec<_>>())
+    }
+
+    /// `answer` as it was when it built every result as a `Value` tree:
+    /// the reference for the bytes `answer` now writes directly.
+    fn old_answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant) -> Reply {
+        use crate::json::s;
+        let base = svc.machine_base();
+        match request {
+            Request::Submit { app, demand } => {
+                match svc.submit_with_demand(&app, demand.unwrap_or_default(), now) {
+                    Ok(admitted) => {
+                        let result = match admitted.placement {
+                            Some((vm, score, runtime)) => obj(vec![
+                                ("task", n(admitted.task as f64)),
+                                ("state", s("placed")),
+                                ("machine", n((vm.machine + base) as f64)),
+                                ("slot", n(vm.slot as f64)),
+                                ("predicted_score", n(score)),
+                                ("predicted_runtime", n(runtime)),
+                            ]),
+                            None => obj(vec![
+                                ("task", n(admitted.task as f64)),
+                                ("state", s("queued")),
+                                ("depth", n(admitted.depth as f64)),
+                            ]),
+                        };
+                        Reply::ok(id, result)
+                    }
+                    Err(refusal) => refusal_reply(id, refusal),
+                }
+            }
+            Request::Complete {
+                task,
+                runtime,
+                iops,
+            } => match svc.complete(task, runtime, iops, now) {
+                Ok(done) => Reply::ok(
+                    id,
+                    obj(vec![
+                        ("task", n(task as f64)),
+                        ("recorded", Value::Bool(true)),
+                        ("rebuilt", Value::Bool(done.rebuilt)),
+                        ("predictor_swapped", Value::Bool(done.swapped)),
+                        ("dispatched", n(done.dispatched as f64)),
+                    ]),
+                ),
+                Err(refusal) => refusal_reply(id, refusal),
+            },
+            Request::TaskInfo { task } => match svc.task_info(task) {
+                Some((row, volatile)) => {
+                    let mut pairs = vec![
+                        ("task", n(task as f64)),
+                        ("app", s(svc.app_name(row.app as usize))),
+                    ];
+                    if let Some(demand) = volatile.map(|v| &v.demand).filter(|d| !d.is_empty()) {
+                        pairs.push(("demand", old_demand_value(demand)));
+                    }
+                    match (row.state, volatile.and_then(|v| v.placement)) {
+                        (RecState::Leased, Some(placed)) => {
+                            pairs.push(("state", s("running")));
+                            pairs.push(("machine", n((placed.vm.machine + base) as f64)));
+                            pairs.push(("slot", n(placed.vm.slot as f64)));
+                            pairs.push((
+                                "neighbor",
+                                match placed.neighbor {
+                                    Some(idx) => s(svc.app_name(idx)),
+                                    None => Value::Null,
+                                },
+                            ));
+                            pairs.push(("predicted_score", n(placed.predicted_score)));
+                            pairs.push(("predicted_runtime", n(placed.predicted_runtime)));
+                            pairs.push(("attempt", n(f64::from(row.attempts))));
+                        }
+                        (RecState::Completed, _) => {
+                            pairs.push(("state", s("completed")));
+                            pairs.push(("runtime", n(row.runtime)));
+                        }
+                        (RecState::DeadLettered, _) => {
+                            pairs.push(("state", s("dead_lettered")));
+                            pairs.push(("attempts", n(f64::from(row.attempts))));
+                        }
+                        _ => pairs.push(("state", s("queued"))),
+                    }
+                    Reply::ok(id, obj(pairs))
+                }
+                None => Reply::error(id, ErrorKind::UnknownTask, format!("no task {task}")),
+            },
+            other => Reply::error(
+                id,
+                ErrorKind::Malformed,
+                format!("request {other:?} is not shard-routable"),
+            ),
+        }
+    }
+
+    /// Two shards in lockstep, one answered by `answer` and one by the
+    /// tree-building reference, through every reply shape a shard writes:
+    /// placed and queued submits, completes with and without a rebuild,
+    /// `task` while running (with and without a neighbour, with a
+    /// demand), queued, completed and dead-lettered, and every refusal.
+    #[test]
+    fn answer_writes_the_bytes_of_the_tree_it_no_longer_builds() {
+        let metrics = Arc::new(Metrics::new());
+        let cfg = ServeConfig {
+            machines: 2,
+            slots_per_machine: 2,
+            queue_capacity: 2,
+            max_attempts: 1,
+            monitor: tracon_core::MonitorConfig {
+                rebuild_every: 2,
+                ..Default::default()
+            },
+            ..config(None)
+        };
+        let open = || Service::open(testbed(), cfg.clone(), Arc::clone(&metrics), Instant::now());
+        let (mut new, mut old) = (open().unwrap(), open().unwrap());
+        let now = Instant::now();
+        let apps = new.app_list().to_vec();
+        let mut lines = Vec::new();
+        let mut ask = |new: &mut Service, old: &mut Service, id: Option<&str>, request: Request| {
+            let id = id.map(str::to_string);
+            let line = answer(new, id.clone(), request.clone(), now);
+            let want = encode_reply(&old_answer(old, id, request, now));
+            assert_eq!(line, want);
+            lines.push(line.clone());
+            crate::json::parse(&line).unwrap()
+        };
+        let task_of = |reply: &Value| {
+            let result = reply.get("result").unwrap();
+            result.get("task").and_then(Value::as_u64).unwrap()
+        };
+        let demand = tracon_core::DimVec::new()
+            .with(tracon_core::ResourceDim::Disk, 120.0)
+            .with(tracon_core::ResourceDim::Network, 40.5);
+        let mut tasks = Vec::new();
+        for i in 0..6 {
+            let request = Request::Submit {
+                // Two apps, so the third complete is its app's second.
+                app: apps[i % 2].clone(),
+                demand: (i == 1).then_some(demand),
+            };
+            let id = ["c\"1\n", "🦀"][i % 2];
+            let reply = ask(&mut new, &mut old, (i != 3).then_some(id), request);
+            tasks.push(task_of(&reply));
+        }
+        let refusals = [
+            Request::Submit {
+                app: apps[0].clone(),
+                demand: None,
+            },
+            Request::Submit {
+                app: "no such app".to_string(),
+                demand: None,
+            },
+            Request::TaskInfo { task: 1 << 40 },
+            Request::Complete {
+                task: tasks[5],
+                runtime: 1.0,
+                iops: 1.0,
+            },
+            Request::Status,
+        ];
+        for request in refusals {
+            ask(&mut new, &mut old, Some("r"), request);
+        }
+        for &task in &tasks {
+            ask(&mut new, &mut old, Some("t"), Request::TaskInfo { task });
+        }
+        for (i, &task) in tasks[..3].iter().enumerate() {
+            let request = Request::Complete {
+                task,
+                runtime: 1.5 + i as f64 / 3.0,
+                iops: 90.25,
+            };
+            ask(&mut new, &mut old, None, request);
+        }
+        let later = now + Duration::from_secs(24 * 3600);
+        assert_eq!(new.expire_leases(later), old.expire_leases(later));
+        for &task in &tasks {
+            ask(&mut new, &mut old, Some("t"), Request::TaskInfo { task });
+        }
+        for shape in [
+            "\"state\":\"placed\"",
+            "\"state\":\"queued\",\"depth\":",
+            "\"ok\":false",
+            "\"rebuilt\":false",
+            "\"rebuilt\":true",
+            "\"state\":\"running\"",
+            "\"neighbor\":null",
+            "\"neighbor\":\"",
+            "\"demand\":{\"disk\":120,\"network\":40.5}",
+            "\"state\":\"queued\"}",
+            "\"state\":\"completed\"",
+            "\"state\":\"dead_lettered\"",
+        ] {
+            assert!(
+                lines.iter().any(|line| line.contains(shape)),
+                "no reply has {shape}: {lines:#?}"
+            );
+        }
     }
 }

@@ -15,7 +15,7 @@
 
 use std::fmt::{self, Write as _};
 
-use crate::json::{self, n, obj, Quoted, Value};
+use crate::json::{self, n, Quoted, Value};
 use tracon_core::{DimVec, ResourceDim};
 
 /// The protocol version this daemon speaks: the only one a request may
@@ -289,7 +289,7 @@ impl fmt::Display for RequestLine<'_> {
             Request::Submit { app, demand } => {
                 write!(f, ",\"op\":\"submit\",\"app\":{}", Quoted(app))?;
                 if let Some(d) = demand {
-                    write!(f, ",\"demand\":{}", demand_value(d))?;
+                    write!(f, ",\"demand\":{}", Demand(d))?;
                 }
             }
             Request::Complete {
@@ -368,24 +368,89 @@ impl DecodeError {
     }
 }
 
-/// Encode a demand vector as a JSON object of its set lanes, keyed by
-/// the canonical dimension names.
-pub fn demand_value(demand: &DimVec) -> Value {
-    obj(demand
-        .iter()
-        .map(|(dim, v)| (dim.name(), n(v)))
-        .collect::<Vec<_>>())
+/// A demand vector as a JSON object of its set lanes, keyed by the
+/// canonical dimension names.
+pub(crate) struct Demand<'a>(pub(crate) &'a DimVec);
+
+impl fmt::Display for Demand<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("{")?;
+        for (i, (dim, v)) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            Quoted(dim.name()).fmt(f)?;
+            f.write_str(":")?;
+            n(v).fmt(f)?;
+        }
+        f.write_str("}")
+    }
+}
+
+/// The first value under each key a request may carry, as `Value::get`
+/// would find it in the whole document; every other field is dropped.
+#[derive(Default)]
+struct Fields {
+    v: Option<Value>,
+    id: Option<Value>,
+    op: Option<Value>,
+    app: Option<Value>,
+    demand: Option<Value>,
+    task: Option<Value>,
+    runtime: Option<Value>,
+    iops: Option<Value>,
+    epoch: Option<Value>,
+    shard: Option<Value>,
+    cursor: Option<Value>,
+    addr: Option<Value>,
+    ttl_ms: Option<Value>,
+    leader_addr: Option<Value>,
+    action: Option<Value>,
+    spec: Option<Value>,
+}
+
+impl Fields {
+    fn keep(&mut self, key: &str, value: Value) {
+        let slot = match key {
+            "v" => &mut self.v,
+            "id" => &mut self.id,
+            "op" => &mut self.op,
+            "app" => &mut self.app,
+            "demand" => &mut self.demand,
+            "task" => &mut self.task,
+            "runtime" => &mut self.runtime,
+            "iops" => &mut self.iops,
+            "epoch" => &mut self.epoch,
+            "shard" => &mut self.shard,
+            "cursor" => &mut self.cursor,
+            "addr" => &mut self.addr,
+            "ttl_ms" => &mut self.ttl_ms,
+            "leader_addr" => &mut self.leader_addr,
+            "action" => &mut self.action,
+            "spec" => &mut self.spec,
+            _ => return,
+        };
+        slot.get_or_insert(value);
+    }
+}
+
+/// The text of a string value; `None` if absent or not a string.
+fn into_string(value: Option<Value>) -> Option<String> {
+    match value {
+        Some(Value::Str(text)) => Some(text),
+        _ => None,
+    }
 }
 
 /// Decode the optional `demand` object of a v2 submit. Unknown dimension
 /// names and non-finite or negative values are structured field errors.
-fn field_demand(doc: &Value, id: &Option<String>) -> Result<Option<DimVec>, DecodeError> {
+fn field_demand(value: Option<&Value>, id: &Option<String>) -> Result<Option<DimVec>, DecodeError> {
     let bad = |message: String| DecodeError {
         id: id.clone(),
         kind: ErrorKind::BadField,
         message,
     };
-    match doc.get("demand") {
+    match value {
         None | Some(Value::Null) => Ok(None),
         Some(Value::Obj(pairs)) => {
             let mut demand = DimVec::new();
@@ -417,18 +482,16 @@ fn field_demand(doc: &Value, id: &Option<String>) -> Result<Option<DimVec>, Deco
     }
 }
 
-fn field_u64(doc: &Value, id: &Option<String>, key: &str) -> Result<u64, DecodeError> {
-    doc.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| DecodeError {
-            id: id.clone(),
-            kind: ErrorKind::BadField,
-            message: format!("missing or invalid '{key}' (expected non-negative integer)"),
-        })
+fn field_u64(value: Option<&Value>, id: &Option<String>, key: &str) -> Result<u64, DecodeError> {
+    value.and_then(Value::as_u64).ok_or_else(|| DecodeError {
+        id: id.clone(),
+        kind: ErrorKind::BadField,
+        message: format!("missing or invalid '{key}' (expected non-negative integer)"),
+    })
 }
 
-fn field_f64(doc: &Value, id: &Option<String>, key: &str) -> Result<f64, DecodeError> {
-    match doc.get(key).and_then(Value::as_f64) {
+fn field_f64(value: Option<&Value>, id: &Option<String>, key: &str) -> Result<f64, DecodeError> {
+    match value.and_then(Value::as_f64) {
         Some(v) if v.is_finite() => Ok(v),
         _ => Err(DecodeError {
             id: id.clone(),
@@ -438,25 +501,47 @@ fn field_f64(doc: &Value, id: &Option<String>, key: &str) -> Result<f64, DecodeE
     }
 }
 
+/// The non-empty string in `slot`, moved out.
+fn field_name(
+    slot: &mut Option<Value>,
+    id: &Option<String>,
+    key: &str,
+) -> Result<String, DecodeError> {
+    match into_string(slot.take()) {
+        Some(text) if !text.is_empty() => Ok(text),
+        _ => Err(DecodeError {
+            id: id.clone(),
+            kind: ErrorKind::BadField,
+            message: format!("missing or invalid '{key}' (expected non-empty string)"),
+        }),
+    }
+}
+
 /// Decode one wire line into a request envelope.
 ///
-/// The id is recovered on a best-effort basis so that even a request with a
-/// bad version or unknown op gets an error reply the client can correlate.
+/// The line is validated whole, then its fields are checked in a fixed
+/// order: `id`, `v`, `op`, then the op's own fields. The id is recovered
+/// on a best-effort basis so that even a request with a bad version or
+/// unknown op gets an error reply the client can correlate. The document
+/// is never built as a tree: each known field keeps its first value and
+/// `id`, `app` and the other strings move into the envelope.
 pub fn decode_request(line: &str) -> Result<Envelope, DecodeError> {
-    let doc = json::parse(line).map_err(|e| DecodeError {
-        id: None,
-        kind: ErrorKind::Malformed,
-        message: format!("invalid JSON: {e}"),
-    })?;
-    if !matches!(doc, Value::Obj(_)) {
+    let mut doc = Fields::default();
+    let object =
+        json::parse_fields(line, |key, value| doc.keep(&key, value)).map_err(|e| DecodeError {
+            id: None,
+            kind: ErrorKind::Malformed,
+            message: format!("invalid JSON: {e}"),
+        })?;
+    if !object {
         return Err(DecodeError {
             id: None,
             kind: ErrorKind::Malformed,
             message: "request must be a JSON object".to_string(),
         });
     }
-    let id = doc.get("id").and_then(Value::as_str).map(str::to_string);
-    match doc.get("v").and_then(Value::as_u64) {
+    let id = into_string(doc.id.take());
+    match doc.v.as_ref().and_then(Value::as_u64) {
         Some(PROTOCOL_VERSION) => {}
         Some(other) => {
             return Err(DecodeError {
@@ -475,76 +560,44 @@ pub fn decode_request(line: &str) -> Result<Envelope, DecodeError> {
             })
         }
     }
-    let op = match doc.get("op").and_then(Value::as_str) {
-        Some(op) => op,
-        None => {
-            return Err(DecodeError {
-                id,
-                kind: ErrorKind::BadField,
-                message: "missing or invalid 'op' (expected string)".to_string(),
-            })
-        }
+    let Some(op) = doc.op.as_ref().and_then(Value::as_str) else {
+        return Err(DecodeError {
+            id,
+            kind: ErrorKind::BadField,
+            message: "missing or invalid 'op' (expected string)".to_string(),
+        });
     };
     let request = match op {
-        "submit" => match doc.get("app").and_then(Value::as_str) {
-            Some(app) if !app.is_empty() => Request::Submit {
-                app: app.to_string(),
-                demand: field_demand(&doc, &id)?,
-            },
-            _ => {
-                return Err(DecodeError {
-                    id,
-                    kind: ErrorKind::BadField,
-                    message: "missing or invalid 'app' (expected non-empty string)".to_string(),
-                })
-            }
+        "submit" => Request::Submit {
+            app: field_name(&mut doc.app, &id, "app")?,
+            demand: field_demand(doc.demand.as_ref(), &id)?,
         },
         "complete" => Request::Complete {
-            task: field_u64(&doc, &id, "task")?,
-            runtime: field_f64(&doc, &id, "runtime")?,
-            iops: field_f64(&doc, &id, "iops")?,
+            task: field_u64(doc.task.as_ref(), &id, "task")?,
+            runtime: field_f64(doc.runtime.as_ref(), &id, "runtime")?,
+            iops: field_f64(doc.iops.as_ref(), &id, "iops")?,
         },
         "status" => Request::Status,
         "task" => Request::TaskInfo {
-            task: field_u64(&doc, &id, "task")?,
+            task: field_u64(doc.task.as_ref(), &id, "task")?,
         },
         "drain" => Request::Drain,
         "shutdown" => Request::Shutdown,
         "repl_pull" => Request::ReplPull {
-            epoch: field_u64(&doc, &id, "epoch")?,
-            shard: field_u64(&doc, &id, "shard")? as usize,
-            cursor: field_u64(&doc, &id, "cursor")?,
-            addr: match doc.get("addr").and_then(Value::as_str) {
-                Some(addr) if !addr.is_empty() => addr.to_string(),
-                _ => {
-                    return Err(DecodeError {
-                        id,
-                        kind: ErrorKind::BadField,
-                        message: "missing or invalid 'addr' (expected non-empty string)"
-                            .to_string(),
-                    })
-                }
-            },
+            epoch: field_u64(doc.epoch.as_ref(), &id, "epoch")?,
+            shard: field_u64(doc.shard.as_ref(), &id, "shard")? as usize,
+            cursor: field_u64(doc.cursor.as_ref(), &id, "cursor")?,
+            addr: field_name(&mut doc.addr, &id, "addr")?,
             // Optional: pulls from pre-TTL-aware followers carry no hint.
-            ttl_ms: doc.get("ttl_ms").and_then(Value::as_u64).unwrap_or(0),
+            ttl_ms: doc.ttl_ms.as_ref().and_then(Value::as_u64).unwrap_or(0),
         },
         "repl_lease" => Request::ReplLease {
-            epoch: field_u64(&doc, &id, "epoch")?,
-            leader_addr: match doc.get("leader_addr").and_then(Value::as_str) {
-                Some(addr) if !addr.is_empty() => addr.to_string(),
-                _ => {
-                    return Err(DecodeError {
-                        id,
-                        kind: ErrorKind::BadField,
-                        message: "missing or invalid 'leader_addr' (expected non-empty string)"
-                            .to_string(),
-                    })
-                }
-            },
+            epoch: field_u64(doc.epoch.as_ref(), &id, "epoch")?,
+            leader_addr: field_name(&mut doc.leader_addr, &id, "leader_addr")?,
         },
         "fail" => {
-            let action = match doc.get("action").and_then(Value::as_str) {
-                Some(a @ ("arm" | "disarm" | "status")) => a.to_string(),
+            let action = match into_string(doc.action.take()) {
+                Some(a) if matches!(a.as_str(), "arm" | "disarm" | "status") => a,
                 _ => {
                     return Err(DecodeError {
                         id,
@@ -554,7 +607,7 @@ pub fn decode_request(line: &str) -> Result<Envelope, DecodeError> {
                     })
                 }
             };
-            let spec = doc.get("spec").and_then(Value::as_str).map(str::to_string);
+            let spec = into_string(doc.spec.take());
             if action == "arm" && spec.is_none() {
                 return Err(DecodeError {
                     id,
@@ -575,6 +628,20 @@ pub fn decode_request(line: &str) -> Result<Envelope, DecodeError> {
     Ok(Envelope { id, request })
 }
 
+/// What a success reply writes before its result: `v`, `id`, `ok` and
+/// the `result` key.
+struct OkPrefix<'a>(&'a Option<String>);
+
+impl fmt::Display for OkPrefix<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("{\"v\":")?;
+        VERSION.fmt(f)?;
+        f.write_str(",\"id\":")?;
+        Id(self.0).fmt(f)?;
+        f.write_str(",\"ok\":true,\"result\":")
+    }
+}
+
 /// A reply as one JSON object, written around its borrowed result or
 /// error fields: `v`, `id`, `ok`, then `result` or `error`.
 struct ReplyLine<'a>(&'a Reply);
@@ -582,11 +649,7 @@ struct ReplyLine<'a>(&'a Reply);
 impl fmt::Display for ReplyLine<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.0 {
-            Reply::Ok { id, result } => write!(
-                f,
-                "{{\"v\":{VERSION},\"id\":{},\"ok\":true,\"result\":{result}}}",
-                Id(id)
-            ),
+            Reply::Ok { id, result } => write!(f, "{}{result}}}", OkPrefix(id)),
             Reply::Error {
                 id,
                 kind,
@@ -622,12 +685,60 @@ pub fn encode_reply(reply: &Reply) -> String {
     render(ReplyLine(reply))
 }
 
-/// The string under `key`, moved out of `doc`; `None` if absent or not a
-/// string.
-fn take_str(doc: &mut Value, key: &str) -> Option<String> {
-    match doc.take(key) {
-        Some(Value::Str(text)) => Some(text),
-        _ => None,
+/// A success reply written straight into its line, one result field at
+/// a time, with no `Value` built for the result: the bytes
+/// `encode_reply(&Reply::ok(id, obj(fields)))` writes, in one allocation
+/// while the line fits `LINE_CAPACITY`. Write numbers as `n(x)`, strings
+/// as `Quoted(text)`; keys are plain identifiers, written as they are.
+pub(crate) struct ResultLine {
+    line: String,
+    empty: bool,
+}
+
+impl ResultLine {
+    /// Start the reply echoing `id`.
+    pub(crate) fn new(id: &Option<String>) -> ResultLine {
+        let mut line = render(OkPrefix(id));
+        line.push('{');
+        ResultLine { line, empty: true }
+    }
+
+    /// Write the next result field. `key` needs no escape (checked in
+    /// debug builds), so it is copied as it is: a `write!` per key costs
+    /// more than the rest of a small field.
+    pub(crate) fn field(&mut self, key: &str, value: impl fmt::Display) -> &mut ResultLine {
+        debug_assert!(key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_'));
+        if !self.empty {
+            self.line.push(',');
+        }
+        self.empty = false;
+        self.line.push('"');
+        self.line.push_str(key);
+        self.line.push_str("\":");
+        let _ = write!(self.line, "{value}");
+        self
+    }
+
+    /// Close the result and the reply; the line, without a newline.
+    pub(crate) fn finish(mut self) -> String {
+        self.line.push_str("}}");
+        self.line
+    }
+}
+
+/// A list of strings as a JSON array.
+pub(crate) struct Strings<'a>(pub(crate) &'a [String]);
+
+impl fmt::Display for Strings<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("[")?;
+        for (i, text) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            Quoted(text).fmt(f)?;
+        }
+        f.write_str("]")
     }
 }
 
@@ -635,7 +746,7 @@ fn take_str(doc: &mut Value, key: &str) -> Option<String> {
 /// result and error fields move out of the parsed document, uncopied.
 pub fn decode_reply(line: &str) -> Result<Reply, String> {
     let mut doc = json::parse(line).map_err(|e| format!("invalid reply JSON: {e}"))?;
-    let id = take_str(&mut doc, "id");
+    let id = into_string(doc.take("id"));
     match doc.get("ok").and_then(Value::as_bool) {
         Some(true) => {
             let result = doc.take("result").unwrap_or(Value::Null);
@@ -650,13 +761,13 @@ pub fn decode_reply(line: &str) -> Result<Reply, String> {
                 .and_then(Value::as_str)
                 .and_then(ErrorKind::from_str)
                 .ok_or_else(|| "error reply with unknown 'kind'".to_string())?;
-            let message = take_str(&mut error, "message").unwrap_or_default();
+            let message = into_string(error.take("message")).unwrap_or_default();
             let retry_after_ms = error.get("retry_after_ms").and_then(Value::as_u64);
             let leader = error
                 .get("epoch")
                 .and_then(Value::as_u64)
                 .map(|epoch| LeaderHint {
-                    leader_addr: take_str(&mut error, "leader_addr"),
+                    leader_addr: into_string(error.take("leader_addr")),
                     epoch,
                 });
             Ok(Reply::Error {

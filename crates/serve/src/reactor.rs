@@ -39,9 +39,9 @@ use std::time::{Duration, Instant};
 use tracon_core::AppId;
 
 use crate::daemon::NetConfig;
-use crate::json::{n, obj, s, Value};
+use crate::json::{n, obj, s, Quoted, Value};
 use crate::metrics::Metrics;
-use crate::proto::{self, ErrorKind, Reply, Request};
+use crate::proto::{self, ErrorKind, Reply, Request, ResultLine, Strings};
 use crate::repl::follower::Node;
 use crate::repl::{Effect, PullVerdict, Role, RoleEvent};
 use crate::shard::{route_app, route_name, stride_shard};
@@ -885,8 +885,8 @@ impl Reactor {
             return;
         };
         let parts: Vec<StatusSnapshot> = entry.parts.into_iter().flatten().collect();
-        let result = if entry.drain {
-            obj(vec![
+        let line = if entry.drain {
+            let result = obj(vec![
                 ("draining", Value::Bool(true)),
                 (
                     "queued",
@@ -900,11 +900,11 @@ impl Reactor {
                     "running",
                     n(parts.iter().map(|p| p.running).sum::<usize>() as f64),
                 ),
-            ])
+            ]);
+            proto::encode_reply(&Reply::ok(entry.id, result))
         } else {
-            aggregate_status(&parts, &self.apps)
+            status_line(&entry.id, &parts, &self.apps)
         };
-        let line = proto::encode_reply(&Reply::ok(entry.id, result));
         self.complete(entry.conn, entry.seq, line);
     }
 
@@ -1040,62 +1040,29 @@ fn serve_fail(req_id: Option<String>, action: &str, spec: Option<&str>) -> Strin
     proto::encode_reply(&reply)
 }
 
-/// Sum per-shard snapshots into the daemon-wide `status` payload. Field
-/// order matches the pre-sharding daemon byte for byte, with one new
-/// trailing `shards` field.
-fn aggregate_status(parts: &[StatusSnapshot], apps: &[String]) -> Value {
-    let apps = Value::Arr(apps.iter().map(|name| s(name.as_str())).collect());
+/// The daemon-wide `status` reply: per-shard snapshots summed and written
+/// straight into the line. Field order matches the pre-sharding daemon
+/// byte for byte, with one new trailing `shards` field.
+fn status_line(id: &Option<String>, parts: &[StatusSnapshot], apps: &[String]) -> String {
+    let sum = |count: fn(&StatusSnapshot) -> u64| n(parts.iter().map(count).sum::<u64>() as f64);
     let scheduler = parts.first().map(|p| p.scheduler).unwrap_or("");
-    obj(vec![
-        ("apps", apps),
-        ("scheduler", s(scheduler)),
-        (
-            "queued",
-            n(parts.iter().map(|p| p.queued).sum::<usize>() as f64),
-        ),
-        (
-            "delayed",
-            n(parts.iter().map(|p| p.delayed).sum::<usize>() as f64),
-        ),
-        (
-            "running",
-            n(parts.iter().map(|p| p.running).sum::<usize>() as f64),
-        ),
-        (
-            "completed",
-            n(parts.iter().map(|p| p.completed).sum::<u64>() as f64),
-        ),
-        (
-            "dead_lettered",
-            n(parts.iter().map(|p| p.dead_lettered).sum::<u64>() as f64),
-        ),
-        (
-            "admitted",
-            n(parts.iter().map(|p| p.admitted).sum::<u64>() as f64),
-        ),
-        (
-            "rejected",
-            n(parts.iter().map(|p| p.rejected).sum::<u64>() as f64),
-        ),
-        (
-            "rebuilds",
-            n(parts.iter().map(|p| p.rebuilds).sum::<usize>() as f64),
-        ),
-        (
-            "predictor_swaps",
-            n(parts.iter().map(|p| p.swaps).sum::<usize>() as f64),
-        ),
-        ("draining", Value::Bool(parts.iter().any(|p| p.draining))),
-        (
-            "machines",
-            n(parts.iter().map(|p| p.machines).sum::<usize>() as f64),
-        ),
-        (
-            "free_slots",
-            n(parts.iter().map(|p| p.free_slots).sum::<usize>() as f64),
-        ),
-        ("shards", n(parts.len() as f64)),
-    ])
+    let mut line = ResultLine::new(id);
+    line.field("apps", Strings(apps))
+        .field("scheduler", Quoted(scheduler))
+        .field("queued", sum(|p| p.queued as u64))
+        .field("delayed", sum(|p| p.delayed as u64))
+        .field("running", sum(|p| p.running as u64))
+        .field("completed", sum(|p| p.completed))
+        .field("dead_lettered", sum(|p| p.dead_lettered))
+        .field("admitted", sum(|p| p.admitted))
+        .field("rejected", sum(|p| p.rejected))
+        .field("rebuilds", sum(|p| p.rebuilds as u64))
+        .field("predictor_swaps", sum(|p| p.swaps as u64))
+        .field("draining", parts.iter().any(|p| p.draining))
+        .field("machines", sum(|p| p.machines as u64))
+        .field("free_slots", sum(|p| p.free_slots as u64))
+        .field("shards", n(parts.len() as f64));
+    line.finish()
 }
 
 #[cfg(test)]
@@ -1123,17 +1090,120 @@ mod tests {
     #[test]
     fn aggregate_status_sums_counters_and_keeps_field_order() {
         let parts = [snap(1, 5, 2), snap(3, 7, 4)];
-        let value = aggregate_status(&parts, &["grep".into()]);
-        let text = value.to_string();
+        let line = status_line(&Some("s-1".into()), &parts, &["grep".into()]);
+        let reply = crate::json::parse(&line).unwrap();
+        assert_eq!(reply.get("id").and_then(Value::as_str), Some("s-1"));
+        let value = reply.get("result").unwrap();
         assert_eq!(value.get("queued").and_then(Value::as_u64), Some(4));
         assert_eq!(value.get("admitted").and_then(Value::as_u64), Some(12));
         assert_eq!(value.get("completed").and_then(Value::as_u64), Some(6));
         assert_eq!(value.get("machines").and_then(Value::as_u64), Some(4));
         assert_eq!(value.get("shards").and_then(Value::as_u64), Some(2));
-        let apps_pos = text.find("\"apps\"").unwrap();
-        let sched_pos = text.find("\"scheduler\"").unwrap();
-        let queued_pos = text.find("\"queued\"").unwrap();
+        let apps_pos = line.find("\"apps\"").unwrap();
+        let sched_pos = line.find("\"scheduler\"").unwrap();
+        let queued_pos = line.find("\"queued\"").unwrap();
         assert!(apps_pos < sched_pos && sched_pos < queued_pos);
+    }
+
+    /// The `status` payload as the reactor built it before the line was
+    /// written directly: the reference for `status_line`'s bytes.
+    fn old_aggregate_status(parts: &[StatusSnapshot], apps: &[String]) -> Value {
+        let apps = Value::Arr(apps.iter().map(|name| s(name.as_str())).collect());
+        let scheduler = parts.first().map(|p| p.scheduler).unwrap_or("");
+        obj(vec![
+            ("apps", apps),
+            ("scheduler", s(scheduler)),
+            (
+                "queued",
+                n(parts.iter().map(|p| p.queued).sum::<usize>() as f64),
+            ),
+            (
+                "delayed",
+                n(parts.iter().map(|p| p.delayed).sum::<usize>() as f64),
+            ),
+            (
+                "running",
+                n(parts.iter().map(|p| p.running).sum::<usize>() as f64),
+            ),
+            (
+                "completed",
+                n(parts.iter().map(|p| p.completed).sum::<u64>() as f64),
+            ),
+            (
+                "dead_lettered",
+                n(parts.iter().map(|p| p.dead_lettered).sum::<u64>() as f64),
+            ),
+            (
+                "admitted",
+                n(parts.iter().map(|p| p.admitted).sum::<u64>() as f64),
+            ),
+            (
+                "rejected",
+                n(parts.iter().map(|p| p.rejected).sum::<u64>() as f64),
+            ),
+            (
+                "rebuilds",
+                n(parts.iter().map(|p| p.rebuilds).sum::<usize>() as f64),
+            ),
+            (
+                "predictor_swaps",
+                n(parts.iter().map(|p| p.swaps).sum::<usize>() as f64),
+            ),
+            ("draining", Value::Bool(parts.iter().any(|p| p.draining))),
+            (
+                "machines",
+                n(parts.iter().map(|p| p.machines).sum::<usize>() as f64),
+            ),
+            (
+                "free_slots",
+                n(parts.iter().map(|p| p.free_slots).sum::<usize>() as f64),
+            ),
+            ("shards", n(parts.len() as f64)),
+        ])
+    }
+
+    #[test]
+    fn status_line_writes_the_old_status_bytes() {
+        use tracon_stats::prng::{check_cases, ChaCha12};
+        const SCHEDULERS: [&str; 4] = ["fifo", "mios", "mibs", "a \"quoted\"\n name"];
+        const NAMES: [&str; 6] = ["video", "dedup", "", "é\u{1}", "🦀\\", "grep"];
+        // Counts of every size: small, near the 1e15 cut, and huge (past
+        // 2^53, where the sum is rounded as an f64 either way).
+        let count = |rng: &mut ChaCha12| match rng.range_usize(0, 3) {
+            0 => rng.range_usize(0, 1_000) as u64,
+            1 => (1u64 << 49) + (rng.next_u64() >> 14),
+            _ => rng.next_u64() >> 3,
+        };
+        check_cases(0..2_000, |rng| {
+            let parts: Vec<StatusSnapshot> = (0..rng.range_usize(0, 6))
+                .map(|_| StatusSnapshot {
+                    queued: count(rng) as usize,
+                    delayed: count(rng) as usize,
+                    running: count(rng) as usize,
+                    completed: count(rng),
+                    dead_lettered: count(rng),
+                    admitted: count(rng),
+                    rejected: count(rng),
+                    rebuilds: count(rng) as usize,
+                    swaps: count(rng) as usize,
+                    draining: rng.range_usize(0, 4) == 0,
+                    machines: count(rng) as usize,
+                    free_slots: count(rng) as usize,
+                    scheduler: SCHEDULERS[rng.range_usize(0, SCHEDULERS.len())],
+                })
+                .collect();
+            let apps: Vec<String> = (0..rng.range_usize(0, 9))
+                .map(|_| NAMES[rng.range_usize(0, NAMES.len())].to_string())
+                .collect();
+            let id = match rng.range_usize(0, 3) {
+                0 => None,
+                1 => Some("c7-12".to_string()),
+                _ => Some("\"\t🦀".to_string()),
+            };
+            let old =
+                proto::encode_reply(&Reply::ok(id.clone(), old_aggregate_status(&parts, &apps)));
+            assert_eq!(status_line(&id, &parts, &apps), old, "{parts:?} {apps:?}");
+        });
     }
 
     #[test]

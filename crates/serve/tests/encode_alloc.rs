@@ -1,14 +1,17 @@
-//! Encoding a reply a shard answers allocates exactly once: the returned
-//! line. The reply is written around its borrowed result and id, in one
-//! pass into a line that starts large enough, so no part of the reply is
-//! copied into a tree first and the line never regrows. A count, unlike a
-//! wall-clock row, does not depend on the host or a seed.
+//! The codec's allocations on the lines a shard and the reactor handle
+//! most, counted exactly. Encoding a reply a shard answers allocates once:
+//! the returned line. The reply is written around its borrowed result and
+//! id, in one pass into a line that starts large enough, so no part of the
+//! reply is copied into a tree first and the line never regrows. Decoding
+//! a request builds no tree either: it allocates only the strings it keeps
+//! or matches (`id`, `op`, `app`). A count, unlike a wall-clock row, does
+//! not depend on the host or a seed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tracon_serve::json::{n, obj, s, Value};
-use tracon_serve::proto::{encode_reply, Reply};
+use tracon_serve::proto::{decode_request, encode_reply, encode_request, Envelope, Reply, Request};
 
 /// Counts this thread's allocations (libtest's own threads do not count).
 struct Counting;
@@ -114,5 +117,46 @@ fn a_reply_encodes_in_one_allocation() {
     for (what, reply) in replies() {
         let (made, line) = encode_counted(&reply);
         assert_eq!(made, 1, "{what}: {line}");
+    }
+}
+
+/// The request lines the benchmark's clients send, and the allocations
+/// `decode_request` makes for each: the `id` and `op` strings, and a
+/// submit's `app`. Building the whole document made 10, 11, 8 and 7.
+#[test]
+fn a_request_decodes_in_pinned_allocations() {
+    let id = Some("1-4711".to_string());
+    let cases = [
+        (
+            "submit",
+            Request::Submit {
+                app: "video".to_string(),
+                demand: None,
+            },
+            3,
+        ),
+        (
+            "complete",
+            Request::Complete {
+                task: 81_920,
+                runtime: 412.058_311_690_043_6,
+                iops: 188.5,
+            },
+            2,
+        ),
+        ("task", Request::TaskInfo { task: 81_920 }, 2),
+        ("status", Request::Status, 2),
+    ];
+    for (what, request, want) in cases {
+        let envelope = Envelope {
+            id: id.clone(),
+            request,
+        };
+        let line = encode_request(&envelope);
+        let before = ALLOCATIONS.with(Cell::get);
+        let decoded = decode_request(&line);
+        let made = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(decoded, Ok(envelope), "{what}");
+        assert_eq!(made, want, "{what}: {line}");
     }
 }

@@ -296,3 +296,23 @@ fn task_id_of_two_to_the_64_is_a_bad_field() {
         }
     );
 }
+
+/// A client that escapes every non-ASCII scalar (Python's `json.dumps`
+/// by default) sends U+1F600 as a surrogate pair; its id must come back
+/// as the same text, not as two replacement characters.
+#[test]
+fn an_escaped_astral_id_echoes_unchanged() {
+    let line = r#"{"v":2,"id":"req-\ud83d\ude00-\u00e9","op":"status"}"#;
+    let envelope = decode_request(line).unwrap();
+    assert_eq!(envelope.id.as_deref(), Some("req-\u{1f600}-\u{e9}"));
+    let reply = encode_reply(&Reply::ok(envelope.id, obj(vec![])));
+    assert_eq!(
+        reply,
+        "{\"v\":2,\"id\":\"req-\u{1f600}-\u{e9}\",\"ok\":true,\"result\":{}}"
+    );
+    let back = decode_reply(&reply).unwrap();
+    assert_eq!(
+        back,
+        Reply::ok(Some("req-\u{1f600}-\u{e9}".to_string()), obj(vec![]))
+    );
+}

@@ -16,7 +16,18 @@
 //! through). Integer-valued numbers below 1e15 in magnitude are written as
 //! digits, every other finite number as std's shortest `{}` form, and NaN
 //! and the infinities as `null`.
+//!
+//! The parser is one recursive grammar. [`parse`] builds the whole
+//! document as a `Value`; [`parse_fields`] validates a document with the
+//! same grammar but hands each top-level field of an object to a callback
+//! as it is parsed, so a caller that wants a few fields never builds the
+//! object around them. Both run one object loop, so they accept the same
+//! documents and fail with the same `ParseError`. A key with no escapes
+//! reaches the callback borrowed from the input. In strings, `\uXXXX`
+//! takes exactly four hex digits; a high surrogate followed by a `\u` low
+//! surrogate is one scalar, and a surrogate left unpaired becomes U+FFFD.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed JSON value. Numbers are kept as `f64`, which is lossless for
@@ -245,14 +256,42 @@ impl fmt::Display for ParseError {
 
 /// Parse a complete JSON document, rejecting trailing garbage.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
+    let mut pos = 0;
+    let value = parse_value(input, &mut pos, 0)?;
+    end_of_document(input.as_bytes(), pos)?;
+    Ok(value)
+}
+
+/// Parse a complete JSON document as [`parse`] does, accepting and
+/// rejecting the same inputs with the same errors, but without building
+/// a top-level object: each of its fields goes to `field` in document
+/// order, duplicates included, and the key is borrowed from `input` when
+/// it has no escapes. Returns `Ok(false)`, having called `field` never,
+/// when the document is valid but not an object. On an error, `field`
+/// may already have seen the fields before it.
+pub fn parse_fields<'a>(
+    input: &'a str,
+    mut field: impl FnMut(Cow<'a, str>, Value),
+) -> Result<bool, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
+    skip_ws(bytes, &mut pos);
+    let object = bytes.get(pos) == Some(&b'{');
+    if object {
+        parse_object(input, &mut pos, 0, &mut field)?;
+    } else {
+        parse_value(input, &mut pos, 0)?;
+    }
+    end_of_document(bytes, pos)?;
+    Ok(object)
+}
+
+fn end_of_document(bytes: &[u8], mut pos: usize) -> Result<(), ParseError> {
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters after document"));
     }
-    Ok(value)
+    Ok(())
 }
 
 const MAX_DEPTH: usize = 48;
@@ -270,10 +309,11 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
+fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     if depth > MAX_DEPTH {
         return Err(err(*pos, "nesting too deep"));
     }
+    let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
@@ -290,7 +330,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Par
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(input, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -303,40 +343,73 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Par
             }
         }
         Some(b'{') => {
-            *pos += 1;
-            let mut pairs: Vec<(String, Value)> = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Obj(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b'"') {
-                    return Err(err(*pos, "expected string key in object"));
-                }
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(err(*pos, "expected ':' after object key"));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Obj(pairs));
-                    }
-                    _ => return Err(err(*pos, "expected ',' or '}' in object")),
-                }
-            }
+            let mut pairs = Vec::new();
+            parse_object(input, pos, depth, |key, value| {
+                pairs.push((key.into_owned(), value));
+            })?;
+            Ok(Value::Obj(pairs))
         }
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
         Some(_) => Err(err(*pos, "unexpected character")),
     }
+}
+
+/// The object grammar, for [`parse`] and [`parse_fields`] alike: the
+/// object whose `{` is at `*pos`, at nesting `depth`, each member handed
+/// to `member` as soon as it is parsed.
+fn parse_object<'a>(
+    input: &'a str,
+    pos: &mut usize,
+    depth: usize,
+    mut member: impl FnMut(Cow<'a, str>, Value),
+) -> Result<(), ParseError> {
+    let bytes = input.as_bytes();
+    *pos += 1;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b'}') {
+        *pos += 1;
+        return Ok(());
+    }
+    loop {
+        skip_ws(bytes, pos);
+        if bytes.get(*pos) != Some(&b'"') {
+            return Err(err(*pos, "expected string key in object"));
+        }
+        let key = parse_key(input, pos)?;
+        skip_ws(bytes, pos);
+        if bytes.get(*pos) != Some(&b':') {
+            return Err(err(*pos, "expected ':' after object key"));
+        }
+        *pos += 1;
+        member(key, parse_value(input, pos, depth + 1)?);
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b'}') => {
+                *pos += 1;
+                return Ok(());
+            }
+            _ => return Err(err(*pos, "expected ',' or '}' in object")),
+        }
+    }
+}
+
+/// The string at `*pos` as an object key: borrowed from `input` when it
+/// holds no escape, otherwise (and for every error) what [`parse_string`]
+/// makes of it.
+fn parse_key<'a>(input: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, ParseError> {
+    let start = *pos + 1;
+    let rest = input.as_bytes().get(start..).unwrap_or_default();
+    let len = rest
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+    if let Some(len) = len.filter(|&len| rest[len] == b'"') {
+        if let Some(key) = input.get(start..start + len) {
+            *pos = start + len + 1;
+            return Ok(Cow::Borrowed(key));
+        }
+    }
+    parse_string(input.as_bytes(), pos).map(Cow::Owned)
 }
 
 fn parse_keyword(
@@ -394,17 +467,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| err(*pos, "bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "bad \\u escape"))?;
-                        // Surrogates are replaced rather than rejected; the
-                        // protocol never emits them, so fidelity there is moot.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let mut code = hex_escape(bytes, *pos)?;
                         *pos += 4;
+                        // A high surrogate joins the `\u` low surrogate
+                        // right after it (`ensure_ascii` encoders write
+                        // every non-BMP scalar so).
+                        if (0xd800..0xdc00).contains(&code)
+                            && bytes.get(*pos + 1..*pos + 3) == Some(b"\\u")
+                        {
+                            if let Ok(low @ 0xdc00..=0xdfff) = hex_escape(bytes, *pos + 2) {
+                                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                *pos += 6;
+                            }
+                        }
+                        // A surrogate left unpaired is replaced, not refused.
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
                     _ => return Err(err(*pos, "invalid escape")),
                 }
@@ -429,6 +506,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
             }
         }
     }
+}
+
+/// The four hex digits after the `u` at `at`, exactly four and nothing
+/// else (no sign, no fewer).
+fn hex_escape(bytes: &[u8], at: usize) -> Result<u32, ParseError> {
+    let digits = bytes
+        .get(at + 1..at + 5)
+        .ok_or_else(|| err(at, "truncated \\u escape"))?;
+    digits.iter().try_fold(0, |code, &b| {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| err(at, "bad \\u escape"))?;
+        Ok(code << 4 | digit)
+    })
 }
 
 #[cfg(test)]
@@ -555,6 +646,95 @@ mod tests {
         assert_eq!(v.get("a"), Some(&Value::Null));
         assert_eq!(v.take("b"), None);
         assert_eq!(n(1.0).take("a"), None);
+    }
+
+    #[test]
+    fn surrogate_pairs_join_and_lone_surrogates_become_replacement_chars() {
+        // What Python's `json.dumps` writes for U+1F600.
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), s("\u{1f600}"));
+        assert_eq!(
+            parse(r#""a\uD834\uDD1Eb\u00e9""#).unwrap(),
+            s("a\u{1d11e}b\u{e9}")
+        );
+        for (text, want) in [
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00""#, "\u{fffd}"),
+            (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+            (r#""\ud83dx""#, "\u{fffd}x"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}\u{1f600}"),
+            (r#""\ud83d\n""#, "\u{fffd}\n"),
+        ] {
+            assert_eq!(parse(text).unwrap(), s(want), "{text}");
+        }
+        // A bad escape after a high surrogate is still an error.
+        let e = parse(r#""\ud83d\uZZZZ""#).unwrap_err();
+        assert_eq!((e.at, e.reason.as_str()), (8, "bad \\u escape"));
+    }
+
+    #[test]
+    fn a_unicode_escape_takes_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00Ff""#).unwrap(), s("A\u{ff}"));
+        for (text, at, reason) in [
+            (r#""\u+041""#, 2, "bad \\u escape"),
+            (r#""\u-041""#, 2, "bad \\u escape"),
+            (r#""\u 041""#, 2, "bad \\u escape"),
+            (r#""\u004g""#, 2, "bad \\u escape"),
+            (r#""\u00é""#, 2, "bad \\u escape"),
+            (r#""\u004"#, 2, "truncated \\u escape"),
+        ] {
+            let e = parse(text).unwrap_err();
+            assert_eq!((e.at, e.reason.as_str()), (at, reason), "{text}");
+        }
+    }
+
+    #[test]
+    fn parse_fields_hands_over_what_parse_builds() {
+        for text in [
+            "{}",
+            " { \"a\" : 1 , \"b\":[true,{\"c\":null}], \"a\":\"x\" } ",
+            "{\"\\u0061\":\"\\ud83d\\ude00\",\"k\\\"ey\":{}}",
+        ] {
+            let mut fields = Vec::new();
+            let object = parse_fields(text, |k, v| fields.push((k.into_owned(), v)));
+            assert_eq!(object, Ok(true), "{text}");
+            assert_eq!(Value::Obj(fields), parse(text).unwrap(), "{text}");
+        }
+        for text in ["[1]", " \"x\" ", "3", "null"] {
+            let object = parse_fields(text, |_, _| panic!("{text} has no fields"));
+            assert_eq!(object, Ok(false), "{text}");
+        }
+        for text in [
+            "",
+            "{",
+            "{\"a\":1",
+            "{\"a\":1,}",
+            "{\"a\" 1}",
+            "{\"a\":[1,}",
+            "{\"a\":1} x",
+            "[1] x",
+            "{\"a\":\"\\u+041\"}",
+            "{\"\\x\":1}",
+            "{\"a\u{1}\":1}",
+        ] {
+            let want = parse(text).unwrap_err();
+            assert_eq!(parse_fields(text, |_, _| {}), Err(want), "{text}");
+        }
+        let deep = format!("{{\"a\":{}1{}}}", "[".repeat(60), "]".repeat(60));
+        assert_eq!(
+            parse_fields(&deep, |_, _| {}),
+            Err(parse(&deep).unwrap_err())
+        );
+    }
+
+    #[test]
+    fn parse_fields_borrows_keys_without_escapes() {
+        let mut keys = Vec::new();
+        let text = "{\"plain\":1,\"\\u0061pp\":2,\"é\":3}";
+        parse_fields(text, |k, _| keys.push(k)).unwrap();
+        assert!(matches!(&keys[0], Cow::Borrowed("plain")));
+        assert!(matches!(&keys[1], Cow::Owned(k) if k == "app"));
+        assert!(matches!(&keys[2], Cow::Borrowed("é")));
     }
 
     #[test]

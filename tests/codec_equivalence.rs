@@ -4,20 +4,24 @@
 //! cloned every reply into a `Value` tree and wrote strings one char at a
 //! time. A reply line, a WAL frame and a testbed snapshot all keep their
 //! bytes only if these do. The decoder that moves `result` and `error` out
-//! of the parsed document must return what the cloning decoder returned.
+//! of the parsed document must return what the cloning decoder returned,
+//! and the request decoder that takes fields one by one from
+//! `json::parse_fields` must return what the decoder that built the whole
+//! document as a tree returned, error kind and message included.
 //!
 //! The reference is the literal old code, behind a wrapper (`Old`) because
 //! `Display` for `Value` is now the new writer. The inputs are seeded
-//! random nested values, requests, replies and reply-shaped documents,
-//! plus a fixed list of edge strings and numbers.
+//! random nested values, requests, replies, reply- and request-shaped
+//! documents (repeated, unknown, mistyped and escaped keys, whitespace,
+//! corruption), plus fixed lists of edge strings, numbers and requests.
 
 use std::fmt;
 
 use tracon_core::{DimVec, ResourceDim};
 use tracon_serve::json::{self, n, obj, s, Value};
 use tracon_serve::proto::{
-    decode_reply, encode_reply, encode_request, Envelope, ErrorKind, LeaderHint, Reply, Request,
-    PROTOCOL_VERSION,
+    decode_reply, decode_request, encode_reply, encode_request, DecodeError, Envelope, ErrorKind,
+    LeaderHint, Reply, Request, PROTOCOL_VERSION,
 };
 use tracon_stats::prng::{check_cases, ChaCha12};
 
@@ -244,6 +248,203 @@ fn old_decode_reply(line: &str) -> Result<Reply, String> {
         }
         None => Err("reply without boolean 'ok' field".to_string()),
     }
+}
+
+/// The old `proto::field_demand`.
+fn old_field_demand(doc: &Value, id: &Option<String>) -> Result<Option<DimVec>, DecodeError> {
+    let bad = |message: String| DecodeError {
+        id: id.clone(),
+        kind: ErrorKind::BadField,
+        message,
+    };
+    match doc.get("demand") {
+        None | Some(Value::Null) => Ok(None),
+        Some(Value::Obj(pairs)) => {
+            let mut demand = DimVec::new();
+            for (key, value) in pairs {
+                let dim = ResourceDim::parse(key).ok_or_else(|| {
+                    bad(format!(
+                        "unknown resource dimension '{key}' (known: {})",
+                        ResourceDim::ALL
+                            .iter()
+                            .map(|d| d.name())
+                            .collect::<Vec<_>>()
+                            .join(", ")
+                    ))
+                })?;
+                match value.as_f64() {
+                    Some(v) if v.is_finite() && v >= 0.0 => demand.set(dim, v),
+                    _ => {
+                        return Err(bad(format!(
+                            "invalid demand for '{key}' (expected finite non-negative number)"
+                        )))
+                    }
+                }
+            }
+            Ok(Some(demand))
+        }
+        Some(_) => Err(bad(
+            "invalid 'demand' (expected object of dimension -> number)".to_string(),
+        )),
+    }
+}
+
+/// The old `proto::field_u64`.
+fn old_field_u64(doc: &Value, id: &Option<String>, key: &str) -> Result<u64, DecodeError> {
+    doc.get(key)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| DecodeError {
+            id: id.clone(),
+            kind: ErrorKind::BadField,
+            message: format!("missing or invalid '{key}' (expected non-negative integer)"),
+        })
+}
+
+/// The old `proto::field_f64`.
+fn old_field_f64(doc: &Value, id: &Option<String>, key: &str) -> Result<f64, DecodeError> {
+    match doc.get(key).and_then(Value::as_f64) {
+        Some(v) if v.is_finite() => Ok(v),
+        _ => Err(DecodeError {
+            id: id.clone(),
+            kind: ErrorKind::BadField,
+            message: format!("missing or invalid '{key}' (expected finite number)"),
+        }),
+    }
+}
+
+/// The old `proto::decode_request`: parse the whole line into a tree,
+/// then look each field up in it.
+fn old_decode_request(line: &str) -> Result<Envelope, DecodeError> {
+    let doc = json::parse(line).map_err(|e| DecodeError {
+        id: None,
+        kind: ErrorKind::Malformed,
+        message: format!("invalid JSON: {e}"),
+    })?;
+    if !matches!(doc, Value::Obj(_)) {
+        return Err(DecodeError {
+            id: None,
+            kind: ErrorKind::Malformed,
+            message: "request must be a JSON object".to_string(),
+        });
+    }
+    let id = doc.get("id").and_then(Value::as_str).map(str::to_string);
+    match doc.get("v").and_then(Value::as_u64) {
+        Some(PROTOCOL_VERSION) => {}
+        Some(other) => {
+            return Err(DecodeError {
+                id,
+                kind: ErrorKind::BadVersion,
+                message: format!(
+                    "unsupported protocol version {other} (daemon speaks {PROTOCOL_VERSION})"
+                ),
+            })
+        }
+        None => {
+            return Err(DecodeError {
+                id,
+                kind: ErrorKind::BadVersion,
+                message: "missing protocol version field 'v'".to_string(),
+            })
+        }
+    }
+    let op = match doc.get("op").and_then(Value::as_str) {
+        Some(op) => op,
+        None => {
+            return Err(DecodeError {
+                id,
+                kind: ErrorKind::BadField,
+                message: "missing or invalid 'op' (expected string)".to_string(),
+            })
+        }
+    };
+    let request = match op {
+        "submit" => match doc.get("app").and_then(Value::as_str) {
+            Some(app) if !app.is_empty() => Request::Submit {
+                app: app.to_string(),
+                demand: old_field_demand(&doc, &id)?,
+            },
+            _ => {
+                return Err(DecodeError {
+                    id,
+                    kind: ErrorKind::BadField,
+                    message: "missing or invalid 'app' (expected non-empty string)".to_string(),
+                })
+            }
+        },
+        "complete" => Request::Complete {
+            task: old_field_u64(&doc, &id, "task")?,
+            runtime: old_field_f64(&doc, &id, "runtime")?,
+            iops: old_field_f64(&doc, &id, "iops")?,
+        },
+        "status" => Request::Status,
+        "task" => Request::TaskInfo {
+            task: old_field_u64(&doc, &id, "task")?,
+        },
+        "drain" => Request::Drain,
+        "shutdown" => Request::Shutdown,
+        "repl_pull" => Request::ReplPull {
+            epoch: old_field_u64(&doc, &id, "epoch")?,
+            shard: old_field_u64(&doc, &id, "shard")? as usize,
+            cursor: old_field_u64(&doc, &id, "cursor")?,
+            addr: match doc.get("addr").and_then(Value::as_str) {
+                Some(addr) if !addr.is_empty() => addr.to_string(),
+                _ => {
+                    return Err(DecodeError {
+                        id,
+                        kind: ErrorKind::BadField,
+                        message: "missing or invalid 'addr' (expected non-empty string)"
+                            .to_string(),
+                    })
+                }
+            },
+            // Optional: pulls from pre-TTL-aware followers carry no hint.
+            ttl_ms: doc.get("ttl_ms").and_then(Value::as_u64).unwrap_or(0),
+        },
+        "repl_lease" => Request::ReplLease {
+            epoch: old_field_u64(&doc, &id, "epoch")?,
+            leader_addr: match doc.get("leader_addr").and_then(Value::as_str) {
+                Some(addr) if !addr.is_empty() => addr.to_string(),
+                _ => {
+                    return Err(DecodeError {
+                        id,
+                        kind: ErrorKind::BadField,
+                        message: "missing or invalid 'leader_addr' (expected non-empty string)"
+                            .to_string(),
+                    })
+                }
+            },
+        },
+        "fail" => {
+            let action = match doc.get("action").and_then(Value::as_str) {
+                Some(a @ ("arm" | "disarm" | "status")) => a.to_string(),
+                _ => {
+                    return Err(DecodeError {
+                        id,
+                        kind: ErrorKind::BadField,
+                        message: "missing or invalid 'action' (expected arm|disarm|status)"
+                            .to_string(),
+                    })
+                }
+            };
+            let spec = doc.get("spec").and_then(Value::as_str).map(str::to_string);
+            if action == "arm" && spec.is_none() {
+                return Err(DecodeError {
+                    id,
+                    kind: ErrorKind::BadField,
+                    message: "'arm' requires a 'spec' string".to_string(),
+                });
+            }
+            Request::Fail { action, spec }
+        }
+        other => {
+            return Err(DecodeError {
+                id,
+                kind: ErrorKind::UnknownOp,
+                message: format!("unknown op '{other}'"),
+            })
+        }
+    };
+    Ok(Envelope { id, request })
 }
 
 /// Strings at the escaper's edges: each escaped byte alone, 0x7f (which
@@ -523,6 +724,273 @@ fn reply_like_line(rng: &mut ChaCha12) -> String {
         &reply_field,
     ));
     Old(&doc).to_string()
+}
+
+/// Every key a request may carry, and keys the decoder must drop.
+const REQUEST_KEYS: [&str; 20] = [
+    "v",
+    "id",
+    "op",
+    "app",
+    "demand",
+    "task",
+    "runtime",
+    "iops",
+    "epoch",
+    "shard",
+    "cursor",
+    "addr",
+    "ttl_ms",
+    "leader_addr",
+    "action",
+    "spec",
+    "x",
+    "",
+    "V",
+    "ops",
+];
+
+const OPS: [&str; 12] = [
+    "submit",
+    "complete",
+    "status",
+    "task",
+    "drain",
+    "shutdown",
+    "repl_pull",
+    "repl_lease",
+    "fail",
+    "frobnicate",
+    "",
+    "Submit",
+];
+
+/// A value of the kind the decoder expects under `key`, or one just off it.
+fn request_field(rng: &mut ChaCha12, key: &str) -> Value {
+    let pick = |rng: &mut ChaCha12, items: &[&str]| s(items[rng.range_usize(0, items.len())]);
+    match key {
+        "v" => n([2.0, 2.0, 2.0, 1.0, 9.0, 2.5, -2.0, 0.0, 2f64.powi(64)][rng.range_usize(0, 9)]),
+        "op" => pick(rng, &OPS),
+        "action" => pick(rng, &["arm", "disarm", "status", "explode", ""]),
+        "demand" => Value::Obj(fields(
+            rng,
+            &["disk", "cpu", "network", "tape"],
+            &|rng, _| n(random_number(rng)),
+        )),
+        "task" | "epoch" | "shard" | "cursor" | "ttl_ms" | "runtime" | "iops" => {
+            match rng.range_usize(0, 4) {
+                0 => n(random_number(rng)),
+                _ => n(random_u64(rng) as f64),
+            }
+        }
+        _ => s(random_string(rng, 6)),
+    }
+}
+
+/// `text` as a JSON string, each scalar escaped as `\uXXXX` (a surrogate
+/// pair past the BMP) with probability one in four, `/` sometimes as `\/`.
+fn write_string(rng: &mut ChaCha12, text: &str, out: &mut String) {
+    out.push('"');
+    for c in text.chars() {
+        if rng.range_usize(0, 4) == 0 {
+            let mut units = [0u16; 2];
+            for unit in c.encode_utf16(&mut units) {
+                out.push_str(&format!("\\u{unit:04x}"));
+            }
+        } else if c == '/' && rng.range_usize(0, 2) == 0 {
+            out.push_str("\\/");
+        } else {
+            let quoted = s(c.to_string()).to_string();
+            out.push_str(&quoted[1..quoted.len() - 1]);
+        }
+    }
+    out.push('"');
+}
+
+/// Optional JSON whitespace.
+fn space(rng: &mut ChaCha12, out: &mut String) {
+    for _ in 0..rng.range_usize(0, 3) {
+        out.push([' ', '\t', '\n', '\r'][rng.range_usize(0, 4)]);
+    }
+}
+
+/// `value` as JSON with whitespace between every token and escapes in
+/// keys and strings; it parses back to `value`.
+fn write_spaced(rng: &mut ChaCha12, value: &Value, out: &mut String) {
+    space(rng, out);
+    match value {
+        Value::Str(text) => write_string(rng, text, out),
+        Value::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_spaced(rng, item, out);
+            }
+            space(rng, out);
+            out.push(']');
+        }
+        Value::Obj(pairs) => {
+            out.push('{');
+            for (i, (key, item)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                space(rng, out);
+                write_string(rng, key, out);
+                space(rng, out);
+                out.push(':');
+                write_spaced(rng, item, out);
+            }
+            space(rng, out);
+            out.push('}');
+        }
+        other => out.push_str(&other.to_string()),
+    }
+    space(rng, out);
+}
+
+/// A request-shaped document: every field optional, repeatable, of the
+/// expected type or any other, with unknown fields holding nested values.
+/// It is what it parses back to (a non-finite number reads as `null`).
+fn request_like_doc(rng: &mut ChaCha12) -> Value {
+    let doc = Value::Obj(fields(rng, &REQUEST_KEYS, &|rng, key| match key {
+        "x" | "" | "V" | "ops" => random_value(rng, 3),
+        _ => request_field(rng, key),
+    }));
+    json::parse(&doc.to_string()).unwrap()
+}
+
+/// Values that are not JSON, for an unknown field to hold.
+const GARBAGE: [&str; 10] = [
+    "[1,}",
+    "tru",
+    "\"\\x\"",
+    "01x",
+    "{\"a\" 1}",
+    "\"\\u+041\"",
+    "[[[",
+    "\"open",
+    "-",
+    "{\"a\":1,}",
+];
+
+/// Lines at the decoder's edges: every check in order, duplicates,
+/// escaped keys and the demand map's field errors.
+const EDGE_REQUESTS: [&str; 40] = [
+    "",
+    "   ",
+    "[]",
+    "\"status\"",
+    "null",
+    "{}",
+    "{\"op\":\"status\"}",
+    "{\"v\":\"2\",\"op\":\"status\"}",
+    "{\"v\":1,\"id\":\"x-1\",\"op\":\"status\"}",
+    "{\"v\":2}",
+    "{\"v\":2,\"op\":7}",
+    "{\"v\":2,\"op\":\"frobnicate\",\"id\":\"q\"}",
+    "{\"v\":2,\"op\":\"submit\"}",
+    "{\"v\":2,\"op\":\"submit\",\"app\":\"\"}",
+    "{\"v\":2,\"op\":\"submit\",\"app\":\"a\",\"demand\":{\"tape\":1}}",
+    "{\"v\":2,\"op\":\"submit\",\"app\":\"a\",\"demand\":{\"disk\":-4}}",
+    "{\"v\":2,\"op\":\"submit\",\"app\":\"a\",\"demand\":{\"cpu\":\"1\"}}",
+    "{\"v\":2,\"op\":\"submit\",\"app\":\"a\",\"demand\":7}",
+    "{\"v\":2,\"op\":\"submit\",\"app\":\"a\",\"demand\":null}",
+    "{\"v\":2,\"op\":\"submit\",\"app\":\"a\",\"demand\":{\"disk\":1,\"disk\":2}}",
+    "{\"v\":2,\"op\":\"complete\",\"task\":1,\"runtime\":1.0}",
+    "{\"v\":2,\"op\":\"complete\",\"task\":1.5,\"runtime\":1,\"iops\":1}",
+    "{\"v\":2,\"op\":\"task\",\"task\":18446744073709551616}",
+    "{\"v\":2,\"op\":\"repl_pull\",\"epoch\":1,\"shard\":0,\"cursor\":0}",
+    "{\"v\":2,\"op\":\"repl_pull\",\"epoch\":1,\"shard\":0,\"cursor\":0,\"addr\":\"a\",\"ttl_ms\":-1}",
+    "{\"v\":2,\"op\":\"repl_lease\",\"epoch\":1}",
+    "{\"v\":2,\"op\":\"fail\",\"action\":\"explode\"}",
+    "{\"v\":2,\"op\":\"fail\",\"action\":\"arm\"}",
+    "{\"v\":2,\"op\":\"fail\",\"action\":\"arm\",\"spec\":3}",
+    "{\"v\":2,\"op\":\"status\",\"op\":\"frobnicate\"}",
+    "{\"v\":1,\"v\":2,\"op\":\"status\"}",
+    "{\"v\":2,\"v\":1,\"op\":\"status\"}",
+    "{\"id\":7,\"id\":\"b\",\"v\":2,\"op\":\"status\"}",
+    "{\"id\":\"a\",\"id\":\"b\",\"v\":9}",
+    "{\"v\":2,\"op\":\"submit\",\"app\":\"a\",\"app\":\"\"}",
+    "{\"v\":2,\"op\":\"submit\",\"app\":\"\",\"app\":\"a\"}",
+    "{\"\\u0076\":2,\"\\u006fp\":\"submit\",\"\\u0061pp\":\"video\",\"i\\u0064\":\"\\ud83d\\ude00\"}",
+    " {\n\"v\" :\t2 ,\r\"op\":\"task\" , \"task\" : 7 } \n",
+    "{\"v\":2,\"op\":\"status\",\"x\":{\"y\":[1,{\"z\":null}],\"w\":\"\\u00e9\"}}",
+    "{\"v\":2,\"op\":\"status\",\"x\":[1,}",
+];
+
+#[test]
+fn requests_decode_as_the_tree_decoder_did() {
+    let same = |line: &str| assert_eq!(decode_request(line), old_decode_request(line), "{line}");
+    for line in EDGE_REQUESTS {
+        same(line);
+    }
+    check_cases(0..3_000, |rng| {
+        let envelope = Envelope {
+            id: random_id(rng),
+            request: random_request(rng),
+        };
+        let line = encode_request(&envelope);
+        same(&line);
+        // The same fields, spaced and escaped.
+        let doc = json::parse(&line).unwrap();
+        let mut spaced = String::new();
+        write_spaced(rng, &doc, &mut spaced);
+        assert_eq!(json::parse(&spaced), Ok(doc), "{spaced}");
+        same(&spaced);
+    });
+}
+
+#[test]
+fn request_shaped_documents_decode_as_the_tree_decoder_did() {
+    let same = |line: &str| assert_eq!(decode_request(line), old_decode_request(line), "{line}");
+    check_cases(0..3_000, |rng| {
+        let doc = request_like_doc(rng);
+        let mut line = String::new();
+        write_spaced(rng, &doc, &mut line);
+        assert_eq!(json::parse(&line).as_ref(), Ok(&doc), "{line}");
+        same(&line);
+        // An unknown field holding something that is not JSON, anywhere
+        // among the others.
+        let Value::Obj(pairs) = &doc else {
+            unreachable!()
+        };
+        let at = rng.range_usize(0, pairs.len() + 1);
+        let mut corrupt = String::from("{");
+        for (i, (key, value)) in pairs.iter().enumerate() {
+            if i == at {
+                corrupt.push_str(&format!(
+                    "\"x\":{},",
+                    GARBAGE[rng.range_usize(0, GARBAGE.len())]
+                ));
+            }
+            corrupt.push_str(&format!("{}:{value},", s(key.as_str())));
+        }
+        if at == pairs.len() {
+            corrupt.push_str(&format!(
+                "\"x\":{},",
+                GARBAGE[rng.range_usize(0, GARBAGE.len())]
+            ));
+        }
+        corrupt.pop();
+        corrupt.push('}');
+        same(&corrupt);
+        // The line cut short, or with one byte changed.
+        let cut = rng.range_usize(0, line.len() + 1);
+        if let Some(prefix) = line.get(..cut) {
+            same(prefix);
+        }
+        let mut bytes = line.into_bytes();
+        if !bytes.is_empty() {
+            let i = rng.range_usize(0, bytes.len());
+            bytes[i] = b"{}[]\",:\\ 0x"[rng.range_usize(0, 11)];
+            if let Ok(changed) = String::from_utf8(bytes) {
+                same(&changed);
+            }
+        }
+    });
 }
 
 #[test]
