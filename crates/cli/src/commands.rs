@@ -49,7 +49,7 @@ COMMANDS:
                            lease lapses; requires --wal)
              [--repl-ttl-ms N=1500] [--repl-poll-ms N=50]
              [--lease-ms N=30000] [--lease-per-s-ms N=2000]
-             [--max-attempts N=5] [--backoff-ms N=100] [--backoff-cap-ms N=5000]
+             [--max-attempts N=5] [--backoff-ms N=100]
              [--testbed FILE | --points N=6 --time-scale F=0.05 --seed N]
   submit     Submit tasks to a running tracond and print the placements
              --addr HOST:PORT --app NAME [--count N=1]
@@ -503,7 +503,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
         lease_per_predicted_s_ms: args.num_or("lease-per-s-ms", 2_000)?,
         max_attempts,
         backoff_base_ms: args.num_or("backoff-ms", 100)?,
-        backoff_cap_ms: args.num_or("backoff-cap-ms", 5_000)?,
         wal_dir: args.options.get("wal").map(std::path::PathBuf::from),
         wal_snapshot_every: args.num_or("wal-snapshot-every", 4_096)?,
         monitor,

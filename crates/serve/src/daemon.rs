@@ -3,8 +3,8 @@
 //! threads, and a minimal HTTP listener for `/healthz` and `/metrics`.
 //!
 //! Everything is hand-rolled on `std::net` and `std::sync::mpsc`. The
-//! [`crate::reactor`] thread owns every protocol socket and decodes and
-//! routes requests; each worker thread exclusively owns one
+//! reactor thread (`crate::reactor`) owns every protocol socket and
+//! decodes and routes requests; each worker thread exclusively owns one
 //! [`Service`] shard — no mutex anywhere on the request path. Workers
 //! self-tick on their channel's receive timeout, so batch-deadline
 //! dispatch and lease expiry keep running under load or silence alike.

@@ -679,6 +679,56 @@ fn connect_failover(
     }
 }
 
+/// Report one synthesized completion. A `not_leader` refusal redirects
+/// to the believed leader and retries the completion exactly once; a
+/// second refusal is terminal (a promoted leader requeued the task, so
+/// the old lease is gone — that is the expected outcome). A lost reply
+/// is an ambiguous completion and costs a reconnect.
+fn chaos_complete(
+    cfg: &ChaosConfig,
+    client: &mut Client,
+    complete: Request,
+    leader_hint: &mut Option<String>,
+    report: &mut ChaosReport,
+) -> Result<(), String> {
+    let reconnect = |hint: &Option<String>, reconnects: &mut usize| {
+        connect_failover(
+            &cfg.addrs,
+            hint.as_deref(),
+            cfg.reconnect_timeout_ms,
+            reconnects,
+        )
+    };
+    match client.request(complete.clone()) {
+        Ok(Reply::Ok { .. }) => report.completions_acked += 1,
+        Ok(Reply::Error {
+            kind: ErrorKind::NotLeader,
+            leader,
+            ..
+        }) => {
+            report.not_leader_redirects += 1;
+            if let Some(addr) = leader.and_then(|h| h.leader_addr) {
+                *leader_hint = Some(addr);
+            }
+            *client = reconnect(leader_hint, &mut report.reconnects)?;
+            match client.request(complete) {
+                Ok(Reply::Ok { .. }) => report.completions_acked += 1,
+                Ok(Reply::Error { .. }) => report.completion_refusals += 1,
+                Err(_) => {
+                    report.ambiguous_completes += 1;
+                    *client = reconnect(leader_hint, &mut report.reconnects)?;
+                }
+            }
+        }
+        Ok(Reply::Error { .. }) => report.completion_refusals += 1,
+        Err(_) => {
+            report.ambiguous_completes += 1;
+            *client = reconnect(leader_hint, &mut report.reconnects)?;
+        }
+    }
+    Ok(())
+}
+
 fn wire_status(client: &mut Client) -> Result<WireStatus, String> {
     let reply = client
         .request(Request::Status)
@@ -860,37 +910,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         while pending.len() > 2 {
             let (task, predicted) = pending.remove(0);
             let complete = completion(&mut rng, task, predicted);
-            match client.request(complete.clone()) {
-                Ok(Reply::Ok { .. }) => report.completions_acked += 1,
-                Ok(Reply::Error {
-                    kind: ErrorKind::NotLeader,
-                    leader,
-                    ..
-                }) => {
-                    // Redirect and retry the completion exactly once on
-                    // the believed leader; a second refusal is terminal
-                    // (a promoted leader requeued the task, so the old
-                    // lease is gone — that is the expected outcome).
-                    report.not_leader_redirects += 1;
-                    if let Some(addr) = leader.and_then(|h| h.leader_addr) {
-                        leader_hint = Some(addr);
-                    }
-                    client = reconnect!();
-                    match client.request(complete) {
-                        Ok(Reply::Ok { .. }) => report.completions_acked += 1,
-                        Ok(Reply::Error { .. }) => report.completion_refusals += 1,
-                        Err(_) => {
-                            report.ambiguous_completes += 1;
-                            client = reconnect!();
-                        }
-                    }
-                }
-                Ok(Reply::Error { .. }) => report.completion_refusals += 1,
-                Err(_) => {
-                    report.ambiguous_completes += 1;
-                    client = reconnect!();
-                }
-            }
+            chaos_complete(cfg, &mut client, complete, &mut leader_hint, &mut report)?;
         }
 
         if i % 10 == 9 {
@@ -911,33 +931,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
     // Flush remaining completions best-effort.
     for (task, predicted) in pending.drain(..) {
         let complete = completion(&mut rng, task, predicted);
-        match client.request(complete.clone()) {
-            Ok(Reply::Ok { .. }) => report.completions_acked += 1,
-            Ok(Reply::Error {
-                kind: ErrorKind::NotLeader,
-                leader,
-                ..
-            }) => {
-                report.not_leader_redirects += 1;
-                if let Some(addr) = leader.and_then(|h| h.leader_addr) {
-                    leader_hint = Some(addr);
-                }
-                client = reconnect!();
-                match client.request(complete) {
-                    Ok(Reply::Ok { .. }) => report.completions_acked += 1,
-                    Ok(Reply::Error { .. }) => report.completion_refusals += 1,
-                    Err(_) => {
-                        report.ambiguous_completes += 1;
-                        client = reconnect!();
-                    }
-                }
-            }
-            Ok(Reply::Error { .. }) => report.completion_refusals += 1,
-            Err(_) => {
-                report.ambiguous_completes += 1;
-                client = reconnect!();
-            }
-        }
+        chaos_complete(cfg, &mut client, complete, &mut leader_hint, &mut report)?;
     }
 
     // Settle: wait for the daemon to resolve every non-terminal task —

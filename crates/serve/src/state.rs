@@ -95,6 +95,10 @@ impl SchedKind {
 /// this long, a lone free slot no longer waits for a pairing.
 const BATCH_DEADLINE_MS: u64 = 100;
 
+/// Requeue backoff ceiling: a backoff doubles from `backoff_base_ms` up
+/// to this, or to the base if that is larger.
+const BACKOFF_CAP_MS: u64 = 5_000;
+
 /// Daemon tuning knobs, all wall-clock.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -116,10 +120,8 @@ pub struct ServeConfig {
     pub lease_per_predicted_s_ms: u64,
     /// Executions (initial + retries) before a task is dead-lettered.
     pub max_attempts: u32,
-    /// First requeue backoff; doubles per attempt.
+    /// First requeue backoff; doubles per attempt up to a 5 s ceiling.
     pub backoff_base_ms: u64,
-    /// Backoff ceiling.
-    pub backoff_cap_ms: u64,
     /// Write-ahead-log directory; `None` runs in-memory only.
     pub wal_dir: Option<PathBuf>,
     /// WAL records between snapshot compactions.
@@ -152,7 +154,6 @@ impl Default for ServeConfig {
             lease_per_predicted_s_ms: 2_000,
             max_attempts: 5,
             backoff_base_ms: 100,
-            backoff_cap_ms: 5_000,
             wal_dir: None,
             wal_snapshot_every: 4096,
             replica_of: None,
@@ -863,7 +864,7 @@ impl Service {
     fn backoff_ms(&self, task: u64, attempt: u32) -> u64 {
         let base = self.cfg.backoff_base_ms.max(1);
         let doubled = base.saturating_mul(1u64 << attempt.saturating_sub(1).min(16));
-        let backoff = doubled.min(self.cfg.backoff_cap_ms.max(base));
+        let backoff = doubled.min(BACKOFF_CAP_MS.max(base));
         let jitter = mix64(task ^ (u64::from(attempt) << 32) ^ GAMMA);
         backoff + jitter % (backoff / 2 + 1)
     }
@@ -1417,7 +1418,6 @@ mod tests {
             lease_per_predicted_s_ms: 0,
             max_attempts: 2,
             backoff_base_ms: 5,
-            backoff_cap_ms: 20,
             ..ServeConfig::default()
         };
         let metrics = Arc::new(Metrics::new());

@@ -32,7 +32,6 @@ fn fast_lease_cfg() -> ServeConfig {
         lease_per_predicted_s_ms: 0,
         max_attempts: 2,
         backoff_base_ms: 10,
-        backoff_cap_ms: 50,
         ..ServeConfig::default()
     }
 }

@@ -68,7 +68,6 @@ fn cfg(dir: &Path) -> ServeConfig {
         lease_per_predicted_s_ms: 0,
         max_attempts: 2,
         backoff_base_ms: 5,
-        backoff_cap_ms: 20,
         wal_dir: Some(dir.to_path_buf()),
         wal_snapshot_every: 16,
         ..ServeConfig::default()
