@@ -47,7 +47,7 @@ COMMANDS:
                            leader: pull WAL frames, refuse mutations with
                            not_leader, and self-promote when the leader's
                            lease lapses; requires --wal)
-             [--repl-ttl-ms N=1500] [--repl-poll-ms N=50]
+             [--repl-poll-ms N=50]  (below the 1500 ms lease TTL)
              [--lease-ms N=30000] [--lease-per-s-ms N=2000]
              [--max-attempts N=5] [--backoff-ms N=100]
              [--testbed FILE | --points N=6 --time-scale F=0.05 --seed N]
@@ -450,6 +450,7 @@ fn serve_testbed(args: &Args) -> Result<Testbed, String> {
 /// `tracon serve` — boot tracond and block until it drains or is shut
 /// down over the protocol.
 pub fn serve(args: &Args) -> Result<String, String> {
+    use tracon_serve::repl::REPL_TTL_MS;
     use tracon_serve::{daemon, NetConfig, SchedKind, ServeConfig};
 
     let machines: usize = args.num_or("machines", 4)?;
@@ -482,14 +483,13 @@ pub fn serve(args: &Args) -> Result<String, String> {
             "--replica-of requires --wal DIR (the follower persists shipped frames)".into(),
         );
     }
-    let repl_ttl_ms: u64 = args.num_or("repl-ttl-ms", 1_500)?;
     let repl_poll_ms: u64 = args.num_or("repl-poll-ms", 50)?;
-    if repl_ttl_ms == 0 || repl_poll_ms == 0 {
-        return Err("--repl-ttl-ms and --repl-poll-ms must be positive".into());
+    if repl_poll_ms == 0 {
+        return Err("--repl-poll-ms must be positive".into());
     }
-    if repl_poll_ms >= repl_ttl_ms {
+    if repl_poll_ms >= REPL_TTL_MS {
         return Err(format!(
-            "--repl-poll-ms ({repl_poll_ms}) must be below --repl-ttl-ms ({repl_ttl_ms}) \
+            "--repl-poll-ms ({repl_poll_ms}) must be below the {REPL_TTL_MS} ms lease TTL \
              or the follower can never renew the lease"
         ));
     }
@@ -508,7 +508,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
         monitor,
         shards,
         replica_of,
-        repl_ttl_ms,
         repl_poll_ms,
     };
     let net = NetConfig {
@@ -929,15 +928,15 @@ mod tests {
         let err = serve(&parse_str("serve --replica-of 127.0.0.1:1")).unwrap_err();
         assert!(err.contains("--replica-of requires --wal"), "{err}");
         let err = serve(&parse_str(
-            "serve --replica-of 127.0.0.1:1 --wal /tmp/x --repl-ttl-ms 0",
+            "serve --replica-of 127.0.0.1:1 --wal /tmp/x --repl-poll-ms 0",
         ))
         .unwrap_err();
         assert!(err.contains("must be positive"), "{err}");
         let err = serve(&parse_str(
-            "serve --replica-of 127.0.0.1:1 --wal /tmp/x --repl-ttl-ms 100 --repl-poll-ms 100",
+            "serve --replica-of 127.0.0.1:1 --wal /tmp/x --repl-poll-ms 1500",
         ))
         .unwrap_err();
-        assert!(err.contains("below --repl-ttl-ms"), "{err}");
+        assert!(err.contains("below the 1500 ms lease TTL"), "{err}");
         // An empty --addr list is rejected before any connect.
         let err = loadgen(&parse_str("loadgen --addr ,")).unwrap_err();
         assert!(err.contains("at least one HOST:PORT"), "{err}");

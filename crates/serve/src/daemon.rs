@@ -1,20 +1,23 @@
-//! The tracond network front end: the poll-based connection reactor for
-//! the newline-delimited JSON protocol, `N` scheduler-shard worker
-//! threads, and a minimal HTTP listener for `/healthz` and `/metrics`.
+//! The tracond network front end. A daemon with `N` shards runs one
+//! thread per job, `N + 2` of them with a WAL and `N + 1` without:
 //!
-//! Everything is hand-rolled on `std::net` and `std::sync::mpsc`. The
-//! reactor thread (`crate::reactor`) owns every protocol socket and
-//! decodes and routes requests; each worker thread exclusively owns one
-//! [`Service`] shard — no mutex anywhere on the request path. Workers
-//! self-tick on their channel's receive timeout, so batch-deadline
-//! dispatch and lease expiry keep running under load or silence alike.
-//! The HTTP listener stays thread-per-connection (two tiny GET
-//! endpoints), reaping finished handles on every accept pass so a
-//! long-lived daemon cannot accumulate dead threads.
+//! - `tracond-reactor` (`crate::reactor`) owns every socket: the
+//!   newline-delimited JSON protocol, whose requests it decodes and
+//!   routes, and the HTTP `/healthz` and `/metrics` it answers itself.
+//! - `tracond-shard{i}` exclusively owns one [`Service`] shard — no mutex
+//!   anywhere on the request path. Workers self-tick on their channel's
+//!   receive timeout, so batch-deadline dispatch and lease expiry keep
+//!   running under load or silence alike.
+//! - `tracond-repl`, on a WAL-backed node only, acts for the node's
+//!   current replication role: it pulls from the leader while following,
+//!   probes for a leader to rejoin while fenced, and scrubs the WAL
+//!   while leading.
+//!
+//! Everything is hand-rolled on `std::net` and `std::sync::mpsc`, and
+//! [`DaemonHandle::join`] joins every thread.
 
 use std::collections::HashMap;
-use std::io::{ErrorKind as IoErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -24,13 +27,13 @@ use std::time::{Duration, Instant};
 use tracon_core::AppId;
 use tracon_dcsim::Testbed;
 
-use crate::json::{n, obj, Quoted, Value};
+use crate::json::{n, Quoted, Value};
 use crate::metrics::Metrics;
 use crate::proto::{encode_reply, Demand, ErrorKind, Reply, Request, ResultLine};
 use crate::reactor::{self, OutMsg, OutSender, ReactorConfig, ShardMsg};
 use crate::repl::{
-    follower::{probe_peer, run_follower, sleep_or_shutdown, FollowerConfig, Node},
-    read_sidecar, ReplState, Role, RoleEvent, RoleState, ShipLog,
+    follower::{probe_peer, run_repl, FollowerConfig, Node},
+    read_sidecar, ReplState, RoleEvent, RoleState, ShipLog, REPL_TTL_MS,
 };
 use crate::shard::{recover_dir, restore_shards, shard_machines};
 use crate::state::{Refusal, ServeConfig, Service};
@@ -51,8 +54,7 @@ pub struct NetConfig {
     pub write_timeout_ms: u64,
     /// Longest accepted request line; longer lines are rejected.
     pub max_line_bytes: usize,
-    /// Poll interval for the reactor, worker self-ticks, and the HTTP
-    /// accept loop.
+    /// Poll interval for the reactor and worker self-ticks.
     pub tick_ms: u64,
 }
 
@@ -79,8 +81,7 @@ pub struct DaemonHandle {
     pub http_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     metrics: Arc<Metrics>,
-    core_threads: Vec<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl DaemonHandle {
@@ -102,29 +103,21 @@ impl DaemonHandle {
     /// Wait for the daemon to stop and every spawned thread to exit.
     /// Panics if any thread panicked, which would mean a protocol line
     /// escaped the decode layer's totality guarantee.
-    pub fn join(mut self) {
-        let mut panicked = 0usize;
-        for handle in self.core_threads.drain(..) {
-            if handle.join().is_err() {
-                panicked += 1;
-            }
-        }
-        let mut conns = match self.conn_threads.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        for handle in conns.drain(..) {
-            if handle.join().is_err() {
-                panicked += 1;
-            }
-        }
+    pub fn join(self) {
+        let panicked = self
+            .threads
+            .into_iter()
+            .map(JoinHandle::join)
+            .filter(Result::is_err)
+            .count();
         assert!(panicked == 0, "{panicked} daemon thread(s) panicked");
     }
 }
 
 /// Boot a daemon: build the shard services (recovering from every WAL in
-/// `cfg.wal_dir` when set), bind both listeners, spawn the reactor, the
-/// workers, and the HTTP accept loop, and return once the ports are live.
+/// `cfg.wal_dir` when set), bind both listeners, spawn the workers, the
+/// replication thread (with a WAL) and the reactor, and return once the
+/// ports are live.
 pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Result<DaemonHandle> {
     let shards = cfg.shards.max(1);
     if shards > cfg.machines {
@@ -195,7 +188,6 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
     let http_addr = http_listener.local_addr()?;
 
     let shutdown = Arc::new(AtomicBool::new(false));
-    let draining = Arc::new(AtomicBool::new(false));
     let (shard_txs, shard_rxs): (Vec<_>, Vec<_>) =
         (0..shards).map(|_| mpsc::channel::<ShardMsg>()).unzip();
 
@@ -238,7 +230,6 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
             dir,
             shards,
             snapshot_every: cfg.wal_snapshot_every,
-            ttl_ms: cfg.repl_ttl_ms,
             poll_ms: cfg.repl_poll_ms,
         };
         // Every WAL-backed node is leader-capable, but one that ran
@@ -247,8 +238,7 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
         // leader's bounded lease retries fired into the void. So the
         // boot is a transition like any other — from what the sidecar
         // last said, on what the recorded peer answers now.
-        let state =
-            RoleState::from_sidecar(&repl_cfg.self_addr, repl_cfg.ttl_ms, shards, &sidecar, 0);
+        let state = RoleState::from_sidecar(&repl_cfg.self_addr, REPL_TTL_MS, shards, &sidecar, 0);
         let probe = match cfg.replica_of {
             Some(_) => None,
             None => state
@@ -274,10 +264,8 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
         node = Some(booted);
     }
 
-    let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
     let tick = Duration::from_millis(net.tick_ms.max(1));
-    let mut core_threads = Vec::new();
+    let mut threads = Vec::new();
 
     // The shared out channel + wake pipe.
     let (out_tx, out_rx) = mpsc::channel::<OutMsg>();
@@ -289,91 +277,40 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
     for (i, (svc, rx)) in services.into_iter().zip(shard_rxs).enumerate() {
         let out = out.clone();
         let shutdown = Arc::clone(&shutdown);
-        core_threads.push(spawn_named(format!("tracond-shard{i}"), move || {
+        threads.push(spawn_named(format!("tracond-shard{i}"), move || {
             shard_worker(svc, rx, out, shutdown, tick);
         })?);
     }
 
     if let Some(node) = &node {
-        // The follower replication thread: pulls WAL frames from the
-        // leader and promotes this node when the leader's lease lapses.
-        if cfg.replica_of.is_some() {
-            let node = Arc::clone(node);
-            core_threads.push(spawn_named("tracond-follow".into(), move || {
-                run_follower(&node)
-            })?);
-        }
-        // Background WAL scrubber for leader/standalone nodes (a follower
-        // scrubs inline in its pull loop, where it can also repair), plus
-        // the self-healing rejoin supervisor.
-        let scrubbed = Arc::clone(node);
-        core_threads.push(spawn_named("tracond-scrub".into(), move || {
-            scrub_loop(&scrubbed)
-        })?);
         let node = Arc::clone(node);
-        core_threads.push(spawn_named("tracond-rejoin".into(), move || {
-            rejoin_supervisor(&node)
-        })?);
+        threads.push(spawn_named("tracond-repl".into(), move || run_repl(&node))?);
     }
 
-    // The reactor thread: owns the protocol listener and every client.
-    {
-        let reactor_cfg = ReactorConfig {
-            listener,
-            net: net.clone(),
-            shard_txs,
-            out_rx,
-            wake_rx,
-            shutdown: Arc::clone(&shutdown),
-            draining: Arc::clone(&draining),
-            metrics: Arc::clone(&metrics),
-            app_ids,
-            apps,
-            node,
-        };
-        core_threads.push(spawn_named("tracond-reactor".into(), move || {
-            reactor::run(reactor_cfg)
-        })?);
-    }
-
-    // HTTP accept loop: one short-lived thread per connection, finished
-    // handles reaped every pass so the Vec stays bounded by concurrency,
-    // not by daemon lifetime.
-    {
-        let shutdown = Arc::clone(&shutdown);
-        let draining = Arc::clone(&draining);
-        let metrics = Arc::clone(&metrics);
-        let conn_threads = Arc::clone(&conn_threads);
-        core_threads.push(spawn_named("tracond-http".into(), move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match http_listener.accept() {
-                    Ok((stream, _)) => {
-                        let draining = Arc::clone(&draining);
-                        let metrics = Arc::clone(&metrics);
-                        let handle = std::thread::spawn(move || {
-                            serve_http(stream, &draining, &metrics);
-                        });
-                        let mut guard = match conn_threads.lock() {
-                            Ok(guard) => guard,
-                            Err(poisoned) => poisoned.into_inner(),
-                        };
-                        guard.push(handle);
-                        reap_finished(&mut guard);
-                    }
-                    Err(e) if e.kind() == IoErrorKind::WouldBlock => std::thread::sleep(tick),
-                    Err(_) => std::thread::sleep(tick),
-                }
-            }
-        })?);
-    }
+    // The reactor thread: owns both listeners and every client.
+    let reactor_cfg = ReactorConfig {
+        listener,
+        http_listener,
+        net,
+        shard_txs,
+        out_rx,
+        wake_rx,
+        shutdown: Arc::clone(&shutdown),
+        metrics: Arc::clone(&metrics),
+        app_ids,
+        apps,
+        node,
+    };
+    threads.push(spawn_named("tracond-reactor".into(), move || {
+        reactor::run(reactor_cfg)
+    })?);
 
     Ok(DaemonHandle {
         addr,
         http_addr,
         shutdown,
         metrics,
-        core_threads,
-        conn_threads,
+        threads,
     })
 }
 
@@ -395,67 +332,6 @@ fn boot_nonce() -> u64 {
         .unwrap_or(1);
     // Never zero, and distinct across same-nanosecond restarts in tests.
     (nanos ^ (u64::from(std::process::id()) << 32)) | 1
-}
-
-/// Cadence of the leader/standalone background WAL scrubber.
-const SCRUB_LOOP_MS: u64 = 2_000;
-
-/// Background scrub for nodes whose WAL is authoritative (standalone, or
-/// the current leader of a pair — a follower scrubs inline in its pull
-/// loop). It only flags: each shard worker, the one writer of its log,
-/// heals a rotten shard at its next wake by compacting the table it
-/// holds, which covers everything replay could have read and everything
-/// appended since this pass read the files.
-fn scrub_loop(node: &Node) {
-    let (dir, metrics) = (&node.cfg.dir, node.repl.metrics());
-    while !sleep_or_shutdown(&node.shutdown, SCRUB_LOOP_MS) {
-        if node.repl.role() == Role::Leader {
-            crate::wal::scrub_pass(dir, node.cfg.shards, metrics);
-        }
-    }
-}
-
-/// How often a fenced node probes for a live leader to rejoin under.
-const REJOIN_PROBE_MS: u64 = 300;
-
-/// The self-healing rejoin supervisor: a node fenced mid-flight (by a
-/// promoted peer's lease, a higher-epoch pull, or the boot probe) keeps
-/// probing its leader hint and feeds every answer to the role machine.
-/// Once a live leader answers there the machine demotes the node — every
-/// shard worker surrenders its state and WAL handle, the shard files are
-/// wiped, the sidecar says follower — and this thread becomes the
-/// follower loop until the node promotes again. Loops for the life of
-/// the daemon so the pair survives any number of role swaps.
-fn rejoin_supervisor(node: &Node) {
-    while !sleep_or_shutdown(&node.shutdown, REJOIN_PROBE_MS) {
-        let state = node.repl.state();
-        if state.role() != Role::Fenced {
-            continue;
-        }
-        let asked = state.probe(false);
-        let Some((epoch, role)) = asked.and_then(|(to, at)| probe_peer(to, at, &state.me)) else {
-            continue;
-        };
-        // Refused (the hint does not lead) or failed (a wipe error, a
-        // shutdown mid-demote): still fenced, asked again next round.
-        let _ = node.drive(RoleEvent::ProbeResult { epoch, role });
-        if node.repl.role() == Role::Follower {
-            run_follower(node);
-        }
-    }
-}
-
-/// Join every connection thread that has already returned, keeping the
-/// Vec's length proportional to live connections.
-fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
-    let mut i = 0;
-    while i < handles.len() {
-        if handles[i].is_finished() {
-            let _ = handles.swap_remove(i).join();
-        } else {
-            i += 1;
-        }
-    }
 }
 
 /// One shard's worker loop: exclusively owns its [`Service`] — every task
@@ -596,7 +472,7 @@ fn run_batch(
                     svc.restore(wal, tasks, next_task_id, now);
                 }
                 ShardMsg::Demote { done } => {
-                    // The rejoin supervisor is folding this fenced node
+                    // The replication thread is folding this fenced node
                     // back into a follower: drop every task and the WAL
                     // handle so the shard files can be wiped and resynced
                     // from the new leader's snapshot. Commit first, while
@@ -736,89 +612,13 @@ fn refusal_reply(id: Option<String>, refusal: Refusal) -> Reply {
     }
 }
 
-/// Answer one HTTP connection: `GET /healthz` or `GET /metrics`.
-fn serve_http(mut stream: TcpStream, draining: &AtomicBool, metrics: &Arc<Metrics>) {
-    stream
-        .set_read_timeout(Some(Duration::from_millis(500)))
-        .ok();
-    stream
-        .set_write_timeout(Some(Duration::from_millis(1_000)))
-        .ok();
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    // Read until the header terminator; these are tiny GET requests. The
-    // hard deadline reaps clients that trickle bytes to dodge the read
-    // timeout, so one slow connection cannot pin its thread forever.
-    let deadline = Instant::now() + Duration::from_millis(2_000);
-    loop {
-        if Instant::now() > deadline {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(count) => {
-                buf.extend_from_slice(&chunk[..count]);
-                if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() > 8192 {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    let request = String::from_utf8_lossy(&buf);
-    let target = request
-        .lines()
-        .next()
-        .and_then(|line| line.split_whitespace().nth(1))
-        .unwrap_or("");
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let (status, content_type, body) = match path {
-        "/healthz" => {
-            // `?strict=1` turns silent storage degradation into a
-            // non-200 so orchestrators can page on it: a daemon with a
-            // shard whose files lack something it acked is up, but not
-            // durable.
-            let strict = query.split('&').any(|kv| kv == "strict=1");
-            let degraded = metrics.wal_degraded();
-            let failing = strict && degraded;
-            (
-                if failing {
-                    "503 Service Unavailable"
-                } else {
-                    "200 OK"
-                },
-                "application/json",
-                obj(vec![
-                    ("ok", Value::Bool(!failing)),
-                    ("draining", Value::Bool(draining.load(Ordering::SeqCst))),
-                    ("wal_degraded", Value::Bool(degraded)),
-                ])
-                .to_string(),
-            )
-        }
-        "/metrics" => (
-            "200 OK",
-            "text/plain; version=0.0.4",
-            metrics.render_prometheus(),
-        ),
-        _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
-    };
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = stream.write_all(response.as_bytes());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::cell::Cell;
     use std::path::{Path, PathBuf};
 
+    use crate::json::obj;
     use crate::metrics::Degraded;
     use crate::state::SchedKind;
     use crate::wal::Wal;

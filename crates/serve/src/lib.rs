@@ -14,17 +14,20 @@
 //!   JSON value/parser/serializer for the wire protocol (total:
 //!   malformed input is an error value, never a panic).
 //! * [`proto`] — versioned request/reply types and their codec.
-//! * [`metrics`] — atomic counters and the Prometheus text exposition
-//!   served on `GET /metrics`, each shard's durability health (the one
+//! * [`metrics`] — atomic counters, the Prometheus text exposition
+//!   served on `GET /metrics` and the answers to the two HTTP requests, each shard's durability health (the one
 //!   owner of degrade and heal), and the one structured event emitter.
 //! * [`state`] — the service core, one instance owned by each shard
 //!   worker: bounded admission queue, per-arrival (MIOS) and
 //!   batch-window (MIBS/MIX) dispatch, completion-driven model
 //!   adaptation.
-//! * [`daemon`] — one poll reactor owning every protocol socket, one
-//!   worker thread per shard (it also runs that shard's dispatch tick
-//!   and lease expiry), and a small HTTP health/metrics listener; every
-//!   thread is joined on shutdown.
+//! * [`daemon`] — one thread per job: a poll reactor owning every socket
+//!   (the protocol, and the `/healthz` and `/metrics` it answers
+//!   itself), one worker thread per shard (it also runs that shard's
+//!   dispatch tick and lease expiry), and with a WAL one replication
+//!   thread that follows, rejoins or scrubs as the node's role asks —
+//!   `N + 2` threads for `N` shards, `N + 1` in memory, every one joined
+//!   on shutdown.
 //! * [`client`] — a small blocking protocol client.
 //! * [`loadgen`] — open-/closed-loop Poisson load generation with
 //!   throughput and latency-percentile reporting, plus a chaos mode that

@@ -153,41 +153,45 @@ enum Action {
     Complete(u64),
 }
 
+impl Action {
+    fn verb(&self) -> &'static str {
+        match self {
+            Action::Submit(_) => "submit",
+            Action::Poll(_) => "poll",
+            Action::Complete(_) => "complete",
+        }
+    }
+}
+
 /// Upper bound on `not_leader` failovers one clean-path run absorbs
 /// before giving up (a redirect loop means the cluster is misconfigured).
 const MAX_FAILOVERS: usize = 8;
 
-/// Reconnect after a `not_leader` refusal: the hinted address first, then
-/// the primary and the failover list, retrying briefly — a promotion in
-/// progress needs a moment before the new leader starts serving.
-fn follow_leader(
-    cfg: &LoadgenConfig,
-    hint: Option<String>,
-    failovers: &mut usize,
+/// Connect to the first of `preferred` (a `not_leader` hint), then
+/// `addrs`, that answers, walking them again every 50 ms until `budget_ms`
+/// has passed: a promotion or a restart in progress needs a moment before
+/// the new leader listens. Counts each success in `connects`.
+fn reconnect(
+    preferred: Option<&str>,
+    addrs: &[String],
+    budget_ms: u64,
+    connects: &mut usize,
 ) -> Result<Client, String> {
-    *failovers += 1;
-    if *failovers > MAX_FAILOVERS {
-        return Err(format!(
-            "gave up after {MAX_FAILOVERS} not-leader failovers; no stable leader"
-        ));
-    }
-    let mut targets: Vec<&str> = Vec::new();
-    if let Some(addr) = hint.as_deref() {
-        targets.push(addr);
-    }
-    targets.push(cfg.addr.as_str());
-    targets.extend(cfg.addrs.iter().map(String::as_str));
-    let deadline = Instant::now() + Duration::from_millis(5_000);
+    let deadline = Instant::now() + Duration::from_millis(budget_ms.max(1));
     loop {
-        for addr in &targets {
+        for addr in preferred
+            .into_iter()
+            .chain(addrs.iter().map(String::as_str))
+        {
             if let Ok(client) = Client::connect_with_timeout(addr, Duration::from_millis(500)) {
+                *connects += 1;
                 return Ok(client);
             }
         }
         if Instant::now() > deadline {
-            return Err(format!("no daemon reachable at any of {targets:?}"));
+            return Err(format!("no daemon reachable at any of {addrs:?}"));
         }
-        std::thread::sleep(Duration::from_millis(100));
+        std::thread::sleep(Duration::from_millis(50));
     }
 }
 
@@ -259,95 +263,102 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     let mut retries = 0usize;
     let mut failovers = 0usize;
 
+    // The primary, then the failover list.
+    let addrs: Vec<String> = std::iter::once(&cfg.addr)
+        .chain(&cfg.addrs)
+        .cloned()
+        .collect();
+
     while let Some(Reverse((due_us, _, action))) = heap.pop() {
         let now_us = start.elapsed().as_micros() as u64;
         if due_us > now_us {
             std::thread::sleep(Duration::from_micros(due_us - now_us));
         }
-        match action {
-            Action::Submit(i) => {
-                let app = &apps[arrivals[i].app_idx % apps.len()];
-                let sent_us = start.elapsed().as_micros() as u64;
-                let reply = client
-                    .request(Request::Submit {
-                        app: app.clone(),
-                        demand: None,
-                    })
-                    .map_err(|e| format!("submit: {e}"))?;
-                match reply {
-                    Reply::Ok { result, .. } => {
-                        admitted += 1;
-                        let task = result
-                            .get("task")
-                            .and_then(Value::as_u64)
-                            .ok_or("submit reply without task id")?;
-                        let predicted = result
-                            .get("predicted_runtime")
-                            .and_then(Value::as_f64)
-                            .unwrap_or(1.0);
-                        in_flight.insert(
-                            task,
-                            InFlight {
-                                submitted_us: sent_us,
-                                predicted_runtime: predicted,
-                            },
-                        );
-                        let now = start.elapsed().as_micros() as u64;
-                        if result.get("state").and_then(Value::as_str) == Some("placed") {
-                            push(
-                                &mut heap,
-                                now + exec_us(cfg, predicted),
-                                Action::Complete(task),
-                            );
-                        } else {
-                            push(&mut heap, now + cfg.poll_ms * 1_000, Action::Poll(task));
-                        }
-                    }
-                    Reply::Error {
-                        kind: ErrorKind::Backpressure,
-                        retry_after_ms,
-                        ..
-                    } => {
-                        retries += 1;
-                        let delay_ms = retry_after_ms.unwrap_or(50).max(1);
-                        let now = start.elapsed().as_micros() as u64;
-                        push(&mut heap, now + delay_ms * 1_000, Action::Submit(i));
-                    }
-                    Reply::Error {
-                        kind: ErrorKind::NotLeader,
-                        leader,
-                        ..
-                    } => {
-                        let hint = leader.and_then(|h| h.leader_addr);
-                        client = follow_leader(cfg, hint, &mut failovers)?;
-                        let now = start.elapsed().as_micros() as u64;
-                        push(&mut heap, now, Action::Submit(i));
-                    }
-                    Reply::Error { kind, message, .. } => {
-                        return Err(format!("submit rejected ({}): {message}", kind.as_str()))
-                    }
+        let request = match &action {
+            Action::Submit(i) => Request::Submit {
+                app: apps[arrivals[*i].app_idx % apps.len()].clone(),
+                demand: None,
+            },
+            Action::Poll(task) => Request::TaskInfo { task: *task },
+            Action::Complete(task) => {
+                let entry = in_flight
+                    .get(task)
+                    .ok_or_else(|| format!("completion for unknown in-flight task {task}"))?;
+                completion(&mut rng, *task, entry.predicted_runtime)
+            }
+        };
+        let sent_us = start.elapsed().as_micros() as u64;
+        let reply = client
+            .request(request)
+            .map_err(|e| format!("{}: {e}", action.verb()))?;
+        // Any refused request goes again, to the leader the refusal
+        // names (a poll after its usual pause).
+        if let Reply::Error {
+            kind: ErrorKind::NotLeader,
+            leader,
+            ..
+        } = reply
+        {
+            if failovers >= MAX_FAILOVERS {
+                return Err(format!(
+                    "gave up after {MAX_FAILOVERS} not-leader failovers; no stable leader"
+                ));
+            }
+            let hint = leader.and_then(|h| h.leader_addr);
+            client = reconnect(hint.as_deref(), &addrs, 5_000, &mut failovers)?;
+            let pause_us = match action {
+                Action::Poll(_) => cfg.poll_ms * 1_000,
+                _ => 0,
+            };
+            let now = start.elapsed().as_micros() as u64;
+            push(&mut heap, now + pause_us, action);
+            continue;
+        }
+        let now = start.elapsed().as_micros() as u64;
+        match (action, reply) {
+            (Action::Submit(_), Reply::Ok { result, .. }) => {
+                admitted += 1;
+                let task = result
+                    .get("task")
+                    .and_then(Value::as_u64)
+                    .ok_or("submit reply without task id")?;
+                let predicted = result
+                    .get("predicted_runtime")
+                    .and_then(Value::as_f64)
+                    .unwrap_or(1.0);
+                in_flight.insert(
+                    task,
+                    InFlight {
+                        submitted_us: sent_us,
+                        predicted_runtime: predicted,
+                    },
+                );
+                if result.get("state").and_then(Value::as_str) == Some("placed") {
+                    push(
+                        &mut heap,
+                        now + exec_us(cfg, predicted),
+                        Action::Complete(task),
+                    );
+                } else {
+                    push(&mut heap, now + cfg.poll_ms * 1_000, Action::Poll(task));
                 }
             }
-            Action::Poll(task) => {
-                let reply = client
-                    .request(Request::TaskInfo { task })
-                    .map_err(|e| format!("poll: {e}"))?;
-                let result = match reply {
-                    Reply::Ok { result, .. } => result,
-                    Reply::Error {
-                        kind: ErrorKind::NotLeader,
-                        leader,
-                        ..
-                    } => {
-                        let hint = leader.and_then(|h| h.leader_addr);
-                        client = follow_leader(cfg, hint, &mut failovers)?;
-                        let now = start.elapsed().as_micros() as u64;
-                        push(&mut heap, now + cfg.poll_ms * 1_000, Action::Poll(task));
-                        continue;
-                    }
-                    _ => return Err(format!("poll of task {task} failed")),
-                };
-                let now = start.elapsed().as_micros() as u64;
+            (
+                Action::Submit(i),
+                Reply::Error {
+                    kind: ErrorKind::Backpressure,
+                    retry_after_ms,
+                    ..
+                },
+            ) => {
+                retries += 1;
+                let delay_ms = retry_after_ms.unwrap_or(50).max(1);
+                push(&mut heap, now + delay_ms * 1_000, Action::Submit(i));
+            }
+            (Action::Submit(_), Reply::Error { kind, message, .. }) => {
+                return Err(format!("submit rejected ({}): {message}", kind.as_str()))
+            }
+            (Action::Poll(task), Reply::Ok { result, .. }) => {
                 match result.get("state").and_then(Value::as_str) {
                     Some("running") => {
                         let predicted = result
@@ -374,41 +385,24 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
                     }
                 }
             }
-            Action::Complete(task) => {
-                let entry = in_flight
-                    .remove(&task)
-                    .ok_or_else(|| format!("completion for unknown in-flight task {task}"))?;
-                let reply = client
-                    .request(completion(&mut rng, task, entry.predicted_runtime))
-                    .map_err(|e| format!("complete: {e}"))?;
-                match reply {
-                    Reply::Ok { .. } => {
-                        completed += 1;
-                        let now = start.elapsed().as_micros() as u64;
-                        sojourns_ms.push((now - entry.submitted_us) as f64 / 1_000.0);
-                        if cfg.mode == LoadMode::Closed && next_arrival < cfg.requests {
-                            push(&mut heap, now, Action::Submit(next_arrival));
-                            next_arrival += 1;
-                        }
-                    }
-                    Reply::Error {
-                        kind: ErrorKind::NotLeader,
-                        leader,
-                        ..
-                    } => {
-                        let hint = leader.and_then(|h| h.leader_addr);
-                        client = follow_leader(cfg, hint, &mut failovers)?;
-                        in_flight.insert(task, entry);
-                        let now = start.elapsed().as_micros() as u64;
-                        push(&mut heap, now, Action::Complete(task));
-                    }
-                    Reply::Error { kind, message, .. } => {
-                        return Err(format!(
-                            "completion of task {task} rejected ({}): {message}",
-                            kind.as_str()
-                        ))
-                    }
+            (Action::Poll(task), Reply::Error { .. }) => {
+                return Err(format!("poll of task {task} failed"))
+            }
+            (Action::Complete(task), Reply::Ok { .. }) => {
+                completed += 1;
+                if let Some(entry) = in_flight.remove(&task) {
+                    sojourns_ms.push((now - entry.submitted_us) as f64 / 1_000.0);
                 }
+                if cfg.mode == LoadMode::Closed && next_arrival < cfg.requests {
+                    push(&mut heap, now, Action::Submit(next_arrival));
+                    next_arrival += 1;
+                }
+            }
+            (Action::Complete(task), Reply::Error { kind, message, .. }) => {
+                return Err(format!(
+                    "completion of task {task} rejected ({}): {message}",
+                    kind.as_str()
+                ))
             }
         }
     }
@@ -655,30 +649,6 @@ impl WireStatus {
     }
 }
 
-fn connect_failover(
-    addrs: &[String],
-    preferred: Option<&str>,
-    timeout_ms: u64,
-    reconnects: &mut usize,
-) -> Result<Client, String> {
-    let deadline = Instant::now() + Duration::from_millis(timeout_ms.max(1));
-    loop {
-        // The believed leader first (a `not_leader` hint), then the
-        // configured list in order.
-        let preferred = preferred.into_iter();
-        for addr in preferred.chain(addrs.iter().map(String::as_str)) {
-            if let Ok(client) = Client::connect_with_timeout(addr, Duration::from_secs(2)) {
-                *reconnects += 1;
-                return Ok(client);
-            }
-        }
-        if Instant::now() > deadline {
-            return Err(format!("no daemon reachable at any of {addrs:?}"));
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
 /// Report one synthesized completion. A `not_leader` refusal redirects
 /// to the believed leader and retries the completion exactly once; a
 /// second refusal is terminal (a promoted leader requeued the task, so
@@ -692,9 +662,9 @@ fn chaos_complete(
     report: &mut ChaosReport,
 ) -> Result<(), String> {
     let reconnect = |hint: &Option<String>, reconnects: &mut usize| {
-        connect_failover(
-            &cfg.addrs,
+        reconnect(
             hint.as_deref(),
+            &cfg.addrs,
             cfg.reconnect_timeout_ms,
             reconnects,
         )
@@ -768,9 +738,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
     let mut leader_hint: Option<String> = None;
     macro_rules! reconnect {
         () => {
-            connect_failover(
-                &cfg.addrs,
+            reconnect(
                 leader_hint.as_deref(),
+                &cfg.addrs,
                 cfg.reconnect_timeout_ms,
                 &mut report.reconnects,
             )?

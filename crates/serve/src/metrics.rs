@@ -1,8 +1,10 @@
-//! Lock-free daemon counters and their Prometheus text exposition.
+//! Lock-free daemon counters, their Prometheus text exposition, and the
+//! answer to the monitor's two HTTP requests (`http_response`).
 //!
-//! Every counter is a relaxed atomic updated from the connection threads and
-//! read by the HTTP listener; exactness across concurrent readers is not
-//! required, monotonicity of each individual counter is. The dispatch
+//! Every counter is a relaxed atomic updated from the reactor, the shard
+//! workers and the replication thread, and read when the reactor answers
+//! `GET /metrics`; exactness across concurrent readers is not required,
+//! monotonicity of each individual counter is. The dispatch
 //! latency histogram (submit → placement, wall clock) uses fixed
 //! millisecond buckets rendered in the cumulative `le` form Prometheus
 //! expects.
@@ -15,6 +17,8 @@
 use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
+
+use crate::json::{obj, Value};
 
 /// Upper bounds (milliseconds) of the dispatch-latency histogram buckets;
 /// an implicit `+Inf` bucket follows.
@@ -471,9 +475,145 @@ impl Metrics {
     }
 }
 
+/// Longest HTTP request head read before it is answered as it stands.
+const HTTP_HEAD_MAX: usize = 8 * 1024;
+
+/// Whether `head` is all of an HTTP request the daemon reads: it holds
+/// the blank line that ends the head, or more than 8 KiB.
+pub(crate) fn http_head_ready(head: &[u8]) -> bool {
+    head.len() > HTTP_HEAD_MAX || head.windows(4).any(|w| w == b"\r\n\r\n")
+}
+
+/// The whole `Connection: close` response to one HTTP request head:
+/// `GET /healthz` (JSON `{ok, draining, wal_degraded}`; with
+/// `?strict=1`, 503 while a shard is degraded), `GET /metrics` (the
+/// Prometheus exposition), and 404 for anything else. Only the request
+/// line's target is read.
+pub(crate) fn http_response(head: &[u8], draining: bool, metrics: &Metrics) -> Vec<u8> {
+    let request = String::from_utf8_lossy(head);
+    let target = request
+        .lines()
+        .next()
+        .and_then(|line| line.split_whitespace().nth(1))
+        .unwrap_or("");
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let (status, content_type, body) = match path {
+        "/healthz" => {
+            // `?strict=1` turns silent storage degradation into a
+            // non-200 so orchestrators can page on it: a daemon with a
+            // shard whose files lack something it acked is up, but not
+            // durable.
+            let strict = query.split('&').any(|kv| kv == "strict=1");
+            let degraded = metrics.wal_degraded();
+            let failing = strict && degraded;
+            let body = obj(vec![
+                ("ok", Value::Bool(!failing)),
+                ("draining", Value::Bool(draining)),
+                ("wal_degraded", Value::Bool(degraded)),
+            ]);
+            let status = if failing {
+                "503 Service Unavailable"
+            } else {
+                "200 OK"
+            };
+            (status, "application/json", body.to_string())
+        }
+        "/metrics" => (
+            "200 OK",
+            "text/plain; version=0.0.4",
+            metrics.render_prometheus(),
+        ),
+        _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
+    };
+    format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The answer to `head` as text, split at the blank line.
+    fn answer(head: &str, draining: bool, m: &Metrics) -> (String, String) {
+        let text = String::from_utf8(http_response(head.as_bytes(), draining, m)).unwrap();
+        let (top, body) = text.split_once("\r\n\r\n").unwrap();
+        let length = format!("\r\nContent-Length: {}\r\n", body.len());
+        assert!(top.contains(&length), "{top}");
+        assert!(top.ends_with("\r\nConnection: close"), "{top}");
+        (top.to_string(), body.to_string())
+    }
+
+    #[test]
+    fn http_answers_health_metrics_and_404() {
+        let m = Metrics::with_shards(2);
+        m.admissions.fetch_add(3, Ordering::Relaxed);
+        let get = |target: &str| format!("GET {target} HTTP/1.1\r\nHost: x\r\n\r\n");
+
+        let (top, body) = answer(&get("/healthz"), false, &m);
+        assert!(top.starts_with("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"));
+        assert_eq!(body, r#"{"ok":true,"draining":false,"wal_degraded":false}"#);
+        let (_, body) = answer(&get("/healthz"), true, &m);
+        assert_eq!(body, r#"{"ok":true,"draining":true,"wal_degraded":false}"#);
+
+        // Strict mode fails while any shard is degraded, and only then.
+        let strict = get("/healthz?x=1&strict=1");
+        let (top, _) = answer(&strict, false, &m);
+        assert!(top.starts_with("HTTP/1.1 200 OK\r\n"), "{top}");
+        m.degrade(1, Degraded::Rot, &[]);
+        let (top, body) = answer(&strict, false, &m);
+        assert!(
+            top.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{top}"
+        );
+        assert_eq!(body, r#"{"ok":false,"draining":false,"wal_degraded":true}"#);
+        let (top, body) = answer(&get("/healthz"), false, &m);
+        assert!(
+            top.starts_with("HTTP/1.1 200 OK\r\n"),
+            "lenient while degraded"
+        );
+        assert_eq!(body, r#"{"ok":true,"draining":false,"wal_degraded":true}"#);
+        m.heal(1, "compaction");
+        let (top, body) = answer(&strict, false, &m);
+        assert!(top.starts_with("HTTP/1.1 200 OK\r\n"), "{top}");
+        assert_eq!(body, r#"{"ok":true,"draining":false,"wal_degraded":false}"#);
+
+        let (top, body) = answer(&get("/metrics"), false, &m);
+        assert!(top.starts_with("HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n"));
+        assert_eq!(body, m.render_prometheus());
+        assert!(body.contains("\ntracond_admissions_total 3\n"), "{body}");
+
+        for head in [
+            get("/nope"),
+            get("/healthzx"),
+            String::new(),
+            "garbage".into(),
+        ] {
+            let (top, body) = answer(&head, false, &m);
+            assert!(top.starts_with("HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\n"));
+            assert_eq!(body, "not found\n", "{head:?}");
+        }
+    }
+
+    /// A head is answered at its blank line, or once it passes 8 KiB
+    /// without one, on its request line alone.
+    #[test]
+    fn an_http_head_is_ready_at_its_blank_line_or_past_8_kib() {
+        assert!(!http_head_ready(b""));
+        assert!(!http_head_ready(b"GET /metrics HTTP/1.1\r\nHost: x\r\n"));
+        assert!(http_head_ready(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"));
+        let mut long = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+        long.resize(HTTP_HEAD_MAX, b'a');
+        assert!(!http_head_ready(&long));
+        long.push(b'a');
+        assert!(http_head_ready(&long));
+        let m = Metrics::new();
+        let (top, body) = answer(std::str::from_utf8(&long).unwrap(), false, &m);
+        assert!(top.starts_with("HTTP/1.1 200 OK\r\n"), "{top}");
+        assert_eq!(body, m.render_prometheus());
+    }
 
     #[test]
     fn histogram_buckets_are_cumulative() {

@@ -1,5 +1,6 @@
 //! The poll-based connection reactor: one thread owns every client
-//! socket and routes decoded requests to scheduler-shard workers.
+//! socket — protocol and HTTP alike — and routes decoded requests to
+//! scheduler-shard workers.
 //!
 //! The pre-sharding daemon spent a thread per connection; this module
 //! replaces that with a single event loop multiplexed over `poll(2)`
@@ -26,6 +27,13 @@
 //! - `shutdown` is answered by the reactor itself, which then stops the
 //!   daemon once outstanding replies have flushed (or a short grace
 //!   period expires).
+//!
+//! The HTTP listener (`GET /healthz`, `GET /metrics`) is polled beside
+//! the protocol listener. An HTTP connection is read until its request
+//! head is complete ([`crate::metrics::http_head_ready`]) or the client
+//! half-closes, answered from [`crate::metrics::http_response`], and
+//! closed once the answer has flushed; the idle and write timeouts reap
+//! a client that stalls either way.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
@@ -40,7 +48,7 @@ use tracon_core::AppId;
 
 use crate::daemon::NetConfig;
 use crate::json::{n, obj, s, Quoted, Value};
-use crate::metrics::Metrics;
+use crate::metrics::{http_head_ready, http_response, Metrics};
 use crate::proto::{self, ErrorKind, Reply, Request, ResultLine, Strings};
 use crate::repl::follower::Node;
 use crate::repl::{Effect, PullVerdict, Role, RoleEvent};
@@ -261,12 +269,17 @@ struct Conn {
     pending: BTreeMap<u64, String>,
     /// Requests dispatched to shards with no reply yet.
     inflight: usize,
+    /// An HTTP client: `rbuf` gathers its request head, its one answer is
+    /// the only thing ever put in `wbuf`, and the connection closes once
+    /// that has flushed.
+    http: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, now: Instant) -> Conn {
+    fn new(stream: TcpStream, now: Instant, http: bool) -> Conn {
         Conn {
             stream,
+            http,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             discarding: false,
@@ -298,12 +311,12 @@ struct Agg {
 /// Everything the daemon hands the reactor thread at boot.
 pub(crate) struct ReactorConfig {
     pub listener: TcpListener,
+    pub http_listener: TcpListener,
     pub net: NetConfig,
     pub shard_txs: Vec<Sender<ShardMsg>>,
     pub out_rx: Receiver<OutMsg>,
     pub wake_rx: std::os::unix::net::UnixStream,
     pub shutdown: Arc<AtomicBool>,
-    pub draining: Arc<AtomicBool>,
     pub metrics: Arc<Metrics>,
     /// Profiled application name -> interned id, for decode-time routing.
     pub app_ids: HashMap<String, AppId>,
@@ -322,12 +335,14 @@ pub(crate) fn run(cfg: ReactorConfig) {
 
 struct Reactor {
     listener: TcpListener,
+    http_listener: TcpListener,
     net: NetConfig,
     shard_txs: Vec<Sender<ShardMsg>>,
     out_rx: Receiver<OutMsg>,
     wake_rx: std::os::unix::net::UnixStream,
     shutdown: Arc<AtomicBool>,
-    draining: Arc<AtomicBool>,
+    /// Set by the first `drain`; reported by `/healthz`.
+    draining: bool,
     metrics: Arc<Metrics>,
     app_ids: HashMap<String, AppId>,
     apps: Vec<String>,
@@ -353,12 +368,13 @@ impl Reactor {
         let repl_lag = vec![0u64; cfg.shard_txs.len()];
         Reactor {
             listener: cfg.listener,
+            http_listener: cfg.http_listener,
             net: cfg.net,
             shard_txs: cfg.shard_txs,
             out_rx: cfg.out_rx,
             wake_rx: cfg.wake_rx,
             shutdown: cfg.shutdown,
-            draining: cfg.draining,
+            draining: false,
             metrics: cfg.metrics,
             app_ids: cfg.app_ids,
             apps: cfg.apps,
@@ -385,21 +401,28 @@ impl Reactor {
                 break;
             }
 
-            // Build the poll set: listener, wake pipe, then every conn.
-            let mut fds: Vec<sys::PollFd> = Vec::with_capacity(self.conns.len() + 2);
+            // Build the poll set: listener, wake pipe, HTTP listener, then
+            // every conn.
+            const CONNS_AT: usize = 3;
+            let mut fds: Vec<sys::PollFd> = Vec::with_capacity(self.conns.len() + CONNS_AT);
             let mut ids: Vec<u64> = Vec::with_capacity(self.conns.len());
-            fds.push(sys::PollFd {
-                fd: self.listener.as_raw_fd(),
-                events: if self.accepting { sys::POLLIN } else { 0 },
-                revents: 0,
-            });
-            fds.push(sys::PollFd {
-                fd: self.wake_rx.as_raw_fd(),
-                events: sys::POLLIN,
-                revents: 0,
-            });
+            let fixed = [
+                (self.listener.as_raw_fd(), self.accepting),
+                (self.wake_rx.as_raw_fd(), true),
+                (self.http_listener.as_raw_fd(), true),
+            ];
+            for (fd, on) in fixed {
+                let events = if on { sys::POLLIN } else { 0 };
+                fds.push(sys::PollFd {
+                    fd,
+                    events,
+                    revents: 0,
+                });
+            }
             for (&id, conn) in &self.conns {
-                let mut events = sys::POLLIN;
+                // An answered HTTP client is only written to.
+                let answered = conn.http && !conn.wbuf.is_empty();
+                let mut events = if answered { 0 } else { sys::POLLIN };
                 if !conn.wbuf.is_empty() {
                     events |= sys::POLLOUT;
                 }
@@ -417,18 +440,21 @@ impl Reactor {
             let now = Instant::now();
 
             if fds[0].revents & (sys::POLLIN | sys::POLLERR) != 0 {
-                self.accept_new(now);
+                self.accept_new(false, now);
             }
             if fds[1].revents & sys::POLLIN != 0 {
                 let mut sink = [0u8; 256];
                 while matches!((&self.wake_rx).read(&mut sink), Ok(count) if count > 0) {}
+            }
+            if fds[2].revents & (sys::POLLIN | sys::POLLERR) != 0 {
+                self.accept_new(true, now);
             }
 
             // Shard results first so replies unblock ordered flushes below.
             self.drain_out();
 
             for (i, &id) in ids.iter().enumerate() {
-                let revents = fds[i + 2].revents;
+                let revents = fds[i + CONNS_AT].revents;
                 if revents & (sys::POLLIN | sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0 {
                     self.read_conn(id, now);
                 }
@@ -470,26 +496,28 @@ impl Reactor {
         }
     }
 
-    fn accept_new(&mut self, now: Instant) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    // Failpoint: drop the fresh connection on the floor,
-                    // as if the accept had failed under fd pressure.
-                    if crate::failpoint::should_fail("reactor.accept", "").is_some() {
-                        continue;
-                    }
-                    stream.set_nodelay(true).ok();
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let id = self.next_conn;
-                    self.next_conn += 1;
-                    self.conns.insert(id, Conn::new(stream, now));
-                }
-                Err(e) if e.kind() == IoErrorKind::WouldBlock => break,
-                Err(_) => break,
+    /// Accept every pending client of the protocol listener, or of the
+    /// HTTP one when `http`. The `reactor.*` failpoints act on protocol
+    /// connections only.
+    fn accept_new(&mut self, http: bool, now: Instant) {
+        let listener = if http {
+            &self.http_listener
+        } else {
+            &self.listener
+        };
+        while let Ok((stream, _)) = listener.accept() {
+            // Failpoint: drop the fresh connection on the floor, as if
+            // the accept had failed under fd pressure.
+            if !http && crate::failpoint::should_fail("reactor.accept", "").is_some() {
+                continue;
             }
+            stream.set_nodelay(true).ok();
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let id = self.next_conn;
+            self.next_conn += 1;
+            self.conns.insert(id, Conn::new(stream, now, http));
         }
     }
 
@@ -497,6 +525,10 @@ impl Reactor {
     /// pre-reactor per-thread loop: oversized frames get one structured
     /// error and their tail is discarded without being buffered.
     fn read_conn(&mut self, id: u64, now: Instant) {
+        if self.conns.get(&id).is_some_and(|conn| conn.http) {
+            self.read_http(id);
+            return;
+        }
         // Failpoint: the socket read "fails"; the connection is torn down
         // exactly as a real I/O error would tear it down.
         if crate::failpoint::should_fail("reactor.read", "").is_some() {
@@ -525,6 +557,38 @@ impl Reactor {
                 }
             }
         }
+    }
+
+    /// Read an HTTP client's request head and answer it once it is ready
+    /// or the client half-closes. A wake after the answer is a hang-up or
+    /// an error: the client is gone.
+    fn read_http(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        if !conn.wbuf.is_empty() {
+            self.close(id);
+            return;
+        }
+        let mut chunk = [0u8; 4096];
+        loop {
+            match conn.stream.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(count) => {
+                    conn.rbuf.extend_from_slice(&chunk[..count]);
+                    if http_head_ready(&conn.rbuf) {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == IoErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == IoErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.close(id);
+                    return;
+                }
+            }
+        }
+        conn.wbuf = http_response(&conn.rbuf, self.draining, &self.metrics);
     }
 
     /// Peel every complete line out of the connection's read buffer in
@@ -620,7 +684,7 @@ impl Reactor {
         match envelope.request {
             Request::Status => self.start_agg(id, seq, req_id, false),
             Request::Drain => {
-                self.draining.store(true, Ordering::SeqCst);
+                self.draining = true;
                 self.start_agg(id, seq, req_id, true);
             }
             Request::Shutdown => {
@@ -935,15 +999,15 @@ impl Reactor {
     }
 
     fn flush_conn(&mut self, id: u64, now: Instant) {
-        // Failpoint: the socket write "fails" mid-reply; clients see a
-        // dropped connection with the reply possibly half-delivered.
-        if crate::failpoint::should_fail("reactor.write", "").is_some() {
-            self.close(id);
-            return;
-        }
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
+        // Failpoint: the socket write "fails" mid-reply; clients see a
+        // dropped connection with the reply possibly half-delivered.
+        if !conn.http && crate::failpoint::should_fail("reactor.write", "").is_some() {
+            self.close(id);
+            return;
+        }
         while !conn.wbuf.is_empty() {
             match conn.stream.write(&conn.wbuf) {
                 Ok(0) => {
@@ -964,6 +1028,9 @@ impl Reactor {
                     return;
                 }
             }
+        }
+        if conn.http {
+            self.close(id); // Answered: `Connection: close`.
         }
     }
 

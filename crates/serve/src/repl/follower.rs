@@ -1,19 +1,19 @@
 //! The daemon side of replication: `Node`, which runs the effects of
 //! [`role::step`] against real files, sockets and shard workers, and the
-//! follower thread (`run_follower`) that feeds it pull replies and the
-//! clock.
+//! replication thread (`run_repl`) that feeds it pull replies, probe
+//! answers and the follower's clock.
 //!
-//! Nothing here decides a role. The reactor, this thread and the rejoin
-//! supervisor all go through `Node::drive`: decode an event, `step`,
-//! run the effects in order, commit the state if none of the required
-//! ones failed.
+//! Nothing here decides a role. The reactor and the replication thread
+//! both go through `Node::drive`: decode an event, `step`, run the
+//! effects in order, commit the state if none of the required ones
+//! failed.
 
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::client::Client;
 use crate::json::Value;
@@ -21,7 +21,9 @@ use crate::metrics::{Degraded, Metrics};
 use crate::proto::{ErrorKind, Reply, Request};
 use crate::reactor::ShardMsg;
 use crate::repl::role::{self, Effect, RoleEvent};
-use crate::repl::{decode_pull_chunk, lock, write_sidecar, PullChunk, ReplState, Role};
+use crate::repl::{
+    decode_pull_chunk, lock, write_sidecar, PullChunk, ReplState, Role, REPL_TTL_MS,
+};
 use crate::shard::recover_dir;
 use crate::table::TaskTable;
 use crate::wal::{self, remove_shard_files, Wal};
@@ -38,14 +40,12 @@ pub struct FollowerConfig {
     pub shards: usize,
     /// Snapshot cadence handed to promoted WAL handles.
     pub snapshot_every: u64,
-    /// Lease TTL: no successful pull for this long promotes the follower.
-    pub ttl_ms: u64,
     /// Pull cadence.
     pub poll_ms: u64,
 }
 
-/// One daemon's replication context, shared by the reactor, the follower
-/// thread and the rejoin supervisor.
+/// One daemon's replication context, shared by the reactor and the
+/// replication thread.
 pub(crate) struct Node {
     /// The role machine and its published view.
     pub repl: Arc<ReplState>,
@@ -192,7 +192,7 @@ impl Node {
 
 /// Sleep `ms` in 25 ms slices so shutdown stays snappy; true as soon as
 /// shutdown is requested.
-pub(crate) fn sleep_or_shutdown(shutdown: &AtomicBool, ms: u64) -> bool {
+fn sleep_or_shutdown(shutdown: &AtomicBool, ms: u64) -> bool {
     let mut slept = 0u64;
     loop {
         if shutdown.load(Ordering::SeqCst) {
@@ -207,19 +207,77 @@ pub(crate) fn sleep_or_shutdown(shutdown: &AtomicBool, ms: u64) -> bool {
     }
 }
 
+/// How often a fenced node probes for a live leader to rejoin under;
+/// also how soon the replication thread notices any role change that
+/// the reactor made.
+const REJOIN_PROBE_MS: u64 = 300;
+
+/// Cadence of the WAL scrub on a leader or standalone node.
+const SCRUB_LOOP_MS: u64 = 2_000;
+
+/// The replication thread, one per WAL-backed node, for the life of the
+/// daemon; what it does is the node's published role:
+///
+/// - **Follower**: [`run_follower`], until the node stops following.
+/// - **Fenced** (by a promoted peer's lease, a higher-epoch pull, or the
+///   boot probe): every [`REJOIN_PROBE_MS`], probe the leader hint and
+///   feed the answer to the role machine. Once a live leader answers,
+///   the machine demotes the node — every shard worker surrenders its
+///   state and WAL handle, the shard files are wiped, the sidecar says
+///   follower — and the next pass follows.
+/// - **Leader**: every [`SCRUB_LOOP_MS`], scrub the authoritative WAL.
+///   The scrub only flags: each shard worker, the one writer of its log,
+///   heals a rotten shard at its next wake by compacting the table it
+///   holds. (The leader's lease clock is the reactor's, which ticks it
+///   on every loop.)
+///
+/// So the pair survives any number of role swaps.
+pub(crate) fn run_repl(node: &Node) {
+    let mut next_scrub = Instant::now() + Duration::from_millis(SCRUB_LOOP_MS);
+    loop {
+        if node.repl.role() == Role::Follower {
+            run_follower(node);
+        }
+        let mut pause = Duration::from_millis(REJOIN_PROBE_MS);
+        if node.repl.role() == Role::Leader {
+            pause = pause.min(next_scrub.saturating_duration_since(Instant::now()));
+        }
+        if sleep_or_shutdown(&node.shutdown, pause.as_millis() as u64) {
+            return;
+        }
+        let state = node.repl.state();
+        match state.role() {
+            Role::Fenced => {
+                let asked = state.probe(false);
+                if let Some((epoch, role)) =
+                    asked.and_then(|(to, at)| probe_peer(to, at, &state.me))
+                {
+                    // Refused (the hint does not lead) or failed (a wipe
+                    // error, a shutdown mid-demote): still fenced, asked
+                    // again next round.
+                    let _ = node.drive(RoleEvent::ProbeResult { epoch, role });
+                }
+            }
+            Role::Leader if Instant::now() >= next_scrub => {
+                next_scrub = Instant::now() + Duration::from_millis(SCRUB_LOOP_MS);
+                crate::wal::scrub_pass(&node.cfg.dir, node.cfg.shards, node.repl.metrics());
+            }
+            Role::Leader | Role::Follower => {}
+        }
+    }
+}
+
 /// How often the follower re-walks its sealed WAL regions for bit rot.
 const SCRUB_INTERVAL_MS: u64 = 500;
 
-/// The follower replication thread: every poll round tick the role
-/// machine (which promotes this node when the leader's lease lapses),
-/// pull every shard from the current leader hint, append/install
-/// locally, and scrub the local WAL for rot (repairing by re-pulling the
-/// affected shard). It is the one writer of the shard logs while the
-/// node follows, so a scrub here never races an append. Returns when the
-/// daemon shuts down or this node stops following; if it is later
-/// fenced, the daemon's rejoin supervisor demotes it back into this
-/// loop.
-pub(crate) fn run_follower(node: &Node) {
+/// The follower's pull loop: every poll round tick the role machine
+/// (which promotes this node when the leader's lease lapses), pull every
+/// shard from the current leader hint, append/install locally, and scrub
+/// the local WAL for rot (repairing by re-pulling the affected shard).
+/// It is the one writer of the shard logs while the node follows, so a
+/// scrub here never races an append. Returns when the daemon shuts down
+/// or this node stops following.
+fn run_follower(node: &Node) {
     let Node { repl, cfg, .. } = node;
     let metrics = repl.metrics();
     // Per shard, the shipped stream — the leader's task table — rebuilt
@@ -228,7 +286,7 @@ pub(crate) fn run_follower(node: &Node) {
     let mut mirrors = vec![TaskTable::default(); lock(&node.wals).len()];
     let mut last_scrub_ms = repl.now_ms();
     let mut client: Option<(String, Client)> = None;
-    let connect_timeout = Duration::from_millis(cfg.ttl_ms.clamp(100, 2_000));
+    let connect_timeout = Duration::from_millis(REPL_TTL_MS.clamp(100, 2_000));
 
     while !node.shutdown.load(Ordering::SeqCst) {
         // A failed promotion (sidecar or recovery error) is proposed
@@ -403,7 +461,7 @@ const FENCE_ATTEMPTS: u32 = 8;
 /// out. Bounded on purpose: the predecessor's port may be reassigned to
 /// an unrelated process after it dies, so this must not retry forever.
 fn fence_predecessor(old_leader: &str, epoch: u64, cfg: &FollowerConfig, shutdown: &AtomicBool) {
-    let pause_ms = cfg.ttl_ms.clamp(100, 2_000);
+    let pause_ms = REPL_TTL_MS.clamp(100, 2_000);
     for attempt in 0..FENCE_ATTEMPTS {
         if let Ok(mut conn) = Client::connect_with_timeout(old_leader, Duration::from_millis(500)) {
             if let Ok(Reply::Ok { result, .. }) = conn.request(Request::ReplLease {
@@ -546,7 +604,6 @@ mod tests {
                 dir: dir.to_path_buf(),
                 shards: 1,
                 snapshot_every: 1_000,
-                ttl_ms: 100,
                 poll_ms: 10,
             },
             shard_txs: Vec::new(),

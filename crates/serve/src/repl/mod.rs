@@ -50,6 +50,11 @@ pub use follower::FollowerConfig;
 pub use role::{Effect, PullVerdict, RoleEvent, RoleState};
 pub use ship::{PullChunk, ShipLog, MAX_PULL_FRAMES};
 
+/// Leader lease TTL: a follower that completes no successful pull for
+/// this long promotes itself, and a leader whose follower has been silent
+/// this long suspends writes.
+pub const REPL_TTL_MS: u64 = 1_500;
+
 /// A node's replication role. The numeric values are the wire/metrics
 /// encoding (`tracond_repl_role`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +102,7 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 const SUSPENDED: u8 = 0x80;
 
 /// The replication state one daemon's threads share: the role machine
-/// (reactor, follower thread and rejoin supervisor step it under its
-/// mutex), what it last published (read lock-free), the ship log, and
+/// (the reactor and the replication thread step it under its mutex), what it last published (read lock-free), the ship log, and
 /// the metrics.
 pub struct ReplState {
     machine: Mutex<RoleState>,
@@ -286,7 +290,7 @@ fn bad_sidecar(path: &Path, why: &str) -> io::Error {
 /// rename over the sidecar, fsync the directory — the same discipline as
 /// snapshot installs, so a claimed epoch survives power loss before any
 /// request is served under it. The temp name carries a sequence number
-/// so two writers (follower thread vs reactor fence) cannot interleave
+/// so two writers (replication thread vs reactor fence) cannot interleave
 /// inside one temp file; last rename wins whole.
 pub fn write_sidecar(dir: &Path, sidecar: &EpochSidecar) -> io::Result<()> {
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);

@@ -953,7 +953,7 @@ mod tests {
     // The pair, as histories.
 
     /// One-way messages of the pair model. A pull is not one of them: in
-    /// the daemon it is a blocking round trip on the follower thread,
+    /// the daemon it is a blocking round trip on the replication thread,
     /// which cannot tick while one is outstanding, so the model runs the
     /// request and its reply in the same millisecond or not at all.
     enum Msg {

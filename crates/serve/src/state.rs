@@ -129,10 +129,8 @@ pub struct ServeConfig {
     /// Replicate from this leader address instead of serving mutations
     /// (`None` = standalone or leader). Requires `wal_dir`.
     pub replica_of: Option<String>,
-    /// Leader lease TTL: a follower that completes no successful pull
-    /// for this long promotes itself.
-    pub repl_ttl_ms: u64,
-    /// Follower pull cadence.
+    /// Follower pull cadence; below [`crate::repl::REPL_TTL_MS`], or the
+    /// follower can never renew its lease.
     pub repl_poll_ms: u64,
     /// Scheduler shards the daemon splits the cluster across. Each shard
     /// owns a contiguous machine slice, its own queue (so
@@ -157,7 +155,6 @@ impl Default for ServeConfig {
             wal_dir: None,
             wal_snapshot_every: 4096,
             replica_of: None,
-            repl_ttl_ms: 1_500,
             repl_poll_ms: 50,
             shards: 1,
         }

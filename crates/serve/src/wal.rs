@@ -563,7 +563,7 @@ pub fn scrub_shard(dir: &Path, shard: usize) -> io::Result<ScrubReport> {
 }
 
 /// One scrub pass over the first `shards` shards of `dir`, shared by the
-/// leader's scrub thread and the follower's pull loop: counts the run
+/// leader's replication thread and the follower's pull loop: counts the run
 /// and flags every shard with rot as [`Degraded::Rot`]. It detects and
 /// flags only — it writes no file, because it is not the log's writer
 /// and what it read may already be stale. Returns the rotten shards; a

@@ -231,12 +231,11 @@ fn follower_promotes_with_counters_intact_when_leader_dies() {
     leader_cfg.lease_base_ms = 60_000;
     let leader = start(&testbed, leader_cfg, NetConfig::default()).expect("leader boots");
 
-    // Warm follower pulling from the leader, with a lease tight enough
-    // to promote inside the test but slack enough to survive poll jitter.
+    // Warm follower pulling from the leader every 40 ms, well inside
+    // the lease TTL.
     let mut follower_cfg = fast_lease_cfg();
     follower_cfg.wal_dir = Some(follower_dir.clone());
     follower_cfg.replica_of = Some(leader.addr.to_string());
-    follower_cfg.repl_ttl_ms = 1_200;
     follower_cfg.repl_poll_ms = 40;
     let follower = start(&testbed, follower_cfg, NetConfig::default()).expect("follower boots");
 
@@ -392,4 +391,83 @@ fn follower_promotes_with_counters_intact_when_leader_dies() {
     follower.join();
     let _ = std::fs::remove_dir_all(&leader_dir);
     let _ = std::fs::remove_dir_all(&follower_dir);
+}
+
+/// Waits up to 10 s for `metrics` to publish `role`.
+fn await_role(metrics: &tracon_serve::Metrics, role: Role, who: &str) {
+    use std::sync::atomic::Ordering;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metrics.repl_role.load(Ordering::Relaxed) != role as u8 as u64 {
+        assert!(Instant::now() < deadline, "{who} never became {role:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+fn submit(client: &mut Client, app: &str) -> Reply {
+    let app = app.to_string();
+    let request = Request::Submit { app, demand: None };
+    client.request(request).expect("submit roundtrip")
+}
+
+/// A leader that dies, loses the pair to its follower and restarts on its
+/// own WAL rejoins as the new leader's follower with no operator: the
+/// boot probe fences it, then its replication thread finds the new
+/// leader and demotes it. The new leader admits throughout.
+#[test]
+fn a_restarted_ex_leader_rejoins_as_the_new_leaders_follower() {
+    use std::sync::atomic::Ordering;
+
+    let testbed = tiny_testbed();
+    let app = testbed.perf.names[0].clone();
+    let (a_dir, b_dir) = (wal_dir("rejoin-a"), wal_dir("rejoin-b"));
+    let a_cfg = ServeConfig {
+        wal_dir: Some(a_dir.clone()),
+        lease_base_ms: 60_000,
+        ..fast_lease_cfg()
+    };
+    let a = start(&testbed, a_cfg.clone(), NetConfig::default()).expect("leader boots");
+    let b_cfg = ServeConfig {
+        wal_dir: Some(b_dir.clone()),
+        replica_of: Some(a.addr.to_string()),
+        repl_poll_ms: 40,
+        ..a_cfg.clone()
+    };
+    let b = start(&testbed, b_cfg, NetConfig::default()).expect("follower boots");
+    let mut client = Client::connect(&a.addr.to_string()).expect("connect leader");
+    assert!(matches!(submit(&mut client, &app), Reply::Ok { .. }));
+    drop(client);
+
+    // Once B holds the submit and its lease, B has pulled, so A's
+    // sidecar names B as its peer.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while b.metrics().wal_records.load(Ordering::Relaxed) < 2 {
+        assert!(Instant::now() < deadline, "the follower never caught up");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    a.stop();
+    a.join();
+    await_role(b.metrics(), Role::Leader, "the follower");
+
+    let a = start(&testbed, a_cfg, NetConfig::default()).expect("ex-leader restarts");
+    await_role(a.metrics(), Role::Follower, "the restarted ex-leader");
+
+    let mut client = Client::connect(&b.addr.to_string()).expect("connect new leader");
+    let reply = submit(&mut client, &app);
+    assert!(matches!(reply, Reply::Ok { .. }), "{reply:?}");
+    let mut client = Client::connect(&a.addr.to_string()).expect("connect rejoined");
+    match submit(&mut client, &app) {
+        Reply::Error {
+            kind: ErrorKind::NotLeader,
+            leader: Some(hint),
+            ..
+        } => assert_eq!(hint.leader_addr, Some(b.addr.to_string())),
+        other => panic!("the rejoined node served a mutation: {other:?}"),
+    }
+
+    for daemon in [a, b] {
+        daemon.stop();
+        daemon.join();
+    }
+    let _ = std::fs::remove_dir_all(&a_dir);
+    let _ = std::fs::remove_dir_all(&b_dir);
 }

@@ -320,55 +320,6 @@ fn live_completions_trigger_monitor_rebuilds() {
     handle.join();
 }
 
-/// The names of this process's threads, as `top -H` shows them.
-#[cfg(target_os = "linux")]
-fn thread_names() -> Vec<String> {
-    std::fs::read_dir("/proc/self/task")
-        .expect("list /proc/self/task")
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .map(|comm| comm.trim_end().to_string())
-        .collect()
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn daemon_threads_are_found_by_name() {
-    let testbed = tiny_testbed();
-    let cfg = ServeConfig {
-        machines: 4,
-        shards: 3,
-        ..ServeConfig::default()
-    };
-    let handle = boot(&testbed, cfg);
-    let wanted = [
-        "tracond-reactor",
-        "tracond-shard0",
-        "tracond-shard1",
-        "tracond-shard2",
-        "tracond-http",
-    ];
-    // A thread names itself once it runs; until then it shows its
-    // parent's name.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let names = thread_names();
-        let missing: Vec<_> = wanted
-            .iter()
-            .filter(|w| !names.iter().any(|n| n == *w))
-            .collect();
-        if missing.is_empty() {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "no thread {missing:?} among {names:?}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    handle.stop();
-    handle.join();
-}
-
 /// Minimal HTTP client: one GET, read to EOF (the daemon closes).
 fn http_get(addr: &str, path: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("http connect");

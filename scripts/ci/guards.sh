@@ -129,6 +129,15 @@ forbid "a second engine grew back (one engine)" \
     -rnE 'MultiEngine|GuestState' crates src tests examples benchmark \
     README.md DESIGN.md EXPERIMENTS.md
 
+# One thread per job in tracond: the reactor answers HTTP in its poll
+# loop and one replication thread acts for the node's role, so no
+# per-connection thread, no unnamed spawn and none of the threads they
+# replaced grows back in shipped code.
+for f in crates/serve/src/*.rs crates/serve/src/*/*.rs; do
+    found=$(code_of "$f" | matches -nE 'conn_threads|reap_finished|scrub_loop|rejoin_supervisor|tracond-(http|scrub|rejoin|follow)|thread::spawn')
+    [ -z "$found" ] || fail "$f spawns or names a thread the reactor or tracond-repl replaced (one thread per job)"$'\n'"$found"
+done
+
 # Every committed `BENCH_*.json` has the layout `scripts/pairs.sh` writes.
 for f in BENCH_*.json; do
     [ -e "$f" ] || continue
