@@ -34,7 +34,8 @@ COMMANDS:
                            the single --scheduler, normalized against FIFO)
   experiment Run a registered paper experiment end to end
              NAME... | all | --list   [--fidelity small|quick|full]  (default
-             small; full matches the paper-scale figures and can take hours)
+             small; full matches the paper-scale figures: `all` takes ~21 s
+             and ext_adaptive 0.3 s on a 2-vCPU Xeon)
   serve      Run tracond, the online scheduling daemon, until drained
              [--port N=0] [--http-port N=0] [--machines N=4] [--slots N=2]
              [--shards N=1]  (scheduler shards behind one connection

@@ -56,7 +56,7 @@ pub use model::{
     wmm::Wmm,
     InterferenceModel, ModelKind, Response, ResponseScale, TrainingData,
 };
-pub use monitor::{AdaptiveModel, MonitorConfig, ObserveOutcome};
+pub use monitor::{AdaptiveModel, Monitor, MonitorConfig, ObserveOutcome};
 pub use predictor::{AppModelSet, AppProfile, Objective, Predictor, ScoringPolicy};
 pub use resource::{DimVec, ResourceDim, N_DIMS};
 pub use sched::{

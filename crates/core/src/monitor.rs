@@ -13,12 +13,19 @@
 //! built from it scores with exactly the model whose error the monitor
 //! measures, until the next rebuild replaces it. The monitor keeps no
 //! per-observation history; [`AdaptiveModel::observe`] returns each error.
+//!
+//! [`Monitor`] is the loop over every application: a runtime and an IOPS
+//! [`AdaptiveModel`] per app, fed one realized completion at a time, and
+//! after a rebuild a predictor over the monitors' own models. The
+//! simulator and the `tracond` daemon both drive this one type; the
+//! simulator adapts it to its event kernel.
 
-use crate::characteristics::N_JOINT;
+use crate::characteristics::{joint_features, Characteristics, N_JOINT};
 use crate::model::{
-    relative_error, training::train_model_scaled, InterferenceModel, ModelKind, ResponseScale,
-    TrainingData,
+    relative_error, training::train_model_scaled, InterferenceModel, ModelKind, Response,
+    ResponseScale, TrainingData,
 };
+use crate::predictor::{AppModelSet, AppProfile, Predictor};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use tracon_stats::{DriftDetector, DriftKind, SlidingWindow};
@@ -200,6 +207,155 @@ impl AdaptiveModel {
     }
 }
 
+/// The task & resource monitor's loop over every application (paper
+/// Section 4.6): each realized completion feeds the app's runtime and
+/// IOPS [`AdaptiveModel`]s, and once a rebuild fires,
+/// [`Monitor::take_predictor`] hands out a predictor over the monitors'
+/// own models. A swap trains nothing: each app is scored with the model
+/// its monitor last rebuilt, the one whose error the monitor measures.
+pub struct Monitor {
+    names: Vec<String>,
+    profiles: Vec<AppProfile>,
+    rt: Vec<AdaptiveModel>,
+    io: Vec<AdaptiveModel>,
+    observed: usize,
+    rebuilt_since_export: bool,
+    predictor_swaps: usize,
+}
+
+impl Monitor {
+    /// Creates the monitor over the applications in `names` (pair-table
+    /// index order). `base` supplies the solo profiles; `initial_rt` /
+    /// `initial_io` seed each application's window (the profiling data,
+    /// or a distillation of a stale deployed model); `kind` is the model
+    /// family rebuilt online.
+    ///
+    /// # Panics
+    /// Panics when an initial training set is empty or `base` does not
+    /// know an application.
+    pub fn new(
+        base: &Predictor,
+        names: &[String],
+        kind: ModelKind,
+        initial_rt: &[TrainingData],
+        initial_io: &[TrainingData],
+        cfg: MonitorConfig,
+    ) -> Self {
+        assert_eq!(names.len(), initial_rt.len());
+        assert_eq!(names.len(), initial_io.len());
+        let models = |initial: &[TrainingData], response| {
+            let scale = ResponseScale::for_response(response);
+            initial
+                .iter()
+                .map(|d| AdaptiveModel::new_scaled(kind, scale, d, cfg))
+                .collect()
+        };
+        Monitor {
+            names: names.to_vec(),
+            profiles: names.iter().map(|n| base.profile(n).clone()).collect(),
+            rt: models(initial_rt, Response::Runtime),
+            io: models(initial_io, Response::Iops),
+            observed: 0,
+            rebuilt_since_export: false,
+            predictor_swaps: 0,
+        }
+    }
+
+    /// The joint features of app `app_idx` next to `neighbor` (idle when
+    /// `None`).
+    fn features(&self, app_idx: usize, neighbor: Option<usize>) -> [f64; N_JOINT] {
+        let bg = neighbor.map_or(Characteristics::idle(), |n| self.profiles[n].solo);
+        joint_features(&self.profiles[app_idx].solo, &bg)
+    }
+
+    /// Feeds one realized completion of app `app_idx` to its monitors.
+    /// `neighbor` is the co-located application's pair-table index when
+    /// the task started, or `None` for a solo run. Returns whether this
+    /// observation triggered a model rebuild.
+    pub fn record(
+        &mut self,
+        app_idx: usize,
+        neighbor: Option<usize>,
+        runtime: f64,
+        avg_iops: f64,
+    ) -> bool {
+        let features = self.features(app_idx, neighbor);
+        let rt_out = self.rt[app_idx].observe(features, runtime);
+        let io_out = self.io[app_idx].observe(features, avg_iops);
+        self.observed += 1;
+        let rebuilt = rt_out.rebuilt || io_out.rebuilt;
+        self.rebuilt_since_export |= rebuilt;
+        rebuilt
+    }
+
+    /// Predicts the runtime of app `app_idx` next to `neighbor` (idle
+    /// when `None`) with the *current* adapted model — what the scheduler
+    /// would be told right now.
+    pub fn predict_runtime(&self, app_idx: usize, neighbor: Option<usize>) -> f64 {
+        self.rt[app_idx].predict(&self.features(app_idx, neighbor))
+    }
+
+    /// A predictor over the monitors' current models, shared, not
+    /// retrained: it predicts exactly what the monitors do.
+    pub fn export_predictor(&self) -> Predictor {
+        let mut p = Predictor::new();
+        for ((profile, rt), io) in self.profiles.iter().zip(&self.rt).zip(&self.io) {
+            p.add_app(
+                profile.clone(),
+                AppModelSet {
+                    runtime: rt.model().clone(),
+                    iops: io.model().clone(),
+                },
+            );
+        }
+        p
+    }
+
+    /// The predictor to swap in, once per rebuild: `Some` when a model
+    /// was rebuilt since the last call (counted as a predictor swap),
+    /// `None` otherwise.
+    pub fn take_predictor(&mut self) -> Option<Predictor> {
+        if !std::mem::take(&mut self.rebuilt_since_export) {
+            return None;
+        }
+        self.predictor_swaps += 1;
+        Some(self.export_predictor())
+    }
+
+    /// The solo characteristics of an application, as the monitor sees
+    /// them.
+    pub fn solo_chars(&self, app_idx: usize) -> Characteristics {
+        self.profiles[app_idx].solo
+    }
+
+    /// Application names in pair-table index order.
+    pub fn app_names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// Completions observed so far.
+    pub fn observed(&self) -> usize {
+        self.observed
+    }
+
+    /// Total rebuilds across all per-app models. The runtime and IOPS
+    /// models of an app rebuild together, so a completion that fires a
+    /// rebuild adds 2.
+    pub fn total_rebuilds(&self) -> usize {
+        self.rt.iter().chain(&self.io).map(|m| m.rebuilds()).sum()
+    }
+
+    /// Total drift events detected across all per-app models.
+    pub fn total_drifts(&self) -> usize {
+        self.rt.iter().chain(&self.io).map(|m| m.drifts()).sum()
+    }
+
+    /// Predictors handed out by [`Monitor::take_predictor`] so far.
+    pub fn predictor_swaps(&self) -> usize {
+        self.predictor_swaps
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,5 +465,80 @@ mod tests {
             assert_eq!(am.observe(f, y).error.to_bits(), expected.to_bits());
         }
         assert_eq!(am.kind(), ModelKind::Wmm);
+    }
+
+    /// `n` observations of an app with solo profile `solo` against random
+    /// backgrounds: runtime 100 s plus a read-rate penalty.
+    fn data(solo: &Characteristics, n: usize, seed: u64) -> TrainingData {
+        let mut rng = ChaCha12::seed_from_u64(seed);
+        let mut d = TrainingData::default();
+        for _ in 0..n {
+            let bg: [f64; 4] = std::array::from_fn(|_| rng.range_f64(0.0, 100.0));
+            let f = joint_features(solo, &Characteristics::from_array(bg));
+            d.push(f, 100.0 + 0.5 * bg[0] + rng.range_f64(-1.0, 1.0));
+        }
+        d
+    }
+
+    #[test]
+    fn swap_scores_with_the_monitors_models() {
+        let names = ["a".to_string(), "b".to_string()];
+        let solos = [
+            Characteristics::new(60.0, 5.0, 0.4, 0.1),
+            Characteristics::new(20.0, 30.0, 0.7, 0.2),
+        ];
+        let initial: Vec<TrainingData> = (0..2).map(|i| data(&solos[i], 40, i as u64)).collect();
+        let mut base = Predictor::new();
+        for (name, (solo, d)) in names.iter().zip(solos.iter().zip(&initial)) {
+            let profile = AppProfile {
+                name: name.clone(),
+                solo: *solo,
+                solo_runtime: 50.0,
+                solo_iops: 50.0,
+            };
+            let models = AppModelSet {
+                runtime: crate::train_model(ModelKind::Linear, d),
+                iops: crate::train_model(ModelKind::Linear, d),
+            };
+            base.add_app(profile, models);
+        }
+        let cfg = MonitorConfig {
+            window_capacity: 40,
+            rebuild_every: 10,
+            ..MonitorConfig::default()
+        };
+        let mut monitor = Monitor::new(&base, &names, ModelKind::Linear, &initial, &initial, cfg);
+        // App a rebuilds on its tenth completion; app b then completes three
+        // tasks far slower than it was trained on, and does not rebuild.
+        let rebuilt: Vec<bool> = (0..10)
+            .map(|_| monitor.record(0, Some(1), 150.0, 40.0))
+            .collect();
+        assert_eq!(rebuilt.iter().filter(|&&r| r).count(), 1);
+        for _ in 0..3 {
+            assert!(!monitor.record(1, Some(0), 400.0, 10.0));
+        }
+        let swapped = monitor.take_predictor().expect("a rebuild fired");
+        assert!(monitor.take_predictor().is_none(), "one swap per rebuild");
+        assert_eq!(monitor.predictor_swaps(), 1);
+        for (app, nb) in [(0, Some(1)), (1, Some(0)), (1, None)] {
+            let bg = nb.map_or(Characteristics::idle(), |n| monitor.solo_chars(n));
+            let scored = swapped.predict_runtime(&names[app], &bg);
+            let monitored = monitor.predict_runtime(app, nb);
+            // Inside the predictor's [solo, 30 x solo] clamp.
+            assert!(
+                monitored > 50.0 && monitored < 1500.0,
+                "clamp binds: {monitored}"
+            );
+            assert_eq!(
+                scored.to_bits(),
+                monitored.to_bits(),
+                "app {app} next to {nb:?}"
+            );
+        }
+        assert_eq!(
+            monitor.total_rebuilds(),
+            2,
+            "a's runtime and IOPS models only"
+        );
     }
 }

@@ -22,7 +22,7 @@
 //!            ┌──────────▼──────────────────────────────────┐
 //!            │               observer layer                │
 //!            │  MetricsObserver · ObservationCollector ·   │
-//!            │  AdaptiveObserver · user SimObservers       │
+//!            │  tracon_core::Monitor · user SimObservers   │
 //!            └─────────────────────────────────────────────┘
 //! ```
 //!
@@ -37,7 +37,8 @@
 //! * [`slots`](self) — per-slot running state and remaining-work
 //!   rescaling,
 //! * [`observer`] — the [`SimObserver`] trait and built-ins, including
-//!   online model adaptation via [`AdaptiveObserver`].
+//!   the adapter that attaches TRACON's monitor ([`tracon_core::Monitor`],
+//!   which lives in `core`) to the kernel for online model adaptation.
 //!
 //! When to call the scheduler and which queued tasks it sees is
 //! [`tracon_core::sched::gate`], the rule `tracond` runs too; the loop
@@ -49,7 +50,7 @@ pub mod observer;
 mod slots;
 
 pub use event::COINCIDENCE_EPS;
-pub use observer::{AdaptiveObserver, ArrivalInfo, CompletionInfo, PlacementInfo, SimObserver};
+pub use observer::{ArrivalInfo, CompletionInfo, PlacementInfo, SimObserver};
 
 use crate::arrival::ArrivalEvent;
 use crate::setup::Testbed;
@@ -297,7 +298,7 @@ impl<'tb> Simulation<'tb> {
     /// `observer`. If the observer hands back an updated predictor (see
     /// [`SimObserver::updated_predictor`]), the scheduler's scoring
     /// policy is swapped mid-run — this is how online model adaptation
-    /// ([`AdaptiveObserver`]) changes scheduling decisions while the
+    /// ([`tracon_core::Monitor`]) changes scheduling decisions while the
     /// simulation is in flight.
     pub fn run_with_observer(
         &self,
@@ -348,12 +349,8 @@ impl<'tb> Simulation<'tb> {
 
         let mut metrics = MetricsObserver::default();
         let mut collector = self.collect_observations.then(|| {
-            // Profile features per app index, for observation records.
-            let app_features: Vec<[f64; 4]> = names
-                .iter()
-                .map(|n| self.testbed.app_chars[n].as_array())
-                .collect();
-            ObservationCollector::new(app_features)
+            // Solo profile per app index, for observation records.
+            ObservationCollector::new(names.iter().map(|n| self.testbed.app_chars[n]).collect())
         });
 
         // --- main loop ------------------------------------------------

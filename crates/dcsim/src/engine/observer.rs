@@ -5,10 +5,7 @@
 
 use super::TaskObservation;
 use crate::perf::IDLE;
-use tracon_core::{
-    AdaptiveModel, AppModelSet, AppProfile, Characteristics, ModelKind, MonitorConfig, Predictor,
-    Response, ResponseScale, TrainingData, VmRef,
-};
+use tracon_core::{joint_features, Characteristics, Monitor, Predictor, VmRef};
 
 /// A task arrival (admitted or refused).
 #[derive(Debug, Clone, Copy)]
@@ -123,30 +120,19 @@ impl SimObserver for MetricsObserver {
     }
 }
 
-/// The joint feature vector the prediction module would have used for a
-/// task: its own solo profile followed by the neighbour's (zeros when the
-/// sibling slot was idle).
-fn joint_features(app_features: &[[f64; 4]], app_idx: usize, neighbor: usize) -> [f64; 8] {
-    let t = app_features[app_idx];
-    let nb = if neighbor == IDLE {
-        [0.0; 4]
-    } else {
-        app_features[neighbor]
-    };
-    [t[0], t[1], t[2], t[3], nb[0], nb[1], nb[2], nb[3]]
-}
-
 /// Built-in observer recording the monitor's feedback stream: one
-/// [`TaskObservation`] per completion.
+/// [`TaskObservation`] per completion, featurized as the prediction
+/// module would have featurized the task (an idle neighbour is
+/// [`Characteristics::idle`]).
 pub(crate) struct ObservationCollector {
-    app_features: Vec<[f64; 4]>,
+    solo: Vec<Characteristics>,
     observations: Vec<TaskObservation>,
 }
 
 impl ObservationCollector {
-    pub(crate) fn new(app_features: Vec<[f64; 4]>) -> Self {
+    pub(crate) fn new(solo: Vec<Characteristics>) -> Self {
         ObservationCollector {
-            app_features,
+            solo,
             observations: Vec::new(),
         }
     }
@@ -158,262 +144,168 @@ impl ObservationCollector {
 
 impl SimObserver for ObservationCollector {
     fn on_completion(&mut self, info: &CompletionInfo) {
+        let bg = neighbor(info).map_or(Characteristics::idle(), |n| self.solo[n]);
         self.observations.push(TaskObservation {
-            features: joint_features(&self.app_features, info.app_idx, info.neighbor_at_start),
+            features: joint_features(&self.solo[info.app_idx], &bg),
             runtime: info.runtime,
             iops: info.avg_iops,
         });
     }
 }
 
-/// Online model adaptation as an observer (paper Section 4.6): every
-/// completion is fed to per-application [`AdaptiveModel`]s for runtime
-/// and IOPS; whenever a monitor rebuild fires, the next
-/// [`SimObserver::updated_predictor`] poll hands the kernel a predictor
-/// over the monitors' own models, and the scheduler starts scoring
-/// against them *mid-run* — no simulation restart, no post-hoc replay.
-/// A swap trains nothing: each app is scored with the model its monitor
-/// last rebuilt, the one whose error the monitor measures.
-pub struct AdaptiveObserver {
-    names: Vec<String>,
-    profiles: Vec<AppProfile>,
-    app_features: Vec<[f64; 4]>,
-    rt: Vec<AdaptiveModel>,
-    io: Vec<AdaptiveModel>,
-    observed: usize,
-    rebuilt_since_export: bool,
-    predictor_swaps: usize,
+/// The neighbour a completed task started next to, `None` for [`IDLE`].
+fn neighbor(info: &CompletionInfo) -> Option<usize> {
+    (info.neighbor_at_start != IDLE).then_some(info.neighbor_at_start)
 }
 
-impl AdaptiveObserver {
-    /// Creates the observer over the applications in `names` (pair-table
-    /// index order). `base` supplies the solo profiles; `initial_rt` /
-    /// `initial_io` seed each application's monitor window (typically
-    /// distilled from the stale deployed model); `kind` is the model
-    /// family rebuilt online.
-    ///
-    /// # Panics
-    /// Panics when an initial training set is empty or `base` does not
-    /// know an application.
-    pub fn new(
-        base: &Predictor,
-        names: &[String],
-        kind: ModelKind,
-        initial_rt: &[TrainingData],
-        initial_io: &[TrainingData],
-        cfg: MonitorConfig,
-    ) -> Self {
-        assert_eq!(names.len(), initial_rt.len());
-        assert_eq!(names.len(), initial_io.len());
-        let profiles: Vec<AppProfile> = names.iter().map(|n| base.profile(n).clone()).collect();
-        let app_features: Vec<[f64; 4]> = profiles.iter().map(|p| p.solo.as_array()).collect();
-        let rt = initial_rt
-            .iter()
-            .map(|d| {
-                AdaptiveModel::new_scaled(
-                    kind,
-                    ResponseScale::for_response(Response::Runtime),
-                    d,
-                    cfg,
-                )
-            })
-            .collect();
-        let io = initial_io
-            .iter()
-            .map(|d| {
-                AdaptiveModel::new_scaled(kind, ResponseScale::for_response(Response::Iops), d, cfg)
-            })
-            .collect();
-        AdaptiveObserver {
-            names: names.to_vec(),
-            profiles,
-            app_features,
-            rt,
-            io,
-            observed: 0,
-            rebuilt_since_export: false,
-            predictor_swaps: 0,
-        }
-    }
-
-    /// Predicts the runtime of app `app_idx` next to `neighbor` (or
-    /// [`IDLE`]) with the *current* adapted model — what the scheduler
-    /// would be told right now.
-    pub fn predict_runtime(&self, app_idx: usize, neighbor: usize) -> f64 {
-        self.rt[app_idx].predict(&joint_features(&self.app_features, app_idx, neighbor))
-    }
-
-    /// Completions observed so far.
-    pub fn observed(&self) -> usize {
-        self.observed
-    }
-
-    /// Total monitor rebuilds across all per-app models.
-    pub fn total_rebuilds(&self) -> usize {
-        self.rt.iter().chain(&self.io).map(|m| m.rebuilds()).sum()
-    }
-
-    /// Total drift events detected across all per-app models.
-    pub fn total_drifts(&self) -> usize {
-        self.rt.iter().chain(&self.io).map(|m| m.drifts()).sum()
-    }
-
-    /// How many times the kernel swapped the scoring predictor on this
-    /// observer's behalf.
-    pub fn predictor_swaps(&self) -> usize {
-        self.predictor_swaps
-    }
-
-    /// A predictor over the monitors' current models, shared, not
-    /// retrained: it predicts exactly what the monitors do.
-    pub fn export_predictor(&self) -> Predictor {
-        let mut p = Predictor::new();
-        for (i, profile) in self.profiles.iter().enumerate() {
-            p.add_app(
-                profile.clone(),
-                AppModelSet {
-                    runtime: self.rt[i].model().clone(),
-                    iops: self.io[i].model().clone(),
-                },
-            );
-        }
-        p
-    }
-
-    /// The solo characteristics of an application, as the monitor sees
-    /// them.
-    pub fn solo_chars(&self, app_idx: usize) -> Characteristics {
-        self.profiles[app_idx].solo
-    }
-
-    /// Application names in pair-table index order.
-    pub fn app_names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Feeds one realized completion into the per-app monitors, outside
-    /// the [`SimObserver`] callback path. `neighbor` is the co-located
-    /// application's pair-table index, or `None` for a solo run. Returns
-    /// whether this observation triggered a model rebuild. This is the
-    /// entry point for live (wall-clock) traffic sources such as the
-    /// tracond daemon, which have no `CompletionInfo` to hand.
-    pub fn record(
-        &mut self,
-        app_idx: usize,
-        neighbor: Option<usize>,
-        runtime: f64,
-        avg_iops: f64,
-    ) -> bool {
-        let neighbor = neighbor.unwrap_or(crate::perf::IDLE);
-        let features = joint_features(&self.app_features, app_idx, neighbor);
-        let rt_out = self.rt[app_idx].observe(features, runtime);
-        let io_out = self.io[app_idx].observe(features, avg_iops);
-        self.observed += 1;
-        let rebuilt = rt_out.rebuilt || io_out.rebuilt;
-        if rebuilt {
-            self.rebuilt_since_export = true;
-        }
-        rebuilt
-    }
-}
-
-impl SimObserver for AdaptiveObserver {
+/// Online model adaptation (paper Section 4.6): the task & resource
+/// [`Monitor`] attached to the kernel. Every completion feeds it, and
+/// after a rebuild the next poll hands the kernel the monitors' own
+/// predictor, so the scheduler scores against them *mid-run*.
+impl SimObserver for Monitor {
     fn on_completion(&mut self, info: &CompletionInfo) {
-        let neighbor = if info.neighbor_at_start == crate::perf::IDLE {
-            None
-        } else {
-            Some(info.neighbor_at_start)
-        };
-        self.record(info.app_idx, neighbor, info.runtime, info.avg_iops);
+        self.record(info.app_idx, neighbor(info), info.runtime, info.avg_iops);
     }
 
     fn updated_predictor(&mut self) -> Option<Predictor> {
-        if !self.rebuilt_since_export {
-            return None;
-        }
-        self.rebuilt_since_export = false;
-        self.predictor_swaps += 1;
-        Some(self.export_predictor())
+        self.take_predictor()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tracon_core::train_model;
+    use tracon_core::{
+        train_model, AppModelSet, AppProfile, ModelKind, MonitorConfig, TrainingData,
+    };
     use tracon_stats::prng::ChaCha12;
 
-    /// `n` observations of an app with solo profile `solo` against random
-    /// backgrounds: runtime 100 s plus a read-rate penalty.
-    fn data(solo: &Characteristics, n: usize, seed: u64) -> TrainingData {
-        let mut rng = ChaCha12::seed_from_u64(seed);
-        let mut d = TrainingData::default();
-        for _ in 0..n {
-            let bg: [f64; 4] = std::array::from_fn(|_| rng.range_f64(0.0, 100.0));
-            let f = tracon_core::joint_features(solo, &Characteristics::from_array(bg));
-            d.push(f, 100.0 + 0.5 * bg[0] + rng.range_f64(-1.0, 1.0));
-        }
-        d
-    }
-
-    #[test]
-    fn swap_scores_with_the_monitors_models() {
-        let names = ["a".to_string(), "b".to_string()];
-        let solos = [
-            Characteristics::new(60.0, 5.0, 0.4, 0.1),
-            Characteristics::new(20.0, 30.0, 0.7, 0.2),
-        ];
-        let initial: Vec<TrainingData> = (0..2).map(|i| data(&solos[i], 40, i as u64)).collect();
+    /// A monitor over three apps whose linear models were trained on
+    /// "runtime 100 s plus a read-rate penalty", rebuilding every 8
+    /// observations.
+    fn monitor() -> Monitor {
+        let names: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+        let mut rng = ChaCha12::seed_from_u64(1);
+        let mut chars =
+            || Characteristics::from_array(std::array::from_fn(|_| rng.range_f64(0.0, 60.0)));
         let mut base = Predictor::new();
-        for (name, (solo, d)) in names.iter().zip(solos.iter().zip(&initial)) {
+        let mut initial = Vec::new();
+        for name in &names {
+            let solo = chars();
+            let mut d = TrainingData::default();
+            for _ in 0..30 {
+                let bg = chars();
+                d.push(joint_features(&solo, &bg), 100.0 + bg.read_rps);
+            }
             let profile = AppProfile {
                 name: name.clone(),
-                solo: *solo,
+                solo,
                 solo_runtime: 50.0,
                 solo_iops: 50.0,
             };
             let models = AppModelSet {
-                runtime: train_model(ModelKind::Linear, d),
-                iops: train_model(ModelKind::Linear, d),
+                runtime: train_model(ModelKind::Linear, &d),
+                iops: train_model(ModelKind::Linear, &d),
             };
             base.add_app(profile, models);
+            initial.push(d);
         }
         let cfg = MonitorConfig {
-            window_capacity: 40,
-            rebuild_every: 10,
+            window_capacity: 30,
+            rebuild_every: 8,
+            drift_window: 10,
             ..MonitorConfig::default()
         };
-        let mut obs =
-            AdaptiveObserver::new(&base, &names, ModelKind::Linear, &initial, &initial, cfg);
-        // App a rebuilds on its tenth completion; app b then completes three
-        // tasks far slower than it was trained on, and does not rebuild.
-        let rebuilt: Vec<bool> = (0..10)
-            .map(|_| obs.record(0, Some(1), 150.0, 40.0))
-            .collect();
-        assert_eq!(rebuilt.iter().filter(|&&r| r).count(), 1);
-        for _ in 0..3 {
-            assert!(!obs.record(1, Some(0), 400.0, 10.0));
+        Monitor::new(&base, &names, ModelKind::Linear, &initial, &initial, cfg)
+    }
+
+    /// The simulator and `tracond` drive one loop: a completion stream fed
+    /// through the kernel's hooks (an idle neighbour is [`IDLE`]) and the
+    /// same stream fed through [`Monitor::record`] (idle is `None`) leave
+    /// equal counters and swap in bit-identical predictors.
+    #[test]
+    fn the_kernel_adapter_feeds_the_loop_record_feeds() {
+        let (mut kernel, mut direct) = (monitor(), monitor());
+        let (mut from_kernel, mut from_record) = (None, None);
+        let mut handed = [0, 0];
+        let mut rng = ChaCha12::seed_from_u64(2);
+        let mut solo_runs = 0;
+        for i in 0..240 {
+            let app_idx = rng.range_usize(0, 3);
+            let nb = rng.range_usize(0, 4);
+            let neighbor = (nb < 3).then_some(nb);
+            solo_runs += usize::from(neighbor.is_none());
+            // The environment shifts halfway: runtimes triple.
+            let runtime = (100.0 + rng.range_f64(0.0, 60.0)) * if i < 120 { 1.0 } else { 3.0 };
+            let avg_iops = rng.range_f64(10.0, 90.0);
+            kernel.on_completion(&CompletionInfo {
+                time: i as f64,
+                vm: VmRef {
+                    machine: 0,
+                    slot: 0,
+                },
+                app_idx,
+                neighbor_at_start: neighbor.unwrap_or(IDLE),
+                runtime,
+                avg_iops,
+            });
+            direct.record(app_idx, neighbor, runtime, avg_iops);
+            // The kernel polls after every event; tracond after a rebuild.
+            if let Some(p) = kernel.updated_predictor() {
+                from_kernel = Some(p);
+                handed[0] += 1;
+            }
+            if let Some(p) = direct.take_predictor() {
+                from_record = Some(p);
+                handed[1] += 1;
+            }
         }
-        let swapped = obs.updated_predictor().expect("a rebuild fired");
-        for (app, nb) in [(0, 1), (1, 0), (1, IDLE)] {
-            let bg = if nb == IDLE {
-                Characteristics::idle()
-            } else {
-                obs.solo_chars(nb)
-            };
-            let scored = swapped.predict_runtime(&names[app], &bg);
-            let monitored = obs.predict_runtime(app, nb);
-            // Inside the predictor's [solo, 30 x solo] clamp.
-            assert!(
-                monitored > 50.0 && monitored < 1500.0,
-                "clamp binds: {monitored}"
-            );
-            assert_eq!(
-                scored.to_bits(),
-                monitored.to_bits(),
-                "app {app} next to {nb}"
-            );
+        assert!(solo_runs > 0, "the stream has idle neighbours");
+        let counters = |m: &Monitor| {
+            [
+                m.observed(),
+                m.total_rebuilds(),
+                m.total_drifts(),
+                m.predictor_swaps(),
+            ]
+        };
+        assert_eq!(counters(&kernel), counters(&direct));
+        assert_eq!(
+            handed,
+            [kernel.predictor_swaps(); 2],
+            "one predictor per swap"
+        );
+        assert!(
+            counters(&kernel).iter().all(|&c| c > 0),
+            "every counter moves: {:?}",
+            counters(&kernel)
+        );
+        let (from_kernel, from_record) = (from_kernel.unwrap(), from_record.unwrap());
+        for app in 0..3 {
+            let name = &kernel.app_names()[app];
+            for nb in [Some(0), Some(1), Some(2), None] {
+                let bg = nb.map_or(Characteristics::idle(), |n| kernel.solo_chars(n));
+                let predictions = [
+                    from_kernel.predict_runtime(name, &bg),
+                    from_record.predict_runtime(name, &bg),
+                    from_kernel.predict_iops(name, &bg),
+                    from_record.predict_iops(name, &bg),
+                ];
+                assert_eq!(
+                    predictions[0].to_bits(),
+                    predictions[1].to_bits(),
+                    "{name} next to {nb:?}"
+                );
+                assert_eq!(
+                    predictions[2].to_bits(),
+                    predictions[3].to_bits(),
+                    "{name} next to {nb:?}"
+                );
+                assert_eq!(
+                    kernel.predict_runtime(app, nb).to_bits(),
+                    direct.predict_runtime(app, nb).to_bits()
+                );
+            }
         }
-        assert_eq!(obs.total_rebuilds(), 2, "a's runtime and IOPS models only");
     }
 }

@@ -5,7 +5,7 @@
 //! A data center is deployed with a *stale* prediction module — models
 //! trained for a host whose storage has since been replaced (the Fig 7
 //! scenario, now at cluster scale). The adaptive arm runs as ONE
-//! continuous simulation with an [`AdaptiveObserver`] attached: every
+//! continuous simulation with TRACON's [`Monitor`] attached: every
 //! completion feeds the per-application monitors, and whenever a monitor
 //! rebuild fires the kernel swaps the scheduler's predictor *mid-run* —
 //! no segment restarts, no post-hoc replay. We compare:
@@ -22,13 +22,13 @@
 //! scheduler held at that segment's start.
 
 use crate::arrival::{poisson_trace, ArrivalEvent, WorkloadMix};
-use crate::engine::{AdaptiveObserver, CompletionInfo, SchedulerKind, SimObserver, Simulation};
+use crate::engine::{CompletionInfo, SchedulerKind, SimObserver, Simulation};
 use crate::perf::IDLE;
 use crate::setup::{training_data, Testbed, TestbedConfig};
 use std::collections::BTreeMap;
 use tracon_core::{
-    AppModelSet, AppProfile, Characteristics, ModelKind, MonitorConfig, Objective, Predictor,
-    Response, ResponseScale, TrainingData,
+    AppModelSet, AppProfile, Characteristics, ModelKind, Monitor, MonitorConfig, Objective,
+    Predictor, Response, ResponseScale, TrainingData,
 };
 use tracon_vmsim::HostConfig;
 
@@ -171,7 +171,7 @@ fn distill(deploy: &Testbed, base: &Predictor) -> (Vec<TrainingData>, Vec<Traini
     (rt_all, io_all)
 }
 
-/// Wraps the [`AdaptiveObserver`] with wall-clock segmentation: buckets
+/// Wraps the [`Monitor`] with wall-clock segmentation: buckets
 /// completions per segment and measures each segment's realized runtimes
 /// against the predictor snapshot the scheduler held when the segment
 /// began. Individual task runtimes vary hugely under neighbour churn (a
@@ -180,7 +180,7 @@ fn distill(deploy: &Testbed, base: &Predictor) -> (Vec<TrainingData>, Vec<Traini
 /// runtime per (application, neighbour-at-start) class — which isolates
 /// model staleness from irreducible outcome noise.
 struct SegmentTracker {
-    inner: AdaptiveObserver,
+    inner: Monitor,
     segment_s: f64,
     segments: usize,
     current: usize,
@@ -194,7 +194,7 @@ struct SegmentTracker {
 }
 
 impl SegmentTracker {
-    fn new(inner: AdaptiveObserver, segment_s: f64, segments: usize) -> Self {
+    fn new(inner: Monitor, segment_s: f64, segments: usize) -> Self {
         let snapshot = inner.export_predictor();
         SegmentTracker {
             inner,
@@ -239,8 +239,8 @@ impl SegmentTracker {
     }
 
     /// Flushes the open segment and returns the per-segment series plus
-    /// the inner observer.
-    fn finish(mut self) -> (Vec<(usize, f64)>, AdaptiveObserver) {
+    /// the monitor.
+    fn finish(mut self) -> (Vec<(usize, f64)>, Monitor) {
         while self.done.len() < self.segments {
             self.finalize_segment();
         }
@@ -317,7 +317,7 @@ pub fn run(cfg: &ExtAdaptiveConfig) -> ExtAdaptive {
         rebuild_every: 20,
         ..MonitorConfig::default()
     };
-    let observer = AdaptiveObserver::new(
+    let monitor = Monitor::new(
         &stale,
         &deploy.perf.names,
         ModelKind::Wmm,
@@ -325,15 +325,15 @@ pub fn run(cfg: &ExtAdaptiveConfig) -> ExtAdaptive {
         &init_io,
         monitor_cfg,
     );
-    let initial = observer.export_predictor();
-    let mut tracker = SegmentTracker::new(observer, cfg.segment_s, cfg.segments);
+    let initial = monitor.export_predictor();
+    let mut tracker = SegmentTracker::new(monitor, cfg.segment_s, cfg.segments);
     let horizon = cfg.segments as f64 * cfg.segment_s;
     Simulation::new(&deploy, cfg.machines, SchedulerKind::Mibs(8))
         .with_objective(Objective::MinRuntime)
         .with_queue_capacity(8)
         .with_predictor(&initial)
         .run_with_observer(&combined, Some(horizon), &mut tracker);
-    let (adaptive_rows, observer) = tracker.finish();
+    let (adaptive_rows, monitor) = tracker.finish();
 
     // Reference arms, per segment: the stale predictor and the
     // environment-matched one.
@@ -359,10 +359,10 @@ pub fn run(cfg: &ExtAdaptiveConfig) -> ExtAdaptive {
     }
     ExtAdaptive {
         rows,
-        rebuilds: observer.total_rebuilds(),
-        drifts: observer.total_drifts(),
-        predictor_swaps: observer.predictor_swaps(),
-        observed: observer.observed(),
+        rebuilds: monitor.total_rebuilds(),
+        drifts: monitor.total_drifts(),
+        predictor_swaps: monitor.predictor_swaps(),
+        observed: monitor.observed(),
     }
 }
 

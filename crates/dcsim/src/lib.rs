@@ -28,9 +28,8 @@ mod snapshot;
 
 pub use arrival::{poisson_n, poisson_trace, static_batch, ArrivalEvent, WorkloadMix};
 pub use engine::{
-    io_boost, normalized_throughput, speedup, AdaptiveObserver, ArrivalInfo, CompletionInfo,
-    PlacementInfo, QueueBackend, SchedulerKind, SimObserver, SimResult, Simulation,
-    TaskObservation,
+    io_boost, normalized_throughput, speedup, ArrivalInfo, CompletionInfo, PlacementInfo,
+    QueueBackend, SchedulerKind, SimObserver, SimResult, Simulation, TaskObservation,
 };
 pub use perf::{PerfTable, IDLE};
 pub use setup::{Testbed, TestbedConfig};

@@ -16,7 +16,10 @@
 use crate::perf::PerfTable;
 use crate::snapshot;
 use std::collections::HashMap;
-use tracon_core::{AppModelSet, AppProfile, Characteristics, ModelKind, Predictor, TrainingData};
+use tracon_core::{
+    AppModelSet, AppProfile, Characteristics, ModelKind, Monitor, MonitorConfig, Predictor,
+    TrainingData,
+};
 use tracon_vmsim::{apps, AppModel, Benchmark, Engine, HostConfig, ProfileSet, Profiler};
 
 /// Configuration of the testbed construction.
@@ -189,6 +192,25 @@ impl Testbed {
     /// Application names in pair-table index order.
     pub fn app_names(&self) -> &[String] {
         &self.perf.names
+    }
+
+    /// TRACON's monitor over this testbed's applications: `kind` models
+    /// rebuilt online, each app's windows seeded with its profiling data.
+    pub fn monitor(&self, kind: ModelKind, cfg: MonitorConfig) -> Monitor {
+        let seed = |response| -> Vec<TrainingData> {
+            self.profiles
+                .iter()
+                .map(|set| training_data(set, response))
+                .collect()
+        };
+        Monitor::new(
+            &self.predictor,
+            self.app_names(),
+            kind,
+            &seed(tracon_core::Response::Runtime),
+            &seed(tracon_core::Response::Iops),
+            cfg,
+        )
     }
 
     /// Serializes the measured campaign data (profiles + pair matrix) to

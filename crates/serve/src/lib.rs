@@ -6,9 +6,10 @@
 //! submit tasks over a newline-delimited JSON protocol on plain TCP,
 //! admission is bounded with explicit backpressure, placements come from
 //! the same [`tracon_core`] scheduler and scoring-policy machinery the
-//! simulator uses, and client-reported completions feed the live
-//! [`tracon_dcsim::AdaptiveObserver`] so drift triggers in-place
-//! predictor rebuilds against real traffic.
+//! simulator uses, and client-reported completions feed TRACON's
+//! [`tracon_core::Monitor`] — the loop the simulator's adaptive arm
+//! drives too — so drift triggers in-place predictor rebuilds against
+//! real traffic.
 //!
 //! * [`json`] — [`tracon_stats::json`] under its old path: the std-only
 //!   JSON value/parser/serializer for the wire protocol (total:

@@ -72,7 +72,9 @@ pub struct Metrics {
     pub drain_rejections: AtomicU64,
     /// Tasks whose completion was reported by a client.
     pub completions: AtomicU64,
-    /// Model rebuilds triggered by reported completions.
+    /// Reported completions that fired a model rebuild. Each retrains
+    /// the app's runtime and IOPS models, so `status.rebuilds`, which
+    /// counts retrained models, reads twice this.
     pub rebuilds: AtomicU64,
     /// Predictor swaps applied after rebuilds.
     pub predictor_swaps: AtomicU64,
@@ -298,7 +300,7 @@ impl Metrics {
             ("completions_total", "Task completions reported by clients.", &self.completions),
             (
                 "model_rebuilds_total",
-                "Adaptive model rebuilds triggered by completions.",
+                "Completions that fired an adaptive model rebuild (each retrains 2 models).",
                 &self.rebuilds,
             ),
             (

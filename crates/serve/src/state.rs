@@ -4,15 +4,15 @@
 //! thread, so nothing here takes a lock.
 //!
 //! [`Service`] owns the pieces the simulator normally drives on virtual
-//! time — a [`ClusterState`], a [`Scheduler`], a [`ScoringPolicy`], and an
-//! [`AdaptiveObserver`] — and maps them onto real time. Submits,
+//! time — a [`ClusterState`], a [`Scheduler`], a [`ScoringPolicy`], and
+//! TRACON's [`Monitor`] — and maps them onto real time. Submits,
 //! completions, the daemon's ticker and a drain all ask the simulator's
 //! own dispatch gate ([`gate`]) whether to run the scheduler, and hand it
 //! the same window; the daemon's `flush` is "draining, or the oldest
 //! queued task has waited the batch deadline" (100 ms). Completions
-//! reported by clients feed the drift monitor, and a triggered rebuild
-//! swaps the scoring policy in place, exactly like the simulator's
-//! adaptive arm but against live traffic.
+//! reported by clients feed the monitor, and a triggered rebuild swaps
+//! the scoring policy in place: the simulator's adaptive arm drives the
+//! same [`Monitor`], on simulated traffic.
 //!
 //! Failure handling (DESIGN.md §9): every placement carries a lease
 //! deadline scaled by the predicted runtime. A lease that expires without
@@ -42,11 +42,10 @@ use std::time::{Duration, Instant};
 
 use tracon_core::sched::gate;
 use tracon_core::{
-    AppId, ClusterState, Mibs, Mios, Mix, ModelKind, MonitorConfig, Objective, Scheduler,
+    AppId, ClusterState, Mibs, Mios, Mix, ModelKind, Monitor, MonitorConfig, Objective, Scheduler,
     ScoringPolicy, Task, VmRef,
 };
-use tracon_dcsim::setup::training_data;
-use tracon_dcsim::{AdaptiveObserver, SimObserver, Testbed, IDLE};
+use tracon_dcsim::Testbed;
 use tracon_stats::prng::{mix64, GAMMA};
 
 use crate::metrics::{Degraded, Metrics};
@@ -258,7 +257,10 @@ pub struct StatusSnapshot {
     pub admitted: u64,
     /// Total backpressure rejections.
     pub rejected: u64,
-    /// Total monitor rebuilds.
+    /// Total model retrainings: the sum over every app's runtime and IOPS
+    /// [`tracon_core::AdaptiveModel`], which rebuild together, so a
+    /// completion that fires a rebuild adds 2 (twice
+    /// [`Metrics::rebuilds`], which counts those completions).
     pub rebuilds: usize,
     /// Total predictor swaps.
     pub swaps: usize,
@@ -293,7 +295,7 @@ pub struct Service {
     cluster: ClusterState,
     scheduler: Box<dyn Scheduler + Send>,
     scoring: ScoringPolicy,
-    observer: AdaptiveObserver,
+    monitor: Monitor,
     queue: VecDeque<Task>,
     /// The durable truth about every task this shard admitted;
     /// `Row::app` is a perf-table index.
@@ -360,25 +362,8 @@ impl Service {
         );
         assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
         assert!(cfg.max_attempts > 0, "max_attempts must be positive");
-        let init_rt: Vec<_> = testbed
-            .profiles
-            .iter()
-            .map(|set| training_data(set, tracon_core::Response::Runtime))
-            .collect();
-        let init_io: Vec<_> = testbed
-            .profiles
-            .iter()
-            .map(|set| training_data(set, tracon_core::Response::Iops))
-            .collect();
-        let observer = AdaptiveObserver::new(
-            &testbed.predictor,
-            &testbed.perf.names,
-            cfg.model_kind,
-            &init_rt,
-            &init_io,
-            cfg.monitor,
-        );
-        let scoring = ScoringPolicy::new(&observer.export_predictor(), Objective::MinRuntime);
+        let monitor = testbed.monitor(cfg.model_kind, cfg.monitor);
+        let scoring = ScoringPolicy::new(&monitor.export_predictor(), Objective::MinRuntime);
         let cluster = ClusterState::new(
             cfg.machines,
             cfg.slots_per_machine,
@@ -394,7 +379,7 @@ impl Service {
         Service {
             scheduler: cfg.scheduler.build(),
             scoring,
-            observer,
+            monitor,
             cluster,
             queue: VecDeque::new(),
             table: TaskTable::with_apps(&testbed.perf.names),
@@ -694,7 +679,7 @@ impl Service {
         }
         self.wal = None;
         self.queue.clear();
-        self.table = TaskTable::with_apps(self.observer.app_names());
+        self.table = TaskTable::with_apps(self.monitor.app_names());
         self.live.clear();
         self.delayed.clear();
         self.lease_q.clear();
@@ -783,7 +768,7 @@ impl Service {
         // Durable before the client learns the id (write-ahead).
         self.wal_append(|s| WalRecord::Submit {
             task: task_id,
-            app: s.observer.app_names()[app_idx].clone(),
+            app: s.monitor.app_names()[app_idx].clone(),
         });
         self.maybe_dispatch(now);
         let placed = self.live.get(&task_id).and_then(|v| v.placement);
@@ -823,9 +808,7 @@ impl Service {
                 continue;
             };
             let attempt = row.attempts;
-            let predicted_runtime = self
-                .observer
-                .predict_runtime(row.app as usize, neighbor.unwrap_or(IDLE));
+            let predicted_runtime = self.monitor.predict_runtime(row.app as usize, neighbor);
             let lease_ms = self.cfg.lease_base_ms.saturating_add(
                 (predicted_runtime.max(0.0) * self.cfg.lease_per_predicted_s_ms as f64)
                     .min(3_600_000.0) as u64,
@@ -987,9 +970,9 @@ impl Service {
         self.metrics.completions.fetch_add(1, Ordering::Relaxed);
         self.wal_append(|_| WalRecord::Complete { task, runtime });
         let inject = self.rebuild_fail_injections > 0;
-        let observer = &mut self.observer;
+        let monitor = &mut self.monitor;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let rebuilt = observer.record(app_idx, neighbor, runtime, iops);
+            let rebuilt = monitor.record(app_idx, neighbor, runtime, iops);
             if inject && rebuilt {
                 panic!("injected rebuild failure");
             }
@@ -1012,7 +995,7 @@ impl Service {
         }
         let mut swapped = false;
         if rebuilt {
-            if let Some(predictor) = self.observer.updated_predictor() {
+            if let Some(predictor) = self.monitor.take_predictor() {
                 self.scoring = ScoringPolicy::new(&predictor, Objective::MinRuntime);
                 self.metrics.predictor_swaps.fetch_add(1, Ordering::Relaxed);
                 swapped = true;
@@ -1058,8 +1041,8 @@ impl Service {
             dead_lettered: self.dead_lettered,
             admitted: self.admitted,
             rejected: self.rejected,
-            rebuilds: self.observer.total_rebuilds(),
-            swaps: self.observer.predictor_swaps(),
+            rebuilds: self.monitor.total_rebuilds(),
+            swaps: self.monitor.predictor_swaps(),
             draining: self.draining,
             machines: self.cluster.n_machines(),
             free_slots: self.cluster.n_free(),
@@ -1086,13 +1069,13 @@ impl Service {
 
     /// Application name for a perf-table index (for reply rendering).
     pub fn app_name(&self, app_idx: usize) -> &str {
-        self.observer.app_names()[app_idx].as_str()
+        self.monitor.app_names()[app_idx].as_str()
     }
 
     /// All profiled application names in pair-table index order — the
     /// index space arrival generators sample over.
     pub fn app_list(&self) -> &[String] {
-        self.observer.app_names()
+        self.monitor.app_names()
     }
 
     /// Interned id for a profiled application name (`None` if the name
@@ -1175,7 +1158,7 @@ mod tests {
     fn mios_places_on_submit_until_cluster_full() {
         let mut svc = service(SchedKind::Mios, 8);
         let now = Instant::now();
-        let apps: Vec<String> = svc.observer.app_names().to_vec();
+        let apps: Vec<String> = svc.monitor.app_names().to_vec();
         let mut placed = 0;
         for i in 0..6 {
             let out = svc.submit(&apps[i % apps.len()], now).unwrap();
@@ -1194,7 +1177,7 @@ mod tests {
     fn bounded_queue_rejects_with_queue_full() {
         let mut svc = service(SchedKind::Mios, 2);
         let now = Instant::now();
-        let app = svc.observer.app_names()[0].clone();
+        let app = svc.monitor.app_names()[0].clone();
         // Fill the cluster (4 slots) then the queue (2).
         for _ in 0..6 {
             svc.submit(&app, now).unwrap();
@@ -1209,7 +1192,7 @@ mod tests {
     fn completion_frees_slot_and_dispatches_queued_work() {
         let mut svc = service(SchedKind::Mios, 4);
         let now = Instant::now();
-        let app = svc.observer.app_names()[0].clone();
+        let app = svc.monitor.app_names()[0].clone();
         let mut first = None;
         for i in 0..5 {
             let out = svc.submit(&app, now).unwrap();
@@ -1233,7 +1216,7 @@ mod tests {
         for deadline_path in [true, false] {
             let mut svc = service(SchedKind::Mibs(3), 8);
             let now = Instant::now();
-            let app = svc.observer.app_names()[0].clone();
+            let app = svc.monitor.app_names()[0].clone();
             let first = svc.submit(&app, now).unwrap();
             assert!(first.placement.is_some(), "an idle machine places at once");
             for _ in 0..2 {
@@ -1273,7 +1256,7 @@ mod tests {
                 ..ServeConfig::default()
             };
             let mut svc = Service::new(&testbed, cfg, Arc::new(Metrics::new()));
-            let names = svc.observer.app_names().to_vec();
+            let names = svc.monitor.app_names().to_vec();
             let now = Instant::now();
             let later = now + Duration::from_millis(BATCH_DEADLINE_MS);
             // Fill both slots with app `n`.
@@ -1327,7 +1310,7 @@ mod tests {
         };
         let metrics = Arc::new(Metrics::new());
         let mut svc = Service::new(&testbed, cfg, Arc::clone(&metrics));
-        let app = svc.observer.app_names()[0].clone();
+        let app = svc.monitor.app_names()[0].clone();
         let now = Instant::now();
         let a = svc.submit(&app, now).unwrap().task; // lease ends at +1000 ms
         let b = svc.submit(&app, now).unwrap().task;
@@ -1348,7 +1331,7 @@ mod tests {
     fn drain_refuses_new_work_and_reports_idle() {
         let mut svc = service(SchedKind::Mios, 4);
         let now = Instant::now();
-        let app = svc.observer.app_names()[0].clone();
+        let app = svc.monitor.app_names()[0].clone();
         let admitted = svc.submit(&app, now).unwrap();
         svc.drain(now);
         assert!(matches!(svc.submit(&app, now), Err(Refusal::Draining)));
@@ -1374,7 +1357,7 @@ mod tests {
         let mut svc = Service::new(&testbed, cfg, Arc::new(Metrics::new()));
         let now = Instant::now();
         // Rebuild cadence is per-app model, so drive one application hard.
-        let app = svc.observer.app_names()[0].clone();
+        let app = svc.monitor.app_names()[0].clone();
         let mut swaps = 0;
         for round in 0..20 {
             let out = svc.submit(&app, now).unwrap();
@@ -1387,6 +1370,36 @@ mod tests {
         }
         assert!(swaps > 0, "expected at least one predictor swap");
         assert!(svc.status().rebuilds > 0);
+    }
+
+    /// `status.rebuilds` counts model retrainings and
+    /// `tracond_model_rebuilds_total` counts the completions that fired
+    /// them; an app's runtime and IOPS models rebuild together.
+    #[test]
+    fn status_rebuilds_count_two_models_per_rebuilding_completion() {
+        let testbed = tiny_testbed();
+        let cfg = ServeConfig {
+            machines: 2,
+            slots_per_machine: 2,
+            scheduler: SchedKind::Mios,
+            monitor: MonitorConfig {
+                rebuild_every: 4,
+                ..MonitorConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let metrics = Arc::new(Metrics::new());
+        let mut svc = Service::new(&testbed, cfg, Arc::clone(&metrics));
+        let now = Instant::now();
+        let apps = svc.monitor.app_names().to_vec();
+        for round in 0..24 {
+            let out = svc.submit(&apps[round % 2], now).unwrap();
+            svc.complete(out.task, 1.0 + round as f64 * 0.1, 90.0, now)
+                .unwrap();
+        }
+        let events = metrics.rebuilds.load(Ordering::Relaxed);
+        assert_eq!(events, 6, "each app rebuilds on every fourth completion");
+        assert_eq!(svc.status().rebuilds as u64, 2 * events);
     }
 
     #[test]
@@ -1420,7 +1433,7 @@ mod tests {
         let metrics = Arc::new(Metrics::new());
         let mut svc = Service::new(&testbed, cfg, Arc::clone(&metrics));
         let now = Instant::now();
-        let app = svc.observer.app_names()[0].clone();
+        let app = svc.monitor.app_names()[0].clone();
         let out = svc.submit(&app, now).unwrap();
         assert!(out.placement.is_some());
 
@@ -1481,7 +1494,7 @@ mod tests {
         {
             let metrics = Arc::new(Metrics::new());
             let mut svc = Service::open(&testbed, cfg.clone(), Arc::clone(&metrics), now).unwrap();
-            let app = svc.observer.app_names()[0].clone();
+            let app = svc.monitor.app_names()[0].clone();
             let a = svc.submit(&app, now).unwrap(); // placed (1 slot)
             first_task = a.task;
             svc.submit(&app, now).unwrap(); // queued
@@ -1502,7 +1515,7 @@ mod tests {
         let state = svc.task_info(first_task).map(|(row, _)| row.state);
         assert_eq!(state, Some(RecState::Completed));
         // Ids keep advancing from where the dead daemon stopped.
-        let app = svc.observer.app_names()[0].clone();
+        let app = svc.monitor.app_names()[0].clone();
         let next = svc.submit(&app, now).unwrap();
         assert_eq!(next.task, 4);
         // Recovery compacted history into a (shard 0) snapshot.
@@ -1528,7 +1541,7 @@ mod tests {
         let metrics = Arc::new(Metrics::new());
         let mut svc = Service::new(&testbed, cfg, Arc::clone(&metrics));
         let now = Instant::now();
-        let app = svc.observer.app_names()[0].clone();
+        let app = svc.monitor.app_names()[0].clone();
         svc.fail_next_rebuild(1);
         let mut saw_failure = false;
         let mut swaps_after_failure = 0;

@@ -13,7 +13,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use tracon_core::{ClusterState, Mios, Objective, Scheduler, ScoringPolicy, Task};
-use tracon_dcsim::{AdaptiveObserver, Testbed, TestbedConfig};
+use tracon_dcsim::{Testbed, TestbedConfig};
 use tracon_serve::daemon::start;
 use tracon_serve::{Client, ErrorKind, NetConfig, Reply, Request, SchedKind, ServeConfig};
 
@@ -61,29 +61,12 @@ fn placements_are_identical_to_in_process_scheduler() {
         ..ServeConfig::default()
     };
 
-    // Reference run: the same construction path the service uses — an
-    // adaptive observer seeded from the testbed, its exported predictor
-    // behind a scoring policy, and MIOS itself replaying the submissions
-    // one at a time over an identical cluster.
-    let init_rt: Vec<_> = testbed
-        .profiles
-        .iter()
-        .map(|set| tracon_dcsim::setup::training_data(set, tracon_core::Response::Runtime))
-        .collect();
-    let init_io: Vec<_> = testbed
-        .profiles
-        .iter()
-        .map(|set| tracon_dcsim::setup::training_data(set, tracon_core::Response::Iops))
-        .collect();
-    let observer = AdaptiveObserver::new(
-        &testbed.predictor,
-        &testbed.perf.names,
-        cfg.model_kind,
-        &init_rt,
-        &init_io,
-        cfg.monitor,
-    );
-    let scoring = ScoringPolicy::new(&observer.export_predictor(), Objective::MinRuntime);
+    // Reference run: the same construction path the service uses — the
+    // testbed's monitor, its exported predictor behind a scoring policy,
+    // and MIOS itself replaying the submissions one at a time over an
+    // identical cluster.
+    let monitor = testbed.monitor(cfg.model_kind, cfg.monitor);
+    let scoring = ScoringPolicy::new(&monitor.export_predictor(), Objective::MinRuntime);
     let mut cluster = ClusterState::new(2, 2, testbed.app_chars.clone());
     let mut mios = Mios::default();
 

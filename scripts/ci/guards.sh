@@ -121,6 +121,15 @@ forbid "machine classes or fault injection grew back (one homogeneous cluster)" 
 forbid "a second model path grew back (one model)" \
     -rnE 'export_model|PredictorSource|new_owned|error_history|ScoringPolicy<' crates src tests examples --include='*.rs'
 
+# One monitor: TRACON's per-app monitor loop is `tracon_core::Monitor`,
+# which the simulator and tracond both drive. The simulator's copy must
+# not grow back, and tracond reaches the monitor without the event
+# kernel's trait, its idle sentinel or a hand-written seeding.
+forbid "the simulator's monitor type grew back (one monitor)" \
+    -rn 'AdaptiveObserver' crates src tests examples
+forbid "tracond reaches the monitor through the event kernel (one monitor)" \
+    -rnE 'SimObserver|\bIDLE\b|training_data' crates/serve/src
+
 # One fluid model, spelled once: a second engine must not grow back
 # beside `vmsim::Engine`.
 n=$(matches -rn 'fn solve_step' crates/vmsim/src | wc -l)
