@@ -19,14 +19,14 @@
 //! * [`predictor`] — the prediction module that scores candidate task
 //!   placements for the schedulers, backed by dense per-(app, class)
 //!   lookup tables.
-//! * [`resource`] — the resource dimensions (`ResourceDim`, `DimVec`)
-//!   a service client may state a task's demand in; no scheduler reads
-//!   them.
 //! * [`sched`] — the FIFO baseline and the three interference-aware
 //!   schedulers: MIOS (Algorithm 1), MIBS (Algorithm 2), MIX
 //!   (Algorithm 3), over a neighbour-class-indexed cluster state that
 //!   keeps scheduling cost independent of cluster size. The cluster is
 //!   homogeneous, as in the paper.
+//!
+//! A task states no resource demand: as in the paper, its interference
+//! is priced from its application's four profiled characteristics alone.
 //!
 //! The crate is substrate-agnostic: it consumes characteristics and
 //! responses from *any* source. The companion `tracon-vmsim` crate
@@ -42,7 +42,6 @@ pub mod model;
 pub mod monitor;
 pub mod par;
 pub mod predictor;
-pub mod resource;
 pub mod sched;
 
 pub use characteristics::{joint_features, Characteristics, N_CHARACTERISTICS, N_JOINT};
@@ -58,7 +57,6 @@ pub use model::{
 };
 pub use monitor::{AdaptiveModel, Monitor, MonitorConfig, ObserveOutcome};
 pub use predictor::{AppModelSet, AppProfile, Objective, Predictor, ScoringPolicy};
-pub use resource::{DimVec, ResourceDim, N_DIMS};
 pub use sched::{
     Assignment, ClusterState, Fifo, FreeClass, Mibs, MibsAblation, MibsVariant, Mios, Mix,
     Resident, Scheduler, Task, VmRef,

@@ -13,8 +13,10 @@
 //! * **stale** — the mismatched predictor, never updated,
 //! * **adaptive** — the same starting point, adapted online by the
 //!   monitor as the simulation runs,
-//! * **fresh** — a predictor trained for the actual environment (upper
-//!   reference).
+//! * **fresh** — the deployment testbed's own predictor, trained on the
+//!   actual host but against synthetic calibration workloads: the
+//!   reference that online data beats, because the monitors learn the
+//!   application pairs the cluster actually runs.
 //!
 //! The reporting stays segmented: completions of the continuous adaptive
 //! run are bucketed into wall-clock segments, and each segment's
@@ -24,11 +26,11 @@
 use crate::arrival::{poisson_trace, ArrivalEvent, WorkloadMix};
 use crate::engine::{CompletionInfo, SchedulerKind, SimObserver, Simulation};
 use crate::perf::IDLE;
-use crate::setup::{training_data, Testbed, TestbedConfig};
+use crate::setup::{train_models, Testbed, TestbedConfig};
 use std::collections::BTreeMap;
 use tracon_core::{
-    AppModelSet, AppProfile, Characteristics, ModelKind, Monitor, MonitorConfig, Objective,
-    Predictor, Response, ResponseScale, TrainingData,
+    AppProfile, Characteristics, ModelKind, Monitor, MonitorConfig, Objective, Predictor,
+    TrainingData,
 };
 use tracon_vmsim::HostConfig;
 
@@ -86,7 +88,8 @@ pub struct SegmentRow {
     /// Completed tasks with the adaptive predictor (continuous run,
     /// bucketed by completion time).
     pub adaptive: usize,
-    /// Completed tasks with the environment-matched predictor.
+    /// Completed tasks with the deployment testbed's own,
+    /// synthetic-profile-trained predictor.
     pub fresh: usize,
     /// Mean relative runtime-prediction error of the predictor snapshot
     /// the scheduler held at the segment's start, on the segment's
@@ -118,16 +121,6 @@ fn stale_predictor(deploy: &Testbed, profile_source: &Testbed) -> Predictor {
     let mut p = Predictor::new();
     let ids = tracon_core::AppRegistry::from_names(deploy.perf.names.iter().cloned());
     for set in &profile_source.profiles {
-        let runtime = tracon_core::train_model_scaled(
-            ModelKind::Nonlinear,
-            &training_data(set, Response::Runtime),
-            ResponseScale::for_response(Response::Runtime),
-        );
-        let iops = tracon_core::train_model_scaled(
-            ModelKind::Nonlinear,
-            &training_data(set, Response::Iops),
-            ResponseScale::for_response(Response::Iops),
-        );
         let name = set.target.clone();
         let i = deploy.perf.index_of_id(ids.expect_id(&name));
         p.add_app(
@@ -137,7 +130,7 @@ fn stale_predictor(deploy: &Testbed, profile_source: &Testbed) -> Predictor {
                 solo_runtime: deploy.perf.solo_runtime(i),
                 solo_iops: deploy.perf.solo_iops(i),
             },
-            AppModelSet { runtime, iops },
+            train_models(set, ModelKind::Nonlinear),
         );
     }
     p
@@ -336,7 +329,7 @@ pub fn run(cfg: &ExtAdaptiveConfig) -> ExtAdaptive {
     let (adaptive_rows, monitor) = tracker.finish();
 
     // Reference arms, per segment: the stale predictor and the
-    // environment-matched one.
+    // deployment testbed's own.
     let mut rows = Vec::new();
     for (seg, trace) in traces.iter().enumerate() {
         let r_stale = Simulation::new(&deploy, cfg.machines, SchedulerKind::Mibs(8))
@@ -411,8 +404,13 @@ impl ExtAdaptive {
         );
         let _ = writeln!(
             out,
-            "the first segment and its throughput tracks the environment-matched one."
+            "the first segment and its throughput passes the fresh arm's, whose models"
         );
+        let _ = writeln!(
+            out,
+            "were trained on synthetic calibration profiles: online data from the"
+        );
+        let _ = writeln!(out, "pairs the cluster runs beats them.");
         out
     }
 }

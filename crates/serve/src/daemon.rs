@@ -29,7 +29,7 @@ use tracon_dcsim::Testbed;
 
 use crate::json::{n, Quoted, Value};
 use crate::metrics::Metrics;
-use crate::proto::{encode_reply, Demand, ErrorKind, Reply, Request, ResultLine};
+use crate::proto::{encode_reply, ErrorKind, Reply, Request, ResultLine};
 use crate::reactor::{self, OutMsg, OutSender, ReactorConfig, ShardMsg};
 use crate::repl::{
     follower::{probe_peer, run_repl, FollowerConfig, Node},
@@ -499,27 +499,25 @@ fn run_batch(
 fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant) -> String {
     let base = svc.machine_base();
     let refused = match request {
-        Request::Submit { app, demand } => {
-            match svc.submit_with_demand(&app, demand.unwrap_or_default(), now) {
-                Ok(admitted) => {
-                    let mut line = ResultLine::new(&id);
-                    line.field("task", n(admitted.task as f64));
-                    match admitted.placement {
-                        Some((vm, score, runtime)) => line
-                            .field("state", Quoted("placed"))
-                            .field("machine", n((vm.machine + base) as f64))
-                            .field("slot", n(vm.slot as f64))
-                            .field("predicted_score", n(score))
-                            .field("predicted_runtime", n(runtime)),
-                        None => line
-                            .field("state", Quoted("queued"))
-                            .field("depth", n(admitted.depth as f64)),
-                    };
-                    return line.finish();
-                }
-                Err(refusal) => refusal_reply(id, refusal),
+        Request::Submit { app, .. } => match svc.submit(&app, now) {
+            Ok(admitted) => {
+                let mut line = ResultLine::new(&id);
+                line.field("task", n(admitted.task as f64));
+                match admitted.placement {
+                    Some((vm, score, runtime)) => line
+                        .field("state", Quoted("placed"))
+                        .field("machine", n((vm.machine + base) as f64))
+                        .field("slot", n(vm.slot as f64))
+                        .field("predicted_score", n(score))
+                        .field("predicted_runtime", n(runtime)),
+                    None => line
+                        .field("state", Quoted("queued"))
+                        .field("depth", n(admitted.depth as f64)),
+                };
+                return line.finish();
             }
-        }
+            Err(refusal) => refusal_reply(id, refusal),
+        },
         Request::Complete {
             task,
             runtime,
@@ -541,9 +539,6 @@ fn answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant)
                 let mut line = ResultLine::new(&id);
                 line.field("task", n(task as f64))
                     .field("app", Quoted(svc.app_name(row.app as usize)));
-                if let Some(demand) = volatile.map(|v| &v.demand).filter(|d| !d.is_empty()) {
-                    line.field("demand", Demand(demand));
-                }
                 match (row.state, volatile.and_then(|v| v.placement)) {
                     (RecState::Leased, Some(placed)) => {
                         line.field("state", Quoted("running"))
@@ -1021,43 +1016,33 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The demand encoder `old_answer` called, which built a `Value`.
-    fn old_demand_value(demand: &tracon_core::DimVec) -> Value {
-        obj(demand
-            .iter()
-            .map(|(dim, v)| (dim.name(), n(v)))
-            .collect::<Vec<_>>())
-    }
-
     /// `answer` as it was when it built every result as a `Value` tree:
     /// the reference for the bytes `answer` now writes directly.
     fn old_answer(svc: &mut Service, id: Option<String>, request: Request, now: Instant) -> Reply {
         use crate::json::s;
         let base = svc.machine_base();
         match request {
-            Request::Submit { app, demand } => {
-                match svc.submit_with_demand(&app, demand.unwrap_or_default(), now) {
-                    Ok(admitted) => {
-                        let result = match admitted.placement {
-                            Some((vm, score, runtime)) => obj(vec![
-                                ("task", n(admitted.task as f64)),
-                                ("state", s("placed")),
-                                ("machine", n((vm.machine + base) as f64)),
-                                ("slot", n(vm.slot as f64)),
-                                ("predicted_score", n(score)),
-                                ("predicted_runtime", n(runtime)),
-                            ]),
-                            None => obj(vec![
-                                ("task", n(admitted.task as f64)),
-                                ("state", s("queued")),
-                                ("depth", n(admitted.depth as f64)),
-                            ]),
-                        };
-                        Reply::ok(id, result)
-                    }
-                    Err(refusal) => refusal_reply(id, refusal),
+            Request::Submit { app, .. } => match svc.submit(&app, now) {
+                Ok(admitted) => {
+                    let result = match admitted.placement {
+                        Some((vm, score, runtime)) => obj(vec![
+                            ("task", n(admitted.task as f64)),
+                            ("state", s("placed")),
+                            ("machine", n((vm.machine + base) as f64)),
+                            ("slot", n(vm.slot as f64)),
+                            ("predicted_score", n(score)),
+                            ("predicted_runtime", n(runtime)),
+                        ]),
+                        None => obj(vec![
+                            ("task", n(admitted.task as f64)),
+                            ("state", s("queued")),
+                            ("depth", n(admitted.depth as f64)),
+                        ]),
+                    };
+                    Reply::ok(id, result)
                 }
-            }
+                Err(refusal) => refusal_reply(id, refusal),
+            },
             Request::Complete {
                 task,
                 runtime,
@@ -1081,9 +1066,6 @@ mod tests {
                         ("task", n(task as f64)),
                         ("app", s(svc.app_name(row.app as usize))),
                     ];
-                    if let Some(demand) = volatile.map(|v| &v.demand).filter(|d| !d.is_empty()) {
-                        pairs.push(("demand", old_demand_value(demand)));
-                    }
                     match (row.state, volatile.and_then(|v| v.placement)) {
                         (RecState::Leased, Some(placed)) => {
                             pairs.push(("state", s("running")));
@@ -1125,8 +1107,8 @@ mod tests {
     /// Two shards in lockstep, one answered by `answer` and one by the
     /// tree-building reference, through every reply shape a shard writes:
     /// placed and queued submits, completes with and without a rebuild,
-    /// `task` while running (with and without a neighbour, with a
-    /// demand), queued, completed and dead-lettered, and every refusal.
+    /// `task` while running (with and without a neighbour), queued,
+    /// completed and dead-lettered, and every refusal.
     #[test]
     fn answer_writes_the_bytes_of_the_tree_it_no_longer_builds() {
         let metrics = Arc::new(Metrics::new());
@@ -1158,15 +1140,12 @@ mod tests {
             let result = reply.get("result").unwrap();
             result.get("task").and_then(Value::as_u64).unwrap()
         };
-        let demand = tracon_core::DimVec::new()
-            .with(tracon_core::ResourceDim::Disk, 120.0)
-            .with(tracon_core::ResourceDim::Network, 40.5);
         let mut tasks = Vec::new();
         for i in 0..6 {
             let request = Request::Submit {
                 // Two apps, so the third complete is its app's second.
                 app: apps[i % 2].clone(),
-                demand: (i == 1).then_some(demand),
+                demand: None,
             };
             let id = ["c\"1\n", "🦀"][i % 2];
             let reply = ask(&mut new, &mut old, (i != 3).then_some(id), request);
@@ -1217,7 +1196,6 @@ mod tests {
             "\"state\":\"running\"",
             "\"neighbor\":null",
             "\"neighbor\":\"",
-            "\"demand\":{\"disk\":120,\"network\":40.5}",
             "\"state\":\"queued\"}",
             "\"state\":\"completed\"",
             "\"state\":\"dead_lettered\"",

@@ -8,15 +8,15 @@
 //! wrong version, unknown op, missing field — maps to a structured
 //! [`Reply::Error`], never a panic or a dropped connection.
 //!
-//! `submit` takes an optional `demand` object: per-dimension resource
-//! demand (`{"disk":.., "cpu":.., "network":..}`, any subset) advising
-//! the scheduler of lanes the profiled characteristics do not cover. A
-//! submission that omits it keeps the legacy two-dimension defaults.
+//! The value under a key the op does not name is checked to be JSON and
+//! dropped. That includes `demand`, which older clients attach to a
+//! `submit`: the scheduler prices interference from the profiled
+//! characteristics alone, so any `demand` value gets the reply its
+//! absence would.
 
 use std::fmt::{self, Write as _};
 
 use crate::json::{self, n, Quoted, Value};
-use tracon_core::{DimVec, ResourceDim};
 
 /// The protocol version this daemon speaks: the only one a request may
 /// name, and the one replies are encoded at.
@@ -29,10 +29,10 @@ pub enum Request {
     Submit {
         /// Profiled application name (e.g. `"video"`).
         app: String,
-        /// Optional per-dimension resource demand (protocol v2). `None`
-        /// means the legacy two-dimension defaults; an explicit map is
-        /// advisory and echoed in `task` replies.
-        demand: Option<DimVec>,
+        /// Always `None`: the wire drops a `demand` key, and no value of
+        /// this type exists. The field stays until the benchmark harness
+        /// stops building `Request` literals (ROADMAP item 11).
+        demand: Option<std::convert::Infallible>,
     },
     /// Report that a previously placed task finished, feeding the live
     /// model monitor.
@@ -286,12 +286,7 @@ impl fmt::Display for RequestLine<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{\"v\":{VERSION},\"id\":{}", Id(&self.0.id))?;
         match &self.0.request {
-            Request::Submit { app, demand } => {
-                write!(f, ",\"op\":\"submit\",\"app\":{}", Quoted(app))?;
-                if let Some(d) = demand {
-                    write!(f, ",\"demand\":{}", Demand(d))?;
-                }
-            }
+            Request::Submit { app, .. } => write!(f, ",\"op\":\"submit\",\"app\":{}", Quoted(app))?,
             Request::Complete {
                 task,
                 runtime,
@@ -368,25 +363,6 @@ impl DecodeError {
     }
 }
 
-/// A demand vector as a JSON object of its set lanes, keyed by the
-/// canonical dimension names.
-pub(crate) struct Demand<'a>(pub(crate) &'a DimVec);
-
-impl fmt::Display for Demand<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("{")?;
-        for (i, (dim, v)) in self.0.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            Quoted(dim.name()).fmt(f)?;
-            f.write_str(":")?;
-            n(v).fmt(f)?;
-        }
-        f.write_str("}")
-    }
-}
-
 /// The first value under each key a request may carry, as `Value::get`
 /// would find it in the whole document; every other field is dropped.
 #[derive(Default)]
@@ -395,7 +371,6 @@ struct Fields {
     id: Option<Value>,
     op: Option<Value>,
     app: Option<Value>,
-    demand: Option<Value>,
     task: Option<Value>,
     runtime: Option<Value>,
     iops: Option<Value>,
@@ -416,7 +391,6 @@ impl Fields {
             "id" => &mut self.id,
             "op" => &mut self.op,
             "app" => &mut self.app,
-            "demand" => &mut self.demand,
             "task" => &mut self.task,
             "runtime" => &mut self.runtime,
             "iops" => &mut self.iops,
@@ -439,46 +413,6 @@ fn into_string(value: Option<Value>) -> Option<String> {
     match value {
         Some(Value::Str(text)) => Some(text),
         _ => None,
-    }
-}
-
-/// Decode the optional `demand` object of a v2 submit. Unknown dimension
-/// names and non-finite or negative values are structured field errors.
-fn field_demand(value: Option<&Value>, id: &Option<String>) -> Result<Option<DimVec>, DecodeError> {
-    let bad = |message: String| DecodeError {
-        id: id.clone(),
-        kind: ErrorKind::BadField,
-        message,
-    };
-    match value {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Obj(pairs)) => {
-            let mut demand = DimVec::new();
-            for (key, value) in pairs {
-                let dim = ResourceDim::parse(key).ok_or_else(|| {
-                    bad(format!(
-                        "unknown resource dimension '{key}' (known: {})",
-                        ResourceDim::ALL
-                            .iter()
-                            .map(|d| d.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ))
-                })?;
-                match value.as_f64() {
-                    Some(v) if v.is_finite() && v >= 0.0 => demand.set(dim, v),
-                    _ => {
-                        return Err(bad(format!(
-                            "invalid demand for '{key}' (expected finite non-negative number)"
-                        )))
-                    }
-                }
-            }
-            Ok(Some(demand))
-        }
-        Some(_) => Err(bad(
-            "invalid 'demand' (expected object of dimension -> number)".to_string(),
-        )),
     }
 }
 
@@ -570,7 +504,7 @@ pub fn decode_request(line: &str) -> Result<Envelope, DecodeError> {
     let request = match op {
         "submit" => Request::Submit {
             app: field_name(&mut doc.app, &id, "app")?,
-            demand: field_demand(doc.demand.as_ref(), &id)?,
+            demand: None,
         },
         "complete" => Request::Complete {
             task: field_u64(doc.task.as_ref(), &id, "task")?,
@@ -801,36 +735,19 @@ mod tests {
     }
 
     #[test]
-    fn submit_demand_roundtrip() {
-        let envelope = Envelope {
-            id: None,
-            request: Request::Submit {
-                app: "video".to_string(),
-                demand: Some(
-                    DimVec::new()
-                        .with(ResourceDim::Disk, 120.0)
-                        .with(ResourceDim::Network, 40.5),
-                ),
-            },
-        };
-        let line = encode_request(&envelope);
-        assert!(line.contains("\"network\":40.5"), "{line}");
-        assert_eq!(decode_request(&line).unwrap(), envelope);
-    }
-
-    #[test]
-    fn bad_demand_is_a_structured_field_error() {
-        let e = decode_request("{\"v\":2,\"op\":\"submit\",\"app\":\"a\",\"demand\":{\"tape\":1}}")
-            .unwrap_err();
-        assert_eq!(e.kind, ErrorKind::BadField);
-        assert!(e.message.contains("tape"), "{}", e.message);
-        let e =
-            decode_request("{\"v\":2,\"op\":\"submit\",\"app\":\"a\",\"demand\":{\"disk\":-4}}")
-                .unwrap_err();
-        assert_eq!(e.kind, ErrorKind::BadField);
-        let e =
-            decode_request("{\"v\":2,\"op\":\"submit\",\"app\":\"a\",\"demand\":7}").unwrap_err();
-        assert_eq!(e.kind, ErrorKind::BadField);
+    fn any_demand_decodes_like_a_submit_without_one() {
+        let bare = decode_request("{\"v\":2,\"op\":\"submit\",\"app\":\"a\"}").unwrap();
+        for demand in [
+            "{\"tape\":1}",
+            "{\"disk\":-4}",
+            "{\"cpu\":\"1\"}",
+            "7",
+            "null",
+            "{\"disk\":1,\"disk\":2}",
+        ] {
+            let line = format!("{{\"v\":2,\"op\":\"submit\",\"app\":\"a\",\"demand\":{demand}}}");
+            assert_eq!(decode_request(&line), Ok(bare.clone()), "{line}");
+        }
     }
 
     #[test]

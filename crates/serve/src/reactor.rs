@@ -713,7 +713,7 @@ impl Reactor {
                 let line = serve_fail(req_id, &action, spec.as_deref());
                 self.complete(id, seq, line);
             }
-            Request::Submit { app, demand } => {
+            Request::Submit { app, .. } => {
                 if let Some(line) = self.refuse_if_not_leader(&req_id) {
                     self.complete(id, seq, line);
                     return;
@@ -728,7 +728,7 @@ impl Reactor {
                         conn: id,
                         seq,
                         id: req_id,
-                        request: Request::Submit { app, demand },
+                        request: Request::Submit { app, demand: None },
                     },
                 );
             }

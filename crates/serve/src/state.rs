@@ -27,7 +27,7 @@
 //! from it — tasks leased at the time of the crash are requeued (the
 //! executor died with the daemon) and the interrupted attempt counts
 //! against their budget. What only the running daemon knows (when a task
-//! arrived, its declared demand, where it was placed) sits in a side map
+//! arrived, where it was placed) sits in a side map
 //! for as long as the task is queued or running. A failed adaptive
 //! rebuild does not take the daemon down either: the panic is contained,
 //! the last-good predictor keeps serving placements, and the failure is
@@ -177,15 +177,12 @@ pub struct Placement {
 
 /// What the daemon knows about a queued or running task beyond its
 /// durable [`Row`]. None of it is logged: a restored task starts over
-/// with defaults, and the entry goes when the task completes or
-/// dead-letters.
+/// unplaced, arriving at the restore, and the entry goes when the task
+/// completes or dead-letters.
 #[derive(Clone, Debug)]
 pub struct Volatile {
     /// When the submit was admitted (or restored).
     pub submitted: Instant,
-    /// Client-declared per-dimension demand (protocol v2). Advisory —
-    /// echoed in `task` replies. Empty when unspecified.
-    pub demand: tracon_core::DimVec,
     /// The placement, while the task runs (whether the task is queued
     /// or backing off is told by the delayed heap, not here).
     pub placement: Option<Placement>,
@@ -502,9 +499,7 @@ impl Service {
                     self.dead_lettered += 1;
                     self.metrics.dead_letters.fetch_add(1, Ordering::Relaxed);
                 }
-                // Demand is not in the WAL; replayed tasks fall back to
-                // the legacy defaults.
-                _ => self.enqueue(row.task, app_id, tracon_core::DimVec::new(), now),
+                _ => self.enqueue(row.task, app_id, now),
             }
         }
         self.table.raise_next_task_id(next_task_id);
@@ -513,11 +508,10 @@ impl Service {
     }
 
     /// Put a queued task at the back of the admission queue.
-    fn enqueue(&mut self, task: u64, app: AppId, demand: tracon_core::DimVec, now: Instant) {
+    fn enqueue(&mut self, task: u64, app: AppId, now: Instant) {
         self.queue.push_back(Task::new(task, app));
         let fresh = Volatile {
             submitted: now,
-            demand,
             placement: None,
         };
         self.live.insert(task, fresh);
@@ -720,17 +714,6 @@ impl Service {
     /// Admit one task by name, dispatching immediately when the scheduler
     /// allows.
     pub fn submit(&mut self, app: &str, now: Instant) -> Result<Admitted, Refusal> {
-        self.submit_with_demand(app, tracon_core::DimVec::new(), now)
-    }
-
-    /// [`Service::submit`] with a client-declared demand vector attached
-    /// to the task record (protocol v2 `demand` map; advisory).
-    pub fn submit_with_demand(
-        &mut self,
-        app: &str,
-        demand: tracon_core::DimVec,
-        now: Instant,
-    ) -> Result<Admitted, Refusal> {
         if self.draining {
             self.metrics
                 .drain_rejections
@@ -743,16 +726,10 @@ impl Service {
             let name = app.to_string();
             return Err(Refusal::UnknownApp { name });
         };
-        self.wal_transaction(|s| s.admit(app_id, app_idx, demand, now))
+        self.wal_transaction(|s| s.admit(app_id, app_idx, now))
     }
 
-    fn admit(
-        &mut self,
-        app_id: AppId,
-        app_idx: usize,
-        demand: tracon_core::DimVec,
-        now: Instant,
-    ) -> Result<Admitted, Refusal> {
+    fn admit(&mut self, app_id: AppId, app_idx: usize, now: Instant) -> Result<Admitted, Refusal> {
         if self.queue.len() >= self.cfg.queue_capacity {
             self.rejected += 1;
             self.metrics.rejections.fetch_add(1, Ordering::Relaxed);
@@ -762,7 +739,7 @@ impl Service {
         }
         let task_id = self.next_id();
         self.table.submit(task_id, app_idx as u32);
-        self.enqueue(task_id, app_id, demand, now);
+        self.enqueue(task_id, app_id, now);
         self.admitted += 1;
         self.metrics.admissions.fetch_add(1, Ordering::Relaxed);
         // Durable before the client learns the id (write-ahead).

@@ -2,7 +2,6 @@
 //! every request and reply shape, and totality of the decoder — malformed
 //! lines always yield a structured error, never a panic.
 
-use tracon_core::{DimVec, ResourceDim};
 use tracon_serve::json::{self, n, obj, s, Value};
 use tracon_serve::proto::{
     decode_reply, decode_request, encode_reply, encode_request, Envelope, ErrorKind, LeaderHint,
@@ -33,28 +32,12 @@ fn task_id(rng: &mut ChaCha12) -> u64 {
     rng.next_u64() >> 11
 }
 
-/// An optional v2 demand map: any subset of the resource dimensions with
-/// finite non-negative values (`None` = legacy submit).
-fn demand(rng: &mut ChaCha12) -> Option<DimVec> {
-    let lanes = rng.range_usize(0, 4);
-    if lanes == 0 {
-        return None;
-    }
-    let mut d = DimVec::new();
-    for _ in 0..lanes {
-        let dim = ResourceDim::ALL[rng.range_usize(0, ResourceDim::ALL.len())];
-        d.set(dim, rng.range_f64(0.0, 1.0e9));
-    }
-    Some(d)
-}
-
 fn request(rng: &mut ChaCha12) -> Request {
     let op = rng.range_usize(0, 8);
     let text = wire_string(rng, 12);
     let task = task_id(rng);
     let runtime = rng.range_f64(-1.0e9, 1.0e9);
     let iops = rng.range_f64(0.0, 1.0e9);
-    let demand = demand(rng);
     // Submits and repl ops require non-empty name/address strings.
     let nonempty = if text.is_empty() {
         "x".to_string()
@@ -64,7 +47,7 @@ fn request(rng: &mut ChaCha12) -> Request {
     match op {
         0 => Request::Submit {
             app: nonempty,
-            demand,
+            demand: None,
         },
         1 => Request::Complete {
             task,

@@ -130,6 +130,17 @@ forbid "the simulator's monitor type grew back (one monitor)" \
 forbid "tracond reaches the monitor through the event kernel (one monitor)" \
     -rnE 'SimObserver|\bIDLE\b|training_data' crates/serve/src
 
+# No demand surface: as in the paper, interference is priced from the
+# four profiled characteristics and a task states no resource demand.
+# The demand vector and its plumbing must not grow back, and shipped
+# serve code names no `demand` key: the wire drops it as an unknown key.
+forbid "the resource-demand surface grew back (no demand surface)" \
+    -rnE 'DimVec|ResourceDim|N_DIMS|submit_with_demand|field_demand' crates src tests examples
+for f in crates/serve/src/*.rs crates/serve/src/*/*.rs; do
+    found=$(code_of "$f" | matches -n '"demand"')
+    [ -z "$found" ] || fail "$f names a \`demand\` key in shipped code (no demand surface)"$'\n'"$found"
+done
+
 # One fluid model, spelled once: a second engine must not grow back
 # beside `vmsim::Engine`.
 n=$(matches -rn 'fn solve_step' crates/vmsim/src | wc -l)

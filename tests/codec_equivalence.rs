@@ -17,7 +17,6 @@
 
 use std::fmt;
 
-use tracon_core::{DimVec, ResourceDim};
 use tracon_serve::json::{self, n, obj, s, Value};
 use tracon_serve::proto::{
     decode_reply, decode_request, encode_reply, encode_request, DecodeError, Envelope, ErrorKind,
@@ -95,13 +94,6 @@ fn old_id_value(id: &Option<String>) -> Value {
     }
 }
 
-fn old_demand_value(demand: &DimVec) -> Value {
-    obj(demand
-        .iter()
-        .map(|(dim, v)| (dim.name(), n(v)))
-        .collect::<Vec<_>>())
-}
-
 /// The old `proto::encode_request`: clone into a tree, then write it.
 fn old_encode_request(envelope: &Envelope) -> String {
     let mut pairs = vec![
@@ -109,12 +101,9 @@ fn old_encode_request(envelope: &Envelope) -> String {
         ("id", old_id_value(&envelope.id)),
     ];
     match &envelope.request {
-        Request::Submit { app, demand } => {
+        Request::Submit { app, .. } => {
             pairs.push(("op", s("submit")));
             pairs.push(("app", s(app.clone())));
-            if let Some(d) = demand {
-                pairs.push(("demand", old_demand_value(d)));
-            }
         }
         Request::Complete {
             task,
@@ -250,45 +239,6 @@ fn old_decode_reply(line: &str) -> Result<Reply, String> {
     }
 }
 
-/// The old `proto::field_demand`.
-fn old_field_demand(doc: &Value, id: &Option<String>) -> Result<Option<DimVec>, DecodeError> {
-    let bad = |message: String| DecodeError {
-        id: id.clone(),
-        kind: ErrorKind::BadField,
-        message,
-    };
-    match doc.get("demand") {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Obj(pairs)) => {
-            let mut demand = DimVec::new();
-            for (key, value) in pairs {
-                let dim = ResourceDim::parse(key).ok_or_else(|| {
-                    bad(format!(
-                        "unknown resource dimension '{key}' (known: {})",
-                        ResourceDim::ALL
-                            .iter()
-                            .map(|d| d.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ))
-                })?;
-                match value.as_f64() {
-                    Some(v) if v.is_finite() && v >= 0.0 => demand.set(dim, v),
-                    _ => {
-                        return Err(bad(format!(
-                            "invalid demand for '{key}' (expected finite non-negative number)"
-                        )))
-                    }
-                }
-            }
-            Ok(Some(demand))
-        }
-        Some(_) => Err(bad(
-            "invalid 'demand' (expected object of dimension -> number)".to_string(),
-        )),
-    }
-}
-
 /// The old `proto::field_u64`.
 fn old_field_u64(doc: &Value, id: &Option<String>, key: &str) -> Result<u64, DecodeError> {
     doc.get(key)
@@ -361,7 +311,7 @@ fn old_decode_request(line: &str) -> Result<Envelope, DecodeError> {
         "submit" => match doc.get("app").and_then(Value::as_str) {
             Some(app) if !app.is_empty() => Request::Submit {
                 app: app.to_string(),
-                demand: old_field_demand(&doc, &id)?,
+                demand: None,
             },
             _ => {
                 return Err(DecodeError {
@@ -600,14 +550,7 @@ fn random_request(rng: &mut ChaCha12) -> Request {
     match rng.range_usize(0, 9) {
         0 => Request::Submit {
             app: text,
-            demand: (rng.range_usize(0, 2) == 0).then(|| {
-                let mut d = DimVec::new();
-                for _ in 0..rng.range_usize(0, 4) {
-                    let dim = ResourceDim::ALL[rng.range_usize(0, ResourceDim::ALL.len())];
-                    d.set(dim, random_number(rng));
-                }
-                d
-            }),
+            demand: None,
         },
         1 => Request::Complete {
             task: random_u64(rng),
@@ -726,7 +669,8 @@ fn reply_like_line(rng: &mut ChaCha12) -> String {
     Old(&doc).to_string()
 }
 
-/// Every key a request may carry, and keys the decoder must drop.
+/// Every key a request may carry, and keys the decoder must drop
+/// (`demand` among them).
 const REQUEST_KEYS: [&str; 20] = [
     "v",
     "id",
@@ -877,7 +821,7 @@ const GARBAGE: [&str; 10] = [
 ];
 
 /// Lines at the decoder's edges: every check in order, duplicates,
-/// escaped keys and the demand map's field errors.
+/// escaped keys and `demand` values of every shape, all dropped.
 const EDGE_REQUESTS: [&str; 40] = [
     "",
     "   ",
