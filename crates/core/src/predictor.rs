@@ -79,6 +79,17 @@ impl Predictor {
             .unwrap_or_else(|| panic!("unknown application '{app}'"))
     }
 
+    /// The models registered for `app`, shared with whoever else holds
+    /// them.
+    ///
+    /// # Panics
+    /// Panics when `app` is unknown.
+    pub fn models(&self, app: &str) -> &AppModelSet {
+        self.models
+            .get(app)
+            .unwrap_or_else(|| panic!("unknown application '{app}'"))
+    }
+
     /// The stored profile behind an interned id.
     pub fn profile_of(&self, id: AppId) -> &AppProfile {
         self.profile(self.registry.name(id))

@@ -5,7 +5,11 @@
 //!
 //! Arrivals never enter a queue: [`Pending`] reads them in place from
 //! the time-sorted trace and merges them in front of a [`KernelQueue`]
-//! that holds only what the run pushes: completions.
+//! that holds only what the run pushes: completions. A push returns a
+//! [`Handle`], and a completion that a neighbour change supersedes is
+//! cancelled through it: a cancelled event never pops, and
+//! [`KernelQueue::next_time`] never reports it, so every event the
+//! kernel delivers is live.
 //! Two interchangeable backends implement that queue:
 //!
 //! * [`TimingWheel`] (the default) — a calendar queue over a recycled
@@ -15,22 +19,27 @@
 //!   current epoch, each bucket is sorted once when the drain cursor
 //!   reaches it, and far-future events wait in an overflow list until the
 //!   epoch rolls over and a new calendar is laid out over their span. A
-//!   popped event's handle goes on a free list for the next push, so the
-//!   arena is as large as the most events ever pending at once, not as
-//!   the number ever pushed.
+//!   cancel clears the handle's live flag; the handle is dropped where it
+//!   next surfaces (its bucket's drain, the rollover, or the run head)
+//!   and only then goes on the free list for the next push, so the
+//!   arena is as large as the most events ever held at once, not as the
+//!   number ever pushed.
 //! * [`HeapQueue`] — the reference `BinaryHeap` kernel, retained as the
 //!   equivalence oracle (`QueueBackend::BinaryHeap`) and exercised by the
 //!   wheel-vs-heap property test below and the golden bit-identity matrix.
+//!   It skips cancelled entries when they reach its head.
 
 use crate::arrival::ArrivalEvent;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 use tracon_core::VmRef;
 
 /// Tolerance under which two event timestamps count as simultaneous.
-/// Shared by the queue's coincidence-group extraction and the dispatch
-/// gate: simultaneous events must all be processed before the scheduler
-/// runs, or a batch scheduler would see its window one task at a time.
+/// The kernel holds the dispatch gate while the next pending event lies
+/// within it of the one just processed: simultaneous events (a chain of
+/// them, each within the tolerance of the last) must all be processed
+/// before the scheduler runs, or a batch scheduler would see its window
+/// one task at a time.
 pub const COINCIDENCE_EPS: f64 = 1e-12;
 
 /// What happens when an event fires.
@@ -38,11 +47,15 @@ pub const COINCIDENCE_EPS: f64 = 1e-12;
 pub(crate) enum EventKind {
     /// Task `trace[i]` arrives.
     Arrival(usize),
-    /// The task on `vm` finishes — valid only if the slot's version still
-    /// matches (a neighbour change reschedules completion and bumps the
-    /// version, turning the old event stale).
-    Completion { vm: VmRef, version: u64 },
+    /// The task on `vm` finishes. A neighbour change cancels this event
+    /// and pushes one at the rescaled time, so it always names the
+    /// slot's current occupant.
+    Completion(VmRef),
 }
+
+/// Names a pushed event, so its pusher can cancel it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Handle(u64);
 
 /// A scheduled simulation event.
 #[derive(Debug, Clone, Copy)]
@@ -79,9 +92,9 @@ impl Ord for Event {
 }
 
 /// A kernel event queue: a totally ordered `(time, seq)` schedule with
-/// O(1) peeking. The simulation main loop is generic over this trait so
-/// the timing wheel and the reference heap are drop-in interchangeable
-/// (see [`QueueBackend`](super::QueueBackend)).
+/// O(1) peeking and cancellation. The simulation main loop is generic
+/// over this trait so the timing wheel and the reference heap are drop-in
+/// interchangeable (see [`QueueBackend`](super::QueueBackend)).
 pub(crate) trait KernelQueue {
     /// Creates an empty queue sized for roughly `n` pending events.
     fn with_capacity(n: usize) -> Self
@@ -89,7 +102,12 @@ pub(crate) trait KernelQueue {
         Self: Sized;
 
     /// Schedules an event; later pushes at the same time pop later.
-    fn push(&mut self, time: f64, kind: EventKind);
+    fn push(&mut self, time: f64, kind: EventKind) -> Handle;
+
+    /// Cancels a pending event: it never pops, and `next_time` never
+    /// reports it. `handle` must name an event that was pushed and has
+    /// neither popped nor been cancelled.
+    fn cancel(&mut self, handle: Handle);
 
     /// Pops the earliest event.
     fn pop(&mut self) -> Option<Event>;
@@ -170,35 +188,28 @@ impl<'t, Q: KernelQueue> Pending<'t, Q> {
             kind: EventKind::Arrival(i),
         })
     }
-
-    /// Pops the maximal coincidence group — the head event plus every
-    /// successor chained within [`COINCIDENCE_EPS`] of the previously
-    /// popped timestamp — appending it to `out` in pop order. Returns
-    /// `false` when nothing is pending.
-    pub fn pop_coincident_into(&mut self, out: &mut Vec<Event>) -> bool {
-        let Some(first) = self.pop() else {
-            return false;
-        };
-        let mut last = first.time;
-        out.push(first);
-        while let Some(t) = self.next_time() {
-            if (t - last).abs() < COINCIDENCE_EPS {
-                last = t;
-                out.push(self.pop().expect("peeked a pending event"));
-            } else {
-                break;
-            }
-        }
-        true
-    }
 }
 
 /// The reference event queue: a max-heap of boxed-node [`Event`]s plus
 /// the monotone sequence counter, so every push gets the next
-/// tie-breaking rank automatically.
+/// tie-breaking rank automatically. An event's handle is its seq.
 pub(crate) struct HeapQueue {
     heap: BinaryHeap<Event>,
     seq: u64,
+    /// Seqs of cancelled events still in the heap; never the head's.
+    cancelled: HashSet<u64>,
+}
+
+impl HeapQueue {
+    /// Pops cancelled events off the head.
+    fn skip_cancelled(&mut self) {
+        while let Some(head) = self.heap.peek() {
+            if !self.cancelled.remove(&head.seq) {
+                break;
+            }
+            self.heap.pop();
+        }
+    }
 }
 
 impl KernelQueue for HeapQueue {
@@ -206,20 +217,30 @@ impl KernelQueue for HeapQueue {
         HeapQueue {
             heap: BinaryHeap::with_capacity(n),
             seq: 0,
+            cancelled: HashSet::new(),
         }
     }
 
-    fn push(&mut self, time: f64, kind: EventKind) {
+    fn push(&mut self, time: f64, kind: EventKind) -> Handle {
         self.heap.push(Event {
             time,
             seq: self.seq,
             kind,
         });
         self.seq += 1;
+        Handle(self.seq - 1)
+    }
+
+    fn cancel(&mut self, handle: Handle) {
+        let fresh = self.cancelled.insert(handle.0);
+        debug_assert!(fresh, "event {handle:?} cancelled twice");
+        self.skip_cancelled();
     }
 
     fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
+        let e = self.heap.pop()?;
+        self.skip_cancelled();
+        Some(e)
     }
 
     fn next_time(&self) -> Option<f64> {
@@ -243,13 +264,18 @@ const RUN_DIRECT_MAX: usize = 128;
 
 /// The timing-wheel event queue (default backend).
 ///
-/// Events live in an arena in SoA layout — parallel `times`, `seqs` and
-/// `kinds` arrays indexed by a `u32` handle. A pop puts its handle on a
-/// free stack and a push takes from that stack before it grows the arena,
-/// so the arena holds the most events ever pending at once. The sequence
-/// number is a separate `u32` push counter stored per handle, so a
-/// recycled handle still sorts after every earlier push at its time.
-/// Events are never moved or boxed; the tiers below shuffle handles.
+/// Events live in an arena in SoA layout — parallel `times`, `seqs`,
+/// `kinds` and `live` arrays indexed by a `u32` handle. A pop puts its
+/// handle on a free stack and a push takes from that stack before it
+/// grows the arena. A cancel only clears the handle's live flag: the
+/// handle stays where it is until a drain, a rollover or the run head
+/// reaches it, is dropped there, and only then goes on the free stack,
+/// so a later push can never reuse a handle an earlier cancel still
+/// names. The arena holds the most events ever held at once, cancelled
+/// ones awaiting their drop included. The sequence number is a separate
+/// `u32` push counter stored per handle, so a recycled handle still
+/// sorts after every earlier push at its time. Events are never moved or
+/// boxed; the tiers below shuffle handles.
 ///
 /// Handles flow through three tiers, split by two time boundaries:
 ///
@@ -264,16 +290,18 @@ const RUN_DIRECT_MAX: usize = 128;
 /// ```
 ///
 /// * **run** — the sorted drain window of `(time, seq, handle)` entries;
-///   `run[cursor]` is the queue head, so peek and pop are O(1). Late
+///   `run[cursor]` is the queue head and always live, so peek and pop
+///   are O(1). Late
 ///   pushes that land inside the window (a completion rescheduled at the
 ///   current timestamp) binary-insert into the pending tail.
 /// * **buckets** — `N_BUCKETS` equal-width slots covering the current
 ///   epoch `[origin, far_bound)`. A push is one index computation and a
-///   `Vec::push`; a bucket is sorted by `(time, seq)` exactly once, when
-///   the cursor reaches it.
+///   `Vec::push`; a bucket drops its cancelled handles and is sorted by
+///   `(time, seq)` exactly once, when the cursor reaches it.
 /// * **far** — unsorted overflow for events beyond the epoch. When every
-///   bucket has drained, the epoch rolls over: a fresh calendar is laid
-///   out across the far events' span and they are redistributed.
+///   bucket has drained, the epoch rolls over: the cancelled handles are
+///   dropped, a fresh calendar is laid out across the live far events'
+///   span and they are redistributed.
 ///
 /// Every boundary test is an exact FP comparison and the bucket mapping
 /// is monotone in time, so the pop order is the *identical* `(time, seq)`
@@ -286,7 +314,10 @@ pub(crate) struct TimingWheel {
     seqs: Vec<u32>,
     /// Arena (SoA): event payload per handle.
     kinds: Vec<EventKind>,
-    /// Handles of popped events, reused before the arena grows.
+    /// Arena (SoA): whether the handle's event is pending and not
+    /// cancelled.
+    live: Vec<bool>,
+    /// Handles of popped or dropped events, reused before the arena grows.
     free: Vec<u32>,
     /// Sequence number of the next push.
     next_seq: u32,
@@ -336,11 +367,19 @@ impl TimingWheel {
         idx.clamp(self.bucket_pos, N_BUCKETS - 1)
     }
 
-    /// Restores the head invariant: whenever any event is pending,
+    /// Restores the head invariant: whenever any live event is pending,
     /// `run[cursor]` is the earliest one. Called after every mutation, so
-    /// `next_time` stays a plain O(1) array read.
+    /// `next_time` stays a plain O(1) array read. Cancelled handles met on
+    /// the way go on the free stack.
     fn settle(&mut self) {
-        while self.cursor >= self.run.len() {
+        loop {
+            while let Some(&(_, _, h)) = self.run.get(self.cursor) {
+                if self.live[h as usize] {
+                    return;
+                }
+                self.cursor += 1;
+                self.free.push(h);
+            }
             self.run.clear();
             self.cursor = 0;
             if self.n_bucketed > 0 {
@@ -353,14 +392,16 @@ impl TimingWheel {
                 }
                 let b = w * 64 + word.trailing_zeros() as usize;
                 self.occupied[w] &= !(1u64 << (b % 64));
-                let (times, seqs) = (&self.times, &self.seqs);
                 let bucket = &mut self.buckets[b];
                 self.n_bucketed -= bucket.len();
-                self.run.extend(
-                    bucket
-                        .drain(..)
-                        .map(|h| (times[h as usize], seqs[h as usize], h)),
-                );
+                for h in bucket.drain(..) {
+                    let i = h as usize;
+                    if self.live[i] {
+                        self.run.push((self.times[i], self.seqs[i], h));
+                    } else {
+                        self.free.push(h);
+                    }
+                }
                 self.run.sort_unstable_by(run_order);
                 self.bucket_pos = b + 1;
                 self.drain_bound = if self.bucket_pos == N_BUCKETS {
@@ -369,8 +410,17 @@ impl TimingWheel {
                     self.origin + self.bucket_pos as f64 * self.width
                 };
             } else if !self.far.is_empty() {
-                // Epoch rollover: lay a fresh calendar over the far
-                // events' span and redistribute them.
+                // Epoch rollover: drop the cancelled far events, lay a
+                // fresh calendar over the live ones' span and
+                // redistribute them.
+                let (live, free) = (&self.live, &mut self.free);
+                self.far.retain(|&h| {
+                    let keep = live[h as usize];
+                    if !keep {
+                        free.push(h);
+                    }
+                    keep
+                });
                 let mut lo = f64::INFINITY;
                 let mut hi = f64::NEG_INFINITY;
                 for &h in &self.far {
@@ -386,7 +436,8 @@ impl TimingWheel {
                     // run instead and make the whole span the drain
                     // window (no buckets: `bucket_pos == N_BUCKETS` and
                     // `drain_bound == far_bound` route every new push to
-                    // the run-insert or far tiers).
+                    // the run-insert or far tiers). With nothing left,
+                    // the next pass resets the wheel.
                     let (times, seqs) = (&self.times, &self.seqs);
                     self.run.extend(
                         self.far
@@ -437,6 +488,7 @@ impl KernelQueue for TimingWheel {
             times: Vec::with_capacity(n),
             seqs: Vec::with_capacity(n),
             kinds: Vec::with_capacity(n),
+            live: Vec::with_capacity(n),
             free: Vec::with_capacity(n),
             next_seq: 0,
             run: Vec::with_capacity(n),
@@ -453,7 +505,7 @@ impl KernelQueue for TimingWheel {
         }
     }
 
-    fn push(&mut self, time: f64, kind: EventKind) {
+    fn push(&mut self, time: f64, kind: EventKind) -> Handle {
         assert!(
             self.next_seq < u32::MAX,
             "event queue exhausted its u32 sequence space"
@@ -465,11 +517,13 @@ impl KernelQueue for TimingWheel {
             self.times[h as usize] = time;
             self.seqs[h as usize] = seq;
             self.kinds[h as usize] = kind;
+            self.live[h as usize] = true;
             h
         } else {
             self.times.push(time);
             self.seqs.push(seq);
             self.kinds.push(kind);
+            self.live.push(true);
             (self.times.len() - 1) as u32
         };
         if time < self.drain_bound {
@@ -489,11 +543,20 @@ impl KernelQueue for TimingWheel {
             self.far.push(h);
         }
         self.settle();
+        Handle(h.into())
+    }
+
+    fn cancel(&mut self, handle: Handle) {
+        let h = handle.0 as usize;
+        debug_assert!(self.live[h], "event {handle:?} is not pending");
+        self.live[h] = false;
+        self.settle();
     }
 
     fn pop(&mut self) -> Option<Event> {
         let &(time, seq, h) = self.run.get(self.cursor)?;
         let kind = self.kinds[h as usize];
+        self.live[h as usize] = false;
         self.cursor += 1;
         self.free.push(h);
         self.settle();
@@ -575,33 +638,6 @@ mod tests {
         next_time_detects_coincidence::<TimingWheel>();
     }
 
-    fn coincident_group_extraction<Q: KernelQueue>() {
-        let mut q = Pending::new(&[], Q::with_capacity(5));
-        q.queue.push(1.0, EventKind::Arrival(0));
-        q.queue.push(1.0, EventKind::Arrival(1));
-        q.queue.push(1.0 + 0.5e-12, EventKind::Arrival(2)); // chained
-        q.queue.push(2.0, EventKind::Arrival(3)); // next group
-        let mut group = Vec::new();
-        assert!(q.pop_coincident_into(&mut group));
-        let ids: Vec<u64> = group.iter().map(|e| e.seq).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-        group.clear();
-        assert!(q.pop_coincident_into(&mut group));
-        assert_eq!(group.len(), 1);
-        assert_eq!(group[0].seq, 3);
-        assert!(!q.pop_coincident_into(&mut group));
-    }
-
-    #[test]
-    fn heap_coincident_group_extraction() {
-        coincident_group_extraction::<HeapQueue>();
-    }
-
-    #[test]
-    fn wheel_coincident_group_extraction() {
-        coincident_group_extraction::<TimingWheel>();
-    }
-
     #[test]
     fn wheel_survives_epoch_rollovers_and_window_inserts() {
         // Far-future outliers force epoch rebuilds; a push below the
@@ -622,27 +658,77 @@ mod tests {
         assert_eq!(q.next_time(), Some(5.0));
     }
 
-    /// The safety net: on arbitrary interleaved streams of pushes and
-    /// pops — dense same-timestamp bursts, fine-grained spreads, and
-    /// far-future outliers — the wheel must produce exactly the heap's
-    /// `(time, seq)` total order, bit for bit. Up to three pops follow a
-    /// push, so the queue stays short and freed handles come back at
-    /// times other pending events share: the order must come from the
-    /// seq, never from the handle.
+    /// Where a pending wheel handle sits, for counting which tier a
+    /// cancel hit.
+    fn tier(wheel: &TimingWheel, h: Handle) -> usize {
+        let h = h.0 as u32;
+        if wheel.run[wheel.cursor..].iter().any(|e| e.2 == h) {
+            0
+        } else if wheel.far.contains(&h) {
+            2
+        } else {
+            assert!(wheel.buckets.iter().any(|b| b.contains(&h)), "{h} is lost");
+            1
+        }
+    }
+
+    /// Every arena handle sits exactly once in a tier or on the free
+    /// stack, and no free handle is live: a cancelled handle goes on the
+    /// free stack only when a tier drops it, never while a tier still
+    /// holds it.
+    fn assert_handles_conserved(wheel: &TimingWheel) {
+        let mut seen = vec![0u8; wheel.times.len()];
+        let tiers = wheel.run[wheel.cursor..].iter().map(|e| e.2);
+        let bucketed = wheel.buckets.iter().flatten().copied();
+        for h in tiers.chain(bucketed).chain(wheel.far.iter().copied()) {
+            seen[h as usize] += 1;
+        }
+        for &h in &wheel.free {
+            assert!(!wheel.live[h as usize], "free handle {h} is live");
+            seen[h as usize] += 1;
+        }
+        assert!(
+            seen.iter().all(|&n| n == 1),
+            "handles not conserved: {seen:?}"
+        );
+    }
+
+    /// The safety net: on arbitrary interleaved streams of pushes, pops
+    /// and cancels — dense same-timestamp bursts, fine-grained spreads,
+    /// and far-future outliers — the wheel must produce exactly the
+    /// heap's `(time, seq)` total order, bit for bit. Up to three pops
+    /// follow a push, so the queue stays short and freed handles come
+    /// back at times other pending events share: the order must come from
+    /// the seq, never from the handle. Half the streams open with a push
+    /// at 0 and 199 fine-grained pushes after it, with no pop, so the
+    /// first pop lays a calendar out over more than [`RUN_DIRECT_MAX`]
+    /// events. A quarter of the pushes is
+    /// followed by a cancel of a random pending event, which lands in
+    /// every tier of the wheel: the run, a bucket and the far overflow.
     #[test]
     fn wheel_matches_heap_on_random_streams() {
         let mut reused = 0;
+        let mut cancels_per_tier = [0usize; 3];
         check_cases(0..256, |rng| {
-            let ops: Vec<(u8, f64, usize)> = (0..rng.range_usize(1, 120))
-                .map(|_| {
+            let prefill = if rng.next_u64() & 1 == 0 { 0 } else { 200 };
+            let ops: Vec<(u8, f64, usize)> = (0..prefill + rng.range_usize(1, 120))
+                .map(|i| {
                     let sel = rng.next_u64() as u8;
-                    (sel, rng.range_f64(0.0, 1000.0), rng.range_usize(0, 4))
+                    let (sel, pops) = if i < prefill {
+                        (sel & !3 | 1, 0)
+                    } else {
+                        (sel, rng.range_usize(0, 4))
+                    };
+                    let t = rng.range_f64(0.0, 1000.0);
+                    (sel, if i == 0 && prefill > 0 { 0.0 } else { t }, pops)
                 })
                 .collect();
             let mut wheel = TimingWheel::with_capacity(ops.len());
             let mut heap = HeapQueue::with_capacity(ops.len());
             let key = |e: Event| (e.time.to_bits(), e.seq);
-            let (mut pending, mut peak) = (0usize, 0usize);
+            // `(seq, wheel handle, heap handle)` of every pending event.
+            let mut pending: Vec<(u64, Handle, Handle)> = Vec::new();
+            let mut peak_held = 0usize;
             for (i, &(sel, t, pops)) in ops.iter().enumerate() {
                 let time = match sel % 4 {
                     0 => (t * 0.016).floor(), // dense bursts on few values
@@ -650,19 +736,28 @@ mod tests {
                     2 => 1e9 + t * 1e6,       // far-future outliers
                     _ => 250.0,               // exact same-timestamp pile
                 };
-                wheel.push(time, EventKind::Arrival(i));
-                heap.push(time, EventKind::Arrival(i));
-                pending += 1;
-                peak = peak.max(pending);
+                let w = wheel.push(time, EventKind::Arrival(i));
+                let h = heap.push(time, EventKind::Arrival(i));
+                pending.push((h.0, w, h));
+                peak_held = peak_held.max(wheel.times.len() - wheel.free.len());
+                if sel / 4 % 4 == 0 {
+                    let (_, w, h) = pending.swap_remove(rng.range_usize(0, pending.len()));
+                    cancels_per_tier[tier(&wheel, w)] += 1;
+                    wheel.cancel(w);
+                    heap.cancel(h);
+                }
                 for _ in 0..pops {
                     let popped = wheel.pop().map(key);
                     assert_eq!(popped, heap.pop().map(key));
-                    pending -= usize::from(popped.is_some());
+                    if let Some((_, seq)) = popped {
+                        pending.retain(|p| p.0 != seq);
+                    }
                 }
                 assert_eq!(
                     wheel.next_time().map(f64::to_bits),
                     heap.next_time().map(f64::to_bits)
                 );
+                assert_handles_conserved(&wheel);
             }
             loop {
                 let (a, b) = (wheel.pop().map(key), heap.pop().map(key));
@@ -672,21 +767,37 @@ mod tests {
                     break;
                 }
             }
-            // A push grows the arena only when every handle is pending.
-            assert_eq!(wheel.times.len(), peak);
-            reused += ops.len() - peak;
+            // A push grows the arena only when every handle is held.
+            assert_eq!(wheel.times.len(), peak_held);
+            reused += ops.len() - peak_held;
         });
         assert!(reused > 1000, "only {reused} pushes reused a handle");
+        assert!(
+            cancels_per_tier.iter().all(|&n| n > 100),
+            "cancels per tier (run, bucket, far): {cancels_per_tier:?}"
+        );
     }
 
     /// A merge key that ignores `seq`, which differs by construction
-    /// between a merged arrival and one pushed into a queue.
+    /// between a merged arrival and one pushed into a queue; a test
+    /// completion names its push in the slot's machine index.
     fn what(e: &Event) -> (u64, u8, u64) {
         let (tag, id) = match e.kind {
             EventKind::Arrival(i) => (0, i as u64),
-            EventKind::Completion { version, .. } => (1, version),
+            EventKind::Completion(vm) => (1, vm.machine as u64),
         };
         (e.time.to_bits(), tag, id)
+    }
+
+    /// Pushes the `id`th test completion at `time` onto every queue.
+    fn push_completion(time: f64, id: usize, queues: [&mut dyn KernelQueue; 3]) {
+        let kind = EventKind::Completion(VmRef {
+            machine: id,
+            slot: 0,
+        });
+        for q in queues {
+            q.push(time, kind);
+        }
     }
 
     /// Streaming the sorted trace through [`Pending`] pops exactly what a
@@ -713,54 +824,37 @@ mod tests {
             }
             let mut wheel = Pending::new(&trace, TimingWheel::with_capacity(4));
             let mut heap = Pending::new(&trace, HeapQueue::with_capacity(4));
-            let vm = VmRef {
-                machine: 0,
-                slot: 0,
-            };
-            let mut version = 0;
+            let mut pushed = 0;
             for _ in 0..rng.range_usize(0, 4) {
                 let time = rng.range_usize(0, 40) as f64;
                 ties += usize::from(trace.iter().any(|a| a.time == time));
-                version += 1;
-                let kind = EventKind::Completion { vm, version };
-                reference.push(time, kind);
-                wheel.queue.push(time, kind);
-                heap.queue.push(time, kind);
+                pushed += 1;
+                push_completion(
+                    time,
+                    pushed,
+                    [&mut reference, &mut wheel.queue, &mut heap.queue],
+                );
             }
-            let mut group = Vec::new();
-            loop {
-                // Pop one event, or a whole coincidence group, from the
-                // wheel side; the others pop as many one at a time.
-                group.clear();
-                if rng.next_u64() & 1 == 0 {
-                    wheel.pop_coincident_into(&mut group);
-                } else {
-                    group.extend(wheel.pop());
-                }
-                if group.is_empty() {
-                    assert!(reference.pop().is_none() && heap.pop().is_none());
-                    break;
-                }
-                for e in &group {
-                    let want = reference.pop().map(|e| what(&e));
-                    assert_eq!(Some(what(e)), want);
-                    assert_eq!(heap.pop().map(|e| what(&e)), want);
-                }
+            while let Some(e) = wheel.pop() {
+                let want = reference.pop().map(|e| what(&e));
+                assert_eq!(Some(what(&e)), want);
+                assert_eq!(heap.pop().map(|e| what(&e)), want);
                 assert_eq!(
                     wheel.next_time().map(f64::to_bits),
                     reference.next_time().map(f64::to_bits)
                 );
-                let now = group[group.len() - 1].time;
-                for _ in 0..rng.range_usize(0, 3) {
-                    let time = now + [0.0, 1.0, 2.5][rng.range_usize(0, 3)];
+                for _ in 0..rng.range_usize(0, 3) * usize::from(pushed < 64) {
+                    let time = e.time + [0.0, 1.0, 2.5][rng.range_usize(0, 3)];
                     ties += usize::from(trace.iter().any(|a| a.time == time));
-                    version += 1;
-                    let kind = EventKind::Completion { vm, version };
-                    reference.push(time, kind);
-                    wheel.queue.push(time, kind);
-                    heap.queue.push(time, kind);
+                    pushed += 1;
+                    push_completion(
+                        time,
+                        pushed,
+                        [&mut reference, &mut wheel.queue, &mut heap.queue],
+                    );
                 }
             }
+            assert!(reference.pop().is_none() && heap.pop().is_none());
         });
         assert!(ties > 1000, "only {ties} completions tied an arrival");
     }
@@ -773,39 +867,63 @@ mod tests {
     }
 
     /// Drives `wheel` through `cycles` pops, each after up to two pushes,
-    /// with the pending count on a random walk in `1..=max_pending`; a
+    /// with the live count on a random walk in `1..=max_pending`; a
     /// quarter of the pushes land at the current time itself, so equal
-    /// times keep meeting reused handles.
-    fn drive_steady_state(wheel: &mut TimingWheel, cycles: usize, max_pending: usize) {
+    /// times keep meeting reused handles, and a quarter of the cycles
+    /// cancel a random live event, as a neighbour change does. Returns
+    /// the most handles held at once, cancelled ones awaiting their drop
+    /// included, checking every `check_every` cycles that each handle
+    /// sits in one place.
+    fn drive_steady_state(
+        wheel: &mut TimingWheel,
+        cycles: usize,
+        max_pending: usize,
+        check_every: usize,
+    ) -> usize {
         let mut rng = tracon_stats::prng::ChaCha12::seed_from_u64(7);
-        let (mut now, mut pending) = (0.0, 0usize);
+        let mut now = 0.0;
+        // `(seq, handle)` of every live event.
+        let mut live: Vec<(u64, Handle)> = Vec::new();
+        let mut peak_held = 0;
         for cycle in 0..cycles {
-            let pushes = if pending <= 1 {
+            let pushes = if live.len() <= 1 {
                 2
             } else {
                 rng.range_usize(0, 3)
             };
-            for _ in 0..pushes.min(max_pending - pending) {
+            for _ in 0..pushes.min(max_pending - live.len()) {
                 let dt = if rng.next_u64() & 3 == 0 {
                     0.0
                 } else {
                     rng.range_f64(0.0, 50.0)
                 };
-                wheel.push(now + dt, EventKind::Arrival(cycle));
-                pending += 1;
+                let seq = wheel.next_seq.into();
+                live.push((seq, wheel.push(now + dt, EventKind::Arrival(cycle))));
+                peak_held = peak_held.max(wheel.times.len() - wheel.free.len());
             }
-            now = wheel.pop().expect("an event is pending").time;
-            pending -= 1;
+            if live.len() > 1 && rng.next_u64() & 3 == 0 {
+                let (_, h) = live.swap_remove(rng.range_usize(0, live.len()));
+                wheel.cancel(h);
+            }
+            let e = wheel.pop().expect("an event is live");
+            live.retain(|l| l.0 != e.seq);
+            now = e.time;
+            if cycle % check_every == 0 {
+                assert_handles_conserved(wheel);
+            }
         }
+        peak_held
     }
 
-    /// The arena follows pending events, not pushed ones: a million
-    /// push/pop cycles with at most 64 pending leave it at most 128
-    /// handles.
+    /// The arena follows held events, not pushed ones: a million
+    /// push/pop/cancel cycles with at most 64 live events leave it at
+    /// most 128 handles, and a push grows it only when every handle is
+    /// held. A cancelled handle is recycled only after a tier drops it.
     #[test]
     fn wheel_arena_is_bounded_by_pending_events() {
         let mut wheel = TimingWheel::with_capacity(0);
-        drive_steady_state(&mut wheel, 1_000_000, 64);
+        let peak_held = drive_steady_state(&mut wheel, 1_000_000, 64, 997);
+        assert_eq!(wheel.times.len(), peak_held);
         assert!(wheel.times.len() <= 128, "arena of {}", wheel.times.len());
     }
 }

@@ -30,12 +30,12 @@
 //!   trace, read in place, merged in front of the queue behind the
 //!   `KernelQueue` trait, with two backends selected via
 //!   [`QueueBackend`]: the default timing wheel over a recycled arena and
-//!   the reference binary heap it is gated against bit-for-bit. The main
-//!   loop drains *coincidence groups* (runs of events within
-//!   [`COINCIDENCE_EPS`]) in one batched call instead of re-peeking the
-//!   queue per event,
+//!   the reference binary heap it is gated against bit-for-bit. A
+//!   superseded completion is cancelled, never delivered, so the main
+//!   loop pops one live event per iteration,
 //! * [`slots`](self) — per-slot running state and remaining-work
-//!   rescaling,
+//!   rescaling, which cancels a slot's queued completion when it pushes
+//!   the rescaled one,
 //! * [`observer`] — the [`SimObserver`] trait and built-ins, including
 //!   the adapter that attaches TRACON's monitor ([`tracon_core::Monitor`],
 //!   which lives in `core`) to the kernel for online model adaptation.
@@ -43,7 +43,10 @@
 //! When to call the scheduler and which queued tasks it sees is
 //! [`tracon_core::sched::gate`], the rule `tracond` runs too; the loop
 //! passes `flush` = "no event is pending" and adds only what belongs to
-//! the kernel: the [`COINCIDENCE_EPS`] hold-off.
+//! the kernel: the [`COINCIDENCE_EPS`] hold-off. Events that chain within
+//! it of each other form a coincidence group, and a dispatch that any
+//! event of the group made due (an admitted arrival or a completion) is
+//! put to the gate once, after the group's last event.
 
 mod event;
 pub mod observer;
@@ -54,7 +57,7 @@ pub use observer::{ArrivalInfo, CompletionInfo, PlacementInfo, SimObserver};
 
 use crate::arrival::ArrivalEvent;
 use crate::setup::Testbed;
-use event::{Event, EventKind, HeapQueue, KernelQueue, Pending, TimingWheel};
+use event::{EventKind, HeapQueue, KernelQueue, Pending, TimingWheel};
 use observer::{MetricsObserver, ObservationCollector};
 use slots::SlotState;
 use std::collections::VecDeque;
@@ -179,8 +182,9 @@ pub struct SimResult {
     /// because the benchmark harness (`benchmark/src/sim.rs`) counts it.
     pub abandoned: usize,
     /// Kernel events delivered by the event queue within the horizon
-    /// (arrivals and completions, stale ones included) — the denominator
-    /// behind the collector's `kernel_events_per_sec`.
+    /// (arrivals and completions; a cancelled completion is never
+    /// delivered) — the denominator behind the collector's
+    /// `kernel_events_per_sec`.
     pub events_processed: usize,
 }
 
@@ -342,7 +346,7 @@ impl<'tb> Simulation<'tb> {
 
         // Pending events: the trace's arrivals, read in place, merged in
         // front of a queue of at most one live completion per slot (plus
-        // stale ones awaiting their pop).
+        // cancelled ones awaiting their drop).
         let mut events = Pending::new(trace, Q::with_capacity(n_slots));
 
         let mut queue: VecDeque<Task> = VecDeque::new();
@@ -354,33 +358,11 @@ impl<'tb> Simulation<'tb> {
         });
 
         // --- main loop ------------------------------------------------
-        // Events are drained in coincidence groups: one batched
-        // `pop_coincident_into` call pulls a whole run of simultaneous
-        // events (a static batch at t = 0, sibling completions) instead
-        // of re-peeking the queue after every event. `group[gi..]` is the
-        // unprocessed tail, always sorted by `(time, seq)`.
+        // One live event per iteration. `due` carries a dispatch that an
+        // event made due to the end of its coincidence group.
         let mut events_processed = 0usize;
-        let mut group: Vec<Event> = Vec::new();
-        let mut gi = 0usize;
-        loop {
-            if gi >= group.len() {
-                group.clear();
-                gi = 0;
-                if !events.pop_coincident_into(&mut group) {
-                    break;
-                }
-            } else if let Some(t) = events.next_time() {
-                // Processing an event can schedule a completion at (or
-                // before) the next buffered timestamp — e.g. a refresh
-                // with zero remaining work lands at `now` itself. Pull it
-                // in so the global `(time, seq)` order is preserved; ties
-                // stay with the buffered event, whose seq is lower.
-                if t.total_cmp(&group[gi].time).is_lt() {
-                    let ev = events.pop().expect("peeked a pending event");
-                    group.insert(gi, ev);
-                }
-            }
-            let ev = group[gi];
+        let mut due = false;
+        while let Some(ev) = events.pop() {
             let now = ev.time;
             if let Some(h) = horizon_s {
                 if now > h {
@@ -388,7 +370,6 @@ impl<'tb> Simulation<'tb> {
                 }
             }
             events_processed += 1;
-            let mut schedule_needed = false;
             match ev.kind {
                 EventKind::Arrival(i) => {
                     let a = &trace[i];
@@ -403,18 +384,15 @@ impl<'tb> Simulation<'tb> {
                     };
                     if admitted {
                         queue.push_back(Task::new(i as u64, app_ids[a.app_idx]));
-                        schedule_needed = true;
+                        due = true;
                         observer.on_arrival(&info);
                     } else {
                         metrics.on_refusal(&info);
                         observer.on_refusal(&info);
                     }
                 }
-                EventKind::Completion { vm, version } => {
-                    let Some(done) = slots.complete(vm, version, now) else {
-                        gi += 1;
-                        continue; // stale event from before a neighbour change
-                    };
+                EventKind::Completion(vm) => {
+                    let done = slots.complete(vm, now);
                     cluster.clear(vm);
                     let info = CompletionInfo {
                         time: now,
@@ -443,7 +421,7 @@ impl<'tb> Simulation<'tb> {
                             );
                         }
                     }
-                    schedule_needed = true;
+                    due = true;
                 }
             }
 
@@ -453,21 +431,16 @@ impl<'tb> Simulation<'tb> {
                 scoring = ScoringPolicy::new(&p, self.objective);
             }
 
-            // The earliest still-pending event: the head of the buffered
-            // group tail or of the kernel queue, whichever comes first.
-            let next_event_time = match (group.get(gi + 1).map(|e| e.time), events.next_time()) {
-                (Some(a), Some(b)) => Some(if b.total_cmp(&a).is_lt() { b } else { a }),
-                (a, b) => a.or(b),
-            };
-
             // Simultaneous events (a static batch arriving at t = 0, or a
             // machine's two slots completing together) must all be
             // processed before the scheduler runs, or a batch scheduler
             // would see its window one task at a time. No pending event
             // means the trace is drained and nothing runs: flush.
-            let coincident = next_event_time.is_some_and(|t| (t - now).abs() < COINCIDENCE_EPS);
-            if schedule_needed
-                && !coincident
+            let next_event_time = events.next_time();
+            if next_event_time.is_some_and(|t| (t - now).abs() < COINCIDENCE_EPS) {
+                continue;
+            }
+            if std::mem::take(&mut due)
                 && gate::ready(window, queue.len(), &cluster, next_event_time.is_none())
             {
                 let assignments =
@@ -505,7 +478,6 @@ impl<'tb> Simulation<'tb> {
                     observer.on_placement(&info);
                 }
             }
-            gi += 1;
         }
 
         SimResult {

@@ -1,9 +1,11 @@
 //! Per-slot running-task state and the remaining-work rescaling rule
 //! (paper Section 4.2): when a task's neighbour changes, accrued progress
 //! is banked at the old rate and the remainder continues at the new
-//! pair rate, with a fresh completion event superseding the stale one.
+//! pair rate. The slot's queued completion is cancelled and one at the
+//! rescaled time takes its place, so every completion the kernel
+//! delivers is the current occupant's.
 
-use super::event::{EventKind, KernelQueue};
+use super::event::{EventKind, Handle, KernelQueue};
 use crate::perf::{PerfTable, IDLE};
 use tracon_core::VmRef;
 
@@ -24,11 +26,12 @@ struct Running {
     /// Accumulated I/O operations.
     io_ops: f64,
     last_update: f64,
-    version: u64,
+    /// The queued completion event (`None` until the first refresh).
+    completion: Option<Handle>,
 }
 
-/// A validated task completion, with the realized measurements the
-/// observers consume.
+/// A task completion, with the realized measurements the observers
+/// consume.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Completed {
     pub app_idx: usize,
@@ -43,11 +46,6 @@ pub(crate) struct SlotState<'p> {
     slots: Vec<Option<Running>>,
     slots_per_machine: usize,
     perf: &'p PerfTable,
-    /// Last version used per slot. Versions are monotone per *slot*, not
-    /// per occupancy: a new task starts past every version its
-    /// predecessor used, so a completion event left over from a previous
-    /// occupant can never validate against the current one.
-    base_version: Vec<u64>,
 }
 
 impl<'p> SlotState<'p> {
@@ -56,7 +54,6 @@ impl<'p> SlotState<'p> {
             slots: vec![None; n_machines * slots_per_machine],
             slots_per_machine,
             perf,
-            base_version: vec![0; n_machines * slots_per_machine],
         }
     }
 
@@ -108,15 +105,14 @@ impl<'p> SlotState<'p> {
             iops_rate: 0.0,
             io_ops: 0.0,
             last_update: now,
-            version: self.base_version[idx],
+            completion: None,
         });
     }
 
     /// Re-rates a slot against its current neighbour: banks the progress
     /// and I/O accrued at the old rate, switches to the new pair rate,
-    /// bumps the version (invalidating the outstanding completion event),
-    /// and schedules a new completion at the rescaled ETA. No-op on an
-    /// empty slot.
+    /// cancels the slot's queued completion and schedules a new one at
+    /// the rescaled ETA. No-op on an empty slot.
     pub fn refresh<Q: KernelQueue>(&mut self, vm: VmRef, now: f64, events: &mut Q) {
         let nb = self.neighbor_app(vm);
         let idx = self.index(vm);
@@ -127,39 +123,35 @@ impl<'p> SlotState<'p> {
             r.last_update = now;
             r.rate = self.perf.rate(r.app_idx, nb);
             r.iops_rate = self.perf.iops(r.app_idx, nb);
-            r.version += 1;
-            self.base_version[idx] = r.version;
+            if let Some(h) = r.completion {
+                events.cancel(h);
+            }
             let remaining = (1.0 - r.progress).max(0.0);
             let eta = now + remaining / r.rate.max(1e-12);
-            events.push(
-                eta,
-                EventKind::Completion {
-                    vm,
-                    version: r.version,
-                },
-            );
+            r.completion = Some(events.push(eta, EventKind::Completion(vm)));
         }
     }
 
-    /// Processes a completion event: returns `None` for a stale event
-    /// (version mismatch from before a neighbour change), otherwise frees
-    /// the slot and returns the realized measurements.
-    pub fn complete(&mut self, vm: VmRef, version: u64, now: f64) -> Option<Completed> {
+    /// Processes a completion event: frees the slot and returns the
+    /// realized measurements.
+    ///
+    /// # Panics
+    ///
+    /// If `vm` is free: its completion would have been cancelled.
+    pub fn complete(&mut self, vm: VmRef, now: f64) -> Completed {
         let idx = self.index(vm);
-        let valid = matches!(&self.slots[idx], Some(r) if r.version == version);
-        if !valid {
-            return None;
-        }
-        let r = self.slots[idx].take().expect("validated above");
+        let r = self.slots[idx]
+            .take()
+            .expect("a completion pops only for an occupied slot");
         let runtime = now - r.start_time;
         let final_ops = r.io_ops + r.iops_rate * (now - r.last_update);
         let avg_iops = final_ops / runtime.max(1e-9);
-        Some(Completed {
+        Completed {
             app_idx: r.app_idx,
             neighbor_at_start: r.neighbor_at_start,
             runtime,
             avg_iops,
-        })
+        }
     }
 }
 
@@ -173,13 +165,14 @@ mod tests {
     /// a completion event its predecessor left queued. When each occupant
     /// started at `version: 0`, the successor's first refresh reissued the
     /// predecessor's version, and the old event ended the new task on the
-    /// old task's clock. Versions now count per slot (`base_version`).
+    /// old task's clock. A refresh now cancels the slot's queued
+    /// completion, so no such event is left to pop.
     ///
     /// A runs beside B; B finishes first, so A speeds up and A's paired
-    /// completion goes stale at a later time. A completes, and A' takes
-    /// the slot before that time. The handles popped events freed carry
-    /// the later pushes, so a reused handle must not revive the stale
-    /// event either.
+    /// completion is cancelled. A completes, and A' takes the slot before
+    /// A's paired time. The handles popped and cancelled events freed
+    /// carry the later pushes, so a reused handle must not revive the
+    /// cancelled event either: A' runs its full solo time.
     #[test]
     fn second_occupant_ignores_its_predecessors_queued_completion() {
         let perf = &shared().perf;
@@ -201,21 +194,19 @@ mod tests {
         slots.place(vm(0), a, b, 0.0);
         slots.refresh(vm(0), 0.0, &mut events);
         slots.refresh(vm(1), 0.0, &mut events);
-        let stale = 1.0 / perf.rate(a, b);
+        let paired = 1.0 / perf.rate(a, b);
         let mut completions = Vec::new();
         let mut successor_start = None;
         while let Some(e) = events.pop() {
-            let EventKind::Completion { vm: at, version } = e.kind else {
+            let EventKind::Completion(at) = e.kind else {
                 unreachable!("only completions are queued");
             };
-            let Some(done) = slots.complete(at, version, e.time) else {
-                continue;
-            };
+            let done = slots.complete(at, e.time);
             completions.push((at.slot, e.time, done.runtime));
             // The sibling speeds up (a no-op once the machine is empty).
             slots.refresh(vm(1 - at.slot), e.time, &mut events);
             if at.slot == 0 && successor_start.is_none() {
-                assert!(e.time < stale, "A must finish before its stale event");
+                assert!(e.time < paired, "A must finish before its paired time");
                 slots.place(vm(0), a, IDLE, e.time);
                 slots.refresh(vm(0), e.time, &mut events);
                 successor_start = Some(e.time);
@@ -228,7 +219,7 @@ mod tests {
             completions[2],
             (0, end, end - start),
             "the second occupant must run its own full solo time, \
-             not end on its predecessor's event at t = {stale}"
+             not end on its predecessor's event at t = {paired}"
         );
     }
 }

@@ -26,7 +26,7 @@
 use crate::arrival::{poisson_trace, ArrivalEvent, WorkloadMix};
 use crate::engine::{CompletionInfo, SchedulerKind, SimObserver, Simulation};
 use crate::perf::IDLE;
-use crate::setup::{train_models, Testbed, TestbedConfig};
+use crate::setup::{Testbed, TestbedConfig};
 use std::collections::BTreeMap;
 use tracon_core::{
     AppProfile, Characteristics, ModelKind, Monitor, MonitorConfig, Objective, Predictor,
@@ -116,7 +116,8 @@ pub struct ExtAdaptive {
 
 /// Builds a predictor from a profile source testbed, but keeping the
 /// *deployment* testbed's solo statistics (the monitor knows the current
-/// solo profiles; only the interference models are stale).
+/// solo profiles; only the interference models are stale). The models
+/// are the profile source's own, shared, not trained again.
 fn stale_predictor(deploy: &Testbed, profile_source: &Testbed) -> Predictor {
     let mut p = Predictor::new();
     let ids = tracon_core::AppRegistry::from_names(deploy.perf.names.iter().cloned());
@@ -130,7 +131,7 @@ fn stale_predictor(deploy: &Testbed, profile_source: &Testbed) -> Predictor {
                 solo_runtime: deploy.perf.solo_runtime(i),
                 solo_iops: deploy.perf.solo_iops(i),
             },
-            train_models(set, ModelKind::Nonlinear),
+            profile_source.predictor.models(&set.target).clone(),
         );
     }
     p

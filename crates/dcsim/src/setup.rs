@@ -107,7 +107,7 @@ pub fn calibration_workloads(points: usize) -> Vec<AppModel> {
 
 /// The deployed runtime and IOPS models of one application, trained on
 /// its profile set.
-pub(crate) fn train_models(set: &ProfileSet, model_kind: ModelKind) -> AppModelSet {
+fn train_models(set: &ProfileSet, model_kind: ModelKind) -> AppModelSet {
     let model = |response| {
         tracon_core::train_model_scaled(
             model_kind,

@@ -158,6 +158,16 @@ for f in crates/serve/src/*.rs crates/serve/src/*/*.rs; do
     [ -z "$found" ] || fail "$f spawns or names a thread the reactor or tracond-repl replaced (one thread per job)"$'\n'"$found"
 done
 
+# No stale events: a neighbour change cancels the slot's queued
+# completion in the dcsim kernel, so every event the main loop pops is
+# live. The per-slot version that recognised a stale completion and the
+# group extraction that let one close a coincidence group (and drop its
+# dispatch) must not come back in shipped code.
+for f in crates/dcsim/src/*.rs crates/dcsim/src/*/*.rs; do
+    found=$(code_of "$f" | matches -nE 'base_version|pop_coincident_into')
+    [ -z "$found" ] || fail "$f brings back a stale-event piece (no stale events)"$'\n'"$found"
+done
+
 # Every committed `BENCH_*.json` has the layout `scripts/pairs.sh` writes.
 for f in BENCH_*.json; do
     [ -e "$f" ] || continue
