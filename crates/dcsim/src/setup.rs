@@ -6,21 +6,26 @@
 //! The full campaign is 2 080 co-run engine runs: for each of the 8
 //! applications a solo run, then a background observation and a co-run
 //! against each of the 125 calibration workloads, plus the 8 solo runs
-//! and 8x8 co-runs of the pair matrix. It takes about 0.3 s in release
-//! mode on a 2-CPU host: one scoped thread per benchmark profiles it while
-//! the calling thread measures the pair matrix and trains the models.
-//! Training the 16 models is about 12 ms of that (0.14 s before the
-//! stepwise search dropped constant variables and began extending one
-//! factorization per step).
+//! and 8x8 co-runs of the pair matrix. After the 8 solo profiles, which
+//! every record's features start with, the other 1 072 jobs (one record
+//! or one pair-matrix run each) are a flat list on `tracon_core::par`'s
+//! pool, assembled in input order, so the testbed is the same bits for any
+//! worker count. Per-benchmark jobs could not balance: compile's and
+//! freqmine's records are about a third of the campaign each. The calling
+//! thread then trains the 16 models (about 12 ms). See DESIGN §7 for the
+//! measured times.
 
 use crate::perf::PerfTable;
 use crate::snapshot;
 use std::collections::HashMap;
 use tracon_core::{
-    AppModelSet, AppProfile, Characteristics, ModelKind, Monitor, MonitorConfig, Predictor,
+    par, AppModelSet, AppProfile, Characteristics, ModelKind, Monitor, MonitorConfig, Predictor,
     TrainingData,
 };
-use tracon_vmsim::{apps, AppModel, Benchmark, Engine, HostConfig, ProfileSet, Profiler};
+use tracon_vmsim::{
+    apps, AppModel, Benchmark, Engine, HostConfig, PairMatrix, PairRun, ProfileRecord, ProfileSet,
+    Profiler,
+};
 
 /// Configuration of the testbed construction.
 #[derive(Debug, Clone)]
@@ -121,6 +126,36 @@ fn train_models(set: &ProfileSet, model_kind: ModelKind) -> AppModelSet {
     }
 }
 
+/// One run of the profiling campaign after the solo profiles: benchmark
+/// `i`'s record against background `k`, or the pair matrix's run of
+/// benchmark `i` alone (`None`) or against `j`.
+enum Job {
+    Record(usize, usize),
+    Pair(usize, Option<usize>),
+}
+
+/// What a [`Job`] measured: only what its record or matrix entry keeps.
+enum Run {
+    Record(ProfileRecord),
+    Pair(PairRun),
+}
+
+impl Run {
+    fn into_record(self) -> ProfileRecord {
+        match self {
+            Run::Record(r) => r,
+            Run::Pair(_) => unreachable!("the records come first"),
+        }
+    }
+
+    fn into_pair(self) -> PairRun {
+        match self {
+            Run::Pair(r) => r,
+            Run::Record(_) => unreachable!("the pair matrix's runs come last"),
+        }
+    }
+}
+
 impl Testbed {
     /// Runs the full profiling campaign and trains the models.
     pub fn build(cfg: &TestbedConfig) -> Self {
@@ -129,34 +164,56 @@ impl Testbed {
             .map(|b| b.model().time_scaled(cfg.time_scale))
             .collect();
         let backgrounds = calibration_workloads(cfg.calibration_points);
-
-        // One thread per benchmark profiles it against the calibration
-        // grid (the campaign is embarrassingly parallel). Meanwhile the
-        // calling thread measures the 8x8 pair matrix the simulator
-        // replays, then trains each benchmark's models as its profile
-        // arrives. Training here rather than in the profiling threads
-        // keeps its memory in one allocator arena instead of eight.
         let profiler = Profiler::new(Engine::new(cfg.host));
-        let mut trained: Vec<Option<(ProfileSet, AppModelSet)>> =
-            (0..models.len()).map(|_| None).collect();
-        let pair = std::thread::scope(|scope| {
-            let (done, profiled) = std::sync::mpsc::channel();
-            for (i, app) in models.iter().enumerate() {
-                let (profiler, backgrounds, done) = (&profiler, &backgrounds, done.clone());
-                let seed = cfg.seed.wrapping_add(10_000 * (i as u64 + 1));
-                scope.spawn(move || done.send((i, profiler.profile(app, backgrounds, seed))));
-            }
-            drop(done);
-            let pair = profiler.pair_matrix(&models, cfg.seed.wrapping_add(99));
-            for (i, set) in profiled {
-                let models = train_models(&set, cfg.model_kind);
-                trained[i] = Some((set, models));
-            }
-            pair
+        let profile_seed = |i: usize| cfg.seed.wrapping_add(10_000 * (i as u64 + 1));
+        let pair_seed = cfg.seed.wrapping_add(99);
+        let (n, nb) = (models.len(), backgrounds.len());
+
+        // Every record's features start with its benchmark's solo
+        // profile, so those eight runs go first. Every other run is
+        // independent of the rest: the records, benchmark by benchmark,
+        // then the pair matrix's solo runs and co-runs, in one flat list
+        // that the pool hands out in order and returns in order.
+        let solos = par::map((0..n).collect(), |i| {
+            profiler.solo(&models[i], profile_seed(i))
         });
-        let trained = trained
+        let jobs = (0..n * nb)
+            .map(|r| Job::Record(r / nb, r % nb))
+            .chain((0..n).map(|i| Job::Pair(i, None)))
+            .chain((0..n * n).map(|c| Job::Pair(c / n, Some(c % n))));
+        let mut done = par::map(jobs.collect(), |job| match job {
+            Job::Record(i, k) => {
+                let seed = Profiler::record_seed(profile_seed(i), k);
+                Run::Record(profiler.record(&models[i], &solos[i].0, &backgrounds[k], seed))
+            }
+            Job::Pair(i, j) => Run::Pair(profiler.pair_run(&models, i, j, pair_seed)),
+        })
+        .into_iter();
+
+        let sets: Vec<ProfileSet> = solos
             .into_iter()
-            .map(|t| t.expect("every benchmark was profiled"))
+            .zip(&models)
+            .map(|((solo, solo_runtime, solo_iops), app)| ProfileSet {
+                target: app.name.clone(),
+                solo,
+                solo_runtime,
+                solo_iops,
+                records: done.by_ref().take(nb).map(Run::into_record).collect(),
+            })
+            .collect();
+        let pair_runs: Vec<PairRun> = done.map(Run::into_pair).collect();
+        let pair = PairMatrix::from_runs(&models, &pair_runs);
+        drop(pair_runs);
+
+        // Training stays on this thread, after the pool's results are
+        // unpacked and freed: trained in the workers, each thread's
+        // allocator arena would keep its own training working set.
+        let trained = sets
+            .into_iter()
+            .map(|set| {
+                let models = train_models(&set, cfg.model_kind);
+                (set, models)
+            })
             .collect();
         Self::assemble(trained, PerfTable::from_pair_matrix(&pair))
     }

@@ -49,6 +49,10 @@ impl IoDemand {
 /// rate that the device can actually serve this step. The caller owns it
 /// and hands it back to every [`Disk::allocate`] call, so a round
 /// allocates nothing once the vectors have grown to the guest count.
+///
+/// It also remembers the inputs of the round it holds, as raw bits, so a
+/// call whose inputs repeat reuses what they determine. It must be handed
+/// only to the disk that filled it (the co-run engine keeps one per run).
 #[derive(Debug, Clone, Default)]
 pub struct DiskAllocation {
     /// Per-VM service fraction in `[0, 1]`: served = requested * fraction.
@@ -58,6 +62,34 @@ pub struct DiskAllocation {
     /// Scratch: per-VM device-time demand, and the unit fair-share weights.
     utilizations: Vec<f64>,
     weights: Vec<f64>,
+    /// The demands behind `utilizations` (each field's bits, in
+    /// declaration order) and the clamped path efficiency behind
+    /// `fractions`. Bits, not `==`: a `-0.0` is a new input. The
+    /// efficiency is `None` while no complete round is held.
+    demand_bits: Vec<[u64; 4]>,
+    efficiency_bits: Option<u64>,
+}
+
+impl DiskAllocation {
+    /// Stores `demands` as the inputs of the round about to be computed
+    /// and says whether they are the stored round's, bit for bit.
+    fn repeats_demands(&mut self, demands: &[IoDemand]) -> bool {
+        let mut same = self.efficiency_bits.is_some() && self.demand_bits.len() == demands.len();
+        self.demand_bits.resize(demands.len(), [0; 4]);
+        for (d, key) in demands.iter().zip(&mut self.demand_bits) {
+            let now = [
+                d.read_rps.to_bits(),
+                d.write_rps.to_bits(),
+                d.req_kb.to_bits(),
+                d.sequentiality.to_bits(),
+            ];
+            // An xor-or fold compares the words inline (`==` on the
+            // arrays is a `bcmp` call).
+            same &= key.iter().zip(&now).fold(0, |acc, (a, b)| acc | (a ^ b)) == 0;
+            *key = now;
+        }
+        same
+    }
 }
 
 /// Shared-disk allocator.
@@ -116,18 +148,39 @@ impl Disk {
     /// big stream's sequentiality and occupies device time) while being
     /// largely protected itself — exactly the behaviour behind Table 1's
     /// SeqRead column. The result is written into the caller-owned `out`.
+    ///
+    /// `out` keeps the inputs of the round it holds: when `demands` repeat
+    /// them bit for bit the utilizations (and their `powf` calls) are not
+    /// recomputed, and when `path_efficiency` repeats too the call
+    /// returns at once.
     pub fn allocate(&self, demands: &[IoDemand], path_efficiency: f64, out: &mut DiskAllocation) {
         let eff = path_efficiency.clamp(1e-6, 1.0);
+        let same_demands = out.repeats_demands(demands);
+        let same_efficiency = out.efficiency_bits == Some(eff.to_bits());
+        #[cfg(test)]
+        tests::count(|c| match (same_demands, same_efficiency) {
+            (true, true) => c.repeated += 1,
+            (true, false) => c.reweighted += 1,
+            (false, _) => c.computed += 1,
+        });
+        if same_demands && same_efficiency {
+            return;
+        }
+        // Until this round is complete the memo holds no round at all, so
+        // a panic below leaves nothing that a repeat could reuse.
+        out.efficiency_bits = None;
         let total_rps: f64 = demands.iter().map(|d| d.total_rps()).sum();
-        out.utilizations.clear();
-        out.utilizations.extend(demands.iter().map(|d| {
-            if d.is_idle() {
-                return 0.0;
-            }
-            let eseq = self.effective_sequentiality(d.sequentiality, d.total_rps(), total_rps);
-            d.total_rps() * self.service_time_s(d.req_kb, eseq)
-        }));
-        out.requested_utilization = out.utilizations.iter().sum();
+        if !same_demands {
+            out.utilizations.clear();
+            out.utilizations.extend(demands.iter().map(|d| {
+                if d.is_idle() {
+                    return 0.0;
+                }
+                let eseq = self.effective_sequentiality(d.sequentiality, d.total_rps(), total_rps);
+                d.total_rps() * self.service_time_s(d.req_kb, eseq)
+            }));
+            out.requested_utilization = out.utilizations.iter().sum();
+        }
         // Max-min fair device-time allocation (granted device time lands
         // in `fractions` and is turned into service fractions in place).
         out.weights.resize(demands.len(), 1.0);
@@ -147,6 +200,7 @@ impl Disk {
                 (*f / u.max(1e-12)).min(1.0) * iops_frac
             };
         }
+        out.efficiency_bits = Some(eff.to_bits());
     }
 
     /// Convenience: the standalone throughput (requests/s) of a single
@@ -158,12 +212,178 @@ impl Disk {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::DiskParams;
+    use std::cell::Cell;
+    use tracon_stats::prng::check_cases;
+
+    /// How this thread's [`Disk::allocate`] calls went: rounds computed
+    /// from scratch, rounds that reused the utilizations of repeated
+    /// demands under a new path efficiency, and rounds whose inputs all
+    /// repeated.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub(crate) struct Counts {
+        pub computed: u64,
+        pub reweighted: u64,
+        pub repeated: u64,
+    }
+
+    thread_local! {
+        static COUNTS: Cell<Counts> = const {
+            Cell::new(Counts { computed: 0, reweighted: 0, repeated: 0 })
+        };
+    }
+
+    /// Updates this thread's counts (called by [`Disk::allocate`]).
+    pub(crate) fn count(f: impl FnOnce(&mut Counts)) {
+        let mut c = COUNTS.get();
+        f(&mut c);
+        COUNTS.set(c);
+    }
+
+    impl Counts {
+        /// The calls counted since `before` was read.
+        pub(crate) fn since(self, before: Counts) -> Counts {
+            Counts {
+                computed: self.computed - before.computed,
+                reweighted: self.reweighted - before.reweighted,
+                repeated: self.repeated - before.repeated,
+            }
+        }
+    }
+
+    /// This thread's counts so far.
+    pub(crate) fn counts() -> Counts {
+        COUNTS.get()
+    }
+
+    /// Replaces this thread's counts (an audit that makes calls of its
+    /// own puts the counts back afterwards).
+    pub(crate) fn set_counts(c: Counts) {
+        COUNTS.set(c);
+    }
 
     fn disk() -> Disk {
         Disk::new(DiskParams::local_sata())
+    }
+
+    #[test]
+    fn a_reused_allocation_matches_a_fresh_one_bit_for_bit() {
+        // Sequences of rounds on one allocation, each input drawn so that
+        // repeats, single-field changes and sign flips of a zero are
+        // common, checked against a fresh allocation per round; the memo
+        // must recompute exactly when an input's bits change.
+        const READ: [f64; 6] = [0.0, -0.0, 5.0, 40.0, 265.0, 1e5];
+        const WRITE: [f64; 4] = [0.0, -0.0, 30.0, 240.0];
+        const REQ_KB: [f64; 5] = [0.0, -0.0, 4.0, 64.0, 256.0];
+        const SEQ: [f64; 5] = [0.0, -0.0, 0.5, 0.97, 1.0];
+        const EFF: [f64; 6] = [1.0, 2.0, 0.5, 0.31, 1e-7, -0.0];
+        let field = |rng: &mut tracon_stats::prng::ChaCha12, k: usize| -> f64 {
+            let values: &[f64] = [&READ[..], &WRITE, &REQ_KB, &SEQ][k];
+            values[rng.range_usize(0, values.len())]
+        };
+        let fresh_demand = |rng: &mut tracon_stats::prng::ChaCha12| IoDemand {
+            read_rps: field(rng, 0),
+            write_rps: field(rng, 1),
+            req_kb: field(rng, 2),
+            sequentiality: field(rng, 3),
+        };
+        let bits =
+            |d: &IoDemand| [d.read_rps, d.write_rps, d.req_kb, d.sequentiality].map(f64::to_bits);
+        let mut seen = Counts::default();
+        check_cases(0..400, |rng| {
+            let host = [DiskParams::local_sata(), DiskParams::iscsi()][rng.range_usize(0, 2)];
+            let d = Disk::new(host);
+            let mut memo = DiskAllocation::default();
+            let mut demands: Vec<IoDemand> = Vec::new();
+            let mut eff = 1.0;
+            let mut last: Option<(Vec<[u64; 4]>, u64)> = None;
+            for round in 0..40 {
+                match rng.range_usize(0, 6) {
+                    // A new guest count and new demands.
+                    0 => {
+                        let n = rng.range_usize(1, 5);
+                        demands = (0..n).map(|_| fresh_demand(rng)).collect();
+                    }
+                    // One field of one demand changes, or a zero flips its sign.
+                    1 | 2 if !demands.is_empty() => {
+                        let i = rng.range_usize(0, demands.len());
+                        let k = rng.range_usize(0, 4);
+                        let flip = rng.range_usize(0, 2) == 0;
+                        let v = field(rng, k);
+                        let d = &mut demands[i];
+                        let f = match k {
+                            0 => &mut d.read_rps,
+                            1 => &mut d.write_rps,
+                            2 => &mut d.req_kb,
+                            _ => &mut d.sequentiality,
+                        };
+                        *f = if flip && *f == 0.0 { -*f } else { v };
+                    }
+                    // The demands repeat.
+                    _ => {}
+                }
+                if demands.is_empty() {
+                    demands.push(fresh_demand(rng));
+                }
+                if rng.range_usize(0, 2) == 0 {
+                    eff = EFF[rng.range_usize(0, EFF.len())];
+                }
+                let before = counts();
+                d.allocate(&demands, eff, &mut memo);
+                let after = counts();
+                let mut fresh = DiskAllocation::default();
+                d.allocate(&demands, eff, &mut fresh);
+                set_counts(after);
+                assert_eq!(
+                    memo.fractions
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect::<Vec<_>>(),
+                    fresh
+                        .fractions
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect::<Vec<_>>(),
+                    "round {round}: fractions for {demands:?} at {eff}"
+                );
+                assert_eq!(
+                    memo.requested_utilization.to_bits(),
+                    fresh.requested_utilization.to_bits(),
+                    "round {round}: requested utilization for {demands:?}"
+                );
+                let key: Vec<[u64; 4]> = demands.iter().map(bits).collect();
+                let eff_bits = eff.clamp(1e-6, 1.0).to_bits();
+                let want = match &last {
+                    Some((k, e)) if *k == key && *e == eff_bits => "repeated",
+                    Some((k, _)) if *k == key => "reweighted",
+                    _ => "computed",
+                };
+                let got = match (
+                    after.computed - before.computed,
+                    after.reweighted - before.reweighted,
+                    after.repeated - before.repeated,
+                ) {
+                    (1, 0, 0) => "computed",
+                    (0, 1, 0) => "reweighted",
+                    (0, 0, 1) => "repeated",
+                    other => panic!("round {round} counted {other:?}"),
+                };
+                assert_eq!(got, want, "round {round}: {demands:?} at {eff}");
+                match want {
+                    "computed" => seen.computed += 1,
+                    "reweighted" => seen.reweighted += 1,
+                    _ => seen.repeated += 1,
+                }
+                last = Some((key, eff_bits));
+            }
+        });
+        // Every kind of round occurred often.
+        assert!(
+            seen.computed > 1000 && seen.reweighted > 1000 && seen.repeated > 1000,
+            "{seen:?}"
+        );
     }
 
     /// One allocation round into a fresh result.

@@ -12,11 +12,15 @@
 //! sized once per run, allocating nothing. It runs only when its inputs
 //! change: a step whose inputs repeat the last solve's bit for bit reuses
 //! that answer, and a throttled guest restarts from the same rate on every
-//! step until its next phase boundary. In the full profiling campaign 84 %
-//! of the 1.47 M steps reuse a solve, so the iterations fall from 12.9 M to
-//! 1.4 M. What remains of the campaign's CPU time is about 75 % solves,
-//! 20 % the steps' own bookkeeping (advancing phases, integrating
-//! observations) and 2 % model training.
+//! step until its next phase boundary. Inside a solve the disk allocation
+//! is reused the same way (see [`DiskAllocation`]). In one build of the
+//! full-fidelity testbed (time scale 0.25), 1 239 261 of the 1 473 541
+//! steps (84.1 %) reuse a solve, the solves run 1 437 210 damped rounds,
+//! and of the rounds' disk allocations 549 566 (38.2 %) are computed,
+//! 171 920 (12.0 %) reuse the utilizations under a new path efficiency and
+//! 715 724 (49.8 %) repeat a whole round. These counts are exact under the
+//! campaign's seeds; `tests::counted_work_holds_still` pins them for a few
+//! smaller runs.
 
 use crate::app::{AppModel, Phase};
 use crate::config::HostConfig;
@@ -262,7 +266,9 @@ impl Scratch {
                 ph.sequentiality.to_bits(),
                 r.max(0.5).to_bits(),
             ];
-            same &= *key == now;
+            // An xor-or fold compares the words inline: `==` on the arrays
+            // is a `bcmp` call per guest per step.
+            same &= key.iter().zip(&now).fold(0, |acc, (a, b)| acc | (a ^ b)) == 0;
             *key = now;
         }
         same
@@ -353,6 +359,7 @@ impl Engine {
         // The current sample window.
         let mut win_start = 0.0f64;
         let mut win_dom0 = 0.0f64;
+        let sampling = self.sample_interval.is_some();
 
         // An endless background stops mattering once all finite apps are
         // done, so this loop condition is the right one.
@@ -408,7 +415,9 @@ impl Engine {
                     dom0_util: s.dom0_attrib[i],
                 };
                 g.served.accumulate(&served, dt);
-                g.window.accumulate(&served, dt);
+                if sampling {
+                    g.window.accumulate(&served, dt);
+                }
                 g.active_time += dt;
                 if g.advance(r * dt, &mut rng) {
                     g.finished_at = t + dt;
@@ -483,6 +492,8 @@ impl Engine {
         }
 
         for _ in 0..24 {
+            #[cfg(test)]
+            tests::count(|c| c.rounds += 1);
             // --- Dom0 demand tracks the achieved I/O rates.
             let io_rps: f64 = guests
                 .iter()
@@ -625,7 +636,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps;
+    use crate::{apps, disk};
     use std::cell::Cell;
     use tracon_stats::prng::check_cases;
 
@@ -633,24 +644,51 @@ mod tests {
         Engine::new(HostConfig::testbed())
     }
 
+    /// Counted work of an audited run: its steps, the steps that reused
+    /// the last solve, the fixed point's damped rounds, and how its disk
+    /// allocations went. Exact under a seed.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub(super) struct Counts {
+        steps: u64,
+        reused: u64,
+        pub(super) rounds: u64,
+        disk: disk::tests::Counts,
+    }
+
     thread_local! {
-        /// Steps and reused steps of the audited run on this thread, or
-        /// `None` when no audit is running.
-        static AUDIT: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
+        /// The counts of the audited run on this thread, or `None` when no
+        /// audit is running.
+        static AUDIT: Cell<Option<Counts>> = const { Cell::new(None) };
+    }
+
+    /// Updates the running audit's counts, if any.
+    pub(super) fn count(f: impl FnOnce(&mut Counts)) {
+        if let Some(mut c) = AUDIT.get() {
+            f(&mut c);
+            AUDIT.set(Some(c));
+        }
     }
 
     /// Called by [`Engine::run`] after every step's solve. While an audit
     /// runs it counts the step and, when the step reused the last solve,
-    /// solves it afresh on a copy of the scratch and compares the four
-    /// outputs bit for bit.
+    /// solves it afresh, on a copy of the scratch with an empty disk
+    /// memo, and compares the four outputs bit for bit. The fresh solve
+    /// is not counted.
     pub(super) fn audit_step(e: &Engine, guests: &[Guest], s: &Scratch, reused: bool) {
-        let Some((steps, reuses)) = AUDIT.get() else {
+        if AUDIT.get().is_none() {
             return;
-        };
-        AUDIT.set(Some((steps + 1, reuses + u64::from(reused))));
+        }
+        count(|c| {
+            c.steps += 1;
+            c.reused += u64::from(reused);
+        });
         if reused {
+            let (saved, saved_disk) = (AUDIT.get(), disk::tests::counts());
             let mut fresh = s.clone();
+            fresh.disk = DiskAllocation::default();
             e.solve_step(guests, &mut fresh);
+            AUDIT.set(saved);
+            disk::tests::set_counts(saved_disk);
             let outputs = |s: &Scratch| -> Vec<u64> {
                 s.rates
                     .iter()
@@ -660,6 +698,7 @@ mod tests {
                     .map(|x| x.to_bits())
                     .collect()
             };
+            let steps = saved.map_or(0, |c| c.steps);
             assert_eq!(
                 outputs(s),
                 outputs(&fresh),
@@ -668,11 +707,14 @@ mod tests {
         }
     }
 
-    /// Runs `f` under the audit and returns its `(steps, reused steps)`.
-    fn audited(f: impl FnOnce()) -> (u64, u64) {
-        AUDIT.set(Some((0, 0)));
+    /// Runs `f` under the audit and returns its counts.
+    fn audited(f: impl FnOnce()) -> Counts {
+        let disk_before = disk::tests::counts();
+        AUDIT.set(Some(Counts::default()));
         f();
-        AUDIT.take().expect("the audit ran")
+        let mut c = AUDIT.take().expect("the audit ran");
+        c.disk = disk::tests::counts().since(disk_before);
+        c
     }
 
     /// An application of 1–4 phases. Each field of a phase is drawn from
@@ -719,12 +761,14 @@ mod tests {
     fn reused_solves_match_a_fresh_solve() {
         // A throttled reader next to an I/O-heavy background re-solves
         // the same inputs until a phase boundary.
-        let (steps, reuses) = audited(|| {
+        let c = audited(|| {
             engine().co_run(&apps::seq_read(), &apps::synthetic(0.0, 1.0, 1.0), 1);
         });
         assert!(
-            2 * reuses >= steps,
-            "seq_read | io-high reused {reuses} of {steps} steps"
+            2 * c.reused >= c.steps,
+            "seq_read | io-high reused {} of {} steps",
+            c.reused,
+            c.steps
         );
 
         let (mut steps, mut reuses) = (0, 0);
@@ -740,16 +784,65 @@ mod tests {
             }
             let seed = rng.next_u64();
             let apps: Vec<&AppModel> = guests.iter().collect();
-            let (s, r) = audited(|| {
+            let c = audited(|| {
                 e.run(&apps, seed);
             });
-            steps += s;
-            reuses += r;
+            steps += c.steps;
+            reuses += c.reused;
         });
         assert!(
             reuses > 0 && reuses < steps,
             "random runs reused {reuses} of {steps} steps"
         );
+    }
+
+    /// Counted work, pinned exactly: it does not drift with the host the
+    /// way wall time does, so a change that adds or saves work shows here
+    /// first. The audited reader of `reused_solves_match_a_fresh_solve`,
+    /// then five seeded random runs as that test draws them.
+    #[test]
+    fn counted_work_holds_still() {
+        let counts = |steps, reused, rounds, [computed, reweighted, repeated]: [u64; 3]| Counts {
+            steps,
+            reused,
+            rounds,
+            disk: disk::tests::Counts {
+                computed,
+                reweighted,
+                repeated,
+            },
+        };
+        let reader = audited(|| {
+            engine().co_run(&apps::seq_read(), &apps::synthetic(0.0, 1.0, 1.0), 1);
+        });
+        let mut runs = vec![reader];
+        check_cases(0..5, |rng| {
+            let mut guests: Vec<AppModel> = (0..rng.range_usize(1, 5))
+                .map(|_| random_app(rng))
+                .collect();
+            guests[0].endless = false;
+            let host = ["local", "iscsi"][rng.range_usize(0, 2)];
+            let mut e = Engine::new(HostConfig::class(host));
+            if rng.range_usize(0, 3) == 0 {
+                e = e.with_sampling(rng.range_f64(0.5, 5.0));
+            }
+            let seed = rng.next_u64();
+            let apps: Vec<&AppModel> = guests.iter().collect();
+            runs.push(audited(|| {
+                e.run(&apps, seed);
+            }));
+        });
+        // (steps, reused steps, rounds, [disk rounds computed, reweighted,
+        // repeated]).
+        let pinned = [
+            counts(8946, 8944, 26, [1, 0, 25]),
+            counts(1609, 1590, 247, [246, 1, 0]),
+            counts(134, 106, 97, [34, 0, 63]),
+            counts(90, 62, 198, [173, 0, 25]),
+            counts(21, 16, 36, [2, 0, 34]),
+            counts(45, 35, 126, [126, 0, 0]),
+        ];
+        assert_eq!(runs, pinned);
     }
 
     #[test]

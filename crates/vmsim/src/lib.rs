@@ -44,4 +44,4 @@ pub use app::{AppModel, Phase};
 pub use apps::Benchmark;
 pub use config::{DiskParams, HostConfig};
 pub use engine::{CoRunOutcome, Engine, IntervalSample, RunOutcome, VmObservation};
-pub use profiler::{PairMatrix, ProfileRecord, ProfileSet, Profiler};
+pub use profiler::{PairMatrix, PairRun, ProfileRecord, ProfileSet, Profiler};

@@ -4,7 +4,7 @@
 //! data-center simulator replays.
 
 use crate::app::AppModel;
-use crate::engine::{CoRunOutcome, Engine, VmObservation};
+use crate::engine::{Engine, VmObservation};
 
 /// One profiled observation: the features TRACON's models consume and the
 /// measured responses.
@@ -124,6 +124,50 @@ impl PairMatrix {
     }
 }
 
+/// What one run of the pair matrix measures of its first application.
+#[derive(Debug, Clone, Copy)]
+pub struct PairRun {
+    /// Runtime, seconds.
+    pub runtime: f64,
+    /// Average IOPS.
+    pub iops: f64,
+    /// Observed characteristics.
+    pub observed: VmObservation,
+}
+
+impl PairMatrix {
+    /// Assembles the matrix over `apps` from its runs: each app's solo
+    /// run, in app order, then the co-runs in row-major order (app `i`
+    /// against `j` at `n + i * n + j`).
+    ///
+    /// # Panics
+    /// Panics unless there are `n` solo runs and `n * n` co-runs.
+    pub fn from_runs(apps: &[AppModel], runs: &[PairRun]) -> Self {
+        let n = apps.len();
+        assert_eq!(
+            runs.len(),
+            n + n * n,
+            "one solo run per application and one co-run per ordered pair"
+        );
+        let (solos, cells) = runs.split_at(n);
+        fn rows<T>(cells: &[PairRun], n: usize, f: impl Fn(&PairRun) -> T) -> Vec<Vec<T>> {
+            cells
+                .chunks(n.max(1))
+                .map(|row| row.iter().map(&f).collect())
+                .collect()
+        }
+        PairMatrix {
+            names: apps.iter().map(|a| a.name.clone()).collect(),
+            solo_runtime: solos.iter().map(|r| r.runtime).collect(),
+            solo_iops: solos.iter().map(|r| r.iops).collect(),
+            solo_obs: solos.iter().map(|r| r.observed).collect(),
+            runtime: rows(cells, n, |r| r.runtime),
+            iops: rows(cells, n, |r| r.iops),
+            observed: rows(cells, n, |r| r.observed),
+        }
+    }
+}
+
 /// The profiling harness around a co-run engine.
 #[derive(Debug, Clone)]
 pub struct Profiler {
@@ -161,7 +205,8 @@ impl Profiler {
     /// training set. Backgrounds must be endless (the synthetic
     /// calibration workloads are); finite backgrounds are converted with
     /// [`AppModel::as_endless`] so the measurement captures steady-state
-    /// interference.
+    /// interference. The solo run takes `base_seed` and background `k`
+    /// [`Profiler::record_seed`]`(base_seed, k)`.
     pub fn profile(
         &self,
         target: &AppModel,
@@ -169,18 +214,11 @@ impl Profiler {
         base_seed: u64,
     ) -> ProfileSet {
         let (solo, solo_runtime, solo_iops) = self.solo(target, base_seed);
-        let mut records = Vec::with_capacity(backgrounds.len());
-        for (k, bg) in backgrounds.iter().enumerate() {
-            let seed = base_seed.wrapping_add(k as u64 + 1);
-            let bg_profile = self.background_profile(bg, seed);
-            let bg_run = if bg.endless {
-                bg.clone()
-            } else {
-                bg.as_endless()
-            };
-            let out = self.engine.co_run(target, &bg_run, seed);
-            records.push(Self::record_from(target, bg, &solo, &bg_profile, &out));
-        }
+        let records = backgrounds
+            .iter()
+            .enumerate()
+            .map(|(k, bg)| self.record(target, &solo, bg, Self::record_seed(base_seed, k)))
+            .collect();
         ProfileSet {
             target: target.name.clone(),
             solo,
@@ -190,14 +228,29 @@ impl Profiler {
         }
     }
 
-    fn record_from(
+    /// The seed [`Profiler::profile`] gives its `k`-th background.
+    pub fn record_seed(base_seed: u64, k: usize) -> u64 {
+        base_seed.wrapping_add(k as u64 + 1)
+    }
+
+    /// One record of a training set: `target`, whose stored solo profile
+    /// is `solo` (measure it once with [`Profiler::solo`]), against one
+    /// background, observed alone and then co-run with `seed`. Each call
+    /// is independent of every other, so a campaign can spread its
+    /// records over threads.
+    pub fn record(
+        &self,
         target: &AppModel,
-        bg: &AppModel,
         solo: &VmObservation,
-        bg_profile: &VmObservation,
-        out: &CoRunOutcome,
+        bg: &AppModel,
+        seed: u64,
     ) -> ProfileRecord {
-        let observed = out.observed[1];
+        let bg_profile = self.background_profile(bg, seed);
+        let out = if bg.endless {
+            self.engine.co_run(target, bg, seed)
+        } else {
+            self.engine.co_run(target, &bg.as_endless(), seed)
+        };
         ProfileRecord {
             target: target.name.clone(),
             background: bg.name.clone(),
@@ -211,17 +264,16 @@ impl Profiler {
                 bg_profile.cpu_util,
                 bg_profile.dom0_util,
             ],
-            background_observed: observed.as_features(),
+            background_observed: out.observed[1].as_features(),
             runtime: out.runtime[0],
             iops: out.iops[0],
         }
     }
 
     /// Profiles the target against a single background, returning the
-    /// joint feature vector and the measured `(runtime, iops)` responses.
-    /// `solo` is the target's stored solo profile (measure it once with
-    /// [`Profiler::solo`]). Used by the online-learning experiments that
-    /// stream observations one at a time.
+    /// joint feature vector and the measured `(runtime, iops)` responses:
+    /// [`Profiler::record`] without the names. Used by the online-learning
+    /// experiments that stream observations one at a time.
     pub fn profile_one(
         &self,
         target: &AppModel,
@@ -229,54 +281,47 @@ impl Profiler {
         bg: &AppModel,
         seed: u64,
     ) -> ([f64; 8], f64, f64) {
-        let bg_profile = self.background_profile(bg, seed);
-        let bg_run = if bg.endless {
-            bg.clone()
-        } else {
-            bg.as_endless()
-        };
-        let out = self.engine.co_run(target, &bg_run, seed);
-        let record = Self::record_from(target, bg, solo, &bg_profile, &out);
+        let record = self.record(target, solo, bg, seed);
         (record.features, record.runtime, record.iops)
     }
 
     /// Measures the full pairwise interference matrix over `apps`. Entry
     /// `(i, j)` runs app `i` to completion against an endless loop of app
     /// `j`, capturing the steady-state co-located performance the
-    /// data-center simulator replays.
+    /// data-center simulator replays. Every run is a [`Profiler::pair_run`].
     pub fn pair_matrix(&self, apps: &[AppModel], base_seed: u64) -> PairMatrix {
         let n = apps.len();
-        let mut names = Vec::with_capacity(n);
-        let mut solo_runtime = Vec::with_capacity(n);
-        let mut solo_iops = Vec::with_capacity(n);
-        let mut solo_obs = Vec::with_capacity(n);
-        for (i, a) in apps.iter().enumerate() {
-            let (obs, rt, io) = self.solo(a, base_seed.wrapping_add(i as u64));
-            names.push(a.name.clone());
-            solo_runtime.push(rt);
-            solo_iops.push(io);
-            solo_obs.push(obs);
-        }
-        let mut runtime = vec![vec![0.0; n]; n];
-        let mut iops = vec![vec![0.0; n]; n];
-        let mut observed = vec![vec![VmObservation::default(); n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                let seed = base_seed.wrapping_add(1000 + (i * n + j) as u64);
-                let out = self.engine.co_run(&apps[i], &apps[j].as_endless(), seed);
-                runtime[i][j] = out.runtime[0];
-                iops[i][j] = out.iops[0];
-                observed[i][j] = out.observed[0];
+        let solos = (0..n).map(|i| self.pair_run(apps, i, None, base_seed));
+        let cells = (0..n * n).map(|c| self.pair_run(apps, c / n, Some(c % n), base_seed));
+        PairMatrix::from_runs(apps, &solos.chain(cells).collect::<Vec<_>>())
+    }
+
+    /// One run of [`Profiler::pair_matrix`]`(apps, base_seed)`: app `i`
+    /// alone when `neighbour` is `None`, or against an endless loop of
+    /// app `j` when it is `Some(j)`.
+    /// Each call is independent of every other, so a campaign can spread
+    /// the matrix over threads and assemble it with
+    /// [`PairMatrix::from_runs`].
+    pub fn pair_run(
+        &self,
+        apps: &[AppModel],
+        i: usize,
+        neighbour: Option<usize>,
+        base_seed: u64,
+    ) -> PairRun {
+        let out = match neighbour {
+            None => self
+                .engine
+                .solo_run(&apps[i], base_seed.wrapping_add(i as u64)),
+            Some(j) => {
+                let seed = base_seed.wrapping_add(1000 + (i * apps.len() + j) as u64);
+                self.engine.co_run(&apps[i], &apps[j].as_endless(), seed)
             }
-        }
-        PairMatrix {
-            names,
-            solo_runtime,
-            solo_iops,
-            solo_obs,
-            runtime,
-            iops,
-            observed,
+        };
+        PairRun {
+            runtime: out.runtime[0],
+            iops: out.iops[0],
+            observed: out.observed[0],
         }
     }
 }

@@ -168,6 +168,12 @@ for f in crates/dcsim/src/*.rs crates/dcsim/src/*/*.rs; do
     [ -z "$found" ] || fail "$f brings back a stale-event piece (no stale events)"$'\n'"$found"
 done
 
+# One pool: the profiling campaign fans its runs out through
+# `tracon_core::par` alone, as the Fig 8 and Figs 9-12 sweeps do, so no
+# per-benchmark thread or channel grows back in shipped set-up code.
+found=$(code_of crates/dcsim/src/setup.rs | matches -nE 'thread::scope|thread::spawn|mpsc')
+[ -z "$found" ] || fail "crates/dcsim/src/setup.rs starts its own threads (one pool)"$'\n'"$found"
+
 # Every committed `BENCH_*.json` has the layout `scripts/pairs.sh` writes.
 for f in BENCH_*.json; do
     [ -e "$f" ] || continue

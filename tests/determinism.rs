@@ -76,6 +76,11 @@ fn arrival_traces_are_deterministic() {
     assert_eq!(a, b);
 }
 
+/// Held by each test that sets `par`'s process-wide worker count: libtest
+/// runs tests on parallel threads, and one test's reset would otherwise
+/// undo another's override mid-run.
+static WORKER_COUNT: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn dynamic_sweep_is_thread_count_invariant() {
     // The parallel experiment driver fans (mix, lambda) cells out over
@@ -88,6 +93,7 @@ fn dynamic_sweep_is_thread_count_invariant() {
     use tracon::dcsim::{Testbed, TestbedConfig};
 
     let tb = Testbed::build(&TestbedConfig::small());
+    let _pinned = WORKER_COUNT.lock().unwrap_or_else(|e| e.into_inner());
     let run = |threads: usize| {
         par::override_threads(Some(threads));
         let points = dynamic_sweep(
@@ -100,6 +106,7 @@ fn dynamic_sweep_is_thread_count_invariant() {
             2,
             17,
         );
+        assert_eq!(par::max_threads(), threads);
         par::override_threads(None);
         points
     };
@@ -120,5 +127,67 @@ fn dynamic_sweep_is_thread_count_invariant() {
             b.normalized_throughput.std_dev.to_bits()
         );
         assert_eq!(a.completed.to_bits(), b.completed.to_bits());
+    }
+}
+
+/// Every pair-table cell with both pair predictions, then every profile
+/// set's solo statistics and records, as raw bits.
+fn testbed_bits(tb: &tracon::dcsim::Testbed) -> Vec<u64> {
+    let mut bits = Vec::new();
+    let names = tb.app_names();
+    for (a, app) in names.iter().enumerate() {
+        bits.extend([tb.perf.solo_runtime(a), tb.perf.solo_iops(a)].map(f64::to_bits));
+        for (b, other) in names.iter().enumerate() {
+            bits.extend(
+                [
+                    tb.perf.runtime(a, b),
+                    tb.perf.iops(a, b),
+                    tb.predictor.predict_pair_runtime(app, other),
+                    tb.predictor.predict_pair_iops(app, other),
+                ]
+                .map(f64::to_bits),
+            );
+        }
+    }
+    for set in &tb.profiles {
+        bits.extend(set.solo.as_features().map(f64::to_bits));
+        bits.extend([set.solo_runtime, set.solo_iops].map(f64::to_bits));
+        for r in &set.records {
+            bits.extend(r.features.map(f64::to_bits));
+            bits.extend(r.background_observed.map(f64::to_bits));
+            bits.extend([r.runtime, r.iops].map(f64::to_bits));
+        }
+    }
+    bits
+}
+
+#[test]
+fn testbed_build_is_thread_count_invariant() {
+    // The profiling campaign is a flat list of independent co-runs on
+    // the worker pool, assembled in input order: the testbed must not
+    // depend on how many workers ran it.
+    use tracon::core::par;
+    use tracon::dcsim::{Testbed, TestbedConfig};
+
+    let _pinned = WORKER_COUNT.lock().unwrap_or_else(|e| e.into_inner());
+    let build = |threads: usize| {
+        par::override_threads(Some(threads));
+        let tb = Testbed::build(&TestbedConfig::small());
+        assert_eq!(par::max_threads(), threads);
+        par::override_threads(None);
+        tb
+    };
+    let serial = build(1);
+    let parallel = build(3);
+    assert_eq!(serial.app_names(), parallel.app_names());
+    assert_eq!(testbed_bits(&serial), testbed_bits(&parallel));
+    for (a, b) in serial.profiles.iter().zip(&parallel.profiles) {
+        let names = |s: &tracon::vmsim::ProfileSet| -> Vec<(String, String)> {
+            s.records
+                .iter()
+                .map(|r| (r.target.clone(), r.background.clone()))
+                .collect()
+        };
+        assert_eq!((&a.target, names(a)), (&b.target, names(b)));
     }
 }
