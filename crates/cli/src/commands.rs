@@ -4,10 +4,10 @@
 
 use crate::args::Args;
 use std::fmt::Write as _;
-use tracon_core::{Characteristics, ModelKind, Objective};
+use tracon_core::{Characteristics, ModelKind, Objective, SchedulerKind};
 use tracon_dcsim::arrival::{poisson_trace, WorkloadMix};
 use tracon_dcsim::experiments::registry::{find, Experiment, REGISTRY};
-use tracon_dcsim::{SchedulerKind, Simulation, Testbed, TestbedConfig};
+use tracon_dcsim::{Simulation, Testbed, TestbedConfig};
 use tracon_vmsim::{Benchmark, HostConfig};
 
 /// Top-level usage text.
@@ -26,10 +26,12 @@ COMMANDS:
              --testbed FILE --app NAME [--neighbor NAME] [--model wmm|lm|nlm]
   schedule   Schedule a task list onto a cluster and show the placements
              --testbed FILE --tasks a,b,c --machines N
-             [--scheduler fifo|mios|mibs|mix] [--objective rt|io]
+             [--scheduler fifo|mios|mibs[:W]|mix[:W]]  (W defaults to the
+                           number of tasks) [--objective rt|io]
   simulate   Run a dynamic data-center simulation
              --testbed FILE --machines N --lambda TASKS/MIN [--hours H=10]
-             [--mix light|medium|heavy|uniform] [--scheduler ...] [--seed N]
+             [--mix light|medium|heavy|uniform] [--seed N]
+             [--scheduler fifo|mios|mibs[:W]|mix[:W]=mibs] [--window W=8]
              [--compare]  (run MIOS, MIBS, and MIX side by side instead of
                            the single --scheduler, normalized against FIFO)
   experiment Run a registered paper experiment end to end
@@ -40,7 +42,7 @@ COMMANDS:
              [--port N=0] [--http-port N=0] [--machines N=4] [--slots N=2]
              [--shards N=1]  (scheduler shards behind one connection
                            reactor; each owns a machine slice and WAL file)
-             [--scheduler mios|mibs[:W]|mix[:W]]
+             [--scheduler fifo|mios|mibs[:W]|mix[:W]=mios]  (W defaults to 8)
              [--queue-cap N=64] [--rebuild-every N]
              [--wal DIR]  (persist admissions to an fsync'd write-ahead log
                            and recover queue/counters on restart)
@@ -88,17 +90,9 @@ fn model_kind(name: &str) -> Result<ModelKind, String> {
     }
 }
 
-fn scheduler_kind(name: &str, window: usize) -> Result<SchedulerKind, String> {
-    match name {
-        "fifo" => Ok(SchedulerKind::Fifo),
-        "mios" => Ok(SchedulerKind::Mios),
-        "mibs" => Ok(SchedulerKind::Mibs(window)),
-        "mix" => Ok(SchedulerKind::Mix(window)),
-        other => Err(format!(
-            "unknown scheduler '{other}' (fifo, mios, mibs, mix)"
-        )),
-    }
-}
+/// The batch window a bare `mibs` or `mix` takes in `simulate` (unless
+/// `--window` says otherwise) and in `serve`.
+const DEFAULT_WINDOW: usize = 8;
 
 fn mix(name: &str) -> Result<WorkloadMix, String> {
     match name {
@@ -266,7 +260,7 @@ pub fn schedule(args: &Args) -> Result<String, String> {
             return Err(format!("unknown application '{n}' (see `tracon apps`)"));
         }
     }
-    let kind = scheduler_kind(args.get_or("scheduler", "mibs"), names.len())?;
+    let kind = SchedulerKind::parse(args.get_or("scheduler", "mibs"), names.len())?;
     let obj = objective(args.get_or("objective", "rt"))?;
 
     use std::collections::VecDeque;
@@ -279,14 +273,12 @@ pub fn schedule(args: &Args) -> Result<String, String> {
         .enumerate()
         .map(|(i, n)| Task::new(i as u64, registry.expect_id(n)))
         .collect();
-    let mut scheduler = kind.build();
-    let assignments = scheduler.schedule(&mut queue, &mut cluster, &scoring);
+    let assignments = kind.build().schedule(&mut queue, &mut cluster, &scoring);
 
     let mut out = String::new();
     writeln!(
         out,
-        "{} placed {} of {} tasks:",
-        scheduler.name(),
+        "{kind} placed {} of {} tasks:",
         assignments.len(),
         names.len()
     )
@@ -309,7 +301,6 @@ pub fn schedule(args: &Args) -> Result<String, String> {
 
 /// `tracon simulate`
 pub fn simulate(args: &Args) -> Result<String, String> {
-    let tb = load_testbed(args)?;
     let machines: usize = args.num_or("machines", 64)?;
     let lambda: f64 = args.num_or("lambda", 40.0)?;
     let hours: f64 = args.num_or("hours", 10.0)?;
@@ -317,10 +308,21 @@ pub fn simulate(args: &Args) -> Result<String, String> {
     if machines == 0 || lambda <= 0.0 || hours <= 0.0 {
         return Err("--machines, --lambda, and --hours must be positive".into());
     }
-    let window: usize = args.num_or("window", 8)?;
-    let kind = scheduler_kind(args.get_or("scheduler", "mibs"), window)?;
+    let window: usize = args.num_or("window", DEFAULT_WINDOW)?;
+    let kind = SchedulerKind::parse(args.get_or("scheduler", "mibs"), window)?;
+    // `--compare` runs the three TRACON schedulers; otherwise just the
+    // chosen one.
+    let kinds = if args.flag("compare") {
+        ["mios", "mibs", "mix"]
+            .map(|name| SchedulerKind::parse(name, window))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?
+    } else {
+        vec![kind]
+    };
     let obj = objective(args.get_or("objective", "rt"))?;
     let workload = mix(args.get_or("mix", "medium"))?;
+    let tb = load_testbed(args)?;
 
     let horizon = hours * 3600.0;
     let trace = poisson_trace(lambda, horizon, workload, seed);
@@ -341,16 +343,6 @@ pub fn simulate(args: &Args) -> Result<String, String> {
         "FIFO", fifo.completed, fifo.mean_wait
     )
     .unwrap();
-    // `--compare` runs every scheduler; otherwise just the chosen one.
-    let kinds: Vec<SchedulerKind> = if args.flag("compare") {
-        vec![
-            SchedulerKind::Mios,
-            SchedulerKind::Mibs(window),
-            SchedulerKind::Mix(window),
-        ]
-    } else {
-        vec![kind]
-    };
     for k in kinds {
         let r = Simulation::new(&tb, machines, k)
             .with_objective(obj)
@@ -452,7 +444,7 @@ fn serve_testbed(args: &Args) -> Result<Testbed, String> {
 /// down over the protocol.
 pub fn serve(args: &Args) -> Result<String, String> {
     use tracon_serve::repl::REPL_TTL_MS;
-    use tracon_serve::{daemon, NetConfig, SchedKind, ServeConfig};
+    use tracon_serve::{daemon, NetConfig, ServeConfig};
 
     let machines: usize = args.num_or("machines", 4)?;
     let slots: usize = args.num_or("slots", 2)?;
@@ -465,8 +457,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
             "--shards must be 1..=--machines (got {shards} shards over {machines} machines)"
         ));
     }
-    let sched = SchedKind::parse(args.get_or("scheduler", "mios"))
-        .ok_or("unknown scheduler (mios, mibs[:W], mix[:W])")?;
+    let sched = SchedulerKind::parse(args.get_or("scheduler", "mios"), DEFAULT_WINDOW)?;
     let kind = model_kind(args.get_or("model", "wmm"))?;
     let queue_capacity: usize = args.num_or("queue-cap", 64)?;
     if queue_capacity == 0 {
@@ -819,12 +810,28 @@ mod tests {
     fn parser_helpers_reject_garbage() {
         assert!(model_kind("nlm").is_ok());
         assert!(model_kind("resnet").is_err());
-        assert!(scheduler_kind("mibs", 8).is_ok());
-        assert!(scheduler_kind("sjf", 8).is_err());
         assert!(mix("heavy").is_ok());
         assert!(mix("spicy").is_err());
         assert!(objective("io").is_ok());
         assert!(objective("latency").is_err());
+    }
+
+    /// `simulate`, `schedule` and `serve` spell schedulers through one
+    /// catalogue, which refuses a zero window before anything is loaded
+    /// or started.
+    #[test]
+    fn a_zero_window_is_refused_by_every_command() {
+        let err = simulate(&parse_str("simulate --window 0")).unwrap_err();
+        assert!(err.contains("window must be positive"), "{err}");
+        let err =
+            simulate(&parse_str("simulate --scheduler fifo --window 0 --compare")).unwrap_err();
+        assert!(err.contains("window must be positive"), "{err}");
+        let err = serve(&parse_str("serve --scheduler mix:0")).unwrap_err();
+        assert!(err.contains("window must be positive"), "{err}");
+        let err = serve(&parse_str("serve --scheduler mibs:x")).unwrap_err();
+        assert!(err.contains("not a number"), "{err}");
+        let err = simulate(&parse_str("simulate --scheduler sjf")).unwrap_err();
+        assert!(err.contains("unknown scheduler"), "{err}");
     }
 
     #[test]

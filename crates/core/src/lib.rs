@@ -59,5 +59,5 @@ pub use monitor::{AdaptiveModel, Monitor, MonitorConfig, ObserveOutcome};
 pub use predictor::{AppModelSet, AppProfile, Objective, Predictor, ScoringPolicy};
 pub use sched::{
     Assignment, ClusterState, Fifo, FreeClass, Mibs, MibsAblation, MibsVariant, Mios, Mix,
-    Resident, Scheduler, Task, VmRef,
+    Resident, Scheduler, SchedulerKind, Task, VmRef,
 };

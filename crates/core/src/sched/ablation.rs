@@ -122,10 +122,6 @@ fn random(
 }
 
 impl Scheduler for MibsAblation {
-    fn name(&self) -> String {
-        self.variant.name().to_string()
-    }
-
     fn window(&self) -> Option<usize> {
         Some(self.mibs.queue_len)
     }

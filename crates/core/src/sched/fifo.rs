@@ -10,10 +10,6 @@ use std::collections::VecDeque;
 pub struct Fifo;
 
 impl Scheduler for Fifo {
-    fn name(&self) -> String {
-        "FIFO".to_string()
-    }
-
     fn schedule(
         &mut self,
         queue: &mut VecDeque<Task>,
@@ -96,10 +92,5 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(queue.len(), 3);
         assert_eq!(cluster.n_free(), 0);
-    }
-
-    #[test]
-    fn name() {
-        assert_eq!(Fifo.name(), "FIFO");
     }
 }

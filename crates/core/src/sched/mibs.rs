@@ -220,10 +220,6 @@ fn tie_key(key: ClassKey, fragility: f64) -> f64 {
 }
 
 impl Scheduler for Mibs {
-    fn name(&self) -> String {
-        format!("MIBS_{}", self.queue_len)
-    }
-
     fn window(&self) -> Option<usize> {
         Some(self.queue_len)
     }
@@ -367,11 +363,5 @@ mod tests {
         assert!(!mibs.fill(&cluster, &scoring));
         assert_eq!(mibs.picks[0].task.id, 0);
         assert_eq!(mibs.picks.len(), 3);
-    }
-
-    #[test]
-    fn name_includes_queue_len() {
-        assert_eq!(Mibs::new(8).name(), "MIBS_8");
-        assert_eq!(Mibs::new(2).name(), "MIBS_2");
     }
 }

@@ -26,10 +26,6 @@ pub struct Mios {
 }
 
 impl Scheduler for Mios {
-    fn name(&self) -> String {
-        "MIOS".to_string()
-    }
-
     fn schedule(
         &mut self,
         queue: &mut VecDeque<Task>,

@@ -105,10 +105,6 @@ impl Mix {
 }
 
 impl Scheduler for Mix {
-    fn name(&self) -> String {
-        format!("MIX_{}", self.queue_len)
-    }
-
     fn window(&self) -> Option<usize> {
         Some(self.queue_len)
     }
@@ -277,10 +273,5 @@ mod tests {
         assert!(Mix::new(8)
             .schedule(&mut queue, &mut cluster, &scoring)
             .is_empty());
-    }
-
-    #[test]
-    fn name_includes_queue_len() {
-        assert_eq!(Mix::new(8).name(), "MIX_8");
     }
 }

@@ -2,7 +2,8 @@
 //! and the three TRACON schedulers — MIOS (online, Algorithm 1), MIBS
 //! (batch Min-Min pairing, Algorithm 2), and MIX (best-head batch,
 //! Algorithm 3) — each optimizing either total runtime or total IOPS —
-//! and the [`gate`] that decides when they run and what they see.
+//! the [`gate`] that decides when they run and what they see, and the
+//! catalogue, [`SchedulerKind`], that names and builds them.
 //!
 //! Every scheduler but FIFO decides on a [`FreeTable`]: the cluster's
 //! free classes, listed once per call and updated pick by pick. [`apply`]
@@ -14,6 +15,7 @@ pub mod ablation;
 pub mod cluster;
 pub mod fifo;
 pub mod gate;
+pub mod kind;
 pub mod mibs;
 pub mod mios;
 pub mod mix;
@@ -21,6 +23,7 @@ pub mod mix;
 pub use ablation::{MibsAblation, MibsVariant};
 pub use cluster::{ClusterState, FreeClass, Resident, VmRef};
 pub use fifo::Fifo;
+pub use kind::SchedulerKind;
 pub use mibs::Mibs;
 pub use mios::Mios;
 pub use mix::Mix;
@@ -64,9 +67,6 @@ pub struct Assignment {
 /// scheduler but FIFO decides on a [`FreeTable`] and [`apply`] commits;
 /// FIFO takes the lowest free slot.
 pub trait Scheduler {
-    /// Scheduler name, e.g. "MIBS_RT(8)".
-    fn name(&self) -> String;
-
     /// The batch window: how many of the oldest queued tasks one call
     /// sees, and how many the [`gate`] waits for (`None` for the online
     /// schedulers, which see the whole queue and dispatch eagerly).

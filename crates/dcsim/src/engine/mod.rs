@@ -21,8 +21,8 @@
 //!                       │        placement / completion)
 //!            ┌──────────▼──────────────────────────────────┐
 //!            │               observer layer                │
-//!            │  MetricsObserver · ObservationCollector ·   │
-//!            │  tracon_core::Monitor · user SimObservers   │
+//!            │  MetricsObserver · tracon_core::Monitor ·   │
+//!            │  user SimObservers                          │
 //!            └─────────────────────────────────────────────┘
 //! ```
 //!
@@ -58,61 +58,12 @@ pub use observer::{ArrivalInfo, CompletionInfo, PlacementInfo, SimObserver};
 use crate::arrival::ArrivalEvent;
 use crate::setup::Testbed;
 use event::{EventKind, HeapQueue, KernelQueue, Pending, TimingWheel};
-use observer::{MetricsObserver, ObservationCollector};
+use observer::MetricsObserver;
 use slots::SlotState;
 use std::collections::VecDeque;
-use std::fmt;
 use tracon_core::sched::gate;
-use tracon_core::{
-    ClusterState, Fifo, Mibs, MibsAblation, MibsVariant, Mios, Mix, Objective, Scheduler,
-    ScoringPolicy, Task, VmRef,
-};
-
-/// Which scheduling algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedulerKind {
-    /// First-in-first-out baseline.
-    Fifo,
-    /// Minimum-interference online scheduler (Algorithm 1).
-    Mios,
-    /// Minimum-interference batch scheduler with the given queue length.
-    Mibs(usize),
-    /// Minimum-interference mixed scheduler with the given queue length.
-    Mix(usize),
-    /// An ablated MIBS variant (design-decision ablations) with the given
-    /// queue length.
-    Ablation(MibsVariant, usize),
-}
-
-impl SchedulerKind {
-    /// Instantiates the scheduler.
-    pub fn build(&self) -> Box<dyn Scheduler> {
-        match *self {
-            SchedulerKind::Fifo => Box::new(Fifo),
-            SchedulerKind::Mios => Box::new(Mios::default()),
-            SchedulerKind::Mibs(l) => Box::new(Mibs::new(l)),
-            SchedulerKind::Mix(l) => Box::new(Mix::new(l)),
-            SchedulerKind::Ablation(v, l) => Box::new(MibsAblation::new(v, l)),
-        }
-    }
-
-    /// Display name.
-    pub fn name(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl fmt::Display for SchedulerKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            SchedulerKind::Fifo => f.write_str("FIFO"),
-            SchedulerKind::Mios => f.write_str("MIOS"),
-            SchedulerKind::Mibs(l) => write!(f, "MIBS_{l}"),
-            SchedulerKind::Mix(l) => write!(f, "MIX_{l}"),
-            SchedulerKind::Ablation(v, _) => f.write_str(v.name()),
-        }
-    }
-}
+pub use tracon_core::SchedulerKind;
+use tracon_core::{ClusterState, Objective, ScoringPolicy, Task, VmRef};
 
 /// Which event-queue backend drives the kernel (see the [`event`](self)
 /// module docs). The backends are gated to produce bit-identical
@@ -173,11 +124,6 @@ pub struct SimResult {
     pub makespan: f64,
     /// Mean queueing delay (start - arrival) of started tasks.
     pub mean_wait: f64,
-    /// Realized observations `(joint features, runtime, avg IOPS)` per
-    /// completed task — the stream TRACON's monitor feeds back into model
-    /// adaptation. Empty unless requested via
-    /// [`Simulation::with_observation_collection`].
-    pub observations: Vec<TaskObservation>,
     /// Always 0: every admitted task runs until it completes. Kept
     /// because the benchmark harness (`benchmark/src/sim.rs`) counts it.
     pub abandoned: usize,
@@ -186,20 +132,6 @@ pub struct SimResult {
     /// delivered) — the denominator behind the collector's
     /// `kernel_events_per_sec`.
     pub events_processed: usize,
-}
-
-/// One realized task observation collected by the monitor: the joint
-/// feature vector the prediction module would have used (task profile +
-/// the profile of the neighbour resident when the task started), with the
-/// measured outcome.
-#[derive(Debug, Clone, Copy)]
-pub struct TaskObservation {
-    /// `[task r/w/cpu/dom0, neighbour r/w/cpu/dom0]`.
-    pub features: [f64; 8],
-    /// Realized runtime, seconds.
-    pub runtime: f64,
-    /// Realized average IOPS.
-    pub iops: f64,
 }
 
 impl SimResult {
@@ -226,7 +158,6 @@ pub struct Simulation<'tb> {
     /// Admission-queue capacity: arrivals beyond this bound are refused
     /// (`None` = unbounded buffering).
     pub queue_capacity: Option<usize>,
-    collect_observations: bool,
     /// Event-queue backend driving the kernel.
     pub queue_backend: QueueBackend,
 }
@@ -242,7 +173,6 @@ impl<'tb> Simulation<'tb> {
             objective: Objective::MinRuntime,
             predictor_override: None,
             queue_capacity: None,
-            collect_observations: false,
             queue_backend: QueueBackend::default(),
         }
     }
@@ -272,13 +202,6 @@ impl<'tb> Simulation<'tb> {
     /// refused (counted in `arrived` but never scheduled).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = Some(capacity);
-        self
-    }
-
-    /// Collects per-task realized observations (the monitor's feedback
-    /// stream) into [`SimResult::observations`].
-    pub fn with_observation_collection(mut self) -> Self {
-        self.collect_observations = true;
         self
     }
 
@@ -352,10 +275,6 @@ impl<'tb> Simulation<'tb> {
         let mut queue: VecDeque<Task> = VecDeque::new();
 
         let mut metrics = MetricsObserver::default();
-        let mut collector = self.collect_observations.then(|| {
-            // Solo profile per app index, for observation records.
-            ObservationCollector::new(names.iter().map(|n| self.testbed.app_chars[n]).collect())
-        });
 
         // --- main loop ------------------------------------------------
         // One live event per iteration. `due` carries a dispatch that an
@@ -403,9 +322,6 @@ impl<'tb> Simulation<'tb> {
                         avg_iops: done.avg_iops,
                     };
                     metrics.on_completion(&info);
-                    if let Some(c) = &mut collector {
-                        c.on_completion(&info);
-                    }
                     observer.on_completion(&info);
                     // The surviving sibling speeds up (or a later placement
                     // slows it down again).
@@ -481,7 +397,7 @@ impl<'tb> Simulation<'tb> {
         }
 
         SimResult {
-            scheduler: self.scheduler.name(),
+            scheduler: self.scheduler.to_string(),
             arrived: trace.len(),
             completed: metrics.completed,
             refused: metrics.refused,
@@ -489,9 +405,6 @@ impl<'tb> Simulation<'tb> {
             total_iops: metrics.total_iops,
             makespan: metrics.makespan,
             mean_wait: metrics.mean_wait(),
-            observations: collector
-                .map(ObservationCollector::into_observations)
-                .unwrap_or_default(),
             abandoned: 0,
             events_processed,
         }
@@ -651,24 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn observation_collection_matches_completions() {
-        let tb = shared();
-        let trace = static_batch(8, WorkloadMix::Uniform, 31);
-        let r = Simulation::new(tb, 4, SchedulerKind::Mibs(8))
-            .with_observation_collection()
-            .run(&trace, None);
-        assert_eq!(r.observations.len(), r.completed);
-        for obs in &r.observations {
-            assert!(obs.runtime > 0.0);
-            assert!(obs.iops >= 0.0);
-            assert!(obs.features.iter().all(|f| f.is_finite()));
-        }
-        // Without the flag, no observations are collected.
-        let r2 = Simulation::new(tb, 4, SchedulerKind::Mibs(8)).run(&trace, None);
-        assert!(r2.observations.is_empty());
-    }
-
-    #[test]
     fn static_batch_is_scheduled_as_one_window() {
         // Same-instant arrivals must reach the batch scheduler together:
         // a full static batch lets MIBS pick globally, which shows up as
@@ -692,37 +587,6 @@ mod tests {
             (full.total_runtime - head.total_runtime).abs() > 1e-6,
             "window scheduling should differ from head-first dispatch"
         );
-    }
-
-    #[test]
-    fn scheduler_kind_names() {
-        assert_eq!(SchedulerKind::Fifo.name(), "FIFO");
-        assert_eq!(SchedulerKind::Mibs(8).name(), "MIBS_8");
-        assert_eq!(SchedulerKind::Mix(4).name(), "MIX_4");
-        assert_eq!(SchedulerKind::Mios.build().window(), None);
-        assert_eq!(SchedulerKind::Fifo.build().window(), None);
-        assert_eq!(SchedulerKind::Mibs(8).build().window(), Some(8));
-        assert_eq!(SchedulerKind::Mix(4).build().window(), Some(4));
-        let ablation = SchedulerKind::Ablation(MibsVariant::HeadFirst, 16);
-        assert_eq!(ablation.build().window(), Some(16));
-    }
-
-    #[test]
-    fn display_name_matches_built_scheduler_name() {
-        // The allocation-free Display-based name must agree with what the
-        // boxed scheduler reports about itself, for every kind.
-        let mut kinds = vec![
-            SchedulerKind::Fifo,
-            SchedulerKind::Mios,
-            SchedulerKind::Mibs(8),
-            SchedulerKind::Mix(4),
-        ];
-        for v in MibsVariant::ALL {
-            kinds.push(SchedulerKind::Ablation(v, 8));
-        }
-        for kind in kinds {
-            assert_eq!(kind.name(), kind.build().name(), "{kind:?}");
-        }
     }
 
     #[derive(Default)]

@@ -1,11 +1,10 @@
 //! The observer layer: hooks the event kernel calls as the simulation
 //! unfolds. The kernel itself only moves time forward and keeps the slot
-//! state consistent — everything *about* a run (metrics, observation
-//! streams, online model adaptation) is an observer.
+//! state consistent — everything *about* a run (metrics, online model
+//! adaptation) is an observer.
 
-use super::TaskObservation;
 use crate::perf::IDLE;
-use tracon_core::{joint_features, Characteristics, Monitor, Predictor, VmRef};
+use tracon_core::{Monitor, Predictor, VmRef};
 
 /// A task arrival (admitted or refused).
 #[derive(Debug, Clone, Copy)]
@@ -120,39 +119,6 @@ impl SimObserver for MetricsObserver {
     }
 }
 
-/// Built-in observer recording the monitor's feedback stream: one
-/// [`TaskObservation`] per completion, featurized as the prediction
-/// module would have featurized the task (an idle neighbour is
-/// [`Characteristics::idle`]).
-pub(crate) struct ObservationCollector {
-    solo: Vec<Characteristics>,
-    observations: Vec<TaskObservation>,
-}
-
-impl ObservationCollector {
-    pub(crate) fn new(solo: Vec<Characteristics>) -> Self {
-        ObservationCollector {
-            solo,
-            observations: Vec::new(),
-        }
-    }
-
-    pub(crate) fn into_observations(self) -> Vec<TaskObservation> {
-        self.observations
-    }
-}
-
-impl SimObserver for ObservationCollector {
-    fn on_completion(&mut self, info: &CompletionInfo) {
-        let bg = neighbor(info).map_or(Characteristics::idle(), |n| self.solo[n]);
-        self.observations.push(TaskObservation {
-            features: joint_features(&self.solo[info.app_idx], &bg),
-            runtime: info.runtime,
-            iops: info.avg_iops,
-        });
-    }
-}
-
 /// The neighbour a completed task started next to, `None` for [`IDLE`].
 fn neighbor(info: &CompletionInfo) -> Option<usize> {
     (info.neighbor_at_start != IDLE).then_some(info.neighbor_at_start)
@@ -176,7 +142,8 @@ impl SimObserver for Monitor {
 mod tests {
     use super::*;
     use tracon_core::{
-        train_model, AppModelSet, AppProfile, ModelKind, MonitorConfig, TrainingData,
+        joint_features, train_model, AppModelSet, AppProfile, Characteristics, ModelKind,
+        MonitorConfig, TrainingData,
     };
     use tracon_stats::prng::ChaCha12;
 

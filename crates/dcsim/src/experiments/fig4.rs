@@ -6,7 +6,6 @@
 //! applications, scheduled onto 16 machines with two VMs each. Paper
 //! shape: NLM gives the best Speedup and IOBoost; WMM and LM trail.
 
-use super::predictor_with_model;
 use crate::arrival::{static_batch, WorkloadMix};
 use crate::engine::{io_boost, speedup, SchedulerKind, Simulation};
 use crate::setup::Testbed;
@@ -45,7 +44,7 @@ pub const MODELS: [ModelKind; 3] = [ModelKind::Wmm, ModelKind::Linear, ModelKind
 pub fn run(testbed: &Testbed, repetitions: u64, seed: u64) -> Fig4 {
     let mut bars = Vec::new();
     for model in MODELS {
-        let predictor = predictor_with_model(testbed, model);
+        let predictor = testbed.train_predictor(model);
         for objective in [Objective::MinRuntime, Objective::MaxIops] {
             let mut speedups = Vec::new();
             let mut boosts = Vec::new();

@@ -106,7 +106,7 @@ mod tests {
             assert!(
                 (p.normalized_throughput.mean - 1.0).abs() < 0.05,
                 "{} at low lambda: {}",
-                p.scheduler.name(),
+                p.scheduler,
                 p.normalized_throughput.mean
             );
         }

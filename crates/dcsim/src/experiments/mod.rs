@@ -23,7 +23,6 @@ pub mod sweep;
 pub mod table1;
 
 use crate::setup::{Testbed, TestbedConfig};
-use tracon_core::ModelKind;
 
 /// Configuration shared by the experiment drivers: testbed parameters
 /// plus the sweep grids the registry-run experiments consume.
@@ -113,43 +112,6 @@ pub fn build_testbed(cfg: &ExperimentConfig) -> Testbed {
     Testbed::build(&cfg.testbed)
 }
 
-/// Builds a predictor backed by a specific model family from an existing
-/// testbed's profiling data (used by the Fig 4 model comparison without
-/// re-running the profiling campaign).
-pub fn predictor_with_model(testbed: &Testbed, kind: ModelKind) -> tracon_core::Predictor {
-    use crate::setup::training_data;
-    use tracon_core::{AppModelSet, AppProfile, Characteristics};
-    let mut predictor = tracon_core::Predictor::new();
-    for set in &testbed.profiles {
-        let runtime = tracon_core::train_model_scaled(
-            kind,
-            &training_data(set, tracon_core::Response::Runtime),
-            tracon_core::ResponseScale::for_response(tracon_core::Response::Runtime),
-        );
-        let iops = tracon_core::train_model_scaled(
-            kind,
-            &training_data(set, tracon_core::Response::Iops),
-            tracon_core::ResponseScale::for_response(tracon_core::Response::Iops),
-        );
-        let solo = Characteristics::new(
-            set.solo.read_rps,
-            set.solo.write_rps,
-            set.solo.cpu_util,
-            set.solo.dom0_util,
-        );
-        predictor.add_app(
-            AppProfile {
-                name: set.target.clone(),
-                solo,
-                solo_runtime: set.solo_runtime,
-                solo_iops: set.solo_iops,
-            },
-            AppModelSet { runtime, iops },
-        );
-    }
-    predictor
-}
-
 /// Formats a mean +- std pair the way the figures report bars with error
 /// whiskers.
 pub fn fmt_pm(mean: f64, std: f64) -> String {
@@ -171,16 +133,5 @@ mod tests {
         assert_eq!(q.testbed.calibration_points, 45);
         assert!(q.lambdas.len() < f.lambdas.len());
         assert!(q.machine_counts.len() < f.machine_counts.len());
-    }
-
-    #[test]
-    fn predictor_with_model_trains_all_kinds() {
-        let tb = crate::setup::tests::shared();
-        for kind in [ModelKind::Wmm, ModelKind::Linear, ModelKind::Nonlinear] {
-            let p = predictor_with_model(tb, kind);
-            assert!(p.knows("video"));
-            let rt = p.predict_runtime("video", &tracon_core::Characteristics::idle());
-            assert!(rt.is_finite() && rt > 0.0);
-        }
     }
 }

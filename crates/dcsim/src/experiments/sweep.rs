@@ -132,7 +132,7 @@ pub fn render_points(title: &str, points: &[DynamicPoint]) -> String {
             out,
             "{:>8} {:>10} {:>10} {:>10.0} {:>22} {:>12.0}",
             p.mix.name(),
-            p.scheduler.name(),
+            p.scheduler.to_string(),
             p.machines,
             p.lambda,
             super::fmt_pm(

@@ -29,7 +29,7 @@ mod snapshot;
 pub use arrival::{poisson_n, poisson_trace, static_batch, ArrivalEvent, WorkloadMix};
 pub use engine::{
     io_boost, normalized_throughput, speedup, ArrivalInfo, CompletionInfo, PlacementInfo,
-    QueueBackend, SchedulerKind, SimObserver, SimResult, Simulation, TaskObservation,
+    QueueBackend, SchedulerKind, SimObserver, SimResult, Simulation,
 };
 pub use perf::{PerfTable, IDLE};
 pub use setup::{Testbed, TestbedConfig};

@@ -110,22 +110,6 @@ pub fn calibration_workloads(points: usize) -> Vec<AppModel> {
     grid.into_iter().step_by(stride.max(1)).collect()
 }
 
-/// The deployed runtime and IOPS models of one application, trained on
-/// its profile set.
-fn train_models(set: &ProfileSet, model_kind: ModelKind) -> AppModelSet {
-    let model = |response| {
-        tracon_core::train_model_scaled(
-            model_kind,
-            &training_data(set, response),
-            tracon_core::ResponseScale::for_response(response),
-        )
-    };
-    AppModelSet {
-        runtime: model(tracon_core::Response::Runtime),
-        iops: model(tracon_core::Response::Iops),
-    }
-}
-
 /// One run of the profiling campaign after the solo profiles: benchmark
 /// `i`'s record against background `k`, or the pair matrix's run of
 /// benchmark `i` alone (`None`) or against `j`.
@@ -208,42 +192,54 @@ impl Testbed {
         // Training stays on this thread, after the pool's results are
         // unpacked and freed: trained in the workers, each thread's
         // allocator arena would keep its own training working set.
-        let trained = sets
-            .into_iter()
-            .map(|set| {
-                let models = train_models(&set, cfg.model_kind);
-                (set, models)
-            })
-            .collect();
-        Self::assemble(trained, PerfTable::from_pair_matrix(&pair))
+        Self::assemble(sets, PerfTable::from_pair_matrix(&pair), cfg.model_kind)
     }
 
-    /// Assembles the predictor around each application's profile set and
-    /// trained models, registering them in the order given.
-    fn assemble(trained: Vec<(ProfileSet, AppModelSet)>, perf: PerfTable) -> Self {
-        let mut predictor = Predictor::new();
-        let mut app_chars = HashMap::new();
-        let mut profiles = Vec::with_capacity(trained.len());
-        for (set, models) in trained {
-            let solo = to_characteristics(&set.solo);
-            predictor.add_app(
-                AppProfile {
-                    name: set.target.clone(),
-                    solo,
-                    solo_runtime: set.solo_runtime,
-                    solo_iops: set.solo_iops,
-                },
-                models,
-            );
-            app_chars.insert(set.target.clone(), solo);
-            profiles.push(set);
-        }
-        Testbed {
-            predictor,
+    /// Packages the profile sets and the pair table, with `model_kind`
+    /// models trained on the profiles.
+    fn assemble(profiles: Vec<ProfileSet>, perf: PerfTable, model_kind: ModelKind) -> Self {
+        let app_chars = profiles
+            .iter()
+            .map(|set| (set.target.clone(), to_characteristics(&set.solo)))
+            .collect();
+        let mut testbed = Testbed {
+            predictor: Predictor::new(),
             perf,
             app_chars,
             profiles,
+        };
+        testbed.predictor = testbed.train_predictor(model_kind);
+        testbed
+    }
+
+    /// A prediction module over this testbed's profiles: each
+    /// application's runtime and IOPS models trained with `kind`,
+    /// registered in profile order. The deployed predictor is this with
+    /// the testbed's own family; the Fig 4 comparison trains the others
+    /// without re-running the profiling campaign.
+    pub fn train_predictor(&self, kind: ModelKind) -> Predictor {
+        let mut predictor = Predictor::new();
+        for set in &self.profiles {
+            let model = |response| {
+                tracon_core::train_model_scaled(
+                    kind,
+                    &training_data(set, response),
+                    tracon_core::ResponseScale::for_response(response),
+                )
+            };
+            let models = AppModelSet {
+                runtime: model(tracon_core::Response::Runtime),
+                iops: model(tracon_core::Response::Iops),
+            };
+            let profile = AppProfile {
+                name: set.target.clone(),
+                solo: to_characteristics(&set.solo),
+                solo_runtime: set.solo_runtime,
+                solo_iops: set.solo_iops,
+            };
+            predictor.add_app(profile, models);
         }
+        predictor
     }
 
     /// Application names in pair-table index order.
@@ -288,14 +284,7 @@ impl Testbed {
     /// length, or a `null` where a statistic belongs.
     pub fn from_snapshot_json(json: &str, model_kind: ModelKind) -> Result<Self, String> {
         let (profiles, perf) = snapshot::decode(json)?;
-        let trained = profiles
-            .into_iter()
-            .map(|set| {
-                let models = train_models(&set, model_kind);
-                (set, models)
-            })
-            .collect();
-        Ok(Self::assemble(trained, perf))
+        Ok(Self::assemble(profiles, perf, model_kind))
     }
 }
 
@@ -347,6 +336,27 @@ pub(crate) mod tests {
             rt_heavy > rt_light,
             "dedup next to video ({rt_heavy}) should be slower than next to email ({rt_light})"
         );
+    }
+
+    #[test]
+    fn train_predictor_trains_every_family_and_redeploys_the_same_bits() {
+        let tb = shared();
+        let neighbour = tb.app_chars["video"];
+        for kind in [ModelKind::Wmm, ModelKind::Linear, ModelKind::Nonlinear] {
+            let p = tb.train_predictor(kind);
+            for b in Benchmark::ALL {
+                let rt = p.predict_runtime(b.name(), &neighbour);
+                assert!(rt.is_finite() && rt > 0.0, "{kind:?} {}: {rt}", b.name());
+            }
+        }
+        // The testbed's own family retrains the deployed predictor.
+        let again = tb.train_predictor(ModelKind::Nonlinear);
+        for b in Benchmark::ALL {
+            assert_eq!(
+                again.predict_runtime(b.name(), &neighbour).to_bits(),
+                tb.predictor.predict_runtime(b.name(), &neighbour).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -615,8 +615,8 @@ mod tests {
 
     use crate::json::obj;
     use crate::metrics::Degraded;
-    use crate::state::SchedKind;
     use crate::wal::Wal;
+    use tracon_core::SchedulerKind;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("tracond-batch-{tag}-{}", std::process::id()));
@@ -639,7 +639,7 @@ mod tests {
         ServeConfig {
             machines: 32,
             slots_per_machine: 4,
-            scheduler: SchedKind::Mios,
+            scheduler: SchedulerKind::Mios,
             queue_capacity: 256,
             wal_dir: wal_dir.map(Path::to_path_buf),
             ..ServeConfig::default()

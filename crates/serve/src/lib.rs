@@ -77,7 +77,10 @@ pub use proto::{
 };
 pub use repl::{PullChunk, ReplState, Role, ShipLog};
 pub use shard::{recover_dir, route_app, route_key, shard_machines, stride_shard, MergedRecovery};
-pub use state::{Refusal, SchedKind, ServeConfig, Service, StatusSnapshot};
+pub use state::{Refusal, ServeConfig, Service, StatusSnapshot};
 pub use table::{RecState, TaskRow, TaskTable};
+/// The scheduler catalogue, [`tracon_core::SchedulerKind`], under the
+/// name that code built against this crate already uses.
+pub use tracon_core::SchedulerKind as SchedKind;
 pub use tracon_stats::json;
 pub use wal::{Recovery, Wal, WalRecord};

@@ -24,8 +24,9 @@ use crate::metrics::Metrics;
 use crate::repl::role::{self, Effect, PullVerdict, RoleEvent, RoleState};
 use crate::repl::{EpochSidecar, PullChunk, Role, ShipLog};
 use crate::shard::{merge, restore_shards, route_app, shard_machines, stride_shard};
-use crate::state::{SchedKind, ServeConfig, Service};
+use crate::state::{ServeConfig, Service};
 use crate::table::TaskTable;
+use tracon_core::SchedulerKind;
 
 /// The shared profiled testbed: building one takes real calibration
 /// work, so every sim in the process reuses a single instance.
@@ -165,7 +166,7 @@ impl SimCluster {
         let cfg = ServeConfig {
             machines: shards * 2,
             slots_per_machine: 1,
-            scheduler: SchedKind::Mios,
+            scheduler: SchedulerKind::Mios,
             queue_capacity: 512,
             // Leases far beyond any sim horizon: task lifecycle noise
             // (expiry/requeue) is covered elsewhere; here the WAL stream

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use tracon_core::sched::gate;
 use tracon_core::{
-    AppId, ClusterState, Mibs, Mios, Mix, ModelKind, Monitor, MonitorConfig, Objective, Scheduler,
+    AppId, ClusterState, ModelKind, Monitor, MonitorConfig, Objective, Scheduler, SchedulerKind,
     ScoringPolicy, Task, VmRef,
 };
 use tracon_dcsim::Testbed;
@@ -51,44 +51,6 @@ use tracon_stats::prng::{mix64, GAMMA};
 use crate::metrics::{Degraded, Metrics};
 use crate::table::{RecState, Row, TaskRow, TaskTable};
 use crate::wal::{Wal, WalRecord};
-
-/// Which scheduler the daemon runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedKind {
-    /// Online per-arrival placement (paper's MIOS).
-    Mios,
-    /// Batch Min-Min over a window of the given size (paper's MIBS).
-    Mibs(usize),
-    /// Idle-machine shortcut over MIBS (paper's MIX).
-    Mix(usize),
-}
-
-impl SchedKind {
-    /// Parse a CLI spelling: `mios`, `mibs`, `mibs:8`, `mix`, `mix:4`.
-    pub fn parse(text: &str) -> Option<SchedKind> {
-        let (name, window) = match text.split_once(':') {
-            Some((name, w)) => (name, w.parse::<usize>().ok()?),
-            None => (text, 8),
-        };
-        if window == 0 {
-            return None;
-        }
-        Some(match name {
-            "mios" => SchedKind::Mios,
-            "mibs" => SchedKind::Mibs(window),
-            "mix" => SchedKind::Mix(window),
-            _ => return None,
-        })
-    }
-
-    fn build(self) -> Box<dyn Scheduler + Send> {
-        match self {
-            SchedKind::Mios => Box::new(Mios::default()),
-            SchedKind::Mibs(w) => Box::new(Mibs::new(w)),
-            SchedKind::Mix(w) => Box::new(Mix::new(w)),
-        }
-    }
-}
 
 /// A batch scheduler's `flush`: once the oldest queued task has waited
 /// this long, a lone free slot no longer waits for a pairing.
@@ -106,7 +68,7 @@ pub struct ServeConfig {
     /// VM slots per machine.
     pub slots_per_machine: usize,
     /// Scheduler to run.
-    pub scheduler: SchedKind,
+    pub scheduler: SchedulerKind,
     /// Interference model used by the live monitors.
     pub model_kind: ModelKind,
     /// Admission queue bound; submissions beyond this are rejected.
@@ -143,7 +105,7 @@ impl Default for ServeConfig {
         ServeConfig {
             machines: 4,
             slots_per_machine: 2,
-            scheduler: SchedKind::Mios,
+            scheduler: SchedulerKind::Mios,
             model_kind: ModelKind::Wmm,
             queue_capacity: 64,
             monitor: MonitorConfig::default(),
@@ -1023,11 +985,7 @@ impl Service {
             draining: self.draining,
             machines: self.cluster.n_machines(),
             free_slots: self.cluster.n_free(),
-            scheduler: match self.cfg.scheduler {
-                SchedKind::Mios => "mios",
-                SchedKind::Mibs(_) => "mibs",
-                SchedKind::Mix(_) => "mix",
-            },
+            scheduler: self.cfg.scheduler.family(),
         }
     }
 
@@ -1109,7 +1067,7 @@ mod tests {
         Testbed::build(&cfg)
     }
 
-    fn service(sched: SchedKind, queue_capacity: usize) -> Service {
+    fn service(sched: SchedulerKind, queue_capacity: usize) -> Service {
         let testbed = tiny_testbed();
         let cfg = ServeConfig {
             machines: 2,
@@ -1125,7 +1083,7 @@ mod tests {
     /// `tracon_stats::prng::mix64` (base 100 ms, cap 5 s).
     #[test]
     fn backoff_jitter_is_pinned() {
-        let svc = service(SchedKind::Mios, 8);
+        let svc = service(SchedulerKind::Mios, 8);
         assert_eq!(svc.backoff_ms(1, 1), 137);
         assert_eq!(svc.backoff_ms(7, 2), 279);
         assert_eq!(svc.backoff_ms(42, 9), 6206);
@@ -1133,7 +1091,7 @@ mod tests {
 
     #[test]
     fn mios_places_on_submit_until_cluster_full() {
-        let mut svc = service(SchedKind::Mios, 8);
+        let mut svc = service(SchedulerKind::Mios, 8);
         let now = Instant::now();
         let apps: Vec<String> = svc.monitor.app_names().to_vec();
         let mut placed = 0;
@@ -1150,9 +1108,34 @@ mod tests {
         assert!(svc.status().conserved());
     }
 
+    /// The daemon runs the simulator's whole catalogue, the FIFO baseline
+    /// included, and its status names the scheduler's family.
+    #[test]
+    fn fifo_places_on_submit_and_status_says_fifo() {
+        let mut svc = service(SchedulerKind::Fifo, 8);
+        let now = Instant::now();
+        let apps: Vec<String> = svc.monitor.app_names().to_vec();
+        let placed = (0..6)
+            .filter(|i| {
+                let out = svc.submit(&apps[i % apps.len()], now).unwrap();
+                out.placement.is_some()
+            })
+            .count();
+        assert_eq!(placed, 4);
+        assert_eq!(svc.status().scheduler, "fifo");
+        assert!(svc.status().conserved());
+        for (kind, family) in [
+            (SchedulerKind::Mios, "mios"),
+            (SchedulerKind::Mibs(2), "mibs"),
+            (SchedulerKind::Mix(2), "mix"),
+        ] {
+            assert_eq!(service(kind, 8).status().scheduler, family);
+        }
+    }
+
     #[test]
     fn bounded_queue_rejects_with_queue_full() {
-        let mut svc = service(SchedKind::Mios, 2);
+        let mut svc = service(SchedulerKind::Mios, 2);
         let now = Instant::now();
         let app = svc.monitor.app_names()[0].clone();
         // Fill the cluster (4 slots) then the queue (2).
@@ -1167,7 +1150,7 @@ mod tests {
 
     #[test]
     fn completion_frees_slot_and_dispatches_queued_work() {
-        let mut svc = service(SchedKind::Mios, 4);
+        let mut svc = service(SchedulerKind::Mios, 4);
         let now = Instant::now();
         let app = svc.monitor.app_names()[0].clone();
         let mut first = None;
@@ -1191,7 +1174,7 @@ mod tests {
     fn batch_gate_waits_only_on_a_lone_free_slot() {
         let ms = Duration::from_millis;
         for deadline_path in [true, false] {
-            let mut svc = service(SchedKind::Mibs(3), 8);
+            let mut svc = service(SchedulerKind::Mibs(3), 8);
             let now = Instant::now();
             let app = svc.monitor.app_names()[0].clone();
             let first = svc.submit(&app, now).unwrap();
@@ -1225,7 +1208,7 @@ mod tests {
     #[test]
     fn batch_scheduler_sees_only_its_window() {
         let testbed = tiny_testbed();
-        for sched in [SchedKind::Mibs(2), SchedKind::Mix(2)] {
+        for sched in [SchedulerKind::Mibs(2), SchedulerKind::Mix(2)] {
             let cfg = ServeConfig {
                 machines: 1,
                 slots_per_machine: 2,
@@ -1280,7 +1263,7 @@ mod tests {
         let cfg = ServeConfig {
             machines: 1,
             slots_per_machine: 2,
-            scheduler: SchedKind::Mibs(2),
+            scheduler: SchedulerKind::Mibs(2),
             lease_base_ms: 1_000,
             lease_per_predicted_s_ms: 0,
             ..ServeConfig::default()
@@ -1306,7 +1289,7 @@ mod tests {
 
     #[test]
     fn drain_refuses_new_work_and_reports_idle() {
-        let mut svc = service(SchedKind::Mios, 4);
+        let mut svc = service(SchedulerKind::Mios, 4);
         let now = Instant::now();
         let app = svc.monitor.app_names()[0].clone();
         let admitted = svc.submit(&app, now).unwrap();
@@ -1323,7 +1306,7 @@ mod tests {
         let cfg = ServeConfig {
             machines: 2,
             slots_per_machine: 2,
-            scheduler: SchedKind::Mios,
+            scheduler: SchedulerKind::Mios,
             queue_capacity: 8,
             monitor: MonitorConfig {
                 rebuild_every: 6,
@@ -1358,7 +1341,7 @@ mod tests {
         let cfg = ServeConfig {
             machines: 2,
             slots_per_machine: 2,
-            scheduler: SchedKind::Mios,
+            scheduler: SchedulerKind::Mios,
             monitor: MonitorConfig {
                 rebuild_every: 4,
                 ..MonitorConfig::default()
@@ -1381,7 +1364,7 @@ mod tests {
 
     #[test]
     fn unknown_app_and_unknown_task_are_refused() {
-        let mut svc = service(SchedKind::Mios, 4);
+        let mut svc = service(SchedulerKind::Mios, 4);
         let now = Instant::now();
         assert!(matches!(
             svc.submit("no-such-app", now),
@@ -1399,7 +1382,7 @@ mod tests {
         let cfg = ServeConfig {
             machines: 1,
             slots_per_machine: 1,
-            scheduler: SchedKind::Mios,
+            scheduler: SchedulerKind::Mios,
             queue_capacity: 8,
             lease_base_ms: 10,
             lease_per_predicted_s_ms: 0,
@@ -1461,7 +1444,7 @@ mod tests {
         let cfg = ServeConfig {
             machines: 1,
             slots_per_machine: 1,
-            scheduler: SchedKind::Mios,
+            scheduler: SchedulerKind::Mios,
             queue_capacity: 8,
             wal_dir: Some(dir.clone()),
             ..ServeConfig::default()
@@ -1507,7 +1490,7 @@ mod tests {
         let cfg = ServeConfig {
             machines: 2,
             slots_per_machine: 2,
-            scheduler: SchedKind::Mios,
+            scheduler: SchedulerKind::Mios,
             queue_capacity: 8,
             monitor: MonitorConfig {
                 rebuild_every: 6,

@@ -5,11 +5,11 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use tracon_core::SchedulerKind;
 use tracon_dcsim::{Testbed, TestbedConfig};
 use tracon_serve::daemon::start;
 use tracon_serve::{
-    run_chaos, ChaosConfig, Client, ErrorKind, NetConfig, Reply, Request, Role, SchedKind,
-    ServeConfig,
+    run_chaos, ChaosConfig, Client, ErrorKind, NetConfig, Reply, Request, Role, ServeConfig,
 };
 
 /// Same scale as the serve crate's unit tests: fast to profile, still a
@@ -27,7 +27,7 @@ fn fast_lease_cfg() -> ServeConfig {
     ServeConfig {
         machines: 2,
         slots_per_machine: 2,
-        scheduler: SchedKind::Mios,
+        scheduler: SchedulerKind::Mios,
         lease_base_ms: 150,
         lease_per_predicted_s_ms: 0,
         max_attempts: 2,

@@ -12,10 +12,11 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use tracon_core::SchedulerKind;
 use tracon_core::{ClusterState, Mios, Objective, Scheduler, ScoringPolicy, Task};
 use tracon_dcsim::{Testbed, TestbedConfig};
 use tracon_serve::daemon::start;
-use tracon_serve::{Client, ErrorKind, NetConfig, Reply, Request, SchedKind, ServeConfig};
+use tracon_serve::{Client, ErrorKind, NetConfig, Reply, Request, ServeConfig};
 
 /// Same scale as the serve crate's unit tests: fast to profile, still a
 /// real 8-app interference matrix.
@@ -57,7 +58,7 @@ fn placements_are_identical_to_in_process_scheduler() {
     let cfg = ServeConfig {
         machines: 2,
         slots_per_machine: 2,
-        scheduler: SchedKind::Mios,
+        scheduler: SchedulerKind::Mios,
         ..ServeConfig::default()
     };
 
@@ -121,7 +122,7 @@ fn full_admission_queue_yields_backpressure_with_retry_hint() {
         // Even a batch window far larger than the queue places the first
         // submit on the idle machine; the next two fill the queue, and
         // with no free slot neither the window nor the deadline fires.
-        scheduler: SchedKind::Mibs(64),
+        scheduler: SchedulerKind::Mibs(64),
         queue_capacity: 2,
         ..ServeConfig::default()
     };
@@ -165,7 +166,7 @@ fn drain_refuses_new_work_then_exits_when_idle() {
     let cfg = ServeConfig {
         machines: 1,
         slots_per_machine: 2,
-        scheduler: SchedKind::Mios,
+        scheduler: SchedulerKind::Mios,
         ..ServeConfig::default()
     };
     let handle = boot(&testbed, cfg);
@@ -272,7 +273,7 @@ fn live_completions_trigger_monitor_rebuilds() {
     let mut cfg = ServeConfig {
         machines: 1,
         slots_per_machine: 1,
-        scheduler: SchedKind::Mios,
+        scheduler: SchedulerKind::Mios,
         ..ServeConfig::default()
     };
     cfg.monitor.rebuild_every = 2;

@@ -8,13 +8,14 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use tracon_core::SchedulerKind;
 use tracon_dcsim::{Testbed, TestbedConfig};
 use tracon_serve::json::{n, obj, s, Value};
 use tracon_serve::shard::{route_app, route_key, route_name, stride_shard};
 use tracon_serve::wal::{shard_log_name, WalRecord};
 use tracon_serve::{
     daemon, proto, recover_dir, Client, DaemonHandle, Envelope, Metrics, NetConfig, Reply, Request,
-    SchedKind, ServeConfig, Service, Wal,
+    ServeConfig, Service, Wal,
 };
 use tracon_stats::prng::check_cases;
 
@@ -32,7 +33,7 @@ fn base_cfg() -> ServeConfig {
     ServeConfig {
         machines: 2,
         slots_per_machine: 2,
-        scheduler: SchedKind::Mios,
+        scheduler: SchedulerKind::Mios,
         ..ServeConfig::default()
     }
 }
@@ -112,7 +113,7 @@ fn multi_shard_daemon_keeps_one_conserved_view() {
     let cfg = ServeConfig {
         machines: 4,
         slots_per_machine: 2,
-        scheduler: SchedKind::Mios,
+        scheduler: SchedulerKind::Mios,
         shards: 2,
         ..ServeConfig::default()
     };
@@ -293,7 +294,7 @@ fn boot_durable(dir: &Path, machines: usize, shards: usize) -> (DaemonHandle, Cl
     let cfg = ServeConfig {
         machines,
         slots_per_machine: 1,
-        scheduler: SchedKind::Mios,
+        scheduler: SchedulerKind::Mios,
         wal_dir: Some(dir.to_path_buf()),
         shards,
         ..ServeConfig::default()

@@ -11,12 +11,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use tracon_core::SchedulerKind;
 use tracon_dcsim::{Testbed, TestbedConfig};
 use tracon_serve::repl::sim::{SimCluster, SimKnobs};
 use tracon_serve::shard::{restore_shards, route_app, shard_machines, stride_shard};
-use tracon_serve::{
-    recover_dir, Metrics, Role, SchedKind, ServeConfig, Service, StatusSnapshot, Wal,
-};
+use tracon_serve::{recover_dir, Metrics, Role, ServeConfig, Service, StatusSnapshot, Wal};
 use tracon_stats::prng::{check_cases, ChaCha12};
 
 /// A random interleaving: between `len.start` and `len.end - 1` pairs of
@@ -62,7 +61,7 @@ fn cfg(dir: &Path) -> ServeConfig {
     ServeConfig {
         machines: 2,
         slots_per_machine: 2,
-        scheduler: SchedKind::Mios,
+        scheduler: SchedulerKind::Mios,
         queue_capacity: 8,
         lease_base_ms: 40,
         lease_per_predicted_s_ms: 0,

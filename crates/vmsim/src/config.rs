@@ -132,72 +132,6 @@ pub struct HostConfig {
     pub max_sim_time: f64,
 }
 
-/// Fluent construction of a [`HostConfig`], starting from the calibrated
-/// testbed defaults. Obtained from [`HostConfig::builder`]:
-///
-/// ```
-/// use tracon_vmsim::{DiskParams, HostConfig};
-/// let host = HostConfig::builder()
-///     .disk(DiskParams::ssd())
-///     .cpu_capacity(2.0)
-///     .build();
-/// assert_eq!(host.cpu_capacity, 2.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct HostConfigBuilder {
-    cfg: HostConfig,
-}
-
-impl HostConfigBuilder {
-    /// Replaces the storage device parameters.
-    pub fn disk(mut self, disk: DiskParams) -> Self {
-        self.cfg.disk = disk;
-        self
-    }
-
-    /// Sets the shared CPU pool capacity in cores.
-    pub fn cpu_capacity(mut self, cores: f64) -> Self {
-        self.cfg.cpu_capacity = cores;
-        self
-    }
-
-    /// Sets the guest and driver-domain scheduling weights.
-    pub fn weights(mut self, guest: f64, dom0: f64) -> Self {
-        self.cfg.guest_weight = guest;
-        self.cfg.dom0_weight = dom0;
-        self
-    }
-
-    /// Sets the Dom0 CPU cost per handled I/O request, in CPU seconds.
-    pub fn dom0_cost_per_req_s(mut self, cost: f64) -> Self {
-        self.cfg.dom0_cost_per_req_s = cost;
-        self
-    }
-
-    /// Sets the scheduling-latency penalty factor.
-    pub fn dom0_latency_gamma(mut self, gamma: f64) -> Self {
-        self.cfg.dom0_latency_gamma = gamma;
-        self
-    }
-
-    /// Sets the simulation step granularity upper bound, in seconds.
-    pub fn dt_max(mut self, dt: f64) -> Self {
-        self.cfg.dt_max = dt;
-        self
-    }
-
-    /// Sets the co-run abort cap, in simulated seconds.
-    pub fn max_sim_time(mut self, t: f64) -> Self {
-        self.cfg.max_sim_time = t;
-        self
-    }
-
-    /// Finishes the configuration.
-    pub fn build(self) -> HostConfig {
-        self.cfg
-    }
-}
-
 impl HostConfig {
     /// The calibrated testbed configuration with local SATA storage.
     pub fn testbed() -> Self {
@@ -211,13 +145,6 @@ impl HostConfig {
             disk: DiskParams::local_sata(),
             dt_max: 0.25,
             max_sim_time: 200_000.0,
-        }
-    }
-
-    /// A builder seeded with the [`HostConfig::testbed`] defaults.
-    pub fn builder() -> HostConfigBuilder {
-        HostConfigBuilder {
-            cfg: HostConfig::testbed(),
         }
     }
 
@@ -244,7 +171,10 @@ impl HostConfig {
                 DiskParams::raid0(n)
             }
         };
-        Some(HostConfig::builder().disk(disk).build())
+        Some(HostConfig {
+            disk,
+            ..HostConfig::testbed()
+        })
     }
 
     /// The testbed host with the named storage class (see
@@ -314,24 +244,6 @@ mod tests {
     #[should_panic(expected = "at least one disk")]
     fn raid0_zero_panics() {
         DiskParams::raid0(0);
-    }
-
-    #[test]
-    fn builder_starts_from_testbed_defaults() {
-        assert_eq!(HostConfig::builder().build(), HostConfig::testbed());
-        let custom = HostConfig::builder()
-            .disk(DiskParams::ssd())
-            .cpu_capacity(2.0)
-            .weights(512.0, 256.0)
-            .dom0_cost_per_req_s(0.001)
-            .dom0_latency_gamma(0.3)
-            .dt_max(0.1)
-            .max_sim_time(1_000.0)
-            .build();
-        assert_eq!(custom.disk, DiskParams::ssd());
-        assert_eq!(custom.cpu_capacity, 2.0);
-        assert_eq!(custom.guest_weight, 512.0);
-        assert_eq!(custom.max_sim_time, 1_000.0);
     }
 
     #[test]

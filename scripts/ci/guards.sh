@@ -174,6 +174,15 @@ done
 found=$(code_of crates/dcsim/src/setup.rs | matches -nE 'thread::scope|thread::spawn|mpsc')
 [ -z "$found" ] || fail "crates/dcsim/src/setup.rs starts its own threads (one pool)"$'\n'"$found"
 
+# One scheduler catalogue: `tracon_core::SchedulerKind` lists the
+# schedulers, parses their spellings and builds them. tracond and the CLI
+# must not grow their own enum or parser back, and a scheduler does not
+# name itself (the kind's `Display` is the one name).
+for f in crates/serve/src/*.rs crates/serve/src/*/*.rs crates/cli/src/*.rs crates/core/src/sched/*.rs; do
+    found=$(code_of "$f" | matches -nE 'enum SchedKind|fn scheduler_kind|fn name\(&self\) -> String')
+    [ -z "$found" ] || fail "$f keeps its own scheduler list, parser or name (one scheduler catalogue)"$'\n'"$found"
+done
+
 # Every committed `BENCH_*.json` has the layout `scripts/pairs.sh` writes.
 for f in BENCH_*.json; do
     [ -e "$f" ] || continue

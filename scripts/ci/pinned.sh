@@ -4,7 +4,8 @@
 #   bash scripts/ci/pinned.sh scripts/ci/pinned_tests.txt
 #
 # A manifest line is `package | target | test path | why`, where the
-# target is `--lib` or `--test NAME` and an empty test path means the
+# target is `--lib`, `--test NAME` or `--bin NAME` (a binary-only
+# crate's unit tests) and an empty test path means the
 # whole binary; `#` starts a comment line. A `cargo test` filter that
 # matches nothing passes with "0 passed", so every line is first listed
 # with `--list --exact` and must match exactly one test (at least one for
@@ -35,8 +36,8 @@ while IFS= read -r line || [ -n "$line" ]; do
     IFS='|' read -r pkg target test why <<<"$line"
     pkg=$(trim "$pkg") target=$(trim "$target") test=$(trim "$test") why=$(trim "$why")
     where="$manifest:$lineno"
-    if [ -z "$pkg" ] || [ -z "$why" ] || ! [[ $target =~ ^(--lib|--test\ [A-Za-z0-9_-]+)$ ]]; then
-        echo "$where: not \`package | --lib or --test NAME | test path | why\`" >&2
+    if [ -z "$pkg" ] || [ -z "$why" ] || ! [[ $target =~ ^(--lib|--(test|bin)\ [A-Za-z0-9_-]+)$ ]]; then
+        echo "$where: not \`package | --lib, --test NAME or --bin NAME | test path | why\`" >&2
         bad=1
         continue
     fi

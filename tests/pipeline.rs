@@ -8,7 +8,6 @@
 use std::sync::OnceLock;
 use tracon::core::{ModelKind, Objective};
 use tracon::dcsim::arrival::{poisson_trace, static_batch, WorkloadMix};
-use tracon::dcsim::experiments::predictor_with_model;
 use tracon::dcsim::{io_boost, speedup, SchedulerKind, Simulation, Testbed, TestbedConfig};
 use tracon::vmsim::Benchmark;
 
@@ -90,7 +89,7 @@ fn wmm_and_lm_predictors_also_schedule() {
     // scheduler without blowing up.
     let tb = testbed();
     for kind in [ModelKind::Wmm, ModelKind::Linear] {
-        let predictor = predictor_with_model(tb, kind);
+        let predictor = tb.train_predictor(kind);
         let trace = static_batch(16, WorkloadMix::Uniform, 3000);
         let r = Simulation::new(tb, 8, SchedulerKind::Mibs(16))
             .with_predictor(&predictor)
@@ -117,13 +116,11 @@ fn dynamic_simulation_conserves_tasks() {
         SchedulerKind::Mix(4),
     ] {
         let r = Simulation::new(tb, 16, kind).run(&trace, Some(horizon));
-        assert!(r.completed <= r.arrived, "{}: {r:?}", kind.name());
+        assert!(r.completed <= r.arrived, "{kind}: {r:?}");
         // Generous horizon and light load: nothing should be left behind.
         assert_eq!(
-            r.completed,
-            r.arrived,
-            "{} left tasks unfinished: {r:?}",
-            kind.name()
+            r.completed, r.arrived,
+            "{kind} left tasks unfinished: {r:?}"
         );
         assert!(r.total_runtime > 0.0 && r.total_iops > 0.0);
     }
