@@ -90,11 +90,6 @@ impl Predictor {
             .unwrap_or_else(|| panic!("unknown application '{app}'"))
     }
 
-    /// The stored profile behind an interned id.
-    pub fn profile_of(&self, id: AppId) -> &AppProfile {
-        self.profile(self.registry.name(id))
-    }
-
     /// Whether an application has been registered.
     pub fn knows(&self, app: &str) -> bool {
         self.profiles.contains_key(app)
@@ -325,7 +320,8 @@ impl ScoringPolicy {
     /// Number of memoized placement scores (diagnostics): filled dense
     /// entries plus multi-neighbour fallback entries. The precomputed
     /// solo/pair tables are not counted.
-    pub fn cache_len(&self) -> usize {
+    #[cfg(test)]
+    fn cache_len(&self) -> usize {
         let dense = self
             .dense
             .iter()
@@ -419,7 +415,7 @@ mod tests {
         assert_eq!(p.app_names(), vec!["app_a", "app_b"]);
         assert_eq!(p.registry().expect_id("app_a"), AppId(0));
         assert_eq!(p.registry().expect_id("app_b"), AppId(1));
-        assert_eq!(p.profile_of(AppId(1)).name, "app_b");
+        assert_eq!(p.profile(p.registry().name(AppId(1))).name, "app_b");
     }
 
     #[test]

@@ -132,18 +132,6 @@ impl PerfTable {
     pub fn slowdown(&self, a: usize, b: usize) -> f64 {
         self.runtime(a, b) / self.solo_runtime[a].max(1e-9)
     }
-
-    /// The worst pairwise slowdown in the table (diagnostics).
-    pub fn max_slowdown(&self) -> f64 {
-        let n = self.n_apps();
-        let mut worst = 1.0f64;
-        for a in 0..n {
-            for b in 0..n {
-                worst = worst.max(self.slowdown(a, b));
-            }
-        }
-        worst
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +164,6 @@ mod tests {
         assert_eq!(t.runtime(0, 0), 800.0);
         assert_eq!(t.runtime(0, 1), 120.0);
         assert_eq!(t.slowdown(0, 0), 8.0);
-        assert!((t.max_slowdown() - 8.0).abs() < 1e-12);
     }
 
     #[test]

@@ -3,17 +3,20 @@
 //! packages everything the data-center simulation needs (predictor +
 //! measured pair-performance table).
 //!
-//! The full campaign is 2 080 co-run engine runs: for each of the 8
-//! applications a solo run, then a background observation and a co-run
-//! against each of the 125 calibration workloads, plus the 8 solo runs
-//! and 8x8 co-runs of the pair matrix. After the 8 solo profiles, which
-//! every record's features start with, the other 1 072 jobs (one record
-//! or one pair-matrix run each) are a flat list on `tracon_core::par`'s
-//! pool, assembled in input order, so the testbed is the same bits for any
-//! worker count. Per-benchmark jobs could not balance: compile's and
-//! freqmine's records are about a third of the campaign each. The calling
-//! thread then trains the 16 models (about 12 ms). See DESIGN §7 for the
-//! measured times.
+//! The full campaign is 1 205 co-run engine runs: a solo run of each of
+//! the 8 applications, one observation of each of the 125 calibration
+//! workloads, a co-run of each application against each workload, plus
+//! the 8 solo runs and 8x8 co-runs of the pair matrix. No calibration
+//! workload has jitter, so no seed moves its observation and every
+//! application's record takes the one observation (a jittered background
+//! is observed in each record with the record's seed). After the solo
+//! profiles and the observations, which every record's features start
+//! with, the 1 000 records and then the pair matrix's 72 runs are each a
+//! flat list of single-run jobs on `tracon_core::par`'s pool, assembled in
+//! input order, so the testbed is the same bits for any worker count.
+//! Per-benchmark jobs could not balance: compile's and freqmine's records
+//! are about a third of the campaign each. The calling thread then trains
+//! the 16 models (about 12 ms). See DESIGN §7 for the measured times.
 
 use crate::perf::PerfTable;
 use crate::snapshot;
@@ -23,8 +26,7 @@ use tracon_core::{
     TrainingData,
 };
 use tracon_vmsim::{
-    apps, AppModel, Benchmark, Engine, HostConfig, PairMatrix, PairRun, ProfileRecord, ProfileSet,
-    Profiler,
+    apps, AppModel, Benchmark, Engine, HostConfig, PairMatrix, ProfileSet, Profiler,
 };
 
 /// Configuration of the testbed construction.
@@ -110,34 +112,62 @@ pub fn calibration_workloads(points: usize) -> Vec<AppModel> {
     grid.into_iter().step_by(stride.max(1)).collect()
 }
 
-/// One run of the profiling campaign after the solo profiles: benchmark
-/// `i`'s record against background `k`, or the pair matrix's run of
-/// benchmark `i` alone (`None`) or against `j`.
-enum Job {
-    Record(usize, usize),
-    Pair(usize, Option<usize>),
-}
+/// The profiling campaign of [`Testbed::build`]: each of `models`
+/// profiled against every background (the training sets, in model
+/// order), then the pair matrix over `models`. The sets are what
+/// [`Profiler::profile`] gives each model with its seed, bit for bit.
+fn campaign(
+    profiler: &Profiler,
+    models: &[AppModel],
+    backgrounds: &[AppModel],
+    seed: u64,
+) -> (Vec<ProfileSet>, PairMatrix) {
+    let profile_seed = |i: usize| seed.wrapping_add(10_000 * (i as u64 + 1));
+    let record_seed = |i: usize, k: usize| Profiler::record_seed(profile_seed(i), k);
+    let (n, nb) = (models.len(), backgrounds.len());
 
-/// What a [`Job`] measured: only what its record or matrix entry keeps.
-enum Run {
-    Record(ProfileRecord),
-    Pair(PairRun),
-}
+    // Every record's features start with its benchmark's solo profile and
+    // its background's, so those runs go first. A background without
+    // jitter draws nothing from its seed, so it is observed once, with the
+    // first benchmark's record seed, and every benchmark's record takes
+    // that observation; a jittered one is observed in each record with the
+    // record's own seed.
+    let solos = par::map((0..n).collect(), |i| {
+        profiler.solo(&models[i], profile_seed(i))
+    });
+    let observed = par::map((0..nb).collect(), |k| {
+        let bg = &backgrounds[k];
+        (bg.jitter == 0.0).then(|| profiler.background_profile(bg, record_seed(0, k)))
+    });
+    // Every other run is independent of the rest: the records, benchmark
+    // by benchmark, then the pair matrix's solo runs and co-runs, each a
+    // flat list that the pool hands out in order and returns in order.
+    let mut records = par::map((0..n * nb).collect(), |r| {
+        let (i, k) = (r / nb, r % nb);
+        let (bg, seed) = (&backgrounds[k], record_seed(i, k));
+        let bg_profile = observed[k].unwrap_or_else(|| profiler.background_profile(bg, seed));
+        profiler.record(&models[i], &solos[i].0, bg, &bg_profile, seed)
+    })
+    .into_iter();
+    let cells = (0..n)
+        .map(|i| (i, None))
+        .chain((0..n * n).map(|c| (c / n, Some(c % n))));
+    let pair_runs = par::map(cells.collect(), |(i, j)| {
+        profiler.pair_run(models, i, j, seed.wrapping_add(99))
+    });
 
-impl Run {
-    fn into_record(self) -> ProfileRecord {
-        match self {
-            Run::Record(r) => r,
-            Run::Pair(_) => unreachable!("the records come first"),
-        }
-    }
-
-    fn into_pair(self) -> PairRun {
-        match self {
-            Run::Pair(r) => r,
-            Run::Record(_) => unreachable!("the pair matrix's runs come last"),
-        }
-    }
+    let sets = solos
+        .into_iter()
+        .zip(models)
+        .map(|((solo, solo_runtime, solo_iops), app)| ProfileSet {
+            target: app.name.clone(),
+            solo,
+            solo_runtime,
+            solo_iops,
+            records: records.by_ref().take(nb).collect(),
+        })
+        .collect();
+    (sets, PairMatrix::from_runs(models, &pair_runs))
 }
 
 impl Testbed {
@@ -149,45 +179,7 @@ impl Testbed {
             .collect();
         let backgrounds = calibration_workloads(cfg.calibration_points);
         let profiler = Profiler::new(Engine::new(cfg.host));
-        let profile_seed = |i: usize| cfg.seed.wrapping_add(10_000 * (i as u64 + 1));
-        let pair_seed = cfg.seed.wrapping_add(99);
-        let (n, nb) = (models.len(), backgrounds.len());
-
-        // Every record's features start with its benchmark's solo
-        // profile, so those eight runs go first. Every other run is
-        // independent of the rest: the records, benchmark by benchmark,
-        // then the pair matrix's solo runs and co-runs, in one flat list
-        // that the pool hands out in order and returns in order.
-        let solos = par::map((0..n).collect(), |i| {
-            profiler.solo(&models[i], profile_seed(i))
-        });
-        let jobs = (0..n * nb)
-            .map(|r| Job::Record(r / nb, r % nb))
-            .chain((0..n).map(|i| Job::Pair(i, None)))
-            .chain((0..n * n).map(|c| Job::Pair(c / n, Some(c % n))));
-        let mut done = par::map(jobs.collect(), |job| match job {
-            Job::Record(i, k) => {
-                let seed = Profiler::record_seed(profile_seed(i), k);
-                Run::Record(profiler.record(&models[i], &solos[i].0, &backgrounds[k], seed))
-            }
-            Job::Pair(i, j) => Run::Pair(profiler.pair_run(&models, i, j, pair_seed)),
-        })
-        .into_iter();
-
-        let sets: Vec<ProfileSet> = solos
-            .into_iter()
-            .zip(&models)
-            .map(|((solo, solo_runtime, solo_iops), app)| ProfileSet {
-                target: app.name.clone(),
-                solo,
-                solo_runtime,
-                solo_iops,
-                records: done.by_ref().take(nb).map(Run::into_record).collect(),
-            })
-            .collect();
-        let pair_runs: Vec<PairRun> = done.map(Run::into_pair).collect();
-        let pair = PairMatrix::from_runs(&models, &pair_runs);
-        drop(pair_runs);
+        let (sets, pair) = campaign(&profiler, &models, &backgrounds, cfg.seed);
 
         // Training stays on this thread, after the pool's results are
         // unpacked and freed: trained in the workers, each thread's
@@ -292,12 +284,50 @@ impl Testbed {
 pub(crate) mod tests {
     use super::*;
     use std::sync::OnceLock;
+    use tracon_vmsim::apps::{calc, seq_read};
+    use tracon_vmsim::ProfileRecord;
 
     /// The small testbed is expensive enough that the test suite builds
     /// it once and shares it.
     pub(crate) fn shared() -> &'static Testbed {
         static TB: OnceLock<Testbed> = OnceLock::new();
         TB.get_or_init(|| Testbed::build(&TestbedConfig::small()))
+    }
+
+    /// A background without jitter is observed once for every benchmark
+    /// and a jittered one once per record, with the record's seed, so
+    /// its observations differ between two benchmarks' records. Either
+    /// way each set is what `Profiler::profile` gives, bit for bit.
+    #[test]
+    fn campaign_observes_a_jittered_background_once_per_record() {
+        let profiler = Profiler::new(Engine::new(HostConfig::testbed()));
+        let models = [calc(), seq_read()].map(|app| app.time_scaled(0.05));
+        let plain = apps::synthetic(0.5, 0.5, 0.5);
+        let backgrounds = [plain.clone(), plain.with_jitter(0.2)];
+        let seed = 7;
+        let (sets, _) = campaign(&profiler, &models, &backgrounds, seed);
+        let observed = |set: &ProfileSet, k: usize| set.records[k].features[4..].to_vec();
+        assert_eq!(observed(&sets[0], 0), observed(&sets[1], 0));
+        assert_ne!(observed(&sets[0], 1), observed(&sets[1], 1));
+        let bits = |r: &ProfileRecord| {
+            let fields = r.features.iter().chain(&r.background_observed);
+            let mut bits: Vec<u64> = fields.map(|x| x.to_bits()).collect();
+            bits.extend([r.runtime.to_bits(), r.iops.to_bits()]);
+            bits
+        };
+        for (i, set) in sets.iter().enumerate() {
+            let profile_seed = seed.wrapping_add(10_000 * (i as u64 + 1));
+            let reference = profiler.profile(&models[i], &backgrounds, profile_seed);
+            for (got, want) in set.records.iter().zip(&reference.records) {
+                assert_eq!(
+                    bits(got),
+                    bits(want),
+                    "{} vs {}",
+                    got.target,
+                    got.background
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,15 +26,15 @@
 //! taking it), and the pull-chunk wire shape. [`follower`] is the
 //! daemon's effect interpreter and pull loop.
 //!
-//! The [`sim`] harness wires two nodes running the same `step` over a
-//! seeded in-process link (drops, delays, duplicates, partitions — no
-//! sockets) so election safety, log matching, and conservation across
-//! failover and rejoin are fast deterministic unit properties.
+//! The test-only `sim` harness wires two nodes running the same `step`
+//! over a seeded in-process link (drops, delays, duplicates, partitions —
+//! no sockets) so election safety, log matching, and conservation across
+//! failover and rejoin are fast deterministic unit properties. It builds
+//! its own testbed, so it compiles only under `cfg(test)`.
 
 pub mod follower;
 pub mod role;
 pub mod ship;
-pub mod sim;
 
 use std::io::{self, Write};
 use std::path::Path;
@@ -380,6 +380,9 @@ pub fn decode_pull_chunk(result: &Value) -> Option<(u64, u64, usize, PullChunk)>
         },
     ))
 }
+
+#[cfg(test)]
+mod sim;
 
 #[cfg(test)]
 mod tests {

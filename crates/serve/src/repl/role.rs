@@ -3,8 +3,8 @@
 //! `(next state, effects)`.
 //!
 //! `tracond` (`follower::Node::drive`) runs the effects against
-//! real files, sockets and shard workers; the deterministic
-//! [`super::sim`] harness runs the same effects against journals and a
+//! real files, sockets and shard workers; the deterministic, test-only
+//! `repl::sim` harness runs the same effects against journals and a
 //! virtual link. Neither decides anything: every epoch comparison, the
 //! leader-side follower slot and write suspension, the follower-side
 //! lease, cursors and boot nonce, the boot matrix and the rejoin all

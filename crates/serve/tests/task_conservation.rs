@@ -13,9 +13,8 @@ use std::time::{Duration, Instant};
 
 use tracon_core::SchedulerKind;
 use tracon_dcsim::{Testbed, TestbedConfig};
-use tracon_serve::repl::sim::{SimCluster, SimKnobs};
 use tracon_serve::shard::{restore_shards, route_app, shard_machines, stride_shard};
-use tracon_serve::{recover_dir, Metrics, Role, ServeConfig, Service, StatusSnapshot, Wal};
+use tracon_serve::{recover_dir, Metrics, ServeConfig, Service, StatusSnapshot, Wal};
 use tracon_stats::prng::{check_cases, ChaCha12};
 
 /// A random interleaving: between `len.start` and `len.end - 1` pairs of
@@ -543,94 +542,4 @@ fn a_directory_the_parent_commit_wrote_restores_to_the_same_status() {
         assert_eq!(admitted.ok().map(|a| a.task), next, "{shards} shards");
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-/// The replicated generalization: conservation survives a full
-/// failover. A leader takes random submit/complete/step traffic while
-/// shipping its WAL to a warm follower over a lossy, duplicating,
-/// reordering virtual link (optionally through a snapshot install
-/// when compaction outruns the follower); the leader is then killed
-/// at an arbitrary point, the follower promotes after the lease
-/// lapses, and the promoted node must hold exactly the leader's
-/// counters — conserved — and keep the invariant under fresh
-/// post-failover traffic. When the old leader reconnects stale, the
-/// promoted epoch must fence it.
-#[test]
-fn conservation_survives_replicated_failover() {
-    check_cases(0..8, |rng| {
-        let seed = rng.next_u64();
-        let ops = ops(rng, 1..28, 3, 512);
-        let loss_permille = rng.range_usize(0, 220) as u32;
-        let shards = rng.range_usize(1, 3);
-        let tight_snapshots = rng.next_u64() & 1 == 1;
-        let stale_reconnect = rng.next_u64() & 1 == 1;
-        let knobs = SimKnobs {
-            drop_permille: loss_permille,
-            dup_permille: loss_permille,
-            ..SimKnobs::default()
-        };
-        let mut sim = SimCluster::new(seed, shards, 200, 20, knobs);
-        if tight_snapshots {
-            // Compaction outruns a fresh follower: force the snapshot
-            // install path rather than a pure frame replay.
-            sim.set_snapshot_every(4);
-        }
-        let mut tasks: Vec<u64> = Vec::new();
-        for (op, x) in ops {
-            let x = x as usize;
-            match op {
-                0 => {
-                    if let Some(task) = sim.submit(0) {
-                        tasks.push(task);
-                    }
-                }
-                1 => {
-                    if !tasks.is_empty() {
-                        let task = tasks[x % tasks.len()];
-                        sim.complete(0, task);
-                    }
-                }
-                _ => sim.step((x % 40 + 1) as u64),
-            }
-            assert!(sim.conserved(0), "leader broke conservation mid-run");
-        }
-        // Heal the link and let the follower catch up — a failover can
-        // only preserve what the leader actually shipped.
-        sim.set_knobs(SimKnobs::default());
-        assert!(sim.run_until_synced(20_000), "follower never caught up");
-        let shipped = sim.counts(0);
-        let old_epoch = sim.state(0).epoch;
-
-        sim.kill(0);
-        let promoted = |sim: &SimCluster| sim.state(1).role() == Role::Leader;
-        assert!(sim.run_until(5_000, promoted), "lease never lapsed");
-        assert!(
-            sim.state(1).epoch > old_epoch,
-            "promotion must outrank the old leader"
-        );
-        assert!(sim.conserved(1), "promoted node broke conservation");
-        assert_eq!(sim.counts(1), shipped, "failover lost or invented tasks");
-
-        if stale_reconnect {
-            // The dead leader comes back with its old state and receives
-            // the promoted node's lease claim: it must fence, and refuse
-            // mutations from then on.
-            sim.revive(0);
-            let fenced = |sim: &SimCluster| sim.state(0).role() == Role::Fenced;
-            assert!(sim.run_until(200, fenced), "stale leader not fenced");
-            assert!(sim.submit(0).is_none(), "fenced leader accepted a submit");
-        }
-
-        // The new leader keeps the invariant under fresh traffic.
-        let mut fresh: Vec<u64> = Vec::new();
-        for _ in 0..6 {
-            if let Some(task) = sim.submit(1) {
-                fresh.push(task);
-            }
-        }
-        for task in fresh.iter().step_by(2) {
-            sim.complete(1, *task);
-        }
-        assert!(sim.conserved(1), "post-failover traffic broke conservation");
-    });
 }

@@ -24,15 +24,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Population variance (n denominator); 0.0 for an empty slice.
-pub fn population_variance(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
 /// Minimum; returns +inf for an empty slice.
 pub fn min(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::INFINITY, f64::min)
@@ -124,16 +115,6 @@ impl Scaler {
             .map(|((x, m), s)| (x - m) / s)
             .collect()
     }
-
-    /// Applies the inverse transform to a scaled row.
-    pub fn inverse_transform(&self, row: &[f64]) -> Vec<f64> {
-        assert_eq!(row.len(), self.means.len());
-        row.iter()
-            .zip(&self.means)
-            .zip(&self.stds)
-            .map(|((z, m), s)| z * s + m)
-            .collect()
-    }
 }
 
 /// Summary of a sample: used for figure error bars.
@@ -180,7 +161,6 @@ mod tests {
     fn mean_variance_known() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((population_variance(&xs) - 4.0).abs() < 1e-12);
         assert!((variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
         assert!((std_dev(&xs) - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
     }
@@ -222,7 +202,12 @@ mod tests {
         let sc = Scaler::fit(&rows);
         let z = sc.transform(&[3.0, 30.0]);
         assert!(z[0].abs() < 1e-12 && z[1].abs() < 1e-12, "center maps to 0");
-        let back = sc.inverse_transform(&z);
+        let back: Vec<f64> = z
+            .iter()
+            .zip(&sc.means)
+            .zip(&sc.stds)
+            .map(|((z, m), s)| z * s + m)
+            .collect();
         assert!((back[0] - 3.0).abs() < 1e-12);
         assert!((back[1] - 30.0).abs() < 1e-12);
     }

@@ -15,7 +15,7 @@
 //! * [`knn`] — k-nearest-neighbour inverse-distance regression,
 //! * [`descriptive`] — means, variances, percentiles, scalers,
 //! * [`dist`] — Gaussian / Poisson / exponential sampling,
-//! * [`online`] — Welford accumulators, sliding windows, drift detection,
+//! * [`online`] — sliding windows and drift detection,
 //! * [`json`] — the workspace's one JSON codec (wire protocol, WAL, snapshots),
 //! * [`prng`] — the two seeded generators (`ChaCha12` for simulated sampling,
 //!   `SplitMix64` for routing, jitter, failpoints) and the seeded
@@ -51,6 +51,6 @@ pub use gauss_newton::{GaussNewtonFit, GaussNewtonOptions, LinearInParams, Param
 pub use knn::KnnRegressor;
 pub use matrix::{dot, euclidean_distance, norm2, Matrix};
 pub use ols::OlsFit;
-pub use online::{DriftDetector, DriftKind, SlidingWindow, Welford};
+pub use online::{DriftDetector, DriftKind, SlidingWindow};
 pub use pca::Pca;
 pub use stepwise::{aic_gaussian, aicc_gaussian, stepwise_aic, StepwiseFit, StepwiseOptions};

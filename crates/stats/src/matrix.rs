@@ -70,15 +70,6 @@ impl Matrix {
         }
     }
 
-    /// Builds a column vector (n x 1) from a slice.
-    pub fn col_vector(data: &[f64]) -> Self {
-        Matrix {
-            rows: data.len(),
-            cols: 1,
-            data: data.to_vec(),
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -217,17 +208,6 @@ impl Matrix {
                 assert!(c < self.cols, "column {c} out of bounds ({})", self.cols);
                 out[(r, j)] = self[(r, c)];
             }
-        }
-        out
-    }
-
-    /// Returns a new matrix keeping only the listed rows, in order.
-    #[allow(clippy::needless_range_loop)]
-    pub fn select_rows(&self, rows: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(rows.len(), self.cols);
-        for (i, &r) in rows.iter().enumerate() {
-            assert!(r < self.rows, "row {r} out of bounds ({})", self.rows);
-            out.row_mut(i).copy_from_slice(self.row(r));
         }
         out
     }
@@ -445,7 +425,7 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
         let v = vec![2.0, -1.0];
         let got = a.matvec(&v);
-        let want = a.matmul(&Matrix::col_vector(&v));
+        let want = a.matmul(&Matrix::from_rows(&[vec![2.0], vec![-1.0]]));
         for (i, g) in got.iter().enumerate() {
             assert!((g - want[(i, 0)]).abs() < 1e-12);
         }
@@ -471,14 +451,11 @@ mod tests {
     }
 
     #[test]
-    fn select_columns_and_rows() {
+    fn select_columns_keeps_the_listed_order() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         let c = m.select_columns(&[2, 0]);
         assert_eq!(c.row(0), &[3.0, 1.0]);
         assert_eq!(c.row(1), &[6.0, 4.0]);
-        let r = m.select_rows(&[1]);
-        assert_eq!(r.shape(), (1, 3));
-        assert_eq!(r.row(0), &[4.0, 5.0, 6.0]);
     }
 
     #[test]

@@ -4,57 +4,10 @@
 //! deployed interference model and fires a rebuild event when the error
 //! distribution shifts — "a significant shift of the mean or a large surge
 //! in the variance" in the paper's words. The primitives here are a
-//! Welford online accumulator, a fixed-size sliding window, and a drift
-//! detector comparing a recent window against a reference distribution.
+//! fixed-size sliding window and a drift detector comparing a recent
+//! window against a reference distribution.
 
 use std::collections::VecDeque;
-
-/// Numerically stable online mean/variance accumulator (Welford).
-#[derive(Debug, Clone, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Welford::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
 
 /// Fixed-capacity sliding window of the most recent observations.
 #[derive(Debug, Clone)]
@@ -198,28 +151,6 @@ impl DriftDetector {
 mod tests {
     use super::*;
     use crate::prng::ChaCha12;
-
-    #[test]
-    fn welford_matches_batch() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - crate::descriptive::mean(&xs)).abs() < 1e-12);
-        assert!((w.variance() - crate::descriptive::variance(&xs)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_empty_and_single() {
-        let mut w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-        w.push(42.0);
-        assert_eq!(w.mean(), 42.0);
-        assert_eq!(w.variance(), 0.0);
-    }
 
     #[test]
     fn sliding_window_evicts_oldest() {

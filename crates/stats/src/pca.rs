@@ -87,11 +87,6 @@ impl Pca {
         }
     }
 
-    /// Variance explained by each retained component.
-    pub fn explained_variance(&self) -> &[f64] {
-        &self.explained
-    }
-
     /// Fraction of total variance captured by the retained components,
     /// in `[0, 1]`.
     pub fn explained_variance_ratio(&self) -> f64 {
@@ -157,8 +152,7 @@ mod tests {
             .map(|_| (0..4).map(|_| rng.range_f64(0.0, 1.0)).collect())
             .collect();
         let pca = Pca::fit(&rows, 4);
-        let ev = pca.explained_variance();
-        for w in ev.windows(2) {
+        for w in pca.explained.windows(2) {
             assert!(w[0] >= w[1] - 1e-12);
         }
     }

@@ -162,19 +162,6 @@ impl AppModel {
         out.endless = true;
         out
     }
-
-    /// Nominal average CPU utilization (progress-coupled plus background).
-    pub fn nominal_cpu(&self) -> f64 {
-        let t = self.nominal_runtime();
-        if t <= 0.0 {
-            return 0.0;
-        }
-        self.phases
-            .iter()
-            .map(|p| (p.cpu + p.background_cpu) * p.nominal_s)
-            .sum::<f64>()
-            / t
-    }
 }
 
 #[cfg(test)]
@@ -215,7 +202,6 @@ mod tests {
         assert_eq!(app.nominal_runtime(), 20.0);
         assert_eq!(app.nominal_requests(), 1000.0);
         assert!((app.nominal_iops() - 50.0).abs() < 1e-12);
-        assert!((app.nominal_cpu() - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl Benchmark {
         }
     }
 
-    /// Parses a benchmark from its lower-case name.
-    pub fn from_name(name: &str) -> Option<Benchmark> {
-        Benchmark::ALL.iter().copied().find(|b| b.name() == name)
-    }
-
     /// Builds the behaviour model for this benchmark.
     pub fn model(&self) -> AppModel {
         match self {
@@ -485,9 +480,7 @@ mod tests {
     fn ranks_roundtrip() {
         for b in Benchmark::ALL {
             assert_eq!(Benchmark::from_io_rank(b.io_rank()), b);
-            assert_eq!(Benchmark::from_name(b.name()), Some(b));
         }
-        assert_eq!(Benchmark::from_name("nosuch"), None);
     }
 
     #[test]

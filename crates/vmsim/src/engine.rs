@@ -14,11 +14,11 @@
 //! that answer, and a throttled guest restarts from the same rate on every
 //! step until its next phase boundary. Inside a solve the disk allocation
 //! is reused the same way (see [`DiskAllocation`]). In one build of the
-//! full-fidelity testbed (time scale 0.25), 1 239 261 of the 1 473 541
-//! steps (84.1 %) reuse a solve, the solves run 1 437 210 damped rounds,
-//! and of the rounds' disk allocations 549 566 (38.2 %) are computed,
-//! 171 920 (12.0 %) reuse the utilizations under a new path efficiency and
-//! 715 724 (49.8 %) repeat a whole round. These counts are exact under the
+//! full-fidelity testbed (time scale 0.25), 1 036 786 of the 1 263 051
+//! steps (82.1 %) reuse a solve, the solves run 1 426 640 damped rounds,
+//! and of the rounds' disk allocations 548 691 (38.5 %) are computed,
+//! 171 920 (12.1 %) reuse the utilizations under a new path efficiency and
+//! 706 029 (49.5 %) repeat a whole round. These counts are exact under the
 //! campaign's seeds; `tests::counted_work_holds_still` pins them for a few
 //! smaller runs.
 

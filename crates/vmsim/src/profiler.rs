@@ -32,13 +32,6 @@ pub struct ProfileRecord {
     pub iops: f64,
 }
 
-impl ProfileRecord {
-    /// The feature vector as a `Vec` (for the model-fitting APIs).
-    pub fn features_vec(&self) -> Vec<f64> {
-        self.features.to_vec()
-    }
-}
-
 /// A complete training set for one target application.
 #[derive(Debug, Clone)]
 pub struct ProfileSet {
@@ -52,23 +45,6 @@ pub struct ProfileSet {
     pub solo_iops: f64,
     /// One record per background workload.
     pub records: Vec<ProfileRecord>,
-}
-
-impl ProfileSet {
-    /// Feature rows for model fitting.
-    pub fn feature_rows(&self) -> Vec<Vec<f64>> {
-        self.records.iter().map(|r| r.features_vec()).collect()
-    }
-
-    /// Runtime responses aligned with [`ProfileSet::feature_rows`].
-    pub fn runtimes(&self) -> Vec<f64> {
-        self.records.iter().map(|r| r.runtime).collect()
-    }
-
-    /// IOPS responses aligned with [`ProfileSet::feature_rows`].
-    pub fn iops(&self) -> Vec<f64> {
-        self.records.iter().map(|r| r.iops).collect()
-    }
 }
 
 /// The measured pairwise interference matrix over a benchmark suite:
@@ -105,22 +81,6 @@ impl PairMatrix {
     /// True when the matrix covers no applications.
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
-    }
-
-    /// Progress-rate factor of app `i` when co-located with app `j`
-    /// (1.0 = no interference, 0.1 = ten times slower).
-    pub fn rate_factor(&self, i: usize, j: usize) -> f64 {
-        self.solo_runtime[i] / self.runtime[i][j]
-    }
-
-    /// Slowdown of app `i` under neighbour `j` relative to running alone.
-    pub fn slowdown(&self, i: usize, j: usize) -> f64 {
-        self.runtime[i][j] / self.solo_runtime[i]
-    }
-
-    /// Index of an application by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
     }
 }
 
@@ -193,6 +153,8 @@ impl Profiler {
 
     /// Measures the solo-profile characteristics of a background
     /// workload (endless backgrounds are observed for a fixed window).
+    /// The seed moves the result only through the background's jitter:
+    /// without jitter every seed gives the same bits.
     pub fn background_profile(&self, bg: &AppModel, seed: u64) -> VmObservation {
         if bg.endless {
             self.engine.observe_endless(bg, 60.0, seed)
@@ -206,7 +168,8 @@ impl Profiler {
     /// calibration workloads are); finite backgrounds are converted with
     /// [`AppModel::as_endless`] so the measurement captures steady-state
     /// interference. The solo run takes `base_seed` and background `k`
-    /// [`Profiler::record_seed`]`(base_seed, k)`.
+    /// [`Profiler::record_seed`]`(base_seed, k)`, for its observation and
+    /// its co-run alike.
     pub fn profile(
         &self,
         target: &AppModel,
@@ -217,7 +180,10 @@ impl Profiler {
         let records = backgrounds
             .iter()
             .enumerate()
-            .map(|(k, bg)| self.record(target, &solo, bg, Self::record_seed(base_seed, k)))
+            .map(|(k, bg)| {
+                let seed = Self::record_seed(base_seed, k);
+                self.record(target, &solo, bg, &self.background_profile(bg, seed), seed)
+            })
             .collect();
         ProfileSet {
             target: target.name.clone(),
@@ -234,18 +200,19 @@ impl Profiler {
     }
 
     /// One record of a training set: `target`, whose stored solo profile
-    /// is `solo` (measure it once with [`Profiler::solo`]), against one
-    /// background, observed alone and then co-run with `seed`. Each call
-    /// is independent of every other, so a campaign can spread its
-    /// records over threads.
+    /// is `solo` (measure it once with [`Profiler::solo`]), co-run with
+    /// `seed` against one background, whose solo profile is `bg_profile`
+    /// (measure it with [`Profiler::background_profile`]). Each call is
+    /// independent of every other, so a campaign can spread its records
+    /// over threads.
     pub fn record(
         &self,
         target: &AppModel,
         solo: &VmObservation,
         bg: &AppModel,
+        bg_profile: &VmObservation,
         seed: u64,
     ) -> ProfileRecord {
-        let bg_profile = self.background_profile(bg, seed);
         let out = if bg.endless {
             self.engine.co_run(target, bg, seed)
         } else {
@@ -272,8 +239,10 @@ impl Profiler {
 
     /// Profiles the target against a single background, returning the
     /// joint feature vector and the measured `(runtime, iops)` responses:
-    /// [`Profiler::record`] without the names. Used by the online-learning
-    /// experiments that stream observations one at a time.
+    /// the background observed and then co-run with `seed`, as in
+    /// [`Profiler::profile`], without the names. Used by the
+    /// online-learning experiments that stream observations one at a
+    /// time.
     pub fn profile_one(
         &self,
         target: &AppModel,
@@ -281,7 +250,7 @@ impl Profiler {
         bg: &AppModel,
         seed: u64,
     ) -> ([f64; 8], f64, f64) {
-        let record = self.record(target, solo, bg, seed);
+        let record = self.record(target, solo, bg, &self.background_profile(bg, seed), seed);
         (record.features, record.runtime, record.iops)
     }
 
@@ -346,6 +315,23 @@ mod tests {
         assert!(obs.write_rps < 1.0);
     }
 
+    /// The campaign observes each calibration background once for every
+    /// benchmark, which is sound only because no seed moves the
+    /// observation of one.
+    #[test]
+    fn calibration_backgrounds_observe_the_same_bits_at_any_seed() {
+        let p = profiler();
+        for bg in apps::calibration_grid() {
+            let [a, b] = [1, 0x5EED_0000_0001].map(|seed| p.background_profile(&bg, seed));
+            assert_eq!(
+                a.as_features().map(f64::to_bits),
+                b.as_features().map(f64::to_bits),
+                "{}",
+                bg.name
+            );
+        }
+    }
+
     #[test]
     fn profile_against_small_grid() {
         let p = profiler();
@@ -375,21 +361,10 @@ mod tests {
         let b = apps::seq_read().time_scaled(0.1);
         let m = p.pair_matrix(&[a, b], 3);
         assert_eq!(m.len(), 2);
+        assert_eq!(m.names[0], "calc");
         // calc vs calc doubles; seqread vs seqread collapses much harder.
-        assert!(
-            (1.8..2.2).contains(&m.slowdown(0, 0)),
-            "calc slowdown {}",
-            m.slowdown(0, 0)
-        );
-        assert!(
-            m.slowdown(1, 1) > 5.0,
-            "seqread slowdown {}",
-            m.slowdown(1, 1)
-        );
-        // rate_factor is the reciprocal view.
-        let rf = m.rate_factor(1, 1);
-        assert!((rf * m.slowdown(1, 1) - 1.0).abs() < 1e-9);
-        assert_eq!(m.index_of("calc"), Some(0));
-        assert_eq!(m.index_of("nope"), None);
+        let slowdown = |i: usize| m.runtime[i][i] / m.solo_runtime[i];
+        assert!((1.8..2.2).contains(&slowdown(0)), "calc {}", slowdown(0));
+        assert!(slowdown(1) > 5.0, "seqread {}", slowdown(1));
     }
 }

@@ -183,6 +183,20 @@ for f in crates/serve/src/*.rs crates/serve/src/*/*.rs crates/cli/src/*.rs crate
     [ -z "$found" ] || fail "$f keeps its own scheduler list, parser or name (one scheduler catalogue)"$'\n'"$found"
 done
 
+# No test harness in shipped code: the replication harness `repl::sim`
+# builds its own testbed and drives a seeded virtual link for its tests
+# alone, so it compiles only under `cfg(test)`. Shipped tracond code is
+# handed a testbed and never builds one or names the campaign's
+# configuration; sim.rs is skipped because the first check keeps it
+# test-only.
+found=$(code_of crates/serve/src/repl/mod.rs | matches -nE '\bmod sim\b')
+[ -z "$found" ] || fail "crates/serve/src/repl/mod.rs ships the replication harness (no test harness in shipped code)"$'\n'"$found"
+for f in crates/serve/src/*.rs crates/serve/src/*/*.rs; do
+    [ "$f" = crates/serve/src/repl/sim.rs ] && continue
+    found=$(code_of "$f" | matches -nE 'Testbed::build|TestbedConfig')
+    [ -z "$found" ] || fail "$f builds a testbed in shipped code (no test harness in shipped code)"$'\n'"$found"
+done
+
 # Every committed `BENCH_*.json` has the layout `scripts/pairs.sh` writes.
 for f in BENCH_*.json; do
     [ -e "$f" ] || continue

@@ -5,8 +5,8 @@ use std::ops::Range;
 
 use tracon::stats::prng::{check_cases, ChaCha12};
 use tracon::stats::{
-    aicc_gaussian, dist, lstsq, mean, percentile, std_dev, stepwise_aic, sym_eigen, Matrix, Pca,
-    Scaler, StepwiseOptions, Welford,
+    aicc_gaussian, dist, lstsq, mean, percentile, stepwise_aic, sym_eigen, Matrix, Pca, Scaler,
+    StepwiseOptions,
 };
 use tracon::vmsim::cpu::fair_share;
 
@@ -147,21 +147,6 @@ fn percentile_monotone() {
         let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         assert!(p25 <= p50 + 1e-12 && p50 <= p75 + 1e-12);
         assert!(p25 >= lo - 1e-12 && p75 <= hi + 1e-12);
-    });
-}
-
-/// Welford matches the batch statistics on any sample.
-#[test]
-fn welford_matches_batch() {
-    check_cases(CASES, |rng| {
-        let n = rng.range_usize(2, 50);
-        let xs = floats(rng, n, -1e3..1e3);
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert!((w.mean() - mean(&xs)).abs() < 1e-6 * (1.0 + mean(&xs).abs()));
-        assert!((w.std_dev() - std_dev(&xs)).abs() < 1e-6 * (1.0 + std_dev(&xs)));
     });
 }
 
