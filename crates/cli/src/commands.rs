@@ -505,7 +505,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
     let net = NetConfig {
         addr: format!("127.0.0.1:{}", args.num_or::<u16>("port", 0)?),
         http_addr: format!("127.0.0.1:{}", args.num_or::<u16>("http-port", 0)?),
-        ..NetConfig::default()
     };
     let tb = serve_testbed(args)?;
     let handle = daemon::start(&tb, cfg, net).map_err(|e| format!("cannot start daemon: {e}"))?;
@@ -634,7 +633,6 @@ pub fn loadgen(args: &Args) -> Result<String, String> {
         "closed" => LoadMode::Closed,
         other => return Err(format!("unknown mode '{other}' (open, closed)")),
     };
-    let quick = args.flag("quick");
     // Like --chaos, --addr accepts a comma-separated failover list: the
     // first entry is the primary, the rest are tried in order when a
     // not_leader redirect (or a dead leader) forces a reconnect.
@@ -656,12 +654,7 @@ pub fn loadgen(args: &Args) -> Result<String, String> {
         mode,
         concurrency: args.num_or("concurrency", 8)?,
         seed: args.num_or("seed", 0x10AD)?,
-        // Quick mode compresses the arrival schedule and the synthetic
-        // execution delays so a 500-request run finishes in seconds.
-        arrival_scale: args.num_or("arrival-scale", if quick { 0.002 } else { 0.05 })?,
-        task_ms_per_s: args.num_or("task-ms-per-s", if quick { 2.0 } else { 5.0 })?,
-        max_task_ms: args.num_or("max-task-ms", if quick { 40 } else { 60 })?,
-        poll_ms: args.num_or("poll-ms", if quick { 5 } else { 10 })?,
+        quick: args.flag("quick"),
         idle_conns: args.num_or("idle-conns", 0)?,
     };
     if cfg.requests == 0 || cfg.lambda_per_min <= 0.0 {
@@ -695,11 +688,6 @@ fn chaos(args: &Args, addr: &str) -> Result<String, String> {
         addrs,
         requests: args.num_or("requests", defaults.requests)?,
         seed: args.num_or("seed", defaults.seed)?,
-        kill_every: args.num_or("kill-every", defaults.kill_every)?,
-        garbage_every: args.num_or("garbage-every", defaults.garbage_every)?,
-        partial_every: args.num_or("partial-every", defaults.partial_every)?,
-        oversized_every: args.num_or("oversized-every", defaults.oversized_every)?,
-        orphan_every: args.num_or("orphan-every", defaults.orphan_every)?,
         settle_timeout_ms: args.num_or("settle-timeout-ms", defaults.settle_timeout_ms)?,
         reconnect_timeout_ms: args.num_or("reconnect-timeout-ms", defaults.reconnect_timeout_ms)?,
         failpoints: args.get("failpoints").map(str::to_string),

@@ -18,6 +18,7 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -32,15 +33,15 @@ use crate::metrics::Metrics;
 use crate::proto::{encode_reply, ErrorKind, Reply, Request, ResultLine};
 use crate::reactor::{self, OutMsg, OutSender, ReactorConfig, ShardMsg};
 use crate::repl::{
-    follower::{probe_peer, run_repl, FollowerConfig, Node},
+    follower::{probe_peer, run_repl, wipe_shards, FollowerConfig, Node},
     read_sidecar, ReplState, RoleEvent, RoleState, ShipLog, REPL_TTL_MS,
 };
 use crate::shard::{recover_dir, restore_shards, shard_machines};
 use crate::state::{Refusal, ServeConfig, Service};
 use crate::table::RecState;
-use crate::wal::{existing_shard_count, remove_shard_files};
+use crate::wal::{remove_shard_files, Wal};
 
-/// Network-layer knobs, separate from the scheduling policy in
+/// Where the daemon listens, separate from the scheduling policy in
 /// [`ServeConfig`].
 #[derive(Clone, Debug)]
 pub struct NetConfig {
@@ -48,14 +49,6 @@ pub struct NetConfig {
     pub addr: String,
     /// HTTP (healthz/metrics) listener address; port 0 works here too.
     pub http_addr: String,
-    /// A connection with no complete line for this long is closed.
-    pub idle_timeout_ms: u64,
-    /// Per-write timeout before a stalled client is disconnected.
-    pub write_timeout_ms: u64,
-    /// Longest accepted request line; longer lines are rejected.
-    pub max_line_bytes: usize,
-    /// Poll interval for the reactor and worker self-ticks.
-    pub tick_ms: u64,
 }
 
 impl Default for NetConfig {
@@ -63,10 +56,6 @@ impl Default for NetConfig {
         NetConfig {
             addr: "127.0.0.1:0".to_string(),
             http_addr: "127.0.0.1:0".to_string(),
-            idle_timeout_ms: 30_000,
-            write_timeout_ms: 2_000,
-            max_line_bytes: 64 * 1024,
-            tick_ms: 25,
         }
     }
 }
@@ -201,30 +190,16 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
         // cannot be read refuses the boot instead of reading as a fresh
         // node (which would lead at epoch 1 next to the real leader).
         let sidecar = read_sidecar(&dir)?;
-        let follower_wals = if cfg.replica_of.is_some() {
-            // Follower: local shard state is a cache of the leader's
-            // stream. Wipe it (a rejoining stale leader must not
-            // resurrect a divergent tail) and resync from cursor zero —
-            // the snapshot-install path covers any gap. The epoch
-            // sidecar survives the wipe on purpose.
-            for shard in 0..existing_shard_count(&dir).max(shards) {
-                remove_shard_files(&dir, shard)?;
-            }
-            recover_dir(&dir, shards, cfg.wal_snapshot_every, &|_| None)?.0
-        } else {
-            let (wals, recovery) = recover_dir(&dir, shards, cfg.wal_snapshot_every, &|_| None)?;
-            metrics
-                .wal_replayed_records
-                .store(recovery.replayed_records, Ordering::Relaxed);
-            let old_shards = recovery.old_shards;
-            restore_shards(&mut services, wals, recovery, Instant::now());
-            // Only now that every survivor is snapshotted under the new
-            // layout can files from a larger previous shard count go.
-            for stale in shards..old_shards {
-                remove_shard_files(&dir, stale)?;
-            }
-            Vec::new()
-        };
+        let replica = cfg.replica_of.is_some();
+        let every = cfg.wal_snapshot_every;
+        let follower_wals = boot_shards(
+            &mut services,
+            &dir,
+            replica,
+            every,
+            &metrics,
+            Instant::now(),
+        )?;
         let repl_cfg = FollowerConfig {
             self_addr: addr.to_string(),
             dir,
@@ -264,7 +239,7 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
         node = Some(booted);
     }
 
-    let tick = Duration::from_millis(net.tick_ms.max(1));
+    let tick = Duration::from_millis(reactor::TICK_MS);
     let mut threads = Vec::new();
 
     // The shared out channel + wake pipe.
@@ -291,7 +266,6 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
     let reactor_cfg = ReactorConfig {
         listener,
         http_listener,
-        net,
         shard_txs,
         out_rx,
         wake_rx,
@@ -312,6 +286,42 @@ pub fn start(testbed: &Testbed, cfg: ServeConfig, net: NetConfig) -> std::io::Re
         metrics,
         threads,
     })
+}
+
+/// What a WAL-backed node's boot does with the shard files in `dir`, and
+/// the logs it keeps for the follower loop.
+///
+/// A replica's local shard state is a cache of the leader's stream: it
+/// is wiped (a rejoining stale leader must not resurrect a divergent
+/// tail) and resynced from cursor zero — the snapshot-install path covers
+/// any gap — into the empty logs returned. The epoch sidecar survives the
+/// wipe on purpose. Any other node restores every shard of `services`
+/// from the directory, and then deletes the files of a larger previous
+/// shard count.
+pub(crate) fn boot_shards(
+    services: &mut [Service],
+    dir: &Path,
+    replica: bool,
+    snapshot_every: u64,
+    metrics: &Metrics,
+    now: Instant,
+) -> std::io::Result<Vec<Wal>> {
+    let shards = services.len();
+    if replica {
+        return wipe_shards(dir, shards, snapshot_every);
+    }
+    let (wals, recovery) = recover_dir(dir, shards, snapshot_every, &|_| None)?;
+    metrics
+        .wal_replayed_records
+        .store(recovery.replayed_records, Ordering::Relaxed);
+    let old_shards = recovery.old_shards;
+    restore_shards(services, recovery.per_shard(wals), now);
+    // Only now that every survivor is snapshotted under the new layout
+    // can files from a larger previous shard count go.
+    for stale in shards..old_shards {
+        remove_shard_files(dir, stale)?;
+    }
+    Ok(Vec::new())
 }
 
 /// Spawns a daemon thread under `name`, which `top -H` and
@@ -337,7 +347,7 @@ fn boot_nonce() -> u64 {
 /// One shard's worker loop: exclusively owns its [`Service`] — every task
 /// whose id names this shard, for the task's whole life — answers the
 /// requests routed to it, and contributes fan-out parts. Self-ticks at
-/// the net tick interval so time-driven work (batch deadlines, lease
+/// the reactor's tick interval so time-driven work (batch deadlines, lease
 /// expiry, backoff promotion) never waits on traffic.
 fn shard_worker(
     mut svc: Service,
@@ -825,7 +835,7 @@ mod tests {
         let app = svc.app_list()[0].clone();
         let (wal, _) = Wal::open(&new_dir, 4096).unwrap();
         let promote = ShardMsg::Promote {
-            wal: Some(wal),
+            wal,
             tasks: Vec::new(),
             next_task_id: 100,
         };
@@ -939,7 +949,7 @@ mod tests {
                 let (cfg, metrics) = (config(None), Arc::clone(&metrics));
                 let mut svc = Service::new_shard(testbed(), cfg, metrics, i, 2, 32 * i);
                 let (wal, _) = Wal::open_shard(&dirs[i], i, 4096).unwrap();
-                svc.restore(Some(wal), Vec::new(), 0, Instant::now());
+                svc.restore(wal, Vec::new(), 0, Instant::now());
                 svc
             })
             .collect();

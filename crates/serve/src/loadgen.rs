@@ -4,7 +4,7 @@
 //! event loop over a binary heap of due actions: submit an arrival, poll a
 //! queued task, or report a completion. Arrivals come from the same
 //! seeded Poisson process the simulator uses ([`tracon_dcsim::poisson_n`]),
-//! mapped onto wall-clock time by `arrival_scale`. Because the daemon has
+//! mapped onto wall-clock time by the pacing profile. Because the daemon has
 //! no task executor — clients *report* completions — the generator
 //! synthesizes one per placed task from the daemon's own predicted
 //! runtime plus seeded jitter, holding it for a scaled-down wall delay
@@ -55,40 +55,43 @@ pub struct LoadgenConfig {
     pub concurrency: usize,
     /// Seed for arrivals and synthesized measurements.
     pub seed: u64,
-    /// Wall seconds per virtual arrival second (open mode compresses the
-    /// trace with values < 1).
-    pub arrival_scale: f64,
-    /// Wall milliseconds of synthetic "execution" per predicted virtual
-    /// second before a completion is reported.
-    pub task_ms_per_s: f64,
-    /// Cap on the synthetic execution delay.
-    pub max_task_ms: u64,
-    /// Poll interval while a task sits in the daemon's queue.
-    pub poll_ms: u64,
+    /// Compress the arrival schedule and the synthetic execution delays
+    /// so a 500-request run finishes in seconds (`--quick`).
+    pub quick: bool,
     /// Extra idle TCP connections held open (but silent) for the whole
     /// run — exercises the reactor's many-connections path.
     pub idle_conns: usize,
 }
 
-impl Default for LoadgenConfig {
-    fn default() -> Self {
-        LoadgenConfig {
-            addr: String::new(),
-            addrs: Vec::new(),
-            requests: 100,
-            lambda_per_min: 60.0,
-            mix: WorkloadMix::Medium,
-            mode: LoadMode::Open,
-            concurrency: 8,
-            seed: 0x10AD,
-            arrival_scale: 0.01,
-            task_ms_per_s: 5.0,
-            max_task_ms: 60,
-            poll_ms: 10,
-            idle_conns: 0,
-        }
-    }
+/// How a run maps the virtual trace onto wall-clock time.
+struct Pacing {
+    /// Wall seconds per virtual arrival second (open mode compresses the
+    /// trace with values < 1).
+    arrival_scale: f64,
+    /// Wall milliseconds of synthetic "execution" per predicted virtual
+    /// second before a completion is reported.
+    task_ms_per_s: f64,
+    /// Cap on the synthetic execution delay.
+    max_task_ms: u64,
+    /// Poll interval while a task sits in the daemon's queue.
+    poll_ms: u64,
 }
+
+/// The default pacing profile.
+const PACING: Pacing = Pacing {
+    arrival_scale: 0.05,
+    task_ms_per_s: 5.0,
+    max_task_ms: 60,
+    poll_ms: 10,
+};
+
+/// The `quick` pacing profile.
+const QUICK_PACING: Pacing = Pacing {
+    arrival_scale: 0.002,
+    task_ms_per_s: 2.0,
+    max_task_ms: 40,
+    poll_ms: 5,
+};
 
 /// What a finished run observed.
 #[derive(Clone, Debug)]
@@ -228,6 +231,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     if apps.is_empty() {
         return Err("daemon reports no profiled applications".to_string());
     }
+    let pace = if cfg.quick { QUICK_PACING } else { PACING };
     let arrivals = poisson_n(cfg.lambda_per_min, cfg.requests, cfg.mix, cfg.seed);
     let mut rng = ChaCha12::seed_from_u64(cfg.seed ^ 0x5EED_CAFE);
 
@@ -241,7 +245,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     match cfg.mode {
         LoadMode::Open => {
             for (i, arrival) in arrivals.iter().enumerate() {
-                let due = (arrival.time * cfg.arrival_scale * 1e6).max(0.0) as u64;
+                let due = (arrival.time * pace.arrival_scale * 1e6).max(0.0) as u64;
                 push(&mut heap, due, Action::Submit(i));
             }
             next_arrival = arrivals.len();
@@ -307,7 +311,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
             let hint = leader.and_then(|h| h.leader_addr);
             client = reconnect(hint.as_deref(), &addrs, 5_000, &mut failovers)?;
             let pause_us = match action {
-                Action::Poll(_) => cfg.poll_ms * 1_000,
+                Action::Poll(_) => pace.poll_ms * 1_000,
                 _ => 0,
             };
             let now = start.elapsed().as_micros() as u64;
@@ -336,11 +340,11 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
                 if result.get("state").and_then(Value::as_str) == Some("placed") {
                     push(
                         &mut heap,
-                        now + exec_us(cfg, predicted),
+                        now + exec_us(&pace, predicted),
                         Action::Complete(task),
                     );
                 } else {
-                    push(&mut heap, now + cfg.poll_ms * 1_000, Action::Poll(task));
+                    push(&mut heap, now + pace.poll_ms * 1_000, Action::Poll(task));
                 }
             }
             (
@@ -371,12 +375,12 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
                         }
                         push(
                             &mut heap,
-                            now + exec_us(cfg, predicted),
+                            now + exec_us(&pace, predicted),
                             Action::Complete(task),
                         );
                     }
                     Some("queued") => {
-                        push(&mut heap, now + cfg.poll_ms * 1_000, Action::Poll(task))
+                        push(&mut heap, now + pace.poll_ms * 1_000, Action::Poll(task))
                     }
                     other => {
                         return Err(format!(
@@ -447,8 +451,8 @@ fn completion(rng: &mut ChaCha12, task: u64, predicted_runtime_s: f64) -> Reques
     }
 }
 
-fn exec_us(cfg: &LoadgenConfig, predicted_runtime_s: f64) -> u64 {
-    let ms = (predicted_runtime_s.max(0.0) * cfg.task_ms_per_s).min(cfg.max_task_ms as f64);
+fn exec_us(pace: &Pacing, predicted_runtime_s: f64) -> u64 {
+    let ms = (predicted_runtime_s.max(0.0) * pace.task_ms_per_s).min(pace.max_task_ms as f64);
     (ms * 1_000.0) as u64
 }
 
@@ -475,17 +479,6 @@ pub struct ChaosConfig {
     pub requests: usize,
     /// Seed for app choice, measurements, and probe scheduling.
     pub seed: u64,
-    /// Kill and re-open the connection every N submits (0 disables).
-    pub kill_every: usize,
-    /// Send a garbage (non-JSON) line every N submits (0 disables).
-    pub garbage_every: usize,
-    /// Abandon a partial frame and kill the connection every N submits.
-    pub partial_every: usize,
-    /// Send an oversized (>64 KiB) line every N submits (0 disables).
-    pub oversized_every: usize,
-    /// Orphan (never complete) every Nth placed task, leaving it to the
-    /// daemon's lease expiry / dead-letter machinery (0 disables).
-    pub orphan_every: usize,
     /// How long to wait at the end for the daemon to settle (all
     /// non-terminal tasks resolved by completion or dead-lettering).
     pub settle_timeout_ms: u64,
@@ -505,17 +498,25 @@ impl Default for ChaosConfig {
             addrs: Vec::new(),
             requests: 200,
             seed: 0xC4A0,
-            kill_every: 17,
-            garbage_every: 13,
-            partial_every: 29,
-            oversized_every: 41,
-            orphan_every: 7,
             settle_timeout_ms: 30_000,
             reconnect_timeout_ms: 15_000,
             failpoints: None,
         }
     }
 }
+
+/// Kill and re-open the connection every this many submits.
+const KILL_EVERY: usize = 17;
+/// Send a garbage (non-JSON) line every this many submits.
+const GARBAGE_EVERY: usize = 13;
+/// Abandon a partial frame and kill the connection every this many
+/// submits.
+const PARTIAL_EVERY: usize = 29;
+/// Send an oversized (>64 KiB) line every this many submits.
+const OVERSIZED_EVERY: usize = 41;
+/// Orphan (never complete) every this many placed tasks, leaving them to
+/// the daemon's lease expiry / dead-letter machinery.
+const ORPHAN_EVERY: usize = 7;
 
 /// What a chaos run observed. `conservation_violations == 0` and
 /// `settled` are the pass criteria; everything else is color.
@@ -775,20 +776,20 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
     let mut pending: Vec<(u64, f64)> = Vec::new();
     let mut placed_seen = 0usize;
 
-    let every = |n: usize, i: usize| n > 0 && i % n == n - 1;
+    let every = |n: usize, i: usize| i % n == n - 1;
     for i in 0..cfg.requests {
-        if every(cfg.kill_every, i) {
+        if every(KILL_EVERY, i) {
             report.connection_kills += 1;
             client = reconnect!();
         }
-        if every(cfg.partial_every, i) {
+        if every(PARTIAL_EVERY, i) {
             // Leave a torn frame on the wire, then vanish.
             let _ = client.send_raw_bytes(b"{\"v\":2,\"op\":\"subm");
             report.partial_frames += 1;
             report.connection_kills += 1;
             client = reconnect!();
         }
-        if every(cfg.garbage_every, i) {
+        if every(GARBAGE_EVERY, i) {
             match client.raw_roundtrip("\u{1}garbage ][ not json \u{7f}") {
                 Ok(line) => {
                     report.garbage_probes += 1;
@@ -801,7 +802,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
                 }
             }
         }
-        if every(cfg.oversized_every, i) {
+        if every(OVERSIZED_EVERY, i) {
             let big = "x".repeat(80 * 1024);
             match client.raw_roundtrip(&big) {
                 Ok(line) => {
@@ -830,7 +831,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
                 if result.get("state").and_then(Value::as_str) == Some("placed") {
                     if let Some(task) = result.get("task").and_then(Value::as_u64) {
                         placed_seen += 1;
-                        if every(cfg.orphan_every, placed_seen - 1) {
+                        if every(ORPHAN_EVERY, placed_seen - 1) {
                             // Never complete this one: the lease must
                             // reclaim it (requeue, then dead-letter).
                             report.orphaned += 1;

@@ -4,7 +4,7 @@
 //!
 //! The pre-sharding daemon spent a thread per connection; this module
 //! replaces that with a single event loop multiplexed over `poll(2)`
-//! (a thin hand-rolled `#[cfg(unix)]` FFI wrapper — no new dependencies,
+//! (a thin hand-rolled FFI wrapper — no new dependencies,
 //! the same discipline as `tracon_core::par`). Per connection it keeps a
 //! bounded read buffer for partial NDJSON lines, an outbox of rendered
 //! reply bytes, and a sequence-numbered reorder stage so replies go out
@@ -46,7 +46,6 @@ use std::time::{Duration, Instant};
 
 use tracon_core::AppId;
 
-use crate::daemon::NetConfig;
 use crate::json::{n, obj, s, Quoted, Value};
 use crate::metrics::{http_head_ready, http_response, Metrics};
 use crate::proto::{self, ErrorKind, Reply, Request, ResultLine, Strings};
@@ -69,6 +68,18 @@ const STOP_GRACE: Duration = Duration::from_secs(1);
 /// Hard cap on buffered un-flushed reply bytes per connection; a client
 /// that stops reading past this point is disconnected.
 const MAX_OUTBOX_BYTES: usize = 4 << 20;
+
+/// Poll interval of the reactor, and the shard workers' self-tick.
+pub(crate) const TICK_MS: u64 = 25;
+
+/// A connection with no complete line for this long is closed.
+const IDLE_TIMEOUT_MS: u64 = 30_000;
+
+/// Per-write timeout before a stalled client is disconnected.
+const WRITE_TIMEOUT_MS: u64 = 2_000;
+
+/// Longest accepted request line; longer lines are rejected.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Work sent from the reactor to one shard worker.
 pub(crate) enum ShardMsg {
@@ -99,7 +110,7 @@ pub(crate) enum ShardMsg {
     /// ungated client request.
     Promote {
         /// The shard's recovered, append-ready WAL.
-        wal: Option<Wal>,
+        wal: Wal,
         /// Recovered rows homed to this shard.
         tasks: Vec<TaskRow>,
         /// Global `next_task_id` high-water mark across all shards.
@@ -187,9 +198,7 @@ impl OutSender {
     }
 }
 
-/// Thin `poll(2)` wrapper. Unix gets the real syscall; other targets get
-/// a degenerate stand-in that sleeps one tick and reports every fd ready
-/// (reads then return `WouldBlock` harmlessly — correct, just busy).
+/// Thin `poll(2)` wrapper.
 mod sys {
     /// Mirror of `struct pollfd`.
     #[repr(C)]
@@ -205,45 +214,25 @@ mod sys {
     pub const POLLHUP: i16 = 0x010;
     pub const POLLNVAL: i16 = 0x020;
 
-    #[cfg(unix)]
-    mod imp {
-        use super::PollFd;
+    #[cfg(target_os = "macos")]
+    type Nfds = u32;
+    #[cfg(not(target_os = "macos"))]
+    type Nfds = std::os::raw::c_ulong;
 
-        #[cfg(target_os = "macos")]
-        type Nfds = u32;
-        #[cfg(not(target_os = "macos"))]
-        type Nfds = std::os::raw::c_ulong;
-
-        extern "C" {
-            fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
-        }
-
-        pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
-            // SAFETY: `fds` is a valid, exclusively borrowed slice of
-            // `#[repr(C)]` pollfd mirrors and the length is its true length.
-            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
-            if rc < 0 {
-                Err(std::io::Error::last_os_error())
-            } else {
-                Ok(rc as usize)
-            }
-        }
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
     }
 
-    #[cfg(not(unix))]
-    mod imp {
-        use super::{PollFd, POLLIN, POLLOUT};
-
-        pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
-            std::thread::sleep(std::time::Duration::from_millis(timeout_ms.max(1) as u64));
-            for fd in fds.iter_mut() {
-                fd.revents = fd.events & (POLLIN | POLLOUT);
-            }
-            Ok(fds.len())
+    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
+        // SAFETY: `fds` is a valid, exclusively borrowed slice of
+        // `#[repr(C)]` pollfd mirrors and the length is its true length.
+        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
+        if rc < 0 {
+            Err(std::io::Error::last_os_error())
+        } else {
+            Ok(rc as usize)
         }
     }
-
-    pub use imp::poll_fds;
 }
 
 use std::os::unix::io::AsRawFd;
@@ -251,7 +240,7 @@ use std::os::unix::io::AsRawFd;
 /// One client connection's reactor-side state.
 struct Conn {
     stream: TcpStream,
-    /// Partial-line read buffer, bounded by `max_line_bytes`.
+    /// Partial-line read buffer, bounded by `MAX_LINE_BYTES`.
     rbuf: Vec<u8>,
     /// Flushed-in-order reply bytes waiting for the socket.
     wbuf: Vec<u8>,
@@ -312,7 +301,6 @@ struct Agg {
 pub(crate) struct ReactorConfig {
     pub listener: TcpListener,
     pub http_listener: TcpListener,
-    pub net: NetConfig,
     pub shard_txs: Vec<Sender<ShardMsg>>,
     pub out_rx: Receiver<OutMsg>,
     pub wake_rx: std::os::unix::net::UnixStream,
@@ -336,7 +324,6 @@ pub(crate) fn run(cfg: ReactorConfig) {
 struct Reactor {
     listener: TcpListener,
     http_listener: TcpListener,
-    net: NetConfig,
     shard_txs: Vec<Sender<ShardMsg>>,
     out_rx: Receiver<OutMsg>,
     wake_rx: std::os::unix::net::UnixStream,
@@ -369,7 +356,6 @@ impl Reactor {
         Reactor {
             listener: cfg.listener,
             http_listener: cfg.http_listener,
-            net: cfg.net,
             shard_txs: cfg.shard_txs,
             out_rx: cfg.out_rx,
             wake_rx: cfg.wake_rx,
@@ -395,7 +381,7 @@ impl Reactor {
     }
 
     fn run(mut self) {
-        let tick_ms = self.net.tick_ms.max(1).min(i32::MAX as u64) as i32;
+        let tick_ms = TICK_MS as i32;
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
@@ -610,8 +596,8 @@ impl Reactor {
                 start = end + 1;
                 continue;
             }
-            if frame.len() > self.net.max_line_bytes {
-                let message = format!("request line exceeds {} bytes", self.net.max_line_bytes);
+            if frame.len() > MAX_LINE_BYTES {
+                let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
                 self.local_error(id, None, ErrorKind::FrameTooLarge, message);
                 start = end + 1;
                 continue;
@@ -635,13 +621,11 @@ impl Reactor {
         // discarding until the next newline arrives.
         if discarding {
             buf.clear();
-        } else if buf.len() > self.net.max_line_bytes {
+        } else if buf.len() > MAX_LINE_BYTES {
             discarding = true;
             buf.clear();
-            let message = format!(
-                "request line exceeds {} bytes; discarding until newline",
-                self.net.max_line_bytes
-            );
+            let message =
+                format!("request line exceeds {MAX_LINE_BYTES} bytes; discarding until newline");
             self.local_error(id, None, ErrorKind::FrameTooLarge, message);
         }
         if let Some(conn) = self.conns.get_mut(&id) {
@@ -851,7 +835,7 @@ impl Reactor {
                     "replication slot already held by {holder}; \
                      tracond pairs support a single follower"
                 ),
-                self.net.tick_ms.max(1) * 40,
+                TICK_MS * 40,
             ),
             _ => Reply::not_leader(req_id, repl.leader_addr(), repl.epoch()),
         };
@@ -1035,8 +1019,8 @@ impl Reactor {
     }
 
     fn reap_timeouts(&mut self, now: Instant) {
-        let idle_limit = Duration::from_millis(self.net.idle_timeout_ms.max(1));
-        let write_limit = Duration::from_millis(self.net.write_timeout_ms.max(1));
+        let idle_limit = Duration::from_millis(IDLE_TIMEOUT_MS);
+        let write_limit = Duration::from_millis(WRITE_TIMEOUT_MS);
         let doomed: Vec<u64> = self
             .conns
             .iter()

@@ -9,7 +9,7 @@
 //! failed.
 
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
@@ -25,8 +25,8 @@ use crate::repl::{
     decode_pull_chunk, lock, write_sidecar, PullChunk, ReplState, Role, REPL_TTL_MS,
 };
 use crate::shard::recover_dir;
-use crate::table::TaskTable;
-use crate::wal::{self, remove_shard_files, Wal};
+use crate::table::{TaskRow, TaskTable};
+use crate::wal::{self, existing_shard_count, remove_shard_files, Wal};
 
 /// Static replication configuration of one node.
 #[derive(Debug, Clone)]
@@ -139,14 +139,7 @@ impl Node {
         // Release the file handles before recovery reopens them.
         lock(&self.wals).clear();
         let (dir, shards) = (&self.cfg.dir, self.cfg.shards);
-        let (wals, recovery) = recover_dir(dir, shards, self.cfg.snapshot_every, &|_| None)
-            .inspect_err(|_| {
-                metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
-            })?;
-        metrics
-            .wal_replayed_records
-            .fetch_add(recovery.replayed_records, Ordering::Relaxed);
-        let restores = recovery.per_shard(wals, shards);
+        let restores = recover_shards(dir, shards, self.cfg.snapshot_every, metrics)?;
         for (tx, (wal, tasks, next_task_id)) in self.shard_txs.iter().zip(restores) {
             let _ = tx.send(ShardMsg::Promote {
                 wal,
@@ -178,16 +171,43 @@ impl Node {
                 .map_err(|_| io::Error::other("a shard worker never surrendered its WAL"))?;
         }
         let (dir, shards) = (&self.cfg.dir, self.cfg.shards);
-        let reopened = (0..shards)
-            .try_for_each(|shard| remove_shard_files(dir, shard))
-            .and_then(|()| recover_dir(dir, shards, self.cfg.snapshot_every, &|_| None));
-        let (wals, _) = reopened.inspect_err(|_| {
+        let wals = wipe_shards(dir, shards, self.cfg.snapshot_every).inspect_err(|_| {
             let metrics = self.repl.metrics();
             metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
         })?;
         *lock(&self.wals) = wals;
         Ok(())
     }
+}
+
+/// What a promotion hands the shard workers, shard 0 first: every shard
+/// file in `dir` replayed through merged recovery into each shard's
+/// log, the rows homed to it and the id high-water mark.
+pub(crate) fn recover_shards(
+    dir: &Path,
+    shards: usize,
+    snapshot_every: u64,
+    metrics: &Metrics,
+) -> io::Result<Vec<(Wal, Vec<TaskRow>, u64)>> {
+    let (wals, recovery) =
+        recover_dir(dir, shards, snapshot_every, &|_| None).inspect_err(|_| {
+            metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
+        })?;
+    metrics
+        .wal_replayed_records
+        .fetch_add(recovery.replayed_records, Ordering::Relaxed);
+    Ok(recovery.per_shard(wals).collect())
+}
+
+/// Delete every shard file in `dir` — the `repl.epoch` sidecar survives,
+/// epochs only go up — and reopen `shards` empty logs for the follower
+/// loop to resync into from the leader's snapshot: what a replica's boot
+/// and a fenced node's rejoin both do.
+pub(crate) fn wipe_shards(dir: &Path, shards: usize, snapshot_every: u64) -> io::Result<Vec<Wal>> {
+    for shard in 0..existing_shard_count(dir).max(shards) {
+        remove_shard_files(dir, shard)?;
+    }
+    Ok(recover_dir(dir, shards, snapshot_every, &|_| None)?.0)
 }
 
 /// Sleep `ms` in 25 ms slices so shutdown stays snappy; true as soon as
@@ -366,10 +386,8 @@ fn run_follower(node: &Node) {
 /// One pull reply for `shard`: its header goes to the role machine, and
 /// if the machine takes the chunk (anything else — a stale epoch, cursors
 /// just reset because the leader rebooted — drops the body; returns
-/// false) the body goes to the WAL and the shard's `mirror`. The machine
-/// has moved the cursor to `chunk.next` by then, so a body that fails to
-/// land is lost data like rot: only the leader's snapshot can put the
-/// shard right again, and the one that lands heals it.
+/// false) the body goes to [`land_chunk`], and a body that fails to land
+/// sends the shard back to the leader's snapshot.
 fn take_chunk(
     node: &Node,
     wal: &mut Wal,
@@ -390,12 +408,30 @@ fn take_chunk(
     if effects.last() != Some(&Effect::ApplyChunk) {
         return false;
     }
-    let metrics = node.repl.metrics();
+    if !land_chunk(wal, mirror, chunk, shard, node.repl.metrics()) {
+        restart(node, mirror, shard);
+    }
+    true
+}
+
+/// The body of a chunk the role machine took for `shard`: into the WAL
+/// and the shard's `mirror` ([`apply_chunk`]). The machine has moved the
+/// cursor to `chunk.next` by then, so a body that fails to land is lost
+/// data like rot: false, and only the leader's snapshot can put the shard
+/// right again — the caller restarts it, and the install that lands heals
+/// it.
+pub(crate) fn land_chunk(
+    wal: &mut Wal,
+    mirror: &mut TaskTable,
+    chunk: &PullChunk,
+    shard: usize,
+    metrics: &Metrics,
+) -> bool {
     match apply_chunk(wal, mirror, chunk, shard, metrics) {
         Err(e) => {
             metrics.wal_errors.fetch_add(1, Ordering::Relaxed);
             metrics.degrade(shard, Degraded::Rot, &[("lost", &e)]);
-            restart(node, mirror, shard);
+            return false;
         }
         Ok(true) => metrics.heal(shard, "peer snapshot install"),
         Ok(false) => {}

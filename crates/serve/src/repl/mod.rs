@@ -29,8 +29,10 @@
 //! The test-only `sim` harness wires two nodes running the same `step`
 //! over a seeded in-process link (drops, delays, duplicates, partitions —
 //! no sockets) so election safety, log matching, and conservation across
-//! failover and rejoin are fast deterministic unit properties. It builds
-//! its own testbed, so it compiles only under `cfg(test)`.
+//! failover and rejoin are fast deterministic unit properties. Each node
+//! keeps real shard files in a temporary directory and runs the daemon's
+//! own boot, chunk, promotion, demotion and scrub code over them. It
+//! builds its own testbed, so it compiles only under `cfg(test)`.
 
 pub mod follower;
 pub mod role;

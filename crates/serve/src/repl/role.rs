@@ -4,8 +4,9 @@
 //!
 //! `tracond` (`follower::Node::drive`) runs the effects against
 //! real files, sockets and shard workers; the deterministic, test-only
-//! `repl::sim` harness runs the same effects against journals and a
-//! virtual link. Neither decides anything: every epoch comparison, the
+//! `repl::sim` harness runs the same effects through the same storage
+//! functions, against real shard files and a virtual link. Neither
+//! decides anything: every epoch comparison, the
 //! leader-side follower slot and write suspension, the follower-side
 //! lease, cursors and boot nonce, the boot matrix and the rejoin all
 //! live here. Effects come out in one fixed order, which is where the

@@ -121,14 +121,6 @@ impl ShipLog {
         guard.base + guard.frames.len() as u64
     }
 
-    /// Frames currently buffered (since the last trim).
-    pub fn frames_len(&self, shard: usize) -> usize {
-        if shard >= self.shards.len() {
-            return 0;
-        }
-        self.lock(shard).frames.len()
-    }
-
     /// Serve one follower pull from `cursor`. Behind the horizon the
     /// chunk leads with the snapshot blob and restarts from `base`;
     /// otherwise it is a plain frame range capped at [`MAX_PULL_FRAMES`].

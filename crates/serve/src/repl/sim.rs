@@ -1,31 +1,39 @@
 //! Deterministic in-process replication harness: two symmetric nodes —
 //! each a [`RoleState`], real [`Service`] shards with a shipper, and a
-//! journal per shard — over a seeded virtual link. No sockets, no sleeps,
-//! no wall clock. Both nodes run [`role::step`], the function `tracond`
-//! runs, and this file only interprets its effects against journals and
-//! the link; failover, fencing and rejoin happen by events, never by the
-//! harness reaching into a node. Links drop, delay, duplicate, and
-//! partition messages under a splitmix64 RNG, so every interleaving is a
-//! replayable seed and election safety / log matching /
-//! conservation-across-failover are ordinary unit properties (dslab-mp
-//! style).
+//! shard directory of real WAL files — over a seeded virtual link. No
+//! sockets, no sleeps, no wall clock. Both nodes run [`role::step`], the
+//! function `tracond` runs, and this file only interprets its effects
+//! with the daemon's own storage code: boot is `daemon::boot_shards`, a
+//! taken chunk lands through `follower::land_chunk`, a promotion restores
+//! what `follower::recover_shards` replays, and a demotion reopens what
+//! `follower::wipe_shards` emptied. Failover, fencing and rejoin happen
+//! by events, never by the harness reaching into a node. Links drop,
+//! delay, duplicate, and partition messages under a splitmix64 RNG, so
+//! every interleaving is a replayable seed and election safety / log
+//! matching / conservation-across-failover are ordinary unit properties
+//! (dslab-mp style).
 //!
 //! Time is a virtual millisecond counter; the `Service` instances see it
 //! as a fixed `Instant` base plus the virtual offset, so lease and
 //! backoff arithmetic run unmodified.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use tracon_dcsim::{Testbed, TestbedConfig};
 use tracon_stats::prng::SplitMix64;
 
+use crate::daemon::boot_shards;
 use crate::metrics::Metrics;
+use crate::repl::follower::{land_chunk, recover_shards, wipe_shards};
 use crate::repl::role::{self, Effect, PullVerdict, RoleEvent, RoleState};
 use crate::repl::{EpochSidecar, PullChunk, Role, ShipLog};
-use crate::shard::{merge, restore_shards, route_app, shard_machines, stride_shard};
+use crate::shard::{restore_shards, route_app, shard_machines, stride_shard};
 use crate::state::{ServeConfig, Service};
 use crate::table::TaskTable;
+use crate::wal::{self, shard_log_name, shard_snapshot_name, Wal};
 use tracon_core::SchedulerKind;
 
 /// The shared profiled testbed: building one takes real calibration
@@ -92,26 +100,6 @@ enum SimMsg {
 /// One queued delivery: `(due_ms, tiebreak_seq, recipient, message)`.
 type InFlight = (u64, u64, usize, SimMsg);
 
-/// A node's durable journal for one shard — the sim stand-in for a WAL
-/// file: an optional installed snapshot blob plus appended frames.
-#[derive(Debug, Default, Clone)]
-pub struct Journal {
-    /// Last installed snapshot blob.
-    pub snapshot: Option<String>,
-    /// Frames appended since that snapshot.
-    pub frames: Vec<crate::wal::WalRecord>,
-}
-
-impl Journal {
-    /// Replay this journal into a task table, exactly as opening the
-    /// equivalent WAL files would (an unreadable blob leaves it empty).
-    pub fn replay(&self) -> TaskTable {
-        let mut table = TaskTable::default();
-        let _ = table.absorb(self.snapshot.as_deref(), &self.frames);
-        table
-    }
-}
-
 /// How often a fenced node probes its leader hint, and a promoted one
 /// re-sends its claim.
 const PROBE_MS: u64 = 25;
@@ -128,11 +116,37 @@ struct SimNode {
     services: Vec<Service>,
     ship: Arc<ShipLog>,
     boot: u64,
-    /// What this node appended while following.
-    journals: Vec<Journal>,
+    /// The node's `--wal` directory, removed with the node.
+    dir: PathBuf,
+    metrics: Arc<Metrics>,
+    /// The shard logs taken chunks land in while this node follows
+    /// (`Node::wals`): surrendered at promotion, reopened empty at
+    /// demotion.
+    wals: Vec<Wal>,
+    /// Per shard, the shipped stream's table the follower compacts from
+    /// (`run_follower`'s mirrors).
+    mirrors: Vec<TaskTable>,
+    /// Whether a leader snapshot landed since this node began following.
+    installed: bool,
     next_poll_ms: u64,
     /// How many more times a promotion's claim is re-sent.
     claims_left: u32,
+}
+
+impl Drop for SimNode {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// A fresh shard directory, unique in the process.
+fn fresh_dir(seed: u64, node: usize) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let name = format!("tracon-sim-{}-{n}-{seed:x}-n{node}", std::process::id());
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// A replicated pair over a faulty virtual link. Node 0 boots standalone
@@ -145,6 +159,7 @@ pub struct SimCluster {
     partitioned: bool,
     shards: usize,
     poll_ms: u64,
+    snapshot_every: u64,
     /// Failpoint scope carried by this cluster's ship logs, so a test can
     /// arm `repl.ship.push@<scope>` without faulting other ships in the
     /// process.
@@ -159,9 +174,18 @@ fn addr(node: usize) -> String {
 }
 
 impl SimCluster {
-    /// Build the pair: `shards` `Service` shards per node (shipper
-    /// attached, no real WAL), both booted through [`RoleEvent::Boot`].
-    pub fn new(seed: u64, shards: usize, ttl_ms: u64, poll_ms: u64, knobs: SimKnobs) -> SimCluster {
+    /// Build the pair: `shards` `Service` shards per node, shipper
+    /// attached, each node with a fresh shard directory that compacts
+    /// every `snapshot_every` records. Both boot as `daemon::start` does:
+    /// their shard files first, then [`RoleEvent::Boot`].
+    pub fn new(
+        seed: u64,
+        shards: usize,
+        ttl_ms: u64,
+        poll_ms: u64,
+        snapshot_every: u64,
+        knobs: SimKnobs,
+    ) -> SimCluster {
         let shards = shards.max(1);
         let cfg = ServeConfig {
             machines: shards * 2,
@@ -173,16 +197,17 @@ impl SimCluster {
             // itself is under test.
             lease_base_ms: 600_000,
             lease_per_predicted_s_ms: 0,
-            wal_snapshot_every: 1_000_000,
+            wal_snapshot_every: snapshot_every,
             shards,
             ..ServeConfig::default()
         };
+        let base = Instant::now();
         let ship_scope = format!("sim-{seed:016x}");
         let slices = shard_machines(cfg.machines, shards);
         let nodes = [0usize, 1].map(|node| {
             let metrics = Arc::new(Metrics::with_shards(shards));
             let ship = Arc::new(ShipLog::new_scoped(shards, ship_scope.clone()));
-            let services = (0..shards)
+            let mut services: Vec<Service> = (0..shards)
                 .map(|shard| {
                     let mut shard_cfg = cfg.clone();
                     let (base, count) = slices[shard];
@@ -199,6 +224,10 @@ impl SimCluster {
                     svc
                 })
                 .collect();
+            let dir = fresh_dir(seed, node);
+            let replica = node == 1;
+            let wals = boot_shards(&mut services, &dir, replica, snapshot_every, &metrics, base)
+                .expect("a sim node boots from its shard directory");
             let sidecar = EpochSidecar::default();
             SimNode {
                 state: RoleState::from_sidecar(&addr(node), ttl_ms, shards, &sidecar, 0),
@@ -207,19 +236,24 @@ impl SimCluster {
                 services,
                 ship,
                 boot: (seed << 1) | node as u64 | 2,
-                journals: vec![Journal::default(); shards],
+                dir,
+                metrics,
+                wals,
+                mirrors: vec![TaskTable::default(); shards],
+                installed: false,
                 next_poll_ms: 0,
                 claims_left: 0,
             }
         });
         let mut sim = SimCluster {
             now_ms: 0,
-            base: Instant::now(),
+            base,
             rng: SplitMix64::new(seed ^ 0xD1F7_0A11),
             knobs,
             partitioned: false,
             shards,
             poll_ms: poll_ms.max(1),
+            snapshot_every,
             ship_scope,
             nodes,
             net: Vec::new(),
@@ -230,14 +264,6 @@ impl SimCluster {
             sim.drive(node, RoleEvent::Boot { replica_of, probe });
         }
         sim
-    }
-
-    /// Override every node's snapshot cadence (to exercise compaction
-    /// and snapshot install in small tests).
-    pub fn set_snapshot_every(&mut self, every: u64) {
-        for svc in self.nodes.iter_mut().flat_map(|n| &mut n.services) {
-            svc.set_snapshot_every(every);
-        }
     }
 
     /// Replace the link fault knobs mid-run (e.g. heal a lossy link so a
@@ -265,12 +291,10 @@ impl SimCluster {
         &self.nodes[node].state
     }
 
-    /// Whether any of a node's journals holds an installed snapshot blob.
+    /// Whether a leader snapshot landed on `node` since it began
+    /// following (its own compactions do not count).
     pub fn has_snapshot(&self, node: usize) -> bool {
-        self.nodes[node]
-            .journals
-            .iter()
-            .any(|j| j.snapshot.is_some())
+        self.nodes[node].installed
     }
 
     /// Partition or heal the link (both directions).
@@ -349,24 +373,32 @@ impl SimCluster {
     /// step's last effect (where the verdicts are).
     fn drive(&mut self, node: usize, event: RoleEvent) -> Option<Effect> {
         let now = self.inst();
+        let (shards, every) = (self.shards, self.snapshot_every);
         let (next, effects) = role::step(&self.nodes[node].state, self.now_ms, event);
         let this = &mut self.nodes[node];
         for effect in &effects {
             match effect {
                 Effect::Persist { sidecar, .. } => this.sidecar = sidecar.clone(),
                 Effect::PromoteShards => {
-                    // What `Node::promote_shards` does, journals for
-                    // files: replay, merge, restore (whose covering
-                    // snapshot pushes the ship base past 0, so a
-                    // cursor-0 rejoiner starts with an install).
-                    let tables: Vec<TaskTable> =
-                        this.journals.iter().map(Journal::replay).collect();
-                    let merged = merge(&tables, self.shards);
-                    restore_shards(&mut this.services, Vec::new(), merged, now);
+                    // What `Node::promote_shards` and each worker's
+                    // `Promote` do: release the follower's logs, recover
+                    // the directory, restore every shard (whose covering
+                    // snapshot pushes the ship base past 0, so a cursor-0
+                    // rejoiner starts with an install).
+                    this.wals.clear();
+                    let restores = recover_shards(&this.dir, shards, every, &this.metrics)
+                        .expect("a promotion recovers its shard directory");
+                    restore_shards(&mut this.services, restores, now);
                 }
                 Effect::DemoteShards => {
+                    // What each worker's `Demote` and then
+                    // `Node::demote_shards` do, and the fresh mirrors the
+                    // follower loop starts with.
                     this.services.iter_mut().for_each(Service::demote);
-                    this.journals = vec![Journal::default(); self.shards];
+                    this.wals = wipe_shards(&this.dir, shards, every)
+                        .expect("a demotion wipes its shard directory");
+                    this.mirrors = vec![TaskTable::default(); shards];
+                    this.installed = false;
                 }
                 Effect::Publish { role, epoch, .. } => {
                     // The ordering rule the daemon's safety rests on,
@@ -384,6 +416,13 @@ impl SimCluster {
         }
         this.state = next;
         effects.into_iter().last()
+    }
+
+    /// What `follower::restart` does: the shard's mirror and pull cursor
+    /// go home, so the next pull re-installs it from the leader.
+    fn restart(&mut self, node: usize, shard: usize) {
+        self.nodes[node].mirrors[shard] = TaskTable::default();
+        self.drive(node, RoleEvent::CursorLost { shard });
     }
 
     /// Advance virtual time by `ms`, one millisecond at a time: ticking
@@ -505,13 +544,15 @@ impl SimCluster {
                         boot,
                         next,
                     };
+                    // `follower::take_chunk`, with this node's logs.
                     if self.drive(to, header) == Some(Effect::ApplyChunk) {
-                        let journal = &mut self.nodes[to].journals[shard];
-                        if let Some(blob) = chunk.snapshot {
-                            journal.snapshot = Some(blob);
-                            journal.frames.clear();
+                        let this = &mut self.nodes[to];
+                        let (wal, mirror) = (&mut this.wals[shard], &mut this.mirrors[shard]);
+                        if land_chunk(wal, mirror, &chunk, shard, &this.metrics) {
+                            this.installed |= chunk.snapshot.is_some();
+                        } else {
+                            self.restart(to, shard);
                         }
-                        journal.frames.extend(chunk.frames);
                     }
                 }
                 SimMsg::NotLeader { hint } => {
@@ -559,23 +600,31 @@ impl SimCluster {
         })
     }
 
-    /// Bit rot lands on one journal: the snapshot blob is lost and a
-    /// suffix of the frames is destroyed — the sim twin of a mid-log CRC
-    /// failure on disk.
-    pub fn corrupt_journal(&mut self, node: usize, shard: usize) {
-        let journal = &mut self.nodes[node].journals[shard];
-        journal.snapshot = None;
-        let keep = journal.frames.len() / 2;
-        journal.frames.truncate(keep);
+    /// Bit rot lands on one of a node's shard files: a byte of the log's
+    /// first frame flips (a checksum failure mid-log), or of the snapshot
+    /// document when the log holds no frame.
+    pub fn corrupt_shard(&mut self, node: usize, shard: usize) {
+        let dir = &self.nodes[node].dir;
+        let log = dir.join(shard_log_name(shard));
+        let (path, at) = match std::fs::metadata(&log) {
+            Ok(meta) if meta.len() > 8 => (log, 8),
+            _ => (dir.join(shard_snapshot_name(shard)), 0),
+        };
+        let mut bytes = std::fs::read(&path).expect("a shard file to rot");
+        bytes[at] ^= 0xFF;
+        std::fs::write(&path, bytes).expect("the rotted shard file is written");
     }
 
-    /// What the follower does on detection: drop the journal wholesale
-    /// (the snapshot install it waits for replaces it anyway) and send
-    /// the pull cursor home so the next pulls re-install the shard from
-    /// the leader.
-    pub fn scrub_repair(&mut self, node: usize, shard: usize) {
-        self.nodes[node].journals[shard] = Journal::default();
-        self.drive(node, RoleEvent::CursorLost { shard });
+    /// What the follower loop does on its scrub cadence: one
+    /// `wal::scrub_pass` over the node's directory, and a restart of
+    /// every shard it flags. Returns the flagged shards.
+    pub fn scrub_repair(&mut self, node: usize) -> Vec<usize> {
+        let this = &self.nodes[node];
+        let rotten = wal::scrub_pass(&this.dir, self.shards, &this.metrics);
+        for &shard in &rotten {
+            self.restart(node, shard);
+        }
+        rotten
     }
 
     /// Summed `(admitted, completed, dead_lettered, outstanding)` over a
@@ -602,6 +651,9 @@ impl SimCluster {
 mod tests {
     use super::*;
 
+    /// A cadence no test reaches: no compaction beyond the boot snapshot.
+    const LOOSE: u64 = 1_000_000;
+
     fn promoted(sim: &SimCluster) -> bool {
         sim.state(1).role() == Role::Leader
     }
@@ -618,7 +670,7 @@ mod tests {
                 min_delay_ms: 1,
                 max_delay_ms: 9,
             };
-            let mut sim = SimCluster::new(seed, 2, 400, 10, knobs);
+            let mut sim = SimCluster::new(seed, 2, 400, 10, LOOSE, knobs);
             let mut tasks = Vec::new();
             for round in 0..30 {
                 if let Some(task) = sim.submit(0) {
@@ -652,7 +704,7 @@ mod tests {
     /// it — with the promoted epoch strictly higher.
     #[test]
     fn partition_during_promotion_fences_the_stale_leader() {
-        let mut sim = SimCluster::new(7, 1, 200, 10, SimKnobs::default());
+        let mut sim = SimCluster::new(7, 1, 200, 10, LOOSE, SimKnobs::default());
         for _ in 0..5 {
             sim.submit(0);
             sim.step(5);
@@ -680,7 +732,7 @@ mod tests {
     /// follower provably unpromoted, by its epoch) resumes writes.
     #[test]
     fn partitioned_leader_suspends_writes_before_the_follower_promotes() {
-        let mut sim = SimCluster::new(42, 1, 200, 10, SimKnobs::default());
+        let mut sim = SimCluster::new(42, 1, 200, 10, LOOSE, SimKnobs::default());
         for _ in 0..5 {
             sim.submit(0);
             sim.step(5);
@@ -706,7 +758,7 @@ mod tests {
         // TTL than its follower, so it can heal between the suspension
         // and the promotion: the follower's same-epoch pulls prove it
         // never claimed leadership, so writes resume.
-        let mut sim = SimCluster::new(42, 1, 200, 10, SimKnobs::default());
+        let mut sim = SimCluster::new(42, 1, 200, 10, LOOSE, SimKnobs::default());
         if let role::Mode::Leader { ttl_ms, .. } = &mut sim.nodes[0].state.mode {
             *ttl_ms = 100;
         }
@@ -731,7 +783,7 @@ mod tests {
             min_delay_ms: 1,
             max_delay_ms: 12,
         };
-        let mut sim = SimCluster::new(0xD0_D0, 1, 300, 10, knobs);
+        let mut sim = SimCluster::new(0xD0_D0, 1, 300, 10, LOOSE, knobs);
         let mut tasks = Vec::new();
         for _ in 0..12 {
             if let Some(t) = sim.submit(0) {
@@ -755,8 +807,7 @@ mod tests {
     /// snapshot install, not a frame gap.
     #[test]
     fn lagging_follower_resyncs_through_a_snapshot() {
-        let mut sim = SimCluster::new(0x51AB, 1, 500, 10, SimKnobs::default());
-        sim.set_snapshot_every(8);
+        let mut sim = SimCluster::new(0x51AB, 1, 500, 10, 8, SimKnobs::default());
         sim.set_partitioned(true);
         // Everything below happens beyond the follower's sight; the
         // leader compacts at least once (>= 8 records).
@@ -793,8 +844,7 @@ mod tests {
     fn fenced_ex_leader_rejoins_and_resyncs_within_two_ttls() {
         for seed in [3u64, 0xA11CE] {
             let ttl = 300u64;
-            let mut sim = SimCluster::new(seed, 2, ttl, 10, SimKnobs::default());
-            sim.set_snapshot_every(4);
+            let mut sim = SimCluster::new(seed, 2, ttl, 10, 4, SimKnobs::default());
             let mut tasks = Vec::new();
             for _ in 0..12 {
                 if let Some(t) = sim.submit(0) {
@@ -839,9 +889,10 @@ mod tests {
         }
     }
 
-    /// Bit rot on a follower journal mid-run: the scrub drops the shard's
-    /// journal and resets its cursor, and the re-pull (racing a lossy link
-    /// and fresh traffic) converges back to the leader's exact ledger.
+    /// Bit rot in a follower's shard file mid-run: the scrub finds the
+    /// flipped byte and resets the shard's cursor, and the re-pull (racing
+    /// a lossy link and fresh traffic) installs the leader's snapshot over
+    /// the rot and converges back to the leader's exact ledger.
     #[test]
     fn scrub_repair_recovers_a_rotted_journal_under_loss() {
         for seed in [9u64, 0xC0FFEE] {
@@ -851,8 +902,7 @@ mod tests {
                 min_delay_ms: 1,
                 max_delay_ms: 7,
             };
-            let mut sim = SimCluster::new(seed, 2, 400, 10, knobs);
-            sim.set_snapshot_every(4);
+            let mut sim = SimCluster::new(seed, 2, 400, 10, 4, knobs);
             let mut tasks = Vec::new();
             for _ in 0..14 {
                 if let Some(t) = sim.submit(0) {
@@ -868,8 +918,12 @@ mod tests {
             // the real follower's single-threadedness: no chunk pulled
             // before the scrub is applied after it.
             sim.set_partitioned(true);
-            sim.corrupt_journal(1, 0);
-            sim.scrub_repair(1, 0);
+            sim.corrupt_shard(1, 0);
+            assert_eq!(
+                sim.scrub_repair(1),
+                [0],
+                "seed {seed}: the scrub missed the rot"
+            );
             sim.set_partitioned(false);
             // More traffic while the repair races the lossy link.
             for _ in 0..6 {
@@ -908,8 +962,7 @@ mod tests {
         let _gate = crate::failpoint::test_gate();
         crate::failpoint::disarm_all();
         let seed = 0xFA11u64;
-        let mut sim = SimCluster::new(seed, 1, 300, 10, SimKnobs::default());
-        sim.set_snapshot_every(4);
+        let mut sim = SimCluster::new(seed, 1, 300, 10, 4, SimKnobs::default());
         let spec = format!("seed=7;repl.ship.push@{}=skip%250", sim.ship_scope());
         crate::failpoint::arm(&spec).expect("spec parses");
         let mut tasks = Vec::new();
@@ -974,12 +1027,10 @@ mod tests {
                 dup_permille: loss_permille,
                 ..SimKnobs::default()
             };
-            let mut sim = SimCluster::new(seed, shards, 200, 20, knobs);
-            if tight_snapshots {
-                // Compaction outruns a fresh follower: force the snapshot
-                // install path rather than a pure frame replay.
-                sim.set_snapshot_every(4);
-            }
+            // Tight: compaction outruns a fresh follower, forcing the
+            // snapshot install path rather than a pure frame replay.
+            let every = if tight_snapshots { 4 } else { LOOSE };
+            let mut sim = SimCluster::new(seed, shards, 200, 20, every, knobs);
             let mut tasks: Vec<u64> = Vec::new();
             for (op, x) in ops {
                 let x = x as usize;
@@ -1038,5 +1089,66 @@ mod tests {
             }
             assert!(sim.conserved(1), "post-failover traffic broke conservation");
         });
+    }
+
+    /// `(task, app, state, attempts)` of every row, in id order.
+    type Rows = Vec<(u64, String, crate::table::RecState, u32)>;
+
+    /// The rows a node's shards hold live.
+    fn live_rows(sim: &SimCluster, node: usize) -> Rows {
+        let services = &sim.nodes[node].services;
+        let mut rows: Rows = services
+            .iter()
+            .flat_map(|svc| svc.table().iter())
+            .map(|r| (r.task, r.app, r.state, r.attempts))
+            .collect();
+        rows.sort_by_key(|row| row.0);
+        rows
+    }
+
+    /// The rows `recover_dir` replays from a node's shard directory: what
+    /// its promotion would restore.
+    fn replayed_rows(sim: &SimCluster, node: usize) -> Rows {
+        let (dir, every) = (&sim.nodes[node].dir, sim.snapshot_every);
+        let (_, merged) = crate::shard::recover_dir(dir, sim.shards, every, &|_| None).unwrap();
+        let rows = merged.tasks.into_iter().map(|t| t.rec);
+        rows.map(|r| (r.task, r.app, r.state, r.attempts)).collect()
+    }
+
+    /// Live == replayed: once the follower has caught up over a lossy
+    /// link, its shard files replay to the leader's live task table — the
+    /// same ids, apps, states and attempts — whether they hold every
+    /// shipped frame (loose cadence) or the follower's own compactions
+    /// and the leader's snapshot installs (tight).
+    #[test]
+    fn a_synced_followers_shard_files_replay_the_leaders_live_table() {
+        for (seed, every) in [(0x11FE_u64, LOOSE), (0x7161, 3)] {
+            let knobs = SimKnobs {
+                drop_permille: 100,
+                dup_permille: 100,
+                min_delay_ms: 1,
+                max_delay_ms: 6,
+            };
+            let mut sim = SimCluster::new(seed, 2, 400, 10, every, knobs);
+            let mut tasks = Vec::new();
+            for round in 0..24 {
+                if let Some(task) = sim.submit(0) {
+                    tasks.push(task);
+                }
+                if let Some(&task) = tasks.get(round / 2).filter(|_| round % 2 == 1) {
+                    sim.complete(0, task);
+                }
+                sim.step(5);
+            }
+            sim.set_knobs(SimKnobs::default());
+            assert!(sim.run_until_synced(5_000), "seed {seed}: never synced");
+            let live = live_rows(&sim, 0);
+            assert!(live.len() >= 20, "seed {seed}: too little traffic");
+            assert_eq!(
+                replayed_rows(&sim, 1),
+                live,
+                "seed {seed}: live != replayed"
+            );
+        }
     }
 }

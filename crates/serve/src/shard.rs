@@ -126,37 +126,27 @@ pub struct MergedRecovery {
 
 impl MergedRecovery {
     /// The arguments of each shard's [`Service::restore`], shard 0 first:
-    /// its log (`wals` may be empty — the replication sim keeps none),
-    /// the rows homed to it, the global id high-water mark.
-    pub fn per_shard(
-        self,
-        wals: Vec<Wal>,
-        shards: usize,
-    ) -> impl Iterator<Item = (Option<Wal>, Vec<TaskRow>, u64)> {
+    /// the log [`recover_dir`] opened for it, the rows homed to it, the
+    /// global id high-water mark.
+    pub fn per_shard(self, wals: Vec<Wal>) -> impl Iterator<Item = (Wal, Vec<TaskRow>, u64)> {
         let next_task_id = self.next_task_id;
-        let mut rows: Vec<Vec<TaskRow>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut rows: Vec<Vec<TaskRow>> = wals.iter().map(|_| Vec::new()).collect();
         for task in self.tasks {
             rows[task.home].push(task.rec);
         }
-        let wals = wals
-            .into_iter()
-            .map(Some)
-            .chain(std::iter::repeat_with(|| None));
-        wals.zip(rows)
+        wals.into_iter()
+            .zip(rows)
             .map(move |(wal, rows)| (wal, rows, next_task_id))
     }
 }
 
-/// [`Service::restore`] every shard from a merged recovery: how a
-/// [`recover_dir`] result (or, in the replication sim, a [`merge`] of
-/// replayed journals) becomes running shards.
+/// [`Service::restore`] every shard, shard 0 first, from what
+/// [`MergedRecovery::per_shard`] hands out.
 pub fn restore_shards(
     services: &mut [Service],
-    wals: Vec<Wal>,
-    recovery: MergedRecovery,
+    restores: impl IntoIterator<Item = (Wal, Vec<TaskRow>, u64)>,
     now: Instant,
 ) {
-    let restores = recovery.per_shard(wals, services.len());
     for (svc, (wal, rows, next_task_id)) in services.iter_mut().zip(restores) {
         svc.restore(wal, rows, next_task_id, now);
     }
@@ -198,7 +188,7 @@ pub fn recover_dir(
 /// shards: per task id the row that outranks the others survives, homed
 /// on [`stride_shard`] of its id. Two rows for one id come only from a
 /// directory an older build's work-steal wrote to.
-pub fn merge(tables: &[TaskTable], shards: usize) -> MergedRecovery {
+fn merge(tables: &[TaskTable], shards: usize) -> MergedRecovery {
     let mut merged: BTreeMap<u64, TaskRow> = BTreeMap::new();
     for rec in tables.iter().flat_map(TaskTable::iter) {
         match merged.get(&rec.task) {

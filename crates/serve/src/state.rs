@@ -380,16 +380,6 @@ impl Service {
         self.shipper = Some(ship);
     }
 
-    /// Override the snapshot/compaction cadence after construction (the
-    /// replication sim harness uses tiny cadences to force snapshot
-    /// installs in small tests).
-    pub fn set_snapshot_every(&mut self, every: u64) {
-        self.cfg.wal_snapshot_every = every;
-        if let Some(wal) = self.wal.as_mut() {
-            wal.set_snapshot_every(every);
-        }
-    }
-
     /// Build a single-shard service and, when `cfg.wal_dir` is set,
     /// [`restore`](Service::restore) it from everything that directory
     /// holds.
@@ -405,30 +395,24 @@ impl Service {
             let (wals, recovery) = crate::shard::recover_dir(&dir, 1, every, &|_| None)?;
             let replayed = &svc.metrics.wal_replayed_records;
             replayed.store(recovery.replayed_records, Ordering::Relaxed);
-            crate::shard::restore_shards(std::slice::from_mut(&mut svc), wals, recovery, now);
+            let restores = recovery.per_shard(wals);
+            crate::shard::restore_shards(std::slice::from_mut(&mut svc), restores, now);
         }
         Ok(svc)
     }
 
-    /// The one way recovered state enters a shard — at boot, at a
-    /// follower's promotion, in the replication sim alike. Takes over the
-    /// log `rows` were replayed from (if there is one), adopts the rows
-    /// into the blank table and rebuilds queue and counters from them:
-    /// completed and dead-lettered tasks keep their rows, queued tasks
-    /// re-enter the admission queue, and tasks that were leased when the
-    /// previous writer died are requeued with the interrupted attempt
-    /// counted against their budget (or dead-lettered if that spends
-    /// it). No id below `next_task_id` is issued again. The result is
+    /// The one way recovered state enters a shard — at boot and at a
+    /// follower's promotion alike. Takes over the log `rows` were
+    /// replayed from, adopts the rows into the blank table and rebuilds
+    /// queue and counters from them: completed and dead-lettered tasks
+    /// keep their rows, queued tasks re-enter the admission queue, and
+    /// tasks that were leased when the previous writer died are requeued
+    /// with the interrupted attempt counted against their budget (or
+    /// dead-lettered if that spends it). No id below `next_task_id` is issued again. The result is
     /// compacted into a covering snapshot at once, which also gives the
     /// ship log the base a follower at cursor zero installs.
-    pub fn restore(
-        &mut self,
-        wal: Option<Wal>,
-        rows: Vec<TaskRow>,
-        next_task_id: u64,
-        now: Instant,
-    ) {
-        self.wal = wal;
+    pub fn restore(&mut self, wal: Wal, rows: Vec<TaskRow>, next_task_id: u64, now: Instant) {
+        self.wal = Some(wal);
         for row in &rows {
             // A task whose application is no longer profiled cannot be
             // re-placed; drop it rather than wedge the queue.
@@ -489,18 +473,13 @@ impl Service {
         first + used.div_ceil(self.id_step) * self.id_step
     }
 
-    /// Whether anything persists or ships this shard's records. A plain
-    /// in-memory daemon has neither a WAL nor a shipper, and then no
-    /// record is built, buffered, or counted as pending.
-    fn durable(&self) -> bool {
-        self.wal.is_some() || self.shipper.is_some()
-    }
-
-    /// Log one record, built only when the shard is durable. Inside a
-    /// [`Service::wal_transaction`] it joins the transaction's buffer;
-    /// outside one it is committed on its own.
+    /// Log one record, built only when the shard holds a WAL: a plain
+    /// in-memory daemon, and a shard while its node follows, holds none,
+    /// and then no record is built, buffered, or counted as pending.
+    /// Inside a [`Service::wal_transaction`] it joins the transaction's
+    /// buffer; outside one it is committed on its own.
     fn wal_append(&mut self, build: impl FnOnce(&Self) -> WalRecord) {
-        if !self.durable() {
+        if self.wal.is_none() {
             return;
         }
         let rec = build(self);
@@ -530,8 +509,8 @@ impl Service {
     }
 
     /// True while the open transaction holds records that have not
-    /// reached the disk (or the ship): anything observable produced now
-    /// must wait for the commit.
+    /// reached the disk: anything observable produced now must wait for
+    /// the commit.
     pub(crate) fn wal_pending(&self) -> bool {
         self.wal_txn.as_ref().is_some_and(|buf| !buf.is_empty())
     }
@@ -554,28 +533,28 @@ impl Service {
     /// durability while the disk fails), and the next write that lands
     /// compacts, which puts everything memory holds back on disk.
     fn wal_append_batch(&mut self, recs: &[WalRecord]) {
-        if recs.is_empty() || !self.durable() {
+        if recs.is_empty() {
             return;
         }
         if let Some(buf) = self.wal_txn.as_mut() {
             buf.extend_from_slice(recs);
             return;
         }
-        let mut due = match self.wal.as_mut() {
-            None => false,
-            Some(wal) => match wal.append_batch(recs) {
-                Ok(()) => {
-                    self.metrics
-                        .wal_records
-                        .fetch_add(recs.len() as u64, Ordering::Relaxed);
-                    self.metrics.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
-                    wal.snapshot_due() || self.metrics.degraded(self.shard).is_some()
-                }
-                Err(e) => {
-                    self.write_failed("append", e);
-                    false
-                }
-            },
+        let Some(wal) = self.wal.as_mut() else {
+            return;
+        };
+        let due = match wal.append_batch(recs) {
+            Ok(()) => {
+                self.metrics
+                    .wal_records
+                    .fetch_add(recs.len() as u64, Ordering::Relaxed);
+                self.metrics.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
+                wal.snapshot_due() || self.metrics.degraded(self.shard).is_some()
+            }
+            Err(e) => {
+                self.write_failed("append", e);
+                false
+            }
         };
         // Ship the batch after the fsync attempt, regardless of its
         // outcome: a frame the leader failed to persist may still reach
@@ -584,13 +563,6 @@ impl Service {
         // unshipped would lose acknowledged work on failover.
         if let Some(ship) = &self.shipper {
             ship.push(self.shard, recs);
-            // In WAL-less harnesses (the repl sim) the shipper alone
-            // drives the compaction cadence.
-            if self.wal.is_none()
-                && ship.frames_len(self.shard) as u64 >= self.cfg.wal_snapshot_every
-            {
-                due = true;
-            }
         }
         if due {
             self.write_snapshot();
@@ -652,18 +624,16 @@ impl Service {
     /// the log is truncated. That snapshot covers everything the shard
     /// acked, so it is what heals a degraded shard.
     pub fn write_snapshot(&mut self) {
-        if !self.durable() {
+        let Some(wal) = self.wal.as_mut() else {
             return;
-        }
+        };
         let blob = self.table.encode();
-        if let Some(wal) = self.wal.as_mut() {
-            match wal.install_snapshot_blob(&blob) {
-                Ok(()) => {
-                    self.metrics.wal_snapshots.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.heal(self.shard, "compaction");
-                }
-                Err(e) => self.write_failed("snapshot install", e),
+        match wal.install_snapshot_blob(&blob) {
+            Ok(()) => {
+                self.metrics.wal_snapshots.fetch_add(1, Ordering::Relaxed);
+                self.metrics.heal(self.shard, "compaction");
             }
+            Err(e) => self.write_failed("snapshot install", e),
         }
         // Trim the ship even if the local install failed: the blob was
         // built from live memory and is the authoritative horizon for

@@ -11,8 +11,8 @@
 //! document is this table's [`encode`](TaskTable::encode) /
 //! [`decode`](TaskTable::decode), and [`TaskTable::absorb`] — an
 //! optional covering snapshot, then frames — is the single replay behind
-//! [`crate::wal::Wal::open_shard`], the follower mirror and the
-//! replication sim's journals. What older builds' work-stealing left in a
+//! [`crate::wal::Wal::open_shard`] and the follower mirror. What older
+//! builds' work-stealing left in a
 //! directory (a `migrate` frame, a `"migrated"` row) reads as the queued
 //! task it was; nothing writes either any more.
 //!

@@ -441,11 +441,6 @@ impl Wal {
         self.records_since_snapshot >= self.snapshot_every
     }
 
-    /// Change the snapshot cadence after opening (clamped to >= 1).
-    pub fn set_snapshot_every(&mut self, every: u64) {
-        self.snapshot_every = every.max(1);
-    }
-
     /// Installs a snapshot document (tmp + rename + dir sync) and
     /// truncates the log: the owner's own [`TaskTable::encode`] when it
     /// compacts, the leader's when a lagging follower adopts its

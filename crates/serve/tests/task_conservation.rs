@@ -238,7 +238,7 @@ fn open_shards(dir: &Path, shards: usize, now: Instant) -> Vec<Service> {
         .collect();
     let (wals, recovery) =
         recover_dir(dir, shards, base.wal_snapshot_every, &|_| None).expect("recover shards");
-    restore_shards(&mut services, wals, recovery, now);
+    restore_shards(&mut services, recovery.per_shard(wals), now);
     services
 }
 

@@ -212,17 +212,6 @@ impl Matrix {
         out
     }
 
-    /// Appends a column on the right, returning a new matrix.
-    pub fn hstack_col(&self, col: &[f64]) -> Matrix {
-        assert_eq!(col.len(), self.rows, "hstack_col length mismatch");
-        let mut out = Matrix::zeros(self.rows, self.cols + 1);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out[(r, self.cols)] = col[r];
-        }
-        out
-    }
-
     /// Scales every element by `s` in place.
     pub fn scale_in_place(&mut self, s: f64) {
         for v in &mut self.data {
@@ -456,15 +445,6 @@ mod tests {
         let c = m.select_columns(&[2, 0]);
         assert_eq!(c.row(0), &[3.0, 1.0]);
         assert_eq!(c.row(1), &[6.0, 4.0]);
-    }
-
-    #[test]
-    fn hstack_col_appends() {
-        let m = Matrix::from_rows(&[vec![1.0], vec![2.0]]);
-        let h = m.hstack_col(&[9.0, 8.0]);
-        assert_eq!(h.shape(), (2, 2));
-        assert_eq!(h[(0, 1)], 9.0);
-        assert_eq!(h[(1, 1)], 8.0);
     }
 
     #[test]

@@ -197,6 +197,12 @@ for f in crates/serve/src/*.rs crates/serve/src/*/*.rs; do
     [ -z "$found" ] || fail "$f builds a testbed in shipped code (no test harness in shipped code)"$'\n'"$found"
 done
 
+# One durability path: a shard is durable only through its `Wal`, and
+# the replication harness runs the daemon's WAL code with the cadence it
+# was built with. The knobs that kept a WAL-less copy alive stay gone.
+forbid "a WAL-less durability knob came back (one durability path)" \
+    -rnE 'set_snapshot_every|frames_len' crates/serve/src
+
 # Every committed `BENCH_*.json` has the layout `scripts/pairs.sh` writes.
 for f in BENCH_*.json; do
     [ -e "$f" ] || continue
