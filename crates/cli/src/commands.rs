@@ -69,14 +69,18 @@ COMMANDS:
                            --addr takes a comma-separated failover list so a
                            restarted daemon may come back on another port;
                            [--settle-timeout-ms N=30000] bounds the final
-                           wait for all work to reach a terminal state;
+                           wait for all work to reach a terminal state.
+                           Orphaned tasks come back only when their lease
+                           lapses, so serve's --lease-ms plus predicted
+                           seconds x --lease-per-s-ms must sit well below
+                           the settle timeout (CI: --lease-ms 1000
+                           --lease-per-s-ms 0);
                            [--failpoints SPEC] arms server-side fault
                            injection over the fail verb for the run, e.g.
                            wal.append.sync=err%50;seed=7 — the report
                            pairs faults injected with faults observed)
   drain      Ask a running tracond to stop admitting work and exit when idle
              --addr HOST:PORT
-  table1     Reproduce the paper's motivating interference table
   apps       List the benchmark suite
   help       Show this message
 ";
@@ -702,27 +706,6 @@ fn chaos(args: &Args, addr: &str) -> Result<String, String> {
     Ok(report.render())
 }
 
-/// `tracon table1`
-pub fn table1(_args: &Args) -> Result<String, String> {
-    use tracon_dcsim::experiments::table1;
-    let t = table1::run(HostConfig::testbed(), 1);
-    let mut out = String::new();
-    writeln!(out, "normalized App1 runtime under App2 interference:").unwrap();
-    write!(out, "{:10}", "App1\\App2").unwrap();
-    for c in t.columns {
-        write!(out, " {c:>14}").unwrap();
-    }
-    writeln!(out).unwrap();
-    for row in &t.rows {
-        write!(out, "{:10}", row.app1).unwrap();
-        for v in row.cells {
-            write!(out, " {v:14.2}").unwrap();
-        }
-        writeln!(out).unwrap();
-    }
-    Ok(out)
-}
-
 /// `tracon apps`
 pub fn apps(_args: &Args) -> Result<String, String> {
     let mut out = String::new();
@@ -758,7 +741,6 @@ pub fn run(args: &Args) -> Result<String, String> {
         Some("schedule") => schedule(args),
         Some("simulate") => simulate(args),
         Some("experiment") => experiment(args),
-        Some("table1") => table1(args),
         Some("apps") => apps(args),
         Some("serve") => serve(args),
         Some("submit") => submit(args),
@@ -872,13 +854,6 @@ mod tests {
         let out = experiment(&parse_str("experiment ext_storage")).unwrap();
         assert!(out.contains("==== ext_storage"), "{out}");
         assert!(out.contains("SATA disk"), "{out}");
-    }
-
-    #[test]
-    fn table1_runs() {
-        let out = table1(&parse_str("table1")).unwrap();
-        assert!(out.contains("SeqRead"));
-        assert!(out.contains("Calc"));
     }
 
     #[test]

@@ -12,9 +12,6 @@ use crate::setup::Testbed;
 use tracon_core::Objective;
 use tracon_stats::Summary;
 
-/// Cluster sizes swept (paper: 8 to 1,024).
-pub const MACHINE_COUNTS: [usize; 8] = [8, 16, 32, 64, 128, 256, 512, 1024];
-
 /// One Fig 8 data point.
 #[derive(Debug, Clone)]
 pub struct Fig8Point {

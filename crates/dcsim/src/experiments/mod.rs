@@ -1,5 +1,6 @@
 //! Experiment drivers: one per table and figure of the paper's
-//! evaluation (Section 4). Each driver is a pure function from a built
+//! evaluation (Section 4), with Figs 9-12 as four rows of one
+//! [`sweep`]. Each driver is a pure function from a built
 //! [`Testbed`] (plus experiment parameters) to a structured result whose
 //! `render` method emits the same rows/series the paper reports. The
 //! [`registry`] module lists all drivers as [`registry::Experiment`]
@@ -9,15 +10,11 @@ pub mod ext_ablation;
 pub mod ext_adaptive;
 pub mod ext_density;
 pub mod ext_storage;
-pub mod fig10;
-pub mod fig11;
-pub mod fig12;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5_6;
 pub mod fig7;
 pub mod fig8;
-pub mod fig9;
 pub mod registry;
 pub mod sweep;
 pub mod table1;
@@ -68,7 +65,8 @@ impl ExperimentConfig {
             seed: 0xF1605,
             lambdas: vec![5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0],
             machine_counts: vec![8, 16, 32, 64, 128, 256, 512, 1024],
-            machines: sweep::MACHINES,
+            // Paper: 64 machines.
+            machines: 64,
             sweep_repetitions: 3,
             ext_time_scale: 0.25,
         }

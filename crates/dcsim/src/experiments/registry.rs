@@ -8,8 +8,9 @@
 //! campaign.
 
 use super::{
-    ext_ablation, ext_adaptive, ext_density, ext_storage, fig10, fig11, fig12, fig3, fig4, fig5_6,
-    fig7, fig8, fig9, table1, ExperimentConfig,
+    ext_ablation, ext_adaptive, ext_density, ext_storage, fig3, fig4, fig5_6, fig7, fig8,
+    sweep::{self, Figure, FIG10, FIG11, FIG12, FIG9, HORIZON_S, LAMBDA},
+    table1, ExperimentConfig,
 };
 use crate::setup::Testbed;
 use std::sync::OnceLock;
@@ -82,6 +83,28 @@ fn run_ext_adaptive(cfg: &ExperimentConfig, _tb: &TestbedCache<'_>) -> String {
     ext_adaptive::run(&a_cfg).render()
 }
 
+/// Runs one figure of the dynamic sweep at the configuration's
+/// repetitions and seed.
+fn run_sweep(
+    cfg: &ExperimentConfig,
+    tb: &TestbedCache<'_>,
+    figure: &Figure,
+    machine_counts: &[usize],
+    lambdas: &[f64],
+) -> String {
+    let (reps, seed) = (cfg.sweep_repetitions, cfg.seed);
+    sweep::run(
+        tb.get(),
+        figure,
+        machine_counts,
+        lambdas,
+        HORIZON_S,
+        reps,
+        seed,
+    )
+    .render()
+}
+
 /// Every experiment of the evaluation, in the paper's presentation
 /// order (motivation, models, schedulers, scale, extensions).
 pub static REGISTRY: &[Experiment] = &[
@@ -118,34 +141,22 @@ pub static REGISTRY: &[Experiment] = &[
     Experiment {
         name: "fig9",
         description: "dynamic normalized throughput vs arrival rate (MIBS/MIOS/MIX)",
-        run: |cfg, tb| {
-            let reps = cfg.sweep_repetitions;
-            fig9::run(tb.get(), &cfg.lambdas, cfg.machines, reps, cfg.seed).render()
-        },
+        run: |cfg, tb| run_sweep(cfg, tb, &FIG9, &[cfg.machines], &cfg.lambdas),
     },
     Experiment {
         name: "fig10",
         description: "MIBS queue lengths vs arrival rate",
-        run: |cfg, tb| {
-            let reps = cfg.sweep_repetitions;
-            fig10::run(tb.get(), &cfg.lambdas, cfg.machines, reps, cfg.seed).render()
-        },
+        run: |cfg, tb| run_sweep(cfg, tb, &FIG10, &[cfg.machines], &cfg.lambdas),
     },
     Experiment {
         name: "fig11",
         description: "scalability: normalized throughput vs machine count",
-        run: |cfg, tb| {
-            let reps = cfg.sweep_repetitions;
-            fig11::run(tb.get(), &cfg.machine_counts, fig11::LAMBDA, reps, cfg.seed).render()
-        },
+        run: |cfg, tb| run_sweep(cfg, tb, &FIG11, &cfg.machine_counts, &[LAMBDA]),
     },
     Experiment {
         name: "fig12",
         description: "MIBS queue lengths vs machine count",
-        run: |cfg, tb| {
-            let reps = cfg.sweep_repetitions;
-            fig12::run(tb.get(), &cfg.machine_counts, fig11::LAMBDA, reps, cfg.seed).render()
-        },
+        run: |cfg, tb| run_sweep(cfg, tb, &FIG12, &cfg.machine_counts, &[LAMBDA]),
     },
     Experiment {
         name: "ext_storage",

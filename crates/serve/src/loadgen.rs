@@ -596,14 +596,25 @@ impl ChaosReport {
         } else {
             String::new()
         };
+        let (admitted, completed, dead_lettered) = self.final_counts;
+        let unsettled_line = if self.settled {
+            String::new()
+        } else {
+            format!(
+                "unsettled: {} tasks outstanding at the deadline (admitted - completed - \
+                 dead-lettered); a leased task waits for its lease to expire (serve's \
+                 --lease-ms plus --lease-per-s-ms per predicted second)\n",
+                admitted.saturating_sub(completed + dead_lettered),
+            )
+        };
         format!(
             "chaos: {} submits acked ({} ambiguous, {} backpressure), \
              {} completions ({} refused, {} ambiguous), {} orphaned\n\
              probes: {} garbage, {} oversized, {} partial frames, {} kills, {} reconnects, \
              {} not-leader redirects, {} unexpected replies\n\
              {failpoint_line}conservation: {}/{} checks ok, settled: {} \
-             (admitted {}, completed {}, dead-lettered {})\n\
-             verdict: {}\n",
+             (admitted {admitted}, completed {completed}, dead-lettered {dead_lettered})\n\
+             {unsettled_line}verdict: {}\n",
             self.acked_submits,
             self.ambiguous_submits,
             self.backpressure,
@@ -621,9 +632,6 @@ impl ChaosReport {
             self.conservation_checks - self.conservation_violations,
             self.conservation_checks,
             self.settled,
-            self.final_counts.0,
-            self.final_counts.1,
-            self.final_counts.2,
             if self.passed() { "PASS" } else { "FAIL" },
         )
     }
@@ -965,4 +973,28 @@ fn fetch_apps(client: &mut Client) -> Result<Vec<String>, String> {
         .iter()
         .filter_map(|v| v.as_str().map(str::to_string))
         .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unsettled_report_names_its_outstanding_tasks_and_the_lease() {
+        let mut report = ChaosReport {
+            conservation_checks: 3,
+            settled: true,
+            final_counts: (306, 290, 10),
+            ..ChaosReport::default()
+        };
+        let settled = report.render();
+        assert!(!settled.contains("unsettled"), "{settled}");
+        assert!(settled.ends_with("verdict: PASS\n"), "{settled}");
+        report.settled = false;
+        let out = report.render();
+        assert!(out.contains("unsettled: 6 tasks outstanding"), "{out}");
+        assert!(out.contains("lease to expire"), "{out}");
+        assert!(out.contains("--lease-ms"), "{out}");
+        assert!(out.ends_with("verdict: FAIL\n"), "{out}");
+    }
 }

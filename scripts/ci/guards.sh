@@ -203,6 +203,12 @@ done
 forbid "a WAL-less durability knob came back (one durability path)" \
     -rnE 'set_snapshot_every|frames_len' crates/serve/src
 
+# One sweep: Figs 9-12 are four `Figure` rows of `experiments::sweep`,
+# evaluated by its one `run` over a (machines, mix, λ) grid. The four
+# driver modules, their result types and the sweep they shared stay gone.
+forbid "a Figs 9-12 driver grew back beside the sweep (one sweep)" \
+    -rnE 'fn dynamic_sweep\b|struct Fig(9|10|11|12)\b|experiments::fig(9|10|11|12)' crates src tests --include='*.rs'
+
 # Every committed `BENCH_*.json` has the layout `scripts/pairs.sh` writes.
 for f in BENCH_*.json; do
     [ -e "$f" ] || continue

@@ -83,35 +83,32 @@ static WORKER_COUNT: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn dynamic_sweep_is_thread_count_invariant() {
-    // The parallel experiment driver fans (mix, lambda) cells out over
+    // The dynamic sweep fans (machines, mix, lambda) cells out over
     // worker threads; every statistic must be bit-identical to the
     // single-threaded sweep regardless of worker count.
     use tracon::core::par;
     use tracon::dcsim::arrival::WorkloadMix;
     use tracon::dcsim::engine::SchedulerKind;
-    use tracon::dcsim::experiments::fig9::dynamic_sweep;
+    use tracon::dcsim::experiments::sweep::{self, Figure};
     use tracon::dcsim::{Testbed, TestbedConfig};
 
     let tb = Testbed::build(&TestbedConfig::small());
+    let figure = Figure {
+        mixes: &[WorkloadMix::Light, WorkloadMix::Medium],
+        schedulers: &[SchedulerKind::Mibs(4), SchedulerKind::Mix(4)],
+        ..sweep::FIG11
+    };
     let _pinned = WORKER_COUNT.lock().unwrap_or_else(|e| e.into_inner());
     let run = |threads: usize| {
         par::override_threads(Some(threads));
-        let points = dynamic_sweep(
-            &tb,
-            4,
-            &[6.0, 12.0],
-            &[WorkloadMix::Light, WorkloadMix::Medium],
-            &[SchedulerKind::Mibs(4), SchedulerKind::Mix(4)],
-            1800.0,
-            2,
-            17,
-        );
+        let points = sweep::run(&tb, &figure, &[4, 6], &[6.0, 12.0], 1800.0, 2, 17).points;
         assert_eq!(par::max_threads(), threads);
         par::override_threads(None);
         points
     };
     let serial = run(1);
     let parallel = run(4);
+    assert_eq!(serial.len(), 16);
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.mix, b.mix);

@@ -25,7 +25,7 @@ use tracon::dcsim::arrival::{poisson_trace, static_batch, ArrivalEvent, Workload
 use tracon::dcsim::engine::{
     ArrivalInfo, CompletionInfo, PlacementInfo, SimObserver, COINCIDENCE_EPS,
 };
-use tracon::dcsim::experiments::sweep::QUEUE_CAPACITY;
+use tracon::dcsim::experiments::sweep::{FIG11, QUEUE_CAPACITY};
 use tracon::dcsim::{PerfTable, IDLE};
 use tracon::{SchedulerKind, SimResult, Simulation, Testbed, TestbedConfig};
 
@@ -354,20 +354,20 @@ fn golden_scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// The traces of `determinism.rs`'s dynamic sweep, seeded as
-/// `experiments::sweep::dynamic_sweep` seeds them, on its 4 machines.
+/// The traces of `determinism.rs`'s dynamic sweep, seeded by the sweep's
+/// own `Figure::trace_seed` (Fig 11's seed step), on its 4 and 6
+/// machines.
 fn sweep_scenarios() -> Vec<Scenario> {
     let mut scenarios = Vec::new();
-    for mix in [WorkloadMix::Light, WorkloadMix::Medium] {
-        for lambda in [6.0, 12.0] {
-            for rep in 0..2u64 {
-                let seed = 17u64
-                    .wrapping_add(rep * 7919)
-                    .wrapping_add((lambda * 10.0) as u64)
-                    .wrapping_add(mix as u64 * 65537);
-                let trace = poisson_trace(lambda, 1800.0, mix, seed);
-                let name = format!("sweep {mix:?} {lambda}/{rep}");
-                scenarios.push(Scenario::new(&name, 4, trace, Some(1800.0)));
+    for machines in [4, 6] {
+        for mix in [WorkloadMix::Light, WorkloadMix::Medium] {
+            for lambda in [6.0, 12.0] {
+                for rep in 0..2u64 {
+                    let seed = FIG11.trace_seed(17, machines, mix, lambda, rep);
+                    let trace = poisson_trace(lambda, 1800.0, mix, seed);
+                    let name = format!("sweep {machines} {mix:?} {lambda}/{rep}");
+                    scenarios.push(Scenario::new(&name, machines, trace, Some(1800.0)));
+                }
             }
         }
     }
