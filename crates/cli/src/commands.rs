@@ -65,7 +65,10 @@ COMMANDS:
              [--concurrency N=8] [--seed N] [--quick] [--idle-conns N=0]
              [--chaos]    (adversarial mode: killed connections, garbage and
                            oversized lines, partial frames, orphaned tasks;
-                           asserts task conservation from daemon counters.
+                           asserts task conservation from daemon counters
+                           and that every acked task it did not orphan ends
+                           completed (a queued one is polled with `task`
+                           and completed once it runs).
                            --addr takes a comma-separated failover list so a
                            restarted daemon may come back on another port;
                            [--settle-timeout-ms N=30000] bounds the final

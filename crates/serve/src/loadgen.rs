@@ -518,8 +518,9 @@ const OVERSIZED_EVERY: usize = 41;
 /// the daemon's lease expiry / dead-letter machinery.
 const ORPHAN_EVERY: usize = 7;
 
-/// What a chaos run observed. `conservation_violations == 0` and
-/// `settled` are the pass criteria; everything else is color.
+/// What a chaos run observed. `conservation_violations == 0`, `settled`
+/// and every acked task the client did not orphan ending `completed` are
+/// the pass criteria; everything else is color.
 #[derive(Clone, Debug, Default)]
 pub struct ChaosReport {
     /// Submits acknowledged (admitted) by the daemon.
@@ -539,6 +540,15 @@ pub struct ChaosReport {
     pub ambiguous_completes: usize,
     /// Placed tasks deliberately never completed.
     pub orphaned: usize,
+    /// Tasks queued at submit that the client completed once a later
+    /// `task` poll found them running.
+    pub late_completions: usize,
+    /// Acked tasks the client did not orphan that ended dead-lettered
+    /// or were still outstanding at the deadline.
+    pub unfinished: usize,
+    /// Acked tasks the answering daemon does not know: a leader acked
+    /// them and died before its follower pulled them.
+    pub unknown: usize,
     /// Garbage lines sent and answered with a structured error.
     pub garbage_probes: usize,
     /// Oversized lines sent and answered with `frame-too-large`.
@@ -571,9 +581,18 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
-    /// Whether the run satisfied the invariant and fully settled.
+    /// Whether the run satisfied the invariant, fully settled and
+    /// completed every acked task it did not orphan. A task the answering
+    /// daemon does not know is forgiven only after a failover redirected
+    /// the client: replication is asynchronous, so a leader's last acks
+    /// can die with it (DESIGN §9); on one daemon an acked task is
+    /// durable and must be known.
     pub fn passed(&self) -> bool {
-        self.conservation_violations == 0 && self.settled && self.conservation_checks > 0
+        self.conservation_violations == 0
+            && self.settled
+            && self.conservation_checks > 0
+            && self.unfinished == 0
+            && (self.unknown == 0 || self.not_leader_redirects > 0)
     }
 
     /// Faults the *client* observed: replies lost to dead connections
@@ -609,7 +628,9 @@ impl ChaosReport {
         };
         format!(
             "chaos: {} submits acked ({} ambiguous, {} backpressure), \
-             {} completions ({} refused, {} ambiguous), {} orphaned\n\
+             {} completions ({} refused, {} ambiguous, {} after queueing), {} orphaned\n\
+             acked and not orphaned: {} unfinished (dead-lettered or outstanding), \
+             {} unknown to the answering daemon\n\
              probes: {} garbage, {} oversized, {} partial frames, {} kills, {} reconnects, \
              {} not-leader redirects, {} unexpected replies\n\
              {failpoint_line}conservation: {}/{} checks ok, settled: {} \
@@ -621,7 +642,10 @@ impl ChaosReport {
             self.completions_acked,
             self.completion_refusals,
             self.ambiguous_completes,
+            self.late_completions,
             self.orphaned,
+            self.unfinished,
+            self.unknown,
             self.garbage_probes,
             self.oversized_probes,
             self.partial_frames,
@@ -658,51 +682,124 @@ impl WireStatus {
     }
 }
 
-/// Report one synthesized completion. A `not_leader` refusal redirects
-/// to the believed leader and retries the completion exactly once; a
-/// second refusal is terminal (a promoted leader requeued the task, so
-/// the old lease is gone — that is the expected outcome). A lost reply
-/// is an ambiguous completion and costs a reconnect.
+/// Reconnect after a lost reply or a `not_leader` refusal, trying the
+/// leader the refusal named (`leader`, remembered in `leader_hint`)
+/// first.
+fn reconnect_to(
+    cfg: &ChaosConfig,
+    client: &mut Client,
+    leader: Option<String>,
+    leader_hint: &mut Option<String>,
+    report: &mut ChaosReport,
+) -> Result<(), String> {
+    if leader.is_some() {
+        *leader_hint = leader;
+    }
+    *client = reconnect(
+        leader_hint.as_deref(),
+        &cfg.addrs,
+        cfg.reconnect_timeout_ms,
+        &mut report.reconnects,
+    )?;
+    Ok(())
+}
+
+/// Report one synthesized completion; `Ok(true)` when the daemon acked
+/// it. A `not_leader` refusal redirects to the believed leader and
+/// retries the completion exactly once; a second refusal ends this try
+/// (a promoted leader requeued the task, so the old lease is gone — the
+/// task is chased again once it runs). A lost reply is an ambiguous
+/// completion and costs a reconnect.
 fn chaos_complete(
     cfg: &ChaosConfig,
     client: &mut Client,
     complete: Request,
     leader_hint: &mut Option<String>,
     report: &mut ChaosReport,
-) -> Result<(), String> {
-    let reconnect = |hint: &Option<String>, reconnects: &mut usize| {
-        reconnect(
-            hint.as_deref(),
-            &cfg.addrs,
-            cfg.reconnect_timeout_ms,
-            reconnects,
-        )
-    };
-    match client.request(complete.clone()) {
-        Ok(Reply::Ok { .. }) => report.completions_acked += 1,
+) -> Result<bool, String> {
+    let reply = match client.request(complete.clone()) {
         Ok(Reply::Error {
             kind: ErrorKind::NotLeader,
             leader,
             ..
         }) => {
             report.not_leader_redirects += 1;
-            if let Some(addr) = leader.and_then(|h| h.leader_addr) {
-                *leader_hint = Some(addr);
-            }
-            *client = reconnect(leader_hint, &mut report.reconnects)?;
-            match client.request(complete) {
-                Ok(Reply::Ok { .. }) => report.completions_acked += 1,
-                Ok(Reply::Error { .. }) => report.completion_refusals += 1,
-                Err(_) => {
-                    report.ambiguous_completes += 1;
-                    *client = reconnect(leader_hint, &mut report.reconnects)?;
-                }
-            }
+            let leader = leader.and_then(|h| h.leader_addr);
+            reconnect_to(cfg, client, leader, leader_hint, report)?;
+            client.request(complete)
         }
+        reply => reply,
+    };
+    match reply {
+        Ok(Reply::Ok { .. }) => report.completions_acked += 1,
         Ok(Reply::Error { .. }) => report.completion_refusals += 1,
         Err(_) => {
             report.ambiguous_completes += 1;
-            *client = reconnect(leader_hint, &mut report.reconnects)?;
+            reconnect_to(cfg, client, None, leader_hint, report)?;
+        }
+    }
+    Ok(matches!(reply, Ok(Reply::Ok { .. })))
+}
+
+/// One pass over the acked tasks the client still owes a completion
+/// (queued at submit, or whose completion was refused or lost): asks
+/// `task` for each, completes the ones running, and drops the ones that
+/// ended. A task the daemon does not know is counted and dropped; so is
+/// a dead-lettered one.
+fn chase(
+    cfg: &ChaosConfig,
+    client: &mut Client,
+    owed: &mut Vec<u64>,
+    rng: &mut ChaCha12,
+    leader_hint: &mut Option<String>,
+    report: &mut ChaosReport,
+) -> Result<(), String> {
+    let mut i = 0;
+    while i < owed.len() {
+        let task = owed[i];
+        let ended = match client.request(Request::TaskInfo { task }) {
+            Ok(Reply::Ok { result, .. }) => match result.get("state").and_then(Value::as_str) {
+                Some("completed") => true,
+                Some("dead_lettered") => {
+                    report.unfinished += 1;
+                    true
+                }
+                Some("running") => {
+                    let predicted = result.get("predicted_runtime").and_then(Value::as_f64);
+                    let complete = completion(rng, task, predicted.unwrap_or(1.0));
+                    let acked = chaos_complete(cfg, client, complete, leader_hint, report)?;
+                    report.late_completions += usize::from(acked);
+                    acked
+                }
+                _ => false,
+            },
+            Ok(Reply::Error {
+                kind: ErrorKind::UnknownTask,
+                ..
+            }) => {
+                report.unknown += 1;
+                true
+            }
+            Ok(Reply::Error {
+                kind: ErrorKind::NotLeader,
+                leader,
+                ..
+            }) => {
+                report.not_leader_redirects += 1;
+                let leader = leader.and_then(|h| h.leader_addr);
+                reconnect_to(cfg, client, leader, leader_hint, report)?;
+                false
+            }
+            Ok(Reply::Error { .. }) => false,
+            Err(_) => {
+                reconnect_to(cfg, client, None, leader_hint, report)?;
+                false
+            }
+        };
+        if ended {
+            owed.swap_remove(i);
+        } else {
+            i += 1;
         }
     }
     Ok(())
@@ -782,6 +879,20 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
     let mut rng = ChaCha12::seed_from_u64(cfg.seed);
     // Placed tasks awaiting a synthesized completion: (task, predicted_runtime).
     let mut pending: Vec<(u64, f64)> = Vec::new();
+    // Acked tasks to chase with `task` until they run (see `chase`).
+    let mut owed: Vec<u64> = Vec::new();
+    macro_rules! chase {
+        () => {
+            chase(
+                cfg,
+                &mut client,
+                &mut owed,
+                &mut rng,
+                &mut leader_hint,
+                &mut report,
+            )?
+        };
+    }
     let mut placed_seen = 0usize;
 
     let every = |n: usize, i: usize| i % n == n - 1;
@@ -836,8 +947,11 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         match client.request(Request::Submit { app, demand: None }) {
             Ok(Reply::Ok { result, .. }) => {
                 report.acked_submits += 1;
-                if result.get("state").and_then(Value::as_str) == Some("placed") {
-                    if let Some(task) = result.get("task").and_then(Value::as_u64) {
+                let placed = result.get("state").and_then(Value::as_str) == Some("placed");
+                match result.get("task").and_then(Value::as_u64) {
+                    // Queued: it runs once a slot frees, and is chased.
+                    Some(task) if !placed => owed.push(task),
+                    Some(task) => {
                         placed_seen += 1;
                         if every(ORPHAN_EVERY, placed_seen - 1) {
                             // Never complete this one: the lease must
@@ -851,6 +965,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
                             pending.push((task, predicted));
                         }
                     }
+                    None => {}
                 }
             }
             Ok(Reply::Error {
@@ -889,8 +1004,13 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         while pending.len() > 2 {
             let (task, predicted) = pending.remove(0);
             let complete = completion(&mut rng, task, predicted);
-            chaos_complete(cfg, &mut client, complete, &mut leader_hint, &mut report)?;
+            if !chaos_complete(cfg, &mut client, complete, &mut leader_hint, &mut report)? {
+                owed.push(task);
+            }
         }
+        // A queued task runs once a slot frees, under a lease as short
+        // as the daemon's: chase it after every submit.
+        chase!();
 
         if i % 10 == 9 {
             match wire_status(&mut client) {
@@ -907,17 +1027,21 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         }
     }
 
-    // Flush remaining completions best-effort.
+    // Flush remaining completions.
     for (task, predicted) in pending.drain(..) {
         let complete = completion(&mut rng, task, predicted);
-        chaos_complete(cfg, &mut client, complete, &mut leader_hint, &mut report)?;
+        if !chaos_complete(cfg, &mut client, complete, &mut leader_hint, &mut report)? {
+            owed.push(task);
+        }
     }
 
-    // Settle: wait for the daemon to resolve every non-terminal task —
-    // orphans and requeues drain through lease expiry into completion or
-    // the dead-letter queue. Each poll is also a conservation check.
+    // Settle: complete every owed task as it runs, and wait for the
+    // daemon to resolve every non-terminal task — orphans drain through
+    // lease expiry into the dead-letter queue. Each poll is also a
+    // conservation check.
     let deadline = Instant::now() + Duration::from_millis(cfg.settle_timeout_ms.max(1));
     loop {
+        chase!();
         match wire_status(&mut client) {
             Ok(st) => {
                 report.conservation_checks += 1;
@@ -926,6 +1050,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
                 }
                 report.final_counts = (st.admitted, st.completed, st.dead_lettered);
                 if st.outstanding() == 0 {
+                    // Every owed task has ended: one more pass sorts them.
+                    chase!();
                     report.settled = true;
                     break;
                 }
@@ -937,8 +1063,13 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         if Instant::now() > deadline {
             break;
         }
-        std::thread::sleep(Duration::from_millis(100));
+        std::thread::sleep(Duration::from_millis(if owed.is_empty() {
+            100
+        } else {
+            20
+        }));
     }
+    report.unfinished += owed.len();
     // Collect the server-side injection count, then leave the registry
     // clean. Best effort: the armed node may have died mid-run (that is
     // the point of some torture setups), and the survivor's count is

@@ -20,9 +20,10 @@
 //! how many rows the table holds.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::io;
 
-use crate::json::{self, Value};
+use crate::json::{self, Quoted, Value};
 use crate::wal::WalRecord;
 
 /// The durable state of one task.
@@ -264,23 +265,34 @@ impl TaskTable {
         }
     }
 
-    /// The snapshot document: exactly the bytes of a `snapshot.N.json`.
+    /// The snapshot document: exactly the bytes of a `snapshot.N.json`,
+    /// written straight into one string sized for the rows.
     pub fn encode(&self) -> String {
-        let entries = self.rows.iter().map(|(&task, row)| {
-            json::obj(vec![
-                ("task", json::n(task as f64)),
-                ("app", json::s(self.app_name(row.app))),
-                ("attempts", json::n(f64::from(row.attempts))),
-                ("state", json::s(row.state.name())),
-                ("runtime", json::n(row.runtime)),
-            ])
-        });
-        json::obj(vec![
-            ("v", json::n(1.0)),
-            ("next_task_id", json::n(self.next_task_id as f64)),
-            ("tasks", Value::Arr(entries.collect())),
-        ])
-        .to_string()
+        // A row is 53 bytes of keys, quotes and punctuation, its
+        // application's name, and rarely more than 59 bytes of numbers
+        // and state, so the string seldom grows.
+        let longest_app = self.apps.iter().map(String::len).max().unwrap_or(0);
+        let mut out = String::with_capacity(64 + self.rows.len() * (112 + longest_app));
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
+            r#"{{"v":1,"next_task_id":{},"tasks":["#,
+            json::n(self.next_task_id as f64)
+        );
+        for (i, (&task, row)) in self.rows.iter().enumerate() {
+            let _ = write!(
+                out,
+                r#"{}{{"task":{},"app":{},"attempts":{},"state":{},"runtime":{}}}"#,
+                if i == 0 { "" } else { "," },
+                json::n(task as f64),
+                Quoted(self.app_name(row.app)),
+                json::n(f64::from(row.attempts)),
+                Quoted(row.state.name()),
+                json::n(row.runtime)
+            );
+        }
+        out.push_str("]}");
+        out
     }
 
     /// Inverse of [`TaskTable::encode`], with how many entries it could
@@ -349,6 +361,82 @@ mod tests {
             task,
             app: format!("app-{}", task % 8),
         }
+    }
+
+    /// The snapshot document as the tree encoder built it, kept as the
+    /// reference for the direct writer.
+    fn tree_document(table: &TaskTable) -> String {
+        let entries = table.rows.iter().map(|(&task, row)| {
+            json::obj(vec![
+                ("task", json::n(task as f64)),
+                ("app", json::s(table.app_name(row.app))),
+                ("attempts", json::n(f64::from(row.attempts))),
+                ("state", json::s(row.state.name())),
+                ("runtime", json::n(row.runtime)),
+            ])
+        });
+        json::obj(vec![
+            ("v", json::n(1.0)),
+            ("next_task_id", json::n(table.next_task_id as f64)),
+            ("tasks", Value::Arr(entries.collect())),
+        ])
+        .to_string()
+    }
+
+    /// Seeded tables with rows in every state, names that need escapes
+    /// and runtimes on both sides of the integer rule encode to the
+    /// tree encoder's bytes.
+    #[test]
+    fn the_document_is_the_bytes_of_the_tree_encoder() {
+        let names = [
+            "grep",
+            "q\"uote\\",
+            "t\tn\nr\r\u{2}\u{7f}",
+            "caf\u{e9}\u{1F600}",
+            "",
+        ];
+        let runtimes = [
+            0.0,
+            -0.0,
+            2.5,
+            0.1,
+            999_999_999_999_999.0,
+            1e15,
+            3.7e17,
+            1e-9,
+        ];
+        let mut rng = tracon_stats::prng::SplitMix64::new(0x5EED_7AB1_E000_0001);
+        assert_eq!(
+            TaskTable::default().encode(),
+            tree_document(&TaskTable::default())
+        );
+        let mut seen = [false; 4];
+        for case in 0..40 {
+            let mut table = TaskTable::default();
+            for _ in 0..rng.below(200) {
+                let task = match rng.below(4) {
+                    0 => rng.next_u64(),
+                    _ => rng.below(1 << 20),
+                };
+                let app = table.intern(names[rng.below(names.len() as u64) as usize]);
+                table.submit(task, app);
+                let attempts = [0, 1, 7, u32::MAX][rng.below(4) as usize];
+                match rng.below(4) {
+                    0 => table.requeue(task, attempts),
+                    1 => table.lease(task, attempts),
+                    2 => table.dead_letter(task, attempts),
+                    _ => {
+                        table.complete(task, runtimes[rng.below(8) as usize] * rng.below(3) as f64)
+                    }
+                }
+            }
+            table.raise_next_task_id(rng.next_u64() >> rng.below(64));
+            for row in table.rows.values() {
+                seen[row.state as usize] = true;
+            }
+            assert_eq!(table.encode(), tree_document(&table), "case {case}");
+        }
+        assert_eq!(seen, [true; 4], "every state encoded");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Crash recovery for tracond: an append-only, fsync'd write-ahead log
-//! with periodic snapshot compaction.
+//! Crash recovery for tracond: an fsync'd write-ahead log with periodic
+//! snapshot compaction.
 //!
 //! Every admission-state transition (submit, lease, requeue, dead-letter,
 //! complete) is appended as one length-prefixed, CRC32-checksummed frame
@@ -29,6 +29,21 @@
 //! {"op":"migrate","task":7,"app":"grep","attempt":1,"from":2,"to":0}  (read only)
 //! ```
 //!
+//! [`Wal::append_batch`] writes each payload straight into one reused
+//! frame buffer — the bytes of [`WalRecord::encode`], which stays as the
+//! replication wire's form — and checksums it with a table-driven
+//! CRC-32. The log is not opened for appending: frames are written at the
+//! log's end into a zero-filled extent that the first append after open
+//! or compaction lays down behind its frames (one `EXTENT_CHUNK`, and
+//! another whenever a batch would cross the extent's end), so a
+//! steady-state `sync_data` flushes data and no change of the file's size.
+//! An all-zero frame header therefore ends the log: replay and scrub stop
+//! there, and a frame that fails its checksum with nothing but zeros
+//! behind it is a torn tail, not rot. Dropping a [`Wal`] (a clean close)
+//! trims the file back to its last frame, so a closed log holds exactly
+//! its frames; one a crash left open carries its zero tail, which an
+//! older build reads as a torn tail.
+//!
 //! Every `snapshot_every` records the service writes its task table
 //! ([`TaskTable::encode`]) into the shard's snapshot file (atomic tmp +
 //! rename) and the log is truncated, bounding both replay time and disk
@@ -36,23 +51,32 @@
 //!
 //! The directory holds one log + snapshot pair **per scheduler shard**
 //! (`wal.0`/`snapshot.0.json` … `wal.N-1`/`snapshot.N-1.json`), each with
-//! a single writer. A task's records all sit in the log of the shard its
+//! a single writer: a handle is dropped before its file is opened again.
+//! A task's records all sit in the log of the shard its
 //! id names. Older builds moved queued tasks between shards and logged a
 //! `migrate` on both sides; such a frame still decodes and replays as
 //! "this task exists, queued", so the merged replay in [`crate::shard`]
 //! collapses the two copies into one.
 
 use crate::failpoint;
-use crate::json::{self, Value};
+use crate::json::{self, Quoted, Value};
 use crate::metrics::{Degraded, Metrics};
 use crate::table::TaskTable;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, IoSlice, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 
 /// Upper bound on one record's payload; anything larger is corruption.
 const MAX_RECORD_BYTES: u32 = 1 << 20;
+
+/// Zeros an append lays down behind its frames when they would cross the
+/// log's zero-filled extent: about one compaction's worth of records at
+/// the default cadence (4 096 records of ~48 bytes).
+const EXTENT_CHUNK: usize = 256 * 1024;
+
+/// The zeros of one extent chunk.
+static ZEROS: [u8; EXTENT_CHUNK] = [0; EXTENT_CHUNK];
 
 /// Log file name for one shard (`wal.3`).
 pub fn shard_log_name(shard: usize) -> String {
@@ -107,18 +131,34 @@ pub fn remove_shard_files(dir: &Path, shard: usize) -> io::Result<()> {
     Ok(())
 }
 
-/// CRC-32 (IEEE 802.3, reflected) — dependency-free, bitwise.
+/// CRC-32 (IEEE 802.3, reflected): one lookup in a 256-entry table per
+/// byte.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC_TABLE[usize::from(crc as u8 ^ b)];
     }
     !crc
 }
+
+/// `CRC_TABLE[i]` is the register after shifting the byte `i` through the
+/// reflected polynomial 0xEDB88320 bit by bit.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
 
 /// One logged admission-state transition.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,6 +263,50 @@ impl WalRecord {
         }
     }
 
+    /// Appends this record's payload to `out`: the bytes
+    /// [`WalRecord::encode`] displays as, written without building the
+    /// tree.
+    fn write_payload(&self, out: &mut Vec<u8>) {
+        let (op, task) = match self {
+            WalRecord::Submit { task, .. } => ("submit", task),
+            WalRecord::Lease { task, .. } => ("lease", task),
+            WalRecord::Requeue { task, .. } => ("requeue", task),
+            WalRecord::DeadLetter { task, .. } => ("dead", task),
+            WalRecord::Complete { task, .. } => ("complete", task),
+            WalRecord::Migrate { task, .. } => ("migrate", task),
+        };
+        let count = |n: u32| json::n(f64::from(n));
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, r#"{{"op":"{op}","task":{}"#, json::n(*task as f64));
+        let _ = match self {
+            WalRecord::Submit { app, .. } => write!(out, r#","app":{}"#, Quoted(app)),
+            WalRecord::Lease { attempt, .. } | WalRecord::Requeue { attempt, .. } => {
+                write!(out, r#","attempt":{}"#, count(*attempt))
+            }
+            WalRecord::DeadLetter { attempts, .. } => {
+                write!(out, r#","attempts":{}"#, count(*attempts))
+            }
+            WalRecord::Complete { runtime, .. } => {
+                write!(out, r#","runtime":{}"#, json::n(*runtime))
+            }
+            WalRecord::Migrate {
+                app,
+                attempt,
+                from,
+                to,
+                ..
+            } => write!(
+                out,
+                r#","app":{},"attempt":{},"from":{},"to":{}"#,
+                Quoted(app),
+                count(*attempt),
+                json::n(*from as f64),
+                json::n(*to as f64)
+            ),
+        };
+        out.push(b'}');
+    }
+
     /// Inverse of [`WalRecord::encode`]; `None` on version skew.
     pub fn decode(v: &Value) -> Option<WalRecord> {
         let task = v.get("task")?.as_u64()?;
@@ -278,6 +362,14 @@ pub struct Wal {
     file: File,
     dir: PathBuf,
     shard: usize,
+    /// Where the next frame goes: the end of the last frame, or past
+    /// whatever a failed append left in the file, as append mode would.
+    end: u64,
+    /// The file's length while open: `end` plus the zeros laid down
+    /// behind it.
+    extent: u64,
+    /// The frames of one batch, reused from batch to batch.
+    frames: Vec<u8>,
     records_since_snapshot: u64,
     snapshot_every: u64,
 }
@@ -287,10 +379,12 @@ enum Frame<'a> {
     /// A whole frame whose checksum verifies: its payload, and where the
     /// next frame starts.
     Sealed(&'a [u8], usize),
-    /// The bytes run out inside the frame: the end of the log, or an
-    /// append still in flight.
+    /// The end of the log: zeros (an all-zero header ends the log), a
+    /// frame that runs past the bytes, or a torn one — an append cut
+    /// short by a crash, or still in flight.
     Tail,
-    /// An implausible length or a checksum mismatch.
+    /// An implausible length, or a frame (a zeroed header included) that
+    /// fails its checksum and is not torn.
     Corrupt,
 }
 
@@ -302,13 +396,17 @@ fn frame_at(buf: &[u8], off: usize) -> Frame<'_> {
         u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
     };
     let (len, crc) = (word(0), word(4));
-    if len == 0 || len > MAX_RECORD_BYTES {
+    if len > MAX_RECORD_BYTES {
         return Frame::Corrupt;
     }
-    match buf.get(off + 8..off + 8 + len as usize) {
+    let next = off + 8 + len as usize;
+    match buf.get(off + 8..next) {
         None => Frame::Tail,
-        Some(payload) if crc32(payload) != crc => Frame::Corrupt,
-        Some(payload) => Frame::Sealed(payload, off + 8 + len as usize),
+        Some(payload) if len > 0 && crc32(payload) == crc => Frame::Sealed(payload, next),
+        // A torn write stops: the frame it cut ends in zeros and only
+        // zeros follow. A frame written whole ends in its payload's `}`.
+        Some(_) if buf[next - 1..].iter().all(|&b| b == 0) => Frame::Tail,
+        Some(_) => Frame::Corrupt,
     }
 }
 
@@ -331,7 +429,8 @@ impl Wal {
     /// Opens (creating if needed) one shard's log in `dir`, replaying its
     /// snapshot + log into a [`Recovery`]. A torn or corrupt tail ends
     /// the replay and is truncated so the next append starts on a clean
-    /// frame boundary.
+    /// frame boundary; so is the zero extent a crash left open, which
+    /// counts as no truncated byte. A cleanly closed log is not written.
     pub fn open_shard(
         dir: &Path,
         shard: usize,
@@ -342,11 +441,11 @@ impl Wal {
         let log_path = dir.join(shard_log_name(shard));
         let mut file = OpenOptions::new()
             .read(true)
+            .write(true)
             .create(true)
-            .append(true)
+            .truncate(false)
             .open(&log_path)?;
         let mut buf = Vec::new();
-        file.seek(SeekFrom::Start(0))?;
         file.read_to_end(&mut buf)?;
         let mut recovery = Recovery::default();
         let mut frames = Vec::new();
@@ -361,7 +460,8 @@ impl Wal {
             valid_end = next;
         }
         if valid_end < buf.len() {
-            recovery.truncated_bytes = (buf.len() - valid_end) as u64;
+            let dropped = buf[valid_end..].iter().rposition(|&b| b != 0);
+            recovery.truncated_bytes = dropped.map_or(0, |last| last as u64 + 1);
             file.set_len(valid_end as u64)?;
             file.sync_data()?;
         }
@@ -372,6 +472,9 @@ impl Wal {
                 file,
                 dir: dir.to_path_buf(),
                 shard,
+                end: valid_end as u64,
+                extent: valid_end as u64,
+                frames: Vec::new(),
                 records_since_snapshot: recovery.replayed_records,
                 snapshot_every: snapshot_every.max(1),
             },
@@ -397,35 +500,38 @@ impl Wal {
         if recs.is_empty() {
             return Ok(());
         }
-        let mut frame = Vec::new();
+        self.frames.clear();
         for rec in recs {
-            let payload = rec.encode().to_string().into_bytes();
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-            frame.extend_from_slice(&payload);
+            let at = self.frames.len();
+            self.frames.extend_from_slice(&[0; 8]);
+            rec.write_payload(&mut self.frames);
+            let payload = &self.frames[at + 8..];
+            let (len, crc) = (payload.len() as u32, crc32(payload));
+            self.frames[at..at + 4].copy_from_slice(&len.to_le_bytes());
+            self.frames[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
         }
         if !failpoint::armed() {
             // The steady state: one relaxed load, no scope string built.
-            self.file.write_all(&frame)?;
+            self.write_frames(self.frames.len())?;
             self.file.sync_data()?;
             self.records_since_snapshot += recs.len() as u64;
             return Ok(());
         }
-        let scope = self.dir.to_string_lossy();
+        let scope = self.dir.to_string_lossy().into_owned();
         match failpoint::should_fail("wal.append.write", &scope) {
             Some(failpoint::Action::Short) => {
                 // A torn write: persist a strict prefix of the frame and
                 // report failure. Once later appends land behind it, the
                 // prefix is mid-file garbage only the scrubber will see.
-                let cut = (frame.len() / 2).max(1);
-                let _ = self.file.write_all(&frame[..cut]);
+                let cut = (self.frames.len() / 2).max(1);
+                let _ = self.write_frames(cut);
                 let _ = self.file.sync_data();
                 return Err(failpoint::injected_error("wal.append.write"));
             }
             Some(_) => return Err(failpoint::injected_error("wal.append.write")),
             None => {}
         }
-        self.file.write_all(&frame)?;
+        self.write_frames(self.frames.len())?;
         match failpoint::should_fail("wal.append.sync", &scope) {
             // A lying fsync: the data may sit in the page cache only.
             Some(failpoint::Action::Skip) => {}
@@ -434,6 +540,36 @@ impl Wal {
         }
         self.records_since_snapshot += recs.len() as u64;
         Ok(())
+    }
+
+    /// Writes the first `len` bytes of the frame buffer at `end` in one
+    /// vectored write, with a chunk of zeros behind them when they would
+    /// cross the extent, and moves `end` past whatever part of them
+    /// reached the file.
+    fn write_frames(&mut self, len: usize) -> io::Result<()> {
+        let lay_down = self.end + len as u64 > self.extent;
+        let zeros: &[u8] = if lay_down { &ZEROS } else { &[] };
+        let mut bufs = [IoSlice::new(&self.frames[..len]), IoSlice::new(zeros)];
+        let mut bufs = &mut bufs[..];
+        let mut done = 0;
+        let mut file = &self.file;
+        let written = file.seek(SeekFrom::Start(self.end)).and_then(|_| {
+            while !bufs.is_empty() {
+                match file.write_vectored(bufs) {
+                    Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                    Ok(n) => {
+                        done += n;
+                        IoSlice::advance_slices(&mut bufs, n);
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            Ok(())
+        });
+        self.extent = self.extent.max(self.end + done as u64);
+        self.end += done.min(len) as u64;
+        written
     }
 
     /// Whether enough records accumulated that the owner should snapshot.
@@ -476,16 +612,28 @@ impl Wal {
             return Err(failpoint::injected_error("wal.snapshot.truncate"));
         }
         self.file.set_len(0)?;
+        (self.end, self.extent) = (0, 0);
         self.file.sync_data()?;
         self.records_since_snapshot = 0;
         Ok(())
     }
 }
 
+/// A clean close trims the zero extent, so a closed log holds exactly
+/// its frames.
+impl Drop for Wal {
+    fn drop(&mut self) {
+        if self.extent > self.end {
+            let _ = self.file.set_len(self.end);
+        }
+    }
+}
+
 /// What one read-only scrub pass over a shard found. The scrubber walks
-/// the *sealed* region of the log — frames fully contained in the file
-/// length observed when the pass started — so it never mistakes an
-/// in-flight append for rot.
+/// the *sealed* region of the log — the frames replay would read, up to
+/// the log's end — and judges what lies past it: zeros, or a torn frame
+/// and zeros, are the tail an append may still be writing; anything
+/// else is rot.
 #[derive(Debug, Clone, Default)]
 pub struct ScrubReport {
     /// Sealed frames whose checksum verified.
@@ -494,7 +642,7 @@ pub struct ScrubReport {
     /// cannot see past it, so everything from here to the sealed end is
     /// unreachable.
     pub corrupt_at: Option<u64>,
-    /// Bytes from `corrupt_at` to the sealed end.
+    /// Bytes from `corrupt_at` to the last non-zero byte of the log.
     pub unreachable_bytes: u64,
     /// The snapshot document failed CRC-equivalent verification (parse).
     pub snapshot_corrupt: bool,
@@ -510,9 +658,9 @@ impl ScrubReport {
 }
 
 /// Re-verifies one shard's snapshot and sealed log frames without
-/// touching either file. Safe to run against a live writer: only frames
-/// fully contained in the length observed at the start of the pass are
-/// judged, and a frame extending past it is an in-flight tail, not rot.
+/// touching either file. Safe to run against a live writer: an append in
+/// flight writes into the zero extent, so the pass reads it as a torn
+/// frame with zeros behind it, which is a tail and not rot.
 pub fn scrub_shard(dir: &Path, shard: usize) -> io::Result<ScrubReport> {
     let mut report = ScrubReport::default();
     match read_snapshot(dir, shard) {
@@ -530,7 +678,6 @@ pub fn scrub_shard(dir: &Path, shard: usize) -> io::Result<ScrubReport> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(report),
         Err(e) => return Err(e),
     };
-    let sealed = buf.len();
     let mut off = 0usize;
     loop {
         match frame_at(&buf, off) {
@@ -538,8 +685,7 @@ pub fn scrub_shard(dir: &Path, shard: usize) -> io::Result<ScrubReport> {
                 report.frames_ok += 1;
                 off = next;
             }
-            // An in-flight tail: the frame extends past the length we
-            // observed; the writer may still be appending it.
+            // The log's end: zeros, or an append in flight or torn.
             Frame::Tail => break,
             // An implausible length header could be a half-written len
             // field; recovery truncates here either way, so it is the
@@ -550,10 +696,11 @@ pub fn scrub_shard(dir: &Path, shard: usize) -> io::Result<ScrubReport> {
             }
         }
     }
-    if let Some(at) = report.corrupt_at {
-        report.unreachable_bytes = sealed as u64 - at;
+    if report.corrupt_at.is_some() {
+        let last = buf.iter().rposition(|&b| b != 0).map_or(off, |i| i + 1);
+        report.unreachable_bytes = (last - off) as u64;
     }
-    report.scanned_bytes += sealed as u64;
+    report.scanned_bytes += buf.len() as u64;
     Ok(report)
 }
 
@@ -597,10 +744,126 @@ mod tests {
         d
     }
 
+    /// The bit-at-a-time CRC-32 the table replaced, kept as its
+    /// reference.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    /// A frame as the tree encoder built it: the payload from
+    /// `encode().to_string()`, checksummed bit by bit.
+    fn tree_frame(rec: &WalRecord) -> Vec<u8> {
+        let payload = rec.encode().to_string().into_bytes();
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32_bitwise(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn table_crc32_matches_the_bitwise_crc32_on_random_buffers() {
+        let mut rng = tracon_stats::prng::SplitMix64::new(0x0C2C_3200_0000_0042);
+        let mut lengths: Vec<usize> = (0..=64).chain([4_095, 4_096]).collect();
+        lengths.extend((0..200).map(|_| rng.below(4_097) as usize));
+        for len in lengths {
+            let buf: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(crc32(&buf), crc32_bitwise(&buf), "length {len}");
+        }
+    }
+
+    /// Every record shape, with names that need escapes and numbers on
+    /// both sides of the integer rule (below 1e15 as digits, else std's
+    /// shortest form), written by one batch, reads back as the frames
+    /// the tree encoder built, byte for byte.
+    #[test]
+    fn appended_frames_are_the_bytes_of_the_tree_encoder() {
+        let apps = [
+            "grep",
+            "",
+            "say \"hi\"\\ back\\slash",
+            "tab\tnew\nline\rcr",
+            "\u{1}\u{1f}\u{7f} ctl",
+            "caf\u{e9} \u{1F600}",
+        ];
+        let runtimes = [
+            0.0,
+            -0.0,
+            3.5,
+            0.1,
+            412.058_311_690_043_6,
+            999_999_999_999_999.0,
+            1e15,
+            1.5e15,
+            -2e16,
+            1e300,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        let tasks = [0, 7, 999_999_999_999_999, 1_000_000_000_000_000, u64::MAX];
+        let mut recs = Vec::new();
+        for (i, &task) in tasks.iter().enumerate() {
+            for app in apps {
+                recs.push(WalRecord::Submit {
+                    task,
+                    app: app.into(),
+                });
+                recs.push(WalRecord::Migrate {
+                    task,
+                    app: app.into(),
+                    attempt: u32::MAX - i as u32,
+                    from: i,
+                    to: usize::MAX >> i,
+                });
+            }
+            for attempt in [0, 1, u32::MAX] {
+                recs.push(WalRecord::Lease { task, attempt });
+                recs.push(WalRecord::Requeue { task, attempt });
+                recs.push(WalRecord::DeadLetter {
+                    task,
+                    attempts: attempt,
+                });
+            }
+            for runtime in runtimes {
+                recs.push(WalRecord::Complete { task, runtime });
+            }
+        }
+        let dir = tmpdir("tree-bytes");
+        let (mut wal, _) = Wal::open(&dir, u64::MAX).unwrap();
+        wal.append_batch(&recs).unwrap();
+        wal.append(&recs[2]).unwrap();
+        drop(wal);
+        let mut want: Vec<u8> = recs.iter().flat_map(tree_frame).collect();
+        want.extend(tree_frame(&recs[2]));
+        let got = std::fs::read(dir.join(shard_log_name(0))).unwrap();
+        assert_eq!(got.len(), want.len());
+        let mut off = 0;
+        for rec in recs.iter().chain([&recs[2]]) {
+            let frame = tree_frame(rec);
+            assert_eq!(
+                String::from_utf8_lossy(&got[off..off + frame.len()]),
+                String::from_utf8_lossy(&frame),
+                "{rec:?}"
+            );
+            off += frame.len();
+        }
+        assert!(got == want);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -961,6 +1224,153 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
         }
         assert!(recovered > 0 && refused > 0, "{recovered} / {refused}");
+    }
+
+    fn submits(tasks: std::ops::Range<u64>) -> Vec<WalRecord> {
+        tasks
+            .map(|task| WalRecord::Submit {
+                task,
+                app: "grep".into(),
+            })
+            .collect()
+    }
+
+    /// A log a crash left open: `n` acked submits in three batches, the
+    /// handle forgotten so the zero extent is never trimmed. Returns the
+    /// frame offsets and the end of the last frame.
+    fn crashed_log(dir: &Path, n: u64) -> (Vec<usize>, usize) {
+        let (mut wal, _) = Wal::open(dir, 1000).unwrap();
+        let recs = submits(0..n);
+        for batch in recs.chunks(recs.len().div_ceil(3)) {
+            wal.append_batch(batch).unwrap();
+        }
+        std::mem::forget(wal);
+        let offsets = recs.iter().scan(0, |off, rec| {
+            let at = *off;
+            *off += tree_frame(rec).len();
+            Some(at)
+        });
+        let offsets: Vec<usize> = offsets.collect();
+        let end = recs.iter().map(|rec| tree_frame(rec).len()).sum();
+        (offsets, end)
+    }
+
+    /// A `kill -9` skips the trim on close: every acked record replays,
+    /// the zeros count as nothing truncated, and scrub is clean before
+    /// and after.
+    #[test]
+    fn a_log_left_open_by_a_crash_reopens_whole_and_scrubs_clean() {
+        let dir = tmpdir("forgotten");
+        let (offsets, end) = crashed_log(&dir, 10);
+        let log = dir.join(shard_log_name(0));
+        let bytes = std::fs::read(&log).unwrap();
+        // The first batch (4 frames) laid one chunk down behind it.
+        assert_eq!(bytes.len(), offsets[4] + EXTENT_CHUNK);
+        assert!(bytes[end..].iter().all(|&b| b == 0));
+        assert!(scrub_shard(&dir, 0).unwrap().clean());
+        let (wal, rec) = Wal::open(&dir, 1000).unwrap();
+        assert_eq!((rec.replayed_records, rec.truncated_bytes), (10, 0));
+        assert_eq!(rec.table.len(), 10);
+        drop(wal);
+        assert_eq!(std::fs::metadata(&log).unwrap().len() as usize, end);
+        let report = scrub_shard(&dir, 0).unwrap();
+        assert!(report.clean(), "{report:?}");
+        assert_eq!(report.frames_ok, 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A torn append leaves a prefix of its frame, zeros behind it: a
+    /// tail, which recovery cuts and scrub never calls rot.
+    #[test]
+    fn a_torn_frame_followed_by_zeros_is_a_tail() {
+        let dir = tmpdir("torn-zeros");
+        let (_, end) = crashed_log(&dir, 6);
+        let log = dir.join(shard_log_name(0));
+        let frame = tree_frame(&submits(6..7)[0]);
+        for cut in [1, 4, 8, 9, frame.len() - 1] {
+            let f = OpenOptions::new().write(true).open(&log).unwrap();
+            std::os::unix::fs::FileExt::write_all_at(&f, &frame[..cut], end as u64).unwrap();
+            let report = scrub_shard(&dir, 0).unwrap();
+            assert!(report.clean(), "cut {cut}: {report:?}");
+            assert_eq!(report.frames_ok, 6, "cut {cut}");
+        }
+        let (wal, rec) = Wal::open(&dir, 1000).unwrap();
+        assert_eq!(rec.replayed_records, 6);
+        assert_eq!(rec.truncated_bytes as usize, frame.len() - 1);
+        drop(wal);
+        assert_eq!(std::fs::metadata(&log).unwrap().len() as usize, end);
+        assert!(scrub_shard(&dir, 0).unwrap().clean());
+        let (_, healed) = Wal::open(&dir, 1000).unwrap();
+        assert_eq!((healed.replayed_records, healed.truncated_bytes), (6, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What is not torn is rot: a zeroed header or a bad frame with
+    /// non-zero bytes behind it, and a last frame that fails its checksum
+    /// though written whole (it ends in its `}`), zeros or not behind it.
+    #[test]
+    fn a_zeroed_header_or_a_bad_frame_before_data_is_rot() {
+        let dir = tmpdir("rot-zeros");
+        let log = dir.join(shard_log_name(0));
+        type Damage = fn(&mut [u8], &[usize]);
+        let cases: [(&str, Damage, usize); 4] = [
+            ("zeroed header", |b, o| b[o[2]..o[2] + 8].fill(0), 2),
+            ("bad payload", |b, o| b[o[2] + 12] ^= 0x20, 2),
+            ("bad length", |b, o| b[o[2]] ^= 0x01, 2),
+            ("bad last frame", |b, o| b[o[5] + 12] ^= 0x20, 5),
+        ];
+        for (what, damage, at) in cases {
+            let _ = std::fs::remove_dir_all(&dir);
+            let (offsets, end) = crashed_log(&dir, 6);
+            let mut bytes = std::fs::read(&log).unwrap();
+            damage(&mut bytes, &offsets);
+            std::fs::write(&log, &bytes).unwrap();
+            let report = scrub_shard(&dir, 0).unwrap();
+            assert_eq!(report.corrupt_at, Some(offsets[at] as u64), "{what}");
+            assert_eq!(report.frames_ok, at as u64, "{what}");
+            assert_eq!(
+                report.unreachable_bytes as usize,
+                end - offsets[at],
+                "{what}"
+            );
+            let (_, rec) = Wal::open(&dir, 1000).unwrap();
+            assert_eq!(rec.replayed_records, at as u64, "{what}");
+            assert!(rec.truncated_bytes > 0, "{what}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Scrub passes beside a writer that keeps appending, and compacting
+    /// now and then, never take the frame in flight for rot.
+    #[test]
+    fn scrub_beside_a_live_writer_never_flags_the_in_flight_frame() {
+        let dir = tmpdir("scrub-live");
+        let (mut wal, _) = Wal::open(&dir, 1000).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut table = TaskTable::default();
+                for i in 0..3_000u64 {
+                    let batch = submits(i * 4..i * 4 + 1 + i % 4);
+                    wal.append_batch(&batch).unwrap();
+                    table.absorb(None, &batch).unwrap();
+                    if wal.snapshot_due() {
+                        wal.install_snapshot_blob(&table.encode()).unwrap();
+                    }
+                }
+                done.store(true, Ordering::Relaxed);
+            });
+            let mut passes = 0;
+            while !done.load(Ordering::Relaxed) || passes < 10 {
+                let report = scrub_shard(&dir, 0).unwrap();
+                assert!(report.clean(), "pass {passes}: {report:?}");
+                passes += 1;
+            }
+        });
+        drop(wal);
+        let (_, rec) = Wal::open(&dir, 1000).unwrap();
+        assert_eq!((rec.truncated_bytes, rec.table.next_task_id()), (0, 12_000));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

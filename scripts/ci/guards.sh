@@ -203,6 +203,18 @@ done
 forbid "a WAL-less durability knob came back (one durability path)" \
     -rnE 'set_snapshot_every|frames_len' crates/serve/src
 
+# A cheap durability stage: a group commit writes each WAL payload
+# straight into its frame buffer and a compaction writes the snapshot
+# document straight into one string, so the shipped write path builds no
+# JSON tree. `WalRecord::encode` stays for the replication wire, and the
+# tree encoders stay as test references.
+for f in crates/serve/src/wal.rs crates/serve/src/state.rs; do
+    found=$(code_of "$f" | matches -nF 'encode().to_string()')
+    [ -z "$found" ] || fail "$f frames a WAL record through a JSON tree (a cheap durability stage)"$'\n'"$found"
+done
+found=$(code_of crates/serve/src/table.rs | matches -nF 'json::obj(')
+[ -z "$found" ] || fail "crates/serve/src/table.rs builds the snapshot as a JSON tree (a cheap durability stage)"$'\n'"$found"
+
 # One sweep: Figs 9-12 are four `Figure` rows of `experiments::sweep`,
 # evaluated by its one `run` over a (machines, mix, λ) grid. The four
 # driver modules, their result types and the sweep they shared stay gone.
