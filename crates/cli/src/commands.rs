@@ -56,32 +56,37 @@ COMMANDS:
              [--testbed FILE | --points N=6 --time-scale F=0.05 --seed N]
   submit     Submit tasks to a running tracond and print the placements
              --addr HOST:PORT --app NAME [--count N=1]
-  loadgen    Drive a running tracond with Poisson load, print latency stats
-             --addr HOST:PORT[,HOST:PORT...]  (extra addresses are tried in
-                           order when the first answers not_leader or a
-                           failover promotes a replica mid-run)
-             [--requests N=100] [--lambda TASKS/MIN=60]
+  loadgen    Drive a running tracond with Poisson load; exits nonzero unless
+             the verdict is PASS: every conservation check held, its work
+             settled (work other clients left is not its to settle), and
+             every acked task it did not orphan ended completed
+             --addr HOST:PORT[,HOST:PORT...]  (a failover list: a lost
+                           connection or a not_leader refusal reconnects to
+                           the named leader, then walks the list, so a
+                           restarted or promoted daemon may answer on
+                           another port)
+             [--requests N=100 (200 with --chaos)] [--lambda TASKS/MIN=60]
              [--mix light|medium|heavy|uniform] [--mode open|closed]
-             [--concurrency N=8] [--seed N] [--quick] [--idle-conns N=0]
-             [--chaos]    (adversarial mode: killed connections, garbage and
-                           oversized lines, partial frames, orphaned tasks;
-                           asserts task conservation from daemon counters
-                           and that every acked task it did not orphan ends
-                           completed (a queued one is polled with `task`
-                           and completed once it runs).
-                           --addr takes a comma-separated failover list so a
-                           restarted daemon may come back on another port;
-                           [--settle-timeout-ms N=30000] bounds the final
-                           wait for all work to reach a terminal state.
-                           Orphaned tasks come back only when their lease
-                           lapses, so serve's --lease-ms plus predicted
-                           seconds x --lease-per-s-ms must sit well below
-                           the settle timeout (CI: --lease-ms 1000
-                           --lease-per-s-ms 0);
-                           [--failpoints SPEC] arms server-side fault
-                           injection over the fail verb for the run, e.g.
-                           wal.append.sync=err%50;seed=7 — the report
-                           pairs faults injected with faults observed)
+             [--concurrency N=8] [--seed N] [--idle-conns N=0]
+             [--quick]    (compress the pacing: 500 arrivals span about a
+                           second instead of 25 s, plus backpressure waits)
+             [--settle-timeout-ms N=30000] bounds the final wait for all work
+                           to reach a terminal state, and a closed run's wait
+                           for a free slot;
+             [--reconnect-timeout-ms N=15000] bounds one reconnect;
+             [--failpoints SPEC] arms server-side fault injection over the
+                           fail verb for the run, e.g.
+                           wal.append.sync=err%50;seed=7 — the report pairs
+                           faults injected with faults observed;
+             [--chaos]    (the same run plus sabotage: killed connections,
+                           garbage and oversized lines, partial frames, and
+                           every 7th placed task orphaned. Orphans come back
+                           only when their lease lapses, so serve's
+                           --lease-ms plus predicted seconds x
+                           --lease-per-s-ms must sit well below the settle
+                           timeout (CI: --lease-ms 1000 --lease-per-s-ms 0).
+                           Without --chaos a run also fails on any reply it
+                           cannot place)
   drain      Ask a running tracond to stop admitting work and exit when idle
              --addr HOST:PORT
   apps       List the benchmark suite
@@ -631,58 +636,11 @@ pub fn drain(args: &Args) -> Result<String, String> {
 pub fn loadgen(args: &Args) -> Result<String, String> {
     use tracon_serve::loadgen::{run as run_loadgen, LoadMode, LoadgenConfig};
 
-    let addr = args.require("addr")?;
-    if args.flag("chaos") {
-        return chaos(args, addr);
-    }
-    let mode = match args.get_or("mode", "open") {
-        "open" => LoadMode::Open,
-        "closed" => LoadMode::Closed,
-        other => return Err(format!("unknown mode '{other}' (open, closed)")),
-    };
-    // Like --chaos, --addr accepts a comma-separated failover list: the
-    // first entry is the primary, the rest are tried in order when a
-    // not_leader redirect (or a dead leader) forces a reconnect.
-    let mut addr_list: Vec<String> = addr
-        .split(',')
-        .filter(|a| !a.is_empty())
-        .map(str::to_string)
-        .collect();
-    if addr_list.is_empty() {
-        return Err("--addr needs at least one HOST:PORT".into());
-    }
-    let primary = addr_list.remove(0);
-    let cfg = LoadgenConfig {
-        addr: primary,
-        addrs: addr_list,
-        requests: args.num_or("requests", 100)?,
-        lambda_per_min: args.num_or("lambda", 60.0)?,
-        mix: mix(args.get_or("mix", "medium"))?,
-        mode,
-        concurrency: args.num_or("concurrency", 8)?,
-        seed: args.num_or("seed", 0x10AD)?,
-        quick: args.flag("quick"),
-        idle_conns: args.num_or("idle-conns", 0)?,
-    };
-    if cfg.requests == 0 || cfg.lambda_per_min <= 0.0 {
-        return Err("--requests and --lambda must be positive".into());
-    }
-    let report = run_loadgen(&cfg)?;
-    if report.lost > 0 {
-        return Err(format!(
-            "{} admitted tasks were never completed:\n{}",
-            report.lost,
-            report.render()
-        ));
-    }
-    Ok(report.render())
-}
-
-/// `tracon loadgen --chaos`
-fn chaos(args: &Args, addr: &str) -> Result<String, String> {
-    use tracon_serve::{run_chaos, ChaosConfig};
-
-    let addrs: Vec<String> = addr
+    // A comma-separated failover list: the first entry is dialled first,
+    // the rest in order when a not_leader redirect (or a dead daemon)
+    // forces a reconnect.
+    let addrs: Vec<String> = args
+        .require("addr")?
         .split(',')
         .filter(|a| !a.is_empty())
         .map(str::to_string)
@@ -690,21 +648,40 @@ fn chaos(args: &Args, addr: &str) -> Result<String, String> {
     if addrs.is_empty() {
         return Err("--addr needs at least one HOST:PORT".into());
     }
-    let defaults = ChaosConfig::default();
-    let cfg = ChaosConfig {
+    let mode = match args.get_or("mode", "open") {
+        "open" => LoadMode::Open,
+        "closed" => LoadMode::Closed,
+        other => return Err(format!("unknown mode '{other}' (open, closed)")),
+    };
+    let chaos = args.flag("chaos");
+    let defaults = LoadgenConfig::default();
+    // Chaos runs keep their own request count and seed by default.
+    let (requests, seed) = if chaos {
+        (200, 0xC4A0)
+    } else {
+        (defaults.requests, defaults.seed)
+    };
+    let cfg = LoadgenConfig {
         addrs,
-        requests: args.num_or("requests", defaults.requests)?,
-        seed: args.num_or("seed", defaults.seed)?,
+        requests: args.num_or("requests", requests)?,
+        lambda_per_min: args.num_or("lambda", defaults.lambda_per_min)?,
+        mix: mix(args.get_or("mix", "medium"))?,
+        mode,
+        concurrency: args.num_or("concurrency", defaults.concurrency)?,
+        seed: args.num_or("seed", seed)?,
+        quick: args.flag("quick"),
+        idle_conns: args.num_or("idle-conns", defaults.idle_conns)?,
+        chaos,
         settle_timeout_ms: args.num_or("settle-timeout-ms", defaults.settle_timeout_ms)?,
         reconnect_timeout_ms: args.num_or("reconnect-timeout-ms", defaults.reconnect_timeout_ms)?,
         failpoints: args.get("failpoints").map(str::to_string),
     };
-    if cfg.requests == 0 {
-        return Err("--requests must be positive".into());
+    if cfg.requests == 0 || cfg.lambda_per_min <= 0.0 {
+        return Err("--requests and --lambda must be positive".into());
     }
-    let report = run_chaos(&cfg)?;
+    let report = run_loadgen(&cfg)?;
     if !report.passed() {
-        return Err(format!("chaos run failed:\n{}", report.render()));
+        return Err(format!("loadgen run failed:\n{}", report.render()));
     }
     Ok(report.render())
 }

@@ -30,10 +30,10 @@
 //!   `N + 2` threads for `N` shards, `N + 1` in memory, every one joined
 //!   on shutdown.
 //! * [`client`] — a small blocking protocol client.
-//! * [`loadgen`] — open-/closed-loop Poisson load generation with
-//!   throughput and latency-percentile reporting, plus a chaos mode that
-//!   attacks the daemon (killed connections, garbage bytes, partial
-//!   frames) while asserting task conservation.
+//! * [`loadgen`] — one open-/closed-loop Poisson load driver with
+//!   failover, throughput and latency-percentile reporting and a
+//!   conservation verdict; chaos mode adds sabotage (killed connections,
+//!   garbage bytes, partial frames, orphaned tasks).
 //! * [`table`] — the durable task table: one id-keyed row per task and
 //!   the only implementation of each durable transition, shared by the
 //!   live service, WAL replay, snapshots and the follower's mirror.
@@ -69,7 +69,7 @@ pub mod wal;
 
 pub use client::Client;
 pub use daemon::{start, DaemonHandle, NetConfig};
-pub use loadgen::{run_chaos, ChaosConfig, ChaosReport, LoadMode, LoadgenConfig, LoadgenReport};
+pub use loadgen::{LoadMode, LoadgenConfig, LoadgenReport};
 pub use metrics::Metrics;
 pub use proto::{
     decode_reply, decode_request, encode_reply, encode_request, Envelope, ErrorKind, Reply,

@@ -1,16 +1,22 @@
-//! Open- and closed-loop load generation against a live tracond.
+//! Poisson load generation against a live tracond, clean or adversarial.
 //!
-//! The generator drives one protocol connection from a single-threaded
-//! event loop over a binary heap of due actions: submit an arrival, poll a
-//! queued task, or report a completion. Arrivals come from the same
+//! One driver runs every load: a single-threaded event loop over a binary
+//! heap of due actions — submit an arrival, poll a task, report a
+//! completion, check the daemon's counters. Arrivals come from the same
 //! seeded Poisson process the simulator uses ([`tracon_dcsim::poisson_n`]),
-//! mapped onto wall-clock time by the pacing profile. Because the daemon has
-//! no task executor — clients *report* completions — the generator
-//! synthesizes one per placed task from the daemon's own predicted
-//! runtime plus seeded jitter, holding it for a scaled-down wall delay
-//! first. Backpressure rejections are retried after the daemon's
-//! `retry_after_ms` hint, so a finished run has admitted and completed
-//! every request or it reports the loss.
+//! mapped onto wall-clock time by the pacing profile, so pacing sets how
+//! long a run submits. Because the daemon has no task executor — clients
+//! *report* completions — the generator synthesizes one per placed task
+//! from the daemon's own predicted runtime plus seeded jitter, holding it
+//! for a scaled-down wall delay first.
+//!
+//! Failure handling is the same in both modes. A lost reply is counted as
+//! ambiguous and the client reconnects along the address list, the leader
+//! a `not_leader` refusal named first; a backpressure refusal is retried
+//! after the daemon's `retry_after_ms` hint; a refused or lost completion
+//! goes back to polling the task. Chaos mode adds only sabotage on fixed
+//! cadences and orphaned tasks. Every run ends in the same settle loop and
+//! has one verdict, [`LoadgenReport::passed`].
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -22,7 +28,7 @@ use tracon_stats::prng::ChaCha12;
 
 use crate::client::Client;
 use crate::json::Value;
-use crate::proto::{ErrorKind, Reply, Request};
+use crate::proto::{self, ErrorKind, Reply, Request};
 
 /// Whether arrivals follow a fixed schedule or track completions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,13 +43,12 @@ pub enum LoadMode {
 /// Generator knobs.
 #[derive(Clone, Debug)]
 pub struct LoadgenConfig {
-    /// Daemon submission address, e.g. `127.0.0.1:7070`.
-    pub addr: String,
-    /// Additional daemon addresses in failover order. On a `not_leader`
-    /// refusal the generator reconnects to the redirect hint (or walks
-    /// this list) and retries, up to a bounded number of failovers.
+    /// Daemon addresses in failover order, e.g. `127.0.0.1:7070`. The
+    /// first is dialled first; a lost connection or a `not_leader`
+    /// refusal dials the refusal's hint, then walks the list (a restarted
+    /// daemon may come back on another port).
     pub addrs: Vec<String>,
-    /// Total requests to push through.
+    /// Arrivals to submit.
     pub requests: usize,
     /// Poisson arrival rate, tasks per minute (open mode).
     pub lambda_per_min: f64,
@@ -56,11 +61,47 @@ pub struct LoadgenConfig {
     /// Seed for arrivals and synthesized measurements.
     pub seed: u64,
     /// Compress the arrival schedule and the synthetic execution delays
-    /// so a 500-request run finishes in seconds (`--quick`).
+    /// so a 500-request run submits in about a second (`--quick`).
     pub quick: bool,
     /// Extra idle TCP connections held open (but silent) for the whole
     /// run — exercises the reactor's many-connections path.
     pub idle_conns: usize,
+    /// Attack the daemon while loading it (`--chaos`): kill connections,
+    /// abandon partial frames, send garbage and oversized lines, and
+    /// orphan placed tasks for the lease machinery to reclaim.
+    pub chaos: bool,
+    /// How long the run waits, once every arrival is answered, for all
+    /// work to reach a terminal state; and how long a closed-mode run
+    /// waits for a free slot before it ends unsettled.
+    pub settle_timeout_ms: u64,
+    /// Time budget for one reconnect (covers a daemon restart or a
+    /// promotion), and for a run of `not_leader` refusals.
+    pub reconnect_timeout_ms: u64,
+    /// Failpoint spec (`site[@scope]=action[*count][%permille];…`) armed
+    /// on the daemon over the `fail` verb before the run and disarmed
+    /// after; the report then pairs server-side injected faults with the
+    /// faults the client observed. `None` leaves the registry alone.
+    pub failpoints: Option<String>,
+}
+
+impl Default for LoadgenConfig {
+    fn default() -> Self {
+        LoadgenConfig {
+            addrs: Vec::new(),
+            requests: 100,
+            lambda_per_min: 60.0,
+            mix: WorkloadMix::Medium,
+            mode: LoadMode::Open,
+            concurrency: 8,
+            seed: 0x10AD,
+            quick: false,
+            idle_conns: 0,
+            chaos: false,
+            settle_timeout_ms: 30_000,
+            reconnect_timeout_ms: 15_000,
+            failpoints: None,
+        }
+    }
 }
 
 /// How a run maps the virtual trace onto wall-clock time.
@@ -93,417 +134,12 @@ const QUICK_PACING: Pacing = Pacing {
     poll_ms: 5,
 };
 
-/// What a finished run observed.
-#[derive(Clone, Debug)]
-pub struct LoadgenReport {
-    /// Requests the generator set out to push.
-    pub requests: usize,
-    /// Requests admitted by the daemon.
-    pub admitted: usize,
-    /// Backpressure rejections absorbed (each was retried).
-    pub backpressure_retries: usize,
-    /// Completions acknowledged by the daemon.
-    pub completed: usize,
-    /// Admitted tasks never completed — must be zero for a clean run.
-    pub lost: usize,
-    /// Wall-clock duration of the run, seconds.
-    pub wall_s: f64,
-    /// Completions per wall second.
-    pub throughput_per_s: f64,
-    /// Client-observed submit→completion sojourn percentiles (ms).
-    pub sojourn_ms: SojournStats,
-}
-
-/// Latency percentiles in milliseconds.
-#[derive(Clone, Copy, Debug)]
-pub struct SojournStats {
-    /// Median.
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl LoadgenReport {
-    /// Render the human-readable summary the CLI prints.
-    pub fn render(&self) -> String {
-        format!(
-            "loadgen: {} requests, {} admitted ({} backpressure retries), {} completed, {} lost\n\
-             wall {:.2} s, throughput {:.1} tasks/s\n\
-             sojourn ms: p50 {:.1}  p95 {:.1}  p99 {:.1}  max {:.1}\n",
-            self.requests,
-            self.admitted,
-            self.backpressure_retries,
-            self.completed,
-            self.lost,
-            self.wall_s,
-            self.throughput_per_s,
-            self.sojourn_ms.p50,
-            self.sojourn_ms.p95,
-            self.sojourn_ms.p99,
-            self.sojourn_ms.max,
-        )
-    }
-}
-
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Action {
-    Submit(usize),
-    Poll(u64),
-    Complete(u64),
-}
-
-impl Action {
-    fn verb(&self) -> &'static str {
-        match self {
-            Action::Submit(_) => "submit",
-            Action::Poll(_) => "poll",
-            Action::Complete(_) => "complete",
-        }
-    }
-}
-
-/// Upper bound on `not_leader` failovers one clean-path run absorbs
-/// before giving up (a redirect loop means the cluster is misconfigured).
-const MAX_FAILOVERS: usize = 8;
-
-/// Connect to the first of `preferred` (a `not_leader` hint), then
-/// `addrs`, that answers, walking them again every 50 ms until `budget_ms`
-/// has passed: a promotion or a restart in progress needs a moment before
-/// the new leader listens. Counts each success in `connects`.
-fn reconnect(
-    preferred: Option<&str>,
-    addrs: &[String],
-    budget_ms: u64,
-    connects: &mut usize,
-) -> Result<Client, String> {
-    let deadline = Instant::now() + Duration::from_millis(budget_ms.max(1));
-    loop {
-        for addr in preferred
-            .into_iter()
-            .chain(addrs.iter().map(String::as_str))
-        {
-            if let Ok(client) = Client::connect_with_timeout(addr, Duration::from_millis(500)) {
-                *connects += 1;
-                return Ok(client);
-            }
-        }
-        if Instant::now() > deadline {
-            return Err(format!("no daemon reachable at any of {addrs:?}"));
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-struct InFlight {
-    submitted_us: u64,
-    predicted_runtime: f64,
-}
-
-/// Run the generator to completion. Errors are protocol or transport
-/// failures; a clean return still requires checking `lost == 0`.
-pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
-    if cfg.requests == 0 {
-        return Err("loadgen needs at least one request".to_string());
-    }
-    let mut client =
-        Client::connect(&cfg.addr).map_err(|e| format!("connect {}: {e}", cfg.addr))?;
-    // Idle-connection ballast: connected, never written to, dropped at
-    // the end of the run. The reactor must hold these without a thread
-    // (or a ulimit's worth of stacks) each.
-    let mut ballast = Vec::with_capacity(cfg.idle_conns);
-    for i in 0..cfg.idle_conns {
-        let conn = std::net::TcpStream::connect(&cfg.addr).map_err(|e| {
-            format!(
-                "idle conn {i}/{}: connect {}: {e}",
-                cfg.idle_conns, cfg.addr
-            )
-        })?;
-        ballast.push(conn);
-    }
-    // The daemon's status reply carries the profiled application list in
-    // pair-table order, which is exactly the index space `poisson_n`
-    // samples over.
-    let apps = fetch_apps(&mut client)?;
-    if apps.is_empty() {
-        return Err("daemon reports no profiled applications".to_string());
-    }
-    let pace = if cfg.quick { QUICK_PACING } else { PACING };
-    let arrivals = poisson_n(cfg.lambda_per_min, cfg.requests, cfg.mix, cfg.seed);
-    let mut rng = ChaCha12::seed_from_u64(cfg.seed ^ 0x5EED_CAFE);
-
-    let mut heap: BinaryHeap<Reverse<(u64, u64, Action)>> = BinaryHeap::new();
-    let mut seq: u64 = 0;
-    let mut push = |heap: &mut BinaryHeap<_>, due_us: u64, action: Action| {
-        seq += 1;
-        heap.push(Reverse((due_us, seq, action)));
-    };
-    let mut next_arrival;
-    match cfg.mode {
-        LoadMode::Open => {
-            for (i, arrival) in arrivals.iter().enumerate() {
-                let due = (arrival.time * pace.arrival_scale * 1e6).max(0.0) as u64;
-                push(&mut heap, due, Action::Submit(i));
-            }
-            next_arrival = arrivals.len();
-        }
-        LoadMode::Closed => {
-            let burst = cfg.concurrency.max(1).min(cfg.requests);
-            for i in 0..burst {
-                push(&mut heap, i as u64 * 1_000, Action::Submit(i));
-            }
-            next_arrival = burst;
-        }
-    }
-
-    let start = Instant::now();
-    let mut in_flight: HashMap<u64, InFlight> = HashMap::new();
-    let mut sojourns_ms: Vec<f64> = Vec::new();
-    let mut admitted = 0usize;
-    let mut completed = 0usize;
-    let mut retries = 0usize;
-    let mut failovers = 0usize;
-
-    // The primary, then the failover list.
-    let addrs: Vec<String> = std::iter::once(&cfg.addr)
-        .chain(&cfg.addrs)
-        .cloned()
-        .collect();
-
-    while let Some(Reverse((due_us, _, action))) = heap.pop() {
-        let now_us = start.elapsed().as_micros() as u64;
-        if due_us > now_us {
-            std::thread::sleep(Duration::from_micros(due_us - now_us));
-        }
-        let request = match &action {
-            Action::Submit(i) => Request::Submit {
-                app: apps[arrivals[*i].app_idx % apps.len()].clone(),
-                demand: None,
-            },
-            Action::Poll(task) => Request::TaskInfo { task: *task },
-            Action::Complete(task) => {
-                let entry = in_flight
-                    .get(task)
-                    .ok_or_else(|| format!("completion for unknown in-flight task {task}"))?;
-                completion(&mut rng, *task, entry.predicted_runtime)
-            }
-        };
-        let sent_us = start.elapsed().as_micros() as u64;
-        let reply = client
-            .request(request)
-            .map_err(|e| format!("{}: {e}", action.verb()))?;
-        // Any refused request goes again, to the leader the refusal
-        // names (a poll after its usual pause).
-        if let Reply::Error {
-            kind: ErrorKind::NotLeader,
-            leader,
-            ..
-        } = reply
-        {
-            if failovers >= MAX_FAILOVERS {
-                return Err(format!(
-                    "gave up after {MAX_FAILOVERS} not-leader failovers; no stable leader"
-                ));
-            }
-            let hint = leader.and_then(|h| h.leader_addr);
-            client = reconnect(hint.as_deref(), &addrs, 5_000, &mut failovers)?;
-            let pause_us = match action {
-                Action::Poll(_) => pace.poll_ms * 1_000,
-                _ => 0,
-            };
-            let now = start.elapsed().as_micros() as u64;
-            push(&mut heap, now + pause_us, action);
-            continue;
-        }
-        let now = start.elapsed().as_micros() as u64;
-        match (action, reply) {
-            (Action::Submit(_), Reply::Ok { result, .. }) => {
-                admitted += 1;
-                let task = result
-                    .get("task")
-                    .and_then(Value::as_u64)
-                    .ok_or("submit reply without task id")?;
-                let predicted = result
-                    .get("predicted_runtime")
-                    .and_then(Value::as_f64)
-                    .unwrap_or(1.0);
-                in_flight.insert(
-                    task,
-                    InFlight {
-                        submitted_us: sent_us,
-                        predicted_runtime: predicted,
-                    },
-                );
-                if result.get("state").and_then(Value::as_str) == Some("placed") {
-                    push(
-                        &mut heap,
-                        now + exec_us(&pace, predicted),
-                        Action::Complete(task),
-                    );
-                } else {
-                    push(&mut heap, now + pace.poll_ms * 1_000, Action::Poll(task));
-                }
-            }
-            (
-                Action::Submit(i),
-                Reply::Error {
-                    kind: ErrorKind::Backpressure,
-                    retry_after_ms,
-                    ..
-                },
-            ) => {
-                retries += 1;
-                let delay_ms = retry_after_ms.unwrap_or(50).max(1);
-                push(&mut heap, now + delay_ms * 1_000, Action::Submit(i));
-            }
-            (Action::Submit(_), Reply::Error { kind, message, .. }) => {
-                return Err(format!("submit rejected ({}): {message}", kind.as_str()))
-            }
-            (Action::Poll(task), Reply::Ok { result, .. }) => {
-                match result.get("state").and_then(Value::as_str) {
-                    Some("running") => {
-                        let predicted = result
-                            .get("predicted_runtime")
-                            .and_then(Value::as_f64)
-                            .or_else(|| in_flight.get(&task).map(|f| f.predicted_runtime))
-                            .unwrap_or(1.0);
-                        if let Some(entry) = in_flight.get_mut(&task) {
-                            entry.predicted_runtime = predicted;
-                        }
-                        push(
-                            &mut heap,
-                            now + exec_us(&pace, predicted),
-                            Action::Complete(task),
-                        );
-                    }
-                    Some("queued") => {
-                        push(&mut heap, now + pace.poll_ms * 1_000, Action::Poll(task))
-                    }
-                    other => {
-                        return Err(format!(
-                            "task {task} in unexpected state {other:?} while polling"
-                        ))
-                    }
-                }
-            }
-            (Action::Poll(task), Reply::Error { .. }) => {
-                return Err(format!("poll of task {task} failed"))
-            }
-            (Action::Complete(task), Reply::Ok { .. }) => {
-                completed += 1;
-                if let Some(entry) = in_flight.remove(&task) {
-                    sojourns_ms.push((now - entry.submitted_us) as f64 / 1_000.0);
-                }
-                if cfg.mode == LoadMode::Closed && next_arrival < cfg.requests {
-                    push(&mut heap, now, Action::Submit(next_arrival));
-                    next_arrival += 1;
-                }
-            }
-            (Action::Complete(task), Reply::Error { kind, message, .. }) => {
-                return Err(format!(
-                    "completion of task {task} rejected ({}): {message}",
-                    kind.as_str()
-                ))
-            }
-        }
-    }
-
-    let wall_s = start.elapsed().as_secs_f64().max(1e-9);
-    let sojourn_ms = if sojourns_ms.is_empty() {
-        SojournStats {
-            p50: 0.0,
-            p95: 0.0,
-            p99: 0.0,
-            max: 0.0,
-        }
-    } else {
-        SojournStats {
-            p50: percentile(&sojourns_ms, 50.0),
-            p95: percentile(&sojourns_ms, 95.0),
-            p99: percentile(&sojourns_ms, 99.0),
-            max: sojourns_ms.iter().copied().fold(0.0, f64::max),
-        }
-    };
-    Ok(LoadgenReport {
-        requests: cfg.requests,
-        admitted,
-        backpressure_retries: retries,
-        completed,
-        lost: admitted.saturating_sub(completed),
-        wall_s,
-        throughput_per_s: completed as f64 / wall_s,
-        sojourn_ms,
-    })
-}
-
-/// The completion report for `task`: the predicted runtime within ±15 %
-/// (floored at 50 ms) and an IOPS figure in 40..240, in that draw order.
-fn completion(rng: &mut ChaCha12, task: u64, predicted_runtime_s: f64) -> Request {
-    let runtime = predicted_runtime_s.max(0.05) * rng.range_f64(0.85, 1.15);
-    let iops = rng.range_f64(40.0, 240.0);
-    Request::Complete {
-        task,
-        runtime,
-        iops,
-    }
-}
-
-fn exec_us(pace: &Pacing, predicted_runtime_s: f64) -> u64 {
-    let ms = (predicted_runtime_s.max(0.0) * pace.task_ms_per_s).min(pace.max_task_ms as f64);
-    (ms * 1_000.0) as u64
-}
-
-// ---------------------------------------------------------------------------
-// Chaos mode
-// ---------------------------------------------------------------------------
-
-/// Knobs for the adversarial load mode (`tracon loadgen --chaos`).
-///
-/// Instead of maximizing clean throughput, chaos mode attacks the daemon
-/// while submitting real work: it kills its own connections, abandons
-/// partial frames, injects garbage and oversized lines, deliberately
-/// orphans placed tasks so the lease machinery must reclaim them, and
-/// tolerates the daemon itself dying mid-run by failing over across
-/// `addrs` (a restarted daemon recovers from its WAL, possibly on a new
-/// port). Throughout and at the end it checks the task-conservation
-/// invariant from the daemon's own `status` counters: every admitted task
-/// is exactly one of queued/delayed/running/completed/dead-lettered.
-#[derive(Clone, Debug)]
-pub struct ChaosConfig {
-    /// Daemon addresses in failover order; reconnects try each in turn.
-    pub addrs: Vec<String>,
-    /// Submits to attempt.
-    pub requests: usize,
-    /// Seed for app choice, measurements, and probe scheduling.
-    pub seed: u64,
-    /// How long to wait at the end for the daemon to settle (all
-    /// non-terminal tasks resolved by completion or dead-lettering).
-    pub settle_timeout_ms: u64,
-    /// Total time budget for one reconnect (covers a daemon restart).
-    pub reconnect_timeout_ms: u64,
-    /// Failpoint spec (`site[@scope]=action[*count][%permille];…`) armed
-    /// on the daemon over the `fail` control verb before the storm and
-    /// disarmed after; the report then pairs server-side injected faults
-    /// with the faults the client observed. `None` leaves the registry
-    /// alone.
-    pub failpoints: Option<String>,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            addrs: Vec::new(),
-            requests: 200,
-            seed: 0xC4A0,
-            settle_timeout_ms: 30_000,
-            reconnect_timeout_ms: 15_000,
-            failpoints: None,
-        }
-    }
-}
+/// How long a `not_leader` refusal holds the run, and the pause between
+/// polls of a task the daemon does not know.
+const REPOLL_MS: u64 = 100;
+/// Interval between conservation checks, which also decide when a run
+/// has settled.
+const STATUS_MS: u64 = 50;
 
 /// Kill and re-open the connection every this many submits.
 const KILL_EVERY: usize = 17;
@@ -518,57 +154,61 @@ const OVERSIZED_EVERY: usize = 41;
 /// the daemon's lease expiry / dead-letter machinery.
 const ORPHAN_EVERY: usize = 7;
 
-/// What a chaos run observed. `conservation_violations == 0`, `settled`
-/// and every acked task the client did not orphan ending `completed` are
-/// the pass criteria; everything else is color.
+/// What a run observed. [`LoadgenReport::passed`] is the verdict;
+/// everything else is color.
 #[derive(Clone, Debug, Default)]
-pub struct ChaosReport {
+pub struct LoadgenReport {
+    /// Whether the run attacked the daemon (`--chaos`).
+    pub chaos: bool,
     /// Submits acknowledged (admitted) by the daemon.
     pub acked_submits: usize,
     /// Submits whose reply was lost to a dead connection; the daemon may
-    /// or may not have admitted them (they are never retried — the
-    /// server-side invariant covers both outcomes).
+    /// or may not have admitted them. They are never retried: the
+    /// conservation check covers both fates.
     pub ambiguous_submits: usize,
-    /// Backpressure rejections (not retried in chaos mode).
+    /// Backpressure refusals, each retried after the daemon's hint.
     pub backpressure: usize,
-    /// Completions acknowledged.
+    /// Tasks whose completion the daemon acknowledged, or a poll found
+    /// completed after the reply was lost.
     pub completions_acked: usize,
-    /// Completions refused (task no longer running: lease expired or the
-    /// daemon restarted and requeued it) — expected under chaos.
+    /// Completions refused (the task was no longer running: its lease
+    /// expired, or a restart or promotion requeued it); the task is
+    /// polled again.
     pub completion_refusals: usize,
-    /// Completion replies lost to a dead connection.
+    /// Completion replies lost to a dead connection; the task is polled
+    /// again.
     pub ambiguous_completes: usize,
-    /// Placed tasks deliberately never completed.
+    /// Placed tasks deliberately never completed (chaos mode).
     pub orphaned: usize,
-    /// Tasks queued at submit that the client completed once a later
-    /// `task` poll found them running.
-    pub late_completions: usize,
-    /// Acked tasks the client did not orphan that ended dead-lettered
-    /// or were still outstanding at the deadline.
-    pub unfinished: usize,
-    /// Acked tasks the answering daemon does not know: a leader acked
-    /// them and died before its follower pulled them.
+    /// Acked tasks the client did not orphan that ended dead-lettered or
+    /// were still owed a completion at the deadline.
+    pub lost: usize,
+    /// Acked tasks the answering daemon did not know at the end, or whose
+    /// id it handed out again: a leader acked them and died before its
+    /// follower pulled them.
     pub unknown: usize,
     /// Garbage lines sent and answered with a structured error.
     pub garbage_probes: usize,
     /// Oversized lines sent and answered with `frame-too-large`.
     pub oversized_probes: usize,
-    /// Partial frames abandoned mid-write.
-    pub partial_frames: usize,
-    /// Connections killed by the generator.
+    /// Connections killed by the generator, with or without a partial
+    /// frame left on the wire.
     pub connection_kills: usize,
     /// Successful (re)connects, including the first.
     pub reconnects: usize,
     /// `not_leader` refusals absorbed by reconnecting to the hinted (or
     /// next listed) address — expected when a follower takes over.
     pub not_leader_redirects: usize,
-    /// Probe replies that were not the expected structured error.
+    /// Replies the client cannot place: a probe answered with anything
+    /// but the expected structured error, a submit refused for a reason
+    /// other than backpressure or `not_leader`, a task in no known state.
     pub unexpected_replies: usize,
     /// Conservation checks performed against `status`.
     pub conservation_checks: usize,
     /// Checks where admitted != completed+dead_lettered+queued+delayed+running.
     pub conservation_violations: usize,
-    /// Whether all work reached a terminal state within the settle window.
+    /// Whether all work reached a terminal state within the settle window,
+    /// but for ambiguous submits that landed (their leases end them).
     pub settled: bool,
     /// Final daemon counters (admitted, completed, dead-lettered).
     pub final_counts: (u64, u64, u64),
@@ -578,43 +218,60 @@ pub struct ChaosReport {
     /// the end of the run; 0 when no spec was armed or the armed node
     /// died before it could be asked).
     pub faults_injected: u64,
+    /// Wall seconds from the start to the last submit request sent: once
+    /// every arrival is answered, the submit phase.
+    pub submit_s: f64,
+    /// Wall seconds of the whole run, settle included.
+    pub wall_s: f64,
+    /// Client-observed submit→completion sojourn percentiles (ms).
+    pub sojourn_ms: SojournStats,
 }
 
-impl ChaosReport {
-    /// Whether the run satisfied the invariant, fully settled and
-    /// completed every acked task it did not orphan. A task the answering
+/// Latency percentiles in milliseconds.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SojournStats {
+    /// Median.
+    pub p50: f64,
+    /// 95th percentile.
+    pub p95: f64,
+    /// 99th percentile.
+    pub p99: f64,
+    /// Maximum.
+    pub max: f64,
+}
+
+impl LoadgenReport {
+    /// Whether every conservation check passed, all work settled, and
+    /// every acked task the client did not orphan ended completed. The
+    /// final counters must account for the acked work, so a follower
+    /// that never promoted (all zeros) does not pass. A task the answering
     /// daemon does not know is forgiven only after a failover redirected
     /// the client: replication is asynchronous, so a leader's last acks
     /// can die with it (DESIGN §9); on one daemon an acked task is
-    /// durable and must be known.
+    /// durable and must be known. A clean run also fails on any reply it
+    /// cannot place.
     pub fn passed(&self) -> bool {
-        self.conservation_violations == 0
+        let admitted = self.final_counts.0 as usize;
+        self.conservation_checks > 0
+            && self.conservation_violations == 0
             && self.settled
-            && self.conservation_checks > 0
-            && self.unfinished == 0
+            && self.lost == 0
+            && admitted + self.unknown >= self.acked_submits
             && (self.unknown == 0 || self.not_leader_redirects > 0)
+            && (self.chaos || self.unexpected_replies == 0)
     }
 
     /// Faults the *client* observed: replies lost to dead connections
     /// plus refused completions — the visible fallout of whatever the
-    /// injected faults (and the generator's own sabotage) broke.
+    /// injected faults, a failover, or the generator's own sabotage broke.
     pub fn faults_observed(&self) -> usize {
         self.ambiguous_submits + self.ambiguous_completes + self.completion_refusals
     }
 
     /// Render the human-readable summary the CLI prints.
     pub fn render(&self) -> String {
-        let failpoint_line = if self.failpoints_armed > 0 {
-            format!(
-                "failpoints: {} sites armed, {} faults injected server-side, \
-                 {} faults observed client-side\n",
-                self.failpoints_armed,
-                self.faults_injected,
-                self.faults_observed(),
-            )
-        } else {
-            String::new()
-        };
+        let throughput = self.completions_acked as f64 / self.wall_s.max(1e-9);
+        let s = &self.sojourn_ms;
         let (admitted, completed, dead_lettered) = self.final_counts;
         let unsettled_line = if self.settled {
             String::new()
@@ -627,13 +284,17 @@ impl ChaosReport {
             )
         };
         format!(
-            "chaos: {} submits acked ({} ambiguous, {} backpressure), \
-             {} completions ({} refused, {} ambiguous, {} after queueing), {} orphaned\n\
-             acked and not orphaned: {} unfinished (dead-lettered or outstanding), \
+            "loadgen: {} submits acked ({} ambiguous, {} backpressure retries), \
+             {} completions ({} refused, {} ambiguous), {} orphaned\n\
+             acked and not orphaned: {} lost (dead-lettered or outstanding), \
              {} unknown to the answering daemon\n\
-             probes: {} garbage, {} oversized, {} partial frames, {} kills, {} reconnects, \
+             submits {:.2} s, wall {:.2} s, throughput {throughput:.1} tasks/s, \
+             sojourn ms: p50 {:.1}  p95 {:.1}  p99 {:.1}  max {:.1}\n\
+             probes: {} garbage, {} oversized, {} kills; {} reconnects, \
              {} not-leader redirects, {} unexpected replies\n\
-             {failpoint_line}conservation: {}/{} checks ok, settled: {} \
+             faults: {} observed client-side, {} injected server-side \
+             ({} failpoint sites armed)\n\
+             conservation: {}/{} checks ok, settled: {} \
              (admitted {admitted}, completed {completed}, dead-lettered {dead_lettered})\n\
              {unsettled_line}verdict: {}\n",
             self.acked_submits,
@@ -642,17 +303,24 @@ impl ChaosReport {
             self.completions_acked,
             self.completion_refusals,
             self.ambiguous_completes,
-            self.late_completions,
             self.orphaned,
-            self.unfinished,
+            self.lost,
             self.unknown,
+            self.submit_s,
+            self.wall_s,
+            s.p50,
+            s.p95,
+            s.p99,
+            s.max,
             self.garbage_probes,
             self.oversized_probes,
-            self.partial_frames,
             self.connection_kills,
             self.reconnects,
             self.not_leader_redirects,
             self.unexpected_replies,
+            self.faults_observed(),
+            self.faults_injected,
+            self.failpoints_armed,
             self.conservation_checks - self.conservation_violations,
             self.conservation_checks,
             self.settled,
@@ -661,449 +329,590 @@ impl ChaosReport {
     }
 }
 
-/// One parsed `status` reply, server-side counters only.
-struct WireStatus {
-    queued: u64,
-    delayed: u64,
-    running: u64,
-    completed: u64,
-    dead_lettered: u64,
-    admitted: u64,
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Action {
+    Submit(usize),
+    Poll(u64),
+    Complete(u64),
+    Status,
 }
 
-impl WireStatus {
-    fn conserved(&self) -> bool {
-        self.admitted
-            == self.completed + self.dead_lettered + self.queued + self.delayed + self.running
-    }
-
-    fn outstanding(&self) -> u64 {
-        self.queued + self.delayed + self.running
-    }
+/// Where an acked task the client did not orphan stands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fate {
+    /// The client owes it a completion; a poll or a completion is due.
+    Owed,
+    /// The last poll was answered `unknown_task`; it is polled again.
+    Unknown,
+    /// Its completion was acked, or a poll found it completed.
+    Done,
+    /// A poll found it dead-lettered while the client owed it.
+    Lost,
 }
 
-/// Reconnect after a lost reply or a `not_leader` refusal, trying the
-/// leader the refusal named (`leader`, remembered in `leader_hint`)
-/// first.
-fn reconnect_to(
-    cfg: &ChaosConfig,
-    client: &mut Client,
-    leader: Option<String>,
-    leader_hint: &mut Option<String>,
-    report: &mut ChaosReport,
-) -> Result<(), String> {
-    if leader.is_some() {
-        *leader_hint = leader;
-    }
-    *client = reconnect(
-        leader_hint.as_deref(),
-        &cfg.addrs,
-        cfg.reconnect_timeout_ms,
-        &mut report.reconnects,
-    )?;
-    Ok(())
+struct Task {
+    submitted_us: u64,
+    predicted_s: f64,
+    fate: Fate,
+    /// Submit to first acked completion; an audit may find the task again.
+    sojourn_ms: Option<f64>,
+    /// Whether it still holds its closed-mode slot.
+    slot: bool,
 }
 
-/// Report one synthesized completion; `Ok(true)` when the daemon acked
-/// it. A `not_leader` refusal redirects to the believed leader and
-/// retries the completion exactly once; a second refusal ends this try
-/// (a promoted leader requeued the task, so the old lease is gone — the
-/// task is chased again once it runs). A lost reply is an ambiguous
-/// completion and costs a reconnect.
-fn chaos_complete(
-    cfg: &ChaosConfig,
-    client: &mut Client,
-    complete: Request,
-    leader_hint: &mut Option<String>,
-    report: &mut ChaosReport,
-) -> Result<bool, String> {
-    let reply = match client.request(complete.clone()) {
-        Ok(Reply::Error {
-            kind: ErrorKind::NotLeader,
-            leader,
-            ..
-        }) => {
-            report.not_leader_redirects += 1;
-            let leader = leader.and_then(|h| h.leader_addr);
-            reconnect_to(cfg, client, leader, leader_hint, report)?;
-            client.request(complete)
+/// Connect to the first of `hint` (a `not_leader` hint), then the
+/// configured addresses, that answers, walking them again every 50 ms
+/// until the reconnect budget has passed: a promotion or a restart in
+/// progress needs a moment before the new leader listens. Counts each
+/// success in `connects`.
+fn dial(cfg: &LoadgenConfig, hint: Option<&str>, connects: &mut usize) -> Result<Client, String> {
+    let deadline = Instant::now() + Duration::from_millis(cfg.reconnect_timeout_ms.max(1));
+    let timeout = Duration::from_millis(500);
+    loop {
+        let mut addrs = hint.into_iter().chain(cfg.addrs.iter().map(String::as_str));
+        if let Some(client) = addrs.find_map(|a| Client::connect_with_timeout(a, timeout).ok()) {
+            *connects += 1;
+            return Ok(client);
         }
-        reply => reply,
-    };
-    match reply {
-        Ok(Reply::Ok { .. }) => report.completions_acked += 1,
-        Ok(Reply::Error { .. }) => report.completion_refusals += 1,
-        Err(_) => {
-            report.ambiguous_completes += 1;
-            reconnect_to(cfg, client, None, leader_hint, report)?;
+        if Instant::now() > deadline {
+            return Err(format!("no daemon reachable at any of {:?}", cfg.addrs));
         }
+        std::thread::sleep(Duration::from_millis(50));
     }
-    Ok(matches!(reply, Ok(Reply::Ok { .. })))
 }
 
-/// One pass over the acked tasks the client still owes a completion
-/// (queued at submit, or whose completion was refused or lost): asks
-/// `task` for each, completes the ones running, and drops the ones that
-/// ended. A task the daemon does not know is counted and dropped; so is
-/// a dead-lettered one.
-fn chase(
-    cfg: &ChaosConfig,
-    client: &mut Client,
-    owed: &mut Vec<u64>,
-    rng: &mut ChaCha12,
-    leader_hint: &mut Option<String>,
-    report: &mut ChaosReport,
-) -> Result<(), String> {
-    let mut i = 0;
-    while i < owed.len() {
-        let task = owed[i];
-        let ended = match client.request(Request::TaskInfo { task }) {
-            Ok(Reply::Ok { result, .. }) => match result.get("state").and_then(Value::as_str) {
-                Some("completed") => true,
-                Some("dead_lettered") => {
-                    report.unfinished += 1;
-                    true
-                }
-                Some("running") => {
-                    let predicted = result.get("predicted_runtime").and_then(Value::as_f64);
-                    let complete = completion(rng, task, predicted.unwrap_or(1.0));
-                    let acked = chaos_complete(cfg, client, complete, leader_hint, report)?;
-                    report.late_completions += usize::from(acked);
-                    acked
-                }
-                _ => false,
-            },
-            Ok(Reply::Error {
-                kind: ErrorKind::UnknownTask,
-                ..
-            }) => {
-                report.unknown += 1;
-                true
-            }
-            Ok(Reply::Error {
-                kind: ErrorKind::NotLeader,
-                leader,
-                ..
-            }) => {
-                report.not_leader_redirects += 1;
-                let leader = leader.and_then(|h| h.leader_addr);
-                reconnect_to(cfg, client, leader, leader_hint, report)?;
-                false
-            }
-            Ok(Reply::Error { .. }) => false,
-            Err(_) => {
-                reconnect_to(cfg, client, None, leader_hint, report)?;
-                false
-            }
-        };
-        if ended {
-            owed.swap_remove(i);
-        } else {
-            i += 1;
-        }
+/// Send a control request and return its result; a refusal is an error.
+fn ask(client: &mut Client, request: Request) -> Result<Value, String> {
+    match client.request(request).map_err(|e| e.to_string())? {
+        Reply::Ok { result, .. } => Ok(result),
+        Reply::Error { message, .. } => Err(message),
     }
-    Ok(())
 }
 
-fn wire_status(client: &mut Client) -> Result<WireStatus, String> {
-    let reply = client
-        .request(Request::Status)
-        .map_err(|e| format!("status: {e}"))?;
-    let Reply::Ok { result, .. } = reply else {
-        return Err("status request failed".to_string());
+fn fail_verb(action: &str, spec: Option<String>) -> Request {
+    let action = action.to_string();
+    Request::Fail { action, spec }
+}
+
+/// Run the generator. An `Err` is a usage error or a daemon that stayed
+/// unreachable past the reconnect budget; an `Ok` report must still be
+/// checked with [`LoadgenReport::passed`].
+pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
+    let Some(first) = cfg.addrs.first() else {
+        return Err("loadgen needs at least one daemon address".to_string());
     };
-    let field = |key: &str| -> Result<u64, String> {
-        result
-            .get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("status reply missing '{key}'"))
-    };
-    Ok(WireStatus {
-        queued: field("queued")?,
-        delayed: field("delayed")?,
-        running: field("running")?,
-        completed: field("completed")?,
-        dead_lettered: field("dead_lettered")?,
-        admitted: field("admitted")?,
-    })
-}
-
-/// Run the chaos generator. A transport-level `Err` means the daemon
-/// stayed unreachable past the failover budget; an `Ok` report must still
-/// be checked with [`ChaosReport::passed`].
-pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
-    if cfg.addrs.is_empty() {
-        return Err("chaos mode needs at least one daemon address".to_string());
-    }
     if cfg.requests == 0 {
-        return Err("chaos mode needs at least one request".to_string());
+        return Err("loadgen needs at least one request".to_string());
     }
-    let mut report = ChaosReport::default();
-    // The address a `not_leader` refusal pointed at; reconnects try it
-    // before walking the configured list.
-    let mut leader_hint: Option<String> = None;
-    macro_rules! reconnect {
-        () => {
-            reconnect(
-                leader_hint.as_deref(),
-                &cfg.addrs,
-                cfg.reconnect_timeout_ms,
-                &mut report.reconnects,
-            )?
-        };
-    }
-    let mut client = reconnect!();
-    let apps = fetch_apps(&mut client)?;
+    let mut report = LoadgenReport {
+        chaos: cfg.chaos,
+        ..LoadgenReport::default()
+    };
+    let mut client = dial(cfg, None, &mut report.reconnects)?;
+    // Idle-connection ballast: connected, never written to, dropped at
+    // the end of the run. The reactor must hold these without a thread
+    // (or a ulimit's worth of stacks) each.
+    let _ballast = (0..cfg.idle_conns)
+        .map(|i| {
+            std::net::TcpStream::connect(first)
+                .map_err(|e| format!("idle conn {i}/{}: connect {first}: {e}", cfg.idle_conns))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    // The daemon's status reply carries the profiled application list in
+    // pair-table order, which is exactly the index space `poisson_n`
+    // samples over.
+    let status = ask(&mut client, Request::Status).map_err(|e| format!("status: {e}"))?;
+    let apps: Vec<&str> = (status.get("apps").and_then(Value::as_arr))
+        .ok_or("status reply without apps list")?
+        .iter()
+        .filter_map(Value::as_str)
+        .collect();
     if apps.is_empty() {
         return Err("daemon reports no profiled applications".to_string());
     }
-    // Arm server-side failpoints before the storm begins. A rejected spec
-    // is a usage error, not chaos: fail loudly.
+    let busy = |key| status.get(key).and_then(Value::as_u64).unwrap_or(0) as usize;
+    let baseline = busy("queued") + busy("delayed") + busy("running");
+    // Arm server-side failpoints before the run begins. A rejected spec is
+    // a usage error: fail loudly.
     if let Some(spec) = &cfg.failpoints {
-        let reply = client
-            .request(Request::Fail {
-                action: "arm".to_string(),
-                spec: Some(spec.clone()),
-            })
+        let armed = ask(&mut client, fail_verb("arm", Some(spec.clone())))
             .map_err(|e| format!("failpoint arm: {e}"))?;
-        match reply {
-            Reply::Ok { result, .. } => {
-                report.failpoints_armed =
-                    result.get("armed").and_then(Value::as_u64).unwrap_or(0) as usize;
-            }
-            Reply::Error { message, .. } => {
-                return Err(format!("failpoint arm rejected: {message}"));
-            }
-        }
+        report.failpoints_armed = armed.get("armed").and_then(Value::as_u64).unwrap_or(0) as usize;
     }
-    let mut rng = ChaCha12::seed_from_u64(cfg.seed);
-    // Placed tasks awaiting a synthesized completion: (task, predicted_runtime).
-    let mut pending: Vec<(u64, f64)> = Vec::new();
-    // Acked tasks to chase with `task` until they run (see `chase`).
-    let mut owed: Vec<u64> = Vec::new();
-    macro_rules! chase {
-        () => {
-            chase(
-                cfg,
-                &mut client,
-                &mut owed,
-                &mut rng,
-                &mut leader_hint,
-                &mut report,
-            )?
+    let pace = if cfg.quick { &QUICK_PACING } else { &PACING };
+    let arrivals = poisson_n(cfg.lambda_per_min, cfg.requests, cfg.mix, cfg.seed);
+    // Open mode schedules every arrival up front; closed mode starts
+    // `concurrency` of them a millisecond apart and releases the rest.
+    let burst = match cfg.mode {
+        LoadMode::Open => cfg.requests,
+        LoadMode::Closed => cfg.concurrency.max(1).min(cfg.requests),
+    };
+    let heap = arrivals.iter().enumerate().take(burst).map(|(i, a)| {
+        let due = match cfg.mode {
+            LoadMode::Open => (a.time * pace.arrival_scale * 1e6).max(0.0) as u64,
+            LoadMode::Closed => i as u64 * 1_000,
         };
-    }
-    let mut placed_seen = 0usize;
+        Reverse((due, Action::Submit(i)))
+    });
+    let mut d = Driver {
+        cfg,
+        pace,
+        arrivals: arrivals
+            .iter()
+            .map(|a| apps[a.app_idx % apps.len()].to_string())
+            .collect(),
+        client,
+        leader_hint: None,
+        rng: ChaCha12::seed_from_u64(cfg.seed ^ 0x5EED_CAFE),
+        start: Instant::now(),
+        heap: heap.collect(),
+        tasks: HashMap::new(),
+        unanswered: cfg.requests,
+        next_arrival: burst,
+        baseline,
+        last_submit_us: 0,
+        sent_submits: 0,
+        placed: 0,
+        redirected_since: None,
+        hold_us: 0,
+        audit_due: false,
+        report,
+    };
+    d.push(STATUS_MS, Action::Status);
 
-    let every = |n: usize, i: usize| i % n == n - 1;
-    for i in 0..cfg.requests {
-        if every(KILL_EVERY, i) {
-            report.connection_kills += 1;
-            client = reconnect!();
+    while let Some(Reverse((due_us, action))) = d.heap.pop() {
+        let due_us = due_us.max(d.hold_us);
+        let now_us = d.now_us();
+        if due_us > now_us {
+            std::thread::sleep(Duration::from_micros(due_us - now_us));
         }
-        if every(PARTIAL_EVERY, i) {
-            // Leave a torn frame on the wire, then vanish.
-            let _ = client.send_raw_bytes(b"{\"v\":2,\"op\":\"subm");
-            report.partial_frames += 1;
-            report.connection_kills += 1;
-            client = reconnect!();
-        }
-        if every(GARBAGE_EVERY, i) {
-            match client.raw_roundtrip("\u{1}garbage ][ not json \u{7f}") {
-                Ok(line) => {
-                    report.garbage_probes += 1;
-                    if !matches!(crate::proto::decode_reply(&line), Ok(Reply::Error { .. })) {
-                        report.unexpected_replies += 1;
-                    }
-                }
-                Err(_) => {
-                    client = reconnect!();
-                }
-            }
-        }
-        if every(OVERSIZED_EVERY, i) {
-            let big = "x".repeat(80 * 1024);
-            match client.raw_roundtrip(&big) {
-                Ok(line) => {
-                    report.oversized_probes += 1;
-                    let ok = matches!(
-                        crate::proto::decode_reply(&line),
-                        Ok(Reply::Error {
-                            kind: ErrorKind::FrameTooLarge,
-                            ..
-                        })
-                    );
-                    if !ok {
-                        report.unexpected_replies += 1;
-                    }
-                }
-                Err(_) => {
-                    client = reconnect!();
-                }
-            }
-        }
-
-        let app = apps[rng.range_usize(0, apps.len())].clone();
-        match client.request(Request::Submit { app, demand: None }) {
-            Ok(Reply::Ok { result, .. }) => {
-                report.acked_submits += 1;
-                let placed = result.get("state").and_then(Value::as_str) == Some("placed");
-                match result.get("task").and_then(Value::as_u64) {
-                    // Queued: it runs once a slot frees, and is chased.
-                    Some(task) if !placed => owed.push(task),
-                    Some(task) => {
-                        placed_seen += 1;
-                        if every(ORPHAN_EVERY, placed_seen - 1) {
-                            // Never complete this one: the lease must
-                            // reclaim it (requeue, then dead-letter).
-                            report.orphaned += 1;
-                        } else {
-                            let predicted = result
-                                .get("predicted_runtime")
-                                .and_then(Value::as_f64)
-                                .unwrap_or(1.0);
-                            pending.push((task, predicted));
-                        }
-                    }
-                    None => {}
-                }
-            }
-            Ok(Reply::Error {
-                kind: ErrorKind::Backpressure,
-                ..
-            }) => report.backpressure += 1,
-            Ok(Reply::Error {
-                kind: ErrorKind::Draining,
-                ..
-            }) => break,
-            Ok(Reply::Error {
-                kind: ErrorKind::NotLeader,
-                leader,
-                ..
-            }) => {
-                // This node is a follower or has been fenced by a
-                // promotion. Chase the hint; the refused submit is not
-                // retried (it was unambiguously not admitted).
-                report.not_leader_redirects += 1;
-                if let Some(addr) = leader.and_then(|h| h.leader_addr) {
-                    leader_hint = Some(addr);
-                }
-                client = reconnect!();
-            }
-            Ok(Reply::Error { .. }) => report.unexpected_replies += 1,
-            Err(_) => {
-                // The reply is gone; the admission may have landed. Never
-                // retried — the server-side invariant covers both fates.
-                report.ambiguous_submits += 1;
-                client = reconnect!();
-            }
-        }
-
-        // Keep completions flowing so the cluster does not clog: report
-        // all but the freshest couple, which stay in flight as churn.
-        while pending.len() > 2 {
-            let (task, predicted) = pending.remove(0);
-            let complete = completion(&mut rng, task, predicted);
-            if !chaos_complete(cfg, &mut client, complete, &mut leader_hint, &mut report)? {
-                owed.push(task);
-            }
-        }
-        // A queued task runs once a slot frees, under a lease as short
-        // as the daemon's: chase it after every submit.
-        chase!();
-
-        if i % 10 == 9 {
-            match wire_status(&mut client) {
-                Ok(st) => {
-                    report.conservation_checks += 1;
-                    if !st.conserved() {
-                        report.conservation_violations += 1;
-                    }
-                }
-                Err(_) => {
-                    client = reconnect!();
-                }
-            }
+        match action {
+            Action::Submit(i) => d.submit(i)?,
+            Action::Poll(task) => d.poll(task)?,
+            Action::Complete(task) => d.complete(task)?,
+            Action::Status if d.status()? => break,
+            Action::Status => d.push(STATUS_MS, Action::Status),
         }
     }
-
-    // Flush remaining completions.
-    for (task, predicted) in pending.drain(..) {
-        let complete = completion(&mut rng, task, predicted);
-        if !chaos_complete(cfg, &mut client, complete, &mut leader_hint, &mut report)? {
-            owed.push(task);
-        }
-    }
-
-    // Settle: complete every owed task as it runs, and wait for the
-    // daemon to resolve every non-terminal task — orphans drain through
-    // lease expiry into the dead-letter queue. Each poll is also a
-    // conservation check.
-    let deadline = Instant::now() + Duration::from_millis(cfg.settle_timeout_ms.max(1));
-    loop {
-        chase!();
-        match wire_status(&mut client) {
-            Ok(st) => {
-                report.conservation_checks += 1;
-                if !st.conserved() {
-                    report.conservation_violations += 1;
-                }
-                report.final_counts = (st.admitted, st.completed, st.dead_lettered);
-                if st.outstanding() == 0 {
-                    // Every owed task has ended: one more pass sorts them.
-                    chase!();
-                    report.settled = true;
-                    break;
-                }
-            }
-            Err(_) => {
-                client = reconnect!();
-            }
-        }
-        if Instant::now() > deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(if owed.is_empty() {
-            100
-        } else {
-            20
-        }));
-    }
-    report.unfinished += owed.len();
-    // Collect the server-side injection count, then leave the registry
-    // clean. Best effort: the armed node may have died mid-run (that is
-    // the point of some torture setups), and the survivor's count is
-    // still the honest answer for *it*.
-    if cfg.failpoints.is_some() {
-        if let Ok(Reply::Ok { result, .. }) = client.request(Request::Fail {
-            action: "status".to_string(),
-            spec: None,
-        }) {
-            report.faults_injected = result.get("injected").and_then(Value::as_u64).unwrap_or(0);
-        }
-        let _ = client.request(Request::Fail {
-            action: "disarm".to_string(),
-            spec: None,
-        });
-    }
-    Ok(report)
+    Ok(d.finish())
 }
 
-fn fetch_apps(client: &mut Client) -> Result<Vec<String>, String> {
-    let reply = client
-        .request(Request::Status)
-        .map_err(|e| format!("status: {e}"))?;
-    let Reply::Ok { result, .. } = reply else {
-        return Err("status request failed".to_string());
-    };
-    let apps = result
-        .get("apps")
-        .and_then(Value::as_arr)
-        .ok_or("status reply without apps list")?;
-    Ok(apps
-        .iter()
-        .filter_map(|v| v.as_str().map(str::to_string))
-        .collect())
+/// One run's state: the connection, the action heap and every acked
+/// task the client tracks.
+struct Driver<'a> {
+    cfg: &'a LoadgenConfig,
+    pace: &'static Pacing,
+    /// The application of each arrival, in submit order.
+    arrivals: Vec<String>,
+    client: Client,
+    /// The leader a `not_leader` refusal named; dials try it first.
+    leader_hint: Option<String>,
+    rng: ChaCha12,
+    start: Instant,
+    heap: BinaryHeap<Reverse<(u64, Action)>>,
+    tasks: HashMap<u64, Task>,
+    /// Arrivals not yet answered for good (acked, lost or refused).
+    unanswered: usize,
+    /// The next arrival closed mode releases.
+    next_arrival: usize,
+    /// Tasks outstanding on the daemon before the run: other clients'.
+    baseline: usize,
+    /// When the last submit request went out.
+    last_submit_us: u64,
+    /// Submit requests sent; the sabotage cadences count them.
+    sent_submits: usize,
+    /// Tasks placed at submit; the orphan cadence counts them.
+    placed: usize,
+    /// Since when every mutation has been refused with `not_leader`.
+    redirected_since: Option<Instant>,
+    /// No action goes out before this time: a `not_leader` refusal holds
+    /// the whole run while a promotion may be in progress.
+    hold_us: u64,
+    /// A failover happened since the last audit: audit once a node
+    /// accepts a mutation, or before settling.
+    audit_due: bool,
+    report: LoadgenReport,
+}
+
+impl Driver<'_> {
+    fn now_us(&self) -> u64 {
+        self.start.elapsed().as_micros() as u64
+    }
+
+    /// Schedule `action` `delay_ms` from now.
+    fn push(&mut self, delay_ms: u64, action: Action) {
+        let due = self.now_us() + delay_ms * 1_000;
+        self.heap.push(Reverse((due, action)));
+    }
+
+    /// Drop the connection and dial again. `failover` marks a connection
+    /// lost or refused rather than killed on purpose.
+    fn reconnect(&mut self, failover: bool) -> Result<(), String> {
+        self.audit_due |= failover;
+        let hint = self.leader_hint.as_deref();
+        self.client = dial(self.cfg, hint, &mut self.report.reconnects)?;
+        Ok(())
+    }
+
+    /// Send one request. `None` means the reply was lost with the
+    /// connection. A `not_leader` refusal holds the run and points the
+    /// next dial at the leader it names. Either way the client reconnects.
+    fn send(&mut self, request: Request) -> Result<Option<Reply>, String> {
+        let mutation = matches!(request, Request::Submit { .. } | Request::Complete { .. });
+        let Ok(reply) = self.client.request(request) else {
+            self.reconnect(true)?;
+            return Ok(None);
+        };
+        match &reply {
+            Reply::Error { kind, leader, .. } if *kind == ErrorKind::NotLeader => {
+                self.report.not_leader_redirects += 1;
+                let budget = Duration::from_millis(self.cfg.reconnect_timeout_ms);
+                let since = *self.redirected_since.get_or_insert_with(Instant::now);
+                if since.elapsed() > budget {
+                    let addrs = &self.cfg.addrs;
+                    return Err(format!("no leader among {addrs:?} within {budget:?}"));
+                }
+                if let Some(addr) = leader.as_ref().and_then(|h| h.leader_addr.clone()) {
+                    self.leader_hint = Some(addr);
+                }
+                self.hold_us = self.now_us() + REPOLL_MS * 1_000;
+                self.reconnect(true)?;
+            }
+            // A node that accepts a mutation leads: time to audit.
+            Reply::Ok { .. } if mutation => {
+                self.redirected_since = None;
+                if self.audit_due {
+                    self.audit();
+                }
+            }
+            _ => {}
+        }
+        Ok(Some(reply))
+    }
+
+    /// Closed mode: if `held`, a slot is free, so submit the next arrival.
+    fn release(&mut self, held: bool) {
+        if held && self.cfg.mode == LoadMode::Closed && self.next_arrival < self.cfg.requests {
+            self.push(0, Action::Submit(self.next_arrival));
+            self.next_arrival += 1;
+        }
+    }
+
+    fn submit(&mut self, i: usize) -> Result<(), String> {
+        if self.cfg.chaos {
+            self.sabotage()?;
+        }
+        let app = self.arrivals[i].clone();
+        let sent_us = self.now_us();
+        self.last_submit_us = sent_us;
+        let result = match self.send(Request::Submit { app, demand: None })? {
+            Some(Reply::Ok { result, .. }) => result,
+            // Refused but not admitted: go again after the hint (a
+            // `not_leader` refusal has none, and holds the run instead).
+            Some(Reply::Error {
+                kind,
+                retry_after_ms,
+                ..
+            }) if matches!(kind, ErrorKind::Backpressure | ErrorKind::NotLeader) => {
+                self.report.backpressure += usize::from(kind == ErrorKind::Backpressure);
+                self.push(retry_after_ms.unwrap_or(50).max(1), Action::Submit(i));
+                return Ok(());
+            }
+            lost_or_refused => {
+                let lost = lost_or_refused.is_none();
+                self.report.ambiguous_submits += usize::from(lost);
+                self.report.unexpected_replies += usize::from(!lost);
+                self.unanswered -= 1;
+                self.release(true);
+                return Ok(());
+            }
+        };
+        self.report.acked_submits += 1;
+        self.unanswered -= 1;
+        let task = result
+            .get("task")
+            .and_then(Value::as_u64)
+            .ok_or("submit reply without task id")?;
+        let predicted_s = result.get("predicted_runtime").and_then(Value::as_f64);
+        let predicted_s = predicted_s.unwrap_or(1.0);
+        let placed = result.get("state").and_then(Value::as_str) == Some("placed");
+        self.placed += usize::from(placed);
+        if placed && self.cfg.chaos && every(ORPHAN_EVERY, self.placed - 1) {
+            // Never complete this one: the lease must reclaim it
+            // (requeue, then dead-letter).
+            self.report.orphaned += 1;
+            self.release(true);
+            return Ok(());
+        }
+        let t = Task {
+            submitted_us: sent_us,
+            predicted_s,
+            fate: Fate::Owed,
+            sojourn_ms: None,
+            slot: true,
+        };
+        // A promoted follower that never pulled a task's admission hands
+        // its id out again: the first task is gone with the old leader.
+        if let Some(gone) = self.tasks.insert(task, t) {
+            self.report.unknown += 1;
+            self.release(gone.slot);
+        }
+        match placed {
+            true => self.push(exec_ms(self.pace, predicted_s), Action::Complete(task)),
+            false => self.push(self.pace.poll_ms, Action::Poll(task)),
+        }
+        Ok(())
+    }
+
+    /// The chaos cadences, counted in submit requests sent.
+    fn sabotage(&mut self) -> Result<(), String> {
+        let n = self.sent_submits;
+        self.sent_submits += 1;
+        if every(PARTIAL_EVERY, n) {
+            // Leave a torn frame on the wire, then vanish.
+            let _ = self.client.send_raw_bytes(b"{\"v\":2,\"op\":\"subm");
+        }
+        if every(KILL_EVERY, n) || every(PARTIAL_EVERY, n) {
+            self.report.connection_kills += 1;
+            self.reconnect(false)?;
+        }
+        if every(GARBAGE_EVERY, n) && self.probe("\u{1}garbage ][ not json \u{7f}", None)? {
+            self.report.garbage_probes += 1;
+        }
+        if every(OVERSIZED_EVERY, n) {
+            let big = "x".repeat(80 * 1024);
+            if self.probe(&big, Some(ErrorKind::FrameTooLarge))? {
+                self.report.oversized_probes += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Send a raw line the daemon must refuse with a structured error (of
+    /// kind `want`, if given). `false` when the connection died instead.
+    fn probe(&mut self, line: &str, want: Option<ErrorKind>) -> Result<bool, String> {
+        let Ok(reply) = self.client.raw_roundtrip(line) else {
+            self.reconnect(true)?;
+            return Ok(false);
+        };
+        let refused = matches!(proto::decode_reply(&reply),
+            Ok(Reply::Error { kind, .. }) if want.is_none_or(|w| w == kind));
+        self.report.unexpected_replies += usize::from(!refused);
+        Ok(true)
+    }
+
+    /// Ask where a task stands: complete it once it runs, keep polling
+    /// while it queues or the daemon does not know it, and retire it once
+    /// it ended.
+    fn poll(&mut self, task: u64) -> Result<(), String> {
+        let Some(t) = self.tasks.get(&task) else {
+            return Ok(());
+        };
+        let (fate, counted) = (t.fate, t.sojourn_ms.is_some());
+        let result = match self.send(Request::TaskInfo { task })? {
+            Some(Reply::Ok { result, .. }) => result,
+            // An unknown task is never given up, since a follower that has
+            // not promoted yet knows nothing, but it frees its slot.
+            Some(Reply::Error {
+                kind: ErrorKind::UnknownTask,
+                ..
+            }) => {
+                self.free(task);
+                self.repoll(task, Fate::Unknown, REPOLL_MS);
+                return Ok(());
+            }
+            // Any other refusal is unexpected, like a state in no arm below.
+            Some(Reply::Error { kind, .. }) if kind != ErrorKind::NotLeader => Value::Null,
+            // A lost reply or a redirect: ask again.
+            _ => {
+                self.repoll(task, fate, self.pace.poll_ms);
+                return Ok(());
+            }
+        };
+        match result.get("state").and_then(Value::as_str) {
+            Some("running") => {
+                let t = self.tasks.get_mut(&task).ok_or("polled task vanished")?;
+                let predicted = result.get("predicted_runtime").and_then(Value::as_f64);
+                t.predicted_s = predicted.unwrap_or(t.predicted_s);
+                t.fate = Fate::Owed;
+                let delay = exec_ms(self.pace, t.predicted_s);
+                self.push(delay, Action::Complete(task));
+            }
+            Some("queued") => self.repoll(task, Fate::Owed, self.pace.poll_ms),
+            Some("completed") => self.retire(task, Fate::Done),
+            // A completion this client had reported was lost with a dead
+            // leader; the task is not the client's to finish.
+            Some("dead_lettered") if counted => self.retire(task, Fate::Done),
+            Some("dead_lettered") => self.retire(task, Fate::Lost),
+            _ => {
+                self.report.unexpected_replies += 1;
+                self.repoll(task, fate, self.pace.poll_ms);
+            }
+        }
+        Ok(())
+    }
+
+    fn repoll(&mut self, task: u64, fate: Fate, delay_ms: u64) {
+        if let Some(t) = self.tasks.get_mut(&task) {
+            t.fate = fate;
+        }
+        self.push(delay_ms, Action::Poll(task));
+    }
+
+    /// A task reached a terminal state. Only its first completion counts.
+    fn retire(&mut self, task: u64, fate: Fate) {
+        let now_us = self.now_us();
+        let Some(t) = self.tasks.get_mut(&task) else {
+            return;
+        };
+        t.fate = fate;
+        if fate == Fate::Done && t.sojourn_ms.is_none() {
+            t.sojourn_ms = Some(now_us.saturating_sub(t.submitted_us) as f64 / 1_000.0);
+        }
+        self.free(task);
+    }
+
+    /// Closed mode: `task` gives up its slot, once, to the next arrival.
+    fn free(&mut self, task: u64) {
+        let held = self
+            .tasks
+            .get_mut(&task)
+            .map(|t| std::mem::take(&mut t.slot));
+        self.release(held == Some(true));
+    }
+
+    /// Poll every completed task once more: a leader that died may have
+    /// acked completions its follower never pulled.
+    fn audit(&mut self) {
+        self.audit_due = false;
+        for (&task, _) in self.tasks.iter().filter(|(_, t)| t.fate == Fate::Done) {
+            self.heap.push(Reverse((0, Action::Poll(task))));
+        }
+    }
+
+    fn complete(&mut self, task: u64) -> Result<(), String> {
+        let Some(t) = self.tasks.get(&task) else {
+            return Ok(());
+        };
+        // The predicted runtime within ±15 % (floored at 50 ms) and an
+        // IOPS figure in 40..240, in that draw order.
+        let runtime = t.predicted_s.max(0.05) * self.rng.range_f64(0.85, 1.15);
+        let iops = self.rng.range_f64(40.0, 240.0);
+        match self.send(Request::Complete {
+            task,
+            runtime,
+            iops,
+        })? {
+            Some(Reply::Ok { .. }) => {
+                self.retire(task, Fate::Done);
+                return Ok(());
+            }
+            Some(_) => self.report.completion_refusals += 1,
+            None => self.report.ambiguous_completes += 1,
+        }
+        // Refused or lost: ask where the task stands.
+        self.push(self.pace.poll_ms, Action::Poll(task));
+        Ok(())
+    }
+
+    /// One conservation check. Once every arrival is answered it also
+    /// decides the run: `Ok(true)` when the daemon has settled or the
+    /// settle window has passed since the last submit. Closed mode's
+    /// window runs before that too: slots that stay held end the run.
+    fn status(&mut self) -> Result<bool, String> {
+        let Ok(result) = ask(&mut self.client, Request::Status) else {
+            self.reconnect(true)?;
+            return Ok(false);
+        };
+        let field = |key| {
+            let value = result.get(key).and_then(Value::as_u64);
+            value.ok_or_else(|| format!("status reply without '{key}'"))
+        };
+        let admitted = field("admitted")?;
+        let completed = field("completed")?;
+        let dead = field("dead_lettered")?;
+        let outstanding = field("queued")? + field("delayed")? + field("running")?;
+        let report = &mut self.report;
+        report.conservation_checks += 1;
+        report.conservation_violations += usize::from(admitted != completed + dead + outstanding);
+        report.final_counts = (admitted, completed, dead);
+        let waited_ms = (self.now_us() - self.last_submit_us) / 1_000;
+        let late = waited_ms > self.cfg.settle_timeout_ms;
+        if self.unanswered > 0 {
+            return Ok(late && self.cfg.mode == LoadMode::Closed);
+        }
+        let count = |fate| self.tasks.values().filter(|t| t.fate == fate).count();
+        let (owed, asking) = (count(Fate::Owed), count(Fate::Unknown));
+        // A daemon whose counters do not account for the client's acked
+        // work (say, a follower that has not promoted) is not settled.
+        let known = admitted as usize + asking + self.report.unknown;
+        let accounted = known >= self.report.acked_submits;
+        // Besides other clients' work from before the run, the daemon may
+        // hold tasks the client never learned an id for: ambiguous submits
+        // that landed. Only their leases can end them.
+        let unnamed =
+            (known.saturating_sub(self.report.acked_submits)).min(self.report.ambiguous_submits);
+        let quiet = owed == 0 && outstanding as usize <= self.baseline + unnamed;
+        // Unknown tasks end the run early only on a daemon that holds
+        // admissions: a follower that has not promoted holds none.
+        if quiet && accounted && (asking == 0 || admitted > 0) {
+            self.report.settled = true;
+            return Ok(true);
+        }
+        if late {
+            self.report.settled = quiet && accounted;
+            return Ok(true);
+        }
+        if owed == 0 && admitted > 0 && self.audit_due {
+            self.audit();
+        }
+        Ok(false)
+    }
+
+    /// Collect the server-side injection count and leave the registry
+    /// clean, then sum up the run.
+    fn finish(mut self) -> LoadgenReport {
+        // Best effort: the armed node may have died mid-run (that is the
+        // point of some torture setups), and the survivor's count is
+        // still the honest answer for *it*.
+        if self.cfg.failpoints.is_some() {
+            if let Ok(result) = ask(&mut self.client, fail_verb("status", None)) {
+                let injected = result.get("injected").and_then(Value::as_u64);
+                self.report.faults_injected = injected.unwrap_or(0);
+            }
+            let _ = ask(&mut self.client, fail_verb("disarm", None));
+        }
+        let mut report = self.report;
+        for t in self.tasks.values() {
+            match t.fate {
+                Fate::Owed | Fate::Lost => report.lost += 1,
+                Fate::Unknown => report.unknown += 1,
+                Fate::Done => {}
+            }
+        }
+        report.submit_s = self.last_submit_us as f64 / 1e6;
+        report.wall_s = self.start.elapsed().as_secs_f64();
+        let ms: Vec<f64> = self.tasks.values().filter_map(|t| t.sojourn_ms).collect();
+        report.completions_acked = ms.len();
+        if !ms.is_empty() {
+            report.sojourn_ms = SojournStats {
+                p50: percentile(&ms, 50.0),
+                p95: percentile(&ms, 95.0),
+                p99: percentile(&ms, 99.0),
+                max: ms.iter().copied().fold(0.0, f64::max),
+            };
+        }
+        report
+    }
+}
+
+fn every(n: usize, i: usize) -> bool {
+    i % n == n - 1
+}
+
+/// The wall delay of a task's synthetic execution, ms.
+fn exec_ms(pace: &Pacing, predicted_runtime_s: f64) -> u64 {
+    (predicted_runtime_s.max(0.0) * pace.task_ms_per_s).min(pace.max_task_ms as f64) as u64
 }
 
 #[cfg(test)]
@@ -1112,11 +921,11 @@ mod tests {
 
     #[test]
     fn an_unsettled_report_names_its_outstanding_tasks_and_the_lease() {
-        let mut report = ChaosReport {
+        let mut report = LoadgenReport {
             conservation_checks: 3,
             settled: true,
             final_counts: (306, 290, 10),
-            ..ChaosReport::default()
+            ..LoadgenReport::default()
         };
         let settled = report.render();
         assert!(!settled.contains("unsettled"), "{settled}");
@@ -1127,5 +936,31 @@ mod tests {
         assert!(out.contains("lease to expire"), "{out}");
         assert!(out.contains("--lease-ms"), "{out}");
         assert!(out.ends_with("verdict: FAIL\n"), "{out}");
+    }
+
+    /// A follower that has not promoted reads all zeros, which conserve
+    /// trivially; forgiving the acked tasks it does not know must not
+    /// turn that into a pass.
+    #[test]
+    fn zero_counters_that_miss_acked_work_fail_even_after_a_redirect() {
+        let report = LoadgenReport {
+            chaos: true,
+            acked_submits: 240,
+            completions_acked: 150,
+            unknown: 66,
+            not_leader_redirects: 3,
+            conservation_checks: 40,
+            settled: true,
+            final_counts: (0, 0, 0),
+            ..LoadgenReport::default()
+        };
+        assert!(!report.passed(), "{}", report.render());
+        // The same unknown tasks on a promoted follower that holds the
+        // rest of the acked work are forgiven.
+        let promoted = LoadgenReport {
+            final_counts: (174, 160, 14),
+            ..report
+        };
+        assert!(promoted.passed(), "{}", promoted.render());
     }
 }

@@ -1,6 +1,6 @@
-//! Chaos integration tests: attack a live tracond with the adversarial
-//! load mode and assert the task-conservation invariant, then crash a
-//! WAL-backed daemon and verify a fresh process recovers its state.
+//! Chaos integration tests: drive a live tracond with the load generator,
+//! clean and adversarial, and assert the task-conservation invariant, then
+//! crash a WAL-backed daemon and verify a fresh process recovers its state.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -8,9 +8,8 @@ use std::time::{Duration, Instant};
 use tracon_core::SchedulerKind;
 use tracon_dcsim::{Testbed, TestbedConfig};
 use tracon_serve::daemon::start;
-use tracon_serve::{
-    run_chaos, ChaosConfig, Client, ErrorKind, NetConfig, Reply, Request, Role, ServeConfig,
-};
+use tracon_serve::loadgen::{self, LoadgenConfig};
+use tracon_serve::{Client, ErrorKind, NetConfig, Reply, Request, Role, ServeConfig};
 
 /// Same scale as the serve crate's unit tests: fast to profile, still a
 /// real 8-app interference matrix.
@@ -70,14 +69,15 @@ fn chaos_run_holds_conservation_and_settles() {
     let testbed = tiny_testbed();
     let handle = start(&testbed, fast_lease_cfg(), NetConfig::default()).expect("daemon must bind");
 
-    let cfg = ChaosConfig {
+    let cfg = LoadgenConfig {
         addrs: vec![handle.addr.to_string()],
         requests: 60,
         seed: 0xC4A05,
         settle_timeout_ms: 20_000,
-        ..ChaosConfig::default()
+        chaos: true,
+        ..LoadgenConfig::default()
     };
-    let report = run_chaos(&cfg).expect("daemon stayed reachable");
+    let report = loadgen::run(&cfg).expect("daemon stayed reachable");
 
     assert!(report.passed(), "chaos run failed:\n{}", report.render());
     assert!(
@@ -105,6 +105,192 @@ fn chaos_run_holds_conservation_and_settles() {
 
     handle.stop();
     handle.join();
+}
+
+/// Leases long enough that nothing expires under a clean run's
+/// completions, and retries enough that a restart never dead-letters.
+fn long_lease_cfg() -> ServeConfig {
+    ServeConfig {
+        lease_base_ms: 60_000,
+        max_attempts: 5,
+        ..fast_lease_cfg()
+    }
+}
+
+#[test]
+fn a_clean_run_against_a_healthy_daemon_passes_without_faults() {
+    let testbed = tiny_testbed();
+    let handle = start(&testbed, long_lease_cfg(), NetConfig::default()).expect("daemon must bind");
+    let cfg = LoadgenConfig {
+        addrs: vec![handle.addr.to_string()],
+        requests: 40,
+        quick: true,
+        ..LoadgenConfig::default()
+    };
+    let report = loadgen::run(&cfg).expect("daemon stayed reachable");
+    assert!(report.passed(), "clean run failed:\n{}", report.render());
+    assert!(report.conservation_checks > 0, "{}", report.render());
+    assert_eq!(report.faults_observed(), 0, "{}", report.render());
+    assert_eq!(report.acked_submits, 40, "{}", report.render());
+    assert_eq!(report.completions_acked, 40, "{}", report.render());
+    assert!(report.sojourn_ms.p50 > 0.0, "{}", report.render());
+    handle.stop();
+    handle.join();
+}
+
+/// A clean run rides through its daemon's restart: the daemon stops
+/// mid-run and comes back on the same WAL at the second address of the
+/// failover list, and every acked task still ends completed.
+#[test]
+fn a_clean_run_survives_a_daemon_restart() {
+    use std::sync::atomic::Ordering;
+
+    let testbed = tiny_testbed();
+    let dir = wal_dir("clean-restart");
+    let cfg = ServeConfig {
+        wal_dir: Some(dir.clone()),
+        ..long_lease_cfg()
+    };
+    let first = start(&testbed, cfg.clone(), NetConfig::default()).expect("first daemon");
+    // The restart's port, held until the restart so no other test's
+    // daemon takes it.
+    let reserved = std::net::TcpListener::bind("127.0.0.1:0").expect("reserve a port");
+    let second_addr = reserved.local_addr().expect("reserved address").to_string();
+    let lg = LoadgenConfig {
+        addrs: vec![first.addr.to_string(), second_addr.clone()],
+        requests: 60,
+        ..LoadgenConfig::default()
+    };
+    let run = std::thread::spawn(move || loadgen::run(&lg));
+
+    // Default pacing submits 60 arrivals over about 3 s: stop the daemon
+    // once a sixth of them are in.
+    let admissions = &first.metrics().admissions;
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while admissions.load(Ordering::Relaxed) < 10 {
+        assert!(Instant::now() < deadline, "the run never got going");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    first.stop();
+    first.join();
+    drop(reserved);
+    let net = NetConfig {
+        addr: second_addr,
+        ..NetConfig::default()
+    };
+    let second = start(&testbed, cfg, net).expect("restarted daemon");
+
+    let report = run
+        .join()
+        .expect("loadgen thread")
+        .expect("daemon came back");
+    assert!(report.passed(), "clean run failed:\n{}", report.render());
+    assert_eq!(report.lost, 0, "{}", report.render());
+    assert!(
+        report.reconnects > 1,
+        "the run never failed over:\n{}",
+        report.render()
+    );
+    second.stop();
+    second.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Work other clients left on the daemon is not the run's to settle: a
+/// clean run beside two tasks that are never completed still passes.
+#[test]
+fn a_clean_run_passes_beside_another_clients_unfinished_tasks() {
+    let testbed = tiny_testbed();
+    let cfg = ServeConfig {
+        machines: 4,
+        ..long_lease_cfg()
+    };
+    let handle = start(&testbed, cfg, NetConfig::default()).expect("daemon must bind");
+    let mut other = Client::connect(&handle.addr.to_string()).expect("connect");
+    for _ in 0..2 {
+        let reply = submit(&mut other, &testbed.perf.names[0]);
+        assert!(matches!(reply, Reply::Ok { .. }), "{reply:?}");
+    }
+    let lg = LoadgenConfig {
+        addrs: vec![handle.addr.to_string()],
+        requests: 40,
+        quick: true,
+        settle_timeout_ms: 3_000,
+        ..LoadgenConfig::default()
+    };
+    let report = loadgen::run(&lg).expect("daemon stayed reachable");
+    assert!(report.passed(), "clean run failed:\n{}", report.render());
+    assert_eq!(report.acked_submits, 40, "{}", report.render());
+    let mut client = Client::connect(&handle.addr.to_string()).expect("connect");
+    let (_, _, _, outstanding) = status_counts(&mut client);
+    assert_eq!(outstanding, 2, "the other client's tasks are still running");
+    handle.stop();
+    handle.join();
+}
+
+/// A closed-mode run whose every slot holds a task that vanishes with
+/// its leader ends instead of polling forever. The tasks queue behind
+/// another client's task on a one-slot leader; the leader dies, and the
+/// follower, which never synced, never promotes and does not know them.
+#[test]
+fn a_closed_run_ends_when_its_tasks_vanish_with_the_leader() {
+    use std::sync::atomic::Ordering;
+
+    let testbed = tiny_testbed();
+    let leader_cfg = ServeConfig {
+        machines: 1,
+        slots_per_machine: 1,
+        ..long_lease_cfg()
+    };
+    let leader = start(&testbed, leader_cfg, NetConfig::default()).expect("leader boots");
+    let mut other = Client::connect(&leader.addr.to_string()).expect("connect leader");
+    let reply = submit(&mut other, &testbed.perf.names[0]);
+    assert!(matches!(reply, Reply::Ok { .. }), "{reply:?}");
+    // The follower's leader is an address nothing listens on.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let nobody = listener.local_addr().expect("address").to_string();
+    drop(listener);
+    let dir = wal_dir("closed-unpromoted");
+    let follower_cfg = ServeConfig {
+        wal_dir: Some(dir.clone()),
+        replica_of: Some(nobody),
+        repl_poll_ms: 40,
+        ..long_lease_cfg()
+    };
+    let follower = start(&testbed, follower_cfg, NetConfig::default()).expect("follower boots");
+
+    let lg = LoadgenConfig {
+        addrs: vec![leader.addr.to_string(), follower.addr.to_string()],
+        requests: 20,
+        mode: loadgen::LoadMode::Closed,
+        concurrency: 2,
+        settle_timeout_ms: 2_000,
+        reconnect_timeout_ms: 2_000,
+        ..LoadgenConfig::default()
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(loadgen::run(&lg));
+    });
+    let admissions = &leader.metrics().admissions;
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while admissions.load(Ordering::Relaxed) < 3 {
+        assert!(Instant::now() < deadline, "the run never got going");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    leader.stop();
+    leader.join();
+    drop(other);
+
+    let outcome = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a closed run whose tasks vanished never ended");
+    if let Ok(report) = outcome {
+        assert!(!report.passed(), "{}", report.render());
+    }
+    follower.stop();
+    follower.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

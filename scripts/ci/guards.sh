@@ -221,6 +221,12 @@ found=$(code_of crates/serve/src/table.rs | matches -nF 'json::obj(')
 forbid "a Figs 9-12 driver grew back beside the sweep (one sweep)" \
     -rnE 'fn dynamic_sweep\b|struct Fig(9|10|11|12)\b|experiments::fig(9|10|11|12)' crates src tests --include='*.rs'
 
+# One client loop: `tracon loadgen` runs one driver over a heap of due
+# actions, and chaos mode is that driver plus sabotage. The second driver,
+# its config and the chase loop that polled beside it stay gone.
+forbid "a second load-generator loop grew back (one client loop)" \
+    -rnE 'fn run_chaos\b|struct ChaosConfig\b|fn chase\b' crates
+
 # Every committed `BENCH_*.json` has the layout `scripts/pairs.sh` writes.
 for f in BENCH_*.json; do
     [ -e "$f" ] || continue
