@@ -138,6 +138,21 @@ mod tests {
     use super::*;
 
     #[test]
+    fn vmsim_runs_a_full_machine() {
+        // A machine holds a VM and up to MAX_NEIGHBOURS neighbours; the
+        // engine is compiled for each guest count up to its limit.
+        let machine = tracon_core::MAX_NEIGHBOURS + 1;
+        assert!(
+            machine <= tracon_vmsim::MAX_GUESTS,
+            "a machine's {machine} slots exceed vmsim's {} guests",
+            tracon_vmsim::MAX_GUESTS
+        );
+        let calc = tracon_vmsim::apps::calc().time_scaled(0.01);
+        let out = Engine::new(HostConfig::testbed()).run(&vec![&calc; machine], 1);
+        assert!(out.finished.iter().all(|&f| f));
+    }
+
+    #[test]
     fn dominant_is_exact_at_two_guests_and_lower_bound_beyond() {
         let fig = run(0.08, 5);
         for r in &fig.rows {

@@ -75,7 +75,8 @@ pub struct LoadgenConfig {
     /// waits for a free slot before it ends unsettled.
     pub settle_timeout_ms: u64,
     /// Time budget for one reconnect (covers a daemon restart or a
-    /// promotion), and for a run of `not_leader` refusals.
+    /// promotion), for a run of `not_leader` refusals, and for a run of
+    /// lost replies.
     pub reconnect_timeout_ms: u64,
     /// Failpoint spec (`site[@scope]=action[*count][%permille];…`) armed
     /// on the daemon over the `fail` verb before the run and disarmed
@@ -394,8 +395,9 @@ fn fail_verb(action: &str, spec: Option<String>) -> Request {
     Request::Fail { action, spec }
 }
 
-/// Run the generator. An `Err` is a usage error or a daemon that stayed
-/// unreachable past the reconnect budget; an `Ok` report must still be
+/// Run the generator. An `Err` is a usage error, or a daemon that stayed
+/// unreachable, refused every mutation with `not_leader` or answered no
+/// request past the reconnect budget; an `Ok` report must still be
 /// checked with [`LoadgenReport::passed`].
 pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     let Some(first) = cfg.addrs.first() else {
@@ -474,6 +476,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
         sent_submits: 0,
         placed: 0,
         redirected_since: None,
+        lost_since: None,
         hold_us: 0,
         audit_due: false,
         report,
@@ -525,6 +528,9 @@ struct Driver<'a> {
     placed: usize,
     /// Since when every mutation has been refused with `not_leader`.
     redirected_since: Option<Instant>,
+    /// When the first request of the current run of lost replies went
+    /// out (`None` once a reply arrives).
+    lost_since: Option<Instant>,
     /// No action goes out before this time: a `not_leader` refusal holds
     /// the whole run while a promotion may be in progress.
     hold_us: u64,
@@ -557,12 +563,22 @@ impl Driver<'_> {
     /// Send one request. `None` means the reply was lost with the
     /// connection. A `not_leader` refusal holds the run and points the
     /// next dial at the leader it names. Either way the client reconnects.
+    /// Refusals, or lost replies, that last past the reconnect budget end
+    /// the run: an address that accepts connections but never answers
+    /// would otherwise cost every request a read timeout, forever.
     fn send(&mut self, request: Request) -> Result<Option<Reply>, String> {
         let mutation = matches!(request, Request::Submit { .. } | Request::Complete { .. });
+        let sent = Instant::now();
         let Ok(reply) = self.client.request(request) else {
+            let budget = Duration::from_millis(self.cfg.reconnect_timeout_ms);
+            if self.lost_since.get_or_insert(sent).elapsed() > budget {
+                let addrs = &self.cfg.addrs;
+                return Err(format!("no reply from any of {addrs:?} within {budget:?}"));
+            }
             self.reconnect(true)?;
             return Ok(None);
         };
+        self.lost_since = None;
         match &reply {
             Reply::Error { kind, leader, .. } if *kind == ErrorKind::NotLeader => {
                 self.report.not_leader_redirects += 1;
@@ -820,9 +836,13 @@ impl Driver<'_> {
     /// settle window has passed since the last submit. Closed mode's
     /// window runs before that too: slots that stay held end the run.
     fn status(&mut self) -> Result<bool, String> {
-        let Ok(result) = ask(&mut self.client, Request::Status) else {
-            self.reconnect(true)?;
-            return Ok(false);
+        let result = match self.send(Request::Status)? {
+            Some(Reply::Ok { result, .. }) => result,
+            Some(_) => {
+                self.reconnect(true)?;
+                return Ok(false);
+            }
+            None => return Ok(false),
         };
         let field = |key| {
             let value = result.get(key).and_then(Value::as_u64);

@@ -293,6 +293,59 @@ fn a_closed_run_ends_when_its_tasks_vanish_with_the_leader() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A run whose replies stop coming ends with an `Err` naming its
+/// addresses once the reconnect budget has passed. The daemon stops
+/// mid-run, and the second listed address is bound but never accepts:
+/// every dial there connects and every request on it times out. The run
+/// must end within the budget plus one read timeout (500 ms) of the
+/// stop; 250 ms more cover the stop itself, the driver's 50 ms status
+/// interval and the dials.
+#[test]
+fn a_run_whose_replies_stop_ends_within_the_reconnect_budget() {
+    use std::sync::atomic::Ordering;
+
+    let testbed = tiny_testbed();
+    let daemon = start(&testbed, long_lease_cfg(), NetConfig::default()).expect("daemon boots");
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let silent_addr = silent.local_addr().expect("address").to_string();
+    let budget = Duration::from_millis(2_000);
+    let lg = LoadgenConfig {
+        addrs: vec![daemon.addr.to_string(), silent_addr.clone()],
+        requests: 60,
+        reconnect_timeout_ms: budget.as_millis() as u64,
+        ..LoadgenConfig::default()
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let outcome = loadgen::run(&lg);
+        let _ = tx.send((outcome, Instant::now()));
+    });
+    let admissions = &daemon.metrics().admissions;
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while admissions.load(Ordering::Relaxed) < 10 {
+        assert!(Instant::now() < deadline, "the run never got going");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let stopped = Instant::now();
+    daemon.stop();
+    daemon.join();
+
+    let (outcome, ended) = rx
+        .recv_timeout(budget + Duration::from_secs(10))
+        .expect("a run that gets no replies never ended");
+    let err = outcome.expect_err("a run that gets no replies must fail");
+    assert!(
+        err.starts_with("no reply from any of") && err.contains(&silent_addr),
+        "{err}"
+    );
+    let took = ended - stopped;
+    assert!(
+        took < budget + Duration::from_millis(500 + 250),
+        "the run ended {took:?} after the daemon stopped, budget {budget:?}"
+    );
+    drop(silent);
+}
+
 #[test]
 fn killed_daemon_recovers_queue_and_counters_from_wal() {
     let testbed = tiny_testbed();

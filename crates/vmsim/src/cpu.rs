@@ -8,8 +8,13 @@
 
 /// Computes the weighted max-min fair allocation of `capacity` among
 /// consumers with the given `demands` and `weights` into `alloc`, a
-/// caller-owned buffer of the same length (the co-run engine's fixed
-/// point calls this twice per iteration and must not allocate).
+/// caller-owned buffer of the same length.
+///
+/// The co-run engine's fixed point calls this twice per round, and the
+/// disk once, on fixed-size arrays. It is `#[inline]` so that those calls
+/// compile with the array's length as a constant (the checks and loops
+/// unroll for two to six consumers); the slice signature is the one
+/// implementation every caller shares.
 ///
 /// Properties:
 /// * no consumer receives more than its demand,
@@ -21,6 +26,7 @@
 /// # Panics
 /// Panics when the slices differ in length, or any demand/weight is
 /// negative or non-finite.
+#[inline]
 pub fn fair_share(capacity: f64, demands: &[f64], weights: &[f64], alloc: &mut [f64]) {
     let n = demands.len();
     // One pass checks every input; when any fails, a cold function

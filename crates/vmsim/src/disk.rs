@@ -45,37 +45,48 @@ impl IoDemand {
     }
 }
 
-/// Result of one disk allocation round: the fraction of each VM's requested
-/// rate that the device can actually serve this step. The caller owns it
-/// and hands it back to every [`Disk::allocate`] call, so a round
-/// allocates nothing once the vectors have grown to the guest count.
+/// Result of one disk allocation round for `N` streams: the fraction of
+/// each VM's requested rate that the device can actually serve this
+/// step. The caller owns it and hands it back to every
+/// [`Disk::allocate`] call; it is fixed-size, so a round allocates
+/// nothing and the compiler sees the stream count.
 ///
 /// It also remembers the inputs of the round it holds, as raw bits, so a
 /// call whose inputs repeat reuses what they determine. It must be handed
 /// only to the disk that filled it (the co-run engine keeps one per run).
-#[derive(Debug, Clone, Default)]
-pub struct DiskAllocation {
+#[derive(Debug, Clone)]
+pub struct DiskAllocation<const N: usize> {
     /// Per-VM service fraction in `[0, 1]`: served = requested * fraction.
-    pub fractions: Vec<f64>,
+    pub fractions: [f64; N],
     /// Device utilization implied by the requested rates (1.0 = saturated).
     pub requested_utilization: f64,
-    /// Scratch: per-VM device-time demand, and the unit fair-share weights.
-    utilizations: Vec<f64>,
-    weights: Vec<f64>,
+    /// Scratch: per-VM device-time demand.
+    utilizations: [f64; N],
     /// The demands behind `utilizations` (each field's bits, in
     /// declaration order) and the clamped path efficiency behind
     /// `fractions`. Bits, not `==`: a `-0.0` is a new input. The
     /// efficiency is `None` while no complete round is held.
-    demand_bits: Vec<[u64; 4]>,
+    demand_bits: [[u64; 4]; N],
     efficiency_bits: Option<u64>,
 }
 
-impl DiskAllocation {
+impl<const N: usize> Default for DiskAllocation<N> {
+    fn default() -> Self {
+        DiskAllocation {
+            fractions: [0.0; N],
+            requested_utilization: 0.0,
+            utilizations: [0.0; N],
+            demand_bits: [[0; 4]; N],
+            efficiency_bits: None,
+        }
+    }
+}
+
+impl<const N: usize> DiskAllocation<N> {
     /// Stores `demands` as the inputs of the round about to be computed
     /// and says whether they are the stored round's, bit for bit.
-    fn repeats_demands(&mut self, demands: &[IoDemand]) -> bool {
-        let mut same = self.efficiency_bits.is_some() && self.demand_bits.len() == demands.len();
-        self.demand_bits.resize(demands.len(), [0; 4]);
+    fn repeats_demands(&mut self, demands: &[IoDemand; N]) -> bool {
+        let mut same = self.efficiency_bits.is_some();
         for (d, key) in demands.iter().zip(&mut self.demand_bits) {
             let now = [
                 d.read_rps.to_bits(),
@@ -153,7 +164,12 @@ impl Disk {
     /// them bit for bit the utilizations (and their `powf` calls) are not
     /// recomputed, and when `path_efficiency` repeats too the call
     /// returns at once.
-    pub fn allocate(&self, demands: &[IoDemand], path_efficiency: f64, out: &mut DiskAllocation) {
+    pub fn allocate<const N: usize>(
+        &self,
+        demands: &[IoDemand; N],
+        path_efficiency: f64,
+        out: &mut DiskAllocation<N>,
+    ) {
         let eff = path_efficiency.clamp(1e-6, 1.0);
         let same_demands = out.repeats_demands(demands);
         let same_efficiency = out.efficiency_bits == Some(eff.to_bits());
@@ -171,21 +187,21 @@ impl Disk {
         out.efficiency_bits = None;
         let total_rps: f64 = demands.iter().map(|d| d.total_rps()).sum();
         if !same_demands {
-            out.utilizations.clear();
-            out.utilizations.extend(demands.iter().map(|d| {
-                if d.is_idle() {
-                    return 0.0;
-                }
-                let eseq = self.effective_sequentiality(d.sequentiality, d.total_rps(), total_rps);
-                d.total_rps() * self.service_time_s(d.req_kb, eseq)
-            }));
+            for (u, d) in out.utilizations.iter_mut().zip(demands) {
+                *u = if d.is_idle() {
+                    0.0
+                } else {
+                    let eseq =
+                        self.effective_sequentiality(d.sequentiality, d.total_rps(), total_rps);
+                    d.total_rps() * self.service_time_s(d.req_kb, eseq)
+                };
+            }
             out.requested_utilization = out.utilizations.iter().sum();
         }
-        // Max-min fair device-time allocation (granted device time lands
-        // in `fractions` and is turned into service fractions in place).
-        out.weights.resize(demands.len(), 1.0);
-        out.fractions.resize(demands.len(), 0.0);
-        crate::cpu::fair_share(eff, &out.utilizations, &out.weights, &mut out.fractions);
+        // Max-min fair device-time allocation, unit weights (granted
+        // device time lands in `fractions` and is turned into service
+        // fractions in place).
+        crate::cpu::fair_share(eff, &out.utilizations, &[1.0; N], &mut out.fractions);
         // Absolute IOPS cap (controller limit / iSCSI target cap), applied
         // as a uniform scale on top of the fair allocation.
         let iops_frac = if total_rps > self.params.iops_cap {
@@ -295,7 +311,7 @@ pub(crate) mod tests {
         check_cases(0..400, |rng| {
             let host = [DiskParams::local_sata(), DiskParams::iscsi()][rng.range_usize(0, 2)];
             let d = Disk::new(host);
-            let mut memo = DiskAllocation::default();
+            let mut memos = Memos::default();
             let mut demands: Vec<IoDemand> = Vec::new();
             let mut eff = 1.0;
             let mut last: Option<(Vec<[u64; 4]>, u64)> = None;
@@ -331,10 +347,9 @@ pub(crate) mod tests {
                     eff = EFF[rng.range_usize(0, EFF.len())];
                 }
                 let before = counts();
-                d.allocate(&demands, eff, &mut memo);
+                let memo = memos.allocate(&d, &demands, eff);
                 let after = counts();
-                let mut fresh = DiskAllocation::default();
-                d.allocate(&demands, eff, &mut fresh);
+                let fresh = Memos::default().allocate(&d, &demands, eff);
                 set_counts(after);
                 assert_eq!(
                     memo.fractions
@@ -386,8 +401,58 @@ pub(crate) mod tests {
         );
     }
 
+    /// A round's outputs, whatever its stream count.
+    struct Round {
+        fractions: Vec<f64>,
+        requested_utilization: f64,
+    }
+
+    /// One memo per stream count, for rounds whose count changes: a round
+    /// at a new count starts from a fresh memo, as a new run's does.
+    #[derive(Default)]
+    struct Memos {
+        n: usize,
+        one: DiskAllocation<1>,
+        two: DiskAllocation<2>,
+        three: DiskAllocation<3>,
+        four: DiskAllocation<4>,
+    }
+
+    impl Memos {
+        fn allocate(&mut self, d: &Disk, demands: &[IoDemand], eff: f64) -> Round {
+            fn round<const N: usize>(
+                d: &Disk,
+                demands: &[IoDemand],
+                eff: f64,
+                memo: &mut DiskAllocation<N>,
+                new_count: bool,
+            ) -> Round {
+                if new_count {
+                    *memo = DiskAllocation::default();
+                }
+                d.allocate(demands.try_into().expect("N demands"), eff, memo);
+                Round {
+                    fractions: memo.fractions.to_vec(),
+                    requested_utilization: memo.requested_utilization,
+                }
+            }
+            let new_count = std::mem::replace(&mut self.n, demands.len()) != demands.len();
+            match demands.len() {
+                1 => round(d, demands, eff, &mut self.one, new_count),
+                2 => round(d, demands, eff, &mut self.two, new_count),
+                3 => round(d, demands, eff, &mut self.three, new_count),
+                4 => round(d, demands, eff, &mut self.four, new_count),
+                n => panic!("{n} demands"),
+            }
+        }
+    }
+
     /// One allocation round into a fresh result.
-    fn allocate(d: &Disk, demands: &[IoDemand], path_efficiency: f64) -> DiskAllocation {
+    fn allocate<const N: usize>(
+        d: &Disk,
+        demands: &[IoDemand; N],
+        path_efficiency: f64,
+    ) -> DiskAllocation<N> {
         let mut out = DiskAllocation::default();
         d.allocate(demands, path_efficiency, &mut out);
         out

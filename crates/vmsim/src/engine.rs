@@ -8,19 +8,23 @@
 //! Each step the engine solves a small fixed point: application progress
 //! rates determine CPU and I/O demands; the credit scheduler and the disk
 //! allocate capacity for those demands; the allocations bound the progress
-//! rates. A damped iteration converges in a handful of rounds, in buffers
-//! sized once per run, allocating nothing. It runs only when its inputs
-//! change: a step whose inputs repeat the last solve's bit for bit reuses
-//! that answer, and a throttled guest restarts from the same rate on every
-//! step until its next phase boundary. Inside a solve the disk allocation
-//! is reused the same way (see [`DiskAllocation`]). In one build of the
-//! full-fidelity testbed (time scale 0.25), 1 036 786 of the 1 263 051
-//! steps (82.1 %) reuse a solve, the solves run 1 426 640 damped rounds,
-//! and of the rounds' disk allocations 548 691 (38.5 %) are computed,
-//! 171 920 (12.1 %) reuse the utilizations under a new path efficiency and
-//! 706 029 (49.5 %) repeat a whole round. These counts are exact under the
-//! campaign's seeds; `tests::counted_work_holds_still` pins them for a few
-//! smaller runs.
+//! rates. A damped iteration converges in a handful of rounds.
+//!
+//! [`Engine::run`] dispatches on the guest count to one copy of the run
+//! compiled for that count, 1 to [`MAX_GUESTS`]: the guests, the solve's
+//! buffers (`Scratch`) and the disk's memo are fixed-size arrays, so a run
+//! allocates only its outcome and every loop has a constant trip count.
+//! The solve runs only when its inputs change: a step whose inputs repeat
+//! the last solve's bit for bit reuses that answer, and a throttled guest
+//! restarts from the same rate on every step until its next phase
+//! boundary. Inside a solve the disk allocation is reused the same way
+//! (see [`DiskAllocation`]). In one build of the full-fidelity testbed
+//! (time scale 0.25), 1 036 786 of the 1 263 051 steps (82.1 %) reuse a
+//! solve, the solves run 1 426 640 damped rounds, and of the rounds' disk
+//! allocations 548 691 (38.5 %) are computed, 171 920 (12.1 %) reuse the
+//! utilizations under a new path efficiency and 706 029 (49.5 %) repeat a
+//! whole round. These counts are exact under the campaign's seeds;
+//! `tests::counted_work_holds_still` pins them for a few smaller runs.
 
 use crate::app::{AppModel, Phase};
 use crate::config::HostConfig;
@@ -196,55 +200,58 @@ fn jittered(app: &AppModel, base: Phase, rng: &mut ChaCha12) -> Phase {
     }
 }
 
-/// The buffers of one run, sized once for its guest count so that
-/// [`Engine::solve_step`] allocates nothing. CPU vectors have `n + 1`
-/// slots with Dom0 at index 0; the rest have one slot per guest.
+/// The buffers of one run of `N` guests, fixed-size so that
+/// [`Engine::solve_step`] allocates nothing and its loops unroll. CPU
+/// arrays have `C = N + 1` slots with Dom0 at index 0 (stable Rust has no
+/// `N + 1` in a const generic, so the dispatch names both and
+/// [`Scratch::new`] checks them); the rest have one slot per guest.
 #[derive(Clone)]
-struct Scratch {
+struct Scratch<const N: usize, const C: usize> {
     /// The inputs of the last solve as raw bits, one row per guest: its
     /// `done` flag, the six phase fields the fixed point reads, and its
     /// starting rate `rates[i].max(0.5)`.
-    key: Vec<[u64; 8]>,
+    key: [[u64; 8]; N],
     /// Progress-rate multiplier of each guest, carried across steps to
     /// warm-start the fixed point.
-    rates: Vec<f64>,
-    weights: Vec<f64>,
+    rates: [f64; N],
+    weights: [f64; C],
     /// CPU demands if no guest were ever blocked on I/O, and at the
     /// current rate estimate, with the fair-share allocation of each.
-    full_demand: Vec<f64>,
-    full_alloc: Vec<f64>,
-    actual_demand: Vec<f64>,
-    actual_alloc: Vec<f64>,
+    full_demand: [f64; C],
+    full_alloc: [f64; C],
+    actual_demand: [f64; C],
+    actual_alloc: [f64; C],
     /// CPU-feasible rates, the I/O they would issue, the disk's answer.
-    r_cpu: Vec<f64>,
-    io: Vec<IoDemand>,
-    disk: DiskAllocation,
+    r_cpu: [f64; N],
+    io: [IoDemand; N],
+    disk: DiskAllocation<N>,
     // The step's resolved allocation: CPU consumed by each guest, total
     // Dom0 CPU, and the Dom0 CPU attributed to each guest's I/O.
-    cpu_alloc: Vec<f64>,
+    cpu_alloc: [f64; N],
     dom0_used: f64,
-    dom0_attrib: Vec<f64>,
+    dom0_attrib: [f64; N],
 }
 
-impl Scratch {
-    fn new(cfg: &HostConfig, n: usize) -> Self {
-        let mut weights = vec![cfg.guest_weight; n + 1];
+impl<const N: usize, const C: usize> Scratch<N, C> {
+    fn new(cfg: &HostConfig) -> Self {
+        const { assert!(C == N + 1, "CPU arrays hold Dom0 and N guests") };
+        let mut weights = [cfg.guest_weight; C];
         weights[0] = cfg.dom0_weight;
         Scratch {
             // A `done` word of all ones matches no guest: the first step solves.
-            key: vec![[u64::MAX; 8]; n],
-            rates: vec![1.0; n],
+            key: [[u64::MAX; 8]; N],
+            rates: [1.0; N],
             weights,
-            full_demand: vec![0.0; n + 1],
-            full_alloc: vec![0.0; n + 1],
-            actual_demand: vec![0.0; n + 1],
-            actual_alloc: vec![0.0; n + 1],
-            r_cpu: vec![0.0; n],
-            io: vec![IoDemand::default(); n],
+            full_demand: [0.0; C],
+            full_alloc: [0.0; C],
+            actual_demand: [0.0; C],
+            actual_alloc: [0.0; C],
+            r_cpu: [0.0; N],
+            io: [IoDemand::default(); N],
             disk: DiskAllocation::default(),
-            cpu_alloc: vec![0.0; n],
+            cpu_alloc: [0.0; N],
             dom0_used: 0.0,
-            dom0_attrib: vec![0.0; n],
+            dom0_attrib: [0.0; N],
         }
     }
 
@@ -252,7 +259,7 @@ impl Scratch {
     /// the last solve's, bit for bit. A guest throttled below 0.5 restarts
     /// from 0.5 and one at full speed from 1.0, so until the next phase
     /// boundary most steps repeat the step before.
-    fn repeats_last_solve(&mut self, guests: &[Guest]) -> bool {
+    fn repeats_last_solve(&mut self, guests: &[Guest; N]) -> bool {
         let mut same = true;
         for ((g, r), key) in guests.iter().zip(&self.rates).zip(&mut self.key) {
             let ph = &g.current;
@@ -274,6 +281,11 @@ impl Scratch {
         same
     }
 }
+
+/// The most guests one co-run holds. dcsim's machines have
+/// `tracon_core::MAX_NEIGHBOURS + 1` slots; its tests check that this
+/// covers them.
+pub const MAX_GUESTS: usize = 5;
 
 /// The co-run engine for one host.
 #[derive(Debug, Clone)]
@@ -343,16 +355,32 @@ impl Engine {
     /// exactly as on the real testbed).
     ///
     /// # Panics
-    /// Panics when no application is finite, or if the simulation exceeds
+    /// Panics when no application is finite, when there are more than
+    /// [`MAX_GUESTS`] applications, or if the simulation exceeds
     /// `max_sim_time` (a mis-calibrated model).
     pub fn run(&self, apps: &[&AppModel], seed: u64) -> RunOutcome {
         assert!(
             apps.iter().any(|a| !a.endless),
             "a co-run of only endless applications never terminates"
         );
+        match apps.len() {
+            1 => self.run_n::<1, 2>(apps, seed),
+            2 => self.run_n::<2, 3>(apps, seed),
+            3 => self.run_n::<3, 4>(apps, seed),
+            4 => self.run_n::<4, 5>(apps, seed),
+            5 => self.run_n::<5, 6>(apps, seed),
+            n => panic!(
+                "a co-run of {n} guests exceeds the engine's limit of MAX_GUESTS = {MAX_GUESTS}"
+            ),
+        }
+    }
+
+    /// [`Engine::run`] for `N` guests, with `C = N + 1` CPU slots.
+    fn run_n<const N: usize, const C: usize>(&self, apps: &[&AppModel], seed: u64) -> RunOutcome {
+        let apps: &[&AppModel; N] = apps.try_into().expect("dispatched on the guest count");
         let mut rng = ChaCha12::seed_from_u64(seed);
-        let mut guests: Vec<Guest> = apps.iter().map(|a| Guest::new(a, &mut rng)).collect();
-        let mut s = Scratch::new(&self.cfg, guests.len());
+        let mut guests = apps.map(|a| Guest::new(a, &mut rng));
+        let mut s = Scratch::<N, C>::new(&self.cfg);
         let mut t = 0.0f64;
         let mut dom0_seconds = 0.0f64;
         let mut samples = Vec::new();
@@ -367,10 +395,7 @@ impl Engine {
             assert!(
                 t < self.cfg.max_sim_time,
                 "co-run of {} exceeded max_sim_time={}s",
-                apps.iter()
-                    .map(|a| a.name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" and "),
+                apps.map(|a| a.name.as_str()).join(" and "),
                 self.cfg.max_sim_time
             );
             // The fixed point is a pure function of its key, so a step that
@@ -472,7 +497,11 @@ impl Engine {
     /// `s.dom0_attrib`. It reads only what [`Scratch::repeats_last_solve`]
     /// keys on (and the engine's constants), and writes every other
     /// buffer before reading it.
-    fn solve_step(&self, guests: &[Guest], s: &mut Scratch) {
+    fn solve_step<const N: usize, const C: usize>(
+        &self,
+        guests: &[Guest; N],
+        s: &mut Scratch<N, C>,
+    ) {
         let cfg = &self.cfg;
         // Start optimistic: warm-start from the previous step's rates but
         // allow recovering to full speed.
@@ -674,7 +703,12 @@ mod tests {
     /// solves it afresh, on a copy of the scratch with an empty disk
     /// memo, and compares the four outputs bit for bit. The fresh solve
     /// is not counted.
-    pub(super) fn audit_step(e: &Engine, guests: &[Guest], s: &Scratch, reused: bool) {
+    pub(super) fn audit_step<const N: usize, const C: usize>(
+        e: &Engine,
+        guests: &[Guest; N],
+        s: &Scratch<N, C>,
+        reused: bool,
+    ) {
         if AUDIT.get().is_none() {
             return;
         }
@@ -689,7 +723,7 @@ mod tests {
             e.solve_step(guests, &mut fresh);
             AUDIT.set(saved);
             disk::tests::set_counts(saved_disk);
-            let outputs = |s: &Scratch| -> Vec<u64> {
+            let outputs = |s: &Scratch<N, C>| -> Vec<u64> {
                 s.rates
                     .iter()
                     .chain(&s.cpu_alloc)
@@ -755,6 +789,307 @@ mod tests {
         app.jitter = [0.0, 0.1][rng.range_usize(0, 2)];
         app.endless = rng.range_usize(0, 3) == 0;
         app
+    }
+
+    /// The buffers of [`reference_run`]: one `Vec` per quantity, any
+    /// guest count, CPU vectors with Dom0 at index 0.
+    struct RefScratch {
+        rates: Vec<f64>,
+        weights: Vec<f64>,
+        full_demand: Vec<f64>,
+        full_alloc: Vec<f64>,
+        actual_demand: Vec<f64>,
+        actual_alloc: Vec<f64>,
+        r_cpu: Vec<f64>,
+        io: Vec<IoDemand>,
+        cpu_alloc: Vec<f64>,
+        dom0_used: f64,
+        dom0_attrib: Vec<f64>,
+    }
+
+    /// [`Engine::run`] as it was before it went onto fixed-size arrays:
+    /// `Vec` state for any guest count, a fresh solve every step and a
+    /// fresh disk round every round. The engine must match it bit for bit.
+    fn reference_run(e: &Engine, apps: &[&AppModel], seed: u64) -> RunOutcome {
+        let n = apps.len();
+        let mut rng = ChaCha12::seed_from_u64(seed);
+        let mut guests: Vec<Guest> = apps.iter().map(|a| Guest::new(a, &mut rng)).collect();
+        let mut weights = vec![e.cfg.guest_weight; n + 1];
+        weights[0] = e.cfg.dom0_weight;
+        let mut s = RefScratch {
+            rates: vec![1.0; n],
+            weights,
+            full_demand: vec![0.0; n + 1],
+            full_alloc: vec![0.0; n + 1],
+            actual_demand: vec![0.0; n + 1],
+            actual_alloc: vec![0.0; n + 1],
+            r_cpu: vec![0.0; n],
+            io: vec![IoDemand::default(); n],
+            cpu_alloc: vec![0.0; n],
+            dom0_used: 0.0,
+            dom0_attrib: vec![0.0; n],
+        };
+        let (mut t, mut dom0_seconds, mut samples) = (0.0f64, 0.0f64, Vec::new());
+        let (mut win_start, mut win_dom0) = (0.0f64, 0.0f64);
+        while guests.iter().any(|g| !g.done && !g.app.endless) {
+            assert!(t < e.cfg.max_sim_time);
+            reference_solve(e, &guests, &mut s);
+            let mut dt = e.cfg.dt_max;
+            for (g, r) in guests.iter().zip(&s.rates) {
+                if g.done || *r <= 1e-9 {
+                    continue;
+                }
+                let remaining = (g.current.nominal_s - g.phase_progress).max(1e-9);
+                dt = dt.min(remaining / r);
+            }
+            if let Some(si) = e.sample_interval {
+                let next_sample = win_start + si;
+                if t + dt > next_sample {
+                    dt = (next_sample - t).max(1e-9);
+                }
+            }
+            for (i, g) in guests.iter_mut().enumerate() {
+                if g.done {
+                    continue;
+                }
+                let r = s.rates[i];
+                let served = VmObservation {
+                    read_rps: r * g.current.read_rps,
+                    write_rps: r * g.current.write_rps,
+                    cpu_util: s.cpu_alloc[i],
+                    dom0_util: s.dom0_attrib[i],
+                };
+                g.served.accumulate(&served, dt);
+                g.window.accumulate(&served, dt);
+                g.active_time += dt;
+                if g.advance(r * dt, &mut rng) {
+                    g.finished_at = t + dt;
+                }
+            }
+            dom0_seconds += s.dom0_used * dt;
+            win_dom0 += s.dom0_used * dt;
+            t += dt;
+            if e.sample_interval
+                .is_some_and(|si| t - win_start >= si - 1e-9)
+            {
+                let dur = (t - win_start).max(1e-9);
+                samples.push(IntervalSample {
+                    time: t,
+                    vms: guests
+                        .iter_mut()
+                        .map(|g| std::mem::take(&mut g.window).averaged_over(dur))
+                        .collect(),
+                    dom0_total: win_dom0 / dur,
+                });
+                win_dom0 = 0.0;
+                win_start = t;
+            }
+        }
+        let active = |g: &Guest| g.active_time.max(1e-9);
+        RunOutcome {
+            finished: guests.iter().map(|g| g.done).collect(),
+            runtime: (guests.iter())
+                .map(|g| if g.done { g.finished_at } else { t })
+                .collect(),
+            iops: (guests.iter())
+                .map(|g| (g.served.read_rps + g.served.write_rps) / active(g))
+                .collect(),
+            observed: (guests.iter())
+                .map(|g| g.served.averaged_over(active(g)))
+                .collect(),
+            dom0_total: dom0_seconds / t.max(1e-9),
+            samples,
+        }
+    }
+
+    /// The fixed point of [`reference_run`], on slices.
+    fn reference_solve(e: &Engine, guests: &[Guest], s: &mut RefScratch) {
+        let cfg = &e.cfg;
+        for (i, g) in guests.iter().enumerate() {
+            let ph = &g.current;
+            (s.rates[i], s.full_demand[i + 1]) = if g.done {
+                (0.0, 0.0)
+            } else {
+                (s.rates[i].max(0.5), (ph.background_cpu + ph.cpu).min(1.0))
+            };
+        }
+        for _ in 0..24 {
+            let io_rps: f64 = guests
+                .iter()
+                .zip(&s.rates)
+                .map(|(g, r)| r * g.io_rps())
+                .sum();
+            let dom0_demand = cfg.dom0_base_cpu + io_rps * cfg.dom0_cost_per_req_s;
+            s.full_demand[0] = dom0_demand;
+            let capacity = cfg.cpu_capacity;
+            fair_share(capacity, &s.full_demand, &s.weights, &mut s.full_alloc);
+            s.actual_demand[0] = dom0_demand;
+            for (i, g) in guests.iter().enumerate() {
+                let ph = &g.current;
+                s.actual_demand[i + 1] = if g.done {
+                    0.0
+                } else {
+                    (ph.background_cpu + s.rates[i] * ph.cpu).min(1.0)
+                };
+            }
+            fair_share(capacity, &s.actual_demand, &s.weights, &mut s.actual_alloc);
+            let starvation = (s.actual_alloc[0] / dom0_demand.max(1e-9)).clamp(0.0, 1.0);
+            let total_demand = s.actual_demand[1..]
+                .iter()
+                .fold(dom0_demand, |sum, d| sum + d);
+            let saturation = ((total_demand - 0.9 * capacity) / (0.15 * capacity)).clamp(0.0, 1.0);
+            let streaming = guests.iter().filter(|g| g.io_rps() > 1e-9).count();
+            let latency_penalty = if streaming >= 2 {
+                1.0 / (1.0 + cfg.dom0_latency_gamma * saturation)
+            } else {
+                1.0
+            };
+            let path_eff = (starvation * latency_penalty).clamp(1e-6, 1.0);
+            for (i, g) in guests.iter().enumerate() {
+                let ph = &g.current;
+                (s.r_cpu[i], s.io[i]) = if g.done {
+                    (0.0, IoDemand::default())
+                } else {
+                    let r_cpu = if ph.cpu > 1e-12 {
+                        (s.full_alloc[i + 1] / ph.cpu).min(1.0)
+                    } else {
+                        1.0
+                    };
+                    let io = IoDemand {
+                        read_rps: r_cpu * ph.read_rps,
+                        write_rps: r_cpu * ph.write_rps,
+                        req_kb: ph.req_kb,
+                        sequentiality: ph.sequentiality,
+                    };
+                    (r_cpu, io)
+                };
+            }
+            let fractions = reference_disk(&e.disk, &s.io, path_eff);
+            let mut max_delta = 0.0f64;
+            for (i, g) in guests.iter().enumerate() {
+                if g.done {
+                    continue;
+                }
+                let r_io = if g.io_rps() > 1e-12 {
+                    s.r_cpu[i] * fractions[i]
+                } else {
+                    s.r_cpu[i]
+                };
+                let damped = 0.5 * s.rates[i] + 0.5 * r_io.clamp(0.0, 1.0);
+                max_delta = max_delta.max((damped - s.rates[i]).abs());
+                s.rates[i] = damped;
+            }
+            if max_delta < 1e-4 {
+                break;
+            }
+        }
+        for (i, g) in guests.iter().enumerate() {
+            s.dom0_attrib[i] = s.rates[i] * g.io_rps();
+        }
+        let total_served: f64 = s.dom0_attrib.iter().sum();
+        s.dom0_used = (cfg.dom0_base_cpu + total_served * cfg.dom0_cost_per_req_s)
+            .min(s.actual_alloc[0].max(cfg.dom0_base_cpu));
+        let dom0_io = (s.dom0_used - cfg.dom0_base_cpu).max(0.0);
+        for (i, g) in guests.iter().enumerate() {
+            s.cpu_alloc[i] = if g.done {
+                0.0
+            } else {
+                let alloc = s.actual_alloc[i + 1];
+                let coupled = (s.rates[i] * g.current.cpu).min(alloc);
+                coupled + g.current.background_cpu.min(alloc - coupled)
+            };
+            s.dom0_attrib[i] = if total_served > 1e-9 {
+                dom0_io * s.dom0_attrib[i] / total_served
+            } else {
+                0.0
+            };
+        }
+    }
+
+    /// `Disk::allocate`'s service fractions on slices, computed afresh.
+    fn reference_disk(disk: &Disk, demands: &[IoDemand], path_efficiency: f64) -> Vec<f64> {
+        let eff = path_efficiency.clamp(1e-6, 1.0);
+        let total_rps: f64 = demands.iter().map(|d| d.total_rps()).sum();
+        let utilizations: Vec<f64> = (demands.iter())
+            .map(|d| {
+                if d.is_idle() {
+                    return 0.0;
+                }
+                let eseq = disk.effective_sequentiality(d.sequentiality, d.total_rps(), total_rps);
+                d.total_rps() * disk.service_time_s(d.req_kb, eseq)
+            })
+            .collect();
+        let mut fractions = vec![0.0; demands.len()];
+        let weights = vec![1.0; demands.len()];
+        fair_share(eff, &utilizations, &weights, &mut fractions);
+        let cap = disk.params().iops_cap;
+        let iops_frac = if total_rps > cap {
+            cap / total_rps
+        } else {
+            1.0
+        };
+        for ((f, u), d) in fractions.iter_mut().zip(&utilizations).zip(demands) {
+            *f = if d.is_idle() {
+                1.0
+            } else {
+                (*f / u.max(1e-12)).min(1.0) * iops_frac
+            };
+        }
+        fractions
+    }
+
+    /// Every output of a run as raw bits, samples included.
+    fn run_bits(out: &RunOutcome) -> Vec<u64> {
+        let mut bits: Vec<u64> = out.finished.iter().map(|&f| u64::from(f)).collect();
+        bits.extend(out.runtime.iter().chain(&out.iops).map(|x| x.to_bits()));
+        for o in &out.observed {
+            bits.extend(o.as_features().map(f64::to_bits));
+        }
+        bits.push(out.dom0_total.to_bits());
+        for s in &out.samples {
+            bits.push(s.time.to_bits());
+            for o in &s.vms {
+                bits.extend(o.as_features().map(f64::to_bits));
+            }
+            bits.push(s.dom0_total.to_bits());
+        }
+        bits
+    }
+
+    #[test]
+    fn the_engine_matches_the_vec_reference_at_every_guest_count() {
+        let mut samples = 0;
+        for n in 1..=MAX_GUESTS {
+            for sampled in [false, true] {
+                check_cases(0..40, |rng| {
+                    let mut guests: Vec<AppModel> = (0..n).map(|_| random_app(rng)).collect();
+                    guests[0].endless = false;
+                    let host = ["local", "iscsi"][rng.range_usize(0, 2)];
+                    let mut e = Engine::new(HostConfig::class(host));
+                    if sampled {
+                        e = e.with_sampling(rng.range_f64(0.5, 5.0));
+                    }
+                    let seed = rng.next_u64();
+                    let apps: Vec<&AppModel> = guests.iter().collect();
+                    let out = e.run(&apps, seed);
+                    assert_eq!(out.runtime.len(), n);
+                    samples += out.samples.len();
+                    assert_eq!(
+                        run_bits(&out),
+                        run_bits(&reference_run(&e, &apps, seed)),
+                        "{n} guests, sampled: {sampled}"
+                    );
+                });
+            }
+        }
+        assert!(samples > 0, "no run sampled");
+    }
+
+    #[test]
+    #[should_panic(expected = "a co-run of 6 guests exceeds the engine's limit of MAX_GUESTS = 5")]
+    fn more_guests_than_the_limit_panic() {
+        let calc = apps::calc();
+        engine().run(&[&calc; MAX_GUESTS + 1], 1);
     }
 
     #[test]

@@ -43,5 +43,5 @@ pub mod profiler;
 pub use app::{AppModel, Phase};
 pub use apps::Benchmark;
 pub use config::{DiskParams, HostConfig};
-pub use engine::{CoRunOutcome, Engine, IntervalSample, RunOutcome, VmObservation};
+pub use engine::{CoRunOutcome, Engine, IntervalSample, RunOutcome, VmObservation, MAX_GUESTS};
 pub use profiler::{PairMatrix, PairRun, ProfileRecord, ProfileSet, Profiler};

@@ -1,9 +1,9 @@
-//! The co-run engine's fixed point allocates nothing: a run's heap
-//! traffic is its set-up (guest states, the per-run scratch, the
-//! outcome's vectors) and does not grow with the number of steps. The
-//! profiling campaign is ~2 000 such runs of thousands of steps each, and
-//! a fixed point that built its vectors per iteration was measured 45 %
-//! slower than the array-based two-VM engine it replaced.
+//! The co-run engine's fixed point allocates nothing: its guests, its
+//! solve's buffers and the disk's memo are fixed-size arrays for the
+//! run's guest count, so a run's heap traffic is its outcome's vectors
+//! and does not grow with the number of steps. The profiling campaign is
+//! 1 205 such runs of thousands of steps each, and a fixed point that
+//! built vectors per round was once measured 45 % slower.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -148,6 +148,27 @@ n=$(matches -rn 'fn solve_step' crates/vmsim/src | wc -l)
 forbid "a second engine grew back (one engine)" \
     -rnE 'MultiEngine|GuestState' crates src tests examples benchmark \
     README.md DESIGN.md EXPERIMENTS.md
+# The engine ships one solve, on fixed-size arrays per guest count: the
+# code before engine.rs's test module (its first unindented
+# `#[cfg(test)]`; the audit hooks inside the run are indented) has one
+# `fn solve…`, no private struct holding a `Vec`, and names `Vec` only
+# in the public outcome's fields, `Vec::new()` for its samples and the
+# phase list of `observe_endless`'s timer app. The
+# `Vec` fixed point the engine is checked against stays in the test
+# module.
+engine=crates/vmsim/src/engine.rs
+[ -f "$engine" ] || fail "$engine is missing"
+shipped=$(sed '/^#\[cfg(test)\]/q' "$engine")
+n=$(matches -cE '\bfn solve' <<<"$shipped")
+[ "$n" -eq 1 ] || fail "$engine ships $n solves, not one (one engine)"
+found=$(awk '/^(pub\([a-z]+\) )?struct /,/^}/' <<<"$shipped" | matches -n 'Vec')
+[ -z "$found" ] || fail "$engine keeps run state in a Vec (one engine, fixed-size)"$'\n'"$found"
+found=$(matches -nE '\bVec\b|vec!' <<<"$shipped" |
+    matches -vE '^[0-9]+:\s*(//|pub [a-z_]+: Vec<)|Vec::new\(\)|AppModel::new\(')
+[ -z "$found" ] || fail "$engine builds a Vec outside its outcome (one engine, fixed-size)"$'\n'"$found"
+found=$(matches -n 'reference_solve' <<<"$shipped")
+[ -z "$found" ] || fail "$engine ships its reference solve (one engine)"$'\n'"$found"
+grep -q 'fn reference_solve' "$engine" || fail "$engine has no reference solve in its test module (one engine)"
 
 # One thread per job in tracond: the reactor answers HTTP in its poll
 # loop and one replication thread acts for the node's role, so no
