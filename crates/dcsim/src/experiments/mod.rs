@@ -1,20 +1,19 @@
 //! Experiment drivers: one per table and figure of the paper's
 //! evaluation (Section 4), with Figs 9-12 as four rows of one
-//! [`sweep`]. Each driver is a pure function from a built
+//! [`sweep`] and Figs 4 and 8 (and the MIBS ablation) as three rows of
+//! one static [`batch`]. Each driver is a pure function from a built
 //! [`Testbed`] (plus experiment parameters) to a structured result whose
 //! `render` method emits the same rows/series the paper reports. The
 //! [`registry`] module lists all drivers as [`registry::Experiment`]
 //! rows so `tracon experiment NAME` can enumerate and run them by name.
 
-pub mod ext_ablation;
+pub mod batch;
 pub mod ext_adaptive;
 pub mod ext_density;
 pub mod ext_storage;
 pub mod fig3;
-pub mod fig4;
 pub mod fig5_6;
 pub mod fig7;
-pub mod fig8;
 pub mod registry;
 pub mod sweep;
 pub mod table1;

@@ -8,7 +8,8 @@
 //! campaign.
 
 use super::{
-    ext_ablation, ext_adaptive, ext_density, ext_storage, fig3, fig4, fig5_6, fig7, fig8,
+    batch::{self, Batch, ABLATION, FIG4, FIG8},
+    ext_adaptive, ext_density, ext_storage, fig3, fig5_6, fig7,
     sweep::{self, Figure, FIG10, FIG11, FIG12, FIG9, HORIZON_S, LAMBDA},
     table1, ExperimentConfig,
 };
@@ -49,15 +50,11 @@ pub struct Experiment {
     pub run: fn(&ExperimentConfig, &TestbedCache<'_>) -> String,
 }
 
-/// Whether a configuration asks for test-sized (not merely thinned)
-/// experiments — used by the drivers whose cost is set by their own
-/// config structs rather than the shared sweep grids.
-fn is_small(cfg: &ExperimentConfig) -> bool {
-    cfg.testbed.time_scale <= 0.1
-}
-
 fn run_fig7(cfg: &ExperimentConfig, _tb: &TestbedCache<'_>) -> String {
-    let fig_cfg = if is_small(cfg) {
+    // A test-sized (not merely thinned) configuration gets Fig 7's small
+    // config: its cost is set by its own config struct rather than the
+    // shared sweep grids.
+    let fig_cfg = if cfg.testbed.time_scale <= 0.1 {
         fig7::Fig7Config::small()
     } else if cfg.testbed.calibration_points >= 125 {
         fig7::Fig7Config::full()
@@ -89,20 +86,22 @@ fn run_sweep(
     cfg: &ExperimentConfig,
     tb: &TestbedCache<'_>,
     figure: &Figure,
-    machine_counts: &[usize],
+    machines: &[usize],
     lambdas: &[f64],
 ) -> String {
     let (reps, seed) = (cfg.sweep_repetitions, cfg.seed);
-    sweep::run(
-        tb.get(),
-        figure,
-        machine_counts,
-        lambdas,
-        HORIZON_S,
-        reps,
-        seed,
-    )
-    .render()
+    sweep::run(tb.get(), figure, machines, lambdas, HORIZON_S, reps, seed).render()
+}
+
+/// Runs one row of the static batch sweep at the configuration's seed.
+fn run_batch(
+    cfg: &ExperimentConfig,
+    tb: &TestbedCache<'_>,
+    row: &Batch,
+    machine_counts: &[usize],
+    repetitions: u64,
+) -> String {
+    batch::run(tb.get(), row, machine_counts, repetitions, cfg.seed).render()
 }
 
 /// Every experiment of the evaluation, in the paper's presentation
@@ -121,7 +120,8 @@ pub static REGISTRY: &[Experiment] = &[
     Experiment {
         name: "fig4",
         description: "MIBS speedup/IOBoost when driven by each model family",
-        run: |cfg, tb| fig4::run(tb.get(), cfg.repetitions * 3, cfg.seed).render(),
+        // Paper: 16 machines, so batches of 32.
+        run: |cfg, tb| run_batch(cfg, tb, &FIG4, &[16], cfg.repetitions * 3),
     },
     Experiment {
         name: "fig5_6",
@@ -136,7 +136,7 @@ pub static REGISTRY: &[Experiment] = &[
     Experiment {
         name: "fig8",
         description: "static-workload MIBS speedups over FIFO across cluster sizes",
-        run: |cfg, tb| fig8::run(tb.get(), &cfg.machine_counts, cfg.repetitions, cfg.seed).render(),
+        run: |cfg, tb| run_batch(cfg, tb, &FIG8, &cfg.machine_counts, cfg.repetitions),
     },
     Experiment {
         name: "fig9",
@@ -171,7 +171,7 @@ pub static REGISTRY: &[Experiment] = &[
     Experiment {
         name: "ext_ablation",
         description: "MIBS design-decision ablation (extension)",
-        run: |cfg, tb| ext_ablation::run(tb.get(), cfg.repetitions * 3, cfg.seed).render(),
+        run: |cfg, tb| run_batch(cfg, tb, &ABLATION, &[16], cfg.repetitions * 3),
     },
     Experiment {
         name: "ext_adaptive",

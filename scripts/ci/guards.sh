@@ -190,7 +190,7 @@ for f in crates/dcsim/src/*.rs crates/dcsim/src/*/*.rs; do
 done
 
 # One pool: the profiling campaign fans its runs out through
-# `tracon_core::par` alone, as the Fig 8 and Figs 9-12 sweeps do, so no
+# `tracon_core::par` alone, as the batch and dynamic sweeps do, so no
 # per-benchmark thread or channel grows back in shipped set-up code.
 found=$(code_of crates/dcsim/src/setup.rs | matches -nE 'thread::scope|thread::spawn|mpsc')
 [ -z "$found" ] || fail "crates/dcsim/src/setup.rs starts its own threads (one pool)"$'\n'"$found"
@@ -241,6 +241,13 @@ found=$(code_of crates/serve/src/table.rs | matches -nF 'json::obj(')
 # driver modules, their result types and the sweep they shared stay gone.
 forbid "a Figs 9-12 driver grew back beside the sweep (one sweep)" \
     -rnE 'fn dynamic_sweep\b|struct Fig(9|10|11|12)\b|experiments::fig(9|10|11|12)' crates src tests --include='*.rs'
+
+# One batch sweep: Figs 4 and 8 and the MIBS ablation are three `Batch`
+# rows of `experiments::batch`, evaluated by its one `run` over (mix,
+# machines) cells with one FIFO baseline per trace. The three driver
+# modules and their result types stay gone.
+forbid "a static-batch driver grew back beside the batch sweep (one batch sweep)" \
+    -rnE 'struct (Fig4|Fig4Bar|Fig8|Fig8Point|ExtAblation|AblationRow)\b|experiments::(fig4|fig8|ext_ablation)\b' crates src tests --include='*.rs'
 
 # One client loop: `tracon loadgen` runs one driver over a heap of due
 # actions, and chaos mode is that driver plus sabotage. The second driver,

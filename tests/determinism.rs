@@ -127,6 +127,43 @@ fn dynamic_sweep_is_thread_count_invariant() {
     }
 }
 
+#[test]
+fn batch_sweep_is_thread_count_invariant() {
+    // The static batch sweep fans (mix, machines) cells out over worker
+    // threads; every statistic must be bit-identical to the
+    // single-threaded sweep regardless of worker count.
+    use tracon::core::par;
+    use tracon::dcsim::arrival::WorkloadMix;
+    use tracon::dcsim::experiments::batch::{self, Batch};
+    use tracon::dcsim::{Testbed, TestbedConfig};
+
+    let tb = Testbed::build(&TestbedConfig::small());
+    let row = Batch {
+        mixes: &[WorkloadMix::Light, WorkloadMix::Medium],
+        ..batch::FIG8
+    };
+    let _pinned = WORKER_COUNT.lock().unwrap_or_else(|e| e.into_inner());
+    let run = |threads: usize| {
+        par::override_threads(Some(threads));
+        let points = batch::run(&tb, &row, &[4, 6], 3, 17).points;
+        assert_eq!(par::max_threads(), threads);
+        par::override_threads(None);
+        points
+    };
+    let serial = run(1);
+    let parallel = run(4);
+    // 2 mixes x 2 machine counts x 2 objectives.
+    assert_eq!(serial.len(), 8);
+    assert_eq!(serial.len(), parallel.len());
+    for (a, b) in serial.iter().zip(&parallel) {
+        assert_eq!(a.key, b.key);
+        for (x, y) in [(a.speedup, b.speedup), (a.io_boost, b.io_boost)] {
+            assert_eq!(x.mean.to_bits(), y.mean.to_bits());
+            assert_eq!(x.std_dev.to_bits(), y.std_dev.to_bits());
+        }
+    }
+}
+
 /// Every pair-table cell with both pair predictions, then every profile
 /// set's solo statistics and records, as raw bits.
 fn testbed_bits(tb: &tracon::dcsim::Testbed) -> Vec<u64> {
